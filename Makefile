@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint lint-fixtures bench bench-compare load metrics-lint verify cover chaos audit audit-broken
+.PHONY: build test vet race lint lint-fixtures loc bench bench-compare load verify cover chaos audit audit-broken
 
 build:
 	$(GO) build ./...
@@ -30,15 +30,15 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/analysis/ -run 'TestFixtures|TestIgnore|TestStrict|TestMetricNames'
 
-# Check that all registered metric names are lowercase_snake and unique.
-# Kept as a named target for the tier-1 line; now a subset of `make lint`.
-metrics-lint:
-	$(GO) run ./cmd/rcclint -only metricnames
+# Non-test Go lines per package, one line each; fails if internal/exec
+# exceeds its ceiling (ROADMAP tracks LoC per package).
+loc:
+	./scripts/loc.sh
 
 # Tier-1 verification line (see ROADMAP.md).
 verify: build vet lint test race
 
-# Executor benchmarks: row-at-a-time vs batch vs morsel-parallel.
+# Executor benchmarks: serial vs morsel-parallel.
 # Emits BENCH_exec.json with rows/sec per benchmark.
 bench:
 	./scripts/bench.sh

@@ -402,7 +402,7 @@ func benchCompile(b *testing.B, where string, schema *exec.Schema) exec.Compiled
 // runExecBench drains a freshly built tree per iteration — counting rows
 // without materializing a result set, so the measurement isolates operator
 // throughput — and reports rows/sec plus allocations.
-func runExecBench(b *testing.B, build func() exec.Operator, rowMode bool) {
+func runExecBench(b *testing.B, build func() exec.Operator) {
 	ctx := &exec.EvalContext{Now: time.Unix(0, 0)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -413,40 +413,15 @@ func runExecBench(b *testing.B, build func() exec.Operator, rowMode bool) {
 			b.Fatal(err)
 		}
 		rows = 0
-		if vop, ok := op.(exec.VecOperator); ok && !rowMode {
-			// Columnar drain — the same path Run prefers in production.
-			for {
-				cb, more, err := vop.NextVec()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !more {
-					break
-				}
-				rows += cb.NumActive()
+		for {
+			cb, more, err := op.NextVec()
+			if err != nil {
+				b.Fatal(err)
 			}
-		} else if bop, ok := op.(exec.BatchOperator); ok && !rowMode {
-			for {
-				batch, more, err := bop.NextBatch()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !more {
-					break
-				}
-				rows += len(batch)
+			if !more {
+				break
 			}
-		} else {
-			for {
-				_, more, err := op.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !more {
-					break
-				}
-				rows++
-			}
+			rows += cb.NumActive()
 		}
 		if err := op.Close(); err != nil {
 			b.Fatal(err)
@@ -457,18 +432,14 @@ func runExecBench(b *testing.B, build func() exec.Operator, rowMode bool) {
 	}
 }
 
-// BenchmarkExecScan compares the three execution modes on a full Orders
-// scan — the acceptance gate for the batched path (batch >= 2x row) and the
-// worker-scaling numbers for the parallel path.
+// BenchmarkExecScan measures a full Orders scan, serial and morsel-parallel
+// (the worker-scaling numbers behind the monotonicity gate).
 func BenchmarkExecScan(b *testing.B) {
 	sys := execBenchSystem(b)
 	tbl := sys.Backend.Table("Orders")
 	schema := benchStoredSchema(sys, "Orders")
-	b.Run("row", func(b *testing.B) {
-		runExecBench(b, func() exec.Operator { return exec.NewScan(tbl, schema) }, true)
-	})
-	b.Run("batch", func(b *testing.B) {
-		runExecBench(b, func() exec.Operator { return exec.NewScan(tbl, schema) }, false)
+	b.Run("serial", func(b *testing.B) {
+		runExecBench(b, func() exec.Operator { return exec.NewScan(tbl, schema) })
 	})
 	for _, dop := range []int{2, 4} {
 		dop := dop
@@ -477,7 +448,7 @@ func BenchmarkExecScan(b *testing.B) {
 				ps := exec.NewParallelScan(tbl, schema)
 				ps.DOP = dop
 				return ps
-			}, false)
+			})
 		})
 	}
 }
@@ -497,10 +468,10 @@ func benchKernel(b *testing.B, where string, schema *exec.Schema) exec.BoolKerne
 	return k
 }
 
-// BenchmarkExecFilterScan pushes a ~50%-selective predicate through the
-// execution modes: row-at-a-time, batch (row predicate), batch with the
-// fused columnar kernel, and morsel-parallel at two worker counts (the
-// monotone-scaling gate compares the last two).
+// BenchmarkExecFilterScan pushes a ~50%-selective predicate, compiled to a
+// fused columnar kernel as the planner does, through a serial scan and
+// through morsel-parallel scans at two worker counts (the monotone-scaling
+// gate compares the last two).
 func BenchmarkExecFilterScan(b *testing.B) {
 	sys := execBenchSystem(b)
 	tbl := sys.Backend.Table("Orders")
@@ -508,27 +479,13 @@ func BenchmarkExecFilterScan(b *testing.B) {
 	const where = "o_totalprice > 250000"
 	pred := benchCompile(b, where, schema)
 	kernel := benchKernel(b, where, schema)
-	b.Run("row", func(b *testing.B) {
-		runExecBench(b, func() exec.Operator {
-			s := exec.NewScan(tbl, schema)
-			s.Filter = pred
-			return s
-		}, true)
-	})
-	b.Run("batch", func(b *testing.B) {
-		runExecBench(b, func() exec.Operator {
-			s := exec.NewScan(tbl, schema)
-			s.Filter = pred
-			return s
-		}, false)
-	})
-	b.Run("kernel", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			s := exec.NewScan(tbl, schema)
 			s.Filter = pred
 			s.FilterKernel = kernel
 			return s
-		}, false)
+		})
 	})
 	for _, dop := range []int{2, 4} {
 		dop := dop
@@ -539,14 +496,13 @@ func BenchmarkExecFilterScan(b *testing.B) {
 				ps.FilterKernel = kernel
 				ps.DOP = dop
 				return ps
-			}, false)
+			})
 		})
 	}
 }
 
-// BenchmarkExecHashJoin joins Customer (build) with Orders (probe) in both
-// modes; the probe side dominates, so batching the probe stream is what
-// pays.
+// BenchmarkExecHashJoin joins Customer (build) with Orders (probe); the
+// probe side dominates.
 func BenchmarkExecHashJoin(b *testing.B) {
 	sys := execBenchSystem(b)
 	cust := sys.Backend.Table("Customer")
@@ -569,25 +525,25 @@ func BenchmarkExecHashJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	build := func() exec.Operator {
-		hj := exec.NewHashJoin(
-			exec.NewScan(orders, os), exec.NewScan(cust, cs),
-			[]exec.Compiled{leftKey}, []exec.Compiled{rightKey},
-			nil, exec.JoinInner)
-		// Ordinals as the planner wires them for column-reference keys.
-		hj.LeftKeyCols = []int{os.Lookup("Orders", "o_custkey")}
-		hj.RightKeyCols = []int{cs.Lookup("Customer", "c_custkey")}
-		return hj
-	}
-	b.Run("row", func(b *testing.B) { runExecBench(b, build, true) })
-	b.Run("batch", func(b *testing.B) { runExecBench(b, build, false) })
+	b.Run("serial", func(b *testing.B) {
+		runExecBench(b, func() exec.Operator {
+			hj := exec.NewHashJoin(
+				exec.NewScan(orders, os), exec.NewScan(cust, cs),
+				[]exec.Compiled{leftKey}, []exec.Compiled{rightKey},
+				nil, exec.JoinInner)
+			// Ordinals as the planner wires them for column-reference keys.
+			hj.LeftKeyCols = []int{os.Lookup("Orders", "o_custkey")}
+			hj.RightKeyCols = []int{cs.Lookup("Customer", "c_custkey")}
+			return hj
+		})
+	})
 }
 
-// BenchmarkExecScanMetered re-runs the batch Orders scan with the metrics
+// BenchmarkExecScanMetered re-runs the serial Orders scan with the metrics
 // and lifecycle-tracing hot paths engaged — one counter increment and one
 // histogram observation per batch, plus a sampled tracer Begin/Finish per
 // scan (1 in 8, the production default) — to show instrumentation costs
-// < 5% of rows/sec versus BenchmarkExecScan/batch. Compare the two in
+// < 5% of rows/sec versus BenchmarkExecScan/serial. Compare the two in
 // BENCH_exec.json.
 func BenchmarkExecScanMetered(b *testing.B) {
 	sys := execBenchSystem(b)
@@ -613,8 +569,8 @@ func BenchmarkExecScanMetered(b *testing.B) {
 		}
 		rows = 0
 		for {
-			// Same columnar drain as the unmetered scan benchmark, plus the
-			// per-batch metric touches under test.
+			// Same drain as the unmetered scan benchmark, plus the per-batch
+			// metric touches under test.
 			cb, more, err := op.NextVec()
 			if err != nil {
 				b.Fatal(err)

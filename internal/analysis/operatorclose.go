@@ -12,16 +12,14 @@ import (
 // iterators when a guard re-evaluation switched branches or an error struck
 // mid-open.
 //
-// The check: for every struct that stores exec.Operator/BatchOperator
-// fields and calls Open on one of them, the struct's Close method must
-// release that field on its default path — directly (field.Close()), by
-// ranging over the field and closing elements, or by passing the field to a
-// helper. Two escapes are recognized: a field whose value is also stored in
-// another operator field (an alias, e.g. bchild = AsBatch(Child)) is
-// covered by closing the alias; and a field handed to a method on the same
-// receiver (e.g. s.track(s.active)) is treated as tracked elsewhere. A
-// close that only happens under a conditional other than a nil-guard of the
-// field itself is flagged as conditional.
+// The check: for every struct that stores exec.Operator fields and calls
+// Open on one of them, the struct's Close method must release that field on
+// its default path — directly (field.Close()), by ranging over the field
+// and closing elements, or by passing the field to a helper. One escape is
+// recognized: a field handed to a method on the same receiver (e.g.
+// s.track(s.active)) is treated as tracked elsewhere. A close that only
+// happens under a conditional other than a nil-guard of the field itself is
+// flagged as conditional.
 func NewOperatorClose() *Analyzer {
 	return &Analyzer{
 		Name: "operatorclose",
@@ -31,12 +29,12 @@ func NewOperatorClose() *Analyzer {
 }
 
 // isOperatorType reports whether a field type expression names the operator
-// interfaces (Operator/BatchOperator, possibly package-qualified, possibly
-// a slice/array/pointer of them).
+// interface (possibly package-qualified, possibly a slice/array/pointer of
+// it).
 func isOperatorType(e ast.Expr) bool {
 	switch t := e.(type) {
 	case *ast.Ident:
-		return t.Name == "Operator" || t.Name == "BatchOperator"
+		return t.Name == "Operator"
 	case *ast.SelectorExpr:
 		return isOperatorType(t.Sel)
 	case *ast.ArrayType:
@@ -53,7 +51,6 @@ type opStruct struct {
 	pos     token.Pos
 	fields  map[string]token.Pos // operator-typed field name -> decl pos
 	opened  map[string]token.Pos // field -> first Open call position
-	aliases map[string][]string  // field -> operator fields its value also flows into
 	handed  map[string]bool      // field passed to a method on the same receiver
 	closeFn *ast.FuncDecl
 	closeRx string // receiver name inside Close
@@ -87,12 +84,11 @@ func runOperatorClose(pass *Pass) {
 				}
 				if len(fields) > 0 {
 					structs[ts.Name.Name] = &opStruct{
-						name:    ts.Name.Name,
-						pos:     ts.Name.Pos(),
-						fields:  fields,
-						opened:  map[string]token.Pos{},
-						aliases: map[string][]string{},
-						handed:  map[string]bool{},
+						name:   ts.Name.Name,
+						pos:    ts.Name.Pos(),
+						fields: fields,
+						opened: map[string]token.Pos{},
+						handed: map[string]bool{},
 					}
 				}
 			}
@@ -102,8 +98,8 @@ func runOperatorClose(pass *Pass) {
 		return
 	}
 
-	// Scan every method of each tracked struct for opens, aliases, hand-offs
-	// and the Close declaration.
+	// Scan every method of each tracked struct for opens, hand-offs and the
+	// Close declaration.
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -164,50 +160,34 @@ func mentionsField(e ast.Expr, rx, field string) bool {
 	return found
 }
 
-// scanOpMethod records Open calls, field-to-field aliases, and hand-offs to
-// receiver methods for one method body.
+// scanOpMethod records Open calls and hand-offs to receiver methods for one
+// method body.
 func scanOpMethod(os *opStruct, rx string, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if sel.Sel.Name == "Open" {
+			for fld := range os.fields {
+				if mentionsField(sel.X, rx, fld) {
+					if _, seen := os.opened[fld]; !seen {
+						os.opened[fld] = call.Pos()
+					}
+				}
 			}
-			if sel.Sel.Name == "Open" {
+		}
+		// s.helper(... s.F ...) hands F to another method of the same
+		// receiver, which is trusted to track it for Close.
+		if id, ok := sel.X.(*ast.Ident); ok && id.Name == rx {
+			for _, arg := range call.Args {
 				for fld := range os.fields {
-					if mentionsField(sel.X, rx, fld) {
-						if _, seen := os.opened[fld]; !seen {
-							os.opened[fld] = n.Pos()
-						}
-					}
-				}
-			}
-			// s.helper(... s.F ...) hands F to another method of the same
-			// receiver, which is trusted to track it for Close.
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == rx {
-				for _, arg := range n.Args {
-					for fld := range os.fields {
-						if mentionsField(arg, rx, fld) {
-							os.handed[fld] = true
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) && len(n.Rhs) != 1 {
-					break
-				}
-				rhs := n.Rhs[min(i, len(n.Rhs)-1)]
-				for dst := range os.fields {
-					if !mentionsField(lhs, rx, dst) {
-						continue
-					}
-					for src := range os.fields {
-						if src != dst && mentionsField(rhs, rx, src) {
-							os.aliases[src] = append(os.aliases[src], dst)
-						}
+					if mentionsField(arg, rx, fld) {
+						os.handed[fld] = true
 					}
 				}
 			}
@@ -233,54 +213,18 @@ func checkOpStruct(pass *Pass, os *opStruct) {
 		pass.Reportf(os.pos, "%s opens child operator fields but declares no Close method", os.name)
 		return
 	}
-	kinds := map[string]closeKind{}
-	for fld := range os.fields {
-		kinds[fld] = closeOccurrence(os.closeFn.Body, os.closeRx, fld)
-	}
 	for _, fld := range sortedFields(os.opened) {
-		group := aliasGroup(os, fld)
-		best := closeNone
-		handed := false
-		for _, g := range group {
-			if k := kinds[g]; k > best {
-				best = k
-			}
-			if os.handed[g] {
-				handed = true
-			}
-		}
-		if handed || best == closeUnconditional {
+		kind := closeOccurrence(os.closeFn.Body, os.closeRx, fld)
+		if os.handed[fld] || kind == closeUnconditional {
 			continue
 		}
 		pos := os.opened[fld]
-		if best == closeConditional {
+		if kind == closeConditional {
 			pass.Reportf(pos, "(%s).Close closes child operator field %s only under a condition that is not a nil-guard; an early-exit path can leak the opened child", os.name, fld)
 		} else {
 			pass.Reportf(pos, "(%s).Close never closes child operator field %s, which this method opens; the child leaks on every execution", os.name, fld)
 		}
 	}
-}
-
-// aliasGroup returns fld plus every operator field its value flows into,
-// transitively.
-func aliasGroup(os *opStruct, fld string) []string {
-	seen := map[string]bool{fld: true}
-	queue := []string{fld}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range os.aliases[cur] {
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	return out
 }
 
 func sortedFields(m map[string]token.Pos) []string {
@@ -303,42 +247,7 @@ func closeOccurrence(body *ast.BlockStmt, rx, fld string) closeKind {
 	if body == nil || rx == "" {
 		return closeNone
 	}
-	// Local aliases of the field inside Close (c := s.fld, including
-	// if-statement init clauses) count as the field.
-	aliasVars := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if i >= len(as.Rhs) {
-				break
-			}
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if mentionsField(as.Rhs[i], rx, fld) {
-				aliasVars[id.Name] = true
-			}
-		}
-		return true
-	})
-	mentions := func(e ast.Expr) bool {
-		if mentionsField(e, rx, fld) {
-			return true
-		}
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && aliasVars[id.Name] {
-				found = true
-				return false
-			}
-			return !found
-		})
-		return found
-	}
+	mentions := func(e ast.Expr) bool { return mentionsField(e, rx, fld) }
 
 	best := closeNone
 	var stack []ast.Node
@@ -396,8 +305,8 @@ func containsCloseCall(body *ast.BlockStmt) bool {
 
 // guardedByForeignCondition reports whether node sits inside an if/switch/
 // select arm whose condition is unrelated to the field (mentions reports
-// field relation). A nil-guard of the field itself (`if s.f != nil` or
-// `if c := s.f; c != nil`) does not count as foreign.
+// field relation). A nil-guard of the field itself (`if s.f != nil`) does
+// not count as foreign.
 func guardedByForeignCondition(stack []ast.Node, node ast.Node, mentions func(ast.Expr) bool) bool {
 	for _, anc := range stack {
 		switch s := anc.(type) {
@@ -443,11 +352,4 @@ func isNilGuard(cond ast.Expr, mentions func(ast.Expr) bool) bool {
 		return mentions(be.X)
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

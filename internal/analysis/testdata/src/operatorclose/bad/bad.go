@@ -6,7 +6,6 @@ package bad
 // interface by name.
 type Operator interface {
 	Open() error
-	Next() (int, bool)
 	Close() error
 }
 
@@ -14,7 +13,6 @@ type Operator interface {
 // the exact leak the real SwitchUnion shipped with before PR 1 fixed it.
 type SwitchUnion struct {
 	Children []Operator
-	idx      int
 }
 
 func (s *SwitchUnion) Open() error {
@@ -26,8 +24,6 @@ func (s *SwitchUnion) Open() error {
 	return nil
 }
 
-func (s *SwitchUnion) Next() (int, bool) { return s.Children[s.idx].Next() }
-
 func (s *SwitchUnion) Close() error { return nil }
 
 // CondClose releases its child only under a state flag, so an early-exit
@@ -38,8 +34,6 @@ type CondClose struct {
 }
 
 func (c *CondClose) Open() error { return c.Child.Open() } // want:operatorclose
-
-func (c *CondClose) Next() (int, bool) { return c.Child.Next() }
 
 func (c *CondClose) Close() error {
 	if c.done {
@@ -63,8 +57,6 @@ type VecScan struct {
 }
 
 func (v *VecScan) Open() error { return v.Child.Open() } // want:operatorclose
-
-func (v *VecScan) Next() (int, bool) { return v.Child.Next() }
 
 func (v *VecScan) Close() error {
 	v.sel = nil

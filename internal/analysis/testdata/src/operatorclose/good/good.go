@@ -7,26 +7,14 @@ type Operator interface {
 	Close() error
 }
 
-type BatchOperator interface {
-	Open() error
-	Close() error
-}
-
-func AsBatch(op Operator) BatchOperator { return nil }
-
-// Filter wraps its child in a batch adapter; closing the alias releases the
-// underlying child too.
+// Filter opens its one child and closes it.
 type Filter struct {
-	Child  Operator
-	bchild BatchOperator
+	Child Operator
 }
 
-func (f *Filter) Open() error {
-	f.bchild = AsBatch(f.Child)
-	return f.bchild.Open()
-}
+func (f *Filter) Open() error { return f.Child.Open() }
 
-func (f *Filter) Close() error { return f.bchild.Close() }
+func (f *Filter) Close() error { return f.Child.Close() }
 
 // Union hands each opened child to a tracking method on the same receiver,
 // and Close drains the tracked set.

@@ -13,11 +13,13 @@ import (
 	"relaxedcc/internal/tpcd"
 )
 
-// diffRunBoth plans one statement and executes it through both drains —
-// exec.Run (columnar/batch preferred, the production path) and exec.RunRows
-// (strict row-at-a-time) — on fresh operator trees built from the same
-// physical plan, and requires identical result multisets. Returns the plan
-// so callers can assert on its shape.
+// diffRunBoth plans one statement at the cache, executes it there and at
+// the back end — two different physical plans (local views, guards and
+// remote fetches against base-table access) over the same data — and
+// requires identical result multisets. Returns the cache plan so callers
+// can assert on its shape. The operator-level oracle, a naive evaluator
+// that shares no batching code with production, lives in
+// internal/exec/reference_test.go and covers the same statements.
 func diffRunBoth(t *testing.T, sys *core.System, name, sql string, opts opt.Options) *opt.Plan {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
@@ -28,27 +30,23 @@ func diffRunBoth(t *testing.T, sys *core.System, name, sql string, opts opt.Opti
 	if err != nil {
 		t.Fatalf("%s: plan: %v", name, err)
 	}
-	vec, err := exec.Run(plan.Root, &exec.EvalContext{Now: sys.Clock.Now()}, 0)
+	cache, err := exec.Run(plan.Root, &exec.EvalContext{Now: sys.Clock.Now()}, 0)
 	if err != nil {
-		t.Fatalf("%s: columnar run: %v", name, err)
+		t.Fatalf("%s: cache run: %v", name, err)
 	}
-	rowRoot, err := plan.Build()
+	backend, err := sys.QueryBackend(sql)
 	if err != nil {
-		t.Fatalf("%s: rebuild: %v", name, err)
+		t.Fatalf("%s: back-end run: %v", name, err)
 	}
-	rows, err := exec.RunRows(rowRoot, &exec.EvalContext{Now: sys.Clock.Now()}, 0)
-	if err != nil {
-		t.Fatalf("%s: row run: %v", name, err)
-	}
-	got := sortedRowStrings(vec.Rows)
-	want := sortedRowStrings(rows.Rows)
+	got := sortedRowStrings(cache.Rows)
+	want := sortedRowStrings(backend.Rows)
 	if len(got) != len(want) {
-		t.Fatalf("%s: columnar path returned %d rows, row path %d\nplan: %s",
+		t.Fatalf("%s: cache plan returned %d rows, back end %d\nplan: %s",
 			name, len(got), len(want), plan.Shape)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: result divergence at sorted row %d:\ncolumnar: %s\nrow:      %s\nplan: %s",
+			t.Fatalf("%s: result divergence at sorted row %d:\ncache:    %s\nback end: %s\nplan: %s",
 				name, i, got[i], want[i], plan.Shape)
 		}
 	}
@@ -57,10 +55,10 @@ func diffRunBoth(t *testing.T, sys *core.System, name, sql string, opts opt.Opti
 
 // TestColumnarRowDifferentialMix pushes the full Table 4.2/4.3 TPC-D query
 // mix (joins, currency guards, index ranges, plus the single-customer join)
-// through the columnar executor and the row-at-a-time executor and requires
-// byte-identical result multisets. This is the end-to-end contract behind
-// the vectorized operators: whatever kernels, selection vectors, or gather
-// paths a plan picks up, the rows that come out must not change.
+// through the cache's plans and the back end's and requires byte-identical
+// result multisets. This is the end-to-end contract behind the vectorized
+// operators: whatever kernels, selection vectors, or gather paths a plan
+// picks up, the rows that come out must not change.
 func TestColumnarRowDifferentialMix(t *testing.T) {
 	sys, err := tpcd.NewLoadedSystem(tpcd.Config{ScaleFactor: 0.005, Seed: 42})
 	if err != nil {

@@ -11,20 +11,6 @@ import (
 // amortizing per-batch overhead to a fraction of a nanosecond per row.
 const DefaultBatchSize = 1024
 
-// BatchOperator is the batch-at-a-time counterpart of Operator. Operators
-// that can produce rows in bulk implement both interfaces; Run prefers the
-// batch path when the root supports it, and the RowAdapter/BatchAdapter pair
-// lets batch and row operators compose freely in one tree.
-//
-// NextBatch returns a non-empty batch and ok=true, or ok=false at end of
-// stream. Batches follow the ownership contract documented on
-// sqltypes.Batch: read-only for the consumer and valid only until the next
-// NextBatch/Close call on this operator.
-type BatchOperator interface {
-	Operator
-	NextBatch() (sqltypes.Batch, bool, error)
-}
-
 // batchSizeOf resolves the tunable batch size from the context.
 func batchSizeOf(ctx *EvalContext) int {
 	if ctx != nil && ctx.BatchSize > 0 {
@@ -33,38 +19,20 @@ func batchSizeOf(ctx *EvalContext) int {
 	return DefaultBatchSize
 }
 
-// batchBufPool recycles output buffers for operators that build batches
-// (Filter, Project, HashJoin, MergeJoin, BatchAdapter). Pooled as *Batch so
-// Put does not allocate a header box per cycle.
-var batchBufPool = sync.Pool{
+// rowBufPool recycles the row-reference buffers behind row-backed batches:
+// scan chunks and index snapshots, and the output windows of operators that
+// build rows (Project, the joins). Pooled as *Batch so Put does not allocate
+// a header box per cycle.
+var rowBufPool = sync.Pool{
 	New: func() any {
 		b := make(sqltypes.Batch, 0, DefaultBatchSize)
 		return &b
 	},
 }
 
-func getBatchBuf() *sqltypes.Batch { return batchBufPool.Get().(*sqltypes.Batch) }
+func getRowBuf() *sqltypes.Batch { return rowBufPool.Get().(*sqltypes.Batch) }
 
-func putBatchBuf(b *sqltypes.Batch) {
-	if b == nil {
-		return
-	}
-	*b = (*b)[:0]
-	batchBufPool.Put(b)
-}
-
-// rowBufPool recycles the row-reference snapshot buffers Scan materializes
-// at Open.
-var rowBufPool = sync.Pool{
-	New: func() any {
-		b := make([]sqltypes.Row, 0, DefaultBatchSize)
-		return &b
-	},
-}
-
-func getRowBuf() *[]sqltypes.Row { return rowBufPool.Get().(*[]sqltypes.Row) }
-
-func putRowBuf(b *[]sqltypes.Row) {
+func putRowBuf(b *sqltypes.Batch) {
 	if b == nil {
 		return
 	}
@@ -72,119 +40,118 @@ func putRowBuf(b *[]sqltypes.Row) {
 	rowBufPool.Put(b)
 }
 
-// AsBatch returns op itself when it is batch-capable, else wraps it in a
-// BatchAdapter that drains the row interface into batches.
-func AsBatch(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
+// denseRows returns cb's active rows as one row slice: the batch's own
+// window when it is row-backed with every row active (zero copy), else the
+// active rows gathered into *buf, which the caller keeps for reuse. The
+// result shares cb's validity window.
+func denseRows(cb *sqltypes.ColBatch, buf *sqltypes.Batch) sqltypes.Batch {
+	if cb.Rows != nil && cb.Sel == nil {
+		return cb.Rows
 	}
-	return &BatchAdapter{Child: op}
+	if cap(*buf) < cb.NumActive() {
+		*buf = make(sqltypes.Batch, 0, cb.Len())
+	}
+	*buf = cb.AppendRows((*buf)[:0])
+	return *buf
 }
 
-// AsRow returns a row-at-a-time view of a batch operator. Since every
-// BatchOperator also implements Operator this is the operator itself; the
-// function exists for symmetry and call-site clarity.
-func AsRow(op BatchOperator) Operator { return op }
-
-// BatchAdapter lifts a row-at-a-time operator into the batch interface by
-// buffering child rows.
-type BatchAdapter struct {
-	Child Operator
-	buf   *sqltypes.Batch
+// selFor empties a reusable selection buffer with room for every row of cb.
+// The result is never nil: a nil Sel means "all rows active".
+func selFor(buf []int32, cb *sqltypes.ColBatch) []int32 {
+	if cap(buf) < cb.Len() {
+		return make([]int32, 0, cb.Len())
+	}
+	return buf[:0]
 }
 
-// Schema implements Operator.
-func (a *BatchAdapter) Schema() *Schema { return a.Child.Schema() }
+// rowReader walks a child's batches through the row view, for operators
+// whose logic is sequential in rows (merging, one index seek per outer row,
+// grouping, sort-key evaluation). Rows it returns are shared and immutable
+// and may be retained.
+type rowReader struct {
+	rows sqltypes.Batch
+	pos  int
+	buf  sqltypes.Batch
+}
 
-// Open implements Operator.
-func (a *BatchAdapter) Open(ctx *EvalContext) error { return a.Child.Open(ctx) }
+func (r *rowReader) reset() { r.rows, r.pos = nil, 0 }
 
-// Next implements Operator.
-func (a *BatchAdapter) Next() (sqltypes.Row, bool, error) { return a.Child.Next() }
-
-// NextBatch implements BatchOperator.
-func (a *BatchAdapter) NextBatch() (sqltypes.Batch, bool, error) {
-	if a.buf == nil {
-		a.buf = getBatchBuf()
+func (r *rowReader) next(child Operator) (sqltypes.Row, bool, error) {
+	for r.pos >= len(r.rows) {
+		cb, ok, err := child.NextVec()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		r.rows, r.pos = denseRows(cb, &r.buf), 0
 	}
-	out := (*a.buf)[:0]
-	n := DefaultBatchSize
-	for len(out) < n {
-		row, ok, err := a.Child.Next()
+	row := r.rows[r.pos]
+	r.pos++
+	return row, true, nil
+}
+
+// rowWindow is the NextVec state of operators whose output is a
+// materialized row list (Values, Remote, Sort, Aggregate): successive
+// zero-copy windows of the list.
+type rowWindow struct {
+	rows   []sqltypes.Row
+	pos, n int
+	out    sqltypes.ColBatch
+}
+
+func (w *rowWindow) reset(rows []sqltypes.Row, ctx *EvalContext) {
+	w.rows, w.pos, w.n = rows, 0, batchSizeOf(ctx)
+}
+
+func (w *rowWindow) next(width int) (*sqltypes.ColBatch, bool, error) {
+	if w.pos >= len(w.rows) {
+		return nil, false, nil
+	}
+	end := w.pos + w.n
+	if end > len(w.rows) {
+		end = len(w.rows)
+	}
+	w.out.ResetRows(w.rows[w.pos:end], width)
+	w.pos = end
+	return &w.out, true, nil
+}
+
+// rowSource is an operator-internal row-at-a-time state machine (the merge
+// and index-loop joins) that rowBuilder batches up.
+type rowSource interface {
+	nextRow() (sqltypes.Row, bool, error)
+}
+
+// rowBuilder collects rows an operator produces one at a time into
+// row-backed output batches over a pooled reference buffer.
+type rowBuilder struct {
+	buf *sqltypes.Batch
+	out sqltypes.ColBatch
+}
+
+func (b *rowBuilder) fill(src rowSource, ctx *EvalContext, width int) (*sqltypes.ColBatch, bool, error) {
+	if b.buf == nil {
+		b.buf = getRowBuf()
+	}
+	rows := (*b.buf)[:0]
+	for n := batchSizeOf(ctx); len(rows) < n; {
+		row, ok, err := src.nextRow()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			break
 		}
-		out = append(out, row)
+		rows = append(rows, row)
 	}
-	*a.buf = out
-	if len(out) == 0 {
+	*b.buf = rows
+	if len(rows) == 0 {
 		return nil, false, nil
 	}
-	return out, true, nil
+	b.out.ResetRows(rows, width)
+	return &b.out, true, nil
 }
 
-// Close implements Operator.
-func (a *BatchAdapter) Close() error {
-	putBatchBuf(a.buf)
-	a.buf = nil
-	return a.Child.Close()
-}
-
-// RowAdapter exposes a batch operator row-at-a-time by walking its batches.
-// It is the streaming inverse of BatchAdapter; adapters in both directions
-// compose without copying rows.
-type RowAdapter struct {
-	Child BatchOperator
-
-	cur sqltypes.Batch
-	pos int
-}
-
-// Schema implements Operator.
-func (a *RowAdapter) Schema() *Schema { return a.Child.Schema() }
-
-// Open implements Operator.
-func (a *RowAdapter) Open(ctx *EvalContext) error {
-	a.cur, a.pos = nil, 0
-	return a.Child.Open(ctx)
-}
-
-// Next implements Operator.
-func (a *RowAdapter) Next() (sqltypes.Row, bool, error) {
-	for a.pos >= len(a.cur) {
-		b, ok, err := a.Child.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		a.cur, a.pos = b, 0
-	}
-	r := a.cur[a.pos]
-	a.pos++
-	return r, true, nil
-}
-
-// Close implements Operator.
-func (a *RowAdapter) Close() error {
-	a.cur, a.pos = nil, 0
-	return a.Child.Close()
-}
-
-// sliceBatch is the shared NextBatch implementation for operators that have
-// fully materialized their output: it returns read-only subslices of the
-// materialized rows, advancing *pos. Zero-copy — the fast path that makes
-// batch execution cheap for Scan, Sort, Aggregate, Values and Remote.
-func sliceBatch(rows []sqltypes.Row, pos *int, n int) (sqltypes.Batch, bool, error) {
-	if *pos >= len(rows) {
-		return nil, false, nil
-	}
-	end := *pos + n
-	if end > len(rows) {
-		end = len(rows)
-	}
-	b := sqltypes.Batch(rows[*pos:end])
-	*pos = end
-	return b, true, nil
+func (b *rowBuilder) release() {
+	putRowBuf(b.buf)
+	b.buf = nil
 }

@@ -35,134 +35,6 @@ func assertSameRows(t *testing.T, name string, got, want []sqltypes.Row, ordered
 	}
 }
 
-// TestBatchRowEquivalence runs every operator shape through both execution
-// paths — Run (batch-at-a-time) and RunRows (row-at-a-time) — at batch sizes
-// 1, 3 and the default, and requires identical results.
-func TestBatchRowEquivalence(t *testing.T) {
-	tbl := storageTable(t)
-	s := testSchema("t")
-	join := func(kind JoinKind) func() Operator {
-		return func() Operator {
-			left := NewValues(testSchema("L"), testRows(50))
-			right := NewValues(testSchema("R"), testRows(20))
-			return NewHashJoin(left, right,
-				[]Compiled{compileItem(t, "L.id", left.Schema())},
-				[]Compiled{compileItem(t, "R.id", right.Schema())},
-				nil, kind)
-		}
-	}
-	trees := []struct {
-		name    string
-		ordered bool
-		build   func() Operator
-	}{
-		{"values", true, func() Operator { return NewValues(s, testRows(10)) }},
-		{"scan", true, func() Operator { return NewScan(tbl, s) }},
-		{"scan-filtered", true, func() Operator {
-			sc := NewScan(tbl, s)
-			sc.Filter = compile(t, "name = '0'", s)
-			return sc
-		}},
-		{"filter", true, func() Operator {
-			return &Filter{Child: NewValues(s, testRows(50)), Pred: compile(t, "id > 10", s)}
-		}},
-		{"filter-empty", true, func() Operator {
-			return &Filter{Child: NewValues(s, testRows(50)), Pred: compile(t, "id > 999", s)}
-		}},
-		{"project", true, func() Operator {
-			return &Project{
-				Child: NewValues(s, testRows(10)),
-				Exprs: []Compiled{compileItem(t, "id * 2", s)},
-				Out:   NewSchema(Col{Name: "d", Kind: sqltypes.KindInt}),
-			}
-		}},
-		{"hashjoin-inner", true, join(JoinInner)},
-		{"hashjoin-semi", true, join(JoinSemi)},
-		{"hashjoin-anti", true, join(JoinAnti)},
-		{"mergejoin", true, func() Operator {
-			l := NewValues(testSchema("L"), testRows(30))
-			r := NewValues(testSchema("R"), testRows(12))
-			return NewMergeJoin(l, r,
-				[]Compiled{compileItem(t, "L.id", l.Schema())},
-				[]Compiled{compileItem(t, "R.id", r.Schema())},
-				nil, JoinInner)
-		}},
-		{"sort-limit", true, func() Operator {
-			sorted := &Sort{
-				Child: NewValues(s, testRows(20)),
-				Keys:  []Compiled{compileItem(t, "bal", s)},
-				Desc:  []bool{true},
-			}
-			return &Limit{Child: sorted, N: 5}
-		}},
-		{"limit", true, func() Operator {
-			return &Limit{Child: NewValues(s, testRows(20)), N: 7}
-		}},
-		{"aggregate", false, func() Operator {
-			return &Aggregate{
-				Child:   NewValues(s, testRows(30)),
-				GroupBy: []Compiled{compileItem(t, "name", s)},
-				Aggs:    []AggSpec{{Func: "COUNT", Star: true}},
-				Out: NewSchema(
-					Col{Name: "name", Kind: sqltypes.KindString},
-					Col{Name: "cnt", Kind: sqltypes.KindInt},
-				),
-			}
-		}},
-		{"switchunion", true, func() Operator {
-			return &SwitchUnion{
-				Children: []Operator{NewValues(s, testRows(3)), NewValues(s, testRows(8))},
-				Selector: func(*EvalContext) (int, error) { return 1, nil },
-			}
-		}},
-	}
-	for _, tc := range trees {
-		want, err := RunRows(tc.build(), ctx(), 0)
-		if err != nil {
-			t.Fatalf("%s: row path: %v", tc.name, err)
-		}
-		for _, bs := range []int{1, 3, DefaultBatchSize} {
-			c := &EvalContext{Now: testNow, BatchSize: bs}
-			got, err := Run(tc.build(), c, 0)
-			if err != nil {
-				t.Fatalf("%s bs=%d: batch path: %v", tc.name, bs, err)
-			}
-			assertSameRows(t, fmt.Sprintf("%s bs=%d", tc.name, bs), got.Rows, want.Rows, tc.ordered)
-		}
-	}
-}
-
-// TestAdaptersCompose checks the RowAdapter/BatchAdapter pair round-trips
-// rows without loss in either direction.
-func TestAdaptersCompose(t *testing.T) {
-	s := testSchema("t")
-	want := testRows(2500) // several default batches plus a partial one
-
-	// BatchAdapter over a row operator, drained by batches.
-	ba := &BatchAdapter{Child: NewValues(s, want)}
-	res, err := Run(ba, ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "batch-adapter", res.Rows, want, true)
-
-	// RowAdapter over a batch operator, drained row-at-a-time.
-	ra := &RowAdapter{Child: NewValues(s, want)}
-	res, err = RunRows(ra, ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "row-adapter", res.Rows, want, true)
-
-	// Both stacked: row -> batch -> row.
-	stack := &RowAdapter{Child: &BatchAdapter{Child: NewValues(s, want)}}
-	res, err = RunRows(stack, ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "stacked", res.Rows, want, true)
-}
-
 // TestScanReopenAfterClose ensures the pooled snapshot buffers are
 // re-acquired cleanly across Open/Close cycles.
 func TestScanReopenAfterClose(t *testing.T) {
@@ -265,7 +137,7 @@ func TestSwitchUnionCloseAfterFailedOpen(t *testing.T) {
 	}
 }
 
-// TestSwitchUnionBatchPath drains a SwitchUnion through NextBatch and checks
+// TestSwitchUnionBatchPath drains a SwitchUnion in small batches and checks
 // the guard still ran exactly once.
 func TestSwitchUnionBatchPath(t *testing.T) {
 	s := testSchema("t")

@@ -132,9 +132,9 @@ func TestLimitAfterEnd(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("limit above input size = %d", len(rows))
 	}
-	// Next after exhaustion stays exhausted.
-	if _, ok, _ := l.Next(); ok {
-		t.Fatal("Next after end")
+	// NextVec after exhaustion stays exhausted.
+	if _, ok, _ := l.NextVec(); ok {
+		t.Fatal("NextVec after end")
 	}
 }
 

@@ -40,14 +40,14 @@ func TestDegradeServeLocalFallsBack(t *testing.T) {
 	}
 	rows := 0
 	for {
-		_, ok, err := su.Next()
+		cb, ok, err := su.NextVec()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		rows++
+		rows += cb.NumActive()
 	}
 	if rows != 2 {
 		t.Errorf("served %d rows, want the local branch's 2", rows)

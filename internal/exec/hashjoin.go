@@ -6,13 +6,7 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// This file implements the vectorized hash join. The previous
-// implementation keyed a Go map with order-preserving key strings and kept
-// a []Row match slice per key — one string encoding plus several
-// allocations per build row, and a fresh row allocation per output row,
-// ~400k allocations per join on the benchmark tables. The rebuild keeps
-// the same operator surface (NewHashJoin signature, Left/Right fields,
-// inner/semi/anti kinds, residual) and replaces the internals:
+// This file implements the vectorized hash join:
 //
 //   - Join keys are normalized into columnar scratch arrays (class tag +
 //     64-bit payload) batch-at-a-time — no per-row Key() strings. The
@@ -21,13 +15,12 @@ import (
 //   - The build side is one open-addressed table over precomputed 64-bit
 //     key hashes: slot arrays plus an intrusive chain through row indexes,
 //     no per-key map entries or match slices.
-//   - The columnar path (NextVec) emits the join output as typed column
-//     vectors gathered from the probe and build rows, reusing the vector
-//     backing across batches — steady-state zero allocation. The batch
-//     path (NextBatch) still materializes rows, carved out of a per-batch
-//     arena: one []Value allocation per output batch instead of one per
-//     row. Arenas are never reused — emitted rows are immutable forever
-//     per the batch ownership contract.
+//   - Inner joins emit their output as typed column vectors gathered from
+//     the matched probe and build rows, reusing the vector backing across
+//     batches — steady-state zero allocation. A residual is tested over a
+//     reused scratch row before a pair is admitted, so no joined row is
+//     ever materialized here. Semi and anti joins emit the probe batch
+//     narrowed by a selection vector.
 
 // Key class codes for normalized join keys. INT and FLOAT share keyNum
 // (payload compared as float64 bits with -0 normalized to +0) because
@@ -268,22 +261,19 @@ type HashJoin struct {
 	chainNext []int32 // next build row with the same hash, -1 = end
 	mask      uint64
 
-	// Probe state shared by the row, batch and columnar paths. probe is the
-	// current child batch (valid until we pull the next one); chain is the
-	// build row the inner-join emission resumes from.
-	bleft     BatchOperator
+	// Probe state. probe is the dense row view of the current child batch
+	// (valid until we pull the next one); chain is the build row the
+	// inner-join emission resumes from.
 	probe     sqltypes.Batch
+	probeBuf  sqltypes.Batch
 	pi        int
 	probeDone bool
 	probeKeys *joinKeys
 	probeHash []uint64
-	cur       sqltypes.Row
 	chain     int32
-	scratch   sqltypes.Row    // reusable joined-row buffer for residual tests
-	out       *sqltypes.Batch // pooled output batch container
-	// Columnar output state: match pair buffers (probe index, build row
-	// index) and the reusable output batch whose vectors are gathered from
-	// the pair lists.
+	scratch   sqltypes.Row // reusable joined-row buffer for residual tests
+	// Output state: match pair buffers (probe index, build row index), the
+	// semi/anti selection, and the reusable output batch.
 	pr, pm []int32
 	vsel   []int32
 	vout   sqltypes.ColBatch
@@ -308,7 +298,7 @@ func (h *HashJoin) Schema() *Schema { return h.schema }
 func (h *HashJoin) Open(ctx *EvalContext) error {
 	h.ctx = ctx
 	h.buildRows = h.buildRows[:0]
-	h.cur, h.chain = nil, -1
+	h.chain = -1
 	h.probe, h.pi, h.probeDone = nil, 0, false
 	if h.buildKeys == nil {
 		h.buildKeys = newJoinKeys(len(h.RightKeys))
@@ -318,27 +308,27 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 	if err := h.Right.Open(ctx); err != nil {
 		return err
 	}
-	bright := AsBatch(h.Right)
 	for {
-		b, ok, err := bright.NextBatch()
+		cb, ok, err := h.Right.NextVec()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		if err := h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, b); err != nil {
+		start := len(h.buildRows)
+		h.buildRows = cb.AppendRows(h.buildRows)
+		if err := h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, h.buildRows[start:]); err != nil {
 			return err
 		}
-		h.buildRows = append(h.buildRows, b...)
 	}
-	if err := bright.Close(); err != nil {
+	if err := h.Right.Close(); err != nil {
 		return err
 	}
 	h.buildTable()
-	// The columnar output path gathers build columns from this transposed
-	// view of the build rows; transposition is lazy per column, so semi and
-	// anti joins (which never gather) pay nothing for it.
+	// Inner-join output gathers build columns from this transposed view of
+	// the build rows; transposition is lazy per column, so semi and anti
+	// joins (which never gather) pay nothing for it.
 	h.bcols.ResetRows(h.buildRows, len(h.Right.Schema().Cols))
 	return h.Left.Open(ctx)
 }
@@ -432,31 +422,26 @@ func (h *HashJoin) matchesFor(r int) int32 {
 	return h.lookup(h.probeHash[r])
 }
 
-// residualTrue evaluates the residual over a joined row.
-func (h *HashJoin) residualTrue(joined sqltypes.Row) (bool, error) {
+// pairMatches reports whether probe row r joins build row m: key equality
+// (a chain only shares the hash) and then the residual, evaluated over a
+// scratch row that is reused and never emitted.
+func (h *HashJoin) pairMatches(r int, m int32) (bool, error) {
+	if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
+		return false, nil
+	}
 	if h.Residual == nil {
 		return true, nil
 	}
-	return PredicateTrue(h.Residual, h.ctx, joined)
+	h.scratch = append(append(h.scratch[:0], h.probe[r]...), h.buildRows[m]...)
+	return PredicateTrue(h.Residual, h.ctx, h.scratch)
 }
 
-// anyMatch walks a chain checking key equality and the residual, for
-// semi/anti probes. scratch is reused across rows — never emitted.
-func (h *HashJoin) anyMatch(r int, row sqltypes.Row, scratch *sqltypes.Row) (bool, error) {
+// anyMatch walks probe row r's chain for a joining build row, for semi/anti
+// probes.
+func (h *HashJoin) anyMatch(r int) (bool, error) {
 	for m := h.matchesFor(r); m >= 0; m = h.chainNext[m] {
-		if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
-			continue
-		}
-		if h.Residual == nil {
-			return true, nil
-		}
-		*scratch = append(append((*scratch)[:0], row...), h.buildRows[m]...)
-		ok, err := PredicateTrue(h.Residual, h.ctx, *scratch)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
+		if ok, err := h.pairMatches(r, m); err != nil || ok {
+			return ok, err
 		}
 	}
 	return false, nil
@@ -465,13 +450,10 @@ func (h *HashJoin) anyMatch(r int, row sqltypes.Row, scratch *sqltypes.Row) (boo
 // nextProbe pulls and preprocesses the next probe batch. ok is false when
 // the probe side is exhausted.
 func (h *HashJoin) nextProbe() (bool, error) {
-	if h.bleft == nil {
-		h.bleft = AsBatch(h.Left)
-	}
 	if h.probeDone {
 		return false, nil
 	}
-	b, ok, err := h.bleft.NextBatch()
+	cb, ok, err := h.Left.NextVec()
 	if err != nil {
 		return false, err
 	}
@@ -479,111 +461,16 @@ func (h *HashJoin) nextProbe() (bool, error) {
 		h.probeDone = true
 		return false, nil
 	}
-	if err := h.probeBatch(b); err != nil {
-		return false, err
-	}
-	h.probe, h.pi = b, 0
-	return true, nil
+	h.probe, h.pi = denseRows(cb, &h.probeBuf), 0
+	return true, h.probeBatch(h.probe)
 }
 
-// NextBatch implements BatchOperator: the row-materializing probe loop.
-// Inner joins carve output rows out of a fresh per-batch arena (the arena
-// is not reused — emitted rows stay valid forever); semi/anti joins emit
-// shared probe-row references.
-func (h *HashJoin) NextBatch() (sqltypes.Batch, bool, error) {
-	if h.out == nil {
-		h.out = getBatchBuf()
-	}
-	n := batchSizeOf(h.ctx)
-	out := (*h.out)[:0]
-	var arena []sqltypes.Value
-	for len(out) < n {
-		// Resume the current probe row's chain (inner joins).
-		if h.chain >= 0 {
-			r := h.pi - 1
-			for h.chain >= 0 && len(out) < n {
-				m := h.chain
-				h.chain = h.chainNext[m]
-				if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
-					continue
-				}
-				if arena == nil {
-					arena = make([]sqltypes.Value, 0, n*(len(h.cur)+len(h.buildRows[m])))
-				}
-				start := len(arena)
-				arena = append(arena, h.cur...)
-				arena = append(arena, h.buildRows[m]...)
-				joined := sqltypes.Row(arena[start:len(arena):len(arena)])
-				ok, err := h.residualTrue(joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					arena = arena[:start]
-					continue
-				}
-				out = append(out, joined)
-			}
-			if h.chain >= 0 {
-				break // batch full with matches still pending
-			}
-			continue
-		}
-		if h.pi >= len(h.probe) {
-			ok, err := h.nextProbe()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			continue
-		}
-		r := h.pi
-		row := h.probe[r]
-		h.pi++
-		switch h.Kind {
-		case JoinInner:
-			h.cur, h.chain = row, h.matchesFor(r)
-		case JoinSemi, JoinAnti:
-			found, err := h.anyMatch(r, row, &h.scratch)
-			if err != nil {
-				return nil, false, err
-			}
-			if found == (h.Kind == JoinSemi) {
-				out = append(out, row)
-			}
-		}
-	}
-	*h.out = out
-	if len(out) == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// NextVec implements VecOperator. Without a residual, inner joins emit the
-// output as typed column vectors gathered from the matched probe and build
-// rows — the vector backing is reused across batches, so the steady state
-// allocates nothing — and semi/anti joins emit the probe batch with a
-// selection vector (zero copy). Residual joins fall back to wrapping the
-// row-materializing batch path, whose joined rows the residual needs
-// anyway.
+// NextVec implements Operator.
 func (h *HashJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if h.Residual != nil {
-		b, ok, err := h.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		h.vout.ResetRows(b, len(h.schema.Cols))
-		return &h.vout, true, nil
-	}
-	switch h.Kind {
-	case JoinSemi, JoinAnti:
-		return h.nextVecSemiAnti()
-	default:
+	if h.Kind == JoinInner {
 		return h.nextVecInner()
 	}
+	return h.nextVecSemiAnti()
 }
 
 // nextVecInner collects up to a batch of (probe, build) match pairs from
@@ -593,7 +480,10 @@ func (h *HashJoin) nextVecInner() (*sqltypes.ColBatch, bool, error) {
 	n := batchSizeOf(h.ctx)
 	for {
 		if h.chain >= 0 || h.pi < len(h.probe) {
-			if h.collectPairs(n) > 0 {
+			if err := h.collectPairs(n); err != nil {
+				return nil, false, err
+			}
+			if len(h.pr) > 0 {
 				h.gatherPairs()
 				return &h.vout, true, nil
 			}
@@ -610,8 +500,8 @@ func (h *HashJoin) nextVecInner() (*sqltypes.ColBatch, bool, error) {
 }
 
 // collectPairs fills pr/pm with up to n match pairs from the current probe
-// batch, resuming and leaving chain state exactly like the batch path.
-func (h *HashJoin) collectPairs(n int) int {
+// batch; chain carries a probe row's unfinished matches across calls.
+func (h *HashJoin) collectPairs(n int) error {
 	h.pr, h.pm = h.pr[:0], h.pm[:0]
 	for len(h.pr) < n {
 		if h.chain >= 0 {
@@ -619,7 +509,11 @@ func (h *HashJoin) collectPairs(n int) int {
 			for h.chain >= 0 && len(h.pr) < n {
 				m := h.chain
 				h.chain = h.chainNext[m]
-				if keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
+				ok, err := h.pairMatches(r, m)
+				if err != nil {
+					return err
+				}
+				if ok {
 					h.pr = append(h.pr, int32(r))
 					h.pm = append(h.pm, m)
 				}
@@ -633,7 +527,7 @@ func (h *HashJoin) collectPairs(n int) int {
 		h.pi++
 		h.chain = h.matchesFor(r)
 	}
-	return len(h.pr)
+	return nil
 }
 
 // gatherPairs builds the output batch from the pair lists: left columns
@@ -670,7 +564,7 @@ func (h *HashJoin) nextVecSemiAnti() (*sqltypes.ColBatch, bool, error) {
 			sel = make([]int32, 0, len(h.probe))
 		}
 		for r := range h.probe {
-			found, err := h.anyMatch(r, h.probe[r], &h.scratch)
+			found, err := h.anyMatch(r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -688,76 +582,18 @@ func (h *HashJoin) nextVecSemiAnti() (*sqltypes.ColBatch, bool, error) {
 	}
 }
 
-// Next implements Operator: row-at-a-time probing against the same table.
-func (h *HashJoin) Next() (sqltypes.Row, bool, error) {
-	for {
-		if h.chain >= 0 {
-			r := h.pi - 1
-			for h.chain >= 0 {
-				m := h.chain
-				h.chain = h.chainNext[m]
-				if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
-					continue
-				}
-				joined := append(append(make(sqltypes.Row, 0, len(h.cur)+len(h.buildRows[m])), h.cur...), h.buildRows[m]...)
-				ok, err := h.residualTrue(joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					return joined, true, nil
-				}
-			}
-			continue
-		}
-		if h.pi >= len(h.probe) {
-			ok, err := h.nextProbe()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			continue
-		}
-		r := h.pi
-		row := h.probe[r]
-		h.pi++
-		switch h.Kind {
-		case JoinInner:
-			h.cur, h.chain = row, h.matchesFor(r)
-		case JoinSemi, JoinAnti:
-			found, err := h.anyMatch(r, row, &h.scratch)
-			if err != nil {
-				return nil, false, err
-			}
-			if found == (h.Kind == JoinSemi) {
-				return row, true, nil
-			}
-		}
-	}
-}
-
 // Close implements Operator. The build side is normally closed at the end
 // of Open's build phase; closing it again here is a no-op on that path but
 // releases it when Open failed mid-build (Close is idempotent per the
-// Operator contract). Build-side state is released here — the arena-backed
-// output rows already emitted are independent allocations and stay valid.
+// Operator contract).
 func (h *HashJoin) Close() error {
 	h.buildRows = nil
 	h.bcols.ResetRows(nil, 0)
 	h.slotHead, h.slotHash, h.chainNext = nil, nil, nil
-	h.probe = nil
-	h.cur, h.chain = nil, -1
-	putBatchBuf(h.out)
-	h.out = nil
+	h.probe, h.chain = nil, -1
 	errR := h.Right.Close()
-	var errL error
-	if c := h.bleft; c != nil {
-		h.bleft = nil
-		errL = c.Close()
-	} else {
-		errL = h.Left.Close()
+	if errL := h.Left.Close(); errR == nil {
+		return errL
 	}
-	if errR != nil {
-		return errR
-	}
-	return errL
+	return errR
 }

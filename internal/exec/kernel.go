@@ -22,10 +22,10 @@ type BoolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32)
 // It handles the shapes that dominate pushed-down scan predicates —
 // comparisons between a column and a literal (either side), column-column
 // comparisons, BETWEEN over literals, and AND chains of those — and reports
-// ok=false for anything else, leaving the caller on the row-at-a-time
-// Compiled path. Kernels mirror the row evaluator's semantics exactly
-// (NULL rejects, numeric kinds compare across INT/FLOAT, mixed-kind
-// comparisons outside the numeric tower are errors).
+// ok=false for anything else, leaving the caller on the Compiled predicate
+// (lifted per row by KernelFromPredicate). Kernels mirror the row
+// evaluator's semantics exactly (NULL rejects, numeric kinds compare across
+// INT/FLOAT, mixed-kind comparisons outside the numeric tower are errors).
 func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 	switch e := e.(type) {
 	case *sqlparser.BinaryExpr:
@@ -52,7 +52,7 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 		if e.Not {
 			return nil, false
 		}
-		col, ok := colOrdinal(e.Expr, schema)
+		col, ok := ColOrdinal(e.Expr, schema)
 		if !ok {
 			return nil, false
 		}
@@ -91,6 +91,31 @@ func KernelFromPredicate(p Compiled) BoolKernel {
 		}
 		return dst, nil
 	}
+}
+
+// kernelFor resolves the predicate an operator filters with: the compiled
+// kernel when the planner produced one, else the row predicate lifted into
+// the kernel interface, else nil (no predicate).
+func kernelFor(k BoolKernel, p Compiled) BoolKernel {
+	if k == nil && p != nil {
+		return KernelFromPredicate(p)
+	}
+	return k
+}
+
+// applyKernel narrows cb's selection to the active rows k accepts, reusing
+// *selbuf, and reports whether any row survives. A nil kernel accepts every
+// row.
+func applyKernel(k BoolKernel, ctx *EvalContext, cb *sqltypes.ColBatch, selbuf *[]int32) (bool, error) {
+	if k == nil {
+		return true, nil
+	}
+	sel, err := k(ctx, cb, cb.Sel, selFor(*selbuf, cb))
+	if err != nil {
+		return false, err
+	}
+	*selbuf, cb.Sel = sel, sel
+	return len(sel) > 0, nil
 }
 
 // emptySel is the canonical non-nil empty selection. Kernels must never
@@ -134,12 +159,12 @@ func andKernel(a, b BoolKernel) BoolKernel {
 // colLitCmp matches `col OP literal` or `literal OP col` (flipping the
 // operator for the reversed form).
 func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit sqltypes.Value, op sqlparser.BinOp, ok bool) {
-	if c, okC := colOrdinal(e.Left, schema); okC {
+	if c, okC := ColOrdinal(e.Left, schema); okC {
 		if v, okL := litValue(e.Right); okL {
 			return c, v, e.Op, true
 		}
 	}
-	if c, okC := colOrdinal(e.Right, schema); okC {
+	if c, okC := ColOrdinal(e.Right, schema); okC {
 		if v, okL := litValue(e.Left); okL {
 			return c, v, flipCmp(e.Op), true
 		}
@@ -148,15 +173,18 @@ func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit sqltypes.V
 }
 
 func colColCmp(e *sqlparser.BinaryExpr, schema *Schema) (l, r int, ok bool) {
-	lc, okL := colOrdinal(e.Left, schema)
-	rc, okR := colOrdinal(e.Right, schema)
+	lc, okL := ColOrdinal(e.Left, schema)
+	rc, okR := ColOrdinal(e.Right, schema)
 	if !okL || !okR {
 		return 0, 0, false
 	}
 	return lc, rc, true
 }
 
-func colOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
+// ColOrdinal reports whether e is a bare reference to a column of schema,
+// and that column's ordinal. Planners use it to mark projections as pure
+// gathers and join keys as closure-free.
+func ColOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 	ref, ok := e.(*sqlparser.ColumnRef)
 	if !ok {
 		return 0, false

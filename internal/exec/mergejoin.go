@@ -18,6 +18,11 @@ type MergeJoin struct {
 	schema *Schema
 	ctx    *EvalContext
 
+	// Both inputs are consumed through the row view (the merge is sequential
+	// on key order) and joined rows leave in row-backed batches.
+	left, right rowReader
+	out         rowBuilder
+
 	// right-side state: the current buffered group and one lookahead row.
 	rightGroup    []sqltypes.Row
 	rightGroupKey sqltypes.Row
@@ -30,8 +35,6 @@ type MergeJoin struct {
 	curKey   sqltypes.Row
 	mi       int  // index into rightGroup while emitting inner matches
 	emitting bool // the current left row matches rightGroup
-
-	out *sqltypes.Batch // pooled output buffer for the batch path
 }
 
 // NewMergeJoin builds a merge join; key lists must be equal length and both
@@ -52,6 +55,8 @@ func (m *MergeJoin) Schema() *Schema { return m.schema }
 // Open implements Operator.
 func (m *MergeJoin) Open(ctx *EvalContext) error {
 	m.ctx = ctx
+	m.left.reset()
+	m.right.reset()
 	m.rightGroup, m.rightGroupKey = nil, nil
 	m.rightNext, m.rightNextKey = nil, nil
 	m.rightDone = false
@@ -68,7 +73,7 @@ func (m *MergeJoin) Open(ctx *EvalContext) error {
 
 // advanceRightRow pulls one row into the lookahead slot.
 func (m *MergeJoin) advanceRightRow() error {
-	row, ok, err := m.Right.Next()
+	row, ok, err := m.right.next(m.Right)
 	if err != nil {
 		return err
 	}
@@ -98,27 +103,29 @@ func (m *MergeJoin) loadRightGroup() error {
 	return nil
 }
 
-// Next implements Operator.
-func (m *MergeJoin) Next() (sqltypes.Row, bool, error) {
+// NextVec implements Operator.
+func (m *MergeJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return m.out.fill(m, m.ctx, len(m.schema.Cols))
+}
+
+// nextRow advances the merge to its next output row.
+func (m *MergeJoin) nextRow() (sqltypes.Row, bool, error) {
 	for {
 		// Emit buffered inner matches for the current left row.
 		for m.Kind == JoinInner && m.emitting && m.mi < len(m.rightGroup) {
 			r := m.rightGroup[m.mi]
 			m.mi++
-			out := append(append(make(sqltypes.Row, 0, len(m.cur)+len(r)), m.cur...), r...)
-			if m.Residual != nil {
-				ok, err := PredicateTrue(m.Residual, m.ctx, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					continue
-				}
+			out := concatRows(m.cur, r)
+			ok, err := residualTrue(m.Residual, m.ctx, out)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
 		}
 		// Advance the left side.
-		row, ok, err := m.Left.Next()
+		row, ok, err := m.left.next(m.Left)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -174,8 +181,7 @@ func (m *MergeJoin) semiMatch(left sqltypes.Row) bool {
 		return len(m.rightGroup) > 0
 	}
 	for _, r := range m.rightGroup {
-		joined := append(append(make(sqltypes.Row, 0, len(left)+len(r)), left...), r...)
-		ok, err := PredicateTrue(m.Residual, m.ctx, joined)
+		ok, err := PredicateTrue(m.Residual, m.ctx, concatRows(left, r))
 		if err == nil && ok {
 			return true
 		}
@@ -183,43 +189,14 @@ func (m *MergeJoin) semiMatch(left sqltypes.Row) bool {
 	return false
 }
 
-// NextBatch implements BatchOperator: it fills a pooled buffer from the
-// merge loop. The merge itself stays row-at-a-time (it is inherently
-// sequential on key order) but downstream operators and the Run drain get
-// full batches.
-func (m *MergeJoin) NextBatch() (sqltypes.Batch, bool, error) {
-	if m.out == nil {
-		m.out = getBatchBuf()
-	}
-	n := batchSizeOf(m.ctx)
-	out := (*m.out)[:0]
-	for len(out) < n {
-		row, ok, err := m.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	*m.out = out
-	if len(out) == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
 // Close implements Operator.
 func (m *MergeJoin) Close() error {
-	putBatchBuf(m.out)
-	m.out = nil
+	m.out.release()
 	errL := m.Left.Close()
-	errR := m.Right.Close()
-	if errL != nil {
-		return errL
+	if errR := m.Right.Close(); errL == nil {
+		return errR
 	}
-	return errR
+	return errL
 }
 
 // evalKeyVals evaluates join keys to a value tuple (not an encoded string,

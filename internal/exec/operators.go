@@ -9,14 +9,23 @@ import (
 )
 
 // Operator is a physical operator in the open/next/close iterator model.
+// Rows move between operators only as columnar batches.
 type Operator interface {
 	// Schema describes the operator's output columns.
 	Schema() *Schema
 	// Open prepares the operator for iteration.
 	Open(ctx *EvalContext) error
-	// Next returns the next row, or ok=false at end of stream.
-	Next() (row sqltypes.Row, ok bool, err error)
-	// Close releases resources. It must be safe to call after errors.
+	// NextVec returns the next batch, or ok=false at end of stream. A
+	// returned batch has NumActive() > 0 — batches whose selection filtered
+	// every row are skipped inside the operator — and follows the ownership
+	// contract on sqltypes.ColBatch: read-only for the consumer, except that
+	// a consumer may narrow Sel before forwarding the same container, and
+	// valid only until the consumer's next NextVec/Close call on this
+	// operator. Rows reachable through a row-backed batch are shared and
+	// immutable and may be retained.
+	NextVec() (*sqltypes.ColBatch, bool, error)
+	// Close releases resources. It must be safe to call after errors and
+	// more than once.
 	Close() error
 }
 
@@ -27,7 +36,7 @@ type Operator interface {
 type Values struct {
 	Rows   []sqltypes.Row
 	schema *Schema
-	pos    int
+	win    rowWindow
 }
 
 // NewValues builds a Values operator.
@@ -39,21 +48,11 @@ func NewValues(schema *Schema, rows []sqltypes.Row) *Values {
 func (v *Values) Schema() *Schema { return v.schema }
 
 // Open implements Operator.
-func (v *Values) Open(*EvalContext) error { v.pos = 0; return nil }
+func (v *Values) Open(ctx *EvalContext) error { v.win.reset(v.Rows, ctx); return nil }
 
-// Next implements Operator.
-func (v *Values) Next() (sqltypes.Row, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	r := v.Rows[v.pos]
-	v.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: zero-copy subslices of the row list.
-func (v *Values) NextBatch() (sqltypes.Batch, bool, error) {
-	return sliceBatch(v.Rows, &v.pos, DefaultBatchSize)
+// NextVec implements Operator: zero-copy windows of the row list.
+func (v *Values) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return v.win.next(len(v.schema.Cols))
 }
 
 // Close implements Operator.
@@ -66,44 +65,33 @@ func (v *Values) Close() error { return nil }
 // residual predicate.
 //
 // Clustered scans (Index == "") stream chunk-at-a-time straight from the
-// B+-tree: each chunk is read under one short read latch, so the scan never
-// materializes the table and interleaves with writers at chunk granularity —
-// the same read-committed view ScanMorsel gives parallel workers. Index
-// scans snapshot the matching row references at Open as before.
+// B+-tree: each chunk is a bulk leaf walk under one short read latch, so the
+// scan never materializes the table and interleaves with writers at chunk
+// granularity — the same read-committed view ScanMorsel gives parallel
+// workers. Index scans snapshot the matching row references at Open.
 type Scan struct {
 	Table  *storage.Table
 	Index  string // index to drive the scan; "" = clustered order
 	Lo, Hi storage.Bound
 	Filter Compiled // residual predicate, may be nil
-	// FilterKernel, when non-nil, is the vectorized form of Filter: the
-	// columnar path evaluates it column-at-a-time over each chunk and
-	// carries survivors in the batch's selection vector, and the batch path
-	// compacts the survivors by reference. Planners set both so every
-	// execution mode keeps the same semantics.
+	// FilterKernel, when non-nil, is the vectorized form of Filter, evaluated
+	// column-at-a-time over each chunk. Without one, Filter runs per row
+	// through the batch's row view. Either way survivors are carried in the
+	// batch's selection vector and no row is copied.
 	FilterKernel BoolKernel
 
 	schema *Schema
 	ctx    *EvalContext
-	// Index-scan snapshot state.
-	rows []sqltypes.Row
-	pos  int
-	buf  *[]sqltypes.Row // pooled backing store for the snapshot
-	// Clustered-scan streaming state: cursor is the encoded resume key, curb
-	// the in-flight chunk for row-mode iteration. streaming flips on once the
-	// batch path starts pulling chunks, committing the scan to the streaming
-	// read-committed view; row-mode clustered scans instead materialize the
-	// seed's snapshot lazily on first Next.
+	kernel BoolKernel
+	// buf is the pooled row-reference buffer: the Open snapshot of an index
+	// scan (pos is the cursor into it) or the in-flight chunk of a clustered
+	// scan (cursor is the encoded resume key).
+	buf       *sqltypes.Batch
+	pos       int
 	cursor    string
 	streamEnd bool
-	streaming bool
-	curb      sqltypes.Batch
-	fout      *sqltypes.Batch // pooled output buffer for built batches
-	// Columnar-path state: the reusable output container, its selection
-	// buffer, and a pooled buffer for batch-path compaction of kernel
-	// survivors.
-	vout   sqltypes.ColBatch
-	selbuf []int32
-	cout   *sqltypes.Batch
+	out       sqltypes.ColBatch
+	selbuf    []int32
 
 	// RowsScanned counts rows read from storage (before the residual
 	// filter); used by tests and cost-model validation.
@@ -124,15 +112,14 @@ func (s *Scan) Schema() *Schema { return s.schema }
 // streaming cursor and read nothing yet.
 func (s *Scan) Open(ctx *EvalContext) error {
 	s.ctx = ctx
-	s.pos = 0
-	s.RowsScanned = 0
-	s.cursor, s.streamEnd, s.streaming, s.curb = "", false, false, nil
-	s.rows = nil
-	if s.Index == "" {
-		return nil
-	}
+	s.pos, s.RowsScanned = 0, 0
+	s.cursor, s.streamEnd = "", false
+	s.kernel = kernelFor(s.FilterKernel, s.Filter)
 	if s.buf == nil {
 		s.buf = getRowBuf()
+	}
+	if s.Index == "" {
+		return nil
 	}
 	rows := (*s.buf)[:0]
 	err := s.Table.ScanIndex(s.Index, s.Lo, s.Hi, func(r sqltypes.Row) bool {
@@ -140,297 +127,112 @@ func (s *Scan) Open(ctx *EvalContext) error {
 		return true
 	})
 	*s.buf = rows
-	s.rows = rows
 	return err
 }
 
-// snapshot materializes the clustered table into the pooled row buffer; the
-// row path uses it so clustered row-mode iteration keeps the original
-// snapshot-at-first-read semantics.
-func (s *Scan) snapshot() {
+// NextVec implements Operator: the next chunk or snapshot window as a
+// row-backed batch, narrowed by the pushed-down predicate.
+func (s *Scan) NextVec() (*sqltypes.ColBatch, bool, error) {
 	if s.buf == nil {
-		s.buf = getRowBuf()
-	}
-	rows := (*s.buf)[:0]
-	s.Table.Scan(func(r sqltypes.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	*s.buf = rows
-	s.rows = rows
-}
-
-// nextChunk streams the next batch of a clustered scan from the B+-tree.
-// Without a residual filter it bulk-copies whole leaves via ChunkRows; with
-// one, ScanChunk's limit applies to rows read, so the loop keeps pulling
-// chunks until a batch has content or input runs out — bounding latch hold
-// time per chunk without ever returning a spurious end-of-stream.
-func (s *Scan) nextChunk() (sqltypes.Batch, bool, error) {
-	s.streaming = true
-	if s.fout == nil {
-		s.fout = getBatchBuf()
-	}
-	n := batchSizeOf(s.ctx)
-	out := (*s.fout)[:0]
-	if s.Filter == nil {
-		if s.streamEnd {
-			return nil, false, nil
-		}
-		var more bool
-		out, s.cursor, more = s.Table.ChunkRows(s.cursor, "", n, out)
-		s.streamEnd = !more
-		s.RowsScanned += len(out)
-		*s.fout = out
-		if len(out) == 0 {
-			return nil, false, nil
-		}
-		return out, true, nil
-	}
-	var evalErr error
-	for len(out) == 0 && !s.streamEnd {
-		next, more := s.Table.ScanChunk(s.cursor, "", n, func(r sqltypes.Row) bool {
-			s.RowsScanned++
-			ok, err := PredicateTrue(s.Filter, s.ctx, r)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if ok {
-				out = append(out, r)
-			}
-			return true
-		})
-		if evalErr != nil {
-			*s.fout = out
-			return nil, false, evalErr
-		}
-		if !more {
-			s.streamEnd = true
-		}
-		s.cursor = next
-	}
-	*s.fout = out
-	if len(out) == 0 {
 		return nil, false, nil
 	}
-	return out, true, nil
-}
-
-// Next implements Operator. A clustered scan that already streamed batches
-// keeps pulling chunks through the same cursor (adapters may mix modes);
-// otherwise it materializes the snapshot on first call, preserving the
-// original row-at-a-time semantics.
-func (s *Scan) Next() (sqltypes.Row, bool, error) {
-	if s.Index == "" {
-		if s.streaming {
-			for s.pos >= len(s.curb) {
-				b, ok, err := s.nextChunk()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				s.curb, s.pos = b, 0
-			}
-			r := s.curb[s.pos]
-			s.pos++
-			return r, true, nil
-		}
-		if s.rows == nil {
-			s.snapshot()
-		}
-	}
-	for s.pos < len(s.rows) {
-		r := s.rows[s.pos]
-		s.pos++
-		s.RowsScanned++
-		if s.Filter != nil {
-			ok, err := PredicateTrue(s.Filter, s.ctx, r)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		return r, true, nil
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchOperator. Without a residual filter it returns
-// zero-copy subslices of the snapshot; with one it compacts qualifying rows
-// into a pooled output buffer, scanning as much input as it takes to fill a
-// batch (or reach the end). Clustered scans stream chunks from the tree
-// instead (see nextChunk).
-func (s *Scan) NextBatch() (sqltypes.Batch, bool, error) {
-	if s.FilterKernel != nil {
-		// Vectorized predicate: evaluate column-at-a-time via the columnar
-		// path, then compact the surviving row references into a pooled
-		// buffer (or hand back the chunk unchanged when nothing filtered).
-		cb, ok, err := s.NextVec()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if cb.Sel == nil && cb.Rows != nil {
-			return cb.Rows, true, nil
-		}
-		if s.cout == nil {
-			s.cout = getBatchBuf()
-		}
-		out := cb.AppendRows((*s.cout)[:0])
-		*s.cout = out
-		return out, true, nil
-	}
-	if s.Index == "" && s.rows == nil {
-		return s.nextChunk()
-	}
 	n := batchSizeOf(s.ctx)
-	if s.Filter == nil {
-		b, ok, err := sliceBatch(s.rows, &s.pos, n)
-		s.RowsScanned += len(b)
-		return b, ok, err
-	}
-	if s.fout == nil {
-		s.fout = getBatchBuf()
-	}
-	out := (*s.fout)[:0]
-	for len(out) < n && s.pos < len(s.rows) {
-		r := s.rows[s.pos]
-		s.pos++
-		s.RowsScanned++
-		ok, err := PredicateTrue(s.Filter, s.ctx, r)
-		if err != nil {
+	for {
+		var rows sqltypes.Batch
+		if s.Index != "" {
+			end := s.pos + n
+			if end > len(*s.buf) {
+				end = len(*s.buf)
+			}
+			rows = (*s.buf)[s.pos:end]
+			s.pos = end
+		} else if !s.streamEnd {
+			var more bool
+			rows, s.cursor, more = s.Table.ChunkRows(s.cursor, "", n, (*s.buf)[:0])
+			*s.buf = rows
+			s.streamEnd = !more
+		}
+		if len(rows) == 0 {
+			return nil, false, nil
+		}
+		s.RowsScanned += len(rows)
+		s.out.ResetRows(rows, len(s.schema.Cols))
+		if ok, err := applyKernel(s.kernel, s.ctx, &s.out, &s.selbuf); err != nil {
 			return nil, false, err
-		}
-		if ok {
-			out = append(out, r)
+		} else if ok {
+			return &s.out, true, nil
 		}
 	}
-	*s.fout = out
-	if len(out) == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
 }
 
-// Close implements Operator. It returns the pooled buffers.
+// Close implements Operator. It returns the pooled buffer.
 func (s *Scan) Close() error {
-	s.rows = nil
-	s.curb = nil
 	putRowBuf(s.buf)
 	s.buf = nil
-	putBatchBuf(s.fout)
-	s.fout = nil
-	putBatchBuf(s.cout)
-	s.cout = nil
 	return nil
 }
 
 // ---- Filter ----
 
-// Filter passes through rows satisfying a predicate.
+// Filter passes through rows satisfying a predicate: it refines the child
+// batch's selection vector in place and forwards the same container — no
+// rows move.
 type Filter struct {
 	Child Operator
 	Pred  Compiled
-	// Kernel, when non-nil, is the vectorized form of Pred used by the
-	// columnar path; the row and batch paths keep evaluating Pred.
+	// Kernel, when non-nil, is the vectorized form of Pred; otherwise Pred
+	// evaluates per active row through the batch's row view.
 	Kernel BoolKernel
-	ctx    *EvalContext
 
-	bchild BatchOperator
-	out    *sqltypes.Batch // pooled output buffer for the batch path
-	// Columnar-path state.
-	vchild   VecOperator
-	fallback BoolKernel
-	selbuf   []int32
+	ctx    *EvalContext
+	kernel BoolKernel
+	selbuf []int32
 }
 
 // Schema implements Operator.
 func (f *Filter) Schema() *Schema { return f.Child.Schema() }
 
 // Open implements Operator.
-func (f *Filter) Open(ctx *EvalContext) error { f.ctx = ctx; return f.Child.Open(ctx) }
+func (f *Filter) Open(ctx *EvalContext) error {
+	f.ctx = ctx
+	f.kernel = kernelFor(f.Kernel, f.Pred)
+	return f.Child.Open(ctx)
+}
 
-// Next implements Operator.
-func (f *Filter) Next() (sqltypes.Row, bool, error) {
+// NextVec implements Operator.
+func (f *Filter) NextVec() (*sqltypes.ColBatch, bool, error) {
 	for {
-		row, ok, err := f.Child.Next()
+		cb, ok, err := f.Child.NextVec()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		keep, err := PredicateTrue(f.Pred, f.ctx, row)
-		if err != nil {
+		if ok, err := applyKernel(f.kernel, f.ctx, cb, &f.selbuf); err != nil {
 			return nil, false, err
-		}
-		if keep {
-			return row, true, nil
+		} else if ok {
+			return cb, true, nil
 		}
 	}
 }
 
-// NextBatch implements BatchOperator: it pulls child batches and compacts
-// qualifying rows into a pooled output buffer, pulling as many input batches
-// as it takes to produce at least one row (or reach the end).
-func (f *Filter) NextBatch() (sqltypes.Batch, bool, error) {
-	if f.bchild == nil {
-		f.bchild = AsBatch(f.Child)
-	}
-	if f.out == nil {
-		f.out = getBatchBuf()
-	}
-	out := (*f.out)[:0]
-	for len(out) == 0 {
-		in, ok, err := f.bchild.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		for _, row := range in {
-			keep, err := PredicateTrue(f.Pred, f.ctx, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				out = append(out, row)
-			}
-		}
-	}
-	*f.out = out
-	if len(out) == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Close implements Operator. Whichever adapters were instantiated are
-// closed; closing the child more than once is safe per the Operator
-// contract.
-func (f *Filter) Close() error {
-	putBatchBuf(f.out)
-	f.out = nil
-	return closeAdapted(f.Child, f.vchild, f.bchild, func() { f.vchild, f.bchild = nil, nil })
-}
+// Close implements Operator.
+func (f *Filter) Close() error { return f.Child.Close() }
 
 // ---- Project ----
 
 // Project computes output expressions over child rows.
 type Project struct {
 	Child Operator
+	// Exprs are the output expressions; unused when Cols is set.
 	Exprs []Compiled
 	// Cols, when non-nil, marks the projection as a pure column gather:
-	// output column j is input column Cols[j]. The columnar path then
-	// forwards the child's vectors without evaluating closures or
-	// materializing rows.
+	// output column j is input column Cols[j], and no closure runs.
 	Cols []int
 	Out  *Schema
-	ctx  *EvalContext
 
-	bchild BatchOperator
-	out    *sqltypes.Batch // pooled output buffer for the batch path
-	// Columnar-path state.
-	vchild VecOperator
-	vout   sqltypes.ColBatch
+	ctx *EvalContext
+	in  sqltypes.Batch  // dense view of a selected or columnar input batch
+	buf *sqltypes.Batch // pooled output row references
+	out sqltypes.ColBatch
 }
 
 // Schema implements Operator.
@@ -439,55 +241,58 @@ func (p *Project) Schema() *Schema { return p.Out }
 // Open implements Operator.
 func (p *Project) Open(ctx *EvalContext) error { p.ctx = ctx; return p.Child.Open(ctx) }
 
-// Next implements Operator.
-func (p *Project) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := p.Child.Next()
+// NextVec implements Operator. A gather over a purely columnar batch
+// forwards the child's vectors — reordered, selection intact, nothing
+// materialized. Every other case builds a row-backed batch whose rows are
+// carved out of one arena per batch; the arena is never reused, so emitted
+// rows stay valid forever, and a row-backed input (a point read) is
+// projected without transposing anything.
+func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
+	in, ok, err := p.Child.NextVec()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(sqltypes.Row, len(p.Exprs))
-	for i, e := range p.Exprs {
-		out[i], err = e(p.ctx, row)
-		if err != nil {
-			return nil, false, err
+	w := len(p.Out.Cols)
+	if p.Cols != nil && in.Rows == nil {
+		p.out.ResetCols(w, in.Len())
+		for j, ord := range p.Cols {
+			p.out.SetCol(j, in.Col(ord))
 		}
+		p.out.Sel = in.Sel
+		return &p.out, true, nil
 	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator: it computes output rows for one child
-// batch at a time into a pooled buffer.
-func (p *Project) NextBatch() (sqltypes.Batch, bool, error) {
-	if p.bchild == nil {
-		p.bchild = AsBatch(p.Child)
+	rows := denseRows(in, &p.in)
+	if p.buf == nil {
+		p.buf = getRowBuf()
 	}
-	in, ok, err := p.bchild.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if p.out == nil {
-		p.out = getBatchBuf()
-	}
-	out := (*p.out)[:0]
-	for _, row := range in {
-		res := make(sqltypes.Row, len(p.Exprs))
-		for i, e := range p.Exprs {
-			res[i], err = e(p.ctx, row)
-			if err != nil {
-				return nil, false, err
+	out := (*p.buf)[:0]
+	arena := make([]sqltypes.Value, len(rows)*w)
+	for k, src := range rows {
+		dst := arena[k*w : (k+1)*w : (k+1)*w]
+		if p.Cols != nil {
+			for j, ord := range p.Cols {
+				dst[j] = src[ord]
+			}
+		} else {
+			for j, e := range p.Exprs {
+				if dst[j], err = e(p.ctx, src); err != nil {
+					*p.buf = out
+					return nil, false, err
+				}
 			}
 		}
-		out = append(out, res)
+		out = append(out, dst)
 	}
-	*p.out = out
-	return out, true, nil
+	*p.buf = out
+	p.out.ResetRows(out, w)
+	return &p.out, true, nil
 }
 
 // Close implements Operator.
 func (p *Project) Close() error {
-	putBatchBuf(p.out)
-	p.out = nil
-	return closeAdapted(p.Child, p.vchild, p.bchild, func() { p.vchild, p.bchild = nil, nil })
+	putRowBuf(p.buf)
+	p.buf = nil
+	return p.Child.Close()
 }
 
 // ---- Joins ----
@@ -502,6 +307,11 @@ const (
 	JoinAnti
 )
 
+// concatRows returns a fresh row holding a's values followed by b's.
+func concatRows(a, b sqltypes.Row) sqltypes.Row {
+	return append(append(make(sqltypes.Row, 0, len(a)+len(b)), a...), b...)
+}
+
 // IndexLoopJoin is an index nested-loop join: for each outer row it seeks
 // the inner table's index on equality keys computed from the outer row.
 type IndexLoopJoin struct {
@@ -515,6 +325,8 @@ type IndexLoopJoin struct {
 
 	schema  *Schema
 	ctx     *EvalContext
+	in      rowReader
+	out     rowBuilder
 	cur     sqltypes.Row
 	matches []sqltypes.Row
 	mi      int
@@ -539,30 +351,35 @@ func (j *IndexLoopJoin) Schema() *Schema { return j.schema }
 // Open implements Operator.
 func (j *IndexLoopJoin) Open(ctx *EvalContext) error {
 	j.ctx = ctx
+	j.in.reset()
 	j.cur, j.matches, j.mi = nil, nil, 0
 	j.InnerLookups = 0
 	return j.Outer.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *IndexLoopJoin) Next() (sqltypes.Row, bool, error) {
+// NextVec implements Operator: outer batches are read through the row view
+// (one index seek per outer row) and joined rows leave in row-backed
+// batches.
+func (j *IndexLoopJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return j.out.fill(j, j.ctx, len(j.schema.Cols))
+}
+
+// nextRow produces the next output row: the pending matches of the current
+// outer row first, then the next outer row's seek.
+func (j *IndexLoopJoin) nextRow() (sqltypes.Row, bool, error) {
 	for {
 		for j.mi < len(j.matches) {
-			m := j.matches[j.mi]
+			out := concatRows(j.cur, j.matches[j.mi])
 			j.mi++
-			out := append(append(make(sqltypes.Row, 0, len(j.cur)+len(m)), j.cur...), m...)
-			if j.Residual != nil {
-				ok, err := PredicateTrue(j.Residual, j.ctx, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					continue
-				}
+			ok, err := residualTrue(j.Residual, j.ctx, out)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
 		}
-		row, ok, err := j.Outer.Next()
+		row, ok, err := j.in.next(j.Outer)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -570,31 +387,29 @@ func (j *IndexLoopJoin) Next() (sqltypes.Row, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		switch j.Kind {
-		case JoinInner:
+		if j.Kind == JoinInner {
 			j.cur, j.matches, j.mi = row, matches, 0
-		case JoinSemi, JoinAnti:
-			found := false
-			for _, m := range matches {
-				if j.Residual == nil {
-					found = true
-					break
-				}
-				joined := append(append(make(sqltypes.Row, 0, len(row)+len(m)), row...), m...)
-				ok, err := PredicateTrue(j.Residual, j.ctx, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					found = true
-					break
-				}
-			}
-			if found == (j.Kind == JoinSemi) {
-				return row, true, nil
+			continue
+		}
+		found := j.Residual == nil && len(matches) > 0
+		for i := 0; j.Residual != nil && !found && i < len(matches); i++ {
+			if found, err = PredicateTrue(j.Residual, j.ctx, concatRows(row, matches[i])); err != nil {
+				return nil, false, err
 			}
 		}
+		if found == (j.Kind == JoinSemi) {
+			return row, true, nil
+		}
 	}
+}
+
+// residualTrue evaluates a join's residual over a joined row; a nil
+// residual accepts every row.
+func residualTrue(residual Compiled, ctx *EvalContext, joined sqltypes.Row) (bool, error) {
+	if residual == nil {
+		return true, nil
+	}
+	return PredicateTrue(residual, ctx, joined)
 }
 
 func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
@@ -620,7 +435,10 @@ func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
 }
 
 // Close implements Operator.
-func (j *IndexLoopJoin) Close() error { return j.Outer.Close() }
+func (j *IndexLoopJoin) Close() error {
+	j.out.release()
+	return j.Outer.Close()
+}
 
 // ---- Sort / Limit / Distinct ----
 
@@ -630,8 +448,7 @@ type Sort struct {
 	Keys  []Compiled
 	Desc  []bool
 
-	rows []sqltypes.Row
-	pos  int
+	win rowWindow
 }
 
 // Schema implements Operator.
@@ -639,8 +456,7 @@ func (s *Sort) Schema() *Schema { return s.Child.Schema() }
 
 // Open implements Operator: it drains and sorts the child.
 func (s *Sort) Open(ctx *EvalContext) error {
-	s.rows = nil
-	s.pos = 0
+	s.win.reset(nil, ctx)
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -649,8 +465,9 @@ func (s *Sort) Open(ctx *EvalContext) error {
 		keys sqltypes.Row
 	}
 	var all []keyed
+	var in rowReader
 	for {
-		row, ok, err := s.Child.Next()
+		row, ok, err := in.next(s.Child)
 		if err != nil {
 			return err
 		}
@@ -680,39 +497,28 @@ func (s *Sort) Open(ctx *EvalContext) error {
 		}
 		return false
 	})
-	s.rows = make([]sqltypes.Row, len(all))
+	rows := make([]sqltypes.Row, len(all))
 	for i, kr := range all {
-		s.rows[i] = kr.row
+		rows[i] = kr.row
 	}
+	s.win.reset(rows, ctx)
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next() (sqltypes.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: zero-copy subslices of the sorted
-// output.
-func (s *Sort) NextBatch() (sqltypes.Batch, bool, error) {
-	return sliceBatch(s.rows, &s.pos, DefaultBatchSize)
+// NextVec implements Operator: zero-copy windows of the sorted output.
+func (s *Sort) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return s.win.next(len(s.Schema().Cols))
 }
 
 // Close implements Operator.
-func (s *Sort) Close() error { s.rows = nil; return s.Child.Close() }
+func (s *Sort) Close() error { s.win.reset(nil, nil); return s.Child.Close() }
 
 // Limit passes through at most N rows.
 type Limit struct {
 	Child Operator
 	N     int64
 	seen  int64
-
-	bchild BatchOperator
+	sel   []int32
 }
 
 // Schema implements Operator.
@@ -721,52 +527,39 @@ func (l *Limit) Schema() *Schema { return l.Child.Schema() }
 // Open implements Operator.
 func (l *Limit) Open(ctx *EvalContext) error { l.seen = 0; return l.Child.Open(ctx) }
 
-// Next implements Operator.
-func (l *Limit) Next() (sqltypes.Row, bool, error) {
+// NextVec implements Operator: child batches pass through; the one that
+// crosses the limit is cut by shortening its selection.
+func (l *Limit) NextVec() (*sqltypes.ColBatch, bool, error) {
 	if l.seen >= l.N {
 		return nil, false, nil
 	}
-	row, ok, err := l.Child.Next()
+	cb, ok, err := l.Child.NextVec()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	l.seen++
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator: child batches pass through, truncated
-// at the limit.
-func (l *Limit) NextBatch() (sqltypes.Batch, bool, error) {
-	if l.bchild == nil {
-		l.bchild = AsBatch(l.Child)
+	if rem := l.N - l.seen; int64(cb.NumActive()) > rem {
+		if cb.Sel == nil {
+			l.sel = make([]int32, rem)
+			for i := range l.sel {
+				l.sel[i] = int32(i)
+			}
+			cb.Sel = l.sel
+		}
+		cb.Sel = cb.Sel[:rem]
 	}
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	b, ok, err := l.bchild.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if rem := l.N - l.seen; int64(len(b)) > rem {
-		b = b[:rem]
-	}
-	l.seen += int64(len(b))
-	return b, true, nil
+	l.seen += int64(cb.NumActive())
+	return cb, true, nil
 }
 
 // Close implements Operator.
-func (l *Limit) Close() error {
-	if c := l.bchild; c != nil {
-		l.bchild = nil
-		return c.Close()
-	}
-	return l.Child.Close()
-}
+func (l *Limit) Close() error { return l.Child.Close() }
 
-// Distinct removes duplicate rows.
+// Distinct removes duplicate rows by narrowing each child batch to the rows
+// not seen before.
 type Distinct struct {
-	Child Operator
-	seen  map[string]bool
+	Child  Operator
+	seen   map[string]bool
+	selbuf []int32
 }
 
 // Schema implements Operator.
@@ -778,19 +571,27 @@ func (d *Distinct) Open(ctx *EvalContext) error {
 	return d.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (d *Distinct) Next() (sqltypes.Row, bool, error) {
+// NextVec implements Operator.
+func (d *Distinct) NextVec() (*sqltypes.ColBatch, bool, error) {
 	for {
-		row, ok, err := d.Child.Next()
+		cb, ok, err := d.Child.NextVec()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key := sqltypes.RowKey(row)
-		if d.seen[key] {
+		sel := selFor(d.selbuf, cb)
+		forCand(cb, cb.Sel, func(i int32) bool {
+			if key := sqltypes.RowKey(cb.Row(int(i))); !d.seen[key] {
+				d.seen[key] = true
+				sel = append(sel, i)
+			}
+			return true
+		})
+		d.selbuf = sel
+		if len(sel) == 0 {
 			continue
 		}
-		d.seen[key] = true
-		return row, true, nil
+		cb.Sel = sel
+		return cb, true, nil
 	}
 }
 
@@ -814,8 +615,7 @@ type Aggregate struct {
 	Aggs    []AggSpec
 	Out     *Schema
 
-	rows []sqltypes.Row
-	pos  int
+	win rowWindow
 }
 
 // Schema implements Operator.
@@ -833,15 +633,15 @@ type aggState struct {
 
 // Open implements Operator: it drains the child and computes all groups.
 func (a *Aggregate) Open(ctx *EvalContext) error {
-	a.rows = nil
-	a.pos = 0
+	a.win.reset(nil, ctx)
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
 	groups := map[string]*aggState{}
 	var order []string
+	var in rowReader
 	for {
-		row, ok, err := a.Child.Next()
+		row, ok, err := in.next(a.Child)
 		if err != nil {
 			return err
 		}
@@ -929,14 +729,16 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 		groups[""] = st
 		order = append(order, "")
 	}
+	rows := make([]sqltypes.Row, 0, len(order))
 	for _, key := range order {
 		st := groups[key]
 		out := append(sqltypes.Row{}, st.groupVals...)
 		for i, spec := range a.Aggs {
 			out = append(out, finishAgg(spec, st, i))
 		}
-		a.rows = append(a.rows, out)
+		rows = append(rows, out)
 	}
+	a.win.reset(rows, ctx)
 	return nil
 }
 
@@ -976,21 +778,10 @@ func finishAgg(spec AggSpec, st *aggState, i int) sqltypes.Value {
 	}
 }
 
-// Next implements Operator.
-func (a *Aggregate) Next() (sqltypes.Row, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
-	}
-	r := a.rows[a.pos]
-	a.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: zero-copy subslices of the computed
-// groups.
-func (a *Aggregate) NextBatch() (sqltypes.Batch, bool, error) {
-	return sliceBatch(a.rows, &a.pos, DefaultBatchSize)
+// NextVec implements Operator: zero-copy windows of the computed groups.
+func (a *Aggregate) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return a.win.next(len(a.Out.Cols))
 }
 
 // Close implements Operator.
-func (a *Aggregate) Close() error { a.rows = nil; return a.Child.Close() }
+func (a *Aggregate) Close() error { a.win.reset(nil, nil); return a.Child.Close() }

@@ -37,22 +37,13 @@ type parMsg struct {
 	err   error
 }
 
-// scanFilterScratch is the per-worker state for vectorized residual
-// filtering: a reusable columnar view over each storage chunk plus its
-// selection buffer. Workers own their scratch exclusively, so kernels run
-// without synchronization.
+// scanFilterScratch is the per-worker state for residual filtering: a
+// reusable columnar view over each storage chunk plus its selection buffer.
+// Workers own their scratch exclusively, so kernels run without
+// synchronization.
 type scanFilterScratch struct {
 	vout   sqltypes.ColBatch
 	selbuf []int32
-}
-
-// init arms the scratch for kernel filtering: the selection buffer must be
-// non-nil before the first batch, because kernels receive it as dst and a
-// nil selection means "all rows" rather than "no rows".
-func (st *scanFilterScratch) init() {
-	if st.selbuf == nil {
-		st.selbuf = make([]int32, 0, 16)
-	}
 }
 
 // ParallelScan is the morsel-driven parallel table scan: Open partitions the
@@ -78,7 +69,7 @@ type ParallelScan struct {
 	Lo, Hi storage.Bound
 	Filter Compiled // residual predicate, may be nil
 	// FilterKernel is the vectorized form of Filter when the planner could
-	// compile one; workers prefer it and fall back to Filter otherwise.
+	// compile one; otherwise Filter runs per row through the row view.
 	FilterKernel BoolKernel
 	// DOP is the worker count; 0 defers to EvalContext.MaxDOP, then
 	// GOMAXPROCS. The effective count is additionally clamped to GOMAXPROCS
@@ -87,6 +78,7 @@ type ParallelScan struct {
 
 	schema  *Schema
 	ctx     *EvalContext
+	kernel  BoolKernel
 	morsels []storage.Morsel
 	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
 	effDOP  int
@@ -99,13 +91,12 @@ type ParallelScan struct {
 	cursor    string
 	end       string
 	streamEnd bool
-	fout      *sqltypes.Batch // raw chunk buffer
-	cout      *sqltypes.Batch // filtered output buffer
-	scratch   scanFilterScratch
+	fout      *sqltypes.Batch // pooled chunk buffer
 
-	// row-mode cursor over the last received batch.
-	cur sqltypes.Batch
-	pos int
+	// vout is the output container: the inline path's chunk narrowed by a
+	// selection, or the exchange's last batch.
+	vout   sqltypes.ColBatch
+	selbuf []int32
 
 	rowsScanned atomic.Int64
 }
@@ -146,7 +137,7 @@ func (p *ParallelScan) dop() int {
 // work, and either starts the workers or arms the inline serial path.
 func (p *ParallelScan) Open(ctx *EvalContext) error {
 	p.ctx = ctx
-	p.cur, p.pos = nil, 0
+	p.kernel = kernelFor(p.FilterKernel, p.Filter)
 	p.closed = false
 	p.serial = false
 	p.out, p.stop = nil, nil
@@ -173,12 +164,8 @@ func (p *ParallelScan) Open(ctx *EvalContext) error {
 		p.end = p.morsels[len(p.morsels)-1].End
 		p.streamEnd = false
 		if p.fout == nil {
-			p.fout = getBatchBuf()
+			p.fout = getRowBuf()
 		}
-		if p.cout == nil && (p.Filter != nil || p.FilterKernel != nil) {
-			p.cout = getBatchBuf()
-		}
-		p.scratch.init()
 		return nil
 	}
 
@@ -247,34 +234,13 @@ func (p *ParallelScan) claim(w int) (int, bool) {
 }
 
 // filterInto appends the rows of chunk that survive the residual predicate
-// onto out, using the vectorized kernel when available. Only row headers
-// move; the stored rows are shared and immutable.
+// onto out. Only row headers move; the stored rows are shared and immutable.
 func (p *ParallelScan) filterInto(st *scanFilterScratch, chunk, out sqltypes.Batch) (sqltypes.Batch, error) {
-	switch {
-	case p.FilterKernel != nil:
-		st.vout.ResetRows(chunk, len(p.schema.Cols))
-		sel, err := p.FilterKernel(p.ctx, &st.vout, nil, st.selbuf[:0])
-		if err != nil {
-			return out, err
-		}
-		st.selbuf = sel
-		for _, i := range sel {
-			out = append(out, chunk[i])
-		}
-	case p.Filter != nil:
-		for _, r := range chunk {
-			ok, err := PredicateTrue(p.Filter, p.ctx, r)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-	default:
-		out = append(out, chunk...)
+	st.vout.ResetRows(chunk, len(p.schema.Cols))
+	if _, err := applyKernel(p.kernel, p.ctx, &st.vout, &st.selbuf); err != nil {
+		return out, err
 	}
-	return out, nil
+	return st.vout.AppendRows(out), nil
 }
 
 // worker drains morsels via claim, reading each as bulk leaf chunks and
@@ -284,7 +250,6 @@ func (p *ParallelScan) worker(w int) {
 	chunk := make(sqltypes.Batch, 0, n)
 	out := make(sqltypes.Batch, 0, n)
 	var st scanFilterScratch
-	st.init()
 	var scanned int64
 	defer func() { p.rowsScanned.Add(scanned) }()
 	for {
@@ -329,66 +294,35 @@ func (p *ParallelScan) send(m parMsg) bool {
 	}
 }
 
-// NextBatch implements BatchOperator. At effective DOP 1 it streams bulk
-// leaf chunks inline; otherwise it receives the next merged batch from the
-// exchange. Batches are valid until the following NextBatch call.
-func (p *ParallelScan) NextBatch() (sqltypes.Batch, bool, error) {
-	if p.serial {
-		return p.nextSerial()
-	}
-	msg, ok := <-p.out
-	if !ok {
-		return nil, false, nil
-	}
-	if msg.err != nil {
-		return nil, false, msg.err
-	}
-	return msg.batch, true, nil
-}
-
-// nextSerial is the inline DOP-1 drain: one bulk leaf walk per batch, the
-// residual applied through the same kernel path the workers use.
-func (p *ParallelScan) nextSerial() (sqltypes.Batch, bool, error) {
-	n := batchSizeOf(p.ctx)
-	for {
-		if p.streamEnd {
-			return nil, false, nil
+// NextVec implements Operator. At effective DOP 1 it streams bulk leaf
+// chunks inline, narrowed by a selection like the serial Scan; otherwise it
+// wraps the next merged batch from the exchange.
+func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
+	w := len(p.schema.Cols)
+	if !p.serial {
+		msg, ok := <-p.out
+		if !ok || msg.err != nil {
+			return nil, false, msg.err
 		}
-		chunk := (*p.fout)[:0]
-		var more bool
-		chunk, p.cursor, more = p.Table.ChunkRows(p.cursor, p.end, n, chunk)
-		p.streamEnd = !more
-		p.rowsScanned.Add(int64(len(chunk)))
-		*p.fout = chunk
+		p.vout.ResetRows(msg.batch, w)
+		return &p.vout, true, nil
+	}
+	n := batchSizeOf(p.ctx)
+	for !p.streamEnd {
+		chunk, next, more := p.Table.ChunkRows(p.cursor, p.end, n, (*p.fout)[:0])
+		*p.fout, p.cursor, p.streamEnd = chunk, next, !more
 		if len(chunk) == 0 {
 			continue
 		}
-		if p.Filter == nil && p.FilterKernel == nil {
-			return chunk, true, nil
-		}
-		out, err := p.filterInto(&p.scratch, chunk, (*p.cout)[:0])
-		*p.cout = out
-		if err != nil {
+		p.rowsScanned.Add(int64(len(chunk)))
+		p.vout.ResetRows(chunk, w)
+		if ok, err := applyKernel(p.kernel, p.ctx, &p.vout, &p.selbuf); err != nil {
 			return nil, false, err
-		}
-		if len(out) > 0 {
-			return out, true, nil
+		} else if ok {
+			return &p.vout, true, nil
 		}
 	}
-}
-
-// Next implements Operator: row-at-a-time iteration over received batches.
-func (p *ParallelScan) Next() (sqltypes.Row, bool, error) {
-	for p.pos >= len(p.cur) {
-		b, ok, err := p.NextBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		p.cur, p.pos = b, 0
-	}
-	r := p.cur[p.pos]
-	p.pos++
-	return r, true, nil
+	return nil, false, nil
 }
 
 // Close implements Operator: it signals the workers to stop and drains the
@@ -404,15 +338,9 @@ func (p *ParallelScan) Close() error {
 		for range p.out {
 		}
 	}
-	if p.fout != nil {
-		putBatchBuf(p.fout)
-		p.fout = nil
-	}
-	if p.cout != nil {
-		putBatchBuf(p.cout)
-		p.cout = nil
-	}
-	p.cur, p.pos = nil, 0
+	putRowBuf(p.fout)
+	p.fout = nil
+	p.streamEnd = true
 	p.morsels, p.queues = nil, nil
 	return nil
 }

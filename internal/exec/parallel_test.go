@@ -136,7 +136,7 @@ func TestParallelScanAndKernelEmptyChunks(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		ps := NewParallelScan(tbl, s)
 		ps.Filter = compile(t, "id > 2990 AND bal < 2995", s)
-		ps.FilterKernel = kernelFor(t, "id > 2990 AND bal < 2995", s)
+		ps.FilterKernel = testKernel(t, "id > 2990 AND bal < 2995", s)
 		ps.DOP = dop
 		res, err := Run(ps, &EvalContext{Now: testNow, BatchSize: 64}, 0)
 		if err != nil {
@@ -157,7 +157,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		if err := ps.Open(&EvalContext{Now: testNow, BatchSize: 16}); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := ps.NextBatch(); err != nil || !ok {
+		if _, ok, err := ps.NextVec(); err != nil || !ok {
 			t.Fatalf("pass %d: first batch ok=%v err=%v", i, ok, err)
 		}
 		if err := ps.Close(); err != nil {
@@ -183,7 +183,8 @@ func TestParallelScanFilterError(t *testing.T) {
 	}
 }
 
-// TestParallelScanRowMode drains the exchange through the row interface.
+// TestParallelScanRowMode drains the exchange in one-row batches: every
+// worker flush and every consumer step moves a single row.
 func TestParallelScanRowMode(t *testing.T) {
 	const n = 2000
 	tbl := parallelTable(t, n)
@@ -191,7 +192,7 @@ func TestParallelScanRowMode(t *testing.T) {
 	want := drain(t, NewScan(tbl, s))
 	ps := NewParallelScan(tbl, s)
 	ps.DOP = 2
-	res, err := RunRows(ps, ctx(), 0)
+	res, err := Run(ps, &EvalContext{Now: testNow, BatchSize: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestParallelScanWorkStealing(t *testing.T) {
 
 	ps := NewParallelScan(tbl, s)
 	ps.Filter = compile(t, "name = '0'", s)
-	ps.FilterKernel = kernelFor(t, "name = '0'", s)
+	ps.FilterKernel = testKernel(t, "name = '0'", s)
 	ps.DOP = 4
 	res, err := Run(ps, ctx(), 0)
 	if err != nil {

@@ -47,9 +47,9 @@ type Result struct {
 // Run opens the operator tree, drains it and closes it, recording run and
 // shutdown phase times. Setup time (plan instantiation) is recorded by the
 // caller that built the tree and passed here for inclusion in the result.
-// When the root is batch-capable the drain pulls whole batches — the default
-// execution path for every query; RunRows keeps the row-at-a-time drain for
-// comparison.
+// This is the result boundary, the one place batches become rows: selection
+// vectors resolve here, row-backed batches contribute shared row references
+// and columnar batches are materialized once.
 func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) {
 	res := &Result{Schema: root.Schema()}
 	res.Phases.Setup = setup
@@ -60,70 +60,8 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 		root.Close()
 		return nil, err
 	}
-	if v, ok := root.(VecOperator); ok {
-		// Columnar drain: selection vectors resolve here, row-backed
-		// batches contribute shared row references.
-		for {
-			cb, ok, err := v.NextVec()
-			if err != nil {
-				root.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			res.Rows = cb.AppendRows(res.Rows)
-		}
-	} else if b, ok := root.(BatchOperator); ok {
-		for {
-			batch, ok, err := b.NextBatch()
-			if err != nil {
-				root.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			res.Rows = append(res.Rows, batch...)
-		}
-	} else {
-		for {
-			row, ok, err := root.Next()
-			if err != nil {
-				root.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			res.Rows = append(res.Rows, row)
-		}
-	}
-	res.Phases.Run = clk.Now().Sub(start)
-
-	start = clk.Now()
-	if err := root.Close(); err != nil {
-		return nil, err
-	}
-	res.Phases.Shutdown = clk.Now().Sub(start)
-	return res, nil
-}
-
-// RunRows drains the tree strictly row-at-a-time through Operator.Next, even
-// when the root is batch-capable. It exists for benchmarks and equivalence
-// tests comparing the two execution paths.
-func RunRows(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) {
-	res := &Result{Schema: root.Schema()}
-	res.Phases.Setup = setup
-
-	clk := ctx.clock()
-	start := clk.Now()
-	if err := root.Open(ctx); err != nil {
-		root.Close()
-		return nil, err
-	}
 	for {
-		row, ok, err := root.Next()
+		cb, ok, err := root.NextVec()
 		if err != nil {
 			root.Close()
 			return nil, err
@@ -131,7 +69,7 @@ func RunRows(root Operator, ctx *EvalContext, setup time.Duration) (*Result, err
 		if !ok {
 			break
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = cb.AppendRows(res.Rows)
 	}
 	res.Phases.Run = clk.Now().Sub(start)
 
@@ -167,12 +105,6 @@ func CollectSwitchUnions(root Operator) []*SwitchUnion {
 			walk(op.Right)
 		case *IndexLoopJoin:
 			walk(op.Outer)
-		case *BatchAdapter:
-			walk(op.Child)
-		case *RowAdapter:
-			walk(op.Child)
-		case *VecAdapter:
-			walk(op.Child)
 		case *Sort:
 			walk(op.Child)
 		case *Limit:

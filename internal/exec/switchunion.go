@@ -112,8 +112,7 @@ type SwitchUnion struct {
 	// opened tracks every child this operator has opened and not yet
 	// closed, so Close can release them all even if a guard re-evaluation
 	// across re-opens chose different branches or an error struck mid-open.
-	opened  []Operator
-	bactive BatchOperator
+	opened []Operator
 	// decision is the guard outcome of the most recent Open, published
 	// atomically so observers (harness, session bookkeeping, monitoring
 	// goroutines) can read it without racing a concurrent re-open.
@@ -178,7 +177,6 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	}
 
 	s.active = s.Children[idx]
-	s.bactive = nil
 	// Record the child before opening it: a failed Open may still have
 	// acquired resources that only Close releases.
 	s.track(s.active)
@@ -197,7 +195,6 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 			dd.Degraded = true
 			s.decision.Store(&dd)
 			s.active = s.Children[0]
-			s.bactive = nil
 			s.track(s.active)
 			if e := s.active.Open(ctx); e != nil {
 				// The local branch failed too; report the original failure.
@@ -262,19 +259,11 @@ func (s *SwitchUnion) track(op Operator) {
 	s.opened = append(s.opened, op)
 }
 
-// Next implements Operator: rows stream through from the chosen child (the
-// per-row SwitchUnion overhead the paper measures in its run phase).
-func (s *SwitchUnion) Next() (sqltypes.Row, bool, error) {
-	return s.active.Next()
-}
-
-// NextBatch implements BatchOperator: batches stream through from the chosen
-// child, so a guard adds zero per-row overhead on the batch path.
-func (s *SwitchUnion) NextBatch() (sqltypes.Batch, bool, error) {
-	if s.bactive == nil {
-		s.bactive = AsBatch(s.active)
-	}
-	return s.bactive.NextBatch()
+// NextVec implements Operator: batches stream through from the chosen child
+// untouched, so after Open a guard adds one call per batch and nothing per
+// row (the run-phase SwitchUnion overhead the paper measures).
+func (s *SwitchUnion) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return s.active.NextVec()
 }
 
 // Close implements Operator: it closes every child that was ever opened (not
@@ -289,7 +278,6 @@ func (s *SwitchUnion) Close() error {
 	}
 	s.opened = s.opened[:0]
 	s.active = nil
-	s.bactive = nil
 	return first
 }
 
@@ -301,8 +289,7 @@ type Remote struct {
 	Fetch func(ctx *EvalContext) ([]sqltypes.Row, error)
 	Out   *Schema
 
-	rows []sqltypes.Row
-	pos  int
+	win rowWindow
 }
 
 // Schema implements Operator.
@@ -315,26 +302,14 @@ func (r *Remote) Open(ctx *EvalContext) error {
 	if err != nil {
 		return err
 	}
-	r.rows = rows
-	r.pos = 0
+	r.win.reset(rows, ctx)
 	return nil
 }
 
-// Next implements Operator.
-func (r *Remote) Next() (sqltypes.Row, bool, error) {
-	if r.pos >= len(r.rows) {
-		return nil, false, nil
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator: zero-copy subslices of the buffered
-// reply.
-func (r *Remote) NextBatch() (sqltypes.Batch, bool, error) {
-	return sliceBatch(r.rows, &r.pos, DefaultBatchSize)
+// NextVec implements Operator: zero-copy windows of the buffered reply.
+func (r *Remote) NextVec() (*sqltypes.ColBatch, bool, error) {
+	return r.win.next(len(r.Out.Cols))
 }
 
 // Close implements Operator.
-func (r *Remote) Close() error { r.rows = nil; return nil }
+func (r *Remote) Close() error { r.win.reset(nil, nil); return nil }

@@ -16,11 +16,9 @@ import (
 // SwitchUnion appear in the tree — the one the guard rejected shows
 // "(not executed)".
 //
-// The shim implements BatchOperator, so instrumenting never degrades a
-// batch-capable tree to row-at-a-time execution. Per-call time stamping
-// costs two clock reads per batch (amortized over up to DefaultBatchSize
-// rows); instrumentation is opt-in per execution (EXPLAIN ANALYZE), not
-// part of the normal query path.
+// Per-call time stamping costs two clock reads per batch (amortized over up
+// to DefaultBatchSize rows); instrumentation is opt-in per execution
+// (EXPLAIN ANALYZE), not part of the normal query path.
 func Instrument(root Operator) (Operator, *obs.TraceNode) {
 	node := &obs.TraceNode{Name: describe(root)}
 	wrapChildren(root, node)
@@ -64,12 +62,6 @@ func wrapChildren(op Operator, node *obs.TraceNode) {
 		op.Child = wrap(op.Child)
 	case *Aggregate:
 		op.Child = wrap(op.Child)
-	case *BatchAdapter:
-		op.Child = wrap(op.Child)
-	case *RowAdapter:
-		w, cn := Instrument(op.Child)
-		node.Children = append(node.Children, cn)
-		op.Child = w.(BatchOperator)
 	}
 }
 
@@ -111,26 +103,18 @@ func describe(op Operator) string {
 		return "Aggregate"
 	case *Values:
 		return "Values"
-	case *BatchAdapter:
-		return "BatchAdapter"
-	case *RowAdapter:
-		return "RowAdapter"
-	case *VecAdapter:
-		return "VecAdapter"
 	default:
 		return fmt.Sprintf("%T", op)
 	}
 }
 
-// Traced is the instrumentation shim around one operator. It passes rows
-// and batches through unchanged while accumulating phase timings into its
+// Traced is the instrumentation shim around one operator. It passes
+// batches through unchanged while accumulating phase timings into its
 // trace node. Tree walkers unwrap it via Unwrap.
 type Traced struct {
-	child  Operator
-	bchild BatchOperator
-	vchild VecOperator
-	su     *SwitchUnion // non-nil when child is a SwitchUnion
-	node   *obs.TraceNode
+	child Operator
+	su    *SwitchUnion // non-nil when child is a SwitchUnion
+	node  *obs.TraceNode
 	// clk stamps the shim's timings: the wall clock until Open, then the
 	// execution's injected clock so traces replay under vclock.Virtual.
 	clk vclock.Clock
@@ -153,8 +137,6 @@ func (t *Traced) Open(ctx *EvalContext) error {
 	err := t.child.Open(ctx)
 	t.node.Open += t.clk.Now().Sub(start)
 	t.node.Opens++
-	t.bchild = nil
-	t.vchild = nil
 	if t.su != nil {
 		if d, ok := t.su.LastDecision(); ok {
 			t.node.Guard = &obs.GuardTrace{
@@ -172,41 +154,11 @@ func (t *Traced) Open(ctx *EvalContext) error {
 	return err
 }
 
-// Next implements Operator.
-func (t *Traced) Next() (sqltypes.Row, bool, error) {
-	start := t.clk.Now()
-	row, ok, err := t.child.Next()
-	t.node.Next += t.clk.Now().Sub(start)
-	if ok {
-		t.node.Rows++
-	}
-	return row, ok, err
-}
-
-// NextBatch implements BatchOperator, preserving the child's batch path.
-func (t *Traced) NextBatch() (sqltypes.Batch, bool, error) {
-	if t.bchild == nil {
-		t.bchild = AsBatch(t.child)
-	}
-	start := t.clk.Now()
-	batch, ok, err := t.bchild.NextBatch()
-	t.node.Next += t.clk.Now().Sub(start)
-	if ok {
-		t.node.Rows += int64(len(batch))
-		t.node.Batches++
-	}
-	return batch, ok, err
-}
-
-// NextVec implements VecOperator, preserving the child's columnar path so
-// instrumenting never forces materialization. Row counts use the batch's
-// active (post-selection) cardinality.
+// NextVec implements Operator. Row counts use the batch's active
+// (post-selection) cardinality.
 func (t *Traced) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if t.vchild == nil {
-		t.vchild = AsVec(t.child)
-	}
 	start := t.clk.Now()
-	cb, ok, err := t.vchild.NextVec()
+	cb, ok, err := t.child.NextVec()
 	t.node.Next += t.clk.Now().Sub(start)
 	if ok {
 		t.node.Rows += int64(cb.NumActive())

@@ -32,33 +32,29 @@ func TestInstrumentRowsAndShape(t *testing.T) {
 	}
 }
 
-// TestInstrumentPreservesBatchPath checks the shim implements BatchOperator
-// and counts batches when driven down the batch path.
+// TestInstrumentPreservesBatchPath checks the shim passes batches through
+// unchanged and counts them.
 func TestInstrumentPreservesBatchPath(t *testing.T) {
 	s := testSchema("t")
 	root, node := Instrument(NewValues(s, testRows(5)))
-	bop, ok := root.(BatchOperator)
-	if !ok {
-		t.Fatal("instrumented root must implement BatchOperator")
-	}
-	if err := root.Open(ctx()); err != nil {
+	if err := root.Open(&EvalContext{Now: testNow, BatchSize: 2}); err != nil {
 		t.Fatal(err)
 	}
 	rows := 0
 	for {
-		batch, more, err := bop.NextBatch()
+		cb, more, err := root.NextVec()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !more {
 			break
 		}
-		rows += len(batch)
+		rows += cb.NumActive()
 	}
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rows != 5 || node.Rows != 5 || node.Batches == 0 {
+	if rows != 5 || node.Rows != 5 || node.Batches != 3 {
 		t.Fatalf("rows=%d node.Rows=%d node.Batches=%d", rows, node.Rows, node.Batches)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// kernelFor compiles sql into a BoolKernel, failing the test when the
+// testKernel compiles sql into a BoolKernel, failing the test when the
 // expression has no vectorized form.
-func kernelFor(t *testing.T, sql string, schema *Schema) BoolKernel {
+func testKernel(t *testing.T, sql string, schema *Schema) BoolKernel {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect("SELECT 1 FROM x WHERE " + sql)
 	if err != nil {
@@ -31,7 +31,7 @@ func TestKernelMatchesRowPredicate(t *testing.T) {
 	rows := testRows(40)
 	rows[5][2] = sqltypes.Null  // bal NULL
 	rows[11][1] = sqltypes.Null // name NULL
-	rows[17][2] = intv(17)        // bal as INT: mixed numeric column
+	rows[17][2] = intv(17)      // bal as INT: mixed numeric column
 	preds := []string{
 		"id > 10",
 		"10 > id",
@@ -49,7 +49,7 @@ func TestKernelMatchesRowPredicate(t *testing.T) {
 	cb.ResetRows(rows, len(s.Cols))
 	c := ctx()
 	for _, sql := range preds {
-		k := kernelFor(t, sql, s)
+		k := testKernel(t, sql, s)
 		pred := compile(t, sql, s)
 		sel, err := k(c, cb, nil, nil)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestKernelMatchesRowPredicate(t *testing.T) {
 			}
 		}
 		if fmt.Sprint(sel) != fmt.Sprint(want) {
-			t.Fatalf("%q: kernel sel %v, row path %v", sql, sel, want)
+			t.Fatalf("%q: kernel sel %v, row predicate %v", sql, sel, want)
 		}
 	}
 }
@@ -80,8 +80,8 @@ func TestKernelCandidateRefinement(t *testing.T) {
 	cb.ResetRows(rows, len(s.Cols))
 	c := ctx()
 
-	first := kernelFor(t, "id > 10", s)
-	second := kernelFor(t, "name = '0'", s)
+	first := testKernel(t, "id > 10", s)
+	second := testKernel(t, "name = '0'", s)
 	sel, err := first(c, cb, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestAndKernelEmptyFirstConjunct(t *testing.T) {
 		"id BETWEEN 200 AND 300", // compiles to the same AND chain
 		"id > 100 AND id < 5 AND bal < 30",
 	} {
-		sel, err := kernelFor(t, sql, s)(c, cb, nil, nil)
+		sel, err := testKernel(t, sql, s)(c, cb, nil, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -128,34 +128,6 @@ func TestAndKernelEmptyFirstConjunct(t *testing.T) {
 			t.Fatalf("%q: kernel returned nil selection; nil means all rows to chained kernels", sql)
 		}
 	}
-}
-
-// TestFilterAndKernelEmptyFirstBatch drives the same regression end to end
-// through Filter.NextVec: the first batches contain no row matching the AND
-// kernel's first conjunct, and the filter starts with a nil selection buffer.
-func TestFilterAndKernelEmptyFirstBatch(t *testing.T) {
-	tbl := storageTable(t) // ids 1..100
-	s := testSchema("t")
-	build := func() Operator {
-		return &Filter{
-			Child:  NewScan(tbl, s),
-			Pred:   compile(t, "id > 90 AND bal < 95", s),
-			Kernel: kernelFor(t, "id > 90 AND bal < 95", s),
-		}
-	}
-	want, err := RunRows(build(), ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) != 4 { // ids 91..94
-		t.Fatalf("row path = %d rows, want 4", len(want.Rows))
-	}
-	// Small batches so early batches are rejected wholesale by "id > 90".
-	got, err := Run(build(), &EvalContext{Now: testNow, BatchSize: 8}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "and-kernel empty first batch", got.Rows, want.Rows, true)
 }
 
 // TestKernelNonVectorizable ensures CompileKernel declines expressions
@@ -194,83 +166,6 @@ func TestScanFilteredEmptyPrefix(t *testing.T) {
 	if len(res.Rows) != 10 {
 		t.Fatalf("got %d rows, want 10", len(res.Rows))
 	}
-}
-
-// TestScanKernelMatchesRowFilter runs the same pushed-down predicate through
-// the FilterKernel path and the row-at-a-time Filter path.
-func TestScanKernelMatchesRowFilter(t *testing.T) {
-	tbl := storageTable(t)
-	s := testSchema("t")
-
-	slow := NewScan(tbl, s)
-	slow.Filter = compile(t, "id > 20 AND name = '1'", s)
-	want, err := RunRows(slow, ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, bs := range []int{1, 7, DefaultBatchSize} {
-		fast := NewScan(tbl, s)
-		fast.Filter = compile(t, "id > 20 AND name = '1'", s)
-		fast.FilterKernel = kernelFor(t, "id > 20 AND name = '1'", s)
-		got, err := Run(fast, &EvalContext{Now: testNow, BatchSize: bs}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRows(t, fmt.Sprintf("kernel bs=%d", bs), got.Rows, want.Rows, true)
-	}
-}
-
-// TestFilterKernelOverScan stacks a Filter (kernel) on a filtered Scan so the
-// Filter refines an incoming selection vector rather than starting fresh.
-func TestFilterKernelOverScan(t *testing.T) {
-	tbl := storageTable(t)
-	s := testSchema("t")
-	build := func() Operator {
-		sc := NewScan(tbl, s)
-		sc.Filter = compile(t, "id > 10", s)
-		return &Filter{
-			Child:  sc,
-			Pred:   compile(t, "bal < 50", s),
-			Kernel: kernelFor(t, "bal < 50", s),
-		}
-	}
-	want, err := RunRows(build(), ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(build(), &EvalContext{Now: testNow, BatchSize: 16}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "filter-over-scan", got.Rows, want.Rows, true)
-}
-
-// TestProjectColumnGather checks the zero-materialization ordinal gather
-// against the expression path.
-func TestProjectColumnGather(t *testing.T) {
-	s := testSchema("t")
-	out := NewSchema(
-		Col{Name: "bal", Kind: sqltypes.KindFloat},
-		Col{Name: "id", Kind: sqltypes.KindInt},
-	)
-	build := func(cols []int) Operator {
-		return &Project{
-			Child: NewValues(s, testRows(25)),
-			Exprs: []Compiled{compileItem(t, "bal", s), compileItem(t, "id", s)},
-			Out:   out,
-			Cols:  cols,
-		}
-	}
-	want, err := RunRows(build(nil), ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(build([]int{2, 0}), &EvalContext{Now: testNow, BatchSize: 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "project-gather", got.Rows, want.Rows, true)
 }
 
 // TestHashJoinNumericKeyCollapse verifies INT and FLOAT keys join across
@@ -324,75 +219,4 @@ func TestHashJoinDuplicateBuildOrder(t *testing.T) {
 			t.Fatalf("match %d = %q, want %q", i, rows[i][4].Str(), want)
 		}
 	}
-}
-
-// TestHashJoinLargeBuild pushes the open-addressed table through several
-// growth doublings and checks counts for inner/semi/anti against the
-// row-at-a-time expectation.
-func TestHashJoinLargeBuild(t *testing.T) {
-	ls, rs := testSchema("L"), testSchema("R")
-	for _, kind := range []JoinKind{JoinInner, JoinSemi, JoinAnti} {
-		build := func() Operator {
-			return NewHashJoin(
-				NewValues(ls, testRowsBound(ls, 2000)),
-				NewValues(rs, testRowsBound(rs, 700)),
-				[]Compiled{compileItem(t, "L.id", ls)},
-				[]Compiled{compileItem(t, "R.id", rs)},
-				nil, kind)
-		}
-		want, err := RunRows(build(), ctx(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(build(), ctx(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRows(t, fmt.Sprintf("large-build kind=%d", kind), got.Rows, want.Rows, true)
-	}
-}
-
-// testRowsBound mirrors testRows but rebinds nothing — it simply exists so
-// big fixtures read clearly at call sites.
-func testRowsBound(_ *Schema, n int) []sqltypes.Row { return testRows(n) }
-
-// TestHashJoinBuildPayloadGather pushes NULLs and a mixed-kind payload
-// column through the build side of a columnar inner join: the
-// vector-to-vector build gather must reproduce the row path exactly across
-// the typed, null-tracked, and Any vector representations.
-func TestHashJoinBuildPayloadGather(t *testing.T) {
-	ls, rs := testSchema("L"), testSchema("R")
-	var lrows, rrows []sqltypes.Row
-	for i := 0; i < 50; i++ {
-		lrows = append(lrows, sqltypes.Row{intv(int64(i % 10)), strv("l"), floatv(float64(i))})
-	}
-	for i := 0; i < 10; i++ {
-		name := strv("r")
-		bal := floatv(float64(i))
-		switch i % 3 {
-		case 0:
-			name = sqltypes.Null // NULL in a string payload column
-		case 1:
-			name = intv(int64(i)) // mixed kinds force the Any representation
-		}
-		if i%4 == 0 {
-			bal = sqltypes.Null // NULL in a float payload column
-		}
-		rrows = append(rrows, sqltypes.Row{intv(int64(i)), name, bal})
-	}
-	build := func() Operator {
-		return NewHashJoin(NewValues(ls, lrows), NewValues(rs, rrows),
-			[]Compiled{compileItem(t, "L.id", ls)},
-			[]Compiled{compileItem(t, "R.id", rs)},
-			nil, JoinInner)
-	}
-	want, err := RunRows(build(), ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(build(), ctx(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "build-payload gather", got.Rows, want.Rows, true)
 }

@@ -514,22 +514,14 @@ func projectTo(child exec.Operator, target *exec.Schema) (exec.Operator, error) 
 			return child, nil
 		}
 	}
-	exprs := make([]exec.Compiled, len(target.Cols))
 	cols := make([]int, len(target.Cols))
 	for i, c := range target.Cols {
-		idx := src.Lookup(c.Binding, c.Name)
-		if idx < 0 {
+		if cols[i] = src.Lookup(c.Binding, c.Name); cols[i] < 0 {
 			return nil, exec.ErrNoColumn(c.Binding, c.Name)
 		}
-		ord := idx
-		cols[i] = ord
-		exprs[i] = func(_ *exec.EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			return row[ord], nil
-		}
 	}
-	// Every projection built here is a pure column gather, so the columnar
-	// path can forward vectors instead of evaluating the closures.
-	return &exec.Project{Child: child, Exprs: exprs, Cols: cols, Out: target}, nil
+	// A pure column gather: the executor copies ordinals, no closure runs.
+	return &exec.Project{Child: child, Cols: cols, Out: target}, nil
 }
 
 func andAll(preds []sqlparser.Expr) sqlparser.Expr {
@@ -935,13 +927,13 @@ func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSyn
 			pred = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, Left: pred, Right: floorPred}
 		}
 	}
-	var filter exec.Compiled
+	var filter exec.BoolKernel
 	if pred != nil {
 		c, err := exec.Compile(pred, schema)
 		if err != nil {
 			return func(*exec.EvalContext) (int, error) { return 0, err }
 		}
-		filter = c
+		filter = exec.KernelFromPredicate(c) // lifted per plan build, not per evaluation
 	}
 	key := sqltypes.Row{sqltypes.NewInt(int64(regionID))}
 	pkIndex := ""
@@ -955,12 +947,12 @@ func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSyn
 		scan.Index = pkIndex
 		scan.Lo = storage.Bound{Vals: key, Inclusive: true}
 		scan.Hi = storage.Bound{Vals: key, Inclusive: true}
-		scan.Filter = filter
+		scan.FilterKernel = filter
 		if err := scan.Open(ctx); err != nil {
 			return 1, err
 		}
 		defer scan.Close()
-		_, ok, err := scan.Next()
+		_, ok, err := scan.NextVec()
 		if err != nil {
 			return 1, err
 		}
@@ -1354,13 +1346,13 @@ func (p *Planner) hashJoinCand(q *Query, left, right *cand, leaf *Leaf, edges []
 		}
 		var lk, rk []exec.Compiled
 		var lc, rc []int
-		ordsOK := true
 		for _, e := range edges {
 			cl, err := exec.Compile(e.prefixExpr, leftSchema)
 			if err != nil {
 				return nil, err
 			}
-			cr, err := exec.Compile(&sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol}, rightSchema)
+			rightRef := &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol}
+			cr, err := exec.Compile(rightRef, rightSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -1368,19 +1360,11 @@ func (p *Planner) hashJoinCand(q *Query, left, right *cand, leaf *Leaf, edges []
 			rk = append(rk, cr)
 			// Key expressions here are always plain column references, so
 			// pass their ordinals for closure-free key extraction.
-			if ref, ok := e.prefixExpr.(*sqlparser.ColumnRef); ok {
-				if ord := leftSchema.Lookup(ref.Table, ref.Column); ord >= 0 {
-					lc = append(lc, ord)
-				} else {
-					ordsOK = false
-				}
-			} else {
-				ordsOK = false
+			if ord, ok := exec.ColOrdinal(e.prefixExpr, leftSchema); ok {
+				lc = append(lc, ord)
 			}
-			if ord := rightSchema.Lookup(leaf.Binding, e.leafCol); ord >= 0 {
+			if ord, ok := exec.ColOrdinal(rightRef, rightSchema); ok {
 				rc = append(rc, ord)
-			} else {
-				ordsOK = false
 			}
 		}
 		var res exec.Compiled
@@ -1392,7 +1376,7 @@ func (p *Planner) hashJoinCand(q *Query, left, right *cand, leaf *Leaf, edges []
 			}
 		}
 		hj := exec.NewHashJoin(l, r, lk, rk, res, kind)
-		if ordsOK {
+		if len(lc) == len(edges) && len(rc) == len(edges) {
 			hj.LeftKeyCols, hj.RightKeyCols = lc, rc
 		}
 		return hj, nil
@@ -1700,14 +1684,21 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		if q.Top > 0 {
 			op = &exec.Limit{Child: op, N: q.Top}
 		}
-		exprs := make([]exec.Compiled, len(q.Items))
-		for i, item := range q.Items {
-			exprs[i], err = exec.Compile(item.Expr, schema)
-			if err != nil {
-				return nil, err
+		proj := &exec.Project{Child: op, Out: outSchema, Cols: make([]int, 0, len(q.Items))}
+		for _, item := range q.Items {
+			if ord, ok := exec.ColOrdinal(item.Expr, schema); ok {
+				proj.Cols = append(proj.Cols, ord)
 			}
 		}
-		op = &exec.Project{Child: op, Exprs: exprs, Out: outSchema}
+		if len(proj.Cols) != len(q.Items) { // not a pure gather like projectTo's
+			proj.Cols, proj.Exprs = nil, make([]exec.Compiled, len(q.Items))
+			for i, item := range q.Items {
+				if proj.Exprs[i], err = exec.Compile(item.Expr, schema); err != nil {
+					return nil, err
+				}
+			}
+		}
+		op = proj
 		if q.Distinct {
 			op = &exec.Distinct{Child: op}
 		}

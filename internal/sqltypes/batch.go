@@ -1,12 +1,7 @@
 package sqltypes
 
-// Batch is an ordered slice of rows handed between batch-at-a-time executor
-// operators.
-//
-// Ownership contract: a batch returned by a producer is read-only for the
-// consumer and valid only until the consumer's next call into the producer
-// (NextBatch or Close). Producers are free to return subslices of internal
-// state or to reuse an output buffer across calls; consumers that need rows
-// beyond that window must copy the slice header (the rows themselves are
-// shared and immutable, as everywhere in the executor).
+// Batch is an ordered slice of rows: the row-major backing of a ColBatch
+// and the executor's row-reference buffer type. The slice is owned by
+// whoever built it and may be reused; the rows themselves are shared and
+// immutable, as everywhere in the executor.
 type Batch []Row

@@ -12,7 +12,7 @@ package sqltypes
 //
 // Ownership contract (extends the Batch contract): a *ColBatch returned by
 // a producer is read-only for the consumer and valid only until the
-// consumer's next call into the producer (NextVec, NextBatch or Close).
+// consumer's next call into the producer (NextVec or Close).
 // The selection vector and any materialized column vectors are owned by
 // the producer and may be overwritten on the next call; rows reachable
 // through the batch are shared and immutable, as everywhere in the
@@ -360,7 +360,10 @@ type ColBatch struct {
 	// rows are active.
 	Sel []int32
 
-	n     int
+	n, width int
+	// cols and colOK are allocated on first column access: a row-backed
+	// batch that is only forwarded or read through the row view (a point
+	// read crossing Project, SwitchUnion and Limit) never pays for them.
 	cols  []Vec
 	colOK []bool
 }
@@ -368,37 +371,36 @@ type ColBatch struct {
 // ResetRows (re)initializes the batch around a row window of the given
 // arity, invalidating any materialized columns and clearing the selection.
 // Column vectors and bookkeeping are reused across calls.
-func (b *ColBatch) ResetRows(rows Batch, width int) {
-	b.Rows = rows
-	b.n = len(rows)
-	b.Sel = nil
-	b.ensureWidth(width)
-}
+func (b *ColBatch) ResetRows(rows Batch, width int) { b.reset(rows, len(rows), width) }
 
 // ResetCols (re)initializes the batch as purely columnar with the given
-// width and logical length; columns must then be set with SetCol.
-func (b *ColBatch) ResetCols(width, n int) {
-	b.Rows = nil
-	b.n = n
-	b.Sel = nil
-	b.ensureWidth(width)
+// width and logical length; columns must then be set with SetCol or built
+// with BuildCol.
+func (b *ColBatch) ResetCols(width, n int) { b.reset(nil, n, width) }
+
+func (b *ColBatch) reset(rows Batch, n, width int) {
+	b.Rows, b.n, b.width, b.Sel = rows, n, width, nil
+	ok := b.colOK[:cap(b.colOK)]
+	for i := range ok {
+		ok[i] = false
+	}
 }
 
-func (b *ColBatch) ensureWidth(width int) {
-	if cap(b.cols) < width {
-		b.cols = make([]Vec, width)
-		b.colOK = make([]bool, width)
-		return
+// vec returns column j's slot, sizing the vector bookkeeping to the batch
+// width on first use.
+func (b *ColBatch) vec(j int) *Vec {
+	if len(b.cols) != b.width {
+		if cap(b.cols) < b.width {
+			b.cols = make([]Vec, b.width)
+			b.colOK = make([]bool, b.width)
+		}
+		b.cols, b.colOK = b.cols[:b.width], b.colOK[:b.width]
 	}
-	b.cols = b.cols[:width]
-	b.colOK = b.colOK[:width]
-	for i := range b.colOK {
-		b.colOK[i] = false
-	}
+	return &b.cols[j]
 }
 
 // Width returns the number of columns.
-func (b *ColBatch) Width() int { return len(b.cols) }
+func (b *ColBatch) Width() int { return b.width }
 
 // Len returns the number of physical rows (before selection).
 func (b *ColBatch) Len() int { return b.n }
@@ -415,38 +417,40 @@ func (b *ColBatch) NumActive() int {
 // access. The returned vector covers all Len() rows; kernels apply Sel
 // themselves.
 func (b *ColBatch) Col(j int) *Vec {
+	v := b.vec(j)
 	if !b.colOK[j] {
-		b.cols[j].FillFromRows(b.Rows, j)
+		v.FillFromRows(b.Rows, j)
 		b.colOK[j] = true
 	}
-	return &b.cols[j]
+	return v
 }
 
 // BuildCol returns column j's vector emptied for incremental Appends,
 // reusing its backing arrays. The caller must append exactly Len() values
 // before the batch is handed to a consumer.
 func (b *ColBatch) BuildCol(j int) *Vec {
-	b.cols[j].reset(KindNull, 0)
+	v := b.vec(j)
+	v.reset(KindNull, 0)
 	b.colOK[j] = true
-	return &b.cols[j]
+	return v
 }
 
 // SetCol installs a materialized vector as column j (purely columnar
 // producers). The vector is copied by value; its backing arrays are shared.
 func (b *ColBatch) SetCol(j int, v *Vec) {
-	b.cols[j] = *v
+	*b.vec(j) = *v
 	b.colOK[j] = true
 }
 
-// Row materializes active row i (an index into the physical rows, i.e.
-// already resolved through Sel by the caller). With a row backing this is
-// a zero-copy reference; purely columnar batches allocate a fresh row.
+// Row returns physical row i (an index already resolved through Sel by the
+// caller). With a row backing this is a zero-copy reference; purely
+// columnar batches allocate a fresh row.
 func (b *ColBatch) Row(i int) Row {
 	if b.Rows != nil {
 		return b.Rows[i]
 	}
-	out := make(Row, len(b.cols))
-	for j := range b.cols {
+	out := make(Row, b.width)
+	for j := range out {
 		out[j] = b.Col(j).Value(i)
 	}
 	return out
@@ -454,7 +458,8 @@ func (b *ColBatch) Row(i int) Row {
 
 // AppendRows appends every active row to dst and returns it. Row-backed
 // batches append shared row references (header copies only); purely
-// columnar batches materialize fresh rows from the vectors.
+// columnar batches materialize fresh rows carved out of one arena per call
+// (never reused: emitted rows stay valid forever).
 func (b *ColBatch) AppendRows(dst Batch) Batch {
 	if b.Rows != nil {
 		if b.Sel == nil {
@@ -465,23 +470,21 @@ func (b *ColBatch) AppendRows(dst Batch) Batch {
 		}
 		return dst
 	}
-	w := len(b.cols)
-	if b.Sel == nil {
-		for i := 0; i < b.n; i++ {
-			dst = append(dst, b.rowAt(i, w))
-		}
-		return dst
+	w, active := b.width, b.NumActive()
+	arena := make([]Value, active*w)
+	for k := 0; k < active; k++ {
+		dst = append(dst, Row(arena[k*w:(k+1)*w:(k+1)*w]))
 	}
-	for _, i := range b.Sel {
-		dst = append(dst, b.rowAt(int(i), w))
+	out := dst[len(dst)-active:]
+	for j := 0; j < w; j++ {
+		col := b.Col(j)
+		for k, row := range out {
+			i := k
+			if b.Sel != nil {
+				i = int(b.Sel[k])
+			}
+			row[j] = col.Value(i)
+		}
 	}
 	return dst
-}
-
-func (b *ColBatch) rowAt(i, w int) Row {
-	out := make(Row, w)
-	for j := 0; j < w; j++ {
-		out[j] = b.Col(j).Value(i)
-	}
-	return out
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the executor benchmarks (row vs batch vs morsel-parallel, plus the
+# Runs the executor benchmarks (serial vs morsel-parallel, plus the
 # guarded SwitchUnion benchmark) and writes BENCH_exec.json in the repo root
 # with ns/op, rows/sec, B/op and allocs/op per benchmark, and — where the
 # benchmark reports them — the guard-branch pick ratio, the staleness

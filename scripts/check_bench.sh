@@ -113,9 +113,9 @@ gate_autotune() {
 # The hash join ran at ~412,600 allocs/op before the vectorized rebuild;
 # the ceiling holds the ≥10x reduction (it sits ~100x below the old number,
 # ~160x above the current one, so only a real regression trips it).
-gate_allocs 'BenchmarkExecHashJoin/batch' 41000
-# The streaming batch scan allocates only pooled containers.
-gate_allocs 'BenchmarkExecScan/batch' 100
+gate_allocs 'BenchmarkExecHashJoin/serial' 41000
+# The streaming scan allocates only pooled containers.
+gate_allocs 'BenchmarkExecScan/serial' 100
 gate_monotone 'BenchmarkExecScan'
 gate_monotone 'BenchmarkExecFilterScan'
 gate_autotune 'BenchmarkExecAutotuneShift'
