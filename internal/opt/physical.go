@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -123,7 +124,9 @@ func (p *Planner) planQuery(q *Query) (*Plan, error) {
 
 	var finals []*cand
 	joinCands, err := p.enumerateJoins(q, semiResiduals)
-	if err != nil {
+	if err != nil && (p.Site.IsBackend() || !errors.Is(err, errNoJoinPlan)) {
+		// A cache survives an enumeration the constraint emptied: the
+		// ship-everything plan below always satisfies it.
 		return nil, err
 	}
 	for _, jc := range joinCands {
@@ -965,6 +968,8 @@ func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSyn
 
 // ---- join enumeration ----
 
+var errNoJoinPlan = errors.New("opt: join enumeration produced no plan")
+
 func (p *Planner) enumerateJoins(q *Query, semiResiduals map[cc.InstanceID][]sqlparser.Expr) ([]*cand, error) {
 	n := len(q.Leaves)
 	if n > 16 {
@@ -1061,7 +1066,7 @@ func (p *Planner) enumerateJoins(q *Query, semiResiduals map[cc.InstanceID][]sql
 	}
 	result := states[full]
 	if len(result) == 0 {
-		return nil, fmt.Errorf("opt: join enumeration produced no plan")
+		return nil, errNoJoinPlan
 	}
 	return result, nil
 }
