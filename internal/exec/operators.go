@@ -230,16 +230,26 @@ type Project struct {
 	Out  *Schema
 
 	ctx *EvalContext
-	in  sqltypes.Batch  // dense view of a selected or columnar input batch
-	buf *sqltypes.Batch // pooled output row references
-	out sqltypes.ColBatch
+	// identity marks a gather that keeps every input column in place (it
+	// only renames): child batches are forwarded untouched.
+	identity bool
+	in       sqltypes.Batch  // dense view of a selected or columnar input batch
+	buf      *sqltypes.Batch // pooled output row references
+	out      sqltypes.ColBatch
 }
 
 // Schema implements Operator.
 func (p *Project) Schema() *Schema { return p.Out }
 
 // Open implements Operator.
-func (p *Project) Open(ctx *EvalContext) error { p.ctx = ctx; return p.Child.Open(ctx) }
+func (p *Project) Open(ctx *EvalContext) error {
+	p.ctx = ctx
+	p.identity = p.Cols != nil && len(p.Cols) == len(p.Child.Schema().Cols)
+	for j, ord := range p.Cols {
+		p.identity = p.identity && ord == j
+	}
+	return p.Child.Open(ctx)
+}
 
 // NextVec implements Operator. A gather over a purely columnar batch
 // forwards the child's vectors — reordered, selection intact, nothing
@@ -249,8 +259,8 @@ func (p *Project) Open(ctx *EvalContext) error { p.ctx = ctx; return p.Child.Ope
 // projected without transposing anything.
 func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 	in, ok, err := p.Child.NextVec()
-	if err != nil || !ok {
-		return nil, false, err
+	if err != nil || !ok || p.identity {
+		return in, ok, err
 	}
 	w := len(p.Out.Cols)
 	if p.Cols != nil && in.Rows == nil {
@@ -330,6 +340,8 @@ type IndexLoopJoin struct {
 	cur     sqltypes.Row
 	matches []sqltypes.Row
 	mi      int
+	key     sqltypes.Row   // reusable seek key
+	found   []sqltypes.Row // reusable match buffer behind matches
 	// InnerLookups counts index seeks, for cost validation.
 	InnerLookups int
 }
@@ -412,10 +424,12 @@ func residualTrue(residual Compiled, ctx *EvalContext, joined sqltypes.Row) (boo
 	return PredicateTrue(residual, ctx, joined)
 }
 
+// lookup seeks the inner index with outer's key. The key and match buffers
+// are reused: a row's matches are consumed before the next seek.
 func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
 	j.InnerLookups++
-	keyVals := make(sqltypes.Row, len(j.OuterKey))
-	for i, k := range j.OuterKey {
+	j.key = j.key[:0]
+	for _, k := range j.OuterKey {
 		v, err := k(j.ctx, outer)
 		if err != nil {
 			return nil, err
@@ -423,14 +437,15 @@ func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
 		if v.IsNull() {
 			return nil, nil
 		}
-		keyVals[i] = v
+		j.key = append(j.key, v)
 	}
-	var out []sqltypes.Row
-	b := storage.Bound{Vals: keyVals, Inclusive: true}
+	out := j.found[:0]
+	b := storage.Bound{Vals: j.key, Inclusive: true}
 	err := j.Inner.ScanIndex(j.Index, b, b, func(r sqltypes.Row) bool {
 		out = append(out, r)
 		return true
 	})
+	j.found = out
 	return out, err
 }
 
@@ -640,6 +655,7 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 	groups := map[string]*aggState{}
 	var order []string
 	var in rowReader
+	gvals := make(sqltypes.Row, len(a.GroupBy)) // scratch; cloned per new group
 	for {
 		row, ok, err := in.next(a.Child)
 		if err != nil {
@@ -648,7 +664,6 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 		if !ok {
 			break
 		}
-		gvals := make(sqltypes.Row, len(a.GroupBy))
 		for i, g := range a.GroupBy {
 			gvals[i], err = g(ctx, row)
 			if err != nil {
@@ -659,7 +674,7 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 		st, okG := groups[key]
 		if !okG {
 			st = &aggState{
-				groupVals: gvals,
+				groupVals: gvals.Clone(),
 				count:     make([]int64, len(a.Aggs)),
 				sum:       make([]float64, len(a.Aggs)),
 				sumIsInt:  make([]bool, len(a.Aggs)),
