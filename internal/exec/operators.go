@@ -83,15 +83,11 @@ type Scan struct {
 	schema *Schema
 	ctx    *EvalContext
 	kernel BoolKernel
-	// buf is the pooled row-reference buffer: the Open snapshot of an index
-	// scan (pos is the cursor into it) or the in-flight chunk of a clustered
-	// scan (cursor is the encoded resume key).
-	buf       *sqltypes.Batch
-	pos       int
-	cursor    string
-	streamEnd bool
-	out       sqltypes.ColBatch
-	selbuf    []int32
+	// walk streams a clustered scan; an index scan keeps its Open snapshot
+	// in walk.buf (pos is the cursor into it) and emits through walk's
+	// scratch.
+	walk chunkWalk
+	pos  int
 
 	// RowsScanned counts rows read from storage (before the residual
 	// filter); used by tests and cost-model validation.
@@ -113,63 +109,93 @@ func (s *Scan) Schema() *Schema { return s.schema }
 func (s *Scan) Open(ctx *EvalContext) error {
 	s.ctx = ctx
 	s.pos, s.RowsScanned = 0, 0
-	s.cursor, s.streamEnd = "", false
 	s.kernel = kernelFor(s.FilterKernel, s.Filter)
-	if s.buf == nil {
-		s.buf = getRowBuf()
-	}
+	s.walk.start("", "")
 	if s.Index == "" {
 		return nil
 	}
-	rows := (*s.buf)[:0]
+	rows := (*s.walk.buf)[:0]
 	err := s.Table.ScanIndex(s.Index, s.Lo, s.Hi, func(r sqltypes.Row) bool {
 		rows = append(rows, r)
 		return true
 	})
-	*s.buf = rows
+	*s.walk.buf = rows
 	return err
 }
 
 // NextVec implements Operator: the next chunk or snapshot window as a
 // row-backed batch, narrowed by the pushed-down predicate.
 func (s *Scan) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if s.buf == nil {
+	if s.walk.buf == nil {
 		return nil, false, nil
 	}
-	n := batchSizeOf(s.ctx)
-	for {
-		var rows sqltypes.Batch
-		if s.Index != "" {
-			end := s.pos + n
-			if end > len(*s.buf) {
-				end = len(*s.buf)
-			}
-			rows = (*s.buf)[s.pos:end]
-			s.pos = end
-		} else if !s.streamEnd {
-			var more bool
-			rows, s.cursor, more = s.Table.ChunkRows(s.cursor, "", n, (*s.buf)[:0])
-			*s.buf = rows
-			s.streamEnd = !more
-		}
-		if len(rows) == 0 {
-			return nil, false, nil
-		}
+	if s.Index == "" {
+		cb, n, err := s.walk.next(s.Table, s.ctx, s.kernel, len(s.schema.Cols))
+		s.RowsScanned += n
+		return cb, cb != nil, err
+	}
+	for snap, n := *s.walk.buf, batchSizeOf(s.ctx); s.pos < len(snap); {
+		rows := snap[s.pos:min(s.pos+n, len(snap))]
+		s.pos += len(rows)
 		s.RowsScanned += len(rows)
-		s.out.ResetRows(rows, len(s.schema.Cols))
-		if ok, err := applyKernel(s.kernel, s.ctx, &s.out, &s.selbuf); err != nil {
+		if ok, err := s.walk.narrow(s.kernel, s.ctx, rows, len(s.schema.Cols)); err != nil {
 			return nil, false, err
 		} else if ok {
-			return &s.out, true, nil
+			return &s.walk.vout, true, nil
 		}
 	}
+	return nil, false, nil
 }
 
 // Close implements Operator. It returns the pooled buffer.
 func (s *Scan) Close() error {
-	putRowBuf(s.buf)
-	s.buf = nil
+	s.walk.release()
 	return nil
+}
+
+// chunkWalk streams the clustered key range [cursor, end) as row-backed
+// batches: each chunk is one bulk leaf walk under a short read latch,
+// narrowed by the residual kernel. Scan's clustered arm and ParallelScan's
+// inline arm both run on it.
+type chunkWalk struct {
+	scanFilterScratch
+	buf         *sqltypes.Batch // pooled chunk buffer
+	cursor, end string
+	done        bool
+}
+
+// start arms the walk over [cursor, end), "" meaning unbounded.
+func (c *chunkWalk) start(cursor, end string) {
+	c.cursor, c.end, c.done = cursor, end, false
+	if c.buf == nil {
+		c.buf = getRowBuf()
+	}
+}
+
+// next returns the next chunk with a surviving row (nil at end of range)
+// and the number of rows read from storage on the way.
+func (c *chunkWalk) next(t *storage.Table, ctx *EvalContext, k BoolKernel, width int) (*sqltypes.ColBatch, int, error) {
+	scanned := 0
+	for n := batchSizeOf(ctx); !c.done; {
+		rows, cursor, more := t.ChunkRows(c.cursor, c.end, n, (*c.buf)[:0])
+		*c.buf, c.cursor, c.done = rows, cursor, !more
+		scanned += len(rows)
+		if len(rows) == 0 {
+			continue
+		}
+		if ok, err := c.narrow(k, ctx, rows, width); err != nil {
+			return nil, scanned, err
+		} else if ok {
+			return &c.vout, scanned, nil
+		}
+	}
+	return nil, scanned, nil
+}
+
+// release returns the pooled buffer and ends the walk.
+func (c *chunkWalk) release() {
+	putRowBuf(c.buf)
+	c.buf, c.done = nil, true
 }
 
 // ---- Filter ----

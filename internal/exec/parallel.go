@@ -37,13 +37,20 @@ type parMsg struct {
 	err   error
 }
 
-// scanFilterScratch is the per-worker state for residual filtering: a
-// reusable columnar view over each storage chunk plus its selection buffer.
-// Workers own their scratch exclusively, so kernels run without
-// synchronization.
+// scanFilterScratch is the state for residual filtering: a reusable
+// row-backed view over each storage chunk plus its selection buffer. Each
+// parallel worker owns one exclusively, so kernels run without
+// synchronization; the serial walks hold one inside their chunkWalk.
 type scanFilterScratch struct {
 	vout   sqltypes.ColBatch
 	selbuf []int32
+}
+
+// narrow points vout at rows and applies the residual kernel, reporting
+// whether any row survives.
+func (st *scanFilterScratch) narrow(k BoolKernel, ctx *EvalContext, rows sqltypes.Batch, width int) (bool, error) {
+	st.vout.ResetRows(rows, width)
+	return applyKernel(k, ctx, &st.vout, &st.selbuf)
 }
 
 // ParallelScan is the morsel-driven parallel table scan: Open partitions the
@@ -86,17 +93,10 @@ type ParallelScan struct {
 	stop    chan struct{}
 	closed  bool
 
-	// inline (effective DOP 1) streaming state.
-	serial    bool
-	cursor    string
-	end       string
-	streamEnd bool
-	fout      *sqltypes.Batch // pooled chunk buffer
-
-	// vout is the output container: the inline path's chunk narrowed by a
-	// selection, or the exchange's last batch.
-	vout   sqltypes.ColBatch
-	selbuf []int32
+	// serial marks the inline (effective DOP 1) path, which streams through
+	// walk; the exchange path only borrows walk.vout to wrap its last batch.
+	serial bool
+	walk   chunkWalk
 
 	rowsScanned atomic.Int64
 }
@@ -160,12 +160,7 @@ func (p *ParallelScan) Open(ctx *EvalContext) error {
 	if dop == 1 {
 		// Inline serial path: same bulk leaf walks, no exchange.
 		p.serial = true
-		p.cursor = p.morsels[0].Start
-		p.end = p.morsels[len(p.morsels)-1].End
-		p.streamEnd = false
-		if p.fout == nil {
-			p.fout = getRowBuf()
-		}
+		p.walk.start(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
 		return nil
 	}
 
@@ -236,8 +231,7 @@ func (p *ParallelScan) claim(w int) (int, bool) {
 // filterInto appends the rows of chunk that survive the residual predicate
 // onto out. Only row headers move; the stored rows are shared and immutable.
 func (p *ParallelScan) filterInto(st *scanFilterScratch, chunk, out sqltypes.Batch) (sqltypes.Batch, error) {
-	st.vout.ResetRows(chunk, len(p.schema.Cols))
-	if _, err := applyKernel(p.kernel, p.ctx, &st.vout, &st.selbuf); err != nil {
+	if _, err := st.narrow(p.kernel, p.ctx, chunk, len(p.schema.Cols)); err != nil {
 		return out, err
 	}
 	return st.vout.AppendRows(out), nil
@@ -304,25 +298,12 @@ func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
 		if !ok || msg.err != nil {
 			return nil, false, msg.err
 		}
-		p.vout.ResetRows(msg.batch, w)
-		return &p.vout, true, nil
+		p.walk.vout.ResetRows(msg.batch, w)
+		return &p.walk.vout, true, nil
 	}
-	n := batchSizeOf(p.ctx)
-	for !p.streamEnd {
-		chunk, next, more := p.Table.ChunkRows(p.cursor, p.end, n, (*p.fout)[:0])
-		*p.fout, p.cursor, p.streamEnd = chunk, next, !more
-		if len(chunk) == 0 {
-			continue
-		}
-		p.rowsScanned.Add(int64(len(chunk)))
-		p.vout.ResetRows(chunk, w)
-		if ok, err := applyKernel(p.kernel, p.ctx, &p.vout, &p.selbuf); err != nil {
-			return nil, false, err
-		} else if ok {
-			return &p.vout, true, nil
-		}
-	}
-	return nil, false, nil
+	cb, n, err := p.walk.next(p.Table, p.ctx, p.kernel, w)
+	p.rowsScanned.Add(int64(n))
+	return cb, cb != nil, err
 }
 
 // Close implements Operator: it signals the workers to stop and drains the
@@ -338,9 +319,7 @@ func (p *ParallelScan) Close() error {
 		for range p.out {
 		}
 	}
-	putRowBuf(p.fout)
-	p.fout = nil
-	p.streamEnd = true
+	p.walk.release()
 	p.morsels, p.queues = nil, nil
 	return nil
 }

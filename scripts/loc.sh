@@ -2,12 +2,11 @@
 # Prints non-test Go lines per package (one line each, `wc -l` of every
 # *.go that is not *_test.go, testdata excluded) and the total outside
 # bench/. ROADMAP tracks LoC per package; the executor has a ceiling.
-#
-# Usage: scripts/loc.sh [EXEC_MAX]   (default 3900; fails when exceeded)
+# Fails when internal/exec exceeds exec_max below.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max="${1:-3900}"
+exec_max=3900
 
 total=0
 exec_lines=0
