@@ -38,8 +38,9 @@ loc:
 # Tier-1 verification line (see ROADMAP.md).
 verify: build vet lint test race
 
-# Executor benchmarks: serial vs morsel-parallel.
-# Emits BENCH_exec.json with rows/sec per benchmark.
+# Executor benchmarks (serial vs morsel-parallel) and the end-to-end
+# session point read. Emits BENCH_exec.json with ns/op, rows/sec and
+# allocs/op per benchmark.
 bench:
 	./scripts/bench.sh
 

@@ -308,14 +308,6 @@ func (s *Server) update(stmt *sqlparser.UpdateStmt) (int, error) {
 	def := tbl.Def()
 	schema := tableSchema(def)
 	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
-	var where exec.Compiled
-	if stmt.Where != nil {
-		c, err := exec.Compile(stmt.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-		where = c
-	}
 	type setOp struct {
 		ord  int
 		expr exec.Compiled
@@ -332,25 +324,9 @@ func (s *Server) update(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		sets = append(sets, setOp{ord: ord, expr: c})
 	}
-	// Collect matching rows first (cannot mutate under Scan).
-	var matched []sqltypes.Row
-	var scanErr error
-	tbl.Scan(func(r sqltypes.Row) bool {
-		if where != nil {
-			ok, err := exec.PredicateTrue(where, evalCtx, r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		matched = append(matched, r.Clone())
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
+	matched, err := matchRows(tbl, stmt.Where, evalCtx)
+	if err != nil {
+		return 0, err
 	}
 	pkOrds := def.PKOrdinals()
 	var changes []txn.Change
@@ -393,34 +369,9 @@ func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
 		return 0, fmt.Errorf("backend: no table %s", stmt.Table)
 	}
 	def := tbl.Def()
-	schema := tableSchema(def)
-	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
-	var where exec.Compiled
-	if stmt.Where != nil {
-		c, err := exec.Compile(stmt.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-		where = c
-	}
-	var matched []sqltypes.Row
-	var scanErr error
-	tbl.Scan(func(r sqltypes.Row) bool {
-		if where != nil {
-			ok, err := exec.PredicateTrue(where, evalCtx, r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		matched = append(matched, r.Clone())
-		return true
-	})
-	if scanErr != nil {
-		return 0, scanErr
+	matched, err := matchRows(tbl, stmt.Where, &exec.EvalContext{Now: s.clock.Now()})
+	if err != nil {
+		return 0, err
 	}
 	pkOrds := def.PKOrdinals()
 	var changes []txn.Change
@@ -431,6 +382,36 @@ func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
 	}
 	s.log.Append(s.clock.Now(), changes)
 	return len(changes), nil
+}
+
+// matchRows returns copies of the rows of tbl that satisfy where (every row
+// when it is nil), in primary-key order — collected before any mutation,
+// because a table cannot change under its own scan.
+func matchRows(tbl *storage.Table, where sqlparser.Expr, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+	var pred exec.Compiled
+	if where != nil {
+		var err error
+		if pred, err = exec.Compile(where, tableSchema(tbl.Def())); err != nil {
+			return nil, err
+		}
+	}
+	var matched []sqltypes.Row
+	var evalErr error
+	tbl.Scan(func(r sqltypes.Row) bool {
+		if pred != nil {
+			ok, err := exec.PredicateTrue(pred, ctx, r)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		matched = append(matched, r.Clone())
+		return true
+	})
+	return matched, evalErr
 }
 
 func tableSchema(def *catalog.Table) *exec.Schema {

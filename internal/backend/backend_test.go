@@ -289,3 +289,74 @@ func TestUnsupportedStatement(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestDMLByKeyWritesTheLogOfItsScanningTwin: an UPDATE or DELETE whose WHERE
+// pins the whole primary key with literals and a twin server given the same
+// predicate in a form no key lookup could serve must write the same commit
+// log. Both scan today (matchRows); this is the differential a primary-key
+// seek has to pass when it lands (ROADMAP item 3).
+func TestDMLByKeyWritesTheLogOfItsScanningTwin(t *testing.T) {
+	mk := func() *Server {
+		s := New(vclock.NewVirtual())
+		for _, ddl := range []string{
+			`CREATE TABLE t (id BIGINT NOT NULL PRIMARY KEY, name VARCHAR(20), bal DOUBLE)`,
+			`CREATE TABLE li (o BIGINT NOT NULL, n BIGINT NOT NULL, q DOUBLE, PRIMARY KEY (o, n))`,
+		} {
+			if _, err := s.Exec(ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i <= 40; i++ {
+			mustExec(t, s, "INSERT INTO t VALUES ("+itoa(i)+", 'n"+itoa(i%7)+"', "+itoa(i*10)+")")
+			for n := 1; n <= 3; n++ {
+				mustExec(t, s, "INSERT INTO li VALUES ("+itoa(i)+", "+itoa(n)+", "+itoa(i+n)+")")
+			}
+		}
+		return s
+	}
+	seek, scan := mk(), mk()
+	for _, st := range []struct{ seek, scan string }{
+		{"UPDATE t SET bal = bal + 1 WHERE id = 7", "UPDATE t SET bal = bal + 1 WHERE id >= 7 AND id <= 7"},
+		{"UPDATE t SET bal = 0 WHERE 9 = id AND name = 'n2'", "UPDATE t SET bal = 0 WHERE id < 10 AND id > 8 AND name = 'n2'"},
+		{"UPDATE t SET bal = 1 WHERE id = 9 AND name = 'other'", "UPDATE t SET bal = 1 WHERE id + 0 = 9 AND name = 'other'"},
+		{"UPDATE t SET bal = 2 WHERE id = 11.0", "UPDATE t SET bal = 2 WHERE id + 0 = 11"},
+		{"UPDATE t SET bal = 3 WHERE id = 11.5", "UPDATE t SET bal = 3 WHERE id + 0 = 11.5"},
+		{"UPDATE t SET bal = 4 WHERE id = 12 AND id = 13", "UPDATE t SET bal = 4 WHERE id + 0 = 12 AND id + 0 = 13"},
+		{"UPDATE t SET id = 100 WHERE id = 14", "UPDATE t SET id = 100 WHERE id BETWEEN 14 AND 14"},
+		{"UPDATE t SET bal = 5 WHERE id = 999", "UPDATE t SET bal = 5 WHERE id + 0 = 999"},
+		{"UPDATE li SET q = 0 WHERE o = 5 AND n = 2", "UPDATE li SET q = 0 WHERE o + 0 = 5 AND n = 2"},
+		{"UPDATE li SET q = 1 WHERE o = 6", "UPDATE li SET q = 1 WHERE o + 0 = 6"}, // half a key
+		{"DELETE FROM li WHERE n = 3 AND o = 8", "DELETE FROM li WHERE n + 0 = 3 AND o = 8"},
+		{"DELETE FROM t WHERE id = 20", "DELETE FROM t WHERE id + 0 = 20"},
+		{"DELETE FROM t WHERE id = 20", "DELETE FROM t WHERE id + 0 = 20"}, // already gone
+		{"DELETE FROM t WHERE id = 21 AND bal > 1000", "DELETE FROM t WHERE id + 0 = 21 AND bal > 1000"},
+	} {
+		a, errA := seek.Exec(st.seek)
+		b, errB := scan.Exec(st.scan)
+		if a != b || (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: %d rows, %v; scanning twin %d rows, %v", st.seek, a, errA, b, errB)
+		}
+	}
+	la, lb := seek.Log().Since(0), scan.Log().Since(0)
+	if len(la) != len(lb) {
+		t.Fatalf("commit logs differ in length: %d vs %d", len(la), len(lb))
+	}
+	for i := range la {
+		if len(la[i].Changes) != len(lb[i].Changes) {
+			t.Fatalf("record %d: %d changes vs %d", i, len(la[i].Changes), len(lb[i].Changes))
+		}
+		for j, ca := range la[i].Changes {
+			cb := lb[i].Changes[j]
+			if ca.Table != cb.Table || ca.Op != cb.Op || !ca.Old.Equal(cb.Old) || !ca.New.Equal(cb.New) {
+				t.Fatalf("record %d change %d: %+v vs %+v", i, j, ca, cb)
+			}
+		}
+	}
+}
+
+func mustExec(t *testing.T, s *Server, sql string) {
+	t.Helper()
+	if _, err := s.Exec(sql); err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+}

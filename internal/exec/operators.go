@@ -83,6 +83,11 @@ type Scan struct {
 	schema *Schema
 	ctx    *EvalContext
 	kernel BoolKernel
+	// An index scan prepares two things at its first Open and keeps them for
+	// every later run of the tree: Lo/Hi encoded (the bounds are plan
+	// constants) and the callback that collects the Open snapshot.
+	start, end string
+	collect    func(sqltypes.Row) bool
 	// walk streams a clustered scan; an index scan keeps its Open snapshot
 	// in walk.buf (pos is the cursor into it) and emits through walk's
 	// scratch.
@@ -114,13 +119,15 @@ func (s *Scan) Open(ctx *EvalContext) error {
 	if s.Index == "" {
 		return nil
 	}
-	rows := (*s.walk.buf)[:0]
-	err := s.Table.ScanIndex(s.Index, s.Lo, s.Hi, func(r sqltypes.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	*s.walk.buf = rows
-	return err
+	if s.collect == nil {
+		s.start, s.end = storage.RangeKeys(s.Lo, s.Hi)
+		s.collect = func(r sqltypes.Row) bool {
+			*s.walk.buf = append(*s.walk.buf, r)
+			return true
+		}
+	}
+	*s.walk.buf = (*s.walk.buf)[:0]
+	return s.Table.ScanIndexRange(s.Index, s.start, s.end, s.collect)
 }
 
 // NextVec implements Operator: the next chunk or snapshot window as a

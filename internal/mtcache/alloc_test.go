@@ -3,17 +3,21 @@ package mtcache_test
 import (
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"relaxedcc/internal/tpcd"
 )
 
-// TestQueryAllocationBudget pins the allocations of a plan-cache-hit guarded
-// local point read and of the benchmark's ~1,000-row range read (scan_cust).
-// The operator tree is rebuilt on every plan-cache hit, so a per-tree
-// allocation in the executor is a per-query allocation, and BENCHMARK.json
-// bounds allocs_per_op at 1%: this catches such a regression in `go test`.
-// The ceilings are this executor's counts plus slack for a pool refill;
-// the three-protocol executor it replaced took 99 and 2,840.
+// TestQueryAllocationBudget pins the allocations of plan-cache hits: a
+// guarded local point read, the same read when its guard sends it to the
+// back end, the benchmark's point join and its ~1,000-row range read
+// (scan_cust). A hit runs a tree that ran before, so what is counted is
+// what one execution allocates — the result, the session's bookkeeping, the
+// guard decision — plus, on the remote path, the back end parsing and
+// planning the shipped query. BENCHMARK.json bounds allocs_per_op at 1%:
+// this catches a regression in `go test`. The ceilings are the counts plus
+// slack for a pool refill; with parse, print-back and a tree build on every
+// hit the four took 91, 140, 204 and 136.
 func TestQueryAllocationBudget(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
@@ -27,20 +31,30 @@ func TestQueryAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sys.Cache.NewSession()
+	point := tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)")
 	for _, tc := range []struct {
 		name, sql string
 		rows      int
+		local     bool
 		ceiling   float64
 	}{
-		{"point", tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)"), 1, 92},
-		{"range", tpcd.RangeQuery(0, 1000, "CURRENCY 3600 ON (Customer)"), 1353, 145},
+		{"point", point, 1, true, 13},
+		{"join", tpcd.Query(tpcd.KindJoin, 17, time.Minute), 10, true, 29},
+		{"range", tpcd.RangeQuery(0, 1000, "CURRENCY 3600 ON (Customer)"), 1353, true, 37},
+		// An hour passes with replication standing still: the point read's
+		// guard now picks the remote branch.
+		{"point-remote", point, 1, false, 112},
 	} {
+		if !tc.local {
+			sys.Clock.Advance(time.Hour)
+		}
 		res, err := s.Query(tc.sql) // plans and caches
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(res.Rows) != tc.rows || len(res.LocalViews) == 0 {
-			t.Fatalf("%s: %d rows, local views %v; want %d rows served locally", tc.name, len(res.Rows), res.LocalViews, tc.rows)
+		if len(res.Rows) != tc.rows || (len(res.LocalViews) > 0) != tc.local || (res.RemoteQueries == 0) != tc.local {
+			t.Fatalf("%s: %d rows, local views %v, %d remote queries; want %d rows served locally: %v",
+				tc.name, len(res.Rows), res.LocalViews, res.RemoteQueries, tc.rows, tc.local)
 		}
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := s.Query(tc.sql); err != nil {

@@ -51,15 +51,18 @@ type Cache struct {
 	// region, written by replication and read by currency guards.
 	hb *storage.Table
 
-	// planMu guards the plan cache: optimized dynamic plans keyed by query
-	// text. Dynamic plans are exactly what makes caching safe here — the
-	// currency decision is re-taken by the guard at every execution, so a
-	// cached plan never pins a staleness choice (Section 3.2: "this
-	// approach requires re-optimization only if a view's consistency
-	// properties change"). The cache is invalidated when views or regions
-	// change.
+	// planMu guards the plan cache: one stmtEntry per optimized dynamic
+	// plan, keyed by the statement's canonical text. Dynamic plans are
+	// exactly what makes caching safe here — the currency decision is
+	// re-taken by the guard at every execution, so a cached plan never pins a
+	// staleness choice (Section 3.2: "this approach requires re-optimization
+	// only if a view's consistency properties change"). The cache is
+	// invalidated when views or regions change. byText indexes the same
+	// entries by the raw query texts that reached them, so a known text is
+	// neither parsed nor printed; it never holds an entry planCache dropped.
 	planMu    sync.Mutex
-	planCache map[string]*opt.Plan
+	planCache map[string]*stmtEntry
+	byText    map[string]*stmtEntry
 
 	// obs holds the cache's metrics registry, instruments and trace store
 	// (see obs.go). Always non-nil; each cache owns its registry.
@@ -111,30 +114,109 @@ func New(clock vclock.Clock, back *backend.Server) *Cache {
 		views:     map[string]*storage.Table{},
 		agents:    map[int]*repl.Agent{},
 		hb:        storage.NewTable(hbDef),
-		planCache: map[string]*opt.Plan{},
+		planCache: map[string]*stmtEntry{},
+		byText:    map[string]*stmtEntry{},
 		obs:       co,
 	}
 }
 
 // maxCachedPlans bounds the plan cache (evicted wholesale when exceeded —
-// plan texts in a workload are few).
+// plan texts in a workload are few) and, separately, the raw-text index
+// over it (emptied when full; its entries stay reachable by canonical text).
 const maxCachedPlans = 512
 
-// cachedPlan returns a previously optimized plan for the exact query text,
-// for default planning options.
-func (c *Cache) cachedPlan(sql string) *opt.Plan {
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
-	return c.planCache[sql]
+// stmtEntry is one cached statement: everything a plan-cache hit needs.
+type stmtEntry struct {
+	// sel is the parsed statement, shared read-only by the plan's Build and
+	// by sessions that plan it again with their own options.
+	sel *sqlparser.SelectStmt
+	// key is the canonical text, sqlparser.SelectSQL(sel).
+	key string
+	// plan is the optimized plan with Root cleared: the trees built from it
+	// are either idle below or checked out to the one query running them.
+	plan *opt.Plan
+	// idle holds operator trees ready to run again, guarded by planMu. At
+	// most as many as queries ever ran the statement at once.
+	idle []exec.Operator
 }
 
-func (c *Cache) storePlan(sql string, p *opt.Plan) {
+// takeIdle checks an idle tree out of the entry, nil when there is none or
+// the entry is. Called with planMu held.
+func (e *stmtEntry) takeIdle() exec.Operator {
+	if e == nil || len(e.idle) == 0 {
+		return nil
+	}
+	last := len(e.idle) - 1
+	root := e.idle[last]
+	e.idle[last] = nil
+	e.idle = e.idle[:last]
+	return root
+}
+
+// lookupText returns the entry a raw query text reached before, or nil; with
+// take set, an idle tree comes with it when there is one.
+func (c *Cache) lookupText(sql string, take bool) (e *stmtEntry, root exec.Operator) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	if len(c.planCache) >= maxCachedPlans {
-		c.planCache = map[string]*opt.Plan{}
+	e = c.byText[sql]
+	if take {
+		root = e.takeIdle()
 	}
-	c.planCache[sql] = p
+	return e, root
+}
+
+// lookupKey is lookupText by canonical text, for a statement that had to be
+// parsed; a hit also files the raw text (unless empty) under the entry.
+func (c *Cache) lookupKey(key, sql string, take bool) (e *stmtEntry, root exec.Operator) {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if e = c.planCache[key]; e != nil {
+		c.fileText(sql, e)
+	}
+	if take {
+		root = e.takeIdle()
+	}
+	return e, root
+}
+
+// fileText points the raw text at an entry of planCache. Called with planMu
+// held.
+func (c *Cache) fileText(sql string, e *stmtEntry) {
+	if sql == "" {
+		return
+	}
+	if len(c.byText) >= maxCachedPlans {
+		c.byText = map[string]*stmtEntry{}
+	}
+	c.byText[sql] = e
+}
+
+// storeEntry caches a freshly planned statement. When another session
+// planned the same statement first, that entry stays and e remains private
+// to its query.
+func (c *Cache) storeEntry(e *stmtEntry, sql string) {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if cur := c.planCache[e.key]; cur != nil {
+		e = cur
+	} else {
+		if len(c.planCache) >= maxCachedPlans {
+			c.planCache, c.byText = map[string]*stmtEntry{}, map[string]*stmtEntry{}
+		}
+		c.planCache[e.key] = e
+	}
+	c.fileText(sql, e)
+}
+
+// checkIn hands a tree back after a clean run, for the next hit to run
+// again. A tree whose entry is no longer the cached one (evicted,
+// invalidated, or never stored) is dropped.
+func (c *Cache) checkIn(e *stmtEntry, root exec.Operator) {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if c.planCache[e.key] == e {
+		e.idle = append(e.idle, root)
+	}
 }
 
 // InvalidatePlans drops all cached plans; called when the set of views or
@@ -143,7 +225,7 @@ func (c *Cache) storePlan(sql string, p *opt.Plan) {
 func (c *Cache) InvalidatePlans() {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	c.planCache = map[string]*opt.Plan{}
+	c.planCache, c.byText = map[string]*stmtEntry{}, map[string]*stmtEntry{}
 }
 
 // Catalog returns the cache's shadow catalog.
@@ -304,7 +386,7 @@ func (c *Cache) Agents() []*repl.Agent {
 func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	key := sqltypes.Row{sqltypes.NewInt(int64(regionID))}
 	row := sqltypes.Row{key[0], sqltypes.NewTime(ts)}
-	if old, ok := c.hb.Get(key); ok {
+	if old, ok := c.hb.Peek(key); ok {
 		if ts.After(old[1].Time()) {
 			if _, err := c.hb.Update(row); err != nil {
 				panic(err) // fixed schema; cannot fail
@@ -318,9 +400,10 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 }
 
 // LastSync implements opt.RegionClock: the timestamp in the region's row of
-// the local heartbeat table.
+// the local heartbeat table. Guards, staleness probes and the session's
+// bookkeeping each read it per query, so it reads the stored row in place.
 func (c *Cache) LastSync(regionID int) (time.Time, bool) {
-	row, ok := c.hb.Get(sqltypes.Row{sqltypes.NewInt(int64(regionID))})
+	row, ok := c.hb.Peek(sqltypes.Row{sqltypes.NewInt(int64(regionID))})
 	if !ok {
 		return time.Time{}, false
 	}
@@ -583,10 +666,30 @@ func (s *Session) Floor() time.Time {
 	return s.floor
 }
 
+// cacheable reports whether a plan made with opts can be shared: only one
+// made with default options. A timeline session's floor is baked into its
+// guards, so its plans are its own.
+func cacheable(opts opt.Options) bool { return opts == (opt.Options{}) }
+
+// planOptions returns the session's per-query planning options: a timeline
+// session carries its floor into the guards.
+func (s *Session) planOptions() opt.Options {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.timeOrdered {
+		return opt.Options{MinSync: s.floor}
+	}
+	return opt.Options{}
+}
+
 // Execute runs any statement in the session: SELECTs are optimized and run
 // with C&C enforcement; DML forwards to the back end (returning an empty
 // result); BEGIN/END TIMEORDERED toggle timeline consistency.
 func (s *Session) Execute(sql string) (*QueryResult, error) {
+	opts := s.planOptions()
+	if e, root := s.cache.lookupText(sql, cacheable(opts)); e != nil {
+		return s.query(e, root, "", opts, false, 0)
+	}
 	parseStart := s.cache.clock.Now()
 	stmt, err := sqlparser.Parse(sql)
 	parse := s.cache.clock.Now().Sub(parseStart)
@@ -607,10 +710,11 @@ func (s *Session) Execute(sql string) (*QueryResult, error) {
 		s.mu.Unlock()
 		return &QueryResult{Result: &exec.Result{}}, nil
 	case *sqlparser.SelectStmt:
-		return s.query(stmt, false, parse)
+		return s.parsed(stmt, sql, opts, false, parse)
 	case *sqlparser.ExplainStmt:
 		if stmt.Analyze {
-			return s.query(stmt.Stmt, true, parse)
+			// The text names the EXPLAIN, not the SELECT: it is not filed.
+			return s.parsed(stmt.Stmt, "", opts, true, parse)
 		}
 		return s.explain(stmt.Stmt)
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
@@ -625,107 +729,112 @@ func (s *Session) Execute(sql string) (*QueryResult, error) {
 	}
 }
 
-// Query parses and runs one SELECT in the session.
-func (s *Session) Query(sql string) (*QueryResult, error) {
+// Query runs one SELECT in the session.
+func (s *Session) Query(sql string) (*QueryResult, error) { return s.selectText(sql, false) }
+
+// ExplainAnalyze runs one SELECT with execution tracing: the result carries
+// the annotated plan tree (per-node time, rows, guard verdicts) in Trace,
+// and the trace is retained in the cache's TraceStore for /trace/last.
+func (s *Session) ExplainAnalyze(sql string) (*QueryResult, error) { return s.selectText(sql, true) }
+
+// selectText resolves a SELECT's text to its cached statement — by the raw
+// text when it was seen before, else by parsing it — and runs it.
+func (s *Session) selectText(sql string, analyze bool) (*QueryResult, error) {
+	opts := s.planOptions()
+	if e, root := s.cache.lookupText(sql, !analyze && cacheable(opts)); e != nil {
+		return s.query(e, root, "", opts, analyze, 0)
+	}
 	parseStart := s.cache.clock.Now()
 	sel, err := sqlparser.ParseSelect(sql)
 	parse := s.cache.clock.Now().Sub(parseStart)
 	if err != nil {
 		return nil, err
 	}
-	return s.query(sel, false, parse)
+	return s.parsed(sel, sql, opts, analyze, parse)
 }
 
-// ExplainAnalyze parses and runs one SELECT with execution tracing: the
-// result carries the annotated plan tree (per-node time, rows, guard
-// verdicts) in Trace, and the trace is retained in the cache's TraceStore
-// for /trace/last.
-func (s *Session) ExplainAnalyze(sql string) (*QueryResult, error) {
-	parseStart := s.cache.clock.Now()
-	sel, err := sqlparser.ParseSelect(sql)
-	parse := s.cache.clock.Now().Sub(parseStart)
-	if err != nil {
-		return nil, err
+// parsed is the rest of the miss path for a text the index did not know:
+// print the statement's canonical text and look it up by that. sql is the
+// raw text to file under the entry, empty for none.
+func (s *Session) parsed(sel *sqlparser.SelectStmt, sql string, opts opt.Options, analyze bool, parse time.Duration) (*QueryResult, error) {
+	key := sqlparser.SelectSQL(sel)
+	e, root := s.cache.lookupKey(key, sql, !analyze && cacheable(opts))
+	if e == nil {
+		e = &stmtEntry{sel: sel, key: key} // not cached, not planned yet
 	}
-	return s.query(sel, true, parse)
+	return s.query(e, root, sql, opts, analyze, parse)
 }
 
 // explain plans the SELECT without executing it (plain EXPLAIN).
 func (s *Session) explain(sel *sqlparser.SelectStmt) (*QueryResult, error) {
-	opts := opt.Options{}
-	s.mu.Lock()
-	if s.timeOrdered {
-		opts.MinSync = s.floor
-	}
-	s.mu.Unlock()
-	plan, _, err := s.cache.Plan(sel, opts)
+	plan, _, err := s.cache.Plan(sel, s.planOptions())
 	if err != nil {
 		return nil, err
 	}
 	return &QueryResult{Result: &exec.Result{}, Plan: plan, Explained: true}, nil
 }
 
-func (s *Session) query(sel *sqlparser.SelectStmt, analyze bool, parse time.Duration) (*QueryResult, error) {
-	opts := opt.Options{}
-	s.mu.Lock()
-	if s.timeOrdered {
-		opts.MinSync = s.floor
-	}
-	s.mu.Unlock()
-
-	// Plans for default options are cacheable: the currency guard re-takes
-	// the freshness decision at every execution. Timeline sessions carry a
-	// per-query MinSync floor baked into the guard, so they bypass the
-	// cache.
-	var plan *opt.Plan
-	var err error
-	cacheable := opts == (opt.Options{})
-	key := sqlparser.SelectSQL(sel)
+// query runs the statement e: on a plan-cache hit the cached plan, through
+// the idle tree root when the lookup checked one out; on a miss a fresh
+// plan, which is cached under sql and the canonical text when it was made
+// with default options.
+func (s *Session) query(e *stmtEntry, root exec.Operator, sql string, opts opt.Options, analyze bool, parse time.Duration) (*QueryResult, error) {
+	c := s.cache
 	// qt is nil on the unsampled path; every QueryTrace method is nil-safe,
 	// so the hot path pays one atomic add and no allocation.
-	qt := s.cache.obs.tracer.Begin(key)
+	qt := c.obs.tracer.Begin(e.key)
 	qt.Tenant(s.Tenant)
 	qt.Parse(parse)
 	var planStart time.Time
 	if qt != nil {
-		planStart = s.cache.clock.Now()
+		planStart = c.clock.Now()
 	}
-	if cacheable {
-		plan = s.cache.cachedPlan(key)
-	}
-	if plan == nil {
-		s.cache.obs.planMisses.Inc()
-		plan, _, err = s.cache.Plan(sel, opts)
+	// A shared plan is safe to run again because the currency guard re-takes
+	// the freshness decision at every execution. A session whose plans are
+	// its own plans afresh — from the cached statement's AST when there is
+	// one.
+	shared := cacheable(opts)
+	plan, setup := e.plan, time.Duration(0)
+	if plan == nil || !shared {
+		c.obs.planMisses.Inc()
+		fresh, _, err := c.Plan(e.sel, opts)
 		if err != nil {
 			qt.Finish(true)
 			return nil, err
 		}
-		if cacheable {
-			s.cache.storePlan(key, plan)
+		plan, root, setup = fresh, fresh.Root, fresh.Setup
+		if shared {
+			// The entry keeps the plan without its tree: a result's Plan must
+			// not lead to a tree some other query is running.
+			meta := *fresh
+			meta.Root = nil
+			e.plan, plan = &meta, &meta
+			c.storeEntry(e, sql)
 		}
 	} else {
-		s.cache.obs.planHits.Inc()
-		// Re-instantiate a fresh operator tree from the cached plan.
-		root, buildErr := plan.Build()
-		if buildErr != nil {
-			qt.Finish(true)
-			return nil, buildErr
+		c.obs.planHits.Inc()
+		if root == nil {
+			var err error
+			if root, err = plan.Build(); err != nil {
+				qt.Finish(true)
+				return nil, err
+			}
 		}
-		reused := *plan
-		reused.Root = root
-		reused.Setup = 0
-		plan = &reused
 	}
 	if qt != nil {
-		qt.Plan(s.cache.clock.Now().Sub(planStart))
+		qt.Plan(c.clock.Now().Sub(planStart))
 	}
-	qr, err := s.run(plan, analyze, key, qt)
+	qr, err := s.run(plan, root, setup, analyze, e.key, qt)
 	if err != nil {
+		// The tree is dropped with whatever the failed run left in it.
 		if s.Action == ActionServeStale && remote.IsUnavailable(err) {
-			return s.serveStale(sel, qt)
+			return s.serveStale(e.sel, qt)
 		}
 		qt.Finish(true)
 		return nil, err
+	}
+	if shared && !analyze {
+		c.checkIn(e, root)
 	}
 	qt.Finish(false)
 	return qr, nil
@@ -763,15 +872,14 @@ func (s *Session) guardRetry(region, attempt int) bool {
 	return true
 }
 
-// run executes a plan and updates the session's timeline floor from the
-// sources actually used. With analyze set, the tree is instrumented and the
-// result carries the annotated trace (retained in the cache's TraceStore
-// under sql).
-func (s *Session) run(plan *opt.Plan, analyze bool, sql string, qt *obs.QueryTrace) (*QueryResult, error) {
+// run executes one tree of a plan and updates the session's timeline floor
+// from the sources actually used. With analyze set, the tree is instrumented
+// (in place: it cannot run again) and the result carries the annotated trace
+// (retained in the cache's TraceStore under sql).
+func (s *Session) run(plan *opt.Plan, root exec.Operator, setup time.Duration, analyze bool, sql string, qt *obs.QueryTrace) (*QueryResult, error) {
 	now := s.cache.clock.Now()
 	o := s.cache.obs
 	o.queries.Inc()
-	root := plan.Root
 	var trace *obs.TraceNode
 	if analyze {
 		root, trace = exec.Instrument(root)
@@ -819,7 +927,7 @@ func (s *Session) run(plan *opt.Plan, analyze bool, sql string, qt *obs.QueryTra
 		retriesBefore = s.cache.link.Stats().Retries
 		execStart = s.cache.clock.Now()
 	}
-	res, err := exec.Run(root, ctx, plan.Setup)
+	res, err := exec.Run(root, ctx, setup)
 	if qt != nil {
 		qt.Exec(s.cache.clock.Now().Sub(execStart))
 		qt.Retries(s.cache.link.Stats().Retries - retriesBefore)
@@ -919,7 +1027,7 @@ func (s *Session) serveStale(sel *sqlparser.SelectStmt, qt *obs.QueryTrace) (*Qu
 		qt.Finish(true)
 		return nil, fmt.Errorf("mtcache: remote unavailable and no matching local view")
 	}
-	qr, err := s.run(plan, false, "", nil)
+	qr, err := s.run(plan, plan.Root, plan.Setup, false, "", nil)
 	if err != nil {
 		qt.Finish(true)
 		return nil, err

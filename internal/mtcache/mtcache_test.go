@@ -275,10 +275,10 @@ func TestPlanCacheReusesAndRevalidates(t *testing.T) {
 	if len(res1.LocalViews) != 1 {
 		t.Fatalf("first run should be local: %+v", res1.Plan.Shape)
 	}
-	if c.cachedPlan("SELECT v FROM t WHERE id = 1 CURRENCY 10 SEC ON (t)") == nil &&
-		c.cachedPlan(q) == nil {
-		// The cache key is the canonical rendering; at least one must hit.
-		t.Log("note: canonical key differs from raw text (expected)")
+	// The raw text is filed under the entry, and the result leads to the
+	// entry's plan, which carries no tree.
+	if e, _ := c.lookupText(q, false); e == nil || e.plan != res1.Plan || res1.Plan.Root != nil {
+		t.Fatalf("raw text not filed under the cached plan, or the result exposes a tree: %+v", e)
 	}
 	// Same query again: plan reused (a plan-cache hit), and the guard
 	// re-decides: age the region past the bound. Under the virtual clock

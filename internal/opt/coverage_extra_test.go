@@ -146,21 +146,21 @@ func TestCurrencyGuardFallbackWithoutHeartbeatTable(t *testing.T) {
 	now := vclock.Epoch.Add(105 * time.Second)
 	ctx := &evalCtx{now: now}
 
-	sel := p.currencyGuard(1, 10*time.Second)
+	sel := p.currencyGuard(1, 10*time.Second)()
 	if got, _ := sel(ctx.ctx()); got != 0 {
 		t.Fatal("5s stale within 10s should be local")
 	}
-	sel = p.currencyGuard(1, 2*time.Second)
+	sel = p.currencyGuard(1, 2*time.Second)()
 	if got, _ := sel(ctx.ctx()); got != 1 {
 		t.Fatal("5s stale beyond 2s should be remote")
 	}
-	sel = p.currencyGuard(9, time.Hour)
+	sel = p.currencyGuard(9, time.Hour)()
 	if got, _ := sel(ctx.ctx()); got != 1 {
 		t.Fatal("unsynced region should be remote")
 	}
 	// Timeline floor.
 	p.Opts.MinSync = now
-	sel = p.currencyGuard(1, time.Hour)
+	sel = p.currencyGuard(1, time.Hour)()
 	if got, _ := sel(ctx.ctx()); got != 1 {
 		t.Fatal("floor above sync should be remote")
 	}

@@ -718,7 +718,7 @@ func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *can
 			if err != nil {
 				return nil, err
 			}
-			return &exec.SwitchUnion{Children: []exec.Operator{local, rem}, Selector: guard, Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
+			return &exec.SwitchUnion{Children: []exec.Operator{local, rem}, Selector: guard(), Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
 		},
 		schema: schema,
 		rows:   outRows,
@@ -869,21 +869,22 @@ func (p *Planner) stalenessProbe(regionID int) func(*exec.EvalContext) (time.Dur
 	}
 }
 
-// currencyGuard builds the SwitchUnion selector that checks the region's
-// local heartbeat: local branch (0) iff the replica's last-synchronized
-// timestamp is within the bound of the query start time. When the site has
-// a local heartbeat table the guard is evaluated as the paper's predicate —
-// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B) — as a
-// real single-row plan through the executor; a timeline-consistency floor
-// (Section 2.3) adds "AND TimeStamp >= floor".
-func (p *Planner) currencyGuard(regionID int, bound time.Duration) exec.Selector {
+// currencyGuard returns the maker of a SwitchUnion's selector: local branch
+// (0) iff the replica's last-synchronized timestamp is within the bound of
+// the query start time. Every built tree calls the maker once, so each tree
+// owns its selector's state. When the site has a local heartbeat table the
+// guard is evaluated as the paper's predicate — EXISTS(SELECT 1 FROM
+// Heartbeat_R WHERE TimeStamp > getdate() - B) — as a real single-row plan
+// through the executor; a timeline-consistency floor (Section 2.3) adds
+// "AND TimeStamp >= floor".
+func (p *Planner) currencyGuard(regionID int, bound time.Duration) func() exec.Selector {
 	minSync := p.Opts.MinSync
 	if hb := p.Site.Heartbeat; hb != nil {
 		return heartbeatGuard(hb, regionID, bound, minSync)
 	}
 	// Fallback for sites wired without a heartbeat table (tests).
 	regions := p.Site.Regions
-	return func(ctx *exec.EvalContext) (int, error) {
+	sel := func(ctx *exec.EvalContext) (int, error) {
 		ts, ok := regions.LastSync(regionID)
 		if !ok {
 			return 1, nil
@@ -899,10 +900,13 @@ func (p *Planner) currencyGuard(regionID int, bound time.Duration) exec.Selector
 		}
 		return 1, nil
 	}
+	return func() exec.Selector { return sel }
 }
 
-// heartbeatGuard compiles and evaluates the heartbeat EXISTS predicate.
-func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) exec.Selector {
+// heartbeatGuard compiles the heartbeat EXISTS predicate once per plan; the
+// maker it returns builds the single-row scan that evaluates it, once per
+// tree.
+func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
 	schema := storedSchema(hb.Def(), "hb")
 	tsRef := &sqlparser.ColumnRef{Table: "hb", Column: "ts"}
 	var pred sqlparser.Expr
@@ -934,35 +938,35 @@ func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSyn
 	if pred != nil {
 		c, err := exec.Compile(pred, schema)
 		if err != nil {
-			return func(*exec.EvalContext) (int, error) { return 0, err }
+			return func() exec.Selector {
+				return func(*exec.EvalContext) (int, error) { return 0, err }
+			}
 		}
-		filter = exec.KernelFromPredicate(c) // lifted per plan build, not per evaluation
+		filter = exec.KernelFromPredicate(c)
 	}
-	key := sqltypes.Row{sqltypes.NewInt(int64(regionID))}
+	key := storage.Bound{Vals: sqltypes.Row{sqltypes.NewInt(int64(regionID))}, Inclusive: true}
 	pkIndex := ""
 	for _, idx := range hb.Def().Indexes {
 		if idx.Clustered {
 			pkIndex = idx.Name
 		}
 	}
-	return func(ctx *exec.EvalContext) (int, error) {
+	return func() exec.Selector {
 		scan := exec.NewScan(hb, schema)
 		scan.Index = pkIndex
-		scan.Lo = storage.Bound{Vals: key, Inclusive: true}
-		scan.Hi = storage.Bound{Vals: key, Inclusive: true}
+		scan.Lo, scan.Hi = key, key
 		scan.FilterKernel = filter
-		if err := scan.Open(ctx); err != nil {
-			return 1, err
-		}
-		defer scan.Close()
-		_, ok, err := scan.NextVec()
-		if err != nil {
-			return 1, err
-		}
-		if ok {
+		return func(ctx *exec.EvalContext) (int, error) {
+			ok, err := false, scan.Open(ctx)
+			if err == nil {
+				_, ok, err = scan.NextVec()
+			}
+			scan.Close()
+			if err != nil || !ok {
+				return 1, err
+			}
 			return 0, nil // fresh enough: local branch
 		}
-		return 1, nil
 	}
 }
 
@@ -1430,6 +1434,18 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 		leftBuild, leftSchema := left.build, left.schema
 		innerSch := storedSchema(tbl.Def(), leaf.Binding)
 		kind := leaf.Join
+		// Join-edge columns beyond the index prefix become residual. The
+		// list is put together here, not in the closure: trees of one plan
+		// are built from several sessions at once.
+		allRes := append([]sqlparser.Expr(nil), residualPreds...)
+		for _, e := range edges[len(keyEdges):] {
+			allRes = append(allRes, &sqlparser.BinaryExpr{
+				Op:    sqlparser.OpEQ,
+				Left:  e.prefixExpr,
+				Right: &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol},
+			})
+		}
+		pred := andAll(allRes)
 		return func() (exec.Operator, error) {
 			l, err := leftBuild()
 			if err != nil {
@@ -1443,16 +1459,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 				}
 			}
 			var res exec.Compiled
-			allRes := residualPreds
-			// Join-edge columns beyond the index prefix become residual.
-			for _, e := range edges[len(keyEdges):] {
-				allRes = append(allRes, &sqlparser.BinaryExpr{
-					Op:    sqlparser.OpEQ,
-					Left:  e.prefixExpr,
-					Right: &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol},
-				})
-			}
-			if pred := andAll(allRes); pred != nil {
+			if pred != nil {
 				res, err = exec.Compile(pred, exec.Concat(leftSchema, innerSch))
 				if err != nil {
 					return nil, err
@@ -1592,7 +1599,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 				if err != nil {
 					return nil, err
 				}
-				return &exec.SwitchUnion{Children: []exec.Operator{localOp, remOp}, Selector: guard, Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
+				return &exec.SwitchUnion{Children: []exec.Operator{localOp, remOp}, Selector: guard(), Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
 			},
 			schema:       outSchema,
 			cost:         prob*localCost + (1-prob)*hj.cost + costGuard,

@@ -58,7 +58,12 @@ func NewCoordinator(clock *vclock.Virtual) *Coordinator {
 	return &Coordinator{clock: clock}
 }
 
-var eventSeq int
+// add registers an event; seq numbers events in registration order, the
+// tie-break among events of one kind due at the same instant.
+func (c *Coordinator) add(ev *event) {
+	ev.seq = len(c.events) + 1
+	c.events = append(c.events, ev)
+}
 
 // AddHeartbeat schedules a region's heart to beat every interval.
 func (c *Coordinator) AddHeartbeat(regionID int, interval time.Duration, beat Beater) {
@@ -70,14 +75,12 @@ func (c *Coordinator) AddHeartbeat(regionID int, interval time.Duration, beat Be
 // autotuner adjusts cadence alongside the propagation interval) take effect
 // immediately.
 func (c *Coordinator) AddHeartbeatFn(regionID int, intervalFn func() time.Duration, beat Beater) {
-	eventSeq++
-	c.events = append(c.events, &event{
+	c.add(&event{
 		last:       c.clock.Now(),
 		interval:   intervalFn(),
 		intervalFn: intervalFn,
 		run:        func(time.Time) error { return beat(regionID) },
 		name:       "heartbeat",
-		seq:        eventSeq,
 	})
 }
 
@@ -86,27 +89,23 @@ func (c *Coordinator) AddHeartbeatFn(regionID int, intervalFn func() time.Durati
 // reconfiguring the region (the paper's 30s -> 5min scenario) or a live
 // SetInterval retune takes effect at the next drain.
 func (c *Coordinator) AddAgent(a *Agent) {
-	eventSeq++
-	c.events = append(c.events, &event{
+	c.add(&event{
 		last:       c.clock.Now(),
 		interval:   a.Interval(),
 		intervalFn: a.Interval,
 		run:        a.Step,
 		name:       "agent",
-		seq:        eventSeq,
 	})
 }
 
 // AddPeriodic schedules an arbitrary periodic task (e.g. an update workload
 // generator).
 func (c *Coordinator) AddPeriodic(interval time.Duration, run func(now time.Time) error) {
-	eventSeq++
-	c.events = append(c.events, &event{
+	c.add(&event{
 		last:     c.clock.Now(),
 		interval: interval,
 		run:      run,
 		name:     "periodic",
-		seq:      eventSeq,
 	})
 }
 
@@ -114,14 +113,12 @@ func (c *Coordinator) AddPeriodic(interval time.Duration, run func(now time.Time
 // intervalFn at every due-time computation (e.g. a watchdog following its
 // agent's retuned propagation interval).
 func (c *Coordinator) AddPeriodicFn(intervalFn func() time.Duration, run func(now time.Time) error) {
-	eventSeq++
-	c.events = append(c.events, &event{
+	c.add(&event{
 		last:       c.clock.Now(),
 		interval:   intervalFn(),
 		intervalFn: intervalFn,
 		run:        run,
 		name:       "periodic",
-		seq:        eventSeq,
 	})
 }
 

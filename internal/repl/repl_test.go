@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -286,6 +287,38 @@ func TestCoordinatorAgentAfterHeartbeatAtSameInstant(t *testing.T) {
 	if order[0] != "beat" {
 		t.Fatalf("heartbeat must fire before same-instant events: %v", order)
 	}
+}
+
+// TestCoordinatorsAreIndependent: event numbering belongs to a coordinator,
+// so systems built at the same time share nothing (run under -race), and
+// same-kind events due at one instant fire in registration order.
+func TestCoordinatorsAreIndependent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			coord := NewCoordinator(vclock.NewVirtual())
+			var order []int
+			for i := 0; i < 8; i++ {
+				i := i
+				coord.AddPeriodic(time.Second, func(time.Time) error {
+					order = append(order, i)
+					return nil
+				})
+			}
+			if err := coord.Advance(time.Second); err != nil {
+				t.Error(err)
+			}
+			for i, got := range order {
+				if got != i {
+					t.Errorf("tied events fired as %v, want registration order", order)
+					break
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCoordinatorPropagatesErrors(t *testing.T) {

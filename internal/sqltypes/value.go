@@ -275,13 +275,26 @@ func (r Row) String() string {
 // Key encodes a composite key into an order-preserving byte string:
 // comparing two encoded keys with bytes.Compare (or using them as map keys
 // for equality) agrees with element-wise Value.Compare. INT and FLOAT values
-// encode identically when numerically equal.
+// encode identically when numerically equal. The encoding is assembled in a
+// stack buffer, so a key of up to KeyStackBytes costs one allocation (the
+// returned string).
 func Key(vals ...Value) string {
-	var b []byte
+	var buf [KeyStackBytes]byte
+	return string(AppendKey(buf[:0], vals...))
+}
+
+// KeyStackBytes sizes the stack buffers keys are encoded into. It covers
+// every key the engine builds from numeric, time and short string columns;
+// longer keys spill to the heap as append grows.
+const KeyStackBytes = 64
+
+// AppendKey appends the Key encoding of vals to dst, for callers that
+// encode into their own buffer (a lookup that never keeps the key).
+func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
-		b = appendKey(b, v)
+		dst = appendKey(dst, v)
 	}
-	return string(b)
+	return dst
 }
 
 // RowKey is Key applied to a whole row.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -212,6 +213,35 @@ func TestKeyQuickStrings(t *testing.T) {
 		ka, kb := Key(NewString(a)), Key(NewString(b))
 		want := bytes.Compare([]byte(a), []byte(b))
 		return sign(bytes.Compare([]byte(ka), []byte(kb))) == sign(want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeyEncodesOnTheStack pins the encoder's cost: one allocation (the
+// returned string) for a key that fits the stack buffer, and the same bytes
+// as AppendKey into a caller's buffer — including for keys that outgrow the
+// buffer, where order must still hold across the spill.
+func TestKeyEncodesOnTheStack(t *testing.T) {
+	pk := Row{NewInt(17), NewString("Customer#000000017"), NewTime(time.Unix(1e6, 999))}
+	if got := testing.AllocsPerRun(200, func() { _ = Key(pk...) }); got != 1 {
+		t.Errorf("Key allocates %.0f times for a %d-byte key, want 1", got, len(Key(pk...)))
+	}
+	var buf [256]byte
+	if got := testing.AllocsPerRun(200, func() { _ = AppendKey(buf[:0], pk...) }); got != 0 {
+		t.Errorf("AppendKey into a caller's buffer allocates %.0f times, want 0", got)
+	}
+	f := func(a, b string, n, m int64) bool {
+		// Long enough to spill: the common prefix alone fills the buffer.
+		prefix := strings.Repeat("p", KeyStackBytes)
+		ra, rb := Row{NewString(prefix + a), NewInt(n)}, Row{NewString(prefix + b), NewInt(m)}
+		ka, kb := Key(ra...), Key(rb...)
+		want := strings.Compare(a, b)
+		if want == 0 {
+			want = cmpInt(n, m)
+		}
+		return ka == string(AppendKey(nil, ra...)) && sign(strings.Compare(ka, kb)) == sign(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ type Morsel struct {
 func (t *Table) Morsels(lo, hi Bound, parts int) []Morsel {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	start, end := rangeKeys(lo, hi)
+	start, end := RangeKeys(lo, hi)
 	morsels := make([]Morsel, 0, parts)
 	cur := start
 	for _, s := range t.primary.SplitKeys(parts) {

@@ -97,19 +97,21 @@ func (t *Table) ordinals(cols []string) ([]int, error) {
 
 // pkKey returns the encoded primary key of row.
 func (t *Table) pkKey(row sqltypes.Row) string {
-	vals := make([]sqltypes.Value, len(t.pkOrds))
-	for i, o := range t.pkOrds {
-		vals[i] = row[o]
-	}
-	return sqltypes.Key(vals...)
+	var buf [sqltypes.KeyStackBytes]byte
+	return string(appendOrds(buf[:0], row, t.pkOrds))
 }
 
 func (t *Table) indexKeyLocked(ords []int, row sqltypes.Row, pkKey string) string {
-	vals := make([]sqltypes.Value, len(ords))
-	for i, o := range ords {
-		vals[i] = row[o]
+	var buf [sqltypes.KeyStackBytes]byte
+	return string(append(appendOrds(buf[:0], row, ords), pkKey...))
+}
+
+// appendOrds appends the key encoding of row's columns at ords to dst.
+func appendOrds(dst []byte, row sqltypes.Row, ords []int) []byte {
+	for _, o := range ords {
+		dst = sqltypes.AppendKey(dst, row[o])
 	}
-	return sqltypes.Key(vals...) + pkKey
+	return dst
 }
 
 // Insert adds a row. It fails on arity mismatch, NOT NULL violation or
@@ -207,15 +209,25 @@ func (t *Table) Update(newRow sqltypes.Row) (sqltypes.Row, error) {
 	return old, nil
 }
 
-// Get returns the row with the given primary-key values.
+// Get returns a copy of the row with the given primary-key values.
 func (t *Table) Get(pkVals sqltypes.Row) (sqltypes.Row, bool) {
+	row, ok := t.Peek(pkVals)
+	return row.Clone(), ok
+}
+
+// Peek is Get without the copy: it returns the stored row, which callers
+// must not mutate (the contract Scan gives). The key is encoded on the
+// stack and never kept, so a lookup allocates nothing.
+func (t *Table) Peek(pkVals sqltypes.Row) (sqltypes.Row, bool) {
+	var buf [sqltypes.KeyStackBytes]byte
+	key := sqltypes.AppendKey(buf[:0], pkVals...)
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	val, ok := t.primary.Get(sqltypes.Key(pkVals...))
+	val, ok := t.primary.Get(string(key))
+	t.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	return val.(sqltypes.Row).Clone(), true
+	return val.(sqltypes.Row), true
 }
 
 // Scan calls fn with every row in primary-key order until fn returns false.
@@ -239,13 +251,19 @@ type Bound struct {
 // matching row until fn returns false. The bounds apply to a prefix of the
 // index key columns.
 func (t *Table) ScanIndex(idxName string, lo, hi Bound, fn func(sqltypes.Row) bool) error {
+	start, end := RangeKeys(lo, hi)
+	return t.ScanIndexRange(idxName, start, end, fn)
+}
+
+// ScanIndexRange is ScanIndex over an already encoded key range (see
+// RangeKeys): a caller whose bounds never change encodes them once.
+func (t *Table) ScanIndexRange(idxName, start, end string, fn func(sqltypes.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	idx := t.findIndex(idxName)
 	if idx == nil {
 		return fmt.Errorf("storage: table %s has no index %s", t.def.Name, idxName)
 	}
-	start, end := rangeKeys(lo, hi)
 	if idx.Clustered {
 		t.primary.AscendRange(start, end, func(_ string, val any) bool {
 			return fn(val.(sqltypes.Row))
@@ -266,9 +284,9 @@ func (t *Table) ScanIndex(idxName string, lo, hi Bound, fn func(sqltypes.Row) bo
 	return nil
 }
 
-// rangeKeys converts bounds on key-column prefixes to encoded key-range
+// RangeKeys converts bounds on key-column prefixes to encoded key-range
 // endpoints for AscendRange (start inclusive, end exclusive).
-func rangeKeys(lo, hi Bound) (start, end string) {
+func RangeKeys(lo, hi Bound) (start, end string) {
 	if lo.Vals != nil {
 		k := sqltypes.Key(lo.Vals...)
 		if lo.Inclusive {

@@ -28,7 +28,7 @@ jq -e '
   (type == "array" and length > 0)
   # ...each with a name and a numeric ns/op...
   and all(.[];
-    (.name | type == "string" and startswith("BenchmarkExec"))
+    (.name | type == "string" and test("^Benchmark(Exec|EndToEndQuery)"))
     and (.ns_op | type == "number")
     and (.rows_per_sec | type == "number" or . == null)
     and (.B_op | type == "number" or . == null)
@@ -116,6 +116,10 @@ gate_autotune() {
 gate_allocs 'BenchmarkExecHashJoin/serial' 41000
 # The streaming scan allocates only pooled containers.
 gate_allocs 'BenchmarkExecScan/serial' 100
+# A plan-cache hit runs a cached tree: no parse, no print-back, no build.
+# The local point read took 92 allocs/op while it did all three; the
+# ceiling is its count now plus two.
+gate_allocs 'BenchmarkEndToEndQuery/local-point' 14
 gate_monotone 'BenchmarkExecScan'
 gate_monotone 'BenchmarkExecFilterScan'
 gate_autotune 'BenchmarkExecAutotuneShift'
