@@ -25,6 +25,7 @@ import (
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/qcache"
 	"relaxedcc/internal/sqlparser"
+	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/tpcd"
 	"relaxedcc/internal/tuner"
 )
@@ -537,6 +538,51 @@ func BenchmarkExecHashJoin(b *testing.B) {
 			return hj
 		})
 	})
+}
+
+// BenchmarkExecAggregate groups 15,000 rows (key, key, float) into 25 and
+// into 1,500 groups with COUNT(*) and a float SUM, and sorts the 1,500 for
+// their top 10 — the shapes of the end-to-end benchmark's agg_nation and
+// agg_top. The input is a row list, so what is timed is the aggregate.
+func BenchmarkExecAggregate(b *testing.B) {
+	in := exec.NewSchema(
+		exec.Col{Binding: "t", Name: "few", Kind: sqltypes.KindInt},
+		exec.Col{Binding: "t", Name: "many", Kind: sqltypes.KindInt},
+		exec.Col{Binding: "t", Name: "amount", Kind: sqltypes.KindFloat})
+	rows := make([]sqltypes.Row, 15000)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i % 25)), sqltypes.NewInt(int64(i * 7919 % 1500)), sqltypes.NewFloat(float64(i%977) + 0.25)}
+	}
+	col := func(i int) exec.Compiled {
+		return func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[i], nil }
+	}
+	aggregate := func(key int) *exec.Aggregate {
+		return &exec.Aggregate{
+			Child:     exec.NewValues(in, rows),
+			GroupBy:   []exec.Compiled{col(key)},
+			GroupCols: []int{key}, // ordinals as the planner wires them for plain columns
+			Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(2)}},
+			ArgCols:   []int{-1, 2},
+			Out: exec.NewSchema(in.Cols[key],
+				exec.Col{Name: "n", Kind: sqltypes.KindInt}, exec.Col{Name: "total", Kind: sqltypes.KindFloat}),
+		}
+	}
+	for _, v := range []struct {
+		name  string
+		build func() exec.Operator
+	}{
+		{"low-card", func() exec.Operator { return aggregate(0) }},
+		{"high-card", func() exec.Operator { return aggregate(1) }},
+		{"topn", func() exec.Operator {
+			return &exec.Limit{N: 10, Child: &exec.Sort{Child: aggregate(1), Keys: []exec.Compiled{col(2)}, Desc: []bool{true}, TopN: 10}}
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			runExecBench(b, v.build)
+			// Throughput in input rows, not in the groups that come out.
+			b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+		})
+	}
 }
 
 // BenchmarkExecScanMetered re-runs the serial Orders scan with the metrics

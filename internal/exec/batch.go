@@ -55,6 +55,19 @@ func denseRows(cb *sqltypes.ColBatch, buf *sqltypes.Batch) sqltypes.Batch {
 	return *buf
 }
 
+// eachBatch feeds every remaining batch of an opened operator to fn.
+func eachBatch(op Operator, fn func(*sqltypes.ColBatch) error) error {
+	for {
+		cb, ok, err := op.NextVec()
+		if err != nil || !ok {
+			return err
+		}
+		if err := fn(cb); err != nil {
+			return err
+		}
+	}
+}
+
 // selFor empties a reusable selection buffer with room for every row of cb.
 // The result is never nil: a nil Sel means "all rows active".
 func selFor(buf []int32, cb *sqltypes.ColBatch) []int32 {
@@ -106,10 +119,7 @@ func (w *rowWindow) next(width int) (*sqltypes.ColBatch, bool, error) {
 	if w.pos >= len(w.rows) {
 		return nil, false, nil
 	}
-	end := w.pos + w.n
-	if end > len(w.rows) {
-		end = len(w.rows)
-	}
+	end := min(w.pos+w.n, len(w.rows))
 	w.out.ResetRows(w.rows[w.pos:end], width)
 	w.pos = end
 	return &w.out, true, nil

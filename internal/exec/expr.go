@@ -277,47 +277,29 @@ func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
 
 func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
 	switch op {
-	case sqlparser.OpAnd:
+	case sqlparser.OpAnd, sqlparser.OpOr:
+		// Three-valued logic: a side that decides the result (FALSE for AND,
+		// TRUE for OR) wins over a NULL on the other.
+		decides := op == sqlparser.OpOr
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			lv, err := left(ctx, row)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			if !lv.IsNull() && !truthy(lv) {
-				return sqltypes.NewBool(false), nil
+			if !lv.IsNull() && truthy(lv) == decides {
+				return sqltypes.NewBool(decides), nil
 			}
 			rv, err := right(ctx, row)
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			if !rv.IsNull() && !truthy(rv) {
-				return sqltypes.NewBool(false), nil
+			if !rv.IsNull() && truthy(rv) == decides {
+				return sqltypes.NewBool(decides), nil
 			}
 			if lv.IsNull() || rv.IsNull() {
 				return sqltypes.Null, nil
 			}
-			return sqltypes.NewBool(true), nil
-		}, nil
-	case sqlparser.OpOr:
-		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			lv, err := left(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if !lv.IsNull() && truthy(lv) {
-				return sqltypes.NewBool(true), nil
-			}
-			rv, err := right(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if !rv.IsNull() && truthy(rv) {
-				return sqltypes.NewBool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return sqltypes.Null, nil
-			}
-			return sqltypes.NewBool(false), nil
+			return sqltypes.NewBool(!decides), nil
 		}, nil
 	case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
@@ -332,26 +314,10 @@ func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return sqltypes.Null, nil
 			}
-			if err := comparable(lv, rv); err != nil {
+			if err := comparableValues(lv, rv); err != nil {
 				return sqltypes.Null, err
 			}
-			c := lv.Compare(rv)
-			var out bool
-			switch op {
-			case sqlparser.OpEQ:
-				out = c == 0
-			case sqlparser.OpNE:
-				out = c != 0
-			case sqlparser.OpLT:
-				out = c < 0
-			case sqlparser.OpLE:
-				out = c <= 0
-			case sqlparser.OpGT:
-				out = c > 0
-			case sqlparser.OpGE:
-				out = c >= 0
-			}
-			return sqltypes.NewBool(out), nil
+			return sqltypes.NewBool(cmpTrue(op, lv.Compare(rv))), nil
 		}, nil
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
@@ -417,17 +383,6 @@ func arith(op sqlparser.BinOp, lv, rv sqltypes.Value) (sqltypes.Value, error) {
 		return sqltypes.NewFloat(a / b), nil
 	}
 	return sqltypes.Null, fmt.Errorf("exec: bad arithmetic operator %v", op)
-}
-
-// comparable rejects cross-kind comparisons that SQL would type-error on.
-func comparable(a, b sqltypes.Value) error {
-	if a.Kind() == b.Kind() {
-		return nil
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		return nil
-	}
-	return fmt.Errorf("exec: cannot compare %s with %s", a.Kind(), b.Kind())
 }
 
 // truthy interprets a value as a boolean predicate result.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"relaxedcc/internal/sqltypes"
 )
@@ -95,78 +96,60 @@ func (k *joinKeys) appendVal(c int, v sqltypes.Value) {
 	k.str[c] = append(k.str[c], ns)
 }
 
-// appendCol normalizes column ord of every row in rows into key column c —
-// the bulk counterpart of appendVal for the column-ordinal fast path, with
-// the per-column slice headers hoisted out of the per-row loop.
-func (k *joinKeys) appendCol(c, ord int, rows sqltypes.Batch) {
-	cls, bits, str := k.cls[c], k.bits[c], k.str[c]
-	for _, row := range rows {
-		v := row[ord]
-		var (
-			cl uint8
-			nb uint64
-			ns string
-		)
-		switch v.Kind() {
-		case sqltypes.KindNull:
-			cl = keyNull
-		case sqltypes.KindInt, sqltypes.KindFloat:
-			f := v.Float()
-			if f == 0 {
-				f = 0 // normalize -0 so bit equality matches float equality
-			}
-			cl, nb = keyNum, math.Float64bits(f)
-		case sqltypes.KindBool:
-			cl = keyBool
-			if v.Bool() {
-				nb = 1
-			}
-		case sqltypes.KindTime:
-			cl, nb = keyTime, uint64(v.Time().UnixNano())
-		case sqltypes.KindString:
-			cl, ns = keyStr, v.Str()
+// appendVec normalizes n values of vector v into key column c: v[idx[j]],
+// or v[j] when idx is nil (the selection-vector convention).
+func (k *joinKeys) appendVec(c int, v *sqltypes.Vec, idx []int32, n int) {
+	if v.Kind == sqltypes.KindInt && v.Null == nil {
+		// The common grouping key: a NOT NULL integer column.
+		cls, bits, str := k.cls[c], k.bits[c], k.str[c]
+		for j := 0; j < n; j++ {
+			cls = append(cls, keyNum)
+			bits = append(bits, math.Float64bits(float64(v.I64[at(idx, j)])))
+			str = append(str, "")
 		}
-		cls = append(cls, cl)
-		bits = append(bits, nb)
-		str = append(str, ns)
+		k.cls[c], k.bits[c], k.str[c] = cls, bits, str
+		return
 	}
-	k.cls[c], k.bits[c], k.str[c] = cls, bits, str
+	for j := 0; j < n; j++ {
+		k.appendVal(c, v.Value(at(idx, j)))
+	}
 }
 
-// appendBatch normalizes the keys of every row in rows: column-at-a-time
-// when cols gives the key ordinals, row-at-a-time through the compiled key
+// at resolves position j of a batch's active rows to a physical row index.
+func at(idx []int32, j int) int {
+	if idx == nil {
+		return j
+	}
+	return int(idx[j])
+}
+
+// appendFrom copies key row r of src.
+func (k *joinKeys) appendFrom(src *joinKeys, r int) {
+	for c := range k.cls {
+		k.cls[c] = append(k.cls[c], src.cls[c][r])
+		k.bits[c] = append(k.bits[c], src.bits[c][r])
+		k.str[c] = append(k.str[c], src.str[c][r])
+	}
+}
+
+// appendBatch normalizes the keys of cb's active rows, which the caller also
+// holds as the dense row list rows: column-at-a-time from cb's vectors when
+// cols gives the key ordinals, row-at-a-time through the compiled key
 // closures otherwise.
-func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, rows sqltypes.Batch) error {
-	if cols != nil {
-		for c, ord := range cols {
-			k.appendCol(c, ord, rows)
+func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, cb *sqltypes.ColBatch, rows sqltypes.Batch) error {
+	if cols == nil {
+		for _, row := range rows {
+			for c, ke := range keys {
+				v, err := ke(ctx, row)
+				if err != nil {
+					return err
+				}
+				k.appendVal(c, v)
+			}
 		}
-		return nil
 	}
-	for _, row := range rows {
-		if err := k.appendRow(keys, nil, ctx, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendRow evaluates the key expressions on row and appends the
-// normalized values. When cols is non-nil the keys are plain column
-// references and the closure evaluation is skipped.
-func (k *joinKeys) appendRow(keys []Compiled, cols []int, ctx *EvalContext, row sqltypes.Row) error {
-	if cols != nil {
-		for c, ord := range cols {
-			k.appendVal(c, row[ord])
-		}
-		return nil
-	}
-	for c, ke := range keys {
-		v, err := ke(ctx, row)
-		if err != nil {
-			return err
-		}
-		k.appendVal(c, v)
+	for c, ord := range cols {
+		k.appendVec(c, cb.Col(ord), cb.Sel, len(rows))
 	}
 	return nil
 }
@@ -187,29 +170,35 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// hash mixes the class tags and payloads of row r into a 64-bit hash.
-func (k *joinKeys) hash(r int) uint64 {
-	h := uint64(fnvOffset)
-	for c := range k.cls {
-		cls := k.cls[c][r]
-		h = (h ^ uint64(cls)) * fnvPrime
-		bits := k.bits[c][r]
-		if cls == keyStr {
-			sh := uint64(fnvOffset)
-			s := k.str[c][r]
-			for i := 0; i < len(s); i++ {
-				sh = (sh ^ uint64(s[i])) * fnvPrime
-			}
-			bits = sh
-		}
-		h = (h ^ bits) * fnvPrime
+// hashes appends one 64-bit hash per key row (n of them) to dst, mixing the
+// class tags and payloads column-at-a-time.
+func (k *joinKeys) hashes(dst []uint64, n int) []uint64 {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for r := range out {
+		out[r] = fnvOffset
 	}
-	// Finalize: FNV's low-bit diffusion is weak for small integer keys and
-	// the table masks with low bits.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
+	for c := range k.cls {
+		cls, bits, str := k.cls[c], k.bits[c], k.str[c]
+		for r, h := range out {
+			b := bits[r]
+			if cls[r] == keyStr {
+				b = fnvOffset
+				for i := 0; i < len(str[r]); i++ {
+					b = (b ^ uint64(str[r][i])) * fnvPrime
+				}
+			}
+			out[r] = ((h^uint64(cls[r]))*fnvPrime ^ b) * fnvPrime
+		}
+	}
+	for r, h := range out {
+		// Finalize: FNV's low-bit diffusion is weak for small integer keys
+		// and the tables mask with low bits.
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		out[r] = h ^ h>>33
+	}
+	return dst[:len(dst)+n]
 }
 
 // keysEqual compares row ra of a with row rb of b, column-wise. NaN keys
@@ -256,6 +245,7 @@ type HashJoin struct {
 	buildRows sqltypes.Batch
 	bcols     sqltypes.ColBatch // lazily transposed build columns
 	buildKeys *joinKeys
+	buildHash []uint64
 	slotHead  []int32 // head build-row index per slot, -1 = empty
 	slotHash  []uint64
 	chainNext []int32 // next build row with the same hash, -1 = end
@@ -308,19 +298,13 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 	if err := h.Right.Open(ctx); err != nil {
 		return err
 	}
-	for {
-		cb, ok, err := h.Right.NextVec()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := eachBatch(h.Right, func(cb *sqltypes.ColBatch) error {
 		start := len(h.buildRows)
 		h.buildRows = cb.AppendRows(h.buildRows)
-		if err := h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, h.buildRows[start:]); err != nil {
-			return err
-		}
+		return h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, cb, h.buildRows[start:])
+	})
+	if err != nil {
+		return err
 	}
 	if err := h.Right.Close(); err != nil {
 		return err
@@ -356,11 +340,12 @@ func (h *HashJoin) buildTable() {
 		h.chainNext = make([]int32, n)
 	}
 	h.chainNext = h.chainNext[:n]
+	h.buildHash = h.buildKeys.hashes(h.buildHash[:0], n)
 	for r := n - 1; r >= 0; r-- {
 		if h.buildKeys.hasNull(r) {
 			continue
 		}
-		hash := h.buildKeys.hash(r)
+		hash := h.buildHash[r]
 		i := hash & h.mask
 		for {
 			if h.slotHead[i] < 0 {
@@ -380,9 +365,6 @@ func (h *HashJoin) buildTable() {
 
 // lookup returns the head of the chain for hash, or -1.
 func (h *HashJoin) lookup(hash uint64) int32 {
-	if len(h.buildRows) == 0 {
-		return -1
-	}
 	i := hash & h.mask
 	for {
 		if h.slotHead[i] < 0 {
@@ -395,21 +377,14 @@ func (h *HashJoin) lookup(hash uint64) int32 {
 	}
 }
 
-// probeBatch normalizes and hashes the keys of one probe batch into the
-// reusable scratch columns.
-func (h *HashJoin) probeBatch(b sqltypes.Batch) error {
+// probeBatch normalizes and hashes the keys of the current probe batch into
+// the reusable scratch columns.
+func (h *HashJoin) probeBatch(cb *sqltypes.ColBatch) error {
 	h.probeKeys.reset()
-	h.probeHash = h.probeHash[:0]
-	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, b); err != nil {
+	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb, h.probe); err != nil {
 		return err
 	}
-	for r := range b {
-		if h.probeKeys.hasNull(r) {
-			h.probeHash = append(h.probeHash, 0)
-			continue
-		}
-		h.probeHash = append(h.probeHash, h.probeKeys.hash(r))
-	}
+	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], len(h.probe))
 	return nil
 }
 
@@ -462,7 +437,7 @@ func (h *HashJoin) nextProbe() (bool, error) {
 		return false, nil
 	}
 	h.probe, h.pi = denseRows(cb, &h.probeBuf), 0
-	return true, h.probeBatch(h.probe)
+	return true, h.probeBatch(cb)
 }
 
 // NextVec implements Operator.

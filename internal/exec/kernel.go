@@ -256,7 +256,7 @@ func cmpLitKernel(col int, op sqlparser.BinOp, lit sqltypes.Value) BoolKernel {
 				if v.IsNull(int(i)) {
 					return true
 				}
-				if cmpTrue(op, cmpI64(v.I64[i], li)) {
+				if cmpTrue(op, cmp3(v.I64[i], li)) {
 					dst = append(dst, i)
 				}
 				return true
@@ -276,7 +276,7 @@ func cmpLitKernel(col int, op sqlparser.BinOp, lit sqltypes.Value) BoolKernel {
 				} else {
 					f = v.F64[i]
 				}
-				if cmpTrue(op, cmpF64(f, lf)) {
+				if cmpTrue(op, cmp3(f, lf)) {
 					dst = append(dst, i)
 				}
 				return true
@@ -287,7 +287,7 @@ func cmpLitKernel(col int, op sqlparser.BinOp, lit sqltypes.Value) BoolKernel {
 				if v.IsNull(int(i)) {
 					return true
 				}
-				if cmpTrue(op, cmpStr(v.Str[i], ls)) {
+				if cmpTrue(op, cmp3(v.Str[i], ls)) {
 					dst = append(dst, i)
 				}
 				return true
@@ -329,7 +329,7 @@ func cmpColKernel(lc, rc int, op sqlparser.BinOp) BoolKernel {
 				if l.IsNull(int(i)) || r.IsNull(int(i)) {
 					return true
 				}
-				if cmpTrue(op, cmpI64(l.I64[i], r.I64[i])) {
+				if cmpTrue(op, cmp3(l.I64[i], r.I64[i])) {
 					dst = append(dst, i)
 				}
 				return true
@@ -339,7 +339,7 @@ func cmpColKernel(lc, rc int, op sqlparser.BinOp) BoolKernel {
 				if l.IsNull(int(i)) || r.IsNull(int(i)) {
 					return true
 				}
-				if cmpTrue(op, cmpF64(l.F64[i], r.F64[i])) {
+				if cmpTrue(op, cmp3(l.F64[i], r.F64[i])) {
 					dst = append(dst, i)
 				}
 				return true
@@ -387,7 +387,9 @@ func forCand(cb *sqltypes.ColBatch, cand []int32, fn func(int32) bool) {
 	}
 }
 
-func cmpI64(a, b int64) int {
+// cmp3 is the three-way comparison of the typed kernel loops. NaN compares
+// equal to everything, as in sqltypes.Value.Compare.
+func cmp3[T int64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -398,29 +400,8 @@ func cmpI64(a, b int64) int {
 	}
 }
 
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// comparableValues mirrors the row evaluator's type check for comparisons.
+// comparableValues rejects cross-kind comparisons that SQL would type-error
+// on; the row evaluator and the kernels share it.
 func comparableValues(a, b sqltypes.Value) error {
 	if a.Kind() == b.Kind() || (a.IsNumeric() && b.IsNumeric()) {
 		return nil

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"relaxedcc/internal/sqltypes"
@@ -488,33 +487,56 @@ func (j *IndexLoopJoin) Close() error {
 	return j.Outer.Close()
 }
 
-// ---- Sort / Limit / Distinct ----
+// ---- Sort / Limit ----
 
-// Sort materializes and orders child output.
+// Sort materializes and orders child output. The order is stable: rows with
+// equal keys keep their input order.
 type Sort struct {
 	Child Operator
 	Keys  []Compiled
 	Desc  []bool
+	// TopN, when positive, bounds the output to its first TopN rows (the
+	// planner sets it from TOP n): Open then keeps a heap of the best TopN
+	// rows seen instead of materializing and sorting the whole input.
+	TopN int64
 
-	win rowWindow
+	// ents are the rows kept, each with its input position (the tie-break
+	// that makes the order stable) and the offset of its evaluated keys in
+	// keys; in top-N mode ents is a heap with the worst kept row at the root.
+	ents []sortEnt
+	keys []sqltypes.Value
+	rows []sqltypes.Row
+	win  rowWindow
+}
+
+type sortEnt struct {
+	row      sqltypes.Row
+	seq, key int
 }
 
 // Schema implements Operator.
 func (s *Sort) Schema() *Schema { return s.Child.Schema() }
 
-// Open implements Operator: it drains and sorts the child.
+// before reports whether a sorts ahead of b.
+func (s *Sort) before(a, b *sortEnt) bool {
+	for k := range s.Keys {
+		if c := s.keys[a.key+k].Compare(s.keys[b.key+k]); c != 0 {
+			return (c < 0) != s.Desc[k]
+		}
+	}
+	return a.seq < b.seq
+}
+
+// Open implements Operator: it drains the child and sorts what it keeps.
 func (s *Sort) Open(ctx *EvalContext) error {
 	s.win.reset(nil, ctx)
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	type keyed struct {
-		row  sqltypes.Row
-		keys sqltypes.Row
-	}
-	var all []keyed
+	limit := int(s.TopN)
+	s.ents, s.keys = s.ents[:0], s.keys[:0]
 	var in rowReader
-	for {
+	for seq := 0; ; seq++ {
 		row, ok, err := in.next(s.Child)
 		if err != nil {
 			return err
@@ -522,35 +544,60 @@ func (s *Sort) Open(ctx *EvalContext) error {
 		if !ok {
 			break
 		}
-		ks := make(sqltypes.Row, len(s.Keys))
-		for i, k := range s.Keys {
+		// The keys go past the kept ones and are dropped again unless the
+		// row is kept.
+		tail := len(s.keys)
+		e := sortEnt{row: row, seq: seq, key: tail}
+		for _, k := range s.Keys {
 			v, err := k(ctx, row)
 			if err != nil {
 				return err
 			}
-			ks[i] = v
+			s.keys = append(s.keys, v)
 		}
-		all = append(all, keyed{row: row, keys: ks})
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		for k := range s.Keys {
-			c := all[i].keys[k].Compare(all[j].keys[k])
-			if c == 0 {
-				continue
+		if limit <= 0 || len(s.ents) < limit {
+			s.ents = append(s.ents, e)
+			if len(s.ents) == limit {
+				for i := limit/2 - 1; i >= 0; i-- {
+					s.siftDown(i)
+				}
 			}
-			if s.Desc[k] {
-				return c > 0
-			}
-			return c < 0
+			continue
 		}
-		return false
-	})
-	rows := make([]sqltypes.Row, len(all))
-	for i, kr := range all {
-		rows[i] = kr.row
+		if s.before(&e, &s.ents[0]) {
+			// Displace the worst kept row, taking over its key slots.
+			copy(s.keys[s.ents[0].key:], s.keys[tail:])
+			e.key = s.ents[0].key
+			s.ents[0] = e
+			s.siftDown(0)
+		}
+		s.keys = s.keys[:tail]
 	}
-	s.win.reset(rows, ctx)
+	sort.Slice(s.ents, func(i, j int) bool { return s.before(&s.ents[i], &s.ents[j]) })
+	s.rows = s.rows[:0]
+	for i := range s.ents {
+		s.rows = append(s.rows, s.ents[i].row)
+	}
+	s.win.reset(s.rows, ctx)
 	return nil
+}
+
+// siftDown restores the heap property (no row sorts after its parent) below
+// position i.
+func (s *Sort) siftDown(i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(s.ents); c++ {
+			if s.before(&s.ents[worst], &s.ents[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		s.ents[i], s.ents[worst] = s.ents[worst], s.ents[i]
+		i = worst
+	}
 }
 
 // NextVec implements Operator: zero-copy windows of the sorted output.
@@ -601,235 +648,3 @@ func (l *Limit) NextVec() (*sqltypes.ColBatch, bool, error) {
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Child.Close() }
-
-// Distinct removes duplicate rows by narrowing each child batch to the rows
-// not seen before.
-type Distinct struct {
-	Child  Operator
-	seen   map[string]bool
-	selbuf []int32
-}
-
-// Schema implements Operator.
-func (d *Distinct) Schema() *Schema { return d.Child.Schema() }
-
-// Open implements Operator.
-func (d *Distinct) Open(ctx *EvalContext) error {
-	d.seen = map[string]bool{}
-	return d.Child.Open(ctx)
-}
-
-// NextVec implements Operator.
-func (d *Distinct) NextVec() (*sqltypes.ColBatch, bool, error) {
-	for {
-		cb, ok, err := d.Child.NextVec()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		sel := selFor(d.selbuf, cb)
-		forCand(cb, cb.Sel, func(i int32) bool {
-			if key := sqltypes.RowKey(cb.Row(int(i))); !d.seen[key] {
-				d.seen[key] = true
-				sel = append(sel, i)
-			}
-			return true
-		})
-		d.selbuf = sel
-		if len(sel) == 0 {
-			continue
-		}
-		cb.Sel = sel
-		return cb, true, nil
-	}
-}
-
-// Close implements Operator.
-func (d *Distinct) Close() error { d.seen = nil; return d.Child.Close() }
-
-// ---- Aggregate ----
-
-// AggSpec describes one aggregate computation.
-type AggSpec struct {
-	Func string   // COUNT, SUM, AVG, MIN, MAX
-	Arg  Compiled // nil for COUNT(*)
-	Star bool
-}
-
-// Aggregate is a hash group-by: output rows are group-key values followed by
-// aggregate results. With no group keys it produces exactly one row.
-type Aggregate struct {
-	Child   Operator
-	GroupBy []Compiled
-	Aggs    []AggSpec
-	Out     *Schema
-
-	win rowWindow
-}
-
-// Schema implements Operator.
-func (a *Aggregate) Schema() *Schema { return a.Out }
-
-type aggState struct {
-	groupVals sqltypes.Row
-	count     []int64
-	sum       []float64
-	sumIsInt  []bool
-	sumInt    []int64
-	min, max  []sqltypes.Value
-	seen      []bool
-}
-
-// Open implements Operator: it drains the child and computes all groups.
-func (a *Aggregate) Open(ctx *EvalContext) error {
-	a.win.reset(nil, ctx)
-	if err := a.Child.Open(ctx); err != nil {
-		return err
-	}
-	groups := map[string]*aggState{}
-	var order []string
-	var in rowReader
-	gvals := make(sqltypes.Row, len(a.GroupBy)) // scratch; cloned per new group
-	for {
-		row, ok, err := in.next(a.Child)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for i, g := range a.GroupBy {
-			gvals[i], err = g(ctx, row)
-			if err != nil {
-				return err
-			}
-		}
-		key := sqltypes.RowKey(gvals)
-		st, okG := groups[key]
-		if !okG {
-			st = &aggState{
-				groupVals: gvals.Clone(),
-				count:     make([]int64, len(a.Aggs)),
-				sum:       make([]float64, len(a.Aggs)),
-				sumIsInt:  make([]bool, len(a.Aggs)),
-				sumInt:    make([]int64, len(a.Aggs)),
-				min:       make([]sqltypes.Value, len(a.Aggs)),
-				max:       make([]sqltypes.Value, len(a.Aggs)),
-				seen:      make([]bool, len(a.Aggs)),
-			}
-			for i := range st.sumIsInt {
-				st.sumIsInt[i] = true
-			}
-			groups[key] = st
-			order = append(order, key)
-		}
-		for i, spec := range a.Aggs {
-			if spec.Star {
-				st.count[i]++
-				continue
-			}
-			v, err := spec.Arg(ctx, row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				continue // SQL aggregates skip NULLs
-			}
-			st.count[i]++
-			switch spec.Func {
-			case "SUM", "AVG":
-				if !v.IsNumeric() {
-					return fmt.Errorf("exec: %s of %s", spec.Func, v.Kind())
-				}
-				if v.Kind() == sqltypes.KindInt && st.sumIsInt[i] {
-					st.sumInt[i] += v.Int()
-				} else {
-					if st.sumIsInt[i] {
-						st.sum[i] = float64(st.sumInt[i])
-						st.sumIsInt[i] = false
-					}
-					st.sum[i] += v.Float()
-				}
-			case "MIN":
-				if !st.seen[i] || v.Compare(st.min[i]) < 0 {
-					st.min[i] = v
-				}
-			case "MAX":
-				if !st.seen[i] || v.Compare(st.max[i]) > 0 {
-					st.max[i] = v
-				}
-			}
-			st.seen[i] = true
-		}
-	}
-	// Empty input with no GROUP BY still yields one row of "empty"
-	// aggregates (COUNT=0, others NULL).
-	if len(groups) == 0 && len(a.GroupBy) == 0 {
-		st := &aggState{
-			groupVals: nil,
-			count:     make([]int64, len(a.Aggs)),
-			min:       make([]sqltypes.Value, len(a.Aggs)),
-			max:       make([]sqltypes.Value, len(a.Aggs)),
-			seen:      make([]bool, len(a.Aggs)),
-			sumIsInt:  make([]bool, len(a.Aggs)),
-			sumInt:    make([]int64, len(a.Aggs)),
-			sum:       make([]float64, len(a.Aggs)),
-		}
-		groups[""] = st
-		order = append(order, "")
-	}
-	rows := make([]sqltypes.Row, 0, len(order))
-	for _, key := range order {
-		st := groups[key]
-		out := append(sqltypes.Row{}, st.groupVals...)
-		for i, spec := range a.Aggs {
-			out = append(out, finishAgg(spec, st, i))
-		}
-		rows = append(rows, out)
-	}
-	a.win.reset(rows, ctx)
-	return nil
-}
-
-func finishAgg(spec AggSpec, st *aggState, i int) sqltypes.Value {
-	switch spec.Func {
-	case "COUNT":
-		return sqltypes.NewInt(st.count[i])
-	case "SUM":
-		if st.count[i] == 0 {
-			return sqltypes.Null
-		}
-		if st.sumIsInt[i] {
-			return sqltypes.NewInt(st.sumInt[i])
-		}
-		return sqltypes.NewFloat(st.sum[i])
-	case "AVG":
-		if st.count[i] == 0 {
-			return sqltypes.Null
-		}
-		total := st.sum[i]
-		if st.sumIsInt[i] {
-			total = float64(st.sumInt[i])
-		}
-		return sqltypes.NewFloat(total / float64(st.count[i]))
-	case "MIN":
-		if !st.seen[i] {
-			return sqltypes.Null
-		}
-		return st.min[i]
-	case "MAX":
-		if !st.seen[i] {
-			return sqltypes.Null
-		}
-		return st.max[i]
-	default:
-		return sqltypes.Null
-	}
-}
-
-// NextVec implements Operator: zero-copy windows of the computed groups.
-func (a *Aggregate) NextVec() (*sqltypes.ColBatch, bool, error) {
-	return a.win.next(len(a.Out.Cols))
-}
-
-// Close implements Operator.
-func (a *Aggregate) Close() error { a.win.reset(nil, nil); return a.Child.Close() }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -87,16 +88,15 @@ type ParallelScan struct {
 	ctx     *EvalContext
 	kernel  BoolKernel
 	morsels []storage.Morsel
-	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
+	queues  []atomic.Uint64     // per-worker packed [lo, hi) morsel-index ranges
+	filters []scanFilterScratch // per worker, kept across runs of a reused tree
 	effDOP  int
-	out     chan parMsg
+	out     chan parMsg // nil on the inline (effective DOP 1) path
 	stop    chan struct{}
-	closed  bool
 
-	// serial marks the inline (effective DOP 1) path, which streams through
-	// walk; the exchange path only borrows walk.vout to wrap its last batch.
-	serial bool
-	walk   chunkWalk
+	// walk streams the inline path; the exchange path only borrows walk.vout
+	// to wrap its last batch.
+	walk chunkWalk
 
 	rowsScanned atomic.Int64
 }
@@ -118,81 +118,154 @@ func (p *ParallelScan) RowsScanned() int64 { return p.rowsScanned.Load() }
 // clamping to GOMAXPROCS and the morsel count. Zero before Open.
 func (p *ParallelScan) EffectiveDOP() int { return p.effDOP }
 
-func (p *ParallelScan) dop() int {
-	d := p.DOP
-	if d <= 0 && p.ctx != nil {
-		d = p.ctx.MaxDOP
-	}
-	if g := runtime.GOMAXPROCS(0); d <= 0 || d > g {
-		d = g
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// Open implements Operator: it partitions the key range into
-// cardinality-bounded morsels, clamps the worker count to the available
-// work, and either starts the workers or arms the inline serial path.
-func (p *ParallelScan) Open(ctx *EvalContext) error {
+// prepare takes the run's context and decides its shape: the residual
+// kernel, the morsels (bounded by table cardinality) and the worker count,
+// clamped to the available work. Open starts from it, and so does an
+// Aggregate parent, which then drives the morsels itself (scanMorsels).
+func (p *ParallelScan) prepare(ctx *EvalContext) {
 	p.ctx = ctx
 	p.kernel = kernelFor(p.FilterKernel, p.Filter)
-	p.closed = false
-	p.serial = false
 	p.out, p.stop = nil, nil
 	p.rowsScanned.Store(0)
 
-	dop := p.dop()
-	parts := dop * morselsPerWorker
-	if ceil := (p.Table.Len() + minMorselRows - 1) / minMorselRows; parts > ceil {
-		parts = ceil
+	// No more workers than cores, no more morsels than the table's
+	// cardinality supports, no more workers than morsels.
+	dop := p.DOP
+	if dop <= 0 && ctx != nil {
+		dop = ctx.MaxDOP
 	}
-	if parts < 1 {
-		parts = 1
+	if g := runtime.GOMAXPROCS(0); dop <= 0 || dop > g {
+		dop = g
 	}
+	parts := max(1, min(dop*morselsPerWorker, (p.Table.Len()+minMorselRows-1)/minMorselRows))
 	p.morsels = p.Table.Morsels(p.Lo, p.Hi, parts)
-	if dop > len(p.morsels) {
-		dop = len(p.morsels)
-	}
-	p.effDOP = dop
+	p.effDOP = min(dop, len(p.morsels))
+}
 
-	if dop == 1 {
+// Open implements Operator: it either starts the workers behind the
+// exchange or arms the inline serial path.
+func (p *ParallelScan) Open(ctx *EvalContext) error {
+	p.prepare(ctx)
+	if p.effDOP == 1 {
 		// Inline serial path: same bulk leaf walks, no exchange.
-		p.serial = true
 		p.walk.start(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
 		return nil
 	}
+	p.stop = make(chan struct{})
+	p.out = make(chan parMsg, p.effDOP*2)
+	go p.exchange(p.stop, p.out)
+	return nil
+}
 
+// errStopped ends the scan when the consumer has closed the exchange.
+var errStopped = errors.New("exec: parallel scan stopped")
+
+// exchange runs the scan into the exchange channel, until done or stopped:
+// each worker's surviving rows in batches (only row headers move; the stored
+// rows are shared and immutable), then the error if there was one.
+func (p *ParallelScan) exchange(stop <-chan struct{}, out chan<- parMsg) {
+	defer close(out)
+	send := func(m parMsg) bool {
+		select {
+		case out <- m:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	n := batchSizeOf(p.ctx)
+	outs := make([]sqltypes.Batch, p.effDOP)
+	err := p.scanMorsels(func(w, _ int, cb *sqltypes.ColBatch) error {
+		if outs[w] == nil {
+			outs[w] = make(sqltypes.Batch, 0, n)
+		}
+		if outs[w] = cb.AppendRows(outs[w]); len(outs[w]) >= n {
+			if !send(parMsg{batch: outs[w]}) {
+				return errStopped
+			}
+			outs[w] = nil
+		}
+		return nil
+	})
+	for _, out := range outs {
+		if err == nil && len(out) > 0 && !send(parMsg{batch: out}) {
+			return
+		}
+	}
+	if err != nil && err != errStopped {
+		send(parMsg{err: err})
+	}
+}
+
+// scanMorsels runs a prepared scan to completion: every chunk's surviving
+// rows go to visit(worker, morsel, batch) on the goroutine that scanned
+// them. Morsels are visited concurrently — a consumer keeps one state per
+// morsel or per worker — and the batches of one morsel in key order. The
+// batch is the worker's scratch, valid during the call. The first error
+// stops the scan.
+func (p *ParallelScan) scanMorsels(visit func(w, m int, cb *sqltypes.ColBatch) error) error {
+	dop := p.effDOP
+	if dop == 1 {
+		p.walk.start("", "") // for its pooled buffer and scratch
+		for m := range p.morsels {
+			if err := p.walkMorsel(m, p.walk.buf, &p.walk.scanFilterScratch, func(cb *sqltypes.ColBatch) error { return visit(0, m, cb) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	// Contiguous morsel-index queues, one per worker; stealing keeps them
 	// balanced when ranges skew.
 	p.queues = make([]atomic.Uint64, dop)
-	lo, per, rem := 0, len(p.morsels)/dop, len(p.morsels)%dop
-	for w := range p.queues {
-		hi := lo + per
-		if w < rem {
-			hi++
-		}
-		p.queues[w].Store(packRange(uint32(lo), uint32(hi)))
-		lo = hi
+	for w, n := 0, len(p.morsels); w < dop; w++ {
+		p.queues[w].Store(packRange(uint32(w*n/dop), uint32((w+1)*n/dop)))
 	}
-
-	p.stop = make(chan struct{})
-	p.out = make(chan parMsg, dop*2)
+	for len(p.filters) < dop {
+		p.filters = append(p.filters, scanFilterScratch{})
+	}
+	errs := make([]error, dop)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < dop; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), workerLabels, func(context.Context) {
-				p.worker(w)
+				chunk := getRowBuf()
+				defer putRowBuf(chunk)
+				for m, ok := p.claim(w); ok && !failed.Load(); m, ok = p.claim(w) {
+					if errs[w] = p.walkMorsel(m, chunk, &p.filters[w], func(cb *sqltypes.ColBatch) error { return visit(w, m, cb) }); errs[w] != nil {
+						failed.Store(true)
+					}
+				}
 			})
 		}(w)
 	}
-	go func() {
-		wg.Wait()
-		close(p.out)
-	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkMorsel reads morsel m as bulk leaf chunks into *chunk, narrows each by
+// the residual kernel and hands the chunks with a surviving row to visit.
+func (p *ParallelScan) walkMorsel(m int, chunk *sqltypes.Batch, st *scanFilterScratch, visit func(cb *sqltypes.ColBatch) error) error {
+	n, width := batchSizeOf(p.ctx), len(p.schema.Cols)
+	cursor, more := p.morsels[m].Start, true
+	for more {
+		*chunk, cursor, more = p.Table.ChunkRows(cursor, p.morsels[m].End, n, (*chunk)[:0])
+		p.rowsScanned.Add(int64(len(*chunk)))
+		if ok, err := st.narrow(p.kernel, p.ctx, *chunk, width); err != nil {
+			return err
+		} else if ok {
+			if err := visit(&st.vout); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -201,26 +274,17 @@ func (p *ParallelScan) Open(ctx *EvalContext) error {
 // another worker's queue. All morsels exist before any worker starts, so one
 // full sweep finding every queue empty proves there is no work left.
 func (p *ParallelScan) claim(w int) (int, bool) {
-	q := &p.queues[w]
-	for {
-		r := q.Load()
-		lo, hi := unpackRange(r)
-		if lo >= hi {
-			break
-		}
-		if q.CompareAndSwap(r, packRange(lo+1, hi)) {
-			return int(lo), true
-		}
-	}
-	for off := 1; off < len(p.queues); off++ {
-		v := &p.queues[(w+off)%len(p.queues)]
-		for {
-			r := v.Load()
+	for off := range p.queues {
+		q := &p.queues[(w+off)%len(p.queues)]
+		for r := q.Load(); ; r = q.Load() {
 			lo, hi := unpackRange(r)
 			if lo >= hi {
 				break
 			}
-			if v.CompareAndSwap(r, packRange(lo, hi-1)) {
+			if off == 0 && q.CompareAndSwap(r, packRange(lo+1, hi)) {
+				return int(lo), true
+			}
+			if off != 0 && q.CompareAndSwap(r, packRange(lo, hi-1)) {
 				return int(hi - 1), true
 			}
 		}
@@ -228,72 +292,12 @@ func (p *ParallelScan) claim(w int) (int, bool) {
 	return 0, false
 }
 
-// filterInto appends the rows of chunk that survive the residual predicate
-// onto out. Only row headers move; the stored rows are shared and immutable.
-func (p *ParallelScan) filterInto(st *scanFilterScratch, chunk, out sqltypes.Batch) (sqltypes.Batch, error) {
-	if _, err := st.narrow(p.kernel, p.ctx, chunk, len(p.schema.Cols)); err != nil {
-		return out, err
-	}
-	return st.vout.AppendRows(out), nil
-}
-
-// worker drains morsels via claim, reading each as bulk leaf chunks and
-// sending filtered batches into the exchange.
-func (p *ParallelScan) worker(w int) {
-	n := batchSizeOf(p.ctx)
-	chunk := make(sqltypes.Batch, 0, n)
-	out := make(sqltypes.Batch, 0, n)
-	var st scanFilterScratch
-	var scanned int64
-	defer func() { p.rowsScanned.Add(scanned) }()
-	for {
-		idx, ok := p.claim(w)
-		if !ok {
-			break
-		}
-		cursor := p.morsels[idx].Start
-		for {
-			var more bool
-			chunk, cursor, more = p.Table.ChunkRows(cursor, p.morsels[idx].End, n, chunk[:0])
-			scanned += int64(len(chunk))
-			var err error
-			out, err = p.filterInto(&st, chunk, out)
-			if err != nil {
-				p.send(parMsg{err: err})
-				return
-			}
-			if len(out) >= n {
-				if !p.send(parMsg{batch: out}) {
-					return
-				}
-				out = make(sqltypes.Batch, 0, n)
-			}
-			if !more {
-				break
-			}
-		}
-	}
-	if len(out) > 0 {
-		p.send(parMsg{batch: out})
-	}
-}
-
-// send delivers a message unless the consumer has already stopped.
-func (p *ParallelScan) send(m parMsg) bool {
-	select {
-	case p.out <- m:
-		return true
-	case <-p.stop:
-		return false
-	}
-}
-
 // NextVec implements Operator. At effective DOP 1 it streams bulk leaf
 // chunks inline, narrowed by a selection like the serial Scan; otherwise it
 // wraps the next merged batch from the exchange.
 func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
 	w := len(p.schema.Cols)
-	if !p.serial {
+	if p.out != nil {
 		msg, ok := <-p.out
 		if !ok || msg.err != nil {
 			return nil, false, msg.err
@@ -310,14 +314,11 @@ func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
 // exchange so every worker unblocks and exits before Close returns. The
 // inline path just releases its buffers.
 func (p *ParallelScan) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
 	if p.stop != nil {
 		close(p.stop)
 		for range p.out {
 		}
+		p.stop = nil
 	}
 	p.walk.release()
 	p.morsels, p.queues = nil, nil

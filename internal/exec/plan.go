@@ -60,16 +60,13 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 		root.Close()
 		return nil, err
 	}
-	for {
-		cb, ok, err := root.NextVec()
-		if err != nil {
-			root.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	err := eachBatch(root, func(cb *sqltypes.ColBatch) error {
 		res.Rows = cb.AppendRows(res.Rows)
+		return nil
+	})
+	if err != nil {
+		root.Close()
+		return nil, err
 	}
 	res.Phases.Run = clk.Now().Sub(start)
 
@@ -81,42 +78,57 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 	return res, nil
 }
 
+// VisitChildren calls f with the address of every child of op, in plan
+// order; f may read the child or replace it through the pointer. It is the
+// one place in the engine that knows which operators have children (the
+// frozen bench/traced.go keeps its own switch until it may be edited).
+func VisitChildren(op Operator, f func(child *Operator)) {
+	switch op := op.(type) {
+	case *SwitchUnion:
+		for i := range op.Children {
+			f(&op.Children[i])
+		}
+	case *Filter:
+		f(&op.Child)
+	case *Project:
+		f(&op.Child)
+	case *Sort:
+		f(&op.Child)
+	case *Limit:
+		f(&op.Child)
+	case *Distinct:
+		f(&op.Child)
+	case *Aggregate:
+		f(&op.Child)
+	case *HashJoin:
+		f(&op.Left)
+		f(&op.Right)
+	case *MergeJoin:
+		f(&op.Left)
+		f(&op.Right)
+	case *IndexLoopJoin:
+		f(&op.Outer)
+	case *Traced:
+		f(&op.child)
+	}
+}
+
+// Children returns op's children in plan order.
+func Children(op Operator) []Operator {
+	var out []Operator
+	VisitChildren(op, func(c *Operator) { out = append(out, *c) })
+	return out
+}
+
 // CollectSwitchUnions walks an operator tree and returns every SwitchUnion
 // in it, so callers can inspect guard decisions after a run.
 func CollectSwitchUnions(root Operator) []*SwitchUnion {
 	var out []*SwitchUnion
-	var walk func(op Operator)
-	walk = func(op Operator) {
-		switch op := op.(type) {
-		case *SwitchUnion:
-			out = append(out, op)
-			for _, c := range op.Children {
-				walk(c)
-			}
-		case *Filter:
-			walk(op.Child)
-		case *Project:
-			walk(op.Child)
-		case *HashJoin:
-			walk(op.Left)
-			walk(op.Right)
-		case *MergeJoin:
-			walk(op.Left)
-			walk(op.Right)
-		case *IndexLoopJoin:
-			walk(op.Outer)
-		case *Sort:
-			walk(op.Child)
-		case *Limit:
-			walk(op.Child)
-		case *Distinct:
-			walk(op.Child)
-		case *Aggregate:
-			walk(op.Child)
-		case *Traced:
-			walk(op.child)
-		}
+	if su, ok := root.(*SwitchUnion); ok {
+		out = append(out, su)
 	}
-	walk(root)
+	for _, c := range Children(root) {
+		out = append(out, CollectSwitchUnions(c)...)
+	}
 	return out
 }

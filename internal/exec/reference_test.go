@@ -124,7 +124,7 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 		seen := map[string]bool{}
 		var out []sqltypes.Row
 		for _, r := range in {
-			if k := sqltypes.RowKey(r); !seen[k] {
+			if k := groupKey(r); !seen[k] {
 				seen[k] = true
 				out = append(out, r)
 			}
@@ -241,9 +241,23 @@ func refMatch(lrows []sqltypes.Row, residual exec.Compiled, kind exec.JoinKind, 
 	return out, nil
 }
 
+// groupKey is the identity grouping and DISTINCT go by: sqltypes.Key
+// equality (NULL equals NULL, INT 2 equals FLOAT 2.0, NaN equals itself)
+// with -0 equal to +0.
+func groupKey(vals sqltypes.Row) string {
+	norm := make(sqltypes.Row, len(vals))
+	for i, v := range vals {
+		if norm[i] = v; v.Kind() == sqltypes.KindFloat && v.Float() == 0 {
+			norm[i] = sqltypes.NewFloat(0)
+		}
+	}
+	return sqltypes.RowKey(norm)
+}
+
 // refAggregate groups in first-seen order and folds each group's argument
-// values: aggregates skip NULLs, SUM stays integral until a FLOAT appears,
-// and an empty input without GROUP BY still yields one row.
+// values: aggregates skip NULLs, SUM stays integral until a FLOAT appears or
+// the sum leaves int64, and an empty input without GROUP BY still yields one
+// row.
 func refAggregate(op *exec.Aggregate, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	in, err := reference(op.Child, ctx)
 	if err != nil {
@@ -256,7 +270,7 @@ func refAggregate(op *exec.Aggregate, ctx *exec.EvalContext) ([]sqltypes.Row, er
 		if err != nil {
 			return nil, err
 		}
-		k := sqltypes.RowKey(g)
+		k := groupKey(g)
 		if _, ok := groups[k]; !ok {
 			order = append(order, g)
 		}
@@ -270,7 +284,7 @@ func refAggregate(op *exec.Aggregate, ctx *exec.EvalContext) ([]sqltypes.Row, er
 		row := append(sqltypes.Row{}, g...)
 		for _, spec := range op.Aggs {
 			var vals []sqltypes.Value
-			for _, r := range groups[sqltypes.RowKey(g)] {
+			for _, r := range groups[groupKey(g)] {
 				v := sqltypes.NewInt(1) // COUNT(*) counts rows
 				if !spec.Star {
 					if v, err = spec.Arg(ctx, r); err != nil {
@@ -310,9 +324,9 @@ func refFold(fn string, vals []sqltypes.Value) (sqltypes.Value, error) {
 		switch {
 		case fn == "MIN" && v.Compare(acc) < 0, fn == "MAX" && v.Compare(acc) > 0:
 			acc = v
-		case sum && acc.Kind() == sqltypes.KindInt && v.Kind() == sqltypes.KindInt:
+		case sum && acc.Kind() == sqltypes.KindInt && v.Kind() == sqltypes.KindInt && !addOverflows(acc.Int(), v.Int()):
 			acc = sqltypes.NewInt(acc.Int() + v.Int())
-		case sum:
+		case sum: // a FLOAT on either side, or an integer sum that left int64
 			acc = sqltypes.NewFloat(acc.Float() + v.Float())
 		}
 	}
@@ -320,4 +334,11 @@ func refFold(fn string, vals []sqltypes.Value) (sqltypes.Value, error) {
 		return sqltypes.NewFloat(acc.Float() / float64(len(vals))), nil
 	}
 	return acc, nil
+}
+
+// addOverflows reports whether a+b leaves int64, by the textbook rule: the
+// operands agree in sign and the wrapped sum does not.
+func addOverflows(a, b int64) bool {
+	s := a + b
+	return (a >= 0) == (b >= 0) && (s >= 0) != (a >= 0)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/sqltypes"
@@ -22,47 +23,17 @@ import (
 func Instrument(root Operator) (Operator, *obs.TraceNode) {
 	node := &obs.TraceNode{Name: describe(root)}
 	wrapChildren(root, node)
-	t := &Traced{child: root, node: node, clk: vclock.Wall{}}
-	if su, ok := root.(*SwitchUnion); ok {
-		t.su = su
-	}
-	return t, node
+	return &Traced{child: root, node: node, clk: vclock.Wall{}}, node
 }
 
 // wrapChildren replaces each child of op with its instrumented wrapper,
 // appending the child trace nodes to node in plan order.
 func wrapChildren(op Operator, node *obs.TraceNode) {
-	wrap := func(c Operator) Operator {
-		w, cn := Instrument(c)
+	VisitChildren(op, func(c *Operator) {
+		w, cn := Instrument(*c)
 		node.Children = append(node.Children, cn)
-		return w
-	}
-	switch op := op.(type) {
-	case *SwitchUnion:
-		for i, c := range op.Children {
-			op.Children[i] = wrap(c)
-		}
-	case *Filter:
-		op.Child = wrap(op.Child)
-	case *Project:
-		op.Child = wrap(op.Child)
-	case *HashJoin:
-		op.Left = wrap(op.Left)
-		op.Right = wrap(op.Right)
-	case *MergeJoin:
-		op.Left = wrap(op.Left)
-		op.Right = wrap(op.Right)
-	case *IndexLoopJoin:
-		op.Outer = wrap(op.Outer)
-	case *Sort:
-		op.Child = wrap(op.Child)
-	case *Limit:
-		op.Child = wrap(op.Child)
-	case *Distinct:
-		op.Child = wrap(op.Child)
-	case *Aggregate:
-		op.Child = wrap(op.Child)
-	}
+		*c = w
+	})
 }
 
 // describe names an operator for the trace tree, using whatever identifying
@@ -83,28 +54,10 @@ func describe(op Operator) string {
 		return "SwitchUnion"
 	case *Remote:
 		return fmt.Sprintf("Remote(%s)", op.SQL)
-	case *Filter:
-		return "Filter"
-	case *Project:
-		return "Project"
-	case *HashJoin:
-		return "HashJoin"
-	case *MergeJoin:
-		return "MergeJoin"
 	case *IndexLoopJoin:
 		return fmt.Sprintf("IndexLoopJoin(%s.%s)", op.Inner.Def().Name, op.Index)
-	case *Sort:
-		return "Sort"
-	case *Limit:
-		return "Limit"
-	case *Distinct:
-		return "Distinct"
-	case *Aggregate:
-		return "Aggregate"
-	case *Values:
-		return "Values"
-	default:
-		return fmt.Sprintf("%T", op)
+	default: // the bare type name: Filter, HashJoin, Aggregate, ...
+		return strings.TrimPrefix(fmt.Sprintf("%T", op), "*exec.")
 	}
 }
 
@@ -113,7 +66,6 @@ func describe(op Operator) string {
 // trace node. Tree walkers unwrap it via Unwrap.
 type Traced struct {
 	child Operator
-	su    *SwitchUnion // non-nil when child is a SwitchUnion
 	node  *obs.TraceNode
 	// clk stamps the shim's timings: the wall clock until Open, then the
 	// execution's injected clock so traces replay under vclock.Virtual.
@@ -137,8 +89,8 @@ func (t *Traced) Open(ctx *EvalContext) error {
 	err := t.child.Open(ctx)
 	t.node.Open += t.clk.Now().Sub(start)
 	t.node.Opens++
-	if t.su != nil {
-		if d, ok := t.su.LastDecision(); ok {
+	if su, isGuard := t.child.(*SwitchUnion); isGuard {
+		if d, ok := su.LastDecision(); ok {
 			t.node.Guard = &obs.GuardTrace{
 				Label:      d.Label,
 				Region:     d.Region,

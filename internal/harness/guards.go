@@ -85,27 +85,10 @@ func (m *GuardMeasurement) OverheadPercent() float64 {
 // stripGuards replaces every SwitchUnion in the tree with its child at
 // branch, producing the traditional plan without currency checking.
 func stripGuards(op exec.Operator, branch int) exec.Operator {
-	switch op := op.(type) {
-	case *exec.SwitchUnion:
-		return stripGuards(op.Children[branch], branch)
-	case *exec.Filter:
-		op.Child = stripGuards(op.Child, branch)
-	case *exec.Project:
-		op.Child = stripGuards(op.Child, branch)
-	case *exec.HashJoin:
-		op.Left = stripGuards(op.Left, branch)
-		op.Right = stripGuards(op.Right, branch)
-	case *exec.IndexLoopJoin:
-		op.Outer = stripGuards(op.Outer, branch)
-	case *exec.Sort:
-		op.Child = stripGuards(op.Child, branch)
-	case *exec.Limit:
-		op.Child = stripGuards(op.Child, branch)
-	case *exec.Distinct:
-		op.Child = stripGuards(op.Child, branch)
-	case *exec.Aggregate:
-		op.Child = stripGuards(op.Child, branch)
+	if su, ok := op.(*exec.SwitchUnion); ok {
+		return stripGuards(su.Children[branch], branch)
 	}
+	exec.VisitChildren(op, func(c *exec.Operator) { *c = stripGuards(*c, branch) })
 	return op
 }
 

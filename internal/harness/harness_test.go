@@ -34,6 +34,35 @@ func TestPlanChoiceReproducesPaper(t *testing.T) {
 	}
 }
 
+// TestPlanChoiceTableIsPinned holds the report's plan-choice table — plan
+// number, cost and shape of every case at the default configuration — to
+// what it printed before aggregate statements got their own plans: none of
+// the cases aggregates or has a TOP, so a cost-model change for those must
+// leave every line, cost included, as it was.
+func TestPlanChoiceTableIsPinned(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := RunPlanChoice(&buf, sys); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"Q1   plan 1   1.01       Remote",
+		"Q2   plan 2   1623.50    HashJoin(Remote(Orders), Remote(Customer))",
+		"Q3   plan 1   1.01       Remote",
+		"Q4   plan 4   725.05     GuardJoin(NLJ(Remote(Customer), orders_prj)|HashJoin(Remote(Customer), Remote(Orders)))",
+		"Q5   plan 5   630.60     GuardJoin(NLJ(Guard(cust_prj|Remote(Customer)), orders_prj)|HashJoin(Guard(cust_prj|Remote(Customer)), Remote(Orders)))",
+		"Q6   plan 1   1.06       Remote",
+		"Q7   plan 5   12.56      Guard(cust_prj|Remote(Customer))",
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("plan-choice table lost the line %q:\n%s", line, buf.String())
+		}
+	}
+}
+
 func TestScaleStatsToPaper(t *testing.T) {
 	sys, err := NewSystem(Config{ScaleFactor: 0.002, Seed: 7, ScaleStatsToPaper: true})
 	if err != nil {

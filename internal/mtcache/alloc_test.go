@@ -2,16 +2,25 @@ package mtcache_test
 
 import (
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
 	"relaxedcc/internal/tpcd"
 )
 
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
+}
+
 // TestQueryAllocationBudget pins the allocations of plan-cache hits: a
 // guarded local point read, the same read when its guard sends it to the
-// back end, the benchmark's point join and its ~1,000-row range read
-// (scan_cust). A hit runs a tree that ran before, so what is counted is
+// back end, the benchmark's point join, its ~1,000-row range read
+// (scan_cust) and its two aggregates. A hit runs a tree that ran before, so what is counted is
 // what one execution allocates — the result, the session's bookkeeping, the
 // guard decision — plus, on the remote path, the back end parsing and
 // planning the shipped query. BENCHMARK.json bounds allocs_per_op at 1%:
@@ -19,12 +28,8 @@ import (
 // slack for a pool refill; with parse, print-back and a tree build on every
 // hit the four took 91, 140, 204 and 136.
 func TestQueryAllocationBudget(t *testing.T) {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool drops items at random under the race detector")
-			}
-		}
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	sys, err := tpcd.NewLoadedSystem(tpcd.Config{ScaleFactor: 0.1, Seed: 42})
 	if err != nil {
@@ -41,6 +46,13 @@ func TestQueryAllocationBudget(t *testing.T) {
 		{"point", point, 1, true, 13},
 		{"join", tpcd.Query(tpcd.KindJoin, 17, time.Minute), 10, true, 29},
 		{"range", tpcd.RangeQuery(0, 1000, "CURRENCY 3600 ON (Customer)"), 1353, true, 37},
+		// The aggregate templates, answered from the view: 15,000 input rows
+		// each and not one allocation per row or per group — what is left is
+		// the result, one goroutine per scan worker (31 and 32 allocations
+		// with two) and the sort. Shipped to the back end and aggregated row
+		// by row they took 15,497 and 33,229.
+		{"agg_nation", "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM Customer GROUP BY c_nationkey CURRENCY 3600 ON (Customer)", 25, true, 64},
+		{"agg_top", "SELECT TOP 10 o_custkey, SUM(o_totalprice) AS total FROM Orders WHERE o_custkey <= 1500 GROUP BY o_custkey ORDER BY total DESC CURRENCY 3600 ON (Orders)", 10, true, 64},
 		// An hour passes with replication standing still: the point read's
 		// guard now picks the remote branch.
 		{"point-remote", point, 1, false, 112},

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"math"
+
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/sqlparser"
@@ -22,6 +24,11 @@ const (
 	// costHashBuild and costHashProbe are per-row hash-join costs.
 	costHashBuild = 0.0002
 	costHashProbe = 0.00015
+	// costAggRow is the cost of grouping one input row and folding it into
+	// its accumulators, derived from the ledger: BenchmarkExecAggregate takes
+	// 33–55 ns per input row where BenchmarkExecScan/serial, which the model
+	// prices at costScanRow+costRow, takes 5 — some seven scanned rows.
+	costAggRow = 0.001
 	// costSort is the per-row per-comparison sort coefficient.
 	costSort = 0.0003
 	// costRemoteQuery is the fixed per-remote-query overhead (round trip,
@@ -272,9 +279,38 @@ func remoteFetchCost(leaf *Leaf) float64 {
 	return costRemoteQuery + backend + rows*leafRowBytes(leaf)*costByte
 }
 
-// estimateQueryOutput estimates (rows, bytesPerRow) of the whole query's
-// result, for costing the ship-everything remote plan.
-func estimateQueryOutput(q *Query) (rows, rowBytes float64) {
+// finishing prices the statement's grouping and ordering over rows input
+// rows and returns the rows they and TOP leave. A local candidate and the
+// back end (wholeRemoteCost) pay the same for it, so where a statement
+// aggregates is decided by what access and shipping cost. With TOP n the
+// sort is a bounded heap: each row is compared against n kept ones.
+func finishing(q *Query, rows float64) (cost, out float64) {
+	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
+		cost += rows * costAggRow
+		if len(q.GroupBy) > 0 {
+			rows *= 0.1 // grouped output is much smaller
+		} else {
+			rows = 1
+		}
+	}
+	top := float64(q.Top)
+	if len(q.OrderBy) > 0 && rows > 1 {
+		kept := rows
+		if q.Top > 0 && top < kept {
+			kept = top
+		}
+		cost += rows * costSort * math.Log2(kept+1)
+	}
+	if q.Top > 0 && rows > top {
+		rows = top
+	}
+	return cost, rows
+}
+
+// estimateJoinOutput estimates (rows, bytesPerRow) of the query's join
+// result, before grouping, ordering and TOP, for costing the
+// ship-everything remote plan.
+func estimateJoinOutput(q *Query) (rows, rowBytes float64) {
 	rows = 0
 	first := true
 	var width float64
@@ -311,14 +347,6 @@ func estimateQueryOutput(q *Query) (rows, rowBytes float64) {
 			rows *= 0.7
 		}
 	}
-	if len(q.GroupBy) > 0 {
-		rows = rows * 0.1 // grouped output is much smaller
-	} else if len(q.Aggs) > 0 {
-		rows = 1
-	}
-	if q.Top > 0 && rows > float64(q.Top) {
-		rows = float64(q.Top)
-	}
 	if width < 8 {
 		width = 8
 	}
@@ -326,8 +354,9 @@ func estimateQueryOutput(q *Query) (rows, rowBytes float64) {
 }
 
 // wholeRemoteCost estimates the plan that ships the entire query to the back
-// end: round trip + back-end execution + shipping the final result.
-func wholeRemoteCost(q *Query) float64 {
+// end — round trip + back-end execution, its finishing step included, +
+// shipping the final result — and the rows that come back.
+func wholeRemoteCost(q *Query) (cost, rows float64) {
 	var backendCost float64
 	prefixRows := 0.0
 	first := true
@@ -355,6 +384,7 @@ func wholeRemoteCost(q *Query) float64 {
 			backendCost += r*costHashBuild + prefixRows*costHashProbe
 		}
 	}
-	rows, width := estimateQueryOutput(q)
-	return costRemoteQuery + backendCost + rows*width*costByte
+	joined, width := estimateJoinOutput(q)
+	fin, rows := finishing(q, joined)
+	return costRemoteQuery + backendCost + fin + rows*width*costByte, rows
 }

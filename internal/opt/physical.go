@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -23,6 +24,11 @@ import (
 type Planner struct {
 	Site *Site
 	Opts Options
+	// hoist, when non-zero, marks a hoisting pass (hoistedCands): views of
+	// this currency region are accessed without guards of their own, because
+	// the finished plan goes under one guard at the root, and views of other
+	// regions are not used.
+	hoist int
 }
 
 // NewPlanner returns a planner with default options.
@@ -115,6 +121,74 @@ func maxDop(a, b int) int {
 }
 
 func (p *Planner) planQuery(q *Query) (*Plan, error) {
+	valid, err := p.candidates(q)
+	if err != nil {
+		return nil, err
+	}
+	best := valid[0]
+	for _, f := range valid[1:] {
+		if p.Opts.ForceLocal && f.usesLocal != best.usesLocal {
+			if f.usesLocal {
+				best = f
+			}
+			continue
+		}
+		// Cheaper by more than rounding noise: a plan with its guard at the
+		// root costs what its twin with the guards below the finishing step
+		// costs when the guard always passes, and comes first.
+		if f.cost < best.cost*(1-1e-9) {
+			best = f
+		}
+	}
+	return best.plan()
+}
+
+// Candidates algebrizes sel and returns every complete plan the planner
+// chooses among — those whose delivered consistency satisfies the
+// constraint — in enumeration order, for the plan-regret report that times
+// them all.
+func (p *Planner) Candidates(sel *sqlparser.SelectStmt) ([]*Plan, error) {
+	q, err := Algebrize(sel, p.Site.Cat)
+	if err != nil {
+		return nil, err
+	}
+	inferTransitivePreds(q)
+	valid, err := p.candidates(q)
+	if err != nil {
+		return nil, err
+	}
+	plans := make([]*Plan, len(valid))
+	for i, c := range valid {
+		if plans[i], err = c.plan(); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
+}
+
+// plan instantiates the candidate.
+func (c *cand) plan() (*Plan, error) {
+	root, err := c.build()
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{
+		Root:         root,
+		Build:        c.build,
+		Cost:         c.cost,
+		Delivered:    c.delivered,
+		Shape:        c.shape,
+		UsesLocal:    c.usesLocal,
+		Guards:       c.guards,
+		LocalLeaves:  c.localLeaves,
+		RemoteLeaves: c.remoteLeaves,
+		DOP:          maxDop(c.dop, 1),
+	}, nil
+}
+
+// candidates enumerates the complete plans for q that satisfy its
+// consistency constraint.
+func (p *Planner) candidates(q *Query) ([]*cand, error) {
 	// Split residual conjuncts: those touching semi/anti leaves must be
 	// evaluated inside the corresponding join; the rest filter at the top.
 	semiResiduals, innerResiduals, err := splitResiduals(q)
@@ -122,12 +196,22 @@ func (p *Planner) planQuery(q *Query) (*Plan, error) {
 		return nil, err
 	}
 
-	var finals []*cand
 	joinCands, err := p.enumerateJoins(q, semiResiduals)
 	if err != nil && (p.Site.IsBackend() || !errors.Is(err, errNoJoinPlan)) {
 		// A cache survives an enumeration the constraint emptied: the
 		// ship-everything plan below always satisfies it.
 		return nil, err
+	}
+	// At a cache the plans that fall back, from a guard at the root, to the
+	// ship-everything remote plan (the paper's plan 1) come first, to win
+	// ties, and that plan itself last.
+	var finals []*cand
+	var remote *cand
+	if !p.Site.IsBackend() {
+		remote = p.wholeRemoteCand(q)
+		if finals, err = p.hoistedCands(q, remote, semiResiduals, innerResiduals); err != nil {
+			return nil, err
+		}
 	}
 	for _, jc := range joinCands {
 		fc, err := p.finish(q, jc, innerResiduals)
@@ -136,9 +220,8 @@ func (p *Planner) planQuery(q *Query) (*Plan, error) {
 		}
 		finals = append(finals, fc)
 	}
-	// The ship-everything remote plan (the paper's plan 1).
-	if !p.Site.IsBackend() {
-		finals = append(finals, p.wholeRemoteCand(q))
+	if remote != nil {
+		finals = append(finals, remote)
 	}
 	// Keep only plans whose delivered consistency satisfies the required
 	// property (compile-time consistency checking). The back end is the
@@ -152,34 +235,7 @@ func (p *Planner) planQuery(q *Query) (*Plan, error) {
 	if len(valid) == 0 {
 		return nil, fmt.Errorf("opt: no plan satisfies consistency constraint %v", q.Constraint)
 	}
-	best := valid[0]
-	for _, f := range valid[1:] {
-		if p.Opts.ForceLocal && f.usesLocal != best.usesLocal {
-			if f.usesLocal {
-				best = f
-			}
-			continue
-		}
-		if f.cost < best.cost {
-			best = f
-		}
-	}
-	root, err := best.build()
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Root:         root,
-		Build:        best.build,
-		Cost:         best.cost,
-		Delivered:    best.delivered,
-		Shape:        best.shape,
-		UsesLocal:    best.usesLocal,
-		Guards:       best.guards,
-		LocalLeaves:  best.localLeaves,
-		RemoteLeaves: best.remoteLeaves,
-		DOP:          maxDop(best.dop, 1),
-	}, nil
+	return valid, nil
 }
 
 // splitResiduals classifies multi-leaf non-equi conjuncts.
@@ -656,7 +712,7 @@ func (p *Planner) remoteLeafCand(leaf *Leaf, schema *exec.Schema) *cand {
 // viewCand builds the guarded local-view candidate for a leaf, if the view
 // matches and compile-time pruning does not rule it out.
 func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *cand, schema *exec.Schema) (*cand, bool, error) {
-	if !viewMatches(view, leaf) {
+	if !viewMatches(view, leaf) || (p.hoist != 0 && view.RegionID != p.hoist) {
 		return nil, false, nil
 	}
 	vtbl := p.Site.LocalView(view.Name)
@@ -692,7 +748,7 @@ func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *can
 			return p.buildParallelAccess(vtbl, leaf.Binding, path, leaf)
 		}
 	}
-	if p.Opts.NoGuards {
+	if p.Opts.NoGuards || p.hoist != 0 {
 		return &cand{
 			build:       localBuild,
 			schema:      schema,
@@ -718,7 +774,7 @@ func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *can
 			if err != nil {
 				return nil, err
 			}
-			return &exec.SwitchUnion{Children: []exec.Operator{local, rem}, Selector: guard(), Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
+			return p.guarded(local, rem, guard(), label, view.RegionID, bound), nil
 		},
 		schema: schema,
 		rows:   outRows,
@@ -850,6 +906,15 @@ func rangeImplies(lit sqltypes.Value, qOp sqlparser.BinOp, vp catalog.SimplePred
 		}
 	}
 	return false
+}
+
+// guarded puts a local plan and its remote fall-back under the currency
+// guard sel of the region.
+func (p *Planner) guarded(local, remote exec.Operator, sel exec.Selector, label string, region int, bound time.Duration) *exec.SwitchUnion {
+	return &exec.SwitchUnion{
+		Children: []exec.Operator{local, remote}, Selector: sel, Label: label,
+		Region: region, Staleness: p.stalenessProbe(region), Bound: obs.NormalizeBound(bound),
+	}
 }
 
 // stalenessProbe builds the SwitchUnion's staleness observer: the region's
@@ -1536,7 +1601,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	}
 	// Cache: NLJ into a matching local view, guarded.
 	for _, view := range p.Site.Cat.ViewsOf(leaf.Table.Name) {
-		if !viewMatches(view, leaf) {
+		if !viewMatches(view, leaf) || (p.hoist != 0 && view.RegionID != p.hoist) {
 			continue
 		}
 		vtbl := p.Site.LocalView(view.Name)
@@ -1561,7 +1626,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 		localBuild := buildNLJ(vtbl, idxName, keyEdges)
 		localCost := left.cost + left.rows*(costSeek+matchPerOuter*costScanRow) + outRows*costRow
 		localDelivered := cc.Join(left.delivered, cc.DeliverScan(view.RegionID, leaf.ID))
-		if p.Opts.NoGuards {
+		if p.Opts.NoGuards || p.hoist != 0 {
 			return &cand{
 				build:        localBuild,
 				schema:       outSchema,
@@ -1599,7 +1664,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 				if err != nil {
 					return nil, err
 				}
-				return &exec.SwitchUnion{Children: []exec.Operator{localOp, remOp}, Selector: guard(), Label: label, Region: view.RegionID, Staleness: p.stalenessProbe(view.RegionID), Bound: obs.NormalizeBound(bound)}, nil
+				return p.guarded(localOp, remOp, guard(), label, view.RegionID, bound), nil
 			},
 			schema:       outSchema,
 			cost:         prob*localCost + (1-prob)*hj.cost + costGuard,
@@ -1614,6 +1679,93 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 		}, true, nil
 	}
 	return nil, false, nil
+}
+
+// ---- one guard at the root ----
+
+// hoistedCands builds, for a statement whose finishing step shrinks the
+// result (an aggregate or a TOP), the plans with a single currency guard at
+// the root: SwitchUnion(finish(local plan) | Remote(statement)). A guard
+// below the finishing step falls back to fetching the step's whole input —
+// 15,000 rows for a 25-row answer — where this one ships the statement and
+// gets the answer back. One guard can vouch for one currency region, so each
+// region with a view of one of the statement's tables gets a planning pass
+// of its own (Planner.hoist) in which that region's views are read
+// unguarded and every other table is fetched remotely; the guard checks the
+// tightest bound among the instances read from the region.
+func (p *Planner) hoistedCands(q *Query, remote *cand, semiResiduals map[cc.InstanceID][]sqlparser.Expr, innerResiduals []sqlparser.Expr) ([]*cand, error) {
+	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 && q.Top == 0 || p.Opts.NoGuards || p.Opts.NoViews {
+		return nil, nil
+	}
+	var regions []int
+	for _, leaf := range q.Leaves {
+		for _, view := range p.Site.Cat.ViewsOf(leaf.Table.Name) {
+			if !slices.Contains(regions, view.RegionID) {
+				regions = append(regions, view.RegionID)
+			}
+		}
+	}
+	slices.Sort(regions)
+	var out []*cand
+	for _, id := range regions {
+		region := p.Site.Cat.Region(id)
+		if region == nil {
+			continue
+		}
+		pass := *p
+		pass.hoist = id
+		joinCands, err := pass.enumerateJoins(q, semiResiduals)
+		if err != nil && !errors.Is(err, errNoJoinPlan) {
+			return nil, err
+		}
+		for _, jc := range joinCands {
+			if !jc.usesLocal {
+				continue
+			}
+			local, err := pass.finish(q, jc, innerResiduals)
+			if err != nil {
+				return nil, err
+			}
+			bound, constrained := time.Duration(math.MaxInt64), false
+			for _, g := range jc.delivered.Groups {
+				for _, inst := range g.Set {
+					if b, ok := q.Constraint.BoundFor(inst); ok && g.Region == id && b < bound {
+						bound, constrained = b, true
+					}
+				}
+			}
+			prob := 1.0
+			if constrained {
+				prob = cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
+			}
+			guard := p.currencyGuard(id, bound)
+			label := fmt.Sprintf("Guard(%s|Remote)", local.shape)
+			out = append(out, &cand{
+				build: func() (exec.Operator, error) {
+					l, err := local.build()
+					if err != nil {
+						return nil, err
+					}
+					r, err := remote.build()
+					if err != nil {
+						return nil, err
+					}
+					return p.guarded(l, r, guard(), label, id, bound), nil
+				},
+				schema:       local.schema,
+				cost:         prob*local.cost + (1-prob)*remote.cost + costGuard,
+				rows:         local.rows,
+				delivered:    cc.SwitchUnion(local.delivered, remote.delivered),
+				shape:        label,
+				usesLocal:    true,
+				guards:       1,
+				localLeaves:  local.localLeaves,
+				remoteLeaves: local.remoteLeaves,
+				dop:          local.dop,
+			})
+		}
+	}
+	return out, nil
 }
 
 // ---- finishing ----
@@ -1631,21 +1783,8 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 	if len(innerResiduals) > 0 {
 		rows *= 0.5
 	}
-	if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
-		cost += rows * costRow * 2
-		if len(q.GroupBy) > 0 {
-			rows *= 0.1
-		} else {
-			rows = 1
-		}
-	}
-	if len(q.OrderBy) > 0 && rows > 1 {
-		cost += rows * costSort * math.Log2(rows+1)
-	}
-	if q.Top > 0 && rows > float64(q.Top) {
-		rows = float64(q.Top)
-	}
-	cost += rows * costRow
+	fin, rows := finishing(q, rows)
+	cost += fin + rows*costRow
 
 	build := func() (exec.Operator, error) {
 		op, err := joinBuild()
@@ -1691,7 +1830,9 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 				}
 				descs[i] = o.Desc
 			}
-			op = &exec.Sort{Child: op, Keys: keys, Desc: descs}
+			// Nothing sits between the Sort and the Limit below: TOP n lets
+			// the sort keep n rows.
+			op = &exec.Sort{Child: op, Keys: keys, Desc: descs, TopN: q.Top}
 		}
 		if q.Top > 0 {
 			op = &exec.Limit{Child: op, N: q.Top}
@@ -1732,42 +1873,50 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 }
 
 // buildAggregate constructs the Aggregate operator and its output schema:
-// group columns (keeping their bindings) followed by #agg.aggN columns.
+// group columns (keeping their bindings) followed by #agg.aggN columns. A
+// column-pruning Project directly below is dropped — it would copy every
+// input row, and the aggregate reads child columns by ordinal.
 func buildAggregate(q *Query, child exec.Operator, schema *exec.Schema) (exec.Operator, *exec.Schema, error) {
-	var groupExprs []exec.Compiled
+	if pr, ok := child.(*exec.Project); ok && pr.Cols != nil {
+		child, schema = pr.Child, pr.Child.Schema()
+	}
+	agg := &exec.Aggregate{Child: child}
 	var outCols []exec.Col
 	for _, g := range q.GroupBy {
-		ref, ok := g.(*sqlparser.ColumnRef)
-		if !ok {
+		if _, ok := g.(*sqlparser.ColumnRef); !ok {
 			return nil, nil, fmt.Errorf("opt: GROUP BY supports plain columns, got %s", g.SQL())
 		}
-		c, err := exec.Compile(g, schema)
+		c, err := exec.Compile(g, schema) // rejects an unknown or ambiguous column
 		if err != nil {
 			return nil, nil, err
 		}
-		groupExprs = append(groupExprs, c)
-		idx := schema.Lookup(ref.Table, ref.Column)
-		outCols = append(outCols, schema.Cols[idx])
+		ord, _ := exec.ColOrdinal(g, schema)
+		agg.GroupBy = append(agg.GroupBy, c)
+		agg.GroupCols = append(agg.GroupCols, ord)
+		outCols = append(outCols, schema.Cols[ord])
 	}
-	var specs []exec.AggSpec
 	for _, ag := range q.Aggs {
-		spec := exec.AggSpec{Func: ag.Func, Star: ag.Star}
+		spec, ord := exec.AggSpec{Func: ag.Func, Star: ag.Star}, -1
 		if ag.Arg != nil {
 			c, err := exec.Compile(ag.Arg, schema)
 			if err != nil {
 				return nil, nil, err
 			}
 			spec.Arg = c
+			if o, ok := exec.ColOrdinal(ag.Arg, schema); ok {
+				ord = o
+			}
 		}
-		specs = append(specs, spec)
+		agg.Aggs = append(agg.Aggs, spec)
+		agg.ArgCols = append(agg.ArgCols, ord)
 		kind := sqltypes.KindFloat
 		if ag.Func == "COUNT" {
 			kind = sqltypes.KindInt
 		}
 		outCols = append(outCols, exec.Col{Binding: aggBinding, Name: ag.Ref.Column, Kind: kind})
 	}
-	out := exec.NewSchema(outCols...)
-	return &exec.Aggregate{Child: child, GroupBy: groupExprs, Aggs: specs, Out: out}, out, nil
+	agg.Out = exec.NewSchema(outCols...)
+	return agg, agg.Out, nil
 }
 
 // outputSchema derives the final result schema from the projection items.
@@ -1815,7 +1964,7 @@ func (p *Planner) wholeRemoteCand(q *Query) *cand {
 	}
 	sql := sqlparser.SelectSQL(stripCurrency(q.Stmt))
 	remoteExec := p.Site.Remote
-	rows, _ := estimateQueryOutput(q)
+	cost, rows := wholeRemoteCost(q)
 	var ids []cc.InstanceID
 	for _, l := range q.Leaves {
 		ids = append(ids, l.ID)
@@ -1831,7 +1980,7 @@ func (p *Planner) wholeRemoteCand(q *Query) *cand {
 			}, nil
 		},
 		schema:       outSchema,
-		cost:         wholeRemoteCost(q),
+		cost:         cost,
 		rows:         rows,
 		delivered:    cc.DeliverScan(catalog.MasterRegionID, ids...),
 		shape:        "Remote",

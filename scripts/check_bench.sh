@@ -120,6 +120,13 @@ gate_allocs 'BenchmarkExecScan/serial' 100
 # The local point read took 92 allocs/op while it did all three; the
 # ceiling is its count now plus two.
 gate_allocs 'BenchmarkEndToEndQuery/local-point' 14
+# The hash aggregate allocates per run and per table doubling, never per
+# row or per group: the row-at-a-time operator it replaced took one string
+# key and one map probe per input row (15,000 here). Ceilings are 1.5x the
+# counts of a freshly built tree.
+gate_allocs 'BenchmarkExecAggregate/low-card' 200
+gate_allocs 'BenchmarkExecAggregate/high-card' 270
+gate_allocs 'BenchmarkExecAggregate/topn' 300
 gate_monotone 'BenchmarkExecScan'
 gate_monotone 'BenchmarkExecFilterScan'
 gate_autotune 'BenchmarkExecAutotuneShift'
