@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint lint-fixtures loc bench bench-compare load verify cover chaos audit audit-broken
+.PHONY: build test vet race fuzz lint lint-fixtures loc bench bench-compare load verify cover chaos audit audit-broken
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ vet:
 # including the resilient link, fault injector and chaos workload.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/...
+
+# Ten seconds of native fuzzing on the comparison kernels, from the seed
+# corpus in internal/exec/testdata/fuzz (FUZZTIME overrides the duration).
+fuzz:
+	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the full in-repo static-analysis suite (cmd/rcclint), all seven
 # analyzers: operator Close propagation, lock pairing and ordering,

@@ -400,6 +400,20 @@ func benchCompile(b *testing.B, where string, schema *exec.Schema) exec.Compiled
 	return c
 }
 
+// benchKey compiles a bare column reference as a join key.
+func benchKey(b *testing.B, col string, schema *exec.Schema) exec.Compiled {
+	b.Helper()
+	sel, err := sqlparser.ParseSelect("SELECT " + col + " FROM x")
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := exec.Compile(sel.Items[0].Expr, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return key
+}
+
 // runExecBench drains a freshly built tree per iteration — counting rows
 // without materializing a result set, so the measurement isolates operator
 // throughput — and reports rows/sec plus allocations.
@@ -510,22 +524,7 @@ func BenchmarkExecHashJoin(b *testing.B) {
 	orders := sys.Backend.Table("Orders")
 	cs := benchStoredSchema(sys, "Customer")
 	os := benchStoredSchema(sys, "Orders")
-	leftKeySel, err := sqlparser.ParseSelect("SELECT o_custkey FROM x")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rightKeySel, err := sqlparser.ParseSelect("SELECT c_custkey FROM x")
-	if err != nil {
-		b.Fatal(err)
-	}
-	leftKey, err := exec.Compile(leftKeySel.Items[0].Expr, os)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rightKey, err := exec.Compile(rightKeySel.Items[0].Expr, cs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	leftKey, rightKey := benchKey(b, "o_custkey", os), benchKey(b, "c_custkey", cs)
 	b.Run("serial", func(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			hj := exec.NewHashJoin(
@@ -536,6 +535,45 @@ func BenchmarkExecHashJoin(b *testing.B) {
 			hj.LeftKeyCols = []int{os.Lookup("Orders", "o_custkey")}
 			hj.RightKeyCols = []int{cs.Lookup("Customer", "c_custkey")}
 			return hj
+		})
+	})
+}
+
+// BenchmarkExecIndexLoopJoin seeks Orders' clustered index once per customer
+// with c_acctbal >= 9000 (about a tenth of them, ten orders each) — the
+// shape of the end-to-end benchmark's join_local. rows/sec counts joined
+// rows.
+func BenchmarkExecIndexLoopJoin(b *testing.B) {
+	sys := execBenchSystem(b)
+	cust := sys.Backend.Table("Customer")
+	orders := sys.Backend.Table("Orders")
+	cs := benchStoredSchema(sys, "Customer")
+	os := benchStoredSchema(sys, "Orders")
+	const where = "c_acctbal >= 9000"
+	pred, kernel := benchCompile(b, where, cs), benchKernel(b, where, cs)
+	key := benchKey(b, "c_custkey", cs)
+	pk := orders.Def().IndexOn("o_custkey").Name // the clustered (o_custkey, o_orderkey)
+	b.Run("serial", func(b *testing.B) {
+		runExecBench(b, func() exec.Operator {
+			outer := exec.NewScan(cust, cs)
+			outer.Filter, outer.FilterKernel = pred, kernel
+			return exec.NewIndexLoopJoin(outer, orders, pk, os, []exec.Compiled{key}, nil, exec.JoinInner)
+		})
+	})
+}
+
+// BenchmarkExecMergeJoin merges Customer with Orders, both in clustered
+// (customer-key) order: every order finds its customer.
+func BenchmarkExecMergeJoin(b *testing.B) {
+	sys := execBenchSystem(b)
+	cs := benchStoredSchema(sys, "Customer")
+	os := benchStoredSchema(sys, "Orders")
+	leftKey, rightKey := benchKey(b, "c_custkey", cs), benchKey(b, "o_custkey", os)
+	b.Run("serial", func(b *testing.B) {
+		runExecBench(b, func() exec.Operator {
+			return exec.NewMergeJoin(
+				exec.NewScan(sys.Backend.Table("Customer"), cs), exec.NewScan(sys.Backend.Table("Orders"), os),
+				[]exec.Compiled{leftKey}, []exec.Compiled{rightKey}, nil, exec.JoinInner)
 		})
 	})
 }

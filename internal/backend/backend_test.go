@@ -360,3 +360,76 @@ func mustExec(t *testing.T, s *Server, sql string) {
 		t.Fatalf("%s: %v", sql, err)
 	}
 }
+
+// TestDMLMatchesAcrossWindows: matchRows walks a table matchWindow rows at a
+// time; rows on both sides of every window edge, a statement without WHERE
+// and a predicate that fails part-way must behave as over one scan.
+func TestDMLMatchesAcrossWindows(t *testing.T) {
+	s, _ := newServer(t)
+	const n = 3*matchWindow + 7
+	for i := 1; i <= n; i++ {
+		mustExec(t, s, "INSERT INTO t VALUES ("+itoa(i)+", 'r', "+itoa(i)+")")
+	}
+	edges := 0
+	for w := matchWindow; w < n; w += matchWindow {
+		edges += 2
+		mustExec(t, s, "UPDATE t SET name = 'edge' WHERE id = "+itoa(w)+" OR id = "+itoa(w+1))
+	}
+	if got, err := s.Exec("UPDATE t SET bal = bal + 1 WHERE name = 'edge'"); err != nil || got != edges {
+		t.Fatalf("rows at window edges: %d, %v; want %d", got, err, edges)
+	}
+	if got, err := s.Exec("DELETE FROM t WHERE id = " + itoa(n)); err != nil || got != 1 {
+		t.Fatalf("last row: %d, %v", got, err)
+	}
+	seq := s.Log().LastSeq()
+	if _, err := s.Exec("UPDATE t SET bal = 0 WHERE 1 / (id - " + itoa(2*matchWindow+3) + ") >= 0"); err == nil {
+		t.Fatal("division by zero in the third window went unreported")
+	}
+	if s.Log().LastSeq() != seq {
+		t.Fatal("failed statement wrote the log")
+	}
+	if got, err := s.Exec("DELETE FROM t"); err != nil || got != n-1 {
+		t.Fatalf("DELETE without WHERE: %d, %v; want %d", got, err, n-1)
+	}
+}
+
+// BenchmarkDMLMatch times a DELETE that matches nothing over 150,000 rows —
+// the whole statement is matchRows — with the table left in cache by the
+// previous iteration and after a 256 MB sweep has pushed it out. The two
+// should stay close: what a statement costs must not hang on what ran before
+// it. (The same statement over the end-to-end benchmark's Orders table, on a
+// quiet host: 4.5 ms warm and 5.9 ms cold; row at a time, 4.0 and 8.7 ms.)
+func BenchmarkDMLMatch(b *testing.B) {
+	s := New(vclock.NewVirtual())
+	if _, err := s.Exec(`CREATE TABLE o (c BIGINT NOT NULL, k BIGINT NOT NULL, p DOUBLE, PRIMARY KEY (c, k))`); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, 150000)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i / 10)), sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i))}
+	}
+	if err := s.LoadRows("o", rows); err != nil {
+		b.Fatal(err)
+	}
+	sweep := make([]int64, 256<<20/8)
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					for j := 0; j < len(sweep); j += 8 {
+						sweep[j]++
+					}
+					b.StartTimer()
+				}
+				if n, err := s.Exec("DELETE FROM o WHERE c = -1 AND k = -1"); err != nil || n != 0 {
+					b.Fatalf("%d, %v", n, err)
+				}
+			}
+		})
+	}
+}

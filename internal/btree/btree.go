@@ -16,34 +16,36 @@ import "sort"
 // up to degree-1 entries.
 const degree = 64
 
-// Tree is a B+-tree mapping string keys to arbitrary payloads.
+// Tree is a B+-tree mapping string keys to payloads of type V, stored
+// unboxed in the leaves (storage instantiates Tree[sqltypes.Row] for
+// clustered indexes and Tree[string] for secondary ones).
 // The zero value is an empty tree ready for use.
-type Tree struct {
-	root   *node
+type Tree[V any] struct {
+	root   *node[V]
 	length int
 }
 
-type node struct {
+type node[V any] struct {
 	// keys holds the entry keys in a leaf, or the separator keys in an
 	// interior node (len(children) == len(keys)+1).
 	keys     []string
-	vals     []any   // leaf only
-	children []*node // interior only
-	next     *node   // leaf only: right sibling
+	vals     []V        // leaf only
+	children []*node[V] // interior only
+	next     *node[V]   // leaf only: right sibling
 	leaf     bool
 }
 
 // New returns an empty tree.
-func New() *Tree { return &Tree{} }
+func New[V any]() *Tree[V] { return &Tree[V]{} }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.length }
+func (t *Tree[V]) Len() int { return t.length }
 
 // Get returns the payload stored under key, if any.
-func (t *Tree) Get(key string) (any, bool) {
+func (t *Tree[V]) Get(key string) (val V, ok bool) {
 	n := t.root
 	if n == nil {
-		return nil, false
+		return val, false
 	}
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
@@ -52,18 +54,18 @@ func (t *Tree) Get(key string) (any, bool) {
 	if i < len(n.keys) && n.keys[i] == key {
 		return n.vals[i], true
 	}
-	return nil, false
+	return val, false
 }
 
 // Set stores val under key, replacing any existing payload.
 // It reports whether the key was newly inserted.
-func (t *Tree) Set(key string, val any) bool {
+func (t *Tree[V]) Set(key string, val V) bool {
 	if t.root == nil {
-		t.root = &node{leaf: true}
+		t.root = &node[V]{leaf: true}
 	}
 	if t.root.full() {
 		old := t.root
-		t.root = &node{children: []*node{old}}
+		t.root = &node[V]{children: []*node[V]{old}}
 		t.root.splitChild(0)
 	}
 	inserted := t.root.insert(key, val)
@@ -73,7 +75,7 @@ func (t *Tree) Set(key string, val any) bool {
 	return inserted
 }
 
-func (n *node) full() bool { return len(n.keys) >= degree-1 }
+func (n *node[V]) full() bool { return len(n.keys) >= degree-1 }
 
 // childIndex returns the child slot to descend into for key.
 func childIndex(keys []string, key string) int {
@@ -81,7 +83,7 @@ func childIndex(keys []string, key string) int {
 	return sort.Search(len(keys), func(i int) bool { return keys[i] > key })
 }
 
-func (n *node) insert(key string, val any) bool {
+func (n *node[V]) insert(key string, val V) bool {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
@@ -91,7 +93,7 @@ func (n *node) insert(key string, val any) bool {
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.vals = append(n.vals, nil)
+		n.vals = append(n.vals, val)
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = val
 		return true
@@ -107,11 +109,11 @@ func (n *node) insert(key string, val any) bool {
 }
 
 // splitChild splits the full child at index i, promoting a separator.
-func (n *node) splitChild(i int) {
+func (n *node[V]) splitChild(i int) {
 	child := n.children[i]
 	mid := len(child.keys) / 2
 	var sep string
-	right := &node{leaf: child.leaf}
+	right := &node[V]{leaf: child.leaf}
 	if child.leaf {
 		right.keys = append(right.keys, child.keys[mid:]...)
 		right.vals = append(right.vals, child.vals[mid:]...)
@@ -136,7 +138,7 @@ func (n *node) splitChild(i int) {
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-func (t *Tree) Delete(key string) bool {
+func (t *Tree[V]) Delete(key string) bool {
 	if t.root == nil {
 		return false
 	}
@@ -155,7 +157,7 @@ func (t *Tree) Delete(key string) bool {
 
 const minKeys = (degree - 1) / 2
 
-func (n *node) delete(key string) bool {
+func (n *node[V]) delete(key string) bool {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i >= len(n.keys) || n.keys[i] != key {
@@ -177,21 +179,21 @@ func (n *node) delete(key string) bool {
 
 // rebalance ensures children[i] has more than minKeys entries by borrowing
 // from a sibling or merging with one.
-func (n *node) rebalance(i int) {
+func (n *node[V]) rebalance(i int) {
 	child := n.children[i]
 	if i > 0 && len(n.children[i-1].keys) > minKeys {
 		left := n.children[i-1]
 		if child.leaf {
 			k := len(left.keys) - 1
 			child.keys = append([]string{left.keys[k]}, child.keys...)
-			child.vals = append([]any{left.vals[k]}, child.vals...)
+			child.vals = append([]V{left.vals[k]}, child.vals...)
 			left.keys = left.keys[:k]
 			left.vals = left.vals[:k]
 			n.keys[i-1] = child.keys[0]
 		} else {
 			k := len(left.keys) - 1
 			child.keys = append([]string{n.keys[i-1]}, child.keys...)
-			child.children = append([]*node{left.children[k+1]}, child.children...)
+			child.children = append([]*node[V]{left.children[k+1]}, child.children...)
 			n.keys[i-1] = left.keys[k]
 			left.keys = left.keys[:k]
 			left.children = left.children[:k+1]
@@ -236,14 +238,14 @@ func (n *node) rebalance(i int) {
 
 // Ascend calls fn for every entry in ascending key order until fn returns
 // false.
-func (t *Tree) Ascend(fn func(key string, val any) bool) {
+func (t *Tree[V]) Ascend(fn func(key string, val V) bool) {
 	t.AscendRange("", "", fn)
 }
 
 // AscendRange calls fn for entries with start <= key < end in ascending
 // order, until fn returns false. An empty start means from the beginning; an
 // empty end means to the end.
-func (t *Tree) AscendRange(start, end string, fn func(key string, val any) bool) {
+func (t *Tree[V]) AscendRange(start, end string, fn func(key string, val V) bool) {
 	n := t.root
 	if n == nil {
 		return
@@ -268,40 +270,43 @@ func (t *Tree) AscendRange(start, end string, fn func(key string, val any) bool)
 	}
 }
 
-// AscendLeaves calls fn once per leaf with the keys and payloads falling in
-// [start, end), in ascending order, until fn returns false. The slices alias
-// leaf storage and must not be retained or mutated. It is the bulk
-// counterpart of AscendRange: batch consumers avoid the per-entry callback
-// and amortize traversal to one call per leaf.
-func (t *Tree) AscendLeaves(start, end string, fn func(keys []string, vals []any) bool) {
+// AppendRange appends to dst the payloads of up to limit entries with
+// start <= key < end, in ascending order, copying whole leaf windows instead
+// of visiting entries one at a time. It returns the grown slice, the key at
+// which the next call resumes, and whether entries may remain in the range;
+// the resume entry itself has not been appended. An empty start means from
+// the beginning; an empty end means to the end. It is the bulk counterpart
+// of AscendRange and calls nothing back, so a caller that encodes its bounds
+// on the stack walks the tree without allocating.
+func (t *Tree[V]) AppendRange(dst []V, start, end string, limit int) (out []V, next string, more bool) {
 	n := t.root
 	if n == nil {
-		return
+		return dst, "", false
 	}
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, start)]
 	}
-	i := sort.SearchStrings(n.keys, start)
-	for n != nil {
+	for i := sort.SearchStrings(n.keys, start); n != nil; n, i = n.next, 0 {
 		j := len(n.keys)
 		if end != "" && j > 0 && n.keys[j-1] >= end {
 			j = sort.SearchStrings(n.keys, end)
 		}
+		if limit < j-i {
+			return append(dst, n.vals[i:i+limit]...), n.keys[i+limit], true
+		}
 		if i < j {
-			if !fn(n.keys[i:j], n.vals[i:j]) {
-				return
-			}
+			dst = append(dst, n.vals[i:j]...)
+			limit -= j - i
 		}
 		if j < len(n.keys) {
-			return // end bound fell inside this leaf
+			break // end bound fell inside this leaf
 		}
-		n = n.next
-		i = 0
 	}
+	return dst, "", false
 }
 
 // AscendPrefix calls fn for every entry whose key begins with prefix.
-func (t *Tree) AscendPrefix(prefix string, fn func(key string, val any) bool) {
+func (t *Tree[V]) AscendPrefix(prefix string, fn func(key string, val V) bool) {
 	if prefix == "" {
 		t.Ascend(fn)
 		return
@@ -317,42 +322,49 @@ func PrefixEnd(prefix string) string { return prefixEnd(prefix) }
 // prefixEnd returns the smallest string greater than every string with the
 // given prefix, or "" if there is none (all 0xFF).
 func prefixEnd(prefix string) string {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xFF {
-			b[i]++
-			return string(b[:i+1])
+	var buf [64]byte // a key this short costs one allocation, the result
+	return string(AppendPrefixEnd(buf[:0], []byte(prefix)))
+}
+
+// AppendPrefixEnd appends PrefixEnd(prefix) to dst, for callers that keep
+// their keys in a byte buffer. prefix may alias dst's contents.
+func AppendPrefixEnd(dst, prefix []byte) []byte {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xFF {
+			dst = append(dst, prefix[:i+1]...)
+			dst[len(dst)-1]++
+			break
 		}
 	}
-	return ""
+	return dst
 }
 
 // Min returns the smallest key and its payload.
-func (t *Tree) Min() (key string, val any, ok bool) {
+func (t *Tree[V]) Min() (key string, val V, ok bool) {
 	n := t.root
 	if n == nil {
-		return "", nil, false
+		return "", val, false
 	}
 	for !n.leaf {
 		n = n.children[0]
 	}
 	if len(n.keys) == 0 {
-		return "", nil, false
+		return "", val, false
 	}
 	return n.keys[0], n.vals[0], true
 }
 
 // Max returns the largest key and its payload.
-func (t *Tree) Max() (key string, val any, ok bool) {
+func (t *Tree[V]) Max() (key string, val V, ok bool) {
 	n := t.root
 	if n == nil {
-		return "", nil, false
+		return "", val, false
 	}
 	for !n.leaf {
 		n = n.children[len(n.children)-1]
 	}
 	if len(n.keys) == 0 {
-		return "", nil, false
+		return "", val, false
 	}
 	return n.keys[len(n.keys)-1], n.vals[len(n.keys)-1], true
 }
@@ -360,7 +372,7 @@ func (t *Tree) Max() (key string, val any, ok bool) {
 // CheckInvariants walks the tree verifying structural invariants; it is used
 // by tests (including property-based tests). It returns a non-empty string
 // describing the first violation found, or "" if the tree is well-formed.
-func (t *Tree) CheckInvariants() string {
+func (t *Tree[V]) CheckInvariants() string {
 	if t.root == nil {
 		if t.length != 0 {
 			return "nil root with nonzero length"
@@ -397,7 +409,7 @@ func (t *Tree) CheckInvariants() string {
 	return ""
 }
 
-func (n *node) check(isRoot bool) (count int, min, max string, msg string) {
+func (n *node[V]) check(isRoot bool) (count int, min, max string, msg string) {
 	if n.leaf {
 		if len(n.vals) != len(n.keys) {
 			return 0, "", "", "leaf keys/vals length mismatch"

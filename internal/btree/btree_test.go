@@ -9,7 +9,7 @@ import (
 )
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if tr.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", tr.Len())
 	}
@@ -26,14 +26,14 @@ func TestEmptyTree(t *testing.T) {
 		t.Fatal("Max on empty tree returned ok")
 	}
 	called := false
-	tr.Ascend(func(string, any) bool { called = true; return true })
+	tr.Ascend(func(string, int) bool { called = true; return true })
 	if called {
 		t.Fatal("Ascend on empty tree visited an entry")
 	}
 }
 
 func TestSetGetSingle(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	if !tr.Set("a", 1) {
 		t.Fatal("first Set returned false")
 	}
@@ -41,7 +41,7 @@ func TestSetGetSingle(t *testing.T) {
 		t.Fatal("overwrite Set returned true")
 	}
 	v, ok := tr.Get("a")
-	if !ok || v.(int) != 2 {
+	if !ok || v != 2 {
 		t.Fatalf("Get = %v,%v, want 2,true", v, ok)
 	}
 	if tr.Len() != 1 {
@@ -50,7 +50,7 @@ func TestSetGetSingle(t *testing.T) {
 }
 
 func TestInsertManyAscendSorted(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	const n = 5000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
@@ -63,9 +63,9 @@ func TestInsertManyAscendSorted(t *testing.T) {
 		t.Fatalf("invariants: %s", msg)
 	}
 	want := 0
-	tr.Ascend(func(k string, v any) bool {
-		if v.(int) != want {
-			t.Fatalf("ascend order: got %d, want %d", v.(int), want)
+	tr.Ascend(func(k string, v int) bool {
+		if v != want {
+			t.Fatalf("ascend order: got %d, want %d", v, want)
 		}
 		want++
 		return true
@@ -76,13 +76,13 @@ func TestInsertManyAscendSorted(t *testing.T) {
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100; i++ {
 		tr.Set(fmt.Sprintf("%03d", i), i)
 	}
 	var got []int
-	tr.AscendRange("010", "020", func(k string, v any) bool {
-		got = append(got, v.(int))
+	tr.AscendRange("010", "020", func(k string, v int) bool {
+		got = append(got, v)
 		return true
 	})
 	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
@@ -90,7 +90,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Early termination.
 	count := 0
-	tr.AscendRange("000", "", func(string, any) bool {
+	tr.AscendRange("000", "", func(string, int) bool {
 		count++
 		return count < 5
 	})
@@ -99,7 +99,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Start beyond the end.
 	visited := false
-	tr.AscendRange("zzz", "", func(string, any) bool { visited = true; return true })
+	tr.AscendRange("zzz", "", func(string, int) bool { visited = true; return true })
 	if visited {
 		t.Fatal("range past max visited entries")
 	}
@@ -108,7 +108,7 @@ func TestAscendRange(t *testing.T) {
 func TestAscendRangeStartEqualsSeparator(t *testing.T) {
 	// Insert enough sequential keys to force splits, then scan starting at
 	// every key; each scan must start exactly at its key.
-	tr := New()
+	tr := New[int]()
 	const n = 1000
 	for i := 0; i < n; i++ {
 		tr.Set(fmt.Sprintf("%05d", i), i)
@@ -116,8 +116,8 @@ func TestAscendRangeStartEqualsSeparator(t *testing.T) {
 	for i := 0; i < n; i += 7 {
 		start := fmt.Sprintf("%05d", i)
 		first := -1
-		tr.AscendRange(start, "", func(k string, v any) bool {
-			first = v.(int)
+		tr.AscendRange(start, "", func(k string, v int) bool {
+			first = v
 			return false
 		})
 		if first != i {
@@ -127,13 +127,13 @@ func TestAscendRangeStartEqualsSeparator(t *testing.T) {
 }
 
 func TestAscendPrefix(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	tr.Set("apple", 1)
 	tr.Set("app", 2)
 	tr.Set("banana", 3)
 	tr.Set("applet", 4)
 	var keys []string
-	tr.AscendPrefix("app", func(k string, v any) bool {
+	tr.AscendPrefix("app", func(k string, v int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -157,8 +157,21 @@ func TestPrefixEndAllFF(t *testing.T) {
 	}
 }
 
+// A range end is computed once per bounded scan opened, point reads
+// included: it may cost the string it returns and nothing else.
+func TestPrefixEndAllocatesOnlyItsResult(t *testing.T) {
+	key := "customer\x00\x00\x00\x00\x00\x00\x00\x11"
+	var got string
+	if n := testing.AllocsPerRun(100, func() { got = PrefixEnd(key) }); n > 1 {
+		t.Fatalf("PrefixEnd allocates %v times, want 1", n)
+	}
+	if got <= key || len(got) != len(key) {
+		t.Fatalf("PrefixEnd(%q) = %q", key, got)
+	}
+}
+
 func TestDeleteAll(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	const n = 3000
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(n)
@@ -185,7 +198,7 @@ func TestDeleteAll(t *testing.T) {
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 200; i++ {
 		tr.Set(fmt.Sprintf("%03d", i), i)
 	}
@@ -198,7 +211,7 @@ func TestDeleteMissing(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	tr := New()
+	tr := New[string]()
 	for _, k := range []string{"m", "c", "z", "a", "q"} {
 		tr.Set(k, k)
 	}
@@ -211,17 +224,31 @@ func TestMinMax(t *testing.T) {
 }
 
 // TestQuickAgainstMap property-tests the tree against a reference map under
-// random interleaved inserts, overwrites and deletes.
+// random interleaved inserts, overwrites and deletes, then reads random
+// ranges back through AppendRange in limited chunks. It runs on both payload
+// shapes storage instantiates: a slice (clustered rows) and a string
+// (secondary-index entries).
 func TestQuickAgainstMap(t *testing.T) {
+	t.Run("slice", func(t *testing.T) {
+		quickAgainstMap(t, func(rng *rand.Rand) []int { return []int{rng.Int(), rng.Int()} },
+			func(a, b []int) bool { return len(a) == 2 && len(b) == 2 && a[0] == b[0] && a[1] == b[1] })
+	})
+	t.Run("string", func(t *testing.T) {
+		quickAgainstMap(t, func(rng *rand.Rand) string { return fmt.Sprint(rng.Int()) },
+			func(a, b string) bool { return a == b })
+	})
+}
+
+func quickAgainstMap[V any](t *testing.T, gen func(*rand.Rand) V, eq func(a, b V) bool) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
-		ref := map[string]int{}
+		tr := New[V]()
+		ref := map[string]V{}
 		for op := 0; op < 2000; op++ {
 			k := fmt.Sprintf("%04d", rng.Intn(500))
 			switch rng.Intn(3) {
 			case 0, 1:
-				v := rng.Int()
+				v := gen(rng)
 				tr.Set(k, v)
 				ref[k] = v
 			case 2:
@@ -247,15 +274,54 @@ func TestQuickAgainstMap(t *testing.T) {
 		sort.Strings(keys)
 		i := 0
 		ok := true
-		tr.Ascend(func(k string, v any) bool {
-			if i >= len(keys) || k != keys[i] || v.(int) != ref[k] {
+		tr.Ascend(func(k string, v V) bool {
+			if i >= len(keys) || k != keys[i] || !eq(v, ref[k]) {
 				ok = false
 				return false
 			}
 			i++
 			return true
 		})
-		return ok && i == len(keys)
+		if !ok || i != len(keys) {
+			return false
+		}
+		// Bulk reads: a random range, resumed in chunks of a random limit,
+		// returns exactly the reference's entries of that range.
+		for q := 0; q < 50; q++ {
+			start, end := fmt.Sprintf("%04d", rng.Intn(520)), fmt.Sprintf("%04d", rng.Intn(520))
+			if rng.Intn(4) == 0 {
+				start = ""
+			}
+			if rng.Intn(4) == 0 {
+				end = ""
+			}
+			limit := 1 + rng.Intn(150)
+			var got []V
+			for cursor, more := start, true; more; {
+				before := len(got)
+				got, cursor, more = tr.AppendRange(got, cursor, end, limit)
+				if len(got)-before > limit || (more && len(got)-before != limit) {
+					return false
+				}
+			}
+			lo := sort.SearchStrings(keys, start)
+			hi := len(keys)
+			if end != "" {
+				hi = sort.SearchStrings(keys, end)
+			}
+			if hi < lo {
+				hi = lo
+			}
+			if len(got) != hi-lo {
+				return false
+			}
+			for i, v := range got {
+				if !eq(v, ref[keys[lo+i]]) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -269,7 +335,7 @@ func BenchmarkInsert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := New()
+		tr := New[int]()
 		for _, k := range keys {
 			tr.Set(k, i)
 		}
@@ -277,7 +343,7 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
+	tr := New[int]()
 	for i := 0; i < 100000; i++ {
 		tr.Set(fmt.Sprintf("%08d", i), i)
 	}

@@ -9,14 +9,14 @@ import "sort"
 // or the leaves are reached; because B+-tree nodes are at least half full,
 // subtree sizes — and therefore the resulting ranges — are balanced within
 // a small constant factor. Returns nil when the tree is too small to split.
-func (t *Tree) SplitKeys(parts int) []string {
+func (t *Tree[V]) SplitKeys(parts int) []string {
 	if parts <= 1 || t.root == nil {
 		return nil
 	}
 	var seps []string
-	level := []*node{t.root}
+	level := []*node[V]{t.root}
 	for len(seps) < parts-1 && !level[0].leaf {
-		next := make([]*node, 0, len(level)*2)
+		next := make([]*node[V], 0, len(level)*2)
 		for _, n := range level {
 			seps = append(seps, n.keys...)
 			next = append(next, n.children...)

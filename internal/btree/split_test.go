@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func splitTree(n int) *Tree {
-	tr := New()
+func splitTree(n int) *Tree[int] {
+	tr := New[int]()
 	for i := 0; i < n; i++ {
 		tr.Set(fmt.Sprintf("%08d", i), i)
 	}
@@ -38,7 +38,7 @@ func TestSplitKeysPartitionsEvenly(t *testing.T) {
 		total := 0
 		for i := 0; i+1 < len(bounds); i++ {
 			cnt := 0
-			tr.AscendRange(bounds[i], bounds[i+1], func(string, any) bool {
+			tr.AscendRange(bounds[i], bounds[i+1], func(string, int) bool {
 				cnt++
 				return true
 			})
@@ -55,7 +55,7 @@ func TestSplitKeysPartitionsEvenly(t *testing.T) {
 }
 
 func TestSplitKeysSmallTrees(t *testing.T) {
-	if got := New().SplitKeys(4); got != nil {
+	if got := New[int]().SplitKeys(4); got != nil {
 		t.Fatalf("empty tree: %v", got)
 	}
 	if got := splitTree(1).SplitKeys(1); got != nil {
@@ -70,7 +70,7 @@ func TestSplitKeysSmallTrees(t *testing.T) {
 	total := 0
 	bounds := append(append([]string{""}, seps...), "")
 	for i := 0; i+1 < len(bounds); i++ {
-		tr.AscendRange(bounds[i], bounds[i+1], func(string, any) bool {
+		tr.AscendRange(bounds[i], bounds[i+1], func(string, int) bool {
 			total++
 			return true
 		})

@@ -20,8 +20,8 @@ func batchSizeOf(ctx *EvalContext) int {
 }
 
 // rowBufPool recycles the row-reference buffers behind row-backed batches:
-// scan chunks and index snapshots, and the output windows of operators that
-// build rows (Project, the joins). Pooled as *Batch so Put does not allocate
+// scan chunks and index snapshots, and the output window of a Project that
+// builds rows. Pooled as *Batch so Put does not allocate
 // a header box per cycle.
 var rowBufPool = sync.Pool{
 	New: func() any {
@@ -78,8 +78,8 @@ func selFor(buf []int32, cb *sqltypes.ColBatch) []int32 {
 }
 
 // rowReader walks a child's batches through the row view, for operators
-// whose logic is sequential in rows (merging, one index seek per outer row,
-// grouping, sort-key evaluation). Rows it returns are shared and immutable
+// whose logic is sequential in rows (the merge join's right side, sort-key
+// evaluation). Rows it returns are shared and immutable
 // and may be retained.
 type rowReader struct {
 	rows sqltypes.Batch
@@ -123,45 +123,4 @@ func (w *rowWindow) next(width int) (*sqltypes.ColBatch, bool, error) {
 	w.out.ResetRows(w.rows[w.pos:end], width)
 	w.pos = end
 	return &w.out, true, nil
-}
-
-// rowSource is an operator-internal row-at-a-time state machine (the merge
-// and index-loop joins) that rowBuilder batches up.
-type rowSource interface {
-	nextRow() (sqltypes.Row, bool, error)
-}
-
-// rowBuilder collects rows an operator produces one at a time into
-// row-backed output batches over a pooled reference buffer.
-type rowBuilder struct {
-	buf *sqltypes.Batch
-	out sqltypes.ColBatch
-}
-
-func (b *rowBuilder) fill(src rowSource, ctx *EvalContext, width int) (*sqltypes.ColBatch, bool, error) {
-	if b.buf == nil {
-		b.buf = getRowBuf()
-	}
-	rows := (*b.buf)[:0]
-	for n := batchSizeOf(ctx); len(rows) < n; {
-		row, ok, err := src.nextRow()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
-	*b.buf = rows
-	if len(rows) == 0 {
-		return nil, false, nil
-	}
-	b.out.ResetRows(rows, width)
-	return &b.out, true, nil
-}
-
-func (b *rowBuilder) release() {
-	putRowBuf(b.buf)
-	b.buf = nil
 }

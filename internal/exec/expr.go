@@ -302,6 +302,7 @@ func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
 			return sqltypes.NewBool(!decides), nil
 		}, nil
 	case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
+		bits := truthBits(op)
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			lv, err := left(ctx, row)
 			if err != nil {
@@ -317,7 +318,7 @@ func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
 			if err := comparableValues(lv, rv); err != nil {
 				return sqltypes.Null, err
 			}
-			return sqltypes.NewBool(cmpTrue(op, lv.Compare(rv))), nil
+			return sqltypes.NewBool(cmpTrue(bits, lv.Compare(rv))), nil
 		}, nil
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {

@@ -16,12 +16,10 @@ import (
 //   - The build side is one open-addressed table over precomputed 64-bit
 //     key hashes: slot arrays plus an intrusive chain through row indexes,
 //     no per-key map entries or match slices.
-//   - Inner joins emit their output as typed column vectors gathered from
-//     the matched probe and build rows, reusing the vector backing across
-//     batches — steady-state zero allocation. A residual is tested over a
-//     reused scratch row before a pair is admitted, so no joined row is
-//     ever materialized here. Semi and anti joins emit the probe batch
-//     narrowed by a selection vector.
+//   - Matches leave through the shared emitter (join.go): inner joins as
+//     typed column vectors gathered from the matched probe rows and the
+//     build side transposed once per Open, semi and anti joins as the probe
+//     batch narrowed by a selection vector — steady-state zero allocation.
 
 // Key class codes for normalized join keys. INT and FLOAT share keyNum
 // (payload compared as float64 bits with -0 normalized to +0) because
@@ -251,22 +249,12 @@ type HashJoin struct {
 	chainNext []int32 // next build row with the same hash, -1 = end
 	mask      uint64
 
-	// Probe state. probe is the dense row view of the current child batch
-	// (valid until we pull the next one); chain is the build row the
-	// inner-join emission resumes from.
-	probe     sqltypes.Batch
-	probeBuf  sqltypes.Batch
-	pi        int
-	probeDone bool
+	// Probe state: the normalized keys of the emitter's current probe batch,
+	// and the build row the inner-join emission resumes from.
+	out       joinOut
 	probeKeys *joinKeys
 	probeHash []uint64
 	chain     int32
-	scratch   sqltypes.Row // reusable joined-row buffer for residual tests
-	// Output state: match pair buffers (probe index, build row index), the
-	// semi/anti selection, and the reusable output batch.
-	pr, pm []int32
-	vsel   []int32
-	vout   sqltypes.ColBatch
 }
 
 // NewHashJoin builds a hash join; key lists must be equal length.
@@ -289,7 +277,8 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 	h.ctx = ctx
 	h.buildRows = h.buildRows[:0]
 	h.chain = -1
-	h.probe, h.pi, h.probeDone = nil, 0, false
+	h.out.reset(ctx, h.Residual, h.Kind, len(h.Left.Schema().Cols), len(h.schema.Cols))
+	h.out.bcols = &h.bcols
 	if h.buildKeys == nil {
 		h.buildKeys = newJoinKeys(len(h.RightKeys))
 		h.probeKeys = newJoinKeys(len(h.LeftKeys))
@@ -381,10 +370,10 @@ func (h *HashJoin) lookup(hash uint64) int32 {
 // the reusable scratch columns.
 func (h *HashJoin) probeBatch(cb *sqltypes.ColBatch) error {
 	h.probeKeys.reset()
-	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb, h.probe); err != nil {
+	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb, h.out.probe); err != nil {
 		return err
 	}
-	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], len(h.probe))
+	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], len(h.out.probe))
 	return nil
 }
 
@@ -398,17 +387,12 @@ func (h *HashJoin) matchesFor(r int) int32 {
 }
 
 // pairMatches reports whether probe row r joins build row m: key equality
-// (a chain only shares the hash) and then the residual, evaluated over a
-// scratch row that is reused and never emitted.
+// (a chain only shares the hash) and then the residual.
 func (h *HashJoin) pairMatches(r int, m int32) (bool, error) {
 	if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
 		return false, nil
 	}
-	if h.Residual == nil {
-		return true, nil
-	}
-	h.scratch = append(append(h.scratch[:0], h.probe[r]...), h.buildRows[m]...)
-	return PredicateTrue(h.Residual, h.ctx, h.scratch)
+	return h.out.admit(h.out.probe[r], h.buildRows[m])
 }
 
 // anyMatch walks probe row r's chain for a joining build row, for semi/anti
@@ -422,139 +406,38 @@ func (h *HashJoin) anyMatch(r int) (bool, error) {
 	return false, nil
 }
 
-// nextProbe pulls and preprocesses the next probe batch. ok is false when
-// the probe side is exhausted.
-func (h *HashJoin) nextProbe() (bool, error) {
-	if h.probeDone {
-		return false, nil
-	}
-	cb, ok, err := h.Left.NextVec()
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		h.probeDone = true
-		return false, nil
-	}
-	h.probe, h.pi = denseRows(cb, &h.probeBuf), 0
-	return true, h.probeBatch(cb)
-}
-
 // NextVec implements Operator.
-func (h *HashJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if h.Kind == JoinInner {
-		return h.nextVecInner()
-	}
-	return h.nextVecSemiAnti()
-}
+func (h *HashJoin) NextVec() (*sqltypes.ColBatch, bool, error) { return h.out.next(h, h.Left) }
 
-// nextVecInner collects up to a batch of (probe, build) match pairs from
-// the current probe batch and gathers them column-wise into the reusable
-// output vectors.
-func (h *HashJoin) nextVecInner() (*sqltypes.ColBatch, bool, error) {
-	n := batchSizeOf(h.ctx)
-	for {
-		if h.chain >= 0 || h.pi < len(h.probe) {
-			if err := h.collectPairs(n); err != nil {
-				return nil, false, err
-			}
-			if len(h.pr) > 0 {
-				h.gatherPairs()
-				return &h.vout, true, nil
-			}
-			continue
-		}
-		ok, err := h.nextProbe()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-	}
-}
-
-// collectPairs fills pr/pm with up to n match pairs from the current probe
-// batch; chain carries a probe row's unfinished matches across calls.
-func (h *HashJoin) collectPairs(n int) error {
-	h.pr, h.pm = h.pr[:0], h.pm[:0]
-	for len(h.pr) < n {
+// collectPairs fills the emitter's pair lists with up to n match pairs from
+// the current probe batch; chain carries a probe row's unfinished matches
+// across calls.
+func (h *HashJoin) collectPairs(n int) (bool, error) {
+	o := &h.out
+	for len(o.pr) < n {
 		if h.chain >= 0 {
-			r := h.pi - 1
-			for h.chain >= 0 && len(h.pr) < n {
+			r := o.pi - 1
+			for h.chain >= 0 && len(o.pr) < n {
 				m := h.chain
 				h.chain = h.chainNext[m]
 				ok, err := h.pairMatches(r, m)
 				if err != nil {
-					return err
+					return false, err
 				}
 				if ok {
-					h.pr = append(h.pr, int32(r))
-					h.pm = append(h.pm, m)
+					o.pr = append(o.pr, int32(r))
+					o.pm = append(o.pm, m)
 				}
 			}
 			continue
 		}
-		if h.pi >= len(h.probe) {
-			break
+		if o.pi >= len(o.probe) {
+			return true, nil
 		}
-		r := h.pi
-		h.pi++
-		h.chain = h.matchesFor(r)
+		h.chain = h.matchesFor(o.pi)
+		o.pi++
 	}
-	return nil
-}
-
-// gatherPairs builds the output batch from the pair lists: left columns
-// gather from the probe batch, right columns from the build rows.
-func (h *HashJoin) gatherPairs() {
-	lw := len(h.Left.Schema().Cols)
-	w := len(h.schema.Cols)
-	h.vout.ResetCols(w, len(h.pr))
-	for j := 0; j < lw; j++ {
-		h.vout.BuildCol(j).GatherFromRows(h.probe, h.pr, j)
-	}
-	for j := lw; j < w; j++ {
-		// Build columns gather vector-to-vector: the build side was
-		// transposed once at Open, so the per-value kind dispatch of a row
-		// gather is replaced by typed array copies.
-		h.vout.BuildCol(j).GatherFrom(h.bcols.Col(j-lw), h.pm)
-	}
-}
-
-// nextVecSemiAnti emits each probe batch narrowed by a selection vector of
-// the rows that do (semi) or do not (anti) have a build match.
-func (h *HashJoin) nextVecSemiAnti() (*sqltypes.ColBatch, bool, error) {
-	want := h.Kind == JoinSemi
-	for {
-		ok, err := h.nextProbe()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		sel := h.vsel[:0]
-		if sel == nil {
-			sel = make([]int32, 0, len(h.probe))
-		}
-		for r := range h.probe {
-			found, err := h.anyMatch(r)
-			if err != nil {
-				return nil, false, err
-			}
-			if found == want {
-				sel = append(sel, int32(r))
-			}
-		}
-		h.vsel = sel
-		if len(sel) == 0 {
-			continue
-		}
-		h.vout.ResetRows(h.probe, len(h.schema.Cols))
-		h.vout.Sel = sel
-		return &h.vout, true, nil
-	}
+	return false, nil
 }
 
 // Close implements Operator. The build side is normally closed at the end
@@ -565,7 +448,7 @@ func (h *HashJoin) Close() error {
 	h.buildRows = nil
 	h.bcols.ResetRows(nil, 0)
 	h.slotHead, h.slotHash, h.chainNext = nil, nil, nil
-	h.probe, h.chain = nil, -1
+	h.out.probe, h.chain = nil, -1
 	errR := h.Right.Close()
 	if errL := h.Left.Close(); errR == nil {
 		return errL

@@ -23,9 +23,9 @@ type BoolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32)
 // comparisons between a column and a literal (either side), column-column
 // comparisons, BETWEEN over literals, and AND chains of those — and reports
 // ok=false for anything else, leaving the caller on the Compiled predicate
-// (lifted per row by KernelFromPredicate). Kernels mirror the row
-// evaluator's semantics exactly (NULL rejects, numeric kinds compare across
-// INT/FLOAT, mixed-kind comparisons outside the numeric tower are errors).
+// (lifted per row by KernelFromPredicate). Kernels mirror the row evaluator
+// exactly (NULL rejects, INT and FLOAT compare numerically, other mixed-kind
+// comparisons are errors, BETWEEN orders mixed kinds by kind); see FuzzKernel.
 func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 	switch e := e.(type) {
 	case *sqlparser.BinaryExpr:
@@ -39,10 +39,10 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 			return andKernel(l, r), true
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 			if col, lit, op, ok := colLitCmp(e, schema); ok {
-				return cmpLitKernel(col, op, lit), true
+				return litKernel(col, truthBits(op), lit, bitLT|bitEQ|bitGT, lit), true
 			}
 			if lc, rc, ok := colColCmp(e, schema); ok {
-				return cmpColKernel(lc, rc, e.Op), true
+				return colKernel(lc, rc, truthBits(e.Op)), true
 			}
 			return nil, false
 		default:
@@ -61,33 +61,30 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 		if !okLo || !okHi {
 			return nil, false
 		}
-		return andKernel(cmpLitKernel(col, sqlparser.OpGE, lo), cmpLitKernel(col, sqlparser.OpLE, hi)), true
+		return litKernel(col, bitEQ|bitGT, lo, bitLT|bitEQ, hi), true
 	default:
 		return nil, false
 	}
 }
 
 // KernelFromPredicate lifts a row-at-a-time compiled predicate into the
-// kernel interface: it tests each candidate row via the batch's row view
-// (zero-copy for row-backed batches). The fallback that keeps selection
-// vectors flowing when a predicate has no columnar form.
+// kernel interface: it tests each candidate row via the batch's row view —
+// zero-copy for row-backed batches, one scratch row per call (the kernel may
+// run on several scan workers at once) for columnar ones. The fallback that
+// keeps selection vectors flowing when a predicate has no columnar form.
 func KernelFromPredicate(p Compiled) BoolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		dst = resetSel(dst)
-		var evalErr error
-		forCand(cb, cand, func(i int32) bool {
-			keep, err := PredicateTrue(p, ctx, cb.Row(int(i)))
+		var scratch sqltypes.Row
+		for j, n := 0, numCand(cb, cand); j < n; j++ {
+			i := at(cand, j)
+			keep, err := PredicateTrue(p, ctx, cb.Row(i, &scratch))
 			if err != nil {
-				evalErr = err
-				return false
+				return nil, err
 			}
 			if keep {
-				dst = append(dst, i)
+				dst = append(dst, int32(i))
 			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
 		}
 		return dst, nil
 	}
@@ -220,183 +217,206 @@ func flipCmp(op sqlparser.BinOp) sqlparser.BinOp {
 	}
 }
 
-// cmpTrue converts a three-way comparison to the operator's truth value.
-func cmpTrue(op sqlparser.BinOp, c int) bool {
+// A comparison operator is reduced to the outcomes of a three-way compare
+// it accepts: one truth bit each for less, equal and greater. The loops below
+// test a bit instead of switching on the operator per row.
+const (
+	bitLT uint8 = 1 << iota
+	bitEQ
+	bitGT
+)
+
+func truthBits(op sqlparser.BinOp) uint8 {
 	switch op {
 	case sqlparser.OpEQ:
-		return c == 0
+		return bitEQ
 	case sqlparser.OpNE:
-		return c != 0
+		return bitLT | bitGT
 	case sqlparser.OpLT:
-		return c < 0
+		return bitLT
 	case sqlparser.OpLE:
-		return c <= 0
+		return bitLT | bitEQ
 	case sqlparser.OpGT:
-		return c > 0
+		return bitGT
 	default:
-		return c >= 0 // OpGE
+		return bitEQ | bitGT // OpGE
 	}
 }
 
-// cmpLitKernel compares one column against a constant. The hot shapes —
-// numeric column vs numeric literal, string column vs string literal — run
-// as tight typed loops over the transposed vector; everything else falls
-// back to generic Value comparison with the row evaluator's type checking.
-func cmpLitKernel(col int, op sqlparser.BinOp, lit sqltypes.Value) BoolKernel {
-	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
-		v := cb.Col(col)
-		dst = resetSel(dst)
-		if lit.IsNull() {
-			return dst, nil // NULL comparison is never TRUE
+// cmpTrue converts a three-way comparison result (-1, 0, +1) to the truth
+// value of an operator's bits.
+func cmpTrue(bits uint8, c int) bool { return bits>>uint(c+1)&1 != 0 }
+
+// truthTab spreads truth bits into a table indexed by cmp3's result, so a
+// loop turns a comparison into 0 or 1 with one load and no branch.
+func truthTab(bits uint8) [4]uint8 { return [4]uint8{bits & 1, bits >> 1 & 1, bits >> 2 & 1} }
+
+// lane is a typed vector representation the comparison loops run on.
+type lane interface{ int64 | float64 | string }
+
+// cmp3 is the branch-free three-way compare of the typed loops: 0 for less,
+// 1 for equal, 2 for greater. A NaN is neither less nor greater, so it lands
+// on equal — NaN compares equal to everything, as in sqltypes.Value.Compare.
+func cmp3[T lane](a, b T) uint8 {
+	var lt, gt uint8
+	if a < b {
+		lt = 1
+	}
+	if a > b {
+		gt = 1
+	}
+	return (1 + gt - lt) & 3
+}
+
+// numCand is the number of candidate rows: cand's length, or every row of cb
+// when cand is nil.
+func numCand(cb *sqltypes.ColBatch, cand []int32) int {
+	if cand == nil {
+		return cb.Len()
+	}
+	return len(cand)
+}
+
+// selRoom sizes dst for n indexes, so the loops below store unconditionally
+// and advance the write position by the comparison's 0 or 1. Never nil.
+func selRoom(dst []int32, n int) []int32 {
+	if dst == nil || cap(dst) < n {
+		return make([]int32, n)
+	}
+	return dst[:n]
+}
+
+// dropNulls compacts the NULL lanes out of a selection, in place. The typed
+// loops compare a NULL lane's zero value like any other and shed it here:
+// columns with NULLs are rare and this pass touches survivors only.
+func dropNulls(sel []int32, null []bool) []int32 {
+	if null == nil {
+		return sel
+	}
+	k := 0
+	for _, i := range sel {
+		if sel[k] = i; !null[i] {
+			k++
 		}
+	}
+	return sel[:k]
+}
+
+// selLit is the column-against-constants loop, one instantiation per lane:
+// it keeps candidate i when vals[i] passes both (constant, truth bits) tests
+// and is not NULL. A plain comparison passes all-true bits as its second
+// test; BETWEEN is the two tests in one pass. dst may alias cand: the write
+// position never passes the read position.
+func selLit[T lane](vals []T, null []bool, lo T, loBits uint8, hi T, hiBits uint8, cand, dst []int32) []int32 {
+	loTab, hiTab := truthTab(loBits), truthTab(hiBits)
+	k := 0
+	if cand == nil {
+		dst = selRoom(dst, len(vals))
+		for i, v := range vals {
+			dst[k] = int32(i)
+			k += int(loTab[cmp3(v, lo)] & hiTab[cmp3(v, hi)])
+		}
+	} else {
+		dst = selRoom(dst, len(cand))
+		for _, i := range cand {
+			v := vals[i]
+			dst[k] = i
+			k += int(loTab[cmp3(v, lo)] & hiTab[cmp3(v, hi)])
+		}
+	}
+	return dropNulls(dst[:k], null)
+}
+
+// selCols is the column-against-column loop.
+func selCols[T lane](l, r []T, lnull, rnull []bool, bits uint8, cand, dst []int32) []int32 {
+	tab := truthTab(bits)
+	k, n := 0, len(l)
+	if cand != nil {
+		n = len(cand)
+	}
+	dst = selRoom(dst, n)
+	for j := 0; j < n; j++ {
+		i := at(cand, j)
+		dst[k] = int32(i)
+		k += int(tab[cmp3(l[i], r[i])])
+	}
+	return dropNulls(dropNulls(dst[:k], lnull), rnull)
+}
+
+// litKernel compares one column against constants: col passes (lo, loBits)
+// and (hi, hiBits). Columns and constants that share a lane — integers,
+// floats against any numeric constant, strings — run selLit over the
+// transposed vector; everything else goes value by value with the row
+// evaluator's rules (a comparison type-checks, BETWEEN orders mixed kinds by
+// kind without an error, as Compile's BETWEEN does).
+func litKernel(col int, loBits uint8, lo sqltypes.Value, hiBits uint8, hi sqltypes.Value) BoolKernel {
+	between := hiBits != bitLT|bitEQ|bitGT
+	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
+		if lo.IsNull() || hi.IsNull() {
+			return resetSel(dst), nil // a NULL comparison is never TRUE
+		}
+		v := cb.Col(col)
+		lk, hk := lo.Kind(), hi.Kind()
 		switch {
-		case v.Kind == sqltypes.KindInt && lit.Kind() == sqltypes.KindInt:
-			li := lit.Int()
-			forCand(cb, cand, func(i int32) bool {
-				if v.IsNull(int(i)) {
-					return true
+		case v.Kind == sqltypes.KindInt && lk == sqltypes.KindInt && hk == sqltypes.KindInt:
+			return selLit(v.I64, v.Null, lo.Int(), loBits, hi.Int(), hiBits, cand, dst), nil
+		case v.Kind == sqltypes.KindFloat && lo.IsNumeric() && hi.IsNumeric():
+			// An integer constant converts once; Value.Compare would convert it
+			// per row.
+			return selLit(v.F64, v.Null, lo.Float(), loBits, hi.Float(), hiBits, cand, dst), nil
+		case v.Kind == sqltypes.KindString && lk == sqltypes.KindString && hk == sqltypes.KindString:
+			return selLit(v.Str, v.Null, lo.Str(), loBits, hi.Str(), hiBits, cand, dst), nil
+		}
+		dst = resetSel(dst)
+		for j, n := 0, numCand(cb, cand); j < n; j++ {
+			i := at(cand, j)
+			val := v.Value(i)
+			if val.IsNull() {
+				continue
+			}
+			if !between {
+				if err := comparableValues(val, lo); err != nil {
+					return nil, err
 				}
-				if cmpTrue(op, cmp3(v.I64[i], li)) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-		case (v.Kind == sqltypes.KindInt || v.Kind == sqltypes.KindFloat) && lit.IsNumeric():
-			// Mixed INT/FLOAT comparisons go through float64, matching
-			// Value.Compare.
-			lf := lit.Float()
-			isInt := v.Kind == sqltypes.KindInt
-			forCand(cb, cand, func(i int32) bool {
-				if v.IsNull(int(i)) {
-					return true
-				}
-				var f float64
-				if isInt {
-					f = float64(v.I64[i])
-				} else {
-					f = v.F64[i]
-				}
-				if cmpTrue(op, cmp3(f, lf)) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-		case v.Kind == sqltypes.KindString && lit.Kind() == sqltypes.KindString:
-			ls := lit.Str()
-			forCand(cb, cand, func(i int32) bool {
-				if v.IsNull(int(i)) {
-					return true
-				}
-				if cmpTrue(op, cmp3(v.Str[i], ls)) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-		default:
-			var evalErr error
-			forCand(cb, cand, func(i int32) bool {
-				val := v.Value(int(i))
-				if val.IsNull() {
-					return true
-				}
-				if err := comparableValues(val, lit); err != nil {
-					evalErr = err
-					return false
-				}
-				if cmpTrue(op, val.Compare(lit)) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-			if evalErr != nil {
-				return nil, evalErr
+			}
+			if cmpTrue(loBits, val.Compare(lo)) && cmpTrue(hiBits, val.Compare(hi)) {
+				dst = append(dst, int32(i))
 			}
 		}
 		return dst, nil
 	}
 }
 
-// cmpColKernel compares two columns of the same batch. Typed loops cover
-// same-kind numeric columns; the generic path handles the rest with the row
-// evaluator's type checking.
-func cmpColKernel(lc, rc int, op sqlparser.BinOp) BoolKernel {
+// colKernel compares two columns of the same batch: selCols when both share
+// a lane, value by value with the row evaluator's type checking otherwise.
+func colKernel(lc, rc int, bits uint8) BoolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		l, r := cb.Col(lc), cb.Col(rc)
+		if l.Kind == r.Kind {
+			switch l.Kind {
+			case sqltypes.KindInt:
+				return selCols(l.I64, r.I64, l.Null, r.Null, bits, cand, dst), nil
+			case sqltypes.KindFloat:
+				return selCols(l.F64, r.F64, l.Null, r.Null, bits, cand, dst), nil
+			case sqltypes.KindString:
+				return selCols(l.Str, r.Str, l.Null, r.Null, bits, cand, dst), nil
+			}
+		}
 		dst = resetSel(dst)
-		switch {
-		case l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt:
-			forCand(cb, cand, func(i int32) bool {
-				if l.IsNull(int(i)) || r.IsNull(int(i)) {
-					return true
-				}
-				if cmpTrue(op, cmp3(l.I64[i], r.I64[i])) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-		case l.Kind == sqltypes.KindFloat && r.Kind == sqltypes.KindFloat:
-			forCand(cb, cand, func(i int32) bool {
-				if l.IsNull(int(i)) || r.IsNull(int(i)) {
-					return true
-				}
-				if cmpTrue(op, cmp3(l.F64[i], r.F64[i])) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-		default:
-			var evalErr error
-			forCand(cb, cand, func(i int32) bool {
-				lv, rv := l.Value(int(i)), r.Value(int(i))
-				if lv.IsNull() || rv.IsNull() {
-					return true
-				}
-				if err := comparableValues(lv, rv); err != nil {
-					evalErr = err
-					return false
-				}
-				if cmpTrue(op, lv.Compare(rv)) {
-					dst = append(dst, i)
-				}
-				return true
-			})
-			if evalErr != nil {
-				return nil, evalErr
+		for j, n := 0, numCand(cb, cand); j < n; j++ {
+			i := at(cand, j)
+			lv, rv := l.Value(i), r.Value(i)
+			if lv.IsNull() || rv.IsNull() {
+				continue
+			}
+			if err := comparableValues(lv, rv); err != nil {
+				return nil, err
+			}
+			if cmpTrue(bits, lv.Compare(rv)) {
+				dst = append(dst, int32(i))
 			}
 		}
 		return dst, nil
-	}
-}
-
-// forCand iterates the candidate indexes (all rows when cand is nil),
-// stopping early when fn returns false.
-func forCand(cb *sqltypes.ColBatch, cand []int32, fn func(int32) bool) {
-	if cand == nil {
-		n := int32(cb.Len())
-		for i := int32(0); i < n; i++ {
-			if !fn(i) {
-				return
-			}
-		}
-		return
-	}
-	for _, i := range cand {
-		if !fn(i) {
-			return
-		}
-	}
-}
-
-// cmp3 is the three-way comparison of the typed kernel loops. NaN compares
-// equal to everything, as in sqltypes.Value.Compare.
-func cmp3[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 

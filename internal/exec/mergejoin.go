@@ -5,10 +5,11 @@ import (
 )
 
 // MergeJoin is a sort-merge equi-join: both inputs must arrive sorted
-// ascending on their join keys. Inner joins concatenate matching rows;
-// semi/anti joins emit left rows with/without a match (output schema =
-// left schema). Equal-key groups on the right are buffered to support
-// many-to-many matches.
+// ascending on their join keys. Inner joins pair each left row with the
+// right rows of its key; semi/anti joins emit left rows with/without a match
+// (output schema = left schema). Equal-key groups on the right are buffered
+// to support many-to-many matches, and the matches of a left row — that
+// group — leave through the shared emitter (join.go).
 type MergeJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []Compiled
@@ -18,23 +19,18 @@ type MergeJoin struct {
 	schema *Schema
 	ctx    *EvalContext
 
-	// Both inputs are consumed through the row view (the merge is sequential
-	// on key order) and joined rows leave in row-backed batches.
-	left, right rowReader
-	out         rowBuilder
-
-	// right-side state: the current buffered group and one lookahead row.
-	rightGroup    []sqltypes.Row
+	// The right input is consumed through the row view (the merge is
+	// sequential on key order): the current buffered group, whose key is empty
+	// before the first group, and one lookahead row. Keys are evaluated into
+	// reused buffers.
+	right         rowReader
+	out           rowPairs
+	rightGroup    sqltypes.Batch
 	rightGroupKey sqltypes.Row
 	rightNext     sqltypes.Row
 	rightNextKey  sqltypes.Row
 	rightDone     bool
-
-	// left-side state.
-	cur      sqltypes.Row
-	curKey   sqltypes.Row
-	mi       int  // index into rightGroup while emitting inner matches
-	emitting bool // the current left row matches rightGroup
+	curKey        sqltypes.Row // the left row's key
 }
 
 // NewMergeJoin builds a merge join; key lists must be equal length and both
@@ -55,13 +51,13 @@ func (m *MergeJoin) Schema() *Schema { return m.schema }
 // Open implements Operator.
 func (m *MergeJoin) Open(ctx *EvalContext) error {
 	m.ctx = ctx
-	m.left.reset()
 	m.right.reset()
-	m.rightGroup, m.rightGroupKey = nil, nil
-	m.rightNext, m.rightNextKey = nil, nil
-	m.rightDone = false
-	m.cur, m.curKey = nil, nil
-	m.mi, m.emitting = 0, false
+	m.rightGroup, m.rightGroupKey = m.rightGroup[:0], m.rightGroupKey[:0]
+	m.rightNext, m.rightDone = nil, false
+	if m.out.find == nil {
+		m.out.find = m.matches
+	}
+	m.out.reset(ctx, m.Residual, m.Kind, len(m.Left.Schema().Cols), len(m.schema.Cols))
 	if err := m.Left.Open(ctx); err != nil {
 		return err
 	}
@@ -78,22 +74,18 @@ func (m *MergeJoin) advanceRightRow() error {
 		return err
 	}
 	if !ok {
-		m.rightNext, m.rightNextKey = nil, nil
-		m.rightDone = true
+		m.rightNext, m.rightDone = nil, true
 		return nil
 	}
-	key, err := evalKeyVals(m.RightKeys, m.ctx, row)
-	if err != nil {
-		return err
-	}
-	m.rightNext, m.rightNextKey = row, key
-	return nil
+	m.rightNext = row
+	m.rightNextKey, err = evalKeyVals(m.rightNextKey[:0], m.RightKeys, m.ctx, row)
+	return err
 }
 
 // loadRightGroup buffers all right rows equal to the lookahead key.
 func (m *MergeJoin) loadRightGroup() error {
 	m.rightGroup = m.rightGroup[:0]
-	m.rightGroupKey = m.rightNextKey
+	m.rightGroupKey = append(m.rightGroupKey[:0], m.rightNextKey...)
 	for m.rightNext != nil && compareKeys(m.rightNextKey, m.rightGroupKey) == 0 {
 		m.rightGroup = append(m.rightGroup, m.rightNext)
 		if err := m.advanceRightRow(); err != nil {
@@ -105,93 +97,40 @@ func (m *MergeJoin) loadRightGroup() error {
 
 // NextVec implements Operator.
 func (m *MergeJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
-	return m.out.fill(m, m.ctx, len(m.schema.Cols))
+	return m.out.next(&m.out, m.Left)
 }
 
-// nextRow advances the merge to its next output row.
-func (m *MergeJoin) nextRow() (sqltypes.Row, bool, error) {
-	for {
-		// Emit buffered inner matches for the current left row.
-		for m.Kind == JoinInner && m.emitting && m.mi < len(m.rightGroup) {
-			r := m.rightGroup[m.mi]
-			m.mi++
-			out := concatRows(m.cur, r)
-			ok, err := residualTrue(m.Residual, m.ctx, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return out, true, nil
-			}
+// matches advances the right side to the left row's key and returns the
+// buffered group when the keys are equal. Left rows arrive in key order; a
+// NULL key never matches.
+func (m *MergeJoin) matches(left sqltypes.Row) (sqltypes.Batch, error) {
+	key, err := evalKeyVals(m.curKey[:0], m.LeftKeys, m.ctx, left)
+	if m.curKey = key; err != nil || keyHasNull(key) {
+		return nil, err
+	}
+	for !m.rightDone && (len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) < 0) {
+		if m.rightNext == nil {
+			m.rightDone = true
+			break
 		}
-		// Advance the left side.
-		row, ok, err := m.left.next(m.Left)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		key, err := evalKeyVals(m.LeftKeys, m.ctx, row)
-		if err != nil {
-			return nil, false, err
-		}
-		m.cur, m.curKey = row, key
-		m.emitting = false // armed below only if the keys match
-		if keyHasNull(key) {
-			if m.Kind == JoinAnti {
-				return row, true, nil // NULL keys never match
+		if compareKeys(m.rightNextKey, key) < 0 {
+			if err := m.advanceRightRow(); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		// Advance the right side until its group key >= left key.
-		for !m.rightDone && (m.rightGroupKey == nil || compareKeys(m.rightGroupKey, key) < 0) {
-			if m.rightNext == nil {
-				m.rightDone = true
-				break
-			}
-			if compareKeys(m.rightNextKey, key) < 0 {
-				if err := m.advanceRightRow(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
-			if err := m.loadRightGroup(); err != nil {
-				return nil, false, err
-			}
-		}
-		matched := m.rightGroupKey != nil && compareKeys(m.rightGroupKey, key) == 0
-		switch m.Kind {
-		case JoinInner:
-			if matched {
-				m.mi, m.emitting = 0, true
-				continue // emit from the buffered group at loop top
-			}
-		case JoinSemi:
-			if matched && m.semiMatch(row) {
-				return row, true, nil
-			}
-		case JoinAnti:
-			if !matched || !m.semiMatch(row) {
-				return row, true, nil
-			}
+		if err := m.loadRightGroup(); err != nil {
+			return nil, err
 		}
 	}
-}
-
-func (m *MergeJoin) semiMatch(left sqltypes.Row) bool {
-	if m.Residual == nil {
-		return len(m.rightGroup) > 0
+	if len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) != 0 {
+		return nil, nil
 	}
-	for _, r := range m.rightGroup {
-		ok, err := PredicateTrue(m.Residual, m.ctx, concatRows(left, r))
-		if err == nil && ok {
-			return true
-		}
-	}
-	return false
+	return m.rightGroup, nil
 }
 
 // Close implements Operator.
 func (m *MergeJoin) Close() error {
-	m.out.release()
 	errL := m.Left.Close()
 	if errR := m.Right.Close(); errL == nil {
 		return errR
@@ -199,18 +138,17 @@ func (m *MergeJoin) Close() error {
 	return errL
 }
 
-// evalKeyVals evaluates join keys to a value tuple (not an encoded string,
-// so ordering comparisons are cheap).
-func evalKeyVals(keys []Compiled, ctx *EvalContext, row sqltypes.Row) (sqltypes.Row, error) {
-	out := make(sqltypes.Row, len(keys))
-	for i, k := range keys {
+// evalKeyVals evaluates join keys into dst as a value tuple (not an encoded
+// string, so ordering comparisons are cheap).
+func evalKeyVals(dst sqltypes.Row, keys []Compiled, ctx *EvalContext, row sqltypes.Row) (sqltypes.Row, error) {
+	for _, k := range keys {
 		v, err := k(ctx, row)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 func compareKeys(a, b sqltypes.Row) int {

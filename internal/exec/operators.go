@@ -349,11 +349,6 @@ const (
 	JoinAnti
 )
 
-// concatRows returns a fresh row holding a's values followed by b's.
-func concatRows(a, b sqltypes.Row) sqltypes.Row {
-	return append(append(make(sqltypes.Row, 0, len(a)+len(b)), a...), b...)
-}
-
 // IndexLoopJoin is an index nested-loop join: for each outer row it seeks
 // the inner table's index on equality keys computed from the outer row.
 type IndexLoopJoin struct {
@@ -365,15 +360,11 @@ type IndexLoopJoin struct {
 	Residual Compiled   // evaluated over concat(outer, inner)
 	Kind     JoinKind
 
-	schema  *Schema
-	ctx     *EvalContext
-	in      rowReader
-	out     rowBuilder
-	cur     sqltypes.Row
-	matches []sqltypes.Row
-	mi      int
-	key     sqltypes.Row   // reusable seek key
-	found   []sqltypes.Row // reusable match buffer behind matches
+	schema *Schema
+	ctx    *EvalContext
+	out    rowPairs
+	key    sqltypes.Row   // reusable seek key
+	found  sqltypes.Batch // reusable match buffer
 	// InnerLookups counts index seeks, for cost validation.
 	InnerLookups int
 }
@@ -395,70 +386,23 @@ func (j *IndexLoopJoin) Schema() *Schema { return j.schema }
 // Open implements Operator.
 func (j *IndexLoopJoin) Open(ctx *EvalContext) error {
 	j.ctx = ctx
-	j.in.reset()
-	j.cur, j.matches, j.mi = nil, nil, 0
 	j.InnerLookups = 0
+	if j.out.find == nil {
+		j.out.find = j.lookup
+	}
+	j.out.reset(ctx, j.Residual, j.Kind, len(j.Outer.Schema().Cols), len(j.schema.Cols))
 	return j.Outer.Open(ctx)
 }
 
-// NextVec implements Operator: outer batches are read through the row view
-// (one index seek per outer row) and joined rows leave in row-backed
-// batches.
+// NextVec implements Operator: one index seek per outer row, the matches
+// emitted as pairs (join.go).
 func (j *IndexLoopJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
-	return j.out.fill(j, j.ctx, len(j.schema.Cols))
-}
-
-// nextRow produces the next output row: the pending matches of the current
-// outer row first, then the next outer row's seek.
-func (j *IndexLoopJoin) nextRow() (sqltypes.Row, bool, error) {
-	for {
-		for j.mi < len(j.matches) {
-			out := concatRows(j.cur, j.matches[j.mi])
-			j.mi++
-			ok, err := residualTrue(j.Residual, j.ctx, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return out, true, nil
-			}
-		}
-		row, ok, err := j.in.next(j.Outer)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		matches, err := j.lookup(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if j.Kind == JoinInner {
-			j.cur, j.matches, j.mi = row, matches, 0
-			continue
-		}
-		found := j.Residual == nil && len(matches) > 0
-		for i := 0; j.Residual != nil && !found && i < len(matches); i++ {
-			if found, err = PredicateTrue(j.Residual, j.ctx, concatRows(row, matches[i])); err != nil {
-				return nil, false, err
-			}
-		}
-		if found == (j.Kind == JoinSemi) {
-			return row, true, nil
-		}
-	}
-}
-
-// residualTrue evaluates a join's residual over a joined row; a nil
-// residual accepts every row.
-func residualTrue(residual Compiled, ctx *EvalContext, joined sqltypes.Row) (bool, error) {
-	if residual == nil {
-		return true, nil
-	}
-	return PredicateTrue(residual, ctx, joined)
+	return j.out.next(&j.out, j.Outer)
 }
 
 // lookup seeks the inner index with outer's key. The key and match buffers
 // are reused: a row's matches are consumed before the next seek.
-func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
+func (j *IndexLoopJoin) lookup(outer sqltypes.Row) (sqltypes.Batch, error) {
 	j.InnerLookups++
 	j.key = j.key[:0]
 	for _, k := range j.OuterKey {
@@ -471,21 +415,13 @@ func (j *IndexLoopJoin) lookup(outer sqltypes.Row) ([]sqltypes.Row, error) {
 		}
 		j.key = append(j.key, v)
 	}
-	out := j.found[:0]
-	b := storage.Bound{Vals: j.key, Inclusive: true}
-	err := j.Inner.ScanIndex(j.Index, b, b, func(r sqltypes.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	j.found = out
-	return out, err
+	var err error
+	j.found, err = j.Inner.SeekEq(j.Index, j.key, j.found[:0])
+	return j.found, err
 }
 
 // Close implements Operator.
-func (j *IndexLoopJoin) Close() error {
-	j.out.release()
-	return j.Outer.Close()
-}
+func (j *IndexLoopJoin) Close() error { return j.Outer.Close() }
 
 // ---- Sort / Limit ----
 
@@ -634,9 +570,9 @@ func (l *Limit) NextVec() (*sqltypes.ColBatch, bool, error) {
 	}
 	if rem := l.N - l.seen; int64(cb.NumActive()) > rem {
 		if cb.Sel == nil {
-			l.sel = make([]int32, rem)
-			for i := range l.sel {
-				l.sel[i] = int32(i)
+			// The identity selection is kept: it only ever grows.
+			for i := len(l.sel); int64(i) < rem; i++ {
+				l.sel = append(l.sel, int32(i))
 			}
 			cb.Sel = l.sel
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"time"
 
 	"relaxedcc/internal/sqltypes"
@@ -49,7 +50,8 @@ type Result struct {
 // caller that built the tree and passed here for inclusion in the result.
 // This is the result boundary, the one place batches become rows: selection
 // vectors resolve here, row-backed batches contribute shared row references
-// and columnar batches are materialized once.
+// and columnar batches are materialized once, into one arena per batch. The
+// result's row list grows at most once per batch.
 func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) {
 	res := &Result{Schema: root.Schema()}
 	res.Phases.Setup = setup
@@ -61,6 +63,11 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 		return nil, err
 	}
 	err := eachBatch(root, func(cb *sqltypes.ColBatch) error {
+		// At most one growth per batch, and never by less than double: a
+		// large result copies its row list a logarithmic number of times.
+		if need := len(res.Rows) + cb.NumActive(); need > cap(res.Rows) {
+			res.Rows = slices.Grow(res.Rows, max(need, 2*cap(res.Rows))-len(res.Rows))
+		}
 		res.Rows = cb.AppendRows(res.Rows)
 		return nil
 	})

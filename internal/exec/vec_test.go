@@ -220,3 +220,63 @@ func TestHashJoinDuplicateBuildOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLiftedPredicateAllocatesOneScratchRow pins the fallback kernel's cost
+// on a purely columnar batch (a Filter with an OR above a hash join): one
+// scratch row per call, not a fresh row per candidate.
+func TestLiftedPredicateAllocatesOneScratchRow(t *testing.T) {
+	s := testSchema("t")
+	rows := testRows(512)
+	var cb sqltypes.ColBatch
+	cb.ResetCols(3, len(rows))
+	for j := 0; j < 3; j++ {
+		v := cb.BuildCol(j)
+		for _, r := range rows {
+			v.Append(r[j])
+		}
+	}
+	k := KernelFromPredicate(compile(t, "id < 100 OR bal > 400", s))
+	c, dst := ctx(), make([]int32, 0, len(rows))
+	var sel []int32
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if sel, err = k(c, &cb, nil, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(sel) != 99+112 {
+		t.Fatalf("selected %d rows, want 211", len(sel))
+	}
+	if allocs > 1 {
+		t.Errorf("%v allocations per batch of %d candidates, want at most the scratch row", allocs, len(rows))
+	}
+}
+
+// TestLimitKeepsItsSelection runs a reused Limit tree whose cut lands inside
+// a batch: after the first run the cut allocates nothing.
+func TestLimitKeepsItsSelection(t *testing.T) {
+	l := &Limit{Child: NewValues(testSchema("t"), testRows(50)), N: 7}
+	c, got := ctx(), 0
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := l.Open(c); err != nil {
+			t.Fatal(err)
+		}
+		got = 0
+		for {
+			cb, ok, err := l.NextVec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got += cb.NumActive()
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 7 || allocs != 0 {
+		t.Errorf("%d rows with %v allocations per run, want 7 rows and none", got, allocs)
+	}
+}

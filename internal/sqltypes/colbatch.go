@@ -1,5 +1,7 @@
 package sqltypes
 
+import "slices"
+
 // This file defines the columnar batch layout the vectorized executor runs
 // on. The storage engine is row-major (stored rows are []Value), so the
 // design is late-materializing: a ColBatch usually starts life as a window
@@ -68,7 +70,7 @@ func (v *Vec) Value(i int) Value {
 	case KindTime:
 		return Value{kind: KindTime, i: v.I64[i]}
 	case KindFloat:
-		return Value{kind: KindFloat, f: v.F64[i]}
+		return NewFloat(v.F64[i])
 	case KindString:
 		return Value{kind: KindString, s: v.Str[i]}
 	default:
@@ -97,70 +99,9 @@ func (v *Vec) dropNulls() {
 	}
 }
 
-// degradeToAny switches the vector to the fallback representation,
-// rebuilding all values verbatim from the row backing. Called when a
-// column turns out mixed-kind.
-func (v *Vec) degradeToAny(rows Batch, col int) {
-	v.Any = v.Any[:0]
-	for _, r := range rows {
-		v.Any = append(v.Any, r[col])
-	}
-	v.Kind = KindNull
-	v.dropNulls()
-	v.I64 = v.I64[:0]
-	v.F64 = v.F64[:0]
-	v.Str = v.Str[:0]
-}
-
-// FillFromRows transposes column col of rows into the vector. The column
-// kind is sniffed from the first non-NULL value (a prepass that normally
-// inspects one row); a later kind mismatch degrades the whole column to
-// Any. Backing arrays are reused across calls.
-func (v *Vec) FillFromRows(rows Batch, col int) {
-	n := len(rows)
-	v.reset(KindNull, n)
-	kind := KindNull
-	for _, r := range rows {
-		if k := r[col].kind; k != KindNull {
-			kind = k
-			break
-		}
-	}
-	if kind == KindNull {
-		// All-NULL (or empty) column: represent via Any.
-		for i := 0; i < n; i++ {
-			v.Any = append(v.Any, Null)
-		}
-		return
-	}
-	v.Kind = kind
-	for i, r := range rows {
-		val := r[col]
-		if val.kind == KindNull {
-			if v.Null == nil {
-				v.Null = growNulls(v.nullBuf, i)
-			}
-			v.Null = append(v.Null, true)
-			v.appendZero(kind)
-			continue
-		}
-		if val.kind != kind {
-			v.degradeToAny(rows, col)
-			return
-		}
-		if v.Null != nil {
-			v.Null = append(v.Null, false)
-		}
-		switch kind {
-		case KindInt, KindBool, KindTime:
-			v.I64 = append(v.I64, val.i)
-		case KindFloat:
-			v.F64 = append(v.F64, val.f)
-		case KindString:
-			v.Str = append(v.Str, val.s)
-		}
-	}
-}
+// FillFromRows transposes column col of rows into the vector: the gather of
+// every row in order.
+func (v *Vec) FillFromRows(rows Batch, col int) { v.GatherFromRows(rows, nil, col) }
 
 // Append adds one value to the vector, choosing the typed representation
 // from the first non-NULL value and degrading to Any on a kind mismatch (or
@@ -205,47 +146,58 @@ func (v *Vec) Append(val Value) {
 	case KindInt, KindBool, KindTime:
 		v.I64 = append(v.I64, val.i)
 	case KindFloat:
-		v.F64 = append(v.F64, val.f)
+		v.F64 = append(v.F64, val.f64())
 	case KindString:
 		v.Str = append(v.Str, val.s)
 	}
 	v.n++
 }
 
-// GatherFromRows transposes column col of the rows selected by idxs into
-// the vector — the indexed counterpart of FillFromRows, used by operators
-// that emit a gather of their inputs (join output columns). Kind sniffing
-// and the mixed-kind Any degrade match FillFromRows; backing arrays are
-// reused across calls.
+// GatherFromRows transposes column col of the rows selected by idxs (every
+// row in order when idxs is nil) into the vector: scans transpose the column
+// a kernel touches, joins gather their output columns. The column kind is
+// sniffed from the first non-NULL value (a prepass that normally inspects one
+// row). A column without NULLs whose values all share that kind — the common
+// case — is copied by one typed loop; NULLs are tracked in the side lane and
+// a kind mismatch degrades the whole column to Any. Backing arrays are reused
+// across calls.
 func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
-	n := len(idxs)
+	n := len(rows)
+	if idxs != nil {
+		n = len(idxs)
+	}
 	v.reset(KindNull, n)
 	kind := KindNull
-	for _, r := range idxs {
-		if k := rows[r][col].kind; k != KindNull {
-			kind = k
-			break
-		}
+	for k := 0; k < n && kind == KindNull; k++ {
+		kind = rows[at(idxs, k)][col].kind
 	}
 	if kind == KindNull {
+		// All-NULL (or empty) column: represent via Any.
 		for i := 0; i < n; i++ {
 			v.Any = append(v.Any, Null)
 		}
 		return
 	}
 	v.Kind = kind
-	for i, r := range idxs {
-		val := rows[r][col]
+	if v.gatherTyped(rows, idxs, col, n) {
+		return
+	}
+	for k := 0; k < n; k++ {
+		val := rows[at(idxs, k)][col]
 		if val.kind == KindNull {
 			if v.Null == nil {
-				v.Null = growNulls(v.nullBuf, i)
+				v.Null = growNulls(v.nullBuf, k)
 			}
 			v.Null = append(v.Null, true)
 			v.appendZero(kind)
 			continue
 		}
 		if val.kind != kind {
-			v.degradeToAnyIdx(rows, idxs, col)
+			// Mixed kinds: rebuild all values verbatim.
+			v.reset(KindNull, n)
+			for k := 0; k < n; k++ {
+				v.Any = append(v.Any, rows[at(idxs, k)][col])
+			}
 			return
 		}
 		if v.Null != nil {
@@ -255,11 +207,60 @@ func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
 		case KindInt, KindBool, KindTime:
 			v.I64 = append(v.I64, val.i)
 		case KindFloat:
-			v.F64 = append(v.F64, val.f)
+			v.F64 = append(v.F64, val.f64())
 		case KindString:
 			v.Str = append(v.Str, val.s)
 		}
 	}
+}
+
+// gatherTyped is GatherFromRows' fast path: it copies the column into the
+// lane of v.Kind and reports success, or stops at the first value of another
+// kind (a NULL included) and reports false with the lanes still empty.
+func (v *Vec) gatherTyped(rows Batch, idxs []int32, col, n int) bool {
+	k := 0
+	switch v.Kind {
+	case KindFloat:
+		out := slices.Grow(v.F64, n)[:n]
+		for ; k < n; k++ {
+			val := &rows[at(idxs, k)][col]
+			if val.kind != KindFloat {
+				break
+			}
+			out[k] = val.f64()
+		}
+		v.F64 = out[:0]
+		if k == n {
+			v.F64 = out
+		}
+	case KindString:
+		out := slices.Grow(v.Str, n)[:n]
+		for ; k < n; k++ {
+			val := &rows[at(idxs, k)][col]
+			if val.kind != KindString {
+				break
+			}
+			out[k] = val.s
+		}
+		v.Str = out[:0]
+		if k == n {
+			v.Str = out
+		}
+	default:
+		out := slices.Grow(v.I64, n)[:n]
+		for ; k < n; k++ {
+			val := &rows[at(idxs, k)][col]
+			if val.kind != v.Kind {
+				break
+			}
+			out[k] = val.i
+		}
+		v.I64 = out[:0]
+		if k == n {
+			v.I64 = out
+		}
+	}
+	return k == n
 }
 
 // GatherFrom fills the vector with src's values at idxs — the
@@ -299,19 +300,6 @@ func (v *Vec) GatherFrom(src *Vec, idxs []int32) {
 		}
 		v.Null = nulls
 	}
-}
-
-// degradeToAnyIdx is degradeToAny for an indexed gather.
-func (v *Vec) degradeToAnyIdx(rows Batch, idxs []int32, col int) {
-	v.Any = v.Any[:0]
-	for _, r := range idxs {
-		v.Any = append(v.Any, rows[r][col])
-	}
-	v.Kind = KindNull
-	v.dropNulls()
-	v.I64 = v.I64[:0]
-	v.F64 = v.F64[:0]
-	v.Str = v.Str[:0]
 }
 
 // migrateToAny rebuilds the vector's values in the Any representation when
@@ -443,23 +431,29 @@ func (b *ColBatch) SetCol(j int, v *Vec) {
 }
 
 // Row returns physical row i (an index already resolved through Sel by the
-// caller). With a row backing this is a zero-copy reference; purely
-// columnar batches allocate a fresh row.
-func (b *ColBatch) Row(i int) Row {
+// caller). With a row backing this is a zero-copy reference; a purely
+// columnar batch assembles the row in *scratch, which the caller reuses from
+// row to row — the result is then valid only until the next call.
+func (b *ColBatch) Row(i int, scratch *Row) Row {
 	if b.Rows != nil {
 		return b.Rows[i]
 	}
-	out := make(Row, b.width)
-	for j := range out {
-		out[j] = b.Col(j).Value(i)
+	if cap(*scratch) < b.width {
+		*scratch = make(Row, 0, b.width)
 	}
+	out := (*scratch)[:0]
+	for j := 0; j < b.width; j++ {
+		out = append(out, b.Col(j).Value(i))
+	}
+	*scratch = out
 	return out
 }
 
 // AppendRows appends every active row to dst and returns it. Row-backed
 // batches append shared row references (header copies only); purely
 // columnar batches materialize fresh rows carved out of one arena per call
-// (never reused: emitted rows stay valid forever).
+// (never reused: emitted rows stay valid forever), filled one column at a
+// time by a typed loop.
 func (b *ColBatch) AppendRows(dst Batch) Batch {
 	if b.Rows != nil {
 		if b.Sel == nil {
@@ -471,20 +465,54 @@ func (b *ColBatch) AppendRows(dst Batch) Batch {
 		return dst
 	}
 	w, active := b.width, b.NumActive()
+	if active == 0 {
+		return dst
+	}
 	arena := make([]Value, active*w)
 	for k := 0; k < active; k++ {
 		dst = append(dst, Row(arena[k*w:(k+1)*w:(k+1)*w]))
 	}
-	out := dst[len(dst)-active:]
 	for j := 0; j < w; j++ {
-		col := b.Col(j)
-		for k, row := range out {
-			i := k
-			if b.Sel != nil {
-				i = int(b.Sel[k])
-			}
-			row[j] = col.Value(i)
-		}
+		b.Col(j).scatter(arena[j:], w, b.Sel, active)
 	}
 	return dst
+}
+
+// scatter writes the vector's values at sel (its first n values when sel is
+// nil) into out at stride w: one column of an arena of n rows. The kind
+// switch runs once per column; NULL lanes keep the arena's zero Value.
+func (v *Vec) scatter(out []Value, w int, sel []int32, n int) {
+	switch v.Kind {
+	case KindInt, KindBool, KindTime:
+		for k := 0; k < n; k++ {
+			if i := at(sel, k); !v.IsNull(i) {
+				out[k*w] = Value{kind: v.Kind, i: v.I64[i]}
+			}
+		}
+	case KindFloat:
+		for k := 0; k < n; k++ {
+			if i := at(sel, k); !v.IsNull(i) {
+				out[k*w] = NewFloat(v.F64[i])
+			}
+		}
+	case KindString:
+		for k := 0; k < n; k++ {
+			if i := at(sel, k); !v.IsNull(i) {
+				out[k*w] = Value{kind: KindString, s: v.Str[i]}
+			}
+		}
+	default:
+		for k := 0; k < n; k++ {
+			out[k*w] = v.Any[at(sel, k)]
+		}
+	}
+}
+
+// at resolves position k of a selection to a physical index; a nil
+// selection is the identity.
+func at(sel []int32, k int) int {
+	if sel == nil {
+		return k
+	}
+	return int(sel[k])
 }

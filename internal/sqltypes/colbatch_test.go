@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -260,5 +261,45 @@ func TestVecGatherFrom(t *testing.T) {
 	dst.GatherFrom(&src, nil)
 	if dst.Len() != 0 {
 		t.Fatalf("empty gather: len=%d, want 0", dst.Len())
+	}
+}
+
+// TestAppendRowsMaterializesEveryLane checks the typed materialization of a
+// purely columnar batch against Vec.Value cell by cell: every lane, NULLs in
+// typed lanes, a mixed-kind (Any) column, with and without a selection.
+func TestAppendRowsMaterializesEveryLane(t *testing.T) {
+	at := time.Unix(42, 7).UTC()
+	rows := Batch{
+		{NewInt(1), NewFloat(1.5), NewString("a"), NewBool(true), NewTime(at), NewInt(9)},
+		{Null, Null, Null, Null, Null, NewString("mixed")},
+		{NewInt(-3), NewFloat(math.Copysign(0, -1)), NewString(""), NewBool(false), NewTime(at.Add(time.Hour)), Null},
+		{NewInt(4), NewFloat(math.NaN()), NewString("d"), NewBool(true), NewTime(at), NewFloat(2)},
+	}
+	var b ColBatch
+	b.ResetCols(len(rows[0]), len(rows))
+	for j := range rows[0] {
+		v := b.BuildCol(j)
+		for _, r := range rows {
+			v.Append(r[j])
+		}
+	}
+	for _, sel := range [][]int32{nil, {0, 2, 3}, {1}, {}} {
+		b.Sel = sel
+		got := b.AppendRows(Batch{{NewInt(0)}})[1:] // appends after what dst holds
+		if len(got) != b.NumActive() {
+			t.Fatalf("sel %v: %d rows, want %d", sel, len(got), b.NumActive())
+		}
+		for k, row := range got {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			for j, v := range row {
+				want := rows[i][j]
+				if v.Kind() != want.Kind() || v.String() != want.String() {
+					t.Fatalf("sel %v row %d col %d = %v (%v), want %v (%v)", sel, k, j, v, v.Kind(), want, want.Kind())
+				}
+			}
+		}
 	}
 }

@@ -52,9 +52,11 @@ func (k Kind) String() string {
 // Value is a single SQL datum. The zero Value is NULL.
 type Value struct {
 	kind Kind
-	i    int64 // KindInt; KindBool (0/1); KindTime (ns since Unix epoch, UTC)
-	f    float64
-	s    string
+	// i holds KindInt, KindBool (0/1), KindTime (ns since Unix epoch, UTC) and
+	// the IEEE-754 bits of KindFloat: one word for every fixed-width kind
+	// keeps a Value at 32 bytes.
+	i int64
+	s string
 }
 
 // Null is the SQL NULL value.
@@ -64,7 +66,10 @@ var Null = Value{}
 func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(f))} }
+
+// f64 decodes a KindFloat payload.
+func (v Value) f64() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // NewString returns a string value.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
@@ -98,7 +103,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f64()
 	case KindInt:
 		return float64(v.i)
 	default:
@@ -147,7 +152,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f64(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:

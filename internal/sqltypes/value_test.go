@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -278,5 +279,21 @@ func sign(x int) int {
 		return 1
 	default:
 		return 0
+	}
+}
+
+// TestValueIs32Bytes pins the datum size: INT and FLOAT share one word, so
+// every stored row, result arena and GC mark pass moves four words per value.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("sizeof(Value) = %d, want 32", n)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1), math.MaxFloat64} {
+		if got := NewFloat(f).Float(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%v).Float() = %v", f, got)
+		}
+	}
+	if !math.IsNaN(NewFloat(math.NaN()).Float()) {
+		t.Error("NaN does not survive the shared word")
 	}
 }

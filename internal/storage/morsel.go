@@ -35,52 +35,18 @@ func (t *Table) Morsels(lo, hi Bound, parts int) []Morsel {
 	return append(morsels, Morsel{Start: cur, End: end})
 }
 
-// ScanChunk reads up to limit clustered-index rows with encoded keys in
-// [start, end) — "" meaning unbounded — calling fn with each. It returns the
-// encoded key at which the next chunk resumes and whether rows may remain;
-// the resume row itself has not been passed to fn. Like ScanMorsel it
-// acquires the read latch per call, so a chunked scan interleaves with
-// writers at chunk granularity. It is the storage feed of the batched
-// executor's streaming clustered scan.
-func (t *Table) ScanChunk(start, end string, limit int, fn func(sqltypes.Row) bool) (next string, more bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	t.primary.AscendRange(start, end, func(k string, val any) bool {
-		if n >= limit {
-			next, more = k, true
-			return false
-		}
-		n++
-		return fn(val.(sqltypes.Row))
-	})
-	return next, more
-}
-
 // ChunkRows bulk-appends up to limit clustered-index rows with encoded keys
-// in [start, end) — "" meaning unbounded — onto dst, walking whole leaves
-// instead of invoking a callback per row. It returns the grown batch, the
-// encoded key at which the next chunk resumes, and whether rows may remain.
-// Latching matches ScanChunk: one short read latch per call.
+// in [start, end) — "" meaning unbounded — onto dst: whole leaf windows of
+// the typed tree copied with append, no callback and no per-row unboxing. It
+// returns the grown batch, the encoded key at which the next chunk resumes
+// (that row has not been appended), and whether rows may remain. Each call
+// takes one short read latch, so a chunked scan interleaves with writers at
+// chunk granularity. It is the storage feed of the executor's streaming
+// clustered scans.
 func (t *Table) ChunkRows(start, end string, limit int, dst sqltypes.Batch) (sqltypes.Batch, string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var next string
-	more := false
-	t.primary.AscendLeaves(start, end, func(keys []string, vals []any) bool {
-		if room := limit - len(dst); len(vals) > room {
-			for _, v := range vals[:room] {
-				dst = append(dst, v.(sqltypes.Row))
-			}
-			next, more = keys[room], true
-			return false
-		}
-		for _, v := range vals {
-			dst = append(dst, v.(sqltypes.Row))
-		}
-		return true
-	})
-	return dst, next, more
+	return t.primary.AppendRange(dst, start, end, limit-len(dst))
 }
 
 // ScanMorsel scans the clustered primary index over the morsel's key range,
@@ -92,7 +58,5 @@ func (t *Table) ChunkRows(start, end string, limit int, dst sqltypes.Batch) (sql
 func (t *Table) ScanMorsel(m Morsel, fn func(sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.primary.AscendRange(m.Start, m.End, func(_ string, val any) bool {
-		return fn(val.(sqltypes.Row))
-	})
+	t.primary.AscendRange(m.Start, m.End, func(_ string, row sqltypes.Row) bool { return fn(row) })
 }

@@ -11,6 +11,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"relaxedcc/internal/btree"
@@ -23,9 +24,9 @@ type Table struct {
 	def *catalog.Table
 
 	mu        sync.RWMutex
-	primary   *btree.Tree            // Key(pk) -> sqltypes.Row
-	secondary map[string]*btree.Tree // index name -> Key(idx cols..., pk cols...) -> Key(pk)
-	secOrds   map[string][]int       // index name -> key-column ordinals
+	primary   *btree.Tree[sqltypes.Row]      // Key(pk) -> row
+	secondary map[string]*btree.Tree[string] // index name -> Key(idx cols..., pk cols...) -> Key(pk)
+	secOrds   map[string][]int               // index name -> key-column ordinals
 	pkOrds    []int
 }
 
@@ -33,14 +34,14 @@ type Table struct {
 func NewTable(def *catalog.Table) *Table {
 	t := &Table{
 		def:       def,
-		primary:   btree.New(),
-		secondary: map[string]*btree.Tree{},
+		primary:   btree.New[sqltypes.Row](),
+		secondary: map[string]*btree.Tree[string]{},
 		secOrds:   map[string][]int{},
 		pkOrds:    def.PKOrdinals(),
 	}
 	for _, idx := range def.Indexes {
 		if !idx.Clustered {
-			t.secondary[idx.Name] = btree.New()
+			t.secondary[idx.Name] = btree.New[string]()
 			ords, err := t.ordinals(idx.Columns)
 			if err != nil {
 				panic(err) // definition validated by the catalog
@@ -72,9 +73,8 @@ func (t *Table) AddIndex(idx *catalog.Index) error {
 	if err != nil {
 		return err
 	}
-	tree := btree.New()
-	t.primary.Ascend(func(pkKey string, val any) bool {
-		row := val.(sqltypes.Row)
+	tree := btree.New[string]()
+	t.primary.Ascend(func(pkKey string, row sqltypes.Row) bool {
 		tree.Set(t.indexKeyLocked(ords, row, pkKey), pkKey)
 		return true
 	})
@@ -163,11 +163,10 @@ func (t *Table) Delete(pkVals sqltypes.Row) (sqltypes.Row, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pk := sqltypes.Key(pkVals...)
-	val, ok := t.primary.Get(pk)
+	old, ok := t.primary.Get(pk)
 	if !ok {
 		return nil, false
 	}
-	old := val.(sqltypes.Row)
 	t.primary.Delete(pk)
 	for name, tree := range t.secondary {
 		tree.Delete(t.indexKeyLocked(t.secOrds[name], old, pk))
@@ -190,11 +189,10 @@ func (t *Table) Update(newRow sqltypes.Row) (sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pk := t.pkKey(newRow)
-	val, ok := t.primary.Get(pk)
+	old, ok := t.primary.Get(pk)
 	if !ok {
 		return nil, fmt.Errorf("storage: %s: update of missing key", t.def.Name)
 	}
-	old := val.(sqltypes.Row)
 	stored := newRow.Clone()
 	t.primary.Set(pk, stored)
 	for name, tree := range t.secondary {
@@ -222,12 +220,9 @@ func (t *Table) Peek(pkVals sqltypes.Row) (sqltypes.Row, bool) {
 	var buf [sqltypes.KeyStackBytes]byte
 	key := sqltypes.AppendKey(buf[:0], pkVals...)
 	t.mu.RLock()
-	val, ok := t.primary.Get(string(key))
+	row, ok := t.primary.Get(string(key))
 	t.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return val.(sqltypes.Row), true
+	return row, ok
 }
 
 // Scan calls fn with every row in primary-key order until fn returns false.
@@ -235,9 +230,7 @@ func (t *Table) Peek(pkVals sqltypes.Row) (sqltypes.Row, bool) {
 func (t *Table) Scan(fn func(sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.primary.Ascend(func(_ string, val any) bool {
-		return fn(val.(sqltypes.Row))
-	})
+	t.primary.Ascend(func(_ string, row sqltypes.Row) bool { return fn(row) })
 }
 
 // Bound describes one end of an index range. A nil Vals means unbounded.
@@ -265,23 +258,47 @@ func (t *Table) ScanIndexRange(idxName, start, end string, fn func(sqltypes.Row)
 		return fmt.Errorf("storage: table %s has no index %s", t.def.Name, idxName)
 	}
 	if idx.Clustered {
-		t.primary.AscendRange(start, end, func(_ string, val any) bool {
-			return fn(val.(sqltypes.Row))
-		})
+		t.primary.AscendRange(start, end, func(_ string, row sqltypes.Row) bool { return fn(row) })
 		return nil
 	}
-	tree := t.secondary[idxName]
-	cont := true
-	tree.AscendRange(start, end, func(_ string, val any) bool {
-		pk := val.(string)
-		rowVal, ok := t.primary.Get(pk)
-		if !ok { // index and heap out of sync: structural bug
-			panic("storage: dangling index entry in " + idxName)
-		}
-		cont = fn(rowVal.(sqltypes.Row))
-		return cont
-	})
+	t.secondary[idxName].AscendRange(start, end, func(_, pk string) bool { return fn(t.rowOf(idxName, pk)) })
 	return nil
+}
+
+// rowOf resolves a secondary-index entry to its row.
+func (t *Table) rowOf(idxName, pk string) sqltypes.Row {
+	row, ok := t.primary.Get(pk)
+	if !ok { // index and heap out of sync: structural bug
+		panic("storage: dangling index entry in " + idxName)
+	}
+	return row
+}
+
+// SeekEq appends to dst every row whose leading index columns equal key, in
+// index order — the equality seek of an index nested-loop join. The key and
+// its prefix end are encoded side by side in one stack buffer and the walk
+// calls nothing back, so a seek allocates only when dst has to grow (or the
+// encoded key outgrows the buffer).
+func (t *Table) SeekEq(idxName string, key sqltypes.Row, dst []sqltypes.Row) ([]sqltypes.Row, error) {
+	var buf [sqltypes.KeyStackBytes]byte
+	k := sqltypes.AppendKey(buf[:0], key...)
+	e := btree.AppendPrefixEnd(k, k)[len(k):]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx := t.findIndex(idxName)
+	if idx == nil {
+		return dst, fmt.Errorf("storage: table %s has no index %s", t.def.Name, idxName)
+	}
+	if idx.Clustered {
+		dst, _, _ = t.primary.AppendRange(dst, string(k), string(e), math.MaxInt)
+		return dst, nil
+	}
+	var pkBuf [8]string
+	pks, _, _ := t.secondary[idxName].AppendRange(pkBuf[:0], string(k), string(e), math.MaxInt)
+	for _, pk := range pks {
+		dst = append(dst, t.rowOf(idxName, pk))
+	}
+	return dst, nil
 }
 
 // RangeKeys converts bounds on key-column prefixes to encoded key-range
@@ -310,9 +327,9 @@ func RangeKeys(lo, hi Bound) (start, end string) {
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.primary = btree.New()
+	t.primary = btree.New[sqltypes.Row]()
 	for name := range t.secondary {
-		t.secondary[name] = btree.New()
+		t.secondary[name] = btree.New[string]()
 	}
 }
 
@@ -328,14 +345,13 @@ func (t *Table) CheckIndexConsistency() string {
 		}
 		ords := t.secOrds[name]
 		bad := ""
-		tree.Ascend(func(key string, val any) bool {
-			pk := val.(string)
-			rowVal, ok := t.primary.Get(pk)
+		tree.Ascend(func(key, pk string) bool {
+			row, ok := t.primary.Get(pk)
 			if !ok {
 				bad = fmt.Sprintf("index %s entry points at missing row", name)
 				return false
 			}
-			if want := t.indexKeyLocked(ords, rowVal.(sqltypes.Row), pk); want != key {
+			if want := t.indexKeyLocked(ords, row, pk); want != key {
 				bad = fmt.Sprintf("index %s entry key mismatch", name)
 				return false
 			}

@@ -291,3 +291,74 @@ func TestQuickIndexConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSeekEqMatchesScanIndex checks the allocation-free equality seek against
+// ScanIndex with equal inclusive bounds, on the clustered index (a key prefix
+// of a composite primary key) and on a secondary index with duplicate keys.
+func TestSeekEqMatchesScanIndex(t *testing.T) {
+	c := catalog.New()
+	def := &catalog.Table{
+		Name: "o",
+		Columns: []catalog.Column{
+			{Name: "cust", Type: sqltypes.KindInt, NotNull: true},
+			{Name: "ord", Type: sqltypes.KindInt, NotNull: true},
+			{Name: "tag", Type: sqltypes.KindString},
+		},
+		PrimaryKey: []string{"cust", "ord"},
+	}
+	if err := c.AddTable(def); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddIndex(&catalog.Index{Name: "ix_tag", Table: "o", Columns: []string{"tag"}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewTable(c.Table("o"))
+	for cust := int64(0); cust < 40; cust++ {
+		for ord := int64(0); ord < cust%7; ord++ {
+			tag := sqltypes.NewString(fmt.Sprintf("t%d\xff", ord%3))
+			if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(ord), tag}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pk := tbl.Def().IndexOn("cust").Name
+	check := func(idx string, key sqltypes.Row) {
+		t.Helper()
+		var want []sqltypes.Row
+		b := Bound{Vals: key, Inclusive: true}
+		if err := tbl.ScanIndex(idx, b, b, func(r sqltypes.Row) bool { want = append(want, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tbl.SeekEq(idx, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s %v: SeekEq found %d rows, ScanIndex %d", idx, key, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s %v: row %d = %v, want %v", idx, key, i, got[i], want[i])
+			}
+		}
+	}
+	for cust := int64(-1); cust <= 40; cust++ {
+		check(pk, sqltypes.Row{sqltypes.NewInt(cust)})
+		check(pk, sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(2)})
+	}
+	for _, tag := range []string{"t0\xff", "t1\xff", "t2\xff", "t", "zz"} {
+		check("ix_tag", sqltypes.Row{sqltypes.NewString(tag)})
+	}
+	if _, err := tbl.SeekEq("nope", sqltypes.Row{sqltypes.NewInt(1)}, nil); err == nil {
+		t.Fatal("SeekEq on a missing index succeeded")
+	}
+
+	key := sqltypes.Row{sqltypes.NewInt(6)}
+	buf := make([]sqltypes.Row, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = tbl.SeekEq(pk, key, buf[:0]) }); n != 0 {
+		t.Errorf("clustered SeekEq allocates %v per seek, want 0", n)
+	}
+	if len(buf) != 6 {
+		t.Fatalf("clustered SeekEq found %d rows, want 6", len(buf))
+	}
+}

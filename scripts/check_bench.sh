@@ -110,10 +110,15 @@ gate_autotune() {
   ' "$file" > /dev/null
 }
 
-# The hash join ran at ~412,600 allocs/op before the vectorized rebuild;
-# the ceiling holds the ≥10x reduction (it sits ~100x below the old number,
-# ~160x above the current one, so only a real regression trips it).
-gate_allocs 'BenchmarkExecHashJoin/serial' 41000
+# No join allocates per match or per probe row: matches leave as pair lists
+# gathered into reused vectors. The hash join ran at ~412,600 allocs/op
+# before the vectorized rebuild and measures 199 now (its build side); the
+# index-loop and merge joins built one joined row per match (8,282 and
+# 157,514 on these benchmarks) and measure 46 and 48. Ceilings are ~1.5x the
+# counts of a freshly built tree, the hash join's as the issue set it.
+gate_allocs 'BenchmarkExecHashJoin/serial' 500
+gate_allocs 'BenchmarkExecIndexLoopJoin/serial' 75
+gate_allocs 'BenchmarkExecMergeJoin/serial' 75
 # The streaming scan allocates only pooled containers.
 gate_allocs 'BenchmarkExecScan/serial' 100
 # A plan-cache hit runs a cached tree: no parse, no print-back, no build.

@@ -6,7 +6,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max=3900
+exec_max=3825
 
 total=0
 exec_lines=0
