@@ -16,10 +16,13 @@ vet:
 race:
 	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/...
 
-# Ten seconds of native fuzzing on the comparison kernels, from the seed
-# corpus in internal/exec/testdata/fuzz (FUZZTIME overrides the duration).
+# Ten seconds of native fuzzing each on the comparison kernels and on the
+# parser (parse/print fixpoint, scanner and splice against the parse), from
+# the seed corpora in internal/{exec,sqlparser}/testdata/fuzz (FUZZTIME
+# overrides the duration).
 fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the full in-repo static-analysis suite (cmd/rcclint), all seven
 # analyzers: operator Close propagation, lock pairing and ordering,

@@ -303,9 +303,9 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// BenchmarkEndToEndQuery is the adoption-path microbenchmark: the full
-// parse-optimize-execute pipeline at the cache for local and remote
-// answers.
+// BenchmarkEndToEndQuery is the adoption-path microbenchmark: a statement
+// through the cache's whole pipeline, answered locally and remotely, as a
+// statement-cache hit and as a new text of a known shape.
 func BenchmarkEndToEndQuery(b *testing.B) {
 	sys := benchSystem(b)
 	b.Run("local-point", func(b *testing.B) {
@@ -324,6 +324,23 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 			}
 		}
 	})
+	// A statement-cache miss on a known shape: every iteration is a text the
+	// cache does not hold (the keys cycle over more statements than it keeps),
+	// of a shape it has a template for — one lexer pass and a bind, where
+	// BenchmarkOptimizerConsistencyChecking prices the optimize of a true miss.
+	customers := tpcd.Config{ScaleFactor: 0.01}.Customers()
+	for name, text := range map[string]func(key int64) string{
+		"shape-hit":      func(key int64) string { return tpcd.PointQuery(key, "CURRENCY 3600 ON (Customer)") },
+		"shape-hit-join": func(key int64) string { return tpcd.Query(tpcd.KindJoin, key, time.Hour) },
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Query(text(int64(1 + i%customers))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkResultCache measures the application-level query-result cache

@@ -8,6 +8,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,6 +37,20 @@ type Server struct {
 
 	mu     sync.Mutex // serializes writers (strict-2PL stand-in) and DDL
 	tables map[string]*storage.Table
+
+	// stmtMu guards shapes, the optimized templates Query answers from: the
+	// statements a cache ships are a handful of shapes differing in literals.
+	// Emptied when plans may have been made against something that changed:
+	// DDL, new statistics, a bulk load, a new region.
+	stmtMu sync.Mutex
+	shapes opt.Shapes
+}
+
+// invalidatePlans drops the templates: what they were planned against changed.
+func (s *Server) invalidatePlans() {
+	s.stmtMu.Lock()
+	s.shapes.Reset()
+	s.stmtMu.Unlock()
 }
 
 // New creates a back-end server with an empty catalog plus the heartbeat
@@ -113,13 +128,49 @@ func (s *Server) ExecStmt(stmt sqlparser.Statement) (int, error) {
 
 // Query plans and executes a SELECT, returning the materialized result.
 // Data at the master is always current, so C&C constraints are trivially
-// satisfied here.
+// satisfied here. A statement of a shape met before (opt.Shapes) is neither
+// parsed nor planned: one lexer pass finds its template and its literals, and
+// an idle tree of the template runs with them.
 func (s *Server) Query(sql string) (*exec.Result, error) {
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		return nil, err
+	var kb [256]byte
+	var vb [8]sqltypes.Value
+	var t *opt.Template
+	var root exec.Operator
+	var setup time.Duration
+	skel, vals, ok := sqlparser.Scan(sql, kb[:0], vb[:0])
+	if ok {
+		s.stmtMu.Lock()
+		t = s.shapes.Find(skel, vals)
+		root = t.TakeIdle()
+		s.stmtMu.Unlock()
 	}
-	return s.QuerySelect(sel)
+	if t == nil {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := s.Plan(sel)
+		if err != nil {
+			return nil, err
+		}
+		root, setup = plan.Root, plan.Setup
+		s.stmtMu.Lock()
+		t, vals = s.shapes.Add(skel, vals, sel, plan)
+		s.stmtMu.Unlock()
+	} else if root == nil {
+		var err error
+		if root, err = t.Plan.Build(); err != nil {
+			return nil, err
+		}
+	}
+	// The copy keeps the scan's buffers on the stack.
+	res, err := exec.Run(root, &exec.EvalContext{Now: s.clock.Now(), Params: slices.Clone(vals)}, setup)
+	if err == nil {
+		s.stmtMu.Lock()
+		t.CheckIn(root)
+		s.stmtMu.Unlock()
+	}
+	return res, err
 }
 
 // QuerySelect executes a parsed SELECT.
@@ -191,6 +242,7 @@ func (s *Server) createTable(stmt *sqlparser.CreateTableStmt) error {
 		return err
 	}
 	s.tables[stmt.Table] = storage.NewTable(def)
+	s.invalidatePlans()
 	return nil
 }
 
@@ -211,7 +263,9 @@ func (s *Server) createIndex(stmt *sqlparser.CreateIndexStmt) error {
 	if err := tbl.AddIndex(idx); err != nil {
 		return err
 	}
-	return s.cat.AddIndex(idx)
+	err := s.cat.AddIndex(idx)
+	s.invalidatePlans()
+	return err
 }
 
 func (s *Server) insert(stmt *sqlparser.InsertStmt) (int, error) {
@@ -438,6 +492,7 @@ func (s *Server) RegisterRegion(r *catalog.Region) error {
 	if err := s.cat.AddRegion(r); err != nil {
 		return err
 	}
+	s.invalidatePlans()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tbl := s.tables[HeartbeatTable]
@@ -488,6 +543,7 @@ func (s *Server) AnalyzeAll() {
 		})
 		def.Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
 	}
+	s.invalidatePlans()
 }
 
 // LoadRows bulk-inserts rows as one transaction, bypassing SQL parsing (used
@@ -508,6 +564,7 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 		changes = append(changes, txn.Change{Table: table, Op: txn.OpInsert, New: r.Clone()})
 	}
 	s.log.Append(s.clock.Now(), changes)
+	s.invalidatePlans()
 	return nil
 }
 

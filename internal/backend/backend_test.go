@@ -1,11 +1,14 @@
 package backend
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"relaxedcc/internal/catalog"
+	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/vclock"
 )
@@ -432,4 +435,137 @@ func BenchmarkDMLMatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// loadItems creates and fills a small table with a non-key column to index.
+func loadItems(t *testing.T, s *Server, n int) {
+	t.Helper()
+	if _, err := s.Exec(`CREATE TABLE item (id BIGINT NOT NULL PRIMARY KEY, cat BIGINT NOT NULL, price DOUBLE NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 10)), sqltypes.NewFloat(float64(i) / 2)}
+	}
+	if err := s.LoadRows("item", rows); err != nil {
+		t.Fatal(err)
+	}
+	s.AnalyzeAll()
+}
+
+// knowsShape reports whether the server would answer sql from a template,
+// without planning.
+func knowsShape(s *Server, sql string) bool {
+	skel, vals, ok := sqlparser.Scan(sql, nil, nil)
+	s.stmtMu.Lock()
+	defer s.stmtMu.Unlock()
+	return ok && s.shapes.Find(skel, vals) != nil
+}
+
+// TestQueryAnswersShippedShapesFromTemplates: Server.Query plans a shape
+// once and answers its other literals — keys with no row, negatives, another
+// numeric kind — like QuerySelect, which plans every statement; DDL, new
+// statistics, a bulk load and a new region drop what it kept.
+func TestQueryAnswersShippedShapesFromTemplates(t *testing.T) {
+	s, _ := newServer(t)
+	loadItems(t, s, 500)
+	shape := func(id, cat string) string {
+		return "SELECT item.id, item.price FROM item WHERE ((item.id = " + id + ") AND (item.cat <> " + cat + "))"
+	}
+	for i, lits := range [][2]string{{"7", "3"}, {"8", "3"}, {"8", "8"}, {"499", "0"}, {"100000", "1"}, {"-7", "2"}, {"7.0", "2"}, {"7.5", "2"}, {"7", "-0.5"}} {
+		sql := shape(lits[0], lits[1])
+		known := knowsShape(s, sql)
+		got, err := s.Query(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.QuerySelect(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) || len(got.Rows) == 1 && !got.Rows[0].Equal(want.Rows[0]) {
+			t.Fatalf("%q: %v, planned for itself %v", sql, got.Rows, want.Rows)
+		}
+		// 1–4 repeat the first statement's shape, 7 (7.5) that of 6 (7.0);
+		// a folded minus and the other numeric kind are skeletons of their own.
+		if wantKnown := i > 0 && i < 5 || i == 7; known != wantKnown {
+			t.Fatalf("%q: shape known before the query: %v, want %v", sql, known, wantKnown)
+		}
+	}
+	sql := shape("9", "9")
+	for name, invalidate := range map[string]func() error{
+		"CREATE INDEX":   func() error { _, err := s.Exec("CREATE INDEX ix_cat ON item (cat)"); return err },
+		"CREATE TABLE":   func() error { _, err := s.Exec("CREATE TABLE u (id BIGINT NOT NULL PRIMARY KEY)"); return err },
+		"AnalyzeAll":     func() error { s.AnalyzeAll(); return nil },
+		"LoadRows":       func() error { return s.LoadRows("u", []sqltypes.Row{{sqltypes.NewInt(1)}}) },
+		"RegisterRegion": func() error { return s.RegisterRegion(&catalog.Region{ID: 9, Name: "r9", UpdateInterval: time.Second}) },
+	} {
+		if _, err := s.Query(sql); err != nil || !knowsShape(s, sql) {
+			t.Fatalf("before %s: %v, shape known %v", name, err, knowsShape(s, sql))
+		}
+		if err := invalidate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if knowsShape(s, sql) {
+			t.Fatalf("%s left the server's templates in place", name)
+		}
+	}
+	// A statement that errors is not cached as anything, and says why each time.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Query("SELECT nope FROM item WHERE id = 1"); err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Fatalf("unknown column: %v", err)
+		}
+		if _, err := s.Query("SELECT id FROM item WHERE id = 99999999999999999999"); err == nil {
+			t.Fatal("an integer no int64 holds was accepted")
+		}
+	}
+}
+
+// TestQuerySharesShapesUnderRace: four goroutines query one shape with their
+// own literals beside one that analyzes and creates indexes, which drops the
+// templates mid-flight. Run under -race; every answer is checked. The indexes
+// go on another table than the one queried: CREATE INDEX appends to the
+// definition's index list, which plans and index scans of that table read
+// unlocked (as they did before templates; ROADMAP item 5).
+func TestQuerySharesShapesUnderRace(t *testing.T) {
+	s, _ := newServer(t)
+	loadItems(t, s, 400)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				id := (i*13 + w*97) % 450 // some past the last row
+				res, err := s.Query(fmt.Sprintf("SELECT id, price FROM item WHERE id = %d AND cat = %d", id, id%10))
+				wantRows := 0
+				if id < 400 {
+					wantRows = 1
+				}
+				if err != nil || len(res.Rows) != wantRows || wantRows == 1 && (res.Rows[0][0].Int() != int64(id) || res.Rows[0][1].Float() != float64(id)/2) {
+					t.Errorf("id %d: %v, %v", id, res, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 12; i++ {
+			if i%4 == 0 {
+				if _, err := s.Exec(fmt.Sprintf("CREATE INDEX ix_race_%d ON t (name)", i)); err != nil {
+					t.Error(err)
+				}
+			} else {
+				s.AnalyzeAll()
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	wg.Wait()
 }

@@ -116,9 +116,9 @@ func (s *System) CreateView(v *catalog.View, extraIndexes ...*catalog.Index) err
 
 // Analyze refreshes statistics on the back end and mirrors them into the
 // cache's shadow catalog.
-func (s *System) Analyze() {
+func (s *System) Analyze() error {
 	s.Backend.AnalyzeAll()
-	s.Cache.RefreshShadowStats()
+	return s.Cache.RefreshShadowStats()
 }
 
 // Run advances simulated time by d, firing heartbeats and replication

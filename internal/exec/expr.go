@@ -47,6 +47,20 @@ type EvalContext struct {
 	// progress and reports whether to keep blocking. Returning false gives
 	// up and proceeds with the guard's last choice.
 	GuardRetry func(region, attempt int) bool
+	// Params are the literal values, by slot, of the statement this execution
+	// answers; the tree may have been built for another statement of the same
+	// shape. Nil when the tree runs for the statement its plan was made from:
+	// every literal then answers with its own value.
+	Params []sqltypes.Value
+}
+
+// lit resolves a literal for this execution (see sqlparser.Literal.Value).
+// Safe on a nil context.
+func (ctx *EvalContext) lit(l *sqlparser.Literal) sqltypes.Value {
+	if ctx == nil {
+		return l.Val
+	}
+	return l.Value(ctx.Params)
 }
 
 // clock returns the injected time source, defaulting to the wall clock, so
@@ -69,6 +83,9 @@ type Compiled func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error)
 func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
 	switch e := e.(type) {
 	case *sqlparser.Literal:
+		if e.Slot > 0 {
+			return func(ctx *EvalContext, _ sqltypes.Row) (sqltypes.Value, error) { return ctx.lit(e), nil }, nil
+		}
 		v := e.Val
 		return func(*EvalContext, sqltypes.Row) (sqltypes.Value, error) { return v, nil }, nil
 

@@ -56,8 +56,8 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 		if !ok {
 			return nil, false
 		}
-		lo, okLo := litValue(e.Lo)
-		hi, okHi := litValue(e.Hi)
+		lo, okLo := e.Lo.(*sqlparser.Literal)
+		hi, okHi := e.Hi.(*sqlparser.Literal)
 		if !okLo || !okHi {
 			return nil, false
 		}
@@ -155,18 +155,18 @@ func andKernel(a, b BoolKernel) BoolKernel {
 
 // colLitCmp matches `col OP literal` or `literal OP col` (flipping the
 // operator for the reversed form).
-func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit sqltypes.Value, op sqlparser.BinOp, ok bool) {
+func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, op sqlparser.BinOp, ok bool) {
 	if c, okC := ColOrdinal(e.Left, schema); okC {
-		if v, okL := litValue(e.Right); okL {
-			return c, v, e.Op, true
+		if l, okL := e.Right.(*sqlparser.Literal); okL {
+			return c, l, e.Op, true
 		}
 	}
 	if c, okC := ColOrdinal(e.Right, schema); okC {
-		if v, okL := litValue(e.Left); okL {
-			return c, v, flipCmp(e.Op), true
+		if l, okL := e.Left.(*sqlparser.Literal); okL {
+			return c, l, flipCmp(e.Op), true
 		}
 	}
-	return 0, sqltypes.Null, e.Op, false
+	return 0, nil, e.Op, false
 }
 
 func colColCmp(e *sqlparser.BinaryExpr, schema *Schema) (l, r int, ok bool) {
@@ -191,14 +191,6 @@ func ColOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 		return 0, false
 	}
 	return idx, true
-}
-
-func litValue(e sqlparser.Expr) (sqltypes.Value, bool) {
-	lit, ok := e.(*sqlparser.Literal)
-	if !ok {
-		return sqltypes.Null, false
-	}
-	return lit.Val, true
 }
 
 // flipCmp mirrors a comparison operator for swapped operands.
@@ -348,10 +340,12 @@ func selCols[T lane](l, r []T, lnull, rnull []bool, bits uint8, cand, dst []int3
 // floats against any numeric constant, strings — run selLit over the
 // transposed vector; everything else goes value by value with the row
 // evaluator's rules (a comparison type-checks, BETWEEN orders mixed kinds by
-// kind without an error, as Compile's BETWEEN does).
-func litKernel(col int, loBits uint8, lo sqltypes.Value, hiBits uint8, hi sqltypes.Value) BoolKernel {
+// kind without an error, as Compile's BETWEEN does). The constants are read
+// per batch, so a slot literal is this execution's.
+func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hiLit *sqlparser.Literal) BoolKernel {
 	between := hiBits != bitLT|bitEQ|bitGT
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
+		lo, hi := ctx.lit(loLit), ctx.lit(hiLit)
 		if lo.IsNull() || hi.IsNull() {
 			return resetSel(dst), nil // a NULL comparison is never TRUE
 		}

@@ -72,7 +72,11 @@ type Scan struct {
 	Table  *storage.Table
 	Index  string // index to drive the scan; "" = clustered order
 	Lo, Hi storage.Bound
-	Filter Compiled // residual predicate, may be nil
+	// LoParam and HiParam, when positive, are the slots of the literals Lo's
+	// and Hi's single value came from: an execution with parameters reads the
+	// bound from there.
+	LoParam, HiParam int
+	Filter           Compiled // residual predicate, may be nil
 	// FilterKernel, when non-nil, is the vectorized form of Filter, evaluated
 	// column-at-a-time over each chunk. Without one, Filter runs per row
 	// through the batch's row view. Either way survivors are carried in the
@@ -82,11 +86,11 @@ type Scan struct {
 	schema *Schema
 	ctx    *EvalContext
 	kernel BoolKernel
-	// An index scan prepares two things at its first Open and keeps them for
-	// every later run of the tree: Lo/Hi encoded (the bounds are plan
-	// constants) and the callback that collects the Open snapshot.
-	start, end string
-	collect    func(sqltypes.Row) bool
+	// An index scan makes the callback that collects the Open snapshot at its
+	// first Open and keeps it, with room for a bound read from a parameter,
+	// for every later run of the tree.
+	collect  func(sqltypes.Row) bool
+	lov, hiv [1]sqltypes.Value
 	// walk streams a clustered scan; an index scan keeps its Open snapshot
 	// in walk.buf (pos is the cursor into it) and emits through walk's
 	// scratch.
@@ -119,14 +123,22 @@ func (s *Scan) Open(ctx *EvalContext) error {
 		return nil
 	}
 	if s.collect == nil {
-		s.start, s.end = storage.RangeKeys(s.Lo, s.Hi)
 		s.collect = func(r sqltypes.Row) bool {
 			*s.walk.buf = append(*s.walk.buf, r)
 			return true
 		}
 	}
 	*s.walk.buf = (*s.walk.buf)[:0]
-	return s.Table.ScanIndexRange(s.Index, s.start, s.end, s.collect)
+	lo, hi := s.Lo, s.Hi
+	if ctx != nil && ctx.Params != nil {
+		if s.LoParam > 0 {
+			s.lov[0], lo.Vals = ctx.Params[s.LoParam-1], s.lov[:]
+		}
+		if s.HiParam > 0 {
+			s.hiv[0], hi.Vals = ctx.Params[s.HiParam-1], s.hiv[:]
+		}
+	}
+	return s.Table.ScanIndex(s.Index, lo, hi, s.collect)
 }
 
 // NextVec implements Operator: the next chunk or snapshot window as a

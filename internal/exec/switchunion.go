@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -285,7 +286,10 @@ func (s *SwitchUnion) Close() error {
 // cache/back-end link and streams the resulting rows. Fetch is bound by the
 // planner to the remote client; SQL records the shipped query text.
 type Remote struct {
-	SQL   string
+	SQL string
+	// Text, when it has slots, is SQL cut at its slot literals: an execution
+	// with parameters splices its own text into SQL while Fetch ships it.
+	Text  sqlparser.Pieces
 	Fetch func(ctx *EvalContext) ([]sqltypes.Row, error)
 	Out   *Schema
 
@@ -298,7 +302,12 @@ func (r *Remote) Schema() *Schema { return r.Out }
 // Open implements Operator: it ships the query and buffers the reply,
 // modeling a one-round-trip remote cursor.
 func (r *Remote) Open(ctx *EvalContext) error {
+	own := r.SQL
+	if len(r.Text.Slots) > 0 && ctx != nil && ctx.Params != nil {
+		r.SQL = r.Text.Splice(ctx.Params)
+	}
 	rows, err := r.Fetch(ctx)
+	r.SQL = own
 	if err != nil {
 		return err
 	}

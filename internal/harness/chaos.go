@@ -173,7 +173,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
 		return nil, err
 	}
-	sys.Analyze()
+	if err := sys.Analyze(); err != nil {
+		return nil, err
+	}
 
 	inj := fault.New(cfg.Seed)
 	inj.SetLatency(cfg.Latency, cfg.LatencyJitter)

@@ -148,7 +148,9 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
 		return nil, err
 	}
-	sys.Analyze()
+	if err := sys.Analyze(); err != nil {
+		return nil, err
+	}
 	sys.Cache.ConfigureSLO(cfg.SLOTarget, cfg.SLOWindow)
 
 	inj := fault.New(cfg.Seed)

@@ -149,7 +149,9 @@ func MeasureWorkloadByExecution(f, d, bound time.Duration, n int) (float64, erro
 	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
 		return 0, err
 	}
-	sys.Analyze()
+	if err := sys.Analyze(); err != nil {
+		return 0, err
+	}
 	if err := sys.Run(3*f + 2*d + 2*time.Second); err != nil {
 		return 0, err
 	}

@@ -18,6 +18,7 @@ package mtcache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,18 +52,22 @@ type Cache struct {
 	// region, written by replication and read by currency guards.
 	hb *storage.Table
 
-	// planMu guards the plan cache: one stmtEntry per optimized dynamic
-	// plan, keyed by the statement's canonical text. Dynamic plans are
-	// exactly what makes caching safe here — the currency decision is
-	// re-taken by the guard at every execution, so a cached plan never pins a
-	// staleness choice (Section 3.2: "this approach requires re-optimization
-	// only if a view's consistency properties change"). The cache is
-	// invalidated when views or regions change. byText indexes the same
-	// entries by the raw query texts that reached them, so a known text is
-	// neither parsed nor printed; it never holds an entry planCache dropped.
+	// planMu guards the statement cache: one stmtEntry per statement, keyed by
+	// its canonical text. Dynamic plans are exactly what makes caching safe
+	// here — the currency decision is re-taken by the guard at every
+	// execution, so a cached plan never pins a staleness choice (Section 3.2:
+	// "this approach requires re-optimization only if a view's consistency
+	// properties change"). The cache is invalidated when views or regions
+	// change. byText indexes the same entries by the raw query texts that
+	// reached them, so a known text is neither parsed nor printed; it never
+	// holds an entry planCache dropped. Under both sits shapes, the optimized
+	// templates by statement shape: a statement cache miss on a known shape is
+	// one lexer pass and a bind, and plans and idle trees outlive the
+	// statement cache's evictions.
 	planMu    sync.Mutex
 	planCache map[string]*stmtEntry
 	byText    map[string]*stmtEntry
+	shapes    opt.Shapes
 
 	// obs holds the cache's metrics registry, instruments and trace store
 	// (see obs.go). Always non-nil; each cache owns its registry.
@@ -127,30 +132,15 @@ const maxCachedPlans = 512
 
 // stmtEntry is one cached statement: everything a plan-cache hit needs.
 type stmtEntry struct {
-	// sel is the parsed statement, shared read-only by the plan's Build and
-	// by sessions that plan it again with their own options.
-	sel *sqlparser.SelectStmt
-	// key is the canonical text, sqlparser.SelectSQL(sel).
+	// key is the canonical text, sqlparser.SelectSQL of the statement.
 	key string
-	// plan is the optimized plan with Root cleared: the trees built from it
-	// are either idle below or checked out to the one query running them.
-	plan *opt.Plan
-	// idle holds operator trees ready to run again, guarded by planMu. At
-	// most as many as queries ever ran the statement at once.
-	idle []exec.Operator
-}
-
-// takeIdle checks an idle tree out of the entry, nil when there is none or
-// the entry is. Called with planMu held.
-func (e *stmtEntry) takeIdle() exec.Operator {
-	if e == nil || len(e.idle) == 0 {
-		return nil
-	}
-	last := len(e.idle) - 1
-	root := e.idle[last]
-	e.idle[last] = nil
-	e.idle = e.idle[:last]
-	return root
+	// tmpl is the optimized shape the statement runs through — the plan and
+	// its idle trees, shared with every statement that differs from this one
+	// in free literals only. Nil until the statement is planned.
+	tmpl *opt.Template
+	// params are the statement's literal values by slot, which a tree of the
+	// template reads them from; nil when the template is the statement's own.
+	params []sqltypes.Value
 }
 
 // lookupText returns the entry a raw query text reached before, or nil; with
@@ -158,11 +148,36 @@ func (e *stmtEntry) takeIdle() exec.Operator {
 func (c *Cache) lookupText(sql string, take bool) (e *stmtEntry, root exec.Operator) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	e = c.byText[sql]
-	if take {
-		root = e.takeIdle()
+	if e = c.byText[sql]; e != nil && take {
+		root = e.tmpl.TakeIdle()
 	}
 	return e, root
+}
+
+// lookupShape resolves a text the index does not know, scanned to skel and
+// vals, through the template of its shape: the canonical text is spliced from
+// the template's and looked up. A statement met for the first time gets its
+// entry here (fresh), and with store set is cached under both texts.
+func (c *Cache) lookupShape(sql string, skel []byte, vals []sqltypes.Value, store, take bool) (e *stmtEntry, root exec.Operator, fresh bool) {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	t := c.shapes.Find(skel, vals)
+	if t == nil {
+		return nil, nil, false
+	}
+	key := t.Text.Splice(vals)
+	if e = c.planCache[key]; e == nil {
+		e, fresh = &stmtEntry{key: key, tmpl: t, params: slices.Clone(vals)}, true
+		if store {
+			c.storeLocked(e, sql)
+		}
+	} else {
+		c.fileText(sql, e)
+	}
+	if take {
+		root = e.tmpl.TakeIdle()
+	}
+	return e, root, fresh
 }
 
 // lookupKey is lookupText by canonical text, for a statement that had to be
@@ -172,9 +187,9 @@ func (c *Cache) lookupKey(key, sql string, take bool) (e *stmtEntry, root exec.O
 	defer c.planMu.Unlock()
 	if e = c.planCache[key]; e != nil {
 		c.fileText(sql, e)
-	}
-	if take {
-		root = e.takeIdle()
+		if take {
+			root = e.tmpl.TakeIdle()
+		}
 	}
 	return e, root
 }
@@ -191,12 +206,21 @@ func (c *Cache) fileText(sql string, e *stmtEntry) {
 	c.byText[sql] = e
 }
 
-// storeEntry caches a freshly planned statement. When another session
-// planned the same statement first, that entry stays and e remains private
-// to its query.
-func (c *Cache) storeEntry(e *stmtEntry, sql string) {
+// storePlanned caches a statement the session just optimized: the plan goes
+// to the shape cache, which answers with the statement's template — another
+// session's when that one planned the shape first — and its parameters. When
+// another session cached the same statement first, that entry stays and e
+// remains private to its query.
+func (c *Cache) storePlanned(e *stmtEntry, p *parsed, plan *opt.Plan) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
+	e.tmpl, e.params = c.shapes.Add(p.skel, p.vals, p.sel, plan) // p.vals is p's own copy
+	c.storeLocked(e, p.sql)
+}
+
+// storeLocked puts e in the plan cache (unless its statement is there) and
+// files the raw text under the cached entry. Called with planMu held.
+func (c *Cache) storeLocked(e *stmtEntry, sql string) {
 	if cur := c.planCache[e.key]; cur != nil {
 		e = cur
 	} else {
@@ -208,14 +232,14 @@ func (c *Cache) storeEntry(e *stmtEntry, sql string) {
 	c.fileText(sql, e)
 }
 
-// checkIn hands a tree back after a clean run, for the next hit to run
-// again. A tree whose entry is no longer the cached one (evicted,
-// invalidated, or never stored) is dropped.
+// checkIn hands a tree back after a clean run, for the next statement of the
+// shape to run again. A tree whose entry is no longer the cached one
+// (evicted, invalidated, or never stored) is dropped.
 func (c *Cache) checkIn(e *stmtEntry, root exec.Operator) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
 	if c.planCache[e.key] == e {
-		e.idle = append(e.idle, root)
+		e.tmpl.CheckIn(root)
 	}
 }
 
@@ -226,6 +250,7 @@ func (c *Cache) InvalidatePlans() {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
 	c.planCache, c.byText = map[string]*stmtEntry{}, map[string]*stmtEntry{}
+	c.shapes.Reset()
 }
 
 // Catalog returns the cache's shadow catalog.
@@ -265,13 +290,14 @@ func (c *Cache) Clock() vclock.Clock { return c.clock }
 
 // SyncShadowSchema mirrors any back-end tables and indexes created since the
 // cache was attached into the shadow catalog (the paper's shadow database of
-// empty tables with back-end statistics).
-func (c *Cache) SyncShadowSchema() {
+// empty tables with back-end statistics). It stops at the first definition
+// the shadow catalog rejects.
+func (c *Cache) SyncShadowSchema() error {
 	for _, t := range c.back.Catalog().Tables() {
 		shadow := c.cat.Table(t.Name)
 		if shadow == nil {
-			if err := c.cat.AddTable(t.Clone()); err == nil {
-				continue
+			if err := c.cat.AddTable(t.Clone()); err != nil {
+				return fmt.Errorf("mtcache: shadow of %s: %w", t.Name, err)
 			}
 			continue
 		}
@@ -286,16 +312,21 @@ func (c *Cache) SyncShadowSchema() {
 			if !found {
 				ic := *idx
 				ic.Columns = append([]string(nil), idx.Columns...)
-				_ = c.cat.AddIndex(&ic)
+				if err := c.cat.AddIndex(&ic); err != nil {
+					return fmt.Errorf("mtcache: shadow of %s: %w", t.Name, err)
+				}
 			}
 		}
 	}
+	return nil
 }
 
 // RefreshShadowStats re-copies statistics from the back-end catalog into the
 // shadow catalog (run after loading or ANALYZE on the back end).
-func (c *Cache) RefreshShadowStats() {
-	c.SyncShadowSchema()
+func (c *Cache) RefreshShadowStats() error {
+	if err := c.SyncShadowSchema(); err != nil {
+		return err
+	}
 	for _, t := range c.back.Catalog().Tables() {
 		shadow := c.cat.Table(t.Name)
 		if shadow == nil {
@@ -317,6 +348,7 @@ func (c *Cache) RefreshShadowStats() {
 			}
 		}
 	}
+	return nil
 }
 
 func snapshotCols(s *catalog.TableStats) map[string]*catalog.ColumnStats {
@@ -459,7 +491,9 @@ func (c *Cache) auditReadEvent(d exec.GuardDecision) audit.ReadEvent {
 // from the current back-end state (the automatic subscription of the
 // paper's step 3).
 func (c *Cache) CreateView(view *catalog.View, extraIndexes ...*catalog.Index) error {
-	c.SyncShadowSchema()
+	if err := c.SyncShadowSchema(); err != nil {
+		return err
+	}
 	base := c.cat.Table(view.BaseTable)
 	if base == nil {
 		return fmt.Errorf("mtcache: view %s: unknown base table %s", view.Name, view.BaseTable)
@@ -691,84 +725,108 @@ func (s *Session) planOptions() opt.Options {
 // Execute runs any statement in the session: SELECTs are optimized and run
 // with C&C enforcement; DML forwards to the back end (returning an empty
 // result); BEGIN/END TIMEORDERED toggle timeline consistency.
-func (s *Session) Execute(sql string) (*QueryResult, error) {
-	opts := s.planOptions()
-	if e, root := s.cache.lookupText(sql, cacheable(opts)); e != nil {
-		return s.query(e, root, "", opts, false, 0)
-	}
-	parseStart := s.cache.clock.Now()
-	stmt, err := sqlparser.Parse(sql)
-	parse := s.cache.clock.Now().Sub(parseStart)
-	if err != nil {
-		return nil, err
-	}
-	switch stmt := stmt.(type) {
-	case *sqlparser.BeginTimeOrderedStmt:
-		s.mu.Lock()
-		s.timeOrdered = true
-		s.floor = time.Time{}
-		s.mu.Unlock()
-		return &QueryResult{Result: &exec.Result{}}, nil
-	case *sqlparser.EndTimeOrderedStmt:
-		s.mu.Lock()
-		s.timeOrdered = false
-		s.floor = time.Time{}
-		s.mu.Unlock()
-		return &QueryResult{Result: &exec.Result{}}, nil
-	case *sqlparser.SelectStmt:
-		return s.parsed(stmt, sql, opts, false, parse)
-	case *sqlparser.ExplainStmt:
-		if stmt.Analyze {
-			// The text names the EXPLAIN, not the SELECT: it is not filed.
-			return s.parsed(stmt.Stmt, "", opts, true, parse)
-		}
-		return s.explain(stmt.Stmt)
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		n, err := s.cache.back.ExecStmt(stmt)
-		if err != nil {
-			return nil, err
-		}
-		_ = n
-		return &QueryResult{Result: &exec.Result{}}, nil
-	default:
-		return nil, fmt.Errorf("mtcache: unsupported statement in session")
-	}
-}
+func (s *Session) Execute(sql string) (*QueryResult, error) { return s.text(sql, false, true) }
 
 // Query runs one SELECT in the session.
-func (s *Session) Query(sql string) (*QueryResult, error) { return s.selectText(sql, false) }
+func (s *Session) Query(sql string) (*QueryResult, error) { return s.text(sql, false, false) }
 
 // ExplainAnalyze runs one SELECT with execution tracing: the result carries
 // the annotated plan tree (per-node time, rows, guard verdicts) in Trace,
 // and the trace is retained in the cache's TraceStore for /trace/last.
-func (s *Session) ExplainAnalyze(sql string) (*QueryResult, error) { return s.selectText(sql, true) }
+func (s *Session) ExplainAnalyze(sql string) (*QueryResult, error) { return s.text(sql, true, false) }
 
-// selectText resolves a SELECT's text to its cached statement — by the raw
-// text when it was seen before, else by parsing it — and runs it.
-func (s *Session) selectText(sql string, analyze bool) (*QueryResult, error) {
+// text runs the statement in sql — a SELECT, or with anyStmt set whatever
+// Execute takes. A text seen before runs its cached statement with no look
+// at the text at all.
+func (s *Session) text(sql string, analyze, anyStmt bool) (*QueryResult, error) {
 	opts := s.planOptions()
 	if e, root := s.cache.lookupText(sql, !analyze && cacheable(opts)); e != nil {
-		return s.query(e, root, "", opts, analyze, 0)
+		return s.query(e, root, false, nil, opts, analyze)
 	}
-	parseStart := s.cache.clock.Now()
-	sel, err := sqlparser.ParseSelect(sql)
-	parse := s.cache.clock.Now().Sub(parseStart)
+	return s.unknownText(sql, opts, analyze, anyStmt)
+}
+
+// parsed is what the miss path knows of a statement it had to parse: the
+// raw text to file it under (empty for none), the text's skeleton and token
+// values (nil when its shape is not to be shared), and the parse.
+type parsed struct {
+	sql  string
+	skel []byte
+	vals []sqltypes.Value
+	sel  *sqlparser.SelectStmt
+	took time.Duration
+}
+
+// unknownText resolves a text the raw-text index does not know. One lexer
+// pass yields its skeleton and literals; a statement of a known shape takes
+// its canonical text and its plan from the shape's template, and only a shape
+// (or a set of pinned values) met for the first time is parsed and optimized.
+func (s *Session) unknownText(sql string, opts opt.Options, analyze, anyStmt bool) (*QueryResult, error) {
+	c := s.cache
+	var kb [256]byte
+	var vb [8]sqltypes.Value
+	shared := cacheable(opts)
+	skel, vals, ok := sqlparser.Scan(sql, kb[:0], vb[:0])
+	if ok {
+		if e, root, fresh := c.lookupShape(sql, skel, vals, shared, shared && !analyze); e != nil {
+			return s.query(e, root, fresh, nil, opts, analyze)
+		}
+	}
+	parseStart := c.clock.Now()
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.parsed(sel, sql, opts, analyze, parse)
+	p := &parsed{took: c.clock.Now().Sub(parseStart)}
+	switch stmt := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		// The copies keep the scan's buffers on this frame's stack.
+		p.sel, p.sql, p.skel, p.vals = stmt, sql, slices.Clone(skel), slices.Clone(vals)
+	case *sqlparser.ExplainStmt:
+		if !anyStmt {
+			break
+		}
+		if !stmt.Analyze {
+			return s.explain(stmt.Stmt)
+		}
+		// The text names the EXPLAIN, not the SELECT: neither it nor its
+		// skeleton is filed.
+		p.sel, analyze = stmt.Stmt, true
+	default:
+		if anyStmt {
+			return s.other(stmt)
+		}
+	}
+	if p.sel == nil {
+		return nil, fmt.Errorf("sql: expected SELECT statement")
+	}
+	// Print the statement's canonical text and look it up by that.
+	key := sqlparser.SelectSQL(p.sel)
+	e, root := c.lookupKey(key, p.sql, shared && !analyze)
+	if e == nil {
+		e = &stmtEntry{key: key} // not cached, not planned yet
+	}
+	return s.query(e, root, false, p, opts, analyze)
 }
 
-// parsed is the rest of the miss path for a text the index did not know:
-// print the statement's canonical text and look it up by that. sql is the
-// raw text to file under the entry, empty for none.
-func (s *Session) parsed(sel *sqlparser.SelectStmt, sql string, opts opt.Options, analyze bool, parse time.Duration) (*QueryResult, error) {
-	key := sqlparser.SelectSQL(sel)
-	e, root := s.cache.lookupKey(key, sql, !analyze && cacheable(opts))
-	if e == nil {
-		e = &stmtEntry{sel: sel, key: key} // not cached, not planned yet
+// other runs a statement that is no SELECT: the session brackets, and DML,
+// which is forwarded to the back end.
+func (s *Session) other(stmt sqlparser.Statement) (*QueryResult, error) {
+	switch stmt := stmt.(type) {
+	case *sqlparser.BeginTimeOrderedStmt, *sqlparser.EndTimeOrderedStmt:
+		_, begin := stmt.(*sqlparser.BeginTimeOrderedStmt)
+		s.mu.Lock()
+		s.timeOrdered = begin
+		s.floor = time.Time{}
+		s.mu.Unlock()
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		if _, err := s.cache.back.ExecStmt(stmt); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("mtcache: unsupported statement in session")
 	}
-	return s.query(e, root, sql, opts, analyze, parse)
+	return &QueryResult{Result: &exec.Result{}}, nil
 }
 
 // explain plans the SELECT without executing it (plain EXPLAIN).
@@ -780,46 +838,67 @@ func (s *Session) explain(sel *sqlparser.SelectStmt) (*QueryResult, error) {
 	return &QueryResult{Result: &exec.Result{}, Plan: plan, Explained: true}, nil
 }
 
-// query runs the statement e: on a plan-cache hit the cached plan, through
-// the idle tree root when the lookup checked one out; on a miss a fresh
-// plan, which is cached under sql and the canonical text when it was made
-// with default options.
-func (s *Session) query(e *stmtEntry, root exec.Operator, sql string, opts opt.Options, analyze bool, parse time.Duration) (*QueryResult, error) {
+// ast returns the statement's parse: the miss path's when it came that way,
+// else a parse of the canonical text — what the sessions that cannot run the
+// cached plan (timeline, serve-stale) plan from.
+func (e *stmtEntry) ast(p *parsed) (*sqlparser.SelectStmt, error) {
+	if p != nil {
+		return p.sel, nil
+	}
+	return sqlparser.ParseSelect(e.key)
+}
+
+// query runs the statement e. On a plan-cache hit it runs the template's
+// plan, through the idle tree root when the lookup checked one out, reading
+// the statement's literals from its parameters; so does a statement just made
+// from a known shape (fresh), which counts as the miss it is. A statement
+// with no plan yet is optimized, and cached, with its template, when the plan
+// was made with default options. p is the miss path's parse, nil when the
+// text was not parsed.
+func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed, opts opt.Options, analyze bool) (*QueryResult, error) {
 	c := s.cache
 	// qt is nil on the unsampled path; every QueryTrace method is nil-safe,
 	// so the hot path pays one atomic add and no allocation.
 	qt := c.obs.tracer.Begin(e.key)
 	qt.Tenant(s.Tenant)
-	qt.Parse(parse)
+	if p != nil {
+		qt.Parse(p.took)
+	}
 	var planStart time.Time
 	if qt != nil {
 		planStart = c.clock.Now()
 	}
 	// A shared plan is safe to run again because the currency guard re-takes
 	// the freshness decision at every execution. A session whose plans are
-	// its own plans afresh — from the cached statement's AST when there is
-	// one.
+	// its own plans afresh.
 	shared := cacheable(opts)
-	plan, setup := e.plan, time.Duration(0)
-	if plan == nil || !shared {
+	var plan *opt.Plan
+	var setup time.Duration
+	params := e.params
+	if e.tmpl == nil || !shared {
 		c.obs.planMisses.Inc()
-		fresh, _, err := c.Plan(e.sel, opts)
+		sel, err := e.ast(p)
+		if err == nil {
+			plan, _, err = c.Plan(sel, opts)
+		}
 		if err != nil {
 			qt.Finish(true)
 			return nil, err
 		}
-		plan, root, setup = fresh, fresh.Root, fresh.Setup
+		root, setup, params = plan.Root, plan.Setup, nil
 		if shared {
 			// The entry keeps the plan without its tree: a result's Plan must
 			// not lead to a tree some other query is running.
-			meta := *fresh
-			meta.Root = nil
-			e.plan, plan = &meta, &meta
-			c.storeEntry(e, sql)
+			c.storePlanned(e, p, plan)
+			plan, params = e.tmpl.Plan, e.params
 		}
 	} else {
-		c.obs.planHits.Inc()
-		if root == nil {
+		if fresh {
+			c.obs.planMisses.Inc()
+		} else {
+			c.obs.planHits.Inc()
+		}
+		if plan = e.tmpl.Plan; root == nil {
 			var err error
 			if root, err = plan.Build(); err != nil {
 				qt.Finish(true)
@@ -830,11 +909,11 @@ func (s *Session) query(e *stmtEntry, root exec.Operator, sql string, opts opt.O
 	if qt != nil {
 		qt.Plan(c.clock.Now().Sub(planStart))
 	}
-	qr, err := s.run(plan, root, setup, analyze, e.key, qt)
+	qr, err := s.run(plan, root, params, setup, analyze, e.key, qt)
 	if err != nil {
 		// The tree is dropped with whatever the failed run left in it.
 		if s.Action == ActionServeStale && remote.IsUnavailable(err) {
-			return s.serveStale(e.sel, qt)
+			return s.serveStale(e, p, qt)
 		}
 		qt.Finish(true)
 		return nil, err
@@ -882,12 +961,15 @@ func (s *Session) guardRetry(region, attempt int) bool {
 // from the sources actually used. With analyze set, the tree is instrumented
 // (in place: it cannot run again) and the result carries the annotated trace
 // (retained in the cache's TraceStore under sql).
-func (s *Session) run(plan *opt.Plan, root exec.Operator, setup time.Duration, analyze bool, sql string, qt *obs.QueryTrace) (*QueryResult, error) {
+func (s *Session) run(plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string, qt *obs.QueryTrace) (*QueryResult, error) {
 	now := s.cache.clock.Now()
 	o := s.cache.obs
 	o.queries.Inc()
 	var trace *obs.TraceNode
 	if analyze {
+		if params != nil {
+			spliceRemotes(root, params)
+		}
 		root, trace = exec.Instrument(root)
 	}
 	// Violations recorded by degraded guards during execution surface on the
@@ -899,6 +981,7 @@ func (s *Session) run(plan *opt.Plan, root exec.Operator, setup time.Duration, a
 		OnGuard:     o.onGuard,
 		Degrade:     s.degradeMode(),
 		Unavailable: remote.IsUnavailable,
+		Params:      params,
 		OnViolation: func(v exec.Violation) {
 			violations = append(violations, v)
 			o.onViolation(v)
@@ -967,6 +1050,16 @@ func (s *Session) run(plan *opt.Plan, root exec.Operator, setup time.Duration, a
 	return qr, nil
 }
 
+// spliceRemotes gives every Remote of a tree about to be instrumented the
+// text it ships for params: the trace names a Remote by its text, executed or
+// not, and the tree may have been built for another statement of the shape.
+func spliceRemotes(op exec.Operator, params []sqltypes.Value) {
+	if r, ok := op.(*exec.Remote); ok && len(r.Text.Slots) > 0 {
+		r.SQL = r.Text.Splice(params)
+	}
+	exec.VisitChildren(op, func(c *exec.Operator) { spliceRemotes(*c, params) })
+}
+
 // usedWalk visits the operators that actually executed (descending only
 // into chosen SwitchUnion branches) to collect guard outcomes and the
 // snapshot times of the sources that answered: observed the newest (the
@@ -1015,8 +1108,12 @@ func (w *usedWalk) visit(op exec.Operator) {
 // lifecycle trace (nil on the unsampled path): the rerun executes guardless,
 // so the record is finished here marked degraded instead of via a guard
 // observation, and its staleness stays unknown.
-func (s *Session) serveStale(sel *sqlparser.SelectStmt, qt *obs.QueryTrace) (*QueryResult, error) {
-	plan, _, err := s.cache.Plan(sel, opt.Options{NoGuards: true, ForceLocal: true, IgnoreConstraints: true})
+func (s *Session) serveStale(e *stmtEntry, p *parsed, qt *obs.QueryTrace) (*QueryResult, error) {
+	var plan *opt.Plan
+	sel, err := e.ast(p)
+	if err == nil {
+		plan, _, err = s.cache.Plan(sel, opt.Options{NoGuards: true, ForceLocal: true, IgnoreConstraints: true})
+	}
 	if err != nil {
 		qt.Finish(true)
 		return nil, fmt.Errorf("mtcache: remote unavailable and no local data: %w", err)
@@ -1025,7 +1122,7 @@ func (s *Session) serveStale(sel *sqlparser.SelectStmt, qt *obs.QueryTrace) (*Qu
 		qt.Finish(true)
 		return nil, fmt.Errorf("mtcache: remote unavailable and no matching local view")
 	}
-	qr, err := s.run(plan, plan.Root, plan.Setup, false, "", nil)
+	qr, err := s.run(plan, plan.Root, nil, plan.Setup, false, "", nil)
 	if err != nil {
 		qt.Finish(true)
 		return nil, err

@@ -1,6 +1,7 @@
 package mtcache
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
+	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/vclock"
 )
 
@@ -52,7 +54,9 @@ func TestShadowCatalogMirrorsBackend(t *testing.T) {
 	if _, err := b.Exec("CREATE INDEX ix_n ON t (n)"); err != nil {
 		t.Fatal(err)
 	}
-	c.SyncShadowSchema()
+	if err := c.SyncShadowSchema(); err != nil {
+		t.Fatal(err)
+	}
 	if c.Catalog().Table("u") == nil {
 		t.Fatal("new table not mirrored")
 	}
@@ -61,12 +65,55 @@ func TestShadowCatalogMirrorsBackend(t *testing.T) {
 	}
 }
 
+// TestSyncShadowSchemaReportsWhatItCannotMirror: a back-end definition the
+// shadow catalog rejects (here two columns that collide) used to be dropped
+// on the floor behind a dead branch; the first such error now reaches the
+// callers that mirror the schema.
+func TestSyncShadowSchemaReportsWhatItCannotMirror(t *testing.T) {
+	c, b, _ := newPair(t)
+	addRegionAndView(t, c)
+	if err := c.SyncShadowSchema(); err != nil {
+		t.Fatalf("a schema already mirrored: %v", err)
+	}
+	if _, err := b.Exec("CREATE TABLE u (id BIGINT NOT NULL PRIMARY KEY, w BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	u := b.Catalog().Table("u")
+	u.Columns = append(u.Columns, catalog.Column{Name: "w", Type: sqltypes.KindInt})
+	for name, mirror := range map[string]func() error{
+		"SyncShadowSchema":   c.SyncShadowSchema,
+		"RefreshShadowStats": c.RefreshShadowStats,
+		"CreateView": func() error {
+			return c.CreateView(&catalog.View{Name: "t_again", BaseTable: "t", Columns: []string{"id", "v"}, RegionID: 1})
+		},
+	} {
+		if err := mirror(); err == nil || !strings.Contains(err.Error(), "duplicate column w") {
+			t.Errorf("%s over a colliding definition: %v", name, err)
+		}
+	}
+	if c.Catalog().Table("u") != nil || c.Catalog().View("t_again") != nil {
+		t.Fatal("the rejected table, or a view made after it, was mirrored")
+	}
+	// An index the shadow table cannot take is reported too.
+	u.Columns = u.Columns[:2]
+	if err := c.SyncShadowSchema(); err != nil {
+		t.Fatal(err)
+	}
+	t0 := b.Catalog().Table("t")
+	t0.Indexes = append(t0.Indexes, &catalog.Index{Name: "ix_ghost", Table: "t", Columns: []string{"ghost"}})
+	if err := c.SyncShadowSchema(); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("an index on a column the shadow lacks: %v", err)
+	}
+}
+
 func TestRefreshShadowStats(t *testing.T) {
 	c, b, _ := newPair(t)
 	addRegionAndView(t, c)
 	b.Exec("INSERT INTO t VALUES (4, 'd', 40)")
 	b.AnalyzeAll()
-	c.RefreshShadowStats()
+	if err := c.RefreshShadowStats(); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Catalog().Table("t").Stats.Rows(); got != 4 {
 		t.Fatalf("shadow rows = %d", got)
 	}
@@ -277,7 +324,7 @@ func TestPlanCacheReusesAndRevalidates(t *testing.T) {
 	}
 	// The raw text is filed under the entry, and the result leads to the
 	// entry's plan, which carries no tree.
-	if e, _ := c.lookupText(q, false); e == nil || e.plan != res1.Plan || res1.Plan.Root != nil {
+	if e, _ := c.lookupText(q, false); e == nil || e.tmpl.Plan != res1.Plan || res1.Plan.Root != nil {
 		t.Fatalf("raw text not filed under the cached plan, or the result exposes a tree: %+v", e)
 	}
 	// Same query again: plan reused (a plan-cache hit), and the guard

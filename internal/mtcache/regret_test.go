@@ -61,11 +61,10 @@ func TestPlanRegret(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var chosenTime, fastest time.Duration
-		fastestShape := ""
-		for _, c := range cands {
+		// bestOf times the plan's tree: the fastest of its runs after a warm-up.
+		bestOf := func(c *opt.Plan, runs int) time.Duration {
 			best := time.Duration(0)
-			for run := 0; run < 6; run++ {
+			for run := 0; run <= runs; run++ {
 				start := wall.Now()
 				if _, err := exec.Run(c.Root, &exec.EvalContext{Now: sys.Clock.Now()}, 0); err != nil {
 					t.Fatalf("%s: %s: %v", name, c.Shape, err)
@@ -74,16 +73,32 @@ func TestPlanRegret(t *testing.T) {
 					best = d
 				}
 			}
-			if c.Shape == chosen.Shape && chosenTime == 0 {
-				chosenTime = best
+			return best
+		}
+		var chosenTime, fastest time.Duration
+		var chosenCand, fastestCand *opt.Plan
+		for _, c := range cands {
+			best := bestOf(c, 5)
+			if c.Shape == chosen.Shape && chosenCand == nil {
+				chosenTime, chosenCand = best, c
 			}
 			if fastest == 0 || best < fastest {
-				fastest, fastestShape = best, c.Shape
+				fastest, fastestCand = best, c
 			}
 			t.Logf("%-22s cost %9.3f  %10v  %s", name, c.Cost, best, c.Shape)
 		}
-		if chosenTime == 0 {
+		if chosenCand == nil {
 			t.Fatalf("%s: the chosen plan %s is not among the %d candidates", name, chosen.Shape, len(cands))
+		}
+		fastestShape := fastestCand.Shape
+		if float64(chosenTime) > 3*float64(fastest) {
+			// The candidates were timed one after the other, and the host's
+			// other tenants come and go for longer than one of them runs: time
+			// the two again, turn and turn about, before believing the ratio.
+			for round := 0; round < 5; round++ {
+				chosenTime = min(chosenTime, bestOf(chosenCand, 3))
+				fastest = min(fastest, bestOf(fastestCand, 3))
+			}
 		}
 		regret := float64(chosenTime) / float64(fastest)
 		t.Logf("%-22s chose %s (%v), fastest %s (%v): regret %.2fx", name, chosen.Shape, chosenTime, fastestShape, fastest, regret)

@@ -14,7 +14,7 @@ func idleTrees(c *Cache, sql string) int {
 	if e == nil {
 		return -1
 	}
-	return len(e.idle)
+	return e.tmpl.Idle()
 }
 
 // TestTreeCheckInRules: a tree returns to its entry only after a clean,
@@ -85,7 +85,7 @@ func TestTreeCheckInRules(t *testing.T) {
 	}
 	c.InvalidatePlans()
 	c.checkIn(e, root)
-	if len(e.idle) != 0 || idleTrees(c, q) != -1 {
+	if e.tmpl.Idle() != 0 || idleTrees(c, q) != -1 {
 		t.Fatal("a tree of an invalidated plan was kept")
 	}
 }
@@ -102,7 +102,7 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := c.lookupText(q, false)
-	plan := e.plan
+	plan := e.tmpl.Plan
 
 	// A timeline session with a floor plans per query: a miss every time.
 	tl := c.NewSession()
@@ -138,7 +138,7 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 	}
 	c.Link().SetDown(false)
 
-	if e2, _ := c.lookupText(q, false); e2 != e || e.plan != plan {
+	if e2, _ := c.lookupText(q, false); e2 != e || e.tmpl.Plan != plan {
 		t.Fatal("a per-session plan replaced the cached entry")
 	}
 }

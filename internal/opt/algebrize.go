@@ -15,8 +15,8 @@ import (
 // semi/anti join leaves, predicates classified, and all currency clauses
 // normalized into one required consistency constraint.
 func Algebrize(sel *sqlparser.SelectStmt, cat *catalog.Catalog) (*Query, error) {
-	a := &algebrizer{cat: cat, bindings: map[string]cc.InstanceID{}}
 	q := &Query{Stmt: sel}
+	a := &algebrizer{cat: cat, bindings: map[string]cc.InstanceID{}, pins: &q.pinned}
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("opt: SELECT without FROM is handled by the trivial planner")
 	}
@@ -75,6 +75,7 @@ type algebrizer struct {
 	bindings  map[string]cc.InstanceID
 	leaves    []*Leaf
 	aliasMaps []aliasMap
+	pins      *pins
 }
 
 func (a *algebrizer) newLeaf(q *Query, table *catalog.Table, binding string, kind exec.JoinKind) (*Leaf, error) {
@@ -82,7 +83,7 @@ func (a *algebrizer) newLeaf(q *Query, table *catalog.Table, binding string, kin
 		return nil, fmt.Errorf("opt: duplicate table binding %q", binding)
 	}
 	a.nextID++
-	leaf := &Leaf{ID: a.nextID, Table: table, Binding: binding, Join: kind}
+	leaf := &Leaf{ID: a.nextID, Table: table, Binding: binding, Join: kind, pins: a.pins}
 	a.bindings[binding] = leaf.ID
 	a.leaves = append(a.leaves, leaf)
 	q.Leaves = append(q.Leaves, leaf)
@@ -618,7 +619,13 @@ func (a *algebrizer) extractAggs(q *Query, e sqlparser.Expr) (sqlparser.Expr, er
 			}
 			arg = e.Args[0]
 		}
-		// Reuse an existing identical aggregate.
+		// Reuse an existing identical aggregate. The comparison reads every
+		// literal inside the call.
+		walkExpr(e, func(x sqlparser.Expr) {
+			if lit, ok := x.(*sqlparser.Literal); ok {
+				a.pins.pin(lit.Slot)
+			}
+		})
 		sig := e.SQL()
 		for i := range q.Aggs {
 			existing := &sqlparser.FuncExpr{Name: q.Aggs[i].Func, Star: q.Aggs[i].Star}
@@ -700,34 +707,12 @@ func (a *algebrizer) collectNeededColumns(q *Query) {
 		}
 		needed[ref.Table][ref.Column] = true
 	}
-	var walk func(e sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		switch e := e.(type) {
-		case *sqlparser.ColumnRef:
-			add(e)
-		case *sqlparser.BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *sqlparser.NotExpr:
-			walk(e.Inner)
-		case *sqlparser.NegExpr:
-			walk(e.Inner)
-		case *sqlparser.BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *sqlparser.InExpr:
-			walk(e.Expr)
-			for _, item := range e.List {
-				walk(item)
+	walk := func(e sqlparser.Expr) {
+		walkExpr(e, func(x sqlparser.Expr) {
+			if ref, ok := x.(*sqlparser.ColumnRef); ok {
+				add(ref)
 			}
-		case *sqlparser.IsNullExpr:
-			walk(e.Expr)
-		case *sqlparser.FuncExpr:
-			for _, arg := range e.Args {
-				walk(arg)
-			}
-		}
+		})
 	}
 	for _, item := range q.Items {
 		walk(item.Expr)
@@ -770,6 +755,39 @@ func (a *algebrizer) collectNeededColumns(q *Query) {
 			if cols[c.Name] {
 				l.Cols = append(l.Cols, c.Name)
 			}
+		}
+	}
+}
+
+// walkExpr calls visit on e and every expression under it (subqueries
+// excepted: the algebrizer has turned them into leaves by now).
+func walkExpr(e sqlparser.Expr, visit func(sqlparser.Expr)) {
+	if e == nil {
+		return
+	}
+	visit(e)
+	switch e := e.(type) {
+	case *sqlparser.BinaryExpr:
+		walkExpr(e.Left, visit)
+		walkExpr(e.Right, visit)
+	case *sqlparser.NotExpr:
+		walkExpr(e.Inner, visit)
+	case *sqlparser.NegExpr:
+		walkExpr(e.Inner, visit)
+	case *sqlparser.BetweenExpr:
+		walkExpr(e.Expr, visit)
+		walkExpr(e.Lo, visit)
+		walkExpr(e.Hi, visit)
+	case *sqlparser.InExpr:
+		walkExpr(e.Expr, visit)
+		for _, item := range e.List {
+			walkExpr(item, visit)
+		}
+	case *sqlparser.IsNullExpr:
+		walkExpr(e.Expr, visit)
+	case *sqlparser.FuncExpr:
+		for _, arg := range e.Args {
+			walkExpr(arg, visit)
 		}
 	}
 }

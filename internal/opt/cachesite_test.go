@@ -73,7 +73,9 @@ func cacheFixture(t *testing.T) (*mtcache.Cache, *vclock.Virtual) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.RefreshShadowStats()
+	if err := c.RefreshShadowStats(); err != nil {
+		t.Fatal(err)
+	}
 	// Mark both regions synchronized "now".
 	c.SetLastSync(1, clock.Now())
 	c.SetLastSync(2, clock.Now())

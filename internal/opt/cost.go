@@ -66,8 +66,9 @@ func parallelScanCost(serialCost, outRows float64, dop int) float64 {
 }
 
 // selectivity estimates the fraction of a leaf's rows satisfying one
-// conjunct.
-func selectivity(stats *catalog.TableStats, e sqlparser.Expr) float64 {
+// conjunct. An equality costs the same whatever its literal; a range reads
+// its ends.
+func selectivity(p *pins, stats *catalog.TableStats, e sqlparser.Expr) float64 {
 	switch e := e.(type) {
 	case *sqlparser.BinaryExpr:
 		col, lit, op := normalizeCompare(e)
@@ -80,19 +81,19 @@ func selectivity(stats *catalog.TableStats, e sqlparser.Expr) float64 {
 		case sqlparser.OpNE:
 			return 1 - stats.SelectivityEq(col)
 		case sqlparser.OpLT, sqlparser.OpLE:
-			return stats.SelectivityRange(col, sqltypes.Null, lit)
+			return stats.SelectivityRange(col, sqltypes.Null, p.val(lit))
 		case sqlparser.OpGT, sqlparser.OpGE:
-			return stats.SelectivityRange(col, lit, sqltypes.Null)
+			return stats.SelectivityRange(col, p.val(lit), sqltypes.Null)
 		}
 		return 0.5
 	case *sqlparser.BetweenExpr:
 		col := columnOf(e.Expr)
-		lo, okLo := literalOf(e.Lo)
-		hi, okHi := literalOf(e.Hi)
+		lo, okLo := e.Lo.(*sqlparser.Literal)
+		hi, okHi := e.Hi.(*sqlparser.Literal)
 		if col == "" || !okLo || !okHi {
 			return 0.3
 		}
-		s := stats.SelectivityRange(col, lo, hi)
+		s := stats.SelectivityRange(col, p.val(lo), p.val(hi))
 		if e.Not {
 			return 1 - s
 		}
@@ -113,26 +114,26 @@ func selectivity(stats *catalog.TableStats, e sqlparser.Expr) float64 {
 	case *sqlparser.IsNullExpr:
 		return 0.05
 	case *sqlparser.NotExpr:
-		return 1 - selectivity(stats, e.Inner)
+		return 1 - selectivity(p, stats, e.Inner)
 	default:
 		return 0.5
 	}
 }
 
 // normalizeCompare extracts (column, literal, op) from col-op-literal or
-// literal-op-col comparisons.
-func normalizeCompare(e *sqlparser.BinaryExpr) (string, sqltypes.Value, sqlparser.BinOp) {
+// literal-op-col comparisons; the column is "" for anything else.
+func normalizeCompare(e *sqlparser.BinaryExpr) (string, *sqlparser.Literal, sqlparser.BinOp) {
 	if col := columnOf(e.Left); col != "" {
-		if lit, ok := literalOf(e.Right); ok {
+		if lit, ok := e.Right.(*sqlparser.Literal); ok {
 			return col, lit, e.Op
 		}
 	}
 	if col := columnOf(e.Right); col != "" {
-		if lit, ok := literalOf(e.Left); ok {
+		if lit, ok := e.Left.(*sqlparser.Literal); ok {
 			return col, lit, flipOp(e.Op)
 		}
 	}
-	return "", sqltypes.Null, e.Op
+	return "", nil, e.Op
 }
 
 func flipOp(op sqlparser.BinOp) sqlparser.BinOp {
@@ -157,18 +158,11 @@ func columnOf(e sqlparser.Expr) string {
 	return ""
 }
 
-func literalOf(e sqlparser.Expr) (sqltypes.Value, bool) {
-	if lit, ok := e.(*sqlparser.Literal); ok {
-		return lit.Val, true
-	}
-	return sqltypes.Null, false
-}
-
 // leafSelectivity multiplies conjunct selectivities.
 func leafSelectivity(leaf *Leaf) float64 {
 	s := 1.0
 	for _, p := range leaf.Preds {
-		s *= selectivity(leaf.Table.Stats, p)
+		s *= selectivity(leaf.pins, leaf.Table.Stats, p)
 	}
 	if s < 1e-9 {
 		s = 1e-9
@@ -247,7 +241,7 @@ func indexPrefixSelectivity(leaf *Leaf, idx *catalog.Index) (float64, bool) {
 	found := false
 	for _, p := range leaf.Preds {
 		if predColumn(p) == lead {
-			sel *= selectivity(leaf.Table.Stats, p)
+			sel *= selectivity(leaf.pins, leaf.Table.Stats, p)
 			found = true
 		}
 	}

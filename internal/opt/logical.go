@@ -120,6 +120,35 @@ type Leaf struct {
 	Join exec.JoinKind
 	// Cols are the table columns the query needs from this instance.
 	Cols []string
+	// pins is the query's record of literal values read (nil for a leaf put
+	// together by hand).
+	pins *pins
+}
+
+// pins records which literal slots (sqlparser.Literal.Slot, the first 64)
+// planning read the value of. A plan is a function of the statement's shape
+// and of exactly those values: every other literal is compiled as a read of
+// the execution's parameters, so the plan serves any statement that differs
+// in them only. Everything the planner does with a literal's value — not its
+// kind, which the shape fixes — goes through val.
+type pins uint64
+
+// val reads the literal's value and pins its slot. A nil receiver only reads.
+func (p *pins) val(l *sqlparser.Literal) sqltypes.Value {
+	p.pin(l.Slot)
+	return l.Val
+}
+
+func (p *pins) pin(slot int) {
+	if p != nil && 0 < slot && slot <= 64 {
+		*p |= 1 << (slot - 1)
+	}
+}
+
+// same reports whether two literals hold the same value; for one slot met
+// twice (a propagated equality) that takes no reading.
+func (p *pins) same(a, b *sqlparser.Literal) bool {
+	return a.Slot > 0 && a.Slot == b.Slot || p.val(a).String() == p.val(b).String()
 }
 
 // JoinPred is an equi-join conjunct between two leaves.
@@ -163,6 +192,9 @@ type Query struct {
 	OrderBy  []sqlparser.OrderItem
 	Top      int64
 	Distinct bool
+
+	// pinned collects the literal slots planning reads the values of.
+	pinned pins
 }
 
 // Leaf returns the leaf with the given instance id, or nil.
@@ -209,6 +241,10 @@ type Plan struct {
 	DOP int
 	// Setup is how long optimization + operator construction took.
 	Setup time.Duration
+	// Pinned has bit i set when planning read the value of the literal in
+	// slot i+1 (see pins): the plan holds for another statement of the same
+	// shape only if it agrees on those.
+	Pinned uint64
 }
 
 // String summarizes the plan.

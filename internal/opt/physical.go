@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"relaxedcc/internal/catalog"
@@ -59,7 +60,7 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt) (*Plan, *Query, error) {
 	if err != nil {
 		return nil, q, err
 	}
-	plan.Setup = clk.Now().Sub(start)
+	plan.Setup, plan.Pinned = clk.Now().Sub(start), uint64(q.pinned)
 	return plan, q, nil
 }
 
@@ -263,38 +264,11 @@ func splitResiduals(q *Query) (map[cc.InstanceID][]sqlparser.Expr, []sqlparser.E
 
 func exprTouches(e sqlparser.Expr, binding string) bool {
 	found := false
-	var walk func(e sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		switch e := e.(type) {
-		case *sqlparser.ColumnRef:
-			if e.Table == binding {
-				found = true
-			}
-		case *sqlparser.BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *sqlparser.NotExpr:
-			walk(e.Inner)
-		case *sqlparser.NegExpr:
-			walk(e.Inner)
-		case *sqlparser.BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *sqlparser.InExpr:
-			walk(e.Expr)
-			for _, it := range e.List {
-				walk(it)
-			}
-		case *sqlparser.IsNullExpr:
-			walk(e.Expr)
-		case *sqlparser.FuncExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
+	walkExpr(e, func(x sqlparser.Expr) {
+		if ref, ok := x.(*sqlparser.ColumnRef); ok && ref.Table == binding {
+			found = true
 		}
-	}
-	walk(e)
+	})
 	return found
 }
 
@@ -321,22 +295,19 @@ func copyEqLiteral(from *Leaf, fromCol string, to *Leaf, toCol string) {
 		if op != sqlparser.OpEQ || col != fromCol {
 			continue
 		}
-		newPred := &sqlparser.BinaryExpr{
-			Op:   sqlparser.OpEQ,
-			Left: &sqlparser.ColumnRef{Table: to.Binding, Column: toCol},
-			Right: &sqlparser.Literal{
-				Val: lit,
-			},
-		}
-		dup := false
-		for _, existing := range to.Preds {
-			if existing.SQL() == newPred.SQL() {
-				dup = true
-				break
+		// The copy keeps the literal, slot and all: it stays a parameter.
+		ref := &sqlparser.ColumnRef{Table: to.Binding, Column: toCol}
+		dup := slices.ContainsFunc(to.Preds, func(existing sqlparser.Expr) bool {
+			e, ok := existing.(*sqlparser.BinaryExpr)
+			if !ok || e.Op != sqlparser.OpEQ {
+				return false
 			}
-		}
+			l, okL := e.Left.(*sqlparser.ColumnRef)
+			r, okR := e.Right.(*sqlparser.Literal)
+			return okL && okR && *l == *ref && to.pins.same(r, lit)
+		})
 		if !dup {
-			to.Preds = append(to.Preds, newPred)
+			to.Preds = append(to.Preds, &sqlparser.BinaryExpr{Op: sqlparser.OpEQ, Left: ref, Right: lit})
 		}
 	}
 }
@@ -364,28 +335,36 @@ func storedSchema(def *catalog.Table, binding string) *exec.Schema {
 
 // accessPath describes how to drive a stored table for a leaf's predicates.
 type accessPath struct {
-	index     string
-	lo, hi    storage.Bound
+	index string
+	keyRange
 	residual  []sqlparser.Expr // predicates not absorbed by the range
 	cost      float64
 	usedIndex bool
 }
 
+// keyRange is a range on an index's leading column. loSlot and hiSlot are the
+// slots of the literals the ends came from (0 for none): a serial scan reads
+// such an end from the execution's parameters.
+type keyRange struct {
+	lo, hi         storage.Bound
+	loSlot, hiSlot int
+}
+
 // chooseAccessPath picks the best index for the leaf's predicates against
 // the given stored definition (a base table at the back end, or a
 // materialized view at the cache).
-func chooseAccessPath(def *catalog.Table, stats *catalog.TableStats, preds []sqlparser.Expr, outRows float64) accessPath {
+func chooseAccessPath(pn *pins, def *catalog.Table, stats *catalog.TableStats, preds []sqlparser.Expr, outRows float64) accessPath {
 	total := float64(stats.Rows())
 	best := accessPath{residual: preds, cost: total*costScanRow + outRows*costRow}
 	for _, idx := range def.Indexes {
-		lo, hi, used, residual := boundsForIndex(idx, preds)
+		rng, used, residual := boundsForIndex(pn, idx, preds)
 		if !used {
 			continue
 		}
 		sel := 1.0
 		for _, p := range preds {
 			if !containsExpr(residual, p) {
-				sel *= selectivity(stats, p)
+				sel *= selectivity(pn, stats, p)
 			}
 		}
 		touched := total * sel
@@ -394,7 +373,7 @@ func chooseAccessPath(def *catalog.Table, stats *catalog.TableStats, preds []sql
 			c += touched * costSeek * 0.1
 		}
 		if c < best.cost {
-			best = accessPath{index: idx.Name, lo: lo, hi: hi, residual: residual, cost: c, usedIndex: true}
+			best = accessPath{index: idx.Name, keyRange: rng, residual: residual, cost: c, usedIndex: true}
 		}
 	}
 	return best
@@ -410,74 +389,81 @@ func containsExpr(list []sqlparser.Expr, e sqlparser.Expr) bool {
 }
 
 // boundsForIndex derives a key range on the index's leading column from the
-// predicates. used=false if no predicate constrains the leading column.
-func boundsForIndex(idx *catalog.Index, preds []sqlparser.Expr) (lo, hi storage.Bound, used bool, residual []sqlparser.Expr) {
+// predicates. used=false if no predicate constrains the leading column. An
+// end set by one predicate alone is not read; two that compete for an end are
+// compared, which pins both.
+func boundsForIndex(pn *pins, idx *catalog.Index, preds []sqlparser.Expr) (rng keyRange, used bool, residual []sqlparser.Expr) {
 	lead := idx.Columns[0]
-	var loV, hiV sqltypes.Value
+	var lo, hi *sqlparser.Literal
 	loIncl, hiIncl := true, true
-	haveLo, haveHi := false, false
+	// tighter reports whether lit bounds more tightly than cur, the end held
+	// (nil for none): above it for a lower end (sign 1), below it for an
+	// upper one (-1), or level with it when ties go to the newcomer.
+	tighter := func(lit, cur *sqlparser.Literal, sign int, ties bool) bool {
+		if cur == nil {
+			return true
+		}
+		c := pn.val(lit).Compare(pn.val(cur)) * sign
+		return c > 0 || c == 0 && ties
+	}
 	for _, p := range preds {
 		absorbed := false
 		switch e := p.(type) {
 		case *sqlparser.BinaryExpr:
 			col, lit, op := normalizeCompare(e)
-			if col == lead && !lit.IsNull() {
+			if col == lead && lit.Kind() != sqltypes.KindNull {
+				absorbed = true
 				switch op {
 				case sqlparser.OpEQ:
-					loV, hiV, haveLo, haveHi = lit, lit, true, true
-					loIncl, hiIncl = true, true
-					absorbed = true
+					lo, hi, loIncl, hiIncl = lit, lit, true, true
 				case sqlparser.OpGT:
-					if !haveLo || lit.Compare(loV) >= 0 {
-						loV, loIncl, haveLo = lit, false, true
+					if tighter(lit, lo, 1, true) {
+						lo, loIncl = lit, false
 					}
-					absorbed = true
 				case sqlparser.OpGE:
-					if !haveLo || lit.Compare(loV) > 0 {
-						loV, loIncl, haveLo = lit, true, true
+					if tighter(lit, lo, 1, false) {
+						lo, loIncl = lit, true
 					}
-					absorbed = true
 				case sqlparser.OpLT:
-					if !haveHi || lit.Compare(hiV) <= 0 {
-						hiV, hiIncl, haveHi = lit, false, true
+					if tighter(lit, hi, -1, true) {
+						hi, hiIncl = lit, false
 					}
-					absorbed = true
 				case sqlparser.OpLE:
-					if !haveHi || lit.Compare(hiV) < 0 {
-						hiV, hiIncl, haveHi = lit, true, true
+					if tighter(lit, hi, -1, false) {
+						hi, hiIncl = lit, true
 					}
-					absorbed = true
+				default:
+					absorbed = false
 				}
 			}
 		case *sqlparser.BetweenExpr:
-			if !e.Not && columnOf(e.Expr) == lead {
-				loLit, okLo := literalOf(e.Lo)
-				hiLit, okHi := literalOf(e.Hi)
-				if okLo && okHi {
-					if !haveLo || loLit.Compare(loV) > 0 {
-						loV, loIncl, haveLo = loLit, true, true
-					}
-					if !haveHi || hiLit.Compare(hiV) < 0 {
-						hiV, hiIncl, haveHi = hiLit, true, true
-					}
-					absorbed = true
+			loLit, okLo := e.Lo.(*sqlparser.Literal)
+			hiLit, okHi := e.Hi.(*sqlparser.Literal)
+			if !e.Not && columnOf(e.Expr) == lead && okLo && okHi {
+				if tighter(loLit, lo, 1, false) {
+					lo, loIncl = loLit, true
 				}
+				if tighter(hiLit, hi, -1, false) {
+					hi, hiIncl = hiLit, true
+				}
+				absorbed = true
 			}
 		}
 		if !absorbed {
 			residual = append(residual, p)
 		}
 	}
-	if !haveLo && !haveHi {
-		return storage.Bound{}, storage.Bound{}, false, preds
+	if lo == nil && hi == nil {
+		return keyRange{}, false, preds
 	}
-	if haveLo {
-		lo = storage.Bound{Vals: sqltypes.Row{loV}, Inclusive: loIncl}
+	// The statement's own values are what a run without parameters scans.
+	if lo != nil {
+		rng.lo, rng.loSlot = storage.Bound{Vals: sqltypes.Row{lo.Val}, Inclusive: loIncl}, lo.Slot
 	}
-	if haveHi {
-		hi = storage.Bound{Vals: sqltypes.Row{hiV}, Inclusive: hiIncl}
+	if hi != nil {
+		rng.hi, rng.hiSlot = storage.Bound{Vals: sqltypes.Row{hi.Val}, Inclusive: hiIncl}, hi.Slot
 	}
-	return lo, hi, true, residual
+	return rng, true, residual
 }
 
 // buildStoredAccess constructs the operator for scanning a stored object and
@@ -486,7 +472,7 @@ func buildStoredAccess(tbl *storage.Table, binding string, path accessPath, leaf
 	full := storedSchema(tbl.Def(), binding)
 	scan := exec.NewScan(tbl, full)
 	scan.Index = path.index
-	scan.Lo, scan.Hi = path.lo, path.hi
+	scan.Lo, scan.Hi, scan.LoParam, scan.HiParam = path.lo, path.hi, path.loSlot, path.hiSlot
 	if len(path.residual) > 0 {
 		res := andAll(path.residual)
 		pred, err := exec.Compile(res, full)
@@ -520,7 +506,9 @@ func clusteredPath(def *catalog.Table, path accessPath) bool {
 // Only clustered paths qualify (morsels partition the primary key range),
 // and a parallel scan is unordered — the planner keeps the ordered serial
 // candidate alongside for plans that need sort order (merge-join inputs).
-func (p *Planner) parallelAccess(def *catalog.Table, path accessPath, outRows float64) (float64, int, bool) {
+// A parallel scan cuts its morsels from the plan's own range, so choosing one
+// pins the literals the range came from.
+func (p *Planner) parallelAccess(def *catalog.Table, path accessPath, leaf *Leaf, outRows float64) (float64, int, bool) {
 	if p.Opts.NoParallel {
 		return 0, 0, false
 	}
@@ -532,6 +520,8 @@ func (p *Planner) parallelAccess(def *catalog.Table, path accessPath, outRows fl
 	if c >= path.cost {
 		return 0, 0, false
 	}
+	leaf.pins.pin(path.loSlot)
+	leaf.pins.pin(path.hiSlot)
 	return c, dop, true
 }
 
@@ -635,7 +625,7 @@ func (p *Planner) leafCandidates(q *Query, leaf *Leaf) ([]*cand, error) {
 
 	if tbl := p.Site.LocalTable(leaf.Table.Name); tbl != nil {
 		// Base table stored locally (the back end).
-		path := chooseAccessPath(tbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
+		path := chooseAccessPath(leaf.pins, tbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
 		cands = append(cands, &cand{
 			build:       func() (exec.Operator, error) { return buildStoredAccess(tbl, leaf.Binding, path, leaf) },
 			schema:      schema,
@@ -649,7 +639,7 @@ func (p *Planner) leafCandidates(q *Query, leaf *Leaf) ([]*cand, error) {
 		// Morsel-parallel variant of the same access: unordered, so it is a
 		// second candidate next to the ordered serial scan, not a
 		// replacement.
-		if pcost, dop, ok := p.parallelAccess(tbl.Def(), path, outRows); ok {
+		if pcost, dop, ok := p.parallelAccess(tbl.Def(), path, leaf, outRows); ok {
 			cands = append(cands, &cand{
 				build:       func() (exec.Operator, error) { return p.buildParallelAccess(tbl, leaf.Binding, path, leaf) },
 				schema:      schema,
@@ -688,18 +678,8 @@ func (p *Planner) leafCandidates(q *Query, leaf *Leaf) ([]*cand, error) {
 }
 
 func (p *Planner) remoteLeafCand(leaf *Leaf, schema *exec.Schema) *cand {
-	sql := leafFetchSQL(leaf)
-	remoteExec := p.Site.Remote
 	return &cand{
-		build: func() (exec.Operator, error) {
-			return &exec.Remote{
-				SQL: sql,
-				Out: schema,
-				Fetch: func(*exec.EvalContext) ([]sqltypes.Row, error) {
-					return remoteExec.Query(sql)
-				},
-			}, nil
-		},
+		build:        p.remoteBuild(func() *sqlparser.SelectStmt { return leafFetch(leaf) }, schema),
 		schema:       schema,
 		cost:         remoteFetchCost(leaf),
 		rows:         leafRows(leaf),
@@ -733,7 +713,7 @@ func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *can
 		return nil, false, nil
 	}
 	outRows := leafRows(leaf)
-	path := chooseAccessPath(vtbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
+	path := chooseAccessPath(leaf.pins, vtbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
 	localBuild := func() (exec.Operator, error) {
 		return buildStoredAccess(vtbl, leaf.Binding, path, leaf)
 	}
@@ -742,7 +722,7 @@ func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *can
 	// Analytic view scans parallelize just like base-table scans; the guard
 	// decision is unaffected (it is evaluated once at Open, before any
 	// workers start).
-	if pcost, pdop, ok := p.parallelAccess(vtbl.Def(), path, outRows); ok {
+	if pcost, pdop, ok := p.parallelAccess(vtbl.Def(), path, leaf, outRows); ok {
 		localCost, dop = pcost, pdop
 		localBuild = func() (exec.Operator, error) {
 			return p.buildParallelAccess(vtbl, leaf.Binding, path, leaf)
@@ -810,7 +790,7 @@ func viewMatches(view *catalog.View, leaf *Leaf) bool {
 		}
 	}
 	for _, vp := range view.Preds {
-		if !predImplied(vp, leaf.Preds) {
+		if !predImplied(leaf.pins, vp, leaf.Preds) {
 			return false
 		}
 	}
@@ -818,17 +798,19 @@ func viewMatches(view *catalog.View, leaf *Leaf) bool {
 }
 
 // predImplied reports whether some leaf predicate implies the view
-// predicate (conservatively).
-func predImplied(vp catalog.SimplePred, preds []sqlparser.Expr) bool {
+// predicate (conservatively). It reads the literals compared with the view
+// predicate's column, and no others.
+func predImplied(pn *pins, vp catalog.SimplePred, preds []sqlparser.Expr) bool {
 	for _, p := range preds {
 		be, ok := p.(*sqlparser.BinaryExpr)
 		if !ok {
 			// A BETWEEN implies a one-sided view predicate through the
 			// relevant end alone.
 			if bt, ok := p.(*sqlparser.BetweenExpr); ok && !bt.Not && columnOf(bt.Expr) == vp.Column {
-				lo, okLo := literalOf(bt.Lo)
-				hi, okHi := literalOf(bt.Hi)
+				loLit, okLo := bt.Lo.(*sqlparser.Literal)
+				hiLit, okHi := bt.Hi.(*sqlparser.Literal)
 				if okLo && okHi {
+					lo, hi := pn.val(loLit), pn.val(hiLit)
 					switch vp.Op {
 					case catalog.OpGT, catalog.OpGE:
 						if rangeImplies(lo, sqlparser.OpGE, vp) {
@@ -847,10 +829,11 @@ func predImplied(vp catalog.SimplePred, preds []sqlparser.Expr) bool {
 			}
 			continue
 		}
-		col, lit, op := normalizeCompare(be)
-		if col != vp.Column || lit.IsNull() {
+		col, l, op := normalizeCompare(be)
+		if col != vp.Column || l.Kind() == sqltypes.KindNull {
 			continue
 		}
+		lit := pn.val(l)
 		switch vp.Op {
 		case catalog.OpEQ:
 			if op == sqlparser.OpEQ && lit.Compare(vp.Value) == 0 {
@@ -1962,23 +1945,13 @@ func (p *Planner) wholeRemoteCand(q *Query) *cand {
 	if err != nil {
 		outSchema = exec.NewSchema()
 	}
-	sql := sqlparser.SelectSQL(stripCurrency(q.Stmt))
-	remoteExec := p.Site.Remote
 	cost, rows := wholeRemoteCost(q)
 	var ids []cc.InstanceID
 	for _, l := range q.Leaves {
 		ids = append(ids, l.ID)
 	}
 	return &cand{
-		build: func() (exec.Operator, error) {
-			return &exec.Remote{
-				SQL: sql,
-				Out: outSchema,
-				Fetch: func(*exec.EvalContext) ([]sqltypes.Row, error) {
-					return remoteExec.Query(sql)
-				},
-			}, nil
-		},
+		build:        p.remoteBuild(func() *sqlparser.SelectStmt { return stripCurrency(q.Stmt) }, outSchema),
 		schema:       outSchema,
 		cost:         cost,
 		rows:         rows,
@@ -1996,22 +1969,35 @@ func stripCurrency(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 	return &out
 }
 
-// leafFetchSQL builds the remote query fetching one leaf's needed columns.
-func leafFetchSQL(leaf *Leaf) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i, col := range leaf.Cols {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(leaf.Binding + "." + col)
+// remoteBuild returns the build of a Remote operator shipping stmt. The text
+// is printed once, when the first tree is built (most remote candidates never
+// are), whole and cut at its slot literals: a tree run with parameters ships
+// the splice of its own.
+func (p *Planner) remoteBuild(stmt func() *sqlparser.SelectStmt, out *exec.Schema) func() (exec.Operator, error) {
+	var once sync.Once
+	var sql string
+	var text sqlparser.Pieces
+	remoteExec := p.Site.Remote
+	return func() (exec.Operator, error) {
+		once.Do(func() {
+			st := stmt()
+			sql, text = sqlparser.SelectSQL(st), sqlparser.SelectPieces(st)
+		})
+		r := &exec.Remote{SQL: sql, Text: text, Out: out}
+		r.Fetch = func(*exec.EvalContext) ([]sqltypes.Row, error) { return remoteExec.Query(r.SQL) }
+		return r, nil
 	}
-	b.WriteString(" FROM " + leaf.Table.Name)
+}
+
+// leafFetch builds the remote query fetching one leaf's needed columns.
+func leafFetch(leaf *Leaf) *sqlparser.SelectStmt {
+	from := &sqlparser.TableName{Name: leaf.Table.Name}
 	if leaf.Binding != leaf.Table.Name {
-		b.WriteString(" " + leaf.Binding)
+		from.Alias = leaf.Binding
 	}
-	if pred := andAll(leaf.Preds); pred != nil {
-		b.WriteString(" WHERE " + pred.SQL())
+	stmt := &sqlparser.SelectStmt{From: []sqlparser.TableRef{from}, Where: andAll(leaf.Preds)}
+	for _, col := range leaf.Cols {
+		stmt.Items = append(stmt.Items, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Table: leaf.Binding, Column: col}})
 	}
-	return b.String()
+	return stmt
 }

@@ -127,7 +127,7 @@ func TestBackendRangeUsesSecondaryIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := q.Leaves[0]
-	path := chooseAccessPath(f.cat.Table("Books"), leaf.Table.Stats, leaf.Preds, leafRows(leaf))
+	path := chooseAccessPath(leaf.pins, f.cat.Table("Books"), leaf.Table.Stats, leaf.Preds, leafRows(leaf))
 	if path.index != "ix_price" {
 		t.Fatalf("access path index = %q", path.index)
 	}
@@ -184,32 +184,46 @@ func TestBoundsForIndex(t *testing.T) {
 		}
 		return conjuncts(sel.Where)
 	}
-	lo, hi, used, res := boundsForIndex(idx, parse("price >= 5 AND price < 9"))
+	var read pins
+	rng, used, res := boundsForIndex(&read, idx, parse("price >= 5 AND price < 9"))
 	if !used || len(res) != 0 {
 		t.Fatalf("used=%v res=%v", used, res)
 	}
+	if rng.loSlot != 2 || rng.hiSlot != 3 || read != 0 {
+		t.Fatalf("ends from slots %d and %d, read %b; want 2 and 3 (slot 1 is the select list's) and none read", rng.loSlot, rng.hiSlot, read)
+	}
+	lo, hi := rng.lo, rng.hi
 	if !lo.Inclusive || lo.Vals[0].Int() != 5 || hi.Inclusive || hi.Vals[0].Int() != 9 {
 		t.Fatalf("bounds = %+v %+v", lo, hi)
 	}
 	// Equality pins both ends.
-	lo, hi, used, _ = boundsForIndex(idx, parse("price = 7"))
+	rng, used, _ = boundsForIndex(&read, idx, parse("price = 7"))
+	lo, hi = rng.lo, rng.hi
 	if !used || lo.Vals[0].Int() != 7 || hi.Vals[0].Int() != 7 || !lo.Inclusive || !hi.Inclusive {
 		t.Fatalf("eq bounds = %+v %+v", lo, hi)
 	}
 	// Unrelated predicate stays residual; no leading-column constraint.
-	_, _, used, res = boundsForIndex(idx, parse("other = 1"))
+	_, used, res = boundsForIndex(&read, idx, parse("other = 1"))
 	if used || len(res) != 1 {
 		t.Fatal("unconstrained index should not be used")
 	}
 	// Flipped literal comparison (5 < price).
-	lo, _, used, _ = boundsForIndex(idx, parse("5 < price"))
+	rng, used, _ = boundsForIndex(&read, idx, parse("5 < price"))
+	lo = rng.lo
 	if !used || lo.Inclusive || lo.Vals[0].Int() != 5 {
 		t.Fatalf("flipped bounds = %+v", lo)
 	}
 	// Tighter of two lower bounds wins.
-	lo, _, _, _ = boundsForIndex(idx, parse("price > 3 AND price > 8"))
-	if lo.Vals[0].Int() != 8 {
+	if read != 0 {
+		t.Fatalf("an end set by one predicate alone was read: %b", read)
+	}
+	rng, _, _ = boundsForIndex(&read, idx, parse("price > 3 AND price > 8"))
+	if lo = rng.lo; lo.Vals[0].Int() != 8 {
 		t.Fatalf("tighter bound = %+v", lo)
+	}
+	// Two predicates competing for one end are compared: both are pinned.
+	if read != 0b110 {
+		t.Fatalf("pinned %b, want slots 2 and 3", read)
 	}
 }
 
@@ -351,28 +365,28 @@ func TestSelectivityHelpers(t *testing.T) {
 		sel, _ := sqlparser.ParseSelect("SELECT 1 FROM t WHERE " + where)
 		return sel.Where
 	}
-	if got := selectivity(stats, parse("a = 5")); got != 0.01 {
+	if got := selectivity(nil, stats, parse("a = 5")); got != 0.01 {
 		t.Fatalf("eq = %v", got)
 	}
-	if got := selectivity(stats, parse("a <> 5")); got != 0.99 {
+	if got := selectivity(nil, stats, parse("a <> 5")); got != 0.99 {
 		t.Fatalf("ne = %v", got)
 	}
-	lt := selectivity(stats, parse("a < 50"))
+	lt := selectivity(nil, stats, parse("a < 50"))
 	if lt < 0.4 || lt > 0.6 {
 		t.Fatalf("lt = %v", lt)
 	}
-	in := selectivity(stats, parse("a IN (1, 2, 3)"))
+	in := selectivity(nil, stats, parse("a IN (1, 2, 3)"))
 	if in < 0.029 || in > 0.031 {
 		t.Fatalf("in = %v", in)
 	}
-	if got := selectivity(stats, parse("a IS NULL")); got != 0.05 {
+	if got := selectivity(nil, stats, parse("a IS NULL")); got != 0.05 {
 		t.Fatalf("isnull = %v", got)
 	}
-	nb := selectivity(stats, parse("NOT (a = 5)"))
+	nb := selectivity(nil, stats, parse("NOT (a = 5)"))
 	if nb != 0.99 {
 		t.Fatalf("not = %v", nb)
 	}
-	btw := selectivity(stats, parse("a BETWEEN 25 AND 75"))
+	btw := selectivity(nil, stats, parse("a BETWEEN 25 AND 75"))
 	if btw < 0.4 || btw > 0.6 {
 		t.Fatalf("between = %v", btw)
 	}
@@ -408,7 +422,7 @@ func TestLeafFetchSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql := leafFetchSQL(q.Leaves[0])
+	sql := sqlparser.SelectSQL(leafFetch(q.Leaves[0]))
 	if !strings.HasPrefix(sql, "SELECT B.isbn, B.title, B.price FROM Books B WHERE") {
 		t.Fatalf("leaf SQL = %s", sql)
 	}

@@ -2,6 +2,9 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,9 +34,49 @@ type SelectStmt struct {
 	Having   Expr
 	OrderBy  []OrderItem
 	Currency *CurrencyClause
+	// Slots describes the literal tokens of the text the statement was parsed
+	// from; set on the outermost block only.
+	Slots Slots
 }
 
 func (*SelectStmt) stmt() {}
+
+// Slots describes the number and string tokens of a statement's text,
+// numbered from 1 in source order, as the parser used them. It is the same
+// for every text with the same skeleton (see Scan). Only the first 64 tokens
+// are tracked: a statement with more is not shared across literals.
+type Slots struct {
+	// N is how many number and string tokens the text has.
+	N int
+	// Lits has bit i set when token i+1 became a Literal node; the others
+	// are TOP counts and currency bounds.
+	Lits uint64
+	// Neg has bit i set when that literal is minus its token's value: the
+	// parser folded a unary minus into it.
+	Neg uint64
+}
+
+// Bind turns the token values Scan read from a text into the values of the
+// statement's Literal nodes, by slot: it negates where the parser did.
+func (s Slots) Bind(vals []sqltypes.Value) {
+	for neg := s.Neg; neg != 0; neg &= neg - 1 {
+		if i := bits.TrailingZeros64(neg); i < len(vals) {
+			vals[i] = negate(vals[i])
+		}
+	}
+}
+
+// negate is the folded unary minus. Zero stays positive: "-0" would read
+// back as the integer 0.
+func negate(v sqltypes.Value) sqltypes.Value {
+	if v.Kind() == sqltypes.KindInt {
+		return sqltypes.NewInt(-v.Int())
+	}
+	if v.Float() == 0 {
+		return sqltypes.NewFloat(0)
+	}
+	return sqltypes.NewFloat(-v.Float())
+}
 
 // SelectItem is one projection item. Star items select every column,
 // optionally qualified (T.*).
@@ -75,12 +118,7 @@ func (t *TableName) Binding() string {
 }
 
 // SQL implements TableRef.
-func (t *TableName) SQL() string {
-	if t.Alias != "" {
-		return t.Name + " " + t.Alias
-	}
-	return t.Name
-}
+func (t *TableName) SQL() string { return tableRefSQL(t) }
 
 // SubqueryRef is a derived table in the FROM clause.
 type SubqueryRef struct {
@@ -91,7 +129,7 @@ type SubqueryRef struct {
 func (*SubqueryRef) tableRef() {}
 
 // SQL implements TableRef.
-func (s *SubqueryRef) SQL() string { return "(" + SelectSQL(s.Select) + ") " + s.Alias }
+func (s *SubqueryRef) SQL() string { return tableRefSQL(s) }
 
 // JoinRef is an explicit JOIN with an ON condition.
 type JoinRef struct {
@@ -103,9 +141,7 @@ type JoinRef struct {
 func (*JoinRef) tableRef() {}
 
 // SQL implements TableRef.
-func (j *JoinRef) SQL() string {
-	return j.Left.SQL() + " JOIN " + j.Right.SQL() + " ON " + j.On.SQL()
-}
+func (j *JoinRef) SQL() string { return tableRefSQL(j) }
 
 // CurrencyClause is the paper's proposed SQL extension: a list of triples,
 // each giving a staleness bound for a consistency class of tables, with
@@ -148,8 +184,12 @@ func formatBound(d time.Duration) string {
 		return fmt.Sprintf("%d MIN", d/time.Minute)
 	case d%time.Second == 0:
 		return fmt.Sprintf("%d SEC", d/time.Second)
-	default:
+	case d%time.Millisecond == 0:
 		return fmt.Sprintf("%d MS", d/time.Millisecond)
+	default:
+		// Below a millisecond the bound is printed as a fraction of one (the
+		// parser rounds to the nanosecond), so the text reads back as it was.
+		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', -1, 64) + " MS"
 	}
 }
 
@@ -245,22 +285,66 @@ type ColumnRef struct {
 func (*ColumnRef) expr() {}
 
 // SQL implements Expr.
-func (c *ColumnRef) SQL() string {
-	if c.Table != "" {
-		return c.Table + "." + c.Column
-	}
-	return c.Column
-}
+func (c *ColumnRef) SQL() string { return exprSQL(c) }
 
 // Literal is a constant value.
 type Literal struct {
 	Val sqltypes.Value
+	// Slot is the ordinal, from 1, of the number or string token of a SELECT
+	// the literal was parsed from; 0 for one that came from no such token
+	// (NULL, TRUE, FALSE, a bound parameter, a predicate the planner made up)
+	// and in DML.
+	Slot int
 }
 
 func (*Literal) expr() {}
 
+// Value is the literal's value in an execution running with params, a
+// statement's literal values by slot: a slot literal's is read from there, so
+// one compiled expression serves every statement that differs from the one it
+// was compiled for in literals only. With no params (a plan run for the
+// statement it was made from) every literal answers with its own value.
+func (l *Literal) Value(params []sqltypes.Value) sqltypes.Value {
+	if l.Slot > 0 && params != nil {
+		return params[l.Slot-1]
+	}
+	return l.Val
+}
+
+// Kind is the kind of the literal's value. A text's skeleton fixes it, so
+// unlike the value it is the same for every statement a plan is shared by.
+func (l *Literal) Kind() sqltypes.Kind { return l.Val.Kind() }
+
 // SQL implements Expr.
-func (l *Literal) SQL() string { return l.Val.String() }
+func (l *Literal) SQL() string { return exprSQL(l) }
+
+// AppendLiteral appends v the way the lexer reads it back: like
+// Value.String, but a FLOAT is never in exponent form, which the lexer has no
+// token for.
+func AppendLiteral(dst []byte, v sqltypes.Value) []byte {
+	switch v.Kind() {
+	case sqltypes.KindInt:
+		return strconv.AppendInt(dst, v.Int(), 10)
+	case sqltypes.KindFloat:
+		dst = strconv.AppendFloat(dst, v.Float(), 'f', -1, 64)
+		if math.Abs(v.Float()) >= 1e18 {
+			dst = append(dst, ".0"...) // digits alone would be an INT no int64 holds
+		}
+		return dst
+	case sqltypes.KindString:
+		dst = append(dst, '\'')
+		for s := v.Str(); ; {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				return append(append(dst, s...), '\'')
+			}
+			dst = append(append(dst, s[:i+1]...), '\'')
+			s = s[i+1:]
+		}
+	default:
+		return append(dst, v.String()...)
+	}
+}
 
 // ParamRef is a $name query-schema parameter, replaced via Bind.
 type ParamRef struct {
@@ -270,7 +354,7 @@ type ParamRef struct {
 func (*ParamRef) expr() {}
 
 // SQL implements Expr.
-func (p *ParamRef) SQL() string { return "$" + p.Name }
+func (p *ParamRef) SQL() string { return exprSQL(p) }
 
 // BinOp enumerates binary operators.
 type BinOp int
@@ -332,9 +416,7 @@ type BinaryExpr struct {
 func (*BinaryExpr) expr() {}
 
 // SQL implements Expr.
-func (b *BinaryExpr) SQL() string {
-	return "(" + b.Left.SQL() + " " + b.Op.String() + " " + b.Right.SQL() + ")"
-}
+func (b *BinaryExpr) SQL() string { return exprSQL(b) }
 
 // NotExpr is logical negation.
 type NotExpr struct {
@@ -344,7 +426,7 @@ type NotExpr struct {
 func (*NotExpr) expr() {}
 
 // SQL implements Expr.
-func (n *NotExpr) SQL() string { return "(NOT " + n.Inner.SQL() + ")" }
+func (n *NotExpr) SQL() string { return exprSQL(n) }
 
 // NegExpr is arithmetic negation.
 type NegExpr struct {
@@ -354,7 +436,7 @@ type NegExpr struct {
 func (*NegExpr) expr() {}
 
 // SQL implements Expr.
-func (n *NegExpr) SQL() string { return "(-" + n.Inner.SQL() + ")" }
+func (n *NegExpr) SQL() string { return exprSQL(n) }
 
 // BetweenExpr is x BETWEEN lo AND hi.
 type BetweenExpr struct {
@@ -366,13 +448,7 @@ type BetweenExpr struct {
 func (*BetweenExpr) expr() {}
 
 // SQL implements Expr.
-func (b *BetweenExpr) SQL() string {
-	not := ""
-	if b.Not {
-		not = "NOT "
-	}
-	return "(" + b.Expr.SQL() + " " + not + "BETWEEN " + b.Lo.SQL() + " AND " + b.Hi.SQL() + ")"
-}
+func (b *BetweenExpr) SQL() string { return exprSQL(b) }
 
 // InExpr is x IN (list) or x IN (subquery).
 type InExpr struct {
@@ -385,20 +461,7 @@ type InExpr struct {
 func (*InExpr) expr() {}
 
 // SQL implements Expr.
-func (e *InExpr) SQL() string {
-	not := ""
-	if e.Not {
-		not = "NOT "
-	}
-	if e.Subquery != nil {
-		return "(" + e.Expr.SQL() + " " + not + "IN (" + SelectSQL(e.Subquery) + "))"
-	}
-	var parts []string
-	for _, item := range e.List {
-		parts = append(parts, item.SQL())
-	}
-	return "(" + e.Expr.SQL() + " " + not + "IN (" + strings.Join(parts, ", ") + "))"
-}
+func (e *InExpr) SQL() string { return exprSQL(e) }
 
 // ExistsExpr is [NOT] EXISTS (subquery).
 type ExistsExpr struct {
@@ -409,13 +472,7 @@ type ExistsExpr struct {
 func (*ExistsExpr) expr() {}
 
 // SQL implements Expr.
-func (e *ExistsExpr) SQL() string {
-	not := ""
-	if e.Not {
-		not = "NOT "
-	}
-	return "(" + not + "EXISTS (" + SelectSQL(e.Subquery) + "))"
-}
+func (e *ExistsExpr) SQL() string { return exprSQL(e) }
 
 // IsNullExpr is x IS [NOT] NULL.
 type IsNullExpr struct {
@@ -426,12 +483,7 @@ type IsNullExpr struct {
 func (*IsNullExpr) expr() {}
 
 // SQL implements Expr.
-func (e *IsNullExpr) SQL() string {
-	if e.Not {
-		return "(" + e.Expr.SQL() + " IS NOT NULL)"
-	}
-	return "(" + e.Expr.SQL() + " IS NULL)"
-}
+func (e *IsNullExpr) SQL() string { return exprSQL(e) }
 
 // FuncExpr is a function call: aggregates (COUNT, SUM, AVG, MIN, MAX) or
 // scalar functions (GETDATE).
@@ -444,16 +496,7 @@ type FuncExpr struct {
 func (*FuncExpr) expr() {}
 
 // SQL implements Expr.
-func (f *FuncExpr) SQL() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	var parts []string
-	for _, a := range f.Args {
-		parts = append(parts, a.SQL())
-	}
-	return f.Name + "(" + strings.Join(parts, ", ") + ")"
-}
+func (f *FuncExpr) SQL() string { return exprSQL(f) }
 
 // IsAggregate reports whether the function is one of the aggregate
 // functions.
@@ -468,68 +511,222 @@ func (f *FuncExpr) IsAggregate() bool {
 // SelectSQL renders a SELECT statement back to SQL text. The output re-parses
 // to an equivalent statement; it is used to construct remote queries.
 func SelectSQL(s *SelectStmt) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+	var p printer
+	p.sel(s)
+	return string(p.buf)
+}
+
+// Pieces is a SQL text cut at its slot literals: Text[0], the literal of slot
+// Slots[0], Text[1], and so on — one more text than slots. The text of a
+// statement that differs from the printed one in literals only is spliced
+// from it, not printed from a parse of its own.
+type Pieces struct {
+	Text  []string
+	Slots []int
+}
+
+// SelectPieces is SelectSQL cut at the statement's slot literals.
+func SelectPieces(s *SelectStmt) Pieces {
+	p := printer{cut: true}
+	p.sel(s)
+	p.out.Text = append(p.out.Text, string(p.buf))
+	return p.out
+}
+
+// Splice puts the text together around the literals of params (a statement's
+// literal values by slot, see Slots.Bind), each formatted as Literal.SQL
+// formats it. One allocation for a text that fits the stack buffer.
+func (p Pieces) Splice(params []sqltypes.Value) string {
+	var stack [512]byte
+	buf := stack[:0]
+	for i, slot := range p.Slots {
+		buf = AppendLiteral(append(buf, p.Text[i]...), params[slot-1])
+	}
+	return string(append(buf, p.Text[len(p.Slots)]...))
+}
+
+// printer renders SQL text into one buffer; every SQL method and SelectSQL
+// run on it. With cut set it ends a piece at each slot literal in place of
+// printing it.
+type printer struct {
+	buf []byte
+	cut bool
+	out Pieces
+}
+
+func exprSQL(e Expr) string {
+	var p printer
+	p.expr(e)
+	return string(p.buf)
+}
+
+func tableRefSQL(t TableRef) string {
+	var p printer
+	p.tableRef(t)
+	return string(p.buf)
+}
+
+func (p *printer) str(parts ...string) {
+	for _, s := range parts {
+		p.buf = append(p.buf, s...)
+	}
+}
+
+// list prints n comma-separated items.
+func (p *printer) list(n int, item func(i int)) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			p.str(", ")
+		}
+		item(i)
+	}
+}
+
+func not(b bool) string {
+	if b {
+		return "NOT "
+	}
+	return ""
+}
+
+func (p *printer) expr(e Expr) {
+	switch e := e.(type) {
+	case *ColumnRef:
+		if e.Table != "" {
+			p.str(e.Table, ".")
+		}
+		p.str(e.Column)
+	case *Literal:
+		if p.cut && e.Slot > 0 {
+			p.out.Text = append(p.out.Text, string(p.buf))
+			p.out.Slots = append(p.out.Slots, e.Slot)
+			p.buf = p.buf[:0]
+			return
+		}
+		p.buf = AppendLiteral(p.buf, e.Val)
+	case *ParamRef:
+		p.str("$", e.Name)
+	case *BinaryExpr:
+		p.str("(")
+		p.expr(e.Left)
+		p.str(" ", e.Op.String(), " ")
+		p.expr(e.Right)
+		p.str(")")
+	case *NotExpr:
+		p.str("(NOT ")
+		p.expr(e.Inner)
+		p.str(")")
+	case *NegExpr:
+		p.str("(-")
+		p.expr(e.Inner)
+		p.str(")")
+	case *BetweenExpr:
+		p.str("(")
+		p.expr(e.Expr)
+		p.str(" ", not(e.Not), "BETWEEN ")
+		p.expr(e.Lo)
+		p.str(" AND ")
+		p.expr(e.Hi)
+		p.str(")")
+	case *InExpr:
+		p.str("(")
+		p.expr(e.Expr)
+		p.str(" ", not(e.Not), "IN (")
+		if e.Subquery != nil {
+			p.sel(e.Subquery)
+		} else {
+			p.list(len(e.List), func(i int) { p.expr(e.List[i]) })
+		}
+		p.str("))")
+	case *ExistsExpr:
+		p.str("(", not(e.Not), "EXISTS (")
+		p.sel(e.Subquery)
+		p.str("))")
+	case *IsNullExpr:
+		p.str("(")
+		p.expr(e.Expr)
+		p.str(" IS ", not(e.Not), "NULL)")
+	case *FuncExpr:
+		p.str(e.Name, "(")
+		if e.Star {
+			p.str("*")
+		} else {
+			p.list(len(e.Args), func(i int) { p.expr(e.Args[i]) })
+		}
+		p.str(")")
+	}
+}
+
+func (p *printer) tableRef(tr TableRef) {
+	switch t := tr.(type) {
+	case *TableName:
+		p.str(t.Name)
+		if reservedAfterTable[strings.ToUpper(t.Alias)] {
+			p.str(" AS") // bare, the alias would read as the next clause
+		}
+		if t.Alias != "" {
+			p.str(" ", t.Alias)
+		}
+	case *SubqueryRef:
+		p.str("(")
+		p.sel(t.Select)
+		p.str(") ", t.Alias)
+	case *JoinRef:
+		p.tableRef(t.Left)
+		p.str(" JOIN ")
+		p.tableRef(t.Right)
+		p.str(" ON ")
+		p.expr(t.On)
+	}
+}
+
+func (p *printer) sel(s *SelectStmt) {
+	p.str("SELECT ")
 	if s.Distinct {
-		b.WriteString("DISTINCT ")
+		p.str("DISTINCT ")
 	}
 	if s.Top > 0 {
-		fmt.Fprintf(&b, "TOP %d ", s.Top)
+		p.str("TOP ", strconv.FormatInt(s.Top, 10), " ")
 	}
-	for i, item := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		switch {
+	p.list(len(s.Items), func(i int) {
+		switch item := s.Items[i]; {
 		case item.Star && item.StarTable != "":
-			b.WriteString(item.StarTable + ".*")
+			p.str(item.StarTable, ".*")
 		case item.Star:
-			b.WriteString("*")
+			p.str("*")
 		default:
-			b.WriteString(item.Expr.SQL())
+			p.expr(item.Expr)
 			if item.Alias != "" {
-				b.WriteString(" AS " + item.Alias)
+				p.str(" AS ", item.Alias)
 			}
 		}
-	}
+	})
 	if len(s.From) > 0 {
-		b.WriteString(" FROM ")
-		for i, tr := range s.From {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(tr.SQL())
-		}
+		p.str(" FROM ")
+		p.list(len(s.From), func(i int) { p.tableRef(s.From[i]) })
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.SQL())
+		p.str(" WHERE ")
+		p.expr(s.Where)
 	}
 	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.SQL())
-		}
+		p.str(" GROUP BY ")
+		p.list(len(s.GroupBy), func(i int) { p.expr(s.GroupBy[i]) })
 	}
 	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.SQL())
+		p.str(" HAVING ")
+		p.expr(s.Having)
 	}
 	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
+		p.str(" ORDER BY ")
+		p.list(len(s.OrderBy), func(i int) {
+			p.expr(s.OrderBy[i].Expr)
+			if s.OrderBy[i].Desc {
+				p.str(" DESC")
 			}
-			b.WriteString(o.Expr.SQL())
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
+		})
 	}
 	if s.Currency != nil {
-		b.WriteString(" " + s.Currency.SQL())
+		p.str(" ", s.Currency.SQL())
 	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -26,6 +27,15 @@ func Parse(sql string) (Statement, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errorf("unexpected %s after statement", p.peek())
 	}
+	for i := len(toks) - 1; i >= 0 && p.slots.N == 0; i-- {
+		p.slots.N = toks[i].slot // the last number or string token has the count
+	}
+	switch stmt := stmt.(type) {
+	case *SelectStmt:
+		stmt.Slots = p.slots
+	case *ExplainStmt:
+		stmt.Stmt.Slots = p.slots
+	}
 	return stmt, nil
 }
 
@@ -46,6 +56,21 @@ type parser struct {
 	toks []token
 	pos  int
 	src  string
+	// slots records which number and string tokens became literals.
+	slots Slots
+}
+
+// literal builds the Literal node of a number or string token. Only a
+// SELECT's literals carry their slot: DML is never shared by shape, and its
+// literals stay the plain constants its row-by-row predicates compile best.
+func (p *parser) literal(t token, v sqltypes.Value) *Literal {
+	if !p.toks[0].isKeyword("SELECT") && !p.toks[0].isKeyword("EXPLAIN") {
+		return &Literal{Val: v}
+	}
+	if t.slot <= 64 {
+		p.slots.Lits |= 1 << (t.slot - 1)
+	}
+	return &Literal{Val: v, Slot: t.slot}
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -382,7 +407,7 @@ func (p *parser) parseCurrencyTriple() (CurrencyTriple, error) {
 		return CurrencyTriple{}, p.errorf("expected currency bound, found %s", t)
 	}
 	amount, err := strconv.ParseFloat(t.text, 64)
-	if err != nil || amount < 0 {
+	if err != nil {
 		return CurrencyTriple{}, p.errorf("bad currency bound %q", t.text)
 	}
 	p.next()
@@ -395,7 +420,11 @@ func (p *parser) parseCurrencyTriple() (CurrencyTriple, error) {
 		p.next()
 		unit = u
 	}
-	triple := CurrencyTriple{Bound: time.Duration(amount * float64(unit))}
+	ns := math.Round(amount * float64(unit))
+	if ns >= math.MaxInt64 {
+		return CurrencyTriple{}, p.errorf("currency bound %s is more than a duration holds", t.text)
+	}
+	triple := CurrencyTriple{Bound: time.Duration(ns)}
 	if err := p.expectKeyword("ON"); err != nil {
 		return CurrencyTriple{}, err
 	}
@@ -957,13 +986,11 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := inner.(*Literal); ok { // fold -literal
-			switch lit.Val.Kind() {
-			case sqltypes.KindInt:
-				return &Literal{Val: sqltypes.NewInt(-lit.Val.Int())}, nil
-			case sqltypes.KindFloat:
-				return &Literal{Val: sqltypes.NewFloat(-lit.Val.Float())}, nil
+		if lit, ok := inner.(*Literal); ok && lit.Val.IsNumeric() { // fold -literal
+			if 0 < lit.Slot && lit.Slot <= 64 {
+				p.slots.Neg ^= 1 << (lit.Slot - 1)
 			}
+			return &Literal{Val: negate(lit.Val), Slot: lit.Slot}, nil
 		}
 		return &NegExpr{Inner: inner}, nil
 	}
@@ -975,21 +1002,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.text)
-			}
-			return &Literal{Val: sqltypes.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		v, err := numberValue(t.text)
 		if err != nil {
 			return nil, p.errorf("bad number %q", t.text)
 		}
-		return &Literal{Val: sqltypes.NewInt(n)}, nil
+		return p.literal(t, v), nil
 	case tokString:
 		p.next()
-		return &Literal{Val: sqltypes.NewString(t.text)}, nil
+		return p.literal(t, sqltypes.NewString(t.text)), nil
 	case tokParam:
 		p.next()
 		return &ParamRef{Name: t.text}, nil

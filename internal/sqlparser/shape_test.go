@@ -1,0 +1,275 @@
+package sqlparser
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"relaxedcc/internal/sqltypes"
+)
+
+// literals returns the statement's slot literals by slot (index 0 unused),
+// descending into subqueries.
+func literals(sel *SelectStmt) map[int]*Literal {
+	out := map[int]*Literal{}
+	var expr func(Expr)
+	var stmt func(*SelectStmt)
+	var ref func(TableRef)
+	expr = func(e Expr) {
+		switch e := e.(type) {
+		case *Literal:
+			if e.Slot > 0 {
+				out[e.Slot] = e
+			}
+		case *BinaryExpr:
+			expr(e.Left)
+			expr(e.Right)
+		case *NotExpr:
+			expr(e.Inner)
+		case *NegExpr:
+			expr(e.Inner)
+		case *BetweenExpr:
+			expr(e.Expr)
+			expr(e.Lo)
+			expr(e.Hi)
+		case *InExpr:
+			expr(e.Expr)
+			for _, it := range e.List {
+				expr(it)
+			}
+			if e.Subquery != nil {
+				stmt(e.Subquery)
+			}
+		case *ExistsExpr:
+			stmt(e.Subquery)
+		case *IsNullExpr:
+			expr(e.Expr)
+		case *FuncExpr:
+			for _, a := range e.Args {
+				expr(a)
+			}
+		}
+	}
+	ref = func(tr TableRef) {
+		switch tr := tr.(type) {
+		case *SubqueryRef:
+			stmt(tr.Select)
+		case *JoinRef:
+			ref(tr.Left)
+			ref(tr.Right)
+			expr(tr.On)
+		}
+	}
+	stmt = func(s *SelectStmt) {
+		for _, it := range s.Items {
+			if !it.Star {
+				expr(it.Expr)
+			}
+		}
+		for _, tr := range s.From {
+			ref(tr)
+		}
+		if s.Where != nil {
+			expr(s.Where)
+		}
+		for _, g := range s.GroupBy {
+			expr(g)
+		}
+		if s.Having != nil {
+			expr(s.Having)
+		}
+		for _, o := range s.OrderBy {
+			expr(o.Expr)
+		}
+	}
+	stmt(sel)
+	return out
+}
+
+// sameValue is equality of kind and of value to the bit.
+func sameValue(a, b sqltypes.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	if a.Kind() == sqltypes.KindFloat {
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return a.Compare(b) == 0
+}
+
+// checkShape holds a text that parses as a SELECT to what the statement
+// cache rests on: the scanner's token values, bound, are the parse's literal
+// values slot by slot; the canonical text spliced from the statement's pieces
+// and those values is SelectSQL's; and the canonical text is a fixpoint of
+// parse and print, with the same skeleton property one round later.
+func checkShape(t *testing.T, text string, sel *SelectStmt) {
+	t.Helper()
+	canon := SelectSQL(sel)
+	skel, vals, ok := Scan(text, nil, nil)
+	if !ok {
+		t.Fatalf("%q parses but does not scan", text)
+	}
+	if len(vals) != sel.Slots.N {
+		t.Fatalf("%q: scanned %d literal tokens, parsed %d", text, len(vals), sel.Slots.N)
+	}
+	lits := literals(sel)
+	if sel.Slots.N <= 64 {
+		sel.Slots.Bind(vals)
+		for slot := 1; slot <= len(vals); slot++ {
+			lit, isLit := lits[slot], sel.Slots.Lits>>(slot-1)&1 != 0
+			if (lit != nil) != isLit {
+				t.Fatalf("%q: slot %d literal %v, Slots.Lits says %v", text, slot, lit != nil, isLit)
+			}
+			if lit != nil && !sameValue(lit.Val, vals[slot-1]) {
+				t.Fatalf("%q: slot %d parsed %v, scanned and bound %v", text, slot, lit.Val, vals[slot-1])
+			}
+		}
+		if got := SelectPieces(sel).Splice(vals); got != canon {
+			t.Fatalf("%q: spliced %q, printed %q", text, got, canon)
+		}
+	}
+	again, err := ParseSelect(canon)
+	if err != nil {
+		t.Fatalf("%q: canonical text %q does not parse: %v", text, canon, err)
+	}
+	if twice := SelectSQL(again); twice != canon {
+		t.Fatalf("%q: printing is not a fixpoint:\n  %s\n  %s", text, canon, twice)
+	}
+	// Another text of the same skeleton is the same statement.
+	if skel2, _, ok := Scan("  "+strings.ReplaceAll(text, " ", " \t "), nil, nil); !ok || string(skel2) != string(skel) {
+		t.Fatalf("%q: the skeleton moved with white space", text)
+	}
+}
+
+var shapeTexts = []string{
+	"SELECT c_custkey, c_name, c_acctbal FROM Customer WHERE c_custkey = 17 CURRENCY 60 ON (Customer)",
+	"SELECT C.c_custkey, O.o_orderkey FROM Customer C JOIN Orders O ON C.c_custkey = O.o_custkey WHERE C.c_custkey = 4242 CURRENCY 15000 MS ON (C), 15000 MS ON (O)",
+	"SELECT c_custkey FROM Customer WHERE c_acctbal BETWEEN 0.00 AND 1000.00 CURRENCY 3600 ON (Customer)",
+	"SELECT TOP 10 o_custkey, SUM(o_totalprice) AS total FROM Orders WHERE o_custkey <= 1500 GROUP BY o_custkey ORDER BY total DESC CURRENCY 1.5 MIN ON (Orders)",
+	"SELECT a FROM t WHERE a = -5 AND b = - -5 AND c = -(-5) AND d = -0.0 AND e = -x AND f = 3 - 2",
+	"SELECT a FROM t WHERE s = 'it''s' AND u = '' AND v = 'a''''b' AND w <> 'plain'",
+	"SELECT a FROM t WHERE f > 0.0000001 AND g < 1000000.5 AND h = 123456789012345678.0 AND i = .5 AND j = 5.",
+	"SELECT a FROM t WHERE a IN (1, 2, 3) AND NOT b IN (SELECT x FROM u WHERE y = 7) AND EXISTS (SELECT 1 FROM v WHERE v.z = t.a AND v.k != 9)",
+	"SELECT a FROM (SELECT a, b FROM t WHERE b > 2 CURRENCY 5 ON (t)) AS d WHERE d.a < 8 -- trailing comment 99",
+	"SELECT NULL, TRUE, FALSE, $p, 1 FROM t WHERE x IS NOT NULL;",
+	"select distinct a from t t1 where ( a = 1 ) and b=2 or c>=3",
+}
+
+func TestScanAgreesWithTheParser(t *testing.T) {
+	for _, text := range shapeTexts {
+		sel, err := ParseSelect(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		checkShape(t, text, sel)
+	}
+	// Texts of one shape share a skeleton; kinds and structure tell shapes apart.
+	skel := func(s string) string {
+		k, _, ok := Scan(s, nil, nil)
+		if !ok {
+			t.Fatalf("%q does not scan", s)
+		}
+		return string(k)
+	}
+	base := skel("SELECT a FROM t WHERE a = 17 AND s = 'x'")
+	if skel("select a from t where a = 17 and s = 'x'") == base {
+		t.Fatal("identifier case is part of the canonical text and must be part of the skeleton")
+	}
+	for _, same := range []string{"SELECT a FROM t WHERE a=4242 AND s='y''z'", "SELECT a\tFROM t -- c\n WHERE a = 0 AND s = ''"} {
+		if skel(same) != base {
+			t.Fatalf("%q has another skeleton than its shape", same)
+		}
+	}
+	for _, other := range []string{"SELECT a FROM t WHERE a = 17.0 AND s = 'x'", "SELECT a FROM t WHERE a = '17' AND s = 'x'", "SELECT a FROM t WHERE a = 17 AND s = x", "SELECT a FROM t WHERE a = 17 AND s = 'x';"} {
+		if skel(other) == base {
+			t.Fatalf("%q shares a skeleton with another shape", other)
+		}
+	}
+	for _, bad := range []string{"SELECT 'open", "SELECT a ? b", "SELECT 99999999999999999999 FROM t", "SELECT $ FROM t"} {
+		if _, _, ok := Scan(bad, nil, nil); ok {
+			t.Fatalf("%q scanned", bad)
+		}
+	}
+}
+
+func TestScanAndSpliceDoNotAllocateBeyondTheResult(t *testing.T) {
+	text := shapeTexts[1]
+	sel, err := ParseSelect(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieces := SelectPieces(sel)
+	var splice string
+	allocs := testing.AllocsPerRun(100, func() {
+		var kb [256]byte
+		var vb [8]sqltypes.Value
+		_, vals, ok := Scan(text, kb[:0], vb[:0])
+		if !ok {
+			t.Fatal("no scan")
+		}
+		sel.Slots.Bind(vals)
+		splice = pieces.Splice(vals)
+	})
+	if splice != SelectSQL(sel) {
+		t.Fatalf("spliced %q", splice)
+	}
+	if allocs > 1 {
+		t.Fatalf("scan, bind and splice took %.0f allocations, want the spliced text alone", allocs)
+	}
+}
+
+// TestLiteralSQLReadsBack: whatever value a literal holds, its SQL text
+// lexes back to that value — a FLOAT never prints in exponent form (≥ 1e6
+// and < 1e-4 did, and the lexer has no token for it) — and Value.String,
+// which report output prints, is as it was.
+func TestLiteralSQLReadsBack(t *testing.T) {
+	if got := sqltypes.NewFloat(1000000.5).String(); got != "1.0000005e+06" {
+		t.Fatalf("Value.String changed: %s", got)
+	}
+	for _, v := range []sqltypes.Value{
+		sqltypes.NewFloat(1000000.5), sqltypes.NewFloat(0.00001), sqltypes.NewFloat(1e-7), sqltypes.NewFloat(1e21),
+		sqltypes.NewFloat(123456789.25), sqltypes.NewFloat(-2.5e-9), sqltypes.NewFloat(0.1), sqltypes.NewFloat(17.25),
+		sqltypes.NewFloat(math.MaxFloat64), sqltypes.NewFloat(math.SmallestNonzeroFloat64),
+		sqltypes.NewInt(0), sqltypes.NewInt(-42), sqltypes.NewInt(math.MaxInt64),
+		sqltypes.NewString(""), sqltypes.NewString("it's"), sqltypes.NewString("''"), sqltypes.NewString("é 1e6"),
+	} {
+		text := (&Literal{Val: v}).SQL()
+		if strings.ContainsAny(text, "eE") && v.Kind() == sqltypes.KindFloat {
+			t.Fatalf("%v prints as %s", v, text)
+		}
+		sel, err := ParseSelect("SELECT a FROM t WHERE a = " + text)
+		if err != nil {
+			t.Fatalf("%v prints as %s, which does not parse: %v", v, text, err)
+		}
+		got := sel.Where.(*BinaryExpr).Right.(*Literal).Val
+		// An integral FLOAT reads back as the INT of the same number.
+		if got.Compare(v) != 0 || got.Kind() != v.Kind() && !(v.Kind() == sqltypes.KindFloat && v.Float() == math.Trunc(v.Float())) {
+			t.Fatalf("%v prints as %s and reads back as %v", v, text, got)
+		}
+		if again := SelectSQL(sel); !strings.HasSuffix(again, "(a = "+text+")") {
+			t.Fatalf("%s is not a fixpoint: %s", text, again)
+		}
+	}
+}
+
+// TestIdentifiersAreASCII: a byte above 0x7F outside a string literal is an
+// unexpected character, not a letter; inside one it is kept.
+func TestIdentifiersAreASCII(t *testing.T) {
+	for _, c := range []byte{0xAA, 0xB5, 0xC0, 0xE9, 0xFF} {
+		if isIdentStart(c) || isIdentPart(c) {
+			t.Fatalf("byte %#x counts as a letter", c)
+		}
+	}
+	for _, text := range []string{"SELECT é FROM t", "SELECT a FROM t WHERE caf\xe9 = 1", "SELECT a\xaa FROM t", "SELECT ñandú FROM t"} {
+		if _, err := Parse(text); err == nil || !strings.Contains(err.Error(), "unexpected character") {
+			t.Fatalf("%q: %v", text, err)
+		}
+	}
+	sel, err := ParseSelect("SELECT a_1, _b FROM Tbl WHERE s = 'café ñ'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sel.Where.(*BinaryExpr).Right.(*Literal).Val.Str(); got != "café ñ" {
+		t.Fatalf("string literal read as %q", got)
+	}
+}

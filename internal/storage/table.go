@@ -243,14 +243,14 @@ type Bound struct {
 // idxName matches a clustered index) between lo and hi, calling fn with each
 // matching row until fn returns false. The bounds apply to a prefix of the
 // index key columns.
+//
+// The range is encoded in a stack buffer and the tree keeps neither end, so
+// a scan whose bounds change from run to run allocates nothing for them
+// (unless an encoded key outgrows the buffer).
 func (t *Table) ScanIndex(idxName string, lo, hi Bound, fn func(sqltypes.Row) bool) error {
-	start, end := RangeKeys(lo, hi)
-	return t.ScanIndexRange(idxName, start, end, fn)
-}
-
-// ScanIndexRange is ScanIndex over an already encoded key range (see
-// RangeKeys): a caller whose bounds never change encodes them once.
-func (t *Table) ScanIndexRange(idxName, start, end string, fn func(sqltypes.Row) bool) error {
+	var buf [2 * sqltypes.KeyStackBytes]byte
+	s, e := appendRangeKeys(buf[:0], lo, hi)
+	start, end := string(s), string(e)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	idx := t.findIndex(idxName)
@@ -304,23 +304,28 @@ func (t *Table) SeekEq(idxName string, key sqltypes.Row, dst []sqltypes.Row) ([]
 // RangeKeys converts bounds on key-column prefixes to encoded key-range
 // endpoints for AscendRange (start inclusive, end exclusive).
 func RangeKeys(lo, hi Bound) (start, end string) {
-	if lo.Vals != nil {
-		k := sqltypes.Key(lo.Vals...)
-		if lo.Inclusive {
-			start = k
-		} else {
-			start = btree.PrefixEnd(k)
-		}
+	var buf [2 * sqltypes.KeyStackBytes]byte
+	s, e := appendRangeKeys(buf[:0], lo, hi)
+	return string(s), string(e)
+}
+
+// appendRangeKeys encodes RangeKeys' endpoints into dst, start then end.
+func appendRangeKeys(dst []byte, lo, hi Bound) (start, end []byte) {
+	start = appendBound(dst, lo, !lo.Inclusive)
+	return start, appendBound(start, hi, hi.Inclusive)[len(start):]
+}
+
+// appendBound appends the bound's encoded key, or with past set the smallest
+// key greater than every key it is a prefix of; nothing when unbounded.
+func appendBound(dst []byte, b Bound, past bool) []byte {
+	if b.Vals == nil {
+		return dst
 	}
-	if hi.Vals != nil {
-		k := sqltypes.Key(hi.Vals...)
-		if hi.Inclusive {
-			end = btree.PrefixEnd(k)
-		} else {
-			end = k
-		}
+	k := sqltypes.AppendKey(dst, b.Vals...)
+	if past {
+		k = btree.AppendPrefixEnd(k[:len(dst)], k[len(dst):])
 	}
-	return start, end
+	return k
 }
 
 // Clear removes all rows (used when (re)initializing a replica).

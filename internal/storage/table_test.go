@@ -361,4 +361,19 @@ func TestSeekEqMatchesScanIndex(t *testing.T) {
 	if len(buf) != 6 {
 		t.Fatalf("clustered SeekEq found %d rows, want 6", len(buf))
 	}
+	// A range scan encodes both ends on the stack: a scan whose bounds come
+	// from a statement's parameters re-encodes them every run.
+	rows := 0
+	count := func(sqltypes.Row) bool { rows++; return true }
+	lo, hi := Bound{Vals: key, Inclusive: true}, Bound{Vals: sqltypes.Row{sqltypes.NewInt(9)}}
+	tag := Bound{Vals: sqltypes.Row{sqltypes.NewString("t1\xff")}, Inclusive: true}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = tbl.ScanIndex(pk, lo, hi, count)
+		_ = tbl.ScanIndex("ix_tag", tag, tag, count)
+	}); n != 0 {
+		t.Errorf("ScanIndex allocates %v per pair of scans, want 0", n)
+	}
+	if rows == 0 {
+		t.Fatal("the scans found nothing")
+	}
 }

@@ -112,8 +112,7 @@ func Load(sys *core.System, cfg Config) error {
 	if err := flush("Orders"); err != nil {
 		return err
 	}
-	sys.Analyze()
-	return nil
+	return sys.Analyze()
 }
 
 // CustomerRow generates one customer row.

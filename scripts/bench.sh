@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Runs the executor benchmarks (serial vs morsel-parallel, plus the
-# guarded SwitchUnion benchmark) and the end-to-end session benchmark
-# (BenchmarkEndToEndQuery: a plan-cache-hit point read answered locally and
-# one shipped to the back end) and writes BENCH_exec.json in the repo root
+# guarded SwitchUnion benchmark), the end-to-end session benchmark
+# (BenchmarkEndToEndQuery: a plan-cache-hit point read answered locally, one
+# shipped to the back end, and a point read and a join that are new texts of
+# a known shape) and the price of a true miss
+# (BenchmarkOptimizerConsistencyChecking: one C&C optimize), and writes
+# BENCH_exec.json in the repo root
 # with ns/op, rows/sec, B/op and allocs/op per benchmark, and — where the
 # benchmark reports them — the guard-branch pick ratio, the staleness
 # percentiles observed at guard time, the currency-SLO view of the same
@@ -15,12 +18,12 @@ cd "$(dirname "$0")/.."
 benchtime="${1:-2s}"
 out="BENCH_exec.json"
 
-raw=$(go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery' -benchtime "$benchtime" -benchmem .)
+raw=$(go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery|BenchmarkOptimizerConsistencyChecking' -benchtime "$benchtime" -benchmem .)
 echo "$raw"
 
 echo "$raw" | awk '
 BEGIN { print "["; first = 1 }
-/^Benchmark(Exec|EndToEndQuery)/ {
+/^Benchmark(Exec|EndToEndQuery|OptimizerConsistencyChecking)/ {
     # Names keep any -N suffix verbatim: Go only appends a -GOMAXPROCS
     # suffix when GOMAXPROCS > 1, and sub-benchmark names like parallel-4
     # are indistinguishable from it.

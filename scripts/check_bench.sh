@@ -28,7 +28,7 @@ jq -e '
   (type == "array" and length > 0)
   # ...each with a name and a numeric ns/op...
   and all(.[];
-    (.name | type == "string" and test("^Benchmark(Exec|EndToEndQuery)"))
+    (.name | type == "string" and test("^Benchmark(Exec|EndToEndQuery|OptimizerConsistencyChecking)"))
     and (.ns_op | type == "number")
     and (.rows_per_sec | type == "number" or . == null)
     and (.B_op | type == "number" or . == null)
@@ -125,6 +125,14 @@ gate_allocs 'BenchmarkExecScan/serial' 100
 # The local point read took 92 allocs/op while it did all three; the
 # ceiling is its count now plus two.
 gate_allocs 'BenchmarkEndToEndQuery/local-point' 14
+# A new text of a known shape is scanned, bound to the shape's template and
+# run through a tree another statement left: the canonical text, the entry
+# and its parameters on top of a hit (17 and 23 measured), where parse, print
+# and optimize took some 230 and 1,400. A shipped statement is answered the
+# same way at the back end (106 while it parsed and planned every one).
+gate_allocs 'BenchmarkEndToEndQuery/shape-hit' 20
+gate_allocs 'BenchmarkEndToEndQuery/shape-hit-join' 40
+gate_allocs 'BenchmarkEndToEndQuery/remote-point' 60
 # The hash aggregate allocates per run and per table doubling, never per
 # row or per group: the row-at-a-time operator it replaced took one string
 # key and one map probe per input row (15,000 here). Ceilings are 1.5x the

@@ -6,7 +6,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max=3825
+exec_max=3857
 
 total=0
 exec_lines=0
