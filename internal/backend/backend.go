@@ -44,12 +44,16 @@ type Server struct {
 	// DDL, new statistics, a bulk load, a new region.
 	stmtMu sync.Mutex
 	shapes opt.Shapes
+	// planGen counts the times shapes was emptied: Query plans outside the
+	// lock, and a plan begun under an older count is not filed.
+	planGen uint64
 }
 
 // invalidatePlans drops the templates: what they were planned against changed.
 func (s *Server) invalidatePlans() {
 	s.stmtMu.Lock()
 	s.shapes.Reset()
+	s.planGen++
 	s.stmtMu.Unlock()
 }
 
@@ -137,9 +141,11 @@ func (s *Server) Query(sql string) (*exec.Result, error) {
 	var t *opt.Template
 	var root exec.Operator
 	var setup time.Duration
+	var gen uint64
 	skel, vals, ok := sqlparser.Scan(sql, kb[:0], vb[:0])
 	if ok {
 		s.stmtMu.Lock()
+		gen = s.planGen
 		t = s.shapes.Find(skel, vals)
 		root = t.TakeIdle()
 		s.stmtMu.Unlock()
@@ -155,6 +161,11 @@ func (s *Server) Query(sql string) (*exec.Result, error) {
 		}
 		root, setup = plan.Root, plan.Setup
 		s.stmtMu.Lock()
+		if gen != s.planGen {
+			// Planned across an invalidation, perhaps against the catalog
+			// or the statistics before it: this statement's own.
+			skel = nil
+		}
 		t, vals = s.shapes.Add(skel, vals, sel, plan)
 		s.stmtMu.Unlock()
 	} else if root == nil {

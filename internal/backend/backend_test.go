@@ -10,6 +10,7 @@ import (
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 	"relaxedcc/internal/vclock"
 )
 
@@ -497,13 +498,19 @@ func TestQueryAnswersShippedShapesFromTemplates(t *testing.T) {
 		}
 	}
 	sql := shape("9", "9")
-	for name, invalidate := range map[string]func() error{
-		"CREATE INDEX":   func() error { _, err := s.Exec("CREATE INDEX ix_cat ON item (cat)"); return err },
-		"CREATE TABLE":   func() error { _, err := s.Exec("CREATE TABLE u (id BIGINT NOT NULL PRIMARY KEY)"); return err },
-		"AnalyzeAll":     func() error { s.AnalyzeAll(); return nil },
-		"LoadRows":       func() error { return s.LoadRows("u", []sqltypes.Row{{sqltypes.NewInt(1)}}) },
-		"RegisterRegion": func() error { return s.RegisterRegion(&catalog.Region{ID: 9, Name: "r9", UpdateInterval: time.Second}) },
+	for _, inv := range []struct {
+		name       string
+		invalidate func() error
+	}{
+		{"CREATE INDEX", func() error { _, err := s.Exec("CREATE INDEX ix_cat ON item (cat)"); return err }},
+		{"CREATE TABLE", func() error { _, err := s.Exec("CREATE TABLE u (id BIGINT NOT NULL PRIMARY KEY)"); return err }},
+		{"AnalyzeAll", func() error { s.AnalyzeAll(); return nil }},
+		{"LoadRows", func() error { return s.LoadRows("u", []sqltypes.Row{{sqltypes.NewInt(1)}}) }},
+		{"RegisterRegion", func() error {
+			return s.RegisterRegion(&catalog.Region{ID: 9, Name: "r9", UpdateInterval: time.Second})
+		}},
 	} {
+		name, invalidate := inv.name, inv.invalidate
 		if _, err := s.Query(sql); err != nil || !knowsShape(s, sql) {
 			t.Fatalf("before %s: %v, shape known %v", name, err, knowsShape(s, sql))
 		}
@@ -521,6 +528,34 @@ func TestQueryAnswersShippedShapesFromTemplates(t *testing.T) {
 		}
 		if _, err := s.Query("SELECT id FROM item WHERE id = 99999999999999999999"); err == nil {
 			t.Fatal("an integer no int64 holds was accepted")
+		}
+	}
+}
+
+// TestQueryKeepsAPlanMadeAcrossAnInvalidationPrivate: the templates are
+// dropped while a statement is being planned (here from inside the planner's
+// storage lookup, as a concurrent CREATE INDEX or AnalyzeAll would between
+// Query's plan and its filing). The plan may predate the change, so it answers
+// its own statement and is not filed; the next planning of the shape is.
+func TestQueryKeepsAPlanMadeAcrossAnInvalidationPrivate(t *testing.T) {
+	s, _ := newServer(t)
+	loadItems(t, s, 50)
+	lookup, invalidations := s.planner.Site.LocalTable, 1
+	s.planner.Site.LocalTable = func(name string) *storage.Table {
+		if invalidations > 0 {
+			invalidations--
+			s.invalidatePlans()
+		}
+		return lookup(name)
+	}
+	for i, wantKnown := range []bool{false, true, true} {
+		sql := fmt.Sprintf("SELECT id FROM item WHERE id = %d", 7+i)
+		res, err := s.Query(sql)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(7+i) {
+			t.Fatalf("%q: %v, %v", sql, res, err)
+		}
+		if known := knowsShape(s, sql); known != wantKnown {
+			t.Fatalf("after query %d the shape is filed: %v, want %v", i, known, wantKnown)
 		}
 	}
 }

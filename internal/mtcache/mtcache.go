@@ -141,6 +141,9 @@ type stmtEntry struct {
 	// params are the statement's literal values by slot, which a tree of the
 	// template reads them from; nil when the template is the statement's own.
 	params []sqltypes.Value
+	// sel is a parse of key, made at first need (ast): only the sessions
+	// that cannot run the cached plan plan from it. Read-only once set.
+	sel atomic.Pointer[sqlparser.SelectStmt]
 }
 
 // lookupText returns the entry a raw query text reached before, or nil; with
@@ -838,14 +841,22 @@ func (s *Session) explain(sel *sqlparser.SelectStmt) (*QueryResult, error) {
 	return &QueryResult{Result: &exec.Result{}, Plan: plan, Explained: true}, nil
 }
 
-// ast returns the statement's parse: the miss path's when it came that way,
-// else a parse of the canonical text — what the sessions that cannot run the
-// cached plan (timeline, serve-stale) plan from.
+// ast returns the statement's parse — what the sessions that cannot run the
+// cached plan (timeline, serve-stale) plan from: the miss path's when the text
+// came that way, else a parse of the canonical text, made once and kept.
 func (e *stmtEntry) ast(p *parsed) (*sqlparser.SelectStmt, error) {
 	if p != nil {
 		return p.sel, nil
 	}
-	return sqlparser.ParseSelect(e.key)
+	if sel := e.sel.Load(); sel != nil {
+		return sel, nil
+	}
+	sel, err := sqlparser.ParseSelect(e.key)
+	if err != nil {
+		return nil, err
+	}
+	e.sel.CompareAndSwap(nil, sel)
+	return e.sel.Load(), nil
 }
 
 // query runs the statement e. On a plan-cache hit it runs the template's

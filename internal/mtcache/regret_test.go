@@ -61,10 +61,11 @@ func TestPlanRegret(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// bestOf times the plan's tree: the fastest of its runs after a warm-up.
-		bestOf := func(c *opt.Plan, runs int) time.Duration {
+		var chosenTime, fastest time.Duration
+		fastestShape := ""
+		for _, c := range cands {
 			best := time.Duration(0)
-			for run := 0; run <= runs; run++ {
+			for run := 0; run < 6; run++ {
 				start := wall.Now()
 				if _, err := exec.Run(c.Root, &exec.EvalContext{Now: sys.Clock.Now()}, 0); err != nil {
 					t.Fatalf("%s: %s: %v", name, c.Shape, err)
@@ -73,32 +74,16 @@ func TestPlanRegret(t *testing.T) {
 					best = d
 				}
 			}
-			return best
-		}
-		var chosenTime, fastest time.Duration
-		var chosenCand, fastestCand *opt.Plan
-		for _, c := range cands {
-			best := bestOf(c, 5)
-			if c.Shape == chosen.Shape && chosenCand == nil {
-				chosenTime, chosenCand = best, c
+			if c.Shape == chosen.Shape && chosenTime == 0 {
+				chosenTime = best
 			}
 			if fastest == 0 || best < fastest {
-				fastest, fastestCand = best, c
+				fastest, fastestShape = best, c.Shape
 			}
 			t.Logf("%-22s cost %9.3f  %10v  %s", name, c.Cost, best, c.Shape)
 		}
-		if chosenCand == nil {
+		if chosenTime == 0 {
 			t.Fatalf("%s: the chosen plan %s is not among the %d candidates", name, chosen.Shape, len(cands))
-		}
-		fastestShape := fastestCand.Shape
-		if float64(chosenTime) > 3*float64(fastest) {
-			// The candidates were timed one after the other, and the host's
-			// other tenants come and go for longer than one of them runs: time
-			// the two again, turn and turn about, before believing the ratio.
-			for round := 0; round < 5; round++ {
-				chosenTime = min(chosenTime, bestOf(chosenCand, 3))
-				fastest = min(fastest, bestOf(fastestCand, 3))
-			}
 		}
 		regret := float64(chosenTime) / float64(fastest)
 		t.Logf("%-22s chose %s (%v), fastest %s (%v): regret %.2fx", name, chosen.Shape, chosenTime, fastestShape, fastest, regret)

@@ -103,6 +103,9 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 	}
 	e, _ := c.lookupText(q, false)
 	plan := e.tmpl.Plan
+	if e.sel.Load() != nil {
+		t.Fatal("an entry only shared sessions ran keeps a parse")
+	}
 
 	// A timeline session with a floor plans per query: a miss every time.
 	tl := c.NewSession()
@@ -126,6 +129,11 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 	if tl.Floor().IsZero() {
 		t.Fatal("timeline session observed no snapshot")
 	}
+	// The re-plans parsed the canonical text once, and the entry keeps it.
+	sel := e.sel.Load()
+	if sel == nil {
+		t.Fatal("the timeline session's re-plans left no parse on the entry")
+	}
 
 	// Serve-stale re-plans the failed query's statement guardless.
 	clock.Advance(time.Minute)
@@ -138,7 +146,7 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 	}
 	c.Link().SetDown(false)
 
-	if e2, _ := c.lookupText(q, false); e2 != e || e.tmpl.Plan != plan {
-		t.Fatal("a per-session plan replaced the cached entry")
+	if e2, _ := c.lookupText(q, false); e2 != e || e.tmpl.Plan != plan || e.sel.Load() != sel {
+		t.Fatal("a per-session plan replaced the cached entry, or its parse")
 	}
 }

@@ -32,9 +32,11 @@ type Shapes struct {
 	templates  int
 }
 
-// maxTemplates bounds the templates a Shapes holds; it is emptied when full
-// (shapes in a workload are few; a stream of distinct pinned values — range
-// queries, each its own template — costs what it did before templates).
+// maxTemplates bounds the templates a Shapes holds, whatever they are filed
+// under; it is emptied when full (shapes in a workload are few; a stream of
+// distinct pinned values — range queries, each its own template — costs what
+// it did before templates, and keeps no more plans than the statement cache
+// did).
 const maxTemplates = 512
 
 // shape is what the statements of one skeleton share.
@@ -114,23 +116,29 @@ func (s *Shapes) Add(skel []byte, vals []sqltypes.Value, sel *sqlparser.SelectSt
 	if skel == nil || slots.N > 64 || slots.N != len(vals) {
 		return t, nil
 	}
+	// The tokens that are no literal are in every key from the start.
+	pinned := ^slots.Lits&(1<<slots.N-1) | plan.Pinned
 	sh := s.bySkeleton[string(skel)]
-	if sh == nil {
-		if s.templates >= maxTemplates || s.bySkeleton == nil {
-			s.Reset()
-		}
-		// The tokens that are no literal are in every key from the start.
-		sh = &shape{slots: slots, pinned: ^slots.Lits & (1<<slots.N - 1), templates: map[string]*Template{}}
-		s.bySkeleton[string(skel)] = sh
+	if sh != nil {
+		pinned |= sh.pinned
 	}
-	if grown := sh.pinned | plan.Pinned; grown != sh.pinned {
-		s.templates -= len(sh.templates)
-		sh.pinned, sh.templates = grown, map[string]*Template{}
-	}
-	key := string(appendPinned(nil, sh.pinned, vals))
+	key := string(appendPinned(nil, pinned, vals))
 	slots.Bind(vals)
-	if cur := sh.templates[key]; cur != nil {
-		return cur, vals
+	if sh != nil && sh.pinned == pinned {
+		if cur := sh.templates[key]; cur != nil {
+			return cur, vals
+		}
+	}
+	if s.templates >= maxTemplates || s.bySkeleton == nil {
+		s.Reset()
+		sh = nil
+	}
+	if sh == nil {
+		sh = &shape{slots: slots, pinned: pinned, templates: map[string]*Template{}}
+		s.bySkeleton[string(skel)] = sh
+	} else if sh.pinned != pinned {
+		s.templates -= len(sh.templates)
+		sh.pinned, sh.templates = pinned, map[string]*Template{}
 	}
 	sh.templates[key] = t
 	s.templates++

@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"relaxedcc/internal/exec"
@@ -160,5 +161,46 @@ func TestShapesFileTemplatesByPinnedValues(t *testing.T) {
 	shapes.Reset()
 	if tmpl, _ := find(rng("300.5")); tmpl != nil {
 		t.Fatal("Reset left a template")
+	}
+}
+
+// TestShapesStayBoundedUnderOneSkeleton: a stream of statements of one known
+// skeleton, each with another pinned value (range ends), keeps no more
+// templates than the bound — the cache is emptied when full at every insert,
+// not only when a new skeleton is filed — and the latest is always found.
+func TestShapesStayBoundedUnderOneSkeleton(t *testing.T) {
+	c, _ := cacheFixture(t)
+	var shapes opt.Shapes
+	rng := func(i int) string {
+		return fmt.Sprintf("SELECT i_id FROM Item WHERE i_price >= %d.5 CURRENCY 3600 ON (Item)", i)
+	}
+	sel, err := sqlparser.ParseSelect(rng(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := c.Plan(sel, opt.Options{})
+	if err != nil || p.Pinned != 0b1 {
+		t.Fatalf("plan pinned %b, %v", p.Pinned, err)
+	}
+	found := func(i int) bool {
+		skel, vals, _ := sqlparser.Scan(rng(i), nil, nil)
+		return shapes.Find(skel, vals) != nil
+	}
+	const bound, n = 512, 3*512 + 100
+	for i := 0; i < n; i++ {
+		skel, vals, _ := sqlparser.Scan(rng(i), nil, nil)
+		shapes.Add(skel, vals, sel, p)
+		if !found(i) {
+			t.Fatalf("range end %d not found right after it was filed", i)
+		}
+	}
+	kept := 0
+	for i := 0; i < n; i++ {
+		if found(i) {
+			kept++
+		}
+	}
+	if kept == 0 || kept > bound {
+		t.Fatalf("%d templates kept under one skeleton, bound %d", kept, bound)
 	}
 }
