@@ -1,0 +1,67 @@
+package harness
+
+import (
+	"bytes"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"relaxedcc/internal/audit"
+	"relaxedcc/internal/core"
+	"relaxedcc/internal/load"
+)
+
+var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
+
+// auditedChaos renders the chaos report of cfg followed by the audit section
+// of the same run — what `rccbench -chaos -audit` prints.
+func auditedChaos(w io.Writer, cfg ChaosConfig) error {
+	var aud *audit.Auditor
+	cfg.OnSystem = func(s *core.System) { aud = s.EnableAudit() }
+	if err := RunChaosReport(w, cfg); err != nil {
+		return err
+	}
+	RenderAudit(w, aud)
+	return nil
+}
+
+// TestReportsMatchGolden pins the seeded reports byte for byte across
+// commits (the determinism tests beside it only compare two runs of one
+// binary): a refactor that moves any of them shows up here as a diff against
+// a file generated before it. `go test ./internal/harness -run
+// TestReportsMatchGolden -update` rewrites the files.
+func TestReportsMatchGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(io.Writer) error
+	}{
+		{"chaos", func(w io.Writer) error { return RunChaosReport(w, DefaultChaosConfig()) }},
+		{"chaos_audit", func(w io.Writer) error { return auditedChaos(w, DefaultChaosConfig()) }},
+		{"broken_guard", func(w io.Writer) error { return auditedChaos(w, BrokenGuardChaosConfig()) }},
+		{"shift", func(w io.Writer) error { return RunShiftReport(w, DefaultShiftConfig()) }},
+		{"load_short", func(w io.Writer) error { return RunLoadReport(w, load.ShortConfig(), "") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := c.run(&got); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", c.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s report moved; got:\n%s\nwant:\n%s", c.name, got.Bytes(), want)
+			}
+		})
+	}
+}
