@@ -655,11 +655,12 @@ func BenchmarkExecScanMetered(b *testing.B) {
 	sizes := reg.Histogram("bench_scan_batch_rows")
 	tracer := obs.NewTracer(reg, obs.DefaultSampleEvery, 256)
 	ctx := &exec.EvalContext{Now: time.Unix(0, 0)}
+	var trace obs.QueryTrace
 	b.ReportAllocs()
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		qt := tracer.Begin("SELECT * FROM Orders")
+		_, qt := tracer.Begin("SELECT * FROM Orders", &trace)
 		var execStart time.Time
 		if qt != nil {
 			execStart = time.Now()
@@ -750,7 +751,7 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 			if d.StalenessKnown {
 				stale.ObserveDuration(d.Staleness)
 			}
-			slo.Observe(obs.GuardObservation{
+			slo.Observe(obs.GuardEvent{
 				Region:         d.Region,
 				Chosen:         d.Chosen,
 				Bound:          d.Bound,

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,14 +27,21 @@ func commit(a *Auditor, seq int64, at time.Duration, table string) {
 	})
 }
 
-// read builds a guard-approved local serve of region 1's copy of T.
+// queryIDs numbers the test's queries the way the cache's tracer does.
+var queryIDs atomic.Uint64
+
+// guardEvent builds a local-branch decision of a query of its own.
+func guardEvent(label string, region int, bound time.Duration) obs.GuardEvent {
+	return obs.GuardEvent{Query: queryIDs.Add(1), Label: label, Region: region, Bound: bound}
+}
+
+// read builds a guard-approved local serve of region 1's copy of T, the one
+// guard of its query.
 func read(bound, serveAt time.Duration, syncSeq int64) ReadEvent {
 	return ReadEvent{
-		Label:     "Guard(t_prj|Remote(T))",
-		Region:    1,
-		BoundNS:   int64(bound),
-		SyncSeq:   syncSeq,
-		ServeTSNS: t0.Add(serveAt).UnixNano(),
+		GuardEvent: guardEvent("Guard(t_prj|Remote(T))", 1, bound),
+		SyncSeq:    syncSeq,
+		ServeTSNS:  t0.Add(serveAt).UnixNano(),
 	}
 }
 
@@ -155,10 +163,11 @@ func TestThetaConsistencyCheck(t *testing.T) {
 	commit(a, 4, 40*time.Second, "T")
 	evT := read(5*time.Second, 41*time.Second, 4)
 	evU := ReadEvent{
-		Label: "Guard(u_prj|Remote(U))", Region: 2,
-		BoundNS: int64(40 * time.Second), SyncSeq: 2,
-		ServeTSNS: t0.Add(41 * time.Second).UnixNano(),
+		GuardEvent: guardEvent("Guard(u_prj|Remote(U))", 2, 40*time.Second),
+		SyncSeq:    2,
+		ServeTSNS:  t0.Add(41 * time.Second).UnixNano(),
 	}
+	evU.Query = evT.Query
 	a.Reads([]ReadEvent{evT, evU})
 	if s := a.Summary(); s.ViolationsTotal != 0 || s.OK != 2 {
 		t.Fatalf("honest multi-region pair: %+v", s.Tally)
@@ -170,10 +179,10 @@ func TestThetaConsistencyCheck(t *testing.T) {
 	c := a.chk
 	c.mu.Lock()
 	locals := []localServe{
-		{ev: ReadEvent{Query: 9, Region: 1, SyncSeq: 4,
-			ServeTSNS: t0.Add(41 * time.Second).UnixNano()}, asOf: 4, bound: int64(5 * time.Second)},
-		{ev: ReadEvent{Query: 9, Region: 2, SyncSeq: 2,
-			ServeTSNS: t0.Add(41 * time.Second).UnixNano()}, asOf: 4, bound: int64(5 * time.Second)},
+		{ev: ReadEvent{GuardEvent: obs.GuardEvent{Query: 9, Region: 1, Bound: 5 * time.Second},
+			SyncSeq: 4, ServeTSNS: t0.Add(41 * time.Second).UnixNano()}, asOf: 4},
+		{ev: ReadEvent{GuardEvent: obs.GuardEvent{Query: 9, Region: 2, Bound: 5 * time.Second},
+			SyncSeq: 2, ServeTSNS: t0.Add(41 * time.Second).UnixNano()}, asOf: 4},
 	}
 	v, bad := c.thetaLocked(9, locals)
 	c.mu.Unlock()
@@ -197,28 +206,34 @@ func TestThetaConsistencyCheck(t *testing.T) {
 	}
 }
 
+// TestRingOverflowCountsDrops: a full event ring overwrites its oldest entry,
+// and the auditor says so — in the summary, in audit_events_dropped_total and
+// by no longer finding the overwritten query's reads — while the online
+// ledger stays complete.
 func TestRingOverflowCountsDrops(t *testing.T) {
-	r := newRing[int](16)
+	reg := obs.NewRegistry()
+	a := New(reg, Config{ReadRing: 16})
+	a.Enable()
+	a.RegisterObject(1, "T", 0)
+	commit(a, 1, 0, "T")
+	var first, last uint64
 	for i := 0; i < 20; i++ {
-		evicted := r.push(i)
-		if evicted != (i >= 16) {
-			t.Fatalf("push %d evicted=%v", i, evicted)
+		ev := read(5*time.Second, time.Second, 1)
+		if i == 0 {
+			first = ev.Query
 		}
+		last = ev.Query
+		a.Reads([]ReadEvent{ev})
 	}
-	if r.pushed() != 20 || r.dropped() != 4 {
-		t.Fatalf("pushed/dropped = %d/%d", r.pushed(), r.dropped())
+	s := a.Summary()
+	if s.ReadsChecked != 20 || s.DroppedReads != 4 || s.DroppedCommits != 0 {
+		t.Fatalf("checked/dropped = %d/%d (commits dropped %d)", s.ReadsChecked, s.DroppedReads, s.DroppedCommits)
 	}
-	snap := r.snapshot()
-	if len(snap) != 16 || snap[0] != 4 || snap[15] != 19 {
-		t.Fatalf("snapshot = %v", snap)
+	if got := reg.Snapshot().Counters[`audit_events_dropped_total{kind="read"}`]; got != 4 {
+		t.Fatalf("audit_events_dropped_total{kind=read} = %d, want 4", got)
 	}
-}
-
-func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, c := range []struct{ ask, want int }{{0, 16}, {16, 16}, {17, 32}, {1000, 1024}} {
-		if got := len(newRing[int](c.ask).slots); got != c.want {
-			t.Fatalf("newRing(%d) = %d slots, want %d", c.ask, got, c.want)
-		}
+	if len(a.ReadsOf(first)) != 0 || len(a.ReadsOf(last)) != 1 {
+		t.Fatalf("ring kept the oldest read (%d) or lost the newest (%d)", len(a.ReadsOf(first)), len(a.ReadsOf(last)))
 	}
 }
 
@@ -240,7 +255,7 @@ func TestReplayMatchesOnline(t *testing.T) {
 			ev.Degraded = true
 		}
 		if i%5 == 0 {
-			ev.BoundNS = int64(500 * time.Millisecond)
+			ev.Bound = 500 * time.Millisecond
 		}
 		a.Reads([]ReadEvent{ev})
 	}
@@ -378,7 +393,7 @@ func TestConcurrentRecordingConservesCounts(t *testing.T) {
 		t.Fatalf("classes sum %d, checked %d", got, s.ReadsChecked)
 	}
 	// Ring accounting conserves too: pushed = retained capacity + dropped.
-	if s.DroppedReads != uint64(writers*per)-uint64(len(a.reads.slots)) {
+	if s.DroppedReads != uint64(writers*per)-uint64(len(a.reads.Snapshot())) {
 		t.Fatalf("read drops = %d", s.DroppedReads)
 	}
 }

@@ -51,12 +51,11 @@ func DefaultConfig() Config {
 //	audit_slack_ns                   histogram: declared minus delivered on OK reads
 type Auditor struct {
 	enabled atomic.Bool
-	qseq    atomic.Uint64
 
 	cfg     Config
-	commits *ring[CommitEvent]
-	reads   *ring[ReadEvent]
-	applies *ring[ApplyEvent]
+	commits *obs.Ring[CommitEvent]
+	reads   *obs.Ring[ReadEvent]
+	applies *obs.Ring[ApplyEvent]
 	chk     *checker
 
 	mChecked        *obs.Counter
@@ -93,9 +92,9 @@ func New(reg *obs.Registry, cfg Config) *Auditor {
 	dropped := reg.CounterVec("audit_events_dropped_total", "kind")
 	return &Auditor{
 		cfg:             cfg,
-		commits:         newRing[CommitEvent](cfg.CommitRing),
-		reads:           newRing[ReadEvent](cfg.ReadRing),
-		applies:         newRing[ApplyEvent](cfg.ApplyRing),
+		commits:         obs.NewRing[CommitEvent](cfg.CommitRing),
+		reads:           obs.NewRing[ReadEvent](cfg.ReadRing),
+		applies:         obs.NewRing[ApplyEvent](cfg.ApplyRing),
 		chk:             newChecker(cfg.MaxCommits, cfg.MaxRecent),
 		mChecked:        reg.Counter("audit_reads_checked_total"),
 		mOK:             reg.Counter("audit_reads_ok_total"),
@@ -129,7 +128,7 @@ func (a *Auditor) ObserveCommit(rec txn.CommitRecord) {
 		return
 	}
 	ev := CommitEvent{Seq: rec.TS.Seq, AtNS: rec.TS.At.UnixNano(), Tables: commitTables(rec.Changes)}
-	if a.commits.push(ev) {
+	if a.commits.Push(ev) {
 		a.mDroppedCommits.Inc()
 	}
 	a.chk.addCommit(ev)
@@ -161,7 +160,7 @@ func (a *Auditor) ObserveApply(region int, throughSeq int64, at time.Time) {
 		return
 	}
 	ev := ApplyEvent{Region: region, ThroughSeq: throughSeq, AtNS: at.UnixNano()}
-	if a.applies.push(ev) {
+	if a.applies.Push(ev) {
 		a.mDroppedApplies.Inc()
 	}
 	a.chk.noteApply(ev)
@@ -177,18 +176,15 @@ func (a *Auditor) RegisterObject(region int, table string, baseSeq int64) {
 	a.chk.registerObject(region, table, baseSeq)
 }
 
-// Reads records and checks one executed query's guard decisions. The slice
-// is stamped with a fresh query id, recorded, folded through the online
-// checker, and the outcome counters updated. Callers hand over ownership of
-// evs.
+// Reads records and checks one executed query's guard decisions, which all
+// carry the query's id: they are recorded, folded through the online checker,
+// and the outcome counters updated. evs is read, not kept.
 func (a *Auditor) Reads(evs []ReadEvent) {
 	if !a.Enabled() || len(evs) == 0 {
 		return
 	}
-	q := a.qseq.Add(1)
-	for i := range evs {
-		evs[i].Query = q
-		if a.reads.push(evs[i]) {
+	for _, ev := range evs {
+		if a.reads.Push(ev) {
 			a.mDroppedReads.Inc()
 		}
 	}
@@ -213,6 +209,19 @@ func (a *Auditor) Reads(evs []ReadEvent) {
 	}
 }
 
+// ReadsOf returns the recorded read events of one query, in guard order —
+// the auditor's side of the join on the query id (empty once the ring has
+// overwritten them).
+func (a *Auditor) ReadsOf(query uint64) []ReadEvent {
+	var out []ReadEvent
+	a.reads.Each(func(_ uint64, ev ReadEvent) {
+		if ev.Query == query {
+			out = append(out, ev)
+		}
+	})
+	return out
+}
+
 // Summary is the /audit payload: the classification ledger plus the most
 // recent violations with full evidence.
 type Summary struct {
@@ -235,7 +244,15 @@ func (a *Auditor) Summary() Summary {
 	if a == nil {
 		return Summary{RecentViolations: []Violation{}}
 	}
-	tally, recent := a.chk.summary()
+	s := a.ledger(a.chk, a.commits.Pushed(), a.applies.Pushed())
+	s.DroppedCommits, s.DroppedReads, s.DroppedApplies = a.commits.Dropped(), a.reads.Dropped(), a.applies.Dropped()
+	return s
+}
+
+// ledger renders a checker's tally and retained violations — the online
+// checker's or a replay's — over a history of that many commits and applies.
+func (a *Auditor) ledger(chk *checker, commits, applies uint64) Summary {
+	tally, recent := chk.summary()
 	if recent == nil {
 		recent = []Violation{}
 	}
@@ -244,11 +261,8 @@ func (a *Auditor) Summary() Summary {
 		Tally:            tally,
 		ViolationsTotal:  tally.Violations(),
 		RecentViolations: recent,
-		Commits:          a.commits.pushed(),
-		Applies:          a.applies.pushed(),
-		DroppedCommits:   a.commits.dropped(),
-		DroppedReads:     a.reads.dropped(),
-		DroppedApplies:   a.applies.dropped(),
+		Commits:          commits,
+		Applies:          applies,
 	}
 }
 
@@ -274,9 +288,9 @@ func (a *Auditor) Replay() Summary {
 	}
 	a.chk.mu.Unlock()
 
-	commits := a.commits.snapshot()
-	applies := a.applies.snapshot()
-	reads := a.reads.snapshot()
+	commits := a.commits.Snapshot()
+	applies := a.applies.Snapshot()
+	reads := a.reads.Snapshot()
 
 	// Group reads by query id, ordered by each group's latest serve time so
 	// later applies land before the reads that observed them.
@@ -333,16 +347,5 @@ func (a *Auditor) Replay() Summary {
 			chk.checkQuery(groups[st.q])
 		}
 	}
-	tally, recent := chk.summary()
-	if recent == nil {
-		recent = []Violation{}
-	}
-	return Summary{
-		Enabled:          a.enabled.Load(),
-		Tally:            tally,
-		ViolationsTotal:  tally.Violations(),
-		RecentViolations: recent,
-		Commits:          uint64(len(commits)),
-		Applies:          uint64(len(applies)),
-	}
+	return a.ledger(chk, uint64(len(commits)), uint64(len(applies)))
 }

@@ -227,9 +227,9 @@ func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
 		case ev.Chosen != 0:
 			// Remote serves read the master: delivered currency 0.
 			c.tally.OK++
-			outs = append(outs, outcome{class: ClassOK, slackNS: ev.BoundNS})
+			outs = append(outs, outcome{class: ClassOK, slackNS: int64(ev.Bound)})
 			continue
-		case ev.BoundNS <= 0:
+		case ev.Bound <= 0:
 			c.tally.Unbounded++
 			outs = append(outs, outcome{class: ClassUnbounded})
 			continue
@@ -238,7 +238,7 @@ func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
 		out, v := c.checkLocalLocked(ev)
 		if out.class == ClassOK {
 			asOf, _ := c.asOfLocked(ev.ServeTSNS)
-			locals = append(locals, localServe{ev: ev, asOf: asOf, bound: ev.BoundNS})
+			locals = append(locals, localServe{ev: ev, asOf: asOf})
 		}
 		switch out.class {
 		case ClassOK:
@@ -307,32 +307,31 @@ func (c *checker) checkLocalLocked(ev ReadEvent) (outcome, Violation) {
 				Region:           ev.Region,
 				Object:           table,
 				Label:            ev.Label,
-				BoundNS:          ev.BoundNS,
+				BoundNS:          int64(ev.Bound),
 				DeliveredNS:      d,
 				SyncSeq:          sync,
 				StaleSeq:         stale.XTime,
 				StaleAtNS:        stale.At.UnixNano(),
 				ServeTSNS:        ev.ServeTSNS,
-				GuardStalenessNS: ev.StalenessNS,
+				GuardStalenessNS: int64(ev.Staleness),
 			}
 		}
 	}
-	if delivered > ev.BoundNS {
-		worst.ExcessNS = delivered - ev.BoundNS
+	if bound := int64(ev.Bound); delivered > bound {
+		worst.ExcessNS = delivered - bound
 		if at := c.lastApplyNS[ev.Region]; at > 0 && at <= ev.ServeTSNS {
 			worst.ReplLagNS = ev.ServeTSNS - at
 		}
 		return outcome{class: ClassViolationCurrency, excessNS: worst.ExcessNS}, worst
 	}
-	return outcome{class: ClassOK, slackNS: ev.BoundNS - delivered}, Violation{}
+	return outcome{class: ClassOK, slackNS: int64(ev.Bound) - delivered}, Violation{}
 }
 
 // localServe is one guard-approved local serve held for the query-level
 // Θ-consistency check.
 type localServe struct {
-	ev    ReadEvent
-	asOf  int64
-	bound int64
+	ev   ReadEvent
+	asOf int64
 }
 
 // thetaLocked checks the Θ-consistency of a query's guard-approved local
@@ -352,9 +351,7 @@ func (c *checker) thetaLocked(query uint64, locals []localServe) (Violation, boo
 	maxBound, asOf, serveNS := int64(0), int64(0), int64(0)
 	for _, ls := range locals {
 		regions[ls.ev.Region] = true
-		if ls.bound > maxBound {
-			maxBound = ls.bound
-		}
+		maxBound = max(maxBound, int64(ls.ev.Bound))
 		if ls.asOf > asOf {
 			asOf = ls.asOf
 		}

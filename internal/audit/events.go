@@ -17,13 +17,13 @@
 // UNBOUNDED (no finite bound declared), or UNCHECKED (the retained history
 // window no longer covers the serve).
 //
-// Recording uses bounded lock-free rings modeled on obs.QueryRing, and the
-// whole path is behind one atomic enabled flag: a disabled auditor costs a
-// single atomic load per hook and allocates nothing (asserted by an
-// allocation test), so it can stay wired in production builds.
+// Recording uses bounded lock-free rings (obs.Ring), and the whole path is
+// behind one atomic enabled flag: a disabled auditor costs a single atomic
+// load per hook and allocates nothing (asserted by an allocation test), so it
+// can stay wired in production builds.
 package audit
 
-import "sync/atomic"
+import "relaxedcc/internal/obs"
 
 // CommitEvent is one committed master transaction: its position in the
 // history (the paper's integer transaction timestamp), its commit time on
@@ -35,27 +35,18 @@ type CommitEvent struct {
 	Tables []string `json:"tables,omitempty"`
 }
 
-// ReadEvent is one guard decision on a served query: the promise the query
-// declared (region, bound), what answered (chosen branch, degraded or
-// stale fallbacks), and the versions served (the region agent's applied
-// commit sequence plus the replicated heartbeat the guard trusted).
+// ReadEvent is one guard decision on a served query — the promise the query
+// declared (region, bound) and what answered (chosen branch, degraded
+// fall-back), all in the embedded guard event as the guard published it —
+// plus what the cache adds at serve time: the versions served (the region
+// agent's applied commit sequence and the replicated heartbeat the guard
+// trusted). The events of one query share the event's Query id.
 type ReadEvent struct {
-	// Query groups the guard decisions of one executed statement; assigned
-	// by the auditor when the query's events are recorded.
-	Query uint64 `json:"query"`
-	// Label is the guarded view's label (evidence naming).
-	Label  string `json:"label,omitempty"`
-	Region int    `json:"region"`
-	// BoundNS is the declared currency bound; 0 means unbounded.
-	BoundNS int64 `json:"bound_ns"`
-	// Chosen is the branch that answered: 0 local, 1 remote.
-	Chosen int `json:"chosen"`
-	// Degraded marks a local serve forced by remote unavailability
-	// (ActionServeLocal); the violation was disclosed to the client.
-	Degraded bool `json:"degraded,omitempty"`
+	obs.GuardEvent
 	// ServedStale marks an ActionServeStale rerun: currency checking was
 	// disabled wholesale and the result flagged, so staleness is unknown
-	// but disclosed.
+	// but disclosed. Such an event carries no guard decision, only the id of
+	// the query it downgraded.
 	ServedStale bool `json:"served_stale,omitempty"`
 	// SyncSeq is the region agent's last applied commit sequence at serve
 	// time — the xtime of the versions the local branch served.
@@ -65,10 +56,6 @@ type ReadEvent struct {
 	SyncTSNS int64 `json:"sync_ts_ns"`
 	// ServeTSNS is the virtual-clock time of the guard decision.
 	ServeTSNS int64 `json:"serve_ts_ns"`
-	// StalenessNS is the staleness the guard observed (heartbeat age);
-	// valid only when StalenessKnown.
-	StalenessNS    int64 `json:"staleness_ns"`
-	StalenessKnown bool  `json:"staleness_known"`
 }
 
 // ApplyEvent is one replication propagation step that made progress:
@@ -77,71 +64,4 @@ type ApplyEvent struct {
 	Region     int   `json:"region"`
 	ThroughSeq int64 `json:"through_seq"`
 	AtNS       int64 `json:"at_ns"`
-}
-
-// stamped wraps a ring entry with its publish sequence so snapshots can be
-// returned in recording order (the generic analogue of QueryRecord.Seq).
-type stamped[T any] struct {
-	seq uint64
-	ev  T
-}
-
-// ring is a bounded lock-free ring of events, modeled on obs.QueryRing:
-// push is one atomic add plus one atomic pointer store, entries are
-// immutable after publication, and a snapshot never observes a half-written
-// event. Old entries are overwritten (and counted as dropped) when the ring
-// wraps. Capacity is rounded up to a power of two.
-type ring[T any] struct {
-	mask  uint64
-	pos   atomic.Uint64
-	slots []atomic.Pointer[stamped[T]]
-}
-
-func newRing[T any](size int) *ring[T] {
-	n := 16
-	for n < size {
-		n <<= 1
-	}
-	return &ring[T]{mask: uint64(n - 1), slots: make([]atomic.Pointer[stamped[T]], n)}
-}
-
-// push publishes one event and reports whether it evicted an older one.
-func (r *ring[T]) push(ev T) bool {
-	seq := r.pos.Add(1)
-	r.slots[(seq-1)&r.mask].Store(&stamped[T]{seq: seq, ev: ev})
-	return seq > uint64(len(r.slots))
-}
-
-// pushed returns how many events were ever recorded.
-func (r *ring[T]) pushed() uint64 { return r.pos.Load() }
-
-// dropped returns how many events the ring has overwritten.
-func (r *ring[T]) dropped() uint64 {
-	if p, c := r.pos.Load(), uint64(len(r.slots)); p > c {
-		return p - c
-	}
-	return 0
-}
-
-// snapshot copies the ring's current events in recording order (oldest
-// first).
-func (r *ring[T]) snapshot() []T {
-	entries := make([]*stamped[T], 0, len(r.slots))
-	for i := range r.slots {
-		if e := r.slots[i].Load(); e != nil {
-			entries = append(entries, e)
-		}
-	}
-	// Sort ascending by publish sequence; the ring layout already has at
-	// most one wrap discontinuity, but concurrent pushes can interleave.
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j-1].seq > entries[j].seq; j-- {
-			entries[j-1], entries[j] = entries[j], entries[j-1]
-		}
-	}
-	out := make([]T, len(entries))
-	for i, e := range entries {
-		out[i] = e.ev
-	}
-	return out
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"relaxedcc/internal/audit"
-	"relaxedcc/internal/repl"
-)
+import "relaxedcc/internal/audit"
 
 // EnableAudit installs the delivered-guarantee auditor across the system:
 // the back-end commit log streams master history into it, every region's
@@ -28,16 +25,10 @@ func (s *System) EnableAudit() *audit.Auditor {
 	}
 	s.Backend.Log().SetObserver(a.ObserveCommit)
 	s.Cache.EnableAudit(a) // registers existing views' objects + read tap
-	for _, agent := range s.Cache.Agents() {
-		s.wireAuditAgent(a, agent)
-	}
 	s.audit = a
+	s.adoptAll()
 	return a
 }
 
 // Audit returns the installed auditor, or nil before EnableAudit.
 func (s *System) Audit() *audit.Auditor { return s.audit }
-
-func (s *System) wireAuditAgent(a *audit.Auditor, agent *repl.Agent) {
-	agent.SetApplySink(a.ObserveApply)
-}

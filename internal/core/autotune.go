@@ -34,10 +34,8 @@ func (s *System) EnableAutotune(cfg tuner.LoopConfig) *tuner.Loop {
 		return s.tuner
 	}
 	loop := tuner.NewLoop(cfg, s.Cache.Workload(), s.Cache.Obs())
-	for _, a := range s.Cache.Agents() {
-		loop.AddRegion(agentActuator{a})
-	}
 	s.tuner = loop
+	s.adoptAll()
 	s.Coord.AddPeriodic(loop.Cadence(), loop.Tick)
 	return loop
 }

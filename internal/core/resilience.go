@@ -34,9 +34,7 @@ func (s *System) EnableResilience(p remote.Policy) {
 	link.SetWait(func(d time.Duration) { _ = s.Coord.Advance(d) })
 	s.Cache.SetWait(func(d time.Duration) { _ = s.Coord.Advance(d) })
 	s.resilient = true
-	for _, a := range s.Cache.Agents() {
-		s.watch(a)
-	}
+	s.adoptAll()
 }
 
 // InjectFaults points the link and every distribution agent at the fault
@@ -47,9 +45,7 @@ func (s *System) EnableResilience(p remote.Policy) {
 func (s *System) InjectFaults(f *fault.Injector) {
 	s.faults = f
 	s.Cache.Link().SetFault(f)
-	for _, a := range s.Cache.Agents() {
-		a.SetStallProbe(f)
-	}
+	s.adoptAll()
 }
 
 // Faults returns the injector installed by InjectFaults, or nil.

@@ -94,19 +94,35 @@ func (s *System) AddRegion(r *catalog.Region) error {
 	// apply to the freshness signal too, not just propagation.
 	s.Coord.AddHeartbeatFn(r.ID, agent.HeartbeatInterval, s.Backend.Beat)
 	s.Coord.AddAgent(agent)
+	s.adopt(agent)
+	return nil
+}
+
+// adopt applies every subsystem that is enabled to one distribution agent of
+// the primary cache: the fault injector's stall probe, watchdog supervision,
+// the autotuner's actuator and the auditor's apply tap. Each step is
+// idempotent, so AddRegion adopts the new agent and InjectFaults and the
+// Enable* methods re-adopt every agent (adoptAll): that is the only wiring
+// any of them does per agent, in either order of enabling and adding.
+func (s *System) adopt(a *repl.Agent) {
 	if s.faults != nil {
-		agent.SetStallProbe(s.faults)
+		a.SetStallProbe(s.faults)
 	}
 	if s.resilient {
-		s.watch(agent)
+		s.watch(a)
 	}
 	if s.tuner != nil {
-		s.tuner.AddRegion(agentActuator{agent})
+		s.tuner.AddRegion(agentActuator{a})
 	}
 	if s.audit != nil {
-		s.wireAuditAgent(s.audit, agent)
+		a.SetApplySink(s.audit.ObserveApply)
 	}
-	return nil
+}
+
+func (s *System) adoptAll() {
+	for _, a := range s.Cache.Agents() {
+		s.adopt(a)
+	}
 }
 
 // CreateView defines a cached materialized view (see mtcache.CreateView).

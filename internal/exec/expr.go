@@ -25,6 +25,10 @@ type EvalContext struct {
 	// MaxDOP caps the worker count of parallel operators (ParallelScan).
 	// Zero means GOMAXPROCS.
 	MaxDOP int
+	// Query is the id of the query this execution answers, stamped on every
+	// guard decision it takes (see obs.GuardEvent.Query); zero outside a
+	// session.
+	Query uint64
 	// OnGuard, when non-nil, receives every SwitchUnion guard decision taken
 	// during this execution — the hook metrics and tracing layers use to
 	// observe branch picks and staleness without touching operator state.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"relaxedcc/internal/obs"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
@@ -55,35 +56,10 @@ type Violation struct {
 	Waits int
 }
 
-// GuardDecision records one SwitchUnion guard evaluation: the decision, its
-// cost, and the guarded region's observed staleness at decision time. It is
-// published atomically per Open (replacing the old mutable GuardTime/
-// ChosenIndex fields, which raced with observers under plan reuse) and
-// delivered to EvalContext.OnGuard for metrics and tracing.
-type GuardDecision struct {
-	// Label is the guard's diagnostic name (SwitchUnion.Label).
-	Label string
-	// Region is the currency region the guard checked.
-	Region int
-	// Chosen is the selected branch: 0 is the local branch, by convention.
-	Chosen int
-	// Bound is the query's currency bound on the guarded region, carried
-	// from the planner for SLO accounting; 0 means unbounded.
-	Bound time.Duration
-	// GuardTime is how long the selector evaluation took (summed across
-	// re-evaluations in block mode).
-	GuardTime time.Duration
-	// Staleness is the region's staleness at decision time (query Now minus
-	// the last replicated heartbeat); valid only when StalenessKnown is true.
-	Staleness      time.Duration
-	StalenessKnown bool
-	// Degraded is set when the guard picked the remote branch but the local
-	// branch answered because the remote was unavailable (DegradeServeLocal).
-	Degraded bool
-	// BlockWaits is how many guard re-evaluations DegradeBlock performed
-	// before this decision settled.
-	BlockWaits int
-}
+// GuardDecision is the guard event SwitchUnion.Open builds and publishes —
+// atomically per Open for LastDecision, and to EvalContext.OnGuard. The type
+// lives in obs, the package every consumer of the decision can import.
+type GuardDecision = obs.GuardEvent
 
 // SwitchUnion is the paper's dynamic-plan operator (Section 3): it has N
 // input expressions plus a selector; on open the selector picks exactly one
@@ -163,7 +139,7 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 		}
 	}
 
-	d := &GuardDecision{Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits}
+	d := &GuardDecision{Query: ctx.Query, Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits}
 	if s.Staleness != nil {
 		if st, ok := s.Staleness(ctx); ok {
 			d.Staleness, d.StalenessKnown = st, true
@@ -225,12 +201,11 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 
 // LastDecision returns the guard outcome of the most recent Open; ok is
 // false if the operator was never opened. Safe to call from any goroutine.
-func (s *SwitchUnion) LastDecision() (GuardDecision, bool) {
-	d := s.decision.Load()
-	if d == nil {
-		return GuardDecision{}, false
+func (s *SwitchUnion) LastDecision() (d GuardDecision, ok bool) {
+	if p := s.decision.Load(); p != nil {
+		return *p, true
 	}
-	return *d, true
+	return d, false
 }
 
 // ChosenIndex returns the branch picked by the most recent Open (0 if never

@@ -91,16 +91,7 @@ func (t *Traced) Open(ctx *EvalContext) error {
 	t.node.Opens++
 	if su, isGuard := t.child.(*SwitchUnion); isGuard {
 		if d, ok := su.LastDecision(); ok {
-			t.node.Guard = &obs.GuardTrace{
-				Label:      d.Label,
-				Region:     d.Region,
-				Chosen:     d.Chosen,
-				Time:       d.GuardTime,
-				Staleness:  d.Staleness,
-				Known:      d.StalenessKnown,
-				Degraded:   d.Degraded,
-				BlockWaits: d.BlockWaits,
-			}
+			t.node.Guard = &d
 		}
 	}
 	return err

@@ -87,7 +87,7 @@ func TestInstrumentSwitchUnionGuard(t *testing.T) {
 	if g.Chosen != 0 || g.Branch() != "local" || g.Region != 1 {
 		t.Fatalf("guard = %+v", g)
 	}
-	if !g.Known || g.Staleness != 5*time.Second {
+	if !g.StalenessKnown || g.Staleness != 5*time.Second {
 		t.Fatalf("staleness = %+v", g)
 	}
 	if len(node.Children) != 2 {

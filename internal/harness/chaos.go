@@ -7,40 +7,30 @@ import (
 	"strings"
 	"time"
 
-	"relaxedcc/internal/catalog"
-	"relaxedcc/internal/core"
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/remote"
-	"relaxedcc/internal/sqltypes"
 )
 
 // ChaosConfig scripts one deterministic chaos run: a single-region cache
 // under a currency-bounded point-query workload while the injector imposes
 // link latency, transient errors, a hard partition window, and a wedged
-// distribution agent. Everything is driven by the virtual clock and one
-// seed, so the same config replays the same run.
+// distribution agent.
 type ChaosConfig struct {
-	Seed int64
+	Scenario
 	// Duration is the total virtual time of the run.
 	Duration time.Duration
 	// QueryInterval is the virtual time between queries.
 	QueryInterval time.Duration
 
-	// Region cadence.
-	UpdateInterval    time.Duration
-	UpdateDelay       time.Duration
-	HeartbeatInterval time.Duration
 	// Bound is the queries' currency bound. With a bound between delay and
 	// delay+interval the guard's choice oscillates across the propagation
 	// cycle, exercising both branches.
 	Bound time.Duration
 
-	// Link faults: base latency plus jitter on every call, transient-error
-	// probability per call, and one hard partition window.
-	Latency        time.Duration
-	LatencyJitter  time.Duration
+	// Link faults beyond the scenario's latency: transient-error probability
+	// per call, and one hard partition window.
 	ErrorRate      float64
 	PartitionStart time.Duration
 	PartitionDur   time.Duration
@@ -69,13 +59,6 @@ type ChaosConfig struct {
 	// Policy is the link's resilience policy; zero selects the system
 	// default (retry/backoff, deadline, breaker on heartbeat cadence).
 	Policy remote.Policy
-
-	// OnSystem, if set, receives the fully wired system right after fault
-	// injection and resilience are enabled, before any virtual time passes.
-	// Callers use it to stash the system (e.g. to scrape its ObsHandler
-	// endpoints after the run) or to add extra instrumentation. It must not
-	// advance the clock or run queries, or determinism is lost.
-	OnSystem func(*core.System)
 }
 
 // DefaultChaosConfig is a two-virtual-minute run sized so every fault class
@@ -83,20 +66,22 @@ type ChaosConfig struct {
 // enough queries on both sides of the guard's oscillation.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
-		Seed:              2004,
-		Duration:          120 * time.Second,
-		QueryInterval:     500 * time.Millisecond,
-		UpdateInterval:    10 * time.Second,
-		UpdateDelay:       2 * time.Second,
-		HeartbeatInterval: 1 * time.Second,
-		Bound:             5 * time.Second,
-		Latency:           2 * time.Millisecond,
-		LatencyJitter:     3 * time.Millisecond,
-		ErrorRate:         0.10,
-		PartitionStart:    40 * time.Second,
-		PartitionDur:      25 * time.Second,
-		StallStart:        80 * time.Second,
-		WriteInterval:     2 * time.Second,
+		Scenario: Scenario{
+			Seed:              2004,
+			UpdateInterval:    10 * time.Second,
+			UpdateDelay:       2 * time.Second,
+			HeartbeatInterval: 1 * time.Second,
+			Latency:           2 * time.Millisecond,
+			LatencyJitter:     3 * time.Millisecond,
+		},
+		Duration:       120 * time.Second,
+		QueryInterval:  500 * time.Millisecond,
+		Bound:          5 * time.Second,
+		ErrorRate:      0.10,
+		PartitionStart: 40 * time.Second,
+		PartitionDur:   25 * time.Second,
+		StallStart:     80 * time.Second,
+		WriteInterval:  2 * time.Second,
 	}
 }
 
@@ -155,40 +140,8 @@ type ChaosReport struct {
 // expected availability under partitions is 100%: every query the guard
 // would have sent remote degrades to the local view with a warning.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	sys := core.NewSystem()
-	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
-	if err := sys.AddRegion(&catalog.Region{
-		ID: 1, Name: "R",
-		UpdateInterval:    cfg.UpdateInterval,
-		UpdateDelay:       cfg.UpdateDelay,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.CreateView(&catalog.View{
-		Name: "t_prj", BaseTable: "T", Columns: []string{"id", "v"}, RegionID: 1,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
-		return nil, err
-	}
-	if err := sys.Analyze(); err != nil {
-		return nil, err
-	}
-
-	inj := fault.New(cfg.Seed)
-	inj.SetLatency(cfg.Latency, cfg.LatencyJitter)
-	inj.SetErrorRate(cfg.ErrorRate)
-	sys.InjectFaults(inj)
-	sys.EnableResilience(cfg.Policy)
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
-
-	// Warm up one full propagation cycle before faults matter, so the
-	// region has synchronized at least once.
-	if err := sys.Run(cfg.UpdateInterval + cfg.UpdateDelay + 2*cfg.HeartbeatInterval); err != nil {
+	sys, inj, err := cfg.build(cfg.ErrorRate, cfg.Policy, nil)
+	if err != nil {
 		return nil, err
 	}
 
@@ -242,15 +195,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			continue
 		}
 		rep.Answered++
-		switch {
-		case res.Degraded:
-			rep.Degraded++
-		case len(res.LocalViews) > 0:
-			rep.Local++
-		default:
-			rep.Remote++
-		}
-		if res.Degraded || len(res.LocalViews) > 0 {
+		if countServe(res, &rep.Local, &rep.Degraded, &rep.Remote) {
 			if ts, ok := sys.Cache.LastSync(1); ok {
 				served = append(served, sys.Clock.Now().Sub(ts))
 			}

@@ -6,12 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/core"
-	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/remote"
-	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/tuner"
 )
 
@@ -22,21 +19,17 @@ import (
 // query degrades and the region's SLO error budget stays exhausted; with
 // the autotuning loop enabled, the observer sees the new bound mix, the
 // loop steps the refresh interval down, and the budget recovers — with zero
-// manual interval changes. Everything is driven by the virtual clock and
-// one seed, so the same config replays the same run byte for byte.
+// manual interval changes. The scenario's region cadence is the baseline the
+// autotuner retunes; the partition always runs from ShiftAt to the end of the
+// run.
 type ShiftConfig struct {
-	Seed int64
+	Scenario
 	// Duration is the total measured virtual time; ShiftAt is the offset of
 	// the bound-mix flip (and partition start).
 	Duration time.Duration
 	ShiftAt  time.Duration
 	// QueryInterval is the virtual time between queries.
 	QueryInterval time.Duration
-
-	// Region cadence as configured — the baseline the autotuner retunes.
-	UpdateInterval    time.Duration
-	UpdateDelay       time.Duration
-	HeartbeatInterval time.Duration
 
 	// LooseBound is the pre-shift currency bound (comfortably above the
 	// configured staleness), TightBound the post-shift one (far below it).
@@ -48,19 +41,10 @@ type ShiftConfig struct {
 	SLOTarget float64
 	SLOWindow int
 
-	// Link faults: base latency plus jitter on every remote call. The
-	// partition itself always runs from ShiftAt to the end of the run.
-	Latency       time.Duration
-	LatencyJitter time.Duration
-
 	// Autotune enables the closed loop; Tuner parameterizes it (zero fields
 	// select the tuner.LoopConfig defaults).
 	Autotune bool
 	Tuner    tuner.LoopConfig
-
-	// OnSystem, if set, receives the fully wired system before any virtual
-	// time passes (same contract as ChaosConfig.OnSystem).
-	OnSystem func(*core.System)
 }
 
 // DefaultShiftConfig sizes the scenario so the budget burns for several
@@ -69,20 +53,22 @@ type ShiftConfig struct {
 // post-shift bound, and an SLO window one fifth of the post-shift traffic.
 func DefaultShiftConfig() ShiftConfig {
 	return ShiftConfig{
-		Seed:              2004,
-		Duration:          300 * time.Second,
-		ShiftAt:           100 * time.Second,
-		QueryInterval:     250 * time.Millisecond,
-		UpdateInterval:    60 * time.Second,
-		UpdateDelay:       500 * time.Millisecond,
-		HeartbeatInterval: 1 * time.Second,
-		LooseBound:        300 * time.Second,
-		TightBound:        4 * time.Second,
-		SLOTarget:         0.99,
-		SLOWindow:         256,
-		Latency:           1 * time.Millisecond,
-		LatencyJitter:     1 * time.Millisecond,
-		Tuner:             tuner.LoopConfig{Cadence: 15 * time.Second},
+		Scenario: Scenario{
+			Seed:              2004,
+			UpdateInterval:    60 * time.Second,
+			UpdateDelay:       500 * time.Millisecond,
+			HeartbeatInterval: 1 * time.Second,
+			Latency:           1 * time.Millisecond,
+			LatencyJitter:     1 * time.Millisecond,
+		},
+		Duration:      300 * time.Second,
+		ShiftAt:       100 * time.Second,
+		QueryInterval: 250 * time.Millisecond,
+		LooseBound:    300 * time.Second,
+		TightBound:    4 * time.Second,
+		SLOTarget:     0.99,
+		SLOWindow:     256,
+		Tuner:         tuner.LoopConfig{Cadence: 15 * time.Second},
 	}
 }
 
@@ -130,43 +116,13 @@ type ShiftReport struct {
 
 // RunShift executes the scripted workload-shift run.
 func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
-	sys := core.NewSystem()
-	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
-	if err := sys.AddRegion(&catalog.Region{
-		ID: 1, Name: "R",
-		UpdateInterval:    cfg.UpdateInterval,
-		UpdateDelay:       cfg.UpdateDelay,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.CreateView(&catalog.View{
-		Name: "t_prj", BaseTable: "T", Columns: []string{"id", "v"}, RegionID: 1,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
-		return nil, err
-	}
-	if err := sys.Analyze(); err != nil {
-		return nil, err
-	}
-	sys.Cache.ConfigureSLO(cfg.SLOTarget, cfg.SLOWindow)
-
-	inj := fault.New(cfg.Seed)
-	inj.SetLatency(cfg.Latency, cfg.LatencyJitter)
-	sys.InjectFaults(inj)
-	sys.EnableResilience(remote.Policy{})
-	if cfg.Autotune {
-		sys.EnableAutotune(cfg.Tuner)
-	}
-	if cfg.OnSystem != nil {
-		cfg.OnSystem(sys)
-	}
-
-	// Warm up one full propagation cycle so the region has synchronized at
-	// least once before measurement starts.
-	if err := sys.Run(cfg.UpdateInterval + cfg.UpdateDelay + 2*cfg.HeartbeatInterval); err != nil {
+	sys, inj, err := cfg.build(0, remote.Policy{}, func(sys *core.System) {
+		sys.Cache.ConfigureSLO(cfg.SLOTarget, cfg.SLOWindow)
+		if cfg.Autotune {
+			sys.EnableAutotune(cfg.Tuner)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -209,18 +165,13 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 			continue
 		}
 		rep.Answered++
-		within := true
-		switch {
-		case res.Degraded:
-			rep.Degraded++
-			within = false
-		case len(res.LocalViews) > 0:
-			rep.Local++
+		// Degraded serves never are within bound, remote serves always are,
+		// guard-approved local serves iff the staleness fits the tight bound.
+		within := !res.Degraded
+		if countServe(res, &rep.Local, &rep.Degraded, &rep.Remote) && within {
 			if ts, ok := sys.Cache.LastSync(1); ok {
 				within = sys.Clock.Now().Sub(ts) <= cfg.TightBound
 			}
-		default:
-			rep.Remote++
 		}
 		if shifted {
 			rep.PostShiftQueries++

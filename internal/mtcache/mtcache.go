@@ -73,6 +73,11 @@ type Cache struct {
 	// (see obs.go). Always non-nil; each cache owns its registry.
 	obs *cacheObs
 
+	// oneShot is the session behind Cache.Query and Cache.ExplainAnalyze:
+	// default action, never in a TIMEORDERED bracket, so it keeps nothing
+	// from one statement to the next but its query context.
+	oneShot *Session
+
 	// aud is the delivered-guarantee auditor, installed by EnableAudit (nil
 	// until then). Atomic so the per-query fast path is one load; when the
 	// auditor is absent or disabled the query path does no audit work and
@@ -111,7 +116,7 @@ func New(clock vclock.Clock, back *backend.Server) *Cache {
 	link.Configure(clock, remote.PassthroughPolicy())
 	link.Instrument(co.reg)
 	link.SetTracer(co.tracer)
-	return &Cache{
+	c := &Cache{
 		clock:     clock,
 		back:      back,
 		link:      link,
@@ -123,6 +128,8 @@ func New(clock vclock.Clock, back *backend.Server) *Cache {
 		byText:    map[string]*stmtEntry{},
 		obs:       co,
 	}
+	c.oneShot = c.NewSession()
+	return c
 }
 
 // maxCachedPlans bounds the plan cache (evicted wholesale when exceeded —
@@ -449,7 +456,7 @@ func (c *Cache) LastSync(regionID int) (time.Time, bool) {
 func (c *Cache) HeartbeatTable() *storage.Table { return c.hb }
 
 // EnableAudit installs the delivered-guarantee auditor on this cache: every
-// executed query's guard decisions are recorded as audit read events, and
+// executed query's guard decisions also reach it, as audit read events, and
 // the base tables of all current subscriptions register as audited objects
 // at their snapshot sequences (later CreateViews register as they land).
 // The commit and replication taps are wired by core.System.EnableAudit.
@@ -460,32 +467,6 @@ func (c *Cache) EnableAudit(a *audit.Auditor) {
 			a.RegisterObject(agent.Region.ID, sub.Base.Name, sub.StartSeq())
 		}
 	}
-}
-
-// Auditor returns the installed delivered-guarantee auditor, or nil.
-func (c *Cache) Auditor() *audit.Auditor { return c.aud.Load() }
-
-// auditReadEvent converts one guard decision into an audit read event,
-// resolving the versions the local branch served (the region agent's
-// applied commit sequence) and the heartbeat timestamp the guard trusted.
-func (c *Cache) auditReadEvent(d exec.GuardDecision) audit.ReadEvent {
-	ev := audit.ReadEvent{
-		Label:          d.Label,
-		Region:         d.Region,
-		BoundNS:        int64(obs.NormalizeBound(d.Bound)),
-		Chosen:         d.Chosen,
-		Degraded:       d.Degraded,
-		ServeTSNS:      c.clock.Now().UnixNano(),
-		StalenessNS:    int64(d.Staleness),
-		StalenessKnown: d.StalenessKnown,
-	}
-	if a := c.Agent(d.Region); a != nil {
-		ev.SyncSeq = a.LastSeq()
-	}
-	if ts, ok := c.LastSync(d.Region); ok {
-		ev.SyncTSNS = ts.UnixNano()
-	}
-	return ev
 }
 
 // CreateView defines a materialized view on the cache: it creates local
@@ -613,13 +594,13 @@ type QueryResult struct {
 
 // Query runs one SELECT outside any session (default options and actions).
 func (c *Cache) Query(sql string) (*QueryResult, error) {
-	return c.NewSession().Query(sql)
+	return c.oneShot.Query(sql)
 }
 
 // ExplainAnalyze runs one SELECT outside any session with per-operator
 // tracing enabled; the result carries the execution trace.
 func (c *Cache) ExplainAnalyze(sql string) (*QueryResult, error) {
-	return c.NewSession().ExplainAnalyze(sql)
+	return c.oneShot.ExplainAnalyze(sql)
 }
 
 // Exec forwards a DML statement transparently to the back-end server (the
@@ -685,6 +666,9 @@ type Session struct {
 	mu          sync.Mutex
 	timeOrdered bool
 	floor       time.Time
+
+	// slot parks the session's query context between queries (see queryCtx).
+	slot atomic.Pointer[queryCtx]
 }
 
 // NewSession opens a session.
@@ -865,18 +849,18 @@ func (e *stmtEntry) ast(p *parsed) (*sqlparser.SelectStmt, error) {
 // from a known shape (fresh), which counts as the miss it is. A statement
 // with no plan yet is optimized, and cached, with its template, when the plan
 // was made with default options. p is the miss path's parse, nil when the
-// text was not parsed.
-func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed, opts opt.Options, analyze bool) (*QueryResult, error) {
+// text was not parsed. The query runs in the session's query context, checked
+// out here and handed back, its sampled record published, by the one deferred
+// end.
+func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed, opts opt.Options, analyze bool) (qr *QueryResult, err error) {
 	c := s.cache
-	// qt is nil on the unsampled path; every QueryTrace method is nil-safe,
-	// so the hot path pays one atomic add and no allocation.
-	qt := c.obs.tracer.Begin(e.key)
-	qt.Tenant(s.Tenant)
+	q := s.begin(e.key)
+	defer q.end(&err)
 	if p != nil {
-		qt.Parse(p.took)
+		q.qt.Parse(p.took)
 	}
 	var planStart time.Time
-	if qt != nil {
+	if q.qt != nil {
 		planStart = c.clock.Now()
 	}
 	// A shared plan is safe to run again because the currency guard re-takes
@@ -893,7 +877,6 @@ func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed,
 			plan, _, err = c.Plan(sel, opts)
 		}
 		if err != nil {
-			qt.Finish(true)
 			return nil, err
 		}
 		root, setup, params = plan.Root, plan.Setup, nil
@@ -910,29 +893,25 @@ func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed,
 			c.obs.planHits.Inc()
 		}
 		if plan = e.tmpl.Plan; root == nil {
-			var err error
 			if root, err = plan.Build(); err != nil {
-				qt.Finish(true)
 				return nil, err
 			}
 		}
 	}
-	if qt != nil {
-		qt.Plan(c.clock.Now().Sub(planStart))
+	if q.qt != nil {
+		q.qt.Plan(c.clock.Now().Sub(planStart))
 	}
-	qr, err := s.run(plan, root, params, setup, analyze, e.key, qt)
+	qr, err = s.run(q, plan, root, params, setup, analyze, e.key)
 	if err != nil {
 		// The tree is dropped with whatever the failed run left in it.
 		if s.Action == ActionServeStale && remote.IsUnavailable(err) {
-			return s.serveStale(e, p, qt)
+			return s.serveStale(q, e, p)
 		}
-		qt.Finish(true)
 		return nil, err
 	}
 	if shared && !analyze {
 		c.checkIn(e, root)
 	}
-	qt.Finish(false)
 	return qr, nil
 }
 
@@ -968,13 +947,14 @@ func (s *Session) guardRetry(region, attempt int) bool {
 	return true
 }
 
-// run executes one tree of a plan and updates the session's timeline floor
-// from the sources actually used. With analyze set, the tree is instrumented
-// (in place: it cannot run again) and the result carries the annotated trace
-// (retained in the cache's TraceStore under sql).
-func (s *Session) run(plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string, qt *obs.QueryTrace) (*QueryResult, error) {
-	now := s.cache.clock.Now()
-	o := s.cache.obs
+// run executes one tree of a plan in the query's context and updates the
+// session's timeline floor from the sources actually used. With analyze set,
+// the tree is instrumented (in place: it cannot run again) and the result
+// carries the annotated trace (retained in the cache's TraceStore under sql).
+func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string) (*QueryResult, error) {
+	c := s.cache
+	now := c.clock.Now()
+	o := c.obs
 	o.queries.Inc()
 	var trace *obs.TraceNode
 	if analyze {
@@ -983,68 +963,36 @@ func (s *Session) run(plan *opt.Plan, root exec.Operator, params []sqltypes.Valu
 		}
 		root, trace = exec.Instrument(root)
 	}
-	// Violations recorded by degraded guards during execution surface on the
-	// result as warnings and feed the degraded-read metrics.
-	var violations []exec.Violation
-	ctx := &exec.EvalContext{
-		Now:         now,
-		Clock:       s.cache.clock,
-		OnGuard:     o.onGuard,
-		Degrade:     s.degradeMode(),
-		Unavailable: remote.IsUnavailable,
-		Params:      params,
-		OnViolation: func(v exec.Violation) {
-			violations = append(violations, v)
-			o.onViolation(v)
-		},
-	}
-	if qt != nil {
-		// Sampled queries also fold the guard outcome into their lifecycle
-		// record. SwitchUnion publishes the final (possibly degraded)
-		// decision last, so the record keeps the decision that answered.
-		ctx.OnGuard = func(d exec.GuardDecision) {
-			o.onGuard(d)
-			qt.Guard(guardObservation(d))
-		}
-	}
-	// With the auditor enabled, every guard decision also becomes an audit
-	// read event; disabled, this is one atomic load and no allocation.
-	aud := s.cache.aud.Load()
-	var audEvents []audit.ReadEvent
-	if aud.Enabled() {
-		prev := ctx.OnGuard
-		ctx.OnGuard = func(d exec.GuardDecision) {
-			prev(d)
-			audEvents = append(audEvents, s.cache.auditReadEvent(d))
-		}
-	}
-	if ctx.Degrade == exec.DegradeBlock {
-		ctx.GuardRetry = s.guardRetry
-	}
+	q.violations, q.reads = q.violations[:0], q.reads[:0]
+	q.ev.Now, q.ev.Degrade, q.ev.Params = now, s.degradeMode(), params
 	var execStart time.Time
 	var retriesBefore int64
-	if qt != nil {
-		retriesBefore = s.cache.link.Stats().Retries
-		execStart = s.cache.clock.Now()
+	if q.qt != nil {
+		retriesBefore = c.link.Stats().Retries
+		execStart = c.clock.Now()
 	}
-	res, err := exec.Run(root, ctx, setup)
-	if qt != nil {
-		qt.Exec(s.cache.clock.Now().Sub(execStart))
-		qt.Retries(s.cache.link.Stats().Retries - retriesBefore)
+	res, err := exec.Run(root, &q.ev, setup)
+	if q.qt != nil {
+		q.qt.Exec(c.clock.Now().Sub(execStart))
+		q.qt.Retries(c.link.Stats().Retries - retriesBefore)
 	}
 	if err != nil {
 		return nil, err
 	}
-	qr := &QueryResult{Result: res, Plan: plan, Trace: trace, Violations: violations}
-	for _, v := range violations {
-		if v.Action == "serve-local" {
-			qr.Degraded = true
+	qr := &QueryResult{Result: res, Plan: plan, Trace: trace}
+	if len(q.violations) > 0 {
+		// The buffer is the context's; the result gets its own copy.
+		qr.Violations = slices.Clone(q.violations)
+		for _, v := range q.violations {
+			if v.Action == "serve-local" {
+				qr.Degraded = true
+			}
 		}
 	}
 	if trace != nil {
 		o.traces.Set(sql, trace)
 	}
-	w := usedWalk{cache: s.cache, qr: qr, now: now}
+	w := usedWalk{cache: c, qr: qr, now: now}
 	w.visit(root)
 	if qr.RemoteQueries > 0 {
 		o.remoteQueries.Add(int64(qr.RemoteQueries))
@@ -1055,9 +1003,7 @@ func (s *Session) run(plan *opt.Plan, root exec.Operator, params []sqltypes.Valu
 		s.floor = w.observed
 	}
 	s.mu.Unlock()
-	if len(audEvents) > 0 {
-		aud.Reads(audEvents)
-	}
+	q.aud.Reads(q.reads)
 	return qr, nil
 }
 
@@ -1115,41 +1061,41 @@ func (w *usedWalk) visit(op exec.Operator) {
 }
 
 // serveStale is the ActionServeStale fall-back: answer from local views
-// without currency checking, flagging the result. qt is the original query's
-// lifecycle trace (nil on the unsampled path): the rerun executes guardless,
-// so the record is finished here marked degraded instead of via a guard
-// observation, and its staleness stays unknown.
-func (s *Session) serveStale(e *stmtEntry, p *parsed, qt *obs.QueryTrace) (*QueryResult, error) {
+// without currency checking, flagging the result. The rerun executes
+// guardless and untraced — the sampled record keeps the failed run's timings
+// and is marked degraded instead of through a guard event, its staleness
+// unknown.
+func (s *Session) serveStale(q *queryCtx, e *stmtEntry, p *parsed) (*QueryResult, error) {
+	c := s.cache
 	var plan *opt.Plan
 	sel, err := e.ast(p)
 	if err == nil {
-		plan, _, err = s.cache.Plan(sel, opt.Options{NoGuards: true, ForceLocal: true, IgnoreConstraints: true})
+		plan, _, err = c.Plan(sel, opt.Options{NoGuards: true, ForceLocal: true, IgnoreConstraints: true})
 	}
 	if err != nil {
-		qt.Finish(true)
 		return nil, fmt.Errorf("mtcache: remote unavailable and no local data: %w", err)
 	}
 	if !plan.UsesLocal {
-		qt.Finish(true)
 		return nil, fmt.Errorf("mtcache: remote unavailable and no matching local view")
 	}
-	qr, err := s.run(plan, plan.Root, nil, plan.Setup, false, "", nil)
+	qt := q.qt
+	q.qt = nil
+	qr, err := s.run(q, plan, plan.Root, nil, plan.Setup, false, "")
+	q.qt = qt
 	if err != nil {
-		qt.Finish(true)
 		return nil, err
 	}
 	qr.ServedStale = true
-	s.cache.obs.servedStale.Inc()
+	c.obs.servedStale.Inc()
 	qr.AsOf = time.Time{} // staleness unknown: no guard vouched for it
-	if aud := s.cache.aud.Load(); aud.Enabled() {
+	if q.aud != nil {
 		// The guardless rerun produced no read events; record the downgrade
-		// itself as one disclosed serve (staleness unknown, promise waived).
-		aud.Reads([]audit.ReadEvent{{
-			ServedStale: true,
-			ServeTSNS:   s.cache.clock.Now().UnixNano(),
-		}})
+		// itself as one disclosed serve of the query it downgraded (staleness
+		// unknown, promise waived).
+		ev := audit.ReadEvent{ServedStale: true, ServeTSNS: c.clock.Now().UnixNano()}
+		ev.Query = q.ev.Query
+		q.aud.Reads(append(q.reads[:0], ev))
 	}
-	qt.MarkDegraded()
-	qt.Finish(false)
+	q.qt.MarkDegraded()
 	return qr, nil
 }

@@ -370,7 +370,7 @@ func TestSessionTenantLabelsTraceRecords(t *testing.T) {
 	if _, err := s.Query("SELECT id, v FROM t WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	recs := c.Tracer().Ring().Snapshot()
+	recs := c.Tracer().Recent()
 	if len(recs) == 0 {
 		t.Fatal("no sampled trace records")
 	}

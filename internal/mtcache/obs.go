@@ -50,7 +50,6 @@ import (
 // installed; they are listed here because they share this cache's registry.)
 type cacheObs struct {
 	reg    *obs.Registry
-	clock  vclock.Clock
 	traces *obs.TraceStore
 	// tracer samples query lifecycles into the recent-query ring and counts
 	// span events; slo folds every guard decision into per-region currency
@@ -84,7 +83,6 @@ type cacheObs struct {
 func newCacheObs(clock vclock.Clock, reg *obs.Registry) *cacheObs {
 	return &cacheObs{
 		reg:             reg,
-		clock:           clock,
 		traces:          &obs.TraceStore{},
 		tracer:          obs.NewTracer(reg, obs.DefaultSampleEvery, obs.DefaultRingSize),
 		slo:             obs.NewSLOTracker(reg, obs.DefaultSLOTarget, obs.DefaultSLOWindow),
@@ -122,43 +120,23 @@ func (o *cacheObs) regionLabel(id int) string {
 	return l
 }
 
-// guardObservation converts an operator-level guard decision into the obs
-// package's SLO/tracing observation (obs cannot import exec).
-func guardObservation(d exec.GuardDecision) obs.GuardObservation {
-	return obs.GuardObservation{
-		Region:         d.Region,
-		Chosen:         d.Chosen,
-		Bound:          d.Bound,
-		GuardTime:      d.GuardTime,
-		Staleness:      d.Staleness,
-		StalenessKnown: d.StalenessKnown,
-		Degraded:       d.Degraded,
-		BlockWaits:     d.BlockWaits,
-	}
-}
-
-// onGuard records one SwitchUnion guard decision (EvalContext.OnGuard).
-func (o *cacheObs) onGuard(d exec.GuardDecision) {
-	label := o.regionLabel(d.Region)
-	if d.Chosen == 0 {
+// guardMetrics counts one guard decision: the branch pick per region, the
+// selector's cost and the staleness it observed.
+func (o *cacheObs) guardMetrics(g obs.GuardEvent) {
+	label := o.regionLabel(g.Region)
+	if g.Chosen == 0 {
 		o.guardLocal.With(label).Inc()
 	} else {
 		o.guardRemote.With(label).Inc()
 	}
-	o.guardLatency.ObserveDuration(d.GuardTime)
-	if d.StalenessKnown {
-		o.guardStaleness.ObserveDuration(d.Staleness)
-		o.regionStaleness.With(label).SetDuration(d.Staleness)
+	o.guardLatency.ObserveDuration(g.GuardTime)
+	if g.StalenessKnown {
+		o.guardStaleness.ObserveDuration(g.Staleness)
+		o.regionStaleness.With(label).SetDuration(g.Staleness)
 	}
-	// Every serve — normal or degraded — lands in the region's SLO window
-	// and the autotuner's workload window.
-	g := guardObservation(d)
-	o.slo.Observe(g)
-	o.workload.Record(o.clock.Now(), g)
 }
 
-// onViolation records one degraded-mode event (EvalContext.OnViolation):
-// local branches served despite a remote guard choice count as degraded
+// onViolation counts one degraded-mode event: local branches served despite a remote guard choice count as degraded
 // reads per region, and blocking sessions account their guard waits.
 func (o *cacheObs) onViolation(v exec.Violation) {
 	switch v.Action {

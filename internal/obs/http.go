@@ -111,7 +111,7 @@ func NewHandler(o Ops) http.Handler {
 			http.Error(w, "no tracer", http.StatusNotFound)
 			return
 		}
-		recs := o.Tracer.Ring().Snapshot()
+		recs := o.Tracer.Recent()
 		if limit := queryLimit(r, 50); len(recs) > limit {
 			recs = recs[:limit]
 		}
@@ -135,7 +135,7 @@ func NewHandler(o Ops) http.Handler {
 			}
 			threshold = d
 		}
-		recs := o.Tracer.Ring().Snapshot()
+		recs := o.Tracer.Recent()
 		slow := recs[:0]
 		for _, rec := range recs {
 			if rec.TotalNS >= int64(threshold) {

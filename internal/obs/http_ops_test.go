@@ -15,21 +15,21 @@ func opsFixture() (Ops, *Tracer) {
 	tr := NewTracer(reg, 1, 64)
 	slo := NewSLOTracker(reg, 0.99, 32)
 
-	fast := tr.Begin("SELECT fast")
+	fast := begin(tr, "SELECT fast")
 	fast.Parse(1 * time.Millisecond)
 	fast.Exec(2 * time.Millisecond)
 	fast.Finish(false)
-	slow := tr.Begin("SELECT slow")
+	slow := begin(tr, "SELECT slow")
 	slow.Parse(2 * time.Millisecond)
 	slow.Plan(3 * time.Millisecond)
 	slow.Exec(95 * time.Millisecond)
-	slow.Guard(GuardObservation{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	slow.Guard(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: time.Second, StalenessKnown: true})
 	slow.Finish(false)
 
-	slo.Observe(GuardObservation{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	slo.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: time.Second, StalenessKnown: true})
-	slo.Observe(GuardObservation{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	slo.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: 2 * time.Second, StalenessKnown: true, Degraded: true})
 
 	return Ops{
@@ -88,7 +88,7 @@ func keysOf(m map[string]any) []string {
 }
 
 var queryRecordKeys = []string{
-	"seq", "sql_hash", "sql", "bound_ns", "region", "branch", "degraded",
+	"seq", "query_id", "sql_hash", "sql", "guards", "bound_ns", "region", "branch", "degraded",
 	"block_waits", "retries", "staleness_ns", "staleness_known", "failed",
 	"parse_ns", "plan_ns", "guard_ns", "exec_ns", "total_ns",
 }
@@ -270,7 +270,7 @@ func TestOpsTunerNilSnapshot(t *testing.T) {
 func TestTraceStoreCopyOnFinish(t *testing.T) {
 	var ts TraceStore
 	root := &TraceNode{Name: "SwitchUnion", Rows: 1,
-		Guard:    &GuardTrace{Region: 1, Chosen: 0},
+		Guard:    &GuardEvent{Region: 1, Chosen: 0},
 		Children: []*TraceNode{{Name: "Scan(v)", Rows: 1}}}
 	ts.Set("SELECT 1", root)
 	// Mutate the original tree as a later re-execution would.

@@ -1,114 +1,81 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
-// QueryRecord is one completed query's lifecycle record, published into the
-// tracer's ring buffer by the sampled tracing path. All durations are
-// nanoseconds so the JSON encoding is stable integers, and the record is
-// immutable once published (readers share the pointer, never the fields).
-type QueryRecord struct {
-	// Seq is the record's global publish sequence (monotone per tracer).
-	Seq uint64 `json:"seq"`
-	// SQLHash is the FNV-1a hash of the canonical query text, the stable
-	// identity for aggregating repeated statements.
-	SQLHash uint64 `json:"sql_hash"`
-	// SQL is the canonical query text.
-	SQL string `json:"sql"`
-	// Tenant is the issuing session's tenant class, when the session set
-	// one (multi-tenant load runs); empty otherwise.
-	Tenant string `json:"tenant,omitempty"`
-	// BoundNS is the session's currency bound on the guarded region in
-	// nanoseconds; 0 means the query carried no (finite) currency bound.
-	BoundNS int64 `json:"bound_ns"`
-	// Region is the currency region of the guarded branch (0 when the plan
-	// had no guard).
-	Region int `json:"region"`
-	// Branch is "local", "remote", or "" for unguarded plans.
-	Branch string `json:"branch"`
-	// Degraded is set when the answer came from the local branch only
-	// because the remote fall-back was unavailable.
-	Degraded bool `json:"degraded"`
-	// BlockWaits counts guard re-evaluations a blocking session performed.
-	BlockWaits int `json:"block_waits"`
-	// Retries is how many link retry attempts the query paid for.
-	Retries int64 `json:"retries"`
-	// StalenessNS is the guarded region's staleness at decision time; valid
-	// only when StalenessKnown.
-	StalenessNS    int64 `json:"staleness_ns"`
-	StalenessKnown bool  `json:"staleness_known"`
-	// Failed is set when execution returned an error.
-	Failed bool `json:"failed"`
-	// Per-phase durations of the lifecycle: parse, plan (cache lookup or
-	// optimization), guard (selector evaluation) and execution. TotalNS is
-	// their sum (guard time is included in exec wall time, so the sum over
-	// parse+plan+exec).
-	ParseNS int64 `json:"parse_ns"`
-	PlanNS  int64 `json:"plan_ns"`
-	GuardNS int64 `json:"guard_ns"`
-	ExecNS  int64 `json:"exec_ns"`
-	TotalNS int64 `json:"total_ns"`
-}
-
-// QueryRing is a lock-free ring buffer of recently completed query records.
-// Push is wait-free (one atomic add plus one atomic pointer store) and
-// records are immutable after publication, so Snapshot never observes a
-// half-written record. Capacity is rounded up to a power of two.
-type QueryRing struct {
-	mask  uint64
+// Ring is the repo's one bounded history: a lock-free ring of the most
+// recent values pushed — sampled query records, audit events, tuner
+// decisions. Push is wait-free (one atomic add, one atomic pointer store of a
+// freshly stamped slot); a slot is immutable once stored, so a reader never
+// sees a half-written value, only values from slightly different instants.
+// When the ring wraps the oldest value is overwritten and counted as dropped.
+type Ring[T any] struct {
 	pos   atomic.Uint64
-	slots []atomic.Pointer[QueryRecord]
+	slots []atomic.Pointer[ringSlot[T]]
 }
 
-// NewQueryRing creates a ring holding the most recent `size` records
-// (rounded up to a power of two, minimum 16).
-func NewQueryRing(size int) *QueryRing {
-	n := 16
-	for n < size {
-		n <<= 1
+// ringSlot is one published value with its publish sequence (1 for the first
+// value ever pushed).
+type ringSlot[T any] struct {
+	seq uint64
+	v   T
+}
+
+// NewRing creates a ring that retains the most recent size values (at least
+// one).
+func NewRing[T any](size int) *Ring[T] {
+	return &Ring[T]{slots: make([]atomic.Pointer[ringSlot[T]], max(size, 1))}
+}
+
+// Push publishes v and reports whether it overwrote an older value.
+func (r *Ring[T]) Push(v T) bool {
+	seq, n := r.pos.Add(1), uint64(len(r.slots))
+	r.slots[(seq-1)%n].Store(&ringSlot[T]{seq: seq, v: v})
+	return seq > n
+}
+
+// Pushed returns how many values were ever pushed.
+func (r *Ring[T]) Pushed() uint64 { return r.pos.Load() }
+
+// Dropped returns how many values the ring has overwritten.
+func (r *Ring[T]) Dropped() uint64 {
+	if p, n := r.pos.Load(), uint64(len(r.slots)); p > n {
+		return p - n
 	}
-	return &QueryRing{mask: uint64(n - 1), slots: make([]atomic.Pointer[QueryRecord], n)}
+	return 0
 }
 
-// Push publishes a completed record, assigning its sequence number. The
-// record must not be mutated afterwards.
-func (r *QueryRing) Push(rec *QueryRecord) {
-	seq := r.pos.Add(1)
-	rec.Seq = seq
-	r.slots[(seq-1)&r.mask].Store(rec)
-}
-
-// Len returns how many records have ever been pushed.
-func (r *QueryRing) Len() uint64 { return r.pos.Load() }
-
-// Snapshot copies the ring's current records, newest first. Concurrent
-// pushes may replace slots mid-walk; each observed record is still complete
-// (immutability), just possibly from slightly different instants.
-func (r *QueryRing) Snapshot() []QueryRecord {
-	out := make([]QueryRecord, 0, len(r.slots))
+// held returns the retained slots, oldest first.
+func (r *Ring[T]) held() []*ringSlot[T] {
+	held := make([]*ringSlot[T], 0, len(r.slots))
 	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
+		if s := r.slots[i].Load(); s != nil {
+			held = append(held, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq > out[j].Seq })
-	return out
+	// The layout has one wrap discontinuity at most, but concurrent pushes
+	// interleave, so order by sequence.
+	slices.SortFunc(held, func(a, b *ringSlot[T]) int { return cmp.Compare(a.seq, b.seq) })
+	return held
 }
 
-// fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// HashSQL returns the FNV-1a 64-bit hash of the query text, allocation-free.
-func HashSQL(sql string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(sql); i++ {
-		h ^= uint64(sql[i])
-		h *= fnvPrime
+// Each calls fn for every retained value, oldest first, with its publish
+// sequence.
+func (r *Ring[T]) Each(fn func(seq uint64, v T)) {
+	for _, s := range r.held() {
+		fn(s.seq, s.v)
 	}
-	return h
+}
+
+// Snapshot copies the retained values, oldest first.
+func (r *Ring[T]) Snapshot() []T {
+	held := r.held()
+	out := make([]T, len(held))
+	for i, s := range held {
+		out[i] = s.v
+	}
+	return out
 }

@@ -133,7 +133,7 @@ func (s *SLOTracker) Window() int {
 //     bound (unknown staleness or an unbounded query trusts the guard).
 //
 // Nil-safe; zero allocations after a region's first observation.
-func (s *SLOTracker) Observe(g GuardObservation) {
+func (s *SLOTracker) Observe(g GuardEvent) {
 	if s == nil {
 		return
 	}

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-func obsWithin(region int) GuardObservation {
-	return GuardObservation{Region: region, Chosen: 0, Bound: 10 * time.Second,
+func obsWithin(region int) GuardEvent {
+	return GuardEvent{Region: region, Chosen: 0, Bound: 10 * time.Second,
 		Staleness: time.Second, StalenessKnown: true}
 }
 
-func obsDegraded(region int) GuardObservation {
-	return GuardObservation{Region: region, Chosen: 0, Bound: 10 * time.Second,
+func obsDegraded(region int) GuardEvent {
+	return GuardEvent{Region: region, Chosen: 0, Bound: 10 * time.Second,
 		Staleness: 30 * time.Second, StalenessKnown: true, Degraded: true}
 }
 
@@ -20,14 +20,14 @@ func TestSLOWithinBoundSemantics(t *testing.T) {
 	// Guard-approved local serve inside the bound: within.
 	s.Observe(obsWithin(1))
 	// Remote serve: within by definition (master data).
-	s.Observe(GuardObservation{Region: 1, Chosen: 1, Bound: time.Second})
+	s.Observe(GuardEvent{Region: 1, Chosen: 1, Bound: time.Second})
 	// Degraded serve: counts against budget even if staleness looks fine.
-	s.Observe(GuardObservation{Region: 1, Chosen: 0, Bound: 10 * time.Second,
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 10 * time.Second,
 		Staleness: time.Second, StalenessKnown: true, Degraded: true})
 	// Local serve with unknown staleness: the guard vouched, so within.
-	s.Observe(GuardObservation{Region: 1, Chosen: 0, Bound: time.Second})
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: time.Second})
 	// Local serve observed over the bound: not within.
-	s.Observe(GuardObservation{Region: 1, Chosen: 0, Bound: time.Second,
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
 		Staleness: 2 * time.Second, StalenessKnown: true})
 
 	snap := s.Snapshot()
@@ -94,7 +94,7 @@ func TestSLOSnapshotDeterministicOrderAndPercentiles(t *testing.T) {
 	s := NewSLOTracker(NewRegistry(), 0.99, 64)
 	for _, region := range []int{3, 1, 2} {
 		for i := 1; i <= 4; i++ {
-			s.Observe(GuardObservation{Region: region, Chosen: 0,
+			s.Observe(GuardEvent{Region: region, Chosen: 0,
 				Bound:     time.Minute,
 				Staleness: time.Duration(i) * time.Second, StalenessKnown: true})
 		}

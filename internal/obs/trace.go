@@ -8,36 +8,6 @@ import (
 	"time"
 )
 
-// GuardTrace records one SwitchUnion currency-guard decision: which branch
-// the guard picked, how long the check took, and the region's observed
-// staleness at decision time (query Now minus the local heartbeat).
-type GuardTrace struct {
-	Label  string        `json:"label"`
-	Region int           `json:"region"`
-	Chosen int           `json:"chosen"`
-	Time   time.Duration `json:"guard_time_ns"`
-	// Staleness is meaningful only when Known is true (a region that never
-	// synchronized has unknown staleness).
-	Staleness time.Duration `json:"staleness_ns"`
-	Known     bool          `json:"staleness_known"`
-	// Degraded is set when the guard picked the remote branch but the local
-	// branch answered because the remote was unavailable (a recorded
-	// staleness-violation warning).
-	Degraded bool `json:"degraded,omitempty"`
-	// BlockWaits is how many times a blocking session re-evaluated this
-	// guard before it passed.
-	BlockWaits int `json:"block_waits,omitempty"`
-}
-
-// Branch names the chosen branch: by convention child 0 is the local
-// materialized view and child 1 the remote fall-back.
-func (g *GuardTrace) Branch() string {
-	if g.Chosen == 0 {
-		return "local"
-	}
-	return "remote"
-}
-
 // TraceNode is one operator's record in a plan-shaped execution trace:
 // inclusive wall time per iterator phase (a parent's Next time includes its
 // children's), rows and batches produced, and the guard decision for
@@ -51,7 +21,7 @@ type TraceNode struct {
 	Close    time.Duration `json:"close_ns"`
 	Rows     int64         `json:"rows"`
 	Batches  int64         `json:"batches"`
-	Guard    *GuardTrace   `json:"guard,omitempty"`
+	Guard    *GuardEvent   `json:"guard,omitempty"`
 	Children []*TraceNode  `json:"children,omitempty"`
 }
 
@@ -85,12 +55,12 @@ func (n *TraceNode) render(w io.Writer, prefix, childPrefix string, timings bool
 	}
 	if g := n.Guard; g != nil && n.Opens > 0 {
 		stale := "unknown"
-		if g.Known {
+		if g.StalenessKnown {
 			stale = g.Staleness.String()
 		}
 		if timings {
 			fmt.Fprintf(w, " [guard %s -> %s branch, region %d, staleness %s]",
-				fmtDur(g.Time), g.Branch(), g.Region, stale)
+				fmtDur(g.GuardTime), g.Branch(), g.Region, stale)
 		} else {
 			fmt.Fprintf(w, " [guard -> %s branch, region %d, staleness %s]",
 				g.Branch(), g.Region, stale)

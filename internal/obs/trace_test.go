@@ -10,9 +10,9 @@ func traceFixture() *TraceNode {
 	return &TraceNode{
 		Name:  "SwitchUnion Customer",
 		Opens: 1, Open: 2 * time.Millisecond, Next: time.Millisecond, Rows: 1,
-		Guard: &GuardTrace{
+		Guard: &GuardEvent{
 			Label: "Customer", Region: 1, Chosen: 0,
-			Time: 40 * time.Microsecond, Staleness: 5 * time.Second, Known: true,
+			GuardTime: 40 * time.Microsecond, Staleness: 5 * time.Second, StalenessKnown: true,
 		},
 		Children: []*TraceNode{
 			{Name: "IndexScan(cust_prj.pk)", Opens: 1, Rows: 1, Next: time.Millisecond},
@@ -53,10 +53,10 @@ func TestTraceShapeDeterministic(t *testing.T) {
 }
 
 func TestGuardBranch(t *testing.T) {
-	if (&GuardTrace{Chosen: 0}).Branch() != "local" {
+	if (&GuardEvent{Chosen: 0}).Branch() != "local" {
 		t.Fatal("chosen 0 must be local")
 	}
-	if (&GuardTrace{Chosen: 1}).Branch() != "remote" {
+	if (&GuardEvent{Chosen: 1}).Branch() != "remote" {
 		t.Fatal("chosen 1 must be remote")
 	}
 }
@@ -66,7 +66,7 @@ func TestTraceTotalAndUnknownStaleness(t *testing.T) {
 	if n.Total() != 6*time.Millisecond {
 		t.Fatalf("total = %v", n.Total())
 	}
-	g := &TraceNode{Name: "SwitchUnion X", Opens: 1, Guard: &GuardTrace{Chosen: 1}}
+	g := &TraceNode{Name: "SwitchUnion X", Opens: 1, Guard: &GuardEvent{Chosen: 1}}
 	if s := g.ShapeString(); !strings.Contains(s, "staleness unknown") {
 		t.Fatalf("unknown staleness not rendered: %s", s)
 	}

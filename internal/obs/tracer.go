@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -28,31 +29,18 @@ const (
 	DefaultRingSize = 512
 )
 
-// GuardObservation is a currency-guard outcome in obs terms (the exec
-// package owns GuardDecision; obs cannot import it without a cycle). Bound
-// <= 0 means the query carried no finite currency bound.
-type GuardObservation struct {
-	Region         int
-	Chosen         int
-	Bound          time.Duration
-	GuardTime      time.Duration
-	Staleness      time.Duration
-	StalenessKnown bool
-	Degraded       bool
-	BlockWaits     int
-}
-
 // Tracer is the always-on query-lifecycle tracer: a deterministic 1-in-N
 // sampler over a monotone query counter (so seeded chaos and bench runs
-// sample the same queries every time) feeding a lock-free ring of completed
+// sample the same queries every time) feeding a Ring of completed
 // QueryRecords, plus span-event counters for link retries, breaker
-// transitions and replication applies.
+// transitions and replication applies. The counter is also the query id:
+// every query gets one, sampled or not.
 //
 // The untraced hot path is a single atomic add — no allocation, no lock.
 type Tracer struct {
 	every uint64
 	count atomic.Uint64
-	ring  *QueryRing
+	ring  *Ring[QueryRecord]
 
 	sampled *Counter    // trace_sampled_total
 	events  *CounterVec // span_events_total{kind}
@@ -70,18 +58,25 @@ func NewTracer(reg *Registry, every, ringSize int) *Tracer {
 	}
 	return &Tracer{
 		every:   uint64(every),
-		ring:    NewQueryRing(ringSize),
+		ring:    NewRing[QueryRecord](ringSize),
 		sampled: reg.Counter("trace_sampled_total"),
 		events:  reg.CounterVec("span_events_total", "kind"),
 	}
 }
 
-// Ring exposes the completed-record ring (for the /queries endpoints).
-func (t *Tracer) Ring() *QueryRing {
+// Recent returns the retained records, newest first, each stamped with its
+// publish sequence.
+func (t *Tracer) Recent() []QueryRecord {
 	if t == nil {
 		return nil
 	}
-	return t.ring
+	out := []QueryRecord{}
+	t.ring.Each(func(seq uint64, rec QueryRecord) {
+		rec.Seq = seq
+		out = append(out, rec)
+	})
+	slices.Reverse(out)
+	return out
 }
 
 // SampleEvery returns the sampling period N (1 = every query).
@@ -92,22 +87,22 @@ func (t *Tracer) SampleEvery() int {
 	return int(t.every)
 }
 
-// Begin starts a lifecycle trace for one query, returning nil on the
-// unsampled path (one atomic add, zero allocations). The first query is
-// always sampled; thereafter every N-th by arrival order.
-func (t *Tracer) Begin(sql string) *QueryTrace {
+// Begin numbers one query and, when it is sampled, starts its lifecycle
+// trace in qt (reset; the caller owns the storage and may reuse it once the
+// trace is finished). It returns the query id and qt, or nil on the unsampled
+// path — one atomic add, zero allocations. The first query is always sampled;
+// thereafter every N-th by arrival order.
+func (t *Tracer) Begin(sql string, qt *QueryTrace) (uint64, *QueryTrace) {
 	if t == nil {
-		return nil
+		return 0, nil
 	}
 	n := t.count.Add(1)
 	if (n-1)%t.every != 0 {
-		return nil
+		return n, nil
 	}
 	t.sampled.Inc()
-	qt := &QueryTrace{tr: t}
-	qt.rec.SQL = sql
-	qt.rec.SQLHash = HashSQL(sql)
-	return qt
+	*qt = QueryTrace{tr: t, rec: QueryRecord{QueryID: n, SQL: sql, SQLHash: HashSQL(sql)}}
+	return n, qt
 }
 
 // Event counts one span event by kind; kind must be one of the Event*
@@ -121,7 +116,7 @@ func (t *Tracer) Event(kind string) {
 
 // QueryTrace accumulates one sampled query's lifecycle record. All methods
 // are nil-safe (the unsampled path passes a nil trace through the same call
-// sites) and the record is published immutably on Finish.
+// sites) and a copy of the record is published on Finish.
 type QueryTrace struct {
 	tr  *Tracer
 	rec QueryRecord
@@ -156,25 +151,18 @@ func (q *QueryTrace) Exec(d time.Duration) {
 	}
 }
 
-// Guard records the (last) currency-guard outcome of the query.
-func (q *QueryTrace) Guard(g GuardObservation) {
+// Guard records one guard decision of the query: it joins Guards, and the
+// record's flat guard fields summarize it — all of them from this one event,
+// so after the last decision they describe a guard that ran.
+func (q *QueryTrace) Guard(g GuardEvent) {
 	if q == nil {
 		return
 	}
-	q.rec.Region = g.Region
-	if g.Chosen == 0 {
-		q.rec.Branch = "local"
-	} else {
-		q.rec.Branch = "remote"
-	}
-	if g.Bound > 0 {
-		q.rec.BoundNS = int64(g.Bound)
-	}
-	q.rec.GuardNS += int64(g.GuardTime)
-	q.rec.StalenessNS = int64(g.Staleness)
-	q.rec.StalenessKnown = g.StalenessKnown
-	q.rec.Degraded = g.Degraded
-	q.rec.BlockWaits = g.BlockWaits
+	r := &q.rec
+	r.Guards = append(r.Guards, g)
+	r.Region, r.Branch, r.BoundNS = g.Region, g.Branch(), int64(g.Bound)
+	r.GuardNS, r.StalenessNS, r.StalenessKnown = int64(g.GuardTime), int64(g.Staleness), g.StalenessKnown
+	r.Degraded, r.BlockWaits = g.Degraded, g.BlockWaits
 }
 
 // MarkDegraded flags the record as a degraded serve independent of any
@@ -192,13 +180,80 @@ func (q *QueryTrace) Retries(n int64) {
 	}
 }
 
-// Finish publishes the completed record into the tracer's ring. The record
-// must not be touched afterwards.
+// Finish publishes the completed record into the tracer's ring.
 func (q *QueryTrace) Finish(failed bool) {
 	if q == nil {
 		return
 	}
 	q.rec.Failed = failed
 	q.rec.TotalNS = q.rec.ParseNS + q.rec.PlanNS + q.rec.ExecNS
-	q.tr.ring.Push(&q.rec)
+	if q.rec.Guards == nil {
+		q.rec.Guards = []GuardEvent{}
+	}
+	q.tr.ring.Push(q.rec)
+}
+
+// QueryRecord is one completed query's lifecycle record, published into the
+// tracer's ring by the sampled tracing path. All durations are nanoseconds so
+// the JSON encoding is stable integers.
+type QueryRecord struct {
+	// Seq is the record's publish sequence in the ring (monotone per tracer).
+	Seq uint64 `json:"seq"`
+	// QueryID is the query's id (see GuardEvent.Query): the auditor's
+	// violations of this query carry the same number.
+	QueryID uint64 `json:"query_id"`
+	// SQLHash is the FNV-1a hash of the canonical query text, the stable
+	// identity for aggregating repeated statements.
+	SQLHash uint64 `json:"sql_hash"`
+	// SQL is the canonical query text.
+	SQL string `json:"sql"`
+	// Tenant is the issuing session's tenant class, when the session set
+	// one (multi-tenant load runs); empty otherwise.
+	Tenant string `json:"tenant,omitempty"`
+	// Guards is every guard decision of the query, in order (Q5 has two).
+	// The flat guard fields below — BoundNS, Region, Branch, Degraded,
+	// BlockWaits, StalenessNS, StalenessKnown, GuardNS — summarize the last
+	// of them; they are zero for unguarded plans.
+	Guards []GuardEvent `json:"guards"`
+	// BoundNS is the currency bound on the guarded region; 0 means the query
+	// carried no (finite) currency bound.
+	BoundNS int64 `json:"bound_ns"`
+	Region  int   `json:"region"`
+	// Branch is "local", "remote", or "" for unguarded plans.
+	Branch string `json:"branch"`
+	// Degraded is set when the answer came from the local branch only
+	// because the remote fall-back was unavailable, or from the serve-stale
+	// rerun.
+	Degraded   bool `json:"degraded"`
+	BlockWaits int  `json:"block_waits"`
+	// Retries is how many link retry attempts the query paid for.
+	Retries        int64 `json:"retries"`
+	StalenessNS    int64 `json:"staleness_ns"`
+	StalenessKnown bool  `json:"staleness_known"`
+	// Failed is set when execution returned an error.
+	Failed bool `json:"failed"`
+	// Per-phase durations of the lifecycle: parse, plan (cache lookup or
+	// optimization), guard (selector evaluation) and execution. TotalNS is
+	// the sum over parse+plan+exec (guard time is inside exec).
+	ParseNS int64 `json:"parse_ns"`
+	PlanNS  int64 `json:"plan_ns"`
+	GuardNS int64 `json:"guard_ns"`
+	ExecNS  int64 `json:"exec_ns"`
+	TotalNS int64 `json:"total_ns"`
+}
+
+// fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// HashSQL returns the FNV-1a 64-bit hash of the query text, allocation-free.
+func HashSQL(sql string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(sql); i++ {
+		h ^= uint64(sql[i])
+		h *= fnvPrime
+	}
+	return h
 }

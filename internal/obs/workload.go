@@ -93,7 +93,7 @@ func NewWorkloadObserver(start time.Time) *WorkloadObserver {
 
 // Record folds one guard decision into the region's current window.
 // Nil-safe, so unwired callers can always invoke it.
-func (w *WorkloadObserver) Record(now time.Time, g GuardObservation) {
+func (w *WorkloadObserver) Record(now time.Time, g GuardEvent) {
 	if w == nil {
 		return
 	}

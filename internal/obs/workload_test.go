@@ -15,7 +15,7 @@ func TestWorkloadObserverProfiles(t *testing.T) {
 	w := NewWorkloadObserver(start)
 	// Region 1: 3 local (one degraded), 1 remote, mixed bounds, one
 	// unbounded (planner sentinel); region 2: idle until later.
-	obs := []GuardObservation{
+	obs := []GuardEvent{
 		{Region: 1, Chosen: 0, Bound: 4 * time.Second, Staleness: time.Second, StalenessKnown: true},
 		{Region: 1, Chosen: 0, Bound: 4 * time.Second, Staleness: 3 * time.Second, StalenessKnown: true, Degraded: true},
 		{Region: 1, Chosen: 1, Bound: 2 * time.Second},
@@ -63,7 +63,7 @@ func TestWorkloadObserverProfiles(t *testing.T) {
 	if got := w.WindowStart(); !got.Equal(start.Add(10 * time.Second)) {
 		t.Fatalf("window start = %v", got)
 	}
-	w.Record(start.Add(11*time.Second), GuardObservation{Region: 2, Chosen: 0, Bound: time.Second})
+	w.Record(start.Add(11*time.Second), GuardEvent{Region: 2, Chosen: 0, Bound: time.Second})
 	next := w.Snapshot(start.Add(12 * time.Second))
 	if len(next) != 2 {
 		t.Fatalf("got %d profiles after cut, want 2 (reset region 1 + new region 2)", len(next))
@@ -83,12 +83,12 @@ func TestWorkloadObserverBoundOverflow(t *testing.T) {
 	start := wlStart()
 	w := NewWorkloadObserver(start)
 	for i := 1; i <= workloadMaxBounds; i++ {
-		w.Record(start, GuardObservation{Region: 1, Bound: time.Duration(i) * time.Minute})
+		w.Record(start, GuardEvent{Region: 1, Bound: time.Duration(i) * time.Minute})
 	}
 	// 90s is between the 1m and 2m buckets; the tie rule picks the smaller.
-	w.Record(start, GuardObservation{Region: 1, Bound: 90 * time.Second})
+	w.Record(start, GuardEvent{Region: 1, Bound: 90 * time.Second})
 	// 10h is beyond every bucket; it folds into the largest.
-	w.Record(start, GuardObservation{Region: 1, Bound: 10 * time.Hour})
+	w.Record(start, GuardEvent{Region: 1, Bound: 10 * time.Hour})
 	p := w.Snapshot(start.Add(time.Second))[0]
 	if len(p.Bounds) != workloadMaxBounds {
 		t.Fatalf("histogram grew past the cap: %d bounds", len(p.Bounds))
@@ -106,7 +106,7 @@ func TestWorkloadObserverBoundOverflow(t *testing.T) {
 // stay safe).
 func TestWorkloadObserverNil(t *testing.T) {
 	var w *WorkloadObserver
-	w.Record(wlStart(), GuardObservation{Region: 1}) // must not panic
+	w.Record(wlStart(), GuardEvent{Region: 1}) // must not panic
 }
 
 // TestWorkloadObserverConcurrent is the -race hammer: concurrent Record
@@ -159,7 +159,7 @@ func TestWorkloadObserverConcurrent(t *testing.T) {
 		go func(wr int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				w.Record(start, GuardObservation{
+				w.Record(start, GuardEvent{
 					Region:         wr % 2,
 					Chosen:         i % 2,
 					Bound:          time.Duration(1+i%8) * time.Second,

@@ -170,20 +170,23 @@ type Loop struct {
 	mHeld    *obs.CounterVec // tuner_held_total{region}
 	mTarget  *obs.GaugeVec   // tuner_target_interval_ns{region}
 
-	mu        sync.Mutex
-	regions   map[int]*regionState
-	decisions []Decision
-	nextSeq   int64
+	mu      sync.Mutex
+	regions map[int]*regionState
+	// decisions is the retained timeline; a decision's Seq is its publish
+	// sequence there.
+	decisions *obs.Ring[Decision]
 }
 
 // NewLoop builds a loop over the observer with zero registered regions.
 // reg, when non-nil, receives the loop's metrics. Zero config fields select
 // the defaults documented on LoopConfig.
 func NewLoop(cfg LoopConfig, observer Observer, reg *obs.Registry) *Loop {
+	cfg = cfg.withDefaults()
 	l := &Loop{
-		cfg:      cfg.withDefaults(),
-		observer: observer,
-		regions:  map[int]*regionState{},
+		cfg:       cfg,
+		observer:  observer,
+		regions:   map[int]*regionState{},
+		decisions: obs.NewRing[Decision](cfg.RingSize),
 	}
 	if reg != nil {
 		l.mRetunes = reg.CounterVec("tuner_retunes_total", "region")
@@ -375,18 +378,12 @@ func relDiff(a, b time.Duration) float64 {
 	return float64(diff) / float64(b)
 }
 
-// recordLocked stamps the decision's sequence number and appends it to the
-// bounded ring.
+// recordLocked publishes the decision on the bounded timeline.
 func (l *Loop) recordLocked(d Decision) {
-	l.nextSeq++
-	d.Seq = l.nextSeq
 	if d.Bounds == nil {
 		d.Bounds = []obs.BoundCount{}
 	}
-	l.decisions = append(l.decisions, d)
-	if over := len(l.decisions) - l.cfg.RingSize; over > 0 {
-		l.decisions = append(l.decisions[:0], l.decisions[over:]...)
-	}
+	l.decisions.Push(d)
 }
 
 // RegionTunerState is one region's row in a loop snapshot.
@@ -424,8 +421,12 @@ func (l *Loop) Snapshot() Snapshot {
 		MinSamples:  l.cfg.MinSamples,
 		TargetSlack: l.cfg.TargetSlack,
 		Regions:     []RegionTunerState{},
-		Decisions:   append([]Decision{}, l.decisions...),
+		Decisions:   []Decision{},
 	}
+	l.decisions.Each(func(seq uint64, d Decision) {
+		d.Seq = int64(seq)
+		snap.Decisions = append(snap.Decisions, d)
+	})
 	ids := make([]int, 0, len(l.regions))
 	for id := range l.regions {
 		ids = append(ids, id)
