@@ -27,6 +27,18 @@ func auditedChaos(w io.Writer, cfg ChaosConfig) error {
 	return nil
 }
 
+// auditedShift is `rccbench -shift -audit`: the auditor rides on the
+// autotuned arm, the only one OnSystem sees.
+func auditedShift(w io.Writer, cfg ShiftConfig) error {
+	var aud *audit.Auditor
+	cfg.OnSystem = func(s *core.System) { aud = s.EnableAudit() }
+	if err := RunShiftReport(w, cfg); err != nil {
+		return err
+	}
+	RenderAudit(w, aud)
+	return nil
+}
+
 // TestReportsMatchGolden pins the seeded reports byte for byte across
 // commits (the determinism tests beside it only compare two runs of one
 // binary): a refactor that moves any of them shows up here as a diff against
@@ -41,7 +53,29 @@ func TestReportsMatchGolden(t *testing.T) {
 		{"chaos_audit", func(w io.Writer) error { return auditedChaos(w, DefaultChaosConfig()) }},
 		{"broken_guard", func(w io.Writer) error { return auditedChaos(w, BrokenGuardChaosConfig()) }},
 		{"shift", func(w io.Writer) error { return RunShiftReport(w, DefaultShiftConfig()) }},
+		{"shift_audit", func(w io.Writer) error { return auditedShift(w, DefaultShiftConfig()) }},
 		{"load_short", func(w io.Writer) error { return RunLoadReport(w, load.ShortConfig(), "") }},
+		// BENCH_load.json itself: CI's two-run cmp compares one binary with itself.
+		{"load_short.json", func(w io.Writer) error {
+			rep, err := load.Run(load.ShortConfig())
+			if err != nil {
+				return err
+			}
+			b, err := rep.JSON()
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(b)
+			return err
+		}},
+		{"fig42", func(w io.Writer) error { return RunWorkloadShift(w, 40) }},
+		{"offload", func(w io.Writer) error {
+			sys, err := NewSystem(DefaultConfig())
+			if err != nil {
+				return err
+			}
+			return RunOffload(w, sys, 30)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var got bytes.Buffer
