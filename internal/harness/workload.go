@@ -176,7 +176,7 @@ func MeasureWorkloadByExecution(f, d, bound time.Duration, n int) (float64, erro
 
 // RunWorkloadShift prints both panels of Figure 4.2.
 func RunWorkloadShift(w io.Writer, samples int) error {
-	section(w, "Figure 4.2(a): local workload %% vs currency bound (f=100s)")
+	section(w, "Figure 4.2(a): local workload % vs currency bound (f=100s)")
 	delays := []time.Duration{1 * time.Second, 5 * time.Second, 10 * time.Second}
 	var bounds []time.Duration
 	for b := 0; b <= 120; b += 10 {
@@ -200,7 +200,7 @@ func RunWorkloadShift(w io.Writer, samples int) error {
 		fmt.Fprintln(w)
 	}
 
-	section(w, "Figure 4.2(b): local workload %% vs refresh interval (B=10s)")
+	section(w, "Figure 4.2(b): local workload % vs refresh interval (B=10s)")
 	delaysB := []time.Duration{1 * time.Second, 5 * time.Second, 8 * time.Second}
 	var intervals []time.Duration
 	for _, f := range []int{2, 5, 10, 20, 40, 60, 80, 100} {
