@@ -39,8 +39,9 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/analysis/ -run 'TestFixtures|TestIgnore|TestStrict|TestMetricNames'
 
-# Non-test Go lines per package, one line each; fails if internal/exec or
-# the guard-event spine (mtcache + obs + audit + core + tuner) exceeds its
+# Non-test Go lines per package, one line each, and the line count of
+# scripts/*.sh; fails if internal/exec, the guard-event spine (mtcache + obs +
+# audit + core + tuner) or the scenario code (internal/harness) exceeds its
 # ceiling (ROADMAP tracks LoC per package).
 loc:
 	./scripts/loc.sh
@@ -49,22 +50,25 @@ loc:
 verify: build vet lint test race
 
 # Executor benchmarks (serial vs morsel-parallel) and the end-to-end
-# session point read. Emits BENCH_exec.json with ns/op, rows/sec and
-# allocs/op per benchmark.
+# session point read. Keeps the transcript as BENCH_exec.txt, emits
+# BENCH_exec.json with ns/op, rows/sec and allocs/op per benchmark and gates
+# it (`rccbench -bench-text`, harness.CheckBench): allocation ceilings,
+# parallel scaling, the autotuner's shift outcome, and tolerance bands
+# around the committed BENCH_baseline.json (allocs/op tight, rows/sec loose).
 bench:
 	./scripts/bench.sh
 
-# Compare BENCH_exec.json against the committed BENCH_baseline.json with
-# tolerance bands (allocs/op tight, rows/sec loose): the perf-regression
-# gate. Run `make bench` first so BENCH_exec.json exists.
+# Re-read the last transcript: rewrite BENCH_exec.json and apply the same
+# gates without running the benchmarks again. Run `make bench` first.
 bench-compare:
-	./scripts/check_bench.sh compare
+	$(GO) run ./cmd/rccbench -bench-text BENCH_exec.txt
 
 # Open-loop macro-benchmark: saturation sweep over multi-tenant sessions,
-# emits BENCH_load.json (same as `rccbench -load`). `make load SHORT=1`
-# runs the 3-step CI smoke sweep.
+# emits BENCH_load.json once the report passes its own schema check
+# (harness.LoadReport.Check). `make load SHORT=1` runs the 3-step CI smoke
+# sweep.
 load:
-	./scripts/load.sh $(if $(SHORT),short,)
+	$(GO) run ./cmd/rccbench -load -load-json BENCH_load.json $(if $(SHORT),-load-short,)
 
 # Coverage with a minimum-total gate (MIN_COVER, default 70%). CI runs the
 # same script, so the gate is identical locally and in the workflow.
@@ -76,14 +80,13 @@ cover:
 chaos:
 	$(GO) run ./cmd/rccbench -chaos
 
-# Chaos run with the delivered-guarantee auditor: snapshot validated by
-# scripts/check_audit.sh (zero silent violations, conserved counts).
+# Chaos run with the delivered-guarantee auditor. The run gates itself
+# (harness.CheckAudit) and fails unless the ledger shows zero silent
+# violations, conserved counts, no ring drops and an agreeing replay.
 audit:
 	$(GO) run ./cmd/rccbench -chaos -audit -snapshot audit-snapshot
-	./scripts/check_audit.sh audit-snapshot/audit.json
 
 # Negative control: the deliberately broken guard-lie schedule; the gate
-# inverts and requires the auditor to flag it with evidence.
+# inverts and the run fails unless the auditor flagged it with evidence.
 audit-broken:
 	$(GO) run ./cmd/rccbench -chaos -audit -broken-guard -snapshot audit-broken-snapshot
-	./scripts/check_audit.sh --broken audit-broken-snapshot/audit.json

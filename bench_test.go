@@ -799,7 +799,7 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 // BenchmarkExecAutotuneShift runs the workload bound-mix shift scenario
 // with closed-loop autotuning enabled and reports the loop's activity and
 // the post-shift serve quality — the numbers scripts/bench.sh lifts into
-// BENCH_exec.json and scripts/check_bench.sh gates on (the loop must retune
+// BENCH_exec.json and harness.CheckBench gates on (the loop must retune
 // and the post-shift SLO must recover).
 func BenchmarkExecAutotuneShift(b *testing.B) {
 	cfg := harness.DefaultShiftConfig()

@@ -4,25 +4,24 @@
 //	rccbench [-sf 0.02] [-reps 200] [-raw-stats]
 //
 // Output goes to stdout; see EXPERIMENTS.md for the paper-vs-measured
-// comparison. With -obs ADDR the run also serves the live ops surface
-// (/metrics, /slo, /queries/recent, /queries/slow, /regions, /trace/last,
-// /tuner); with -snapshot DIR the /slo, /queries/slow and /tuner payloads
-// are written as JSON files when the run ends (the bench-smoke CI artifact).
-// -chaos runs the fault-injection workload instead; -shift runs the
-// workload bound-mix shift scenario that demonstrates closed-loop
-// autotuning; -autotune enables the tuning loop on any scenario. -load runs
-// the open-loop macro-benchmark (saturation sweep over multi-tenant
-// sessions) and writes BENCH_load.json via -load-json; -load-short selects
-// the CI smoke sweep and -wall paces arrivals in real time for demos.
-// -audit enables the delivered-guarantee auditor on any scenario and
-// appends its ledger (plus the /audit snapshot when -snapshot is set);
-// -broken-guard swaps in the deliberately broken chaos schedule the
-// auditor must flag.
+// comparison. One mode flag runs something else instead: -chaos the
+// fault-injection workload, -shift the bound-mix shift that demonstrates
+// closed-loop autotuning, -load the open-loop macro-benchmark (BENCH_load.json
+// via -load-json), -bench-text the reader that turns a `go test -bench`
+// transcript into BENCH_exec.json. With -obs ADDR the run serves the live ops
+// surface; with -snapshot DIR its /slo, /queries/slow, /tuner and /audit
+// payloads are written as JSON when the run ends. Every mode gates itself and
+// the exit status says so: a load report is checked against its schema before
+// it is written, a bench report against its ceilings and the baseline, and
+// with -audit the delivered-guarantee ledger of a -chaos, -shift or -load run
+// must come out clean — or, under -chaos -broken-guard, must have caught the
+// lie. A flag bound to a mode the run is not in is a usage error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -30,54 +29,98 @@ import (
 
 	"relaxedcc/internal/core"
 	"relaxedcc/internal/harness"
-	"relaxedcc/internal/load"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/tuner"
 	"relaxedcc/internal/vclock"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values: 0 when the run and
+// the gates it applies to itself pass, 1 when either fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rccbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cfg := harness.DefaultConfig()
-	flag.Float64Var(&cfg.ScaleFactor, "sf", cfg.ScaleFactor,
+	fs.Float64Var(&cfg.ScaleFactor, "sf", cfg.ScaleFactor,
 		"physical TPC-D scale factor (1.0 = paper's 150k customers)")
-	flag.IntVar(&cfg.Reps, "reps", cfg.Reps,
+	fs.IntVar(&cfg.Reps, "reps", cfg.Reps,
 		"repetitions per timed measurement")
-	rawStats := flag.Bool("raw-stats", false,
+	rawStats := fs.Bool("raw-stats", false,
 		"use physical statistics instead of scaling them to the paper's cardinalities")
-	flag.BoolVar(&cfg.Extras, "extras", false,
+	fs.BoolVar(&cfg.Extras, "extras", false,
 		"also run extension experiments (back-end offload, region tuning)")
-	flag.BoolVar(&cfg.Metrics, "metrics", false,
+	fs.BoolVar(&cfg.Metrics, "metrics", false,
 		"append a metrics-registry snapshot (guard picks, staleness gauges) to the report")
-	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "data generation seed")
-	chaos := flag.Bool("chaos", false,
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "data generation seed")
+	chaos := fs.Bool("chaos", false,
 		"run the fault-injection workload instead: availability and served-staleness under link faults")
-	shift := flag.Bool("shift", false,
+	shift := fs.Bool("shift", false,
 		"run the workload bound-mix shift scenario: SLO budget recovery with vs without closed-loop autotuning")
-	loadRun := flag.Bool("load", false,
+	loadRun := fs.Bool("load", false,
 		"run the open-loop macro-benchmark: throughput-vs-latency saturation sweep over multi-tenant sessions")
-	loadShort := flag.Bool("load-short", false,
+	loadShort := fs.Bool("load-short", false,
 		"with -load: the short CI smoke sweep (3 steps, 2 virtual seconds each)")
-	loadJSON := flag.String("load-json", "",
+	loadJSON := fs.String("load-json", "",
 		"with -load: also write the machine-readable report (BENCH_load.json) to this path")
-	wall := flag.Bool("wall", false,
+	wall := fs.Bool("wall", false,
 		"with -load: pace arrivals in real time for demos (measurement stays on the virtual clock)")
-	autotune := flag.Bool("autotune", false,
+	benchText := fs.String("bench-text", "",
+		"read this `go test -bench` transcript instead: write BENCH_exec.json, gate it and compare it with BENCH_baseline.json")
+	autotune := fs.Bool("autotune", false,
 		"enable the closed-loop currency autotuner (tuner.Loop) for the run")
-	auditOn := flag.Bool("audit", false,
-		"enable the delivered-guarantee auditor and append its ledger to the report")
-	brokenGuard := flag.Bool("broken-guard", false,
-		"with -chaos: run the deliberately broken guard-lie schedule the auditor must catch")
-	obsAddr := flag.String("obs", "",
+	auditOn := fs.Bool("audit", false,
+		"enable the delivered-guarantee auditor, append its ledger to the report and gate the run on it")
+	brokenGuard := fs.Bool("broken-guard", false,
+		"with -chaos: run the deliberately broken guard-lie schedule; with -audit the run then fails unless the auditor catches it")
+	obsAddr := fs.String("obs", "",
 		"serve the ops HTTP surface (/metrics /slo /queries/... /regions /tuner) on this address for the run")
-	snapshotDir := flag.String("snapshot", "",
+	snapshotDir := fs.String("snapshot", "",
 		"write /slo, /queries/slow and /tuner JSON snapshots into this directory when the run ends")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	cfg.ScaleStatsToPaper = !*rawStats
 
-	// attach enables autotuning (if requested), serves the ops endpoints
-	// (if requested) and remembers the system so snapshots can be taken
-	// after the run.
+	// A flag bound to a mode the run is not in would otherwise select a
+	// different experiment than the one asked for, silently.
+	modes := 0
+	for _, on := range []bool{*loadRun, *shift, *chaos, *benchText != ""} {
+		if on {
+			modes++
+		}
+	}
+	for _, u := range []struct {
+		bad bool
+		msg string
+	}{
+		{modes > 1, "-load, -shift, -chaos and -bench-text exclude one another"},
+		{!*loadRun && (*loadShort || *loadJSON != "" || *wall), "-load-short, -load-json and -wall need -load"},
+		{!*chaos && *brokenGuard, "-broken-guard needs -chaos"},
+	} {
+		if u.bad {
+			fmt.Fprintf(stderr, "rccbench: %s\n", u.msg)
+			fs.Usage()
+			return 2
+		}
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "rccbench:", err)
+		return 1
+	}
+	if *benchText != "" {
+		if err := harness.RunBenchReport(stdout, *benchText, "BENCH_exec.json", "BENCH_baseline.json"); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+
+	// attach enables autotuning and the auditor (if requested), serves the
+	// ops endpoints (if requested) and remembers the system so snapshots can
+	// be taken after the run.
 	var sys *core.System
+	var attachErr error
 	attach := func(s *core.System) {
 		sys = s
 		if *autotune && s.Tuner() == nil {
@@ -91,92 +134,90 @@ func main() {
 		}
 		_, addr, err := obs.Serve(*obsAddr, s.ObsHandler())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench: obs:", err)
-			os.Exit(1)
+			attachErr = fmt.Errorf("obs: %w", err)
+			return
 		}
-		fmt.Fprintf(os.Stderr, "serving ops endpoints on http://%s/metrics (/slo, /queries/recent, /queries/slow, /regions, /trace/last, /tuner)\n", addr)
+		fmt.Fprintf(stderr, "serving ops endpoints on http://%s/metrics (/slo, /queries/recent, /queries/slow, /regions, /trace/last, /tuner)\n", addr)
 	}
 
-	if *loadRun {
-		lcfg := load.DefaultConfig()
+	var err error
+	switch {
+	case *loadRun:
+		lcfg := harness.DefaultLoadConfig()
 		if *loadShort {
-			lcfg = load.ShortConfig()
+			lcfg = harness.ShortLoadConfig()
 		}
 		lcfg.Seed = cfg.Seed
 		lcfg.OnSystem = attach
 		if *wall {
 			lcfg.Pace = vclock.Wall{}
 		}
-		if err := harness.RunLoadReport(os.Stdout, lcfg, *loadJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench:", err)
-			os.Exit(1)
-		}
-	} else if *shift {
+		err = harness.RunLoadReport(stdout, lcfg, *loadJSON)
+	case *shift:
 		scfg := harness.DefaultShiftConfig()
 		scfg.Seed = cfg.Seed
 		scfg.OnSystem = attach
-		if err := harness.RunShiftReport(os.Stdout, scfg); err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench:", err)
-			os.Exit(1)
-		}
-	} else if *chaos {
+		err = harness.RunShiftReport(stdout, scfg)
+	case *chaos:
 		ccfg := harness.DefaultChaosConfig()
 		if *brokenGuard {
 			ccfg = harness.BrokenGuardChaosConfig()
 		}
 		ccfg.Seed = cfg.Seed
 		ccfg.OnSystem = attach
-		if err := harness.RunChaosReport(os.Stdout, ccfg); err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench:", err)
-			os.Exit(1)
+		err = harness.RunChaosReport(stdout, ccfg)
+	default:
+		var s *core.System
+		if s, err = harness.NewSystem(cfg); err == nil {
+			attach(s)
+			err = harness.RunAllOn(stdout, cfg, s)
 		}
-	} else {
-		s, err := harness.NewSystem(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench:", err)
-			os.Exit(1)
-		}
-		attach(s)
-		if err := harness.RunAllOn(os.Stdout, cfg, s); err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench:", err)
-			os.Exit(1)
-		}
+	}
+	if err == nil {
+		err = attachErr
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	if *auditOn && sys != nil {
-		harness.RenderAudit(os.Stdout, sys.Audit())
-	}
-
-	if *snapshotDir != "" && sys != nil {
-		if err := writeSnapshots(sys, *snapshotDir); err != nil {
-			fmt.Fprintln(os.Stderr, "rccbench: snapshot:", err)
-			os.Exit(1)
+	if *snapshotDir != "" {
+		if err := writeSnapshots(sys, *snapshotDir, stderr); err != nil {
+			return fail(fmt.Errorf("snapshot: %w", err))
 		}
 	}
+	if *auditOn {
+		harness.RenderAudit(stdout, sys.Audit())
+		// The scenario runs are sized to fit the auditor's rings and gate on
+		// the ledger; the paper sweep outlives them (its replay is partial by
+		// construction) and only prints it.
+		if modes == 1 {
+			if err := harness.CheckAudit(sys.Audit(), *brokenGuard); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	return 0
 }
 
 // writeSnapshots dumps the post-run /slo, /queries/slow, /tuner and /audit
 // payloads as JSON files, exactly as the HTTP surface would serve them.
 // /tuner and /audit are optional: on a run without the matching Enable*
 // they 404 and no file is written.
-func writeSnapshots(sys *core.System, dir string) error {
+func writeSnapshots(sys *core.System, dir string, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	h := sys.ObsHandler()
-	for _, snap := range []struct {
-		file, url string
-		optional  bool
-	}{
-		{file: "slo.json", url: "/slo"},
-		{file: "queries_slow.json", url: "/queries/slow?threshold=0s"},
-		{file: "tuner.json", url: "/tuner", optional: true},
-		{file: "audit.json", url: "/audit", optional: true},
+	for _, snap := range []struct{ file, url string }{
+		{"slo.json", "/slo"},
+		{"queries_slow.json", "/queries/slow?threshold=0s"},
+		{"tuner.json", "/tuner"},
+		{"audit.json", "/audit"},
 	} {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, snap.url, nil))
-		if snap.optional && rr.Code == http.StatusNotFound {
-			continue
+		if rr.Code == http.StatusNotFound {
+			continue // /tuner, /audit: not enabled on this run
 		}
 		if rr.Code != http.StatusOK {
 			return fmt.Errorf("GET %s: status %d", snap.url, rr.Code)
@@ -185,7 +226,7 @@ func writeSnapshots(sys *core.System, dir string) error {
 		if err := os.WriteFile(path, rr.Body.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(stderr, "wrote %s\n", path)
 	}
 	return nil
 }

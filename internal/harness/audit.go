@@ -34,16 +34,63 @@ func RenderAudit(w io.Writer, a *audit.Auditor) {
 			time.Duration(v.BoundNS), time.Duration(v.DeliveredNS), time.Duration(v.ExcessNS),
 			time.Duration(v.GuardStalenessNS), time.Duration(v.ReplLagNS))
 	}
-	rep := a.Replay()
-	agree := rep.Tally == s.Tally && len(rep.RecentViolations) == len(s.RecentViolations)
 	if s.DroppedCommits+s.DroppedReads+s.DroppedApplies > 0 {
 		// Overwritten rings mean replay coverage is partial by construction;
 		// report it as such rather than as disagreement.
 		fmt.Fprintln(w, "offline replay          partial (ring drops); online ledger is authoritative")
-	} else if agree {
+	} else if rep := a.Replay(); replayAgrees(s, rep) {
 		fmt.Fprintln(w, "offline replay          agrees with online ledger")
 	} else {
 		fmt.Fprintf(w, "offline replay          DISAGREES: replayed %d checked, %d violations (online %d / %d)\n",
 			rep.ReadsChecked, rep.ViolationsTotal, s.ReadsChecked, s.ViolationsTotal)
 	}
+}
+
+func replayAgrees(s, replay audit.Summary) bool {
+	return replay.Tally == s.Tally && len(replay.RecentViolations) == len(s.RecentViolations)
+}
+
+// CheckAudit gates an audited run on its own ledger: the auditor was on and
+// checked reads, every read classified exactly once, nothing fell out of the
+// rings and the offline replay reproduces the online ledger. An honest run
+// must then show no silent violation; the deliberately broken guard-lie
+// schedule (broken) must show at least one, each with consistent evidence —
+// the object named, delivered past the bound by exactly the excess.
+func CheckAudit(a *audit.Auditor, broken bool) error {
+	return checkAudit(a.Summary(), a.Replay(), broken)
+}
+
+func checkAudit(s, replay audit.Summary, broken bool) error {
+	if err := firstBroken("audit",
+		inv{"enabled", s.Enabled}, inv{"reads_checked", s.ReadsChecked > 0},
+		inv{"ok + currency_violations + disclosed + unbounded + unchecked != reads_checked",
+			s.OK+s.CurrencyViolations+s.Disclosed+s.Unbounded+s.Unchecked == s.ReadsChecked},
+		inv{"violations_total != currency_violations + consistency_violations", s.ViolationsTotal == s.Violations()},
+		inv{"commits", s.Commits > 0},
+		inv{"dropped_commits", s.DroppedCommits == 0}, inv{"dropped_reads", s.DroppedReads == 0},
+		inv{"dropped_applies", s.DroppedApplies == 0},
+		inv{"offline replay disagrees with the online ledger", replayAgrees(s, replay)},
+	); err != nil {
+		return err
+	}
+	if !broken {
+		return firstBroken("audit: honest run",
+			inv{"violations_total", s.ViolationsTotal == 0}, inv{"recent_violations", len(s.RecentViolations) == 0})
+	}
+	if s.ViolationsTotal < 1 || len(s.RecentViolations) < 1 {
+		return fmt.Errorf("audit: broken guard not caught: violations_total %d, %d recent_violations",
+			s.ViolationsTotal, len(s.RecentViolations))
+	}
+	for _, v := range s.RecentViolations {
+		if err := firstBroken(fmt.Sprintf("audit: violation q%d", v.Query),
+			inv{"class", v.Class == audit.ClassViolationCurrency || v.Class == audit.ClassViolationConsistency},
+			inv{"object", v.Object != ""}, inv{"bound_ns", v.BoundNS > 0},
+			inv{"delivered_ns <= bound_ns", v.DeliveredNS > v.BoundNS},
+			inv{"excess_ns != delivered_ns - bound_ns", v.ExcessNS == v.DeliveredNS-v.BoundNS},
+			inv{"serve_ts_ns", v.ServeTSNS > 0},
+		); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -3,14 +3,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/obs"
-	"relaxedcc/internal/remote"
 )
 
 // ChaosConfig scripts one deterministic chaos run: a single-region cache
@@ -55,10 +53,6 @@ type ChaosConfig struct {
 	// arbitrarily stale. No honest component behaves this way — it exists
 	// to prove the auditor detects real violations with evidence.
 	GuardLieStart time.Duration
-
-	// Policy is the link's resilience policy; zero selects the system
-	// default (retry/backoff, deadline, breaker on heartbeat cadence).
-	Policy remote.Policy
 }
 
 // DefaultChaosConfig is a two-virtual-minute run sized so every fault class
@@ -100,16 +94,7 @@ func BrokenGuardChaosConfig() ChaosConfig {
 
 // ChaosReport is the outcome of one chaos run.
 type ChaosReport struct {
-	Queries  int
-	Answered int
-	Failed   int
-	// Local counts answers served from the local view with the guard's
-	// blessing; Degraded counts local answers served because the remote
-	// fall-back was unavailable (each carries a violation warning); Remote
-	// counts answers fetched from the back end.
-	Local    int
-	Degraded int
-	Remote   int
+	serveCounts
 
 	// Availability is Answered/Queries.
 	Availability float64
@@ -140,66 +125,55 @@ type ChaosReport struct {
 // expected availability under partitions is 100%: every query the guard
 // would have sent remote degrades to the local view with a warning.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	sys, inj, err := cfg.build(cfg.ErrorRate, cfg.Policy, nil)
+	sys, inj, err := cfg.build(cfg.ErrorRate, nil)
 	if err != nil {
 		return nil, err
 	}
-
 	sess := sys.Cache.NewSession()
 	sess.Action = mtcache.ActionServeLocal
-	q := fmt.Sprintf("SELECT v FROM T WHERE id = 1 CURRENCY %d MS ON (T)", cfg.Bound.Milliseconds())
+	q := ask{Session: sess, SQL: pointQuery(cfg.Bound), Bound: cfg.Bound}
 
 	start := sys.Clock.Now()
-	partitionOn := false
-	stallOn := cfg.StallStart <= 0
-	lieOn := false
-	nextWrite := cfg.WriteInterval
-	writeVal := int64(1)
-	rep := &ChaosReport{}
-	var served []time.Duration
-
-	for off := time.Duration(0); off < cfg.Duration; off += cfg.QueryInterval {
-		if err := sys.RunTo(start.Add(off)); err != nil {
-			return nil, err
-		}
-		if !partitionOn && cfg.PartitionDur > 0 && off >= cfg.PartitionStart {
-			partitionOn = true
+	var events []event
+	if cfg.PartitionDur > 0 {
+		events = append(events, event{At: cfg.PartitionStart, Do: func() {
 			inj.PartitionUntil(start.Add(cfg.PartitionStart + cfg.PartitionDur))
-		}
-		if !stallOn && off >= cfg.StallStart {
-			stallOn = true
-			inj.StallAgent(1, true)
-		}
-		if cfg.WriteInterval > 0 && off >= nextWrite {
-			nextWrite += cfg.WriteInterval
+		}})
+	}
+	if cfg.StallStart > 0 {
+		events = append(events, event{At: cfg.StallStart, Do: func() { inj.StallAgent(1, true) }})
+	}
+	if cfg.WriteInterval > 0 {
+		writeVal := int64(1)
+		events = append(events, event{At: cfg.WriteInterval, Every: cfg.WriteInterval, Do: func() {
 			writeVal++
-			if _, err := sys.Backend.Exec(fmt.Sprintf("UPDATE T SET v = %d WHERE id = 1", writeVal)); err != nil {
-				return nil, err
-			}
-		}
-		if !lieOn && cfg.GuardLieStart > 0 && off >= cfg.GuardLieStart {
-			lieOn = true
+			sys.MustExec(fmt.Sprintf("UPDATE T SET v = %d WHERE id = 1", writeVal))
+		}})
+	}
+	if cfg.GuardLieStart > 0 {
+		events = append(events, event{At: cfg.GuardLieStart, Do: func() {
 			inj.SetStallSurvivesRestart(true)
 			inj.StallAgent(1, true)
-		}
-		if lieOn {
-			// The lie: replication is wedged, but the heartbeat claims the
-			// region synchronized this instant.
+		}}, event{At: cfg.GuardLieStart, Every: cfg.QueryInterval, Do: func() {
+			// The lie: replication is wedged, but before every query the
+			// heartbeat claims the region synchronized this instant.
 			sys.Cache.SetLastSync(1, sys.Clock.Now())
-		}
+		}})
+	}
 
-		rep.Queries++
-		res, err := sess.Query(q)
-		if err != nil {
-			rep.Failed++
-			continue
-		}
-		rep.Answered++
-		if countServe(res, &rep.Local, &rep.Degraded, &rep.Remote) {
-			if ts, ok := sys.Cache.LastSync(1); ok {
-				served = append(served, sys.Clock.Now().Sub(ts))
+	rep := &ChaosReport{}
+	var served []time.Duration
+	r := runner{sys: sys, events: events, arrivals: every(cfg.QueryInterval, cfg.Duration),
+		ask: func(int) ask { return q },
+		observe: func(s *serve) error {
+			rep.add(s)
+			if s.Local && s.Known {
+				served = append(served, s.Staleness)
 			}
-		}
+			return nil
+		}}
+	if err := r.run(); err != nil {
+		return nil, err
 	}
 
 	if rep.Queries > 0 {
@@ -238,24 +212,6 @@ func renderSLO(snap obs.SLOSnapshot) string {
 			time.Duration(r.StalenessP99NS), time.Duration(r.StalenessMaxNS))
 	}
 	return b.String()
-}
-
-// percentileDur returns the p-quantile (nearest-rank) of samples; zero for
-// an empty set.
-func percentileDur(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p*float64(len(s))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // RunChaosReport runs the default chaos workload and prints the report.

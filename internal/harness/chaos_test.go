@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"relaxedcc/internal/core"
+	"relaxedcc/internal/obs"
 )
 
 // TestChaosAvailability is the headline chaos property: with serve-local
@@ -115,6 +117,11 @@ func TestChaosSLOSnapshotDeterministic(t *testing.T) {
 			}
 			return rr.Body.String()
 		}
+		// What rccbench -snapshot writes as queries_slow.json.
+		var slow struct{ Queries []json.RawMessage }
+		if err := json.Unmarshal([]byte(get("/queries/slow?threshold=0s")), &slow); err != nil || slow.Queries == nil {
+			t.Errorf("/queries/slow: no queries array (%v)", err)
+		}
 		return get("/slo"), get("/regions")
 	}
 	slo1, regions1 := scrape()
@@ -127,6 +134,12 @@ func TestChaosSLOSnapshotDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(slo1, `"regions"`) || !strings.Contains(slo1, `"error_budget"`) {
 		t.Errorf("/slo payload missing expected fields:\n%s", slo1)
+	}
+	// What rccbench -snapshot writes as slo.json: a target, a window and at
+	// least one region.
+	var slo obs.SLOSnapshot
+	if err := json.Unmarshal([]byte(slo1), &slo); err != nil || slo.Target <= 0 || slo.Window <= 0 || len(slo.Regions) == 0 {
+		t.Errorf("/slo: target %v, window %v, %d regions (%v)", slo.Target, slo.Window, len(slo.Regions), err)
 	}
 }
 

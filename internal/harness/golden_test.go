@@ -10,33 +10,35 @@ import (
 
 	"relaxedcc/internal/audit"
 	"relaxedcc/internal/core"
-	"relaxedcc/internal/load"
 )
 
 var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
 
-// auditedChaos renders the chaos report of cfg followed by the audit section
-// of the same run — what `rccbench -chaos -audit` prints.
-func auditedChaos(w io.Writer, cfg ChaosConfig) error {
+// audited renders a report with the auditor enabled on its system, followed
+// by the audit section of the same run — what `rccbench -chaos -audit` or
+// `-shift -audit` prints (in the shift run the auditor rides on the autotuned
+// arm, the only one OnSystem sees).
+func audited(w io.Writer, run func(onSystem func(*core.System)) error) error {
 	var aud *audit.Auditor
-	cfg.OnSystem = func(s *core.System) { aud = s.EnableAudit() }
-	if err := RunChaosReport(w, cfg); err != nil {
+	if err := run(func(s *core.System) { aud = s.EnableAudit() }); err != nil {
 		return err
 	}
 	RenderAudit(w, aud)
 	return nil
 }
 
-// auditedShift is `rccbench -shift -audit`: the auditor rides on the
-// autotuned arm, the only one OnSystem sees.
+func auditedChaos(w io.Writer, cfg ChaosConfig) error {
+	return audited(w, func(on func(*core.System)) error {
+		cfg.OnSystem = on
+		return RunChaosReport(w, cfg)
+	})
+}
+
 func auditedShift(w io.Writer, cfg ShiftConfig) error {
-	var aud *audit.Auditor
-	cfg.OnSystem = func(s *core.System) { aud = s.EnableAudit() }
-	if err := RunShiftReport(w, cfg); err != nil {
-		return err
-	}
-	RenderAudit(w, aud)
-	return nil
+	return audited(w, func(on func(*core.System)) error {
+		cfg.OnSystem = on
+		return RunShiftReport(w, cfg)
+	})
 }
 
 // TestReportsMatchGolden pins the seeded reports byte for byte across
@@ -54,10 +56,10 @@ func TestReportsMatchGolden(t *testing.T) {
 		{"broken_guard", func(w io.Writer) error { return auditedChaos(w, BrokenGuardChaosConfig()) }},
 		{"shift", func(w io.Writer) error { return RunShiftReport(w, DefaultShiftConfig()) }},
 		{"shift_audit", func(w io.Writer) error { return auditedShift(w, DefaultShiftConfig()) }},
-		{"load_short", func(w io.Writer) error { return RunLoadReport(w, load.ShortConfig(), "") }},
+		{"load_short", func(w io.Writer) error { return RunLoadReport(w, ShortLoadConfig(), "") }},
 		// BENCH_load.json itself: CI's two-run cmp compares one binary with itself.
 		{"load_short.json", func(w io.Writer) error {
-			rep, err := load.Run(load.ShortConfig())
+			rep, err := RunLoad(ShortLoadConfig())
 			if err != nil {
 				return err
 			}

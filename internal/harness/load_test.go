@@ -1,4 +1,4 @@
-package load
+package harness
 
 import (
 	"bytes"
@@ -10,10 +10,10 @@ import (
 	"relaxedcc/internal/tpcd"
 )
 
-// tinyConfig is the smallest sweep that still exercises every reporting
+// tinyLoadConfig is the smallest sweep that still exercises every reporting
 // path: three steps, one virtual second each.
-func tinyConfig() Config {
-	cfg := DefaultConfig()
+func tinyLoadConfig() LoadConfig {
+	cfg := DefaultLoadConfig()
 	cfg.ScaleFactor = 0.002
 	cfg.Steps = []float64{20, 40, 80}
 	cfg.StepDuration = time.Second
@@ -82,13 +82,11 @@ func TestOpenLoopUnloaded(t *testing.T) {
 }
 
 func TestBuildScheduleDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tenants = DefaultTenants()
-	cfg.StepDuration = 2 * time.Second
+	const stepDuration = 2 * time.Second
 	mk := func() []arrival {
 		rng := rand.New(rand.NewSource(7))
-		ks := tpcd.NewKeySampler(7, 300, cfg.ZipfS, cfg.ZipfV)
-		return buildSchedule(cfg, rng, ks, 100)
+		ks := tpcd.NewKeySampler(7, 300, tpcd.DefaultZipfS, tpcd.DefaultZipfV)
+		return buildSchedule(stepDuration, rng, ks, 100)
 	}
 	a, b := mk(), mk()
 	if len(a) != len(b) || len(a) == 0 {
@@ -105,7 +103,7 @@ func TestBuildScheduleDeterministic(t *testing.T) {
 			t.Fatalf("arrivals not monotone at %d", i)
 		}
 	}
-	if last := a[len(a)-1].at; last >= cfg.StepDuration {
+	if last := a[len(a)-1].at; last >= stepDuration {
 		t.Fatalf("arrival past step end: %v", last)
 	}
 	// Weighted tenants: every class must receive traffic.
@@ -113,7 +111,7 @@ func TestBuildScheduleDeterministic(t *testing.T) {
 	for _, ar := range a {
 		seen[ar.tenant]++
 	}
-	for i := range cfg.Tenants {
+	for i := range loadTenants {
 		if seen[i] == 0 {
 			t.Errorf("tenant %d drew no traffic in %d arrivals", i, len(a))
 		}
@@ -121,12 +119,12 @@ func TestBuildScheduleDeterministic(t *testing.T) {
 }
 
 func TestFindKnee(t *testing.T) {
-	steps := []Step{
+	steps := []LoadStep{
 		{OfferedQPS: 50, AchievedQPS: 50, LatencyP99NS: int64(10 * time.Millisecond)},
 		{OfferedQPS: 100, AchievedQPS: 99, LatencyP99NS: int64(20 * time.Millisecond)},
 		{OfferedQPS: 200, AchievedQPS: 140, LatencyP99NS: int64(400 * time.Millisecond)},
 	}
-	knee := findKnee(steps, 250*time.Millisecond, 0.95)
+	knee := findKnee(steps)
 	if knee != 100 {
 		t.Fatalf("knee = %v, want 100", knee)
 	}
@@ -139,7 +137,7 @@ func TestFindKnee(t *testing.T) {
 // byte-identical BENCH_load.json payloads.
 func TestSameSeedByteIdentical(t *testing.T) {
 	run := func() []byte {
-		rep, err := Run(tinyConfig())
+		rep, err := RunLoad(tinyLoadConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,50 +153,41 @@ func TestSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// The report must satisfy the schema gates check_load.sh enforces in CI.
+// The report satisfies the schema check RunLoadReport gates every run on,
+// and carries what the check leaves to the configuration: one slice per
+// tenant class with traffic in each, and the sweep's SLO target.
 func TestReportSanity(t *testing.T) {
-	rep, err := Run(tinyConfig())
+	rep, err := RunLoad(tinyLoadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Steps) < 3 {
-		t.Fatalf("want >= 3 steps, got %d", len(rep.Steps))
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
 	}
-	prevQPS := 0.0
 	for i, s := range rep.Steps {
-		if s.OfferedQPS <= prevQPS {
-			t.Errorf("step %d: offered qps not monotone (%v after %v)", i, s.OfferedQPS, prevQPS)
+		if s.Answered == 0 {
+			t.Errorf("step %d: nothing answered of %d scheduled", i, s.Queries)
 		}
-		prevQPS = s.OfferedQPS
-		if s.Queries == 0 || s.Answered == 0 {
-			t.Errorf("step %d: no traffic (%d scheduled, %d answered)", i, s.Queries, s.Answered)
-		}
-		if s.LatencyP50NS > s.LatencyP99NS || s.LatencyP99NS > s.LatencyP999NS {
-			t.Errorf("step %d: percentiles not ordered: p50=%d p99=%d p999=%d",
-				i, s.LatencyP50NS, s.LatencyP99NS, s.LatencyP999NS)
-		}
-		if s.GuardLocalRatio < 0 || s.GuardLocalRatio > 1 {
-			t.Errorf("step %d: guard_local_ratio out of range: %v", i, s.GuardLocalRatio)
-		}
-		if len(s.Tenants) != 3 {
-			t.Fatalf("step %d: want 3 tenant classes, got %d", i, len(s.Tenants))
-		}
-		for _, tn := range s.Tenants {
-			if tn.SLOWithinRatio < 0 || tn.SLOWithinRatio > 1 {
-				t.Errorf("step %d tenant %s: slo_within_ratio out of range: %v", i, tn.Class, tn.SLOWithinRatio)
-			}
-			if tn.SLOErrorBudget < 0 || tn.SLOErrorBudget > 1 {
-				t.Errorf("step %d tenant %s: slo_error_budget out of range: %v", i, tn.Class, tn.SLOErrorBudget)
-			}
-			if tn.Queries == 0 {
-				t.Errorf("step %d tenant %s: no traffic", i, tn.Class)
-			}
-		}
-		if len(s.Regions) == 0 {
-			t.Errorf("step %d: no region profiles", i)
+		if len(s.Tenants) != len(loadTenants) {
+			t.Fatalf("step %d: want %d tenant classes, got %d", i, len(loadTenants), len(s.Tenants))
 		}
 	}
-	if rep.SLO.Target != tinyConfig().SLOTarget {
-		t.Errorf("SLO snapshot target %v, want %v", rep.SLO.Target, tinyConfig().SLOTarget)
+	if rep.SLO.Target != loadSLOTarget {
+		t.Errorf("SLO snapshot target %v, want %v", rep.SLO.Target, loadSLOTarget)
 	}
+}
+
+// openLoop runs the worker-pool bookkeeping alone: arrivals (offsets from a
+// common origin) served by `workers` channels, each query's service time
+// supplied by svc(i) in arrival order. It returns per-query latencies
+// measured from scheduled arrival.
+func openLoop(arrivals []time.Duration, workers int, svc func(i int) time.Duration) []time.Duration {
+	origin := time.Time{}.Add(time.Hour) // any fixed origin; only differences matter
+	pool := workerPool{freeAt: make([]time.Time, workers)}
+	out := make([]time.Duration, len(arrivals))
+	for i, at := range arrivals {
+		t := origin.Add(at)
+		out[i] = pool.dispatch(t, svc(i)).Sub(t)
+	}
+	return out
 }

@@ -30,29 +30,23 @@ func MeasureOffload(sys *core.System, bounds []time.Duration, queriesPerBound in
 	if region == nil {
 		return nil, fmt.Errorf("harness: system lacks the standard CR1 region")
 	}
-	f := region.UpdateInterval
+	sess := sys.Cache.NewSession()
 	var out []OffloadPoint
 	for _, b := range bounds {
 		sys.Cache.Link().ResetStats()
 		local := 0
-		start := sys.Clock.Now()
-		for k := 0; k < queriesPerBound; k++ {
-			phase := time.Duration((float64(k) + 0.5) / float64(queriesPerBound) * float64(f))
-			if err := sys.RunTo(start.Add(time.Duration(k)*f + phase)); err != nil {
-				return nil, err
-			}
-			key := int64(1 + k%100)
-			clause := ""
-			if b > 0 {
-				clause = fmt.Sprintf("CURRENCY %d MS ON (Customer)", b.Milliseconds())
-			}
-			res, err := sys.Query(tpcd.PointQuery(key, clause))
-			if err != nil {
-				return nil, err
-			}
-			if res.RemoteQueries == 0 {
-				local++
-			}
+		r := runner{sys: sys, arrivals: oncePerCycle(queriesPerBound, region.UpdateInterval),
+			ask: func(k int) ask {
+				return ask{Session: sess, SQL: tpcd.Query(tpcd.KindPoint, int64(1+k%100), b), Bound: b}
+			},
+			observe: func(s *serve) error {
+				if !s.Remote {
+					local++
+				}
+				return s.Err
+			}}
+		if err := r.run(); err != nil {
+			return nil, err
 		}
 		st := sys.Cache.Link().Stats()
 		out = append(out, OffloadPoint{

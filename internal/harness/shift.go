@@ -8,7 +8,6 @@ import (
 
 	"relaxedcc/internal/core"
 	"relaxedcc/internal/mtcache"
-	"relaxedcc/internal/remote"
 	"relaxedcc/internal/tuner"
 )
 
@@ -77,13 +76,7 @@ func DefaultShiftConfig() ShiftConfig {
 // byte-identical determinism guarantee is directly checkable.
 type ShiftReport struct {
 	Autotune bool
-
-	Queries  int
-	Answered int
-	Failed   int
-	Local    int
-	Degraded int
-	Remote   int
+	serveCounts
 
 	// PreShiftBudget is the region's SLO error budget the moment the shift
 	// happens; FinalBudget is the budget when the run ends. Recovered means
@@ -116,7 +109,7 @@ type ShiftReport struct {
 
 // RunShift executes the scripted workload-shift run.
 func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
-	sys, inj, err := cfg.build(0, remote.Policy{}, func(sys *core.System) {
+	sys, inj, err := cfg.build(0, func(sys *core.System) {
 		sys.Cache.ConfigureSLO(cfg.SLOTarget, cfg.SLOWindow)
 		if cfg.Autotune {
 			sys.EnableAutotune(cfg.Tuner)
@@ -125,11 +118,9 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	sess := sys.Cache.NewSession()
 	sess.Action = mtcache.ActionServeLocal
-	loose := fmt.Sprintf("SELECT v FROM T WHERE id = 1 CURRENCY %d MS ON (T)", cfg.LooseBound.Milliseconds())
-	tight := fmt.Sprintf("SELECT v FROM T WHERE id = 1 CURRENCY %d MS ON (T)", cfg.TightBound.Milliseconds())
+	q := ask{Session: sess, SQL: pointQuery(cfg.LooseBound), Bound: cfg.LooseBound}
 
 	start := sys.Clock.Now()
 	rep := &ShiftReport{Autotune: cfg.Autotune, PreShiftBudget: 1}
@@ -144,38 +135,21 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	}
 
 	shifted, burned := false, false
-	for off := time.Duration(0); off < cfg.Duration; off += cfg.QueryInterval {
-		if err := sys.RunTo(start.Add(off)); err != nil {
-			return nil, err
-		}
-		if !shifted && off >= cfg.ShiftAt {
+	r := runner{sys: sys, arrivals: every(cfg.QueryInterval, cfg.Duration),
+		events: []event{{At: cfg.ShiftAt, Do: func() {
 			shifted = true
 			rep.PreShiftBudget = budget()
 			inj.PartitionUntil(start.Add(cfg.Duration))
-		}
-		q := loose
-		if shifted {
-			q = tight
-		}
-
-		rep.Queries++
-		res, err := sess.Query(q)
-		if err != nil {
-			rep.Failed++
-			continue
-		}
-		rep.Answered++
-		// Degraded serves never are within bound, remote serves always are,
-		// guard-approved local serves iff the staleness fits the tight bound.
-		within := !res.Degraded
-		if countServe(res, &rep.Local, &rep.Degraded, &rep.Remote) && within {
-			if ts, ok := sys.Cache.LastSync(1); ok {
-				within = sys.Clock.Now().Sub(ts) <= cfg.TightBound
+			q.SQL, q.Bound = pointQuery(cfg.TightBound), cfg.TightBound
+		}}},
+		ask: func(int) ask { return q },
+		observe: func(s *serve) error {
+			rep.add(s)
+			if !shifted || s.Err != nil {
+				return nil
 			}
-		}
-		if shifted {
 			rep.PostShiftQueries++
-			if within {
+			if s.Within {
 				rep.PostShiftWithin++
 			}
 			b := budget()
@@ -184,9 +158,12 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 			}
 			if burned && !rep.Recovered && b >= rep.PreShiftBudget {
 				rep.Recovered = true
-				rep.RecoveryAfter = off - cfg.ShiftAt
+				rep.RecoveryAfter = s.Off - cfg.ShiftAt
 			}
-		}
+			return nil
+		}}
+	if err := r.run(); err != nil {
+		return nil, err
 	}
 
 	rep.FinalBudget = budget()

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -148,6 +149,22 @@ func TestShiftTunerEndpointDeterministic(t *testing.T) {
 	for _, want := range []string{`"decisions"`, `"reason"`, `"applied_interval_ns"`, `"cadence_ns"`} {
 		if !strings.Contains(tuner1, want) {
 			t.Errorf("/tuner payload missing %s:\n%s", want, tuner1)
+		}
+	}
+	// What rccbench -shift -snapshot writes as tuner.json: the loop's
+	// configuration, its regions and a decision timeline whose every entry
+	// gives a reason.
+	var snap tuner.Snapshot
+	if err := json.Unmarshal([]byte(tuner1), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.CadenceNS == 0 || snap.DeadBand == 0 || snap.MaxStep == 0 || len(snap.Regions) == 0 || len(snap.Decisions) == 0 {
+		t.Errorf("/tuner: cadence %d, dead band %v, max step %v, %d regions, %d decisions",
+			snap.CadenceNS, snap.DeadBand, snap.MaxStep, len(snap.Regions), len(snap.Decisions))
+	}
+	for _, d := range snap.Decisions {
+		if d.Reason == "" {
+			t.Errorf("/tuner: decision without a reason: %+v", d)
 		}
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"io"
 	"time"
 
-	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/cc"
-	"relaxedcc/internal/core"
-	"relaxedcc/internal/sqltypes"
 )
 
 // WorkloadPoint is one point of a Figure 4.2 curve.
@@ -20,52 +17,46 @@ type WorkloadPoint struct {
 	Measured float64 // fraction of sampled query starts that run locally
 }
 
-// measureStaleness builds a single-region system with the given propagation
-// interval f and delay d and samples the region's staleness (now - local
-// heartbeat timestamp) at n uniformly spread phases of the propagation
-// cycle. The measured local fraction for a bound B is then the fraction of
-// samples <= B — exactly the guard's decision rule.
-func measureStaleness(f, d time.Duration, n int) ([]time.Duration, error) {
-	sys := core.NewSystem()
-	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
-	hb := f / 50
-	if hb < 100*time.Millisecond {
-		hb = 100 * time.Millisecond
-	}
-	if err := sys.AddRegion(&catalog.Region{
-		ID: 1, Name: "R", UpdateInterval: f, UpdateDelay: d, HeartbeatInterval: hb,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.CreateView(&catalog.View{
-		Name: "t_prj", BaseTable: "T", Columns: []string{"id", "v"}, RegionID: 1,
-	}); err != nil {
-		return nil, err
-	}
-	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
-		return nil, err
+// sweepCycle builds a single-region system with propagation interval f and
+// delay d and asks the point query under bound n times, one arrival per
+// propagation cycle at a sweeping phase, handing each serve to observe.
+func sweepCycle(f, d, bound time.Duration, n int, observe func(*serve) error) error {
+	sys, err := newSingleRegion(f, d, max(f/50, 100*time.Millisecond))
+	if err != nil {
+		return err
 	}
 	// Warm up: several full cycles (plus the delay) so heartbeats have
 	// propagated even when the delay exceeds the interval.
 	if err := sys.Run(3*f + 2*d + 2*time.Second); err != nil {
-		return nil, err
+		return err
 	}
-	start := sys.Clock.Now()
+	q := ask{Session: sys.Cache.NewSession(), SQL: pointQuery(bound), Bound: bound}
+	r := runner{sys: sys, arrivals: oncePerCycle(n, f), ask: func(int) ask { return q }, observe: observe}
+	return r.run()
+}
+
+// alwaysLocal is a bound no staleness of these experiments reaches: a query
+// under it is answered by the view, and its serve reads the region's
+// staleness.
+const alwaysLocal = 24 * time.Hour
+
+// measureStaleness samples the region's staleness (now - local heartbeat
+// timestamp) at n uniformly spread phases of the propagation cycle. The
+// measured local fraction for a bound B is then the fraction of samples <= B
+// — exactly the guard's decision rule.
+func measureStaleness(f, d time.Duration, n int) ([]time.Duration, error) {
 	samples := make([]time.Duration, 0, n)
-	for k := 0; k < n; k++ {
-		// One sample per cycle, sweeping the phase across the cycle.
-		phase := time.Duration((float64(k) + 0.5) / float64(n) * float64(f))
-		target := start.Add(time.Duration(k)*f + phase)
-		if err := sys.RunTo(target); err != nil {
-			return nil, err
+	err := sweepCycle(f, d, alwaysLocal, n, func(s *serve) error {
+		if s.Err != nil {
+			return s.Err
 		}
-		ts, ok := sys.Cache.LastSync(1)
-		if !ok {
-			return nil, fmt.Errorf("harness: region never synchronized")
+		if !s.Local {
+			return fmt.Errorf("harness: region never synchronized")
 		}
-		samples = append(samples, sys.Clock.Now().Sub(ts))
-	}
-	return samples, nil
+		samples = append(samples, s.Staleness)
+		return nil
+	})
+	return samples, err
 }
 
 func localFraction(samples []time.Duration, bound time.Duration) float64 {
@@ -76,6 +67,13 @@ func localFraction(samples []time.Duration, bound time.Duration) float64 {
 		}
 	}
 	return float64(n) / float64(len(samples))
+}
+
+// workloadPoint sets formula (1) beside the measured fraction of staleness
+// samples st, taken at interval f and delay d, that fit bound b.
+func workloadPoint(b, f, d time.Duration, st []time.Duration) WorkloadPoint {
+	return WorkloadPoint{Bound: b, Interval: f, Delay: d,
+		Analytic: cc.LocalProbability(b, d, f), Measured: localFraction(st, b)}
 }
 
 // WorkloadVsBound computes Figure 4.2(a): local workload fraction as the
@@ -89,13 +87,7 @@ func WorkloadVsBound(delays []time.Duration, bounds []time.Duration, samples int
 			return nil, err
 		}
 		for _, b := range bounds {
-			out[d] = append(out[d], WorkloadPoint{
-				Bound:    b,
-				Interval: f,
-				Delay:    d,
-				Analytic: cc.LocalProbability(b, d, f),
-				Measured: localFraction(st, b),
-			})
+			out[d] = append(out[d], workloadPoint(b, f, d, st))
 		}
 	}
 	return out, nil
@@ -112,13 +104,7 @@ func WorkloadVsInterval(delays []time.Duration, intervals []time.Duration, sampl
 			if err != nil {
 				return nil, err
 			}
-			out[d] = append(out[d], WorkloadPoint{
-				Bound:    b,
-				Interval: f,
-				Delay:    d,
-				Analytic: cc.LocalProbability(b, d, f),
-				Measured: localFraction(st, b),
-			})
+			out[d] = append(out[d], workloadPoint(b, f, d, st))
 		}
 	}
 	return out, nil
@@ -130,98 +116,55 @@ func WorkloadVsInterval(delays []time.Duration, intervals []time.Duration, sampl
 // actually answered from the local view (by the currency guard's decision,
 // not by staleness arithmetic).
 func MeasureWorkloadByExecution(f, d, bound time.Duration, n int) (float64, error) {
-	sys := core.NewSystem()
-	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
-	hb := f / 50
-	if hb < 100*time.Millisecond {
-		hb = 100 * time.Millisecond
-	}
-	if err := sys.AddRegion(&catalog.Region{
-		ID: 1, Name: "R", UpdateInterval: f, UpdateDelay: d, HeartbeatInterval: hb,
-	}); err != nil {
-		return 0, err
-	}
-	if err := sys.CreateView(&catalog.View{
-		Name: "t_prj", BaseTable: "T", Columns: []string{"id", "v"}, RegionID: 1,
-	}); err != nil {
-		return 0, err
-	}
-	if err := sys.Backend.LoadRows("T", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewInt(1)}}); err != nil {
-		return 0, err
-	}
-	if err := sys.Analyze(); err != nil {
-		return 0, err
-	}
-	if err := sys.Run(3*f + 2*d + 2*time.Second); err != nil {
-		return 0, err
-	}
-	q := fmt.Sprintf("SELECT v FROM T WHERE id = 1 CURRENCY %d MS ON (T)", bound.Milliseconds())
-	start := sys.Clock.Now()
 	local := 0
-	for k := 0; k < n; k++ {
-		phase := time.Duration((float64(k) + 0.5) / float64(n) * float64(f))
-		if err := sys.RunTo(start.Add(time.Duration(k)*f + phase)); err != nil {
-			return 0, err
-		}
-		res, err := sys.Query(q)
-		if err != nil {
-			return 0, err
-		}
-		if len(res.LocalViews) > 0 {
+	err := sweepCycle(f, d, bound, n, func(s *serve) error {
+		if s.Local {
 			local++
 		}
-	}
-	return float64(local) / float64(n), nil
+		return s.Err
+	})
+	return float64(local) / float64(n), err
 }
 
 // RunWorkloadShift prints both panels of Figure 4.2.
 func RunWorkloadShift(w io.Writer, samples int) error {
-	section(w, "Figure 4.2(a): local workload % vs currency bound (f=100s)")
-	delays := []time.Duration{1 * time.Second, 5 * time.Second, 10 * time.Second}
-	var bounds []time.Duration
-	for b := 0; b <= 120; b += 10 {
-		bounds = append(bounds, time.Duration(b)*time.Second)
+	seconds := func(vs ...int) []time.Duration {
+		out := make([]time.Duration, len(vs))
+		for i, v := range vs {
+			out[i] = time.Duration(v) * time.Second
+		}
+		return out
 	}
+	// panel prints one curve per delay: a row per x, formula / measured.
+	panel := func(width int, label string, xs, delays []time.Duration, series map[time.Duration][]WorkloadPoint) {
+		fmt.Fprintf(w, "%-*s", width, label)
+		for _, d := range delays {
+			fmt.Fprintf(w, "  d=%-3.0fs(ana/meas)", d.Seconds())
+		}
+		fmt.Fprintln(w)
+		for i, x := range xs {
+			fmt.Fprintf(w, "%-*.0f", width, x.Seconds())
+			for _, d := range delays {
+				fmt.Fprintf(w, "  %5.1f%% / %5.1f%%", series[d][i].Analytic*100, series[d][i].Measured*100)
+			}
+			fmt.Fprintln(w)
+		}
+	}
+
+	section(w, "Figure 4.2(a): local workload % vs currency bound (f=100s)")
+	delays, bounds := seconds(1, 5, 10), seconds(0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 	byBound, err := WorkloadVsBound(delays, bounds, samples)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-8s", "bound")
-	for _, d := range delays {
-		fmt.Fprintf(w, "  d=%-3.0fs(ana/meas)", d.Seconds())
-	}
-	fmt.Fprintln(w)
-	for i := range bounds {
-		fmt.Fprintf(w, "%-8.0f", bounds[i].Seconds())
-		for _, d := range delays {
-			p := byBound[d][i]
-			fmt.Fprintf(w, "  %5.1f%% / %5.1f%%", p.Analytic*100, p.Measured*100)
-		}
-		fmt.Fprintln(w)
-	}
+	panel(8, "bound", bounds, delays, byBound)
 
 	section(w, "Figure 4.2(b): local workload % vs refresh interval (B=10s)")
-	delaysB := []time.Duration{1 * time.Second, 5 * time.Second, 8 * time.Second}
-	var intervals []time.Duration
-	for _, f := range []int{2, 5, 10, 20, 40, 60, 80, 100} {
-		intervals = append(intervals, time.Duration(f)*time.Second)
-	}
-	byInterval, err := WorkloadVsInterval(delaysB, intervals, samples)
+	delays, intervals := seconds(1, 5, 8), seconds(2, 5, 10, 20, 40, 60, 80, 100)
+	byInterval, err := WorkloadVsInterval(delays, intervals, samples)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-10s", "interval")
-	for _, d := range delaysB {
-		fmt.Fprintf(w, "  d=%-3.0fs(ana/meas)", d.Seconds())
-	}
-	fmt.Fprintln(w)
-	for i := range intervals {
-		fmt.Fprintf(w, "%-10.0f", intervals[i].Seconds())
-		for _, d := range delaysB {
-			p := byInterval[d][i]
-			fmt.Fprintf(w, "  %5.1f%% / %5.1f%%", p.Analytic*100, p.Measured*100)
-		}
-		fmt.Fprintln(w)
-	}
+	panel(10, "interval", intervals, delays, byInterval)
 	return nil
 }

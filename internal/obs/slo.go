@@ -184,7 +184,7 @@ func (s *SLOTracker) Observe(g GuardEvent) {
 		rw.degraded++
 	}
 	rw.ratioG.Set(int64(float64(rw.within) / float64(rw.count) * gaugeScale))
-	rw.budgetG.Set(int64(errorBudget(s.target, rw.within, rw.count) * gaugeScale))
+	rw.budgetG.Set(int64(ErrorBudget(s.target, rw.within, rw.count) * gaugeScale))
 	s.mu.Unlock()
 
 	// Histogram observation outside the lock: the instrument is atomic.
@@ -193,10 +193,10 @@ func (s *SLOTracker) Observe(g GuardEvent) {
 	}
 }
 
-// errorBudget returns the remaining error-budget fraction in [0,1]: 1 means
+// ErrorBudget returns the remaining error-budget fraction in [0,1]: 1 means
 // untouched, 0 means spent (or overspent). With target t over a window of
 // count observations, the budget allows (1-t)*count misses.
-func errorBudget(target float64, within, count int) float64 {
+func ErrorBudget(target float64, within, count int) float64 {
 	if count == 0 {
 		return 1
 	}
@@ -257,7 +257,7 @@ func (s *SLOTracker) Snapshot() SLOSnapshot {
 			Observations: rw.count,
 			Within:       rw.within,
 			Degraded:     rw.degraded,
-			ErrorBudget:  errorBudget(s.target, rw.within, rw.count),
+			ErrorBudget:  ErrorBudget(s.target, rw.within, rw.count),
 		}
 		if rw.count > 0 {
 			r.WithinRatio = float64(rw.within) / float64(rw.count)
@@ -269,17 +269,17 @@ func (s *SLOTracker) Snapshot() SLOSnapshot {
 			}
 		}
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-		r.StalenessP50NS = nearestRank(stale, 0.50)
-		r.StalenessP95NS = nearestRank(stale, 0.95)
-		r.StalenessP99NS = nearestRank(stale, 0.99)
-		r.StalenessMaxNS = nearestRank(stale, 1.00)
+		r.StalenessP50NS = NearestRank(stale, 0.50)
+		r.StalenessP95NS = NearestRank(stale, 0.95)
+		r.StalenessP99NS = NearestRank(stale, 0.99)
+		r.StalenessMaxNS = NearestRank(stale, 1.00)
 		snap.Regions = append(snap.Regions, r)
 	}
 	return snap
 }
 
-// nearestRank returns the p-quantile of sorted samples (zero when empty).
-func nearestRank(sorted []int64, p float64) int64 {
+// NearestRank returns the p-quantile of sorted samples (zero when empty).
+func NearestRank[T ~int64](sorted []T, p float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -73,19 +73,19 @@ func TestSLOErrorBudgetMath(t *testing.T) {
 		t.Fatalf("budget = %v, want 0 with the allowance exactly spent", r.ErrorBudget)
 	}
 
-	if got := errorBudget(0.9, 95, 100); got < 0.49 || got > 0.51 {
+	if got := ErrorBudget(0.9, 95, 100); got < 0.49 || got > 0.51 {
 		t.Fatalf("half-spent budget = %v, want 0.5", got)
 	}
-	if got := errorBudget(0.9, 80, 100); got != 0 {
+	if got := ErrorBudget(0.9, 80, 100); got != 0 {
 		t.Fatalf("overspent budget = %v, want clamped 0", got)
 	}
-	if got := errorBudget(1.0, 100, 100); got != 1 {
+	if got := ErrorBudget(1.0, 100, 100); got != 1 {
 		t.Fatalf("perfect run at target 1.0 = %v, want 1", got)
 	}
-	if got := errorBudget(1.0, 99, 100); got != 0 {
+	if got := ErrorBudget(1.0, 99, 100); got != 0 {
 		t.Fatalf("any miss at target 1.0 = %v, want 0", got)
 	}
-	if got := errorBudget(0.99, 0, 0); got != 1 {
+	if got := ErrorBudget(0.99, 0, 0); got != 1 {
 		t.Fatalf("empty window budget = %v, want 1", got)
 	}
 }

@@ -209,9 +209,9 @@ func (w *WorkloadObserver) profilesLocked(now time.Time) []WorkloadProfile {
 		if rw.staleCount > 0 {
 			stale := append([]int64(nil), rw.stale[:rw.staleCount]...)
 			sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-			p.StalenessP50NS = nearestRank(stale, 0.50)
-			p.StalenessP95NS = nearestRank(stale, 0.95)
-			p.StalenessMaxNS = nearestRank(stale, 1.00)
+			p.StalenessP50NS = NearestRank(stale, 0.50)
+			p.StalenessP95NS = NearestRank(stale, 0.95)
+			p.StalenessMaxNS = NearestRank(stale, 1.00)
 		}
 		out = append(out, p)
 	}
