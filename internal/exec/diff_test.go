@@ -47,16 +47,33 @@ func renderMultiset(rows []sqltypes.Row) []string {
 
 // checked wraps an operator and asserts the NextVec contract on every batch
 // that crosses it: a returned batch is non-empty, and its selection is
-// ascending and within the physical rows.
+// ascending and within the physical rows. open records whether the edge is
+// between Open and Close — a flag, not a counter, because Close is
+// idempotent (HashJoin closes its build side after the build and again in
+// its own Close). fail makes NextVec return an error.
 type checked struct {
 	exec.Operator
-	t    *testing.T
-	name string
+	t          *testing.T
+	name       string
+	open, fail bool
 }
 
 func (c *checked) Unwrap() exec.Operator { return c.Operator }
 
+func (c *checked) Open(ctx *exec.EvalContext) error {
+	c.open = true
+	return c.Operator.Open(ctx)
+}
+
+func (c *checked) Close() error {
+	c.open = false
+	return c.Operator.Close()
+}
+
 func (c *checked) NextVec() (*sqltypes.ColBatch, bool, error) {
+	if c.fail {
+		return nil, false, fmt.Errorf("%s: injected failure", c.name)
+	}
 	cb, ok, err := c.Operator.NextVec()
 	if err != nil || !ok {
 		return cb, ok, err
@@ -348,6 +365,8 @@ type treeGen struct {
 	// branch is read by every SwitchUnion selector, so one tree can be
 	// re-opened on its other branch.
 	branch *int
+	// shims is every edge of the tree, leaves its sources.
+	shims, leaves []*checked
 }
 
 // keyRows builds rows whose id column mixes duplicates, NULL and NaN.
@@ -368,23 +387,37 @@ func (g *treeGen) keyRows(n int) []sqltypes.Row {
 	return rows
 }
 
-func (g *treeGen) wrap(name string, op exec.Operator) exec.Operator {
-	return &checked{Operator: op, t: g.t, name: name}
+func (g *treeGen) wrap(name string, op exec.Operator) *checked {
+	c := &checked{Operator: op, t: g.t, name: name}
+	g.shims = append(g.shims, c)
+	return c
 }
 
 func (g *treeGen) source() exec.Operator {
 	s := exec.TestSchema("t")
+	var leaf *checked
 	switch g.rng.Intn(4) {
 	case 0:
-		return g.wrap("values-empty", exec.NewValues(s, nil))
+		leaf = g.wrap("values-empty", exec.NewValues(s, nil))
 	case 1:
 		sc := exec.NewScan(exec.TestTable(g.t), s)
 		if g.rng.Intn(2) == 0 {
 			sc.Index, sc.Filter = "ix_bal", exec.TestCompile(g.t, "id > 40", s)
 		}
-		return g.wrap("scan", sc)
+		leaf = g.wrap("scan", sc)
 	default:
-		return g.wrap("values", exec.NewValues(s, g.keyRows(g.rng.Intn(40))))
+		leaf = g.wrap("values", exec.NewValues(s, g.keyRows(g.rng.Intn(40))))
+	}
+	g.leaves = append(g.leaves, leaf)
+	return leaf
+}
+
+// assertClosed fails on the first edge that was opened and not closed again.
+func (g *treeGen) assertClosed(what string) {
+	for _, c := range g.shims {
+		if c.open {
+			g.t.Fatalf("%s: %s left open", what, c.name)
+		}
 	}
 }
 
@@ -453,7 +486,8 @@ func (g *treeGen) tree(depth int) exec.Operator {
 // guards — and runs each at every batch size, then re-opens the same tree
 // with every SwitchUnion flipped to its other branch. Results must equal the
 // reference evaluator's: an empty selection that surfaced as nil ("all
-// rows") anywhere would add rows.
+// rows") anywhere would add rows. After every run, and after a run in which
+// one leaf fails, every edge that was opened must be closed.
 func TestRandomTreesMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		branch := 0
@@ -475,10 +509,19 @@ func TestRandomTreesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d bs=%d branch=%d: %v", seed, bs, branch, err)
 				}
+				g.assertClosed(fmt.Sprintf("seed %d bs=%d branch=%d", seed, bs, branch))
 				if g, w := renderMultiset(got.Rows), renderMultiset(want); !slices.Equal(g, w) {
 					t.Fatalf("seed %d bs=%d branch=%d:\n got %v\nwant %v", seed, bs, branch, g, w)
 				}
 			}
+		}
+		for _, leaf := range g.leaves {
+			leaf.fail = true
+			for branch = 0; branch < 2; branch++ {
+				exec.Run(root, &exec.EvalContext{Now: exec.TestNow}, 0) // may or may not reach the leaf
+				g.assertClosed(fmt.Sprintf("seed %d branch=%d, %s failing", seed, branch, leaf.name))
+			}
+			leaf.fail = false
 		}
 	}
 }
