@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz lint lint-fixtures loc bench bench-compare load verify cover chaos audit audit-broken
+.PHONY: build test vet race fuzz lint loc bench bench-compare load verify cover chaos audit audit-broken
 
 build:
 	$(GO) build ./...
@@ -25,24 +25,20 @@ fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
 
-# Run the full in-repo static-analysis suite (cmd/rcclint), all seven
-# analyzers: operator Close propagation, lock pairing and ordering,
-# atomic/plain mixed access, metric-name hygiene, wall-clock determinism
-# (wallclock), the columnar selection-vector contract (selvec), and
-# goroutine join/shutdown ownership (goownership).
+# Run the in-repo static-analysis suite (cmd/rcclint) over internal and cmd:
+# cross-package lock-order cycles (lockorder), metric-name hygiene
+# (metricnames) and wall-clock reads in replayed code (wallclock), plus a
+# finding for any package that did not fully type-check. Each analyzer keeps
+# a mutant only it catches (internal/analysis/mutant_test.go, run by `make
+# test`).
 lint:
 	$(GO) run ./cmd/rcclint
 
-# Run only the analyzers' own fixture tests: every known-bad/known-good
-# package under internal/analysis/testdata/src, checked against their
-# want:<analyzer> markers, plus the ignore-directive and -strict suites.
-lint-fixtures:
-	$(GO) test ./internal/analysis/ -run 'TestFixtures|TestIgnore|TestStrict|TestMetricNames'
-
 # Non-test Go lines per package, one line each, and the line count of
 # scripts/*.sh; fails if internal/exec, the guard-event spine (mtcache + obs +
-# audit + core + tuner) or the scenario code (internal/harness) exceeds its
-# ceiling (ROADMAP tracks LoC per package).
+# audit + core + tuner), the scenario code (internal/harness) or the lint
+# suite (internal/analysis) exceeds its ceiling (ROADMAP tracks LoC per
+# package).
 loc:
 	./scripts/loc.sh
 

@@ -4,20 +4,16 @@
 //
 // Usage:
 //
-//	rcclint [-root dir] [-only a,b] [-strict] [-json] [dir ...]
+//	rcclint [dir ...]
 //
 // With no directory arguments it analyzes internal and cmd under the module
-// root. -only restricts the run to a comma-separated subset of analyzers;
-// -strict additionally fails the run when the loader degraded anything — an
-// import replaced by an empty placeholder, or a package that type-checked
-// with errors — instead of silently falling back to syntactic analysis;
-// -json emits the findings as a JSON array for tooling instead of
-// file:line text.
+// root (found by walking up from the working directory to go.mod). A loader
+// degradation — an import replaced by an empty placeholder, or a package
+// that type-checked with errors — is a finding too, so no analyzer silently
+// runs on partial type information.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,53 +24,17 @@ import (
 )
 
 func main() {
-	root := flag.String("root", "", "module root (default: walk up from cwd to go.mod)")
-	only := flag.String("only", "", "comma-separated analyzer subset to run")
-	strict := flag.Bool("strict", false, "fail when the loader degrades a package (placeholder import or type errors)")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rcclint [-root dir] [-only a,b] [-strict] [-json] [dir ...]\nanalyzers: %s\n",
-			strings.Join(analysis.AnalyzerNames(), ", "))
-		flag.PrintDefaults()
+	root, err := findModuleRoot()
+	if err != nil {
+		fatal(err)
 	}
-	flag.Parse()
-
-	if *root == "" {
-		r, err := findModuleRoot()
-		if err != nil {
-			fatal(err)
-		}
-		*root = r
-	}
-
-	analyzers := analysis.Analyzers()
-	if *only != "" {
-		known := map[string]bool{}
-		for _, name := range analysis.AnalyzerNames() {
-			known[name] = true
-		}
-		var subset []*analysis.Analyzer
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			if !known[name] {
-				fatal(fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(analysis.AnalyzerNames(), ", ")))
-			}
-			for _, a := range analyzers {
-				if a.Name == name {
-					subset = append(subset, a)
-				}
-			}
-		}
-		analyzers = subset
-	}
-
-	dirs := flag.Args()
+	dirs := os.Args[1:]
 	if len(dirs) == 0 {
 		dirs = []string{"internal", "cmd"}
 	}
 
 	start := time.Now()
-	loader, err := analysis.NewLoader(*root)
+	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		fatal(err)
 	}
@@ -82,31 +42,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags := analysis.Run(pkgs, analyzers)
-	if *strict {
-		diags = append(diags, analysis.StrictDiagnostics(loader, pkgs)...)
-	}
+	analyzers := analysis.Analyzers()
+	diags := append(analysis.Run(pkgs, analyzers), analysis.StrictDiagnostics(loader, pkgs)...)
 
 	// Report positions relative to the module root for stable output.
-	for i := range diags {
-		if rel, err := filepath.Rel(*root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			diags[i].File = rel
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.File); err == nil && !strings.HasPrefix(rel, "..") {
+			d.File = rel
 		}
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+		fmt.Println(d)
 	}
 	names := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {

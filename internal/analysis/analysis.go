@@ -1,8 +1,12 @@
 // Package analysis is rcclint's static-analysis framework: a stdlib-only
 // loader (go/parser + go/types with a chain importer, no go/packages) plus
-// the analyzers that guard this repo's recurring concurrency bug classes —
-// unclosed operator children, broken lock discipline, mixed atomic/plain
-// field access, and metric-name hygiene.
+// the analyzers for the bug classes nothing cheaper catches — a lock-order
+// cycle across packages (lockorder), metric-name hygiene that dashboards and
+// the benchmark read by name (metricnames), and wall-clock reads in code
+// that must replay under the virtual clock (wallclock). Each earns its place
+// with a mutant of today's tree that only it flags (mutant_test.go); the
+// executor's tests, -race and typed atomics cover the classes whose
+// analyzers were deleted (DESIGN.md §8).
 //
 // Findings carry file:line:col positions and fail the build (cmd/rcclint
 // exits non-zero on any finding). Individual findings are suppressed with a
@@ -23,11 +27,11 @@ import (
 
 // Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -75,25 +79,7 @@ type Analyzer struct {
 
 // Analyzers returns a fresh instance of every analyzer, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		NewOperatorClose(),
-		NewLockOrder(),
-		NewAtomicMix(),
-		NewMetricNames(),
-		NewWallClock(),
-		NewSelVec(),
-		NewGoOwnership(),
-	}
-}
-
-// AnalyzerNames returns the names of all known analyzers, used to validate
-// -only flags and ignore directives even when only a subset is enabled.
-func AnalyzerNames() []string {
-	var out []string
-	for _, a := range Analyzers() {
-		out = append(out, a.Name)
-	}
-	return out
+	return []*Analyzer{NewLockOrder(), NewMetricNames(), NewWallClock()}
 }
 
 // ignoreDirective is one parsed //rcclint:ignore comment.
@@ -168,8 +154,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 
 	known := map[string]bool{}
-	for _, name := range AnalyzerNames() {
-		known[name] = true
+	for _, a := range Analyzers() {
+		known[a.Name] = true
 	}
 	directives := collectDirectives(pkgs, known)
 

@@ -10,9 +10,9 @@ import (
 // analyzers: function identity (funcID), callee resolution with the
 // bare-name fallback for interface calls (calleeCandidates), and a generic
 // module-wide graph (callGraph) with a backward-reachability fixpoint
-// (propagate). lockorder uses the identity/resolution helpers for its
-// lock-acquisition graph; wallclock builds a callGraph to carry "reaches
-// wall clock" taint from helpers to their deterministic entry points.
+// (propagate). lockorder propagates "may acquire lock L" from the functions
+// that take L to their callers; wallclock carries "reaches wall clock" taint
+// from helpers to their deterministic entry points.
 
 // funcID names a function or method uniquely across the module:
 // importpath.F for functions, importpath.(T).M for methods.
@@ -39,40 +39,24 @@ func recvTypeName(e ast.Expr) string {
 	return ""
 }
 
-// calleeCandidates resolves x.M() to summary keys. With type information
-// the receiver's named type gives an exact key; otherwise (or for interface
-// receivers) the call is matched by bare method name across the module,
-// signalled by a leading "?".
+// calleeCandidates resolves x.M() to summary keys. The receiver's named
+// type gives an exact key; calls on an interface (which has no method bodies
+// of its own) or on an unresolved receiver are matched by bare method name
+// against every implementation in the module, signalled by a leading "?".
 func calleeCandidates(pass *Pass, sel *ast.SelectorExpr) []string {
 	name := sel.Sel.Name
 	// Package-qualified call pkg.F().
-	if id, ok := sel.X.(*ast.Ident); ok && pass.Pkg.Info != nil {
+	if id, ok := sel.X.(*ast.Ident); ok {
 		if pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName); ok {
 			return []string{pn.Imported().Path() + "." + name}
 		}
 	}
-	if pass.Pkg.Info != nil {
-		if tv, ok := pass.Pkg.Info.Types[sel.X]; ok && tv.Type != nil {
-			t := tv.Type
-			for {
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-					continue
-				}
-				break
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				// A named interface has no method bodies of its own; match
-				// its calls by bare name against every implementation.
-				if _, isIface := named.Underlying().(*types.Interface); isIface {
-					return []string{"?" + name}
-				}
-				return []string{named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + name}
-			}
-			if _, ok := t.(*types.Interface); ok {
-				return []string{"?" + name}
-			}
-		}
+	t := pass.Pkg.Info.TypeOf(sel.X)
+	for p, ok := t.(*types.Pointer); ok; p, ok = t.(*types.Pointer) {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil && !types.IsInterface(named) {
+		return []string{named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + name}
 	}
 	return []string{"?" + name}
 }

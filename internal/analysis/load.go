@@ -13,11 +13,11 @@ import (
 	"strings"
 )
 
-// Package is one loaded, parsed and (best-effort) type-checked package.
-// Type information is advisory: when an import cannot be resolved (for
-// example a cgo-only stdlib package) the checker records errors in
-// TypeErrors and analyzers fall back to syntactic reasoning, so a partial
-// toolchain never blocks the lint run.
+// Package is one loaded, parsed and type-checked package. When an import
+// cannot be resolved (for example a cgo-only stdlib package) or the package
+// does not type-check, loading goes on with the errors in TypeErrors, and
+// StrictDiagnostics reports the degradation: rcclint fails rather than
+// trust analyzers that ran on partial type information.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -215,8 +215,8 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 
 // chainImporter resolves module-local import paths through the loader and
 // everything else through the source importer, degrading to an empty
-// placeholder package when an import cannot be type-checked (the analyzers
-// then fall back to syntax for anything touching it).
+// placeholder package when an import cannot be type-checked (a
+// StrictDiagnostics finding).
 type chainImporter Loader
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
@@ -252,9 +252,8 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 
 // Placeholders returns the import paths the loader could not resolve and
 // degraded to empty placeholder packages, sorted. A non-empty list means
-// type information is partial: analyzers silently fell back to syntactic
-// reasoning for anything touching these imports. rcclint -strict turns the
-// list into findings instead of letting the degradation vanish.
+// type information is partial for anything touching these imports;
+// StrictDiagnostics turns the list into findings.
 func (l *Loader) Placeholders() []string {
 	out := make([]string, 0, len(l.stdErr))
 	for ip := range l.stdErr {

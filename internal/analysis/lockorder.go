@@ -11,128 +11,68 @@ import (
 
 // NewLockOrder builds the lockorder analyzer.
 //
-// Per function it pairs Lock/Unlock (and RLock/RUnlock) calls on the same
-// lock and flags: a lock with no unlock on any path, a non-deferred unlock
-// with an early return between it and the lock, and a re-lock of a plain
-// mutex already held. Across the module it builds a lock-acquisition graph
-// — an edge A→B when some function acquires B (directly or through a call
-// chain, including interface calls resolved by method name) while holding A
-// — and flags cycles, the deadlock candidates between mtcache, repl and
-// obs.
+// Across the module it builds a lock-acquisition graph — an edge A→B when
+// some function acquires B, directly or through a call chain (interface
+// calls resolved by method name), while holding A — and flags every cycle.
+// Two goroutines taking the locks of a cycle in opposite orders deadlock;
+// -race does not report it, and a test only hangs if it happens to
+// interleave them. Each half of an inversion is usually a harmless edit on
+// its own (a callback sink that takes its owner's lock, a loop that calls
+// out while holding one), which is why it takes the whole-module graph to
+// see it. Releasing locks is not checked: a leak on a path the tests take
+// hangs them.
 func NewLockOrder() *Analyzer {
-	lo := &lockOrder{
-		funcs:  map[string]*funcSummary{},
-		byName: map[string][]string{},
-	}
+	lo := &lockOrder{cg: newCallGraph(), acquires: map[string]map[string]token.Pos{}}
 	return &Analyzer{
 		Name:   "lockorder",
-		Doc:    "locks must be released on every path and acquired in a cycle-free order",
+		Doc:    "locks must be acquired in a cycle-free order across the module",
 		Run:    lo.run,
 		Finish: lo.finish,
 	}
 }
 
-const (
-	opLock = iota
-	opUnlock
-)
-
-const (
-	classWrite = iota
-	classRead
-)
-
-// lockEv is one Lock/Unlock call in a function body, in source order.
-type lockEv struct {
-	key      string
-	class    int
-	op       int
-	pos      token.Pos
-	deferred bool
-}
-
-// callEv is one function/method call with the set of locks held at it.
-type callEv struct {
-	held []string
-	// callees lists candidate summary keys; a leading "?" entry means an
-	// unresolved method call matched by bare name against every method in
-	// the module (how interface calls like HeartbeatSink.SetLastSync reach
-	// their implementations).
-	callees []string
-	pos     token.Pos
-}
-
-type funcSummary struct {
-	id       string
-	pkg      string
-	acquires map[string]token.Pos // keys locked directly in this function
-	calls    []callEv
-	edges    []lockEdge // direct nesting: lock B taken while A held
-	// may is the fixpoint "may acquire" set (filled during finish).
-	may map[string]token.Pos
-}
-
 // lockEdge is one lock-acquisition-order edge: from is held while to is
-// acquired; via describes the function (or call chain) responsible.
+// acquired; via describes the function (or call) responsible.
 type lockEdge struct {
 	from, to string
 	pos      token.Pos
 	via      string
 }
 
+// heldCall is a call made while the caller holds locks.
+type heldCall struct {
+	caller string
+	held   []string
+	call   cgCall
+}
+
 type lockOrder struct {
-	funcs  map[string]*funcSummary
-	byName map[string][]string // bare method/func name -> summary ids
+	cg *callGraph
+	// acquires maps each lock to the functions that take it directly: the
+	// seeds of the set of functions that may acquire it.
+	acquires map[string]map[string]token.Pos
+	edges    []lockEdge // nesting inside one function body
+	calls    []heldCall
 }
 
 func (lo *lockOrder) run(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				lo.scan(pass, fd)
 			}
-			id := funcID(pass.Pkg, fd)
-			lo.analyzeFunc(pass, id, fd.Name.Name, fd, fd.Body)
-			// Function literals get their own intra-function checks; they do
-			// not join the call graph (nobody calls them by name).
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					pos := pass.Pkg.Fset.Position(lit.Pos())
-					litID := fmt.Sprintf("%s.funclit@%d", id, pos.Line)
-					lo.analyzeFunc(pass, litID, "", fd, lit.Body)
-					return false
-				}
-				return true
-			})
 		}
 	}
 }
 
-// analyzeFunc collects lock events and calls for one body, runs the
-// intra-function checks, and records the summary for the cross-package
-// phase.
-func (lo *lockOrder) analyzeFunc(pass *Pass, id, bareName string, fd *ast.FuncDecl, body *ast.BlockStmt) {
-	recvName := ""
-	recvType := ""
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recvType = recvTypeName(fd.Recv.List[0].Type)
-		if len(fd.Recv.List[0].Names) > 0 {
-			recvName = fd.Recv.List[0].Names[0].Name
-		}
-	}
-	sum := &funcSummary{id: id, pkg: pass.Pkg.ImportPath, acquires: map[string]token.Pos{}}
-	var events []lockEv
-
+// scan adds one function to the call graph while tracking, in source order,
+// the locks it holds: a Lock or RLock takes one, an Unlock or RUnlock
+// releases it unless deferred. Function literals run at an unknown time
+// under unknown locks and are skipped.
+func (lo *lockOrder) scan(pass *Pass, fd *ast.FuncDecl) {
+	id := funcID(pass.Pkg, fd)
+	counts := map[string]int{}
 	held := func() []string {
-		counts := map[string]int{}
-		for _, ev := range events {
-			if ev.op == opLock {
-				counts[ev.key]++
-			} else if !ev.deferred {
-				counts[ev.key]--
-			}
-		}
 		var out []string
 		for k, c := range counts {
 			if c > 0 {
@@ -142,273 +82,110 @@ func (lo *lockOrder) analyzeFunc(pass *Pass, id, bareName string, fd *ast.FuncDe
 		sort.Strings(out)
 		return out
 	}
-
-	var walk func(n ast.Node, deferred bool)
-	walk = func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false // analyzed separately
-			case *ast.DeferStmt:
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					walk(lit.Body, true)
-					return false
-				}
-				walk(n.Call, true)
-				return false
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
-					// Plain function call f(...): same-package candidate
-					// (builtins and locals simply resolve to no summary).
-					if fid, ok := n.Fun.(*ast.Ident); ok {
-						sum.calls = append(sum.calls, callEv{
-							held:    held(),
-							callees: []string{pass.Pkg.ImportPath + "." + fid.Name},
-							pos:     n.Pos(),
-						})
+	deferred := map[*ast.CallExpr]bool{}
+	heldAt := map[token.Pos][]string{}
+	node := lo.cg.addFunc(pass, fd, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.DeferStmt:
+			deferred[n.Call] = true
+		case *ast.CallExpr:
+			sel, _ := n.Fun.(*ast.SelectorExpr)
+			switch {
+			case sel != nil && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"):
+				key := lockKey(pass, sel.X)
+				for _, h := range held() {
+					if h != key {
+						lo.edges = append(lo.edges, lockEdge{from: h, to: key, pos: n.Pos(), via: id})
 					}
-					return true
 				}
-				name := sel.Sel.Name
-				if name == "Lock" || name == "Unlock" || name == "RLock" || name == "RUnlock" {
-					key := lockKey(pass, sel.X, recvName, recvType)
-					ev := lockEv{key: key, pos: n.Pos(), deferred: deferred}
-					if name == "RLock" || name == "RUnlock" {
-						ev.class = classRead
-					}
-					if name == "Lock" || name == "RLock" {
-						ev.op = opLock
-						if _, ok := sum.acquires[key]; !ok {
-							sum.acquires[key] = n.Pos()
-						}
-						for _, h := range held() {
-							if h == key {
-								// Re-locking a plain mutex already held on
-								// this path deadlocks immediately.
-								if ev.class == classWrite {
-									pass.Reportf(n.Pos(), "%s is locked again while already held on this path (self-deadlock)", key)
-								}
-							} else {
-								sum.edges = append(sum.edges, lockEdge{from: h, to: key, pos: n.Pos(), via: id})
-							}
-						}
-					} else {
-						ev.op = opUnlock
-					}
-					events = append(events, ev)
-					return true
+				counts[key]++
+				if lo.acquires[key] == nil {
+					lo.acquires[key] = map[string]token.Pos{}
 				}
-				// Method call x.M(...): resolve the receiver type when the
-				// checker managed to, else match by bare method name.
-				sum.calls = append(sum.calls, callEv{
-					held:    held(),
-					callees: calleeCandidates(pass, sel),
-					pos:     n.Pos(),
-				})
-				return true
+				if _, ok := lo.acquires[key][id]; !ok {
+					lo.acquires[key][id] = n.Pos()
+				}
+			case sel != nil && (sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock"):
+				if !deferred[n] {
+					counts[lockKey(pass, sel.X)]--
+				}
+			default:
+				if h := held(); len(h) > 0 {
+					heldAt[n.Pos()] = h
+				}
 			}
-			return true
-		})
-	}
-	walk(body, false)
-
-	lo.checkPairs(pass, body, events)
-
-	if bareName != "" {
-		lo.funcs[id] = sum
-		lo.byName[bareName] = append(lo.byName[bareName], id)
+		}
+		return true
+	})
+	for _, c := range node.calls {
+		if h, ok := heldAt[c.pos]; ok {
+			lo.calls = append(lo.calls, heldCall{caller: id, held: h, call: c})
+		}
 	}
 }
 
-// lockKey names the lock a .Lock()/.Unlock() call targets, as stably as the
-// available information allows: owning named type plus field path when the
-// checker resolved it, else a receiver-type-qualified or package-qualified
-// rendering of the expression.
-func lockKey(pass *Pass, x ast.Expr, recvName, recvType string) string {
+// lockKey names the lock a .Lock()/.Unlock() call targets: the owning named
+// type plus field when the checker resolved it, else the package-qualified
+// expression.
+func lockKey(pass *Pass, x ast.Expr) string {
 	if sel, ok := x.(*ast.SelectorExpr); ok {
-		if pass.Pkg.Info != nil {
-			if tv, ok := pass.Pkg.Info.Types[sel.X]; ok && tv.Type != nil {
-				t := tv.Type
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-					return named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + sel.Sel.Name
-				}
-			}
+		t := pass.Pkg.Info.TypeOf(sel.X)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
 		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == recvName && recvType != "" {
-			return pass.Pkg.ImportPath + ".(" + recvType + ")." + sel.Sel.Name
+		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+			return named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + sel.Sel.Name
 		}
-		return pass.Pkg.ImportPath + "." + renderExpr(x)
-	}
-	if id, ok := x.(*ast.Ident); ok {
-		return pass.Pkg.ImportPath + "." + id.Name
 	}
 	return pass.Pkg.ImportPath + "." + renderExpr(x)
 }
 
-// checkPairs runs the intra-function lock/unlock pairing checks.
-func (lo *lockOrder) checkPairs(pass *Pass, body *ast.BlockStmt, events []lockEv) {
-	// Collect return positions outside nested function literals.
-	var returns []token.Pos
-	var skip []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			skip = append(skip, lit)
-			return false
-		}
-		if r, ok := n.(*ast.ReturnStmt); ok {
-			returns = append(returns, r.Pos())
-		}
-		return true
-	})
-
-	type pairClass struct {
-		key   string
-		class int
-	}
-	byKey := map[pairClass][]lockEv{}
-	for _, ev := range events {
-		pc := pairClass{ev.key, ev.class}
-		byKey[pc] = append(byKey[pc], ev)
-	}
-	var keys []pairClass
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].key != keys[j].key {
-			return keys[i].key < keys[j].key
-		}
-		return keys[i].class < keys[j].class
-	})
-	for _, pc := range keys {
-		evs := byKey[pc]
-		deferredUnlock := false
-		for _, ev := range evs {
-			if ev.op == opUnlock && ev.deferred {
-				deferredUnlock = true
-			}
-		}
-		usedUnlocks := map[int]bool{}
-		verb := "Lock"
-		if pc.class == classRead {
-			verb = "RLock"
-		}
-		for _, ev := range evs {
-			if ev.op != opLock {
-				continue
-			}
-			if deferredUnlock {
-				continue // defer covers every path after the Lock
-			}
-			// Match the nearest later, unused, non-deferred unlock.
-			matched := -1
-			for i, u := range evs {
-				if u.op == opUnlock && !u.deferred && u.pos > ev.pos && !usedUnlocks[i] {
-					matched = i
-					break
-				}
-			}
-			if matched < 0 {
-				pass.Reportf(ev.pos, "%s.%s() has no matching unlock in this function; every path out leaks the lock", pc.key, verb)
-				continue
-			}
-			usedUnlocks[matched] = true
-			for _, rpos := range returns {
-				if ev.pos < rpos && rpos < evs[matched].pos {
-					pass.Reportf(rpos, "return between %s.%s() and its non-deferred unlock leaks the lock on this path (use defer)", pc.key, verb)
-				}
-			}
-		}
-	}
-}
-
 // finish builds the module-wide lock-acquisition graph and reports cycles.
 func (lo *lockOrder) finish(r *Reporter) {
-	// Fixpoint: may-acquire sets through the call graph.
-	for _, s := range lo.funcs {
-		s.may = map[string]token.Pos{}
-		for k, p := range s.acquires {
-			s.may[k] = p
-		}
+	// may[k] holds every function that takes lock k, itself or through a
+	// callee.
+	may := map[string]map[string]token.Pos{}
+	for k, seeds := range lo.acquires {
+		may[k] = lo.cg.propagate(seeds, nil)
 	}
-	resolve := func(c string) []*funcSummary {
-		if rest, ok := strings.CutPrefix(c, "?"); ok {
-			var out []*funcSummary
-			for _, id := range lo.byName[rest] {
-				out = append(out, lo.funcs[id])
-			}
-			return out
-		}
-		if s, ok := lo.funcs[c]; ok {
-			return []*funcSummary{s}
-		}
-		return nil
-	}
-	for changed, rounds := true, 0; changed && rounds < 20; rounds++ {
-		changed = false
-		for _, s := range lo.funcs {
-			for _, call := range s.calls {
-				for _, c := range call.callees {
-					for _, callee := range resolve(c) {
-						for k := range callee.may {
-							if _, ok := s.may[k]; !ok {
-								s.may[k] = call.pos
-								changed = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Edges: held lock -> acquired lock (direct nesting plus call chains).
-	edgeSet := map[string]lockEdge{}
+	// One edge per ordered pair, the earliest in the file set, so the
+	// reported position does not depend on map order. A re-lock through a
+	// call chain (from == to) is too imprecise to flag.
+	edgeSet := map[[2]string]lockEdge{}
 	addEdge := func(e lockEdge) {
-		if e.from == e.to {
-			return // re-lock through a call chain; too imprecise to flag here
-		}
-		k := e.from + "\x00" + e.to
-		if _, ok := edgeSet[k]; !ok {
+		k := [2]string{e.from, e.to}
+		if old, ok := edgeSet[k]; e.from != e.to && (!ok || e.pos < old.pos) {
 			edgeSet[k] = e
 		}
 	}
-	for _, s := range lo.funcs {
-		for _, e := range s.edges {
-			addEdge(e)
-		}
-		for _, call := range s.calls {
-			if len(call.held) == 0 {
-				continue
-			}
-			for _, c := range call.callees {
-				for _, callee := range resolve(c) {
-					for k2 := range callee.may {
-						for _, h := range call.held {
-							addEdge(lockEdge{from: h, to: k2, pos: call.pos, via: s.id + " -> " + callee.id})
-						}
+	for _, e := range lo.edges {
+		addEdge(e)
+	}
+	for _, hc := range lo.calls {
+		for _, c := range hc.call.callees {
+			for _, callee := range lo.cg.resolve(c) {
+				for k, fns := range may {
+					if _, ok := fns[callee.id]; !ok {
+						continue
+					}
+					for _, h := range hc.held {
+						addEdge(lockEdge{from: h, to: k, pos: hc.call.pos, via: hc.caller + " -> " + callee.id})
 					}
 				}
 			}
 		}
 	}
 
-	// Cycle detection over the edge graph.
+	// Cycle detection: depth-first from every lock in sorted order.
 	adj := map[string][]lockEdge{}
 	var nodes []string
-	seen := map[string]bool{}
 	for _, e := range edgeSet {
-		adj[e.from] = append(adj[e.from], e)
-		for _, n := range []string{e.from, e.to} {
-			if !seen[n] {
-				seen[n] = true
-				nodes = append(nodes, n)
-			}
+		if len(adj[e.from]) == 0 {
+			nodes = append(nodes, e.from)
 		}
+		adj[e.from] = append(adj[e.from], e)
 	}
 	sort.Strings(nodes)
 	for _, es := range adj {
@@ -422,8 +199,6 @@ func (lo *lockOrder) finish(r *Reporter) {
 		onStack[n] = true
 		for _, e := range adj[n] {
 			if onStack[e.to] {
-				// Found a cycle: slice the path from e.to onward.
-				var cyc []lockEdge
 				start := 0
 				for i, pe := range path {
 					if pe.from == e.to {
@@ -431,9 +206,7 @@ func (lo *lockOrder) finish(r *Reporter) {
 						break
 					}
 				}
-				cyc = append(cyc, path[start:]...)
-				cyc = append(cyc, e)
-				lo.reportCycle(r, cyc, reported)
+				reportCycle(r, append(append([]lockEdge(nil), path[start:]...), e), reported)
 				continue
 			}
 			path = append(path, e)
@@ -447,17 +220,14 @@ func (lo *lockOrder) finish(r *Reporter) {
 	}
 }
 
-func (lo *lockOrder) reportCycle(r *Reporter, cyc []lockEdge, reported map[string]bool) {
-	if len(cyc) == 0 {
-		return
-	}
+// reportCycle reports a cycle once, whichever lock the search entered it at.
+func reportCycle(r *Reporter, cyc []lockEdge, reported map[string]bool) {
 	names := make([]string, 0, len(cyc))
 	for _, e := range cyc {
 		names = append(names, e.from)
 	}
-	canon := append([]string(nil), names...)
-	sort.Strings(canon)
-	sig := strings.Join(canon, "|")
+	sort.Strings(names)
+	sig := strings.Join(names, "|")
 	if reported[sig] {
 		return
 	}
@@ -467,13 +237,13 @@ func (lo *lockOrder) reportCycle(r *Reporter, cyc []lockEdge, reported map[strin
 		if i > 0 {
 			desc.WriteString(", then ")
 		}
-		fmt.Fprintf(&desc, "%s is held while acquiring %s (%s)", shortLock(e.from), shortLock(e.to), e.via)
+		fmt.Fprintf(&desc, "%s is held while acquiring %s (%s)", shortName(e.from), shortName(e.to), e.via)
 	}
 	r.Reportf(cyc[0].pos, "lock-order cycle (deadlock candidate): %s", desc.String())
 }
 
-// shortLock trims the module prefix from a lock key for readability.
-func shortLock(k string) string {
+// shortName trims the module path from a lock key or function id.
+func shortName(k string) string {
 	if i := strings.LastIndexByte(k, '/'); i >= 0 {
 		return k[i+1:]
 	}

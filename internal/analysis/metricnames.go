@@ -6,15 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // NewMetricNames builds the metricnames analyzer, the AST-accurate
 // replacement for the old scripts/metrics_lint.sh grep: it finds every
 // Registry.Counter/Gauge/Histogram/*Vec registration, resolves constant and
-// concatenated name arguments (via go/types constant folding, with a
-// syntactic fallback), and enforces:
+// concatenated name arguments (via go/types constant folding), and
+// enforces:
 //
 //   - names and *Vec label keys are lowercase_snake ([a-z][a-z0-9_]*)
 //   - Counter/CounterVec names end in _total (the convention every SLO and
@@ -52,7 +51,6 @@ type metricNames struct {
 }
 
 func (mn *metricNames) run(pass *Pass) {
-	consts := packageStringConsts(pass.Pkg)
 	for fi, f := range pass.Pkg.Files {
 		file := pass.Pkg.Filenames[fi]
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -71,7 +69,7 @@ func (mn *metricNames) run(pass *Pass) {
 			if !isRegistryRecv(pass, sel.X) {
 				return true
 			}
-			name, ok := stringConstOf(pass, call.Args[0], consts)
+			name, ok := stringConst(pass, call.Args[0])
 			if !ok {
 				pass.Reportf(call.Args[0].Pos(), "metric name passed to %s is not a compile-time constant string; dynamic names defeat the single-registration-site rule (use a label)", sel.Sel.Name)
 				return true
@@ -82,7 +80,7 @@ func (mn *metricNames) run(pass *Pass) {
 				pass.Reportf(call.Args[0].Pos(), "counter %q must end in _total; a counter without the suffix reads as a gauge", name)
 			}
 			if nargs == 2 {
-				if label, ok := stringConstOf(pass, call.Args[1], consts); ok {
+				if label, ok := stringConst(pass, call.Args[1]); ok {
 					if !validMetricName(label) {
 						pass.Reportf(call.Args[1].Pos(), "metric label key %q is not lowercase_snake ([a-z][a-z0-9_]*)", label)
 					}
@@ -122,96 +120,24 @@ func (mn *metricNames) finish(r *Reporter) {
 	}
 }
 
-// isRegistryRecv accepts the call when the receiver is (or cannot be proven
-// not to be) an obs.Registry.
+// isRegistryRecv reports whether x is a Registry or a pointer to one.
 func isRegistryRecv(pass *Pass, x ast.Expr) bool {
-	if pass.Pkg.Info == nil {
-		return true
-	}
-	tv, ok := pass.Pkg.Info.Types[x]
-	if !ok || tv.Type == nil {
-		return true // unresolved: keep the old grep's behavior and match
-	}
-	t := tv.Type
+	t := pass.Pkg.Info.TypeOf(x)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Registry"
+	return ok && named.Obj().Name() == "Registry"
 }
 
-// stringConstOf resolves an expression to a string constant, preferring the
-// type checker's constant folding and falling back to a syntactic fold over
-// literals, +-concatenations and package-level consts.
-func stringConstOf(pass *Pass, e ast.Expr, consts map[string]string) (string, bool) {
-	if pass.Pkg.Info != nil {
-		if tv, ok := pass.Pkg.Info.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-			return constant.StringVal(tv.Value), true
-		}
+// stringConst resolves an expression to the string constant the type
+// checker folded it to.
+func stringConst(pass *Pass, e ast.Expr) (string, bool) {
+	tv, ok := pass.Pkg.Info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
 	}
-	return foldString(e, consts)
-}
-
-func foldString(e ast.Expr, consts map[string]string) (string, bool) {
-	switch e := e.(type) {
-	case *ast.BasicLit:
-		if e.Kind != token.STRING {
-			return "", false
-		}
-		s, err := strconv.Unquote(e.Value)
-		return s, err == nil
-	case *ast.Ident:
-		s, ok := consts[e.Name]
-		return s, ok
-	case *ast.BinaryExpr:
-		if e.Op != token.ADD {
-			return "", false
-		}
-		l, ok := foldString(e.X, consts)
-		if !ok {
-			return "", false
-		}
-		r, ok := foldString(e.Y, consts)
-		if !ok {
-			return "", false
-		}
-		return l + r, true
-	case *ast.ParenExpr:
-		return foldString(e.X, consts)
-	}
-	return "", false
-}
-
-// packageStringConsts collects package-level string constants for the
-// syntactic fallback folder.
-func packageStringConsts(pkg *Package) map[string]string {
-	out := map[string]string{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i >= len(vs.Values) {
-						break
-					}
-					if s, ok := foldString(vs.Values[i], out); ok {
-						out[name.Name] = s
-					}
-				}
-			}
-		}
-	}
-	return out
+	return constant.StringVal(tv.Value), true
 }
 
 // validMetricName reports lowercase_snake: [a-z][a-z0-9_]*.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -108,22 +107,14 @@ func TestFixtures(t *testing.T) {
 		dir string
 		mk  func() *Analyzer
 	}{
-		{"operatorclose/bad", NewOperatorClose},
-		{"operatorclose/good", NewOperatorClose},
 		{"lockorder/bad", NewLockOrder},
 		{"lockorder/good", NewLockOrder},
 		{"lockorder/cycle", NewLockOrder},
-		{"atomicmix/bad", NewAtomicMix},
-		{"atomicmix/good", NewAtomicMix},
 		{"metricnames/bad", NewMetricNames},
 		{"metricnames/good", NewMetricNames},
 		{"wallclock/bad", func() *Analyzer { return NewWallClockAllow("wallclock/bad/clockutil") }},
 		{"wallclock/good", NewWallClock},
-		{"selvec/bad", NewSelVec},
-		{"selvec/good", NewSelVec},
-		{"goownership/bad", func() *Analyzer { return NewGoOwnershipWith("testdata/src/goownership") }},
-		{"goownership/good", func() *Analyzer { return NewGoOwnershipWith("testdata/src/goownership") }},
-		{"ignore", NewAtomicMix},
+		{"ignore", NewWallClock},
 	}
 	for _, c := range cases {
 		t.Run(strings.ReplaceAll(c.dir, "/", "_"), func(t *testing.T) {
@@ -134,45 +125,45 @@ func TestFixtures(t *testing.T) {
 
 // TestIgnoreDirectives pins the directive semantics beyond positions: a
 // valid directive suppresses exactly the one finding on the next line, the
-// identical finding elsewhere survives, and an unknown-analyzer directive
-// is reported under the "rcclint" pseudo-analyzer.
+// identical finding elsewhere survives, and a directive naming an unknown
+// analyzer — including a deleted one, selvec — is reported under the
+// "rcclint" pseudo-analyzer instead of being accepted silently.
 func TestIgnoreDirectives(t *testing.T) {
 	pkgs := loadFixture(t, "ignore")
-	diags := Run(pkgs, []*Analyzer{NewAtomicMix()})
-	var atomics, directives int
+	diags := Run(pkgs, []*Analyzer{NewWallClock()})
+	var clocks int
+	var directives []string
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "atomicmix":
-			atomics++
+		case "wallclock":
+			clocks++
 		case "rcclint":
-			directives++
-			if !strings.Contains(d.Message, `unknown analyzer "nosuchanalyzer"`) {
-				t.Errorf("unexpected directive finding message: %s", d.Message)
-			}
+			directives = append(directives, d.Message)
 		default:
 			t.Errorf("unexpected analyzer %q: %s", d.Analyzer, d)
 		}
 	}
-	// The fixture has three identical plain writes; one is suppressed.
-	if atomics != 2 || directives != 1 {
-		t.Fatalf("want 2 atomicmix + 1 rcclint finding(s), got %v", diags)
+	// The fixture has three identical time.Now reads; one is suppressed.
+	if clocks != 2 || len(directives) != 2 {
+		t.Fatalf("want 2 wallclock + 2 rcclint finding(s), got %v", diags)
+	}
+	for i, name := range []string{"nosuchanalyzer", "selvec"} {
+		if want := `unknown analyzer "` + name + `"`; !strings.Contains(directives[i], want) {
+			t.Errorf("directive finding %q does not say %s", directives[i], want)
+		}
 	}
 }
 
 // TestIgnoreAcrossAnalyzers runs the full analyzer suite over a fixture
 // with one finding per analyzer, each suppressed by a directive naming
 // it. It pins three interaction rules at once: every analyzer honors
-// suppression, a directive silences only its own analyzer (the atomicmix
+// suppression, a directive silences only its own analyzer (the metricnames
 // finding sharing a line with a suppressed wallclock finding survives),
 // and malformed directives — unknown analyzer, missing reason — are
 // still reported under the "rcclint" pseudo-analyzer.
 func TestIgnoreAcrossAnalyzers(t *testing.T) {
 	pkgs := loadFixture(t, "ignoreall")
-	all := []*Analyzer{
-		NewOperatorClose(), NewLockOrder(), NewAtomicMix(), NewMetricNames(),
-		NewWallClock(), NewSelVec(), NewGoOwnershipWith("testdata/src/ignoreall"),
-	}
-	diags := Run(pkgs, all)
+	diags := Run(pkgs, Analyzers())
 
 	var rest []Diagnostic
 	var badDirectives []string
@@ -201,8 +192,8 @@ func TestIgnoreAcrossAnalyzers(t *testing.T) {
 	}
 
 	// Everything else must match the want markers exactly: one surviving
-	// atomicmix finding on the line whose wallclock finding is suppressed,
-	// and nothing from the six analyzers whose findings carry directives.
+	// metricnames finding on the line whose wallclock finding is suppressed,
+	// and nothing else from the analyzers whose findings carry directives.
 	want := wantedFindings(t, pkgs)
 	got := gotFindings(rest)
 	for f, n := range want {
@@ -237,17 +228,17 @@ func TestMetricNamesZeroRegistrations(t *testing.T) {
 	}
 }
 
-// TestStrictDiagnostics pins -strict semantics: a package that parses but
-// fails the type check is silently analyzed on partial information in a
-// normal run, and becomes a positioned "strict" finding under -strict.
+// TestStrictDiagnostics pins the degradation findings rcclint always adds:
+// the analyzers run on a package that parses but fails the type check
+// without noticing, and StrictDiagnostics turns it into a positioned
+// "strict" finding.
 func TestStrictDiagnostics(t *testing.T) {
 	pkgs := loadFixture(t, "strict/broken")
 	if len(pkgs[0].TypeErrors) == 0 {
 		t.Fatal("fixture should have type errors")
 	}
-	// A normal run stays silent: degradation must be opt-in to surface.
-	if diags := Run(pkgs, []*Analyzer{NewAtomicMix()}); len(diags) != 0 {
-		t.Fatalf("normal run should not report degradation: %v", diags)
+	if diags := Run(pkgs, []*Analyzer{NewWallClock()}); len(diags) != 0 {
+		t.Fatalf("the analyzers should not report degradation themselves: %v", diags)
 	}
 	diags := StrictDiagnostics(fixtureLoader(t), pkgs)
 	var broken []Diagnostic
@@ -280,17 +271,5 @@ func TestStrictCleanPackages(t *testing.T) {
 		if strings.Contains(d.Message, "type-checked") {
 			t.Errorf("unexpected type-error finding for a healthy package: %s", d)
 		}
-	}
-}
-
-// TestDiagnosticJSON pins the -json field names tooling depends on.
-func TestDiagnosticJSON(t *testing.T) {
-	b, err := json.Marshal(Diagnostic{Analyzer: "lockorder", File: "x.go", Line: 3, Col: 7, Message: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"analyzer":"lockorder","file":"x.go","line":3,"col":7,"message":"m"}`
-	if string(b) != want {
-		t.Fatalf("got %s, want %s", b, want)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"go/types"
 )
 
-// StrictDiagnostics converts silent loader degradation into findings, for
-// rcclint -strict. Two degradation modes exist: an import the loader could
-// not resolve at all (replaced by an empty placeholder package, loader-
-// wide), and a package whose own type check reported errors (analysis
-// continued on partial information). Both are invisible in a normal run —
-// by design, so a partial toolchain never blocks linting — but under
-// -strict each becomes a diagnostic with the pseudo-analyzer name
-// "strict", and the run fails.
+// StrictDiagnostics converts silent loader degradation into findings;
+// rcclint always adds them. Two degradation modes exist: an import the
+// loader could not resolve at all (replaced by an empty placeholder
+// package, loader-wide), and a package whose own type check reported errors
+// (analysis continued on partial information). The analyzers cannot tell;
+// each becomes a diagnostic with the pseudo-analyzer name "strict", and the
+// run fails.
 func StrictDiagnostics(l *Loader, pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, ip := range l.Placeholders() {

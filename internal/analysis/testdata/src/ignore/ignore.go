@@ -1,27 +1,27 @@
 // Package ignore exercises the //rcclint:ignore directive machinery: a
 // valid directive suppresses exactly the finding on the next line, an
-// identical finding elsewhere survives, and an unknown-analyzer directive
-// is itself a finding.
+// identical finding elsewhere survives, and a directive naming an unknown
+// analyzer — a misspelt one, or one that has been deleted — is itself a
+// finding.
 package ignore
 
-import "sync/atomic"
+import "time"
 
-type Gauge struct {
-	val int64
+func Suppressed() time.Time {
+	//rcclint:ignore wallclock ops-surface timestamp, never replayed
+	return time.Now()
 }
 
-func (g *Gauge) Load() int64 { return atomic.LoadInt64(&g.val) }
-
-func (g *Gauge) SetSuppressed(v int64) {
-	//rcclint:ignore atomicmix single-goroutine benchmark writer
-	g.val = v
+func Flagged() time.Time {
+	return time.Now() // want:wallclock
 }
 
-func (g *Gauge) SetFlagged(v int64) {
-	g.val = v // want:atomicmix
-}
-
-func (g *Gauge) SetBadDirective(v int64) {
+func BadDirective() time.Time {
 	//rcclint:ignore nosuchanalyzer bogus target; want:rcclint
-	g.val = v // want:atomicmix
+	return time.Now() // want:wallclock
+}
+
+func DeletedAnalyzer(dst []int32) []int32 {
+	//rcclint:ignore selvec callers treat nil and empty alike; want:rcclint
+	return dst[:0]
 }

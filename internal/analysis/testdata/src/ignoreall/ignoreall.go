@@ -7,93 +7,49 @@ package ignoreall
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Operator mirrors exec.Operator; operatorclose matches the interface by
-// name.
-type Operator interface {
-	Open() error
-	Next() (int, bool)
-	Close() error
-}
-
-// PassThrough opens its child and never closes it; the scheduler owns the
-// child lifecycle in this (fictional) shape, hence the suppression.
-type PassThrough struct {
-	Child Operator
-}
-
-//rcclint:ignore operatorclose child lifecycle owned by the scheduler in this fixture shape
-func (p *PassThrough) Open() error { return p.Child.Open() }
-
-func (p *PassThrough) Next() (int, bool) { return p.Child.Next() }
-
-func (p *PassThrough) Close() error { return nil }
-
-type box struct {
+type account struct {
 	mu sync.Mutex
 	n  int
 }
 
-// leak holds the mutex past return; the (fictional) unlock happens on the
-// caller's side.
-func (b *box) leak() {
-	//rcclint:ignore lockorder handed to the caller locked; released by unlockBox
-	b.mu.Lock()
-	b.n++
+type ledger struct {
+	mu sync.Mutex
+	n  int
 }
 
-func (b *box) unlockBox() { b.mu.Unlock() }
-
-type counter struct {
-	v int64
+func transfer(a *account, l *ledger) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	//rcclint:ignore lockorder audit runs only while transfers are stopped
+	l.mu.Lock()
+	l.n += a.n
+	l.mu.Unlock()
 }
 
-func (c *counter) inc() { atomic.AddInt64(&c.v, 1) }
-
-func (c *counter) reset() {
-	//rcclint:ignore atomicmix init-time store before the counter is published
-	c.v = 0
-}
-
-// stampReset pins directive isolation: the wallclock directive silences
-// the time.Now on its line, but the atomicmix finding on the same line
-// (plain store to an atomic field) survives.
-func (c *counter) stampReset() {
-	//rcclint:ignore wallclock wall timestamp is part of the exported snapshot
-	c.v = time.Now().UnixNano() // want:atomicmix
+func audit(a *account, l *ledger) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a.mu.Lock()
+	a.n = l.n
+	a.mu.Unlock()
 }
 
 type Registry struct{}
 
 func (r *Registry) Counter(name string) *int { return new(int) }
 
+// register pins directive isolation on its last line: the wallclock
+// directive silences the time.Now, but the metricnames finding on the same
+// line (a name that is not a constant) survives.
 func register(r *Registry) {
 	r.Counter("queries_total")
 	//rcclint:ignore metricnames legacy dashboard name kept for continuity
 	r.Counter("LegacyCamel")
-}
-
-// filterPos is the selection-producer shape; this (fictional) helper's
-// callers treat nil and empty alike.
-func filterPos(cand, dst []int32) []int32 {
-	dst = dst[:0]
-	for _, r := range cand {
-		if r > 0 {
-			dst = append(dst, r)
-		}
-	}
-	//rcclint:ignore selvec callers of this helper treat nil and empty alike
-	return dst
-}
-
-func spawn() {
-	//rcclint:ignore goownership fire-and-forget telemetry flush, exits on its own
-	go func() {
-		println("flush")
-	}()
+	//rcclint:ignore wallclock wall timestamp is part of the exported snapshot
+	r.Counter(time.Now().Format("stamp_2006_total")) // want:metricnames
 }
 
 func misdirected() {
@@ -102,6 +58,6 @@ func misdirected() {
 }
 
 func reasonless() {
-	//rcclint:ignore selvec
+	//rcclint:ignore wallclock
 	println("y")
 }

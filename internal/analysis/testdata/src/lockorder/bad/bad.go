@@ -1,36 +1,32 @@
-// Package bad holds lockorder fixtures for the intra-function checks: a
-// lock with no unlock, an early return spanning a non-deferred unlock, and
-// a self-deadlocking re-lock.
+// Package bad holds a lock-order inversion inside one package, by direct
+// nesting: Transfer takes Ledger.mu while holding Account.mu, Audit takes
+// them the other way round.
 package bad
 
 import "sync"
 
-type Box struct {
+type Account struct {
 	mu sync.Mutex
 	n  int
 }
 
-// Leak never releases the mutex.
-func (b *Box) Leak() {
-	b.mu.Lock() // want:lockorder
-	b.n++
+type Ledger struct {
+	mu sync.Mutex
+	n  int
 }
 
-// Early returns between Lock and a non-deferred Unlock.
-func (b *Box) Early(fail bool) int {
-	b.mu.Lock()
-	if fail {
-		return -1 // want:lockorder
-	}
-	n := b.n
-	b.mu.Unlock()
-	return n
+func Transfer(a *Account, l *Ledger) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	l.mu.Lock() // want:lockorder
+	l.n += a.n
+	l.mu.Unlock()
 }
 
-// Relock takes a plain mutex it already holds.
-func (b *Box) Relock() {
-	b.mu.Lock()
-	b.mu.Lock() // want:lockorder
-	b.mu.Unlock()
-	b.mu.Unlock()
+func Audit(a *Account, l *Ledger) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a.mu.Lock()
+	a.n = l.n
+	a.mu.Unlock()
 }

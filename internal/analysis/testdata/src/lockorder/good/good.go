@@ -1,24 +1,49 @@
 // Package good holds lock patterns the repo uses correctly; lockorder must
-// report nothing here.
+// report nothing here: nesting in one consistent order, directly and
+// through a call, the RWMutex double-check idiom, and a lock released
+// before calling out.
 package good
 
 import "sync"
 
-type Box struct {
+type Account struct {
 	mu sync.Mutex
 	n  int
 }
 
-func (b *Box) Deferred() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
+type Ledger struct {
+	mu sync.Mutex
+	n  int
 }
 
-func (b *Box) Paired() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
+func Transfer(a *Account, l *Ledger) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	l.mu.Lock()
+	l.n += a.n
+	l.mu.Unlock()
+}
+
+func Audit(a *Account, l *Ledger) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.n = l.total()
+}
+
+func (l *Ledger) total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
+
+// Reconcile copies under Ledger.mu and calls out after releasing it.
+func (l *Ledger) Reconcile(a *Account) {
+	l.mu.Lock()
+	n := l.n
+	l.mu.Unlock()
+	a.mu.Lock()
+	a.n = n
+	a.mu.Unlock()
 }
 
 // RBox uses the read-then-upgrade double-check idiom from mtcache.
@@ -38,13 +63,4 @@ func (b *RBox) Get() int {
 		return b.n
 	}
 	return n
-}
-
-// DeferredLit releases inside a deferred function literal.
-func (b *Box) DeferredLit() int {
-	b.mu.Lock()
-	defer func() {
-		b.mu.Unlock()
-	}()
-	return b.n
 }

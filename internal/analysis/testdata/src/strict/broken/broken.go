@@ -1,7 +1,7 @@
 // Package broken deliberately fails the type check (the identifier below
-// is undefined) while still parsing, so the strict-mode tests can observe
-// a package the loader degraded to syntactic-only analysis. Parse errors
-// would abort loading outright; a type error is the silent kind -strict
+// is undefined) while still parsing, so the strict tests can observe a
+// package the loader type-checked only partly. Parse errors would abort
+// loading outright; a type error is the silent kind StrictDiagnostics
 // exists to surface.
 package broken
 

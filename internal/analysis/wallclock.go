@@ -125,9 +125,8 @@ func (wc *wallClock) deterministic(pkg *Package) bool {
 
 // wallCallName classifies a call expression as a wall-clock primitive,
 // returning a display name like "time.Now" or "math/rand.Intn". Detection
-// is by imported package path (aliased imports included) with a syntactic
-// fallback on the conventional names when type information is missing.
-func wallCallName(pass *Pass, file *ast.File, call *ast.CallExpr) string {
+// is by imported package path, so aliased imports count too.
+func wallCallName(pass *Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -136,26 +135,11 @@ func wallCallName(pass *Pass, file *ast.File, call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	path := ""
-	if pass.Pkg.Info != nil {
-		if pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName); ok {
-			path = pn.Imported().Path()
-		}
+	pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return ""
 	}
-	if path == "" {
-		// Syntactic fallback: match the import spelling in this file.
-		for _, imp := range file.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			name := pathBase(p)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			if name == id.Name && (p == "time" || p == "math/rand" || p == "math/rand/v2") {
-				path = p
-				break
-			}
-		}
-	}
+	path := pn.Imported().Path()
 	switch path {
 	case "time":
 		if wallTimeFns[sel.Sel.Name] {
@@ -177,13 +161,12 @@ func (wc *wallClock) run(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			file := file
 			node := wc.cg.addFunc(pass, fd, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				name := wallCallName(pass, file, call)
+				name := wallCallName(pass, call)
 				if name == "" {
 					return true
 				}
@@ -239,7 +222,7 @@ func (wc *wallClock) finish(r *Reporter) {
 					if via == "" {
 						via = "wall clock"
 					}
-					out = append(out, finding{pos: call.pos, callee: shortLock(callee.id), via: via})
+					out = append(out, finding{pos: call.pos, callee: shortName(callee.id), via: via})
 				}
 			}
 		}

@@ -72,9 +72,10 @@ func (in *fuzzInput) pred(depth int) sqlparser.Expr {
 	}
 }
 
-// FuzzKernel holds CompileKernel to the scalar Compiled predicate it stands
-// in for. One input is a predicate, a batch of rows and a candidate list;
-// the kernel runs over the batch row-backed and purely columnar, with the
+// FuzzKernel holds CompileKernel, and KernelFromPredicate (the fallback that
+// lifts a row predicate into a kernel), to the scalar Compiled predicate.
+// One input is a predicate, a batch of rows and a candidate list; each
+// kernel runs over the batch row-backed and purely columnar, with the
 // candidates nil (all rows), listed, and empty, and with dst nil, separate
 // and aliasing cand. Where the scalar predicate evaluates every candidate
 // without error the kernel must select exactly its TRUE rows, in order, and
@@ -123,6 +124,10 @@ func FuzzKernel(f *testing.F) {
 			}
 		}
 
+		kernels := []struct {
+			name string
+			run  exec.BoolKernel
+		}{{"compiled", kernel}, {"lifted", exec.KernelFromPredicate(scalar)}}
 		ctx := &exec.EvalContext{Now: exec.TestNow}
 		for _, cand := range [][]int32{nil, listed, {}} {
 			// The oracle: the scalar predicate over the candidates.
@@ -150,31 +155,33 @@ func FuzzKernel(f *testing.F) {
 						}
 					}
 				}
-				for _, dstMode := range []string{"nil", "separate", "aliased"} {
-					c := slices.Clone(cand) // the aliased run overwrites it
-					var dst []int32
-					switch {
-					case dstMode == "separate":
-						dst = make([]int32, 0, n)
-					case dstMode == "aliased" && c != nil:
-						dst = c[:0]
-					}
-					got, err := kernel(ctx, &cb, c, dst)
-					where := func() string { return fmt.Sprintf("%s columnar=%v dst=%s", expr.SQL(), columnar, dstMode) }
-					if err != nil {
-						if scalarErr == nil {
-							t.Fatalf("%s: kernel error %v, scalar predicate has none", where(), err)
+				for _, k := range kernels {
+					for _, dstMode := range []string{"nil", "separate", "aliased"} {
+						c := slices.Clone(cand) // the aliased run overwrites it
+						var dst []int32
+						switch {
+						case dstMode == "separate":
+							dst = make([]int32, 0, n)
+						case dstMode == "aliased" && c != nil:
+							dst = c[:0]
 						}
-						continue
-					}
-					if scalarErr != nil {
-						continue
-					}
-					if got == nil {
-						t.Fatalf("%s: kernel returned a nil selection", where())
-					}
-					if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
-						t.Fatalf("%s over %v cand %v: kernel selected %v, scalar %v", where(), rows, cand, got, want)
+						got, err := k.run(ctx, &cb, c, dst)
+						where := func() string { return fmt.Sprintf("%s %s columnar=%v dst=%s", k.name, expr.SQL(), columnar, dstMode) }
+						if err != nil {
+							if scalarErr == nil {
+								t.Fatalf("%s: kernel error %v, scalar predicate has none", where(), err)
+							}
+							continue
+						}
+						if scalarErr != nil {
+							continue
+						}
+						if got == nil {
+							t.Fatalf("%s: kernel returned a nil selection", where())
+						}
+						if !slices.Equal(got, want) && !(len(got) == 0 && len(want) == 0) {
+							t.Fatalf("%s over %v cand %v: kernel selected %v, scalar %v", where(), rows, cand, got, want)
+						}
 					}
 				}
 			}

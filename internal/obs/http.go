@@ -51,13 +51,6 @@ type Ops struct {
 	Audit func() any
 }
 
-// Handler serves the registry and trace store over HTTP — the PR 2 surface
-// (/metrics, /trace/last). Kept for callers that have no tracer or SLO
-// tracker; NewHandler is the full ops surface.
-func Handler(reg *Registry, traces *TraceStore, refresh func()) http.Handler {
-	return NewHandler(Ops{Registry: reg, Traces: traces, Refresh: refresh})
-}
-
 // NewHandler serves the full ops surface:
 //
 //	/metrics          text snapshot; ?format=json for the JSON encoding

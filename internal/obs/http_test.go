@@ -13,7 +13,7 @@ func TestHandlerMetrics(t *testing.T) {
 	reg.Counter("hits_total").Add(7)
 	refreshed := 0
 	var ts TraceStore
-	h := Handler(reg, &ts, func() { refreshed++; reg.Gauge("derived_now").Set(42) })
+	h := NewHandler(Ops{Registry: reg, Traces: &ts, Refresh: func() { refreshed++; reg.Gauge("derived_now").Set(42) }})
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -38,7 +38,7 @@ func TestHandlerMetrics(t *testing.T) {
 func TestHandlerTraceLast(t *testing.T) {
 	reg := NewRegistry()
 	var ts TraceStore
-	h := Handler(reg, &ts, nil)
+	h := NewHandler(Ops{Registry: reg, Traces: &ts})
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/trace/last", nil))
@@ -58,7 +58,7 @@ func TestHandlerTraceLast(t *testing.T) {
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up_total").Inc()
-	srv, addr, err := Serve("127.0.0.1:0", Handler(reg, nil, nil))
+	srv, addr, err := Serve("127.0.0.1:0", NewHandler(Ops{Registry: reg}))
 	if err != nil {
 		t.Fatal(err)
 	}
