@@ -23,7 +23,6 @@ import (
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/opt"
-	"relaxedcc/internal/qcache"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/tpcd"
@@ -135,8 +134,10 @@ func BenchmarkFig42bWorkloadVsInterval(b *testing.B) {
 	b.ReportMetric(analytic*100, "analytic%")
 }
 
-// benchPlan plans sql once and executes it per iteration.
-func benchPlan(b *testing.B, sys *core.System, sql string, opts opt.Options) {
+// benchPlan plans sql once and executes it per iteration. Given a branch, it
+// runs the plan's traditional twin instead: every guard replaced by that
+// branch (harness.StripGuards).
+func benchPlan(b *testing.B, sys *core.System, sql string, opts opt.Options, branch ...int) {
 	b.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
@@ -153,6 +154,9 @@ func benchPlan(b *testing.B, sys *core.System, sql string, opts opt.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		for _, br := range branch {
+			root = harness.StripGuards(root, br)
+		}
 		if _, err := exec.Run(root, ctx, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -161,8 +165,9 @@ func benchPlan(b *testing.B, sys *core.System, sql string, opts opt.Options) {
 
 // BenchmarkTable44GuardOverhead times the Table 4.4 configurations: each of
 // Q1-Q3 executed down the guarded local branch, the guarded remote branch,
-// and as traditional unguarded local/remote plans. Comparing the guard-*
-// and plain-* sub-benchmarks yields the table's overhead rows.
+// and as traditional unguarded local/remote plans (the remote one is the
+// guarded plan with its guard stripped, as rccbench measures it). Comparing
+// the guard-* and plain-* sub-benchmarks yields the table's overhead rows.
 func BenchmarkTable44GuardOverhead(b *testing.B) {
 	sys := benchSystem(b)
 	for _, q := range harness.GuardQueries() {
@@ -176,7 +181,7 @@ func BenchmarkTable44GuardOverhead(b *testing.B) {
 			benchPlan(b, sys, q.Stale, opt.Options{ForceLocal: true})
 		})
 		b.Run(q.Name+"/plain-remote", func(b *testing.B) {
-			benchPlan(b, sys, q.Plain, opt.Options{NoViews: true, IgnoreConstraints: true})
+			benchPlan(b, sys, q.Stale, opt.Options{ForceLocal: true}, 1)
 		})
 	}
 }
@@ -341,32 +346,6 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkResultCache measures the application-level query-result cache
-// (internal/qcache) hit path vs. the recompute path.
-func BenchmarkResultCache(b *testing.B) {
-	sys := benchSystem(b)
-	rc := qcache.New(sys.Clock, sys.Cache.NewSession(), 128)
-	q := tpcd.PointQuery(17, "CURRENCY 3600 ON (Customer)")
-	if _, _, err := rc.Query(q); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, outcome, err := rc.Query(q); err != nil || outcome != qcache.Hit {
-				b.Fatalf("outcome=%v err=%v", outcome, err)
-			}
-		}
-	})
-	b.Run("recompute", func(b *testing.B) {
-		noClause := tpcd.PointQuery(17, "")
-		for i := 0; i < b.N; i++ {
-			if _, _, err := rc.Query(noClause); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- executor benchmarks: row-at-a-time vs batch vs morsel-parallel ----

@@ -82,13 +82,13 @@ func (m *GuardMeasurement) OverheadPercent() float64 {
 	return 100 * float64(m.OverheadTotal()) / float64(m.Plain.Total())
 }
 
-// stripGuards replaces every SwitchUnion in the tree with its child at
+// StripGuards replaces every SwitchUnion in the tree with its child at
 // branch, producing the traditional plan without currency checking.
-func stripGuards(op exec.Operator, branch int) exec.Operator {
+func StripGuards(op exec.Operator, branch int) exec.Operator {
 	if su, ok := op.(*exec.SwitchUnion); ok {
-		return stripGuards(su.Children[branch], branch)
+		return StripGuards(su.Children[branch], branch)
 	}
-	exec.VisitChildren(op, func(c *exec.Operator) { *c = stripGuards(*c, branch) })
+	exec.VisitChildren(op, func(c *exec.Operator) { *c = StripGuards(*c, branch) })
 	return op
 }
 
@@ -154,7 +154,7 @@ func measureGuardedVsPlain(sys *core.System, sql string, wantLocal bool, reps in
 	if wantLocal {
 		branch = 0
 	}
-	strip := func(op exec.Operator) exec.Operator { return stripGuards(op, branch) }
+	strip := func(op exec.Operator) exec.Operator { return StripGuards(op, branch) }
 	// Wall clock on purpose: run/shutdown phases must measure real elapsed
 	// time for the overhead comparison, whatever clock the system runs on.
 	ctx := &exec.EvalContext{Now: sys.Clock.Now(), Clock: vclock.Wall{}}

@@ -296,13 +296,13 @@ func TestPlanExposesOptions(t *testing.T) {
 	if len(q.Constraint.Classes) != 1 {
 		t.Fatalf("constraint = %v", q.Constraint)
 	}
-	// NoViews forces remote.
-	plan, _, err = c.Plan(sel, opt.Options{NoViews: true})
+	// NoGuards reads the view unguarded.
+	plan, _, err = c.Plan(sel, opt.Options{NoGuards: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.UsesLocal {
-		t.Fatal("NoViews still used a view")
+	if !plan.UsesLocal || plan.Guards != 0 {
+		t.Fatalf("NoGuards plan = %s", plan.Shape)
 	}
 }
 

@@ -187,18 +187,6 @@ func TestCacheBoundBelowDelayPrunes(t *testing.T) {
 	}
 }
 
-func TestCacheNoViewsOption(t *testing.T) {
-	c, _ := cacheFixture(t)
-	p := plan(t, c, "SELECT i_price FROM Item WHERE i_id = 7 CURRENCY 3600 ON (Item)", opt.Options{NoViews: true})
-	if p.UsesLocal {
-		t.Fatalf("NoViews used a view: %s", p.Shape)
-	}
-	rows := runPlan(t, c, p)
-	if len(rows) != 1 {
-		t.Fatal("rows")
-	}
-}
-
 func TestCacheAggregationOverGuardedView(t *testing.T) {
 	c, _ := cacheFixture(t)
 	p := plan(t, c, `SELECT I.i_cat, COUNT(*) AS n FROM Item I

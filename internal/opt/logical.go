@@ -93,18 +93,11 @@ type Options struct {
 	// IgnoreConstraints skips compile-time consistency checking entirely
 	// (used by the serve-stale violation action and by ablations).
 	IgnoreConstraints bool
-	// NoViews hides all materialized views from the planner, yielding the
-	// traditional remote-only plan (the paper's unguarded remote baseline).
-	NoViews bool
 	// MaxDOP overrides the degree of parallelism the planner assumes for
 	// parallel scans (normally GOMAXPROCS capped by the cost model). It is
 	// also stamped into built ParallelScan operators. Zero means automatic;
 	// 1 effectively disables parallel plans.
 	MaxDOP int
-	// NoParallel disables parallel scan candidates entirely (ablation, and
-	// the guaranteed-serial path for callers that need deterministic row
-	// order without an ORDER BY).
-	NoParallel bool
 }
 
 // Leaf is one base-table instance in the flattened query: the unit of
@@ -205,13 +198,6 @@ func (q *Query) Leaf(id cc.InstanceID) *Leaf {
 		}
 	}
 	return nil
-}
-
-func (q *Query) binding(id cc.InstanceID) string {
-	if l := q.Leaf(id); l != nil {
-		return l.Binding
-	}
-	return fmt.Sprintf("?%d", id)
 }
 
 // Plan is a complete physical plan with its metadata.

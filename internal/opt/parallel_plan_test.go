@@ -82,20 +82,6 @@ func TestPointQueryStaysSerial(t *testing.T) {
 	}
 }
 
-// TestNoParallelOption: the ablation switch removes parallel candidates.
-func TestNoParallelOption(t *testing.T) {
-	p := parallelFixture(t)
-	p.Opts.MaxDOP = 4
-	p.Opts.NoParallel = true
-	plan, rows := planAndRun(t, p, "SELECT c_custkey, c_name FROM Customer")
-	if strings.Contains(plan.Shape, "ParScan") || plan.DOP != 1 {
-		t.Fatalf("NoParallel ignored: %s (DOP %d)", plan.Shape, plan.DOP)
-	}
-	if rows != 12000 {
-		t.Fatalf("rows = %d", rows)
-	}
-}
-
 // TestMaxDOPOneDisablesParallel: a single worker can never beat the serial
 // scan, so MaxDOP=1 is an effective off switch.
 func TestMaxDOPOneDisablesParallel(t *testing.T) {

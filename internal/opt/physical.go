@@ -18,7 +18,6 @@ import (
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/storage"
-	"relaxedcc/internal/vclock"
 )
 
 // Planner builds physical plans for one site.
@@ -49,7 +48,7 @@ const keepPerState = 3
 // PlanSelect algebrizes and plans a SELECT, returning the chosen plan and
 // the logical query (for inspection by tests and the experiment harness).
 func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt) (*Plan, *Query, error) {
-	clk := p.clock()
+	clk := p.Site.Clock
 	start := clk.Now()
 	q, err := Algebrize(sel, p.Site.Cat)
 	if err != nil {
@@ -62,15 +61,6 @@ func (p *Planner) PlanSelect(sel *sqlparser.SelectStmt) (*Plan, *Query, error) {
 	}
 	plan.Setup, plan.Pinned = clk.Now().Sub(start), uint64(q.pinned)
 	return plan, q, nil
-}
-
-// clock returns the site's time source, defaulting to the wall clock for
-// sites built without one (tests constructing a bare Site).
-func (p *Planner) clock() vclock.Clock {
-	if p.Site != nil && p.Site.Clock != nil {
-		return p.Site.Clock
-	}
-	return vclock.Wall{}
 }
 
 // cand is a partial or complete physical plan candidate. build must return a
@@ -509,9 +499,6 @@ func clusteredPath(def *catalog.Table, path accessPath) bool {
 // A parallel scan cuts its morsels from the plan's own range, so choosing one
 // pins the literals the range came from.
 func (p *Planner) parallelAccess(def *catalog.Table, path accessPath, leaf *Leaf, outRows float64) (float64, int, bool) {
-	if p.Opts.NoParallel {
-		return 0, 0, false
-	}
 	dop := p.costDOP()
 	if dop < 2 || !clusteredPath(def, path) {
 		return 0, 0, false
@@ -661,17 +648,10 @@ func (p *Planner) leafCandidates(q *Query, leaf *Leaf) ([]*cand, error) {
 	remote := p.remoteLeafCand(leaf, schema)
 	cands = append(cands, remote)
 
-	if p.Opts.NoViews {
-		return cands, nil
-	}
 	// Matching materialized views, each wrapped in a currency guard.
 	for _, view := range p.Site.Cat.ViewsOf(leaf.Table.Name) {
-		vc, ok, err := p.viewCand(q, leaf, view, remote, schema)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			cands = append(cands, vc)
+		if v, ok := p.admitView(q, leaf, view); ok {
+			cands = append(cands, p.viewCand(leaf, v, remote, schema))
 		}
 	}
 	return cands, nil
@@ -689,91 +669,66 @@ func (p *Planner) remoteLeafCand(leaf *Leaf, schema *exec.Schema) *cand {
 	}
 }
 
-// viewCand builds the guarded local-view candidate for a leaf, if the view
-// matches and compile-time pruning does not rule it out.
-func (p *Planner) viewCand(q *Query, leaf *Leaf, view *catalog.View, remote *cand, schema *exec.Schema) (*cand, bool, error) {
+// viewAccess is a materialized view admitted to serve a leaf: its local
+// storage, its currency region, and the bound the query puts on the leaf
+// (MaxInt64 when it puts none).
+type viewAccess struct {
+	view        *catalog.View
+	tbl         *storage.Table
+	region      *catalog.Region
+	bound       time.Duration
+	constrained bool
+}
+
+// admitView decides whether a view may serve a leaf, at a view scan and at an
+// index nested-loop join alike: it must match the leaf, belong to the region
+// of the hoisting pass if there is one, be stored here, and, unless guards are
+// off, come from a region that can ever be fresh enough — one whose minimum
+// currency exceeds the bound is discarded at compile time (the paper's "simple
+// optimization").
+func (p *Planner) admitView(q *Query, leaf *Leaf, view *catalog.View) (viewAccess, bool) {
 	if !viewMatches(view, leaf) || (p.hoist != 0 && view.RegionID != p.hoist) {
-		return nil, false, nil
+		return viewAccess{}, false
 	}
-	vtbl := p.Site.LocalView(view.Name)
-	if vtbl == nil {
-		return nil, false, nil
+	v := viewAccess{view: view, tbl: p.Site.LocalView(view.Name), region: p.Site.Cat.Region(view.RegionID)}
+	if v.tbl == nil || v.region == nil {
+		return viewAccess{}, false
 	}
-	region := p.Site.Cat.Region(view.RegionID)
-	if region == nil {
-		return nil, false, nil
+	v.bound, v.constrained = q.Constraint.BoundFor(leaf.ID)
+	if !v.constrained {
+		v.bound = time.Duration(math.MaxInt64) // unconstrained: always fresh enough
 	}
-	bound, constrained := q.Constraint.BoundFor(leaf.ID)
-	if !constrained {
-		bound = time.Duration(math.MaxInt64) // unconstrained: always fresh enough
+	if !p.Opts.NoGuards && v.bound < v.region.MinCurrency() {
+		return viewAccess{}, false
 	}
-	if !p.Opts.NoGuards && bound < region.MinCurrency() {
-		// The region can never deliver data this fresh: discard at compile
-		// time (the paper's "simple optimization").
-		return nil, false, nil
-	}
+	return v, true
+}
+
+// viewCand builds the guarded local-view candidate for a leaf.
+func (p *Planner) viewCand(leaf *Leaf, v viewAccess, remote *cand, schema *exec.Schema) *cand {
 	outRows := leafRows(leaf)
-	path := chooseAccessPath(leaf.pins, vtbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
-	localBuild := func() (exec.Operator, error) {
-		return buildStoredAccess(vtbl, leaf.Binding, path, leaf)
+	path := chooseAccessPath(leaf.pins, v.tbl.Def(), leaf.Table.Stats, leaf.Preds, outRows)
+	local := &cand{
+		build:       func() (exec.Operator, error) { return buildStoredAccess(v.tbl, leaf.Binding, path, leaf) },
+		schema:      schema,
+		cost:        path.cost,
+		rows:        outRows,
+		delivered:   cc.DeliverScan(v.view.RegionID, leaf.ID),
+		shape:       fmt.Sprintf("View(%s)", v.view.Name),
+		usesLocal:   true,
+		localLeaves: 1,
 	}
-	localCost := path.cost
-	dop := 0
 	// Analytic view scans parallelize just like base-table scans; the guard
 	// decision is unaffected (it is evaluated once at Open, before any
 	// workers start).
-	if pcost, pdop, ok := p.parallelAccess(vtbl.Def(), path, leaf, outRows); ok {
-		localCost, dop = pcost, pdop
-		localBuild = func() (exec.Operator, error) {
-			return p.buildParallelAccess(vtbl, leaf.Binding, path, leaf)
+	if pcost, dop, ok := p.parallelAccess(v.tbl.Def(), path, leaf, outRows); ok {
+		local.cost, local.dop = pcost, dop
+		local.build = func() (exec.Operator, error) {
+			return p.buildParallelAccess(v.tbl, leaf.Binding, path, leaf)
 		}
 	}
-	if p.Opts.NoGuards || p.hoist != 0 {
-		return &cand{
-			build:       localBuild,
-			schema:      schema,
-			cost:        localCost,
-			rows:        outRows,
-			delivered:   cc.DeliverScan(view.RegionID, leaf.ID),
-			shape:       fmt.Sprintf("View(%s)", view.Name),
-			usesLocal:   true,
-			localLeaves: 1,
-			dop:         dop,
-		}, true, nil
-	}
-	guard := p.currencyGuard(view.RegionID, bound)
-	label := fmt.Sprintf("Guard(%s|%s)", view.Name, remote.shape)
-	remoteBuild := remote.build
-	c := &cand{
-		build: func() (exec.Operator, error) {
-			local, err := localBuild()
-			if err != nil {
-				return nil, err
-			}
-			rem, err := remoteBuild()
-			if err != nil {
-				return nil, err
-			}
-			return p.guarded(local, rem, guard(), label, view.RegionID, bound), nil
-		},
-		schema: schema,
-		rows:   outRows,
-		delivered: cc.SwitchUnion(
-			cc.DeliverScan(view.RegionID, leaf.ID),
-			cc.DeliverScan(catalog.MasterRegionID, leaf.ID),
-		),
-		shape:       label,
-		usesLocal:   true,
-		guards:      1,
-		localLeaves: 1,
-		dop:         dop,
-	}
-	prob := cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
-	if !constrained {
-		prob = 1
-	}
-	c.cost = prob*localCost + (1-prob)*remote.cost + costGuard
-	return c, true, nil
+	label := fmt.Sprintf("Guard(%s|%s)", v.view.Name, remote.shape)
+	return p.guardedCand(local, remote, v.region, v.bound, v.constrained, label)
 }
 
 // viewMatches implements the prototype's view-matching test: the view is a
@@ -891,6 +846,48 @@ func rangeImplies(lit sqltypes.Value, qOp sqlparser.BinOp, vp catalog.SimplePred
 	return false
 }
 
+// guardedCand is the one place a guarded plan is made: local goes under a
+// currency guard on region with remote as its fall-back, the paper's
+// SwitchUnion (§3.2). It costs p·c_local + (1−p)·c_remote + c_cg, where p is
+// the chance the region is fresh enough for bound at run time (1 when the
+// query is unconstrained), and delivers the meet of its two branches. Under
+// NoGuards, and in a hoisting pass (whose one guard goes at the root), local
+// stays unguarded.
+func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound time.Duration, constrained bool, label string) *cand {
+	if p.Opts.NoGuards || p.hoist != 0 {
+		return local
+	}
+	prob := 1.0
+	if constrained {
+		prob = cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
+	}
+	guard := currencyGuard(p.Site.Heartbeat, region.ID, bound, p.Opts.MinSync)
+	localBuild, remoteBuild := local.build, remote.build
+	return &cand{
+		build: func() (exec.Operator, error) {
+			l, err := localBuild()
+			if err != nil {
+				return nil, err
+			}
+			r, err := remoteBuild()
+			if err != nil {
+				return nil, err
+			}
+			return p.guarded(l, r, guard(), label, region.ID, bound), nil
+		},
+		schema:       local.schema,
+		cost:         prob*local.cost + (1-prob)*remote.cost + costGuard,
+		rows:         local.rows,
+		delivered:    cc.SwitchUnion(local.delivered, remote.delivered),
+		shape:        label,
+		usesLocal:    true,
+		guards:       local.guards + 1,
+		localLeaves:  local.localLeaves,
+		remoteLeaves: local.remoteLeaves,
+		dop:          local.dop,
+	}
+}
+
 // guarded puts a local plan and its remote fall-back under the currency
 // guard sel of the region.
 func (p *Planner) guarded(local, remote exec.Operator, sel exec.Selector, label string, region int, bound time.Duration) *exec.SwitchUnion {
@@ -918,43 +915,14 @@ func (p *Planner) stalenessProbe(regionID int) func(*exec.EvalContext) (time.Dur
 }
 
 // currencyGuard returns the maker of a SwitchUnion's selector: local branch
-// (0) iff the replica's last-synchronized timestamp is within the bound of
-// the query start time. Every built tree calls the maker once, so each tree
-// owns its selector's state. When the site has a local heartbeat table the
-// guard is evaluated as the paper's predicate — EXISTS(SELECT 1 FROM
-// Heartbeat_R WHERE TimeStamp > getdate() - B) — as a real single-row plan
-// through the executor; a timeline-consistency floor (Section 2.3) adds
-// "AND TimeStamp >= floor".
-func (p *Planner) currencyGuard(regionID int, bound time.Duration) func() exec.Selector {
-	minSync := p.Opts.MinSync
-	if hb := p.Site.Heartbeat; hb != nil {
-		return heartbeatGuard(hb, regionID, bound, minSync)
-	}
-	// Fallback for sites wired without a heartbeat table (tests).
-	regions := p.Site.Regions
-	sel := func(ctx *exec.EvalContext) (int, error) {
-		ts, ok := regions.LastSync(regionID)
-		if !ok {
-			return 1, nil
-		}
-		if !minSync.IsZero() && ts.Before(minSync) {
-			return 1, nil
-		}
-		if bound == time.Duration(math.MaxInt64) {
-			return 0, nil
-		}
-		if !ts.Before(ctx.Now.Add(-bound)) {
-			return 0, nil
-		}
-		return 1, nil
-	}
-	return func() exec.Selector { return sel }
-}
-
-// heartbeatGuard compiles the heartbeat EXISTS predicate once per plan; the
-// maker it returns builds the single-row scan that evaluates it, once per
-// tree.
-func heartbeatGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
+// (0) iff the region's row of the cache's heartbeat table hb is within the
+// bound of the query start time. The guard is the paper's predicate —
+// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B) — run as
+// a real single-row plan through the executor; a timeline-consistency floor
+// (Section 2.3) adds "AND TimeStamp >= floor". The predicate is compiled once
+// per plan; every built tree calls the maker once, so each tree owns its
+// selector's scan.
+func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
 	schema := storedSchema(hb.Def(), "hb")
 	tsRef := &sqlparser.ColumnRef{Table: "hb", Column: "ts"}
 	var pred sqlparser.Expr
@@ -1225,12 +1193,7 @@ func prune(cands []*cand) []*cand {
 // locally stored object with a suitable index (guarded at the cache).
 func (p *Planner) joinCands(q *Query, left, right *cand, leaf *Leaf, semiRes []sqlparser.Expr) ([]*cand, error) {
 	edges := joinEdges(q, left.schema, leaf)
-	var out []*cand
-	hj, err := p.hashJoinCand(q, left, right, leaf, edges, semiRes)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, hj)
+	out := []*cand{p.hashJoinCand(left, right, leaf, edges, semiRes)}
 	nlj, ok, err := p.indexLoopCand(q, left, leaf, edges, semiRes)
 	if err != nil {
 		return nil, err
@@ -1248,6 +1211,42 @@ func (p *Planner) joinCands(q *Query, left, right *cand, leaf *Leaf, semiRes []s
 	return out, nil
 }
 
+// joined completes c as the operator over its inputs — a join's two sides,
+// or the one plan a finishing step sits on: it delivers their join, uses
+// local data if any input does, and carries their guards, leaves and widest
+// parallelism.
+func joined(c *cand, inputs ...*cand) *cand {
+	c.delivered = inputs[0].delivered
+	for _, in := range inputs[1:] {
+		c.delivered = cc.Join(c.delivered, in.delivered)
+	}
+	for _, in := range inputs {
+		c.usesLocal = c.usesLocal || in.usesLocal
+		c.guards += in.guards
+		c.localLeaves += in.localLeaves
+		c.remoteLeaves += in.remoteLeaves
+		c.dop = maxDop(c.dop, in.dop)
+	}
+	return c
+}
+
+// edgeResiduals returns preds followed by the equality of every join edge not
+// in key: the edges a join operator's key does not evaluate are checked as
+// residual predicates.
+func edgeResiduals(preds []sqlparser.Expr, leaf *Leaf, edges, key []joinEdge) []sqlparser.Expr {
+	out := slices.Clone(preds)
+	for _, e := range edges {
+		if !slices.Contains(key, e) {
+			out = append(out, &sqlparser.BinaryExpr{
+				Op:    sqlparser.OpEQ,
+				Left:  e.prefixExpr,
+				Right: &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol},
+			})
+		}
+	}
+	return out
+}
+
 // mergeJoinCand builds a sort-merge join when both sides already arrive
 // ordered on a join column: the prefix's first ordering column matches one
 // edge's prefix side, and some access path for the leaf is ordered on that
@@ -1257,23 +1256,21 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	if len(left.order) == 0 || len(edges) == 0 {
 		return nil, false, nil
 	}
-	var keyEdge *joinEdge
-	for i := range edges {
-		if ref, ok := edges[i].prefixExpr.(*sqlparser.ColumnRef); ok && ref.SQL() == left.order[0] {
-			keyEdge = &edges[i]
-			break
-		}
-	}
-	if keyEdge == nil {
+	k := slices.IndexFunc(edges, func(e joinEdge) bool {
+		ref, ok := e.prefixExpr.(*sqlparser.ColumnRef)
+		return ok && ref.SQL() == left.order[0]
+	})
+	if k < 0 {
 		return nil, false, nil
 	}
-	// The leaf side must have an ordered access on keyEdge.leafCol.
+	edge := edges[k]
+	// The leaf side must have an ordered access on edge.leafCol.
 	rights, err := p.leafCandidates(q, leaf)
 	if err != nil {
 		return nil, false, err
 	}
 	var right *cand
-	want := leaf.Binding + "." + keyEdge.leafCol
+	want := leaf.Binding + "." + edge.leafCol
 	for _, rc := range rights {
 		if len(rc.order) > 0 && rc.order[0] == want {
 			if right == nil || rc.cost < right.cost {
@@ -1292,21 +1289,7 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	leftBuild, rightBuild := left.build, right.build
 	leftSchema, rightSchema := left.schema, right.schema
 	kind := leaf.Join
-	extraEdges := make([]joinEdge, 0, len(edges)-1)
-	for i := range edges {
-		if &edges[i] != keyEdge {
-			extraEdges = append(extraEdges, edges[i])
-		}
-	}
-	residuals := append([]sqlparser.Expr(nil), semiRes...)
-	for _, e := range extraEdges {
-		residuals = append(residuals, &sqlparser.BinaryExpr{
-			Op:    sqlparser.OpEQ,
-			Left:  e.prefixExpr,
-			Right: &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol},
-		})
-	}
-	edge := *keyEdge
+	residuals := edgeResiduals(semiRes, leaf, edges, edges[k:k+1])
 	build := func() (exec.Operator, error) {
 		l, err := leftBuild()
 		if err != nil {
@@ -1335,21 +1318,14 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	}
 	// Merge advances both sorted streams once; per-row work is well below a
 	// generic operator hop (no hashing, no seeks).
-	cost := left.cost + right.cost + (left.rows+right.rows)*costRow*0.5 + outRows*costRow
-	return &cand{
-		build:        build,
-		schema:       outSchema,
-		cost:         cost,
-		rows:         outRows,
-		delivered:    cc.Join(left.delivered, right.delivered),
-		shape:        fmt.Sprintf("MergeJoin(%s, %s)", left.shape, right.shape),
-		usesLocal:    left.usesLocal || right.usesLocal,
-		guards:       left.guards + right.guards,
-		localLeaves:  left.localLeaves + right.localLeaves,
-		remoteLeaves: left.remoteLeaves + right.remoteLeaves,
-		order:        left.order,
-		dop:          maxDop(left.dop, right.dop),
-	}, true, nil
+	return joined(&cand{
+		build:  build,
+		schema: outSchema,
+		cost:   left.cost + right.cost + (left.rows+right.rows)*costRow*0.5 + outRows*costRow,
+		rows:   outRows,
+		shape:  fmt.Sprintf("MergeJoin(%s, %s)", left.shape, right.shape),
+		order:  left.order,
+	}, left, right), true, nil
 }
 
 // joinEdge is one equi-join pair usable between the prefix and the leaf.
@@ -1382,7 +1358,7 @@ func joinEdges(q *Query, prefix *exec.Schema, leaf *Leaf) []joinEdge {
 	return out
 }
 
-func (p *Planner) hashJoinCand(q *Query, left, right *cand, leaf *Leaf, edges []joinEdge, semiRes []sqlparser.Expr) (*cand, error) {
+func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, semiRes []sqlparser.Expr) *cand {
 	outSchema := left.schema
 	if leaf.Join == exec.JoinInner {
 		outSchema = exec.Concat(left.schema, right.schema)
@@ -1438,21 +1414,14 @@ func (p *Planner) hashJoinCand(q *Query, left, right *cand, leaf *Leaf, edges []
 		}
 		return hj, nil
 	}
-	cost := left.cost + right.cost + right.rows*costHashBuild + left.rows*costHashProbe + outRows*costRow
-	return &cand{
-		build:        build,
-		schema:       outSchema,
-		cost:         cost,
-		rows:         outRows,
-		delivered:    cc.Join(left.delivered, right.delivered),
-		shape:        fmt.Sprintf("HashJoin(%s, %s)", left.shape, right.shape),
-		usesLocal:    left.usesLocal || right.usesLocal,
-		guards:       left.guards + right.guards,
-		localLeaves:  left.localLeaves + right.localLeaves,
-		remoteLeaves: left.remoteLeaves + right.remoteLeaves,
-		order:        left.order, // probe rows stream through in order
-		dop:          maxDop(left.dop, right.dop),
-	}, nil
+	return joined(&cand{
+		build:  build,
+		schema: outSchema,
+		cost:   left.cost + right.cost + right.rows*costHashBuild + left.rows*costHashProbe + outRows*costRow,
+		rows:   outRows,
+		shape:  fmt.Sprintf("HashJoin(%s, %s)", left.shape, right.shape),
+		order:  left.order, // probe rows stream through in order
+	}, left, right)
 }
 
 func estimateJoinOut(leftRows, rightRows float64, leaf *Leaf, edges []joinEdge) float64 {
@@ -1475,26 +1444,29 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	if len(edges) == 0 {
 		return nil, false, nil
 	}
-	residualPreds := append([]sqlparser.Expr(nil), leaf.Preds...)
-	residualPreds = append(residualPreds, semiRes...)
+	residualPreds := append(slices.Clone(leaf.Preds), semiRes...)
+	outSchema := left.schema
+	if leaf.Join == exec.JoinInner {
+		outSchema = exec.Concat(left.schema, leafSchema(leaf))
+	}
+	outRows := estimateJoinOut(left.rows, leafRows(leaf), leaf, edges)
+	matchPerOuter := outRows / math.Max(left.rows, 1)
 
-	buildNLJ := func(tbl *storage.Table, idxName string, keyEdges []joinEdge) func() (exec.Operator, error) {
+	// nlj joins the prefix with the rows of tbl (named name) through the index
+	// that covers the most join edges, or returns nil when no index leads with
+	// a join column; inner says what reading the leaf from tbl delivers.
+	nlj := func(tbl *storage.Table, name string, inner *cand, order []string) *cand {
+		idxName, keyEdges := indexOnEdges(tbl.Def(), edges)
+		if idxName == "" {
+			return nil
+		}
 		leftBuild, leftSchema := left.build, left.schema
 		innerSch := storedSchema(tbl.Def(), leaf.Binding)
 		kind := leaf.Join
-		// Join-edge columns beyond the index prefix become residual. The
-		// list is put together here, not in the closure: trees of one plan
-		// are built from several sessions at once.
-		allRes := append([]sqlparser.Expr(nil), residualPreds...)
-		for _, e := range edges[len(keyEdges):] {
-			allRes = append(allRes, &sqlparser.BinaryExpr{
-				Op:    sqlparser.OpEQ,
-				Left:  e.prefixExpr,
-				Right: &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol},
-			})
-		}
-		pred := andAll(allRes)
-		return func() (exec.Operator, error) {
+		// The residual is put together here, not in the build: trees of one
+		// plan are built from several sessions at once.
+		pred := andAll(edgeResiduals(residualPreds, leaf, edges, keyEdges))
+		build := func() (exec.Operator, error) {
 			l, err := leftBuild()
 			if err != nil {
 				return nil, err
@@ -1519,149 +1491,63 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 			}
 			return projectTo(nlj, exec.Concat(leftSchema, leafSchema(leaf)))
 		}
+		return joined(&cand{
+			build:  build,
+			schema: outSchema,
+			cost:   left.cost + left.rows*(costSeek+matchPerOuter*costScanRow) + outRows*costRow,
+			rows:   outRows,
+			shape:  fmt.Sprintf("NLJ(%s, %s)", left.shape, name),
+			order:  order,
+		}, left, inner)
 	}
-
-	pickIndex := func(def *catalog.Table) (string, []joinEdge) {
-		var bestIdx string
-		var bestEdges []joinEdge
-		for _, idx := range def.Indexes {
-			var matched []joinEdge
-			for _, idxCol := range idx.Columns {
-				found := false
-				for _, e := range edges {
-					if e.leafCol == idxCol {
-						matched = append(matched, e)
-						found = true
-						break
-					}
-				}
-				if !found {
-					break
-				}
-			}
-			if len(matched) > len(bestEdges) {
-				bestEdges = matched
-				bestIdx = idx.Name
-			}
-		}
-		return bestIdx, bestEdges
-	}
-
-	outSchema := left.schema
-	if leaf.Join == exec.JoinInner {
-		outSchema = exec.Concat(left.schema, leafSchema(leaf))
-	}
-	outRows := estimateJoinOut(left.rows, leafRows(leaf), leaf, edges)
-	matchPerOuter := outRows / math.Max(left.rows, 1)
 
 	if tbl := p.Site.LocalTable(leaf.Table.Name); tbl != nil {
-		idxName, keyEdges := pickIndex(tbl.Def())
-		if idxName == "" {
-			return nil, false, nil
-		}
-		cost := left.cost + left.rows*(costSeek+matchPerOuter*costScanRow) + outRows*costRow
-		return &cand{
-			build:        buildNLJ(tbl, idxName, keyEdges),
-			schema:       outSchema,
-			cost:         cost,
-			rows:         outRows,
-			delivered:    cc.Join(left.delivered, cc.DeliverScan(catalog.MasterRegionID, leaf.ID)),
-			shape:        fmt.Sprintf("NLJ(%s, %s)", left.shape, leaf.Table.Name),
-			usesLocal:    left.usesLocal,
-			guards:       left.guards,
-			localLeaves:  left.localLeaves + 1,
-			remoteLeaves: left.remoteLeaves,
-			order:        left.order,
-			dop:          left.dop,
-		}, true, nil
+		c := nlj(tbl, leaf.Table.Name, &cand{delivered: cc.DeliverScan(catalog.MasterRegionID, leaf.ID), localLeaves: 1}, left.order)
+		return c, c != nil, nil
 	}
 	if p.Site.IsBackend() {
 		return nil, false, nil
 	}
-
-	if p.Opts.NoViews {
-		return nil, false, nil
-	}
-	// Cache: NLJ into a matching local view, guarded.
+	// Cache: NLJ into the first admitted view with a usable index, guarded.
+	// Unlike the base-table NLJ above it does not pass on the prefix's order.
 	for _, view := range p.Site.Cat.ViewsOf(leaf.Table.Name) {
-		if !viewMatches(view, leaf) || (p.hoist != 0 && view.RegionID != p.hoist) {
+		v, ok := p.admitView(q, leaf, view)
+		if !ok {
 			continue
 		}
-		vtbl := p.Site.LocalView(view.Name)
-		if vtbl == nil {
+		local := nlj(v.tbl, view.Name, &cand{delivered: cc.DeliverScan(view.RegionID, leaf.ID), usesLocal: true, localLeaves: 1}, nil)
+		if local == nil {
 			continue
-		}
-		region := p.Site.Cat.Region(view.RegionID)
-		if region == nil {
-			continue
-		}
-		bound, constrained := q.Constraint.BoundFor(leaf.ID)
-		if !constrained {
-			bound = time.Duration(math.MaxInt64)
-		}
-		if !p.Opts.NoGuards && bound < region.MinCurrency() {
-			continue
-		}
-		idxName, keyEdges := pickIndex(vtbl.Def())
-		if idxName == "" {
-			continue
-		}
-		localBuild := buildNLJ(vtbl, idxName, keyEdges)
-		localCost := left.cost + left.rows*(costSeek+matchPerOuter*costScanRow) + outRows*costRow
-		localDelivered := cc.Join(left.delivered, cc.DeliverScan(view.RegionID, leaf.ID))
-		if p.Opts.NoGuards || p.hoist != 0 {
-			return &cand{
-				build:        localBuild,
-				schema:       outSchema,
-				cost:         localCost,
-				rows:         outRows,
-				delivered:    localDelivered,
-				shape:        fmt.Sprintf("NLJ(%s, %s)", left.shape, view.Name),
-				usesLocal:    true,
-				guards:       left.guards,
-				localLeaves:  left.localLeaves + 1,
-				remoteLeaves: left.remoteLeaves,
-				dop:          left.dop,
-			}, true, nil
 		}
 		// Remote fall-back branch: hash join with a remote fetch.
-		remoteLeaf := p.remoteLeafCand(leaf, leafSchema(leaf))
-		hj, err := p.hashJoinCand(q, left, remoteLeaf, leaf, edges, semiRes)
-		if err != nil {
-			return nil, false, err
-		}
-		guard := p.currencyGuard(view.RegionID, bound)
-		label := fmt.Sprintf("GuardJoin(NLJ(%s, %s)|%s)", left.shape, view.Name, hj.shape)
-		hjBuild := hj.build
-		prob := cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
-		if !constrained {
-			prob = 1
-		}
-		return &cand{
-			build: func() (exec.Operator, error) {
-				localOp, err := localBuild()
-				if err != nil {
-					return nil, err
-				}
-				remOp, err := hjBuild()
-				if err != nil {
-					return nil, err
-				}
-				return p.guarded(localOp, remOp, guard(), label, view.RegionID, bound), nil
-			},
-			schema:       outSchema,
-			cost:         prob*localCost + (1-prob)*hj.cost + costGuard,
-			rows:         outRows,
-			delivered:    cc.SwitchUnion(localDelivered, hj.delivered),
-			shape:        label,
-			usesLocal:    true,
-			guards:       left.guards + 1,
-			localLeaves:  left.localLeaves + 1,
-			remoteLeaves: left.remoteLeaves,
-			dop:          maxDop(left.dop, hj.dop),
-		}, true, nil
+		hj := p.hashJoinCand(left, p.remoteLeafCand(leaf, leafSchema(leaf)), leaf, edges, semiRes)
+		label := fmt.Sprintf("GuardJoin(%s|%s)", local.shape, hj.shape)
+		return p.guardedCand(local, hj, v.region, v.bound, v.constrained, label), true, nil
 	}
 	return nil, false, nil
+}
+
+// indexOnEdges picks the index of def whose leading columns match the most
+// join edges, returning its name ("" for none) and those edges in index
+// column order.
+func indexOnEdges(def *catalog.Table, edges []joinEdge) (string, []joinEdge) {
+	var bestIdx string
+	var bestEdges []joinEdge
+	for _, idx := range def.Indexes {
+		var matched []joinEdge
+		for _, idxCol := range idx.Columns {
+			i := slices.IndexFunc(edges, func(e joinEdge) bool { return e.leafCol == idxCol })
+			if i < 0 {
+				break
+			}
+			matched = append(matched, edges[i])
+		}
+		if len(matched) > len(bestEdges) {
+			bestEdges = matched
+			bestIdx = idx.Name
+		}
+	}
+	return bestIdx, bestEdges
 }
 
 // ---- one guard at the root ----
@@ -1677,7 +1563,7 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 // unguarded and every other table is fetched remotely; the guard checks the
 // tightest bound among the instances read from the region.
 func (p *Planner) hoistedCands(q *Query, remote *cand, semiResiduals map[cc.InstanceID][]sqlparser.Expr, innerResiduals []sqlparser.Expr) ([]*cand, error) {
-	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 && q.Top == 0 || p.Opts.NoGuards || p.Opts.NoViews {
+	if len(q.Aggs) == 0 && len(q.GroupBy) == 0 && q.Top == 0 || p.Opts.NoGuards {
 		return nil, nil
 	}
 	var regions []int
@@ -1717,35 +1603,8 @@ func (p *Planner) hoistedCands(q *Query, remote *cand, semiResiduals map[cc.Inst
 					}
 				}
 			}
-			prob := 1.0
-			if constrained {
-				prob = cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
-			}
-			guard := p.currencyGuard(id, bound)
 			label := fmt.Sprintf("Guard(%s|Remote)", local.shape)
-			out = append(out, &cand{
-				build: func() (exec.Operator, error) {
-					l, err := local.build()
-					if err != nil {
-						return nil, err
-					}
-					r, err := remote.build()
-					if err != nil {
-						return nil, err
-					}
-					return p.guarded(l, r, guard(), label, id, bound), nil
-				},
-				schema:       local.schema,
-				cost:         prob*local.cost + (1-prob)*remote.cost + costGuard,
-				rows:         local.rows,
-				delivered:    cc.SwitchUnion(local.delivered, remote.delivered),
-				shape:        label,
-				usesLocal:    true,
-				guards:       1,
-				localLeaves:  local.localLeaves,
-				remoteLeaves: local.remoteLeaves,
-				dop:          local.dop,
-			})
+			out = append(out, p.guardedCand(local, remote, region, bound, constrained, label))
 		}
 	}
 	return out, nil
@@ -1840,19 +1699,7 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		}
 		return op, nil
 	}
-	return &cand{
-		build:        build,
-		schema:       outSchema,
-		cost:         cost,
-		rows:         rows,
-		delivered:    jc.delivered,
-		shape:        jc.shape,
-		usesLocal:    jc.usesLocal,
-		guards:       jc.guards,
-		localLeaves:  jc.localLeaves,
-		remoteLeaves: jc.remoteLeaves,
-		dop:          jc.dop,
-	}, nil
+	return joined(&cand{build: build, schema: outSchema, cost: cost, rows: rows, shape: jc.shape}, jc), nil
 }
 
 // buildAggregate constructs the Aggregate operator and its output schema:

@@ -328,29 +328,29 @@ func TestHeartbeatGuard(t *testing.T) {
 	}
 	ctx := &exec.EvalContext{Now: now}
 
-	sel := heartbeatGuard(hb, 1, 10*time.Second, time.Time{})()
+	sel := currencyGuard(hb, 1, 10*time.Second, time.Time{})()
 	if got, _ := sel(ctx); got != 0 {
 		t.Fatal("8s stale within 10s bound should choose local")
 	}
-	sel = heartbeatGuard(hb, 1, 5*time.Second, time.Time{})()
+	sel = currencyGuard(hb, 1, 5*time.Second, time.Time{})()
 	if got, _ := sel(ctx); got != 1 {
 		t.Fatal("8s stale beyond 5s bound should choose remote")
 	}
-	sel = heartbeatGuard(hb, 2, time.Hour, time.Time{})()
+	sel = currencyGuard(hb, 2, time.Hour, time.Time{})()
 	if got, _ := sel(ctx); got != 1 {
 		t.Fatal("unsynced region should choose remote")
 	}
 	// Unbounded (unconstrained leaf) with synced region: local.
-	sel = heartbeatGuard(hb, 1, time.Duration(math.MaxInt64), time.Time{})()
+	sel = currencyGuard(hb, 1, time.Duration(math.MaxInt64), time.Time{})()
 	if got, _ := sel(ctx); got != 0 {
 		t.Fatal("unbounded guard should choose local")
 	}
 	// Timeline floor above the sync point forces remote.
-	sel = heartbeatGuard(hb, 1, time.Hour, now.Add(-time.Second))()
+	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Second))()
 	if got, _ := sel(ctx); got != 1 {
 		t.Fatal("timeline floor should force remote")
 	}
-	sel = heartbeatGuard(hb, 1, time.Hour, now.Add(-time.Minute))()
+	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Minute))()
 	if got, _ := sel(ctx); got != 0 {
 		t.Fatal("floor below sync point should allow local")
 	}
