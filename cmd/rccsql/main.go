@@ -17,12 +17,11 @@
 //
 // EXPLAIN <query> prints the chosen plan; EXPLAIN ANALYZE <query> executes
 // it and prints the annotated trace tree (per-node time and rows, guard
-// verdicts, region staleness at decision time). With -obs ADDR (or the
-// legacy alias -metrics) the shell also serves the full ops surface over
-// HTTP: /metrics, /trace/last, /queries/recent, /queries/slow, /slo,
-// /regions and /tuner. With -autotune the closed-loop currency autotuner
-// runs during \run advances, retuning refresh intervals from the observed
-// workload.
+// verdicts, region staleness at decision time). With -obs ADDR the shell
+// also serves the full ops surface over HTTP: /metrics, /trace/last,
+// /queries/recent, /queries/slow, /slo, /regions and /tuner. With -autotune
+// the closed-loop currency autotuner runs during \run advances, retuning
+// refresh intervals from the observed workload.
 package main
 
 import (
@@ -44,13 +43,9 @@ func main() {
 	sf := flag.Float64("sf", 0.005, "physical TPC-D scale factor")
 	obsAddr := flag.String("obs", "",
 		"serve the ops HTTP surface (/metrics /trace/last /queries/... /slo /regions /tuner) on this address (e.g. :8080)")
-	metricsAddr := flag.String("metrics", "", "legacy alias for -obs")
 	autotune := flag.Bool("autotune", false,
 		"enable the closed-loop currency autotuner; inspect it with \\tuner or /tuner")
 	flag.Parse()
-	if *obsAddr == "" {
-		*obsAddr = *metricsAddr
-	}
 
 	fmt.Printf("loading TPC-D at scale %.3f (%d customers, %d orders)...\n",
 		*sf, int(150000**sf), int(1500000**sf))

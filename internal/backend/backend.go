@@ -578,19 +578,3 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	s.invalidatePlans()
 	return nil
 }
-
-// RunBeater drives a region's heartbeat against a live clock, beating every
-// interval until stop is closed. Use the repl.Coordinator instead for
-// deterministic virtual-time simulations.
-func (s *Server) RunBeater(regionID int, interval time.Duration, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-s.clock.After(interval):
-			if err := s.Beat(regionID); err != nil {
-				return
-			}
-		}
-	}
-}

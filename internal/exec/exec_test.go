@@ -210,10 +210,6 @@ func TestExprErrors(t *testing.T) {
 	if _, err := Compile(sel.Items[0].Expr, s); err == nil {
 		t.Fatal("aggregate outside Aggregate operator")
 	}
-	sel, _ = sqlparser.ParseSelect("SELECT $p FROM t")
-	if _, err := Compile(sel.Items[0].Expr, s); err == nil {
-		t.Fatal("unbound parameter")
-	}
 	sel, _ = sqlparser.ParseSelect("SELECT 1 FROM t WHERE EXISTS (SELECT 1 FROM u)")
 	if _, err := Compile(sel.Where, s); err == nil {
 		t.Fatal("EXISTS must be rejected by Compile")

@@ -105,9 +105,6 @@ func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
 			return row[idx], nil
 		}, nil
 
-	case *sqlparser.ParamRef:
-		return nil, fmt.Errorf("exec: unbound parameter $%s", e.Name)
-
 	case *sqlparser.BinaryExpr:
 		left, err := Compile(e.Left, schema)
 		if err != nil {

@@ -674,11 +674,6 @@ type Session struct {
 // NewSession opens a session.
 func (c *Cache) NewSession() *Session { return &Session{cache: c} }
 
-// Obs returns the metrics registry of the cache this session talks to, so
-// layers above the session (e.g. qcache) can register their instruments
-// alongside the cache's.
-func (s *Session) Obs() *obs.Registry { return s.cache.obs.reg }
-
 // TimeOrdered reports whether the session is inside a TIMEORDERED bracket.
 func (s *Session) TimeOrdered() bool {
 	s.mu.Lock()

@@ -109,20 +109,6 @@ func (s *SLOTracker) Reconfigure(target float64, window int) {
 	s.regions = map[int]*regionWindow{}
 }
 
-// Target returns the within-bound objective.
-func (s *SLOTracker) Target() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.target
-}
-
-// Window returns the sliding-window length in observations.
-func (s *SLOTracker) Window() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
-}
-
 // Observe feeds one guard outcome into the region's window and republishes
 // the gauges. Within-bound semantics:
 //

@@ -382,7 +382,7 @@ func (a *algebrizer) rewriteExpr(e sqlparser.Expr, touched map[cc.InstanceID]boo
 	switch e := e.(type) {
 	case nil:
 		return nil, nil
-	case *sqlparser.Literal, *sqlparser.ParamRef:
+	case *sqlparser.Literal:
 		return e, nil
 	case *sqlparser.ColumnRef:
 		ref, err := a.resolveRefIn(a.leaves, e)

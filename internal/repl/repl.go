@@ -114,15 +114,6 @@ func (s *Subscription) pkOf(baseRow sqltypes.Row) sqltypes.Row {
 	return out
 }
 
-// viewPK extracts the primary-key values from a *view-layout* row.
-func (s *Subscription) viewPK(viewRow sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, 0, len(s.Base.PrimaryKey))
-	for _, pk := range s.Base.PrimaryKey {
-		out = append(out, viewRow[s.View.ColumnIndex(pk)])
-	}
-	return out
-}
-
 // apply replays one base-table change into the view.
 func (s *Subscription) apply(ch txn.Change) error {
 	switch ch.Op {

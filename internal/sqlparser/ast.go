@@ -96,8 +96,6 @@ type OrderItem struct {
 // TableRef is an entry in the FROM clause.
 type TableRef interface {
 	tableRef()
-	// SQL renders the table reference back to SQL.
-	SQL() string
 }
 
 // TableName references a base table or view, optionally aliased.
@@ -117,9 +115,6 @@ func (t *TableName) Binding() string {
 	return t.Name
 }
 
-// SQL implements TableRef.
-func (t *TableName) SQL() string { return tableRefSQL(t) }
-
 // SubqueryRef is a derived table in the FROM clause.
 type SubqueryRef struct {
 	Select *SelectStmt
@@ -127,9 +122,6 @@ type SubqueryRef struct {
 }
 
 func (*SubqueryRef) tableRef() {}
-
-// SQL implements TableRef.
-func (s *SubqueryRef) SQL() string { return tableRefSQL(s) }
 
 // JoinRef is an explicit JOIN with an ON condition.
 type JoinRef struct {
@@ -139,9 +131,6 @@ type JoinRef struct {
 }
 
 func (*JoinRef) tableRef() {}
-
-// SQL implements TableRef.
-func (j *JoinRef) SQL() string { return tableRefSQL(j) }
 
 // CurrencyClause is the paper's proposed SQL extension: a list of triples,
 // each giving a staleness bound for a consistency class of tables, with
@@ -345,16 +334,6 @@ func AppendLiteral(dst []byte, v sqltypes.Value) []byte {
 		return append(dst, v.String()...)
 	}
 }
-
-// ParamRef is a $name query-schema parameter, replaced via Bind.
-type ParamRef struct {
-	Name string
-}
-
-func (*ParamRef) expr() {}
-
-// SQL implements Expr.
-func (p *ParamRef) SQL() string { return exprSQL(p) }
 
 // BinOp enumerates binary operators.
 type BinOp int
@@ -560,12 +539,6 @@ func exprSQL(e Expr) string {
 	return string(p.buf)
 }
 
-func tableRefSQL(t TableRef) string {
-	var p printer
-	p.tableRef(t)
-	return string(p.buf)
-}
-
 func (p *printer) str(parts ...string) {
 	for _, s := range parts {
 		p.buf = append(p.buf, s...)
@@ -604,8 +577,6 @@ func (p *printer) expr(e Expr) {
 			return
 		}
 		p.buf = AppendLiteral(p.buf, e.Val)
-	case *ParamRef:
-		p.str("$", e.Name)
 	case *BinaryExpr:
 		p.str("(")
 		p.expr(e.Left)

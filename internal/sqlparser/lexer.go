@@ -20,7 +20,6 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokParam // $name query-schema parameter
 	tokPunct // operators and punctuation, Text holds the lexeme
 )
 
@@ -40,8 +39,6 @@ func (t token) String() string {
 		return "end of input"
 	case tokString:
 		return fmt.Sprintf("string %q", t.text)
-	case tokParam:
-		return "$" + t.text
 	default:
 		return fmt.Sprintf("%q", t.text)
 	}
@@ -110,15 +107,6 @@ func (s *scanner) next() (token, error) {
 			s.i = end
 			s.slots++
 			return token{kind: tokString, text: text, pos: start, slot: s.slots}, nil
-		case c == '$':
-			s.i++
-			for s.i < n && isIdentPart(input[s.i]) {
-				s.i++
-			}
-			if s.i == start+1 {
-				return token{}, fmt.Errorf("sql: bare $ at offset %d", start)
-			}
-			return token{kind: tokParam, text: input[start+1 : s.i], pos: start}, nil
 		}
 		// Multi-char operators first; != is spelled <> from here on.
 		text, width := input[start:start+1], 1
@@ -218,8 +206,6 @@ func Scan(sql string, key []byte, vals []sqltypes.Value) (_ []byte, _ []sqltypes
 		case tokString:
 			vals = append(vals, sqltypes.NewString(t.text))
 			key = append(key, markString)
-		case tokParam:
-			key = append(append(key, '$'), t.text...)
 		default:
 			key = append(key, t.text...)
 		}

@@ -1010,9 +1010,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokString:
 		p.next()
 		return p.literal(t, sqltypes.NewString(t.text)), nil
-	case tokParam:
-		p.next()
-		return &ParamRef{Name: t.text}, nil
 	case tokPunct:
 		if t.text == "(" {
 			p.next()
@@ -1081,148 +1078,5 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return p.parseColumnRef()
 	default:
 		return nil, p.errorf("unexpected %s in expression", t)
-	}
-}
-
-// Bind returns a copy of the statement with every $name parameter replaced
-// by the corresponding literal. It fails if a parameter has no binding.
-func Bind(stmt Statement, params map[string]sqltypes.Value) (Statement, error) {
-	b := &binder{params: params}
-	out := b.stmt(stmt)
-	if b.err != nil {
-		return nil, b.err
-	}
-	return out, nil
-}
-
-// BindSelect is Bind specialized to SELECT statements.
-func BindSelect(sel *SelectStmt, params map[string]sqltypes.Value) (*SelectStmt, error) {
-	out, err := Bind(sel, params)
-	if err != nil {
-		return nil, err
-	}
-	return out.(*SelectStmt), nil
-}
-
-type binder struct {
-	params map[string]sqltypes.Value
-	err    error
-}
-
-func (b *binder) stmt(s Statement) Statement {
-	switch s := s.(type) {
-	case *SelectStmt:
-		return b.sel(s)
-	case *InsertStmt:
-		out := *s
-		out.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			out.Rows[i] = make([]Expr, len(row))
-			for j, e := range row {
-				out.Rows[i][j] = b.expr(e)
-			}
-		}
-		return &out
-	case *UpdateStmt:
-		out := *s
-		out.Set = make([]Assignment, len(s.Set))
-		for i, a := range s.Set {
-			out.Set[i] = Assignment{Column: a.Column, Value: b.expr(a.Value)}
-		}
-		out.Where = b.expr(s.Where)
-		return &out
-	case *DeleteStmt:
-		out := *s
-		out.Where = b.expr(s.Where)
-		return &out
-	default:
-		return s
-	}
-}
-
-func (b *binder) sel(s *SelectStmt) *SelectStmt {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.Items = make([]SelectItem, len(s.Items))
-	for i, item := range s.Items {
-		out.Items[i] = item
-		out.Items[i].Expr = b.expr(item.Expr)
-	}
-	out.From = make([]TableRef, len(s.From))
-	for i, tr := range s.From {
-		out.From[i] = b.tableRef(tr)
-	}
-	out.Where = b.expr(s.Where)
-	out.GroupBy = make([]Expr, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		out.GroupBy[i] = b.expr(g)
-	}
-	if len(s.GroupBy) == 0 {
-		out.GroupBy = nil
-	}
-	out.Having = b.expr(s.Having)
-	out.OrderBy = make([]OrderItem, len(s.OrderBy))
-	for i, o := range s.OrderBy {
-		out.OrderBy[i] = OrderItem{Expr: b.expr(o.Expr), Desc: o.Desc}
-	}
-	if len(s.OrderBy) == 0 {
-		out.OrderBy = nil
-	}
-	return &out
-}
-
-func (b *binder) tableRef(tr TableRef) TableRef {
-	switch tr := tr.(type) {
-	case *SubqueryRef:
-		return &SubqueryRef{Select: b.sel(tr.Select), Alias: tr.Alias}
-	case *JoinRef:
-		return &JoinRef{Left: b.tableRef(tr.Left), Right: b.tableRef(tr.Right), On: b.expr(tr.On)}
-	default:
-		return tr
-	}
-}
-
-func (b *binder) expr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch e := e.(type) {
-	case *ParamRef:
-		v, ok := b.params[e.Name]
-		if !ok {
-			if b.err == nil {
-				b.err = fmt.Errorf("sql: unbound parameter $%s", e.Name)
-			}
-			return e
-		}
-		return &Literal{Val: v}
-	case *BinaryExpr:
-		return &BinaryExpr{Op: e.Op, Left: b.expr(e.Left), Right: b.expr(e.Right)}
-	case *NotExpr:
-		return &NotExpr{Inner: b.expr(e.Inner)}
-	case *NegExpr:
-		return &NegExpr{Inner: b.expr(e.Inner)}
-	case *BetweenExpr:
-		return &BetweenExpr{Expr: b.expr(e.Expr), Lo: b.expr(e.Lo), Hi: b.expr(e.Hi), Not: e.Not}
-	case *InExpr:
-		out := &InExpr{Expr: b.expr(e.Expr), Not: e.Not, Subquery: b.sel(e.Subquery)}
-		for _, item := range e.List {
-			out.List = append(out.List, b.expr(item))
-		}
-		return out
-	case *ExistsExpr:
-		return &ExistsExpr{Subquery: b.sel(e.Subquery), Not: e.Not}
-	case *IsNullExpr:
-		return &IsNullExpr{Expr: b.expr(e.Expr), Not: e.Not}
-	case *FuncExpr:
-		out := &FuncExpr{Name: e.Name, Star: e.Star}
-		for _, a := range e.Args {
-			out.Args = append(out.Args, b.expr(a))
-		}
-		return out
-	default:
-		return e
 	}
 }

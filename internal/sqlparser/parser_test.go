@@ -1,7 +1,6 @@
 package sqlparser
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -403,28 +402,6 @@ func TestTimeOrderedBrackets(t *testing.T) {
 	}
 }
 
-func TestParamBinding(t *testing.T) {
-	sel := mustSelect(t, "SELECT * FROM Customer WHERE c_custkey = $K AND c_acctbal > $bal")
-	bound, err := BindSelect(sel, map[string]sqltypes.Value{
-		"K":   sqltypes.NewInt(42),
-		"bal": sqltypes.NewFloat(10.5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	and := bound.Where.(*BinaryExpr)
-	if and.Left.(*BinaryExpr).Right.(*Literal).Val.Int() != 42 {
-		t.Fatal("bound $K")
-	}
-	// Original must be untouched.
-	if _, ok := sel.Where.(*BinaryExpr).Left.(*BinaryExpr).Right.(*ParamRef); !ok {
-		t.Fatal("Bind mutated the original AST")
-	}
-	if _, err := BindSelect(sel, nil); err == nil || !strings.Contains(err.Error(), "unbound") {
-		t.Fatalf("unbound param err = %v", err)
-	}
-}
-
 func TestGetdateFunction(t *testing.T) {
 	sel := mustSelect(t, "SELECT 1 FROM Heartbeat_R WHERE TimeStamp > GETDATE() - 10")
 	cmp := sel.Where.(*BinaryExpr)
@@ -489,6 +466,7 @@ func TestParseErrors(t *testing.T) {
 		"BEGIN TRANSACTION",
 		"SELECT a NOT 5 FROM t",
 		"SELECT TOP x FROM t",
+		"SELECT a FROM t WHERE b = $x", // no $name parameters: literals are the slots
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {

@@ -151,7 +151,7 @@ var shapeTexts = []string{
 	"SELECT a FROM t WHERE f > 0.0000001 AND g < 1000000.5 AND h = 123456789012345678.0 AND i = .5 AND j = 5.",
 	"SELECT a FROM t WHERE a IN (1, 2, 3) AND NOT b IN (SELECT x FROM u WHERE y = 7) AND EXISTS (SELECT 1 FROM v WHERE v.z = t.a AND v.k != 9)",
 	"SELECT a FROM (SELECT a, b FROM t WHERE b > 2 CURRENCY 5 ON (t)) AS d WHERE d.a < 8 -- trailing comment 99",
-	"SELECT NULL, TRUE, FALSE, $p, 1 FROM t WHERE x IS NOT NULL;",
+	"SELECT NULL, TRUE, FALSE, 1 FROM t WHERE x IS NOT NULL;",
 	"select distinct a from t t1 where ( a = 1 ) and b=2 or c>=3",
 }
 

@@ -10,7 +10,6 @@ import (
 // rendering parsed statements back to text and re-parsing them.
 func TestSQLRendering(t *testing.T) {
 	queries := []string{
-		"SELECT $param FROM t",
 		"SELECT a FROM t WHERE x = 1 OR y = 2 OR z = 3",
 		"SELECT a FROM t WHERE NOT (x = 1) AND -(y) > 0",
 		"SELECT a FROM t WHERE x NOT BETWEEN 1 AND 2",
@@ -85,7 +84,7 @@ func TestBinOpStringAll(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	toks, err := lex("abc 'str' $p ,")
+	toks, err := lex("abc 'str' ,")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +93,6 @@ func TestTokenString(t *testing.T) {
 	}
 	if toks[1].String() != `string "str"` {
 		t.Fatalf("string = %s", toks[1])
-	}
-	if toks[2].String() != "$p" {
-		t.Fatalf("param = %s", toks[2])
 	}
 	if toks[len(toks)-1].String() != "end of input" {
 		t.Fatalf("eof = %s", toks[len(toks)-1])
