@@ -212,19 +212,18 @@ func DeliverScan(region int, ids ...InstanceID) Delivered {
 // pass through (Section 3.2.2, join operators).
 func Join(a, b Delivered) Delivered {
 	out := Delivered{}
-	byRegion := map[int]*Group{}
+	// The index of each region's group: a pointer into out.Groups would go
+	// stale when a later append moves the slice.
+	byRegion := map[int]int{}
 	add := func(g Group) {
 		if g.Region != RegionDynamic {
-			if ex, ok := byRegion[g.Region]; ok {
-				ex.Set = dedupIDs(append(ex.Set, g.Set...))
+			if i, ok := byRegion[g.Region]; ok {
+				out.Groups[i].Set = dedupIDs(append(out.Groups[i].Set, g.Set...))
 				return
 			}
+			byRegion[g.Region] = len(out.Groups)
 		}
-		cp := Group{Region: g.Region, Set: append([]InstanceID(nil), g.Set...)}
-		out.Groups = append(out.Groups, cp)
-		if g.Region != RegionDynamic {
-			byRegion[g.Region] = &out.Groups[len(out.Groups)-1]
-		}
+		out.Groups = append(out.Groups, Group{Region: g.Region, Set: append([]InstanceID(nil), g.Set...)})
 	}
 	for _, g := range a.Groups {
 		add(g)

@@ -205,6 +205,17 @@ func TestDeliverScanAndJoin(t *testing.T) {
 	}
 }
 
+// TestJoinMergesARegionMetAgainAfterTheGroupsMoved joins three leaves, two of
+// them in one region: the region's group must take in the third leaf's
+// instance although appending the second region's group moved the slice.
+func TestJoinMergesARegionMetAgainAfterTheGroupsMoved(t *testing.T) {
+	got := Join(Join(DeliverScan(1, 1), DeliverScan(2, 2)), DeliverScan(1, 3)).String()
+	want := Delivered{Groups: []Group{{Region: 1, Set: ids(1, 3)}, {Region: 2, Set: ids(2)}}}.String()
+	if got != want {
+		t.Fatalf("Join = %s, want %s", got, want)
+	}
+}
+
 // TestConflictingProperty covers the paper's example: joining two projection
 // views of the same table T from different regions delivers {<R1,T>,<R2,T>},
 // which is conflicting.
