@@ -12,18 +12,22 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the packages that exercise concurrent execution paths,
-# including the resilient link, fault injector and chaos workload, and the
-# lock-free history ring (obs) with its users (audit, tuner).
+# including the resilient link, fault injector and chaos workload, the
+# lock-free history ring (obs) with its users (audit, tuner), and the store
+# whose leaves readers copy out of under the latch while writers update them
+# in place (storage, btree, and the back end's DML).
 race:
-	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/...
+	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/...
 
-# Ten seconds of native fuzzing each on the comparison kernels and on the
-# parser (parse/print fixpoint, scanner and splice against the parse), from
-# the seed corpora in internal/{exec,sqlparser}/testdata/fuzz (FUZZTIME
+# Ten seconds of native fuzzing each on the comparison kernels, on the
+# parser (parse/print fixpoint, scanner and splice against the parse) and on
+# the B+-tree (both leaf payloads against a sorted map), from the seed
+# corpora in internal/{exec,sqlparser,btree}/testdata/fuzz (FUZZTIME
 # overrides the duration).
 fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/btree -run '^$$' -fuzz FuzzBTree -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the in-repo static-analysis suite (cmd/rcclint) over internal and cmd:
 # cross-package lock-order cycles (lockorder), metric-name hygiene
@@ -37,8 +41,9 @@ lint:
 # Non-test Go lines per package, one line each, and the line count of
 # scripts/*.sh; fails if internal/exec, the guard-event spine (mtcache + obs +
 # audit + core + tuner), the scenario code (internal/harness), the lint suite
-# (internal/analysis), the optimizer (internal/opt) or the parser
-# (internal/sqlparser) exceeds its ceiling (ROADMAP tracks LoC per package).
+# (internal/analysis), the optimizer (internal/opt), the parser
+# (internal/sqlparser) or the store (internal/storage + internal/btree)
+# exceeds its ceiling (ROADMAP tracks LoC per package).
 loc:
 	./scripts/loc.sh
 

@@ -407,7 +407,7 @@ func (s *Server) update(stmt *sqlparser.UpdateStmt) (int, error) {
 		}
 		pkChanged := !pkVals(old, pkOrds).Equal(pkVals(updated, pkOrds))
 		if pkChanged {
-			if _, ok := tbl.Delete(pkVals(old, pkOrds)); !ok {
+			if !tbl.Delete(pkVals(old, pkOrds)) {
 				s.rollback(tbl, changes)
 				return 0, fmt.Errorf("backend: row vanished during update")
 			}
@@ -416,7 +416,7 @@ func (s *Server) update(stmt *sqlparser.UpdateStmt) (int, error) {
 				s.rollback(tbl, changes)
 				return 0, err
 			}
-		} else if _, err := tbl.Update(updated); err != nil {
+		} else if err := tbl.Update(updated); err != nil {
 			s.rollback(tbl, changes)
 			return 0, err
 		}
@@ -441,7 +441,7 @@ func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
 	pkOrds := def.PKOrdinals()
 	var changes []txn.Change
 	for _, old := range matched {
-		if _, ok := tbl.Delete(pkVals(old, pkOrds)); ok {
+		if tbl.Delete(pkVals(old, pkOrds)) {
 			changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpDelete, Old: old})
 		}
 	}
@@ -451,11 +451,9 @@ func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
 
 // matchRows returns copies of the rows of tbl that satisfy where (every row
 // when it is nil), in primary-key order — collected before any mutation,
-// because a table cannot change under its own scan. It walks the table a
-// window of rows at a time and warms each window first: the scalar predicate
-// spends tens of nanoseconds on a row between one row's load and the next,
-// so without that a scan of a table that has left the cache waits for memory
-// once per row, and what a statement costs swings with the state of the cache.
+// because a table cannot change under its own scan. The scalar predicate
+// sees each row where Table.Scan laid its leaf window out, in one reused
+// buffer; a row that matches is copied.
 func matchRows(tbl *storage.Table, where sqlparser.Expr, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	var pred exec.Compiled
 	if where != nil {
@@ -465,30 +463,19 @@ func matchRows(tbl *storage.Table, where sqlparser.Expr, ctx *exec.EvalContext) 
 		}
 	}
 	var matched []sqltypes.Row
-	var buf [matchWindow]sqltypes.Row
-	for start, more := "", true; more; {
-		var rows sqltypes.Batch
-		rows, start, more = tbl.ChunkRows(start, "", len(buf), buf[:0])
-		rows.Warm()
-		for _, r := range rows {
-			if pred != nil {
-				ok, err := exec.PredicateTrue(pred, ctx, r)
-				if err != nil {
-					return matched, err
-				}
-				if !ok {
-					continue
-				}
-			}
+	var err error
+	tbl.Scan(func(r sqltypes.Row) bool {
+		ok := pred == nil
+		if !ok {
+			ok, err = exec.PredicateTrue(pred, ctx, r)
+		}
+		if ok {
 			matched = append(matched, r.Clone())
 		}
-	}
-	return matched, nil
+		return err == nil
+	})
+	return matched, err
 }
-
-// matchWindow is how many rows matchRows fetches and warms at a time: their
-// first cache lines (16 KB) stay in L1 until the predicate has seen them.
-const matchWindow = 256
 
 func tableSchema(def *catalog.Table) *exec.Schema {
 	cols := make([]exec.Col, len(def.Columns))
@@ -528,7 +515,7 @@ func (s *Server) Beat(regionID int) error {
 	}
 	now := s.clock.Now()
 	updated := sqltypes.Row{key[0], sqltypes.NewTime(now)}
-	if _, err := tbl.Update(updated); err != nil {
+	if err := tbl.Update(updated); err != nil {
 		return err
 	}
 	s.log.Append(now, []txn.Change{{Table: HeartbeatTable, Op: txn.OpUpdate, Old: old, New: updated}})

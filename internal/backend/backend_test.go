@@ -365,17 +365,18 @@ func mustExec(t *testing.T, s *Server, sql string) {
 	}
 }
 
-// TestDMLMatchesAcrossWindows: matchRows walks a table matchWindow rows at a
+// TestDMLMatchesAcrossWindows: matchRows walks a table a leaf window at a
 // time; rows on both sides of every window edge, a statement without WHERE
 // and a predicate that fails part-way must behave as over one scan.
 func TestDMLMatchesAcrossWindows(t *testing.T) {
 	s, _ := newServer(t)
-	const n = 3*matchWindow + 7
+	const win = 255 // the rows of a clustered leaf, when inserted in key order
+	const n = 3*win + 7
 	for i := 1; i <= n; i++ {
 		mustExec(t, s, "INSERT INTO t VALUES ("+itoa(i)+", 'r', "+itoa(i)+")")
 	}
 	edges := 0
-	for w := matchWindow; w < n; w += matchWindow {
+	for w := win; w < n; w += win {
 		edges += 2
 		mustExec(t, s, "UPDATE t SET name = 'edge' WHERE id = "+itoa(w)+" OR id = "+itoa(w+1))
 	}
@@ -386,7 +387,7 @@ func TestDMLMatchesAcrossWindows(t *testing.T) {
 		t.Fatalf("last row: %d, %v", got, err)
 	}
 	seq := s.Log().LastSeq()
-	if _, err := s.Exec("UPDATE t SET bal = 0 WHERE 1 / (id - " + itoa(2*matchWindow+3) + ") >= 0"); err == nil {
+	if _, err := s.Exec("UPDATE t SET bal = 0 WHERE 1 / (id - " + itoa(2*win+3) + ") >= 0"); err == nil {
 		t.Fatal("division by zero in the third window went unreported")
 	}
 	if s.Log().LastSeq() != seq {

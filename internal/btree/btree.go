@@ -1,81 +1,118 @@
 // Package btree implements an in-memory B+-tree keyed by order-preserving
 // byte-string keys (see sqltypes.Key).
 //
-// The tree stores one payload per key in its leaves; leaves are linked for
+// The tree keeps one payload per key in its leaves; leaves are linked for
 // fast range scans. It backs both clustered and secondary indexes in
 // internal/storage. The implementation is a textbook B+-tree with node
 // splitting on the way down and rebalancing (borrow/merge) on delete.
+//
+// How a leaf stores its payloads is a type parameter (Payloads): Tree[V]
+// keeps them in a slice, which is what secondary indexes use, and a
+// clustered table keeps its rows in typed column lanes (Base over
+// sqltypes.Lanes), so a scan filters a leaf where it lies. Base addresses a
+// payload by its leaf and position; the caller reads and writes it there.
 //
 // The tree is not safe for concurrent mutation; callers synchronize (tables
 // hold an RWMutex).
 package btree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // degree is the maximum number of children of an interior node. Leaves hold
-// up to degree-1 entries.
+// up to degree-1 entries unless the tree was made with a larger leaf
+// capacity (NewOf).
 const degree = 64
 
-// Tree is a B+-tree mapping string keys to payloads of type V, stored
-// unboxed in the leaves (storage instantiates Tree[sqltypes.Row] for
-// clustered indexes and Tree[string] for secondary ones).
-// The zero value is an empty tree ready for use.
-type Tree[V any] struct {
-	root   *node[V]
-	length int
+// Payloads is the storage a leaf keeps its payloads in, index-aligned with
+// its keys. P is the pointer to the storage type S.
+type Payloads[S any] interface {
+	*S
+	// Len returns the number of payloads.
+	Len() int
+	// Open inserts a zero payload at i.
+	Open(i int)
+	// Remove deletes payloads [i, j).
+	Remove(i, j int)
+	// Move inserts src's payloads [i, j) at at, leaving src as it was.
+	Move(at int, src *S, i, j int)
+	// Fresh returns empty storage of the same shape.
+	Fresh() S
 }
 
-type node[V any] struct {
+// Base is a B+-tree whose leaves keep their payloads in an S. The zero value
+// is an empty tree whose leaves start from the zero S; NewOf gives them
+// another shape.
+type Base[S any, P Payloads[S]] struct {
+	root    *node[S, P]
+	length  int
+	proto   S
+	leafCap int // entries per leaf; degree-1 when zero
+}
+
+type node[S any, P Payloads[S]] struct {
+	// The fields a descent reads come first, in one cache line.
+	leaf     bool
+	capacity int // the most keys the node holds; it keeps at least half
 	// keys holds the entry keys in a leaf, or the separator keys in an
 	// interior node (len(children) == len(keys)+1).
 	keys     []string
-	vals     []V        // leaf only
-	children []*node[V] // interior only
-	next     *node[V]   // leaf only: right sibling
-	leaf     bool
+	children []*node[S, P] // interior only
+	vals     S             // leaf only
+	next     *node[S, P]   // leaf only: right sibling
 }
 
-// New returns an empty tree.
-func New[V any]() *Tree[V] { return &Tree[V]{} }
+func (n *node[S, P]) payloads() P { return P(&n.vals) }
+
+// NewOf returns an empty tree whose leaves hold up to leafCap entries (at
+// least degree-1) and store their payloads in storage shaped like proto
+// (proto.Fresh()). A scan visits a leaf at a time, so wide leaves amortize
+// what each visit costs.
+func NewOf[S any, P Payloads[S]](proto S, leafCap int) *Base[S, P] {
+	return &Base[S, P]{proto: proto, leafCap: max(leafCap, degree-1)}
+}
 
 // Len returns the number of entries.
-func (t *Tree[V]) Len() int { return t.length }
+func (t *Base[S, P]) Len() int { return t.length }
 
-// Get returns the payload stored under key, if any.
-func (t *Tree[V]) Get(key string) (val V, ok bool) {
+// Find returns the leaf storage and position of key's payload, if present.
+func (t *Base[S, P]) Find(key string) (leaf *S, i int, ok bool) {
 	n := t.root
 	if n == nil {
-		return val, false
+		return nil, 0, false
 	}
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
 	}
-	i := sort.SearchStrings(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true
-	}
-	return val, false
+	i = sort.SearchStrings(n.keys, key)
+	return &n.vals, i, i < len(n.keys) && n.keys[i] == key
 }
 
-// Set stores val under key, replacing any existing payload.
-// It reports whether the key was newly inserted.
-func (t *Tree[V]) Set(key string, val V) bool {
+// Insert makes room for key's payload, if the key is new, and returns where
+// the payload lives: the caller writes it there. It reports whether the key
+// was newly inserted (its payload is then zero).
+func (t *Base[S, P]) Insert(key string) (leaf *S, i int, added bool) {
 	if t.root == nil {
-		t.root = &node[V]{leaf: true}
+		t.root = &node[S, P]{leaf: true, vals: P(&t.proto).Fresh(), capacity: max(t.leafCap, degree-1)}
 	}
 	if t.root.full() {
 		old := t.root
-		t.root = &node[V]{children: []*node[V]{old}}
-		t.root.splitChild(0)
+		t.root = &node[S, P]{children: []*node[S, P]{old}, capacity: degree - 1}
+		t.root.splitChild(0, key)
 	}
-	inserted := t.root.insert(key, val)
-	if inserted {
+	leaf, i, added = t.root.insert(key)
+	if added {
 		t.length++
 	}
-	return inserted
+	return leaf, i, added
 }
 
-func (n *node[V]) full() bool { return len(n.keys) >= degree-1 }
+func (n *node[S, P]) full() bool { return len(n.keys) >= n.capacity }
+
+// low reports whether the node is at the fewest keys it may keep.
+func (n *node[S, P]) low() bool { return len(n.keys) <= n.capacity/2 }
 
 // childIndex returns the child slot to descend into for key.
 func childIndex(keys []string, key string) int {
@@ -83,45 +120,59 @@ func childIndex(keys []string, key string) int {
 	return sort.Search(len(keys), func(i int) bool { return keys[i] > key })
 }
 
-func (n *node[V]) insert(key string, val V) bool {
+// gallop returns the position of the first key from i on that is not below
+// key. It probes i, i+1, i+3, i+7, ... before bisecting the last gap, so a
+// range that ends a few keys on costs a compare or two.
+func gallop(keys []string, i int, key string) int {
+	hi := i
+	for step := 1; hi < len(keys) && keys[hi] < key; step *= 2 {
+		i, hi = hi+1, hi+step
+	}
+	return i + sort.SearchStrings(keys[i:min(hi, len(keys))], key)
+}
+
+func (n *node[S, P]) insert(key string) (*S, int, bool) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			n.vals[i] = val
-			return false
+			return &n.vals, i, false
 		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, val)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
-		return true
+		n.keys = slices.Insert(n.keys, i, key)
+		n.payloads().Open(i)
+		return &n.vals, i, true
 	}
 	i := childIndex(n.keys, key)
 	if n.children[i].full() {
-		n.splitChild(i)
+		n.splitChild(i, key)
 		if key >= n.keys[i] {
 			i++
 		}
 	}
-	return n.children[i].insert(key, val)
+	return n.children[i].insert(key)
 }
 
-// splitChild splits the full child at index i, promoting a separator.
-func (n *node[V]) splitChild(i int) {
+// splitChild splits the full child at index i, promoting a separator, to
+// make room for key. A leaf splits in half — except the last leaf when key
+// goes past its end: it stays full and key starts the new leaf, so a table
+// loaded in key order fills its leaves.
+func (n *node[S, P]) splitChild(i int, key string) {
 	child := n.children[i]
 	mid := len(child.keys) / 2
 	var sep string
-	right := &node[V]{leaf: child.leaf}
+	right := &node[S, P]{leaf: child.leaf, capacity: child.capacity}
 	if child.leaf {
+		if sep = key; child.next != nil || key <= child.keys[len(child.keys)-1] {
+			sep = child.keys[mid]
+		} else {
+			mid = len(child.keys)
+		}
 		right.keys = append(right.keys, child.keys[mid:]...)
-		right.vals = append(right.vals, child.vals[mid:]...)
+		right.vals = child.payloads().Fresh()
+		right.payloads().Move(0, &child.vals, mid, len(child.keys))
+		child.payloads().Remove(mid, len(child.keys))
 		child.keys = child.keys[:mid:mid]
-		child.vals = child.vals[:mid:mid]
 		right.next = child.next
 		child.next = right
-		sep = right.keys[0]
 	} else {
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid+1:]...)
@@ -138,7 +189,7 @@ func (n *node[V]) splitChild(i int) {
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-func (t *Tree[V]) Delete(key string) bool {
+func (t *Base[S, P]) Delete(key string) bool {
 	if t.root == nil {
 		return false
 	}
@@ -155,21 +206,19 @@ func (t *Tree[V]) Delete(key string) bool {
 	return deleted
 }
 
-const minKeys = (degree - 1) / 2
-
-func (n *node[V]) delete(key string) bool {
+func (n *node[S, P]) delete(key string) bool {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i >= len(n.keys) || n.keys[i] != key {
 			return false
 		}
 		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.payloads().Remove(i, i+1)
 		return true
 	}
 	i := childIndex(n.keys, key)
 	child := n.children[i]
-	if len(child.keys) <= minKeys {
+	if child.low() {
 		n.rebalance(i)
 		i = childIndex(n.keys, key)
 		child = n.children[i]
@@ -177,36 +226,36 @@ func (n *node[V]) delete(key string) bool {
 	return child.delete(key)
 }
 
-// rebalance ensures children[i] has more than minKeys entries by borrowing
-// from a sibling or merging with one.
-func (n *node[V]) rebalance(i int) {
+// rebalance ensures children[i] has more than half its capacity by
+// borrowing from a sibling or merging with one.
+func (n *node[S, P]) rebalance(i int) {
 	child := n.children[i]
-	if i > 0 && len(n.children[i-1].keys) > minKeys {
+	if i > 0 && !n.children[i-1].low() {
 		left := n.children[i-1]
 		if child.leaf {
 			k := len(left.keys) - 1
 			child.keys = append([]string{left.keys[k]}, child.keys...)
-			child.vals = append([]V{left.vals[k]}, child.vals...)
+			child.payloads().Move(0, &left.vals, k, k+1)
 			left.keys = left.keys[:k]
-			left.vals = left.vals[:k]
+			left.payloads().Remove(k, k+1)
 			n.keys[i-1] = child.keys[0]
 		} else {
 			k := len(left.keys) - 1
 			child.keys = append([]string{n.keys[i-1]}, child.keys...)
-			child.children = append([]*node[V]{left.children[k+1]}, child.children...)
+			child.children = append([]*node[S, P]{left.children[k+1]}, child.children...)
 			n.keys[i-1] = left.keys[k]
 			left.keys = left.keys[:k]
 			left.children = left.children[:k+1]
 		}
 		return
 	}
-	if i < len(n.children)-1 && len(n.children[i+1].keys) > minKeys {
+	if i < len(n.children)-1 && !n.children[i+1].low() {
 		right := n.children[i+1]
 		if child.leaf {
+			child.payloads().Move(len(child.keys), &right.vals, 0, 1)
 			child.keys = append(child.keys, right.keys[0])
-			child.vals = append(child.vals, right.vals[0])
 			right.keys = right.keys[1:]
-			right.vals = right.vals[1:]
+			right.payloads().Remove(0, 1)
 			n.keys[i] = right.keys[0]
 		} else {
 			child.keys = append(child.keys, n.keys[i])
@@ -224,8 +273,8 @@ func (n *node[V]) rebalance(i int) {
 	}
 	right := n.children[i+1]
 	if child.leaf {
+		child.payloads().Move(len(child.keys), &right.vals, 0, len(right.keys))
 		child.keys = append(child.keys, right.keys...)
-		child.vals = append(child.vals, right.vals...)
 		child.next = right.next
 	} else {
 		child.keys = append(child.keys, n.keys[i])
@@ -236,16 +285,12 @@ func (n *node[V]) rebalance(i int) {
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
-// Ascend calls fn for every entry in ascending key order until fn returns
-// false.
-func (t *Tree[V]) Ascend(fn func(key string, val V) bool) {
-	t.AscendRange("", "", fn)
-}
-
-// AscendRange calls fn for entries with start <= key < end in ascending
-// order, until fn returns false. An empty start means from the beginning; an
-// empty end means to the end.
-func (t *Tree[V]) AscendRange(start, end string, fn func(key string, val V) bool) {
+// Walk hands fn the entries with start <= key < end in ascending order, a
+// leaf at a time: the leaf's keys and payloads and the window [i, j) of them
+// in range, never empty. fn returns false to stop. An empty start means from
+// the beginning; an empty end means to the end. Walk keeps neither bound, so
+// a caller that encodes them on the stack walks without allocating.
+func (t *Base[S, P]) Walk(start, end string, fn func(keys []string, leaf *S, i, j int) bool) {
 	n := t.root
 	if n == nil {
 		return
@@ -254,64 +299,19 @@ func (t *Tree[V]) AscendRange(start, end string, fn func(key string, val V) bool
 		n = n.children[childIndex(n.keys, start)]
 	}
 	// The descent can land one leaf early when start equals a separator;
-	// scan forward within the linked leaves.
-	i := sort.SearchStrings(n.keys, start)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if end != "" && n.keys[i] >= end {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// AppendRange appends to dst the payloads of up to limit entries with
-// start <= key < end, in ascending order, copying whole leaf windows instead
-// of visiting entries one at a time. It returns the grown slice, the key at
-// which the next call resumes, and whether entries may remain in the range;
-// the resume entry itself has not been appended. An empty start means from
-// the beginning; an empty end means to the end. It is the bulk counterpart
-// of AscendRange and calls nothing back, so a caller that encodes its bounds
-// on the stack walks the tree without allocating.
-func (t *Tree[V]) AppendRange(dst []V, start, end string, limit int) (out []V, next string, more bool) {
-	n := t.root
-	if n == nil {
-		return dst, "", false
-	}
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, start)]
-	}
+	// the first window is then empty and the walk moves on.
 	for i := sort.SearchStrings(n.keys, start); n != nil; n, i = n.next, 0 {
 		j := len(n.keys)
 		if end != "" && j > 0 && n.keys[j-1] >= end {
-			j = sort.SearchStrings(n.keys, end)
+			j = gallop(n.keys, i, end)
 		}
-		if limit < j-i {
-			return append(dst, n.vals[i:i+limit]...), n.keys[i+limit], true
-		}
-		if i < j {
-			dst = append(dst, n.vals[i:j]...)
-			limit -= j - i
+		if i < j && !fn(n.keys, &n.vals, i, j) {
+			return
 		}
 		if j < len(n.keys) {
-			break // end bound fell inside this leaf
+			return // end bound fell inside this leaf
 		}
 	}
-	return dst, "", false
-}
-
-// AscendPrefix calls fn for every entry whose key begins with prefix.
-func (t *Tree[V]) AscendPrefix(prefix string, fn func(key string, val V) bool) {
-	if prefix == "" {
-		t.Ascend(fn)
-		return
-	}
-	t.AscendRange(prefix, prefixEnd(prefix), fn)
 }
 
 // PrefixEnd returns the smallest string greater than every string with the
@@ -339,40 +339,10 @@ func AppendPrefixEnd(dst, prefix []byte) []byte {
 	return dst
 }
 
-// Min returns the smallest key and its payload.
-func (t *Tree[V]) Min() (key string, val V, ok bool) {
-	n := t.root
-	if n == nil {
-		return "", val, false
-	}
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		return "", val, false
-	}
-	return n.keys[0], n.vals[0], true
-}
-
-// Max returns the largest key and its payload.
-func (t *Tree[V]) Max() (key string, val V, ok bool) {
-	n := t.root
-	if n == nil {
-		return "", val, false
-	}
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		return "", val, false
-	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.keys)-1], true
-}
-
 // CheckInvariants walks the tree verifying structural invariants; it is used
 // by tests (including property-based tests). It returns a non-empty string
 // describing the first violation found, or "" if the tree is well-formed.
-func (t *Tree[V]) CheckInvariants() string {
+func (t *Base[S, P]) CheckInvariants() string {
 	if t.root == nil {
 		if t.length != 0 {
 			return "nil root with nonzero length"
@@ -409,9 +379,9 @@ func (t *Tree[V]) CheckInvariants() string {
 	return ""
 }
 
-func (n *node[V]) check(isRoot bool) (count int, min, max string, msg string) {
+func (n *node[S, P]) check(isRoot bool) (count int, min, max string, msg string) {
 	if n.leaf {
-		if len(n.vals) != len(n.keys) {
+		if n.payloads().Len() != len(n.keys) {
 			return 0, "", "", "leaf keys/vals length mismatch"
 		}
 		for i := 1; i < len(n.keys); i++ {
@@ -430,7 +400,7 @@ func (n *node[V]) check(isRoot bool) (count int, min, max string, msg string) {
 	if len(n.children) != len(n.keys)+1 {
 		return 0, "", "", "interior child count mismatch"
 	}
-	if !isRoot && len(n.keys) < minKeys {
+	if !isRoot && len(n.keys) < n.capacity/2 {
 		return 0, "", "", "interior underflow"
 	}
 	for i, c := range n.children {

@@ -17,8 +17,9 @@ import (
 //     from the child batch's vector when the argument is a column and from a
 //     scratch vector the compiled expression fills otherwise.
 //   - Over a ParallelScan child the aggregate runs inside the scan's workers,
-//     one partial per morsel, merged in morsel order: no row crosses the
-//     exchange and a float SUM adds up in the same order on every run.
+//     one partial per morsel, merged in morsel order: it folds each leaf
+//     window where it lies, no row is copied or crosses the exchange, and a
+//     float SUM adds up in the same order on every run.
 
 // groupTable assigns dense ids to distinct normalized key rows, in
 // first-seen order.
@@ -130,10 +131,8 @@ type aggScratch struct {
 	hash []uint64
 	gids []int32
 	vals sqltypes.ColBatch // evaluated expressions, dense over the active rows
-	// dense is the row view they are evaluated over, gathered on first use.
-	dense, rowBuf sqltypes.Batch
-	kv            []*sqltypes.Vec // the batch's key vectors and how to index them
-	kidx          [][]int32
+	kv   []*sqltypes.Vec   // the batch's key vectors and how to index them
+	kidx [][]int32
 }
 
 // Schema implements Operator.
@@ -143,17 +142,20 @@ func (a *Aggregate) Schema() *Schema { return a.Out }
 // scan's workers when the child is a ParallelScan — and computes all groups.
 func (a *Aggregate) Open(ctx *EvalContext) error {
 	a.win.reset(nil, ctx)
-	visit := func(w, m int, cb *sqltypes.ColBatch) error {
-		return a.parts[m].consume(a, &a.scratch[w], ctx, cb)
-	}
 	var err error
 	if ps, ok := a.Child.(*ParallelScan); ok {
 		ps.prepare(ctx)
 		a.reset(len(ps.morsels), ps.effDOP)
-		err = ps.scanMorsels(visit)
+		err = ps.scanMorsels(func(w, m int, view *sqltypes.ColBatch) (int, error) {
+			ok, err := ps.walks[w].narrow(view)
+			if ok {
+				err = a.parts[m].consume(a, &a.scratch[w], ctx, view)
+			}
+			return view.Len(), err
+		}, nil)
 	} else if err = a.Child.Open(ctx); err == nil {
 		a.reset(1, 1)
-		err = eachBatch(a.Child, func(cb *sqltypes.ColBatch) error { return visit(0, 0, cb) })
+		err = eachBatch(a.Child, func(cb *sqltypes.ColBatch) error { return a.parts[0].consume(a, &a.scratch[0], ctx, cb) })
 	}
 	if err != nil {
 		return err
@@ -193,12 +195,9 @@ func (sc *aggScratch) input(ctx *EvalContext, cb *sqltypes.ColBatch, cols []int,
 	if cols != nil && cols[i] >= 0 {
 		return cb.Col(cols[i]), cb.Sel, nil
 	}
-	if sc.dense == nil {
-		sc.dense = denseRows(cb, &sc.rowBuf)
-	}
 	v := sc.vals.BuildCol(slot)
-	for _, row := range sc.dense {
-		val, err := e(ctx, row)
+	for k := 0; k < cb.NumActive(); k++ {
+		val, err := e(ctx, cb.Row(at(cb.Sel, k)))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -210,7 +209,6 @@ func (sc *aggScratch) input(ctx *EvalContext, cb *sqltypes.ColBatch, cols []int,
 // consume folds one child batch into the partial.
 func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *sqltypes.ColBatch) error {
 	n, nk, na := cb.NumActive(), len(a.GroupBy), len(a.Aggs)
-	sc.dense = nil
 	sc.vals.ResetCols(nk+1, n)
 	sc.keys.reset()
 	gids := sc.gids[:0]

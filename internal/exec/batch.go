@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sync"
-
-	"relaxedcc/internal/sqltypes"
-)
+import "relaxedcc/internal/sqltypes"
 
 // DefaultBatchSize is the number of rows per batch when the EvalContext does
 // not override it. 1024 keeps a batch of row references well inside L2 while
@@ -17,42 +13,6 @@ func batchSizeOf(ctx *EvalContext) int {
 		return ctx.BatchSize
 	}
 	return DefaultBatchSize
-}
-
-// rowBufPool recycles the row-reference buffers behind row-backed batches:
-// scan chunks and index snapshots, and the output window of a Project that
-// builds rows. Pooled as *Batch so Put does not allocate
-// a header box per cycle.
-var rowBufPool = sync.Pool{
-	New: func() any {
-		b := make(sqltypes.Batch, 0, DefaultBatchSize)
-		return &b
-	},
-}
-
-func getRowBuf() *sqltypes.Batch { return rowBufPool.Get().(*sqltypes.Batch) }
-
-func putRowBuf(b *sqltypes.Batch) {
-	if b == nil {
-		return
-	}
-	*b = (*b)[:0]
-	rowBufPool.Put(b)
-}
-
-// denseRows returns cb's active rows as one row slice: the batch's own
-// window when it is row-backed with every row active (zero copy), else the
-// active rows gathered into *buf, which the caller keeps for reuse. The
-// result shares cb's validity window.
-func denseRows(cb *sqltypes.ColBatch, buf *sqltypes.Batch) sqltypes.Batch {
-	if cb.Rows != nil && cb.Sel == nil {
-		return cb.Rows
-	}
-	if cap(*buf) < cb.NumActive() {
-		*buf = make(sqltypes.Batch, 0, cb.Len())
-	}
-	*buf = cb.AppendRows((*buf)[:0])
-	return *buf
 }
 
 // eachBatch feeds every remaining batch of an opened operator to fn.
@@ -78,9 +38,10 @@ func selFor(buf []int32, cb *sqltypes.ColBatch) []int32 {
 }
 
 // rowReader walks a child's batches through the row view, for operators
-// whose logic is sequential in rows (the merge join's right side, sort-key
-// evaluation). Rows it returns are shared and immutable
-// and may be retained.
+// whose logic is sequential in rows and which keep them (the merge join's
+// right side, a sort). Rows it returns are shared and immutable and may be
+// retained: a row-backed batch's own, or rows AppendRows made of any other
+// (buf holds their headers).
 type rowReader struct {
 	rows sqltypes.Batch
 	pos  int
@@ -95,7 +56,10 @@ func (r *rowReader) next(child Operator) (sqltypes.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		r.rows, r.pos = denseRows(cb, &r.buf), 0
+		if r.rows, r.pos = cb.Rows, 0; cb.Rows == nil || cb.Sel != nil {
+			r.buf = cb.AppendRows(r.buf[:0])
+			r.rows = r.buf
+		}
 	}
 	row := r.rows[r.pos]
 	r.pos++

@@ -357,6 +357,41 @@ func TestScanFullAndRange(t *testing.T) {
 	}
 }
 
+// TestGatherOverScanCopiesItsColumns: a gather Project right above a scan
+// has the scan copy only the columns it gathers, run after run, and the
+// scan run alone afterwards returns whole rows again; Exists reports a row
+// without copying any.
+func TestGatherOverScanCopiesItsColumns(t *testing.T) {
+	tbl := storageTable(t)
+	out := NewSchema(Col{Binding: "t", Name: "bal"}, Col{Binding: "t", Name: "id"})
+	for _, scan := range []Operator{NewScan(tbl, testSchema("t")), NewParallelScan(tbl, testSchema("t"))} {
+		p := &Project{Child: scan, Cols: []int{2, 0}, Out: out}
+		for run := 0; run < 2; run++ {
+			rows := drain(t, p)
+			if len(rows) != 100 {
+				t.Fatalf("%T: %d rows", scan, len(rows))
+			}
+			for i, r := range rows {
+				if len(r) != 2 || r[0].Float() != float64(i+1) || r[1].Int() != int64(i+1) {
+					t.Fatalf("%T run %d: row %d = %v", scan, run, i, r)
+				}
+			}
+		}
+		if rows := drain(t, scan); len(rows) != 100 || !rows[5].Equal(testRows(6)[5]) {
+			t.Fatalf("%T alone: %d rows, row 5 = %v", scan, len(rows), rows[5])
+		}
+	}
+	s := NewScan(tbl, testSchema("t"))
+	s.Index = "pk_t"
+	for _, key := range []int64{7, 700} {
+		s.Lo = storage.Bound{Vals: sqltypes.Row{intv(key)}, Inclusive: true}
+		s.Hi = s.Lo
+		if ok, err := s.Exists(ctx()); err != nil || ok != (key == 7) {
+			t.Fatalf("Exists(%d) = %v, %v", key, ok, err)
+		}
+	}
+}
+
 func TestIndexLoopJoin(t *testing.T) {
 	tbl := storageTable(t)
 	outer := NewValues(testSchema("L"), testRows(5))

@@ -17,9 +17,10 @@ import (
 //     key hashes: slot arrays plus an intrusive chain through row indexes,
 //     no per-key map entries or match slices.
 //   - Matches leave through the shared emitter (join.go): inner joins as
-//     typed column vectors gathered from the matched probe rows and the
-//     build side transposed once per Open, semi and anti joins as the probe
-//     batch narrowed by a selection vector — steady-state zero allocation.
+//     typed column vectors gathered from the probe batch and from the build
+//     side, which is copied into column lanes as it is read; semi and anti
+//     joins as the probe batch narrowed by a selection vector — steady-state
+//     zero allocation.
 
 // Key class codes for normalized join keys. INT and FLOAT share keyNum
 // (payload compared as float64 bits with -0 normalized to +0) because
@@ -130,13 +131,14 @@ func (k *joinKeys) appendFrom(src *joinKeys, r int) {
 	}
 }
 
-// appendBatch normalizes the keys of cb's active rows, which the caller also
-// holds as the dense row list rows: column-at-a-time from cb's vectors when
-// cols gives the key ordinals, row-at-a-time through the compiled key
-// closures otherwise.
-func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, cb *sqltypes.ColBatch, rows sqltypes.Batch) error {
+// appendBatch normalizes the keys of cb's active rows: column-at-a-time from
+// cb's vectors when cols gives the key ordinals, row-at-a-time through the
+// compiled key closures otherwise.
+func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, cb *sqltypes.ColBatch) error {
+	n := cb.NumActive()
 	if cols == nil {
-		for _, row := range rows {
+		for r := 0; r < n; r++ {
+			row := cb.Row(at(cb.Sel, r))
 			for c, ke := range keys {
 				v, err := ke(ctx, row)
 				if err != nil {
@@ -147,7 +149,7 @@ func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, cb
 		}
 	}
 	for c, ord := range cols {
-		k.appendVec(c, cb.Col(ord), cb.Sel, len(rows))
+		k.appendVec(c, cb.Col(ord), cb.Sel, n)
 	}
 	return nil
 }
@@ -237,11 +239,9 @@ type HashJoin struct {
 	schema *Schema
 	ctx    *EvalContext
 
-	// Build side: row references plus normalized keys and the
-	// open-addressed table (power-of-two capacity, linear probing, chains
-	// threaded through row indexes).
-	buildRows sqltypes.Batch
-	bcols     sqltypes.ColBatch // lazily transposed build columns
+	// Build side: its rows (the emitter's right lanes), their normalized keys
+	// and the open-addressed table (power-of-two capacity, linear probing,
+	// chains threaded through row indexes).
 	buildKeys *joinKeys
 	buildHash []uint64
 	slotHead  []int32 // head build-row index per slot, -1 = empty
@@ -271,14 +271,14 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []Compiled, residual 
 // Schema implements Operator.
 func (h *HashJoin) Schema() *Schema { return h.schema }
 
-// Open implements Operator: it drains the build side batch-at-a-time,
-// normalizes and hashes the keys, and assembles the open-addressed table.
+// Open implements Operator: it drains the build side batch-at-a-time into
+// the right lanes, normalizes and hashes the keys, and assembles the
+// open-addressed table.
 func (h *HashJoin) Open(ctx *EvalContext) error {
 	h.ctx = ctx
-	h.buildRows = h.buildRows[:0]
 	h.chain = -1
 	h.out.reset(ctx, h.Residual, h.Kind, len(h.Left.Schema().Cols), len(h.schema.Cols))
-	h.out.bcols = &h.bcols
+	h.out.right.Reset()
 	if h.buildKeys == nil {
 		h.buildKeys = newJoinKeys(len(h.RightKeys))
 		h.probeKeys = newJoinKeys(len(h.LeftKeys))
@@ -288,9 +288,8 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 		return err
 	}
 	err := eachBatch(h.Right, func(cb *sqltypes.ColBatch) error {
-		start := len(h.buildRows)
-		h.buildRows = cb.AppendRows(h.buildRows)
-		return h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, cb, h.buildRows[start:])
+		h.out.right.AppendBatch(cb)
+		return h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, cb)
 	})
 	if err != nil {
 		return err
@@ -299,10 +298,6 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 		return err
 	}
 	h.buildTable()
-	// Inner-join output gathers build columns from this transposed view of
-	// the build rows; transposition is lazy per column, so semi and anti
-	// joins (which never gather) pay nothing for it.
-	h.bcols.ResetRows(h.buildRows, len(h.Right.Schema().Cols))
 	return h.Left.Open(ctx)
 }
 
@@ -310,7 +305,7 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 // factor <= 0.5) and inserts rows in reverse so each hash chain iterates in
 // build order — preserving the match order of the previous implementation.
 func (h *HashJoin) buildTable() {
-	n := len(h.buildRows)
+	n := h.out.right.Len()
 	capacity := 16
 	for capacity < 2*n {
 		capacity <<= 1
@@ -370,10 +365,10 @@ func (h *HashJoin) lookup(hash uint64) int32 {
 // the reusable scratch columns.
 func (h *HashJoin) probeBatch(cb *sqltypes.ColBatch) error {
 	h.probeKeys.reset()
-	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb, h.out.probe); err != nil {
+	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb); err != nil {
 		return err
 	}
-	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], len(h.out.probe))
+	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], h.out.np)
 	return nil
 }
 
@@ -392,7 +387,7 @@ func (h *HashJoin) pairMatches(r int, m int32) (bool, error) {
 	if !keysEqual(h.probeKeys, r, h.buildKeys, int(m)) {
 		return false, nil
 	}
-	return h.out.admit(h.out.probe[r], h.buildRows[m])
+	return h.out.admit(r, int(m))
 }
 
 // anyMatch walks probe row r's chain for a joining build row, for semi/anti
@@ -431,7 +426,7 @@ func (h *HashJoin) collectPairs(n int) (bool, error) {
 			}
 			continue
 		}
-		if o.pi >= len(o.probe) {
+		if o.pi >= o.np {
 			return true, nil
 		}
 		h.chain = h.matchesFor(o.pi)
@@ -445,8 +440,7 @@ func (h *HashJoin) collectPairs(n int) (bool, error) {
 // releases it when Open failed mid-build (Close is idempotent per the
 // Operator contract).
 func (h *HashJoin) Close() error {
-	h.buildRows = nil
-	h.bcols.ResetRows(nil, 0)
+	h.out.right = sqltypes.Lanes{}
 	h.slotHead, h.slotHash, h.chainNext = nil, nil, nil
 	h.out.probe, h.chain = nil, -1
 	errR := h.Right.Close()

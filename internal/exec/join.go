@@ -5,17 +5,19 @@ import "relaxedcc/internal/sqltypes"
 // This file is the one join emitter. The three join algorithms differ only
 // in how they find the right rows matching a left row — a hash chain, an
 // index seek, the buffered equal-key group of a merge; what happens to a
-// match is shared. An inner join collects (left index, right row) pairs per
-// left batch, tests a residual over one reused scratch row, and gathers the
-// pairs column-wise into reused output vectors: no joined row is ever built
-// here, so a Project above forwards vectors and rows exist only at the
+// match is shared. The right rows a join can pair are column lanes the
+// emitter owns (the hash join's build side; the rows an index seek or a
+// merge group supplied). An inner join collects (left row, right row) pairs
+// per left batch, tests a residual over one reused scratch row, and gathers
+// the pairs column-wise into reused output vectors: no joined row is ever
+// built here, so a Project above forwards vectors and rows exist only at the
 // result boundary. Semi and anti joins emit the left batch narrowed by a
 // selection vector.
 
 // matcher is what a join algorithm supplies to the emitter.
 type matcher interface {
 	// probeBatch prepares matching for a new left batch: cb, whose active
-	// rows are joinOut.probe.
+	// rows the emitter reads through left.
 	probeBatch(cb *sqltypes.ColBatch) error
 	// anyMatch reports whether left row r of the batch has an admitted match.
 	anyMatch(r int) (bool, error)
@@ -32,17 +34,16 @@ type joinOut struct {
 	kind     JoinKind
 	lw, w    int // left and output width
 
-	probe     sqltypes.Batch // dense rows of the current left batch
-	probeBuf  sqltypes.Batch
-	pi        int  // next left row to match
-	batchDone bool // the left batch has no matches left to collect
+	probe     *sqltypes.ColBatch // the current left batch ...
+	np        int                // ... and its number of active rows
+	pi        int                // next left row to match
+	batchDone bool               // the left batch has no matches left to collect
 
-	// A pair is left row pr[k] with build row pm[k] of bcols (the hash join,
-	// whose build side is transposed once) or with right row rows[k].
+	// A pair is active left row pr[k] with right row pm[k].
 	pr, pm []int32
-	rows   sqltypes.Batch
-	bcols  *sqltypes.ColBatch
+	right  sqltypes.Lanes
 
+	lsel    []int32      // pr resolved through the left batch's selection
 	scratch sqltypes.Row // joined-row buffer for residual tests, never emitted
 	sel     []int32
 	vout    sqltypes.ColBatch
@@ -50,16 +51,19 @@ type joinOut struct {
 
 func (o *joinOut) reset(ctx *EvalContext, residual Compiled, kind JoinKind, lw, w int) {
 	o.ctx, o.residual, o.kind, o.lw, o.w = ctx, residual, kind, lw, w
-	o.probe, o.pi, o.batchDone = nil, 0, true
+	o.probe, o.np, o.pi, o.batchDone = nil, 0, 0, true
 }
 
-// admit tests the residual over the joined row (l, r); no residual admits
-// every pair.
-func (o *joinOut) admit(l, r sqltypes.Row) (bool, error) {
+// left returns active row r of the left batch, valid until the next call.
+func (o *joinOut) left(r int) sqltypes.Row { return o.probe.Row(at(o.probe.Sel, r)) }
+
+// admit tests the residual over left row r joined with right row c; no
+// residual admits every pair.
+func (o *joinOut) admit(r, c int) (bool, error) {
 	if o.residual == nil {
 		return true, nil
 	}
-	o.scratch = append(append(o.scratch[:0], l...), r...)
+	o.scratch = o.right.AppendRow(append(o.scratch[:0], o.left(r)...), c)
 	return PredicateTrue(o.residual, o.ctx, o.scratch)
 }
 
@@ -68,7 +72,7 @@ func (o *joinOut) next(m matcher, left Operator) (*sqltypes.ColBatch, bool, erro
 	n := batchSizeOf(o.ctx)
 	for {
 		for !o.batchDone {
-			o.pr, o.pm, o.rows = o.pr[:0], o.pm[:0], o.rows[:0]
+			o.pr, o.pm = o.pr[:0], o.pm[:0]
 			var err error
 			if o.batchDone, err = m.collectPairs(n); err != nil {
 				return nil, false, err
@@ -81,7 +85,7 @@ func (o *joinOut) next(m matcher, left Operator) (*sqltypes.ColBatch, bool, erro
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		o.probe, o.pi = denseRows(cb, &o.probeBuf), 0
+		o.probe, o.np, o.pi = cb, cb.NumActive(), 0
 		if err := m.probeBatch(cb); err != nil {
 			return nil, false, err
 		}
@@ -90,63 +94,66 @@ func (o *joinOut) next(m matcher, left Operator) (*sqltypes.ColBatch, bool, erro
 			continue
 		}
 		sel := selFor(o.sel, cb)
-		for r := range o.probe {
+		for r := 0; r < o.np; r++ {
 			found, err := m.anyMatch(r)
 			if err != nil {
 				return nil, false, err
 			}
 			if found == (o.kind == JoinSemi) {
-				sel = append(sel, int32(r))
+				sel = append(sel, int32(at(cb.Sel, r)))
 			}
 		}
 		if o.sel = sel; len(sel) > 0 {
-			o.vout.ResetRows(o.probe, o.w)
-			o.vout.Sel = sel
-			return &o.vout, true, nil
+			cb.Sel = sel
+			return cb, true, nil
 		}
 	}
 }
 
-// gather builds the output batch from the pair lists: left columns gather
-// from the probe rows, right columns vector-to-vector from the transposed
-// build side or from the pairs' right rows.
+// gather builds the output batch from the pair lists: left columns from the
+// left batch's vectors, right columns from the right lanes, each
+// vector-to-vector.
 func (o *joinOut) gather() *sqltypes.ColBatch {
 	o.vout.ResetCols(o.w, len(o.pr))
+	left := o.pr
+	if sel := o.probe.Sel; sel != nil {
+		o.lsel = o.lsel[:0]
+		for _, r := range o.pr {
+			o.lsel = append(o.lsel, sel[r])
+		}
+		left = o.lsel
+	}
 	for j := 0; j < o.lw; j++ {
-		o.vout.BuildCol(j).GatherFromRows(o.probe, o.pr, j)
+		o.vout.BuildCol(j).GatherFrom(o.probe.Col(j), left)
 	}
 	for j := o.lw; j < o.w; j++ {
-		if o.bcols != nil {
-			o.vout.BuildCol(j).GatherFrom(o.bcols.Col(j-o.lw), o.pm)
-		} else {
-			o.vout.BuildCol(j).FillFromRows(o.rows, j-o.lw)
-		}
+		o.vout.BuildCol(j).GatherFrom(o.right.Col(j-o.lw), o.pm)
 	}
 	return &o.vout
 }
 
 // rowPairs is the matcher of the joins that find a left row's matches as a
-// row list: find is the index-loop join's seek or the merge join's advance
-// to the equal-key group. Its result is valid until the next call.
+// run of rows: find is the index-loop join's seek or the merge join's
+// advance to the equal-key group, and appends the matches to right.
 type rowPairs struct {
 	joinOut
-	find func(left sqltypes.Row) (sqltypes.Batch, error)
-	cand sqltypes.Batch // matches of left row pi-1 ...
-	mi   int            // ... not yet tested from here on
+	find func(left sqltypes.Row) error
+	mi   int // right rows from mi on match left row pi-1 and are not yet tested
 }
 
 func (p *rowPairs) probeBatch(*sqltypes.ColBatch) error {
-	p.cand, p.mi = nil, 0
+	p.right.Reset()
+	p.mi = 0
 	return nil
 }
 
 func (p *rowPairs) anyMatch(r int) (bool, error) {
-	cand, err := p.find(p.probe[r])
-	if err != nil {
+	p.right.Reset()
+	if err := p.find(p.left(r)); err != nil {
 		return false, err
 	}
-	for _, c := range cand {
-		if ok, err := p.admit(p.probe[r], c); err != nil || ok {
+	for c := 0; c < p.right.Len(); c++ {
+		if ok, err := p.admit(r, c); err != nil || ok {
 			return ok, err
 		}
 	}
@@ -154,28 +161,28 @@ func (p *rowPairs) anyMatch(r int) (bool, error) {
 }
 
 func (p *rowPairs) collectPairs(n int) (bool, error) {
-	for len(p.pr) < n {
-		if p.mi >= len(p.cand) {
-			if p.pi >= len(p.probe) {
+	// No pair holds a right row yet: keep only the untested ones.
+	p.right.Remove(0, p.mi)
+	for p.mi = 0; len(p.pr) < n; {
+		if p.mi >= p.right.Len() {
+			if p.pi >= p.np {
 				return true, nil
 			}
-			var err error
-			if p.cand, err = p.find(p.probe[p.pi]); err != nil {
+			if err := p.find(p.left(p.pi)); err != nil {
 				return false, err
 			}
-			p.mi = 0
 			p.pi++
 			continue
 		}
-		r := p.cand[p.mi]
+		c := p.mi
 		p.mi++
-		ok, err := p.admit(p.probe[p.pi-1], r)
+		ok, err := p.admit(p.pi-1, c)
 		if err != nil {
 			return false, err
 		}
 		if ok {
 			p.pr = append(p.pr, int32(p.pi-1))
-			p.rows = append(p.rows, r)
+			p.pm = append(p.pm, int32(c))
 		}
 	}
 	return false, nil

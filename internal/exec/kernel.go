@@ -69,16 +69,15 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 
 // KernelFromPredicate lifts a row-at-a-time compiled predicate into the
 // kernel interface: it tests each candidate row via the batch's row view —
-// zero-copy for row-backed batches, one scratch row per call (the kernel may
-// run on several scan workers at once) for columnar ones. The fallback that
-// keeps selection vectors flowing when a predicate has no columnar form.
+// zero-copy for row-backed batches, the batch's scratch row otherwise (each
+// scan worker narrows its own batches). The fallback that keeps selection
+// vectors flowing when a predicate has no columnar form.
 func KernelFromPredicate(p Compiled) BoolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		dst = resetSel(dst)
-		var scratch sqltypes.Row
 		for j, n := 0, numCand(cb, cand); j < n; j++ {
 			i := at(cand, j)
-			keep, err := PredicateTrue(p, ctx, cb.Row(i, &scratch))
+			keep, err := PredicateTrue(p, ctx, cb.Row(i))
 			if err != nil {
 				return nil, err
 			}

@@ -100,13 +100,13 @@ func (m *MergeJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
 	return m.out.next(&m.out, m.Left)
 }
 
-// matches advances the right side to the left row's key and returns the
-// buffered group when the keys are equal. Left rows arrive in key order; a
-// NULL key never matches.
-func (m *MergeJoin) matches(left sqltypes.Row) (sqltypes.Batch, error) {
+// matches advances the right side to the left row's key and, when the keys
+// are equal, appends the buffered group to the emitter's right rows. Left
+// rows arrive in key order; a NULL key never matches.
+func (m *MergeJoin) matches(left sqltypes.Row) error {
 	key, err := evalKeyVals(m.curKey[:0], m.LeftKeys, m.ctx, left)
 	if m.curKey = key; err != nil || keyHasNull(key) {
-		return nil, err
+		return err
 	}
 	for !m.rightDone && (len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) < 0) {
 		if m.rightNext == nil {
@@ -115,18 +115,20 @@ func (m *MergeJoin) matches(left sqltypes.Row) (sqltypes.Batch, error) {
 		}
 		if compareKeys(m.rightNextKey, key) < 0 {
 			if err := m.advanceRightRow(); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		if err := m.loadRightGroup(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) != 0 {
-		return nil, nil
+	if len(m.rightGroupKey) > 0 && compareKeys(m.rightGroupKey, key) == 0 {
+		for _, row := range m.rightGroup {
+			m.out.right.Push(row)
+		}
 	}
-	return m.rightGroup, nil
+	return nil
 }
 
 // Close implements Operator.

@@ -63,11 +63,13 @@ func (v *Values) Close() error { return nil }
 // of its indexes, optionally within a key range and with a pushed-down
 // residual predicate.
 //
-// Clustered scans (Index == "") stream chunk-at-a-time straight from the
-// B+-tree: each chunk is a bulk leaf walk under one short read latch, so the
-// scan never materializes the table and interleaves with writers at chunk
-// granularity — the same read-committed view ScanMorsel gives parallel
-// workers. Index scans snapshot the matching row references at Open.
+// A clustered scan — the table (Index == "") or a range of its clustered
+// index — streams straight off the B+-tree leaves (chunkWalk): the residual
+// kernel narrows each leaf window where it lies, under a short read latch,
+// and only the survivors' columns are copied out, so the scan never
+// materializes the table and interleaves with writers at step granularity —
+// the read-committed view parallel workers get. A secondary-index scan
+// copies its range into a snapshot at Open and emits windows of it.
 type Scan struct {
 	Table  *storage.Table
 	Index  string // index to drive the scan; "" = clustered order
@@ -78,24 +80,24 @@ type Scan struct {
 	LoParam, HiParam int
 	Filter           Compiled // residual predicate, may be nil
 	// FilterKernel, when non-nil, is the vectorized form of Filter, evaluated
-	// column-at-a-time over each chunk. Without one, Filter runs per row
-	// through the batch's row view. Either way survivors are carried in the
-	// batch's selection vector and no row is copied.
+	// column-at-a-time over each leaf window. Without one, Filter runs per
+	// row through the batch's row view.
 	FilterKernel BoolKernel
 
 	schema *Schema
 	ctx    *EvalContext
-	kernel BoolKernel
-	// An index scan makes the callback that collects the Open snapshot at its
-	// first Open and keeps it, with room for a bound read from a parameter,
-	// for every later run of the tree.
-	collect  func(sqltypes.Row) bool
-	lov, hiv [1]sqltypes.Value
-	// walk streams a clustered scan; an index scan keeps its Open snapshot
-	// in walk.buf (pos is the cursor into it) and emits through walk's
-	// scratch.
-	walk chunkWalk
-	pos  int
+	// walk streams a clustered scan and narrows a secondary one's snapshot
+	// windows (snap from pos on, emitted through view).
+	walk      chunkWalk
+	clustered bool
+	snap      sqltypes.Lanes
+	view      sqltypes.ColBatch
+	pos       int
+	lov, hiv  [1]sqltypes.Value
+	// only, set before Open, are the stored columns the next run's consumer
+	// reads — a gather Project right above, or Exists — and the only ones
+	// copied out.
+	only []int
 
 	// RowsScanned counts rows read from storage (before the residual
 	// filter); used by tests and cost-model validation.
@@ -111,24 +113,14 @@ func NewScan(table *storage.Table, schema *Schema) *Scan {
 // Schema implements Operator.
 func (s *Scan) Schema() *Schema { return s.schema }
 
-// Open implements Operator. Index scans capture a snapshot of matching row
-// references under the table's read latch; clustered scans prepare the
-// streaming cursor and read nothing yet.
+// Open implements Operator. A clustered scan arms its cursor and reads
+// nothing yet; a secondary-index scan copies its range under the table's
+// read latch.
 func (s *Scan) Open(ctx *EvalContext) error {
 	s.ctx = ctx
 	s.pos, s.RowsScanned = 0, 0
-	s.kernel = kernelFor(s.FilterKernel, s.Filter)
-	s.walk.start("", "")
-	if s.Index == "" {
-		return nil
-	}
-	if s.collect == nil {
-		s.collect = func(r sqltypes.Row) bool {
-			*s.walk.buf = append(*s.walk.buf, r)
-			return true
-		}
-	}
-	*s.walk.buf = (*s.walk.buf)[:0]
+	s.walk.arm(kernelFor(s.FilterKernel, s.Filter), ctx, len(s.schema.Cols))
+	s.walk.cols, s.only = s.only, nil
 	lo, hi := s.Lo, s.Hi
 	if ctx != nil && ctx.Params != nil {
 		if s.LoParam > 0 {
@@ -138,82 +130,115 @@ func (s *Scan) Open(ctx *EvalContext) error {
 			s.hiv[0], hi.Vals = ctx.Params[s.HiParam-1], s.hiv[:]
 		}
 	}
-	return s.Table.ScanIndex(s.Index, lo, hi, s.collect)
+	if s.clustered = s.Index == "" || s.clustered || s.Table.Clustered(s.Index); s.clustered {
+		s.walk.cur.Bounds(lo, hi)
+		return nil
+	}
+	s.snap.Reset()
+	return s.Table.ScanIndex(s.Index, lo, hi, &s.snap)
 }
 
-// NextVec implements Operator: the next chunk or snapshot window as a
-// row-backed batch, narrowed by the pushed-down predicate.
+// NextVec implements Operator: the next batch of survivors of a clustered
+// scan, or the next window of the snapshot narrowed by the pushed-down
+// predicate.
 func (s *Scan) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if s.walk.buf == nil {
-		return nil, false, nil
-	}
-	if s.Index == "" {
-		cb, n, err := s.walk.next(s.Table, s.ctx, s.kernel, len(s.schema.Cols))
+	if s.clustered {
+		cb, n, err := s.walk.next(s.Table)
 		s.RowsScanned += n
 		return cb, cb != nil, err
 	}
-	for snap, n := *s.walk.buf, batchSizeOf(s.ctx); s.pos < len(snap); {
-		rows := snap[s.pos:min(s.pos+n, len(snap))]
-		s.pos += len(rows)
-		s.RowsScanned += len(rows)
-		if ok, err := s.walk.narrow(s.kernel, s.ctx, rows, len(s.schema.Cols)); err != nil {
+	for n := batchSizeOf(s.ctx); s.pos < s.snap.Len(); {
+		end := min(s.pos+n, s.snap.Len())
+		s.view.ResetLanes(&s.snap, s.pos, end)
+		s.RowsScanned += end - s.pos
+		s.pos = end
+		if ok, err := s.walk.narrow(&s.view); err != nil {
 			return nil, false, err
 		} else if ok {
-			return &s.walk.vout, true, nil
+			return &s.view, true, nil
 		}
 	}
 	return nil, false, nil
 }
 
-// Close implements Operator. It returns the pooled buffer.
-func (s *Scan) Close() error {
-	s.walk.release()
-	return nil
+// Close implements Operator.
+func (s *Scan) Close() error { return nil }
+
+// Exists runs the scan to its first row and reports whether there is one,
+// copying out no column: the currency guard's EXISTS over its heartbeat row.
+func (s *Scan) Exists(ctx *EvalContext) (bool, error) {
+	s.only = []int{}
+	ok, err := false, s.Open(ctx)
+	if err == nil {
+		_, ok, err = s.NextVec()
+	}
+	s.Close()
+	return ok, err
 }
 
-// chunkWalk streams the clustered key range [cursor, end) as row-backed
-// batches: each chunk is one bulk leaf walk under a short read latch,
-// narrowed by the residual kernel. Scan's clustered arm and ParallelScan's
-// inline arm both run on it.
+// chunkWalk is one reader of a clustered key range: the cursor storage walks
+// the leaves with, the residual kernel that narrows each leaf window where
+// it lies, and the batch the survivors are copied into. out holds at most n
+// rows and is the reader's own, so it outlives the latch. Scan, the inline
+// ParallelScan and each of its workers own one.
 type chunkWalk struct {
-	scanFilterScratch
-	buf         *sqltypes.Batch // pooled chunk buffer
-	cursor, end string
-	done        bool
+	cur    storage.Cursor
+	kernel BoolKernel
+	ctx    *EvalContext
+	n      int
+	width  int
+	cols   []int // the columns copied, nil for all
+	selbuf []int32
+	out    *sqltypes.ColBatch
 }
 
-// start arms the walk over [cursor, end), "" meaning unbounded.
-func (c *chunkWalk) start(cursor, end string) {
-	c.cursor, c.end, c.done = cursor, end, false
-	if c.buf == nil {
-		c.buf = getRowBuf()
+// arm prepares the walk for a run: the kernel, the context and the width of
+// the batches it fills.
+func (c *chunkWalk) arm(k BoolKernel, ctx *EvalContext, width int) {
+	c.kernel, c.ctx, c.n, c.width = k, ctx, batchSizeOf(ctx), width
+	if c.out == nil {
+		c.out = new(sqltypes.ColBatch)
 	}
 }
 
-// next returns the next chunk with a surviving row (nil at end of range)
-// and the number of rows read from storage on the way.
-func (c *chunkWalk) next(t *storage.Table, ctx *EvalContext, k BoolKernel, width int) (*sqltypes.ColBatch, int, error) {
+// narrow applies the residual kernel to cb's selection, reporting whether
+// any row survives.
+func (c *chunkWalk) narrow(cb *sqltypes.ColBatch) (bool, error) {
+	return applyKernel(c.kernel, c.ctx, cb, &c.selbuf)
+}
+
+// take is the visit of a copying walk (storage.Table.Step): it narrows a
+// leaf window and copies as many survivors into out as fit, dealing with
+// the window's rows up to the first survivor that did not.
+func (c *chunkWalk) take(view *sqltypes.ColBatch) (int, error) {
+	if ok, err := c.narrow(view); err != nil || !ok {
+		return view.Len(), err
+	}
+	k := min(view.NumActive(), c.n-c.out.Len())
+	if c.out.Append(view, k, c.cols); k < view.NumActive() {
+		return at(view.Sel, k), nil
+	}
+	return view.Len(), nil
+}
+
+// next returns the next batch of at most n survivors (nil at the end of the
+// range) and the number of rows read from storage on the way.
+func (c *chunkWalk) next(t *storage.Table) (*sqltypes.ColBatch, int, error) {
+	if c.cur.Done() {
+		return nil, 0, nil
+	}
+	c.out.ResetCols(c.width, 0)
 	scanned := 0
-	for n := batchSizeOf(ctx); !c.done; {
-		rows, cursor, more := t.ChunkRows(c.cursor, c.end, n, (*c.buf)[:0])
-		*c.buf, c.cursor, c.done = rows, cursor, !more
-		scanned += len(rows)
-		if len(rows) == 0 {
-			continue
-		}
-		if ok, err := c.narrow(k, ctx, rows, width); err != nil {
+	for !c.cur.Done() && c.out.Len() < c.n {
+		read, err := t.Step(&c.cur, c.n, c.take)
+		if scanned += read; err != nil {
 			return nil, scanned, err
-		} else if ok {
-			return &c.vout, scanned, nil
 		}
 	}
-	return nil, scanned, nil
-}
-
-// release returns the pooled buffer and ends the walk.
-func (c *chunkWalk) release() {
-	putRowBuf(c.buf)
-	c.buf, c.done = nil, true
+	if c.out.Len() == 0 {
+		return nil, scanned, nil
+	}
+	return c.out, scanned, nil
 }
 
 // ---- Filter ----
@@ -277,8 +302,7 @@ type Project struct {
 	// identity marks a gather that keeps every input column in place (it
 	// only renames): child batches are forwarded untouched.
 	identity bool
-	in       sqltypes.Batch  // dense view of a selected or columnar input batch
-	buf      *sqltypes.Batch // pooled output row references
+	buf      sqltypes.Batch // output row references
 	out      sqltypes.ColBatch
 }
 
@@ -292,15 +316,23 @@ func (p *Project) Open(ctx *EvalContext) error {
 	for j, ord := range p.Cols {
 		p.identity = p.identity && ord == j
 	}
+	if p.Cols != nil && !p.identity {
+		switch c := p.Child.(type) {
+		case *Scan:
+			c.only = p.Cols
+		case *ParallelScan:
+			c.only = p.Cols
+		}
+	}
 	return p.Child.Open(ctx)
 }
 
-// NextVec implements Operator. A gather over a purely columnar batch
-// forwards the child's vectors — reordered, selection intact, nothing
-// materialized. Every other case builds a row-backed batch whose rows are
-// carved out of one arena per batch; the arena is never reused, so emitted
-// rows stay valid forever, and a row-backed input (a point read) is
-// projected without transposing anything.
+// NextVec implements Operator. A gather over a batch that is not
+// row-backed forwards the child's vectors — reordered, selection intact,
+// nothing materialized. Every other case builds a row-backed batch whose
+// rows are carved out of one arena per batch; the arena is never reused, so
+// emitted rows stay valid forever, and a row-backed input is projected
+// without transposing anything.
 func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 	in, ok, err := p.Child.NextVec()
 	if err != nil || !ok || p.identity {
@@ -315,14 +347,11 @@ func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 		p.out.Sel = in.Sel
 		return &p.out, true, nil
 	}
-	rows := denseRows(in, &p.in)
-	if p.buf == nil {
-		p.buf = getRowBuf()
-	}
-	out := (*p.buf)[:0]
-	arena := make([]sqltypes.Value, len(rows)*w)
-	for k, src := range rows {
-		dst := arena[k*w : (k+1)*w : (k+1)*w]
+	n := in.NumActive()
+	p.buf = p.buf[:0]
+	arena := make([]sqltypes.Value, n*w)
+	for k := 0; k < n; k++ {
+		src, dst := in.Row(at(in.Sel, k)), arena[k*w:(k+1)*w:(k+1)*w]
 		if p.Cols != nil {
 			for j, ord := range p.Cols {
 				dst[j] = src[ord]
@@ -330,24 +359,18 @@ func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 		} else {
 			for j, e := range p.Exprs {
 				if dst[j], err = e(p.ctx, src); err != nil {
-					*p.buf = out
 					return nil, false, err
 				}
 			}
 		}
-		out = append(out, dst)
+		p.buf = append(p.buf, dst)
 	}
-	*p.buf = out
-	p.out.ResetRows(out, w)
+	p.out.ResetRows(p.buf, w)
 	return &p.out, true, nil
 }
 
 // Close implements Operator.
-func (p *Project) Close() error {
-	putRowBuf(p.buf)
-	p.buf = nil
-	return p.Child.Close()
-}
+func (p *Project) Close() error { return p.Child.Close() }
 
 // ---- Joins ----
 
@@ -375,8 +398,7 @@ type IndexLoopJoin struct {
 	schema *Schema
 	ctx    *EvalContext
 	out    rowPairs
-	key    sqltypes.Row   // reusable seek key
-	found  sqltypes.Batch // reusable match buffer
+	key    sqltypes.Row // reusable seek key
 	// InnerLookups counts index seeks, for cost validation.
 	InnerLookups int
 }
@@ -412,24 +434,20 @@ func (j *IndexLoopJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
 	return j.out.next(&j.out, j.Outer)
 }
 
-// lookup seeks the inner index with outer's key. The key and match buffers
-// are reused: a row's matches are consumed before the next seek.
-func (j *IndexLoopJoin) lookup(outer sqltypes.Row) (sqltypes.Batch, error) {
+// lookup seeks the inner index with outer's key, copying the matches into
+// the emitter's right rows. The key buffer is reused.
+func (j *IndexLoopJoin) lookup(outer sqltypes.Row) error {
 	j.InnerLookups++
 	j.key = j.key[:0]
 	for _, k := range j.OuterKey {
 		v, err := k(j.ctx, outer)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			return nil, nil
+		if err != nil || v.IsNull() {
+			return err
 		}
 		j.key = append(j.key, v)
 	}
-	var err error
-	j.found, err = j.Inner.SeekEq(j.Index, j.key, j.found[:0])
-	return j.found, err
+	b := storage.Bound{Vals: j.key, Inclusive: true}
+	return j.Inner.ScanIndex(j.Index, b, b, &j.out.right)
 }
 
 // Close implements Operator.

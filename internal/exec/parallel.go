@@ -34,24 +34,8 @@ func unpackRange(r uint64) (lo, hi uint32) { return uint32(r >> 32), uint32(r) }
 
 // parMsg is one message on the exchange channel: a batch or a worker error.
 type parMsg struct {
-	batch sqltypes.Batch
+	batch *sqltypes.ColBatch
 	err   error
-}
-
-// scanFilterScratch is the state for residual filtering: a reusable
-// row-backed view over each storage chunk plus its selection buffer. Each
-// parallel worker owns one exclusively, so kernels run without
-// synchronization; the serial walks hold one inside their chunkWalk.
-type scanFilterScratch struct {
-	vout   sqltypes.ColBatch
-	selbuf []int32
-}
-
-// narrow points vout at rows and applies the residual kernel, reporting
-// whether any row survives.
-func (st *scanFilterScratch) narrow(k BoolKernel, ctx *EvalContext, rows sqltypes.Batch, width int) (bool, error) {
-	st.vout.ResetRows(rows, width)
-	return applyKernel(k, ctx, &st.vout, &st.selbuf)
 }
 
 // ParallelScan is the morsel-driven parallel table scan: Open partitions the
@@ -69,9 +53,11 @@ func (st *scanFilterScratch) narrow(k BoolKernel, ctx *EvalContext, rows sqltype
 // scan runs inline — no goroutines, no exchange — on the same bulk leaf
 // walks as the serial Scan.
 //
-// Unlike Scan, which snapshots the whole table under one read latch, workers
-// latch per chunk: a long parallel scan interleaves with writers at chunk
-// granularity (each chunk sees a committed state).
+// Workers latch per step, as the serial scan does: a long parallel scan
+// interleaves with writers at step granularity (each step sees a committed
+// state). A batch crosses the exchange as the worker's own copy of its
+// survivors; the consumer hands it back on its next call, for a worker to
+// refill.
 type ParallelScan struct {
 	Table  *storage.Table
 	Lo, Hi storage.Bound
@@ -88,15 +74,18 @@ type ParallelScan struct {
 	ctx     *EvalContext
 	kernel  BoolKernel
 	morsels []storage.Morsel
-	queues  []atomic.Uint64     // per-worker packed [lo, hi) morsel-index ranges
-	filters []scanFilterScratch // per worker, kept across runs of a reused tree
+	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
+	walks   []chunkWalk     // per worker, kept across runs of a reused tree
 	effDOP  int
 	out     chan parMsg // nil on the inline (effective DOP 1) path
 	stop    chan struct{}
+	// free holds the exchange batches the consumer is done with; held is
+	// the one NextVec handed out last.
+	free chan *sqltypes.ColBatch
+	held *sqltypes.ColBatch
 
-	// walk streams the inline path; the exchange path only borrows walk.vout
-	// to wrap its last batch.
-	walk chunkWalk
+	walk chunkWalk // the inline path
+	only []int     // as Scan's
 
 	rowsScanned atomic.Int64
 }
@@ -139,7 +128,13 @@ func (p *ParallelScan) prepare(ctx *EvalContext) {
 	}
 	parts := max(1, min(dop*morselsPerWorker, (p.Table.Len()+minMorselRows-1)/minMorselRows))
 	p.morsels = p.Table.Morsels(p.Lo, p.Hi, parts)
-	p.effDOP = min(dop, len(p.morsels))
+	if p.effDOP = min(dop, len(p.morsels)); len(p.walks) < p.effDOP {
+		p.walks = make([]chunkWalk, p.effDOP)
+	}
+	for w := range p.walks {
+		p.walks[w].cols = p.only
+	}
+	p.walk.cols, p.only = p.only, nil
 }
 
 // Open implements Operator: it either starts the workers behind the
@@ -147,9 +142,13 @@ func (p *ParallelScan) prepare(ctx *EvalContext) {
 func (p *ParallelScan) Open(ctx *EvalContext) error {
 	p.prepare(ctx)
 	if p.effDOP == 1 {
-		// Inline serial path: same bulk leaf walks, no exchange.
-		p.walk.start(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
+		// Inline serial path: the serial scan's walk, no exchange.
+		p.walk.arm(p.kernel, ctx, len(p.schema.Cols))
+		p.walk.cur.Keys(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
 		return nil
+	}
+	if need := 3*p.effDOP + 1; cap(p.free) < need {
+		p.free = make(chan *sqltypes.ColBatch, need) // every batch a run can hold
 	}
 	p.stop = make(chan struct{})
 	p.out = make(chan parMsg, p.effDOP*2)
@@ -161,8 +160,8 @@ func (p *ParallelScan) Open(ctx *EvalContext) error {
 var errStopped = errors.New("exec: parallel scan stopped")
 
 // exchange runs the scan into the exchange channel, until done or stopped:
-// each worker's surviving rows in batches (only row headers move; the stored
-// rows are shared and immutable), then the error if there was one.
+// each worker's survivors, copied into batches of up to the batch size,
+// then the error if there was one.
 func (p *ParallelScan) exchange(stop <-chan struct{}, out chan<- parMsg) {
 	defer close(out)
 	send := func(m parMsg) bool {
@@ -173,42 +172,70 @@ func (p *ParallelScan) exchange(stop <-chan struct{}, out chan<- parMsg) {
 			return false
 		}
 	}
-	n := batchSizeOf(p.ctx)
-	outs := make([]sqltypes.Batch, p.effDOP)
-	err := p.scanMorsels(func(w, _ int, cb *sqltypes.ColBatch) error {
-		if outs[w] == nil {
-			outs[w] = make(sqltypes.Batch, 0, n)
-		}
-		if outs[w] = cb.AppendRows(outs[w]); len(outs[w]) >= n {
-			if !send(parMsg{batch: outs[w]}) {
+	for w := range p.walks[:p.effDOP] {
+		p.walks[w].out = p.spare()
+	}
+	err := p.scanMorsels(func(w, _ int, view *sqltypes.ColBatch) (int, error) {
+		return p.walks[w].take(view)
+	}, func(w int) error {
+		if c := &p.walks[w]; c.out.Len() == c.n {
+			if !send(parMsg{batch: c.out}) {
 				return errStopped
 			}
-			outs[w] = nil
+			c.out = p.spare()
 		}
 		return nil
 	})
-	for _, out := range outs {
-		if err == nil && len(out) > 0 && !send(parMsg{batch: out}) {
-			return
+	for w := range p.walks[:p.effDOP] {
+		if b := p.walks[w].out; err != nil || b.Len() == 0 || !send(parMsg{batch: b}) {
+			p.recycle(b)
 		}
+		p.walks[w].out = nil
 	}
 	if err != nil && err != errStopped {
 		send(parMsg{err: err})
 	}
 }
 
-// scanMorsels runs a prepared scan to completion: every chunk's surviving
-// rows go to visit(worker, morsel, batch) on the goroutine that scanned
-// them. Morsels are visited concurrently — a consumer keeps one state per
-// morsel or per worker — and the batches of one morsel in key order. The
-// batch is the worker's scratch, valid during the call. The first error
-// stops the scan.
-func (p *ParallelScan) scanMorsels(visit func(w, m int, cb *sqltypes.ColBatch) error) error {
+// spare returns an empty exchange batch: one the consumer handed back, or a
+// new one.
+func (p *ParallelScan) spare() *sqltypes.ColBatch {
+	var b *sqltypes.ColBatch
+	select {
+	case b = <-p.free:
+	default:
+		b = new(sqltypes.ColBatch)
+	}
+	b.ResetCols(len(p.schema.Cols), 0)
+	return b
+}
+
+// recycle hands an exchange batch back for a worker to refill.
+func (p *ParallelScan) recycle(b *sqltypes.ColBatch) {
+	if b != nil {
+		select {
+		case p.free <- b:
+		default:
+		}
+	}
+}
+
+// scanMorsels runs a prepared scan to completion. Each leaf window of morsel
+// m goes to visit(w, m, view) on the worker w that scanned it, under the
+// table's read latch: view is a batch over the leaf's lanes, valid during
+// the call, and visit returns how many of its rows it dealt with
+// (storage.Table.Step). After each step, the latch released, step(w) runs
+// unless it is nil. Morsels are visited concurrently — a consumer keeps one
+// state per morsel or per worker (walks[w]) — and the windows of one morsel
+// in key order. The first error stops the scan.
+func (p *ParallelScan) scanMorsels(visit func(w, m int, view *sqltypes.ColBatch) (int, error), step func(w int) error) error {
 	dop := p.effDOP
+	for w := range p.walks[:dop] {
+		p.walks[w].arm(p.kernel, p.ctx, len(p.schema.Cols))
+	}
 	if dop == 1 {
-		p.walk.start("", "") // for its pooled buffer and scratch
 		for m := range p.morsels {
-			if err := p.walkMorsel(m, p.walk.buf, &p.walk.scanFilterScratch, func(cb *sqltypes.ColBatch) error { return visit(0, m, cb) }); err != nil {
+			if err := p.walkMorsel(0, m, visit, step); err != nil {
 				return err
 			}
 		}
@@ -220,9 +247,6 @@ func (p *ParallelScan) scanMorsels(visit func(w, m int, cb *sqltypes.ColBatch) e
 	for w, n := 0, len(p.morsels); w < dop; w++ {
 		p.queues[w].Store(packRange(uint32(w*n/dop), uint32((w+1)*n/dop)))
 	}
-	for len(p.filters) < dop {
-		p.filters = append(p.filters, scanFilterScratch{})
-	}
 	errs := make([]error, dop)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -231,10 +255,8 @@ func (p *ParallelScan) scanMorsels(visit func(w, m int, cb *sqltypes.ColBatch) e
 		go func(w int) {
 			defer wg.Done()
 			pprof.Do(context.Background(), workerLabels, func(context.Context) {
-				chunk := getRowBuf()
-				defer putRowBuf(chunk)
 				for m, ok := p.claim(w); ok && !failed.Load(); m, ok = p.claim(w) {
-					if errs[w] = p.walkMorsel(m, chunk, &p.filters[w], func(cb *sqltypes.ColBatch) error { return visit(w, m, cb) }); errs[w] != nil {
+					if errs[w] = p.walkMorsel(w, m, visit, step); errs[w] != nil {
 						failed.Store(true)
 					}
 				}
@@ -250,20 +272,19 @@ func (p *ParallelScan) scanMorsels(visit func(w, m int, cb *sqltypes.ColBatch) e
 	return nil
 }
 
-// walkMorsel reads morsel m as bulk leaf chunks into *chunk, narrows each by
-// the residual kernel and hands the chunks with a surviving row to visit.
-func (p *ParallelScan) walkMorsel(m int, chunk *sqltypes.Batch, st *scanFilterScratch, visit func(cb *sqltypes.ColBatch) error) error {
-	n, width := batchSizeOf(p.ctx), len(p.schema.Cols)
-	cursor, more := p.morsels[m].Start, true
-	for more {
-		*chunk, cursor, more = p.Table.ChunkRows(cursor, p.morsels[m].End, n, (*chunk)[:0])
-		p.rowsScanned.Add(int64(len(*chunk)))
-		if ok, err := st.narrow(p.kernel, p.ctx, *chunk, width); err != nil {
+// walkMorsel walks morsel m with worker w's cursor, a step of up to a batch
+// of rows at a time.
+func (p *ParallelScan) walkMorsel(w, m int, visit func(w, m int, view *sqltypes.ColBatch) (int, error), step func(w int) error) error {
+	c := &p.walks[w]
+	c.cur.Keys(p.morsels[m].Start, p.morsels[m].End)
+	for !c.cur.Done() {
+		read, err := p.Table.Step(&c.cur, c.n, func(view *sqltypes.ColBatch) (int, error) { return visit(w, m, view) })
+		p.rowsScanned.Add(int64(read))
+		if err == nil && step != nil {
+			err = step(w)
+		}
+		if err != nil {
 			return err
-		} else if ok {
-			if err := visit(&st.vout); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -292,35 +313,33 @@ func (p *ParallelScan) claim(w int) (int, bool) {
 	return 0, false
 }
 
-// NextVec implements Operator. At effective DOP 1 it streams bulk leaf
-// chunks inline, narrowed by a selection like the serial Scan; otherwise it
-// wraps the next merged batch from the exchange.
+// NextVec implements Operator. At effective DOP 1 it streams the serial
+// scan's batches inline; otherwise it hands back the batch it returned last
+// and returns the next one from the exchange.
 func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
-	w := len(p.schema.Cols)
 	if p.out != nil {
+		p.recycle(p.held)
 		msg, ok := <-p.out
-		if !ok || msg.err != nil {
-			return nil, false, msg.err
-		}
-		p.walk.vout.ResetRows(msg.batch, w)
-		return &p.walk.vout, true, nil
+		p.held = msg.batch
+		return msg.batch, ok && msg.err == nil, msg.err
 	}
-	cb, n, err := p.walk.next(p.Table, p.ctx, p.kernel, w)
+	cb, n, err := p.walk.next(p.Table)
 	p.rowsScanned.Add(int64(n))
 	return cb, cb != nil, err
 }
 
 // Close implements Operator: it signals the workers to stop and drains the
-// exchange so every worker unblocks and exits before Close returns. The
-// inline path just releases its buffers.
+// exchange so every worker unblocks and exits before Close returns; the
+// batches come back for the next run.
 func (p *ParallelScan) Close() error {
 	if p.stop != nil {
 		close(p.stop)
-		for range p.out {
+		for msg := range p.out {
+			p.recycle(msg.batch)
 		}
 		p.stop = nil
 	}
-	p.walk.release()
-	p.morsels, p.queues = nil, nil
+	p.recycle(p.held)
+	p.held, p.morsels, p.queues = nil, nil, nil
 	return nil
 }

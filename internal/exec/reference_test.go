@@ -30,17 +30,18 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 		return reference(op.Children[idx], ctx)
 	case *exec.Scan:
 		var rows []sqltypes.Row
-		collect := func(r sqltypes.Row) bool { rows = append(rows, r); return true }
+		var err error
 		if op.Index == "" {
-			op.Table.Scan(collect)
-		} else if err := op.Table.ScanIndex(op.Index, op.Lo, op.Hi, collect); err != nil {
+			op.Table.Scan(func(r sqltypes.Row) bool { rows = append(rows, r.Clone()); return true })
+		} else if rows, err = refIndex(op.Table, op.Index, op.Lo, op.Hi); err != nil {
 			return nil, err
 		}
 		return refFilter(rows, op.Filter, ctx)
 	case *exec.ParallelScan:
-		var rows []sqltypes.Row
-		for _, m := range op.Table.Morsels(op.Lo, op.Hi, 1) {
-			op.Table.ScanMorsel(m, func(r sqltypes.Row) bool { rows = append(rows, r); return true })
+		def := op.Table.Def()
+		rows, err := refIndex(op.Table, def.IndexOn(def.PrimaryKey...).Name, op.Lo, op.Hi)
+		if err != nil {
+			return nil, err
 		}
 		return refFilter(rows, op.Filter, ctx)
 	case *exec.Filter:
@@ -81,10 +82,8 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 			if err != nil || hasNull(key) {
 				return nil, err
 			}
-			var inner []sqltypes.Row
 			b := storage.Bound{Vals: key, Inclusive: true}
-			err = op.Inner.ScanIndex(op.Index, b, b, func(r sqltypes.Row) bool { inner = append(inner, r); return true })
-			return inner, err
+			return refIndex(op.Inner, op.Index, b, b)
 		})
 	case *exec.Sort:
 		in, err := reference(op.Child, ctx)
@@ -341,4 +340,17 @@ func refFold(fn string, vals []sqltypes.Value) (sqltypes.Value, error) {
 func addOverflows(a, b int64) bool {
 	s := a + b
 	return (a >= 0) == (b >= 0) && (s >= 0) != (a >= 0)
+}
+
+// refIndex returns the rows of an index range, materialized one by one.
+func refIndex(t *storage.Table, index string, lo, hi storage.Bound) ([]sqltypes.Row, error) {
+	var l sqltypes.Lanes
+	if err := t.ScanIndex(index, lo, hi, &l); err != nil {
+		return nil, err
+	}
+	rows := make([]sqltypes.Row, l.Len())
+	for i := range rows {
+		rows[i] = l.AppendRow(nil, i)
+	}
+	return rows, nil
 }

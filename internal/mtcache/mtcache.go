@@ -426,11 +426,10 @@ func (c *Cache) Agents() []*repl.Agent {
 // SetLastSync implements repl.HeartbeatSink: the region's row in the local
 // heartbeat table receives a replicated timestamp.
 func (c *Cache) SetLastSync(regionID int, ts time.Time) {
-	key := sqltypes.Row{sqltypes.NewInt(int64(regionID))}
-	row := sqltypes.Row{key[0], sqltypes.NewTime(ts)}
-	if old, ok := c.hb.Peek(key); ok {
-		if ts.After(old[1].Time()) {
-			if _, err := c.hb.Update(row); err != nil {
+	row := sqltypes.Row{sqltypes.NewInt(int64(regionID)), sqltypes.NewTime(ts)}
+	if old, ok := c.LastSync(regionID); ok {
+		if ts.After(old) {
+			if err := c.hb.Update(row); err != nil {
 				panic(err) // fixed schema; cannot fail
 			}
 		}
@@ -443,9 +442,10 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 
 // LastSync implements opt.RegionClock: the timestamp in the region's row of
 // the local heartbeat table. Guards, staleness probes and the session's
-// bookkeeping each read it per query, so it reads the stored row in place.
+// bookkeeping each read it per query, so it reads into a stack buffer.
 func (c *Cache) LastSync(regionID int) (time.Time, bool) {
-	row, ok := c.hb.Peek(sqltypes.Row{sqltypes.NewInt(int64(regionID))})
+	var buf [2]sqltypes.Value
+	row, ok := c.hb.Peek(sqltypes.Row{sqltypes.NewInt(int64(regionID))}, buf[:0])
 	if !ok {
 		return time.Time{}, false
 	}

@@ -973,12 +973,7 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 		scan.Lo, scan.Hi = key, key
 		scan.FilterKernel = filter
 		return func(ctx *exec.EvalContext) (int, error) {
-			ok, err := false, scan.Open(ctx)
-			if err == nil {
-				_, ok, err = scan.NextVec()
-			}
-			scan.Close()
-			if err != nil || !ok {
+			if ok, err := scan.Exists(ctx); err != nil || !ok {
 				return 1, err
 			}
 			return 0, nil // fresh enough: local branch

@@ -126,7 +126,7 @@ func (s *Subscription) apply(ch txn.Change) error {
 		if !s.covers(ch.Old) {
 			return nil
 		}
-		_, _ = s.Target.Delete(s.pkOf(ch.Old))
+		s.Target.Delete(s.pkOf(ch.Old))
 		return nil
 	case txn.OpUpdate:
 		inOld, inNew := s.covers(ch.Old), s.covers(ch.New)
@@ -134,8 +134,7 @@ func (s *Subscription) apply(ch txn.Change) error {
 		case inOld && inNew:
 			oldPK, newPK := s.pkOf(ch.Old), s.pkOf(ch.New)
 			if oldPK.Equal(newPK) {
-				_, err := s.Target.Update(s.project(ch.New))
-				return err
+				return s.Target.Update(s.project(ch.New))
 			}
 			s.Target.Delete(oldPK)
 			return s.Target.Insert(s.project(ch.New))

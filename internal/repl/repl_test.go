@@ -89,7 +89,7 @@ func (f *fixture) commit(t *testing.T, at time.Time, changes ...txn.Change) {
 		case txn.OpDelete:
 			f.baseTbl.Delete(sqltypes.Row{ch.Old[0]})
 		case txn.OpUpdate:
-			if _, err := f.baseTbl.Update(ch.New); err != nil {
+			if err := f.baseTbl.Update(ch.New); err != nil {
 				t.Fatal(err)
 			}
 		}

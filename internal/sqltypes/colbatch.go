@@ -3,24 +3,24 @@ package sqltypes
 import "slices"
 
 // This file defines the columnar batch layout the vectorized executor runs
-// on. The storage engine is row-major (stored rows are []Value), so the
-// design is late-materializing: a ColBatch usually starts life as a window
-// of row references straight off a B+-tree leaf walk, and individual
-// columns are transposed into typed vectors only when a kernel touches
-// them. Predicates narrow a batch by refining its selection vector —
-// survivors are carried as indexes, never copied — and purely columnar
-// batches (no row backing) appear where an operator produces columns
-// directly, e.g. a projection of column references.
+// on. A ColBatch is one of three things: a window of a Lanes run viewed in
+// place (storage hands a scan each B+-tree leaf window this way, and an index
+// scan its own snapshot), a window of row references (operators whose output
+// is a materialized row list), or purely columnar — typed vectors the batch
+// owns, which is what a scan copies its surviving rows into. Columns of a
+// row-backed batch are transposed into typed vectors only when a kernel
+// touches them. Predicates narrow a batch by refining its selection vector —
+// survivors are carried as indexes, never copied.
 //
 // Ownership contract (extends the Batch contract): a *ColBatch returned by
 // a producer is read-only for the consumer and valid only until the
 // consumer's next call into the producer (NextVec or Close).
 // The selection vector and any materialized column vectors are owned by
 // the producer and may be overwritten on the next call; rows reachable
-// through the batch are shared and immutable, as everywhere in the
+// through a row-backed batch are shared and immutable, as everywhere in the
 // executor. Consumers that need data beyond the validity window must copy
-// it out (AppendRows copies row headers; the rows themselves stay valid
-// forever).
+// it out (AppendRows copies row headers of a row-backed batch, whose rows
+// stay valid forever, and materializes the rows of any other).
 
 // Vec is one column of a ColBatch: up to n values of a single kind stored
 // in a typed array, with NULLs tracked in a side slice. Columns whose
@@ -31,6 +31,10 @@ type Vec struct {
 	// Kind is the common kind of all non-NULL values, or KindNull when the
 	// column is mixed-kind (then Any holds the values verbatim).
 	Kind Kind
+	// shared marks a view of arrays the vector does not own (a window of
+	// Lanes): reset drops them instead of reusing them.
+	shared bool
+	n      int
 	// Null[i] reports whether value i is NULL. Nil when no value is NULL.
 	Null []bool
 	// I64 holds KindInt values, KindBool as 0/1, and KindTime as
@@ -42,11 +46,9 @@ type Vec struct {
 	Str []string
 	// Any is the fallback representation for mixed-kind columns.
 	Any []Value
-
-	n int
 	// nullBuf retains the null-lane backing array while Null is nil (Null
 	// must be exactly nil when no value is NULL), so nullable columns stay
-	// allocation-free across batches.
+	// allocation-free across batches. The fields a kernel reads come first.
 	nullBuf []bool
 }
 
@@ -59,28 +61,25 @@ func (v *Vec) IsNull(i int) bool { return v.Null != nil && v.Null[i] }
 // Value reconstructs value i. It is the slow accessor — kernels should
 // switch on Kind and read the typed array directly.
 func (v *Vec) Value(i int) Value {
-	if v.IsNull(i) {
+	switch {
+	case v.Null != nil && v.Null[i]:
 		return Null
-	}
-	switch v.Kind {
-	case KindInt:
-		return Value{kind: KindInt, i: v.I64[i]}
-	case KindBool:
-		return Value{kind: KindBool, i: v.I64[i]}
-	case KindTime:
-		return Value{kind: KindTime, i: v.I64[i]}
-	case KindFloat:
+	case v.Kind == KindFloat:
 		return NewFloat(v.F64[i])
-	case KindString:
+	case v.Kind == KindString:
 		return Value{kind: KindString, s: v.Str[i]}
-	default:
+	case v.Kind == KindNull:
 		return v.Any[i]
 	}
+	return Value{kind: v.Kind, i: v.I64[i]} // INT, BOOL, TIME
 }
 
 // reset prepares the vector to hold n values of the given kind, reusing
 // backing arrays across batches.
 func (v *Vec) reset(kind Kind, n int) {
+	if v.shared {
+		*v = Vec{}
+	}
 	v.Kind = kind
 	v.n = n
 	v.dropNulls()
@@ -98,10 +97,6 @@ func (v *Vec) dropNulls() {
 		v.Null = nil
 	}
 }
-
-// FillFromRows transposes column col of rows into the vector: the gather of
-// every row in order.
-func (v *Vec) FillFromRows(rows Batch, col int) { v.GatherFromRows(rows, nil, col) }
 
 // Append adds one value to the vector, choosing the typed representation
 // from the first non-NULL value and degrading to Any on a kind mismatch (or
@@ -153,23 +148,19 @@ func (v *Vec) Append(val Value) {
 	v.n++
 }
 
-// GatherFromRows transposes column col of the rows selected by idxs (every
-// row in order when idxs is nil) into the vector: scans transpose the column
-// a kernel touches, joins gather their output columns. The column kind is
-// sniffed from the first non-NULL value (a prepass that normally inspects one
-// row). A column without NULLs whose values all share that kind — the common
-// case — is copied by one typed loop; NULLs are tracked in the side lane and
-// a kind mismatch degrades the whole column to Any. Backing arrays are reused
-// across calls.
-func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
+// FillFromRows transposes column col of rows into the vector: a row-backed
+// batch's column the first time a kernel or a gather touches it. The column
+// kind is sniffed from the first non-NULL value (a prepass that normally
+// inspects one row). A column without NULLs whose values all share that kind
+// — the common case — is copied by one typed loop; NULLs are tracked in the
+// side lane and a kind mismatch degrades the whole column to Any. Backing
+// arrays are reused across calls.
+func (v *Vec) FillFromRows(rows Batch, col int) {
 	n := len(rows)
-	if idxs != nil {
-		n = len(idxs)
-	}
 	v.reset(KindNull, n)
 	kind := KindNull
 	for k := 0; k < n && kind == KindNull; k++ {
-		kind = rows[at(idxs, k)][col].kind
+		kind = rows[k][col].kind
 	}
 	if kind == KindNull {
 		// All-NULL (or empty) column: represent via Any.
@@ -179,11 +170,11 @@ func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
 		return
 	}
 	v.Kind = kind
-	if v.gatherTyped(rows, idxs, col, n) {
+	if v.gatherTyped(rows, col, n) {
 		return
 	}
 	for k := 0; k < n; k++ {
-		val := rows[at(idxs, k)][col]
+		val := rows[k][col]
 		if val.kind == KindNull {
 			if v.Null == nil {
 				v.Null = growNulls(v.nullBuf, k)
@@ -196,7 +187,7 @@ func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
 			// Mixed kinds: rebuild all values verbatim.
 			v.reset(KindNull, n)
 			for k := 0; k < n; k++ {
-				v.Any = append(v.Any, rows[at(idxs, k)][col])
+				v.Any = append(v.Any, rows[k][col])
 			}
 			return
 		}
@@ -214,16 +205,16 @@ func (v *Vec) GatherFromRows(rows Batch, idxs []int32, col int) {
 	}
 }
 
-// gatherTyped is GatherFromRows' fast path: it copies the column into the
+// gatherTyped is FillFromRows' fast path: it copies the column into the
 // lane of v.Kind and reports success, or stops at the first value of another
 // kind (a NULL included) and reports false with the lanes still empty.
-func (v *Vec) gatherTyped(rows Batch, idxs []int32, col, n int) bool {
+func (v *Vec) gatherTyped(rows Batch, col, n int) bool {
 	k := 0
 	switch v.Kind {
 	case KindFloat:
 		out := slices.Grow(v.F64, n)[:n]
 		for ; k < n; k++ {
-			val := &rows[at(idxs, k)][col]
+			val := &rows[k][col]
 			if val.kind != KindFloat {
 				break
 			}
@@ -236,7 +227,7 @@ func (v *Vec) gatherTyped(rows Batch, idxs []int32, col, n int) bool {
 	case KindString:
 		out := slices.Grow(v.Str, n)[:n]
 		for ; k < n; k++ {
-			val := &rows[at(idxs, k)][col]
+			val := &rows[k][col]
 			if val.kind != KindString {
 				break
 			}
@@ -249,7 +240,7 @@ func (v *Vec) gatherTyped(rows Batch, idxs []int32, col, n int) bool {
 	default:
 		out := slices.Grow(v.I64, n)[:n]
 		for ; k < n; k++ {
-			val := &rows[at(idxs, k)][col]
+			val := &rows[k][col]
 			if val.kind != v.Kind {
 				break
 			}
@@ -263,43 +254,85 @@ func (v *Vec) gatherTyped(rows Batch, idxs []int32, col, n int) bool {
 	return k == n
 }
 
-// GatherFrom fills the vector with src's values at idxs — the
-// vector-to-vector counterpart of GatherFromRows, for producers whose
-// source column is already transposed (the hash join transposes its build
-// side once per Open and gathers from it for every output batch). Typed
+// GatherFrom fills the vector with src's values at idxs: a join's output
+// columns, gathered from its left batch and from the rows it matched. Typed
 // lanes copy array elements directly, skipping the per-value kind dispatch.
 func (v *Vec) GatherFrom(src *Vec, idxs []int32) {
-	n := len(idxs)
-	if src.Kind == KindNull {
-		// Any-mode or all-NULL source: values land verbatim.
-		v.reset(KindNull, n)
-		for _, r := range idxs {
-			v.Any = append(v.Any, src.Any[r])
+	v.reset(KindNull, 0)
+	v.AppendFrom(src, 0, idxs, len(idxs))
+}
+
+// AppendFrom appends src's values at off plus the first k positions of idxs
+// (at off on, k of them, when idxs is nil): one typed loop when the vector
+// is empty or holds src's kind, value by value through Append otherwise.
+func (v *Vec) AppendFrom(src *Vec, off int, idxs []int32, k int) {
+	if v.n == 0 {
+		v.Kind = src.Kind
+	}
+	if k == 1 && v.Kind == src.Kind && v.Null == nil && src.Null == nil { // a point read's value
+		switch i := off + at(idxs, 0); v.Kind {
+		case KindNull:
+			v.Any = append(v.Any, src.Any[i])
+		case KindFloat:
+			v.F64 = append(v.F64, src.F64[i])
+		case KindString:
+			v.Str = append(v.Str, src.Str[i])
+		default:
+			v.I64 = append(v.I64, src.I64[i])
+		}
+		v.n++
+		return
+	}
+	if v.Kind != src.Kind {
+		for x := 0; x < k; x++ {
+			v.Append(src.Value(off + at(idxs, x)))
 		}
 		return
 	}
-	v.reset(src.Kind, n)
-	switch src.Kind {
-	case KindInt, KindBool, KindTime:
-		for _, r := range idxs {
-			v.I64 = append(v.I64, src.I64[r])
-		}
+	switch v.Kind {
+	case KindNull: // Any-mode or all-NULL source: values land verbatim
+		v.Any = appendAt(v.Any, src.Any[off:], idxs, k)
 	case KindFloat:
-		for _, r := range idxs {
-			v.F64 = append(v.F64, src.F64[r])
-		}
+		v.F64 = appendAt(v.F64, src.F64[off:], idxs, k)
 	case KindString:
-		for _, r := range idxs {
-			v.Str = append(v.Str, src.Str[r])
-		}
+		v.Str = appendAt(v.Str, src.Str[off:], idxs, k)
+	default:
+		v.I64 = appendAt(v.I64, src.I64[off:], idxs, k)
 	}
-	if src.Null != nil {
-		nulls := v.nullBuf[:0]
-		for _, r := range idxs {
-			nulls = append(nulls, src.Null[r])
-		}
-		v.Null = nulls
+	if src.Null != nil || v.Null != nil {
+		v.appendNulls(src, off, idxs, k)
 	}
+	v.n += k
+}
+
+// appendNulls is AppendFrom's null lane: it starts one only when a NULL
+// arrives.
+func (v *Vec) appendNulls(src *Vec, off int, idxs []int32, k int) {
+	nulls := v.Null != nil
+	for x := 0; x < k && !nulls; x++ {
+		nulls = src.Null[off+at(idxs, x)]
+	}
+	if !nulls {
+		return
+	}
+	if v.Null == nil {
+		v.Null = growNulls(v.nullBuf, v.n)
+	}
+	for x := 0; x < k; x++ {
+		v.Null = append(v.Null, src.IsNull(off+at(idxs, x)))
+	}
+}
+
+// appendAt appends src's elements at the first k positions of idxs (its
+// first k when idxs is nil) to dst.
+func appendAt[T any](dst, src []T, idxs []int32, k int) []T {
+	if idxs == nil {
+		return append(dst, src[:k]...)
+	}
+	for _, i := range idxs[:k] {
+		dst = append(dst, src[i])
+	}
+	return dst
 }
 
 // migrateToAny rebuilds the vector's values in the Any representation when
@@ -340,49 +373,81 @@ func growNulls(nulls []bool, n int) []bool {
 // rows that are logically active (in order). Operators narrow a batch by
 // shrinking Sel instead of copying survivors.
 type ColBatch struct {
-	// Rows is the optional row-major backing: scans emit leaf windows here
-	// and columns are transposed on demand. Nil for purely columnar
-	// batches.
+	// Rows is the optional row-major backing of operators whose output is a
+	// materialized row list; columns are transposed on demand. Nil for
+	// lane-backed and purely columnar batches.
 	Rows Batch
 	// Sel lists active row indexes in ascending order; nil means all Len()
 	// rows are active.
 	Sel []int32
 
+	// lanes, when non-nil, backs the batch with its rows [lo, lo+n): columns
+	// are views of the lanes, made on first access (views says whether any
+	// was).
+	lanes    *Lanes
+	lo       int
+	views    bool
 	n, width int
-	// cols and colOK are allocated on first column access: a row-backed
-	// batch that is only forwarded or read through the row view (a point
-	// read crossing Project, SwitchUnion and Limit) never pays for them.
-	cols  []Vec
-	colOK []bool
+	// col[j] is column j — one of the batch's own vectors in cols, or one
+	// SetCol installed — once made in the batch's current generation
+	// (made[j] == gen): a reset starts a new generation instead of clearing
+	// them. All three are allocated on first column access: a row-backed
+	// batch that is only forwarded or read through the row view never pays
+	// for them.
+	cols []Vec
+	col  []*Vec
+	made []uint32
+	gen  uint32
+	row  Row // Row's scratch
 }
 
 // ResetRows (re)initializes the batch around a row window of the given
 // arity, invalidating any materialized columns and clearing the selection.
 // Column vectors and bookkeeping are reused across calls.
-func (b *ColBatch) ResetRows(rows Batch, width int) { b.reset(rows, len(rows), width) }
+func (b *ColBatch) ResetRows(rows Batch, width int) { b.reset(rows, nil, 0, len(rows), width) }
 
 // ResetCols (re)initializes the batch as purely columnar with the given
-// width and logical length; columns must then be set with SetCol or built
-// with BuildCol.
-func (b *ColBatch) ResetCols(width, n int) { b.reset(nil, n, width) }
+// width and logical length; columns must then be set with SetCol, built
+// with BuildCol or filled by Append.
+func (b *ColBatch) ResetCols(width, n int) { b.reset(nil, nil, 0, n, width) }
 
-func (b *ColBatch) reset(rows Batch, n, width int) {
-	b.Rows, b.n, b.width, b.Sel = rows, n, width, nil
-	ok := b.colOK[:cap(b.colOK)]
-	for i := range ok {
-		ok[i] = false
+// ResetLanes (re)initializes the batch as a view of l's rows [i, j): nothing
+// is copied, and the batch is valid only while l is neither written nor
+// reset.
+func (b *ColBatch) ResetLanes(l *Lanes, i, j int) { b.reset(nil, l, i, j-i, l.Width()) }
+
+func (b *ColBatch) reset(rows Batch, l *Lanes, lo, n, width int) {
+	if b.views && l == nil {
+		for j := range b.cols {
+			if b.cols[j].shared {
+				b.cols[j] = Vec{} // drop the view
+			}
+		}
+		b.views = false
+	}
+	b.Rows, b.lanes, b.lo, b.n, b.width, b.Sel = rows, l, lo, n, width, nil
+	if b.gen++; b.gen == 0 { // wrapped: no stamp may match by accident
+		clear(b.made[:cap(b.made)])
+		b.gen = 1
 	}
 }
 
-// vec returns column j's slot, sizing the vector bookkeeping to the batch
-// width on first use.
+// has reports whether column j is made in the current generation.
+func (b *ColBatch) has(j int) bool { return b.made[j] == b.gen }
+
+// set makes v column j.
+func (b *ColBatch) set(j int, v *Vec) {
+	b.col[j], b.made[j] = v, b.gen
+}
+
+// vec returns the batch's own vector for column j, sizing the vector
+// bookkeeping to the batch width on first use.
 func (b *ColBatch) vec(j int) *Vec {
 	if len(b.cols) != b.width {
 		if cap(b.cols) < b.width {
-			b.cols = make([]Vec, b.width)
-			b.colOK = make([]bool, b.width)
+			b.cols, b.col, b.made = make([]Vec, b.width), make([]*Vec, b.width), make([]uint32, b.width)
 		}
-		b.cols, b.colOK = b.cols[:b.width], b.colOK[:b.width]
+		b.cols, b.col, b.made = b.cols[:b.width], b.col[:b.width], b.made[:b.width]
 	}
 	return &b.cols[j]
 }
@@ -401,16 +466,21 @@ func (b *ColBatch) NumActive() int {
 	return b.n
 }
 
-// Col returns column j, transposing it from the row backing on first
-// access. The returned vector covers all Len() rows; kernels apply Sel
-// themselves.
+// Col returns column j: a view of the lanes, or the column transposed from
+// the row backing, made on first access. The returned vector covers all
+// Len() rows; kernels apply Sel themselves.
 func (b *ColBatch) Col(j int) *Vec {
 	v := b.vec(j)
-	if !b.colOK[j] {
-		v.FillFromRows(b.Rows, j)
-		b.colOK[j] = true
+	if !b.has(j) {
+		if b.lanes != nil {
+			v.view(&b.lanes.cols[j], b.lo, b.lo+b.n)
+			b.views = true
+		} else {
+			v.FillFromRows(b.Rows, j)
+		}
+		b.set(j, v)
 	}
-	return v
+	return b.col[j]
 }
 
 // BuildCol returns column j's vector emptied for incremental Appends,
@@ -419,41 +489,69 @@ func (b *ColBatch) Col(j int) *Vec {
 func (b *ColBatch) BuildCol(j int) *Vec {
 	v := b.vec(j)
 	v.reset(KindNull, 0)
-	b.colOK[j] = true
+	b.set(j, v)
 	return v
 }
 
-// SetCol installs a materialized vector as column j (purely columnar
-// producers). The vector is copied by value; its backing arrays are shared.
+// SetCol installs v as column j (purely columnar producers): the batch
+// reads that vector, whose owner keeps it valid as long as the batch is.
 func (b *ColBatch) SetCol(j int, v *Vec) {
-	*b.vec(j) = *v
-	b.colOK[j] = true
+	b.vec(j)
+	b.set(j, v)
+}
+
+// Append copies the first k active rows of src into b, a purely columnar
+// batch of src's width (ResetCols(width, 0) starts it empty) whose vectors
+// b owns: what a reader keeps of rows it may not hold on to, such as those
+// of a leaf window it filtered. With cols non-nil only those columns are
+// copied, and the batch's other columns must not be read.
+func (b *ColBatch) Append(src *ColBatch, k int, cols []int) {
+	for c := 0; c < b.width; c++ {
+		j := c
+		if cols != nil {
+			if c >= len(cols) {
+				break
+			}
+			j = cols[c]
+		}
+		v := b.vec(j)
+		if !b.has(j) || b.col[j] != v {
+			v.reset(KindNull, 0)
+			b.set(j, v)
+		}
+		if src.lanes != nil { // straight from the lane, no view
+			v.AppendFrom(&src.lanes.cols[j], src.lo, src.Sel, k)
+		} else {
+			v.AppendFrom(src.Col(j), 0, src.Sel, k)
+		}
+	}
+	b.n += k
 }
 
 // Row returns physical row i (an index already resolved through Sel by the
-// caller). With a row backing this is a zero-copy reference; a purely
-// columnar batch assembles the row in *scratch, which the caller reuses from
-// row to row — the result is then valid only until the next call.
-func (b *ColBatch) Row(i int, scratch *Row) Row {
-	if b.Rows != nil {
+// caller). With a row backing this is a zero-copy reference; any other
+// batch assembles the row in a scratch row of its own, valid only until the
+// next call.
+func (b *ColBatch) Row(i int) Row {
+	switch {
+	case b.Rows != nil:
 		return b.Rows[i]
+	case b.lanes != nil:
+		b.row = b.lanes.AppendRow(b.row[:0], b.lo+i)
+	default:
+		b.row = b.row[:0]
+		for j := 0; j < b.width; j++ {
+			b.row = append(b.row, b.Col(j).Value(i))
+		}
 	}
-	if cap(*scratch) < b.width {
-		*scratch = make(Row, 0, b.width)
-	}
-	out := (*scratch)[:0]
-	for j := 0; j < b.width; j++ {
-		out = append(out, b.Col(j).Value(i))
-	}
-	*scratch = out
-	return out
+	return b.row
 }
 
 // AppendRows appends every active row to dst and returns it. Row-backed
-// batches append shared row references (header copies only); purely
-// columnar batches materialize fresh rows carved out of one arena per call
-// (never reused: emitted rows stay valid forever), filled one column at a
-// time by a typed loop.
+// batches append shared row references (header copies only); any other
+// batch materializes fresh rows carved out of one arena per call (never
+// reused: emitted rows stay valid forever), filled one column at a time by
+// a typed loop.
 func (b *ColBatch) AppendRows(dst Batch) Batch {
 	if b.Rows != nil {
 		if b.Sel == nil {
@@ -473,37 +571,36 @@ func (b *ColBatch) AppendRows(dst Batch) Batch {
 		dst = append(dst, Row(arena[k*w:(k+1)*w:(k+1)*w]))
 	}
 	for j := 0; j < w; j++ {
-		b.Col(j).scatter(arena[j:], w, b.Sel, active)
+		b.Col(j).scatter(arena[j:], w, 0, b.Sel, active)
 	}
 	return dst
 }
 
-// scatter writes the vector's values at sel (its first n values when sel is
-// nil) into out at stride w: one column of an arena of n rows. The kind
-// switch runs once per column; NULL lanes keep the arena's zero Value.
-func (v *Vec) scatter(out []Value, w int, sel []int32, n int) {
+// scatter writes the vector's values at off plus sel (its n values from off
+// on when sel is nil) into out at stride w: one column of n rows laid out
+// row by row. The kind switch runs once per column.
+func (v *Vec) scatter(out []Value, w, off int, sel []int32, n int) {
 	switch v.Kind {
 	case KindInt, KindBool, KindTime:
 		for k := 0; k < n; k++ {
-			if i := at(sel, k); !v.IsNull(i) {
-				out[k*w] = Value{kind: v.Kind, i: v.I64[i]}
-			}
+			out[k*w] = Value{kind: v.Kind, i: v.I64[off+at(sel, k)]}
 		}
 	case KindFloat:
 		for k := 0; k < n; k++ {
-			if i := at(sel, k); !v.IsNull(i) {
-				out[k*w] = NewFloat(v.F64[i])
-			}
+			out[k*w] = NewFloat(v.F64[off+at(sel, k)])
 		}
 	case KindString:
 		for k := 0; k < n; k++ {
-			if i := at(sel, k); !v.IsNull(i) {
-				out[k*w] = Value{kind: KindString, s: v.Str[i]}
-			}
+			out[k*w] = Value{kind: KindString, s: v.Str[off+at(sel, k)]}
 		}
 	default:
 		for k := 0; k < n; k++ {
-			out[k*w] = v.Any[at(sel, k)]
+			out[k*w] = v.Any[off+at(sel, k)]
+		}
+	}
+	for k := 0; k < n && v.Null != nil; k++ {
+		if v.Null[off+at(sel, k)] {
+			out[k*w] = Null
 		}
 	}
 }

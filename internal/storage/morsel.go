@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -35,28 +37,85 @@ func (t *Table) Morsels(lo, hi Bound, parts int) []Morsel {
 	return append(morsels, Morsel{Start: cur, End: end})
 }
 
-// ChunkRows bulk-appends up to limit clustered-index rows with encoded keys
-// in [start, end) — "" meaning unbounded — onto dst: whole leaf windows of
-// the typed tree copied with append, no callback and no per-row unboxing. It
-// returns the grown batch, the encoded key at which the next chunk resumes
-// (that row has not been appended), and whether rows may remain. Each call
-// takes one short read latch, so a chunked scan interleaves with writers at
-// chunk granularity. It is the storage feed of the executor's streaming
-// clustered scans.
-func (t *Table) ChunkRows(start, end string, limit int, dst sqltypes.Batch) (sqltypes.Batch, string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.primary.AppendRange(dst, start, end, limit-len(dst))
+// Cursor is a clustered range walk in progress: its bounds, the key it
+// resumes at, and the batch the walk views each leaf window through. The
+// bounds are encoded into the cursor's own buffer, so arming it allocates
+// nothing (unless a key outgrows the buffer); an armed cursor must not be
+// copied.
+type Cursor struct {
+	buf           [2 * sqltypes.KeyStackBytes]byte
+	lo, hi        []byte // the range [lo, hi); empty means unbounded
+	next          string // the key to resume at, once resumed
+	resumed, done bool
+	eq            int // the number of key values lo and hi both pin, if equal
+	view          sqltypes.ColBatch
 }
 
-// ScanMorsel scans the clustered primary index over the morsel's key range,
-// calling fn with each stored row until fn returns false. Rows passed to fn
-// are the stored rows; callers must not mutate them. Each morsel scan
-// acquires the table's read latch independently, so a long parallel scan
-// interleaves with writers at morsel granularity — each morsel sees a
-// committed state, matching the read-committed view Scan provides.
-func (t *Table) ScanMorsel(m Morsel, fn func(sqltypes.Row) bool) {
+// Bounds arms c over the clustered key range lo and hi describe (ScanIndex's
+// bound semantics).
+func (c *Cursor) Bounds(lo, hi Bound) {
+	c.lo, c.hi = appendRangeKeys(c.buf[:0], lo, hi)
+	c.next, c.resumed, c.done, c.eq = "", false, false, 0
+	if lo.Inclusive && hi.Inclusive && slices.Equal(lo.Vals, hi.Vals) {
+		c.eq = len(lo.Vals)
+	}
+}
+
+// Keys arms c over the encoded key range [start, end), "" meaning unbounded:
+// a morsel.
+func (c *Cursor) Keys(start, end string) {
+	c.lo = append(c.buf[:0], start...)
+	c.hi = append(c.lo[len(c.lo):], end...)
+	c.next, c.resumed, c.done, c.eq = "", false, false, 0
+}
+
+// Done reports whether the walk has covered its range.
+func (c *Cursor) Done() bool { return c.done }
+
+// Step walks on from where c stopped, under one read latch, over at most
+// limit rows. Each leaf window in range goes to visit as a batch over the
+// leaf's lanes, valid only during the call; visit narrows it, copies or
+// folds what it keeps, and returns how many of the window's rows it dealt
+// with — all of them, or fewer to stop the walk there (a reader whose buffer
+// is full). Step returns the number of rows dealt with; the cursor then
+// resumes at the first row not dealt with, or is done. A step sees one
+// committed state, so a walk interleaves with writers at step granularity:
+// read committed, as for every reader.
+func (t *Table) Step(c *Cursor, limit int, visit func(view *sqltypes.ColBatch) (int, error)) (int, error) {
+	start := c.next
+	if !c.resumed {
+		start = string(c.lo)
+	}
+	read := 0
+	var err error
+	c.done = true
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.primary.AscendRange(m.Start, m.End, func(_ string, row sqltypes.Row) bool { return fn(row) })
+	if c.eq == len(t.pkOrds) { // the whole primary key: one row at most, found, not walked
+		if leaf, i, ok := t.primary.Find(start); ok {
+			c.view.ResetLanes(leaf, i, i+1)
+			read, err = visit(&c.view)
+		}
+		t.mu.RUnlock()
+		c.view.ResetCols(0, 0)
+		return read, err
+	}
+	t.primary.Walk(start, string(c.hi), func(keys []string, leaf *sqltypes.Lanes, i, j int) bool {
+		if read == limit {
+			c.next, c.resumed, c.done = keys[i], true, false
+			return false
+		}
+		c.view.ResetLanes(leaf, i, min(j, i+limit-read))
+		var took int
+		if took, err = visit(&c.view); err != nil {
+			return false
+		}
+		if read += took; i+took < j {
+			c.next, c.resumed, c.done = keys[i+took], true, false
+			return false
+		}
+		return true
+	})
+	t.mu.RUnlock()
+	c.view.ResetCols(0, 0) // the views go with the latch
+	return read, err
 }

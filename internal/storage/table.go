@@ -2,16 +2,26 @@
 // back-end server and the cache's materialized views: a clustered B+-tree on
 // the primary key plus any number of secondary indexes.
 //
-// Mutations return the before-image so the transaction layer can write the
-// commit log that feeds replication. Tables are safe for concurrent use; a
-// table-level RWMutex stands in for the paper's strict-2PL assumption (the
-// paper assumes writers are serialized on the master; readers see committed
-// states only).
+// The clustered tree stores no row objects. Each leaf keeps its rows in
+// typed column lanes (sqltypes.Lanes): a scan filters a leaf where it lies
+// and copies out only the columns of the rows that pass (Step), and a row is
+// assembled only where one is asked for — Peek writes it into the caller's
+// buffer, Get returns a copy, Scan hands its callback one that lasts the
+// call.
+//
+// Tables are safe for concurrent use; a table-level RWMutex, the latch,
+// stands in for the paper's strict-2PL assumption (the paper assumes writers
+// are serialized on the master; readers see committed states only). One
+// rule keeps the leaves private: nothing outside this package keeps a
+// pointer into a leaf. Readers copy what they need under the read latch — a
+// row, the survivors of a leaf window, an index range — and a batch a reader
+// is handed over a leaf (Step's visit) is valid only during the call.
+// Writers update the lanes in place under the write latch, with no
+// copy-on-write.
 package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"relaxedcc/internal/btree"
@@ -24,17 +34,36 @@ type Table struct {
 	def *catalog.Table
 
 	mu        sync.RWMutex
-	primary   *btree.Tree[sqltypes.Row]      // Key(pk) -> row
+	primary   *rows                          // Key(pk) -> row, in the leaf's lanes
 	secondary map[string]*btree.Tree[string] // index name -> Key(idx cols..., pk cols...) -> Key(pk)
 	secOrds   map[string][]int               // index name -> key-column ordinals
 	pkOrds    []int
+}
+
+// rows is the clustered tree: leaves keep their rows in column lanes.
+type rows = btree.Base[sqltypes.Lanes, *sqltypes.Lanes]
+
+// leafRows is how many rows a clustered leaf holds. A scan narrows and
+// copies a leaf window at a time, so what a window costs beyond its rows is
+// spread over up to this many; an insert or delete shifts the rest of its
+// leaf's lanes.
+const leafRows = 255
+
+// newRows returns an empty clustered tree for def, its lanes typed as the
+// columns are declared.
+func newRows(def *catalog.Table) *rows {
+	kinds := make([]sqltypes.Kind, len(def.Columns))
+	for i, c := range def.Columns {
+		kinds[i] = c.Type
+	}
+	return btree.NewOf(sqltypes.MakeLanes(kinds), leafRows)
 }
 
 // NewTable creates an empty table for the given definition.
 func NewTable(def *catalog.Table) *Table {
 	t := &Table{
 		def:       def,
-		primary:   btree.New[sqltypes.Row](),
+		primary:   newRows(def),
 		secondary: map[string]*btree.Tree[string]{},
 		secOrds:   map[string][]int{},
 		pkOrds:    def.PKOrdinals(),
@@ -74,8 +103,10 @@ func (t *Table) AddIndex(idx *catalog.Index) error {
 		return err
 	}
 	tree := btree.New[string]()
-	t.primary.Ascend(func(pkKey string, row sqltypes.Row) bool {
-		tree.Set(t.indexKeyLocked(ords, row, pkKey), pkKey)
+	t.primary.Walk("", "", func(keys []string, leaf *sqltypes.Lanes, i, j int) bool {
+		for ; i < j; i++ {
+			tree.Set(laneKey(leaf, i, ords, keys[i]), keys[i])
+		}
 		return true
 	})
 	t.secondary[idx.Name] = tree
@@ -101,9 +132,17 @@ func (t *Table) pkKey(row sqltypes.Row) string {
 	return string(appendOrds(buf[:0], row, t.pkOrds))
 }
 
-func (t *Table) indexKeyLocked(ords []int, row sqltypes.Row, pkKey string) string {
+// rowKey returns row's secondary-index key: its columns at ords, then the
+// encoded primary key.
+func rowKey(ords []int, row sqltypes.Row, pkKey string) string {
 	var buf [sqltypes.KeyStackBytes]byte
 	return string(append(appendOrds(buf[:0], row, ords), pkKey...))
+}
+
+// laneKey is rowKey for the stored row at leaf position i.
+func laneKey(leaf *sqltypes.Lanes, i int, ords []int, pkKey string) string {
+	var buf [sqltypes.KeyStackBytes]byte
+	return string(append(leaf.AppendKey(buf[:0], i, ords), pkKey...))
 }
 
 // appendOrds appends the key encoding of row's columns at ords to dst.
@@ -115,27 +154,35 @@ func appendOrds(dst []byte, row sqltypes.Row, ords []int) []byte {
 }
 
 // Insert adds a row. It fails on arity mismatch, NOT NULL violation or
-// duplicate primary key. The stored row is a clone; the caller keeps
-// ownership of row.
+// duplicate primary key. The row is copied into the leaf's lanes; the caller
+// keeps ownership of row.
 func (t *Table) Insert(row sqltypes.Row) error {
+	if err := t.check("insert", row); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pk := t.pkKey(row)
+	leaf, i, added := t.primary.Insert(pk)
+	if !added {
+		return fmt.Errorf("storage: %s: duplicate primary key %s", t.def.Name, pkString(t, row))
+	}
+	leaf.Put(i, row)
+	for name, tree := range t.secondary {
+		tree.Set(rowKey(t.secOrds[name], row, pk), pk)
+	}
+	return nil
+}
+
+// check rejects a row of the wrong arity or with a NULL in a NOT NULL column.
+func (t *Table) check(op string, row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
-		return fmt.Errorf("storage: %s: insert arity %d, want %d", t.def.Name, len(row), len(t.def.Columns))
+		return fmt.Errorf("storage: %s: %s arity %d, want %d", t.def.Name, op, len(row), len(t.def.Columns))
 	}
 	for i, col := range t.def.Columns {
 		if col.NotNull && row[i].IsNull() {
 			return fmt.Errorf("storage: %s: NULL in NOT NULL column %s", t.def.Name, col.Name)
 		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pk := t.pkKey(row)
-	if _, exists := t.primary.Get(pk); exists {
-		return fmt.Errorf("storage: %s: duplicate primary key %s", t.def.Name, pkString(t, row))
-	}
-	stored := row.Clone()
-	t.primary.Set(pk, stored)
-	for name, tree := range t.secondary {
-		tree.Set(t.indexKeyLocked(t.secOrds[name], stored, pk), pk)
 	}
 	return nil
 }
@@ -157,80 +204,88 @@ func (t *Table) findIndex(name string) *catalog.Index {
 	return nil
 }
 
-// Delete removes the row with the given primary-key values, returning the
-// removed row (the before-image) if one existed.
-func (t *Table) Delete(pkVals sqltypes.Row) (sqltypes.Row, bool) {
+// Delete removes the row with the given primary-key values, reporting
+// whether there was one.
+func (t *Table) Delete(pkVals sqltypes.Row) bool {
+	var buf [sqltypes.KeyStackBytes]byte
+	pk := string(sqltypes.AppendKey(buf[:0], pkVals...))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pk := sqltypes.Key(pkVals...)
-	old, ok := t.primary.Get(pk)
+	leaf, i, ok := t.primary.Find(pk)
 	if !ok {
-		return nil, false
+		return false
+	}
+	for name, tree := range t.secondary {
+		tree.Delete(laneKey(leaf, i, t.secOrds[name], pk))
 	}
 	t.primary.Delete(pk)
-	for name, tree := range t.secondary {
-		tree.Delete(t.indexKeyLocked(t.secOrds[name], old, pk))
-	}
-	return old, true
+	return true
 }
 
-// Update replaces the row identified by newRow's primary key with newRow,
-// returning the before-image. It fails if no such row exists. Changing
-// primary-key columns must be expressed as Delete+Insert by the caller.
-func (t *Table) Update(newRow sqltypes.Row) (sqltypes.Row, error) {
-	if len(newRow) != len(t.def.Columns) {
-		return nil, fmt.Errorf("storage: %s: update arity %d, want %d", t.def.Name, len(newRow), len(t.def.Columns))
-	}
-	for i, col := range t.def.Columns {
-		if col.NotNull && newRow[i].IsNull() {
-			return nil, fmt.Errorf("storage: %s: NULL in NOT NULL column %s", t.def.Name, col.Name)
-		}
+// Update overwrites, in place, the row identified by newRow's primary key
+// with newRow. It fails if no such row exists. Changing primary-key columns
+// must be expressed as Delete+Insert by the caller.
+func (t *Table) Update(newRow sqltypes.Row) error {
+	if err := t.check("update", newRow); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pk := t.pkKey(newRow)
-	old, ok := t.primary.Get(pk)
+	leaf, i, ok := t.primary.Find(pk)
 	if !ok {
-		return nil, fmt.Errorf("storage: %s: update of missing key", t.def.Name)
+		return fmt.Errorf("storage: %s: update of missing key", t.def.Name)
 	}
-	stored := newRow.Clone()
-	t.primary.Set(pk, stored)
 	for name, tree := range t.secondary {
 		ords := t.secOrds[name]
-		oldKey := t.indexKeyLocked(ords, old, pk)
-		newKey := t.indexKeyLocked(ords, stored, pk)
+		oldKey, newKey := laneKey(leaf, i, ords, pk), rowKey(ords, newRow, pk)
 		if oldKey != newKey {
 			tree.Delete(oldKey)
 			tree.Set(newKey, pk)
 		}
 	}
-	return old, nil
+	leaf.Put(i, newRow)
+	return nil
 }
 
 // Get returns a copy of the row with the given primary-key values.
 func (t *Table) Get(pkVals sqltypes.Row) (sqltypes.Row, bool) {
-	row, ok := t.Peek(pkVals)
-	return row.Clone(), ok
+	return t.Peek(pkVals, make(sqltypes.Row, 0, len(t.def.Columns)))
 }
 
-// Peek is Get without the copy: it returns the stored row, which callers
-// must not mutate (the contract Scan gives). The key is encoded on the
-// stack and never kept, so a lookup allocates nothing.
-func (t *Table) Peek(pkVals sqltypes.Row) (sqltypes.Row, bool) {
+// Peek writes the row with the given primary-key values into dst's array,
+// growing it only when it is narrower than the table, and returns it. The
+// key is encoded on the stack and never kept, so a lookup into a buffer of
+// the table's width allocates nothing.
+func (t *Table) Peek(pkVals, dst sqltypes.Row) (sqltypes.Row, bool) {
 	var buf [sqltypes.KeyStackBytes]byte
 	key := sqltypes.AppendKey(buf[:0], pkVals...)
 	t.mu.RLock()
-	row, ok := t.primary.Get(string(key))
+	leaf, i, ok := t.primary.Find(string(key))
+	if dst = dst[:0]; ok {
+		dst = leaf.AppendRow(dst, i)
+	}
 	t.mu.RUnlock()
-	return row, ok
+	return dst, ok
 }
 
 // Scan calls fn with every row in primary-key order until fn returns false.
-// Rows passed to fn are the stored rows; callers must not mutate them.
+// Rows are assembled a leaf window at a time into one reused buffer, so a
+// row is valid only during the call: a caller that keeps it copies it.
 func (t *Table) Scan(fn func(sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.primary.Ascend(func(_ string, row sqltypes.Row) bool { return fn(row) })
+	var rows []sqltypes.Value
+	w := len(t.def.Columns)
+	t.primary.Walk("", "", func(_ []string, leaf *sqltypes.Lanes, i, j int) bool {
+		rows = leaf.Rows(rows, i, j)
+		for k := 0; k < j-i; k++ {
+			if !fn(rows[k*w : (k+1)*w : (k+1)*w]) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Bound describes one end of an index range. A nil Vals means unbounded.
@@ -239,18 +294,18 @@ type Bound struct {
 	Inclusive bool
 }
 
-// ScanIndex range-scans the named index (or the clustered primary index if
-// idxName matches a clustered index) between lo and hi, calling fn with each
-// matching row until fn returns false. The bounds apply to a prefix of the
-// index key columns.
-//
-// The range is encoded in a stack buffer and the tree keeps neither end, so
-// a scan whose bounds change from run to run allocates nothing for them
-// (unless an encoded key outgrows the buffer).
-func (t *Table) ScanIndex(idxName string, lo, hi Bound, fn func(sqltypes.Row) bool) error {
+// ScanIndex appends to dst every row in the named index's range between lo
+// and hi, in index order: the clustered index's rows copied a leaf window at
+// a time, or a secondary index's entries resolved to their rows. The bounds
+// apply to a prefix of the index key columns, so equal inclusive bounds are
+// the equality seek of an index nested-loop join. The range is encoded in a
+// stack buffer and the tree keeps neither end, so once dst has grown a scan
+// whose bounds change from run to run allocates nothing (unless an encoded
+// key outgrows the buffer). A secondary entry whose row is missing is an
+// error: the index and the table are out of sync.
+func (t *Table) ScanIndex(idxName string, lo, hi Bound, dst *sqltypes.Lanes) error {
 	var buf [2 * sqltypes.KeyStackBytes]byte
 	s, e := appendRangeKeys(buf[:0], lo, hi)
-	start, end := string(s), string(e)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	idx := t.findIndex(idxName)
@@ -258,47 +313,29 @@ func (t *Table) ScanIndex(idxName string, lo, hi Bound, fn func(sqltypes.Row) bo
 		return fmt.Errorf("storage: table %s has no index %s", t.def.Name, idxName)
 	}
 	if idx.Clustered {
-		t.primary.AscendRange(start, end, func(_ string, row sqltypes.Row) bool { return fn(row) })
+		t.primary.Walk(string(s), string(e), func(_ []string, leaf *sqltypes.Lanes, i, j int) bool {
+			dst.Move(dst.Len(), leaf, i, j)
+			return true
+		})
 		return nil
 	}
-	t.secondary[idxName].AscendRange(start, end, func(_, pk string) bool { return fn(t.rowOf(idxName, pk)) })
-	return nil
+	var err error
+	t.secondary[idxName].AscendRange(string(s), string(e), func(_, pk string) bool {
+		leaf, i, ok := t.primary.Find(pk)
+		if !ok {
+			err = fmt.Errorf("storage: dangling entry in index %s of %s", idxName, t.def.Name)
+			return false
+		}
+		dst.Move(dst.Len(), leaf, i, i+1)
+		return true
+	})
+	return err
 }
 
-// rowOf resolves a secondary-index entry to its row.
-func (t *Table) rowOf(idxName, pk string) sqltypes.Row {
-	row, ok := t.primary.Get(pk)
-	if !ok { // index and heap out of sync: structural bug
-		panic("storage: dangling index entry in " + idxName)
-	}
-	return row
-}
-
-// SeekEq appends to dst every row whose leading index columns equal key, in
-// index order — the equality seek of an index nested-loop join. The key and
-// its prefix end are encoded side by side in one stack buffer and the walk
-// calls nothing back, so a seek allocates only when dst has to grow (or the
-// encoded key outgrows the buffer).
-func (t *Table) SeekEq(idxName string, key sqltypes.Row, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	var buf [sqltypes.KeyStackBytes]byte
-	k := sqltypes.AppendKey(buf[:0], key...)
-	e := btree.AppendPrefixEnd(k, k)[len(k):]
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// Clustered reports whether idxName names the table's clustered index.
+func (t *Table) Clustered(idxName string) bool {
 	idx := t.findIndex(idxName)
-	if idx == nil {
-		return dst, fmt.Errorf("storage: table %s has no index %s", t.def.Name, idxName)
-	}
-	if idx.Clustered {
-		dst, _, _ = t.primary.AppendRange(dst, string(k), string(e), math.MaxInt)
-		return dst, nil
-	}
-	var pkBuf [8]string
-	pks, _, _ := t.secondary[idxName].AppendRange(pkBuf[:0], string(k), string(e), math.MaxInt)
-	for _, pk := range pks {
-		dst = append(dst, t.rowOf(idxName, pk))
-	}
-	return dst, nil
+	return idx != nil && idx.Clustered
 }
 
 // RangeKeys converts bounds on key-column prefixes to encoded key-range
@@ -332,7 +369,7 @@ func appendBound(dst []byte, b Bound, past bool) []byte {
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.primary = btree.New[sqltypes.Row]()
+	t.primary = newRows(t.def)
 	for name := range t.secondary {
 		t.secondary[name] = btree.New[string]()
 	}
@@ -351,12 +388,12 @@ func (t *Table) CheckIndexConsistency() string {
 		ords := t.secOrds[name]
 		bad := ""
 		tree.Ascend(func(key, pk string) bool {
-			row, ok := t.primary.Get(pk)
+			leaf, i, ok := t.primary.Find(pk)
 			if !ok {
 				bad = fmt.Sprintf("index %s entry points at missing row", name)
 				return false
 			}
-			if want := t.indexKeyLocked(ords, row, pk); want != key {
+			if want := laneKey(leaf, i, ords, pk); want != key {
 				bad = fmt.Sprintf("index %s entry key mismatch", name)
 				return false
 			}

@@ -85,11 +85,10 @@ func TestInsertClonesRow(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tbl := newTestTable(t)
 	tbl.Insert(row(1, "a", 10))
-	old, ok := tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)})
-	if !ok || old[1].Str() != "a" {
-		t.Fatalf("Delete = %v, %v", old, ok)
+	if !tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)}) {
+		t.Fatal("Delete of a stored row failed")
 	}
-	if _, ok := tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)}); ok {
+	if tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)}) {
 		t.Fatal("second delete succeeded")
 	}
 	if tbl.Len() != 0 {
@@ -103,18 +102,17 @@ func TestDelete(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	tbl := newTestTable(t)
 	tbl.Insert(row(1, "a", 10))
-	old, err := tbl.Update(row(1, "a2", 99))
-	if err != nil || old[1].Str() != "a" {
-		t.Fatalf("Update = %v, %v", old, err)
+	if err := tbl.Update(row(1, "a2", 99)); err != nil {
+		t.Fatalf("Update: %v", err)
 	}
 	got, _ := tbl.Get(sqltypes.Row{sqltypes.NewInt(1)})
 	if got[1].Str() != "a2" || got[2].Float() != 99 {
 		t.Fatalf("after update: %v", got)
 	}
-	if _, err := tbl.Update(row(2, "x", 0)); err == nil {
+	if err := tbl.Update(row(2, "x", 0)); err == nil {
 		t.Fatal("update of missing row succeeded")
 	}
-	if _, err := tbl.Update(sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
+	if err := tbl.Update(sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("bad arity update succeeded")
 	}
 	if msg := tbl.CheckIndexConsistency(); msg != "" {
@@ -150,36 +148,36 @@ func TestScanIndexRange(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		tbl.Insert(row(i, fmt.Sprint(i), float64(i)))
 	}
-	var got []float64
-	err := tbl.ScanIndex("ix_bal",
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(10)}, Inclusive: true},
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(20)}, Inclusive: false},
-		func(r sqltypes.Row) bool {
-			got = append(got, r[2].Float())
-			return true
-		})
-	if err != nil {
-		t.Fatal(err)
+	bals := func(lo, hi Bound) []float64 {
+		t.Helper()
+		var l sqltypes.Lanes
+		if err := tbl.ScanIndex("ix_bal", lo, hi, &l); err != nil {
+			t.Fatal(err)
+		}
+		var out []float64
+		for _, r := range lanesRows(&l) {
+			out = append(out, r[2].Float())
+		}
+		return out
 	}
+	got := bals(Bound{Vals: sqltypes.Row{sqltypes.NewFloat(10)}, Inclusive: true},
+		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(20)}, Inclusive: false})
 	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
 		t.Fatalf("index range [10,20) = %v", got)
 	}
 	// Exclusive lower bound.
-	got = nil
-	tbl.ScanIndex("ix_bal",
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(10)}, Inclusive: false},
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(12)}, Inclusive: true},
-		func(r sqltypes.Row) bool { got = append(got, r[2].Float()); return true })
+	got = bals(Bound{Vals: sqltypes.Row{sqltypes.NewFloat(10)}, Inclusive: false},
+		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(12)}, Inclusive: true})
 	if len(got) != 2 || got[0] != 11 || got[1] != 12 {
 		t.Fatalf("index range (10,12] = %v", got)
 	}
 	// Unbounded scan over clustered index.
-	count := 0
-	tbl.ScanIndex("pk_t", Bound{}, Bound{}, func(sqltypes.Row) bool { count++; return true })
-	if count != 100 {
-		t.Fatalf("clustered scan visited %d", count)
+	var all sqltypes.Lanes
+	tbl.ScanIndex("pk_t", Bound{}, Bound{}, &all)
+	if all.Len() != 100 {
+		t.Fatalf("clustered scan visited %d", all.Len())
 	}
-	if err := tbl.ScanIndex("nope", Bound{}, Bound{}, func(sqltypes.Row) bool { return true }); err == nil {
+	if err := tbl.ScanIndex("nope", Bound{}, Bound{}, &all); err == nil {
 		t.Fatal("scan of missing index succeeded")
 	}
 }
@@ -190,13 +188,11 @@ func TestScanIndexDuplicateKeys(t *testing.T) {
 	for i := int64(1); i <= 20; i++ {
 		tbl.Insert(row(i, "x", 7))
 	}
-	n := 0
-	tbl.ScanIndex("ix_bal",
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(7)}, Inclusive: true},
-		Bound{Vals: sqltypes.Row{sqltypes.NewFloat(7)}, Inclusive: true},
-		func(sqltypes.Row) bool { n++; return true })
-	if n != 20 {
-		t.Fatalf("dup-key scan visited %d, want 20", n)
+	seven := Bound{Vals: sqltypes.Row{sqltypes.NewFloat(7)}, Inclusive: true}
+	var l sqltypes.Lanes
+	tbl.ScanIndex("ix_bal", seven, seven, &l)
+	if l.Len() != 20 {
+		t.Fatalf("dup-key scan visited %d, want 20", l.Len())
 	}
 }
 
@@ -213,13 +209,11 @@ func TestAddIndexBackfills(t *testing.T) {
 		t.Fatal("duplicate AddIndex succeeded")
 	}
 	tbl.Def().Indexes = append(tbl.Def().Indexes, idx)
-	n := 0
-	tbl.ScanIndex("ix_name",
-		Bound{Vals: sqltypes.Row{sqltypes.NewString("7")}, Inclusive: true},
-		Bound{Vals: sqltypes.Row{sqltypes.NewString("7")}, Inclusive: true},
-		func(sqltypes.Row) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("backfilled index scan found %d", n)
+	seven := Bound{Vals: sqltypes.Row{sqltypes.NewString("7")}, Inclusive: true}
+	var l sqltypes.Lanes
+	tbl.ScanIndex("ix_name", seven, seven, &l)
+	if l.Len() != 1 {
+		t.Fatalf("backfilled index scan found %d", l.Len())
 	}
 	if msg := tbl.CheckIndexConsistency(); msg != "" {
 		t.Fatal(msg)
@@ -273,12 +267,12 @@ func TestQuickIndexConsistency(t *testing.T) {
 				}
 				live[id] = true
 			case 1:
-				_, err := tbl.Update(row(id, fmt.Sprint(rng.Intn(10)), float64(rng.Intn(50))))
+				err := tbl.Update(row(id, fmt.Sprint(rng.Intn(10)), float64(rng.Intn(50))))
 				if (err == nil) != live[id] {
 					return false
 				}
 			case 2:
-				_, ok := tbl.Delete(sqltypes.Row{sqltypes.NewInt(id)})
+				ok := tbl.Delete(sqltypes.Row{sqltypes.NewInt(id)})
 				if ok != live[id] {
 					return false
 				}
@@ -292,10 +286,12 @@ func TestQuickIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestSeekEqMatchesScanIndex checks the allocation-free equality seek against
-// ScanIndex with equal inclusive bounds, on the clustered index (a key prefix
-// of a composite primary key) and on a secondary index with duplicate keys.
-func TestSeekEqMatchesScanIndex(t *testing.T) {
+// TestScanIndexEqualitySeek checks ScanIndex with equal inclusive bounds —
+// the seek of an index nested-loop join — against a filtered full scan, on
+// the clustered index (a key prefix of a composite primary key) and on a
+// secondary index with duplicate keys, and that a seek into reused lanes
+// allocates nothing.
+func TestScanIndexEqualitySeek(t *testing.T) {
 	c := catalog.New()
 	def := &catalog.Table{
 		Name: "o",
@@ -322,19 +318,26 @@ func TestSeekEqMatchesScanIndex(t *testing.T) {
 		}
 	}
 	pk := tbl.Def().IndexOn("cust").Name
-	check := func(idx string, key sqltypes.Row) {
+	check := func(idx string, cols []int, key sqltypes.Row) {
 		t.Helper()
 		var want []sqltypes.Row
+		tbl.Scan(func(r sqltypes.Row) bool {
+			for k, c := range cols {
+				if !r[c].Equal(key[k]) {
+					return true
+				}
+			}
+			want = append(want, r.Clone())
+			return true
+		})
+		var l sqltypes.Lanes
 		b := Bound{Vals: key, Inclusive: true}
-		if err := tbl.ScanIndex(idx, b, b, func(r sqltypes.Row) bool { want = append(want, r); return true }); err != nil {
+		if err := tbl.ScanIndex(idx, b, b, &l); err != nil {
 			t.Fatal(err)
 		}
-		got, err := tbl.SeekEq(idx, key, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := lanesRows(&l)
 		if len(got) != len(want) {
-			t.Fatalf("%s %v: SeekEq found %d rows, ScanIndex %d", idx, key, len(got), len(want))
+			t.Fatalf("%s %v: the seek found %d rows, the scan %d", idx, key, len(got), len(want))
 		}
 		for i := range got {
 			if !got[i].Equal(want[i]) {
@@ -343,37 +346,50 @@ func TestSeekEqMatchesScanIndex(t *testing.T) {
 		}
 	}
 	for cust := int64(-1); cust <= 40; cust++ {
-		check(pk, sqltypes.Row{sqltypes.NewInt(cust)})
-		check(pk, sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(2)})
+		check(pk, []int{0}, sqltypes.Row{sqltypes.NewInt(cust)})
+		check(pk, []int{0, 1}, sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(2)})
 	}
 	for _, tag := range []string{"t0\xff", "t1\xff", "t2\xff", "t", "zz"} {
-		check("ix_tag", sqltypes.Row{sqltypes.NewString(tag)})
-	}
-	if _, err := tbl.SeekEq("nope", sqltypes.Row{sqltypes.NewInt(1)}, nil); err == nil {
-		t.Fatal("SeekEq on a missing index succeeded")
+		check("ix_tag", []int{2}, sqltypes.Row{sqltypes.NewString(tag)})
 	}
 
-	key := sqltypes.Row{sqltypes.NewInt(6)}
-	buf := make([]sqltypes.Row, 0, 16)
-	if n := testing.AllocsPerRun(100, func() { buf, _ = tbl.SeekEq(pk, key, buf[:0]) }); n != 0 {
-		t.Errorf("clustered SeekEq allocates %v per seek, want 0", n)
-	}
-	if len(buf) != 6 {
-		t.Fatalf("clustered SeekEq found %d rows, want 6", len(buf))
-	}
-	// A range scan encodes both ends on the stack: a scan whose bounds come
-	// from a statement's parameters re-encodes them every run.
-	rows := 0
-	count := func(sqltypes.Row) bool { rows++; return true }
-	lo, hi := Bound{Vals: key, Inclusive: true}, Bound{Vals: sqltypes.Row{sqltypes.NewInt(9)}}
+	// Both ends are encoded on the stack and the lanes keep their arrays: a
+	// seek whose key comes from a statement's parameters re-encodes it every
+	// run and allocates nothing.
+	var l sqltypes.Lanes
+	key := Bound{Vals: sqltypes.Row{sqltypes.NewInt(6)}, Inclusive: true}
 	tag := Bound{Vals: sqltypes.Row{sqltypes.NewString("t1\xff")}, Inclusive: true}
-	if n := testing.AllocsPerRun(100, func() {
-		_ = tbl.ScanIndex(pk, lo, hi, count)
-		_ = tbl.ScanIndex("ix_tag", tag, tag, count)
-	}); n != 0 {
-		t.Errorf("ScanIndex allocates %v per pair of scans, want 0", n)
+	seek := func() {
+		l.Reset()
+		_ = tbl.ScanIndex(pk, key, key, &l)
+		_ = tbl.ScanIndex("ix_tag", tag, tag, &l)
 	}
-	if rows == 0 {
-		t.Fatal("the scans found nothing")
+	seek()
+	found := l.Len()
+	if n := testing.AllocsPerRun(100, seek); n != 0 {
+		t.Errorf("a pair of seeks allocates %v, want 0", n)
+	}
+	if found <= 6 || l.Len() != found {
+		t.Fatalf("the seeks found %d rows, then %d", found, l.Len())
+	}
+}
+
+// TestScanIndexDanglingEntryIsAnError corrupts a secondary index with an
+// entry whose row does not exist: resolving it is an error the scan
+// returns, not a process exit.
+func TestScanIndexDanglingEntryIsAnError(t *testing.T) {
+	tbl := newTestTable(t)
+	for i := int64(1); i <= 3; i++ {
+		tbl.Insert(row(i, "x", float64(i)))
+	}
+	missing := sqltypes.Key(sqltypes.NewInt(99))
+	tbl.secondary["ix_bal"].Set(rowKey(tbl.secOrds["ix_bal"], row(99, "x", 2), missing), missing)
+	var l sqltypes.Lanes
+	err := tbl.ScanIndex("ix_bal", Bound{}, Bound{}, &l)
+	if err == nil || !strings.Contains(err.Error(), "dangling") {
+		t.Fatalf("ScanIndex over a dangling entry: %v", err)
+	}
+	if msg := tbl.CheckIndexConsistency(); msg == "" {
+		t.Fatal("CheckIndexConsistency missed the dangling entry")
 	}
 }
