@@ -8,14 +8,14 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// FuzzBTree runs a byte string as operations on both instantiations storage
-// uses — a clustered tree whose leaves keep rows in column lanes, and the
-// Tree[string] of a secondary index — against a sorted map: sets, deletes,
-// gets, runs of keys inserted in order (the leaves an ordered load fills),
-// and range reads resumed in windows of a given size — up to 300
-// operations. Every eighth operation, and after the last, both trees hold the model's entries in
-// order, every lane its rows' values and null bits, through the splits,
-// borrows and merges the operations cause, or the target fails.
+// FuzzBTree runs a byte string as up to 300 operations on both
+// instantiations storage uses — a clustered tree whose leaves keep rows in
+// column lanes, and the Tree[string] of a secondary index — against a sorted
+// map: sets, deletes, gets, runs of keys inserted in order (the leaves an
+// ordered load fills), and range reads resumed in windows of a given size.
+// Every eighth operation, and after the last, both trees must hold the
+// model's entries in order, every lane its rows' values and null bits,
+// through the splits, borrows and merges the operations cause.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 1, 1, 0, 3, 9, 9})
 	f.Add([]byte{4, 0, 200, 4, 1, 90, 1, 0, 0, 1, 0, 7, 5, 0, 3})

@@ -26,7 +26,8 @@ import "slices"
 // in a typed array, with NULLs tracked in a side slice. Columns whose
 // values do not share one kind degrade to the Any representation, which
 // keeps kernels correct (value-at-a-time) without losing the
-// column-at-a-time loop structure.
+// column-at-a-time loop structure. The fields a kernel reads come first, so
+// a lane header spans as few cache lines as it can.
 type Vec struct {
 	// Kind is the common kind of all non-NULL values, or KindNull when the
 	// column is mixed-kind (then Any holds the values verbatim).
@@ -48,7 +49,7 @@ type Vec struct {
 	Any []Value
 	// nullBuf retains the null-lane backing array while Null is nil (Null
 	// must be exactly nil when no value is NULL), so nullable columns stay
-	// allocation-free across batches. The fields a kernel reads come first.
+	// allocation-free across batches.
 	nullBuf []bool
 }
 

@@ -77,7 +77,8 @@ func (c *Cursor) Done() bool { return c.done }
 // leaf's lanes, valid only during the call; visit narrows it, copies or
 // folds what it keeps, and returns how many of the window's rows it dealt
 // with — all of them, or fewer to stop the walk there (a reader whose buffer
-// is full). Step returns the number of rows dealt with; the cursor then
+// is full). visit runs under the latch, so it must not block or take a
+// latch. Step returns the number of rows dealt with; the cursor then
 // resumes at the first row not dealt with, or is done. A step sees one
 // committed state, so a walk interleaves with writers at step granularity:
 // read committed, as for every reader.

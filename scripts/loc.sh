@@ -18,7 +18,7 @@ scenario_max=2732
 analysis_max=1361
 opt_max=3435
 sqlparser_max=2022
-storage_max=1138
+storage_max=1139
 spine='mtcache obs audit core tuner'
 
 total=0
