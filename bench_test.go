@@ -697,10 +697,10 @@ func TestMetricsHotPathZeroAlloc(t *testing.T) {
 
 // BenchmarkExecGuardedSwitch executes a currency-guarded point query down
 // both guard outcomes — a loose bound the local branch satisfies and a tight
-// bound that forces remote fallback — and reports the pick ratio, the
-// staleness the guard observed, and the currency-SLO view of the same
-// decisions (within-bound ratio and remaining error budget), the numbers
-// scripts/bench.sh lifts into BENCH_exec.json.
+// bound that forces remote fallback — into a region ledger, and reports its
+// pick ratio, the staleness the guard observed, and the currency-SLO view of
+// the same decisions (within-bound ratio and remaining error budget), the
+// numbers scripts/bench.sh lifts into BENCH_exec.json.
 func BenchmarkExecGuardedSwitch(b *testing.B) {
 	sys := benchSystem(b)
 	q := harness.GuardQueries()[0]
@@ -716,31 +716,11 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 		}
 		plans[i] = plan
 	}
-	var local, total int64
 	reg := obs.NewRegistry()
-	stale := reg.Histogram("bench_guard_staleness_ns")
-	slo := obs.NewSLOTracker(reg, obs.DefaultSLOTarget, obs.DefaultSLOWindow)
+	ledger := obs.NewRegionLedger(reg, sys.Clock.Now())
 	ctx := &exec.EvalContext{
-		Now: sys.Clock.Now(),
-		OnGuard: func(d exec.GuardDecision) {
-			total++
-			if d.Chosen == 0 {
-				local++
-			}
-			if d.StalenessKnown {
-				stale.ObserveDuration(d.Staleness)
-			}
-			slo.Observe(obs.GuardEvent{
-				Region:         d.Region,
-				Chosen:         d.Chosen,
-				Bound:          d.Bound,
-				GuardTime:      d.GuardTime,
-				Staleness:      d.Staleness,
-				StalenessKnown: d.StalenessKnown,
-				Degraded:       d.Degraded,
-				BlockWaits:     d.BlockWaits,
-			})
-		},
+		Now:     sys.Clock.Now(),
+		OnGuard: func(g exec.GuardDecision) { ledger.Observe(sys.Clock.Now(), g) },
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -754,21 +734,21 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 			}
 		}
 	}
+	var local, total int64
+	for _, p := range ledger.Snapshot(sys.Clock.Now()) {
+		local, total = local+p.Local, total+p.Queries
+	}
 	if total > 0 {
 		b.ReportMetric(float64(local)/float64(total), "local_ratio")
 	}
+	stale := reg.Histogram("guard_staleness_ns")
 	b.ReportMetric(float64(stale.Quantile(0.50))/1e6, "stale_p50_ms")
 	b.ReportMetric(float64(stale.Quantile(0.95))/1e6, "stale_p95_ms")
 	b.ReportMetric(float64(stale.Quantile(0.99))/1e6, "stale_p99_ms")
-	if snap := slo.Snapshot(); len(snap.Regions) > 0 {
+	if snap := ledger.SLO(); len(snap.Regions) > 0 {
 		within, budget := 1.0, 1.0
 		for _, r := range snap.Regions {
-			if r.WithinRatio < within {
-				within = r.WithinRatio
-			}
-			if r.ErrorBudget < budget {
-				budget = r.ErrorBudget
-			}
+			within, budget = min(within, r.WithinRatio), min(budget, r.ErrorBudget)
 		}
 		b.ReportMetric(within, "slo_within_ratio")
 		b.ReportMetric(budget, "slo_error_budget")

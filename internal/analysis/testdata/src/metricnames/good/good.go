@@ -16,7 +16,7 @@ func register(r *Registry) {
 	r.Counter("cache_hits_total")
 	r.Counter(hitPrefix + "misses_total")
 	r.GaugeVec("cache_bytes", "shard")
-	// The shapes the lifecycle tracer and SLO tracker register.
+	// The shapes the lifecycle tracer and the region ledger register.
 	r.Counter("trace_sampled_total")
 	r.CounterVec("span_events_total", "kind")
 	r.GaugeVec("slo_error_budget", "region")

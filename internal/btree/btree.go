@@ -314,20 +314,10 @@ func (t *Base[S, P]) Walk(start, end string, fn func(keys []string, leaf *S, i, 
 	}
 }
 
-// PrefixEnd returns the smallest string greater than every string with the
-// given prefix, or "" if there is none (all 0xFF). It is exported for range
-// construction by callers that build composite index keys.
-func PrefixEnd(prefix string) string { return prefixEnd(prefix) }
-
-// prefixEnd returns the smallest string greater than every string with the
-// given prefix, or "" if there is none (all 0xFF).
-func prefixEnd(prefix string) string {
-	var buf [64]byte // a key this short costs one allocation, the result
-	return string(AppendPrefixEnd(buf[:0], []byte(prefix)))
-}
-
-// AppendPrefixEnd appends PrefixEnd(prefix) to dst, for callers that keep
-// their keys in a byte buffer. prefix may alias dst's contents.
+// AppendPrefixEnd appends to dst the smallest string greater than every
+// string with the given prefix, or nothing if there is none (all 0xFF): the
+// exclusive end of a prefix range, for callers that keep their keys in a
+// byte buffer. prefix may alias dst's contents.
 func AppendPrefixEnd(dst, prefix []byte) []byte {
 	for i := len(prefix) - 1; i >= 0; i-- {
 		if prefix[i] != 0xFF {

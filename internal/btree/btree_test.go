@@ -8,22 +8,39 @@ import (
 	"testing/quick"
 )
 
+// get reads key's payload through Find.
+func get[V any](tr *Tree[V], key string) (val V, ok bool) {
+	if leaf, i, ok := tr.Find(key); ok {
+		return (*leaf)[i], true
+	}
+	return val, false
+}
+
+// bounds returns the smallest and largest keys, as AscendRange visits them.
+func bounds[V any](tr *Tree[V]) (lo, hi string, ok bool) {
+	tr.AscendRange("", "", func(k string, _ V) bool {
+		if !ok {
+			lo, ok = k, true
+		}
+		hi = k
+		return true
+	})
+	return lo, hi, ok
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New[int]()
 	if tr.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", tr.Len())
 	}
-	if _, ok := tr.Get("x"); ok {
-		t.Fatal("Get on empty tree returned ok")
+	if _, ok := get(tr, "x"); ok {
+		t.Fatal("Find on empty tree returned ok")
 	}
 	if tr.Delete("x") {
 		t.Fatal("Delete on empty tree returned true")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree returned ok")
+	if _, _, ok := bounds(tr); ok {
+		t.Fatal("AscendRange on empty tree visited an entry")
 	}
 	called := false
 	tr.Ascend(func(string, int) bool { called = true; return true })
@@ -40,9 +57,9 @@ func TestSetGetSingle(t *testing.T) {
 	if tr.Set("a", 2) {
 		t.Fatal("overwrite Set returned true")
 	}
-	v, ok := tr.Get("a")
+	v, ok := get(tr, "a")
 	if !ok || v != 2 {
-		t.Fatalf("Get = %v,%v, want 2,true", v, ok)
+		t.Fatalf("Find = %v,%v, want 2,true", v, ok)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tr.Len())
@@ -132,8 +149,9 @@ func TestAscendPrefix(t *testing.T) {
 	tr.Set("app", 2)
 	tr.Set("banana", 3)
 	tr.Set("applet", 4)
+	// A prefix scan is the range [prefix, AppendPrefixEnd(prefix)).
 	var keys []string
-	tr.AscendPrefix("app", func(k string, v int) bool {
+	tr.AscendRange("app", string(AppendPrefixEnd(nil, []byte("app"))), func(k string, v int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -149,24 +167,28 @@ func TestAscendPrefix(t *testing.T) {
 }
 
 func TestPrefixEndAllFF(t *testing.T) {
-	if got := prefixEnd("\xff\xff"); got != "" {
-		t.Fatalf("prefixEnd(0xffff) = %q, want empty", got)
+	if got := AppendPrefixEnd(nil, []byte("\xff\xff")); len(got) != 0 {
+		t.Fatalf("AppendPrefixEnd(0xffff) = %q, want empty", got)
 	}
-	if got := prefixEnd("a\xff"); got != "b" {
-		t.Fatalf("prefixEnd = %q, want b", got)
+	if got := AppendPrefixEnd(nil, []byte("a\xff")); string(got) != "b" {
+		t.Fatalf("AppendPrefixEnd = %q, want b", got)
 	}
 }
 
 // A range end is computed once per bounded scan opened, point reads
-// included: it may cost the string it returns and nothing else.
+// included: into a buffer with room, including the key's own (the two may
+// alias), it costs nothing.
 func TestPrefixEndAllocatesOnlyItsResult(t *testing.T) {
-	key := "customer\x00\x00\x00\x00\x00\x00\x00\x11"
-	var got string
-	if n := testing.AllocsPerRun(100, func() { got = PrefixEnd(key) }); n > 1 {
-		t.Fatalf("PrefixEnd allocates %v times, want 1", n)
+	key := []byte("customer\x00\x00\x00\x00\x00\x00\x00\x11")
+	buf := make([]byte, 0, 2*len(key))
+	var got []byte
+	if n := testing.AllocsPerRun(100, func() {
+		got = AppendPrefixEnd(append(buf[:0], key...), buf[:len(key)])[len(key):]
+	}); n != 0 {
+		t.Fatalf("AppendPrefixEnd allocates %v times, want 0", n)
 	}
-	if got <= key || len(got) != len(key) {
-		t.Fatalf("PrefixEnd(%q) = %q", key, got)
+	if string(got) <= string(key) || len(got) != len(key) {
+		t.Fatalf("AppendPrefixEnd(%q) = %q", key, got)
 	}
 }
 
@@ -215,11 +237,8 @@ func TestMinMax(t *testing.T) {
 	for _, k := range []string{"m", "c", "z", "a", "q"} {
 		tr.Set(k, k)
 	}
-	if k, _, _ := tr.Min(); k != "a" {
-		t.Fatalf("Min = %q", k)
-	}
-	if k, _, _ := tr.Max(); k != "z" {
-		t.Fatalf("Max = %q", k)
+	if lo, hi, _ := bounds(tr); lo != "a" || hi != "z" {
+		t.Fatalf("smallest, largest = %q, %q", lo, hi)
 	}
 }
 
@@ -342,13 +361,13 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
+func BenchmarkFind(b *testing.B) {
 	tr := New[int]()
 	for i := 0; i < 100000; i++ {
 		tr.Set(fmt.Sprintf("%08d", i), i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Get(fmt.Sprintf("%08d", i%100000))
+		tr.Find(fmt.Sprintf("%08d", i%100000))
 	}
 }

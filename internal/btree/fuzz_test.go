@@ -118,7 +118,7 @@ func (m *model) delete(k int) {
 func (m *model) get(t *testing.T, k int) {
 	want, ok := m.ref[key(k)]
 	leaf, i, found := m.rows.Find(key(k))
-	s, sok := m.strs.Get(key(k))
+	s, sok := get(m.strs, key(k))
 	if found != ok || sok != ok {
 		t.Fatalf("get %d: found %v %v, want %v", k, found, sok, ok)
 	}

@@ -35,14 +35,6 @@ func (s *Slice[V]) Fresh() Slice[V] { return nil }
 // New returns an empty tree.
 func New[V any]() *Tree[V] { return &Tree[V]{} }
 
-// Get returns the payload stored under key, if any.
-func (t *Tree[V]) Get(key string) (val V, ok bool) {
-	if leaf, i, ok := t.Find(key); ok {
-		return (*leaf)[i], true
-	}
-	return val, false
-}
-
 // Set stores val under key, replacing any existing payload.
 // It reports whether the key was newly inserted.
 func (t *Tree[V]) Set(key string, val V) bool {
@@ -88,35 +80,4 @@ func (t *Tree[V]) AppendRange(dst []V, start, end string, limit int) (out []V, n
 		return true
 	})
 	return dst, next, more
-}
-
-// AscendPrefix calls fn for every entry whose key begins with prefix.
-func (t *Tree[V]) AscendPrefix(prefix string, fn func(key string, val V) bool) {
-	if prefix == "" {
-		t.Ascend(fn)
-		return
-	}
-	t.AscendRange(prefix, prefixEnd(prefix), fn)
-}
-
-// Min returns the smallest key and its payload.
-func (t *Tree[V]) Min() (key string, val V, ok bool) {
-	t.Walk("", "", func(keys []string, leaf *Slice[V], i, _ int) bool {
-		key, val, ok = keys[i], (*leaf)[i], true
-		return false
-	})
-	return key, val, ok
-}
-
-// Max returns the largest key and its payload.
-func (t *Tree[V]) Max() (key string, val V, ok bool) {
-	n := t.root
-	if n == nil {
-		return "", val, false
-	}
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	last := len(n.keys) - 1
-	return n.keys[last], n.vals[last], true
 }

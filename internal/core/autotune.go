@@ -19,13 +19,13 @@ func (t agentActuator) SetInterval(d time.Duration)          { t.a.SetInterval(d
 func (t agentActuator) HeartbeatInterval() time.Duration     { return t.a.HeartbeatInterval() }
 func (t agentActuator) SetHeartbeatInterval(d time.Duration) { t.a.SetHeartbeatInterval(d) }
 
-// EnableAutotune closes the loop between the primary cache's workload
-// observer and its replication fabric: a tuner.Loop ticks on the
-// coordinator's schedule, cuts the observer's window, re-solves the
-// Section 6 optimization per region, and retunes each agent's propagation
-// interval and heartbeat cadence with hysteresis. Decisions are recorded on
-// the loop's ring (served on /tuner) and in the tuner_* metrics of the
-// cache's registry.
+// EnableAutotune closes the loop between the primary cache's region ledger
+// and its replication fabric: a tuner.Loop ticks on the coordinator's
+// schedule, cuts the ledger's workload window, re-solves the Section 6
+// optimization per region, and retunes each agent's propagation interval
+// and heartbeat cadence with hysteresis. Decisions are recorded on the
+// loop's ring (served on /tuner) and in the tuner_* metrics of the cache's
+// registry.
 //
 // Call it after regions are registered; regions added later are adopted
 // automatically. Idempotent: a second call returns the existing loop.
@@ -33,7 +33,7 @@ func (s *System) EnableAutotune(cfg tuner.LoopConfig) *tuner.Loop {
 	if s.tuner != nil {
 		return s.tuner
 	}
-	loop := tuner.NewLoop(cfg, s.Cache.Workload(), s.Cache.Obs())
+	loop := tuner.NewLoop(cfg, s.Cache.Ledger().Cut, s.Cache.Obs())
 	s.tuner = loop
 	s.adoptAll()
 	s.Coord.AddPeriodic(loop.Cadence(), loop.Tick)

@@ -18,7 +18,7 @@ func (s *System) ObsHandler() http.Handler {
 		Registry: s.Cache.Obs(),
 		Traces:   s.Cache.Traces(),
 		Tracer:   s.Cache.Tracer(),
-		SLO:      s.Cache.SLO(),
+		Ledger:   s.Cache.Ledger(),
 		Refresh:  s.Cache.RefreshStalenessGauges,
 		Regions:  s.Cache.RegionStatuses,
 		Tuner: func() any {

@@ -75,9 +75,6 @@ type Traced struct {
 // Unwrap returns the operator the shim wraps.
 func (t *Traced) Unwrap() Operator { return t.child }
 
-// Node returns the shim's trace node.
-func (t *Traced) Node() *obs.TraceNode { return t.node }
-
 // Schema implements Operator.
 func (t *Traced) Schema() *Schema { return t.child.Schema() }
 

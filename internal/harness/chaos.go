@@ -11,6 +11,20 @@ import (
 	"relaxedcc/internal/obs"
 )
 
+// The query stream and fault timeline every chaos run shares (no caller
+// varied them). The bound lies between delay and delay+interval, so the
+// guard's choice oscillates across the propagation cycle, exercising both
+// branches. Every chaosWriteInterval the master takes a single-row UPDATE,
+// so the commit history keeps moving after setup and the delivered-guarantee
+// auditor has real staleness to measure; the writes bypass the faulted link
+// and never change the guard's heartbeat signal.
+const (
+	chaosQueryInterval  = 500 * time.Millisecond
+	chaosBound          = 5 * time.Second
+	chaosPartitionStart = 40 * time.Second
+	chaosWriteInterval  = 2 * time.Second
+)
+
 // ChaosConfig scripts one deterministic chaos run: a single-region cache
 // under a currency-bounded point-query workload while the injector imposes
 // link latency, transient errors, a hard partition window, and a wedged
@@ -19,31 +33,15 @@ type ChaosConfig struct {
 	Scenario
 	// Duration is the total virtual time of the run.
 	Duration time.Duration
-	// QueryInterval is the virtual time between queries.
-	QueryInterval time.Duration
-
-	// Bound is the queries' currency bound. With a bound between delay and
-	// delay+interval the guard's choice oscillates across the propagation
-	// cycle, exercising both branches.
-	Bound time.Duration
 
 	// Link faults beyond the scenario's latency: transient-error probability
-	// per call, and one hard partition window.
-	ErrorRate      float64
-	PartitionStart time.Duration
-	PartitionDur   time.Duration
+	// per call, and the length of the partition window (zero disables).
+	ErrorRate    float64
+	PartitionDur time.Duration
 
 	// StallStart wedges the region's agent at that offset (zero disables);
 	// the watchdog is expected to catch and restart it.
 	StallStart time.Duration
-
-	// WriteInterval issues a single-row UPDATE directly against the master
-	// at this cadence (zero disables), so the commit history keeps moving
-	// after setup and the delivered-guarantee auditor has real staleness to
-	// measure. The writes bypass the faulted link and never change the
-	// guard's heartbeat signal, so reports stay byte-identical with the
-	// write-free runs of earlier revisions.
-	WriteInterval time.Duration
 
 	// GuardLieStart is the deliberately broken fault schedule the auditor
 	// must catch: from that offset (zero disables) the region's agent is
@@ -61,21 +59,16 @@ type ChaosConfig struct {
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		Scenario: Scenario{
-			Seed:              2004,
-			UpdateInterval:    10 * time.Second,
-			UpdateDelay:       2 * time.Second,
-			HeartbeatInterval: 1 * time.Second,
-			Latency:           2 * time.Millisecond,
-			LatencyJitter:     3 * time.Millisecond,
+			Seed:           2004,
+			UpdateInterval: 10 * time.Second,
+			UpdateDelay:    2 * time.Second,
+			Latency:        2 * time.Millisecond,
+			LatencyJitter:  3 * time.Millisecond,
 		},
-		Duration:       120 * time.Second,
-		QueryInterval:  500 * time.Millisecond,
-		Bound:          5 * time.Second,
-		ErrorRate:      0.10,
-		PartitionStart: 40 * time.Second,
-		PartitionDur:   25 * time.Second,
-		StallStart:     80 * time.Second,
-		WriteInterval:  2 * time.Second,
+		Duration:     120 * time.Second,
+		ErrorRate:    0.10,
+		PartitionDur: 25 * time.Second,
+		StallStart:   80 * time.Second,
 	}
 }
 
@@ -114,7 +107,7 @@ type ChaosReport struct {
 
 	// SLO is the pre-rendered per-region currency-SLO section (within-bound
 	// ratio, remaining error budget, staleness percentiles), taken from the
-	// cache's SLO tracker when the run ends. Storing the rendered text keeps
+	// cache's region ledger when the run ends. Storing the rendered text keeps
 	// the report comparable with == (TestChaosDeterministic relies on that)
 	// and makes the byte-identical determinism guarantee directly checkable.
 	SLO string
@@ -131,30 +124,28 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	sess := sys.Cache.NewSession()
 	sess.Action = mtcache.ActionServeLocal
-	q := ask{Session: sess, SQL: pointQuery(cfg.Bound), Bound: cfg.Bound}
+	q := ask{Session: sess, SQL: pointQuery(chaosBound), Bound: chaosBound}
 
 	start := sys.Clock.Now()
 	var events []event
 	if cfg.PartitionDur > 0 {
-		events = append(events, event{At: cfg.PartitionStart, Do: func() {
-			inj.PartitionUntil(start.Add(cfg.PartitionStart + cfg.PartitionDur))
+		events = append(events, event{At: chaosPartitionStart, Do: func() {
+			inj.PartitionUntil(start.Add(chaosPartitionStart + cfg.PartitionDur))
 		}})
 	}
 	if cfg.StallStart > 0 {
 		events = append(events, event{At: cfg.StallStart, Do: func() { inj.StallAgent(1, true) }})
 	}
-	if cfg.WriteInterval > 0 {
-		writeVal := int64(1)
-		events = append(events, event{At: cfg.WriteInterval, Every: cfg.WriteInterval, Do: func() {
-			writeVal++
-			sys.MustExec(fmt.Sprintf("UPDATE T SET v = %d WHERE id = 1", writeVal))
-		}})
-	}
+	writeVal := int64(1)
+	events = append(events, event{At: chaosWriteInterval, Every: chaosWriteInterval, Do: func() {
+		writeVal++
+		sys.MustExec(fmt.Sprintf("UPDATE T SET v = %d WHERE id = 1", writeVal))
+	}})
 	if cfg.GuardLieStart > 0 {
 		events = append(events, event{At: cfg.GuardLieStart, Do: func() {
 			inj.SetStallSurvivesRestart(true)
 			inj.StallAgent(1, true)
-		}}, event{At: cfg.GuardLieStart, Every: cfg.QueryInterval, Do: func() {
+		}}, event{At: cfg.GuardLieStart, Every: chaosQueryInterval, Do: func() {
 			// The lie: replication is wedged, but before every query the
 			// heartbeat claims the region synchronized this instant.
 			sys.Cache.SetLastSync(1, sys.Clock.Now())
@@ -163,7 +154,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	rep := &ChaosReport{}
 	var served []time.Duration
-	r := runner{sys: sys, events: events, arrivals: every(cfg.QueryInterval, cfg.Duration),
+	r := runner{sys: sys, events: events, arrivals: every(chaosQueryInterval, cfg.Duration),
 		ask: func(int) ask { return q },
 		observe: func(s *serve) error {
 			rep.add(s)
@@ -192,7 +183,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		rep.AgentRestarts += wd.Agent().Restarts()
 	}
 	rep.Injected = inj.Stats()
-	rep.SLO = renderSLO(sys.Cache.SLO().Snapshot())
+	rep.SLO = renderSLO(sys.Cache.Ledger().SLO())
 	return rep, nil
 }
 

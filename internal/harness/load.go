@@ -43,7 +43,7 @@ const (
 	loadJitter    = 2 * time.Millisecond
 	loadErrorRate = 0.02
 	// Per-tenant within-bound objective behind the error-budget columns (and
-	// the cache SLO tracker's target).
+	// the cache region ledger's SLO target).
 	loadSLOTarget = 0.95
 	// A step is saturated when its p99 exceeds kneeP99 or it achieves less
 	// than kneeMinAchieved of the offered rate.
@@ -149,7 +149,7 @@ type TenantStep struct {
 }
 
 // RegionStep is one currency region's workload profile over one step,
-// tapped from the cache's obs.WorkloadObserver window.
+// cut from the cache's region ledger.
 type RegionStep struct {
 	Region           int     `json:"region"`
 	Queries          int64   `json:"queries"`
@@ -290,7 +290,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	for _, qps := range cfg.Steps {
 		expected += int(qps * cfg.StepDuration.Seconds())
 	}
-	sys.Cache.ConfigureSLO(loadSLOTarget, expected)
+	sys.Cache.Ledger().Reconfigure(loadSLOTarget, expected)
 	if cfg.OnSystem != nil {
 		cfg.OnSystem(sys)
 	}
@@ -315,7 +315,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 
 	// Open a fresh workload window so step 0's region profiles do not
 	// include warm-up traffic, and again after every gap.
-	sys.Cache.Workload().Cut(sys.Clock.Now())
+	sys.Cache.Ledger().Cut(sys.Clock.Now())
 	for i, qps := range cfg.Steps {
 		step, err := runStep(cfg, sys, sessions, keys, i, qps)
 		if err != nil {
@@ -325,10 +325,10 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		if err := sys.Run(cfg.StepGap); err != nil {
 			return nil, err
 		}
-		sys.Cache.Workload().Cut(sys.Clock.Now())
+		sys.Cache.Ledger().Cut(sys.Clock.Now())
 	}
 	rep.KneeQPS = findKnee(rep.Steps)
-	rep.SLO = sys.Cache.SLO().Snapshot()
+	rep.SLO = sys.Cache.Ledger().SLO()
 	return rep, nil
 }
 
@@ -439,7 +439,7 @@ func runStep(cfg LoadConfig, sys *core.System, sessions []*mtcache.Session, keys
 		t.SLOErrorBudget = obs.ErrorBudget(loadSLOTarget, t.Within, t.Queries)
 		t.LatencyP50NS, t.LatencyP99NS, t.LatencyP999NS = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 	}
-	for _, p := range sys.Cache.Workload().Cut(sys.Clock.Now()) {
+	for _, p := range sys.Cache.Ledger().Cut(sys.Clock.Now()) {
 		step.Regions = append(step.Regions, RegionStep{
 			Region:           p.Region,
 			Queries:          p.Queries,

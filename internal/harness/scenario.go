@@ -22,10 +22,9 @@ import (
 type Scenario struct {
 	Seed int64
 
-	// Region cadence as configured.
-	UpdateInterval    time.Duration
-	UpdateDelay       time.Duration
-	HeartbeatInterval time.Duration
+	// Region cadence as configured; the heartbeat is scenarioHeartbeat.
+	UpdateInterval time.Duration
+	UpdateDelay    time.Duration
 
 	// Latency plus jitter is imposed on every remote call.
 	Latency       time.Duration
@@ -38,6 +37,9 @@ type Scenario struct {
 	// advance the clock or run queries, or determinism is lost.
 	OnSystem func(*core.System)
 }
+
+// scenarioHeartbeat is the region's heartbeat cadence in every scenario run.
+const scenarioHeartbeat = time.Second
 
 // newSingleRegion builds the system every single-region experiment runs on:
 // table T with its one row, region 1 at the given cadence, view t_prj.
@@ -81,7 +83,7 @@ func injectFaults(sys *core.System, seed int64, latency, jitter time.Duration, e
 // nil) and OnSystem, and warms it up for one full propagation cycle, so the
 // region has synchronized at least once before the run starts.
 func (sc Scenario) build(errorRate float64, wire func(*core.System)) (*core.System, *fault.Injector, error) {
-	sys, err := newSingleRegion(sc.UpdateInterval, sc.UpdateDelay, sc.HeartbeatInterval)
+	sys, err := newSingleRegion(sc.UpdateInterval, sc.UpdateDelay, scenarioHeartbeat)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,7 +94,7 @@ func (sc Scenario) build(errorRate float64, wire func(*core.System)) (*core.Syst
 	if sc.OnSystem != nil {
 		sc.OnSystem(sys)
 	}
-	return sys, inj, sys.Run(sc.UpdateInterval + sc.UpdateDelay + 2*sc.HeartbeatInterval)
+	return sys, inj, sys.Run(sc.UpdateInterval + sc.UpdateDelay + 2*scenarioHeartbeat)
 }
 
 // event is one scripted entry of a run's timeline — a partition, an agent
@@ -130,7 +132,7 @@ type serve struct {
 	// answered; Known is false when the result names none (serve-stale).
 	Staleness time.Duration
 	Known     bool
-	// Within is the one within-bound rule, the SLO tracker's: never for a
+	// Within is the one within-bound rule, the region ledger's: never for a
 	// degraded or serve-stale answer, else iff the staleness, when known,
 	// fits the bound asked for (a remote answer is as old as it took).
 	Within bool

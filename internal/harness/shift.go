@@ -8,6 +8,7 @@ import (
 
 	"relaxedcc/internal/core"
 	"relaxedcc/internal/mtcache"
+	"relaxedcc/internal/obs"
 	"relaxedcc/internal/tuner"
 )
 
@@ -27,17 +28,10 @@ type ShiftConfig struct {
 	// the bound-mix flip (and partition start).
 	Duration time.Duration
 	ShiftAt  time.Duration
-	// QueryInterval is the virtual time between queries.
-	QueryInterval time.Duration
 
-	// LooseBound is the pre-shift currency bound (comfortably above the
-	// configured staleness), TightBound the post-shift one (far below it).
-	LooseBound time.Duration
-	TightBound time.Duration
-
-	// SLO window sizing; the window is in serves, so it also sets how much
-	// clean traffic a recovery needs (window/rate seconds).
-	SLOTarget float64
+	// SLOWindow sizes the SLO window (target obs.DefaultSLOTarget); the
+	// window is in serves, so it also sets how much clean traffic a recovery
+	// needs (window/rate seconds).
 	SLOWindow int
 
 	// Autotune enables the closed loop; Tuner parameterizes it (zero fields
@@ -46,6 +40,15 @@ type ShiftConfig struct {
 	Tuner    tuner.LoopConfig
 }
 
+// The query stream every shift run shares (no caller varied it): a loose
+// pre-shift bound comfortably above the configured staleness, a tight
+// post-shift one far below it.
+const (
+	shiftQueryInterval = 250 * time.Millisecond
+	shiftLooseBound    = 300 * time.Second
+	shiftTightBound    = 4 * time.Second
+)
+
 // DefaultShiftConfig sizes the scenario so the budget burns for several
 // observation windows and still has room to recover fully: a 5-virtual-
 // minute run, the shift at 100s, a 60s configured interval against a 4s
@@ -53,21 +56,16 @@ type ShiftConfig struct {
 func DefaultShiftConfig() ShiftConfig {
 	return ShiftConfig{
 		Scenario: Scenario{
-			Seed:              2004,
-			UpdateInterval:    60 * time.Second,
-			UpdateDelay:       500 * time.Millisecond,
-			HeartbeatInterval: 1 * time.Second,
-			Latency:           1 * time.Millisecond,
-			LatencyJitter:     1 * time.Millisecond,
+			Seed:           2004,
+			UpdateInterval: 60 * time.Second,
+			UpdateDelay:    500 * time.Millisecond,
+			Latency:        1 * time.Millisecond,
+			LatencyJitter:  1 * time.Millisecond,
 		},
-		Duration:      300 * time.Second,
-		ShiftAt:       100 * time.Second,
-		QueryInterval: 250 * time.Millisecond,
-		LooseBound:    300 * time.Second,
-		TightBound:    4 * time.Second,
-		SLOTarget:     0.99,
-		SLOWindow:     256,
-		Tuner:         tuner.LoopConfig{Cadence: 15 * time.Second},
+		Duration:  300 * time.Second,
+		ShiftAt:   100 * time.Second,
+		SLOWindow: 256,
+		Tuner:     tuner.LoopConfig{Cadence: 15 * time.Second},
 	}
 }
 
@@ -110,7 +108,7 @@ type ShiftReport struct {
 // RunShift executes the scripted workload-shift run.
 func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	sys, inj, err := cfg.build(0, func(sys *core.System) {
-		sys.Cache.ConfigureSLO(cfg.SLOTarget, cfg.SLOWindow)
+		sys.Cache.Ledger().Reconfigure(obs.DefaultSLOTarget, cfg.SLOWindow)
 		if cfg.Autotune {
 			sys.EnableAutotune(cfg.Tuner)
 		}
@@ -120,13 +118,12 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	}
 	sess := sys.Cache.NewSession()
 	sess.Action = mtcache.ActionServeLocal
-	q := ask{Session: sess, SQL: pointQuery(cfg.LooseBound), Bound: cfg.LooseBound}
+	q := ask{Session: sess, SQL: pointQuery(shiftLooseBound), Bound: shiftLooseBound}
 
 	start := sys.Clock.Now()
 	rep := &ShiftReport{Autotune: cfg.Autotune, PreShiftBudget: 1}
 	budget := func() float64 {
-		snap := sys.Cache.SLO().Snapshot()
-		for _, r := range snap.Regions {
+		for _, r := range sys.Cache.Ledger().SLO().Regions {
 			if r.Region == 1 {
 				return r.ErrorBudget
 			}
@@ -135,12 +132,12 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	}
 
 	shifted, burned := false, false
-	r := runner{sys: sys, arrivals: every(cfg.QueryInterval, cfg.Duration),
+	r := runner{sys: sys, arrivals: every(shiftQueryInterval, cfg.Duration),
 		events: []event{{At: cfg.ShiftAt, Do: func() {
 			shifted = true
 			rep.PreShiftBudget = budget()
 			inj.PartitionUntil(start.Add(cfg.Duration))
-			q.SQL, q.Bound = pointQuery(cfg.TightBound), cfg.TightBound
+			q.SQL, q.Bound = pointQuery(shiftTightBound), shiftTightBound
 		}}},
 		ask: func(int) ask { return q },
 		observe: func(s *serve) error {
@@ -182,7 +179,7 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 		}
 		rep.Tuner = renderTunerTimeline(snap, start, rep)
 	}
-	rep.SLO = renderSLO(sys.Cache.SLO().Snapshot())
+	rep.SLO = renderSLO(sys.Cache.Ledger().SLO())
 	return rep, nil
 }
 
@@ -251,7 +248,7 @@ func RunShiftReport(w io.Writer, cfg ShiftConfig) error {
 
 	section(w, "Chaos: workload bound-mix shift (closed-loop autotuning)")
 	fmt.Fprintf(w, "shift at %s: bounds %s -> %s, partition until end of run\n",
-		cfg.ShiftAt, cfg.LooseBound, cfg.TightBound)
+		cfg.ShiftAt, shiftLooseBound, shiftTightBound)
 	fmt.Fprintf(w, "%-32s %14s %14s\n", "", "autotune=on", "autotune=off")
 	row := func(label, a, b string) { fmt.Fprintf(w, "%-32s %14s %14s\n", label, a, b) }
 	row("queries", fmt.Sprintf("%d", on.Queries), fmt.Sprintf("%d", off.Queries))

@@ -49,9 +49,9 @@ func TestShiftRecoveryWithAutotune(t *testing.T) {
 	if rep.FinalInterval >= cfg.UpdateInterval {
 		t.Errorf("final interval %s not below the configured %s", rep.FinalInterval, cfg.UpdateInterval)
 	}
-	if rep.FinalInterval+cfg.UpdateDelay+rep.FinalHeartbeat > cfg.TightBound {
+	if rep.FinalInterval+cfg.UpdateDelay+rep.FinalHeartbeat > shiftTightBound {
 		t.Errorf("final cadence %s+%s+%s cannot hold the %s bound",
-			rep.FinalInterval, cfg.UpdateDelay, rep.FinalHeartbeat, cfg.TightBound)
+			rep.FinalInterval, cfg.UpdateDelay, rep.FinalHeartbeat, shiftTightBound)
 	}
 	if rep.Degraded == 0 {
 		t.Error("no degraded serves: the shift never hurt, so recovery proves nothing")

@@ -63,26 +63,30 @@ func (q *queryCtx) end(err *error) {
 }
 
 // guard publishes one guard decision (EvalContext.OnGuard) to every consumer
-// of it, in a fixed order: the guard metrics, the region's SLO window and the
-// autotuner's workload window always; the lifecycle record when the query is
-// sampled; the auditor when it is enabled. A degraded decision arrives once,
-// as the decision that answered.
+// of it, in a fixed order: the region ledger (guard metrics, SLO window,
+// workload window) always; the lifecycle record when the query is sampled;
+// the auditor when it is enabled. A degraded decision arrives once, as the
+// decision that answered.
 func (q *queryCtx) guard(g obs.GuardEvent) {
 	c := q.s.cache
-	c.obs.guardMetrics(g)
-	c.obs.slo.Observe(g)
-	c.obs.workload.Record(c.clock.Now(), g)
+	c.obs.ledger.Observe(c.clock.Now(), g)
 	q.qt.Guard(g)
 	if q.aud != nil {
 		q.reads = append(q.reads, c.readEvent(g))
 	}
 }
 
-// violation records one degraded-mode event (EvalContext.OnViolation): it
-// surfaces on the result as a warning and feeds the degraded-read metrics.
+// violation records one degraded-mode event (EvalContext.OnViolation): a
+// warning on the result and, in the ledger, a degraded read of its region
+// (serve-local) or a blocking session's guard waits (block).
 func (q *queryCtx) violation(v exec.Violation) {
 	q.violations = append(q.violations, v)
-	q.s.cache.obs.onViolation(v)
+	switch l := q.s.cache.obs.ledger; v.Action {
+	case "serve-local":
+		l.Degraded(v.Region)
+	case "block":
+		l.BlockWaits(v.Waits)
+	}
 }
 
 // readEvent wraps one guard decision in what the cache adds at serve time:

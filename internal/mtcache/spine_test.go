@@ -123,8 +123,8 @@ func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep)
 			remote:     delta("guard_remote_total"),
 			degraded:   delta("degraded_reads_total"),
 			blockWaits: delta("guard_block_waits_total"),
-			slo:        sys.Cache.SLO().Snapshot(),
-			workload:   sys.Cache.Workload().Snapshot(sys.Clock.Now()),
+			slo:        sys.Cache.Ledger().SLO(),
+			workload:   sys.Cache.Ledger().Snapshot(sys.Clock.Now()),
 			events:     executedGuards(res.Trace, nil),
 		}
 		if len(step.events) > 0 {

@@ -5,10 +5,9 @@ import "time"
 // GuardEvent is one SwitchUnion currency-guard decision: the one run-time
 // moment where a query's C&C contract is decided (the paper's Section 3.2).
 // exec.SwitchUnion.Open builds it — nothing else does — and every consumer
-// reads this struct as it is: the guard metrics, SLOTracker.Observe,
-// WorkloadObserver.Record, QueryTrace.Guard, TraceNode.Guard and, wrapped in
-// an audit.ReadEvent, the delivered-guarantee auditor. Durations encode as
-// nanoseconds.
+// reads this struct as it is: RegionLedger.Observe, QueryTrace.Guard,
+// TraceNode.Guard and, wrapped in an audit.ReadEvent, the delivered-guarantee
+// auditor. Durations encode as nanoseconds.
 type GuardEvent struct {
 	// Query is the id of the query the guard ran in (Tracer.Begin numbers
 	// every query, sampled or not): the key that joins a /queries/recent

@@ -34,7 +34,7 @@ type Ops struct {
 	Registry *Registry
 	Traces   *TraceStore
 	Tracer   *Tracer
-	SLO      *SLOTracker
+	Ledger   *RegionLedger
 	// Refresh, when non-nil, runs before /metrics, /slo and /regions
 	// snapshots so derived gauges (per-region staleness) are current.
 	Refresh func()
@@ -146,14 +146,14 @@ func NewHandler(o Ops) http.Handler {
 		})
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		if o.SLO == nil {
-			http.Error(w, "no slo tracker", http.StatusNotFound)
+		if o.Ledger == nil {
+			http.Error(w, "no region ledger", http.StatusNotFound)
 			return
 		}
 		if o.Refresh != nil {
 			o.Refresh()
 		}
-		writeJSON(w, o.SLO.Snapshot())
+		writeJSON(w, o.Ledger.SLO())
 	})
 	mux.HandleFunc("/tuner", func(w http.ResponseWriter, r *http.Request) {
 		var snap any

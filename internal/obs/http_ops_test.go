@@ -13,7 +13,8 @@ import (
 func opsFixture() (Ops, *Tracer) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 1, 64)
-	slo := NewSLOTracker(reg, 0.99, 32)
+	ledger := NewRegionLedger(reg, time.Time{})
+	ledger.Reconfigure(0.99, 32)
 
 	fast := begin(tr, "SELECT fast")
 	fast.Parse(1 * time.Millisecond)
@@ -27,13 +28,13 @@ func opsFixture() (Ops, *Tracer) {
 		Staleness: time.Second, StalenessKnown: true})
 	slow.Finish(false)
 
-	slo.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	ledger.Observe(time.Time{}, GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: time.Second, StalenessKnown: true})
-	slo.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	ledger.Observe(time.Time{}, GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: 2 * time.Second, StalenessKnown: true, Degraded: true})
 
 	return Ops{
-		Registry: reg, Traces: &TraceStore{}, Tracer: tr, SLO: slo,
+		Registry: reg, Traces: &TraceStore{}, Tracer: tr, Ledger: ledger,
 		Regions: func() []RegionStatus {
 			return []RegionStatus{{
 				ID: 1, Name: "CR1",

@@ -121,21 +121,22 @@ func TestTracerEvents(t *testing.T) {
 }
 
 // TestUntracedHotPathZeroAlloc is the acceptance-criteria assertion: the
-// unsampled Begin path and the SLO observe path allocate nothing.
+// unsampled Begin path and the ledger's fold of a guard decision allocate
+// nothing.
 func TestUntracedHotPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 1<<30, 16)
 	var store QueryTrace
 	tr.Begin("warm", &store) // consume the always-sampled first slot
-	slo := NewSLOTracker(reg, 0.99, 128)
+	ledger := NewRegionLedger(reg, time.Time{})
 	obsv := GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
 		Staleness: time.Millisecond, StalenessKnown: true}
-	slo.Observe(obsv) // resolve the region's instruments once
+	ledger.Observe(time.Time{}, obsv) // make the region's record once
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if id, qt := tr.Begin("SELECT v FROM T WHERE id = 1", &store); id == 0 || qt != nil {
 			t.Fatal("sampling period overflowed")
 		}
-		slo.Observe(obsv)
+		ledger.Observe(time.Time{}, obsv)
 		tr.Event(EventReplApply)
 	}); allocs != 0 {
 		t.Fatalf("untraced hot path allocated %.1f allocs/op; want 0", allocs)

@@ -9,13 +9,6 @@ import (
 	"relaxedcc/internal/obs"
 )
 
-// Observer supplies the loop's input: windowed per-region workload
-// profiles. obs.WorkloadObserver satisfies it; Cut both snapshots and
-// resets the window so every loop tick sees exactly one window of traffic.
-type Observer interface {
-	Cut(now time.Time) []obs.WorkloadProfile
-}
-
 // RegionActuator is the loop's handle on one currency region's replication
 // knobs. core.System adapts repl.Agent to it; the indirection keeps the
 // tuner importable from tests without a full system.
@@ -156,15 +149,16 @@ type regionState struct {
 	mTarget *obs.Gauge
 }
 
-// Loop is the closed-loop autotuner: each Tick cuts one observation window
-// from the Observer, re-solves the Section 6 optimization per region, and
+// Loop is the closed-loop autotuner: each Tick cuts one window of per-region
+// workload profiles, re-solves the Section 6 optimization per region, and
 // retunes replication intervals through the registered actuators — with
 // hysteresis (dead-band plus max step per round) so the loop is stable.
 // Every decision lands in a bounded ring served on /tuner and in the
 // tuner_* metrics.
 type Loop struct {
-	cfg      LoopConfig
-	observer Observer
+	cfg LoopConfig
+	// cut closes one window of workload profiles (obs.RegionLedger.Cut).
+	cut func(now time.Time) []obs.WorkloadProfile
 
 	mRetunes *obs.CounterVec // tuner_retunes_total{region}
 	mHeld    *obs.CounterVec // tuner_held_total{region}
@@ -177,14 +171,14 @@ type Loop struct {
 	decisions *obs.Ring[Decision]
 }
 
-// NewLoop builds a loop over the observer with zero registered regions.
+// NewLoop builds a loop over the window cut with zero registered regions.
 // reg, when non-nil, receives the loop's metrics. Zero config fields select
 // the defaults documented on LoopConfig.
-func NewLoop(cfg LoopConfig, observer Observer, reg *obs.Registry) *Loop {
+func NewLoop(cfg LoopConfig, cut func(now time.Time) []obs.WorkloadProfile, reg *obs.Registry) *Loop {
 	cfg = cfg.withDefaults()
 	l := &Loop{
 		cfg:       cfg,
-		observer:  observer,
+		cut:       cut,
 		regions:   map[int]*regionState{},
 		decisions: obs.NewRing[Decision](cfg.RingSize),
 	}
@@ -222,7 +216,7 @@ func (l *Loop) AddRegion(act RegionActuator) {
 // region the solver cannot price is held with a recorded reason — so the
 // coordinator drain is never aborted by the tuner.
 func (l *Loop) Tick(now time.Time) error {
-	profiles := l.observer.Cut(now)
+	profiles := l.cut(now)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, p := range profiles {

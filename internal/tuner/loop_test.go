@@ -61,7 +61,7 @@ func TestLoopMaxStepThenConverge(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(LoopConfig{}, ob, nil)
+	l := NewLoop(LoopConfig{}, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -138,7 +138,7 @@ func TestLoopMaxStepUpward(t *testing.T) {
 		Bounds: []obs.BoundCount{{BoundNS: int64(30 * time.Minute), Count: 40}},
 	}
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{loose}}}
-	l := NewLoop(LoopConfig{}, ob, nil)
+	l := NewLoop(LoopConfig{}, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: time.Second, hb: 100 * time.Millisecond}
 	l.AddRegion(act)
@@ -167,7 +167,7 @@ func TestLoopHolds(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{
 		{thin}, {unbounded}, {idle}, {unknown},
 	}}
-	l := NewLoop(LoopConfig{}, ob, nil)
+	l := NewLoop(LoopConfig{}, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -207,10 +207,10 @@ func TestLoopHolds(t *testing.T) {
 // is not applied even though it differs.
 func TestLoopDeadBandHold(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(LoopConfig{}, ob, nil)
+	l := NewLoop(LoopConfig{}, ob.Cut, nil)
 	// Pre-seed the actuator 10% away from where the solver will land: within
 	// the 15% dead-band.
-	probe := NewLoop(LoopConfig{}, &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}, nil)
+	probe := NewLoop(LoopConfig{}, (&fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}).Cut, nil)
 	pact := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 3 * time.Second, hb: 300 * time.Millisecond}
 	probe.AddRegion(pact)
@@ -241,7 +241,7 @@ func TestLoopRingCap(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(LoopConfig{RingSize: 4}, ob, nil)
+	l := NewLoop(LoopConfig{RingSize: 4}, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -271,7 +271,7 @@ func TestLoopMetrics(t *testing.T) {
 		{{Region: 1, Queries: 2, Local: 2,
 			Bounds: []obs.BoundCount{{BoundNS: int64(time.Second), Count: 2}}}},
 	}}
-	l := NewLoop(LoopConfig{}, ob, reg)
+	l := NewLoop(LoopConfig{}, ob.Cut, reg)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -317,7 +317,7 @@ func requireKeys(t *testing.T, obj map[string]any, want ...string) {
 // bench snapshotters scrape.
 func TestTunerEndpointSchema(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(LoopConfig{}, ob, nil)
+	l := NewLoop(LoopConfig{}, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)

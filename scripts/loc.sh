@@ -12,13 +12,13 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max=3827
-spine_max=5024
-scenario_max=2732
+exec_max=3822
+spine_max=4927
+scenario_max=2722
 analysis_max=1361
 opt_max=3435
 sqlparser_max=2022
-storage_max=1139
+storage_max=1090
 spine='mtcache obs audit core tuner'
 
 total=0
