@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -478,19 +479,15 @@ func quantiles(samples []int64) (p50, p95, p99, max int64) {
 	return NearestRank(samples, 0.50), NearestRank(samples, 0.95), NearestRank(samples, 0.99), NearestRank(samples, 1)
 }
 
-// NearestRank returns the p-quantile of sorted samples (zero when empty).
+// NearestRank returns the p-quantile of sorted samples by the nearest-rank
+// rule, the ⌈p·N⌉-th smallest (zero when empty). The epsilon keeps an exact
+// product such as 0.99×100 from rounding up past its whole number.
 func NearestRank[T ~int64](sorted []T, p float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	idx := int(math.Ceil(p*float64(len(sorted))-1e-9)) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // NormalizeBound maps a planner bound to the normalization used across obs:

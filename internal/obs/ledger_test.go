@@ -389,6 +389,41 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 }
 
+// TestNearestRank: the p-quantile is the ⌈p·N⌉-th smallest sample, for
+// fractional products and for exact ones that floating point would push
+// just above a whole number.
+func TestNearestRank(t *testing.T) {
+	seq := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i + 1)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want int64
+	}{
+		{0, 0.5, 0},
+		{1, 0.5, 1},
+		{3, 0.5, 2},  // 1.5 → 2
+		{4, 0.95, 4}, // 3.8 → 4
+		{4, 0.5, 2},  // exact 2
+		{5, 0.99, 5}, // 4.95 → 5
+		{10, 0.95, 10},
+		{100, 0.99, 99}, // exact: 0.99×100 is 99.00000000000001 in floating point
+		{100, 0.95, 95},
+		{1000, 0.999, 999},
+		{3, 0, 1},
+		{3, 1, 3},
+	} {
+		if got := NearestRank(seq(c.n), c.p); got != c.want {
+			t.Errorf("NearestRank(1..%d, %v) = %d, want %d", c.n, c.p, got, c.want)
+		}
+	}
+}
+
 func TestNormalizeBound(t *testing.T) {
 	if NormalizeBound(-1) != 0 || NormalizeBound(0) != 0 {
 		t.Fatal("non-positive bounds must normalize to 0")

@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 exec_max=3822
-spine_max=4927
+spine_max=4924
 scenario_max=2722
 analysis_max=1361
 opt_max=3435
