@@ -20,14 +20,16 @@ race:
 	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/...
 
 # Ten seconds of native fuzzing each on the comparison kernels, on the
-# parser (parse/print fixpoint, scanner and splice against the parse) and on
-# the B+-tree (both leaf payloads against a sorted map), from the seed
-# corpora in internal/{exec,sqlparser,btree}/testdata/fuzz (FUZZTIME
-# overrides the duration).
+# parser (parse/print fixpoint, scanner and splice against the parse), on
+# the B+-tree (both leaf payloads against a sorted map) and on the key
+# encoding (byte order against Value.Compare, index-seek ranges), from the
+# seed corpora in internal/{exec,sqlparser,btree,sqltypes}/testdata/fuzz
+# (FUZZTIME overrides the duration).
 fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/btree -run '^$$' -fuzz FuzzBTree -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/sqltypes -run '^$$' -fuzz FuzzKeyEncoding -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the in-repo static-analysis suite (cmd/rcclint) over internal and cmd:
 # cross-package lock-order cycles (lockorder), metric-name hygiene

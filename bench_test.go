@@ -768,7 +768,7 @@ func BenchmarkExecAutotuneShift(b *testing.B) {
 	cfg.ShiftAt = 60 * time.Second
 	cfg.UpdateInterval = 30 * time.Second
 	cfg.SLOWindow = 128
-	cfg.Tuner = tuner.LoopConfig{Cadence: 10 * time.Second}
+	cfg.TunerCadence = tuner.DefaultCadence
 	cfg.Autotune = true
 	var rep *harness.ShiftReport
 	b.ResetTimer()

@@ -75,9 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	brokenGuard := fs.Bool("broken-guard", false,
 		"with -chaos: run the deliberately broken guard-lie schedule; with -audit the run then fails unless the auditor catches it")
 	obsAddr := fs.String("obs", "",
-		"serve the ops HTTP surface (/metrics /slo /queries/... /regions /tuner) on this address for the run")
+		"serve the ops HTTP surface (/metrics /slo /queries/... /regions /tuner /audit) on this address for the run")
 	snapshotDir := fs.String("snapshot", "",
-		"write /slo, /queries/slow and /tuner JSON snapshots into this directory when the run ends")
+		"write /slo, /queries/slow, /tuner (with -autotune or -shift) and /audit (with -audit) JSON snapshots into this directory when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	attach := func(s *core.System) {
 		sys = s
 		if *autotune && s.Tuner() == nil {
-			s.EnableAutotune(tuner.LoopConfig{})
+			s.EnableAutotune(tuner.DefaultCadence)
 		}
 		if *auditOn && s.Audit() == nil {
 			s.EnableAudit()
@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			attachErr = fmt.Errorf("obs: %w", err)
 			return
 		}
-		fmt.Fprintf(stderr, "serving ops endpoints on http://%s/metrics (/slo, /queries/recent, /queries/slow, /regions, /trace/last, /tuner)\n", addr)
+		fmt.Fprintf(stderr, "serving ops endpoints on http://%s/metrics (/slo, /queries/recent, /queries/slow, /regions, /trace/last, /tuner, /audit)\n", addr)
 	}
 
 	var err error

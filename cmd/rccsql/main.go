@@ -57,7 +57,7 @@ func main() {
 	sess := sys.Cache.NewSession()
 	epoch := sys.Clock.Now()
 	if *autotune {
-		sys.EnableAutotune(tuner.LoopConfig{})
+		sys.EnableAutotune(tuner.DefaultCadence)
 		fmt.Println("closed-loop autotuning enabled; inspect with \\tuner")
 	}
 	if *obsAddr != "" {

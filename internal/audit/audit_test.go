@@ -13,11 +13,7 @@ import (
 
 var t0 = time.Date(2004, 6, 13, 0, 0, 0, 0, time.UTC)
 
-func newTestAuditor(cfg Config) *Auditor {
-	a := New(obs.NewRegistry(), cfg)
-	a.Enable()
-	return a
-}
+func newTestAuditor() *Auditor { return New(obs.NewRegistry()) }
 
 // commit appends one single-table commit at t0+at.
 func commit(a *Auditor, seq int64, at time.Duration, table string) {
@@ -46,7 +42,7 @@ func read(bound, serveAt time.Duration, syncSeq int64) ReadEvent {
 }
 
 func TestCheckerClassifiesOKAndViolation(t *testing.T) {
-	a := newTestAuditor(Config{})
+	a := newTestAuditor()
 	a.RegisterObject(1, "T", 0)
 	commit(a, 1, 0, "T")
 	commit(a, 2, 10*time.Second, "T")
@@ -84,7 +80,7 @@ func TestCheckerClassifiesOKAndViolation(t *testing.T) {
 }
 
 func TestCheckerDisclosedUnboundedRemote(t *testing.T) {
-	a := newTestAuditor(Config{})
+	a := newTestAuditor()
 	a.RegisterObject(1, "T", 0)
 	commit(a, 1, 0, "T")
 	commit(a, 2, 10*time.Second, "T")
@@ -109,7 +105,7 @@ func TestCheckerDisclosedUnboundedRemote(t *testing.T) {
 }
 
 func TestCheckerBaseSeqOverridesAgentSeq(t *testing.T) {
-	a := newTestAuditor(Config{})
+	a := newTestAuditor()
 	// The view's snapshot was taken at seq 2 even though the agent's applied
 	// sequence still reads 0 — the effective sync point is the snapshot.
 	a.RegisterObject(1, "T", 2)
@@ -130,9 +126,10 @@ func TestCheckerBaseSeqOverridesAgentSeq(t *testing.T) {
 }
 
 func TestCheckerUncheckedOutsideRetainedWindow(t *testing.T) {
-	a := newTestAuditor(Config{MaxCommits: 16})
+	a := newTestAuditor()
+	a.chk.maxCommits = 16
 	a.RegisterObject(1, "T", 0)
-	// 40 commits with MaxCommits 16: compaction leaves a window starting well
+	// 40 commits with a 16-commit window: compaction leaves a window starting well
 	// past seq 1.
 	for i := 1; i <= 40; i++ {
 		commit(a, int64(i), time.Duration(i)*time.Second, "T")
@@ -154,7 +151,7 @@ func TestThetaConsistencyCheck(t *testing.T) {
 	// Honest multi-region serves never trip the Θ check: distance(A,B) is at
 	// most the older copy's delivered currency, which the per-read check
 	// already bounded. Assert that soundness end to end first.
-	a := newTestAuditor(Config{})
+	a := newTestAuditor()
 	a.RegisterObject(1, "T", 0)
 	a.RegisterObject(2, "U", 0)
 	commit(a, 1, 0, "T")
@@ -212,8 +209,8 @@ func TestThetaConsistencyCheck(t *testing.T) {
 // ledger stays complete.
 func TestRingOverflowCountsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := New(reg, Config{ReadRing: 16})
-	a.Enable()
+	a := New(reg)
+	a.reads = obs.NewRing[ReadEvent](16)
 	a.RegisterObject(1, "T", 0)
 	commit(a, 1, 0, "T")
 	var first, last uint64
@@ -238,7 +235,7 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 }
 
 func TestReplayMatchesOnline(t *testing.T) {
-	a := newTestAuditor(Config{})
+	a := newTestAuditor()
 	a.RegisterObject(1, "T", 0)
 	commit(a, 1, 0, "T")
 	a.ObserveApply(1, 1, t0.Add(time.Second))
@@ -294,38 +291,23 @@ func TestSummaryNilSafe(t *testing.T) {
 	}
 }
 
-func TestDisabledHooksRecordNothing(t *testing.T) {
-	a := New(obs.NewRegistry(), Config{})
-	commit(a, 1, 0, "T")
-	a.ObserveApply(1, 1, t0)
-	a.Reads([]ReadEvent{read(time.Second, time.Second, 0)})
-	s := a.Summary()
-	if s.ReadsChecked != 0 || s.Commits != 0 || s.Applies != 0 {
-		t.Fatalf("disabled auditor recorded: %+v", s)
-	}
-}
-
-// TestDisabledPathAllocatesNothing asserts the zero-overhead claim: with the
-// auditor disabled every hook is one atomic load and no allocation, so the
-// instrumentation can stay wired into production builds.
+// TestDisabledPathAllocatesNothing asserts the zero-overhead claim: a system
+// without an auditor holds a nil one, whose every hook is one nil check and
+// no allocation, so the instrumentation can stay wired into production
+// builds.
 func TestDisabledPathAllocatesNothing(t *testing.T) {
-	a := New(obs.NewRegistry(), Config{})
+	var a *Auditor
 	rec := txn.CommitRecord{TS: txn.Timestamp{Seq: 1, At: t0}}
 	evs := []ReadEvent{read(time.Second, time.Second, 0)}
 	if n := testing.AllocsPerRun(1000, func() {
+		if a.Enabled() {
+			t.Fatal("nil enabled")
+		}
 		a.ObserveCommit(rec)
 		a.ObserveApply(1, 1, t0)
 		a.Reads(evs)
 	}); n != 0 {
-		t.Fatalf("disabled hooks allocate %.1f allocs/op", n)
-	}
-	var nilA *Auditor
-	if n := testing.AllocsPerRun(1000, func() {
-		if nilA.Enabled() {
-			t.Fatal("nil enabled")
-		}
-	}); n != 0 {
-		t.Fatalf("nil Enabled allocates %.1f allocs/op", n)
+		t.Fatalf("nil auditor hooks allocate %.1f allocs/op", n)
 	}
 }
 
@@ -333,7 +315,10 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 // recorders while snapshots run, then checks conservation: every recorded
 // read is classified exactly once and the classes sum to the total.
 func TestConcurrentRecordingConservesCounts(t *testing.T) {
-	a := newTestAuditor(Config{CommitRing: 64, ReadRing: 128, ApplyRing: 64})
+	a := newTestAuditor()
+	a.commits = obs.NewRing[CommitEvent](64)
+	a.reads = obs.NewRing[ReadEvent](128)
+	a.applies = obs.NewRing[ApplyEvent](64)
 	a.RegisterObject(1, "T", 0)
 	const writers, per = 4, 200
 	var wg sync.WaitGroup

@@ -2,40 +2,34 @@ package audit
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/txn"
 )
 
-// Config sizes the auditor's bounded state.
-type Config struct {
-	// CommitRing / ReadRing / ApplyRing bound the recorded event rings
-	// (rounded up to powers of two). Overwritten events count as dropped;
-	// they only limit offline replay, not the online checker.
-	CommitRing int
-	ReadRing   int
-	ApplyRing  int
-	// MaxCommits bounds the online checker's retained history window; past
-	// it the oldest half is compacted away and reads older than the window
-	// classify as unchecked.
-	MaxCommits int
-	// MaxRecent bounds the retained violation evidence list.
-	MaxRecent int
-}
-
-// DefaultConfig sizes the rings for a harness run: large enough that a
+// The auditor's bounded state, sized for a harness run: large enough that a
 // chaos/shift/load sweep replays offline without drops, small enough to be
 // always-on.
-func DefaultConfig() Config {
-	return Config{CommitRing: 4096, ReadRing: 16384, ApplyRing: 2048, MaxCommits: 65536, MaxRecent: 32}
-}
+const (
+	// commitRing, readRing and applyRing bound the recorded event rings.
+	// Overwritten events count as dropped; they only limit offline replay,
+	// not the online checker.
+	commitRing = 4096
+	readRing   = 16384
+	applyRing  = 2048
+	// maxCommits bounds the online checker's retained history window; past
+	// it the oldest half is compacted away and reads older than the window
+	// classify as unchecked.
+	maxCommits = 65536
+	// maxRecent bounds the retained violation evidence list.
+	maxRecent = 32
+)
 
 // Auditor records the system's C&C history into bounded rings and checks
-// every served read against the formal semantics online. All hooks are
-// behind one atomic enabled flag: a disabled auditor costs one atomic load
-// per hook and allocates nothing.
+// every served read against the formal semantics online. An installed
+// auditor is on; every hook is nil-safe, so a system without one pays a nil
+// check per hook and allocates nothing.
 //
 // Metric names (registered on the cache's registry; see DESIGN.md
 // "Delivered-guarantee auditing"):
@@ -50,9 +44,6 @@ func DefaultConfig() Config {
 //	audit_excess_staleness_ns        histogram: delivered minus declared on violations
 //	audit_slack_ns                   histogram: declared minus delivered on OK reads
 type Auditor struct {
-	enabled atomic.Bool
-
-	cfg     Config
 	commits *obs.Ring[CommitEvent]
 	reads   *obs.Ring[ReadEvent]
 	applies *obs.Ring[ApplyEvent]
@@ -71,31 +62,14 @@ type Auditor struct {
 	mSlack          *obs.Histogram
 }
 
-// New creates a disabled auditor and registers its instruments on reg.
-func New(reg *obs.Registry, cfg Config) *Auditor {
-	def := DefaultConfig()
-	if cfg.CommitRing <= 0 {
-		cfg.CommitRing = def.CommitRing
-	}
-	if cfg.ReadRing <= 0 {
-		cfg.ReadRing = def.ReadRing
-	}
-	if cfg.ApplyRing <= 0 {
-		cfg.ApplyRing = def.ApplyRing
-	}
-	if cfg.MaxCommits <= 0 {
-		cfg.MaxCommits = def.MaxCommits
-	}
-	if cfg.MaxRecent <= 0 {
-		cfg.MaxRecent = def.MaxRecent
-	}
+// New creates an auditor and registers its instruments on reg.
+func New(reg *obs.Registry) *Auditor {
 	dropped := reg.CounterVec("audit_events_dropped_total", "kind")
 	return &Auditor{
-		cfg:             cfg,
-		commits:         obs.NewRing[CommitEvent](cfg.CommitRing),
-		reads:           obs.NewRing[ReadEvent](cfg.ReadRing),
-		applies:         obs.NewRing[ApplyEvent](cfg.ApplyRing),
-		chk:             newChecker(cfg.MaxCommits, cfg.MaxRecent),
+		commits:         obs.NewRing[CommitEvent](commitRing),
+		reads:           obs.NewRing[ReadEvent](readRing),
+		applies:         obs.NewRing[ApplyEvent](applyRing),
+		chk:             newChecker(maxCommits, maxRecent),
 		mChecked:        reg.Counter("audit_reads_checked_total"),
 		mOK:             reg.Counter("audit_reads_ok_total"),
 		mViolations:     reg.CounterVec("audit_violations_total", "class"),
@@ -110,15 +84,9 @@ func New(reg *obs.Registry, cfg Config) *Auditor {
 	}
 }
 
-// Enable turns recording and checking on.
-func (a *Auditor) Enable() { a.enabled.Store(true) }
-
-// Disable turns the auditor off; hooks return immediately.
-func (a *Auditor) Disable() { a.enabled.Store(false) }
-
-// Enabled reports whether the auditor is recording. Nil-safe, so callers
-// keep a plain field and one branch on the hot path.
-func (a *Auditor) Enabled() bool { return a != nil && a.enabled.Load() }
+// Enabled reports whether an auditor is installed, i.e. a is not nil, so
+// callers keep a plain field and one branch on the hot path.
+func (a *Auditor) Enabled() bool { return a != nil }
 
 // ObserveCommit records one committed master transaction. It is installed
 // as the txn.Log observer and runs synchronously under the log's lock, so
@@ -238,8 +206,8 @@ type Summary struct {
 	DroppedApplies uint64 `json:"dropped_applies"`
 }
 
-// Summary snapshots the auditor's ledger. Nil-safe (a disabled zero
-// summary), so the ops surface can always render something.
+// Summary snapshots the auditor's ledger. Nil-safe (a zero summary with
+// Enabled false), so the ops surface can always render something.
 func (a *Auditor) Summary() Summary {
 	if a == nil {
 		return Summary{RecentViolations: []Violation{}}
@@ -257,7 +225,7 @@ func (a *Auditor) ledger(chk *checker, commits, applies uint64) Summary {
 		recent = []Violation{}
 	}
 	return Summary{
-		Enabled:          a.enabled.Load(),
+		Enabled:          true,
 		Tally:            tally,
 		ViolationsTotal:  tally.Violations(),
 		RecentViolations: recent,
@@ -272,7 +240,7 @@ func (a *Auditor) ledger(chk *checker, commits, applies uint64) Summary {
 // replayed ledger must equal the online one — the exhaustive-verification
 // mode for harness runs.
 func (a *Auditor) Replay() Summary {
-	chk := newChecker(a.cfg.MaxCommits, a.cfg.MaxRecent)
+	chk := newChecker(a.chk.maxCommits, a.chk.maxRecent)
 	a.chk.mu.Lock()
 	for region, tables := range a.chk.objects {
 		for table, baseSeq := range tables {

@@ -109,12 +109,6 @@ type checker struct {
 }
 
 func newChecker(maxCommits, maxRecent int) *checker {
-	if maxCommits < 16 {
-		maxCommits = 16
-	}
-	if maxRecent < 1 {
-		maxRecent = 1
-	}
 	return &checker{
 		hist:        semantics.NewHistory(),
 		objects:     map[int]map[string]int64{},

@@ -17,10 +17,10 @@
 // UNBOUNDED (no finite bound declared), or UNCHECKED (the retained history
 // window no longer covers the serve).
 //
-// Recording uses bounded lock-free rings (obs.Ring), and the whole path is
-// behind one atomic enabled flag: a disabled auditor costs a single atomic
-// load per hook and allocates nothing (asserted by an allocation test), so it
-// can stay wired in production builds.
+// Recording uses bounded lock-free rings (obs.Ring). An installed auditor
+// always records; a system without one holds a nil *Auditor, whose hooks
+// cost a nil check each and allocate nothing (asserted by an allocation
+// test), so they can stay wired in production builds.
 package audit
 
 import "relaxedcc/internal/obs"

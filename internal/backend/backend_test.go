@@ -605,3 +605,65 @@ func TestQuerySharesShapesUnderRace(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestBigintKeysPast2To53StayApart: BIGINT values a float64 cannot tell
+// apart (2^53 and 2^53+1) are distinct keys. Both inserts succeed, each point
+// read returns its own row, a range starting between them reads one, and a
+// join and a GROUP BY on the two keys keep them apart. A hundred small keys
+// beside them make the reads seek the primary key.
+func TestBigintKeysPast2To53StayApart(t *testing.T) {
+	s := New(vclock.NewVirtual())
+	for _, sql := range []string{
+		`CREATE TABLE B (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)`,
+		`INSERT INTO B VALUES (9007199254740992, 1)`,
+		`INSERT INTO B VALUES (9007199254740993, 2)`,
+		`CREATE TABLE R (k BIGINT NOT NULL PRIMARY KEY, g BIGINT)`,
+		`INSERT INTO R VALUES (1, 9007199254740993), (2, 9007199254740992), (3, 9007199254740993)`,
+	} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for i := 1; i <= 100; i++ {
+		if _, err := s.Exec("INSERT INTO B VALUES (" + itoa(i) + ", 0)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.AnalyzeAll()
+	query := func(sql string) []sqltypes.Row {
+		t.Helper()
+		res, err := s.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res.Rows
+	}
+	for id, want := range map[string]int64{"9007199254740992": 1, "9007199254740993": 2} {
+		rows := query("SELECT v FROM B WHERE id = " + id)
+		if len(rows) != 1 || rows[0][0].Int() != want {
+			t.Errorf("point read of id %s = %v, want v %d", id, rows, want)
+		}
+	}
+	if rows := query("SELECT id FROM B WHERE id > 9007199254740992"); len(rows) != 1 || rows[0][0].Int() != 1<<53+1 {
+		t.Errorf("range past 2^53 = %v, want only 2^53+1", rows)
+	}
+	if rows := query("SELECT id FROM B WHERE id <= 9007199254740992"); len(rows) != 101 {
+		t.Errorf("range through 2^53 read %d rows, want 101", len(rows))
+	}
+	// R.g holds both keys, 2^53+1 twice: the join pairs each R row with its
+	// own B row, and the grouping counts the two keys apart.
+	got := map[int64]int64{}
+	for _, r := range query("SELECT R.k, B.v FROM R, B WHERE R.g = B.id") {
+		got[r[0].Int()] = r[1].Int()
+	}
+	if want := map[int64]int64{1: 2, 2: 1, 3: 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("join on the big keys = %v, want %v", got, want)
+	}
+	groups := map[int64]int64{}
+	for _, r := range query("SELECT g, COUNT(*) FROM R GROUP BY g") {
+		groups[r[0].Int()] = r[1].Int()
+	}
+	if want := map[int64]int64{1 << 53: 1, 1<<53 + 1: 2}; fmt.Sprint(groups) != fmt.Sprint(want) {
+		t.Errorf("GROUP BY the big keys = %v, want %v", groups, want)
+	}
+}

@@ -314,21 +314,6 @@ func (t *Base[S, P]) Walk(start, end string, fn func(keys []string, leaf *S, i, 
 	}
 }
 
-// AppendPrefixEnd appends to dst the smallest string greater than every
-// string with the given prefix, or nothing if there is none (all 0xFF): the
-// exclusive end of a prefix range, for callers that keep their keys in a
-// byte buffer. prefix may alias dst's contents.
-func AppendPrefixEnd(dst, prefix []byte) []byte {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		if prefix[i] != 0xFF {
-			dst = append(dst, prefix[:i+1]...)
-			dst[len(dst)-1]++
-			break
-		}
-	}
-	return dst
-}
-
 // CheckInvariants walks the tree verifying structural invariants; it is used
 // by tests (including property-based tests). It returns a non-empty string
 // describing the first violation found, or "" if the tree is well-formed.

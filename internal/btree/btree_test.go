@@ -149,9 +149,9 @@ func TestAscendPrefix(t *testing.T) {
 	tr.Set("app", 2)
 	tr.Set("banana", 3)
 	tr.Set("applet", 4)
-	// A prefix scan is the range [prefix, AppendPrefixEnd(prefix)).
+	// A prefix scan is the range from the prefix to its last byte's successor.
 	var keys []string
-	tr.AscendRange("app", string(AppendPrefixEnd(nil, []byte("app"))), func(k string, v int) bool {
+	tr.AscendRange("app", "apq", func(k string, v int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -163,32 +163,6 @@ func TestAscendPrefix(t *testing.T) {
 		if keys[i] != want[i] {
 			t.Fatalf("prefix scan = %v, want %v", keys, want)
 		}
-	}
-}
-
-func TestPrefixEndAllFF(t *testing.T) {
-	if got := AppendPrefixEnd(nil, []byte("\xff\xff")); len(got) != 0 {
-		t.Fatalf("AppendPrefixEnd(0xffff) = %q, want empty", got)
-	}
-	if got := AppendPrefixEnd(nil, []byte("a\xff")); string(got) != "b" {
-		t.Fatalf("AppendPrefixEnd = %q, want b", got)
-	}
-}
-
-// A range end is computed once per bounded scan opened, point reads
-// included: into a buffer with room, including the key's own (the two may
-// alias), it costs nothing.
-func TestPrefixEndAllocatesOnlyItsResult(t *testing.T) {
-	key := []byte("customer\x00\x00\x00\x00\x00\x00\x00\x11")
-	buf := make([]byte, 0, 2*len(key))
-	var got []byte
-	if n := testing.AllocsPerRun(100, func() {
-		got = AppendPrefixEnd(append(buf[:0], key...), buf[:len(key)])[len(key):]
-	}); n != 0 {
-		t.Fatalf("AppendPrefixEnd allocates %v times, want 0", n)
-	}
-	if string(got) <= string(key) || len(got) != len(key) {
-		t.Fatalf("AppendPrefixEnd(%q) = %q", key, got)
 	}
 }
 

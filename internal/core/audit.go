@@ -15,8 +15,7 @@ func (s *System) EnableAudit() *audit.Auditor {
 	if s.audit != nil {
 		return s.audit
 	}
-	a := audit.New(s.Cache.Obs(), audit.DefaultConfig())
-	a.Enable()
+	a := audit.New(s.Cache.Obs())
 	// Replay the history that predates enabling (schema setup, data loads)
 	// so the checker's oracle starts from the true H_n, then tap new
 	// commits. Setup is quiesced, so no commit can fall in between.

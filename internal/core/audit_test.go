@@ -11,7 +11,6 @@ import (
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
-	"relaxedcc/internal/remote"
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -39,7 +38,7 @@ func auditSystem(t *testing.T) (*System, *fault.Injector) {
 	sys.Analyze()
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience(remote.Policy{})
+	sys.EnableResilience()
 	if a := sys.EnableAudit(); a != sys.EnableAudit() {
 		t.Fatal("EnableAudit not idempotent")
 	}

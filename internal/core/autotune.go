@@ -23,17 +23,17 @@ func (t agentActuator) SetHeartbeatInterval(d time.Duration) { t.a.SetHeartbeatI
 // and its replication fabric: a tuner.Loop ticks on the coordinator's
 // schedule, cuts the ledger's workload window, re-solves the Section 6
 // optimization per region, and retunes each agent's propagation interval
-// and heartbeat cadence with hysteresis. Decisions are recorded on the
-// loop's ring (served on /tuner) and in the tuner_* metrics of the cache's
-// registry.
+// and heartbeat cadence with hysteresis, one tick every cadence. Decisions
+// are recorded on the loop's ring (served on /tuner) and in the tuner_*
+// metrics of the cache's registry.
 //
 // Call it after regions are registered; regions added later are adopted
 // automatically. Idempotent: a second call returns the existing loop.
-func (s *System) EnableAutotune(cfg tuner.LoopConfig) *tuner.Loop {
+func (s *System) EnableAutotune(cadence time.Duration) *tuner.Loop {
 	if s.tuner != nil {
 		return s.tuner
 	}
-	loop := tuner.NewLoop(cfg, s.Cache.Ledger().Cut, s.Cache.Obs())
+	loop := tuner.NewLoop(cadence, s.Cache.Ledger().Cut, s.Cache.Obs())
 	s.tuner = loop
 	s.adoptAll()
 	s.Coord.AddPeriodic(loop.Cadence(), loop.Tick)

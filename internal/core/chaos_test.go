@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func chaosSystem(t *testing.T) (*System, *fault.Injector) {
 	sys.Analyze()
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience(remote.Policy{})
+	sys.EnableResilience()
 	// One full propagation cycle so the region has synchronized.
 	if err := sys.Run(14 * time.Second); err != nil {
 		t.Fatal(err)
@@ -119,6 +120,37 @@ func TestChaosBreakerTripsAndHalfOpens(t *testing.T) {
 	}
 	if got := snap.Gauges["remote_breaker_state"]; got != int64(remote.BreakerClosed) {
 		t.Errorf("remote_breaker_state gauge = %d, want closed (%d)", got, int64(remote.BreakerClosed))
+	}
+}
+
+// TestResilienceCooldownFollowsSlowestHeartbeat: EnableResilience sets the
+// breaker cooldown to the slowest region's heartbeat cadence, so with one
+// region beating every second and one every two a tripped breaker lets its
+// half-open probe through after two seconds, not one.
+func TestResilienceCooldownFollowsSlowestHeartbeat(t *testing.T) {
+	sys := NewSystem()
+	for i, hb := range []time.Duration{time.Second, 2 * time.Second} {
+		if err := sys.AddRegion(&catalog.Region{
+			ID: i + 1, Name: fmt.Sprintf("R%d", i+1),
+			UpdateInterval: 10 * time.Second, HeartbeatInterval: hb,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.EnableResilience()
+	br := sys.Cache.Link().Breaker()
+	at := sys.Clock.Now()
+	for i := 0; i < remote.DefaultPolicy().BreakerThreshold; i++ {
+		br.Record(at, false)
+	}
+	if got := br.State(); got != remote.BreakerOpen {
+		t.Fatalf("breaker state after a run of failures = %v, want open", got)
+	}
+	if br.Allow(at.Add(2*time.Second - time.Millisecond)) {
+		t.Fatal("breaker half-opened before the slowest heartbeat cadence (2s)")
+	}
+	if !br.Allow(at.Add(2 * time.Second)) {
+		t.Fatal("breaker still open one slowest heartbeat cadence (2s) after tripping")
 	}
 }
 

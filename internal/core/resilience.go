@@ -11,10 +11,10 @@ import (
 // EnableResilience hardens the system's cache↔back-end link and replication
 // fabric against the failures the chaos harness injects:
 //
-//   - the remote link gets the retry/backoff/deadline/circuit-breaker policy
-//     (the zero Policy selects remote.DefaultPolicy, with the breaker
-//     cooldown defaulted to the slowest region's heartbeat cadence so a
-//     half-open probe lines up with the next freshness signal);
+//   - the remote link gets remote.DefaultPolicy's retries, backoff, deadline
+//     and circuit breaker, with the breaker cooldown set to the slowest
+//     region's heartbeat cadence so a half-open probe lines up with the next
+//     freshness signal;
 //   - link backoff and blocking-session guard waits drive the replication
 //     coordinator, so heartbeats and agents keep firing while a query waits;
 //   - every distribution agent gets a watchdog that restarts it on stall,
@@ -22,13 +22,9 @@ import (
 //
 // Call it after regions are registered; regions added later are adopted
 // automatically.
-func (s *System) EnableResilience(p remote.Policy) {
-	if p == (remote.Policy{}) {
-		p = remote.DefaultPolicy()
-	}
-	if p.BreakerCooldown == 0 {
-		p.BreakerCooldown = s.heartbeatCadence()
-	}
+func (s *System) EnableResilience() {
+	p := remote.DefaultPolicy()
+	p.BreakerCooldown = s.heartbeatCadence()
 	link := s.Cache.Link()
 	link.Configure(s.Clock, p)
 	link.SetWait(func(d time.Duration) { _ = s.Coord.Advance(d) })
@@ -48,9 +44,6 @@ func (s *System) InjectFaults(f *fault.Injector) {
 	s.adoptAll()
 }
 
-// Faults returns the injector installed by InjectFaults, or nil.
-func (s *System) Faults() *fault.Injector { return s.faults }
-
 // watch puts one agent under watchdog supervision (idempotent per region).
 func (s *System) watch(a *repl.Agent) {
 	if s.watched == nil {
@@ -60,7 +53,7 @@ func (s *System) watch(a *repl.Agent) {
 		return
 	}
 	s.watched[a.Region.ID] = true
-	wd := repl.NewWatchdog(a, 0)
+	wd := repl.NewWatchdog(a)
 	wd.Instrument(s.Cache.Obs())
 	s.Watchdogs = append(s.Watchdogs, wd)
 	// Check on the agent's own cadence — re-read every due-time computation
@@ -76,8 +69,8 @@ func (s *System) watch(a *repl.Agent) {
 }
 
 // heartbeatCadence is the slowest heartbeat interval across the cache's
-// regions — the natural pace for breaker half-open probes, since no fresher
-// currency signal arrives sooner.
+// regions, and at least a second — the natural pace for breaker half-open
+// probes, since no fresher currency signal arrives sooner.
 func (s *System) heartbeatCadence() time.Duration {
 	cadence := time.Second
 	for _, r := range s.Cache.Catalog().Regions() {

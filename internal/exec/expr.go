@@ -22,9 +22,6 @@ type EvalContext struct {
 	// BatchSize overrides DefaultBatchSize for batch-at-a-time operators.
 	// Zero means the default.
 	BatchSize int
-	// MaxDOP caps the worker count of parallel operators (ParallelScan).
-	// Zero means GOMAXPROCS.
-	MaxDOP int
 	// Query is the id of the query this execution answers, stamped on every
 	// guard decision it takes (see obs.GuardEvent.Query); zero outside a
 	// session.

@@ -11,8 +11,8 @@ import (
 //
 //   - Join keys are normalized into columnar scratch arrays (class tag +
 //     64-bit payload) batch-at-a-time — no per-row Key() strings. The
-//     normalization preserves sqltypes.Key equality exactly: INT and FLOAT
-//     collapse to one numeric class compared as float64, NULL never joins.
+//     normalization preserves sqltypes.Key equality exactly: equal INT and
+//     FLOAT share one numeric class, NULL never joins.
 //   - The build side is one open-addressed table over precomputed 64-bit
 //     key hashes: slot arrays plus an intrusive chain through row indexes,
 //     no per-key map entries or match slices.
@@ -23,17 +23,27 @@ import (
 //     zero allocation.
 
 // Key class codes for normalized join keys. INT and FLOAT share keyNum
-// (payload compared as float64 bits with -0 normalized to +0) because
-// sqltypes.Key encodes them identically when numerically equal; the other
-// classes never compare equal across kinds, matching the encoding's
-// distinct tags.
+// (float64 bits, -0 normalized to +0) because sqltypes.Key encodes them
+// identically when numerically equal; an INT no float64 holds takes keyInt.
+// The other classes never compare equal across kinds, matching the
+// encoding's distinct tags.
 const (
 	keyNull uint8 = iota
 	keyNum        // float64 bits, -0 normalized to +0
 	keyBool       // 0 or 1
 	keyTime       // nanoseconds since the epoch
 	keyStr        // payload in str
+	keyInt        // the integer's bits
 )
+
+// intKey normalizes an integer key: the float64 bits it shares with the
+// equal FLOAT, or its own bits where no float64 holds it.
+func intKey(i int64) (uint8, uint64) {
+	if f, ok := sqltypes.IntFloat(i); ok {
+		return keyNum, math.Float64bits(f)
+	}
+	return keyInt, uint64(i)
+}
 
 // joinKeys holds normalized key columns for a set of rows: one class array
 // plus a 64-bit payload array (and a string array for keyStr) per key
@@ -74,7 +84,9 @@ func (k *joinKeys) appendVal(c int, v sqltypes.Value) {
 	switch v.Kind() {
 	case sqltypes.KindNull:
 		cls = keyNull
-	case sqltypes.KindInt, sqltypes.KindFloat:
+	case sqltypes.KindInt:
+		cls, nb = intKey(v.Int())
+	case sqltypes.KindFloat:
 		f := v.Float()
 		if f == 0 {
 			f = 0 // normalize -0 so bit equality matches float equality
@@ -102,8 +114,9 @@ func (k *joinKeys) appendVec(c int, v *sqltypes.Vec, idx []int32, n int) {
 		// The common grouping key: a NOT NULL integer column.
 		cls, bits, str := k.cls[c], k.bits[c], k.str[c]
 		for j := 0; j < n; j++ {
-			cls = append(cls, keyNum)
-			bits = append(bits, math.Float64bits(float64(v.I64[at(idx, j)])))
+			c, b := intKey(v.I64[at(idx, j)])
+			cls = append(cls, c)
+			bits = append(bits, b)
 			str = append(str, "")
 		}
 		k.cls[c], k.bits[c], k.str[c] = cls, bits, str

@@ -38,8 +38,8 @@ func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
 			}
 			return andKernel(l, r), true
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-			if col, lit, op, ok := colLitCmp(e, schema); ok {
-				return litKernel(col, truthBits(op), lit, bitLT|bitEQ|bitGT, lit), true
+			if col, lit, bits, ok := colLitCmp(e, schema); ok {
+				return litKernel(col, bits, lit, bitLT|bitEQ|bitGT, lit), true
 			}
 			if lc, rc, ok := colColCmp(e, schema); ok {
 				return colKernel(lc, rc, truthBits(e.Op)), true
@@ -152,20 +152,22 @@ func andKernel(a, b BoolKernel) BoolKernel {
 	}
 }
 
-// colLitCmp matches `col OP literal` or `literal OP col` (flipping the
-// operator for the reversed form).
-func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, op sqlparser.BinOp, ok bool) {
+// colLitCmp matches `col OP literal` or `literal OP col` and returns OP's
+// truth bits as seen from the column: the reversed form swaps less and
+// greater.
+func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, bits uint8, ok bool) {
+	bits = truthBits(e.Op)
 	if c, okC := ColOrdinal(e.Left, schema); okC {
 		if l, okL := e.Right.(*sqlparser.Literal); okL {
-			return c, l, e.Op, true
+			return c, l, bits, true
 		}
 	}
 	if c, okC := ColOrdinal(e.Right, schema); okC {
 		if l, okL := e.Left.(*sqlparser.Literal); okL {
-			return c, l, flipCmp(e.Op), true
+			return c, l, bits&bitEQ | bits&bitLT<<2 | bits&bitGT>>2, true
 		}
 	}
-	return 0, nil, e.Op, false
+	return 0, nil, 0, false
 }
 
 func colColCmp(e *sqlparser.BinaryExpr, schema *Schema) (l, r int, ok bool) {
@@ -190,22 +192,6 @@ func ColOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 		return 0, false
 	}
 	return idx, true
-}
-
-// flipCmp mirrors a comparison operator for swapped operands.
-func flipCmp(op sqlparser.BinOp) sqlparser.BinOp {
-	switch op {
-	case sqlparser.OpLT:
-		return sqlparser.OpGT
-	case sqlparser.OpLE:
-		return sqlparser.OpGE
-	case sqlparser.OpGT:
-		return sqlparser.OpLT
-	case sqlparser.OpGE:
-		return sqlparser.OpLE
-	default:
-		return op // EQ and NE are symmetric
-	}
 }
 
 // A comparison operator is reduced to the outcomes of a three-way compare
@@ -350,13 +336,15 @@ func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hi
 		}
 		v := cb.Col(col)
 		lk, hk := lo.Kind(), hi.Kind()
+		// An integer constant converts once, unless it lies past 2^53 where
+		// float64 cannot hold it and only Value.Compare is exact.
+		lf, lok := lo.ExactFloat()
+		hf, hok := hi.ExactFloat()
 		switch {
 		case v.Kind == sqltypes.KindInt && lk == sqltypes.KindInt && hk == sqltypes.KindInt:
 			return selLit(v.I64, v.Null, lo.Int(), loBits, hi.Int(), hiBits, cand, dst), nil
-		case v.Kind == sqltypes.KindFloat && lo.IsNumeric() && hi.IsNumeric():
-			// An integer constant converts once; Value.Compare would convert it
-			// per row.
-			return selLit(v.F64, v.Null, lo.Float(), loBits, hi.Float(), hiBits, cand, dst), nil
+		case v.Kind == sqltypes.KindFloat && lok && hok:
+			return selLit(v.F64, v.Null, lf, loBits, hf, hiBits, cand, dst), nil
 		case v.Kind == sqltypes.KindString && lk == sqltypes.KindString && hk == sqltypes.KindString:
 			return selLit(v.Str, v.Null, lo.Str(), loBits, hi.Str(), hiBits, cand, dst), nil
 		}

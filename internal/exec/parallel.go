@@ -65,9 +65,8 @@ type ParallelScan struct {
 	// FilterKernel is the vectorized form of Filter when the planner could
 	// compile one; otherwise Filter runs per row through the row view.
 	FilterKernel BoolKernel
-	// DOP is the worker count; 0 defers to EvalContext.MaxDOP, then
-	// GOMAXPROCS. The effective count is additionally clamped to GOMAXPROCS
-	// and to the number of morsels.
+	// DOP is the worker count; 0 means GOMAXPROCS. The effective count is
+	// additionally clamped to GOMAXPROCS and to the number of morsels.
 	DOP int
 
 	schema  *Schema
@@ -120,9 +119,6 @@ func (p *ParallelScan) prepare(ctx *EvalContext) {
 	// No more workers than cores, no more morsels than the table's
 	// cardinality supports, no more workers than morsels.
 	dop := p.DOP
-	if dop <= 0 && ctx != nil {
-		dop = ctx.MaxDOP
-	}
 	if g := runtime.GOMAXPROCS(0); dop <= 0 || dop > g {
 		dop = g
 	}

@@ -10,7 +10,6 @@ import (
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/obs"
-	"relaxedcc/internal/remote"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/vclock"
 )
@@ -75,7 +74,7 @@ func injectFaults(sys *core.System, seed int64, latency, jitter time.Duration, e
 	inj.SetLatency(latency, jitter)
 	inj.SetErrorRate(errorRate)
 	sys.InjectFaults(inj)
-	sys.EnableResilience(remote.Policy{})
+	sys.EnableResilience()
 	return inj
 }
 

@@ -34,10 +34,9 @@ type ShiftConfig struct {
 	// needs (window/rate seconds).
 	SLOWindow int
 
-	// Autotune enables the closed loop; Tuner parameterizes it (zero fields
-	// select the tuner.LoopConfig defaults).
-	Autotune bool
-	Tuner    tuner.LoopConfig
+	// Autotune enables the closed loop, ticking every TunerCadence.
+	Autotune     bool
+	TunerCadence time.Duration
 }
 
 // The query stream every shift run shares (no caller varied it): a loose
@@ -62,10 +61,10 @@ func DefaultShiftConfig() ShiftConfig {
 			Latency:        1 * time.Millisecond,
 			LatencyJitter:  1 * time.Millisecond,
 		},
-		Duration:  300 * time.Second,
-		ShiftAt:   100 * time.Second,
-		SLOWindow: 256,
-		Tuner:     tuner.LoopConfig{Cadence: 15 * time.Second},
+		Duration:     300 * time.Second,
+		ShiftAt:      100 * time.Second,
+		SLOWindow:    256,
+		TunerCadence: 15 * time.Second,
 	}
 }
 
@@ -110,7 +109,7 @@ func RunShift(cfg ShiftConfig) (*ShiftReport, error) {
 	sys, inj, err := cfg.build(0, func(sys *core.System) {
 		sys.Cache.Ledger().Reconfigure(obs.DefaultSLOTarget, cfg.SLOWindow)
 		if cfg.Autotune {
-			sys.EnableAutotune(cfg.Tuner)
+			sys.EnableAutotune(cfg.TunerCadence)
 		}
 	})
 	if err != nil {

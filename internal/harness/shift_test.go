@@ -20,7 +20,7 @@ func shiftTestConfig() ShiftConfig {
 	cfg.ShiftAt = 60 * time.Second
 	cfg.UpdateInterval = 30 * time.Second
 	cfg.SLOWindow = 128
-	cfg.Tuner = tuner.LoopConfig{Cadence: 10 * time.Second}
+	cfg.TunerCadence = tuner.DefaultCadence
 	return cfg
 }
 

@@ -16,7 +16,6 @@ import (
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/obs"
-	"relaxedcc/internal/remote"
 	"relaxedcc/internal/tpcd"
 )
 
@@ -60,7 +59,7 @@ func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep)
 	sys.Cache.TraceEvery(every)
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience(remote.Policy{})
+	sys.EnableResilience()
 	if audited {
 		sys.EnableAudit()
 	}

@@ -518,7 +518,7 @@ func (p *Planner) buildParallelAccess(tbl *storage.Table, binding string, path a
 	full := storedSchema(tbl.Def(), binding)
 	ps := exec.NewParallelScan(tbl, full)
 	ps.Lo, ps.Hi = path.lo, path.hi
-	ps.DOP = p.Opts.MaxDOP // 0 defers to the execution context
+	ps.DOP = p.Opts.MaxDOP // 0 means GOMAXPROCS
 	if len(path.residual) > 0 {
 		res := andAll(path.residual)
 		pred, err := exec.Compile(res, full)

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -57,8 +56,9 @@ type Policy struct {
 	// breaker; zero disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before letting one
-	// probe through (half-open). Callers wire it to the region's heartbeat
-	// cadence so recovery is probed exactly as often as freshness is.
+	// probe through (half-open). core.System.EnableResilience sets it to the
+	// slowest region's heartbeat cadence, so recovery is probed exactly as
+	// often as freshness is.
 	BreakerCooldown time.Duration
 	// Seed drives backoff jitter.
 	Seed int64
@@ -115,19 +115,6 @@ const (
 	BreakerHalfOpen
 	BreakerOpen
 )
-
-// String names the state for reports.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerHalfOpen:
-		return "half-open"
-	case BreakerOpen:
-		return "open"
-	}
-	return fmt.Sprintf("BreakerState(%d)", int32(s))
-}
 
 // Breaker is a clock-driven circuit breaker: it trips open after a run of
 // consecutive link failures, refuses calls while open, and half-opens one

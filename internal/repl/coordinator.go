@@ -200,6 +200,3 @@ func (c *Coordinator) nextDue(target time.Time) (*event, time.Time) {
 	})
 	return due[0].ev, due[0].at
 }
-
-// Clock returns the coordinator's virtual clock.
-func (c *Coordinator) Clock() *vclock.Virtual { return c.clock }

@@ -97,7 +97,7 @@ func TestSetIntervalTakesEffectNextTick(t *testing.T) {
 // does not cause spurious restarts and shrinking it tightens supervision.
 func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	f := newFixture(t, nil)
-	wd := NewWatchdog(f.agent, 0)
+	wd := NewWatchdog(f.agent)
 	reg := obs.NewRegistry()
 	wd.Instrument(reg)
 

@@ -17,10 +17,6 @@ import (
 // promise cannot tolerate.
 type Watchdog struct {
 	agent *Agent
-	// threshold is the no-progress duration that triggers a restart; zero
-	// means DefaultStallFactor times the region's update interval, re-read
-	// every check so reconfiguration takes effect live.
-	threshold time.Duration
 
 	mu       sync.Mutex
 	baseline time.Time // first-check fallback when the agent never stepped
@@ -30,15 +26,14 @@ type Watchdog struct {
 	mLag      *obs.Gauge   // repl_agent_lag_ns{region}
 }
 
-// DefaultStallFactor is how many update intervals of silence count as a
-// stall when no explicit threshold is configured: one missed wake-up is
-// scheduling noise, three is a wedged agent.
-const DefaultStallFactor = 3
+// stallFactor is how many update intervals of silence count as a stall: one
+// missed wake-up is scheduling noise, three is a wedged agent.
+const stallFactor = 3
 
-// NewWatchdog supervises agent. threshold zero selects the default
-// (DefaultStallFactor × the region's update interval).
-func NewWatchdog(agent *Agent, threshold time.Duration) *Watchdog {
-	return &Watchdog{agent: agent, threshold: threshold}
+// NewWatchdog supervises agent: it restarts the agent after stallFactor of
+// the agent's update intervals without progress.
+func NewWatchdog(agent *Agent) *Watchdog {
+	return &Watchdog{agent: agent}
 }
 
 // Instrument binds the watchdog's metrics to a registry: per-region restart
@@ -58,13 +53,10 @@ func (w *Watchdog) Agent() *Agent { return w.agent }
 // agent's effective interval, so a retuned agent is judged against the
 // cadence it is actually running at.
 func (w *Watchdog) stallThreshold() time.Duration {
-	if w.threshold > 0 {
-		return w.threshold
-	}
 	if iv := w.agent.Interval(); iv > 0 {
-		return DefaultStallFactor * iv
+		return stallFactor * iv
 	}
-	return DefaultStallFactor * time.Second
+	return stallFactor * time.Second
 }
 
 // Check is one supervision wake-up at time now: it updates the lag gauge

@@ -2,7 +2,7 @@
 // engine: NULL, 64-bit integers, floats, strings, booleans and timestamps.
 //
 // Values are small immutable structs. Comparison follows SQL ordering with
-// NULL sorting first (as in index keys); numeric kinds compare across
+// NULL sorting first (as in index keys); numeric kinds compare exactly across
 // INT/FLOAT. Key encodes composite keys into order-preserving byte strings so
 // they can double as hash-map keys in joins and aggregation.
 package sqltypes
@@ -138,6 +138,24 @@ func (v Value) Time() time.Time {
 // IsNumeric reports whether the value is INT or FLOAT.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
+// ExactFloat returns a FLOAT, or an INT a float64 holds exactly, as float64;
+// ok is false for every other value, including an INT past 2^53 that Float
+// would round onto a neighbour.
+func (v Value) ExactFloat() (f float64, ok bool) {
+	if v.kind == KindInt {
+		return IntFloat(v.i)
+	}
+	return v.f64(), v.kind == KindFloat
+}
+
+// IntFloat converts i to float64 and reports whether the conversion is
+// exact: it is for every integer of magnitude up to 2^53, and for the wider
+// ones whose low bits are zero.
+func IntFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 1<<63 && int64(f) == i
+}
+
 // String renders the value for display. Strings are quoted; NULL prints as
 // NULL.
 func (v Value) String() string {
@@ -177,7 +195,8 @@ func (v Value) Display() string {
 // Compare orders two values: -1 if v < w, 0 if equal, +1 if v > w.
 //
 // NULL sorts before every non-NULL value (index-key order). INT and FLOAT
-// compare numerically across kinds. Comparing other mixed kinds orders by
+// compare numerically across kinds, exactly: a BIGINT past 2^53 is not equal
+// to the float64 it would round to. Comparing other mixed kinds orders by
 // Kind, which keeps sorting total; predicate evaluation rejects such
 // comparisons before reaching here.
 func (v Value) Compare(w Value) int {
@@ -192,10 +211,15 @@ func (v Value) Compare(w Value) int {
 		}
 	}
 	if v.IsNumeric() && w.IsNumeric() {
-		if v.kind == KindInt && w.kind == KindInt {
+		switch {
+		case v.kind == KindInt && w.kind == KindInt:
 			return cmpInt(v.i, w.i)
+		case v.kind == KindInt:
+			return cmpIntFloat(v.i, w.f64())
+		case w.kind == KindInt:
+			return -cmpIntFloat(w.i, v.f64())
 		}
-		return cmpFloat(v.Float(), w.Float())
+		return cmpFloat(v.f64(), w.f64())
 	}
 	if v.kind != w.kind {
 		return cmpInt(int64(v.kind), int64(w.kind))
@@ -235,6 +259,18 @@ func cmpFloat(a, b float64) int {
 	default:
 		return 0
 	}
+}
+
+// cmpIntFloat compares an integer with a float exactly: i lies at or above
+// the float64 below it and short of the next one, so that float64 decides
+// unless it equals f, and then i's remainder does. NaN compares equal, as in
+// cmpFloat.
+func cmpIntFloat(i int64, f float64) int {
+	fl, rem := intFloor(i)
+	if c := cmpFloat(fl, f); c != 0 || rem == 0 || f != f {
+		return c
+	}
+	return 1
 }
 
 // Row is a tuple of values.
@@ -279,10 +315,10 @@ func (r Row) String() string {
 
 // Key encodes a composite key into an order-preserving byte string:
 // comparing two encoded keys with bytes.Compare (or using them as map keys
-// for equality) agrees with element-wise Value.Compare. INT and FLOAT values
-// encode identically when numerically equal. The encoding is assembled in a
-// stack buffer, so a key of up to KeyStackBytes costs one allocation (the
-// returned string).
+// for equality) agrees with element-wise Value.Compare, NaN aside. INT and
+// FLOAT values encode identically when numerically equal. The encoding is
+// assembled in a stack buffer, so a key of up to KeyStackBytes costs one
+// allocation (the returned string).
 func Key(vals ...Value) string {
 	var buf [KeyStackBytes]byte
 	return string(AppendKey(buf[:0], vals...))
@@ -302,6 +338,16 @@ func AppendKey(dst []byte, vals ...Value) []byte {
 	return dst
 }
 
+// AppendKeyEnd appends the smallest key greater than every key whose leading
+// elements equal vals: the exclusive end of an index range over a key prefix.
+// Each element's encoding is followed by the end of the key, the next
+// element's tag (0x00 to 0x04) or, for a BIGINT past 2^53, the 0xFF of its
+// remainder, so vals' key plus 0xFF sorts after the first two and before the
+// third.
+func AppendKeyEnd(dst []byte, vals ...Value) []byte {
+	return append(AppendKey(dst, vals...), 0xFF)
+}
+
 // RowKey is Key applied to a whole row.
 func RowKey(r Row) string { return Key(r...) }
 
@@ -311,10 +357,20 @@ func appendKey(b []byte, v Value) []byte {
 		return append(b, 0x00)
 	case KindBool:
 		return append(b, 0x01, byte(v.i))
-	case KindInt, KindFloat:
-		// Shared numeric tag so 1 and 1.0 encode identically.
-		b = append(b, 0x02)
-		return appendFloatKey(b, v.Float())
+	case KindInt:
+		// The numeric tag and the key of the float64 at or below i, so that
+		// 1 and 1.0 encode identically. Past 2^53, where i may lie between
+		// two float64s, a remainder follows: 0xFF (above every tag, so after
+		// each key that continues the float64's), then the remainder, below
+		// 2^10, in two bytes big-endian.
+		f, rem := intFloor(v.i)
+		b = appendFloatKey(append(b, 0x02), f)
+		if rem == 0 {
+			return b
+		}
+		return append(b, 0xFF, byte(rem>>8), byte(rem))
+	case KindFloat:
+		return appendFloatKey(append(b, 0x02), v.f64())
 	case KindString:
 		b = append(b, 0x03)
 		// Escape 0x00 so the terminator is unambiguous.
@@ -335,7 +391,23 @@ func appendKey(b []byte, v Value) []byte {
 	}
 }
 
+// intFloor splits i into the largest float64 at or below it and the
+// remainder, which is zero wherever IntFloat is exact and below 2^10
+// elsewhere (no two adjacent float64s below 2^63 are further apart).
+func intFloor(i int64) (float64, int64) {
+	f := float64(i) // the nearest float64, which may lie above i
+	if f >= 1<<63 || int64(f) > i {
+		f = math.Nextafter(f, math.Inf(-1))
+	}
+	return f, i - int64(f)
+}
+
+// appendFloatKey appends f's order-preserving bits; -0 encodes as 0, which
+// it equals.
 func appendFloatKey(b []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
 	u := math.Float64bits(f)
 	if u&(1<<63) != 0 {
 		u = ^u // negative: flip all bits

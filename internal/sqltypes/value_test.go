@@ -76,6 +76,14 @@ func TestCompare(t *testing.T) {
 		{NewInt(1), NewFloat(1.5), -1},
 		{NewFloat(1.0), NewInt(1), 0},
 		{NewFloat(2.5), NewInt(2), 1},
+		// Past 2^53 a float64 cannot hold every integer: the comparison
+		// stays exact instead of rounding the integer.
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewFloat(1<<53 + 2), NewInt(1<<53 + 1), 1},
+		{NewInt(1 << 53), NewFloat(1 << 53), 0},
+		{NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
+		{NewInt(math.MinInt64), NewFloat(-(1 << 63)), 0},
+		{NewInt(-3), NewFloat(-2.5), -1},
 		{NewString("a"), NewString("b"), -1},
 		{NewString("b"), NewString("b"), 0},
 		{Null, NewInt(0), -1},
@@ -184,6 +192,33 @@ func TestKeyIntFloatEqual(t *testing.T) {
 	if Key(NewInt(7)) != Key(NewFloat(7.0)) {
 		t.Error("Key(7) != Key(7.0): numeric keys must unify")
 	}
+	if Key(NewInt(0)) != Key(NewFloat(math.Copysign(0, -1))) {
+		t.Error("Key(0) != Key(-0.0): numeric keys must unify")
+	}
+	if Key(NewInt(1<<53+1)) == Key(NewInt(1<<53)) {
+		t.Error("Key(2^53+1) == Key(2^53): integer keys must stay exact")
+	}
+}
+
+// A range end is computed once per bounded scan opened, point reads
+// included: into a buffer with room it costs nothing. It sorts after every
+// key that continues its values and before the key of the next value, here
+// the integer just past a float64.
+func TestKeyEndAllocatesOnlyItsResult(t *testing.T) {
+	vals := Row{NewString("customer"), NewInt(1 << 53)}
+	var buf [KeyStackBytes]byte
+	var got []byte
+	if n := testing.AllocsPerRun(100, func() { got = AppendKeyEnd(buf[:0], vals...) }); n != 0 {
+		t.Fatalf("AppendKeyEnd allocates %v times, want 0", n)
+	}
+	for _, next := range []Value{Null, NewString("\xff"), NewTime(time.Unix(0, -1))} {
+		if k := Key(append(vals, next)...); k >= string(got) {
+			t.Errorf("key %x continuing the values sorts at or after their end %x", k, got)
+		}
+	}
+	if k := Key(NewString("customer"), NewInt(1<<53+1)); k <= string(got) {
+		t.Errorf("key %x of the next value sorts at or before the end %x", k, got)
+	}
 }
 
 func TestKeyQuickInts(t *testing.T) {
@@ -262,6 +297,8 @@ func sampleValues() []Value {
 		Null, NewBool(false), NewBool(true),
 		NewInt(math.MinInt64), NewInt(-1), NewInt(0), NewInt(1), NewInt(math.MaxInt64),
 		NewFloat(math.Inf(-1)), NewFloat(-1.5), NewFloat(0), NewFloat(1.5), NewFloat(math.Inf(1)),
+		NewInt(1 << 53), NewInt(1<<53 + 1), NewFloat(1<<53 + 2), NewInt(-(1 << 53) - 1), NewFloat(-(1 << 53) - 2),
+		NewInt(math.MaxInt64 - 1), NewFloat(1 << 63), NewFloat(math.Copysign(0, -1)),
 		NewString(""), NewString("a"), NewString("a\x00"), NewString("zz"),
 		NewTime(time.Unix(0, 0)), NewTime(time.Unix(1e6, 999)),
 	}

@@ -353,16 +353,16 @@ func appendRangeKeys(dst []byte, lo, hi Bound) (start, end []byte) {
 }
 
 // appendBound appends the bound's encoded key, or with past set the smallest
-// key greater than every key it is a prefix of; nothing when unbounded.
+// key greater than every key that starts with its values; nothing when
+// unbounded.
 func appendBound(dst []byte, b Bound, past bool) []byte {
-	if b.Vals == nil {
+	switch {
+	case b.Vals == nil:
 		return dst
+	case past:
+		return sqltypes.AppendKeyEnd(dst, b.Vals...)
 	}
-	k := sqltypes.AppendKey(dst, b.Vals...)
-	if past {
-		k = btree.AppendPrefixEnd(k[:len(dst)], k[len(dst):])
-	}
-	return k
+	return sqltypes.AppendKey(dst, b.Vals...)
 }
 
 // Clear removes all rows (used when (re)initializing a replica).

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Workload shaping for the macro-benchmark (internal/load): deterministic
+// Workload shaping for the load sweep (internal/harness): deterministic
 // Zipf-skewed key selection over the generated customer population and a
 // weighted query mix over the paper's Section 4 query schemas. Everything
 // here is seeded — two samplers built from the same arguments produce the
@@ -20,7 +20,6 @@ import (
 // decisions concentrate where replication lag hurts most.
 type KeySampler struct {
 	zipf *rand.Zipf
-	keys int64
 }
 
 // Default Zipf shape for the load generator: s=1.2 is a moderately heavy
@@ -46,16 +45,10 @@ func NewKeySampler(seed int64, n int, s, v float64) *KeySampler {
 		v = DefaultZipfV
 	}
 	rng := rand.New(rand.NewSource(seed))
-	return &KeySampler{
-		zipf: rand.NewZipf(rng, s, v, uint64(n-1)),
-		keys: int64(n),
-	}
+	return &KeySampler{zipf: rand.NewZipf(rng, s, v, uint64(n-1))}
 }
 
-// Keys returns the size of the key population.
-func (k *KeySampler) Keys() int64 { return k.keys }
-
-// Next draws one customer key in [1, Keys()], hottest first by rank.
+// Next draws one customer key in [1, n], hottest first by rank.
 func (k *KeySampler) Next() int64 {
 	return int64(k.zipf.Uint64()) + 1
 }

@@ -27,87 +27,47 @@ type RegionActuator interface {
 	SetHeartbeatInterval(time.Duration)
 }
 
-// LoopConfig parameterizes the closed-loop autotuner. The zero value of
-// every field selects the default noted on it.
-type LoopConfig struct {
-	// Cadence is the virtual time between loop ticks (default 10s). Each
-	// tick cuts one observation window and makes at most one decision per
-	// region.
-	Cadence time.Duration
-	// Costs parameterizes the Section 6 objective (default RefreshCost 1,
-	// RemotePenalty 10: answering remotely is expensive relative to one
-	// propagation cycle, so bounded workloads pull the interval down).
-	Costs Costs
-	// MinSamples is the fewest observed queries in a window that justify a
-	// decision (default 8); thinner windows hold.
-	MinSamples int64
-	// DeadBand is the relative interval change below which the loop holds
-	// (default 0.15): re-solving on every tick would chase noise.
-	DeadBand float64
-	// MaxStep caps the per-round interval change factor (default 4): a
-	// retune moves at most MaxStep times shorter or longer per tick, so one
-	// aberrant window cannot slam the fabric.
-	MaxStep float64
-	// MinInterval / MaxInterval clamp applied intervals (defaults 100ms and
-	// 10min).
-	MinInterval time.Duration
-	MaxInterval time.Duration
-	// TargetSlack shrinks observed bounds before solving (default 0.25):
-	// the analytic optimum sits exactly at f = B - d, where heartbeat
-	// granularity would leave served staleness grazing the bound; solving
-	// for B*(1-TargetSlack) buys the margin that keeps serves within bound.
-	TargetSlack float64
-	// HeartbeatFraction sets the heartbeat cadence as a fraction of the
-	// applied interval (default 0.1), clamped to [MinHeartbeat,
-	// MaxHeartbeat] (defaults 100ms and 5s): staleness is only observable
-	// at heartbeat granularity, so the heartbeat follows the interval down.
-	HeartbeatFraction float64
-	MinHeartbeat      time.Duration
-	MaxHeartbeat      time.Duration
-	// RingSize caps the retained decision timeline (default 256).
-	RingSize int
-}
+// DefaultCadence is the tick interval of an autotuned rccsql or rccbench
+// run. Each tick cuts one observation window and makes at most one decision
+// per region.
+const DefaultCadence = 10 * time.Second
 
-// withDefaults resolves zero fields to their defaults.
-func (c LoopConfig) withDefaults() LoopConfig {
-	if c.Cadence <= 0 {
-		c.Cadence = 10 * time.Second
-	}
-	if c.Costs == (Costs{}) {
-		c.Costs = Costs{RefreshCost: 1, RemotePenalty: 10}
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.DeadBand <= 0 {
-		c.DeadBand = 0.15
-	}
-	if c.MaxStep <= 1 {
-		c.MaxStep = 4
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = 100 * time.Millisecond
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 10 * time.Minute
-	}
-	if c.TargetSlack <= 0 || c.TargetSlack >= 1 {
-		c.TargetSlack = 0.25
-	}
-	if c.HeartbeatFraction <= 0 || c.HeartbeatFraction >= 1 {
-		c.HeartbeatFraction = 0.1
-	}
-	if c.MinHeartbeat <= 0 {
-		c.MinHeartbeat = 100 * time.Millisecond
-	}
-	if c.MaxHeartbeat <= 0 {
-		c.MaxHeartbeat = 5 * time.Second
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	return c
-}
+// The loop's fixed settings; DESIGN "Closed-loop autotuning" gives the reason
+// for each. Only the cadence differs between callers.
+const (
+	// minSamples is the fewest observed queries in a window that justify a
+	// decision; thinner windows hold.
+	minSamples = 8
+	// deadBand is the relative interval change below which the loop holds:
+	// re-solving on every tick would chase noise.
+	deadBand = 0.15
+	// maxStep caps the per-round interval change factor: a retune moves at
+	// most maxStep times shorter or longer per tick, so one aberrant window
+	// cannot slam the fabric.
+	maxStep = 4
+	// minInterval and maxInterval clamp applied intervals.
+	minInterval = 100 * time.Millisecond
+	maxInterval = 10 * time.Minute
+	// targetSlack shrinks observed bounds before solving: the analytic
+	// optimum sits exactly at f = B - d, where heartbeat granularity would
+	// leave served staleness grazing the bound; solving for
+	// B*(1-targetSlack) buys the margin that keeps serves within bound.
+	targetSlack = 0.25
+	// heartbeatFraction sets the heartbeat cadence as a fraction of the
+	// applied interval, clamped to [minHeartbeat, maxHeartbeat]: staleness
+	// is only observable at heartbeat granularity, so the heartbeat follows
+	// the interval down.
+	heartbeatFraction = 0.1
+	minHeartbeat      = 100 * time.Millisecond
+	maxHeartbeat      = 5 * time.Second
+	// ringSize caps the retained decision timeline.
+	ringSize = 256
+)
+
+// loopCosts prices the Section 6 objective: answering remotely is expensive
+// relative to one propagation cycle, so bounded workloads pull the interval
+// down.
+var loopCosts = Costs{RefreshCost: 1, RemotePenalty: 10}
 
 // Decision records one per-region loop decision: the observed inputs, the
 // solved interval, what was applied (or held) and why. Durations are
@@ -156,7 +116,7 @@ type regionState struct {
 // Every decision lands in a bounded ring served on /tuner and in the
 // tuner_* metrics.
 type Loop struct {
-	cfg LoopConfig
+	cadence time.Duration
 	// cut closes one window of workload profiles (obs.RegionLedger.Cut).
 	cut func(now time.Time) []obs.WorkloadProfile
 
@@ -171,16 +131,14 @@ type Loop struct {
 	decisions *obs.Ring[Decision]
 }
 
-// NewLoop builds a loop over the window cut with zero registered regions.
-// reg, when non-nil, receives the loop's metrics. Zero config fields select
-// the defaults documented on LoopConfig.
-func NewLoop(cfg LoopConfig, cut func(now time.Time) []obs.WorkloadProfile, reg *obs.Registry) *Loop {
-	cfg = cfg.withDefaults()
+// NewLoop builds a loop ticking every cadence over the window cut, with zero
+// registered regions. reg, when non-nil, receives the loop's metrics.
+func NewLoop(cadence time.Duration, cut func(now time.Time) []obs.WorkloadProfile, reg *obs.Registry) *Loop {
 	l := &Loop{
-		cfg:       cfg,
+		cadence:   cadence,
 		cut:       cut,
 		regions:   map[int]*regionState{},
-		decisions: obs.NewRing[Decision](cfg.RingSize),
+		decisions: obs.NewRing[Decision](ringSize),
 	}
 	if reg != nil {
 		l.mRetunes = reg.CounterVec("tuner_retunes_total", "region")
@@ -191,7 +149,7 @@ func NewLoop(cfg LoopConfig, cut func(now time.Time) []obs.WorkloadProfile, reg 
 }
 
 // Cadence returns the loop's tick interval.
-func (l *Loop) Cadence() time.Duration { return l.cfg.Cadence }
+func (l *Loop) Cadence() time.Duration { return l.cadence }
 
 // AddRegion registers an actuator; idempotent per region id. The target
 // gauge starts at the region's current interval.
@@ -261,7 +219,7 @@ func (l *Loop) decideLocked(now time.Time, rs *regionState, p obs.WorkloadProfil
 		l.recordLocked(d)
 	}
 
-	if p.Queries < l.cfg.MinSamples {
+	if p.Queries < minSamples {
 		hold("held:min-samples")
 		return
 	}
@@ -283,41 +241,41 @@ func (l *Loop) decideLocked(now time.Time, rs *regionState, p obs.WorkloadProfil
 	w := Workload{}
 	for _, bc := range p.Bounds {
 		bounded += bc.Count
-		scaled := time.Duration(float64(bc.BoundNS) * (1 - l.cfg.TargetSlack))
+		scaled := time.Duration(float64(bc.BoundNS) * (1 - targetSlack))
 		w.Bounds = append(w.Bounds, BoundShare{Bound: scaled, Weight: float64(bc.Count)})
 	}
 	w.QueriesPerSecond = p.QueriesPerSecond * float64(bounded) / float64(p.Queries)
 	delay := rs.act.Delay()
-	first, err := Tune(w, l.cfg.Costs, delay)
+	first, err := Tune(w, loopCosts, delay)
 	if err != nil {
 		hold("held:solver-error")
 		return
 	}
-	hb := l.clampHeartbeat(first.Interval)
-	res, err := Tune(w, l.cfg.Costs, delay+hb)
+	hb := clampHeartbeat(first.Interval)
+	res, err := Tune(w, loopCosts, delay+hb)
 	if err != nil {
 		hold("held:solver-error")
 		return
 	}
-	solved := clampDur(res.Interval, l.cfg.MinInterval, l.cfg.MaxInterval)
+	solved := clampDur(res.Interval, minInterval, maxInterval)
 	d.SolvedIntervalNS = int64(solved)
 	d.PredictedLocal = res.LocalFraction
 	d.CostRate = res.CostRate
 
 	// Hysteresis: hold inside the dead-band, cap the per-round step.
-	if relDiff(solved, prev) <= l.cfg.DeadBand {
+	if relDiff(solved, prev) <= deadBand {
 		hold("held:dead-band")
 		return
 	}
 	applied, reason := solved, "applied"
-	if lo := time.Duration(float64(prev) / l.cfg.MaxStep); applied < lo {
+	if lo := time.Duration(float64(prev) / maxStep); applied < lo {
 		applied, reason = lo, "applied:max-step"
 	}
-	if hi := time.Duration(float64(prev) * l.cfg.MaxStep); applied > hi {
+	if hi := time.Duration(float64(prev) * maxStep); applied > hi {
 		applied, reason = hi, "applied:max-step"
 	}
-	applied = clampDur(applied, l.cfg.MinInterval, l.cfg.MaxInterval)
-	hb = l.clampHeartbeat(applied)
+	applied = clampDur(applied, minInterval, maxInterval)
+	hb = clampHeartbeat(applied)
 
 	rs.act.SetInterval(applied)
 	rs.act.SetHeartbeatInterval(hb)
@@ -336,11 +294,11 @@ func (l *Loop) decideLocked(now time.Time, rs *regionState, p obs.WorkloadProfil
 }
 
 // clampHeartbeat derives the heartbeat cadence for an interval: a fraction
-// of it, clamped to the configured band and never slower than the interval
-// itself.
-func (l *Loop) clampHeartbeat(interval time.Duration) time.Duration {
-	hb := time.Duration(float64(interval) * l.cfg.HeartbeatFraction)
-	hb = clampDur(hb, l.cfg.MinHeartbeat, l.cfg.MaxHeartbeat)
+// of it, clamped to [minHeartbeat, maxHeartbeat] and never slower than the
+// interval itself.
+func clampHeartbeat(interval time.Duration) time.Duration {
+	hb := time.Duration(float64(interval) * heartbeatFraction)
+	hb = clampDur(hb, minHeartbeat, maxHeartbeat)
 	if hb > interval {
 		hb = interval
 	}
@@ -409,11 +367,11 @@ func (l *Loop) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	snap := Snapshot{
-		CadenceNS:   int64(l.cfg.Cadence),
-		DeadBand:    l.cfg.DeadBand,
-		MaxStep:     l.cfg.MaxStep,
-		MinSamples:  l.cfg.MinSamples,
-		TargetSlack: l.cfg.TargetSlack,
+		CadenceNS:   int64(l.cadence),
+		DeadBand:    deadBand,
+		MaxStep:     maxStep,
+		MinSamples:  minSamples,
+		TargetSlack: targetSlack,
 		Regions:     []RegionTunerState{},
 		Decisions:   []Decision{},
 	}

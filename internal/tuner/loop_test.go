@@ -54,14 +54,14 @@ func loopAt(t *testing.T) time.Time {
 }
 
 // TestLoopMaxStepThenConverge drives the same tight window through several
-// ticks: the interval descends by at most MaxStep per round, lands on the
+// ticks: the interval descends by at most maxStep per round, lands on the
 // solved value, then the dead-band holds it there.
 func TestLoopMaxStepThenConverge(t *testing.T) {
 	ob := &fakeObserver{}
 	for i := 0; i < 5; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(LoopConfig{}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -84,7 +84,7 @@ func TestLoopMaxStepThenConverge(t *testing.T) {
 		t.Fatalf("round 1 = %q applied=%v, want applied:max-step", d0.Reason, d0.Applied)
 	}
 	if d0.AppliedIntervalNS != int64(15*time.Second) {
-		t.Fatalf("round 1 applied %s, want 15s (60s / MaxStep)",
+		t.Fatalf("round 1 applied %s, want 15s (60s / maxStep)",
 			time.Duration(d0.AppliedIntervalNS))
 	}
 	if d0.PrevIntervalNS != int64(60*time.Second) {
@@ -94,7 +94,7 @@ func TestLoopMaxStepThenConverge(t *testing.T) {
 		t.Fatalf("round 1 solved %s, want within the 4s bound", solved)
 	}
 
-	// Steps never exceed MaxStep in either direction, and every decision on
+	// Steps never exceed maxStep in either direction, and every decision on
 	// this steady workload solves to the same interval.
 	for i, d := range snap.Decisions {
 		if d.Applied {
@@ -130,7 +130,7 @@ func TestLoopMaxStepThenConverge(t *testing.T) {
 }
 
 // TestLoopMaxStepUpward: a workload that prices far above the current
-// interval lengthens it by at most MaxStep per round too.
+// interval lengthens it by at most maxStep per round too.
 func TestLoopMaxStepUpward(t *testing.T) {
 	loose := obs.WorkloadProfile{
 		Region: 1, WindowNS: int64(10 * time.Second),
@@ -138,7 +138,7 @@ func TestLoopMaxStepUpward(t *testing.T) {
 		Bounds: []obs.BoundCount{{BoundNS: int64(30 * time.Minute), Count: 40}},
 	}
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{loose}}}
-	l := NewLoop(LoopConfig{}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: time.Second, hb: 100 * time.Millisecond}
 	l.AddRegion(act)
@@ -150,7 +150,7 @@ func TestLoopMaxStepUpward(t *testing.T) {
 		t.Fatalf("reason = %q, want applied:max-step", d.Reason)
 	}
 	if act.Interval() != 4*time.Second {
-		t.Fatalf("interval %s, want 4s (1s * MaxStep)", act.Interval())
+		t.Fatalf("interval %s, want 4s (1s * maxStep)", act.Interval())
 	}
 }
 
@@ -167,7 +167,7 @@ func TestLoopHolds(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{
 		{thin}, {unbounded}, {idle}, {unknown},
 	}}
-	l := NewLoop(LoopConfig{}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -203,14 +203,14 @@ func TestLoopHolds(t *testing.T) {
 	}
 }
 
-// TestLoopDeadBandHold: a solved interval within DeadBand of the current one
+// TestLoopDeadBandHold: a solved interval within deadBand of the current one
 // is not applied even though it differs.
 func TestLoopDeadBandHold(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(LoopConfig{}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
 	// Pre-seed the actuator 10% away from where the solver will land: within
 	// the 15% dead-band.
-	probe := NewLoop(LoopConfig{}, (&fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}).Cut, nil)
+	probe := NewLoop(DefaultCadence, (&fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}).Cut, nil)
 	pact := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 3 * time.Second, hb: 300 * time.Millisecond}
 	probe.AddRegion(pact)
@@ -241,7 +241,8 @@ func TestLoopRingCap(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(LoopConfig{RingSize: 4}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l.decisions = obs.NewRing[Decision](4)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -271,7 +272,7 @@ func TestLoopMetrics(t *testing.T) {
 		{{Region: 1, Queries: 2, Local: 2,
 			Bounds: []obs.BoundCount{{BoundNS: int64(time.Second), Count: 2}}}},
 	}}
-	l := NewLoop(LoopConfig{}, ob.Cut, reg)
+	l := NewLoop(DefaultCadence, ob.Cut, reg)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -317,7 +318,7 @@ func requireKeys(t *testing.T, obj map[string]any, want ...string) {
 // bench snapshotters scrape.
 func TestTunerEndpointSchema(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(LoopConfig{}, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, nil)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
