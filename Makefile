@@ -15,9 +15,11 @@ vet:
 # including the resilient link, fault injector and chaos workload, the
 # lock-free history ring (obs) with its users (audit, tuner), and the store
 # whose leaves readers copy out of under the latch while writers update them
-# in place (storage, btree, and the back end's DML).
+# in place (storage, btree, and the back end's DML), and the planner, whose
+# plans several sessions build trees from at once, all sharing the plan's
+# key ordinals (opt).
 race:
-	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/...
+	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/... ./internal/opt/...
 
 # Ten seconds of native fuzzing each on the comparison kernels, on the
 # parser (parse/print fixpoint, scanner and splice against the parse), on
@@ -44,8 +46,9 @@ lint:
 # scripts/*.sh; fails if internal/exec, the guard-event spine (mtcache + obs +
 # audit + core + tuner), the scenario code (internal/harness), the lint suite
 # (internal/analysis), the optimizer (internal/opt), the parser
-# (internal/sqlparser) or the store (internal/storage + internal/btree)
-# exceeds its ceiling (ROADMAP tracks LoC per package).
+# (internal/sqlparser), the value types (internal/sqltypes) or the store
+# (internal/storage + internal/btree) exceeds its ceiling (ROADMAP tracks LoC
+# per package).
 loc:
 	./scripts/loc.sh
 

@@ -396,18 +396,15 @@ func benchCompile(b *testing.B, where string, schema *exec.Schema) exec.Compiled
 	return c
 }
 
-// benchKey compiles a bare column reference as a join key.
-func benchKey(b *testing.B, col string, schema *exec.Schema) exec.Compiled {
+// benchKey resolves a column of a stored schema as a join key, the way the
+// planner passes one: by ordinal.
+func benchKey(b *testing.B, col string, schema *exec.Schema) []int {
 	b.Helper()
-	sel, err := sqlparser.ParseSelect("SELECT " + col + " FROM x")
+	ord, err := schema.Resolve("", col)
 	if err != nil {
 		b.Fatal(err)
 	}
-	key, err := exec.Compile(sel.Items[0].Expr, schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return key
+	return []int{ord}
 }
 
 // runExecBench drains a freshly built tree per iteration — counting rows
@@ -523,14 +520,7 @@ func BenchmarkExecHashJoin(b *testing.B) {
 	leftKey, rightKey := benchKey(b, "o_custkey", os), benchKey(b, "c_custkey", cs)
 	b.Run("serial", func(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
-			hj := exec.NewHashJoin(
-				exec.NewScan(orders, os), exec.NewScan(cust, cs),
-				[]exec.Compiled{leftKey}, []exec.Compiled{rightKey},
-				nil, exec.JoinInner)
-			// Ordinals as the planner wires them for column-reference keys.
-			hj.LeftKeyCols = []int{os.Lookup("Orders", "o_custkey")}
-			hj.RightKeyCols = []int{cs.Lookup("Customer", "c_custkey")}
-			return hj
+			return exec.NewHashJoin(exec.NewScan(orders, os), exec.NewScan(cust, cs), leftKey, rightKey, nil, exec.JoinInner)
 		})
 	})
 }
@@ -553,7 +543,7 @@ func BenchmarkExecIndexLoopJoin(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			outer := exec.NewScan(cust, cs)
 			outer.Filter, outer.FilterKernel = pred, kernel
-			return exec.NewIndexLoopJoin(outer, orders, pk, os, []exec.Compiled{key}, nil, exec.JoinInner)
+			return exec.NewIndexLoopJoin(outer, orders, pk, os, key, nil, exec.JoinInner)
 		})
 	})
 }
@@ -569,7 +559,7 @@ func BenchmarkExecMergeJoin(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			return exec.NewMergeJoin(
 				exec.NewScan(sys.Backend.Table("Customer"), cs), exec.NewScan(sys.Backend.Table("Orders"), os),
-				[]exec.Compiled{leftKey}, []exec.Compiled{rightKey}, nil, exec.JoinInner)
+				leftKey, rightKey, nil, exec.JoinInner)
 		})
 	})
 }
@@ -593,10 +583,9 @@ func BenchmarkExecAggregate(b *testing.B) {
 	aggregate := func(key int) *exec.Aggregate {
 		return &exec.Aggregate{
 			Child:     exec.NewValues(in, rows),
-			GroupBy:   []exec.Compiled{col(key)},
-			GroupCols: []int{key}, // ordinals as the planner wires them for plain columns
+			GroupCols: []int{key},
 			Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(2)}},
-			ArgCols:   []int{-1, 2},
+			ArgCols:   []int{-1, 2}, // ordinals as the planner wires them for plain columns
 			Out: exec.NewSchema(in.Cols[key],
 				exec.Col{Name: "n", Kind: sqltypes.KindInt}, exec.Col{Name: "total", Kind: sqltypes.KindFloat}),
 		}

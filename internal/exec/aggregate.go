@@ -9,10 +9,10 @@ import (
 // This file implements grouping: the vectorized hash aggregate, and DISTINCT
 // as a group-by with no aggregates.
 //
-//   - Group keys are normalized batch-at-a-time into joinKeys columns (the
-//     hash join's class+bits form; NULL is one more class, so NULLs group
-//     together, and -0 groups with +0) and looked up in an open-addressed
-//     table of dense group ids.
+//   - Group keys are child columns, named by ordinal. They are normalized
+//     batch-at-a-time into joinKeys columns (the hash join's class+bits
+//     form; NULL is one more class, so NULLs group together, and -0 groups
+//     with +0) and looked up in an open-addressed table of dense group ids.
 //   - Accumulators are typed cells indexed by group id, fed column-at-a-time
 //     from the child batch's vector when the argument is a column and from a
 //     scratch vector the compiled expression fills otherwise.
@@ -90,14 +90,15 @@ type AggSpec struct {
 // aggregate results, groups in first-seen order. With no group keys it
 // produces exactly one row.
 type Aggregate struct {
-	Child   Operator
-	GroupBy []Compiled
-	Aggs    []AggSpec
-	Out     *Schema
-	// GroupCols and ArgCols, when non-nil, give the child-column ordinal of
-	// each grouping expression and aggregate argument that is a plain column
-	// (-1 otherwise): those read the child batch's vectors, not the closure.
-	GroupCols, ArgCols []int
+	Child Operator
+	// GroupCols are the child-column ordinals of the group keys.
+	GroupCols []int
+	Aggs      []AggSpec
+	Out       *Schema
+	// ArgCols, when non-nil, gives the child-column ordinal of each aggregate
+	// argument that is a plain column (-1 otherwise): those read the child
+	// batch's vectors, not the closure.
+	ArgCols []int
 
 	// One partial per morsel of a ParallelScan child (else one) and one
 	// scratch per scan worker, keeping capacity across runs of a reused tree.
@@ -110,7 +111,7 @@ type Aggregate struct {
 // accumulator cell per group and aggregate (cells[g*len(Aggs)+i]).
 type aggState struct {
 	groups groupTable
-	first  []sqltypes.Value // len(GroupBy) per group: the key as first seen
+	first  []sqltypes.Value // len(GroupCols) per group: the key as first seen
 	cells  []aggCell
 }
 
@@ -130,9 +131,7 @@ type aggScratch struct {
 	keys *joinKeys
 	hash []uint64
 	gids []int32
-	vals sqltypes.ColBatch // evaluated expressions, dense over the active rows
-	kv   []*sqltypes.Vec   // the batch's key vectors and how to index them
-	kidx [][]int32
+	vals sqltypes.ColBatch // an evaluated argument, dense over the active rows
 }
 
 // Schema implements Operator.
@@ -177,27 +176,24 @@ func (a *Aggregate) reset(parts, workers int) {
 	for i := range a.parts {
 		st := &a.parts[i]
 		st.first, st.cells = st.first[:0], st.cells[:0]
-		st.groups.reset(len(a.GroupBy))
+		st.groups.reset(len(a.GroupCols))
 	}
 	for len(a.scratch) < workers {
-		a.scratch = append(a.scratch, aggScratch{
-			keys: newJoinKeys(len(a.GroupBy)),
-			kv:   make([]*sqltypes.Vec, len(a.GroupBy)),
-			kidx: make([][]int32, len(a.GroupBy)),
-		})
+		a.scratch = append(a.scratch, aggScratch{keys: newJoinKeys(len(a.GroupCols))})
 	}
 }
 
-// input returns the values e takes over cb's active rows as a vector and
-// its index list (the at convention): cb's own column cols[i] under cb.Sel
-// when e is a plain column, else e evaluated into scratch column slot.
-func (sc *aggScratch) input(ctx *EvalContext, cb *sqltypes.ColBatch, cols []int, i int, e Compiled, slot int) (*sqltypes.Vec, []int32, error) {
-	if cols != nil && cols[i] >= 0 {
-		return cb.Col(cols[i]), cb.Sel, nil
+// arg returns the values aggregate i's argument takes over cb's active rows
+// as a vector and its index list (the at convention): cb's own column under
+// cb.Sel when the argument is a plain column, else the argument evaluated
+// into the scratch column.
+func (sc *aggScratch) arg(a *Aggregate, ctx *EvalContext, cb *sqltypes.ColBatch, i int) (*sqltypes.Vec, []int32, error) {
+	if a.ArgCols != nil && a.ArgCols[i] >= 0 {
+		return cb.Col(a.ArgCols[i]), cb.Sel, nil
 	}
-	v := sc.vals.BuildCol(slot)
+	v := sc.vals.BuildCol(0)
 	for k := 0; k < cb.NumActive(); k++ {
-		val, err := e(ctx, cb.Row(at(cb.Sel, k)))
+		val, err := a.Aggs[i].Arg(ctx, cb.Row(at(cb.Sel, k)))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -208,32 +204,24 @@ func (sc *aggScratch) input(ctx *EvalContext, cb *sqltypes.ColBatch, cols []int,
 
 // consume folds one child batch into the partial.
 func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *sqltypes.ColBatch) error {
-	n, nk, na := cb.NumActive(), len(a.GroupBy), len(a.Aggs)
-	sc.vals.ResetCols(nk+1, n)
+	n, na := cb.NumActive(), len(a.Aggs)
+	sc.vals.ResetCols(1, n)
 	sc.keys.reset()
 	gids := sc.gids[:0]
-	if nk == 0 {
+	if len(a.GroupCols) == 0 {
 		// No GROUP BY: every row belongs to the one group of the empty key.
 		st.groups.find(sc.keys, 0, 0)
 		for range n {
 			gids = append(gids, 0)
 		}
-	}
-	for c, g := range a.GroupBy {
-		v, idx, err := sc.input(ctx, cb, a.GroupCols, c, g, c)
-		if err != nil {
-			return err
-		}
-		sc.kv[c], sc.kidx[c] = v, idx
-		sc.keys.appendVec(c, v, idx, n)
-	}
-	if nk > 0 {
+	} else {
+		sc.keys.appendBatch(a.GroupCols, cb)
 		sc.hash = sc.keys.hashes(sc.hash[:0], n)
 		for r, h := range sc.hash {
 			id, added := st.groups.find(sc.keys, r, h)
 			if added {
-				for c, v := range sc.kv {
-					st.first = append(st.first, v.Value(at(sc.kidx[c], r)))
+				for _, ord := range a.GroupCols {
+					st.first = append(st.first, cb.Col(ord).Value(at(cb.Sel, r)))
 				}
 			}
 			gids = append(gids, id)
@@ -249,7 +237,7 @@ func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *
 			}
 			continue
 		}
-		v, idx, err := sc.input(ctx, cb, a.ArgCols, i, spec.Arg, nk)
+		v, idx, err := sc.arg(a, ctx, cb, i)
 		if err != nil {
 			return err
 		}
@@ -320,7 +308,7 @@ func (c *aggCell) addFloat(x float64) {
 // merge folds src's groups into st, in src's group order: partials merged
 // in morsel order list groups, and add up sums, in scan order.
 func (st *aggState) merge(a *Aggregate, src *aggState) {
-	nk, na := len(a.GroupBy), len(a.Aggs)
+	nk, na := len(a.GroupCols), len(a.Aggs)
 	for g, h := range src.groups.hashes {
 		to, added := st.groups.find(src.groups.keys, g, h)
 		if added {
@@ -349,7 +337,7 @@ func (st *aggState) merge(a *Aggregate, src *aggState) {
 
 // result renders the groups as rows of one fresh arena: they outlive the run.
 func (st *aggState) result(a *Aggregate) []sqltypes.Row {
-	nk, na := len(a.GroupBy), len(a.Aggs)
+	nk, na := len(a.GroupCols), len(a.Aggs)
 	if nk == 0 { // even over no input: one row, COUNT 0 and the others NULL
 		st.groups.find(st.groups.keys, 0, 0)
 		st.grow(na)
@@ -409,12 +397,12 @@ type Distinct struct {
 // Schema implements Operator.
 func (d *Distinct) Schema() *Schema { return d.Child.Schema() }
 
-// Open implements Operator.
+// Open implements Operator. The group keys are a slice of the Distinct's
+// own, grown on the first Open.
 func (d *Distinct) Open(ctx *EvalContext) error {
 	d.agg.Child, d.agg.Out = d.Child, d.Child.Schema()
 	for c := len(d.agg.GroupCols); c < len(d.agg.Out.Cols); c++ {
 		d.agg.GroupCols = append(d.agg.GroupCols, c)
-		d.agg.GroupBy = append(d.agg.GroupBy, nil) // never called: the ordinal is set
 	}
 	return d.agg.Open(ctx)
 }

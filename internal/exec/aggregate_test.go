@@ -20,18 +20,18 @@ func aggOut(n int) *exec.Schema {
 	return exec.NewSchema(cols...)
 }
 
-// col is a compiled column reference, as the planner passes one next to its
-// ordinal.
+// col is a compiled column reference, as the planner passes an aggregate
+// argument next to its ordinal.
 func col(i int) exec.Compiled {
 	return func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[i], nil }
 }
 
-// allAggs is every aggregate function over column arg, with and without the
-// planner's ordinals.
+// allAggs is every aggregate function over column arg grouped by column key,
+// the arguments read by ordinal or, without ordinals, through their closures.
 func allAggs(child exec.Operator, key, arg int, ordinals bool) *exec.Aggregate {
 	a := &exec.Aggregate{
-		Child:   child,
-		GroupBy: []exec.Compiled{col(key)},
+		Child:     child,
+		GroupCols: []int{key},
 		Aggs: []exec.AggSpec{
 			{Func: "COUNT", Star: true}, {Func: "COUNT", Arg: col(arg)}, {Func: "SUM", Arg: col(arg)},
 			{Func: "AVG", Arg: col(arg)}, {Func: "MIN", Arg: col(arg)}, {Func: "MAX", Arg: col(arg)},
@@ -39,7 +39,7 @@ func allAggs(child exec.Operator, key, arg int, ordinals bool) *exec.Aggregate {
 		Out: aggOut(7),
 	}
 	if ordinals {
-		a.GroupCols, a.ArgCols = []int{key}, []int{-1, arg, arg, arg, arg, arg}
+		a.ArgCols = []int{-1, arg, arg, arg, arg, arg}
 	}
 	return a
 }
@@ -49,7 +49,7 @@ func allAggs(child exec.Operator, key, arg int, ordinals bool) *exec.Aggregate {
 // mixed kinds, NaN and ±0; a SUM promoted to FLOAT mid-group by a FLOAT
 // input and by int64 overflow; MIN/MAX over strings and timestamps; HAVING;
 // more groups than a batch; child batches that carry a selection vector;
-// arguments and keys given as expressions instead of ordinals; empty input.
+// arguments given as expressions instead of ordinals; empty input.
 func TestAggregateMatchesReference(t *testing.T) {
 	s := exec.TestSchema("t") // id INT, name STRING, bal FLOAT
 	i, f, str, null := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.Null
@@ -68,21 +68,21 @@ func TestAggregateMatchesReference(t *testing.T) {
 	}
 	tbl := exec.TestTable(t) // ids 1..100
 	trees := map[string]func() exec.Operator{
-		"odd keys, amounts":  func() exec.Operator { return allAggs(exec.NewValues(s, odd), 0, 2, true) },
-		"odd keys, payloads": func() exec.Operator { return allAggsNoSum(exec.NewValues(s, odd), 0, 1) },
-		"odd keys, closures": func() exec.Operator { return allAggs(exec.NewValues(s, odd), 0, 2, false) },
-		"group by payload":   func() exec.Operator { return allAggs(exec.NewValues(s, odd), 1, 2, true) },
+		"odd keys, amounts":           func() exec.Operator { return allAggs(exec.NewValues(s, odd), 0, 2, true) },
+		"odd keys, payloads":          func() exec.Operator { return allAggsNoSum(exec.NewValues(s, odd), 0, 1) },
+		"odd keys, argument closures": func() exec.Operator { return allAggs(exec.NewValues(s, odd), 0, 2, false) },
+		"group by payload":            func() exec.Operator { return allAggs(exec.NewValues(s, odd), 1, 2, true) },
 		"more groups than a batch": func() exec.Operator {
 			return allAggs(exec.NewValues(s, many), 0, 2, true)
 		},
 		"no group by": func() exec.Operator {
 			a := allAggs(exec.NewValues(s, many), 0, 2, true)
-			a.GroupBy, a.GroupCols, a.Out = nil, nil, aggOut(6)
+			a.GroupCols, a.Out = nil, aggOut(6)
 			return a
 		},
 		"no group by, no input": func() exec.Operator {
 			a := allAggs(exec.NewValues(s, nil), 0, 2, true)
-			a.GroupBy, a.GroupCols, a.Out = nil, nil, aggOut(6)
+			a.GroupCols, a.Out = nil, aggOut(6)
 			return a
 		},
 		"group by, no input": func() exec.Operator { return allAggs(exec.NewValues(s, nil), 0, 2, true) },
@@ -94,12 +94,9 @@ func TestAggregateMatchesReference(t *testing.T) {
 		},
 		"columnar input, expression argument": func() exec.Operator {
 			l, r := exec.NewValues(s, exec.TestRows(40)), exec.NewValues(exec.TestSchema("R"), exec.TestRows(25))
-			j := exec.NewHashJoin(l, r,
-				[]exec.Compiled{exec.TestCompileItem(t, "t.id", s)}, []exec.Compiled{exec.TestCompileItem(t, "R.id", r.Schema())},
-				nil, exec.JoinInner)
+			j := exec.NewHashJoin(l, r, []int{0}, []int{0}, nil, exec.JoinInner)
 			return &exec.Aggregate{
 				Child:     j,
-				GroupBy:   []exec.Compiled{col(1)},
 				GroupCols: []int{1},
 				Aggs:      []exec.AggSpec{{Func: "SUM", Arg: exec.TestCompileItem(t, "t.bal * 2 + R.id", j.Schema())}, {Func: "MAX", Arg: col(5)}},
 				ArgCols:   []int{-1, 5},

@@ -40,10 +40,7 @@ func TestHashJoinSemiWithResidual(t *testing.T) {
 	// Semi/anti joins with residual predicates exercise anyMatch fully.
 	left := NewValues(testSchema("L"), testRows(4))
 	right := NewValues(testSchema("R"), testRows(4))
-	semi := NewHashJoin(left, right,
-		[]Compiled{compileItem(t, "L.id", left.Schema())},
-		[]Compiled{compileItem(t, "R.id", right.Schema())},
-		nil, JoinSemi)
+	semi := NewHashJoin(left, right, []int{0}, []int{0}, nil, JoinSemi)
 	semi.Residual = compile(t, "L.bal + R.bal > 5", Concat(left.Schema(), right.Schema()))
 	rows := drain(t, semi)
 	// bal doubles per match: 2*bal > 5 -> bal >= 3: ids 3, 4.
@@ -52,10 +49,7 @@ func TestHashJoinSemiWithResidual(t *testing.T) {
 	}
 	left2 := NewValues(testSchema("L"), testRows(4))
 	right2 := NewValues(testSchema("R"), testRows(4))
-	anti := NewHashJoin(left2, right2,
-		[]Compiled{compileItem(t, "L.id", left2.Schema())},
-		[]Compiled{compileItem(t, "R.id", right2.Schema())},
-		nil, JoinAnti)
+	anti := NewHashJoin(left2, right2, []int{0}, []int{0}, nil, JoinAnti)
 	anti.Residual = compile(t, "L.bal + R.bal > 5", Concat(left2.Schema(), right2.Schema()))
 	rows = drain(t, anti)
 	if len(rows) != 2 || rows[1][0].Int() != 2 {
@@ -68,10 +62,7 @@ func TestMergeJoinSemiResidual(t *testing.T) {
 	right := sortedRows([]int64{1, 2, 3}, 2)
 	l := NewValues(testSchema("L"), left)
 	r := NewValues(testSchema("R"), right)
-	mj := NewMergeJoin(l, r,
-		[]Compiled{compileItem(t, "L.id", l.Schema())},
-		[]Compiled{compileItem(t, "R.id", r.Schema())},
-		nil, JoinSemi)
+	mj := NewMergeJoin(l, r, []int{0}, []int{0}, nil, JoinSemi)
 	mj.Residual = compile(t, "L.bal + R.bal > 4", Concat(testSchema("L"), testSchema("R")))
 	rows := drain(t, mj)
 	// 2*bal > 4 -> bal >= 3: only id 3.

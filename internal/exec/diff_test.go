@@ -121,10 +121,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 		return func() exec.Operator {
 			left := exec.NewValues(exec.TestSchema("L"), exec.TestRows(50))
 			right := exec.NewValues(exec.TestSchema("R"), exec.TestRows(20))
-			return exec.NewHashJoin(left, right,
-				[]exec.Compiled{exec.TestCompileItem(t, "L.id", left.Schema())},
-				[]exec.Compiled{exec.TestCompileItem(t, "R.id", right.Schema())},
-				nil, kind)
+			return exec.NewHashJoin(left, right, []int{0}, []int{0}, nil, kind)
 		}
 	}
 	trees := []struct {
@@ -158,10 +155,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 		{"mergejoin", true, func() exec.Operator {
 			l := exec.NewValues(exec.TestSchema("L"), exec.TestRows(30))
 			r := exec.NewValues(exec.TestSchema("R"), exec.TestRows(12))
-			return exec.NewMergeJoin(l, r,
-				[]exec.Compiled{exec.TestCompileItem(t, "L.id", l.Schema())},
-				[]exec.Compiled{exec.TestCompileItem(t, "R.id", r.Schema())},
-				nil, exec.JoinInner)
+			return exec.NewMergeJoin(l, r, []int{0}, []int{0}, nil, exec.JoinInner)
 		}},
 		{"sort-limit", true, func() exec.Operator {
 			sorted := &exec.Sort{
@@ -176,9 +170,9 @@ func TestBatchRowEquivalence(t *testing.T) {
 		}},
 		{"aggregate", false, func() exec.Operator {
 			return &exec.Aggregate{
-				Child:   exec.NewValues(s, exec.TestRows(30)),
-				GroupBy: []exec.Compiled{exec.TestCompileItem(t, "name", s)},
-				Aggs:    []exec.AggSpec{{Func: "COUNT", Star: true}},
+				Child:     exec.NewValues(s, exec.TestRows(30)),
+				GroupCols: []int{1},
+				Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}},
 				Out: exec.NewSchema(
 					exec.Col{Name: "name", Kind: sqltypes.KindString},
 					exec.Col{Name: "cnt", Kind: sqltypes.KindInt},
@@ -265,10 +259,7 @@ func TestProjectColumnGather(t *testing.T) {
 	values := func() exec.Operator { return exec.NewValues(s, exec.TestRows(25)) }
 	joined := func() exec.Operator {
 		l, r := exec.NewValues(s, exec.TestRows(25)), exec.NewValues(exec.TestSchema("R"), exec.TestRows(25))
-		return exec.NewHashJoin(l, r,
-			[]exec.Compiled{exec.TestCompileItem(t, "t.id", s)},
-			[]exec.Compiled{exec.TestCompileItem(t, "R.id", r.Schema())},
-			nil, exec.JoinInner)
+		return exec.NewHashJoin(l, r, []int{0}, []int{0}, nil, exec.JoinInner)
 	}
 	for name, child := range map[string]func() exec.Operator{"row-backed": values, "columnar": joined} {
 		want, err := exec.Run(&exec.Project{Child: child(), Exprs: exprs, Out: out}, &exec.EvalContext{Now: exec.TestNow}, 0)
@@ -295,10 +286,7 @@ func TestHashJoinLargeBuild(t *testing.T) {
 		againstReference(t, fmt.Sprintf("large-build kind=%d", kind), func() exec.Operator {
 			return exec.NewHashJoin(
 				exec.NewValues(ls, exec.TestRows(2000)),
-				exec.NewValues(rs, exec.TestRows(700)),
-				[]exec.Compiled{exec.TestCompileItem(t, "L.id", ls)},
-				[]exec.Compiled{exec.TestCompileItem(t, "R.id", rs)},
-				nil, kind)
+				exec.NewValues(rs, exec.TestRows(700)), []int{0}, []int{0}, nil, kind)
 		}, true, exec.DefaultBatchSize)
 	}
 }
@@ -328,10 +316,7 @@ func TestHashJoinBuildPayloadGather(t *testing.T) {
 		rrows = append(rrows, sqltypes.Row{sqltypes.NewInt(int64(i)), name, bal})
 	}
 	againstReference(t, "build-payload gather", func() exec.Operator {
-		return exec.NewHashJoin(exec.NewValues(ls, lrows), exec.NewValues(rs, rrows),
-			[]exec.Compiled{exec.TestCompileItem(t, "L.id", ls)},
-			[]exec.Compiled{exec.TestCompileItem(t, "R.id", rs)},
-			nil, exec.JoinInner)
+		return exec.NewHashJoin(exec.NewValues(ls, lrows), exec.NewValues(rs, rrows), []int{0}, []int{0}, nil, exec.JoinInner)
 	}, true)
 }
 
@@ -432,7 +417,7 @@ func (g *treeGen) tree(depth int) exec.Operator {
 	}
 	s := exec.TestSchema("t")
 	child := g.tree(depth - 1)
-	idKey := []exec.Compiled{exec.TestCompileItem(g.t, "id", s)}
+	idKey := []int{0}
 	switch g.rng.Intn(9) {
 	case 0:
 		p := predicates[g.rng.Intn(len(predicates))]
@@ -459,13 +444,9 @@ func (g *treeGen) tree(depth int) exec.Operator {
 		// Inner join (columnar output), gathered back to the left columns.
 		other := g.tree(depth - 1)
 		hj := exec.NewHashJoin(child, other, idKey, idKey, nil, exec.JoinInner)
-		if g.rng.Intn(2) == 0 {
-			hj.LeftKeyCols, hj.RightKeyCols = []int{0}, []int{0}
-		}
 		return g.wrap("hashjoin-inner", &exec.Project{Child: g.wrap("hj", hj), Cols: []int{0, 1, 2}, Out: s})
 	case 6:
-		nlj := exec.NewIndexLoopJoin(child, exec.TestTable(g.t), "ix_bal", s,
-			[]exec.Compiled{exec.TestCompileItem(g.t, "bal", s)}, nil, exec.JoinInner)
+		nlj := exec.NewIndexLoopJoin(child, exec.TestTable(g.t), "ix_bal", s, []int{2}, nil, exec.JoinInner)
 		return g.wrap("nlj", &exec.Project{Child: g.wrap("nlj-raw", nlj), Cols: []int{3, 1, 2}, Out: s})
 	case 7:
 		// Computed projection that keeps the schema shape.
@@ -493,10 +474,10 @@ func TestRandomTreesMatchReference(t *testing.T) {
 		branch := 0
 		g := &treeGen{t: t, rng: rand.New(rand.NewSource(seed)), branch: &branch}
 		root := g.wrap("root", &exec.Aggregate{ // groups fold the row order joins leave unspecified
-			Child:   g.tree(3),
-			GroupBy: []exec.Compiled{exec.TestCompileItem(t, "name", exec.TestSchema("t"))},
-			Aggs:    []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: exec.TestCompileItem(t, "bal", exec.TestSchema("t"))}},
-			Out:     exec.NewSchema(exec.Col{Name: "name"}, exec.Col{Name: "n"}, exec.Col{Name: "s"}),
+			Child:     g.tree(3),
+			GroupCols: []int{1},
+			Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: exec.TestCompileItem(t, "bal", exec.TestSchema("t"))}},
+			Out:       exec.NewSchema(exec.Col{Name: "name"}, exec.Col{Name: "n"}, exec.Col{Name: "s"}),
 		})
 		for _, bs := range diffSizes {
 			for branch = 0; branch < 2; branch++ {

@@ -87,9 +87,14 @@ func TestSchemaLookup(t *testing.T) {
 	if s.Lookup("A", "ID") != 0 {
 		t.Fatal("case-insensitive column names")
 	}
-	r := testSchema("A").Rebind("X")
-	if r.Cols[0].Binding != "X" {
-		t.Fatal("rebind")
+	if i, err := s.Resolve("B", "bal"); i != 5 || err != nil {
+		t.Fatalf("Resolve(B.bal) = %d, %v", i, err)
+	}
+	if _, err := s.Resolve("", "id"); err == nil || err.Error() != ErrAmbiguous("id").Error() {
+		t.Fatalf("ambiguous Resolve: %v", err)
+	}
+	if _, err := s.Resolve("A", "nope"); err == nil || err.Error() != ErrNoColumn("A", "nope").Error() {
+		t.Fatalf("missing Resolve: %v", err)
 	}
 	if got := testSchema("T").String(); got != "(T.id, T.name, T.bal)" {
 		t.Fatalf("String = %q", got)
@@ -250,11 +255,7 @@ func TestValuesFilterProject(t *testing.T) {
 func TestHashJoinInner(t *testing.T) {
 	left := NewValues(testSchema("L"), testRows(5))
 	right := NewValues(testSchema("R"), testRows(3))
-	ls, rs := left.Schema(), right.Schema()
-	join := NewHashJoin(left, right,
-		[]Compiled{compileItem(t, "L.id", ls)},
-		[]Compiled{compileItem(t, "R.id", rs)},
-		nil, JoinInner)
+	join := NewHashJoin(left, right, []int{0}, []int{0}, nil, JoinInner)
 	rows := drain(t, join)
 	if len(rows) != 3 {
 		t.Fatalf("inner join rows = %d", len(rows))
@@ -269,18 +270,12 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		return NewValues(testSchema("L"), testRows(5)), NewValues(testSchema("R"), testRows(3))
 	}
 	left, right := mk()
-	semi := NewHashJoin(left, right,
-		[]Compiled{compileItem(t, "L.id", left.Schema())},
-		[]Compiled{compileItem(t, "R.id", right.Schema())},
-		nil, JoinSemi)
+	semi := NewHashJoin(left, right, []int{0}, []int{0}, nil, JoinSemi)
 	if rows := drain(t, semi); len(rows) != 3 || len(rows[0]) != 3 {
 		t.Fatalf("semi join rows = %v", rows)
 	}
 	left, right = mk()
-	anti := NewHashJoin(left, right,
-		[]Compiled{compileItem(t, "L.id", left.Schema())},
-		[]Compiled{compileItem(t, "R.id", right.Schema())},
-		nil, JoinAnti)
+	anti := NewHashJoin(left, right, []int{0}, []int{0}, nil, JoinAnti)
 	rows := drain(t, anti)
 	if len(rows) != 2 || rows[0][0].Int() != 4 {
 		t.Fatalf("anti join rows = %v", rows)
@@ -292,10 +287,7 @@ func TestHashJoinResidualAndNullKeys(t *testing.T) {
 	lrows[2][0] = sqltypes.Null // NULL key must not join
 	left := NewValues(testSchema("L"), lrows)
 	right := NewValues(testSchema("R"), testRows(4))
-	j := NewHashJoin(left, right,
-		[]Compiled{compileItem(t, "L.id", left.Schema())},
-		[]Compiled{compileItem(t, "R.id", right.Schema())},
-		nil, JoinInner)
+	j := NewHashJoin(left, right, []int{0}, []int{0}, nil, JoinInner)
 	resSchema := j.Schema()
 	j.Residual = compile(t, "L.bal + R.bal > 3", resSchema)
 	rows := drain(t, j)
@@ -396,8 +388,7 @@ func TestIndexLoopJoin(t *testing.T) {
 	tbl := storageTable(t)
 	outer := NewValues(testSchema("L"), testRows(5))
 	inner := testSchema("R")
-	j := NewIndexLoopJoin(outer, tbl, "pk_t", inner,
-		[]Compiled{compileItem(t, "L.id", outer.Schema())}, nil, JoinInner)
+	j := NewIndexLoopJoin(outer, tbl, "pk_t", inner, []int{0}, nil, JoinInner)
 	rows := drain(t, j)
 	if len(rows) != 5 || j.InnerLookups != 5 {
 		t.Fatalf("rows = %d lookups = %d", len(rows), j.InnerLookups)
@@ -405,12 +396,15 @@ func TestIndexLoopJoin(t *testing.T) {
 	if len(rows[0]) != 6 {
 		t.Fatal("output width")
 	}
-	// Semi variant.
-	outer2 := NewValues(testSchema("L"), testRows(5))
-	j2 := NewIndexLoopJoin(outer2, tbl, "pk_t", inner,
-		[]Compiled{compileItem(t, "L.id * 1000", outer2.Schema())}, nil, JoinSemi)
-	if rows := drain(t, j2); len(rows) != 0 {
-		t.Fatalf("semi with no matches = %v", rows)
+	// Semi variant over outer rows without a partner: the table holds ids
+	// 1..100.
+	lonely := testRows(5)
+	for i, r := range lonely {
+		r[0] = intv(int64(1000 * (i + 1)))
+	}
+	j2 := NewIndexLoopJoin(NewValues(testSchema("L"), lonely), tbl, "pk_t", inner, []int{0}, nil, JoinSemi)
+	if rows := drain(t, j2); len(rows) != 0 || j2.InnerLookups != 5 {
+		t.Fatalf("semi with no matches = %v after %d lookups", rows, j2.InnerLookups)
 	}
 }
 
@@ -456,8 +450,8 @@ func TestSortStableMultiKey(t *testing.T) {
 func TestAggregate(t *testing.T) {
 	s := testSchema("t")
 	agg := &Aggregate{
-		Child:   NewValues(s, testRows(10)),
-		GroupBy: []Compiled{compileItem(t, "name", s)},
+		Child:     NewValues(s, testRows(10)),
+		GroupCols: []int{1},
 		Aggs: []AggSpec{
 			{Func: "COUNT", Star: true},
 			{Func: "SUM", Arg: compileItem(t, "bal", s)},
@@ -509,10 +503,10 @@ func TestAggregateEmptyInput(t *testing.T) {
 	}
 	// With GROUP BY, empty input yields no rows.
 	agg2 := &Aggregate{
-		Child:   NewValues(s, nil),
-		GroupBy: []Compiled{compileItem(t, "name", s)},
-		Aggs:    []AggSpec{{Func: "COUNT", Star: true}},
-		Out:     NewSchema(Col{Name: "name"}, Col{Name: "cnt"}),
+		Child:     NewValues(s, nil),
+		GroupCols: []int{1},
+		Aggs:      []AggSpec{{Func: "COUNT", Star: true}},
+		Out:       NewSchema(Col{Name: "name"}, Col{Name: "cnt"}),
 	}
 	if rows := drain(t, agg2); len(rows) != 0 {
 		t.Fatalf("grouped empty agg = %v", rows)

@@ -91,12 +91,9 @@ func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
 		return func(*EvalContext, sqltypes.Row) (sqltypes.Value, error) { return v, nil }, nil
 
 	case *sqlparser.ColumnRef:
-		idx := schema.Lookup(e.Table, e.Column)
-		if idx == -2 {
-			return nil, ErrAmbiguous(e.Column)
-		}
-		if idx < 0 {
-			return nil, ErrNoColumn(e.Table, e.Column)
+		idx, err := schema.Resolve(e.Table, e.Column)
+		if err != nil {
+			return nil, err
 		}
 		return func(_ *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			return row[idx], nil

@@ -9,7 +9,8 @@ import (
 
 // This file implements the vectorized hash join:
 //
-//   - Join keys are normalized into columnar scratch arrays (class tag +
+//   - Join keys are input columns, named by ordinal. They are normalized
+//     from the batch's vectors into columnar scratch arrays (class tag +
 //     64-bit payload) batch-at-a-time — no per-row Key() strings. The
 //     normalization preserves sqltypes.Key equality exactly: equal INT and
 //     FLOAT share one numeric class, NULL never joins.
@@ -144,27 +145,12 @@ func (k *joinKeys) appendFrom(src *joinKeys, r int) {
 	}
 }
 
-// appendBatch normalizes the keys of cb's active rows: column-at-a-time from
-// cb's vectors when cols gives the key ordinals, row-at-a-time through the
-// compiled key closures otherwise.
-func (k *joinKeys) appendBatch(keys []Compiled, cols []int, ctx *EvalContext, cb *sqltypes.ColBatch) error {
-	n := cb.NumActive()
-	if cols == nil {
-		for r := 0; r < n; r++ {
-			row := cb.Row(at(cb.Sel, r))
-			for c, ke := range keys {
-				v, err := ke(ctx, row)
-				if err != nil {
-					return err
-				}
-				k.appendVal(c, v)
-			}
-		}
-	}
+// appendBatch normalizes the keys of cb's active rows column-at-a-time: key
+// column c is cb's column cols[c].
+func (k *joinKeys) appendBatch(cols []int, cb *sqltypes.ColBatch) {
 	for c, ord := range cols {
-		k.appendVec(c, cb.Col(ord), cb.Sel, n)
+		k.appendVec(c, cb.Col(ord), cb.Sel, cb.NumActive())
 	}
-	return nil
 }
 
 // hasNull reports whether any key column of row r is NULL (NULL keys never
@@ -240,17 +226,14 @@ func keysEqual(a *joinKeys, ra int, b *joinKeys, rb int) bool {
 // input and probes it with left (probe) rows. For semi/anti joins the
 // output schema is the left schema.
 type HashJoin struct {
-	Left, Right         Operator
-	LeftKeys, RightKeys []Compiled
-	// LeftKeyCols/RightKeyCols, when non-nil, give the key expressions'
-	// column ordinals: the planner sets them for plain column-reference
-	// keys so probing reads values directly instead of calling closures.
-	LeftKeyCols, RightKeyCols []int
-	Residual                  Compiled // extra non-equi condition, may be nil
-	Kind                      JoinKind
+	Left, Right Operator
+	// LeftKeys and RightKeys are the key columns' ordinals in the left and
+	// right input, pairwise equal; trees of one plan share them read-only.
+	LeftKeys, RightKeys []int
+	Residual            Compiled // extra non-equi condition, may be nil
+	Kind                JoinKind
 
 	schema *Schema
-	ctx    *EvalContext
 
 	// Build side: its rows (the emitter's right lanes), their normalized keys
 	// and the open-addressed table (power-of-two capacity, linear probing,
@@ -271,7 +254,7 @@ type HashJoin struct {
 }
 
 // NewHashJoin builds a hash join; key lists must be equal length.
-func NewHashJoin(left, right Operator, leftKeys, rightKeys []Compiled, residual Compiled, kind JoinKind) *HashJoin {
+func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual Compiled, kind JoinKind) *HashJoin {
 	hj := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual, Kind: kind}
 	if kind == JoinInner {
 		hj.schema = Concat(left.Schema(), right.Schema())
@@ -288,7 +271,6 @@ func (h *HashJoin) Schema() *Schema { return h.schema }
 // the right lanes, normalizes and hashes the keys, and assembles the
 // open-addressed table.
 func (h *HashJoin) Open(ctx *EvalContext) error {
-	h.ctx = ctx
 	h.chain = -1
 	h.out.reset(ctx, h.Residual, h.Kind, len(h.Left.Schema().Cols), len(h.schema.Cols))
 	h.out.right.Reset()
@@ -302,7 +284,8 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 	}
 	err := eachBatch(h.Right, func(cb *sqltypes.ColBatch) error {
 		h.out.right.AppendBatch(cb)
-		return h.buildKeys.appendBatch(h.RightKeys, h.RightKeyCols, ctx, cb)
+		h.buildKeys.appendBatch(h.RightKeys, cb)
+		return nil
 	})
 	if err != nil {
 		return err
@@ -376,13 +359,10 @@ func (h *HashJoin) lookup(hash uint64) int32 {
 
 // probeBatch normalizes and hashes the keys of the current probe batch into
 // the reusable scratch columns.
-func (h *HashJoin) probeBatch(cb *sqltypes.ColBatch) error {
+func (h *HashJoin) probeBatch(cb *sqltypes.ColBatch) {
 	h.probeKeys.reset()
-	if err := h.probeKeys.appendBatch(h.LeftKeys, h.LeftKeyCols, h.ctx, cb); err != nil {
-		return err
-	}
+	h.probeKeys.appendBatch(h.LeftKeys, cb)
 	h.probeHash = h.probeKeys.hashes(h.probeHash[:0], h.out.np)
-	return nil
 }
 
 // matchesFor returns the chain head for probe row r of the current batch

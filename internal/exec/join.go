@@ -5,20 +5,20 @@ import "relaxedcc/internal/sqltypes"
 // This file is the one join emitter. The three join algorithms differ only
 // in how they find the right rows matching a left row — a hash chain, an
 // index seek, the buffered equal-key group of a merge; what happens to a
-// match is shared. The right rows a join can pair are column lanes the
-// emitter owns (the hash join's build side; the rows an index seek or a
-// merge group supplied). An inner join collects (left row, right row) pairs
-// per left batch, tests a residual over one reused scratch row, and gathers
-// the pairs column-wise into reused output vectors: no joined row is ever
-// built here, so a Project above forwards vectors and rows exist only at the
+// match is shared. Every algorithm reads a left row's key from the left
+// batch's key columns, by ordinal. The right rows a join can pair are column
+// lanes the emitter owns (the hash join's build side; the rows an index seek
+// or a merge group supplied). An inner join collects (left row, right row)
+// pairs per left batch and gathers them column-wise into reused output
+// vectors; only a residual test assembles a joined row, in one reused
+// scratch row. So a Project above forwards vectors and rows exist only at the
 // result boundary. Semi and anti joins emit the left batch narrowed by a
 // selection vector.
 
 // matcher is what a join algorithm supplies to the emitter.
 type matcher interface {
-	// probeBatch prepares matching for a new left batch: cb, whose active
-	// rows the emitter reads through left.
-	probeBatch(cb *sqltypes.ColBatch) error
+	// probeBatch prepares matching for a new left batch cb.
+	probeBatch(cb *sqltypes.ColBatch)
 	// anyMatch reports whether left row r of the batch has an admitted match.
 	anyMatch(r int) (bool, error)
 	// collectPairs appends up to n admitted pairs to the emitter's pair
@@ -54,8 +54,15 @@ func (o *joinOut) reset(ctx *EvalContext, residual Compiled, kind JoinKind, lw, 
 	o.probe, o.np, o.pi, o.batchDone = nil, 0, 0, true
 }
 
-// left returns active row r of the left batch, valid until the next call.
-func (o *joinOut) left(r int) sqltypes.Row { return o.probe.Row(at(o.probe.Sel, r)) }
+// leftKey appends to dst the values of active left row r in the key
+// columns ords.
+func (o *joinOut) leftKey(dst sqltypes.Row, r int, ords []int) sqltypes.Row {
+	i := at(o.probe.Sel, r)
+	for _, ord := range ords {
+		dst = append(dst, o.probe.Col(ord).Value(i))
+	}
+	return dst
+}
 
 // admit tests the residual over left row r joined with right row c; no
 // residual admits every pair.
@@ -63,7 +70,8 @@ func (o *joinOut) admit(r, c int) (bool, error) {
 	if o.residual == nil {
 		return true, nil
 	}
-	o.scratch = o.right.AppendRow(append(o.scratch[:0], o.left(r)...), c)
+	left := o.probe.Row(at(o.probe.Sel, r))
+	o.scratch = o.right.AppendRow(append(o.scratch[:0], left...), c)
 	return PredicateTrue(o.residual, o.ctx, o.scratch)
 }
 
@@ -86,9 +94,7 @@ func (o *joinOut) next(m matcher, left Operator) (*sqltypes.ColBatch, bool, erro
 			return nil, false, err
 		}
 		o.probe, o.np, o.pi = cb, cb.NumActive(), 0
-		if err := m.probeBatch(cb); err != nil {
-			return nil, false, err
-		}
+		m.probeBatch(cb)
 		if o.kind == JoinInner {
 			o.batchDone = false
 			continue
@@ -134,22 +140,22 @@ func (o *joinOut) gather() *sqltypes.ColBatch {
 
 // rowPairs is the matcher of the joins that find a left row's matches as a
 // run of rows: find is the index-loop join's seek or the merge join's
-// advance to the equal-key group, and appends the matches to right.
+// advance to the equal-key group for active left row r, and appends the
+// matches to right.
 type rowPairs struct {
 	joinOut
-	find func(left sqltypes.Row) error
+	find func(r int) error
 	mi   int // right rows from mi on match left row pi-1 and are not yet tested
 }
 
-func (p *rowPairs) probeBatch(*sqltypes.ColBatch) error {
+func (p *rowPairs) probeBatch(*sqltypes.ColBatch) {
 	p.right.Reset()
 	p.mi = 0
-	return nil
 }
 
 func (p *rowPairs) anyMatch(r int) (bool, error) {
 	p.right.Reset()
-	if err := p.find(p.left(r)); err != nil {
+	if err := p.find(r); err != nil {
 		return false, err
 	}
 	for c := 0; c < p.right.Len(); c++ {
@@ -168,7 +174,7 @@ func (p *rowPairs) collectPairs(n int) (bool, error) {
 			if p.pi >= p.np {
 				return true, nil
 			}
-			if err := p.find(p.left(p.pi)); err != nil {
+			if err := p.find(p.pi); err != nil {
 				return false, err
 			}
 			p.pi++

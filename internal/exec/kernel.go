@@ -181,7 +181,7 @@ func colColCmp(e *sqlparser.BinaryExpr, schema *Schema) (l, r int, ok bool) {
 
 // ColOrdinal reports whether e is a bare reference to a column of schema,
 // and that column's ordinal. Planners use it to mark projections as pure
-// gathers and join keys as closure-free.
+// gathers and aggregate arguments as closure-free.
 func ColOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 	ref, ok := e.(*sqlparser.ColumnRef)
 	if !ok {

@@ -11,18 +11,19 @@ import (
 // to support many-to-many matches, and the matches of a left row — that
 // group — leave through the shared emitter (join.go).
 type MergeJoin struct {
-	Left, Right         Operator
-	LeftKeys, RightKeys []Compiled
+	Left, Right Operator
+	// LeftKeys and RightKeys are the key columns' ordinals in the left and
+	// right input, pairwise equal; trees of one plan share them read-only.
+	LeftKeys, RightKeys []int
 	Residual            Compiled // evaluated over concat(left, right); inner joins only
 	Kind                JoinKind
 
 	schema *Schema
-	ctx    *EvalContext
 
 	// The right input is consumed through the row view (the merge is
 	// sequential on key order): the current buffered group, whose key is empty
-	// before the first group, and one lookahead row. Keys are evaluated into
-	// reused buffers.
+	// before the first group, and one lookahead row. Keys are read into reused
+	// buffers.
 	right         rowReader
 	out           rowPairs
 	rightGroup    sqltypes.Batch
@@ -35,7 +36,7 @@ type MergeJoin struct {
 
 // NewMergeJoin builds a merge join; key lists must be equal length and both
 // inputs sorted ascending on them.
-func NewMergeJoin(left, right Operator, leftKeys, rightKeys []Compiled, residual Compiled, kind JoinKind) *MergeJoin {
+func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int, residual Compiled, kind JoinKind) *MergeJoin {
 	mj := &MergeJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual, Kind: kind}
 	if kind == JoinInner {
 		mj.schema = Concat(left.Schema(), right.Schema())
@@ -50,7 +51,6 @@ func (m *MergeJoin) Schema() *Schema { return m.schema }
 
 // Open implements Operator.
 func (m *MergeJoin) Open(ctx *EvalContext) error {
-	m.ctx = ctx
 	m.right.reset()
 	m.rightGroup, m.rightGroupKey = m.rightGroup[:0], m.rightGroupKey[:0]
 	m.rightNext, m.rightDone = nil, false
@@ -77,9 +77,11 @@ func (m *MergeJoin) advanceRightRow() error {
 		m.rightNext, m.rightDone = nil, true
 		return nil
 	}
-	m.rightNext = row
-	m.rightNextKey, err = evalKeyVals(m.rightNextKey[:0], m.RightKeys, m.ctx, row)
-	return err
+	m.rightNext, m.rightNextKey = row, m.rightNextKey[:0]
+	for _, ord := range m.RightKeys {
+		m.rightNextKey = append(m.rightNextKey, row[ord])
+	}
+	return nil
 }
 
 // loadRightGroup buffers all right rows equal to the lookahead key.
@@ -100,13 +102,13 @@ func (m *MergeJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
 	return m.out.next(&m.out, m.Left)
 }
 
-// matches advances the right side to the left row's key and, when the keys
-// are equal, appends the buffered group to the emitter's right rows. Left
-// rows arrive in key order; a NULL key never matches.
-func (m *MergeJoin) matches(left sqltypes.Row) error {
-	key, err := evalKeyVals(m.curKey[:0], m.LeftKeys, m.ctx, left)
-	if m.curKey = key; err != nil || keyHasNull(key) {
-		return err
+// matches advances the right side to the key of active left row r and, when
+// the keys are equal, appends the buffered group to the emitter's right
+// rows. Left rows arrive in key order; a NULL key never matches.
+func (m *MergeJoin) matches(r int) error {
+	key := m.out.leftKey(m.curKey[:0], r, m.LeftKeys)
+	if m.curKey = key; keyHasNull(key) {
+		return nil
 	}
 	for !m.rightDone && (len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) < 0) {
 		if m.rightNext == nil {
@@ -138,19 +140,6 @@ func (m *MergeJoin) Close() error {
 		return errR
 	}
 	return errL
-}
-
-// evalKeyVals evaluates join keys into dst as a value tuple (not an encoded
-// string, so ordering comparisons are cheap).
-func evalKeyVals(dst sqltypes.Row, keys []Compiled, ctx *EvalContext, row sqltypes.Row) (sqltypes.Row, error) {
-	for _, k := range keys {
-		v, err := k(ctx, row)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
 }
 
 func compareKeys(a, b sqltypes.Row) int {

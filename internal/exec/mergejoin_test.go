@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -29,10 +28,7 @@ func mergeJoinOf(t *testing.T, left, right []sqltypes.Row, kind JoinKind) *Merge
 	t.Helper()
 	l := NewValues(testSchema("L"), left)
 	r := NewValues(testSchema("R"), right)
-	return NewMergeJoin(l, r,
-		[]Compiled{compileItem(t, "L.id", l.Schema())},
-		[]Compiled{compileItem(t, "R.id", r.Schema())},
-		nil, kind)
+	return NewMergeJoin(l, r, []int{0}, []int{0}, nil, kind)
 }
 
 func TestMergeJoinInnerOneToOne(t *testing.T) {
@@ -100,10 +96,7 @@ func TestMergeJoinNullKeys(t *testing.T) {
 func TestMergeJoinResidual(t *testing.T) {
 	l := NewValues(testSchema("L"), sortedRows([]int64{1, 2}, 2))
 	r := NewValues(testSchema("R"), sortedRows([]int64{1, 2}, 2))
-	mj := NewMergeJoin(l, r,
-		[]Compiled{compileItem(t, "L.id", l.Schema())},
-		[]Compiled{compileItem(t, "R.id", r.Schema())},
-		nil, JoinInner)
+	mj := NewMergeJoin(l, r, []int{0}, []int{0}, nil, JoinInner)
 	mj.Residual = compile(t, "L.name = R.name", mj.Schema())
 	rows := drain(t, mj)
 	// Per key: 2x2 pairs, residual keeps name-equal -> 2; two keys -> 4.
@@ -140,10 +133,7 @@ func TestQuickMergeEqualsHash(t *testing.T) {
 			{
 				l := NewValues(testSchema("L"), lrows)
 				r := NewValues(testSchema("R"), rrows)
-				hj := NewHashJoin(l, r,
-					[]Compiled{compileItem(t, "L.id", l.Schema())},
-					[]Compiled{compileItem(t, "R.id", r.Schema())},
-					nil, kind)
+				hj := NewHashJoin(l, r, []int{0}, []int{0}, nil, kind)
 				res, err := Run(hj, ctx(), 0)
 				if err != nil {
 					return false
@@ -161,17 +151,6 @@ func TestQuickMergeEqualsHash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// parseHelperSelect parses a single expression for benchmark key setup.
-func parseHelperSelect(expr string) (sqlparserExpr, error) {
-	sel, err := sqlparser.ParseSelect("SELECT " + expr)
-	if err != nil {
-		return nil, err
-	}
-	return sel.Items[0].Expr, nil
-}
-
-type sqlparserExpr = sqlparser.Expr
 
 func sameMultiset(a, b []sqltypes.Row) bool {
 	if len(a) != len(b) {
@@ -200,21 +179,9 @@ func BenchmarkMergeVsHashJoin(b *testing.B) {
 	lrows := sortedRows(keys, 1)
 	rrows := sortedRows(keys, 1)
 	lSchema, rSchema := testSchema("L"), testSchema("R")
-	mkKeys := func(t *testing.B, binding string, s *Schema) []Compiled {
-		e, err := parseHelperSelect(binding + ".id")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(e, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []Compiled{c}
-	}
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mj := NewMergeJoin(NewValues(lSchema, lrows), NewValues(rSchema, rrows),
-				mkKeys(b, "L", lSchema), mkKeys(b, "R", rSchema), nil, JoinInner)
+			mj := NewMergeJoin(NewValues(lSchema, lrows), NewValues(rSchema, rrows), []int{0}, []int{0}, nil, JoinInner)
 			if _, err := Run(mj, &EvalContext{}, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -222,8 +189,7 @@ func BenchmarkMergeVsHashJoin(b *testing.B) {
 	})
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hj := NewHashJoin(NewValues(lSchema, lrows), NewValues(rSchema, rrows),
-				mkKeys(b, "L", lSchema), mkKeys(b, "R", rSchema), nil, JoinInner)
+			hj := NewHashJoin(NewValues(lSchema, lrows), NewValues(rSchema, rrows), []int{0}, []int{0}, nil, JoinInner)
 			if _, err := Run(hj, &EvalContext{}, 0); err != nil {
 				b.Fatal(err)
 			}

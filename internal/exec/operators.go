@@ -385,18 +385,19 @@ const (
 )
 
 // IndexLoopJoin is an index nested-loop join: for each outer row it seeks
-// the inner table's index on equality keys computed from the outer row.
+// the inner table's index on equality keys read from the outer row.
 type IndexLoopJoin struct {
 	Outer    Operator
 	Inner    *storage.Table
 	Index    string
-	InnerSch *Schema    // schema of inner rows (stored layout)
-	OuterKey []Compiled // one per leading index column
-	Residual Compiled   // evaluated over concat(outer, inner)
+	InnerSch *Schema // schema of inner rows (stored layout)
+	// OuterKey is the ordinal of the outer column each leading index column
+	// equals, in index order; trees of one plan share it read-only.
+	OuterKey []int
+	Residual Compiled // evaluated over concat(outer, inner)
 	Kind     JoinKind
 
 	schema *Schema
-	ctx    *EvalContext
 	out    rowPairs
 	key    sqltypes.Row // reusable seek key
 	// InnerLookups counts index seeks, for cost validation.
@@ -404,7 +405,7 @@ type IndexLoopJoin struct {
 }
 
 // NewIndexLoopJoin builds an index nested-loop join.
-func NewIndexLoopJoin(outer Operator, inner *storage.Table, index string, innerSch *Schema, outerKey []Compiled, residual Compiled, kind JoinKind) *IndexLoopJoin {
+func NewIndexLoopJoin(outer Operator, inner *storage.Table, index string, innerSch *Schema, outerKey []int, residual Compiled, kind JoinKind) *IndexLoopJoin {
 	j := &IndexLoopJoin{Outer: outer, Inner: inner, Index: index, InnerSch: innerSch, OuterKey: outerKey, Residual: residual, Kind: kind}
 	if kind == JoinInner {
 		j.schema = Concat(outer.Schema(), innerSch)
@@ -419,7 +420,6 @@ func (j *IndexLoopJoin) Schema() *Schema { return j.schema }
 
 // Open implements Operator.
 func (j *IndexLoopJoin) Open(ctx *EvalContext) error {
-	j.ctx = ctx
 	j.InnerLookups = 0
 	if j.out.find == nil {
 		j.out.find = j.lookup
@@ -434,17 +434,13 @@ func (j *IndexLoopJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
 	return j.out.next(&j.out, j.Outer)
 }
 
-// lookup seeks the inner index with outer's key, copying the matches into
-// the emitter's right rows. The key buffer is reused.
-func (j *IndexLoopJoin) lookup(outer sqltypes.Row) error {
+// lookup seeks the inner index with the key of active outer row r, copying
+// the matches into the emitter's right rows; a NULL key matches nothing. The
+// key buffer is reused.
+func (j *IndexLoopJoin) lookup(r int) error {
 	j.InnerLookups++
-	j.key = j.key[:0]
-	for _, k := range j.OuterKey {
-		v, err := k(j.ctx, outer)
-		if err != nil || v.IsNull() {
-			return err
-		}
-		j.key = append(j.key, v)
+	if j.key = j.out.leftKey(j.key[:0], r, j.OuterKey); keyHasNull(j.key) {
+		return nil
 	}
 	b := storage.Bound{Vals: j.key, Inclusive: true}
 	return j.Inner.ScanIndex(j.Index, b, b, &j.out.right)

@@ -13,7 +13,8 @@ import (
 // whole output as a row list, by nested loops. It is the executor's
 // differential oracle. It shares the scalar Compiled closures (and the
 // storage engine) with production and none of the batching,
-// selection-vector, hash-table, kernel or buffer-reuse code.
+// selection-vector, hash-table, kernel or buffer-reuse code: a key ordinal
+// indexes a row the reference materialized itself.
 func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	switch op := op.(type) {
 	case interface{ Unwrap() exec.Operator }: // exec.Traced, test shims
@@ -78,9 +79,9 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 			return nil, err
 		}
 		return refMatch(outer, op.Residual, op.Kind, ctx, func(l sqltypes.Row) ([]sqltypes.Row, error) {
-			key, err := refEval(op.OuterKey, ctx, l)
-			if err != nil || hasNull(key) {
-				return nil, err
+			key := pick(l, op.OuterKey)
+			if hasNull(key) {
+				return nil, nil
 			}
 			b := storage.Bound{Vals: key, Inclusive: true}
 			return refIndex(op.Inner, op.Index, b, b)
@@ -164,6 +165,15 @@ func refFilter(rows []sqltypes.Row, pred exec.Compiled, ctx *exec.EvalContext) (
 	return out, nil
 }
 
+// pick returns the values of row in the columns ords.
+func pick(row sqltypes.Row, ords []int) sqltypes.Row {
+	out := make(sqltypes.Row, len(ords))
+	for i, ord := range ords {
+		out[i] = row[ord]
+	}
+	return out
+}
+
 func hasNull(r sqltypes.Row) bool {
 	for _, v := range r {
 		if v.IsNull() {
@@ -179,7 +189,7 @@ func concat(l, r sqltypes.Row) sqltypes.Row {
 
 // refJoin is an equi-join by nested loops: keys join when neither holds a
 // NULL and their sqltypes.Key encodings are equal (INT 2 joins FLOAT 2.0).
-func refJoin(left, right exec.Operator, lk, rk []exec.Compiled, residual exec.Compiled, kind exec.JoinKind, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+func refJoin(left, right exec.Operator, lk, rk []int, residual exec.Compiled, kind exec.JoinKind, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	lrows, err := reference(left, ctx)
 	if err != nil {
 		return nil, err
@@ -190,28 +200,25 @@ func refJoin(left, right exec.Operator, lk, rk []exec.Compiled, residual exec.Co
 	}
 	rkeys := make([]string, len(rrows)) // "" marks a NULL key, which never joins
 	for i, r := range rrows {
-		if rkeys[i], err = refKey(rk, ctx, r); err != nil {
-			return nil, err
-		}
+		rkeys[i] = refKey(r, rk)
 	}
 	return refMatch(lrows, residual, kind, ctx, func(l sqltypes.Row) ([]sqltypes.Row, error) {
-		lkey, err := refKey(lk, ctx, l)
+		lkey := refKey(l, lk)
 		var matches []sqltypes.Row
 		for i, r := range rrows {
 			if lkey != "" && lkey == rkeys[i] {
 				matches = append(matches, r)
 			}
 		}
-		return matches, err
+		return matches, nil
 	})
 }
 
-func refKey(exprs []exec.Compiled, ctx *exec.EvalContext, row sqltypes.Row) (string, error) {
-	key, err := refEval(exprs, ctx, row)
-	if err != nil || hasNull(key) {
-		return "", err
+func refKey(row sqltypes.Row, ords []int) string {
+	if key := pick(row, ords); !hasNull(key) {
+		return sqltypes.RowKey(key)
 	}
-	return sqltypes.RowKey(key), nil
+	return ""
 }
 
 // refMatch emits, per left row in order, its residual-passing matches
@@ -265,17 +272,14 @@ func refAggregate(op *exec.Aggregate, ctx *exec.EvalContext) ([]sqltypes.Row, er
 	groups := map[string][]sqltypes.Row{}
 	var order []sqltypes.Row
 	for _, r := range in {
-		g, err := refEval(op.GroupBy, ctx, r)
-		if err != nil {
-			return nil, err
-		}
+		g := pick(r, op.GroupCols)
 		k := groupKey(g)
 		if _, ok := groups[k]; !ok {
 			order = append(order, g)
 		}
 		groups[k] = append(groups[k], r)
 	}
-	if len(order) == 0 && len(op.GroupBy) == 0 {
+	if len(order) == 0 && len(op.GroupCols) == 0 {
 		order = append(order, sqltypes.Row{})
 	}
 	var out []sqltypes.Row

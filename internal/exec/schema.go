@@ -54,19 +54,17 @@ func (s *Schema) Lookup(binding, name string) int {
 	return found
 }
 
-// Clone returns a deep copy of the schema.
-func (s *Schema) Clone() *Schema {
-	return &Schema{Cols: append([]Col(nil), s.Cols...)}
-}
-
-// Rebind returns a copy of the schema with every column's binding replaced,
-// as when a derived table gives its output a new alias.
-func (s *Schema) Rebind(binding string) *Schema {
-	out := s.Clone()
-	for i := range out.Cols {
-		out.Cols[i].Binding = binding
+// Resolve is Lookup for a reference that must name exactly one column: it
+// fails with ErrAmbiguous or ErrNoColumn otherwise.
+func (s *Schema) Resolve(binding, name string) (int, error) {
+	switch i := s.Lookup(binding, name); i {
+	case -2:
+		return 0, ErrAmbiguous(name)
+	case -1:
+		return 0, ErrNoColumn(binding, name)
+	default:
+		return i, nil
 	}
-	return out
 }
 
 // Concat returns the schema of a join output: left columns then right.

@@ -93,8 +93,7 @@ func TestReadersNeverSeeATornRow(t *testing.T) {
 			return ps
 		},
 		"index join": func() Operator {
-			key := func(_ *EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[0], nil }
-			return NewIndexLoopJoin(NewValues(outerSch, outer), tbl, "pk_t", s, []Compiled{key}, nil, JoinInner)
+			return NewIndexLoopJoin(NewValues(outerSch, outer), tbl, "pk_t", s, []int{0}, nil, JoinInner)
 		},
 	}
 	deadline := time.Now().Add(300 * time.Millisecond)

@@ -182,10 +182,7 @@ func TestHashJoinNumericKeyCollapse(t *testing.T) {
 		{floatv(3.5), strv("y"), floatv(9)},
 		{sqltypes.Null, strv("z"), floatv(9)}, // NULL never joins
 	}
-	j := NewHashJoin(NewValues(ls, lrows), NewValues(rs, rrows),
-		[]Compiled{compileItem(t, "L.id", ls)},
-		[]Compiled{compileItem(t, "R.id", rs)},
-		nil, JoinInner)
+	j := NewHashJoin(NewValues(ls, lrows), NewValues(rs, rrows), []int{0}, []int{0}, nil, JoinInner)
 	rows := drain(t, j)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %v, want exactly the 2/2.0 match", rows)
@@ -206,10 +203,7 @@ func TestHashJoinDuplicateBuildOrder(t *testing.T) {
 		{intv(7), strv("second"), floatv(2)},
 		{intv(7), strv("third"), floatv(3)},
 	}
-	j := NewHashJoin(NewValues(ls, lrows), NewValues(rs, rrows),
-		[]Compiled{compileItem(t, "L.id", ls)},
-		[]Compiled{compileItem(t, "R.id", rs)},
-		nil, JoinInner)
+	j := NewHashJoin(NewValues(ls, lrows), NewValues(rs, rrows), []int{0}, []int{0}, nil, JoinInner)
 	rows := drain(t, j)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))

@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"relaxedcc/internal/exec"
@@ -179,6 +182,52 @@ func TestEveryCandidateChecksEveryJoinEdge(t *testing.T) {
 			}
 			if len(res.Rows) != 3 {
 				t.Errorf("ON %s: %s returned %d rows, want 3", on, p.Shape, len(res.Rows))
+			}
+		}
+	}
+}
+
+// TestTreesOfOnePlanRunInParallel builds trees of every candidate of a join,
+// a grouping and a DISTINCT statement from several goroutines at once, as
+// sessions sharing a cached plan do, and runs each tree twice. The trees
+// share the plan's key ordinals; under -race a tree that wrote to them would
+// show.
+func TestTreesOfOnePlanRunInParallel(t *testing.T) {
+	f := newBackendFixture(t)
+	for sql, want := range map[string]int{
+		"SELECT B.title, R.rating FROM Books B JOIN Reviews R ON B.isbn = R.isbn AND B.price = R.rating":    3,
+		"SELECT B.isbn FROM Books B WHERE EXISTS (SELECT 1 FROM Reviews R WHERE R.isbn = B.isbn)":           200,
+		"SELECT R.rating, COUNT(*) FROM Reviews R GROUP BY R.rating":                                        3,
+		"SELECT DISTINCT R.rating, B.price FROM Books B JOIN Reviews R ON B.isbn = R.isbn WHERE B.isbn < 3": 6,
+	} {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := f.plan.Candidates(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plans {
+			var wg sync.WaitGroup
+			errs := make([]error, 4)
+			for w := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tree, err := p.Build()
+					for run := 0; run < 2 && err == nil; run++ {
+						var res *exec.Result
+						if res, err = exec.Run(tree, &exec.EvalContext{Now: vclock.Epoch, BatchSize: 7}, 0); err == nil && len(res.Rows) != want {
+							err = fmt.Errorf("%d rows, want %d", len(res.Rows), want)
+						}
+					}
+					errs[w] = err
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Errorf("%s: %s: %v", sql, p.Shape, err)
 			}
 		}
 	}

@@ -1188,7 +1188,11 @@ func prune(cands []*cand) []*cand {
 // locally stored object with a suitable index (guarded at the cache).
 func (p *Planner) joinCands(q *Query, left, right *cand, leaf *Leaf, semiRes []sqlparser.Expr) ([]*cand, error) {
 	edges := joinEdges(q, left.schema, leaf)
-	out := []*cand{p.hashJoinCand(left, right, leaf, edges, semiRes)}
+	hj, err := p.hashJoinCand(left, right, leaf, edges, semiRes)
+	if err != nil {
+		return nil, err
+	}
+	out := []*cand{hj}
 	nlj, ok, err := p.indexLoopCand(q, left, leaf, edges, semiRes)
 	if err != nil {
 		return nil, err
@@ -1251,10 +1255,7 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	if len(left.order) == 0 || len(edges) == 0 {
 		return nil, false, nil
 	}
-	k := slices.IndexFunc(edges, func(e joinEdge) bool {
-		ref, ok := e.prefixExpr.(*sqlparser.ColumnRef)
-		return ok && ref.SQL() == left.order[0]
-	})
+	k := slices.IndexFunc(edges, func(e joinEdge) bool { return e.prefixExpr.SQL() == left.order[0] })
 	if k < 0 {
 		return nil, false, nil
 	}
@@ -1276,6 +1277,10 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	if right == nil {
 		return nil, false, nil
 	}
+	lk, rk, err := keyCols(edges[k:k+1], leaf.Binding, right.schema)
+	if err != nil {
+		return nil, false, err
+	}
 	outSchema := left.schema
 	if leaf.Join == exec.JoinInner {
 		outSchema = exec.Concat(left.schema, right.schema)
@@ -1294,14 +1299,6 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 		if err != nil {
 			return nil, err
 		}
-		lk, err := exec.Compile(edge.prefixExpr, leftSchema)
-		if err != nil {
-			return nil, err
-		}
-		rk, err := exec.Compile(&sqlparser.ColumnRef{Table: leaf.Binding, Column: edge.leafCol}, rightSchema)
-		if err != nil {
-			return nil, err
-		}
 		var res exec.Compiled
 		if pred := andAll(residuals); pred != nil {
 			res, err = exec.Compile(pred, exec.Concat(leftSchema, rightSchema))
@@ -1309,7 +1306,7 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 				return nil, err
 			}
 		}
-		return exec.NewMergeJoin(l, r, []exec.Compiled{lk}, []exec.Compiled{rk}, res, kind), nil
+		return exec.NewMergeJoin(l, r, lk, rk, res, kind), nil
 	}
 	// Merge advances both sorted streams once; per-row work is well below a
 	// generic operator hop (no hashing, no seeks).
@@ -1323,37 +1320,53 @@ func (p *Planner) mergeJoinCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 	}, left, right), true, nil
 }
 
-// joinEdge is one equi-join pair usable between the prefix and the leaf.
+// joinEdge is one equi-join pair usable between the prefix and the leaf: a
+// prefix column, with its ordinal in the prefix schema, and a leaf column.
 type joinEdge struct {
-	prefixExpr sqlparser.Expr // column on the prefix side
+	prefixExpr *sqlparser.ColumnRef
+	prefixCol  int
 	leafCol    string
 }
 
 func joinEdges(q *Query, prefix *exec.Schema, leaf *Leaf) []joinEdge {
 	var out []joinEdge
 	for _, jp := range q.Joins {
-		if jp.LeftLeaf == leaf.ID {
-			other := q.Leaf(jp.RightLeaf)
-			if prefix.Lookup(other.Binding, jp.RightCol) >= 0 {
-				out = append(out, joinEdge{
-					prefixExpr: &sqlparser.ColumnRef{Table: other.Binding, Column: jp.RightCol},
-					leafCol:    jp.LeftCol,
-				})
-			}
-		} else if jp.RightLeaf == leaf.ID {
-			other := q.Leaf(jp.LeftLeaf)
-			if prefix.Lookup(other.Binding, jp.LeftCol) >= 0 {
-				out = append(out, joinEdge{
-					prefixExpr: &sqlparser.ColumnRef{Table: other.Binding, Column: jp.LeftCol},
-					leafCol:    jp.RightCol,
-				})
-			}
+		var other *Leaf
+		var otherCol, leafCol string
+		switch leaf.ID {
+		case jp.LeftLeaf:
+			other, otherCol, leafCol = q.Leaf(jp.RightLeaf), jp.RightCol, jp.LeftCol
+		case jp.RightLeaf:
+			other, otherCol, leafCol = q.Leaf(jp.LeftLeaf), jp.LeftCol, jp.RightCol
+		default:
+			continue
+		}
+		if ord := prefix.Lookup(other.Binding, otherCol); ord >= 0 {
+			out = append(out, joinEdge{&sqlparser.ColumnRef{Table: other.Binding, Column: otherCol}, ord, leafCol})
 		}
 	}
 	return out
 }
 
-func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, semiRes []sqlparser.Expr) *cand {
+// keyCols resolves the key columns of a join on edges whose leaf side
+// reads schema right: the prefix columns' ordinals and the leaf columns'.
+// Every tree built from the candidate shares the two slices.
+func keyCols(edges []joinEdge, binding string, right *exec.Schema) (lk, rk []int, err error) {
+	lk, rk = make([]int, len(edges)), make([]int, len(edges))
+	for i, e := range edges {
+		lk[i] = e.prefixCol
+		if rk[i], err = right.Resolve(binding, e.leafCol); err != nil {
+			return nil, nil, err
+		}
+	}
+	return lk, rk, nil
+}
+
+func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, semiRes []sqlparser.Expr) (*cand, error) {
+	lk, rk, err := keyCols(edges, leaf.Binding, right.schema)
+	if err != nil {
+		return nil, err
+	}
 	outSchema := left.schema
 	if leaf.Join == exec.JoinInner {
 		outSchema = exec.Concat(left.schema, right.schema)
@@ -1372,29 +1385,6 @@ func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, 
 		if err != nil {
 			return nil, err
 		}
-		var lk, rk []exec.Compiled
-		var lc, rc []int
-		for _, e := range edges {
-			cl, err := exec.Compile(e.prefixExpr, leftSchema)
-			if err != nil {
-				return nil, err
-			}
-			rightRef := &sqlparser.ColumnRef{Table: leaf.Binding, Column: e.leafCol}
-			cr, err := exec.Compile(rightRef, rightSchema)
-			if err != nil {
-				return nil, err
-			}
-			lk = append(lk, cl)
-			rk = append(rk, cr)
-			// Key expressions here are always plain column references, so
-			// pass their ordinals for closure-free key extraction.
-			if ord, ok := exec.ColOrdinal(e.prefixExpr, leftSchema); ok {
-				lc = append(lc, ord)
-			}
-			if ord, ok := exec.ColOrdinal(rightRef, rightSchema); ok {
-				rc = append(rc, ord)
-			}
-		}
 		var res exec.Compiled
 		if residual != nil {
 			joinedSchema := exec.Concat(leftSchema, rightSchema)
@@ -1403,11 +1393,7 @@ func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, 
 				return nil, err
 			}
 		}
-		hj := exec.NewHashJoin(l, r, lk, rk, res, kind)
-		if len(lc) == len(edges) && len(rc) == len(edges) {
-			hj.LeftKeyCols, hj.RightKeyCols = lc, rc
-		}
-		return hj, nil
+		return exec.NewHashJoin(l, r, lk, rk, res, kind), nil
 	}
 	return joined(&cand{
 		build:  build,
@@ -1416,7 +1402,7 @@ func (p *Planner) hashJoinCand(left, right *cand, leaf *Leaf, edges []joinEdge, 
 		rows:   outRows,
 		shape:  fmt.Sprintf("HashJoin(%s, %s)", left.shape, right.shape),
 		order:  left.order, // probe rows stream through in order
-	}, left, right)
+	}, left, right), nil
 }
 
 func estimateJoinOut(leftRows, rightRows float64, leaf *Leaf, edges []joinEdge) float64 {
@@ -1461,17 +1447,14 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 		// The residual is put together here, not in the build: trees of one
 		// plan are built from several sessions at once.
 		pred := andAll(edgeResiduals(residualPreds, leaf, edges, keyEdges))
+		keys := make([]int, len(keyEdges))
+		for i, e := range keyEdges {
+			keys[i] = e.prefixCol
+		}
 		build := func() (exec.Operator, error) {
 			l, err := leftBuild()
 			if err != nil {
 				return nil, err
-			}
-			keys := make([]exec.Compiled, len(keyEdges))
-			for i, e := range keyEdges {
-				keys[i], err = exec.Compile(e.prefixExpr, leftSchema)
-				if err != nil {
-					return nil, err
-				}
 			}
 			var res exec.Compiled
 			if pred != nil {
@@ -1515,7 +1498,10 @@ func (p *Planner) indexLoopCand(q *Query, left *cand, leaf *Leaf, edges []joinEd
 			continue
 		}
 		// Remote fall-back branch: hash join with a remote fetch.
-		hj := p.hashJoinCand(left, p.remoteLeafCand(leaf, leafSchema(leaf)), leaf, edges, semiRes)
+		hj, err := p.hashJoinCand(left, p.remoteLeafCand(leaf, leafSchema(leaf)), leaf, edges, semiRes)
+		if err != nil {
+			return nil, false, err
+		}
 		label := fmt.Sprintf("GuardJoin(%s|%s)", local.shape, hj.shape)
 		return p.guardedCand(local, hj, v.region, v.bound, v.constrained, label), true, nil
 	}
@@ -1708,15 +1694,14 @@ func buildAggregate(q *Query, child exec.Operator, schema *exec.Schema) (exec.Op
 	agg := &exec.Aggregate{Child: child}
 	var outCols []exec.Col
 	for _, g := range q.GroupBy {
-		if _, ok := g.(*sqlparser.ColumnRef); !ok {
+		ref, ok := g.(*sqlparser.ColumnRef)
+		if !ok {
 			return nil, nil, fmt.Errorf("opt: GROUP BY supports plain columns, got %s", g.SQL())
 		}
-		c, err := exec.Compile(g, schema) // rejects an unknown or ambiguous column
+		ord, err := schema.Resolve(ref.Table, ref.Column)
 		if err != nil {
 			return nil, nil, err
 		}
-		ord, _ := exec.ColOrdinal(g, schema)
-		agg.GroupBy = append(agg.GroupBy, c)
 		agg.GroupCols = append(agg.GroupCols, ord)
 		outCols = append(outCols, schema.Cols[ord])
 	}

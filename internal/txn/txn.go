@@ -139,17 +139,6 @@ func (l *Log) LastSeq() int64 {
 	return int64(len(l.records))
 }
 
-// LastCommit returns the timestamp of the most recent commit and whether the
-// log is non-empty.
-func (l *Log) LastCommit() (Timestamp, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if len(l.records) == 0 {
-		return Timestamp{}, false
-	}
-	return l.records[len(l.records)-1].TS, true
-}
-
 // SeqAt returns the sequence number of the latest transaction committed at
 // or before t (0 if none) — the snapshot the master exposed at time t.
 func (l *Log) SeqAt(t time.Time) int64 {
