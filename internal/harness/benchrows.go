@@ -89,16 +89,18 @@ var allocCeilings = []struct {
 	name string
 	max  float64
 }{
-	// No join allocates per match or per probe row: matches leave as pair
-	// lists gathered into reused vectors. The hash join ran at ~412,600
-	// allocs/op before the vectorized rebuild and measures 199 now (its build
-	// side); the index-loop and merge joins built one joined row per match
-	// (8,282 and 157,514 on these benchmarks) and measure 46 and 48. Ceilings
-	// are ~1.5x the counts of a freshly built tree, the hash join's as its
-	// issue set it.
+	// No join allocates per match or per probe row: the hash join ran at
+	// ~412,600 allocs/op before the vectorized rebuild, the index-loop and
+	// merge joins built one joined row per match (8,282 and 157,514). Each op
+	// builds a fresh tree, and since rows live in leaf lanes a fresh scan
+	// copies survivors into vectors of its own that grow by doubling on the
+	// first run (a reused tree pays this once), and the merge join's right
+	// side becomes rows through one arena per batch: 199/46/48 became
+	// 285/216/314 with that layout, 281/212/309 with key ordinals. Ceilings
+	// are ~1.5x these counts, the hash join's as its issue set it.
 	{"BenchmarkExecHashJoin/serial", 500},
-	{"BenchmarkExecIndexLoopJoin/serial", 75},
-	{"BenchmarkExecMergeJoin/serial", 75},
+	{"BenchmarkExecIndexLoopJoin/serial", 320},
+	{"BenchmarkExecMergeJoin/serial", 465},
 	// The streaming scan allocates only pooled containers.
 	{"BenchmarkExecScan/serial", 100},
 	// A plan-cache hit runs a cached tree: no parse, no print-back, no build,
