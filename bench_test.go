@@ -383,17 +383,19 @@ func benchStoredSchema(sys *core.System, table string) *exec.Schema {
 	return exec.NewSchema(cols...)
 }
 
-func benchCompile(b *testing.B, where string, schema *exec.Schema) exec.Compiled {
+// benchPred compiles a predicate as the planner does: both forms, the
+// batch one a typed kernel where one takes the shape.
+func benchPred(b *testing.B, where string, schema *exec.Schema) *exec.Pred {
 	b.Helper()
 	sel, err := sqlparser.ParseSelect("SELECT 1 FROM x WHERE " + where)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := exec.Compile(sel.Where, schema)
+	p, err := exec.CompilePred(sel.Where, schema)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c
+	return p
 }
 
 // benchKey resolves a column of a stored schema as a join key, the way the
@@ -461,37 +463,19 @@ func BenchmarkExecScan(b *testing.B) {
 	}
 }
 
-// benchKernel compiles the predicate's vectorized kernel, failing the
-// benchmark if the expression has no columnar form.
-func benchKernel(b *testing.B, where string, schema *exec.Schema) exec.BoolKernel {
-	b.Helper()
-	sel, err := sqlparser.ParseSelect("SELECT 1 FROM x WHERE " + where)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, ok := exec.CompileKernel(sel.Where, schema)
-	if !ok {
-		b.Fatalf("no kernel for %q", where)
-	}
-	return k
-}
-
-// BenchmarkExecFilterScan pushes a ~50%-selective predicate, compiled to a
-// fused columnar kernel as the planner does, through a serial scan and
+// BenchmarkExecFilterScan pushes a ~50%-selective predicate, compiled as the
+// planner does (to a typed columnar kernel), through a serial scan and
 // through morsel-parallel scans at two worker counts (the monotone-scaling
 // gate compares the last two).
 func BenchmarkExecFilterScan(b *testing.B) {
 	sys := execBenchSystem(b)
 	tbl := sys.Backend.Table("Orders")
 	schema := benchStoredSchema(sys, "Orders")
-	const where = "o_totalprice > 250000"
-	pred := benchCompile(b, where, schema)
-	kernel := benchKernel(b, where, schema)
+	pred := benchPred(b, "o_totalprice > 250000", schema)
 	b.Run("serial", func(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			s := exec.NewScan(tbl, schema)
 			s.Filter = pred
-			s.FilterKernel = kernel
 			return s
 		})
 	})
@@ -501,7 +485,6 @@ func BenchmarkExecFilterScan(b *testing.B) {
 			runExecBench(b, func() exec.Operator {
 				ps := exec.NewParallelScan(tbl, schema)
 				ps.Filter = pred
-				ps.FilterKernel = kernel
 				ps.DOP = dop
 				return ps
 			})
@@ -535,14 +518,13 @@ func BenchmarkExecIndexLoopJoin(b *testing.B) {
 	orders := sys.Backend.Table("Orders")
 	cs := benchStoredSchema(sys, "Customer")
 	os := benchStoredSchema(sys, "Orders")
-	const where = "c_acctbal >= 9000"
-	pred, kernel := benchCompile(b, where, cs), benchKernel(b, where, cs)
+	pred := benchPred(b, "c_acctbal >= 9000", cs)
 	key := benchKey(b, "c_custkey", cs)
 	pk := orders.Def().IndexOn("o_custkey").Name // the clustered (o_custkey, o_orderkey)
 	b.Run("serial", func(b *testing.B) {
 		runExecBench(b, func() exec.Operator {
 			outer := exec.NewScan(cust, cs)
-			outer.Filter, outer.FilterKernel = pred, kernel
+			outer.Filter = pred
 			return exec.NewIndexLoopJoin(outer, orders, pk, os, key, nil, exec.JoinInner)
 		})
 	})
@@ -577,15 +559,11 @@ func BenchmarkExecAggregate(b *testing.B) {
 	for i := range rows {
 		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i % 25)), sqltypes.NewInt(int64(i * 7919 % 1500)), sqltypes.NewFloat(float64(i%977) + 0.25)}
 	}
-	col := func(i int) exec.Compiled {
-		return func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[i], nil }
-	}
 	aggregate := func(key int) *exec.Aggregate {
 		return &exec.Aggregate{
 			Child:     exec.NewValues(in, rows),
 			GroupCols: []int{key},
-			Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(2)}},
-			ArgCols:   []int{-1, 2}, // ordinals as the planner wires them for plain columns
+			Aggs:      []exec.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: exec.Expr{Col: 2}}},
 			Out: exec.NewSchema(in.Cols[key],
 				exec.Col{Name: "n", Kind: sqltypes.KindInt}, exec.Col{Name: "total", Kind: sqltypes.KindFloat}),
 		}
@@ -597,7 +575,7 @@ func BenchmarkExecAggregate(b *testing.B) {
 		{"low-card", func() exec.Operator { return aggregate(0) }},
 		{"high-card", func() exec.Operator { return aggregate(1) }},
 		{"topn", func() exec.Operator {
-			return &exec.Limit{N: 10, Child: &exec.Sort{Child: aggregate(1), Keys: []exec.Compiled{col(2)}, Desc: []bool{true}, TopN: 10}}
+			return &exec.Limit{N: 10, Child: &exec.Sort{Child: aggregate(1), Keys: []exec.Expr{exec.Expr{Col: 2}}, Desc: []bool{true}, TopN: 10}}
 		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {

@@ -207,16 +207,15 @@ func (s *Server) Plan(sel *sqlparser.SelectStmt) (*opt.Plan, error) {
 func trivialPlan(sel *sqlparser.SelectStmt) (*opt.Plan, error) {
 	empty := exec.NewSchema()
 	cols := make([]exec.Col, len(sel.Items))
-	exprs := make([]exec.Compiled, len(sel.Items))
+	exprs := make([]exec.Expr, len(sel.Items))
 	for i, item := range sel.Items {
 		if item.Star {
 			return nil, fmt.Errorf("backend: SELECT * requires FROM")
 		}
-		c, err := exec.Compile(item.Expr, empty)
-		if err != nil {
+		var err error
+		if exprs[i], err = exec.CompileExpr(item.Expr, empty); err != nil {
 			return nil, err
 		}
-		exprs[i] = c
 		name := item.Alias
 		if name == "" {
 			name = fmt.Sprintf("col%d", i+1)

@@ -15,7 +15,7 @@ import (
 //     with +0) and looked up in an open-addressed table of dense group ids.
 //   - Accumulators are typed cells indexed by group id, fed column-at-a-time
 //     from the child batch's vector when the argument is a column and from a
-//     scratch vector the compiled expression fills otherwise.
+//     scratch vector the expression fills at the active rows otherwise.
 //   - Over a ParallelScan child the aggregate runs inside the scan's workers,
 //     one partial per morsel, merged in morsel order: it folds each leaf
 //     window where it lies, no row is copied or crosses the exchange, and a
@@ -81,8 +81,8 @@ func (g *groupTable) find(k *joinKeys, r int, h uint64) (id int32, added bool) {
 
 // AggSpec describes one aggregate computation.
 type AggSpec struct {
-	Func string   // COUNT, SUM, AVG, MIN, MAX
-	Arg  Compiled // nil for COUNT(*)
+	Func string // COUNT, SUM, AVG, MIN, MAX
+	Arg  Expr   // unused for COUNT(*)
 	Star bool
 }
 
@@ -95,10 +95,6 @@ type Aggregate struct {
 	GroupCols []int
 	Aggs      []AggSpec
 	Out       *Schema
-	// ArgCols, when non-nil, gives the child-column ordinal of each aggregate
-	// argument that is a plain column (-1 otherwise): those read the child
-	// batch's vectors, not the closure.
-	ArgCols []int
 
 	// One partial per morsel of a ParallelScan child (else one) and one
 	// scratch per scan worker, keeping capacity across runs of a reused tree.
@@ -131,7 +127,7 @@ type aggScratch struct {
 	keys *joinKeys
 	hash []uint64
 	gids []int32
-	vals sqltypes.ColBatch // an evaluated argument, dense over the active rows
+	vals sqltypes.ColBatch // a computed argument's vector
 }
 
 // Schema implements Operator.
@@ -183,29 +179,10 @@ func (a *Aggregate) reset(parts, workers int) {
 	}
 }
 
-// arg returns the values aggregate i's argument takes over cb's active rows
-// as a vector and its index list (the at convention): cb's own column under
-// cb.Sel when the argument is a plain column, else the argument evaluated
-// into the scratch column.
-func (sc *aggScratch) arg(a *Aggregate, ctx *EvalContext, cb *sqltypes.ColBatch, i int) (*sqltypes.Vec, []int32, error) {
-	if a.ArgCols != nil && a.ArgCols[i] >= 0 {
-		return cb.Col(a.ArgCols[i]), cb.Sel, nil
-	}
-	v := sc.vals.BuildCol(0)
-	for k := 0; k < cb.NumActive(); k++ {
-		val, err := a.Aggs[i].Arg(ctx, cb.Row(at(cb.Sel, k)))
-		if err != nil {
-			return nil, nil, err
-		}
-		v.Append(val)
-	}
-	return v, nil, nil
-}
-
 // consume folds one child batch into the partial.
 func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *sqltypes.ColBatch) error {
 	n, na := cb.NumActive(), len(a.Aggs)
-	sc.vals.ResetCols(1, n)
+	sc.vals.ResetCols(1, cb.Len())
 	sc.keys.reset()
 	gids := sc.gids[:0]
 	if len(a.GroupCols) == 0 {
@@ -237,13 +214,13 @@ func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *
 			}
 			continue
 		}
-		v, idx, err := sc.arg(a, ctx, cb, i)
+		v, err := spec.Arg.vec(ctx, cb, sc.vals.BuildCol(0))
 		if err != nil {
 			return err
 		}
 		sum := spec.Func == "SUM" || spec.Func == "AVG"
 		for k, g := range gids {
-			c, i := &cells[int(g)*na], at(idx, k)
+			c, i := &cells[int(g)*na], at(cb.Sel, k)
 			switch {
 			case v.IsNull(i):
 				continue

@@ -20,28 +20,23 @@ func aggOut(n int) *exec.Schema {
 	return exec.NewSchema(cols...)
 }
 
-// col is a compiled column reference, as the planner passes an aggregate
-// argument next to its ordinal.
-func col(i int) exec.Compiled {
-	return func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[i], nil }
-}
-
 // allAggs is every aggregate function over column arg grouped by column key,
-// the arguments read by ordinal or, without ordinals, through their closures.
+// the arguments read by ordinal or, without ordinals, computed by a closure
+// that reads the column.
 func allAggs(child exec.Operator, key, arg int, ordinals bool) *exec.Aggregate {
-	a := &exec.Aggregate{
+	e := exec.Expr{Col: arg}
+	if !ordinals {
+		e = exec.Expr{Fn: func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[arg], nil }}
+	}
+	return &exec.Aggregate{
 		Child:     child,
 		GroupCols: []int{key},
 		Aggs: []exec.AggSpec{
-			{Func: "COUNT", Star: true}, {Func: "COUNT", Arg: col(arg)}, {Func: "SUM", Arg: col(arg)},
-			{Func: "AVG", Arg: col(arg)}, {Func: "MIN", Arg: col(arg)}, {Func: "MAX", Arg: col(arg)},
+			{Func: "COUNT", Star: true}, {Func: "COUNT", Arg: e}, {Func: "SUM", Arg: e},
+			{Func: "AVG", Arg: e}, {Func: "MIN", Arg: e}, {Func: "MAX", Arg: e},
 		},
 		Out: aggOut(7),
 	}
-	if ordinals {
-		a.ArgCols = []int{-1, arg, arg, arg, arg, arg}
-	}
-	return a
 }
 
 // TestAggregateMatchesReference runs the vectorized hash aggregate against
@@ -88,8 +83,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 		"group by, no input": func() exec.Operator { return allAggs(exec.NewValues(s, nil), 0, 2, true) },
 		"selected batches": func() exec.Operator {
 			sc := exec.NewScan(tbl, s)
-			sc.Filter = exec.TestCompile(t, "id > 10 AND bal < 95", s)
-			sc.FilterKernel = exec.TestKernel(t, "id > 10 AND bal < 95", s)
+			sc.Filter = exec.TestPred(t, "id > 10 AND bal < 95", s)
 			return allAggs(sc, 1, 2, true)
 		},
 		"columnar input, expression argument": func() exec.Operator {
@@ -98,19 +92,16 @@ func TestAggregateMatchesReference(t *testing.T) {
 			return &exec.Aggregate{
 				Child:     j,
 				GroupCols: []int{1},
-				Aggs:      []exec.AggSpec{{Func: "SUM", Arg: exec.TestCompileItem(t, "t.bal * 2 + R.id", j.Schema())}, {Func: "MAX", Arg: col(5)}},
-				ArgCols:   []int{-1, 5},
+				Aggs:      []exec.AggSpec{{Func: "SUM", Arg: exec.TestCompileItem(t, "t.bal * 2 + R.id", j.Schema())}, {Func: "MAX", Arg: exec.Expr{Col: 5}}},
 				Out:       aggOut(3),
 			}
 		},
 		"having": func() exec.Operator {
 			a := allAggs(exec.NewValues(s, many), 1, 0, true)
-			return &exec.Filter{Child: a, Pred: func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) {
-				return sqltypes.NewBool(r[1].Int() > 428), nil
-			}}
+			return &exec.Filter{Child: a, Pred: exec.TestPred(t, "c1 > 428", a.Out)}
 		},
 		"distinct": func() exec.Operator {
-			return &exec.Distinct{Child: &exec.Project{Child: exec.NewValues(s, append(odd, odd...)), Cols: []int{0, 2}, Out: aggOut(2)}}
+			return &exec.Distinct{Child: &exec.Project{Child: exec.NewValues(s, append(odd, odd...)), Exprs: []exec.Expr{{Col: 0}, {Col: 2}}, Out: aggOut(2)}}
 		},
 	}
 	for name, build := range trees {
@@ -129,8 +120,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 // numbers.
 func allAggsNoSum(child exec.Operator, key, arg int) *exec.Aggregate {
 	a := allAggs(child, key, arg, true)
-	a.Aggs = slices.Delete(a.Aggs, 2, 4)
-	a.ArgCols, a.Out = slices.Delete(a.ArgCols, 2, 4), aggOut(5)
+	a.Aggs, a.Out = slices.Delete(a.Aggs, 2, 4), aggOut(5)
 	return a
 }
 
@@ -146,11 +136,9 @@ func TestAggregateOverParallelScan(t *testing.T) {
 		build := func() *exec.Aggregate {
 			ps := exec.NewParallelScan(tbl, s)
 			ps.DOP = dop
-			ps.Filter = exec.TestCompile(t, "id > 100", s)
-			ps.FilterKernel = exec.TestKernel(t, "id > 100", s)
+			ps.Filter = exec.TestPred(t, "id > 100", s)
 			a := allAggs(ps, 1, 2, true)
-			a.Aggs = append(a.Aggs, exec.AggSpec{Func: "SUM", Arg: exec.TestCompileItem(t, "bal / 3", s)})
-			a.ArgCols, a.Out = append(a.ArgCols, -1), aggOut(8)
+			a.Aggs, a.Out = append(a.Aggs, exec.AggSpec{Func: "SUM", Arg: exec.TestCompileItem(t, "bal / 3", s)}), aggOut(8)
 			return a
 		}
 		ctx := &exec.EvalContext{Now: exec.TestNow}
@@ -205,7 +193,7 @@ func TestSortTopN(t *testing.T) {
 		sorted := func(topN int64) *exec.Sort {
 			srt := &exec.Sort{Child: exec.NewValues(s, rows), Desc: keys.desc, TopN: topN}
 			for _, c := range keys.cols {
-				srt.Keys = append(srt.Keys, col(c))
+				srt.Keys = append(srt.Keys, exec.Expr{Col: c})
 			}
 			return srt
 		}

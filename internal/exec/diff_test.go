@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/opt"
@@ -133,19 +134,19 @@ func TestBatchRowEquivalence(t *testing.T) {
 		{"scan", true, func() exec.Operator { return exec.NewScan(tbl, s) }},
 		{"scan-filtered", true, func() exec.Operator {
 			sc := exec.NewScan(tbl, s)
-			sc.Filter = exec.TestCompile(t, "name = '0'", s)
+			sc.Filter = exec.TestPred(t, "name = '0'", s)
 			return sc
 		}},
 		{"filter", true, func() exec.Operator {
-			return &exec.Filter{Child: exec.NewValues(s, exec.TestRows(50)), Pred: exec.TestCompile(t, "id > 10", s)}
+			return &exec.Filter{Child: exec.NewValues(s, exec.TestRows(50)), Pred: exec.TestPred(t, "id > 10", s)}
 		}},
 		{"filter-empty", true, func() exec.Operator {
-			return &exec.Filter{Child: exec.NewValues(s, exec.TestRows(50)), Pred: exec.TestCompile(t, "id > 999", s)}
+			return &exec.Filter{Child: exec.NewValues(s, exec.TestRows(50)), Pred: exec.TestPred(t, "id > 999", s)}
 		}},
 		{"project", true, func() exec.Operator {
 			return &exec.Project{
 				Child: exec.NewValues(s, exec.TestRows(10)),
-				Exprs: []exec.Compiled{exec.TestCompileItem(t, "id * 2", s)},
+				Exprs: []exec.Expr{exec.TestCompileItem(t, "id * 2", s)},
 				Out:   exec.NewSchema(exec.Col{Name: "d", Kind: sqltypes.KindInt}),
 			}
 		}},
@@ -160,7 +161,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 		{"sort-limit", true, func() exec.Operator {
 			sorted := &exec.Sort{
 				Child: exec.NewValues(s, exec.TestRows(20)),
-				Keys:  []exec.Compiled{exec.TestCompileItem(t, "bal", s)},
+				Keys:  []exec.Expr{exec.TestCompileItem(t, "bal", s)},
 				Desc:  []bool{true},
 			}
 			return &exec.Limit{Child: sorted, N: 5}
@@ -199,11 +200,7 @@ func TestFilterAndKernelEmptyFirstBatch(t *testing.T) {
 	tbl := exec.TestTable(t) // ids 1..100
 	s := exec.TestSchema("t")
 	build := func() exec.Operator {
-		return &exec.Filter{
-			Child:  exec.NewScan(tbl, s),
-			Pred:   exec.TestCompile(t, "id > 90 AND bal < 95", s),
-			Kernel: exec.TestKernel(t, "id > 90 AND bal < 95", s),
-		}
+		return &exec.Filter{Child: exec.NewScan(tbl, s), Pred: exec.TestPred(t, "id > 90 AND bal < 95", s)}
 	}
 	if want, err := reference(build(), &exec.EvalContext{Now: exec.TestNow}); err != nil || len(want) != 4 {
 		t.Fatalf("reference = %d rows (err %v), want ids 91..94", len(want), err)
@@ -213,18 +210,15 @@ func TestFilterAndKernelEmptyFirstBatch(t *testing.T) {
 }
 
 // TestScanKernelMatchesRowFilter runs the same pushed-down predicate through
-// the FilterKernel path and the row-predicate path; the reference evaluates
-// the row predicate.
+// both of its batch forms, the typed kernel and the row predicate lifted; the
+// reference evaluates the row predicate.
 func TestScanKernelMatchesRowFilter(t *testing.T) {
 	tbl := exec.TestTable(t)
 	s := exec.TestSchema("t")
-	for _, kernel := range []bool{false, true} {
-		againstReference(t, fmt.Sprintf("kernel=%v", kernel), func() exec.Operator {
+	for form, compile := range map[string]func(*testing.T, string, *exec.Schema) *exec.Pred{"kernel": exec.TestPred, "lifted": exec.TestLifted} {
+		againstReference(t, form, func() exec.Operator {
 			sc := exec.NewScan(tbl, s)
-			sc.Filter = exec.TestCompile(t, "id > 20 AND name = '1'", s)
-			if kernel {
-				sc.FilterKernel = exec.TestKernel(t, "id > 20 AND name = '1'", s)
-			}
+			sc.Filter = compile(t, "id > 20 AND name = '1'", s)
 			return sc
 		}, true, 1, 7, exec.DefaultBatchSize)
 	}
@@ -237,43 +231,127 @@ func TestFilterKernelOverScan(t *testing.T) {
 	s := exec.TestSchema("t")
 	againstReference(t, "filter-over-scan", func() exec.Operator {
 		sc := exec.NewScan(tbl, s)
-		sc.Filter = exec.TestCompile(t, "id > 10", s)
-		return &exec.Filter{
-			Child:  sc,
-			Pred:   exec.TestCompile(t, "bal < 50", s),
-			Kernel: exec.TestKernel(t, "bal < 50", s),
-		}
+		sc.Filter = exec.TestLifted(t, "id > 10", s)
+		return &exec.Filter{Child: sc, Pred: exec.TestPred(t, "bal < 50", s)}
 	}, true, 16)
 }
 
-// TestProjectColumnGather checks the ordinal gather against the expression
-// path, over row-backed input (Values) and over purely columnar input (an
-// inner hash join's output).
+// TestProjectColumnGather checks the column outputs, which forward the
+// input's vectors, against the same columns computed by closures, over
+// row-backed input (Values) and over purely columnar input (an inner hash
+// join's output).
 func TestProjectColumnGather(t *testing.T) {
 	s := exec.TestSchema("t")
 	out := exec.NewSchema(
 		exec.Col{Name: "bal", Kind: sqltypes.KindFloat},
 		exec.Col{Name: "id", Kind: sqltypes.KindInt},
 	)
-	exprs := []exec.Compiled{exec.TestCompileItem(t, "bal", s), exec.TestCompileItem(t, "id", s)}
+	read := func(ord int) exec.Expr {
+		return exec.Expr{Fn: func(_ *exec.EvalContext, r sqltypes.Row) (sqltypes.Value, error) { return r[ord], nil }}
+	}
+	computed := []exec.Expr{read(2), read(0)}
+	gather := []exec.Expr{{Col: 2}, {Col: 0}}
 	values := func() exec.Operator { return exec.NewValues(s, exec.TestRows(25)) }
 	joined := func() exec.Operator {
 		l, r := exec.NewValues(s, exec.TestRows(25)), exec.NewValues(exec.TestSchema("R"), exec.TestRows(25))
 		return exec.NewHashJoin(l, r, []int{0}, []int{0}, nil, exec.JoinInner)
 	}
 	for name, child := range map[string]func() exec.Operator{"row-backed": values, "columnar": joined} {
-		want, err := exec.Run(&exec.Project{Child: child(), Exprs: exprs, Out: out}, &exec.EvalContext{Now: exec.TestNow}, 0)
+		want, err := exec.Run(&exec.Project{Child: child(), Exprs: computed, Out: out}, &exec.EvalContext{Now: exec.TestNow}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := exec.Run(&exec.Project{Child: child(), Cols: []int{2, 0}, Out: out}, &exec.EvalContext{Now: exec.TestNow, BatchSize: 4}, 0)
+		got, err := exec.Run(&exec.Project{Child: child(), Exprs: gather, Out: out}, &exec.EvalContext{Now: exec.TestNow, BatchSize: 4}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exec.AssertSameRows(t, "project-gather "+name, got.Rows, want.Rows, true)
 		againstReference(t, "project-gather "+name, func() exec.Operator {
-			return &exec.Project{Child: child(), Cols: []int{2, 0}, Out: out}
+			return &exec.Project{Child: child(), Exprs: gather, Out: out}
 		}, true)
+	}
+}
+
+// zeroTable is t(id, name, x), indexed on x, with ids 1..n and x = id mod 4:
+// every fourth row has x = 0.
+func zeroTable(t *testing.T, n int) (*storage.Table, *exec.Schema) {
+	t.Helper()
+	c := catalog.New()
+	def := &catalog.Table{
+		Name:       "t",
+		Columns:    []catalog.Column{{Name: "id", Type: sqltypes.KindInt, NotNull: true}, {Name: "name", Type: sqltypes.KindString}, {Name: "x", Type: sqltypes.KindInt}},
+		PrimaryKey: []string{"id"},
+	}
+	if err := c.AddTable(def); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddIndex(&catalog.Index{Name: "ix_x", Table: "t", Columns: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl := storage.NewTable(c.Table("t"))
+	for i := 1; i <= n; i++ {
+		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint(i % 3)), sqltypes.NewInt(int64(i % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl, exec.NewSchema(
+		exec.Col{Binding: "t", Name: "id", Kind: sqltypes.KindInt},
+		exec.Col{Binding: "t", Name: "name", Kind: sqltypes.KindString},
+		exec.Col{Binding: "t", Name: "x", Kind: sqltypes.KindInt})
+}
+
+// TestComputedOutputsSkipDroppedRows: a computed expression runs only at the
+// rows the selection kept, so 10 / x under WHERE x <> 0 never divides by zero.
+// The quotient is a Project output alone, a Project output between two
+// columns (which must stay aligned with the rows it was computed at), and a
+// SUM argument. The predicate is the typed kernel or the row predicate
+// lifted; it narrows a clustered scan (which emits only survivors), a
+// secondary-index scan and a Filter over a scan or over rows (which emit the
+// batch under a narrowed selection).
+func TestComputedOutputsSkipDroppedRows(t *testing.T) {
+	tbl, s := zeroTable(t, 600)
+	quot := exec.TestCompileItem(t, "10 / x", s)
+	outputs := map[string]func(exec.Operator) exec.Operator{
+		"project": func(in exec.Operator) exec.Operator {
+			return &exec.Project{Child: in, Exprs: []exec.Expr{quot}, Out: exec.NewSchema(exec.Col{Name: "q"})}
+		},
+		"mixed project": func(in exec.Operator) exec.Operator {
+			return &exec.Project{Child: in, Exprs: []exec.Expr{{Col: 2}, quot, {Col: 0}},
+				Out: exec.NewSchema(exec.Col{Name: "x"}, exec.Col{Name: "q"}, exec.Col{Name: "id"})}
+		},
+		"sum": func(in exec.Operator) exec.Operator {
+			return &exec.Aggregate{Child: in, GroupCols: []int{1}, Aggs: []exec.AggSpec{{Func: "SUM", Arg: quot}},
+				Out: exec.NewSchema(exec.Col{Name: "name"}, exec.Col{Name: "s"})}
+		},
+	}
+	for form, compile := range map[string]func(*testing.T, string, *exec.Schema) *exec.Pred{"kernel": exec.TestPred, "lifted": exec.TestLifted} {
+		nonzero := compile(t, "x <> 0", s)
+		sources := map[string]func() exec.Operator{
+			"scan": func() exec.Operator {
+				sc := exec.NewScan(tbl, s)
+				sc.Filter = nonzero
+				return sc
+			},
+			"index scan": func() exec.Operator {
+				sc := exec.NewScan(tbl, s)
+				sc.Index, sc.Filter = "ix_x", nonzero
+				return sc
+			},
+			"filter over scan": func() exec.Operator { return &exec.Filter{Child: exec.NewScan(tbl, s), Pred: nonzero} },
+			"filter over rows": func() exec.Operator {
+				rows, err := reference(exec.NewScan(tbl, s), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &exec.Filter{Child: exec.NewValues(s, rows), Pred: nonzero}
+			},
+		}
+		for src, source := range sources {
+			for out, output := range outputs {
+				againstReference(t, fmt.Sprintf("%s %s %s", out, form, src), func() exec.Operator { return output(source()) },
+					out != "sum", 1, 7, exec.DefaultBatchSize)
+			}
+		}
 	}
 }
 
@@ -331,8 +409,7 @@ func TestParallelScanMatchesReference(t *testing.T) {
 			ps.DOP = dop
 			ps.Lo = storage.Bound{Vals: sqltypes.Row{sqltypes.NewInt(500)}, Inclusive: true}
 			ps.Hi = storage.Bound{Vals: sqltypes.Row{sqltypes.NewInt(5500)}}
-			ps.Filter = exec.TestCompile(t, "name = '1' AND bal < 5000", s)
-			ps.FilterKernel = exec.TestKernel(t, "name = '1' AND bal < 5000", s)
+			ps.Filter = exec.TestPred(t, "name = '1' AND bal < 5000", s)
 			return ps
 		}, false, 1, 64, exec.DefaultBatchSize)
 	}
@@ -387,7 +464,7 @@ func (g *treeGen) source() exec.Operator {
 	case 1:
 		sc := exec.NewScan(exec.TestTable(g.t), s)
 		if g.rng.Intn(2) == 0 {
-			sc.Index, sc.Filter = "ix_bal", exec.TestCompile(g.t, "id > 40", s)
+			sc.Index, sc.Filter = "ix_bal", exec.TestLifted(g.t, "id > 40", s)
 		}
 		leaf = g.wrap("scan", sc)
 	default:
@@ -421,9 +498,9 @@ func (g *treeGen) tree(depth int) exec.Operator {
 	switch g.rng.Intn(9) {
 	case 0:
 		p := predicates[g.rng.Intn(len(predicates))]
-		f := &exec.Filter{Child: child, Pred: exec.TestCompile(g.t, p, s)}
+		f := &exec.Filter{Child: child, Pred: exec.TestLifted(g.t, p, s)}
 		if g.rng.Intn(2) == 0 {
-			f.Kernel = exec.TestKernel(g.t, p, s)
+			f.Pred = exec.TestPred(g.t, p, s)
 		}
 		return g.wrap("filter "+p, f)
 	case 1:
@@ -431,7 +508,7 @@ func (g *treeGen) tree(depth int) exec.Operator {
 	case 2:
 		return g.wrap("distinct", &exec.Distinct{Child: child})
 	case 3:
-		return g.wrap("sort", &exec.Sort{Child: child, Keys: []exec.Compiled{exec.TestCompileItem(g.t, "bal", s)}, Desc: []bool{g.rng.Intn(2) == 0}})
+		return g.wrap("sort", &exec.Sort{Child: child, Keys: []exec.Expr{exec.TestCompileItem(g.t, "bal", s)}, Desc: []bool{g.rng.Intn(2) == 0}})
 	case 4:
 		other := g.tree(depth - 1)
 		kind := []exec.JoinKind{exec.JoinSemi, exec.JoinAnti}[g.rng.Intn(2)]
@@ -444,13 +521,13 @@ func (g *treeGen) tree(depth int) exec.Operator {
 		// Inner join (columnar output), gathered back to the left columns.
 		other := g.tree(depth - 1)
 		hj := exec.NewHashJoin(child, other, idKey, idKey, nil, exec.JoinInner)
-		return g.wrap("hashjoin-inner", &exec.Project{Child: g.wrap("hj", hj), Cols: []int{0, 1, 2}, Out: s})
+		return g.wrap("hashjoin-inner", &exec.Project{Child: g.wrap("hj", hj), Exprs: []exec.Expr{{Col: 0}, {Col: 1}, {Col: 2}}, Out: s})
 	case 6:
 		nlj := exec.NewIndexLoopJoin(child, exec.TestTable(g.t), "ix_bal", s, []int{2}, nil, exec.JoinInner)
-		return g.wrap("nlj", &exec.Project{Child: g.wrap("nlj-raw", nlj), Cols: []int{3, 1, 2}, Out: s})
+		return g.wrap("nlj", &exec.Project{Child: g.wrap("nlj-raw", nlj), Exprs: []exec.Expr{{Col: 3}, {Col: 1}, {Col: 2}}, Out: s})
 	case 7:
-		// Computed projection that keeps the schema shape.
-		return g.wrap("project", &exec.Project{Child: child, Out: s, Exprs: []exec.Compiled{
+		// Columns beside a computed output, in the schema's shape.
+		return g.wrap("project", &exec.Project{Child: child, Out: s, Exprs: []exec.Expr{
 			exec.TestCompileItem(g.t, "id", s), exec.TestCompileItem(g.t, "name", s), exec.TestCompileItem(g.t, "bal + 1", s)}})
 	default:
 		other := g.tree(depth - 1)

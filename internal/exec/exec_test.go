@@ -51,17 +51,40 @@ func compile(t *testing.T, sql string, schema *Schema) Compiled {
 	return c
 }
 
-func compileItem(t *testing.T, sql string, schema *Schema) Compiled {
+// pred compiles a predicate as the planner does: the typed kernel for its
+// batch form when it has one.
+func pred(t *testing.T, sql string, schema *Schema) *Pred {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect("SELECT 1 FROM x WHERE " + sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	p, err := CompilePred(sel.Where, schema)
+	if err != nil {
+		t.Fatalf("compile %q: %v", sql, err)
+	}
+	return p
+}
+
+// lifted compiles a predicate whose batch form is its row form lifted, as
+// CompilePred makes it for a shape no kernel takes.
+func lifted(t *testing.T, sql string, schema *Schema) *Pred {
+	t.Helper()
+	row := compile(t, sql, schema)
+	return &Pred{Row: row, batch: lift(row)}
+}
+
+func compileItem(t *testing.T, sql string, schema *Schema) Expr {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect("SELECT " + sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	c, err := Compile(sel.Items[0].Expr, schema)
+	e, err := CompileExpr(sel.Items[0].Expr, schema)
 	if err != nil {
 		t.Fatalf("compile %q: %v", sql, err)
 	}
-	return c
+	return e
 }
 
 func drain(t *testing.T, op Operator) []sqltypes.Row {
@@ -120,7 +143,7 @@ func TestExprArithmeticAndComparison(t *testing.T) {
 		{"-id", intv(-10)},
 	}
 	for _, c := range cases {
-		got, err := compileItem(t, c.sql, s)(ctx(), row)
+		got, err := compileItem(t, c.sql, s).Eval(ctx(), row)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
@@ -197,13 +220,13 @@ func TestExprErrors(t *testing.T) {
 	s := testSchema("t")
 	row := sqltypes.Row{intv(1), strv("x"), floatv(1)}
 	// Type errors.
-	if _, err := compileItem(t, "name + 1", s)(ctx(), row); err == nil {
+	if _, err := compileItem(t, "name + 1", s).Eval(ctx(), row); err == nil {
 		t.Fatal("string arithmetic should fail")
 	}
 	if _, err := compile(t, "name = 1", s)(ctx(), row); err == nil {
 		t.Fatal("cross-kind comparison should fail")
 	}
-	if _, err := compileItem(t, "id / 0", s)(ctx(), row); err == nil {
+	if _, err := compileItem(t, "id / 0", s).Eval(ctx(), row); err == nil {
 		t.Fatal("division by zero should fail")
 	}
 	// Compile-time errors.
@@ -223,7 +246,7 @@ func TestExprErrors(t *testing.T) {
 
 func TestGetdate(t *testing.T) {
 	s := testSchema("t")
-	got, err := compileItem(t, "GETDATE()", s)(ctx(), nil)
+	got, err := compileItem(t, "GETDATE()", s).Eval(ctx(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +254,7 @@ func TestGetdate(t *testing.T) {
 		t.Fatal("GETDATE")
 	}
 	// Timestamp arithmetic: GETDATE() - 10 subtracts seconds.
-	got, err = compileItem(t, "GETDATE() - 10", s)(ctx(), nil)
+	got, err = compileItem(t, "GETDATE() - 10", s).Eval(ctx(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +266,9 @@ func TestGetdate(t *testing.T) {
 func TestValuesFilterProject(t *testing.T) {
 	s := testSchema("t")
 	src := NewValues(s, testRows(10))
-	f := &Filter{Child: src, Pred: compile(t, "id > 7", s)}
+	f := &Filter{Child: src, Pred: pred(t, "id > 7", s)}
 	outSchema := NewSchema(Col{Name: "double", Kind: sqltypes.KindInt})
-	p := &Project{Child: f, Exprs: []Compiled{compileItem(t, "id * 2", s)}, Out: outSchema}
+	p := &Project{Child: f, Exprs: []Expr{compileItem(t, "id * 2", s)}, Out: outSchema}
 	rows := drain(t, p)
 	if len(rows) != 3 || rows[0][0].Int() != 16 || rows[2][0].Int() != 20 {
 		t.Fatalf("rows = %v", rows)
@@ -342,7 +365,7 @@ func TestScanFullAndRange(t *testing.T) {
 	}
 	// Residual filter counts scanned vs returned.
 	s3 := NewScan(tbl, testSchema("t"))
-	s3.Filter = compile(t, "name = '0'", testSchema("t"))
+	s3.Filter = pred(t, "name = '0'", testSchema("t"))
 	rows = drain(t, s3)
 	if len(rows) != 33 || s3.RowsScanned != 100 {
 		t.Fatalf("filtered scan = %d rows, scanned %d", len(rows), s3.RowsScanned)
@@ -357,7 +380,7 @@ func TestGatherOverScanCopiesItsColumns(t *testing.T) {
 	tbl := storageTable(t)
 	out := NewSchema(Col{Binding: "t", Name: "bal"}, Col{Binding: "t", Name: "id"})
 	for _, scan := range []Operator{NewScan(tbl, testSchema("t")), NewParallelScan(tbl, testSchema("t"))} {
-		p := &Project{Child: scan, Cols: []int{2, 0}, Out: out}
+		p := &Project{Child: scan, Exprs: []Expr{{Col: 2}, {Col: 0}}, Out: out}
 		for run := 0; run < 2; run++ {
 			rows := drain(t, p)
 			if len(rows) != 100 {
@@ -411,7 +434,7 @@ func TestIndexLoopJoin(t *testing.T) {
 func TestSortLimitDistinct(t *testing.T) {
 	s := testSchema("t")
 	src := NewValues(s, testRows(10))
-	sorted := &Sort{Child: src, Keys: []Compiled{compileItem(t, "bal", s)}, Desc: []bool{true}}
+	sorted := &Sort{Child: src, Keys: []Expr{compileItem(t, "bal", s)}, Desc: []bool{true}}
 	top := &Limit{Child: sorted, N: 3}
 	rows := drain(t, top)
 	if len(rows) != 3 || rows[0][2].Float() != 10 || rows[2][2].Float() != 8 {
@@ -420,7 +443,7 @@ func TestSortLimitDistinct(t *testing.T) {
 	// Distinct on name (3 distinct values among 10 rows).
 	proj := &Project{
 		Child: NewValues(s, testRows(10)),
-		Exprs: []Compiled{compileItem(t, "name", s)},
+		Exprs: []Expr{compileItem(t, "name", s)},
 		Out:   NewSchema(Col{Name: "name", Kind: sqltypes.KindString}),
 	}
 	d := &Distinct{Child: proj}
@@ -438,7 +461,7 @@ func TestSortStableMultiKey(t *testing.T) {
 	}
 	sorted := &Sort{
 		Child: NewValues(s, rows),
-		Keys:  []Compiled{compileItem(t, "bal", s), compileItem(t, "name", s)},
+		Keys:  []Expr{compileItem(t, "bal", s), compileItem(t, "name", s)},
 		Desc:  []bool{false, false},
 	}
 	got := drain(t, sorted)
@@ -637,7 +660,7 @@ func TestCollectSwitchUnions(t *testing.T) {
 		Children: []Operator{NewValues(s, nil), NewValues(s, nil)},
 		Selector: func(*EvalContext) (int, error) { return 0, nil },
 	}
-	root := &Filter{Child: su, Pred: compile(t, "id > 0", s)}
+	root := &Filter{Child: su, Pred: pred(t, "id > 0", s)}
 	if got := CollectSwitchUnions(root); len(got) != 1 || got[0] != su {
 		t.Fatal("CollectSwitchUnions")
 	}

@@ -78,6 +78,59 @@ func (ctx *EvalContext) clock() vclock.Clock {
 // input row.
 type Compiled func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error)
 
+// Expr is a value expression compiled once: input column Col, read by
+// ordinal, when Fn is nil, else the closure Fn over the input row. Project
+// outputs, aggregate arguments and sort keys are Exprs, so a plain column
+// never runs a closure.
+type Expr struct {
+	Col int
+	Fn  Compiled
+}
+
+// CompileExpr compiles a value expression against the schema: a bare column
+// reference to its ordinal, anything else to a closure.
+func CompileExpr(e sqlparser.Expr, schema *Schema) (Expr, error) {
+	if ref, ok := e.(*sqlparser.ColumnRef); ok {
+		ord, err := schema.Resolve(ref.Table, ref.Column)
+		return Expr{Col: ord}, err
+	}
+	fn, err := Compile(e, schema)
+	return Expr{Fn: fn}, err
+}
+
+// Eval evaluates e on one row.
+func (e Expr) Eval(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
+	if e.Fn == nil {
+		return row[e.Col], nil
+	}
+	return e.Fn(ctx, row)
+}
+
+// vec returns e's values at cb's rows, read under cb.Sel: cb's own column,
+// or e evaluated into v at the active rows only. A row the selection dropped
+// holds the next evaluated value (the last past the end), which no reader
+// looks at and which adds no kind to v.
+func (e Expr) vec(ctx *EvalContext, cb *sqltypes.ColBatch, v *sqltypes.Vec) (*sqltypes.Vec, error) {
+	if e.Fn == nil {
+		return cb.Col(e.Col), nil
+	}
+	val := sqltypes.Null
+	for k, n := 0, cb.NumActive(); k < n; k++ {
+		i := at(cb.Sel, k)
+		var err error
+		if val, err = e.Fn(ctx, cb.Row(i)); err != nil {
+			return nil, err
+		}
+		for v.Len() <= i {
+			v.Append(val)
+		}
+	}
+	for v.Len() < cb.Len() {
+		v.Append(val)
+	}
+	return v, nil
+}
+
 // Compile resolves column references in the AST expression against the
 // schema and returns an evaluator. Aggregate function calls are rejected —
 // they must be planned into an Aggregate operator first.

@@ -54,7 +54,7 @@ func (in *fuzzInput) lit() sqlparser.Expr {
 	return &sqlparser.Literal{Val: fuzzVals[in.next(len(fuzzVals))]}
 }
 
-// pred draws a predicate of a shape CompileKernel takes: a comparison of a
+// pred draws a predicate of a shape the typed kernels take: a comparison of a
 // column with a constant (either side) or with a column, BETWEEN constants,
 // or an AND of two such.
 func (in *fuzzInput) pred(depth int) sqlparser.Expr {
@@ -72,8 +72,9 @@ func (in *fuzzInput) pred(depth int) sqlparser.Expr {
 	}
 }
 
-// FuzzKernel holds CompileKernel, and KernelFromPredicate (the fallback that
-// lifts a row predicate into a kernel), to the scalar Compiled predicate.
+// FuzzKernel holds the typed kernels CompilePred picks for a predicate's batch
+// form, and the lifted row predicate it falls back to, to the scalar Compiled
+// predicate.
 // One input is a predicate, a batch of rows and a candidate list; each
 // kernel runs over the batch row-backed and purely columnar, with the
 // candidates nil (all rows), listed, and empty, and with dst nil, separate
@@ -93,7 +94,7 @@ func FuzzKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzInput{data: data}
 		expr := in.pred(2)
-		kernel, ok := exec.CompileKernel(expr, fuzzSchema)
+		kernel, ok := exec.TestCompileKernel(expr, fuzzSchema)
 		if !ok {
 			t.Fatalf("no kernel for %s", expr.SQL())
 		}
@@ -126,8 +127,8 @@ func FuzzKernel(f *testing.F) {
 
 		kernels := []struct {
 			name string
-			run  exec.BoolKernel
-		}{{"compiled", kernel}, {"lifted", exec.KernelFromPredicate(scalar)}}
+			run  func(*exec.EvalContext, *sqltypes.ColBatch, []int32, []int32) ([]int32, error)
+		}{{"compiled", kernel}, {"lifted", exec.TestLift(scalar)}}
 		ctx := &exec.EvalContext{Now: exec.TestNow}
 		for _, cand := range [][]int32{nil, listed, {}} {
 			// The oracle: the scalar predicate over the candidates.

@@ -7,7 +7,44 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// BoolKernel is a predicate compiled to run column-at-a-time: it evaluates
+// Pred is a predicate compiled once, in both forms the engine runs: Row on
+// one row (the reference evaluator checks the batch form against it), and
+// the batch form, which narrows a batch's selection to the rows where it is
+// TRUE: compileKernel's typed kernel when it takes the predicate's shape,
+// else Row lifted over the active rows. A nil *Pred accepts every row.
+type Pred struct {
+	Row   Compiled
+	batch boolKernel
+}
+
+// CompilePred compiles a predicate against the schema into both forms.
+func CompilePred(e sqlparser.Expr, schema *Schema) (*Pred, error) {
+	row, err := Compile(e, schema)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := compileKernel(e, schema)
+	if !ok {
+		k = lift(row)
+	}
+	return &Pred{Row: row, batch: k}, nil
+}
+
+// narrow narrows cb's selection to the active rows p accepts, reusing
+// *selbuf, and reports whether any row survives.
+func (p *Pred) narrow(ctx *EvalContext, cb *sqltypes.ColBatch, selbuf *[]int32) (bool, error) {
+	if p == nil {
+		return true, nil
+	}
+	sel, err := p.batch(ctx, cb, cb.Sel, selFor(*selbuf, cb))
+	if err != nil {
+		return false, err
+	}
+	*selbuf, cb.Sel = sel, sel
+	return len(sel) > 0, nil
+}
+
+// boolKernel is a predicate compiled to run column-at-a-time: it evaluates
 // over the candidate rows of a columnar batch and writes the indexes of the
 // surviving rows (those where the predicate is TRUE — NULL and FALSE both
 // reject, per SQL WHERE semantics) into dst, returning the filled slice.
@@ -16,63 +53,51 @@ import (
 // cb.Len() rows. dst may alias cand's backing array: kernels compact left
 // to right, so the write position never passes the read position. Chained
 // kernels (AND) exploit this to refine a selection in place.
-type BoolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error)
+type boolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error)
 
-// CompileKernel compiles an AST predicate to a column-at-a-time kernel.
+// compileKernel compiles an AST predicate to a column-at-a-time kernel.
 // It handles the shapes that dominate pushed-down scan predicates —
 // comparisons between a column and a literal (either side), column-column
 // comparisons, BETWEEN over literals, and AND chains of those — and reports
-// ok=false for anything else, leaving the caller on the Compiled predicate
-// (lifted per row by KernelFromPredicate). Kernels mirror the row evaluator
-// exactly (NULL rejects, INT and FLOAT compare numerically, other mixed-kind
-// comparisons are errors, BETWEEN orders mixed kinds by kind); see FuzzKernel.
-func CompileKernel(e sqlparser.Expr, schema *Schema) (BoolKernel, bool) {
+// ok=false for anything else, leaving CompilePred to lift the row predicate.
+// Kernels mirror the row evaluator exactly (NULL rejects, INT and FLOAT
+// compare numerically, other mixed-kind comparisons are errors, BETWEEN
+// orders mixed kinds by kind); see FuzzKernel.
+func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 	switch e := e.(type) {
 	case *sqlparser.BinaryExpr:
 		switch e.Op {
 		case sqlparser.OpAnd:
-			l, okL := CompileKernel(e.Left, schema)
-			r, okR := CompileKernel(e.Right, schema)
-			if !okL || !okR {
-				return nil, false
+			l, okL := compileKernel(e.Left, schema)
+			r, okR := compileKernel(e.Right, schema)
+			if okL && okR {
+				return andKernel(l, r), true
 			}
-			return andKernel(l, r), true
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 			if col, lit, bits, ok := colLitCmp(e, schema); ok {
 				return litKernel(col, bits, lit, bitLT|bitEQ|bitGT, lit), true
 			}
-			if lc, rc, ok := colColCmp(e, schema); ok {
+			lc, okL := colOrdinal(e.Left, schema)
+			rc, okR := colOrdinal(e.Right, schema)
+			if okL && okR {
 				return colKernel(lc, rc, truthBits(e.Op)), true
 			}
-			return nil, false
-		default:
-			return nil, false
 		}
 	case *sqlparser.BetweenExpr:
-		if e.Not {
-			return nil, false
-		}
-		col, ok := ColOrdinal(e.Expr, schema)
-		if !ok {
-			return nil, false
-		}
+		col, ok := colOrdinal(e.Expr, schema)
 		lo, okLo := e.Lo.(*sqlparser.Literal)
 		hi, okHi := e.Hi.(*sqlparser.Literal)
-		if !okLo || !okHi {
-			return nil, false
+		if ok && okLo && okHi && !e.Not {
+			return litKernel(col, bitEQ|bitGT, lo, bitLT|bitEQ, hi), true
 		}
-		return litKernel(col, bitEQ|bitGT, lo, bitLT|bitEQ, hi), true
-	default:
-		return nil, false
 	}
+	return nil, false
 }
 
-// KernelFromPredicate lifts a row-at-a-time compiled predicate into the
-// kernel interface: it tests each candidate row via the batch's row view —
-// zero-copy for row-backed batches, the batch's scratch row otherwise (each
-// scan worker narrows its own batches). The fallback that keeps selection
-// vectors flowing when a predicate has no columnar form.
-func KernelFromPredicate(p Compiled) BoolKernel {
+// lift runs a row predicate as a kernel, testing each candidate through the
+// batch's row view: zero-copy for row-backed batches, the batch's scratch
+// row otherwise (each scan worker narrows its own batches).
+func lift(p Compiled) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		dst = resetSel(dst)
 		for j, n := 0, numCand(cb, cand); j < n; j++ {
@@ -87,31 +112,6 @@ func KernelFromPredicate(p Compiled) BoolKernel {
 		}
 		return dst, nil
 	}
-}
-
-// kernelFor resolves the predicate an operator filters with: the compiled
-// kernel when the planner produced one, else the row predicate lifted into
-// the kernel interface, else nil (no predicate).
-func kernelFor(k BoolKernel, p Compiled) BoolKernel {
-	if k == nil && p != nil {
-		return KernelFromPredicate(p)
-	}
-	return k
-}
-
-// applyKernel narrows cb's selection to the active rows k accepts, reusing
-// *selbuf, and reports whether any row survives. A nil kernel accepts every
-// row.
-func applyKernel(k BoolKernel, ctx *EvalContext, cb *sqltypes.ColBatch, selbuf *[]int32) (bool, error) {
-	if k == nil {
-		return true, nil
-	}
-	sel, err := k(ctx, cb, cb.Sel, selFor(*selbuf, cb))
-	if err != nil {
-		return false, err
-	}
-	*selbuf, cb.Sel = sel, sel
-	return len(sel) > 0, nil
 }
 
 // emptySel is the canonical non-nil empty selection. Kernels must never
@@ -132,7 +132,7 @@ func resetSel(dst []int32) []int32 {
 
 // andKernel chains two kernels: the second refines the first's survivors in
 // place (safe because kernels compact left to right).
-func andKernel(a, b BoolKernel) BoolKernel {
+func andKernel(a, b boolKernel) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		s, err := a(ctx, cb, cand, dst)
 		if err != nil {
@@ -157,12 +157,12 @@ func andKernel(a, b BoolKernel) BoolKernel {
 // greater.
 func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, bits uint8, ok bool) {
 	bits = truthBits(e.Op)
-	if c, okC := ColOrdinal(e.Left, schema); okC {
+	if c, okC := colOrdinal(e.Left, schema); okC {
 		if l, okL := e.Right.(*sqlparser.Literal); okL {
 			return c, l, bits, true
 		}
 	}
-	if c, okC := ColOrdinal(e.Right, schema); okC {
+	if c, okC := colOrdinal(e.Right, schema); okC {
 		if l, okL := e.Left.(*sqlparser.Literal); okL {
 			return c, l, bits&bitEQ | bits&bitLT<<2 | bits&bitGT>>2, true
 		}
@@ -170,19 +170,9 @@ func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser
 	return 0, nil, 0, false
 }
 
-func colColCmp(e *sqlparser.BinaryExpr, schema *Schema) (l, r int, ok bool) {
-	lc, okL := ColOrdinal(e.Left, schema)
-	rc, okR := ColOrdinal(e.Right, schema)
-	if !okL || !okR {
-		return 0, 0, false
-	}
-	return lc, rc, true
-}
-
-// ColOrdinal reports whether e is a bare reference to a column of schema,
-// and that column's ordinal. Planners use it to mark projections as pure
-// gathers and aggregate arguments as closure-free.
-func ColOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
+// colOrdinal reports whether e is a bare reference to a column of schema,
+// and that column's ordinal: the column operand of a kernel.
+func colOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 	ref, ok := e.(*sqlparser.ColumnRef)
 	if !ok {
 		return 0, false
@@ -327,7 +317,7 @@ func selCols[T lane](l, r []T, lnull, rnull []bool, bits uint8, cand, dst []int3
 // evaluator's rules (a comparison type-checks, BETWEEN orders mixed kinds by
 // kind without an error, as Compile's BETWEEN does). The constants are read
 // per batch, so a slot literal is this execution's.
-func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hiLit *sqlparser.Literal) BoolKernel {
+func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hiLit *sqlparser.Literal) boolKernel {
 	between := hiBits != bitLT|bitEQ|bitGT
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		lo, hi := ctx.lit(loLit), ctx.lit(hiLit)
@@ -370,7 +360,7 @@ func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hi
 
 // colKernel compares two columns of the same batch: selCols when both share
 // a lane, value by value with the row evaluator's type checking otherwise.
-func colKernel(lc, rc int, bits uint8) BoolKernel {
+func colKernel(lc, rc int, bits uint8) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		l, r := cb.Col(lc), cb.Col(rc)
 		if l.Kind == r.Kind {

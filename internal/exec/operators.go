@@ -65,7 +65,7 @@ func (v *Values) Close() error { return nil }
 //
 // A clustered scan — the table (Index == "") or a range of its clustered
 // index — streams straight off the B+-tree leaves (chunkWalk): the residual
-// kernel narrows each leaf window where it lies, under a short read latch,
+// predicate narrows each leaf window where it lies, under a short read latch,
 // and only the survivors' columns are copied out, so the scan never
 // materializes the table and interleaves with writers at step granularity —
 // the read-committed view parallel workers get. A secondary-index scan
@@ -78,11 +78,7 @@ type Scan struct {
 	// and Hi's single value came from: an execution with parameters reads the
 	// bound from there.
 	LoParam, HiParam int
-	Filter           Compiled // residual predicate, may be nil
-	// FilterKernel, when non-nil, is the vectorized form of Filter, evaluated
-	// column-at-a-time over each leaf window. Without one, Filter runs per
-	// row through the batch's row view.
-	FilterKernel BoolKernel
+	Filter           *Pred // residual predicate, may be nil
 
 	schema *Schema
 	ctx    *EvalContext
@@ -119,7 +115,7 @@ func (s *Scan) Schema() *Schema { return s.schema }
 func (s *Scan) Open(ctx *EvalContext) error {
 	s.ctx = ctx
 	s.pos, s.RowsScanned = 0, 0
-	s.walk.arm(kernelFor(s.FilterKernel, s.Filter), ctx, len(s.schema.Cols))
+	s.walk.arm(s.Filter, ctx, len(s.schema.Cols))
 	s.walk.cols, s.only = s.only, nil
 	lo, hi := s.Lo, s.Hi
 	if ctx != nil && ctx.Params != nil {
@@ -177,13 +173,13 @@ func (s *Scan) Exists(ctx *EvalContext) (bool, error) {
 }
 
 // chunkWalk is one reader of a clustered key range: the cursor storage walks
-// the leaves with, the residual kernel that narrows each leaf window where
+// the leaves with, the residual predicate that narrows each leaf window where
 // it lies, and the batch the survivors are copied into. out holds at most n
 // rows and is the reader's own, so it outlives the latch. Scan, the inline
 // ParallelScan and each of its workers own one.
 type chunkWalk struct {
 	cur    storage.Cursor
-	kernel BoolKernel
+	pred   *Pred
 	ctx    *EvalContext
 	n      int
 	width  int
@@ -192,19 +188,19 @@ type chunkWalk struct {
 	out    *sqltypes.ColBatch
 }
 
-// arm prepares the walk for a run: the kernel, the context and the width of
-// the batches it fills.
-func (c *chunkWalk) arm(k BoolKernel, ctx *EvalContext, width int) {
-	c.kernel, c.ctx, c.n, c.width = k, ctx, batchSizeOf(ctx), width
+// arm prepares the walk for a run: the predicate, the context and the width
+// of the batches it fills.
+func (c *chunkWalk) arm(p *Pred, ctx *EvalContext, width int) {
+	c.pred, c.ctx, c.n, c.width = p, ctx, batchSizeOf(ctx), width
 	if c.out == nil {
 		c.out = new(sqltypes.ColBatch)
 	}
 }
 
-// narrow applies the residual kernel to cb's selection, reporting whether
+// narrow applies the residual predicate to cb's selection, reporting whether
 // any row survives.
 func (c *chunkWalk) narrow(cb *sqltypes.ColBatch) (bool, error) {
-	return applyKernel(c.kernel, c.ctx, cb, &c.selbuf)
+	return c.pred.narrow(c.ctx, cb, &c.selbuf)
 }
 
 // take is the visit of a copying walk (storage.Table.Step): it narrows a
@@ -248,13 +244,9 @@ func (c *chunkWalk) next(t *storage.Table) (*sqltypes.ColBatch, int, error) {
 // rows move.
 type Filter struct {
 	Child Operator
-	Pred  Compiled
-	// Kernel, when non-nil, is the vectorized form of Pred; otherwise Pred
-	// evaluates per active row through the batch's row view.
-	Kernel BoolKernel
+	Pred  *Pred
 
 	ctx    *EvalContext
-	kernel BoolKernel
 	selbuf []int32
 }
 
@@ -264,7 +256,6 @@ func (f *Filter) Schema() *Schema { return f.Child.Schema() }
 // Open implements Operator.
 func (f *Filter) Open(ctx *EvalContext) error {
 	f.ctx = ctx
-	f.kernel = kernelFor(f.Kernel, f.Pred)
 	return f.Child.Open(ctx)
 }
 
@@ -275,7 +266,7 @@ func (f *Filter) NextVec() (*sqltypes.ColBatch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if ok, err := applyKernel(f.kernel, f.ctx, cb, &f.selbuf); err != nil {
+		if ok, err := f.Pred.narrow(f.ctx, cb, &f.selbuf); err != nil {
 			return nil, false, err
 		} else if ok {
 			return cb, true, nil
@@ -288,84 +279,76 @@ func (f *Filter) Close() error { return f.Child.Close() }
 
 // ---- Project ----
 
-// Project computes output expressions over child rows.
+// Project computes output expressions over child batches, under the
+// child's selection: a column output is the input's vector, a computed one is
+// evaluated at the active rows into a vector the Project owns.
 type Project struct {
 	Child Operator
-	// Exprs are the output expressions; unused when Cols is set.
-	Exprs []Compiled
-	// Cols, when non-nil, marks the projection as a pure column gather:
-	// output column j is input column Cols[j], and no closure runs.
-	Cols []int
-	Out  *Schema
+	Exprs []Expr
+	Out   *Schema
 
 	ctx *EvalContext
-	// identity marks a gather that keeps every input column in place (it
+	// identity marks a projection that keeps every input column in place (it
 	// only renames): child batches are forwarded untouched.
 	identity bool
-	buf      sqltypes.Batch // output row references
-	out      sqltypes.ColBatch
+	// cols are the input columns of a projection of columns only, made on
+	// the first Open: the only columns a scan below copies.
+	cols []int
+	out  sqltypes.ColBatch
 }
 
 // Schema implements Operator.
 func (p *Project) Schema() *Schema { return p.Out }
 
+// Columns reports whether every output is an input column.
+func (p *Project) Columns() bool {
+	for _, e := range p.Exprs {
+		if e.Fn != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Open implements Operator.
 func (p *Project) Open(ctx *EvalContext) error {
 	p.ctx = ctx
-	p.identity = p.Cols != nil && len(p.Cols) == len(p.Child.Schema().Cols)
-	for j, ord := range p.Cols {
+	if p.cols == nil && p.Columns() {
+		p.cols = make([]int, len(p.Exprs))
+		for j, e := range p.Exprs {
+			p.cols[j] = e.Col
+		}
+	}
+	p.identity = p.cols != nil && len(p.cols) == len(p.Child.Schema().Cols)
+	for j, ord := range p.cols {
 		p.identity = p.identity && ord == j
 	}
-	if p.Cols != nil && !p.identity {
+	if p.cols != nil && !p.identity {
 		switch c := p.Child.(type) {
 		case *Scan:
-			c.only = p.Cols
+			c.only = p.cols
 		case *ParallelScan:
-			c.only = p.Cols
+			c.only = p.cols
 		}
 	}
 	return p.Child.Open(ctx)
 }
 
-// NextVec implements Operator. A gather over a batch that is not
-// row-backed forwards the child's vectors — reordered, selection intact,
-// nothing materialized. Every other case builds a row-backed batch whose
-// rows are carved out of one arena per batch; the arena is never reused, so
-// emitted rows stay valid forever, and a row-backed input is projected
-// without transposing anything.
+// NextVec implements Operator.
 func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 	in, ok, err := p.Child.NextVec()
 	if err != nil || !ok || p.identity {
 		return in, ok, err
 	}
-	w := len(p.Out.Cols)
-	if p.Cols != nil && in.Rows == nil {
-		p.out.ResetCols(w, in.Len())
-		for j, ord := range p.Cols {
-			p.out.SetCol(j, in.Col(ord))
+	p.out.ResetCols(len(p.Exprs), in.Len())
+	for j, e := range p.Exprs {
+		v, err := e.vec(p.ctx, in, p.out.BuildCol(j))
+		if err != nil {
+			return nil, false, err
 		}
-		p.out.Sel = in.Sel
-		return &p.out, true, nil
+		p.out.SetCol(j, v)
 	}
-	n := in.NumActive()
-	p.buf = p.buf[:0]
-	arena := make([]sqltypes.Value, n*w)
-	for k := 0; k < n; k++ {
-		src, dst := in.Row(at(in.Sel, k)), arena[k*w:(k+1)*w:(k+1)*w]
-		if p.Cols != nil {
-			for j, ord := range p.Cols {
-				dst[j] = src[ord]
-			}
-		} else {
-			for j, e := range p.Exprs {
-				if dst[j], err = e(p.ctx, src); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		p.buf = append(p.buf, dst)
-	}
-	p.out.ResetRows(p.buf, w)
+	p.out.Sel = in.Sel
 	return &p.out, true, nil
 }
 
@@ -455,7 +438,7 @@ func (j *IndexLoopJoin) Close() error { return j.Outer.Close() }
 // equal keys keep their input order.
 type Sort struct {
 	Child Operator
-	Keys  []Compiled
+	Keys  []Expr
 	Desc  []bool
 	// TopN, when positive, bounds the output to its first TopN rows (the
 	// planner sets it from TOP n): Open then keeps a heap of the best TopN
@@ -511,7 +494,7 @@ func (s *Sort) Open(ctx *EvalContext) error {
 		tail := len(s.keys)
 		e := sortEnt{row: row, seq: seq, key: tail}
 		for _, k := range s.Keys {
-			v, err := k(ctx, row)
+			v, err := k.Eval(ctx, row)
 			if err != nil {
 				return err
 			}

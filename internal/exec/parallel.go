@@ -61,17 +61,13 @@ type parMsg struct {
 type ParallelScan struct {
 	Table  *storage.Table
 	Lo, Hi storage.Bound
-	Filter Compiled // residual predicate, may be nil
-	// FilterKernel is the vectorized form of Filter when the planner could
-	// compile one; otherwise Filter runs per row through the row view.
-	FilterKernel BoolKernel
+	Filter *Pred // residual predicate, may be nil
 	// DOP is the worker count; 0 means GOMAXPROCS. The effective count is
 	// additionally clamped to GOMAXPROCS and to the number of morsels.
 	DOP int
 
 	schema  *Schema
 	ctx     *EvalContext
-	kernel  BoolKernel
 	morsels []storage.Morsel
 	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
 	walks   []chunkWalk     // per worker, kept across runs of a reused tree
@@ -106,13 +102,12 @@ func (p *ParallelScan) RowsScanned() int64 { return p.rowsScanned.Load() }
 // clamping to GOMAXPROCS and the morsel count. Zero before Open.
 func (p *ParallelScan) EffectiveDOP() int { return p.effDOP }
 
-// prepare takes the run's context and decides its shape: the residual
-// kernel, the morsels (bounded by table cardinality) and the worker count,
-// clamped to the available work. Open starts from it, and so does an
-// Aggregate parent, which then drives the morsels itself (scanMorsels).
+// prepare takes the run's context and decides its shape: the morsels
+// (bounded by table cardinality) and the worker count, clamped to the
+// available work. Open starts from it, and so does an Aggregate parent,
+// which then drives the morsels itself (scanMorsels).
 func (p *ParallelScan) prepare(ctx *EvalContext) {
 	p.ctx = ctx
-	p.kernel = kernelFor(p.FilterKernel, p.Filter)
 	p.out, p.stop = nil, nil
 	p.rowsScanned.Store(0)
 
@@ -139,7 +134,7 @@ func (p *ParallelScan) Open(ctx *EvalContext) error {
 	p.prepare(ctx)
 	if p.effDOP == 1 {
 		// Inline serial path: the serial scan's walk, no exchange.
-		p.walk.arm(p.kernel, ctx, len(p.schema.Cols))
+		p.walk.arm(p.Filter, ctx, len(p.schema.Cols))
 		p.walk.cur.Keys(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
 		return nil
 	}
@@ -227,7 +222,7 @@ func (p *ParallelScan) recycle(b *sqltypes.ColBatch) {
 func (p *ParallelScan) scanMorsels(visit func(w, m int, view *sqltypes.ColBatch) (int, error), step func(w int) error) error {
 	dop := p.effDOP
 	for w := range p.walks[:dop] {
-		p.walks[w].arm(p.kernel, p.ctx, len(p.schema.Cols))
+		p.walks[w].arm(p.Filter, p.ctx, len(p.schema.Cols))
 	}
 	if dop == 1 {
 		for m := range p.morsels {

@@ -99,11 +99,11 @@ func TestParallelScanFilter(t *testing.T) {
 	tbl := parallelTable(t, n)
 	s := testSchema("t")
 	serial := NewScan(tbl, s)
-	serial.Filter = compile(t, "name = '0'", s)
+	serial.Filter = lifted(t, "name = '0'", s)
 	want := drain(t, serial)
 
 	ps := NewParallelScan(tbl, s)
-	ps.Filter = compile(t, "name = '0'", s)
+	ps.Filter = pred(t, "name = '0'", s)
 	ps.DOP = 4
 	res, err := Run(ps, ctx(), 0)
 	if err != nil {
@@ -116,8 +116,8 @@ func TestParallelScanFilter(t *testing.T) {
 }
 
 // TestParallelScanAndKernelEmptyChunks is a regression test for the
-// nil-selection bug in the workers' kernel path: with an AND FilterKernel
-// whose first conjunct rejects entire chunks, a worker's first filtered
+// nil-selection bug in the workers' kernel path: with an AND kernel whose
+// first conjunct rejects entire chunks, a worker's first filtered
 // chunk ran the second conjunct over all rows (nil survivors read as "all
 // rows") and emitted rows failing the first predicate. Exercised at DOP 1
 // (the serial arm's scratch) and DOP 4 (every worker's scratch).
@@ -127,7 +127,7 @@ func TestParallelScanAndKernelEmptyChunks(t *testing.T) {
 	s := testSchema("t")
 
 	serial := NewScan(tbl, s)
-	serial.Filter = compile(t, "id > 2990 AND bal < 2995", s)
+	serial.Filter = lifted(t, "id > 2990 AND bal < 2995", s)
 	want := drain(t, serial)
 	if len(want) != 4 { // ids 2991..2994
 		t.Fatalf("serial = %d rows, want 4", len(want))
@@ -135,8 +135,7 @@ func TestParallelScanAndKernelEmptyChunks(t *testing.T) {
 
 	for _, dop := range []int{1, 4} {
 		ps := NewParallelScan(tbl, s)
-		ps.Filter = compile(t, "id > 2990 AND bal < 2995", s)
-		ps.FilterKernel = testKernel(t, "id > 2990 AND bal < 2995", s)
+		ps.Filter = pred(t, "id > 2990 AND bal < 2995", s)
 		ps.DOP = dop
 		res, err := Run(ps, &EvalContext{Now: testNow, BatchSize: 64}, 0)
 		if err != nil {
@@ -176,7 +175,7 @@ func TestParallelScanFilterError(t *testing.T) {
 	tbl := parallelTable(t, 2000)
 	s := testSchema("t")
 	ps := NewParallelScan(tbl, s)
-	ps.Filter = compile(t, "id / 0 > 1", s)
+	ps.Filter = pred(t, "id / 0 > 1", s)
 	ps.DOP = 4
 	if _, err := Run(ps, ctx(), 0); err == nil {
 		t.Fatal("worker error not propagated")
@@ -267,12 +266,11 @@ func TestParallelScanWorkStealing(t *testing.T) {
 
 	// Residual through the vectorized kernel inside the workers.
 	fs := NewScan(tbl, s)
-	fs.Filter = compile(t, "name = '0'", s)
+	fs.Filter = lifted(t, "name = '0'", s)
 	fwant := drain(t, fs)
 
 	ps := NewParallelScan(tbl, s)
-	ps.Filter = compile(t, "name = '0'", s)
-	ps.FilterKernel = testKernel(t, "name = '0'", s)
+	ps.Filter = pred(t, "name = '0'", s)
 	ps.DOP = 4
 	res, err := Run(ps, ctx(), 0)
 	if err != nil {

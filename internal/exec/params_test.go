@@ -35,16 +35,16 @@ func TestSlotLiteralsReadTheExecutionsParameters(t *testing.T) {
 		return len(res.Rows)
 	}
 
-	pred, err := Compile(sel.Where, schema)
+	row, err := Compile(sel.Where, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel, ok := CompileKernel(sel.Where, schema)
+	kernel, ok := compileKernel(sel.Where, schema)
 	if !ok {
 		t.Fatal("no kernel for BETWEEN AND =")
 	}
-	for _, filtered := range []*Scan{{Filter: pred}, {FilterKernel: kernel}} {
-		filtered.Table, filtered.schema = tbl, schema
+	for _, p := range []*Pred{{Row: row, batch: lift(row)}, {Row: row, batch: kernel}} {
+		filtered := &Scan{Table: tbl, schema: schema, Filter: p}
 		// bal 10..20 with name (id%3) '1': ids 10, 13, 16, 19.
 		if n := count(filtered, own); n != 4 {
 			t.Fatalf("own values: %d rows", n)

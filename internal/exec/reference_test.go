@@ -58,14 +58,8 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 		}
 		out := make([]sqltypes.Row, len(in))
 		for i, r := range in {
-			if op.Cols == nil {
-				if out[i], err = refEval(op.Exprs, ctx, r); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			for _, ord := range op.Cols {
-				out[i] = append(out[i], r[ord])
+			if out[i], err = refEval(op.Exprs, ctx, r); err != nil {
+				return nil, err
 			}
 		}
 		return out, nil
@@ -137,18 +131,27 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 	}
 }
 
-func refEval(exprs []exec.Compiled, ctx *exec.EvalContext, row sqltypes.Row) (sqltypes.Row, error) {
+func refEval(exprs []exec.Expr, ctx *exec.EvalContext, row sqltypes.Row) (sqltypes.Row, error) {
 	out := make(sqltypes.Row, len(exprs))
 	for i, e := range exprs {
 		var err error
-		if out[i], err = e(ctx, row); err != nil {
+		if out[i], err = e.Eval(ctx, row); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func refFilter(rows []sqltypes.Row, pred exec.Compiled, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+// refFilter keeps the rows a predicate's row form holds TRUE on; a nil
+// *exec.Pred keeps every row.
+func refFilter(rows []sqltypes.Row, p *exec.Pred, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+	if p == nil {
+		return rows, nil
+	}
+	return refWhere(rows, p.Row, ctx)
+}
+
+func refWhere(rows []sqltypes.Row, pred exec.Compiled, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	if pred == nil {
 		return rows, nil
 	}
@@ -234,7 +237,7 @@ func refMatch(lrows []sqltypes.Row, residual exec.Compiled, kind exec.JoinKind, 
 		for _, m := range ms {
 			joined = append(joined, concat(l, m))
 		}
-		if joined, err = refFilter(joined, residual, ctx); err != nil {
+		if joined, err = refWhere(joined, residual, ctx); err != nil {
 			return nil, err
 		}
 		switch {
@@ -290,7 +293,7 @@ func refAggregate(op *exec.Aggregate, ctx *exec.EvalContext) ([]sqltypes.Row, er
 			for _, r := range groups[groupKey(g)] {
 				v := sqltypes.NewInt(1) // COUNT(*) counts rows
 				if !spec.Star {
-					if v, err = spec.Arg(ctx, r); err != nil {
+					if v, err = spec.Arg.Eval(ctx, r); err != nil {
 						return nil, err
 					}
 				}

@@ -12,7 +12,7 @@ import (
 func TestInstrumentRowsAndShape(t *testing.T) {
 	s := testSchema("t")
 	inner := NewValues(s, testRows(10))
-	f := &Filter{Child: inner, Pred: compile(t, "id <= 4", s)}
+	f := &Filter{Child: inner, Pred: pred(t, "id <= 4", s)}
 	root, node := Instrument(f)
 	res, err := Run(root, ctx(), 0)
 	if err != nil {

@@ -8,17 +8,17 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// testKernel compiles sql into a BoolKernel, failing the test when the
+// testKernel compiles sql into a boolKernel, failing the test when the
 // expression has no vectorized form.
-func testKernel(t *testing.T, sql string, schema *Schema) BoolKernel {
+func testKernel(t *testing.T, sql string, schema *Schema) boolKernel {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect("SELECT 1 FROM x WHERE " + sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	k, ok := CompileKernel(sel.Where, schema)
+	k, ok := compileKernel(sel.Where, schema)
 	if !ok {
-		t.Fatalf("CompileKernel(%q): no kernel", sql)
+		t.Fatalf("compileKernel(%q): no kernel", sql)
 	}
 	return k
 }
@@ -130,7 +130,7 @@ func TestAndKernelEmptyFirstConjunct(t *testing.T) {
 	}
 }
 
-// TestKernelNonVectorizable ensures CompileKernel declines expressions
+// TestKernelNonVectorizable ensures compileKernel declines expressions
 // outside its fragment rather than guessing.
 func TestKernelNonVectorizable(t *testing.T) {
 	s := testSchema("t")
@@ -144,8 +144,8 @@ func TestKernelNonVectorizable(t *testing.T) {
 		if err != nil {
 			continue // dialect may reject; fine either way
 		}
-		if _, ok := CompileKernel(sel.Where, s); ok {
-			t.Fatalf("CompileKernel(%q) unexpectedly succeeded", sql)
+		if _, ok := compileKernel(sel.Where, s); ok {
+			t.Fatalf("compileKernel(%q) unexpectedly succeeded", sql)
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestScanFilteredEmptyPrefix(t *testing.T) {
 	tbl := storageTable(t)
 	s := testSchema("t")
 	sc := NewScan(tbl, s)
-	sc.Filter = compile(t, "id > 90", s) // 90 leading non-matching rows
+	sc.Filter = lifted(t, "id > 90", s) // 90 leading non-matching rows
 	res, err := Run(sc, &EvalContext{Now: testNow, BatchSize: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestLiftedPredicateAllocatesOneScratchRow(t *testing.T) {
 			v.Append(r[j])
 		}
 	}
-	k := KernelFromPredicate(compile(t, "id < 100 OR bal > 400", s))
+	k := lift(compile(t, "id < 100 OR bal > 400", s))
 	c, dst := ctx(), make([]int32, 0, len(rows))
 	var sel []int32
 	allocs := testing.AllocsPerRun(20, func() {

@@ -10,9 +10,8 @@ import (
 )
 
 // TestOutputProjectionIsGather: a select list of bare columns makes the
-// final projection a pure column gather (Cols set, no closure per output
-// row), at the cache and at the back end; any computed item keeps the
-// expression path.
+// final projection one of columns only (no closure runs), at the cache and at
+// the back end; a computed item is the only output that is not a column.
 func TestOutputProjectionIsGather(t *testing.T) {
 	sys, err := tpcd.NewLoadedSystem(tpcd.Config{ScaleFactor: 0.002, Seed: 1})
 	if err != nil {
@@ -47,11 +46,14 @@ func TestOutputProjectionIsGather(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%s: root is %T, want *exec.Project", tc.name, site, plan.Root)
 			}
-			if (proj.Cols != nil) != tc.gather {
-				t.Errorf("%s/%s: Cols = %v, want gather = %v (plan %s)", tc.name, site, proj.Cols, tc.gather, plan.Shape)
+			if proj.Columns() != tc.gather {
+				t.Errorf("%s/%s: columns only = %v, want %v (plan %s)", tc.name, site, proj.Columns(), tc.gather, plan.Shape)
 			}
-			if tc.gather && len(proj.Cols) != len(proj.Out.Cols) {
-				t.Errorf("%s/%s: %d ordinals for %d output columns", tc.name, site, len(proj.Cols), len(proj.Out.Cols))
+			if len(proj.Exprs) != len(proj.Out.Cols) {
+				t.Errorf("%s/%s: %d expressions for %d output columns", tc.name, site, len(proj.Exprs), len(proj.Out.Cols))
+			}
+			if column := proj.Exprs[0].Fn == nil; column != (tc.name != "computed") {
+				t.Errorf("%s/%s: first output is a column = %v", tc.name, site, column)
 			}
 		}
 	}

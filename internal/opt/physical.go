@@ -464,14 +464,9 @@ func buildStoredAccess(tbl *storage.Table, binding string, path accessPath, leaf
 	scan.Index = path.index
 	scan.Lo, scan.Hi, scan.LoParam, scan.HiParam = path.lo, path.hi, path.loSlot, path.hiSlot
 	if len(path.residual) > 0 {
-		res := andAll(path.residual)
-		pred, err := exec.Compile(res, full)
-		if err != nil {
+		var err error
+		if scan.Filter, err = exec.CompilePred(andAll(path.residual), full); err != nil {
 			return nil, err
-		}
-		scan.Filter = pred
-		if k, ok := exec.CompileKernel(res, full); ok {
-			scan.FilterKernel = k
 		}
 	}
 	return projectTo(scan, leafSchema(leaf))
@@ -520,14 +515,9 @@ func (p *Planner) buildParallelAccess(tbl *storage.Table, binding string, path a
 	ps.Lo, ps.Hi = path.lo, path.hi
 	ps.DOP = p.Opts.MaxDOP // 0 means GOMAXPROCS
 	if len(path.residual) > 0 {
-		res := andAll(path.residual)
-		pred, err := exec.Compile(res, full)
-		if err != nil {
+		var err error
+		if ps.Filter, err = exec.CompilePred(andAll(path.residual), full); err != nil {
 			return nil, err
-		}
-		ps.Filter = pred
-		if k, ok := exec.CompileKernel(res, full); ok {
-			ps.FilterKernel = k
 		}
 	}
 	return projectTo(ps, leafSchema(leaf))
@@ -550,14 +540,15 @@ func projectTo(child exec.Operator, target *exec.Schema) (exec.Operator, error) 
 			return child, nil
 		}
 	}
-	cols := make([]int, len(target.Cols))
+	cols := make([]exec.Expr, len(target.Cols))
 	for i, c := range target.Cols {
-		if cols[i] = src.Lookup(c.Binding, c.Name); cols[i] < 0 {
+		ord := src.Lookup(c.Binding, c.Name)
+		if ord < 0 {
 			return nil, exec.ErrNoColumn(c.Binding, c.Name)
 		}
+		cols[i] = exec.Expr{Col: ord}
 	}
-	// A pure column gather: the executor copies ordinals, no closure runs.
-	return &exec.Project{Child: child, Cols: cols, Out: target}, nil
+	return &exec.Project{Child: child, Exprs: cols, Out: target}, nil
 }
 
 func andAll(preds []sqlparser.Expr) sqlparser.Expr {
@@ -950,15 +941,14 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 			pred = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, Left: pred, Right: floorPred}
 		}
 	}
-	var filter exec.BoolKernel
+	var filter *exec.Pred
 	if pred != nil {
-		c, err := exec.Compile(pred, schema)
-		if err != nil {
+		var err error
+		if filter, err = exec.CompilePred(pred, schema); err != nil {
 			return func() exec.Selector {
 				return func(*exec.EvalContext) (int, error) { return 0, err }
 			}
 		}
-		filter = exec.KernelFromPredicate(c)
 	}
 	key := storage.Bound{Vals: sqltypes.Row{sqltypes.NewInt(int64(regionID))}, Inclusive: true}
 	pkIndex := ""
@@ -971,7 +961,7 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 		scan := exec.NewScan(hb, schema)
 		scan.Index = pkIndex
 		scan.Lo, scan.Hi = key, key
-		scan.FilterKernel = filter
+		scan.Filter = filter
 		return func(ctx *exec.EvalContext) (int, error) {
 			if ok, err := scan.Exists(ctx); err != nil || !ok {
 				return 1, err
@@ -1616,15 +1606,11 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		}
 		schema := joinSchema
 		if pred := andAll(innerResiduals); pred != nil {
-			c, err := exec.Compile(pred, schema)
+			f, err := exec.CompilePred(pred, schema)
 			if err != nil {
 				return nil, err
 			}
-			f := &exec.Filter{Child: op, Pred: c}
-			if k, ok := exec.CompileKernel(pred, schema); ok {
-				f.Kernel = k
-			}
-			op = f
+			op = &exec.Filter{Child: op, Pred: f}
 		}
 		if len(q.Aggs) > 0 || len(q.GroupBy) > 0 {
 			op, schema, err = buildAggregate(q, op, schema)
@@ -1632,22 +1618,18 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 				return nil, err
 			}
 			if q.Having != nil {
-				c, err := exec.Compile(q.Having, schema)
+				f, err := exec.CompilePred(q.Having, schema)
 				if err != nil {
 					return nil, err
 				}
-				f := &exec.Filter{Child: op, Pred: c}
-				if k, ok := exec.CompileKernel(q.Having, schema); ok {
-					f.Kernel = k
-				}
-				op = f
+				op = &exec.Filter{Child: op, Pred: f}
 			}
 		}
 		if len(q.OrderBy) > 0 {
-			keys := make([]exec.Compiled, len(q.OrderBy))
+			keys := make([]exec.Expr, len(q.OrderBy))
 			descs := make([]bool, len(q.OrderBy))
 			for i, o := range q.OrderBy {
-				keys[i], err = exec.Compile(o.Expr, schema)
+				keys[i], err = exec.CompileExpr(o.Expr, schema)
 				if err != nil {
 					return nil, err
 				}
@@ -1660,18 +1642,10 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		if q.Top > 0 {
 			op = &exec.Limit{Child: op, N: q.Top}
 		}
-		proj := &exec.Project{Child: op, Out: outSchema, Cols: make([]int, 0, len(q.Items))}
-		for _, item := range q.Items {
-			if ord, ok := exec.ColOrdinal(item.Expr, schema); ok {
-				proj.Cols = append(proj.Cols, ord)
-			}
-		}
-		if len(proj.Cols) != len(q.Items) { // not a pure gather like projectTo's
-			proj.Cols, proj.Exprs = nil, make([]exec.Compiled, len(q.Items))
-			for i, item := range q.Items {
-				if proj.Exprs[i], err = exec.Compile(item.Expr, schema); err != nil {
-					return nil, err
-				}
+		proj := &exec.Project{Child: op, Out: outSchema, Exprs: make([]exec.Expr, len(q.Items))}
+		for i, item := range q.Items {
+			if proj.Exprs[i], err = exec.CompileExpr(item.Expr, schema); err != nil {
+				return nil, err
 			}
 		}
 		op = proj
@@ -1685,10 +1659,11 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 
 // buildAggregate constructs the Aggregate operator and its output schema:
 // group columns (keeping their bindings) followed by #agg.aggN columns. A
-// column-pruning Project directly below is dropped — it would copy every
-// input row, and the aggregate reads child columns by ordinal.
+// column-pruning Project directly below is dropped — the aggregate reads
+// child columns by ordinal, and over a parallel scan it then folds each leaf
+// window inside the scan's workers.
 func buildAggregate(q *Query, child exec.Operator, schema *exec.Schema) (exec.Operator, *exec.Schema, error) {
-	if pr, ok := child.(*exec.Project); ok && pr.Cols != nil {
+	if pr, ok := child.(*exec.Project); ok && pr.Columns() {
 		child, schema = pr.Child, pr.Child.Schema()
 	}
 	agg := &exec.Aggregate{Child: child}
@@ -1706,19 +1681,14 @@ func buildAggregate(q *Query, child exec.Operator, schema *exec.Schema) (exec.Op
 		outCols = append(outCols, schema.Cols[ord])
 	}
 	for _, ag := range q.Aggs {
-		spec, ord := exec.AggSpec{Func: ag.Func, Star: ag.Star}, -1
+		spec := exec.AggSpec{Func: ag.Func, Star: ag.Star}
 		if ag.Arg != nil {
-			c, err := exec.Compile(ag.Arg, schema)
-			if err != nil {
+			var err error
+			if spec.Arg, err = exec.CompileExpr(ag.Arg, schema); err != nil {
 				return nil, nil, err
-			}
-			spec.Arg = c
-			if o, ok := exec.ColOrdinal(ag.Arg, schema); ok {
-				ord = o
 			}
 		}
 		agg.Aggs = append(agg.Aggs, spec)
-		agg.ArgCols = append(agg.ArgCols, ord)
 		kind := sqltypes.KindFloat
 		if ag.Func == "COUNT" {
 			kind = sqltypes.KindInt

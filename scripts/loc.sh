@@ -13,11 +13,11 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max=3771
+exec_max=3769
 spine_max=4836
 scenario_max=2722
 analysis_max=1361
-opt_max=3420
+opt_max=3390
 sqlparser_max=2022
 storage_max=1075
 sqltypes_max=1322
