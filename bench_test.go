@@ -575,7 +575,7 @@ func BenchmarkExecAggregate(b *testing.B) {
 		{"low-card", func() exec.Operator { return aggregate(0) }},
 		{"high-card", func() exec.Operator { return aggregate(1) }},
 		{"topn", func() exec.Operator {
-			return &exec.Limit{N: 10, Child: &exec.Sort{Child: aggregate(1), Keys: []exec.Expr{exec.Expr{Col: 2}}, Desc: []bool{true}, TopN: 10}}
+			return &exec.Limit{N: 10, Child: &exec.Sort{Child: aggregate(1), Keys: []exec.Expr{{Col: 2}}, Desc: []bool{true}, TopN: 10}}
 		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {

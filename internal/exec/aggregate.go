@@ -214,7 +214,7 @@ func (st *aggState) consume(a *Aggregate, sc *aggScratch, ctx *EvalContext, cb *
 			}
 			continue
 		}
-		v, err := spec.Arg.vec(ctx, cb, sc.vals.BuildCol(0))
+		v, err := spec.Arg.vec(ctx, cb, &sc.vals, 0)
 		if err != nil {
 			return err
 		}

@@ -107,14 +107,14 @@ func (e Expr) Eval(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 }
 
 // vec returns e's values at cb's rows, read under cb.Sel: cb's own column,
-// or e evaluated into v at the active rows only. A row the selection dropped
-// holds the next evaluated value (the last past the end), which no reader
-// looks at and which adds no kind to v.
-func (e Expr) vec(ctx *EvalContext, cb *sqltypes.ColBatch, v *sqltypes.Vec) (*sqltypes.Vec, error) {
+// or e evaluated at the active rows only into column j of out. A row the
+// selection dropped holds the next evaluated value (the last past the end),
+// which no reader looks at and which adds no kind to the vector.
+func (e Expr) vec(ctx *EvalContext, cb, out *sqltypes.ColBatch, j int) (*sqltypes.Vec, error) {
 	if e.Fn == nil {
 		return cb.Col(e.Col), nil
 	}
-	val := sqltypes.Null
+	v, val := out.BuildCol(j), sqltypes.Null
 	for k, n := 0, cb.NumActive(); k < n; k++ {
 		i := at(cb.Sel, k)
 		var err error

@@ -342,7 +342,7 @@ func (p *Project) NextVec() (*sqltypes.ColBatch, bool, error) {
 	}
 	p.out.ResetCols(len(p.Exprs), in.Len())
 	for j, e := range p.Exprs {
-		v, err := e.vec(p.ctx, in, p.out.BuildCol(j))
+		v, err := e.vec(p.ctx, in, &p.out, j)
 		if err != nil {
 			return nil, false, err
 		}
