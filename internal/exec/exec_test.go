@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -373,32 +374,44 @@ func TestScanFullAndRange(t *testing.T) {
 }
 
 // TestGatherOverScanCopiesItsColumns: a gather Project right above a scan
-// has the scan copy only the columns it gathers, run after run, and the
-// scan run alone afterwards returns whole rows again; Exists reports a row
-// without copying any.
+// has the scan copy only the columns it gathers, run after run — a column
+// gathered twice is copied once, and batches that span several leaf windows
+// stay aligned — and the scan run alone afterwards returns whole rows again;
+// Exists reports a row without copying any.
 func TestGatherOverScanCopiesItsColumns(t *testing.T) {
-	tbl := storageTable(t)
-	out := NewSchema(Col{Binding: "t", Name: "bal"}, Col{Binding: "t", Name: "id"})
+	const n = 3000
+	tbl := parallelTable(t, n)
+	out := NewSchema(Col{Binding: "t", Name: "bal"}, Col{Binding: "t", Name: "id"}, Col{Binding: "t", Name: "id"})
+	byID := func(rows []sqltypes.Row, id int) []sqltypes.Row {
+		sort.Slice(rows, func(a, b int) bool { return rows[a][id].Int() < rows[b][id].Int() })
+		return rows
+	}
 	for _, scan := range []Operator{NewScan(tbl, testSchema("t")), NewParallelScan(tbl, testSchema("t"))} {
-		p := &Project{Child: scan, Exprs: []Expr{{Col: 2}, {Col: 0}}, Out: out}
+		p := &Project{Child: scan, Exprs: []Expr{{Col: 2}, {Col: 0}, {Col: 0}}, Out: out}
 		for run := 0; run < 2; run++ {
-			rows := drain(t, p)
-			if len(rows) != 100 {
+			rows := byID(drain(t, p), 1)
+			if len(rows) != n {
 				t.Fatalf("%T: %d rows", scan, len(rows))
 			}
 			for i, r := range rows {
-				if len(r) != 2 || r[0].Float() != float64(i+1) || r[1].Int() != int64(i+1) {
+				if len(r) != 3 || r[0].Float() != float64(i+1) || r[1].Int() != int64(i+1) || r[2].Int() != int64(i+1) {
 					t.Fatalf("%T run %d: row %d = %v", scan, run, i, r)
 				}
 			}
 		}
-		if rows := drain(t, scan); len(rows) != 100 || !rows[5].Equal(testRows(6)[5]) {
-			t.Fatalf("%T alone: %d rows, row 5 = %v", scan, len(rows), rows[5])
+		rows := byID(drain(t, scan), 0)
+		for i, r := range rows {
+			if r[0].Int() != int64(i+1) || r[1].Str() != fmt.Sprint((i+1)%3) || r[2].Float() != float64(i+1) {
+				t.Fatalf("%T alone: row %d = %v", scan, i, r)
+			}
+		}
+		if len(rows) != n {
+			t.Fatalf("%T alone: %d rows", scan, len(rows))
 		}
 	}
 	s := NewScan(tbl, testSchema("t"))
 	s.Index = "pk_t"
-	for _, key := range []int64{7, 700} {
+	for _, key := range []int64{7, 7000} {
 		s.Lo = storage.Bound{Vals: sqltypes.Row{intv(key)}, Inclusive: true}
 		s.Hi = s.Lo
 		if ok, err := s.Exists(ctx()); err != nil || ok != (key == 7) {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"relaxedcc/internal/sqltypes"
@@ -91,9 +92,9 @@ type Scan struct {
 	pos       int
 	lov, hiv  [1]sqltypes.Value
 	// only, set before Open, are the stored columns the next run's consumer
-	// reads — a gather Project right above, or Exists — and the only ones
-	// copied out.
-	only []int
+	// reads — the outputs of a gather Project right above, or none for
+	// Exists — and the only ones copied out.
+	only []Expr
 
 	// RowsScanned counts rows read from storage (before the residual
 	// filter); used by tests and cost-model validation.
@@ -116,7 +117,7 @@ func (s *Scan) Open(ctx *EvalContext) error {
 	s.ctx = ctx
 	s.pos, s.RowsScanned = 0, 0
 	s.walk.arm(s.Filter, ctx, len(s.schema.Cols))
-	s.walk.cols, s.only = s.only, nil
+	s.walk.only, s.only = s.only, nil
 	lo, hi := s.Lo, s.Hi
 	if ctx != nil && ctx.Params != nil {
 		if s.LoParam > 0 {
@@ -163,7 +164,7 @@ func (s *Scan) Close() error { return nil }
 // Exists runs the scan to its first row and reports whether there is one,
 // copying out no column: the currency guard's EXISTS over its heartbeat row.
 func (s *Scan) Exists(ctx *EvalContext) (bool, error) {
-	s.only = []int{}
+	s.only = []Expr{}
 	ok, err := false, s.Open(ctx)
 	if err == nil {
 		_, ok, err = s.NextVec()
@@ -183,7 +184,7 @@ type chunkWalk struct {
 	ctx    *EvalContext
 	n      int
 	width  int
-	cols   []int // the columns copied, nil for all
+	only   []Expr // the columns copied, nil for all
 	selbuf []int32
 	out    *sqltypes.ColBatch
 }
@@ -211,10 +212,15 @@ func (c *chunkWalk) take(view *sqltypes.ColBatch) (int, error) {
 		return view.Len(), err
 	}
 	k := min(view.NumActive(), c.n-c.out.Len())
-	if c.out.Append(view, k, c.cols); k < view.NumActive() {
+	if c.out.Append(view, k, c.copies); k < view.NumActive() {
 		return at(view.Sel, k), nil
 	}
 	return view.Len(), nil
+}
+
+// copies reports whether the walk copies out stored column j.
+func (c *chunkWalk) copies(j int) bool {
+	return c.only == nil || slices.ContainsFunc(c.only, func(e Expr) bool { return e.Col == j })
 }
 
 // next returns the next batch of at most n survivors (nil at the end of the
@@ -291,10 +297,7 @@ type Project struct {
 	// identity marks a projection that keeps every input column in place (it
 	// only renames): child batches are forwarded untouched.
 	identity bool
-	// cols are the input columns of a projection of columns only, made on
-	// the first Open: the only columns a scan below copies.
-	cols []int
-	out  sqltypes.ColBatch
+	out      sqltypes.ColBatch
 }
 
 // Schema implements Operator.
@@ -313,22 +316,17 @@ func (p *Project) Columns() bool {
 // Open implements Operator.
 func (p *Project) Open(ctx *EvalContext) error {
 	p.ctx = ctx
-	if p.cols == nil && p.Columns() {
-		p.cols = make([]int, len(p.Exprs))
-		for j, e := range p.Exprs {
-			p.cols[j] = e.Col
-		}
+	gather := p.Columns()
+	p.identity = gather && len(p.Exprs) == len(p.Child.Schema().Cols)
+	for j, e := range p.Exprs {
+		p.identity = p.identity && e.Col == j
 	}
-	p.identity = p.cols != nil && len(p.cols) == len(p.Child.Schema().Cols)
-	for j, ord := range p.cols {
-		p.identity = p.identity && ord == j
-	}
-	if p.cols != nil && !p.identity {
+	if gather && !p.identity {
 		switch c := p.Child.(type) {
 		case *Scan:
-			c.only = p.cols
+			c.only = p.Exprs
 		case *ParallelScan:
-			c.only = p.cols
+			c.only = p.Exprs
 		}
 	}
 	return p.Child.Open(ctx)

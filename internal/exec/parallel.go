@@ -80,7 +80,7 @@ type ParallelScan struct {
 	held *sqltypes.ColBatch
 
 	walk chunkWalk // the inline path
-	only []int     // as Scan's
+	only []Expr    // as Scan's
 
 	rowsScanned atomic.Int64
 }
@@ -123,9 +123,9 @@ func (p *ParallelScan) prepare(ctx *EvalContext) {
 		p.walks = make([]chunkWalk, p.effDOP)
 	}
 	for w := range p.walks {
-		p.walks[w].cols = p.only
+		p.walks[w].only = p.only
 	}
-	p.walk.cols, p.only = p.only, nil
+	p.walk.only, p.only = p.only, nil
 }
 
 // Open implements Operator: it either starts the workers behind the

@@ -93,17 +93,19 @@ func TestParallelScanBounds(t *testing.T) {
 	assertSameRows(t, "bounded parallel scan", res.Rows, want, false)
 }
 
-// TestParallelScanFilter pushes a residual predicate into the workers.
+// TestParallelScanFilter pushes a residual predicate into the workers. The
+// workers run the lifted row closure, each over its own scratch row, and
+// are checked against a serial scan under the typed kernel.
 func TestParallelScanFilter(t *testing.T) {
 	const n = 3000
 	tbl := parallelTable(t, n)
 	s := testSchema("t")
 	serial := NewScan(tbl, s)
-	serial.Filter = lifted(t, "name = '0'", s)
+	serial.Filter = pred(t, "name = '0'", s)
 	want := drain(t, serial)
 
 	ps := NewParallelScan(tbl, s)
-	ps.Filter = pred(t, "name = '0'", s)
+	ps.Filter = lifted(t, "name = '0'", s)
 	ps.DOP = 4
 	res, err := Run(ps, ctx(), 0)
 	if err != nil {

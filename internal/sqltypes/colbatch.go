@@ -504,16 +504,12 @@ func (b *ColBatch) SetCol(j int, v *Vec) {
 // Append copies the first k active rows of src into b, a purely columnar
 // batch of src's width (ResetCols(width, 0) starts it empty) whose vectors
 // b owns: what a reader keeps of rows it may not hold on to, such as those
-// of a leaf window it filtered. With cols non-nil only those columns are
-// copied, and the batch's other columns must not be read.
-func (b *ColBatch) Append(src *ColBatch, k int, cols []int) {
-	for c := 0; c < b.width; c++ {
-		j := c
-		if cols != nil {
-			if c >= len(cols) {
-				break
-			}
-			j = cols[c]
+// of a leaf window it filtered. With keep non-nil only the columns it
+// reports are copied, and the batch's other columns must not be read.
+func (b *ColBatch) Append(src *ColBatch, k int, keep func(j int) bool) {
+	for j := 0; j < b.width; j++ {
+		if keep != nil && !keep(j) {
+			continue
 		}
 		v := b.vec(j)
 		if !b.has(j) || b.col[j] != v {

@@ -148,7 +148,7 @@ func TestColBatchViewsLanes(t *testing.T) {
 	owned.Append(&view, 3, nil)
 	var some ColBatch
 	some.ResetCols(len(laneKinds), 0)
-	some.Append(&view, 4, []int{4, 0})
+	some.Append(&view, 4, func(j int) bool { return j == 4 || j == 0 })
 	for k, i := range view.Sel {
 		want := model[10+int(i)]
 		for c := range want {

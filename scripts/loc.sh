@@ -13,14 +13,14 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-exec_max=3769
+exec_max=3767
 spine_max=4836
 scenario_max=2722
 analysis_max=1361
 opt_max=3390
 sqlparser_max=2022
 storage_max=1075
-sqltypes_max=1322
+sqltypes_max=1318
 spine='mtcache obs audit core tuner'
 
 total=0
