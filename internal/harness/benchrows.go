@@ -97,7 +97,10 @@ var allocCeilings = []struct {
 	// first run (a reused tree pays this once), and the merge join's right
 	// side becomes rows through one arena per batch: 199/46/48 became
 	// 285/216/314 with that layout, 281/212/309 with key ordinals. Ceilings
-	// are ~1.5x these counts, the hash join's as its issue set it.
+	// are ~1.5x these counts; the hash join keeps its first ceiling. That arena
+	// (10.2 MB/op, was 152 KB) also cost the merge join over half its
+	// rows/sec, which the baseline now holds as its level until the merge
+	// join reads its right side through lanes.
 	{"BenchmarkExecHashJoin/serial", 500},
 	{"BenchmarkExecIndexLoopJoin/serial", 320},
 	{"BenchmarkExecMergeJoin/serial", 465},
