@@ -98,14 +98,6 @@ func CompileExpr(e sqlparser.Expr, schema *Schema) (Expr, error) {
 	return Expr{Fn: fn}, err
 }
 
-// Eval evaluates e on one row.
-func (e Expr) Eval(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-	if e.Fn == nil {
-		return row[e.Col], nil
-	}
-	return e.Fn(ctx, row)
-}
-
 // vec returns e's values at cb's rows, read under cb.Sel: cb's own column,
 // or e evaluated at the active rows only into column j of out. A row the
 // selection dropped holds the next evaluated value (the last past the end),

@@ -283,7 +283,7 @@ func (h *HashJoin) Open(ctx *EvalContext) error {
 		return err
 	}
 	err := eachBatch(h.Right, func(cb *sqltypes.ColBatch) error {
-		h.out.right.AppendBatch(cb)
+		h.out.right.AppendAt(cb, cb.Sel)
 		h.buildKeys.appendBatch(h.RightKeys, cb)
 		return nil
 	})

@@ -7,9 +7,9 @@ import (
 // MergeJoin is a sort-merge equi-join: both inputs must arrive sorted
 // ascending on their join keys. Inner joins pair each left row with the
 // right rows of its key; semi/anti joins emit left rows with/without a match
-// (output schema = left schema). Equal-key groups on the right are buffered
-// to support many-to-many matches, and the matches of a left row — that
-// group — leave through the shared emitter (join.go).
+// (output schema = left schema). Equal-key groups on the right are copied
+// into lanes to support many-to-many matches, and the matches of a left row
+// — that group — leave through the shared emitter (join.go).
 type MergeJoin struct {
 	Left, Right Operator
 	// LeftKeys and RightKeys are the key columns' ordinals in the left and
@@ -20,18 +20,20 @@ type MergeJoin struct {
 
 	schema *Schema
 
-	// The right input is consumed through the row view (the merge is
-	// sequential on key order): the current buffered group, whose key is empty
-	// before the first group, and one lookahead row. Keys are read into reused
-	// buffers.
-	right         rowReader
+	// The right input is read a row at a time (the merge is sequential on
+	// key order): the lookahead row is active row rk of the right batch rb,
+	// which is nil past the last row. The current group is copied into
+	// rightGroup, whose key is empty before the first group. Keys are read
+	// into reused buffers.
+	rb            *sqltypes.ColBatch
+	rk            int
 	out           rowPairs
-	rightGroup    sqltypes.Batch
+	rightGroup    sqltypes.Lanes
+	groupView     sqltypes.ColBatch
 	rightGroupKey sqltypes.Row
-	rightNext     sqltypes.Row
 	rightNextKey  sqltypes.Row
-	rightDone     bool
 	curKey        sqltypes.Row // the left row's key
+	one           [1]int32
 }
 
 // NewMergeJoin builds a merge join; key lists must be equal length and both
@@ -51,9 +53,8 @@ func (m *MergeJoin) Schema() *Schema { return m.schema }
 
 // Open implements Operator.
 func (m *MergeJoin) Open(ctx *EvalContext) error {
-	m.right.reset()
-	m.rightGroup, m.rightGroupKey = m.rightGroup[:0], m.rightGroupKey[:0]
-	m.rightNext, m.rightDone = nil, false
+	m.rightGroup.Reset()
+	m.rightGroupKey, m.rb = m.rightGroupKey[:0], nil
 	if m.out.find == nil {
 		m.out.find = m.matches
 	}
@@ -67,29 +68,34 @@ func (m *MergeJoin) Open(ctx *EvalContext) error {
 	return m.advanceRightRow()
 }
 
-// advanceRightRow pulls one row into the lookahead slot.
+// advanceRightRow moves the lookahead to the next right row and reads its
+// key, pulling the next right batch when this one is done.
 func (m *MergeJoin) advanceRightRow() error {
-	row, ok, err := m.right.next(m.Right)
-	if err != nil {
-		return err
+	for m.rk++; m.rb == nil || m.rk >= m.rb.NumActive(); m.rk = 0 {
+		cb, ok, err := m.Right.NextVec()
+		if err != nil {
+			return err
+		}
+		if m.rb = cb; !ok {
+			return nil
+		}
 	}
-	if !ok {
-		m.rightNext, m.rightDone = nil, true
-		return nil
-	}
-	m.rightNext, m.rightNextKey = row, m.rightNextKey[:0]
+	i := at(m.rb.Sel, m.rk)
+	m.rightNextKey = m.rightNextKey[:0]
 	for _, ord := range m.RightKeys {
-		m.rightNextKey = append(m.rightNextKey, row[ord])
+		m.rightNextKey = append(m.rightNextKey, m.rb.Col(ord).Value(i))
 	}
 	return nil
 }
 
-// loadRightGroup buffers all right rows equal to the lookahead key.
+// loadRightGroup copies all right rows equal to the lookahead key into the
+// group.
 func (m *MergeJoin) loadRightGroup() error {
-	m.rightGroup = m.rightGroup[:0]
+	m.rightGroup.Reset()
 	m.rightGroupKey = append(m.rightGroupKey[:0], m.rightNextKey...)
-	for m.rightNext != nil && compareKeys(m.rightNextKey, m.rightGroupKey) == 0 {
-		m.rightGroup = append(m.rightGroup, m.rightNext)
+	for m.rb != nil && compareKeys(m.rightNextKey, m.rightGroupKey) == 0 {
+		m.one[0] = int32(at(m.rb.Sel, m.rk))
+		m.rightGroup.AppendAt(m.rb, m.one[:])
 		if err := m.advanceRightRow(); err != nil {
 			return err
 		}
@@ -103,18 +109,14 @@ func (m *MergeJoin) NextVec() (*sqltypes.ColBatch, bool, error) {
 }
 
 // matches advances the right side to the key of active left row r and, when
-// the keys are equal, appends the buffered group to the emitter's right
-// rows. Left rows arrive in key order; a NULL key never matches.
+// the keys are equal, appends the group to the emitter's right rows. Left
+// rows arrive in key order; a NULL key never matches.
 func (m *MergeJoin) matches(r int) error {
 	key := m.out.leftKey(m.curKey[:0], r, m.LeftKeys)
 	if m.curKey = key; keyHasNull(key) {
 		return nil
 	}
-	for !m.rightDone && (len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) < 0) {
-		if m.rightNext == nil {
-			m.rightDone = true
-			break
-		}
+	for m.rb != nil && (len(m.rightGroupKey) == 0 || compareKeys(m.rightGroupKey, key) < 0) {
 		if compareKeys(m.rightNextKey, key) < 0 {
 			if err := m.advanceRightRow(); err != nil {
 				return err
@@ -126,9 +128,8 @@ func (m *MergeJoin) matches(r int) error {
 		}
 	}
 	if len(m.rightGroupKey) > 0 && compareKeys(m.rightGroupKey, key) == 0 {
-		for _, row := range m.rightGroup {
-			m.out.right.Push(row)
-		}
+		m.groupView.ResetLanes(&m.rightGroup, 0, m.rightGroup.Len())
+		m.out.right.AppendAt(&m.groupView, nil)
 	}
 	return nil
 }

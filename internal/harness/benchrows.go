@@ -92,18 +92,14 @@ var allocCeilings = []struct {
 	// No join allocates per match or per probe row: the hash join ran at
 	// ~412,600 allocs/op before the vectorized rebuild, the index-loop and
 	// merge joins built one joined row per match (8,282 and 157,514). Each op
-	// builds a fresh tree, and since rows live in leaf lanes a fresh scan
-	// copies survivors into vectors of its own that grow by doubling on the
-	// first run (a reused tree pays this once), and the merge join's right
-	// side becomes rows through one arena per batch: 199/46/48 became
-	// 285/216/314 with that layout, 281/212/309 with key ordinals. Ceilings
-	// are ~1.5x these counts; the hash join keeps its first ceiling. That arena
-	// (10.2 MB/op, was 152 KB) also cost the merge join over half its
-	// rows/sec, which the baseline now holds as its level until the merge
-	// join reads its right side through lanes.
-	{"BenchmarkExecHashJoin/serial", 500},
-	{"BenchmarkExecIndexLoopJoin/serial", 320},
-	{"BenchmarkExecMergeJoin/serial", 465},
+	// builds a fresh tree, whose scans copy survivors into vectors that grow
+	// on the first run (a reused tree pays this once): 199/46/48 became
+	// 281/212/309. Since a gather by index list grows its vector once per
+	// call and the merge join copies its right side into lanes (not one row
+	// arena per batch, 10.2 MB/op), 193/104/136. Ceilings are ~1.5x these.
+	{"BenchmarkExecHashJoin/serial", 290},
+	{"BenchmarkExecIndexLoopJoin/serial", 160},
+	{"BenchmarkExecMergeJoin/serial", 205},
 	// The streaming scan allocates only pooled containers.
 	{"BenchmarkExecScan/serial", 100},
 	// A plan-cache hit runs a cached tree: no parse, no print-back, no build,
