@@ -546,6 +546,34 @@ func BenchmarkExecMergeJoin(b *testing.B) {
 	})
 }
 
+// BenchmarkExecSort orders all of Orders on o_totalprice, with no TOP: the
+// sort keeps every row it reads and emits them in order. "scan" reads them
+// off the table's leaves, "rows" from a row list (the form of a remote
+// reply).
+func BenchmarkExecSort(b *testing.B) {
+	sys := execBenchSystem(b)
+	tbl := sys.Backend.Table("Orders")
+	schema := benchStoredSchema(sys, "Orders")
+	key := benchKey(b, "o_totalprice", schema)[0]
+	all, err := exec.Run(exec.NewScan(tbl, schema), &exec.EvalContext{Now: time.Unix(0, 0)}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		in   func() exec.Operator
+	}{
+		{"scan", func() exec.Operator { return exec.NewScan(tbl, schema) }},
+		{"rows", func() exec.Operator { return exec.NewValues(schema, all.Rows) }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			runExecBench(b, func() exec.Operator {
+				return &exec.Sort{Child: v.in(), Keys: []exec.Expr{{Col: key}}, Desc: []bool{true}}
+			})
+		})
+	}
+}
+
 // BenchmarkExecAggregate groups 15,000 rows (key, key, float) into 25 and
 // into 1,500 groups with COUNT(*) and a float SUM, and sorts the 1,500 for
 // their top 10 — the shapes of the end-to-end benchmark's agg_nation and
