@@ -43,12 +43,12 @@ lint:
 	$(GO) run ./cmd/rcclint
 
 # Non-test Go lines per package, one line each, and the line count of
-# scripts/*.sh; fails if internal/exec, the guard-event spine (mtcache + obs +
-# audit + core + tuner), the scenario code (internal/harness), the lint suite
-# (internal/analysis), the optimizer (internal/opt), the parser
-# (internal/sqlparser), the value types (internal/sqltypes) or the store
-# (internal/storage + internal/btree) exceeds its ceiling (ROADMAP tracks LoC
-# per package).
+# scripts/*.sh; fails if the total outside bench/, internal/exec, the
+# guard-event spine (mtcache + obs + audit + core + tuner), the scenario code
+# (internal/harness), the lint suite (internal/analysis), the optimizer
+# (internal/opt), the parser (internal/sqlparser), the value types
+# (internal/sqltypes) or the store (internal/storage + internal/btree)
+# exceeds its ceiling (ROADMAP tracks LoC per package).
 loc:
 	./scripts/loc.sh
 

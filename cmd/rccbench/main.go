@@ -31,7 +31,6 @@ import (
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/tuner"
-	"relaxedcc/internal/vclock"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -149,9 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		lcfg.Seed = cfg.Seed
 		lcfg.OnSystem = attach
-		if *wall {
-			lcfg.Pace = vclock.Wall{}
-		}
+		lcfg.Pace = *wall
 		err = harness.RunLoadReport(stdout, lcfg, *loadJSON)
 	case *shift:
 		scfg := harness.DefaultShiftConfig()

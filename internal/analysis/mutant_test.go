@@ -59,7 +59,9 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 		want:     `^internal/repl/repl\.go:\d+:\d+: counter "repl_rows_applied" must end in _total`,
 	},
 	{
-		// Apply latency on the wall clock: the histogram stops replaying.
+		// Apply latency read with time.Since, past the vclock.Wall{} that
+		// NewAgent binds: the same wall time, but outside the sanctioned
+		// wrapper, the one place a deterministic package may read it.
 		analyzer: "wallclock",
 		file:     "internal/repl/repl.go",
 		old:      `a.mApply.ObserveDuration(a.clock.Now().Sub(applyStart))`,

@@ -36,7 +36,7 @@ func (s *System) EnableAutotune(cadence time.Duration) *tuner.Loop {
 	loop := tuner.NewLoop(cadence, s.Cache.Ledger().Cut, s.Cache.Obs())
 	s.tuner = loop
 	s.adoptAll()
-	s.Coord.AddPeriodic(loop.Cadence(), loop.Tick)
+	s.Coord.AddPeriodic(loop.Cadence, loop.Tick)
 	return loop
 }
 

@@ -14,10 +14,24 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// chaosSystem builds the standard fault-tolerance fixture: one table, one
-// cached view in a region with a 10s propagation interval, 2s delay and 1s
-// heartbeat, resilience enabled and the injector wired in.
+// chaosSystem builds the standard fault-tolerance fixture: regionSystem with
+// resilience enabled and the injector wired in, run one full propagation
+// cycle so the region has synchronized.
 func chaosSystem(t *testing.T) (*System, *fault.Injector) {
+	t.Helper()
+	sys := regionSystem(t)
+	inj := fault.New(7)
+	sys.InjectFaults(inj)
+	sys.EnableResilience()
+	if err := sys.Run(14 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return sys, inj
+}
+
+// regionSystem is a plain system with one table, one cached view in a region
+// with a 10s propagation interval, 2s delay and 1s heartbeat, and one row.
+func regionSystem(t *testing.T) *System {
 	t.Helper()
 	sys := NewSystem()
 	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
@@ -38,14 +52,7 @@ func chaosSystem(t *testing.T) (*System, *fault.Injector) {
 		t.Fatal(err)
 	}
 	sys.Analyze()
-	inj := fault.New(7)
-	sys.InjectFaults(inj)
-	sys.EnableResilience()
-	// One full propagation cycle so the region has synchronized.
-	if err := sys.Run(14 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return sys, inj
+	return sys
 }
 
 // remoteQuery forces the guard to the remote branch: a 1ms currency bound
@@ -300,8 +307,8 @@ func TestChaosAgentStallRestartRecovers(t *testing.T) {
 }
 
 // TestChaosBlockActionWaitsForReplication proves ActionBlock: a query whose
-// guard initially fails blocks while replication catches up (driven through
-// the cache's wait hook by the coordinator) and then answers locally.
+// guard initially fails blocks while replication catches up (its waits run
+// the coordinator) and then answers locally.
 func TestChaosBlockActionWaitsForReplication(t *testing.T) {
 	sys, _ := chaosSystem(t)
 

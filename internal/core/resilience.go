@@ -15,8 +15,6 @@ import (
 //     and circuit breaker, with the breaker cooldown set to the slowest
 //     region's heartbeat cadence so a half-open probe lines up with the next
 //     freshness signal;
-//   - link backoff and blocking-session guard waits drive the replication
-//     coordinator, so heartbeats and agents keep firing while a query waits;
 //   - every distribution agent gets a watchdog that restarts it on stall,
 //     scheduled on the agent's own propagation cadence.
 //
@@ -25,10 +23,7 @@ import (
 func (s *System) EnableResilience() {
 	p := remote.DefaultPolicy()
 	p.BreakerCooldown = s.heartbeatCadence()
-	link := s.Cache.Link()
-	link.Configure(s.Clock, p)
-	link.SetWait(func(d time.Duration) { _ = s.Coord.Advance(d) })
-	s.Cache.SetWait(func(d time.Duration) { _ = s.Coord.Advance(d) })
+	s.Cache.Link().Configure(p)
 	s.resilient = true
 	s.adoptAll()
 }
@@ -60,7 +55,7 @@ func (s *System) watch(a *repl.Agent) {
 	// so the watchdog follows autotuner retunes: the default stall threshold
 	// is three (effective) update intervals, so a wedged agent is caught on
 	// the third missed propagation at whatever cadence it runs.
-	s.Coord.AddPeriodicFn(func() time.Duration {
+	s.Coord.AddPeriodic(func() time.Duration {
 		if iv := a.Interval(); iv > 0 {
 			return iv
 		}

@@ -42,15 +42,19 @@ type System struct {
 	audit *audit.Auditor
 }
 
-// NewSystem creates an empty system on a fresh virtual clock.
+// NewSystem creates an empty system on a fresh virtual clock. The
+// coordinator is the one driver of that clock: every cache it builds waits
+// through it (block waits, link backoff, injected latency), so replication
+// keeps running while a query waits.
 func NewSystem() *System {
 	clock := vclock.NewVirtual()
 	b := backend.New(clock)
+	coord := repl.NewCoordinator(clock)
 	return &System{
 		Clock:   clock,
 		Backend: b,
-		Cache:   mtcache.New(clock, b),
-		Coord:   repl.NewCoordinator(clock),
+		Cache:   mtcache.New(clock, b, coord.Wait),
+		Coord:   coord,
 	}
 }
 
@@ -60,7 +64,7 @@ func NewSystem() *System {
 // currency regions (distinct ids) and views, wired via AddCacheRegion and
 // mtcache.CreateView.
 func (s *System) AddCache() *mtcache.Cache {
-	return mtcache.New(s.Clock, s.Backend)
+	return mtcache.New(s.Clock, s.Backend, s.Coord.Wait)
 }
 
 // AddCacheRegion creates a currency region for an additional cache and
@@ -70,7 +74,7 @@ func (s *System) AddCacheRegion(c *mtcache.Cache, r *catalog.Region) error {
 	if err != nil {
 		return err
 	}
-	s.Coord.AddHeartbeatFn(r.ID, agent.HeartbeatInterval, s.Backend.Beat)
+	s.Coord.AddHeartbeat(r.ID, agent.HeartbeatInterval, s.Backend.Beat)
 	s.Coord.AddAgent(agent)
 	return nil
 }
@@ -92,7 +96,7 @@ func (s *System) AddRegion(r *catalog.Region) error {
 	}
 	// Heartbeats follow the agent's effective cadence so autotuner retunes
 	// apply to the freshness signal too, not just propagation.
-	s.Coord.AddHeartbeatFn(r.ID, agent.HeartbeatInterval, s.Backend.Beat)
+	s.Coord.AddHeartbeat(r.ID, agent.HeartbeatInterval, s.Backend.Beat)
 	s.Coord.AddAgent(agent)
 	s.adopt(agent)
 	return nil

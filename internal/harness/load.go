@@ -23,7 +23,6 @@ import (
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/tpcd"
-	"relaxedcc/internal/vclock"
 )
 
 // The server and link model of the sweep: no caller ever varied these, so
@@ -97,10 +96,10 @@ type LoadConfig struct {
 	Steps        []float64
 	StepDuration time.Duration
 	StepGap      time.Duration
-	// Pace, when non-nil, paces arrivals in real time on this clock (demo
-	// mode: watch the ops surface move). Measurement stays on the virtual
-	// clock, so pacing changes presentation, never results.
-	Pace vclock.Clock
+	// Pace paces arrivals in real time on the wall clock (demo mode: watch
+	// the ops surface move). Measurement stays on the virtual clock, so
+	// pacing changes presentation, never results.
+	Pace bool
 	// OnSystem, if set, receives the fully wired system before any virtual
 	// time passes (same contract as Scenario.OnSystem).
 	OnSystem func(sys *core.System)

@@ -145,9 +145,9 @@ type runner struct {
 	sys      *core.System
 	events   []event
 	arrivals []time.Duration // offsets from the run's first instant, ascending
-	// pace, when set, holds real time to the arrival offsets (rccbench
-	// -wall). Nothing measured reads it.
-	pace    vclock.Clock
+	// pace holds real time to the arrival offsets on the wall clock
+	// (rccbench -wall). Nothing measured reads it.
+	pace    bool
 	ask     func(i int) ask
 	observe func(s *serve) error
 }
@@ -157,9 +157,10 @@ type runner struct {
 func (r *runner) run() error {
 	clock := r.sys.Clock
 	start := clock.Now()
+	var wall vclock.Wall
 	var paceStart time.Time
-	if r.pace != nil {
-		paceStart = r.pace.Now()
+	if r.pace {
+		paceStart = wall.Now()
 	}
 	for i, off := range r.arrivals {
 		// Replication, heartbeats and watchdogs catch up to the arrival. A
@@ -180,9 +181,9 @@ func (r *runner) run() error {
 				ev.Do = nil
 			}
 		}
-		if r.pace != nil {
-			if wait := off - r.pace.Now().Sub(paceStart); wait > 0 {
-				<-r.pace.After(wait)
+		if r.pace {
+			if wait := off - wall.Now().Sub(paceStart); wait > 0 {
+				<-wall.After(wait)
 			}
 		}
 		a := r.ask(i)

@@ -84,18 +84,17 @@ type Cache struct {
 	// allocates nothing.
 	aud atomic.Pointer[audit.Auditor]
 
-	// waitMu guards wait, the hook blocking sessions use to let replication
-	// catch up between guard re-evaluations. Nil means advance the cache's
-	// own clock (virtual) or sleep on it (wall); core.System installs a hook
-	// that drives the replication coordinator so heartbeats and agents
-	// actually fire during the wait.
-	waitMu sync.Mutex
-	wait   func(d time.Duration)
+	// wait passes simulated time for blocking sessions, which let
+	// replication catch up between guard re-evaluations, and for the link's
+	// backoff and injected latency. core.System passes its coordinator's
+	// Wait, so heartbeats and agents fire during every wait.
+	wait func(d time.Duration)
 }
 
 // New creates a cache over the back-end server, cloning its catalog as the
-// shadow catalog (empty shadow tables, back-end statistics).
-func New(clock vclock.Clock, back *backend.Server) *Cache {
+// shadow catalog (empty shadow tables, back-end statistics). wait is how
+// the cache and its link pass simulated time (see Cache.wait).
+func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Cache {
 	hbDef := &catalog.Table{
 		Name: "Heartbeat_local",
 		Columns: []catalog.Column{
@@ -108,12 +107,11 @@ func New(clock vclock.Clock, back *backend.Server) *Cache {
 		panic(err) // static definition cannot fail
 	}
 	co := newCacheObs(clock, obs.NewRegistry())
-	link := remote.NewClient(back)
 	// The link starts in passthrough mode (single attempt, no breaker) so
 	// plain caches behave exactly like a direct connection; callers opt into
-	// resilience with link.Configure(clock, remote.DefaultPolicy()) or
+	// resilience with link.Configure(remote.DefaultPolicy()) or
 	// core.System.EnableResilience.
-	link.Configure(clock, remote.PassthroughPolicy())
+	link := remote.NewClient(back, clock, wait)
 	link.Instrument(co.reg)
 	link.SetTracer(co.tracer)
 	c := &Cache{
@@ -127,6 +125,7 @@ func New(clock vclock.Clock, back *backend.Server) *Cache {
 		planCache: map[string]*stmtEntry{},
 		byText:    map[string]*stmtEntry{},
 		obs:       co,
+		wait:      wait,
 	}
 	c.oneShot = c.NewSession()
 	return c
@@ -268,32 +267,6 @@ func (c *Cache) Catalog() *catalog.Catalog { return c.cat }
 
 // Link returns the remote link (for stats and failure injection).
 func (c *Cache) Link() *remote.Client { return c.link }
-
-// SetWait installs the hook blocking sessions (ActionBlock) use to pass
-// time between guard re-evaluations. core.System points it at the
-// replication coordinator so heartbeats and agents run during the wait.
-func (c *Cache) SetWait(fn func(d time.Duration)) {
-	c.waitMu.Lock()
-	c.wait = fn
-	c.waitMu.Unlock()
-}
-
-// waitFor passes d of time through the configured wait hook, falling back
-// to advancing a virtual clock directly or sleeping on a wall clock.
-func (c *Cache) waitFor(d time.Duration) {
-	c.waitMu.Lock()
-	fn := c.wait
-	c.waitMu.Unlock()
-	if fn != nil {
-		fn(d)
-		return
-	}
-	if v, ok := c.clock.(*vclock.Virtual); ok {
-		v.Advance(d)
-		return
-	}
-	<-c.clock.After(d)
-}
 
 // Clock returns the cache's time source.
 func (c *Cache) Clock() vclock.Clock { return c.clock }
@@ -924,8 +897,9 @@ func (s *Session) degradeMode() exec.DegradeMode {
 }
 
 // guardRetry paces one blocked guard re-evaluation (EvalContext.GuardRetry):
-// it waits one replication interval of the stale region so the next check
-// sees fresher data, and cuts off at the session's wait budget.
+// it waits one replication interval of the stale region — the agent's
+// effective interval, which the autotuner may have retuned — so the next
+// check sees fresher data, and cuts off at the session's wait budget.
 func (s *Session) guardRetry(region, attempt int) bool {
 	max := s.MaxBlockWaits
 	if max <= 0 {
@@ -935,10 +909,10 @@ func (s *Session) guardRetry(region, attempt int) bool {
 		return false
 	}
 	iv := time.Second
-	if r := s.cache.cat.Region(region); r != nil && r.UpdateInterval > 0 {
-		iv = r.UpdateInterval
+	if a := s.cache.Agent(region); a != nil && a.Interval() > 0 {
+		iv = a.Interval()
 	}
-	s.cache.waitFor(iv)
+	s.cache.wait(iv)
 	return true
 }
 

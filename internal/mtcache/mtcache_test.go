@@ -24,7 +24,7 @@ func newPair(t *testing.T) (*Cache, *backend.Server, *vclock.Virtual) {
 		t.Fatal(err)
 	}
 	b.AnalyzeAll()
-	c := New(clock, b)
+	c := New(clock, b, clock.Advance)
 	return c, b, clock
 }
 

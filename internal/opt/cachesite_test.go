@@ -44,7 +44,7 @@ func cacheFixture(t *testing.T) (*mtcache.Cache, *vclock.Virtual) {
 		t.Fatal(err)
 	}
 	b.AnalyzeAll()
-	c := mtcache.New(clock, b)
+	c := mtcache.New(clock, b, clock.Advance)
 	if _, err := c.AddRegion(&catalog.Region{
 		ID: 1, Name: "R1", UpdateInterval: 10 * time.Second, UpdateDelay: 2 * time.Second,
 	}); err != nil {

@@ -46,14 +46,14 @@ type Fault interface {
 // Client is the cache's connection to the back end.
 type Client struct {
 	backend *backend.Server
+	clock   vclock.Clock
+	wait    func(time.Duration)
 
 	mu     sync.Mutex
 	stats  Stats
 	down   bool
-	clock  vclock.Clock
 	policy Policy
 	rng    *rand.Rand
-	sleep  func(time.Duration)
 	fault  Fault
 
 	breaker *Breaker
@@ -76,20 +76,23 @@ type Client struct {
 
 // NewClient connects a cache to its back-end server with the legacy
 // single-shot behavior (no deadline, no retries, no breaker); call
-// Configure to enable resilience.
-func NewClient(b *backend.Server) *Client { return &Client{backend: b, policy: PassthroughPolicy()} }
+// Configure to enable resilience. The clock drives deadlines and breaker
+// cooldowns; wait is how the link spends backoff and injected latency.
+// core.System passes its coordinator's Wait, so the simulated time a
+// struggling link pays also fires due heartbeats and agent propagations.
+func NewClient(b *backend.Server, clock vclock.Clock, wait func(time.Duration)) *Client {
+	c := &Client{backend: b, clock: clock, wait: wait}
+	c.Configure(PassthroughPolicy())
+	return c
+}
 
-// Configure binds the link to a clock and a resilience policy. The clock
-// drives deadlines, backoff waits and breaker cooldowns; under a virtual
-// clock every wait advances simulated time deterministically (no real
-// sleeping ever happens), under a wall clock waits block on clock.After.
-func (c *Client) Configure(clock vclock.Clock, p Policy) {
+// Configure sets the link's resilience policy.
+func (c *Client) Configure(p Policy) {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 1
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock = clock
 	c.policy = p
 	c.rng = rand.New(rand.NewSource(p.Seed))
 	if p.BreakerThreshold > 0 {
@@ -97,22 +100,7 @@ func (c *Client) Configure(clock vclock.Clock, p Policy) {
 	} else {
 		c.breaker = nil
 	}
-	if v, ok := clock.(*vclock.Virtual); ok {
-		c.sleep = func(d time.Duration) { v.Advance(d) }
-	} else if clock != nil {
-		c.sleep = func(d time.Duration) { <-clock.After(d) }
-	}
 	c.publishBreakerStateLocked()
-}
-
-// SetWait overrides how the link spends backoff and injected-latency time
-// (after Configure). The simulation driver points this at the replication
-// coordinator so simulated time advanced by link waits also fires due
-// heartbeats and agent propagations.
-func (c *Client) SetWait(wait func(time.Duration)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sleep = wait
 }
 
 // SetFault installs (or clears, with nil) a fault injector on the link.
@@ -207,20 +195,13 @@ func (c *Client) Query(sql string) ([]sqltypes.Row, error) {
 func (c *Client) QueryResult(sql string) (*exec.Result, error) {
 	c.mu.Lock()
 	pol := c.policy
-	clock := c.clock
-	sleep := c.sleep
 	rng := c.rng
 	br := c.breaker
 	c.mu.Unlock()
 
-	now := func() time.Time {
-		if clock != nil {
-			return clock.Now()
-		}
-		return time.Time{}
-	}
+	now := c.clock.Now
 	var deadline time.Time
-	if clock != nil && pol.Deadline > 0 {
+	if pol.Deadline > 0 {
 		deadline = now().Add(pol.Deadline)
 	}
 
@@ -235,7 +216,7 @@ func (c *Client) QueryResult(sql string) (*exec.Result, error) {
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		res, err := c.attempt(sql, now(), sleep, deadline)
+		res, err := c.attempt(sql, now(), deadline)
 		if err == nil {
 			if br != nil {
 				br.Record(now(), true)
@@ -265,8 +246,8 @@ func (c *Client) QueryResult(sql string) (*exec.Result, error) {
 			c.noteDeadline()
 			return nil, fmt.Errorf("%w after %d attempt(s): %v", ErrDeadlineExceeded, attempt, lastErr)
 		}
-		if wait > 0 && sleep != nil {
-			sleep(wait)
+		if wait > 0 {
+			c.wait(wait)
 		}
 		c.noteRetry()
 	}
@@ -278,7 +259,7 @@ func (c *Client) QueryResult(sql string) (*exec.Result, error) {
 
 // attempt performs one try: fault injection (paying its latency), the
 // deadline check, then the in-process back-end call.
-func (c *Client) attempt(sql string, now time.Time, sleep func(time.Duration), deadline time.Time) (*exec.Result, error) {
+func (c *Client) attempt(sql string, now, deadline time.Time) (*exec.Result, error) {
 	c.mu.Lock()
 	f := c.fault
 	down := c.down
@@ -286,8 +267,8 @@ func (c *Client) attempt(sql string, now time.Time, sleep func(time.Duration), d
 
 	if f != nil {
 		lat, err := f.Inject(now)
-		if lat > 0 && sleep != nil {
-			sleep(lat)
+		if lat > 0 {
+			c.wait(lat)
 			now = now.Add(lat)
 		}
 		if !deadline.IsZero() && now.After(deadline) {

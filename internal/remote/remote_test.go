@@ -10,14 +10,15 @@ import (
 
 func newLink(t *testing.T) *Client {
 	t.Helper()
-	b := backend.New(vclock.NewVirtual())
+	clock := vclock.NewVirtual()
+	b := backend.New(clock)
 	if _, err := b.Exec("CREATE TABLE t (id BIGINT NOT NULL PRIMARY KEY, name VARCHAR(10))"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Exec("INSERT INTO t VALUES (1, 'aaaa'), (2, 'bb')"); err != nil {
 		t.Fatal(err)
 	}
-	return NewClient(b)
+	return NewClient(b, clock, clock.Advance)
 }
 
 func TestQueryShipsRows(t *testing.T) {

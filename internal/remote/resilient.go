@@ -95,7 +95,7 @@ func (p Policy) backoff(attempt int, rng *rand.Rand) time.Duration {
 	if p.BackoffMax > 0 && d > p.BackoffMax {
 		d = p.BackoffMax
 	}
-	if p.JitterFrac > 0 && rng != nil {
+	if p.JitterFrac > 0 {
 		span := float64(d) * p.JitterFrac
 		d += time.Duration(rng.Float64()*span - span/2)
 	}

@@ -32,8 +32,8 @@ func newResilientLink(t *testing.T, clock *vclock.Virtual, p Policy) *Client {
 	if _, err := b.Exec("INSERT INTO t VALUES (1, 'aaaa'), (2, 'bb')"); err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(b)
-	c.Configure(clock, p)
+	c := NewClient(b, clock, clock.Advance)
+	c.Configure(p)
 	return c
 }
 

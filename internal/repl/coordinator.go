@@ -13,44 +13,31 @@ type Beater func(regionID int) error
 
 // Coordinator drives the periodic activities of the replication fabric —
 // back-end heartbeats and agent propagation wake-ups — deterministically
-// against a virtual clock. AdvanceTo executes every due event in timestamp
-// order, advancing the clock to each event time, so tests and benchmarks
-// replay the exact cycle of the paper's Figure 3.2 with no goroutine races.
+// against a virtual clock, and is the one thing that moves that clock.
+// AdvanceTo executes every due event in timestamp order, advancing the clock
+// to each event time, so tests and benchmarks replay the exact cycle of the
+// paper's Figure 3.2 with no goroutine races; Wait is how every waiter in
+// the system passes time.
 type Coordinator struct {
 	clock  *vclock.Virtual
 	events []*event
 	// advancing guards against reentrant AdvanceTo: an event handler (or a
-	// link backoff wired to Advance) that tries to drive the coordinator
+	// Wait inside one) that tries to drive the coordinator
 	// while it is already draining events would corrupt the drain loop, so
 	// nested calls fall through to a plain clock advance instead.
 	advancing bool
 }
 
 // event is one periodic activity. Its due time is computed lazily as
-// last + interval so that live interval changes (SetInterval retunes, region
-// reconfiguration) take effect at the very next drain: shrinking an interval
-// pulls the pending wake-up forward, growing it pushes it out.
+// last + interval() so that live interval changes (SetInterval retunes,
+// region reconfiguration) take effect at the very next drain: shrinking an
+// interval pulls the pending wake-up forward, growing it pushes it out.
 type event struct {
 	last     time.Time
-	interval time.Duration
-	// intervalFn, when set, is consulted at every due-time computation so
-	// interval changes take effect live.
-	intervalFn func() time.Duration
-	run        func(now time.Time) error
-	name       string
-	seq        int
-}
-
-// due resolves the event's next fire time from its last run and its current
-// interval.
-func (ev *event) due() time.Time {
-	iv := ev.interval
-	if ev.intervalFn != nil {
-		if v := ev.intervalFn(); v > 0 {
-			iv = v
-		}
-	}
-	return ev.last.Add(iv)
+	interval func() time.Duration
+	run      func(now time.Time) error
+	name     string
+	seq      int
 }
 
 // NewCoordinator creates a coordinator over the virtual clock.
@@ -60,28 +47,18 @@ func NewCoordinator(clock *vclock.Virtual) *Coordinator {
 
 // add registers an event; seq numbers events in registration order, the
 // tie-break among events of one kind due at the same instant.
-func (c *Coordinator) add(ev *event) {
-	ev.seq = len(c.events) + 1
-	c.events = append(c.events, ev)
+func (c *Coordinator) add(name string, interval func() time.Duration, run func(now time.Time) error) {
+	c.events = append(c.events, &event{
+		last: c.clock.Now(), interval: interval, run: run, name: name, seq: len(c.events) + 1,
+	})
 }
 
-// AddHeartbeat schedules a region's heart to beat every interval.
-func (c *Coordinator) AddHeartbeat(regionID int, interval time.Duration, beat Beater) {
-	c.AddHeartbeatFn(regionID, func() time.Duration { return interval }, beat)
-}
-
-// AddHeartbeatFn schedules a region's heartbeat with the cadence re-read
-// from intervalFn at every due-time computation, so heartbeat retunes (the
+// AddHeartbeat schedules a region's heartbeat with the cadence re-read from
+// interval at every due-time computation, so heartbeat retunes (the
 // autotuner adjusts cadence alongside the propagation interval) take effect
 // immediately.
-func (c *Coordinator) AddHeartbeatFn(regionID int, intervalFn func() time.Duration, beat Beater) {
-	c.add(&event{
-		last:       c.clock.Now(),
-		interval:   intervalFn(),
-		intervalFn: intervalFn,
-		run:        func(time.Time) error { return beat(regionID) },
-		name:       "heartbeat",
-	})
+func (c *Coordinator) AddHeartbeat(regionID int, interval func() time.Duration, beat Beater) {
+	c.add("heartbeat", interval, func(time.Time) error { return beat(regionID) })
 }
 
 // AddAgent schedules a distribution agent's wake-ups at its effective update
@@ -89,45 +66,28 @@ func (c *Coordinator) AddHeartbeatFn(regionID int, intervalFn func() time.Durati
 // reconfiguring the region (the paper's 30s -> 5min scenario) or a live
 // SetInterval retune takes effect at the next drain.
 func (c *Coordinator) AddAgent(a *Agent) {
-	c.add(&event{
-		last:       c.clock.Now(),
-		interval:   a.Interval(),
-		intervalFn: a.Interval,
-		run:        a.Step,
-		name:       "agent",
-	})
+	c.add("agent", a.Interval, a.Step)
 }
 
-// AddPeriodic schedules an arbitrary periodic task (e.g. an update workload
-// generator).
-func (c *Coordinator) AddPeriodic(interval time.Duration, run func(now time.Time) error) {
-	c.add(&event{
-		last:     c.clock.Now(),
-		interval: interval,
-		run:      run,
-		name:     "periodic",
-	})
+// AddPeriodic schedules a periodic task whose cadence is re-read from
+// interval at every due-time computation (the autotuner's tick, a watchdog
+// following its agent's retuned propagation interval, an update workload).
+func (c *Coordinator) AddPeriodic(interval func() time.Duration, run func(now time.Time) error) {
+	c.add("periodic", interval, run)
 }
 
-// AddPeriodicFn schedules a periodic task whose cadence is re-read from
-// intervalFn at every due-time computation (e.g. a watchdog following its
-// agent's retuned propagation interval).
-func (c *Coordinator) AddPeriodicFn(intervalFn func() time.Duration, run func(now time.Time) error) {
-	c.add(&event{
-		last:       c.clock.Now(),
-		interval:   intervalFn(),
-		intervalFn: intervalFn,
-		run:        run,
-		name:       "periodic",
-	})
-}
+// Wait passes d of simulated time the way every waiter in the system does —
+// a blocked guard re-evaluation, a link backoff, injected link latency — by
+// running the heartbeats and agents due meanwhile. Replication errors are
+// left to the next Advance to report: a waiter has no use for them.
+func (c *Coordinator) Wait(d time.Duration) { _ = c.Advance(d) }
 
 // AdvanceTo runs all events due at or before target in time order (FIFO
 // among ties), advancing the virtual clock through each event time and
 // finally to target.
 func (c *Coordinator) AdvanceTo(target time.Time) error {
 	if c.advancing {
-		// Reentrant call from inside an event handler or a wait hook: just
+		// Reentrant call from inside an event handler or a Wait: just
 		// move the clock; the outer drain loop keeps running due events.
 		if target.After(c.clock.Now()) {
 			c.clock.AdvanceTo(target)
@@ -176,7 +136,7 @@ func (c *Coordinator) nextDue(target time.Time) (*event, time.Time) {
 	}
 	var due []duePair
 	for _, ev := range c.events {
-		at := ev.due()
+		at := ev.last.Add(ev.interval())
 		if at.Before(now) {
 			at = now
 		}

@@ -2,15 +2,15 @@
 // the cache: the stand-in for SQL Server's replication in the paper's
 // prototype (Section 3.1).
 //
-// A distribution Agent serves one currency region. It wakes at the region's
-// update interval and applies committed transactions from the back-end log
-// to its subscribed materialized views — one transaction at a time, in
-// commit order — which is what guarantees that all views in the region are
-// mutually consistent and always reflect a committed state. The propagation
-// delay d is modeled by the agent only applying transactions that committed
-// at least d before its wake-up time: immediately after propagation the
-// region's data is exactly d stale, growing to d+f until the next wake-up
-// (the paper's Figure 3.2 cycle).
+// A distribution Agent serves one currency region. The Coordinator wakes it
+// at the region's update interval, and it applies committed transactions
+// from the back-end log to its subscribed materialized views — one
+// transaction at a time, in commit order — which is what guarantees that
+// all views in the region are mutually consistent and always reflect a
+// committed state. The propagation delay d is modeled by the agent only
+// applying transactions that committed at least d before its wake-up time:
+// immediately after propagation the region's data is exactly d stale,
+// growing to d+f until the next wake-up (the paper's Figure 3.2 cycle).
 //
 // The region's row of the back-end heartbeat table replicates through the
 // same log, so the timestamp in the cache's local heartbeat table bounds the
@@ -194,9 +194,10 @@ type Agent struct {
 	// lastProgress is when the agent last completed a propagation step
 	// (stalled wake-ups do not count); the Watchdog's staleness signal.
 	lastProgress time.Time
-	// clock stamps the instrumentation timings (apply-latency histogram).
-	// NewAgent defaults to the wall clock; Run rebinds to its driving
-	// clock so simulated runs stay deterministic. Guarded by mu.
+	// clock times the apply-latency histogram: the wall clock, bound once
+	// by NewAgent. The histogram measures real apply cost, so it never
+	// replays; taking it through vclock keeps the package's one wall-clock
+	// read behind the sanctioned wrapper.
 	clock vclock.Clock
 	// restarts counts supervisor-initiated restarts.
 	restarts int64
@@ -259,8 +260,7 @@ func (a *Agent) Interval() time.Duration {
 // live; d <= 0 clears the override back to the configured value. The change
 // takes effect at the next virtual-clock tick: the Coordinator recomputes
 // every event's due time from the interval on each drain, so the next
-// wake-up already honors the new cadence (a live Run loop finishes its
-// currently armed sleep first).
+// wake-up already honors the new cadence.
 func (a *Agent) SetInterval(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -463,32 +463,4 @@ func (a *Agent) TransactionsApplied() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.applied
-}
-
-// Run drives the agent against a live clock: it sleeps the agent's
-// effective update interval (re-read every cycle so reconfiguration and
-// SetInterval retunes take effect), performs one propagation Step, and
-// repeats until stop is closed. Errors are
-// delivered to errs if non-nil. Use the Coordinator instead for
-// deterministic virtual-time simulations.
-func (a *Agent) Run(clock vclock.Clock, stop <-chan struct{}, errs chan<- error) {
-	a.mu.Lock()
-	a.clock = clock
-	a.mu.Unlock()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-clock.After(a.Interval()):
-			if err := a.Step(now); err != nil {
-				if errs != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-				return
-			}
-		}
-	}
 }

@@ -236,15 +236,20 @@ func TestStartSeqSkipsSnapshottedTransactions(t *testing.T) {
 	}
 }
 
+// every is a constant cadence for the coordinator's interval functions.
+func every(d time.Duration) func() time.Duration {
+	return func() time.Duration { return d }
+}
+
 func TestCoordinatorOrdering(t *testing.T) {
 	clock := vclock.NewVirtual()
 	coord := NewCoordinator(clock)
 	var events []string
-	coord.AddHeartbeat(1, 2*time.Second, func(int) error {
+	coord.AddHeartbeat(1, every(2*time.Second), func(int) error {
 		events = append(events, "beat@"+clock.Now().Sub(t0).String())
 		return nil
 	})
-	coord.AddPeriodic(3*time.Second, func(now time.Time) error {
+	coord.AddPeriodic(every(3*time.Second), func(now time.Time) error {
 		events = append(events, "tick@"+now.Sub(t0).String())
 		return nil
 	})
@@ -271,13 +276,13 @@ func TestCoordinatorAgentAfterHeartbeatAtSameInstant(t *testing.T) {
 	var order []string
 	region := &catalog.Region{ID: 1, UpdateInterval: 2 * time.Second, UpdateDelay: 0}
 	agent := NewAgent(region, txn.NewLog(), "HB", nil)
-	coord.AddHeartbeat(1, 2*time.Second, func(int) error {
+	coord.AddHeartbeat(1, every(2*time.Second), func(int) error {
 		order = append(order, "beat")
 		return nil
 	})
 	coord.AddAgent(agent)
 	// Wrap the agent in a periodic to observe ordering at the shared instant.
-	coord.AddPeriodic(2*time.Second, func(time.Time) error {
+	coord.AddPeriodic(every(2*time.Second), func(time.Time) error {
 		order = append(order, "other")
 		return nil
 	})
@@ -302,7 +307,7 @@ func TestCoordinatorsAreIndependent(t *testing.T) {
 			var order []int
 			for i := 0; i < 8; i++ {
 				i := i
-				coord.AddPeriodic(time.Second, func(time.Time) error {
+				coord.AddPeriodic(every(time.Second), func(time.Time) error {
 					order = append(order, i)
 					return nil
 				})
@@ -324,7 +329,7 @@ func TestCoordinatorsAreIndependent(t *testing.T) {
 func TestCoordinatorPropagatesErrors(t *testing.T) {
 	clock := vclock.NewVirtual()
 	coord := NewCoordinator(clock)
-	coord.AddPeriodic(time.Second, func(time.Time) error {
+	coord.AddPeriodic(every(time.Second), func(time.Time) error {
 		return errTest
 	})
 	if err := coord.Advance(2 * time.Second); err == nil {

@@ -83,7 +83,7 @@ func TestSetIntervalTakesEffectNextTick(t *testing.T) {
 	if err := coord.Advance(5 * time.Second); err != nil { // t=47s, no step
 		t.Fatal(err)
 	}
-	f.agent.SetInterval(time.Second) // due 43s — already past
+	f.agent.SetInterval(time.Second)                   // due 43s — already past
 	if err := coord.Advance(time.Second); err != nil { // t=48s
 		t.Fatal(err)
 	}
@@ -148,67 +148,5 @@ func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	}
 	if f.agent.Restarts() != 1 {
 		t.Fatal("re-restarted immediately after recovery")
-	}
-}
-
-// TestRunRetuneNoWaiterLeak drives a live Run loop through repeated retunes:
-// each cycle re-reads the effective interval when re-arming, exactly one
-// clock waiter is ever pending, and shutdown leaves nothing behind.
-func TestRunRetuneNoWaiterLeak(t *testing.T) {
-	f := newFixture(t, nil)
-	f.agent.Region.UpdateDelay = 0
-	clock := vclock.NewVirtual()
-	stop := make(chan struct{})
-	errs := make(chan error, 1)
-	done := make(chan struct{})
-	go func() {
-		f.agent.Run(clock, stop, errs)
-		close(done)
-	}()
-
-	// Each round: wait for the armed sleep (taken at the previous interval),
-	// retune, fire the old sleep, and confirm the step landed where the
-	// *old* interval put it — the retune only shapes the next arm.
-	intervals := []time.Duration{2 * time.Second, 30 * time.Second, 500 * time.Millisecond, 0}
-	armed := f.agent.Interval() // 10s configured
-	now := t0
-	for _, next := range intervals {
-		if !clock.AwaitWaiters(1, 5*time.Second) {
-			t.Fatal("agent never armed its wake-up")
-		}
-		if got := clock.PendingWaiters(); got != 1 {
-			t.Fatalf("%d waiters pending, want exactly 1", got)
-		}
-		f.agent.SetInterval(next)
-		clock.Advance(armed)
-		now = now.Add(armed)
-		// The agent re-arms only after its Step completed, so awaiting the
-		// next waiter makes reading LastProgress race-free.
-		if !clock.AwaitWaiters(1, 5*time.Second) {
-			t.Fatal("agent never completed its step")
-		}
-		if got := f.agent.LastProgress(); !got.Equal(now) {
-			t.Fatalf("step at %v, want %v", got, now)
-		}
-		armed = f.agent.Interval()
-	}
-	// The final SetInterval(0) cleared the override: the live loop armed the
-	// configured cadence again.
-	if armed != f.agent.Region.UpdateInterval {
-		t.Fatalf("cleared override armed %s", armed)
-	}
-
-	close(stop)
-	<-done
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	// The exited loop left one armed timer; firing it drains the clock —
-	// repeated retunes accumulated no extra waiters.
-	clock.Advance(armed)
-	if got := clock.PendingWaiters(); got != 0 {
-		t.Fatalf("%d waiters leaked after shutdown", got)
 	}
 }

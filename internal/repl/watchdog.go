@@ -8,13 +8,12 @@ import (
 	"relaxedcc/internal/obs"
 )
 
-// Watchdog supervises one distribution agent: scheduled on the coordinator
-// (or any periodic driver), it measures how long the agent has gone without
-// completing a propagation step, exports that lag, and restarts the agent
-// when the lag crosses the stall threshold. Without it a wedged agent lets
-// region staleness grow silently until every currency guard falls back to
-// the remote server — the failure mode the paper's bounded-staleness
-// promise cannot tolerate.
+// Watchdog supervises one distribution agent: scheduled on the coordinator,
+// it measures how long the agent has gone without completing a propagation
+// step, exports that lag, and restarts the agent when the lag crosses the
+// stall threshold. Without it a wedged agent lets region staleness grow
+// silently until every currency guard falls back to the remote server — the
+// failure mode the paper's bounded-staleness promise cannot tolerate.
 type Watchdog struct {
 	agent *Agent
 

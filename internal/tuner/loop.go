@@ -170,7 +170,7 @@ func (l *Loop) AddRegion(act RegionActuator) {
 
 // Tick is one loop round at virtual time now: cut the observation window,
 // decide per profiled region, actuate. Schedule it with
-// Coordinator.AddPeriodic(loop.Cadence(), loop.Tick). It never fails — a
+// Coordinator.AddPeriodic(loop.Cadence, loop.Tick). It never fails — a
 // region the solver cannot price is held with a recorded reason — so the
 // coordinator drain is never aborted by the tuner.
 func (l *Loop) Tick(now time.Time) error {

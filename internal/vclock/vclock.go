@@ -5,25 +5,20 @@
 // delay d, and the query start time. Reproducing those relationships with
 // wall-clock sleeps would be slow and flaky, so all components in this
 // repository take a Clock. Tests and benchmarks use Virtual, a manually
-// advanced clock with a waiter queue; demos may use Wall.
+// advanced clock that the replication coordinator moves; demos may use Wall.
 package vclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
 
-// Clock is the time source used by every component in the system.
-//
-// Sleep-like waiting is expressed with After so that a Virtual clock can
-// release waiters exactly when simulated time passes their deadline.
+// Clock is the time source used by every component in the system. It only
+// tells time: simulated time passes when the replication coordinator
+// advances a Virtual clock, so every wait goes through the coordinator.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After returns a channel that receives the (then-current) time once
-	// d has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Wall is a Clock backed by the operating system clock.
@@ -32,47 +27,17 @@ type Wall struct{}
 // Now implements Clock.
 func (Wall) Now() time.Time { return time.Now() }
 
-// After implements Clock.
+// After returns a channel that receives the time once d of real time has
+// elapsed: real-time pacing for demo runs, never simulated time.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Virtual is a deterministic, manually advanced Clock.
 //
-// The zero value is not ready to use; call NewVirtual. Advance moves time
-// forward and fires any waiters whose deadlines have been reached, in
-// deadline order. Virtual is safe for concurrent use.
+// The zero value is not ready to use; call NewVirtual. Virtual is safe for
+// concurrent use.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters waiterHeap
-	seq     int64 // tie-break counter for waiters
-	// arrived signals AwaitWaiters when After registers a waiter; created
-	// lazily under mu.
-	arrived *sync.Cond
-}
-
-type waiter struct {
-	deadline time.Time
-	ch       chan time.Time
-	seq      int64 // tie-break so equal deadlines fire FIFO
-}
-
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if h[i].deadline.Equal(h[j].deadline) {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].deadline.Before(h[j].deadline)
-}
-func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+	mu  sync.Mutex
+	now time.Time
 }
 
 // Epoch is the default start time for virtual clocks: an arbitrary fixed
@@ -92,43 +57,14 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// After implements Clock. The returned channel has capacity 1, so Advance
-// never blocks delivering to it.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- v.now
-		return ch
-	}
-	v.seq++
-	heap.Push(&v.waiters, &waiter{deadline: v.now.Add(d), ch: ch, seq: v.seq})
-	if v.arrived != nil {
-		v.arrived.Broadcast()
-	}
-	return ch
-}
-
-// Advance moves the clock forward by d, firing all waiters whose deadlines
-// fall within the advanced window in deadline order.
+// Advance moves the clock forward by d.
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vclock: Advance with negative duration")
 	}
 	v.mu.Lock()
-	target := v.now.Add(d)
-	var fired []*waiter
-	for v.waiters.Len() > 0 && !v.waiters[0].deadline.After(target) {
-		w := heap.Pop(&v.waiters).(*waiter)
-		v.now = w.deadline
-		fired = append(fired, w)
-	}
-	v.now = target
+	v.now = v.now.Add(d)
 	v.mu.Unlock()
-	for _, w := range fired {
-		w.ch <- w.deadline
-	}
 }
 
 // AdvanceTo moves the clock forward to t. It panics if t is in the past.
@@ -140,41 +76,4 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 		panic("vclock: AdvanceTo into the past")
 	}
 	v.Advance(t.Sub(now))
-}
-
-// PendingWaiters reports how many After waiters have not yet fired.
-func (v *Virtual) PendingWaiters() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.waiters.Len()
-}
-
-// AwaitWaiters blocks until at least n After waiters are pending on the
-// clock, reporting whether that happened before the wall-clock timeout.
-// It is the synchronization primitive for tests that drive goroutines off
-// a Virtual clock: "wait until the goroutine has armed its timer, then
-// Advance" replaces sleep-and-poll loops.
-func (v *Virtual) AwaitWaiters(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.arrived == nil {
-		v.arrived = sync.NewCond(&v.mu)
-	}
-	for v.waiters.Len() < n {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return false
-		}
-		// Cond has no timed wait; a one-shot timer broadcasts so the loop
-		// re-checks the deadline.
-		wake := time.AfterFunc(remaining, func() {
-			v.mu.Lock()
-			v.arrived.Broadcast()
-			v.mu.Unlock()
-		})
-		v.arrived.Wait()
-		wake.Stop()
-	}
-	return true
 }

@@ -45,70 +45,6 @@ func TestVirtualAdvanceToPastPanics(t *testing.T) {
 	v.AdvanceTo(Epoch)
 }
 
-func TestAfterFiresAtDeadline(t *testing.T) {
-	v := NewVirtual()
-	ch := v.After(10 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("fired before deadline")
-	default:
-	}
-	v.Advance(9 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("fired 1s early")
-	default:
-	}
-	v.Advance(time.Second)
-	select {
-	case at := <-ch:
-		if got := at.Sub(Epoch); got != 10*time.Second {
-			t.Fatalf("fired at +%v, want +10s", got)
-		}
-	default:
-		t.Fatal("did not fire at deadline")
-	}
-}
-
-func TestAfterZeroFiresImmediately(t *testing.T) {
-	v := NewVirtual()
-	select {
-	case <-v.After(0):
-	default:
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
-
-func TestAfterOrderingAcrossOneAdvance(t *testing.T) {
-	v := NewVirtual()
-	c1 := v.After(3 * time.Second)
-	c2 := v.After(1 * time.Second)
-	c3 := v.After(2 * time.Second)
-	v.Advance(10 * time.Second)
-	t1 := <-c1
-	t2 := <-c2
-	t3 := <-c3
-	if !t2.Before(t3) || !t3.Before(t1) {
-		t.Fatalf("deadlines delivered as %v %v %v", t1, t2, t3)
-	}
-	if v.PendingWaiters() != 0 {
-		t.Fatalf("%d waiters left", v.PendingWaiters())
-	}
-}
-
-func TestPendingWaiters(t *testing.T) {
-	v := NewVirtual()
-	v.After(time.Second)
-	v.After(2 * time.Second)
-	if v.PendingWaiters() != 2 {
-		t.Fatalf("PendingWaiters = %d, want 2", v.PendingWaiters())
-	}
-	v.Advance(time.Second)
-	if v.PendingWaiters() != 1 {
-		t.Fatalf("PendingWaiters = %d, want 1", v.PendingWaiters())
-	}
-}
-
 func TestWallClock(t *testing.T) {
 	var c Clock = Wall{}
 	before := time.Now()
@@ -117,28 +53,8 @@ func TestWallClock(t *testing.T) {
 		t.Fatal("Wall.Now is implausible")
 	}
 	select {
-	case <-c.After(time.Millisecond):
+	case <-Wall{}.After(time.Millisecond):
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wall.After never fired")
-	}
-}
-
-func TestAwaitWaiters(t *testing.T) {
-	v := NewVirtual()
-	// Already satisfied: returns immediately.
-	_ = v.After(time.Second)
-	if !v.AwaitWaiters(1, time.Second) {
-		t.Fatal("AwaitWaiters false with a waiter already pending")
-	}
-	// Not satisfiable: times out.
-	if v.AwaitWaiters(2, 10*time.Millisecond) {
-		t.Fatal("AwaitWaiters true without a second waiter")
-	}
-	// Satisfied by a concurrent After.
-	done := make(chan bool, 1)
-	go func() { done <- v.AwaitWaiters(2, 5*time.Second) }()
-	_ = v.After(time.Second)
-	if !<-done {
-		t.Fatal("AwaitWaiters never saw the concurrent waiter")
 	}
 }

@@ -3,18 +3,19 @@
 # *.go that is not *_test.go, testdata excluded), the total outside bench/
 # and the sum over the guard-event spine — the packages one guard decision
 # crosses from the session to its consumers — and the line count of
-# scripts/*.sh beside it. ROADMAP tracks LoC per package; the executor, the
-# spine, the scenario code, the lint suite, the optimizer, the parser,
-# the value types and the store have ceilings. Fails when internal/exec
-# exceeds exec_max, the spine spine_max, internal/harness scenario_max,
-# internal/analysis analysis_max, internal/opt opt_max, internal/sqlparser
-# sqlparser_max, internal/sqltypes sqltypes_max or internal/storage +
-# internal/btree storage_max below.
+# scripts/*.sh beside it. ROADMAP tracks LoC per package; the total, the
+# executor, the spine, the scenario code, the lint suite, the optimizer, the
+# parser, the value types and the store have ceilings. Fails when the total
+# exceeds total_max, internal/exec exec_max, the spine spine_max,
+# internal/harness scenario_max, internal/analysis analysis_max,
+# internal/opt opt_max, internal/sqlparser sqlparser_max, internal/sqltypes
+# sqltypes_max or internal/storage + internal/btree storage_max below.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+total_max=25647
 exec_max=3778
-spine_max=4836
+spine_max=4809
 scenario_max=2722
 analysis_max=1361
 opt_max=3390
@@ -57,6 +58,7 @@ check() { # what, lines, ceiling
     fail=1
   fi
 }
+check "the total outside bench/" "$total" "$total_max"
 check internal/exec "$exec_lines" "$exec_max"
 check "the spine ($spine)" "$spine_lines" "$spine_max"
 check internal/harness "$scenario_lines" "$scenario_max"
