@@ -8,6 +8,7 @@ package backend
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -122,9 +123,9 @@ func (s *Server) ExecStmt(stmt sqlparser.Statement) (int, error) {
 	case *sqlparser.InsertStmt:
 		return s.insert(stmt)
 	case *sqlparser.UpdateStmt:
-		return s.update(stmt)
+		return s.modify(stmt.Table, stmt.Where, stmt.Set, false)
 	case *sqlparser.DeleteStmt:
-		return s.delete(stmt)
+		return s.modify(stmt.Table, stmt.Where, nil, true)
 	default:
 		return 0, fmt.Errorf("backend: unsupported statement %T", stmt)
 	}
@@ -278,6 +279,9 @@ func (s *Server) createIndex(stmt *sqlparser.CreateIndexStmt) error {
 	return err
 }
 
+// insert evaluates every row of an INSERT, GETDATE() fixed for the
+// statement, before it inserts any (insertRows): a row that fails to evaluate
+// leaves no other behind.
 func (s *Server) insert(stmt *sqlparser.InsertStmt) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,28 +295,40 @@ func (s *Server) insert(stmt *sqlparser.InsertStmt) (int, error) {
 		return 0, err
 	}
 	empty := exec.NewSchema()
-	var changes []txn.Change
-	for _, exprRow := range stmt.Rows {
+	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
+	rows := make([]sqltypes.Row, len(stmt.Rows))
+	for r, exprRow := range stmt.Rows {
 		if len(exprRow) != len(ords) {
 			return 0, fmt.Errorf("backend: INSERT arity mismatch")
 		}
-		row := make(sqltypes.Row, len(def.Columns))
+		rows[r] = make(sqltypes.Row, len(def.Columns))
 		for i, e := range exprRow {
 			c, err := exec.Compile(e, empty)
 			if err != nil {
 				return 0, err
 			}
-			v, err := c(&exec.EvalContext{Now: s.clock.Now()}, nil)
-			if err != nil {
+			if rows[r][ords[i]], err = c(evalCtx, nil); err != nil {
 				return 0, err
 			}
-			row[ords[i]] = v
 		}
-		if err := tbl.Insert(row); err != nil {
+	}
+	return s.insertRows(tbl, rows)
+}
+
+// insertRows inserts rows as one transaction: a row that does not fit its
+// columns (checkKinds) or the table undoes the rows before it.
+func (s *Server) insertRows(tbl *storage.Table, rows []sqltypes.Row) (int, error) {
+	changes := make([]txn.Change, 0, len(rows))
+	for _, r := range rows {
+		err := checkKinds(tbl.Def(), r)
+		if err == nil {
+			err = tbl.Insert(r)
+		}
+		if err != nil {
 			s.rollback(tbl, changes)
 			return 0, err
 		}
-		changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpInsert, New: row.Clone()})
+		changes = append(changes, txn.Change{Table: tbl.Def().Name, Op: txn.OpInsert, New: r.Clone()})
 	}
 	s.log.Append(s.clock.Now(), changes)
 	return len(changes), nil
@@ -362,87 +378,68 @@ func insertOrdinals(def *catalog.Table, cols []string) ([]int, error) {
 	return out, nil
 }
 
-func (s *Server) update(stmt *sqlparser.UpdateStmt) (int, error) {
+// modify runs a DELETE (del) or an UPDATE setting set over the rows of table
+// that match where, as one statement: a failure undoes what it changed.
+func (s *Server) modify(table string, where sqlparser.Expr, set []sqlparser.Assignment, del bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tbl, ok := s.tables[stmt.Table]
+	tbl, ok := s.tables[table]
 	if !ok {
-		return 0, fmt.Errorf("backend: no table %s", stmt.Table)
+		return 0, fmt.Errorf("backend: no table %s", table)
 	}
 	def := tbl.Def()
 	schema := tableSchema(def)
 	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
-	type setOp struct {
-		ord  int
-		expr exec.Compiled
-	}
-	var sets []setOp
-	for _, a := range stmt.Set {
-		ord := def.ColumnIndex(a.Column)
-		if ord < 0 {
+	ords := make([]int, len(set))
+	exprs := make([]exec.Compiled, len(set))
+	for i, a := range set {
+		if ords[i] = def.ColumnIndex(a.Column); ords[i] < 0 {
 			return 0, fmt.Errorf("backend: table %s has no column %s", def.Name, a.Column)
 		}
-		c, err := exec.Compile(a.Value, schema)
-		if err != nil {
+		var err error
+		if exprs[i], err = exec.Compile(a.Value, schema); err != nil {
 			return 0, err
 		}
-		sets = append(sets, setOp{ord: ord, expr: c})
 	}
-	matched, err := matchRows(tbl, stmt.Where, evalCtx)
+	matched, err := matchRows(tbl, schema, where, evalCtx)
 	if err != nil {
 		return 0, err
 	}
 	pkOrds := def.PKOrdinals()
 	var changes []txn.Change
 	for _, old := range matched {
-		updated := old.Clone()
-		for _, st := range sets {
-			v, err := st.expr(evalCtx, old)
-			if err != nil {
-				s.rollback(tbl, changes)
-				return 0, err
+		pk := pkVals(old, pkOrds)
+		if del {
+			if tbl.Delete(pk) {
+				changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpDelete, Old: old})
 			}
-			updated[st.ord] = v
+			continue
 		}
-		pkChanged := !pkVals(old, pkOrds).Equal(pkVals(updated, pkOrds))
-		if pkChanged {
-			if !tbl.Delete(pkVals(old, pkOrds)) {
-				s.rollback(tbl, changes)
-				return 0, fmt.Errorf("backend: row vanished during update")
+		updated := old.Clone()
+		for i, e := range exprs {
+			if updated[ords[i]], err = e(evalCtx, old); err != nil {
+				break
 			}
-			if err := tbl.Insert(updated); err != nil {
+		}
+		if err == nil {
+			err = checkKinds(def, updated)
+		}
+		switch {
+		case err != nil:
+		case pk.Equal(pkVals(updated, pkOrds)):
+			err = tbl.Update(updated)
+		case !tbl.Delete(pk):
+			err = fmt.Errorf("backend: row vanished during update")
+		default:
+			if err = tbl.Insert(updated); err != nil {
 				tbl.Insert(old)
-				s.rollback(tbl, changes)
-				return 0, err
 			}
-		} else if err := tbl.Update(updated); err != nil {
+		}
+		if err != nil {
 			s.rollback(tbl, changes)
 			return 0, err
 		}
-		changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpUpdate, Old: old, New: updated.Clone()})
-	}
-	s.log.Append(s.clock.Now(), changes)
-	return len(changes), nil
-}
-
-func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tbl, ok := s.tables[stmt.Table]
-	if !ok {
-		return 0, fmt.Errorf("backend: no table %s", stmt.Table)
-	}
-	def := tbl.Def()
-	matched, err := matchRows(tbl, stmt.Where, &exec.EvalContext{Now: s.clock.Now()})
-	if err != nil {
-		return 0, err
-	}
-	pkOrds := def.PKOrdinals()
-	var changes []txn.Change
-	for _, old := range matched {
-		if tbl.Delete(pkVals(old, pkOrds)) {
-			changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpDelete, Old: old})
-		}
+		changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpUpdate, Old: old, New: updated})
 	}
 	s.log.Append(s.clock.Now(), changes)
 	return len(changes), nil
@@ -450,16 +447,27 @@ func (s *Server) delete(stmt *sqlparser.DeleteStmt) (int, error) {
 
 // matchRows returns copies of the rows of tbl that satisfy where (every row
 // when it is nil), in primary-key order — collected before any mutation,
-// because a table cannot change under its own scan. The scalar predicate
-// sees each row where Table.Scan laid its leaf window out, in one reused
-// buffer; a row that matches is copied.
-func matchRows(tbl *storage.Table, where sqlparser.Expr, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+// because a table cannot change under its own scan. Where pinKey finds the
+// whole primary key, Table.Peek copies out the one row that can match.
+// Otherwise the scalar predicate sees each row where Table.Scan laid its leaf
+// window out, in one reused buffer; a row that matches is copied.
+func matchRows(tbl *storage.Table, schema *exec.Schema, where sqlparser.Expr, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
 	var pred exec.Compiled
 	if where != nil {
 		var err error
-		if pred, err = exec.Compile(where, tableSchema(tbl.Def())); err != nil {
+		if pred, err = exec.Compile(where, schema); err != nil {
 			return nil, err
 		}
+	}
+	var kb [4]sqltypes.Value
+	if key, ok := pinKey(tbl.Def(), schema, where, kb[:0]); ok {
+		if row, found := tbl.Peek(key, nil); found {
+			if ok, err := exec.PredicateTrue(pred, ctx, row); !ok {
+				return nil, err
+			}
+			return []sqltypes.Row{row}, nil
+		}
+		return nil, nil
 	}
 	var matched []sqltypes.Row
 	var err error
@@ -474,6 +482,61 @@ func matchRows(tbl *storage.Table, where sqlparser.Expr, ctx *exec.EvalContext) 
 		return err == nil
 	})
 	return matched, err
+}
+
+// pinKey appends to key the primary-key values where's `=` conjuncts pin, when
+// they pin every key column and every top-level AND conjunct compares a column
+// with a non-NULL literal that fits the column. Every stored value fits its
+// column too (checkKinds), so no such conjunct can fail on any row, and where
+// on the one row at the key gives the scan's rows and error. A conjunct that
+// can fail (`bal / 0 = 1`, `id = 'x'`) fails on the scan's first row whether
+// or not the key is there, so it keeps the scan.
+func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key sqltypes.Row) (sqltypes.Row, bool) {
+	for range def.PrimaryKey {
+		key = append(key, sqltypes.Null)
+	}
+	var pin func(e sqlparser.Expr) bool
+	pin = func(e sqlparser.Expr) bool {
+		b, ok := e.(*sqlparser.BinaryExpr)
+		if !ok {
+			return false
+		}
+		switch b.Op {
+		case sqlparser.OpAnd:
+			return pin(b.Left) && pin(b.Right)
+		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
+			col, lit, _, ok := exec.ColLitCmp(b, schema)
+			if !ok || lit.Val.IsNull() || !fits(def.Columns[col].Type, lit.Val) {
+				return false
+			}
+			if k := slices.Index(def.PrimaryKey, def.Columns[col].Name); k >= 0 && b.Op == sqlparser.OpEQ {
+				key[k] = lit.Val
+			}
+			return true
+		}
+		return false
+	}
+	if !pin(where) || slices.ContainsFunc(key, sqltypes.Value.IsNull) {
+		return nil, false
+	}
+	return key, true
+}
+
+// fits reports whether a non-NULL v may meet a column of kind k: it is of
+// that kind, or both are numeric.
+func fits(k sqltypes.Kind, v sqltypes.Value) bool {
+	return v.Kind() == k || v.IsNumeric() && (k == sqltypes.KindInt || k == sqltypes.KindFloat)
+}
+
+// checkKinds rejects a non-NULL value that does not fit its column, and a NaN,
+// which equals every number, so a key lookup would miss where a scan matches.
+func checkKinds(def *catalog.Table, row sqltypes.Row) error {
+	for i, col := range def.Columns {
+		if i < len(row) && !row[i].IsNull() && (!fits(col.Type, row[i]) || row[i].Kind() == sqltypes.KindFloat && math.IsNaN(row[i].Float())) {
+			return fmt.Errorf("backend: %s.%s is %s, cannot hold %s", def.Name, col.Name, col.Type, row[i])
+		}
+	}
+	return nil
 }
 
 func tableSchema(def *catalog.Table) *exec.Schema {
@@ -492,13 +555,8 @@ func (s *Server) RegisterRegion(r *catalog.Region) error {
 	s.invalidatePlans()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tbl := s.tables[HeartbeatTable]
-	row := sqltypes.Row{sqltypes.NewInt(int64(r.ID)), sqltypes.NewTime(s.clock.Now())}
-	if err := tbl.Insert(row); err != nil {
-		return err
-	}
-	s.log.Append(s.clock.Now(), []txn.Change{{Table: HeartbeatTable, Op: txn.OpInsert, New: row}})
-	return nil
+	_, err := s.insertRows(s.tables[HeartbeatTable], []sqltypes.Row{{sqltypes.NewInt(int64(r.ID)), sqltypes.NewTime(s.clock.Now())}})
+	return err
 }
 
 // Beat advances the region's heartbeat: an ordinary committed transaction
@@ -552,15 +610,7 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	if !ok {
 		return fmt.Errorf("backend: no table %s", table)
 	}
-	changes := make([]txn.Change, 0, len(rows))
-	for _, r := range rows {
-		if err := tbl.Insert(r); err != nil {
-			s.rollback(tbl, changes)
-			return err
-		}
-		changes = append(changes, txn.Change{Table: table, Op: txn.OpInsert, New: r.Clone()})
-	}
-	s.log.Append(s.clock.Now(), changes)
+	_, err := s.insertRows(tbl, rows)
 	s.invalidatePlans()
-	return nil
+	return err
 }

@@ -74,7 +74,7 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 				return andKernel(l, r), true
 			}
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-			if col, lit, bits, ok := colLitCmp(e, schema); ok {
+			if col, lit, bits, ok := ColLitCmp(e, schema); ok {
 				return litKernel(col, bits, lit, bitLT|bitEQ|bitGT, lit), true
 			}
 			lc, okL := colOrdinal(e.Left, schema)
@@ -152,10 +152,10 @@ func andKernel(a, b boolKernel) boolKernel {
 	}
 }
 
-// colLitCmp matches `col OP literal` or `literal OP col` and returns OP's
-// truth bits as seen from the column: the reversed form swaps less and
-// greater.
-func colLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, bits uint8, ok bool) {
+// ColLitCmp matches `col OP literal` or `literal OP col`, OP a comparison,
+// and returns OP's truth bits as seen from the column: the reversed form
+// swaps less and greater.
+func ColLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, bits uint8, ok bool) {
 	bits = truthBits(e.Op)
 	if c, okC := colOrdinal(e.Left, schema); okC {
 		if l, okL := e.Right.(*sqlparser.Literal); okL {

@@ -13,7 +13,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25647
+total_max=25697
 exec_max=3778
 spine_max=4809
 scenario_max=2722
