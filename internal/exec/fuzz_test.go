@@ -14,7 +14,10 @@ import (
 
 // fuzzVals is the palette fuzzed rows and constants draw from: NULL, the
 // values kernels special-case (NaN, ±0, an integer float64 cannot hold, INT
-// and FLOAT of the same number) and one value of every other kind.
+// and FLOAT of the same number) and one value of every other kind. 2^53 − 1,
+// an INT that converts to float64 exactly (2^53 + 1 does not), comes last so
+// that the lanes below keep their ranges and the committed seeds their
+// meaning.
 var fuzzVals = []sqltypes.Value{
 	sqltypes.Null,
 	sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(-3), sqltypes.NewInt(1<<53 + 1),
@@ -22,6 +25,7 @@ var fuzzVals = []sqltypes.Value{
 	sqltypes.NewFloat(2), sqltypes.NewFloat(1 << 53), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(math.Inf(1)), sqltypes.NewFloat(math.Inf(-1)),
 	sqltypes.NewString(""), sqltypes.NewString("a"), sqltypes.NewString("b"),
 	sqltypes.NewBool(true), sqltypes.NewTime(time.Unix(1, 0)),
+	sqltypes.NewInt(1<<53 - 1),
 }
 
 // fuzzLanes are the value ranges of fuzzVals a column mostly draws from, so

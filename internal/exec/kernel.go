@@ -75,12 +75,12 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 			}
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 			if col, lit, bits, ok := ColLitCmp(e, schema); ok {
-				return litKernel(col, bits, lit, bitLT|bitEQ|bitGT, lit), true
+				return litKernel(col, testOf(bits), lit, lit, false), true
 			}
 			lc, okL := colOrdinal(e.Left, schema)
 			rc, okR := colOrdinal(e.Right, schema)
 			if okL && okR {
-				return colKernel(lc, rc, truthBits(e.Op)), true
+				return colKernel(lc, rc, testOf(truthBits(e.Op))), true
 			}
 		}
 	case *sqlparser.BetweenExpr:
@@ -88,7 +88,7 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 		lo, okLo := e.Lo.(*sqlparser.Literal)
 		hi, okHi := e.Hi.(*sqlparser.Literal)
 		if ok && okLo && okHi && !e.Not {
-			return litKernel(col, bitEQ|bitGT, lo, bitLT|bitEQ, hi), true
+			return litKernel(col, testOf(bitEQ), lo, hi, true), true
 		}
 	}
 	return nil, false
@@ -185,8 +185,9 @@ func colOrdinal(e sqlparser.Expr, schema *Schema) (int, bool) {
 }
 
 // A comparison operator is reduced to the outcomes of a three-way compare
-// it accepts: one truth bit each for less, equal and greater. The loops below
-// test a bit instead of switching on the operator per row.
+// it accepts: one truth bit each for less, equal and greater. The row
+// evaluator tests a bit of Value.Compare's result; the kernels run the
+// cmpTest the bits make.
 const (
 	bitLT uint8 = 1 << iota
 	bitEQ
@@ -214,26 +215,39 @@ func truthBits(op sqlparser.BinOp) uint8 {
 // value of an operator's bits.
 func cmpTrue(bits uint8, c int) bool { return bits>>uint(c+1)&1 != 0 }
 
-// truthTab spreads truth bits into a table indexed by cmp3's result, so a
-// loop turns a comparison into 0 or 1 with one load and no branch.
-func truthTab(bits uint8) [4]uint8 { return [4]uint8{bits & 1, bits >> 1 & 1, bits >> 2 & 1} }
+// cmpTest is a comparison as the loops run it, testing only < and >: a value
+// is kept when it is below lo (if below is 1) or above hi (if above is 1),
+// and not inverts that. An operator that holds on "equal" is the negation of
+// the outcomes it rejects: `>=` is !(v < c), `=` is !(v < c) & !(v > c),
+// BETWEEN is !(v < lo) & !(v > hi). A NaN is neither below nor above
+// anything, so it passes exactly the operators that hold on equal — NaN
+// compares equal to everything, as in sqltypes.Value.Compare.
+type cmpTest struct{ below, above, not int }
+
+func testOf(bits uint8) cmpTest {
+	var t cmpTest
+	if bits&bitEQ != 0 {
+		bits, t.not = ^bits, 1
+	}
+	t.below, t.above = int(bits&bitLT), int(bits&bitGT>>2)
+	return t
+}
+
+// keep is t's outcome, 0 or 1, for a value below lo or not and above hi or not.
+func (t cmpTest) keep(below, above bool) int {
+	return (b2i(below)&t.below | b2i(above)&t.above) ^ t.not
+}
+
+// b2i is 1 for true, 0 for false: a flag set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // lane is a typed vector representation the comparison loops run on.
 type lane interface{ int64 | float64 | string }
-
-// cmp3 is the branch-free three-way compare of the typed loops: 0 for less,
-// 1 for equal, 2 for greater. A NaN is neither less nor greater, so it lands
-// on equal — NaN compares equal to everything, as in sqltypes.Value.Compare.
-func cmp3[T lane](a, b T) uint8 {
-	var lt, gt uint8
-	if a < b {
-		lt = 1
-	}
-	if a > b {
-		gt = 1
-	}
-	return (1 + gt - lt) & 3
-}
 
 // numCand is the number of candidate rows: cand's length, or every row of cb
 // when cand is nil.
@@ -269,34 +283,89 @@ func dropNulls(sel []int32, null []bool) []int32 {
 	return sel[:k]
 }
 
-// selLit is the column-against-constants loop, one instantiation per lane:
-// it keeps candidate i when vals[i] passes both (constant, truth bits) tests
-// and is not NULL. A plain comparison passes all-true bits as its second
-// test; BETWEEN is the two tests in one pass. dst may alias cand: the write
-// position never passes the read position.
-func selLit[T lane](vals []T, null []bool, lo T, loBits uint8, hi T, hiBits uint8, cand, dst []int32) []int32 {
-	loTab, hiTab := truthTab(loBits), truthTab(hiBits)
+// selLit is the column-against-constants kernel of one lane: the loop of t's
+// shape, then the NULL rows shed. Each loop has a form for every row of the
+// lane (cand nil) and one for a candidate list, stores every index and
+// advances the write position by the test's 0 or 1, so no branch depends on
+// the data. dst may alias cand: the write position never passes the read
+// position.
+func selLit[T lane](vals []T, null []bool, lo, hi T, t cmpTest, cand, dst []int32) []int32 {
+	switch {
+	case t.above == 0:
+		dst = selBelow(vals, lo, t.not, cand, dst)
+	case t.below == 0:
+		dst = selAbove(vals, hi, t.not, cand, dst)
+	default:
+		dst = selOutside(vals, lo, hi, t.not, cand, dst)
+	}
+	return dropNulls(dst, null)
+}
+
+// selBelow keeps the candidates whose value is below c (<), or with not 1
+// those that are not (>=).
+func selBelow[T lane](vals []T, c T, not int, cand, dst []int32) []int32 {
 	k := 0
 	if cand == nil {
 		dst = selRoom(dst, len(vals))
 		for i, v := range vals {
 			dst[k] = int32(i)
-			k += int(loTab[cmp3(v, lo)] & hiTab[cmp3(v, hi)])
+			k += b2i(v < c) ^ not
 		}
-	} else {
-		dst = selRoom(dst, len(cand))
-		for _, i := range cand {
-			v := vals[i]
-			dst[k] = i
-			k += int(loTab[cmp3(v, lo)] & hiTab[cmp3(v, hi)])
-		}
+		return dst[:k]
 	}
-	return dropNulls(dst[:k], null)
+	dst = selRoom(dst, len(cand))
+	for _, i := range cand {
+		dst[k] = i
+		k += b2i(vals[i] < c) ^ not
+	}
+	return dst[:k]
 }
 
-// selCols is the column-against-column loop.
-func selCols[T lane](l, r []T, lnull, rnull []bool, bits uint8, cand, dst []int32) []int32 {
-	tab := truthTab(bits)
+// selAbove keeps the candidates whose value is above c (>), or with not 1
+// those that are not (<=).
+func selAbove[T lane](vals []T, c T, not int, cand, dst []int32) []int32 {
+	k := 0
+	if cand == nil {
+		dst = selRoom(dst, len(vals))
+		for i, v := range vals {
+			dst[k] = int32(i)
+			k += b2i(v > c) ^ not
+		}
+		return dst[:k]
+	}
+	dst = selRoom(dst, len(cand))
+	for _, i := range cand {
+		dst[k] = i
+		k += b2i(vals[i] > c) ^ not
+	}
+	return dst[:k]
+}
+
+// selOutside keeps the candidates whose value is below lo or above hi (<>
+// with lo = hi), or with not 1 those that are neither (= with lo = hi, and
+// BETWEEN).
+func selOutside[T lane](vals []T, lo, hi T, not int, cand, dst []int32) []int32 {
+	k := 0
+	if cand == nil {
+		dst = selRoom(dst, len(vals))
+		for i, v := range vals {
+			dst[k] = int32(i)
+			k += (b2i(v < lo) | b2i(v > hi)) ^ not
+		}
+		return dst[:k]
+	}
+	dst = selRoom(dst, len(cand))
+	for _, i := range cand {
+		v := vals[i]
+		dst[k] = i
+		k += (b2i(v < lo) | b2i(v > hi)) ^ not
+	}
+	return dst[:k]
+}
+
+// selCols is the column-against-column loop, one for every operator: no
+// workload compares two columns of a row, so it has no loop per shape.
+func selCols[T lane](l, r []T, lnull, rnull []bool, t cmpTest, cand, dst []int32) []int32 {
 	k, n := 0, len(l)
 	if cand != nil {
 		n = len(cand)
@@ -305,20 +374,20 @@ func selCols[T lane](l, r []T, lnull, rnull []bool, bits uint8, cand, dst []int3
 	for j := 0; j < n; j++ {
 		i := at(cand, j)
 		dst[k] = int32(i)
-		k += int(tab[cmp3(l[i], r[i])])
+		k += t.keep(l[i] < r[i], l[i] > r[i])
 	}
 	return dropNulls(dropNulls(dst[:k], lnull), rnull)
 }
 
-// litKernel compares one column against constants: col passes (lo, loBits)
-// and (hi, hiBits). Columns and constants that share a lane — integers,
-// floats against any numeric constant, strings — run selLit over the
-// transposed vector; everything else goes value by value with the row
-// evaluator's rules (a comparison type-checks, BETWEEN orders mixed kinds by
-// kind without an error, as Compile's BETWEEN does). The constants are read
-// per batch, so a slot literal is this execution's.
-func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hiLit *sqlparser.Literal) boolKernel {
-	between := hiBits != bitLT|bitEQ|bitGT
+// litKernel compares one column against constants: col passes t against lo
+// and hi, which a comparison sets to its one constant and BETWEEN to its
+// bounds. Columns and constants that share a lane — integers, floats against
+// any numeric constant, strings — run selLit over the transposed vector;
+// everything else goes value by value with the row evaluator's rules (a
+// comparison type-checks, BETWEEN orders mixed kinds by kind without an
+// error, as Compile's BETWEEN does). The constants are read per batch, so a
+// slot literal is this execution's.
+func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, between bool) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		lo, hi := ctx.lit(loLit), ctx.lit(hiLit)
 		if lo.IsNull() || hi.IsNull() {
@@ -332,11 +401,11 @@ func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hi
 		hf, hok := hi.ExactFloat()
 		switch {
 		case v.Kind == sqltypes.KindInt && lk == sqltypes.KindInt && hk == sqltypes.KindInt:
-			return selLit(v.I64, v.Null, lo.Int(), loBits, hi.Int(), hiBits, cand, dst), nil
+			return selLit(v.I64, v.Null, lo.Int(), hi.Int(), t, cand, dst), nil
 		case v.Kind == sqltypes.KindFloat && lok && hok:
-			return selLit(v.F64, v.Null, lf, loBits, hf, hiBits, cand, dst), nil
+			return selLit(v.F64, v.Null, lf, hf, t, cand, dst), nil
 		case v.Kind == sqltypes.KindString && lk == sqltypes.KindString && hk == sqltypes.KindString:
-			return selLit(v.Str, v.Null, lo.Str(), loBits, hi.Str(), hiBits, cand, dst), nil
+			return selLit(v.Str, v.Null, lo.Str(), hi.Str(), t, cand, dst), nil
 		}
 		dst = resetSel(dst)
 		for j, n := 0, numCand(cb, cand); j < n; j++ {
@@ -350,7 +419,7 @@ func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hi
 					return nil, err
 				}
 			}
-			if cmpTrue(loBits, val.Compare(lo)) && cmpTrue(hiBits, val.Compare(hi)) {
+			if t.keep(val.Compare(lo) < 0, val.Compare(hi) > 0) == 1 {
 				dst = append(dst, int32(i))
 			}
 		}
@@ -360,17 +429,17 @@ func litKernel(col int, loBits uint8, loLit *sqlparser.Literal, hiBits uint8, hi
 
 // colKernel compares two columns of the same batch: selCols when both share
 // a lane, value by value with the row evaluator's type checking otherwise.
-func colKernel(lc, rc int, bits uint8) boolKernel {
+func colKernel(lc, rc int, t cmpTest) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		l, r := cb.Col(lc), cb.Col(rc)
 		if l.Kind == r.Kind {
 			switch l.Kind {
 			case sqltypes.KindInt:
-				return selCols(l.I64, r.I64, l.Null, r.Null, bits, cand, dst), nil
+				return selCols(l.I64, r.I64, l.Null, r.Null, t, cand, dst), nil
 			case sqltypes.KindFloat:
-				return selCols(l.F64, r.F64, l.Null, r.Null, bits, cand, dst), nil
+				return selCols(l.F64, r.F64, l.Null, r.Null, t, cand, dst), nil
 			case sqltypes.KindString:
-				return selCols(l.Str, r.Str, l.Null, r.Null, bits, cand, dst), nil
+				return selCols(l.Str, r.Str, l.Null, r.Null, t, cand, dst), nil
 			}
 		}
 		dst = resetSel(dst)
@@ -383,7 +452,7 @@ func colKernel(lc, rc int, bits uint8) boolKernel {
 			if err := comparableValues(lv, rv); err != nil {
 				return nil, err
 			}
-			if cmpTrue(bits, lv.Compare(rv)) {
+			if c := lv.Compare(rv); t.keep(c < 0, c > 0) == 1 {
 				dst = append(dst, int32(i))
 			}
 		}

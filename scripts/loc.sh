@@ -13,8 +13,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25697
-exec_max=3778
+total_max=25766
+exec_max=3847
 spine_max=4809
 scenario_max=2722
 analysis_max=1361

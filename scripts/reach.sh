@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lists the functions that only the unit tests reach and those nothing
 # reaches. "Reached" means run by a coverage build of ./bench (its four
-# workloads, timed and traced, one second each), every rccbench mode,
+# workloads, timed and traced, one second each), every rccbench mode (the
+# short load sweep also paced on the wall clock, some six seconds),
 # rccsql fed a script, rccdemo, rcclint and the examples. The unit tests'
 # profile comes from `go test -coverpkg=./...`. No gate: every listed
 # function needs a reason to stay (DESIGN §10). Keeps its files in $REACH_DIR
@@ -18,7 +19,7 @@ for w in point_hot mix_zipf analytic read_write; do
 done
 cp BENCH_baseline.json "$dir/cwd/"
 (cd "$dir/cwd" && for mode in "" "-extras -metrics -autotune" -chaos "-chaos -audit" "-chaos -audit -broken-guard" \
-  -shift "-shift -audit" "-load -load-short -load-json load.json" "-bench-text $root/internal/harness/testdata/bench_procs2.txt"; do
+  -shift "-shift -audit" "-load -load-short -load-json load.json" "-load -load-short -wall" "-bench-text $root/internal/harness/testdata/bench_procs2.txt"; do
   "$dir/bin/rccbench" $mode -snapshot "$dir/cwd/snap" >/dev/null 2>&1
 done)
 printf '%s\n' 'SELECT c_name FROM Customer WHERE c_custkey = 17 CURRENCY 60 ON (Customer)' '\run 30s' '\regions' '\stats' \
