@@ -213,15 +213,18 @@ func trivialPlan(sel *sqlparser.SelectStmt) (*opt.Plan, error) {
 		if item.Star {
 			return nil, fmt.Errorf("backend: SELECT * requires FROM")
 		}
-		var err error
-		if exprs[i], err = exec.CompileExpr(item.Expr, empty); err != nil {
+		kind, err := exec.Bind(item.Expr, empty)
+		if err == nil {
+			exprs[i], err = exec.CompileExpr(item.Expr, empty)
+		}
+		if err != nil {
 			return nil, err
 		}
 		name := item.Alias
 		if name == "" {
 			name = fmt.Sprintf("col%d", i+1)
 		}
-		cols[i] = exec.Col{Name: name}
+		cols[i] = exec.Col{Name: name, Kind: kind}
 	}
 	build := func() (exec.Operator, error) {
 		return &exec.Project{
@@ -303,6 +306,9 @@ func (s *Server) insert(stmt *sqlparser.InsertStmt) (int, error) {
 		}
 		rows[r] = make(sqltypes.Row, len(def.Columns))
 		for i, e := range exprRow {
+			if err := bindValue(def, ords[i], e, empty); err != nil {
+				return 0, err
+			}
 			c, err := exec.Compile(e, empty)
 			if err != nil {
 				return 0, err
@@ -396,8 +402,11 @@ func (s *Server) modify(table string, where sqlparser.Expr, set []sqlparser.Assi
 		if ords[i] = def.ColumnIndex(a.Column); ords[i] < 0 {
 			return 0, fmt.Errorf("backend: table %s has no column %s", def.Name, a.Column)
 		}
-		var err error
-		if exprs[i], err = exec.Compile(a.Value, schema); err != nil {
+		err := bindValue(def, ords[i], a.Value, schema)
+		if err == nil {
+			exprs[i], err = exec.Compile(a.Value, schema)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -486,11 +495,10 @@ func matchRows(tbl *storage.Table, schema *exec.Schema, where sqlparser.Expr, ct
 
 // pinKey appends to key the primary-key values where's `=` conjuncts pin, when
 // they pin every key column and every top-level AND conjunct compares a column
-// with a non-NULL literal that fits the column. Every stored value fits its
-// column too (checkKinds), so no such conjunct can fail on any row, and where
-// on the one row at the key gives the scan's rows and error. A conjunct that
-// can fail (`bal / 0 = 1`, `id = 'x'`) fails on the scan's first row whether
-// or not the key is there, so it keeps the scan.
+// with a non-NULL literal. where is bound (matchRows compiles it), so no such
+// conjunct can fail on any row, and where on the one row at the key gives the
+// scan's rows. A conjunct that can fail (`bal / 0 = 1`) fails on the scan's
+// first row whether or not the key is there, so it keeps the scan.
 func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key sqltypes.Row) (sqltypes.Row, bool) {
 	for range def.PrimaryKey {
 		key = append(key, sqltypes.Null)
@@ -506,7 +514,7 @@ func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key s
 			return pin(b.Left) && pin(b.Right)
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 			col, lit, _, ok := exec.ColLitCmp(b, schema)
-			if !ok || lit.Val.IsNull() || !fits(def.Columns[col].Type, lit.Val) {
+			if !ok || lit.Val.IsNull() {
 				return false
 			}
 			if k := slices.Index(def.PrimaryKey, def.Columns[col].Name); k >= 0 && b.Op == sqlparser.OpEQ {
@@ -522,17 +530,23 @@ func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key s
 	return key, true
 }
 
-// fits reports whether a non-NULL v may meet a column of kind k: it is of
-// that kind, or both are numeric.
-func fits(k sqltypes.Kind, v sqltypes.Value) bool {
-	return v.Kind() == k || v.IsNumeric() && (k == sqltypes.KindInt || k == sqltypes.KindFloat)
+// bindValue binds e, evaluated against schema, as the value of column col of
+// def (an INSERT's VALUES, an UPDATE's SET): its kind must fit the column,
+// which holds values it is comparable with (exec.Comparable).
+func bindValue(def *catalog.Table, col int, e sqlparser.Expr, schema *exec.Schema) error {
+	k, err := exec.Bind(e, schema)
+	if c := def.Columns[col]; err == nil && !exec.Comparable(c.Type, k) {
+		err = fmt.Errorf("backend: %s.%s is %s, cannot hold %s", def.Name, c.Name, c.Type, k)
+	}
+	return err
 }
 
-// checkKinds rejects a non-NULL value that does not fit its column, and a NaN,
-// which equals every number, so a key lookup would miss where a scan matches.
+// checkKinds rejects a value that does not fit its column (exec.Comparable),
+// and a NaN, which equals every number, so a key lookup would miss where a
+// scan matches: the check at the storage edge, which LoadRows needs.
 func checkKinds(def *catalog.Table, row sqltypes.Row) error {
 	for i, col := range def.Columns {
-		if i < len(row) && !row[i].IsNull() && (!fits(col.Type, row[i]) || row[i].Kind() == sqltypes.KindFloat && math.IsNaN(row[i].Float())) {
+		if i < len(row) && (!exec.Comparable(col.Type, row[i].Kind()) || row[i].Kind() == sqltypes.KindFloat && math.IsNaN(row[i].Float())) {
 			return fmt.Errorf("backend: %s.%s is %s, cannot hold %s", def.Name, col.Name, col.Type, row[i])
 		}
 	}

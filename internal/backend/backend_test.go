@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"relaxedcc/internal/catalog"
+	"relaxedcc/internal/exec"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/storage"
@@ -418,7 +419,7 @@ func TestDMLByKeyWritesTheLogOfItsScanningTwin(t *testing.T) {
 		{"scan", "UPDATE li SET q = 1 WHERE o = 6", "UPDATE li SET q = 1 WHERE o + 0 = 6"}, // half a key
 		{"scan", "UPDATE t SET bal = 11 WHERE id = NULL", "UPDATE t SET bal = 11 WHERE id + 0 = NULL"},
 		{"scan", "UPDATE t SET bal = 12 WHERE id = 7 OR id = 8", "UPDATE t SET bal = 12 WHERE id + 0 = 7 OR id + 0 = 8"},
-		{"error", "UPDATE t SET bal = 13 WHERE id = 'x'", "UPDATE t SET bal = 13 WHERE id + 0 = 'x'"},
+		{"bind", "UPDATE t SET bal = 13 WHERE id = 'x'", "UPDATE t SET bal = 13 WHERE id + 0 = 'x'"},
 		{"error", "UPDATE t SET bal = 14 WHERE bal / 0 = 1 AND id = 999", "UPDATE t SET bal = 14 WHERE bal / 0 = 1 AND id + 0 = 999"},
 		{"error", "DELETE FROM t WHERE bal / 0 = 1 AND id = 999", "DELETE FROM t WHERE bal / 0 = 1 AND id + 0 = 999"},
 	} {
@@ -427,8 +428,11 @@ func TestDMLByKeyWritesTheLogOfItsScanningTwin(t *testing.T) {
 		}
 		a, errA := seek.Exec(st.seek)
 		b, errB := scan.Exec(st.scan)
-		if a != b || (errA == nil) != (errB == nil) || (errA != nil) != (st.path == "error") {
+		if a != b || (errA == nil) != (errB == nil) || (errA != nil) != (st.path == "error" || st.path == "bind") {
 			t.Fatalf("%s: %d rows, %v; scanning twin %d rows, %v", st.seek, a, errA, b, errB)
+		}
+		if st.path == "bind" && errA.Error() != errB.Error() {
+			t.Fatalf("%s: %v; scanning twin %v: want one bind error", st.seek, errA, errB)
 		}
 	}
 	la, lb := seek.Log().Since(0), scan.Log().Since(0)
@@ -449,7 +453,7 @@ func TestDMLByKeyWritesTheLogOfItsScanningTwin(t *testing.T) {
 }
 
 // seeks reports whether matchRows fetches the rows of an UPDATE or DELETE by
-// its primary key.
+// its primary key: a WHERE that fails to bind reaches no path.
 func seeks(t *testing.T, s *Server, sql string) bool {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -465,6 +469,9 @@ func seeks(t *testing.T, s *Server, sql string) bool {
 		table, where = stmt.Table, stmt.Where
 	}
 	def := s.Table(table).Def()
+	if _, err := exec.Bind(where, tableSchema(def)); err != nil {
+		return false
+	}
 	_, ok := pinKey(def, tableSchema(def), where, nil)
 	return ok
 }

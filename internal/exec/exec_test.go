@@ -220,17 +220,19 @@ func TestExprNullSemantics(t *testing.T) {
 func TestExprErrors(t *testing.T) {
 	s := testSchema("t")
 	row := sqltypes.Row{intv(1), strv("x"), floatv(1)}
-	// Type errors.
-	if _, err := compileItem(t, "name + 1", s).Eval(ctx(), row); err == nil {
-		t.Fatal("string arithmetic should fail")
-	}
-	if _, err := compile(t, "name = 1", s)(ctx(), row); err == nil {
-		t.Fatal("cross-kind comparison should fail")
-	}
 	if _, err := compileItem(t, "id / 0", s).Eval(ctx(), row); err == nil {
 		t.Fatal("division by zero should fail")
 	}
-	// Compile-time errors.
+	// Compile-time errors: kinds (Bind), then names and shapes.
+	for _, src := range []string{"name + 1", "name = 1", "-name", "ABS(name)", "id BETWEEN 'a' AND 2", "id IN (1, 'a')"} {
+		sel, err := sqlparser.ParseSelect("SELECT " + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Compile(sel.Items[0].Expr, s); err == nil {
+			t.Fatalf("%s should fail at compile", src)
+		}
+	}
 	sel, _ := sqlparser.ParseSelect("SELECT nope FROM t")
 	if _, err := Compile(sel.Items[0].Expr, s); err == nil {
 		t.Fatal("unknown column should fail at compile")

@@ -87,8 +87,8 @@ type Expr struct {
 	Fn  Compiled
 }
 
-// CompileExpr compiles a value expression against the schema: a bare column
-// reference to its ordinal, anything else to a closure.
+// CompileExpr binds and compiles a value expression against the schema: a
+// bare column reference to its ordinal, anything else to a closure.
 func CompileExpr(e sqlparser.Expr, schema *Schema) (Expr, error) {
 	if ref, ok := e.(*sqlparser.ColumnRef); ok {
 		ord, err := schema.Resolve(ref.Table, ref.Column)
@@ -123,157 +123,75 @@ func (e Expr) vec(ctx *EvalContext, cb, out *sqltypes.ColBatch, j int) (*sqltype
 	return v, nil
 }
 
-// Compile resolves column references in the AST expression against the
-// schema and returns an evaluator. Aggregate function calls are rejected —
-// they must be planned into an Aggregate operator first.
+// Compile binds the AST expression against the schema (Bind) and returns an
+// evaluator. What Bind rejects — an aggregate call among them, which must be
+// planned into an Aggregate operator first — does not compile.
 func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
+	if _, err := Bind(e, schema); err != nil {
+		return nil, err
+	}
+	return compileBound(e, schema), nil
+}
+
+// compileBound compiles an expression Bind accepted.
+func compileBound(e sqlparser.Expr, schema *Schema) Compiled {
 	switch e := e.(type) {
 	case *sqlparser.Literal:
-		if e.Slot > 0 {
-			return func(ctx *EvalContext, _ sqltypes.Row) (sqltypes.Value, error) { return ctx.lit(e), nil }, nil
-		}
-		v := e.Val
-		return func(*EvalContext, sqltypes.Row) (sqltypes.Value, error) { return v, nil }, nil
+		return func(ctx *EvalContext, _ sqltypes.Row) (sqltypes.Value, error) { return ctx.lit(e), nil }
 
 	case *sqlparser.ColumnRef:
-		idx, err := schema.Resolve(e.Table, e.Column)
-		if err != nil {
-			return nil, err
-		}
+		idx := schema.Lookup(e.Table, e.Column)
 		return func(_ *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			return row[idx], nil
-		}, nil
+		}
 
 	case *sqlparser.BinaryExpr:
-		left, err := Compile(e.Left, schema)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Compile(e.Right, schema)
-		if err != nil {
-			return nil, err
-		}
-		return compileBinary(e.Op, left, right)
+		return compileBinary(e.Op, compileBound(e.Left, schema), compileBound(e.Right, schema))
 
 	case *sqlparser.NotExpr:
-		inner, err := Compile(e.Inner, schema)
-		if err != nil {
-			return nil, err
-		}
+		inner := compileBound(e.Inner, schema)
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			v, err := inner(ctx, row)
 			if err != nil || v.IsNull() {
 				return sqltypes.Null, err
 			}
 			return sqltypes.NewBool(!truthy(v)), nil
-		}, nil
+		}
 
 	case *sqlparser.NegExpr:
-		inner, err := Compile(e.Inner, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := inner(ctx, row)
-			if err != nil || v.IsNull() {
-				return sqltypes.Null, err
-			}
-			switch v.Kind() {
-			case sqltypes.KindInt:
-				return sqltypes.NewInt(-v.Int()), nil
-			case sqltypes.KindFloat:
-				return sqltypes.NewFloat(-v.Float()), nil
-			default:
-				return sqltypes.Null, fmt.Errorf("exec: cannot negate %s", v.Kind())
-			}
-		}, nil
+		// -x is -1 * x: an INT stays an INT, and -(0.0) is -0.0.
+		return compileBinary(sqlparser.OpMul, compileBound(minusOne, schema), compileBound(e.Inner, schema))
 
 	case *sqlparser.BetweenExpr:
-		x, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := Compile(e.Lo, schema)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := Compile(e.Hi, schema)
-		if err != nil {
-			return nil, err
-		}
+		x, lo, hi := compileBound(e.Expr, schema), compileBound(e.Lo, schema), compileBound(e.Hi, schema)
 		not := e.Not
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			xv, err := x(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
+			xv, lov, err := operands(ctx, row, x, lo)
+			hiv := sqltypes.Null
+			if err == nil {
+				hiv, err = hi(ctx, row)
 			}
-			lov, err := lo(ctx, row)
-			if err != nil {
+			if err != nil || xv.IsNull() || lov.IsNull() || hiv.IsNull() {
 				return sqltypes.Null, err
-			}
-			hiv, err := hi(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if xv.IsNull() || lov.IsNull() || hiv.IsNull() {
-				return sqltypes.Null, nil
 			}
 			in := xv.Compare(lov) >= 0 && xv.Compare(hiv) <= 0
 			return sqltypes.NewBool(in != not), nil
-		}, nil
+		}
 
 	case *sqlparser.InExpr:
-		if e.Subquery != nil {
-			return nil, fmt.Errorf("exec: IN subquery must be planned as a join")
+		// x IN (a, b) is FALSE OR x = a OR x = b, NULLs and all, as SQL
+		// defines it; NOT IN is its negation.
+		var or sqlparser.Expr = &sqlparser.Literal{Val: sqltypes.NewBool(false)}
+		for _, item := range e.List {
+			or = &sqlparser.BinaryExpr{Op: sqlparser.OpOr, Left: or, Right: &sqlparser.BinaryExpr{Op: sqlparser.OpEQ, Left: e.Expr, Right: item}}
 		}
-		x, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
+		if e.Not {
+			or = &sqlparser.NotExpr{Inner: or}
 		}
-		items := make([]Compiled, len(e.List))
-		for i, it := range e.List {
-			items[i], err = Compile(it, schema)
-			if err != nil {
-				return nil, err
-			}
-		}
-		not := e.Not
-		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			xv, err := x(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if xv.IsNull() {
-				return sqltypes.Null, nil
-			}
-			sawNull := false
-			for _, item := range items {
-				iv, err := item(ctx, row)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				if iv.IsNull() {
-					sawNull = true
-					continue
-				}
-				if xv.Compare(iv) == 0 {
-					return sqltypes.NewBool(!not), nil
-				}
-			}
-			if sawNull {
-				return sqltypes.Null, nil // SQL three-valued IN
-			}
-			return sqltypes.NewBool(not), nil
-		}, nil
-
-	case *sqlparser.ExistsExpr:
-		return nil, fmt.Errorf("exec: EXISTS must be planned as a semi-join")
+		return compileBound(or, schema)
 
 	case *sqlparser.IsNullExpr:
-		x, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
+		x := compileBound(e.Expr, schema)
 		not := e.Not
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
 			v, err := x(ctx, row)
@@ -281,58 +199,29 @@ func Compile(e sqlparser.Expr, schema *Schema) (Compiled, error) {
 				return sqltypes.Null, err
 			}
 			return sqltypes.NewBool(v.IsNull() != not), nil
-		}, nil
-
-	case *sqlparser.FuncExpr:
-		if e.IsAggregate() {
-			return nil, fmt.Errorf("exec: aggregate %s outside an Aggregate operator", e.Name)
 		}
-		switch e.Name {
-		case "GETDATE", "NOW", "CURRENT_TIMESTAMP":
-			if len(e.Args) != 0 {
-				return nil, fmt.Errorf("exec: %s takes no arguments", e.Name)
-			}
-			return func(ctx *EvalContext, _ sqltypes.Row) (sqltypes.Value, error) {
-				return sqltypes.NewTime(ctx.Now), nil
-			}, nil
-		case "ABS":
-			if len(e.Args) != 1 {
-				return nil, fmt.Errorf("exec: ABS takes one argument")
-			}
-			arg, err := Compile(e.Args[0], schema)
-			if err != nil {
-				return nil, err
-			}
-			return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := arg(ctx, row)
-				if err != nil || v.IsNull() {
-					return sqltypes.Null, err
-				}
-				switch v.Kind() {
-				case sqltypes.KindInt:
-					if v.Int() < 0 {
-						return sqltypes.NewInt(-v.Int()), nil
-					}
-					return v, nil
-				case sqltypes.KindFloat:
-					if v.Float() < 0 {
-						return sqltypes.NewFloat(-v.Float()), nil
-					}
-					return v, nil
-				default:
-					return sqltypes.Null, fmt.Errorf("exec: ABS of %s", v.Kind())
-				}
-			}, nil
-		default:
-			return nil, fmt.Errorf("exec: unknown function %s", e.Name)
+	}
+	// A function Bind accepted: GETDATE() and its synonyms, or ABS.
+	f := e.(*sqlparser.FuncExpr)
+	if f.Name != "ABS" {
+		return func(ctx *EvalContext, _ sqltypes.Row) (sqltypes.Value, error) {
+			return sqltypes.NewTime(ctx.Now), nil
 		}
-
-	default:
-		return nil, fmt.Errorf("exec: cannot compile %T", e)
+	}
+	arg, zero := compileBound(f.Args[0], schema), sqltypes.NewInt(0)
+	return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
+		v, err := arg(ctx, row)
+		if err != nil || v.IsNull() || v.Compare(zero) >= 0 {
+			return v, err
+		}
+		return arith(sqlparser.OpMul, minusOne.Val, v)
 	}
 }
 
-func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
+// minusOne is what a negation multiplies by.
+var minusOne = &sqlparser.Literal{Val: sqltypes.NewInt(-1)}
+
+func compileBinary(op sqlparser.BinOp, left, right Compiled) Compiled {
 	switch op {
 	case sqlparser.OpAnd, sqlparser.OpOr:
 		// Three-valued logic: a side that decides the result (FALSE for AND,
@@ -357,41 +246,32 @@ func compileBinary(op sqlparser.BinOp, left, right Compiled) (Compiled, error) {
 				return sqltypes.Null, nil
 			}
 			return sqltypes.NewBool(!decides), nil
-		}, nil
+		}
 	case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 		bits := truthBits(op)
 		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			lv, err := left(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			rv, err := right(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return sqltypes.Null, nil
-			}
-			if err := comparableValues(lv, rv); err != nil {
+			lv, rv, err := operands(ctx, row, left, right)
+			if err != nil || lv.IsNull() || rv.IsNull() {
 				return sqltypes.Null, err
 			}
 			return sqltypes.NewBool(cmpTrue(bits, lv.Compare(rv))), nil
-		}, nil
-	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
-		return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) {
-			lv, err := left(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			rv, err := right(ctx, row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			return arith(op, lv, rv)
-		}, nil
-	default:
-		return nil, fmt.Errorf("exec: unsupported binary operator %v", op)
+		}
 	}
+	return func(ctx *EvalContext, row sqltypes.Row) (sqltypes.Value, error) { // arithmetic
+		lv, rv, err := operands(ctx, row, left, right)
+		if err != nil {
+			return sqltypes.Null, err
+		}
+		return arith(op, lv, rv)
+	}
+}
+
+// operands evaluates the two operands of an operator, left first.
+func operands(ctx *EvalContext, row sqltypes.Row, left, right Compiled) (lv, rv sqltypes.Value, err error) {
+	if lv, err = left(ctx, row); err == nil {
+		rv, err = right(ctx, row)
+	}
+	return lv, rv, err
 }
 
 // arith applies an arithmetic operator with SQL NULL propagation. Timestamp
@@ -401,16 +281,12 @@ func arith(op sqlparser.BinOp, lv, rv sqltypes.Value) (sqltypes.Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return sqltypes.Null, nil
 	}
-	if lv.Kind() == sqltypes.KindTime && rv.IsNumeric() {
-		secs := rv.Float()
-		d := time.Duration(secs * float64(time.Second))
-		switch op {
-		case sqlparser.OpAdd:
-			return sqltypes.NewTime(lv.Time().Add(d)), nil
-		case sqlparser.OpSub:
-			return sqltypes.NewTime(lv.Time().Add(-d)), nil
+	if lv.Kind() == sqltypes.KindTime && rv.IsNumeric() && (op == sqlparser.OpAdd || op == sqlparser.OpSub) {
+		d := time.Duration(rv.Float() * float64(time.Second))
+		if op == sqlparser.OpSub {
+			d = -d
 		}
-		return sqltypes.Null, fmt.Errorf("exec: bad timestamp arithmetic %v", op)
+		return sqltypes.NewTime(lv.Time().Add(d)), nil
 	}
 	if !lv.IsNumeric() || !rv.IsNumeric() {
 		return sqltypes.Null, fmt.Errorf("exec: arithmetic on %s and %s", lv.Kind(), rv.Kind())
@@ -434,13 +310,11 @@ func arith(op sqlparser.BinOp, lv, rv sqltypes.Value) (sqltypes.Value, error) {
 		return sqltypes.NewFloat(a - b), nil
 	case sqlparser.OpMul:
 		return sqltypes.NewFloat(a * b), nil
-	case sqlparser.OpDiv:
-		if b == 0 {
-			return sqltypes.Null, fmt.Errorf("exec: division by zero")
-		}
-		return sqltypes.NewFloat(a / b), nil
 	}
-	return sqltypes.Null, fmt.Errorf("exec: bad arithmetic operator %v", op)
+	if b == 0 {
+		return sqltypes.Null, fmt.Errorf("exec: division by zero")
+	}
+	return sqltypes.NewFloat(a / b), nil
 }
 
 // truthy interprets a value as a boolean predicate result.

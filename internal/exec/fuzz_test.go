@@ -32,6 +32,13 @@ var fuzzVals = []sqltypes.Value{
 // that typed vectors (and their NULL lanes) come up as often as mixed ones.
 var fuzzLanes = [][2]int{{1, 6}, {6, 15}, {15, 18}, {0, len(fuzzVals)}, {1, 15}}
 
+// fuzzLaneKinds is the kind a column drawing from a lane declares: a DOUBLE
+// column may hold INTs, as a table's does, and one of every kind declares
+// none.
+var fuzzLaneKinds = map[[2]int]sqltypes.Kind{
+	{1, 6}: sqltypes.KindInt, {6, 15}: sqltypes.KindFloat, {15, 18}: sqltypes.KindString, {1, 15}: sqltypes.KindFloat,
+}
+
 var fuzzSchema = exec.NewSchema(
 	exec.Col{Binding: "t", Name: "a"}, exec.Col{Binding: "t", Name: "b"}, exec.Col{Binding: "t", Name: "c"})
 
@@ -87,7 +94,8 @@ func (in *fuzzInput) pred(depth int) sqlparser.Expr {
 // never answer "none" with a nil slice; a kernel error must be one the scalar
 // predicate raises on some candidate too. (The converse is not required: an
 // AND kernel never evaluates its right side on rows its left side left
-// NULL.)
+// NULL.) With the columns' kinds declared, a predicate that does not bind
+// (exec.Bind) compiles in neither form.
 func FuzzKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 4, 1, 8, 9, 1, 1, 6, 7, 8, 12, 0, 9, 10, 5, 5, 5}) // b > 1.0 over a FLOAT column with ±0, NaN, NULL
@@ -98,15 +106,6 @@ func FuzzKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzInput{data: data}
 		expr := in.pred(2)
-		kernel, ok := exec.TestCompileKernel(expr, fuzzSchema)
-		if !ok {
-			t.Fatalf("no kernel for %s", expr.SQL())
-		}
-		scalar, err := exec.Compile(expr, fuzzSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		n := in.next(40)
 		lanes := [3][2]int{fuzzLanes[in.next(len(fuzzLanes))], fuzzLanes[in.next(len(fuzzLanes))], fuzzLanes[in.next(len(fuzzLanes))]}
 		rows := make(sqltypes.Batch, n)
@@ -127,6 +126,37 @@ func FuzzKernel(f *testing.F) {
 			if in.next(3) != 0 {
 				listed = append(listed, int32(i))
 			}
+		}
+		// A last 2 (mod 3) declares each column's kind, as a table does: its
+		// lane's, and a value that does not fit it is NULL. (The committed
+		// seeds of undeclared columns end before it, or read 1 there.)
+		schema := fuzzSchema
+		if in.next(3) == 2 {
+			schema = exec.NewSchema(slices.Clone(fuzzSchema.Cols)...)
+			for j, lane := range lanes {
+				schema.Cols[j].Kind = fuzzLaneKinds[lane]
+				for _, r := range rows {
+					if !exec.Comparable(schema.Cols[j].Kind, r[j].Kind()) {
+						r[j] = sqltypes.Null
+					}
+				}
+			}
+		}
+		scalar, err := exec.Compile(expr, schema)
+		if _, bindErr := exec.Bind(expr, schema); bindErr != nil {
+			// A declared kind and a constant (or column) it cannot meet:
+			// neither form of the predicate compiles.
+			if _, predErr := exec.CompilePred(expr, schema); err == nil || predErr == nil {
+				t.Fatalf("%s binds to %v, yet compiles: %v, %v", expr.SQL(), bindErr, err, predErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, ok := exec.TestCompileKernel(expr, schema)
+		if !ok {
+			t.Fatalf("no kernel for %s", expr.SQL())
 		}
 
 		kernels := []struct {

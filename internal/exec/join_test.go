@@ -89,7 +89,7 @@ func newJoinFixture(t *testing.T, kind sqltypes.Kind) *joinFixture {
 	f.residual = map[string]exec.Compiled{
 		"none":     nil,
 		"residual": exec.TestCompile(t, "L.bal >= R.v", both),
-		"typeerr":  exec.TestCompile(t, "L.name > R.v", both), // VARCHAR against DOUBLE
+		"evalerr":  exec.TestCompile(t, "L.bal / 0 > R.v", both), // an error only evaluation finds
 	}
 	return f
 }
@@ -157,11 +157,11 @@ func TestJoinResidualErrorsPropagate(t *testing.T) {
 	for _, keyKind := range joinKeyKinds {
 		f := newJoinFixture(t, keyKind)
 		for kindName, kind := range joinKinds {
-			for algo, build := range f.joins(f.residual["typeerr"], kind) {
+			for algo, build := range f.joins(f.residual["evalerr"], kind) {
 				for _, bs := range []int{2, exec.DefaultBatchSize} {
 					_, err := exec.Run(build(), &exec.EvalContext{Now: exec.TestNow, BatchSize: bs}, 0)
-					if err == nil || !strings.Contains(err.Error(), "cannot compare") {
-						t.Errorf("%s/%s/%s keys bs=%d: err = %v, want the residual's type error", algo, kindName, keyKind, bs, err)
+					if err == nil || !strings.Contains(err.Error(), "division by zero") {
+						t.Errorf("%s/%s/%s keys bs=%d: err = %v, want the residual's division by zero", algo, kindName, keyKind, bs, err)
 					}
 				}
 			}

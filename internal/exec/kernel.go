@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
@@ -17,7 +15,8 @@ type Pred struct {
 	batch boolKernel
 }
 
-// CompilePred compiles a predicate against the schema into both forms.
+// CompilePred binds a predicate against the schema (Bind, through Compile)
+// and compiles it into both forms: a predicate Bind rejects has neither.
 func CompilePred(e sqlparser.Expr, schema *Schema) (*Pred, error) {
 	row, err := Compile(e, schema)
 	if err != nil {
@@ -60,9 +59,9 @@ type boolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32)
 // comparisons between a column and a literal (either side), column-column
 // comparisons, BETWEEN over literals, and AND chains of those — and reports
 // ok=false for anything else, leaving CompilePred to lift the row predicate.
-// Kernels mirror the row evaluator exactly (NULL rejects, INT and FLOAT
-// compare numerically, other mixed-kind comparisons are errors, BETWEEN
-// orders mixed kinds by kind); see FuzzKernel.
+// A kernel runs a typed loop where the column's lane and the constants share
+// one, else the lifted row predicate, so it answers as the row evaluator does
+// (NULL rejects, INT and FLOAT compare exactly); see FuzzKernel.
 func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 	switch e := e.(type) {
 	case *sqlparser.BinaryExpr:
@@ -75,12 +74,12 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 			}
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
 			if col, lit, bits, ok := ColLitCmp(e, schema); ok {
-				return litKernel(col, testOf(bits), lit, lit, false), true
+				return litKernel(col, testOf(bits), lit, lit, lift(compileBound(e, schema))), true
 			}
 			lc, okL := colOrdinal(e.Left, schema)
 			rc, okR := colOrdinal(e.Right, schema)
 			if okL && okR {
-				return colKernel(lc, rc, testOf(truthBits(e.Op))), true
+				return colKernel(lc, rc, testOf(truthBits(e.Op)), lift(compileBound(e, schema))), true
 			}
 		}
 	case *sqlparser.BetweenExpr:
@@ -88,7 +87,7 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 		lo, okLo := e.Lo.(*sqlparser.Literal)
 		hi, okHi := e.Hi.(*sqlparser.Literal)
 		if ok && okLo && okHi && !e.Not {
-			return litKernel(col, testOf(bitEQ), lo, hi, true), true
+			return litKernel(col, testOf(bitEQ), lo, hi, lift(compileBound(e, schema))), true
 		}
 	}
 	return nil, false
@@ -383,16 +382,12 @@ func selCols[T lane](l, r []T, lnull, rnull []bool, t cmpTest, cand, dst []int32
 // and hi, which a comparison sets to its one constant and BETWEEN to its
 // bounds. Columns and constants that share a lane — integers, floats against
 // any numeric constant, strings — run selLit over the transposed vector;
-// everything else goes value by value with the row evaluator's rules (a
-// comparison type-checks, BETWEEN orders mixed kinds by kind without an
-// error, as Compile's BETWEEN does). The constants are read per batch, so a
-// slot literal is this execution's.
-func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, between bool) boolKernel {
+// everything else (a NULL constant, an INT column against a FLOAT constant,
+// a column of mixed kinds) runs the predicate's row form, lifted. The
+// constants are read per batch, so a slot literal is this execution's.
+func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, lifted boolKernel) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		lo, hi := ctx.lit(loLit), ctx.lit(hiLit)
-		if lo.IsNull() || hi.IsNull() {
-			return resetSel(dst), nil // a NULL comparison is never TRUE
-		}
 		v := cb.Col(col)
 		lk, hk := lo.Kind(), hi.Kind()
 		// An integer constant converts once, unless it lies past 2^53 where
@@ -407,29 +402,13 @@ func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, between bool
 		case v.Kind == sqltypes.KindString && lk == sqltypes.KindString && hk == sqltypes.KindString:
 			return selLit(v.Str, v.Null, lo.Str(), hi.Str(), t, cand, dst), nil
 		}
-		dst = resetSel(dst)
-		for j, n := 0, numCand(cb, cand); j < n; j++ {
-			i := at(cand, j)
-			val := v.Value(i)
-			if val.IsNull() {
-				continue
-			}
-			if !between {
-				if err := comparableValues(val, lo); err != nil {
-					return nil, err
-				}
-			}
-			if t.keep(val.Compare(lo) < 0, val.Compare(hi) > 0) == 1 {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst, nil
+		return lifted(ctx, cb, cand, dst)
 	}
 }
 
 // colKernel compares two columns of the same batch: selCols when both share
-// a lane, value by value with the row evaluator's type checking otherwise.
-func colKernel(lc, rc int, t cmpTest) boolKernel {
+// a lane, the predicate's row form, lifted, otherwise.
+func colKernel(lc, rc int, t cmpTest, lifted boolKernel) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
 		l, r := cb.Col(lc), cb.Col(rc)
 		if l.Kind == r.Kind {
@@ -442,29 +421,6 @@ func colKernel(lc, rc int, t cmpTest) boolKernel {
 				return selCols(l.Str, r.Str, l.Null, r.Null, t, cand, dst), nil
 			}
 		}
-		dst = resetSel(dst)
-		for j, n := 0, numCand(cb, cand); j < n; j++ {
-			i := at(cand, j)
-			lv, rv := l.Value(i), r.Value(i)
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			if err := comparableValues(lv, rv); err != nil {
-				return nil, err
-			}
-			if c := lv.Compare(rv); t.keep(c < 0, c > 0) == 1 {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst, nil
+		return lifted(ctx, cb, cand, dst)
 	}
-}
-
-// comparableValues rejects cross-kind comparisons that SQL would type-error
-// on; the row evaluator and the kernels share it.
-func comparableValues(a, b sqltypes.Value) error {
-	if a.Kind() == b.Kind() || (a.IsNumeric() && b.IsNumeric()) {
-		return nil
-	}
-	return fmt.Errorf("exec: cannot compare %s with %s", a.Kind(), b.Kind())
 }

@@ -2,12 +2,14 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/cc"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/sqlparser"
+	"relaxedcc/internal/sqltypes"
 )
 
 // Algebrize turns a bound SELECT into the flat logical Query form: names
@@ -42,6 +44,9 @@ func Algebrize(sel *sqlparser.SelectStmt, cat *catalog.Catalog) (*Query, error) 
 	if err := a.finishing(q, sel); err != nil {
 		return nil, err
 	}
+	if err := a.bind(q); err != nil {
+		return nil, err
+	}
 	a.collectNeededColumns(q)
 	if q.HasCurrencyClause {
 		// Instances not mentioned in any clause default to "completely
@@ -73,9 +78,12 @@ type algebrizer struct {
 	cat       *catalog.Catalog
 	nextID    cc.InstanceID
 	bindings  map[string]cc.InstanceID
-	leaves    []*Leaf
 	aliasMaps []aliasMap
 	pins      *pins
+	// cols lists the columns of every leaf, in the order the leaves were
+	// made, under their bindings and with their declared kinds: what column
+	// references resolve and bind against.
+	cols exec.Schema
 }
 
 func (a *algebrizer) newLeaf(q *Query, table *catalog.Table, binding string, kind exec.JoinKind) (*Leaf, error) {
@@ -85,7 +93,9 @@ func (a *algebrizer) newLeaf(q *Query, table *catalog.Table, binding string, kin
 	a.nextID++
 	leaf := &Leaf{ID: a.nextID, Table: table, Binding: binding, Join: kind, pins: a.pins}
 	a.bindings[binding] = leaf.ID
-	a.leaves = append(a.leaves, leaf)
+	for _, c := range table.Columns {
+		a.cols.Cols = append(a.cols.Cols, exec.Col{Binding: binding, Name: c.Name, Kind: c.Type})
+	}
 	q.Leaves = append(q.Leaves, leaf)
 	return leaf, nil
 }
@@ -124,8 +134,9 @@ func (a *algebrizer) flattenDerived(q *Query, sub *sqlparser.SubqueryRef, reqs *
 	if len(s.GroupBy) > 0 || s.Having != nil || s.Top > 0 || s.Distinct || len(s.OrderBy) > 0 {
 		return fmt.Errorf("opt: derived table %s is not a simple SPJ block", sub.Alias)
 	}
-	// Remember which leaves belong to the subquery for alias mapping.
-	inner := &Query{Stmt: s}
+	// Remember which leaves belong to the subquery for alias mapping; their
+	// columns are the ones made from here on.
+	inner, first := &Query{Stmt: s}, len(a.cols.Cols)
 	for _, tr := range s.From {
 		if err := a.addTableRef(inner, tr, reqs); err != nil {
 			return err
@@ -150,7 +161,7 @@ func (a *algebrizer) flattenDerived(q *Query, sub *sqlparser.SubqueryRef, reqs *
 		if !ok {
 			return fmt.Errorf("opt: derived table %s projects a computed column; not flattenable", sub.Alias)
 		}
-		resolved, err := a.resolveRefIn(inner.Leaves, ref)
+		resolved, err := a.resolveRefIn(a.cols.Cols[first:], ref)
 		if err != nil {
 			return err
 		}
@@ -230,7 +241,7 @@ func (a *algebrizer) classify(q *Query, conj sqlparser.Expr, reqs *[]cc.Requirem
 		leaf := q.Leaf(leaves[0])
 		leaf.Preds = append(leaf.Preds, resolved)
 	case 2:
-		if l, r, lc, rc, ok := equiJoinCols(resolved, q, leaves); ok {
+		if l, r, lc, rc, ok := a.equiJoinCols(resolved); ok {
 			q.Joins = append(q.Joins, JoinPred{LeftLeaf: l, RightLeaf: r, LeftCol: lc, RightCol: rc, Expr: resolved})
 			return nil
 		}
@@ -242,29 +253,17 @@ func (a *algebrizer) classify(q *Query, conj sqlparser.Expr, reqs *[]cc.Requirem
 }
 
 // equiJoinCols recognizes "A.x = B.y" between two distinct leaves.
-func equiJoinCols(e sqlparser.Expr, q *Query, leaves []cc.InstanceID) (l, r cc.InstanceID, lc, rc string, ok bool) {
+func (a *algebrizer) equiJoinCols(e sqlparser.Expr) (l, r cc.InstanceID, lc, rc string, ok bool) {
 	be, isBin := e.(*sqlparser.BinaryExpr)
 	if !isBin || be.Op != sqlparser.OpEQ {
 		return 0, 0, "", "", false
 	}
 	lref, okL := be.Left.(*sqlparser.ColumnRef)
 	rref, okR := be.Right.(*sqlparser.ColumnRef)
-	if !okL || !okR {
+	if !okL || !okR || lref.Table == rref.Table {
 		return 0, 0, "", "", false
 	}
-	var lid, rid cc.InstanceID
-	for _, leaf := range q.Leaves {
-		if leaf.Binding == lref.Table {
-			lid = leaf.ID
-		}
-		if leaf.Binding == rref.Table {
-			rid = leaf.ID
-		}
-	}
-	if lid == 0 || rid == 0 || lid == rid {
-		return 0, 0, "", "", false
-	}
-	return lid, rid, lref.Column, rref.Column, true
+	return a.bindings[lref.Table], a.bindings[rref.Table], lref.Column, rref.Column, true
 }
 
 // rewriteExists turns a single-table EXISTS/IN subquery into a semi or anti
@@ -351,7 +350,7 @@ func (a *algebrizer) resolveCurrency(clause *sqlparser.CurrencyClause, reqs *[]c
 			}
 		}
 		for _, by := range triple.By {
-			ref, err := a.resolveRefIn(a.leaves, &by)
+			ref, err := a.resolveRefIn(a.cols.Cols, &by)
 			if err != nil {
 				return fmt.Errorf("opt: currency clause BY column: %w", err)
 			}
@@ -374,138 +373,173 @@ func (a *algebrizer) resolveExpr(e sqlparser.Expr) (sqlparser.Expr, []cc.Instanc
 	for id := range touched {
 		ids = append(ids, id)
 	}
-	sortInstanceIDs(ids)
+	slices.Sort(ids)
 	return out, ids, nil
 }
 
 func (a *algebrizer) rewriteExpr(e sqlparser.Expr, touched map[cc.InstanceID]bool) (sqlparser.Expr, error) {
-	switch e := e.(type) {
-	case nil:
+	return rewrite(e, func(x sqlparser.Expr) (sqlparser.Expr, bool, error) {
+		switch x := x.(type) {
+		case *sqlparser.ColumnRef:
+			ref, err := a.resolveRefIn(a.cols.Cols, x)
+			if err == nil {
+				touched[a.bindings[ref.Table]] = true
+			}
+			return ref, true, err
+		case *sqlparser.InExpr:
+			if x.Subquery != nil {
+				return nil, true, fmt.Errorf("opt: nested IN subquery not supported here")
+			}
+		case *sqlparser.ExistsExpr:
+			return nil, true, fmt.Errorf("opt: EXISTS is only supported as a top-level WHERE conjunct")
+		}
+		return nil, false, nil
+	})
+}
+
+// rewrite returns a copy of e in which f replaced what it takes: f sees each
+// node, outermost first, and returns its replacement and true, or false to
+// have the node copied over its rewritten operands. A node without operands
+// that f does not take is kept.
+func rewrite(e sqlparser.Expr, f func(sqlparser.Expr) (sqlparser.Expr, bool, error)) (sqlparser.Expr, error) {
+	if e == nil {
 		return nil, nil
-	case *sqlparser.Literal:
-		return e, nil
-	case *sqlparser.ColumnRef:
-		ref, err := a.resolveRefIn(a.leaves, e)
-		if err != nil {
-			return nil, err
-		}
-		if id, ok := a.bindings[ref.Table]; ok {
-			touched[id] = true
-		}
-		return ref, nil
-	case *sqlparser.BinaryExpr:
-		l, err := a.rewriteExpr(e.Left, touched)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.rewriteExpr(e.Right, touched)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.BinaryExpr{Op: e.Op, Left: l, Right: r}, nil
-	case *sqlparser.NotExpr:
-		in, err := a.rewriteExpr(e.Inner, touched)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.NotExpr{Inner: in}, nil
-	case *sqlparser.NegExpr:
-		in, err := a.rewriteExpr(e.Inner, touched)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.NegExpr{Inner: in}, nil
-	case *sqlparser.BetweenExpr:
-		x, err := a.rewriteExpr(e.Expr, touched)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := a.rewriteExpr(e.Lo, touched)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := a.rewriteExpr(e.Hi, touched)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.BetweenExpr{Expr: x, Lo: lo, Hi: hi, Not: e.Not}, nil
-	case *sqlparser.InExpr:
-		if e.Subquery != nil {
-			return nil, fmt.Errorf("opt: nested IN subquery not supported here")
-		}
-		x, err := a.rewriteExpr(e.Expr, touched)
-		if err != nil {
-			return nil, err
-		}
-		out := &sqlparser.InExpr{Expr: x, Not: e.Not}
-		for _, item := range e.List {
-			ri, err := a.rewriteExpr(item, touched)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, ri)
-		}
-		return out, nil
-	case *sqlparser.IsNullExpr:
-		x, err := a.rewriteExpr(e.Expr, touched)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.IsNullExpr{Expr: x, Not: e.Not}, nil
-	case *sqlparser.FuncExpr:
-		out := &sqlparser.FuncExpr{Name: e.Name, Star: e.Star}
-		for _, arg := range e.Args {
-			ra, err := a.rewriteExpr(arg, touched)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, ra)
-		}
-		return out, nil
-	case *sqlparser.ExistsExpr:
-		return nil, fmt.Errorf("opt: EXISTS is only supported as a top-level WHERE conjunct")
-	default:
-		return nil, fmt.Errorf("opt: unsupported expression %T", e)
 	}
+	if out, took, err := f(e); took || err != nil {
+		return out, err
+	}
+	var err error
+	sub := func(x sqlparser.Expr) sqlparser.Expr {
+		if err != nil {
+			return nil
+		}
+		x, err = rewrite(x, f)
+		return x
+	}
+	var out sqlparser.Expr
+	switch e := e.(type) {
+	case *sqlparser.BinaryExpr:
+		out = &sqlparser.BinaryExpr{Op: e.Op, Left: sub(e.Left), Right: sub(e.Right)}
+	case *sqlparser.NotExpr:
+		out = &sqlparser.NotExpr{Inner: sub(e.Inner)}
+	case *sqlparser.NegExpr:
+		out = &sqlparser.NegExpr{Inner: sub(e.Inner)}
+	case *sqlparser.BetweenExpr:
+		out = &sqlparser.BetweenExpr{Expr: sub(e.Expr), Lo: sub(e.Lo), Hi: sub(e.Hi), Not: e.Not}
+	case *sqlparser.IsNullExpr:
+		out = &sqlparser.IsNullExpr{Expr: sub(e.Expr), Not: e.Not}
+	case *sqlparser.InExpr:
+		in := &sqlparser.InExpr{Expr: sub(e.Expr), Not: e.Not, Subquery: e.Subquery}
+		for _, item := range e.List {
+			in.List = append(in.List, sub(item))
+		}
+		out = in
+	case *sqlparser.FuncExpr:
+		fn := &sqlparser.FuncExpr{Name: e.Name, Star: e.Star}
+		for _, arg := range e.Args {
+			fn.Args = append(fn.Args, sub(arg))
+		}
+		out = fn
+	default:
+		return e, nil
+	}
+	return out, err
 }
 
 // resolveRefIn resolves a (possibly unqualified, possibly derived-alias)
-// column reference against the given leaves, consulting derived-table alias
-// maps first.
-func (a *algebrizer) resolveRefIn(leaves []*Leaf, ref *sqlparser.ColumnRef) (*sqlparser.ColumnRef, error) {
-	if ref.Table != "" {
-		for _, am := range a.aliasMaps {
-			if am.alias == ref.Table {
-				mapped, ok := am.cols[strings.ToLower(ref.Column)]
-				if !ok {
-					return nil, fmt.Errorf("opt: derived table %s has no column %s", ref.Table, ref.Column)
-				}
-				return mapped, nil
+// column reference against the given leaf columns (exec.Schema.Resolve),
+// consulting derived-table alias maps first.
+func (a *algebrizer) resolveRefIn(cols []exec.Col, ref *sqlparser.ColumnRef) (*sqlparser.ColumnRef, error) {
+	for _, am := range a.aliasMaps {
+		if ref.Table != "" && am.alias == ref.Table {
+			mapped, ok := am.cols[strings.ToLower(ref.Column)]
+			if !ok {
+				return nil, fmt.Errorf("opt: derived table %s has no column %s", ref.Table, ref.Column)
 			}
-		}
-		for _, l := range leaves {
-			if l.Binding == ref.Table {
-				if l.Table.ColumnIndex(ref.Column) < 0 {
-					return nil, fmt.Errorf("opt: table %s has no column %s", ref.Table, ref.Column)
-				}
-				return &sqlparser.ColumnRef{Table: ref.Table, Column: ref.Column}, nil
-			}
-		}
-		return nil, fmt.Errorf("opt: unknown table or alias %s", ref.Table)
-	}
-	var found *sqlparser.ColumnRef
-	for _, l := range leaves {
-		if l.Table.ColumnIndex(ref.Column) >= 0 {
-			if found != nil {
-				return nil, fmt.Errorf("opt: ambiguous column %s", ref.Column)
-			}
-			found = &sqlparser.ColumnRef{Table: l.Binding, Column: ref.Column}
+			return mapped, nil
 		}
 	}
-	if found == nil {
-		return nil, fmt.Errorf("opt: unknown column %s", ref.Column)
+	s := exec.Schema{Cols: cols}
+	i, err := s.Resolve(ref.Table, ref.Column)
+	if err != nil {
+		return nil, err
 	}
-	return found, nil
+	return &sqlparser.ColumnRef{Table: cols[i].Binding, Column: cols[i].Name}, nil
+}
+
+// bind gives every expression of q its kind (exec.Bind) before any access
+// path is chosen, so that a statement fails, or not, whatever its plan: the
+// one-leaf conjuncts an index seek or a view match would absorb, the join
+// edges that become key ordinals, the residuals, the grouping keys and the
+// aggregate arguments against the leaves' columns, then HAVING, ORDER BY and
+// the select items against those and the aggregates' outputs. It fixes each
+// aggregate's kind and the result schema, q.Out.
+func (a *algebrizer) bind(q *Query) error {
+	for _, l := range q.Leaves {
+		if err := a.bindAll(l.Preds); err != nil {
+			return err
+		}
+	}
+	for _, j := range q.Joins {
+		if _, err := exec.Bind(j.Expr, &a.cols); err != nil {
+			return err
+		}
+	}
+	if err := a.bindAll(q.Residual); err != nil {
+		return err
+	}
+	if err := a.bindAll(q.GroupBy); err != nil {
+		return err
+	}
+	for i := range q.Aggs {
+		ag, arg, err := &q.Aggs[i], sqltypes.KindNull, error(nil)
+		if ag.Arg != nil {
+			arg, err = exec.Bind(ag.Arg, &a.cols)
+		}
+		if err == nil {
+			ag.Kind, err = exec.AggKind(ag.Func, arg)
+		}
+		if err != nil {
+			return err
+		}
+		a.cols.Cols = append(a.cols.Cols, exec.Col{Binding: aggBinding, Name: ag.Ref.Column, Kind: ag.Kind})
+	}
+	if q.Having != nil {
+		if _, err := exec.Bind(q.Having, &a.cols); err != nil {
+			return err
+		}
+	}
+	for _, o := range q.OrderBy {
+		if _, err := exec.Bind(o.Expr, &a.cols); err != nil {
+			return err
+		}
+	}
+	out := make([]exec.Col, len(q.Items))
+	for i, item := range q.Items {
+		kind, err := exec.Bind(item.Expr, &a.cols)
+		if err != nil {
+			return err
+		}
+		name := item.Alias
+		if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok && name == "" {
+			name = ref.Column
+		}
+		if name == "" {
+			name = fmt.Sprintf("col%d", i+1)
+		}
+		out[i] = exec.Col{Name: name, Kind: kind}
+	}
+	q.Out = exec.NewSchema(out...)
+	return nil
+}
+
+func (a *algebrizer) bindAll(es []sqlparser.Expr) error {
+	for _, e := range es {
+		if _, err := exec.Bind(e, &a.cols); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finishing resolves the projection, grouping, having and ordering parts,
@@ -605,65 +639,44 @@ func (a *algebrizer) resolveOrderItem(q *Query, o sqlparser.OrderItem) (sqlparse
 // extractAggs replaces aggregate calls with references to aggregate output
 // columns, registering each distinct aggregate in q.Aggs.
 func (a *algebrizer) extractAggs(q *Query, e sqlparser.Expr) (sqlparser.Expr, error) {
-	switch e := e.(type) {
-	case nil:
-		return nil, nil
-	case *sqlparser.FuncExpr:
-		if !e.IsAggregate() {
-			return e, nil
+	return rewrite(e, func(x sqlparser.Expr) (sqlparser.Expr, bool, error) {
+		if f, ok := x.(*sqlparser.FuncExpr); ok && f.IsAggregate() {
+			ref, err := a.aggRef(q, f)
+			return ref, true, err
 		}
-		var arg sqlparser.Expr
-		if !e.Star {
-			if len(e.Args) != 1 {
-				return nil, fmt.Errorf("opt: aggregate %s needs one argument", e.Name)
-			}
-			arg = e.Args[0]
+		return nil, false, nil
+	})
+}
+
+// aggRef is the reference standing for aggregate call e in q.Aggs.
+func (a *algebrizer) aggRef(q *Query, e *sqlparser.FuncExpr) (*sqlparser.ColumnRef, error) {
+	var arg sqlparser.Expr
+	if !e.Star {
+		if len(e.Args) != 1 {
+			return nil, fmt.Errorf("opt: aggregate %s needs one argument", e.Name)
 		}
-		// Reuse an existing identical aggregate. The comparison reads every
-		// literal inside the call.
-		walkExpr(e, func(x sqlparser.Expr) {
-			if lit, ok := x.(*sqlparser.Literal); ok {
-				a.pins.pin(lit.Slot)
-			}
-		})
-		sig := e.SQL()
-		for i := range q.Aggs {
-			existing := &sqlparser.FuncExpr{Name: q.Aggs[i].Func, Star: q.Aggs[i].Star}
-			if q.Aggs[i].Arg != nil {
-				existing.Args = []sqlparser.Expr{q.Aggs[i].Arg}
-			}
-			if existing.SQL() == sig {
-				return q.Aggs[i].Ref, nil
-			}
-		}
-		ref := &sqlparser.ColumnRef{Table: aggBinding, Column: fmt.Sprintf("agg%d", len(q.Aggs))}
-		q.Aggs = append(q.Aggs, AggItem{Func: e.Name, Arg: arg, Star: e.Star, Ref: ref})
-		return ref, nil
-	case *sqlparser.BinaryExpr:
-		l, err := a.extractAggs(q, e.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.extractAggs(q, e.Right)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.BinaryExpr{Op: e.Op, Left: l, Right: r}, nil
-	case *sqlparser.NotExpr:
-		in, err := a.extractAggs(q, e.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.NotExpr{Inner: in}, nil
-	case *sqlparser.NegExpr:
-		in, err := a.extractAggs(q, e.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.NegExpr{Inner: in}, nil
-	default:
-		return e, nil
+		arg = e.Args[0]
 	}
+	// Reuse an existing identical aggregate. The comparison reads every
+	// literal inside the call.
+	walkExpr(e, func(x sqlparser.Expr) {
+		if lit, ok := x.(*sqlparser.Literal); ok {
+			a.pins.pin(lit.Slot)
+		}
+	})
+	sig := e.SQL()
+	for i := range q.Aggs {
+		existing := &sqlparser.FuncExpr{Name: q.Aggs[i].Func, Star: q.Aggs[i].Star}
+		if q.Aggs[i].Arg != nil {
+			existing.Args = []sqlparser.Expr{q.Aggs[i].Arg}
+		}
+		if existing.SQL() == sig {
+			return q.Aggs[i].Ref, nil
+		}
+	}
+	ref := &sqlparser.ColumnRef{Table: aggBinding, Column: fmt.Sprintf("agg%d", len(q.Aggs))}
+	q.Aggs = append(q.Aggs, AggItem{Func: e.Name, Arg: arg, Star: e.Star, Ref: ref})
+	return ref, nil
 }
 
 // aggBinding is the pseudo-binding aggregate outputs live under.
@@ -788,14 +801,6 @@ func walkExpr(e sqlparser.Expr, visit func(sqlparser.Expr)) {
 	case *sqlparser.FuncExpr:
 		for _, arg := range e.Args {
 			walkExpr(arg, visit)
-		}
-	}
-}
-
-func sortInstanceIDs(ids []cc.InstanceID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

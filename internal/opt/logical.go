@@ -160,6 +160,8 @@ type AggItem struct {
 	// Ref is the rewritten column reference standing for this aggregate in
 	// post-aggregation expressions.
 	Ref *sqlparser.ColumnRef
+	// Kind is the kind of its result (exec.AggKind), fixed by Algebrize.
+	Kind sqltypes.Kind
 }
 
 // Query is the algebrized (logical) form of a SELECT: flat join graph plus
@@ -185,6 +187,9 @@ type Query struct {
 	OrderBy  []sqlparser.OrderItem
 	Top      int64
 	Distinct bool
+	// Out is the result schema: each item's name and the kind Algebrize
+	// bound it to.
+	Out *exec.Schema
 
 	// pinned collects the literal slots planning reads the values of.
 	pinned pins

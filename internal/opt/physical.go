@@ -1586,10 +1586,6 @@ func (p *Planner) hoistedCands(q *Query, remote *cand, semiResiduals map[cc.Inst
 // finish layers residual filters, aggregation, distinct, ordering, limit and
 // the final projection on a join candidate.
 func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*cand, error) {
-	outSchema, err := outputSchema(q)
-	if err != nil {
-		return nil, err
-	}
 	joinBuild, joinSchema := jc.build, jc.schema
 	rows := jc.rows
 	cost := jc.cost
@@ -1642,7 +1638,7 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		if q.Top > 0 {
 			op = &exec.Limit{Child: op, N: q.Top}
 		}
-		proj := &exec.Project{Child: op, Out: outSchema, Exprs: make([]exec.Expr, len(q.Items))}
+		proj := &exec.Project{Child: op, Out: q.Out, Exprs: make([]exec.Expr, len(q.Items))}
 		for i, item := range q.Items {
 			if proj.Exprs[i], err = exec.CompileExpr(item.Expr, schema); err != nil {
 				return nil, err
@@ -1654,7 +1650,7 @@ func (p *Planner) finish(q *Query, jc *cand, innerResiduals []sqlparser.Expr) (*
 		}
 		return op, nil
 	}
-	return joined(&cand{build: build, schema: outSchema, cost: cost, rows: rows, shape: jc.shape}, jc), nil
+	return joined(&cand{build: build, schema: q.Out, cost: cost, rows: rows, shape: jc.shape}, jc), nil
 }
 
 // buildAggregate constructs the Aggregate operator and its output schema:
@@ -1689,67 +1685,22 @@ func buildAggregate(q *Query, child exec.Operator, schema *exec.Schema) (exec.Op
 			}
 		}
 		agg.Aggs = append(agg.Aggs, spec)
-		kind := sqltypes.KindFloat
-		if ag.Func == "COUNT" {
-			kind = sqltypes.KindInt
-		}
-		outCols = append(outCols, exec.Col{Binding: aggBinding, Name: ag.Ref.Column, Kind: kind})
+		outCols = append(outCols, exec.Col{Binding: aggBinding, Name: ag.Ref.Column, Kind: ag.Kind})
 	}
 	agg.Out = exec.NewSchema(outCols...)
 	return agg, agg.Out, nil
 }
 
-// outputSchema derives the final result schema from the projection items.
-func outputSchema(q *Query) (*exec.Schema, error) {
-	cols := make([]exec.Col, len(q.Items))
-	for i, item := range q.Items {
-		name := item.Alias
-		kind := sqltypes.KindFloat
-		if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-			if name == "" {
-				name = ref.Column
-			}
-			if ref.Table != aggBinding {
-				if l := leafByBinding(q, ref.Table); l != nil {
-					if c := l.Table.Column(ref.Column); c != nil {
-						kind = c.Type
-					}
-				}
-			}
-		} else if lit, ok := item.Expr.(*sqlparser.Literal); ok {
-			kind = lit.Val.Kind()
-		}
-		if name == "" {
-			name = fmt.Sprintf("col%d", i+1)
-		}
-		cols[i] = exec.Col{Name: name, Kind: kind}
-	}
-	return exec.NewSchema(cols...), nil
-}
-
-func leafByBinding(q *Query, binding string) *Leaf {
-	for _, l := range q.Leaves {
-		if l.Binding == binding {
-			return l
-		}
-	}
-	return nil
-}
-
 // wholeRemoteCand ships the entire query to the back end (plan 1).
 func (p *Planner) wholeRemoteCand(q *Query) *cand {
-	outSchema, err := outputSchema(q)
-	if err != nil {
-		outSchema = exec.NewSchema()
-	}
 	cost, rows := wholeRemoteCost(q)
 	var ids []cc.InstanceID
 	for _, l := range q.Leaves {
 		ids = append(ids, l.ID)
 	}
 	return &cand{
-		build:        p.remoteBuild(func() *sqlparser.SelectStmt { return stripCurrency(q.Stmt) }, outSchema),
-		schema:       outSchema,
+		build:        p.remoteBuild(func() *sqlparser.SelectStmt { return stripCurrency(q.Stmt) }, q.Out),
+		schema:       q.Out,
 		cost:         cost,
 		rows:         rows,
 		delivered:    cc.DeliverScan(catalog.MasterRegionID, ids...),

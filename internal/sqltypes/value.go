@@ -196,9 +196,9 @@ func (v Value) Display() string {
 //
 // NULL sorts before every non-NULL value (index-key order). INT and FLOAT
 // compare numerically across kinds, exactly: a BIGINT past 2^53 is not equal
-// to the float64 it would round to. Comparing other mixed kinds orders by
-// Kind, which keeps sorting total; predicate evaluation rejects such
-// comparisons before reaching here.
+// to the float64 it would round to. Other mixed kinds order by Kind, which
+// keeps sorting total; no SQL statement compares them, as binding
+// (exec.Bind) rejects such comparisons and join edges before planning.
 func (v Value) Compare(w Value) int {
 	if v.kind == KindNull || w.kind == KindNull {
 		switch {
