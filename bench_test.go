@@ -346,6 +346,37 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 			}
 		})
 	}
+	// DML as the read_write workload issues it, forwarded through the cache
+	// to the back end: a by-key UPDATE, and an INSERT with the DELETE that
+	// takes its row out again. The texts are made before the clock starts,
+	// each of the ring's with literals of its own.
+	const ring = 1024
+	for name, texts := range map[string]func(i int) []string{
+		"update-by-key": func(i int) []string {
+			return []string{fmt.Sprintf("UPDATE Customer SET c_acctbal = %d.%02d WHERE c_custkey = %d", i, i%100, 1+i%customers)}
+		},
+		"insert-delete": func(i int) []string {
+			cust, key := 1+i%customers, 1<<40+i
+			return []string{
+				fmt.Sprintf("INSERT INTO Orders VALUES (%d, %d, %d.%02d, GETDATE())", cust, key, i, i%100),
+				fmt.Sprintf("DELETE FROM Orders WHERE o_custkey = %d AND o_orderkey = %d", cust, key),
+			}
+		},
+	} {
+		stmts := make([][]string, ring)
+		for i := range stmts {
+			stmts[i] = texts(i)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, sql := range stmts[i%ring] {
+					if n, err := sys.Exec(sql); err != nil || n != 1 {
+						b.Fatalf("%s: %d, %v", sql, n, err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // ---- executor benchmarks: row-at-a-time vs batch vs morsel-parallel ----

@@ -7,6 +7,7 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -104,31 +105,74 @@ func (s *Server) Table(name string) *storage.Table {
 	return s.tables[name]
 }
 
+// ErrNotDML is ExecDML's answer to a statement that is no INSERT, UPDATE or
+// DELETE.
+var ErrNotDML = errors.New("backend: not an INSERT, UPDATE or DELETE")
+
 // Exec runs a DDL or DML statement, returning the number of affected rows.
-func (s *Server) Exec(sql string) (int, error) {
+func (s *Server) Exec(sql string) (int, error) { return s.exec(sql, true) }
+
+// ExecDML runs an INSERT, UPDATE or DELETE as a cache forwards it: any other
+// statement that parses is refused with ErrNotDML.
+func (s *Server) ExecDML(sql string) (int, error) { return s.exec(sql, false) }
+
+// exec runs a statement's text, DDL only when ddl is set. DML of a shape met
+// before (opt.Shapes) is neither parsed nor compiled: one lexer pass finds its
+// template and its literals, and the template runs with them.
+func (s *Server) exec(sql string, ddl bool) (int, error) {
+	var kb [256]byte
+	var vb [8]sqltypes.Value
+	var gen uint64
+	var d *dml
+	skel, vals, scanned := sqlparser.Scan(sql, kb[:0], vb[:0])
+	if scanned {
+		s.stmtMu.Lock()
+		gen = s.planGen
+		if t := s.shapes.Find(skel, vals); t != nil {
+			d, _ = t.DML.(*dml)
+		}
+		s.stmtMu.Unlock()
+		if d != nil {
+			return s.run(d, vals)
+		}
+	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return 0, err
 	}
-	return s.ExecStmt(stmt)
+	if d, err = s.compile(stmt); errors.Is(err, ErrNotDML) && ddl {
+		return s.ExecStmt(stmt)
+	} else if err != nil {
+		return 0, err
+	}
+	var params []sqltypes.Value // nil: a template not filed reads its own literals
+	if scanned && d.err == nil {
+		s.stmtMu.Lock()
+		if gen == s.planGen { // else compiled across an invalidation
+			_, params = s.shapes.File(skel, vals, d.slots, 0, &opt.Template{DML: d})
+		}
+		s.stmtMu.Unlock()
+	}
+	return s.run(d, params)
 }
 
-// ExecStmt runs a parsed DDL or DML statement.
+// ExecStmt runs a parsed DDL or DML statement. DML is compiled as a text of a
+// new shape is, into a template that is not filed, and runs like one.
 func (s *Server) ExecStmt(stmt sqlparser.Statement) (int, error) {
 	switch stmt := stmt.(type) {
 	case *sqlparser.CreateTableStmt:
 		return 0, s.createTable(stmt)
 	case *sqlparser.CreateIndexStmt:
 		return 0, s.createIndex(stmt)
-	case *sqlparser.InsertStmt:
-		return s.insert(stmt)
-	case *sqlparser.UpdateStmt:
-		return s.modify(stmt.Table, stmt.Where, stmt.Set, false)
-	case *sqlparser.DeleteStmt:
-		return s.modify(stmt.Table, stmt.Where, nil, true)
-	default:
-		return 0, fmt.Errorf("backend: unsupported statement %T", stmt)
 	}
+	d, err := s.compile(stmt)
+	if errors.Is(err, ErrNotDML) {
+		err = fmt.Errorf("backend: unsupported statement %T", stmt)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return s.run(d, nil)
 }
 
 // Query plans and executes a SELECT, returning the materialized result.
@@ -147,7 +191,9 @@ func (s *Server) Query(sql string) (*exec.Result, error) {
 	if ok {
 		s.stmtMu.Lock()
 		gen = s.planGen
-		t = s.shapes.Find(skel, vals)
+		if t = s.shapes.Find(skel, vals); t != nil && t.Plan == nil {
+			t = nil // DML's: ParseSelect says why it is no SELECT
+		}
 		root = t.TakeIdle()
 		s.stmtMu.Unlock()
 	}
@@ -282,47 +328,154 @@ func (s *Server) createIndex(stmt *sqlparser.CreateIndexStmt) error {
 	return err
 }
 
-// insert evaluates every row of an INSERT, GETDATE() fixed for the
-// statement, before it inserts any (insertRows): a row that fails to evaluate
-// leaves no other behind.
-func (s *Server) insert(stmt *sqlparser.InsertStmt) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tbl, ok := s.tables[stmt.Table]
-	if !ok {
-		return 0, fmt.Errorf("backend: no table %s", stmt.Table)
+// dml is an INSERT, UPDATE or DELETE bound and compiled against its table:
+// the template every text of its shape runs through (opt.Shapes files it), or
+// one parse's own (ExecStmt). Its expressions read their literals from the
+// execution's parameters, or from the parse when there are none.
+type dml struct {
+	tbl   *storage.Table
+	op    txn.Op
+	slots sqlparser.Slots
+	ords  []int                // the columns of an INSERT's values, of an UPDATE's set
+	rows  [][]exec.Compiled    // an INSERT's VALUES rows
+	set   []exec.Compiled      // an UPDATE's SET expressions, over the old row
+	where exec.Compiled        // nil: every row
+	key   []*sqlparser.Literal // the literal of each key column where the WHERE seeks (pinKey)
+	pk    []int                // the primary key's ordinals
+	// err is the bind error an INSERT reports once the values before it have
+	// evaluated (compileInsert). A template with one is not filed.
+	err error
+}
+
+// compile binds and compiles an INSERT, UPDATE or DELETE against its table,
+// which it resolves as the planner does (Site.LocalTable); ErrNotDML for any
+// other statement.
+func (s *Server) compile(stmt sqlparser.Statement) (*dml, error) {
+	d := &dml{}
+	var table string
+	var where sqlparser.Expr
+	var set []sqlparser.Assignment
+	switch st := stmt.(type) {
+	case *sqlparser.InsertStmt:
+		d.op, d.slots, table = txn.OpInsert, st.Slots, st.Table
+	case *sqlparser.UpdateStmt:
+		d.op, d.slots, table, where, set = txn.OpUpdate, st.Slots, st.Table, st.Where, st.Set
+	case *sqlparser.DeleteStmt:
+		d.op, d.slots, table, where = txn.OpDelete, st.Slots, st.Table, st.Where
+	default:
+		return nil, ErrNotDML
 	}
-	def := tbl.Def()
-	ords, err := insertOrdinals(def, stmt.Columns)
-	if err != nil {
-		return 0, err
+	if d.tbl = s.planner.Site.LocalTable(table); d.tbl == nil {
+		return nil, fmt.Errorf("backend: no table %s", table)
+	}
+	d.pk = d.tbl.Def().PKOrdinals()
+	if ins, ok := stmt.(*sqlparser.InsertStmt); ok {
+		return d, d.compileInsert(ins)
+	}
+	return d, d.compileModify(where, set)
+}
+
+// compileInsert binds and compiles the VALUES rows in the order they are
+// evaluated. A row of the wrong arity or a value that does not bind becomes
+// d.err, and the values before it stay: run evaluates them first, so one that
+// fails to evaluate is what the statement reports, as it was when each value
+// was bound just before it was evaluated.
+func (d *dml) compileInsert(stmt *sqlparser.InsertStmt) error {
+	def := d.tbl.Def()
+	var err error
+	if d.ords, err = insertOrdinals(def, stmt.Columns); err != nil {
+		return err
 	}
 	empty := exec.NewSchema()
-	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
-	rows := make([]sqltypes.Row, len(stmt.Rows))
-	for r, exprRow := range stmt.Rows {
-		if len(exprRow) != len(ords) {
-			return 0, fmt.Errorf("backend: INSERT arity mismatch")
+	for _, exprRow := range stmt.Rows {
+		if len(exprRow) != len(d.ords) {
+			d.err = fmt.Errorf("backend: INSERT arity mismatch")
+			return nil
 		}
-		rows[r] = make(sqltypes.Row, len(def.Columns))
+		row := make([]exec.Compiled, len(exprRow))
 		for i, e := range exprRow {
-			if err := bindValue(def, ords[i], e, empty); err != nil {
-				return 0, err
+			if d.err = bindValue(def, d.ords[i], e, empty); d.err == nil {
+				row[i], d.err = exec.Compile(e, empty)
 			}
-			c, err := exec.Compile(e, empty)
-			if err != nil {
-				return 0, err
+			if d.err != nil {
+				d.rows = append(d.rows, row[:i])
+				return nil
 			}
-			if rows[r][ords[i]], err = c(evalCtx, nil); err != nil {
+		}
+		d.rows = append(d.rows, row)
+	}
+	return nil
+}
+
+// compileModify binds and compiles an UPDATE's SET list (a DELETE has none)
+// and the WHERE, and decides whether the WHERE seeks (pinKey).
+func (d *dml) compileModify(where sqlparser.Expr, set []sqlparser.Assignment) error {
+	def := d.tbl.Def()
+	schema := tableSchema(def)
+	d.ords, d.set = make([]int, len(set)), make([]exec.Compiled, len(set))
+	for i, a := range set {
+		if d.ords[i] = def.ColumnIndex(a.Column); d.ords[i] < 0 {
+			return fmt.Errorf("backend: table %s has no column %s", def.Name, a.Column)
+		}
+		if slices.Contains(d.ords[:i], d.ords[i]) { // insertOrdinals' error
+			return fmt.Errorf("backend: %s.%s is assigned twice", def.Name, a.Column)
+		}
+		err := bindValue(def, d.ords[i], a.Value, schema)
+		if err == nil {
+			d.set[i], err = exec.Compile(a.Value, schema)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if where == nil {
+		return nil
+	}
+	var err error
+	if d.where, err = exec.Compile(where, schema); err == nil {
+		d.key = pinKey(def, schema, where)
+	}
+	return err
+}
+
+// run executes a compiled statement with params (see dml) under the writers'
+// lock, as one transaction: a failure undoes what it changed and writes no
+// commit record.
+func (s *Server) run(d *dml, params []sqltypes.Value) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// GETDATE() is fixed for the statement.
+	ctx := &exec.EvalContext{Now: s.clock.Now(), Params: slices.Clone(params)}
+	if d.op == txn.OpInsert {
+		return s.insert(d, ctx)
+	}
+	return s.modify(d, ctx)
+}
+
+// insert evaluates every row of an INSERT before it inserts any (insertRows):
+// a row that fails to evaluate leaves no other behind.
+func (s *Server) insert(d *dml, ctx *exec.EvalContext) (int, error) {
+	width := len(d.tbl.Def().Columns)
+	vals := make([]sqltypes.Value, len(d.rows)*width)
+	rows := make([]sqltypes.Row, len(d.rows))
+	for r, exprs := range d.rows {
+		rows[r] = vals[r*width : (r+1)*width : (r+1)*width]
+		for i, e := range exprs {
+			var err error
+			if rows[r][d.ords[i]], err = e(ctx, nil); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return s.insertRows(tbl, rows)
+	if d.err != nil {
+		return 0, d.err
+	}
+	return s.insertRows(d.tbl, rows)
 }
 
 // insertRows inserts rows as one transaction: a row that does not fit its
-// columns (checkKinds) or the table undoes the rows before it.
+// columns (checkKinds) or the table undoes the rows before it. The commit
+// record keeps the rows: they are the caller's no more.
 func (s *Server) insertRows(tbl *storage.Table, rows []sqltypes.Row) (int, error) {
 	changes := make([]txn.Change, 0, len(rows))
 	for _, r := range rows {
@@ -334,25 +487,29 @@ func (s *Server) insertRows(tbl *storage.Table, rows []sqltypes.Row) (int, error
 			s.rollback(tbl, changes)
 			return 0, err
 		}
-		changes = append(changes, txn.Change{Table: tbl.Def().Name, Op: txn.OpInsert, New: r.Clone()})
+		changes = append(changes, txn.Change{Table: tbl.Def().Name, Op: txn.OpInsert, New: r})
 	}
 	s.log.Append(s.clock.Now(), changes)
 	return len(changes), nil
 }
 
-// rollback undoes already-applied changes of a failed statement, keeping
-// the statement atomic.
+// rollback undoes already-applied changes of a failed statement, last first,
+// keeping the statement atomic. An update that moved its row to another key
+// is undone by taking the new row out and putting the old one back.
 func (s *Server) rollback(tbl *storage.Table, changes []txn.Change) {
 	pkOrds := tbl.Def().PKOrdinals()
 	for i := len(changes) - 1; i >= 0; i-- {
 		ch := changes[i]
-		switch ch.Op {
-		case txn.OpInsert:
+		switch {
+		case ch.Op == txn.OpInsert:
 			tbl.Delete(pkVals(ch.New, pkOrds))
-		case txn.OpDelete:
+		case ch.Op == txn.OpDelete:
 			tbl.Insert(ch.Old)
-		case txn.OpUpdate:
+		case sameKey(ch.Old, ch.New, pkOrds):
 			tbl.Update(ch.Old)
+		default:
+			tbl.Delete(pkVals(ch.New, pkOrds))
+			tbl.Insert(ch.Old)
 		}
 	}
 }
@@ -363,6 +520,16 @@ func pkVals(row sqltypes.Row, ords []int) sqltypes.Row {
 		out[i] = row[o]
 	}
 	return out
+}
+
+// sameKey reports whether rows a and b have the same primary key (ords).
+func sameKey(a, b sqltypes.Row, ords []int) bool {
+	for _, o := range ords {
+		if !a[o].Equal(b[o]) {
+			return false
+		}
+	}
+	return true
 }
 
 func insertOrdinals(def *catalog.Table, cols []string) ([]int, error) {
@@ -379,54 +546,34 @@ func insertOrdinals(def *catalog.Table, cols []string) ([]int, error) {
 		if o < 0 {
 			return nil, fmt.Errorf("backend: table %s has no column %s", def.Name, c)
 		}
+		if slices.Contains(out[:i], o) {
+			return nil, fmt.Errorf("backend: %s.%s is assigned twice", def.Name, c)
+		}
 		out[i] = o
 	}
 	return out, nil
 }
 
-// modify runs a DELETE (del) or an UPDATE setting set over the rows of table
-// that match where, as one statement: a failure undoes what it changed.
-func (s *Server) modify(table string, where sqlparser.Expr, set []sqlparser.Assignment, del bool) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tbl, ok := s.tables[table]
-	if !ok {
-		return 0, fmt.Errorf("backend: no table %s", table)
-	}
-	def := tbl.Def()
-	schema := tableSchema(def)
-	evalCtx := &exec.EvalContext{Now: s.clock.Now()}
-	ords := make([]int, len(set))
-	exprs := make([]exec.Compiled, len(set))
-	for i, a := range set {
-		if ords[i] = def.ColumnIndex(a.Column); ords[i] < 0 {
-			return 0, fmt.Errorf("backend: table %s has no column %s", def.Name, a.Column)
-		}
-		err := bindValue(def, ords[i], a.Value, schema)
-		if err == nil {
-			exprs[i], err = exec.Compile(a.Value, schema)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	matched, err := matchRows(tbl, schema, where, evalCtx)
+// modify runs a DELETE or an UPDATE over the rows its WHERE matches, as one
+// statement: a failure undoes what it changed.
+func (s *Server) modify(d *dml, ctx *exec.EvalContext) (int, error) {
+	tbl, def := d.tbl, d.tbl.Def()
+	matched, err := matchRows(d, ctx)
 	if err != nil {
 		return 0, err
 	}
-	pkOrds := def.PKOrdinals()
 	var changes []txn.Change
 	for _, old := range matched {
-		pk := pkVals(old, pkOrds)
-		if del {
+		pk := pkVals(old, d.pk)
+		if d.op == txn.OpDelete {
 			if tbl.Delete(pk) {
 				changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpDelete, Old: old})
 			}
 			continue
 		}
 		updated := old.Clone()
-		for i, e := range exprs {
-			if updated[ords[i]], err = e(evalCtx, old); err != nil {
+		for i, e := range d.set {
+			if updated[d.ords[i]], err = e(ctx, old); err != nil {
 				break
 			}
 		}
@@ -435,7 +582,7 @@ func (s *Server) modify(table string, where sqlparser.Expr, set []sqlparser.Assi
 		}
 		switch {
 		case err != nil:
-		case pk.Equal(pkVals(updated, pkOrds)):
+		case sameKey(old, updated, d.pk):
 			err = tbl.Update(updated)
 		case !tbl.Delete(pk):
 			err = fmt.Errorf("backend: row vanished during update")
@@ -454,24 +601,21 @@ func (s *Server) modify(table string, where sqlparser.Expr, set []sqlparser.Assi
 	return len(changes), nil
 }
 
-// matchRows returns copies of the rows of tbl that satisfy where (every row
-// when it is nil), in primary-key order — collected before any mutation,
-// because a table cannot change under its own scan. Where pinKey finds the
-// whole primary key, Table.Peek copies out the one row that can match.
-// Otherwise the scalar predicate sees each row where Table.Scan laid its leaf
-// window out, in one reused buffer; a row that matches is copied.
-func matchRows(tbl *storage.Table, schema *exec.Schema, where sqlparser.Expr, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
-	var pred exec.Compiled
-	if where != nil {
-		var err error
-		if pred, err = exec.Compile(where, schema); err != nil {
-			return nil, err
+// matchRows returns copies of the rows of d's table that satisfy its WHERE
+// (every row when it has none), in primary-key order — collected before any
+// mutation, because a table cannot change under its own scan. Where the WHERE
+// pins the whole primary key (d.key), Table.Peek copies out the one row that
+// can match. Otherwise the scalar predicate sees each row where Table.Scan
+// laid its leaf window out, in one reused buffer; a row that matches is copied.
+func matchRows(d *dml, ctx *exec.EvalContext) ([]sqltypes.Row, error) {
+	if d.key != nil {
+		var kb [4]sqltypes.Value
+		key := kb[:0]
+		for _, lit := range d.key {
+			key = append(key, lit.Value(ctx.Params))
 		}
-	}
-	var kb [4]sqltypes.Value
-	if key, ok := pinKey(tbl.Def(), schema, where, kb[:0]); ok {
-		if row, found := tbl.Peek(key, nil); found {
-			if ok, err := exec.PredicateTrue(pred, ctx, row); !ok {
+		if row, found := d.tbl.Peek(key, nil); found {
+			if ok, err := exec.PredicateTrue(d.where, ctx, row); !ok {
 				return nil, err
 			}
 			return []sqltypes.Row{row}, nil
@@ -480,10 +624,10 @@ func matchRows(tbl *storage.Table, schema *exec.Schema, where sqlparser.Expr, ct
 	}
 	var matched []sqltypes.Row
 	var err error
-	tbl.Scan(func(r sqltypes.Row) bool {
-		ok := pred == nil
+	d.tbl.Scan(func(r sqltypes.Row) bool {
+		ok := d.where == nil
 		if !ok {
-			ok, err = exec.PredicateTrue(pred, ctx, r)
+			ok, err = exec.PredicateTrue(d.where, ctx, r)
 		}
 		if ok {
 			matched = append(matched, r.Clone())
@@ -493,16 +637,17 @@ func matchRows(tbl *storage.Table, schema *exec.Schema, where sqlparser.Expr, ct
 	return matched, err
 }
 
-// pinKey appends to key the primary-key values where's `=` conjuncts pin, when
-// they pin every key column and every top-level AND conjunct compares a column
-// with a non-NULL literal. where is bound (matchRows compiles it), so no such
-// conjunct can fail on any row, and where on the one row at the key gives the
-// scan's rows. A conjunct that can fail (`bal / 0 = 1`) fails on the scan's
-// first row whether or not the key is there, so it keeps the scan.
-func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key sqltypes.Row) (sqltypes.Row, bool) {
-	for range def.PrimaryKey {
-		key = append(key, sqltypes.Null)
-	}
+// pinKey returns, for each primary-key column, the literal that where's `=`
+// conjuncts pin it to, when they pin every key column and every top-level AND
+// conjunct compares a column with a non-NULL literal; else nil. where is bound
+// (compileModify compiles it), so no such conjunct can fail on any row, and
+// where on the one row at the key gives the scan's rows. A conjunct that can
+// fail (`bal / 0 = 1`) fails on the scan's first row whether or not the key is
+// there, so it keeps the scan. The decision holds for every text of the
+// statement's shape: the skeleton fixes every literal's kind and which are
+// NULL, and no number token reads as a NaN, which would equal every key.
+func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr) []*sqlparser.Literal {
+	key := make([]*sqlparser.Literal, len(def.PrimaryKey))
 	var pin func(e sqlparser.Expr) bool
 	pin = func(e sqlparser.Expr) bool {
 		b, ok := e.(*sqlparser.BinaryExpr)
@@ -518,16 +663,16 @@ func pinKey(def *catalog.Table, schema *exec.Schema, where sqlparser.Expr, key s
 				return false
 			}
 			if k := slices.Index(def.PrimaryKey, def.Columns[col].Name); k >= 0 && b.Op == sqlparser.OpEQ {
-				key[k] = lit.Val
+				key[k] = lit
 			}
 			return true
 		}
 		return false
 	}
-	if !pin(where) || slices.ContainsFunc(key, sqltypes.Value.IsNull) {
-		return nil, false
+	if !pin(where) || slices.Contains(key, nil) {
+		return nil
 	}
-	return key, true
+	return key
 }
 
 // bindValue binds e, evaluated against schema, as the value of column col of
@@ -615,8 +760,8 @@ func (s *Server) AnalyzeAll() {
 	s.invalidatePlans()
 }
 
-// LoadRows bulk-inserts rows as one transaction, bypassing SQL parsing (used
-// by workload generators).
+// LoadRows bulk-inserts copies of rows as one transaction, bypassing SQL
+// parsing (used by workload generators).
 func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -624,7 +769,11 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	if !ok {
 		return fmt.Errorf("backend: no table %s", table)
 	}
-	_, err := s.insertRows(tbl, rows)
+	own := make([]sqltypes.Row, len(rows))
+	for i, r := range rows {
+		own[i] = r.Clone()
+	}
+	_, err := s.insertRows(tbl, own)
 	s.invalidatePlans()
 	return err
 }

@@ -183,8 +183,8 @@ func row(t *testing.T, rows []BenchRow, name string) *BenchRow {
 // own -4, and custom units land in their columns.
 func TestReadBenchText(t *testing.T) {
 	one, two := readBench(t, "bench_procs1.txt"), readBench(t, "bench_procs2.txt")
-	if len(one) != 21 || len(two) != len(one) {
-		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 21 each", len(one), len(two))
+	if len(one) != 23 || len(two) != len(one) {
+		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 23 each", len(one), len(two))
 	}
 	for i := range one {
 		if one[i].Name != two[i].Name {

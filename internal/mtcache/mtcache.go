@@ -17,6 +17,7 @@
 package mtcache
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -576,20 +577,15 @@ func (c *Cache) ExplainAnalyze(sql string) (*QueryResult, error) {
 	return c.oneShot.ExplainAnalyze(sql)
 }
 
-// Exec forwards a DML statement transparently to the back-end server (the
-// paper's step 5). DDL is rejected: cache contents are defined through
-// CreateView.
+// Exec forwards a DML statement's text transparently to the back-end server
+// (the paper's step 5), which parses it or knows its shape. DDL is rejected:
+// cache contents are defined through CreateView.
 func (c *Cache) Exec(sql string) (int, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return 0, err
+	n, err := c.back.ExecDML(sql)
+	if errors.Is(err, backend.ErrNotDML) {
+		err = fmt.Errorf("mtcache: only DML is forwarded; use the cache API for definitions")
 	}
-	switch stmt.(type) {
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return c.back.ExecStmt(stmt)
-	default:
-		return 0, fmt.Errorf("mtcache: only DML is forwarded; use the cache API for definitions")
-	}
+	return n, err
 }
 
 // ViolationAction selects the session's behavior when a query's constraints
@@ -722,6 +718,13 @@ func (s *Session) unknownText(sql string, opts opt.Options, analyze, anyStmt boo
 	var vb [8]sqltypes.Value
 	shared := cacheable(opts)
 	skel, vals, ok := sqlparser.Scan(sql, kb[:0], vb[:0])
+	if ok && anyStmt && sqlparser.IsDML(skel) {
+		// Forwarded as text: the back end parses it or knows its shape.
+		if _, err := c.back.ExecDML(sql); err != nil {
+			return nil, err
+		}
+		return &QueryResult{Result: &exec.Result{}}, nil
+	}
 	if ok {
 		if e, root, fresh := c.lookupShape(sql, skel, vals, shared, shared && !analyze); e != nil {
 			return s.query(e, root, fresh, nil, opts, analyze)
@@ -764,8 +767,8 @@ func (s *Session) unknownText(sql string, opts opt.Options, analyze, anyStmt boo
 	return s.query(e, root, false, p, opts, analyze)
 }
 
-// other runs a statement that is no SELECT: the session brackets, and DML,
-// which is forwarded to the back end.
+// other runs a statement that is neither a SELECT nor DML: the session
+// brackets.
 func (s *Session) other(stmt sqlparser.Statement) (*QueryResult, error) {
 	switch stmt := stmt.(type) {
 	case *sqlparser.BeginTimeOrderedStmt, *sqlparser.EndTimeOrderedStmt:
@@ -774,10 +777,6 @@ func (s *Session) other(stmt sqlparser.Statement) (*QueryResult, error) {
 		s.timeOrdered = begin
 		s.floor = time.Time{}
 		s.mu.Unlock()
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		if _, err := s.cache.back.ExecStmt(stmt); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("mtcache: unsupported statement in session")
 	}

@@ -203,11 +203,20 @@ func TestExecForwardsDMLOnly(t *testing.T) {
 	if res.Rows[0][0].Int() != 99 {
 		t.Fatal("update did not reach the back end")
 	}
-	if _, err := c.Exec("CREATE TABLE x (id INT PRIMARY KEY)"); err == nil {
-		t.Fatal("DDL through the cache accepted")
+	// The second text of the shape runs from the back end's template.
+	if n, err := c.Exec("UPDATE t SET n = 98 WHERE id = 2"); err != nil || n != 1 {
+		t.Fatalf("exec = %d, %v", n, err)
 	}
-	if _, err := c.Exec("SELECT 1"); err == nil {
-		t.Fatal("SELECT through Exec accepted")
+	if res, _ := b.Query("SELECT n FROM t WHERE id = 2"); res.Rows[0][0].Int() != 98 {
+		t.Fatal("second update did not reach the back end")
+	}
+	for _, sql := range []string{"CREATE TABLE x (id INT PRIMARY KEY)", "SELECT 1", "BEGIN TIMEORDERED"} {
+		if _, err := c.Exec(sql); err == nil || err.Error() != "mtcache: only DML is forwarded; use the cache API for definitions" {
+			t.Fatalf("%s through Exec: %v", sql, err)
+		}
+	}
+	if _, err := c.Exec("UPDATE t SET"); err == nil || !strings.HasPrefix(err.Error(), "sql: ") {
+		t.Fatalf("a text that does not parse: %v", err)
 	}
 }
 
@@ -249,8 +258,11 @@ func TestSessionStatements(t *testing.T) {
 	if _, err := sess.Execute("END TIMEORDERED"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Execute("CREATE INDEX i ON t (v)"); err == nil {
-		t.Fatal("DDL in session accepted")
+	if _, err := sess.Execute("CREATE INDEX i ON t (v)"); err == nil || err.Error() != "mtcache: unsupported statement in session" {
+		t.Fatalf("DDL in session: %v", err)
+	}
+	if _, err := sess.Execute("DELETE FROM t WHERE id = 'x'"); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+		t.Fatalf("DML that does not bind, in a session: %v", err)
 	}
 	if _, err := sess.Execute("garbage"); err == nil {
 		t.Fatal("garbage accepted")

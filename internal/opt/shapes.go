@@ -54,6 +54,9 @@ type Template struct {
 	// Plan is the optimized plan with Root cleared: the trees built from it
 	// are either idle below or checked out to the one query running them.
 	Plan *Plan
+	// DML is, in place of Plan, what the back end compiled for an INSERT,
+	// UPDATE or DELETE shape. Shapes never looks inside.
+	DML any
 	// Text is the canonical text (sqlparser.SelectSQL) of the statement the
 	// template was made from, cut at its slot literals: another statement's is
 	// spliced from it.
@@ -111,13 +114,18 @@ func (s *Shapes) Find(skel []byte, vals []sqltypes.Value) *Template {
 func (s *Shapes) Add(skel []byte, vals []sqltypes.Value, sel *sqlparser.SelectStmt, plan *Plan) (*Template, []sqltypes.Value) {
 	meta := *plan
 	meta.Root = nil
-	t := &Template{Plan: &meta, Text: sqlparser.SelectPieces(sel)}
-	slots := sel.Slots
+	return s.File(skel, vals, sel.Slots, plan.Pinned, &Template{Plan: &meta, Text: sqlparser.SelectPieces(sel)})
+}
+
+// File files t, made for a statement with slots whose text scanned to skel and
+// vals, like Add: pinned is the slots its making read, none for the back end's
+// DML (Template.DML), whose compile reads no literal's value.
+func (s *Shapes) File(skel []byte, vals []sqltypes.Value, slots sqlparser.Slots, pinned uint64, t *Template) (*Template, []sqltypes.Value) {
 	if skel == nil || slots.N > 64 || slots.N != len(vals) {
 		return t, nil
 	}
 	// The tokens that are no literal are in every key from the start.
-	pinned := ^slots.Lits&(1<<slots.N-1) | plan.Pinned
+	pinned |= ^slots.Lits & (1<<slots.N - 1)
 	sh := s.bySkeleton[string(skel)]
 	if sh != nil {
 		pinned |= sh.pinned

@@ -187,6 +187,8 @@ type InsertStmt struct {
 	Table   string
 	Columns []string
 	Rows    [][]Expr
+	// Slots describes the literal tokens of the text (see SelectStmt.Slots).
+	Slots Slots
 }
 
 func (*InsertStmt) stmt() {}
@@ -202,6 +204,7 @@ type UpdateStmt struct {
 	Table string
 	Set   []Assignment
 	Where Expr
+	Slots Slots
 }
 
 func (*UpdateStmt) stmt() {}
@@ -210,6 +213,7 @@ func (*UpdateStmt) stmt() {}
 type DeleteStmt struct {
 	Table string
 	Where Expr
+	Slots Slots
 }
 
 func (*DeleteStmt) stmt() {}
@@ -279,10 +283,9 @@ func (c *ColumnRef) SQL() string { return exprSQL(c) }
 // Literal is a constant value.
 type Literal struct {
 	Val sqltypes.Value
-	// Slot is the ordinal, from 1, of the number or string token of a SELECT
-	// the literal was parsed from; 0 for one that came from no such token
-	// (NULL, TRUE, FALSE, a bound parameter, a predicate the planner made up)
-	// and in DML.
+	// Slot is the ordinal, from 1, of the number or string token the literal
+	// was parsed from; 0 for one that came from no such token (NULL, TRUE,
+	// FALSE, a bound parameter, a predicate the planner made up).
 	Slot int
 }
 

@@ -5,6 +5,7 @@
 package sqlparser
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -211,6 +212,12 @@ func Scan(sql string, key []byte, vals []sqltypes.Value) (_ []byte, _ []sqltypes
 		}
 		key = append(key, ' ')
 	}
+}
+
+// IsDML reports whether a skeleton (Scan) starts with INSERT, UPDATE or DELETE.
+func IsDML(skel []byte) bool {
+	word, _, _ := bytes.Cut(skel, []byte{' '})
+	return bytes.EqualFold(word, []byte("INSERT")) || bytes.EqualFold(word, []byte("UPDATE")) || bytes.EqualFold(word, []byte("DELETE"))
 }
 
 // numberValue converts a number token: a FLOAT when it has a decimal point,

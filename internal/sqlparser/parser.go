@@ -35,6 +35,12 @@ func Parse(sql string) (Statement, error) {
 		stmt.Slots = p.slots
 	case *ExplainStmt:
 		stmt.Stmt.Slots = p.slots
+	case *InsertStmt:
+		stmt.Slots = p.slots
+	case *UpdateStmt:
+		stmt.Slots = p.slots
+	case *DeleteStmt:
+		stmt.Slots = p.slots
 	}
 	return stmt, nil
 }
@@ -60,13 +66,10 @@ type parser struct {
 	slots Slots
 }
 
-// literal builds the Literal node of a number or string token. Only a
-// SELECT's literals carry their slot: DML is never shared by shape, and its
-// literals stay the plain constants its row-by-row predicates compile best.
+// literal builds the Literal node of a number or string token. It carries its
+// slot: every statement class is shared by shape, and a shared tree reads the
+// literal from its execution's parameters (Literal.Value).
 func (p *parser) literal(t token, v sqltypes.Value) *Literal {
-	if !p.toks[0].isKeyword("SELECT") && !p.toks[0].isKeyword("EXPLAIN") {
-		return &Literal{Val: v}
-	}
 	if t.slot <= 64 {
 		p.slots.Lits |= 1 << (t.slot - 1)
 	}

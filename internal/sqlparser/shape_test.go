@@ -10,7 +10,7 @@ import (
 
 // literals returns the statement's slot literals by slot (index 0 unused),
 // descending into subqueries.
-func literals(sel *SelectStmt) map[int]*Literal {
+func literals(top Statement) map[int]*Literal {
 	out := map[int]*Literal{}
 	var expr func(Expr)
 	var stmt func(*SelectStmt)
@@ -82,7 +82,27 @@ func literals(sel *SelectStmt) map[int]*Literal {
 			expr(o.Expr)
 		}
 	}
-	stmt(sel)
+	switch top := top.(type) {
+	case *SelectStmt:
+		stmt(top)
+	case *InsertStmt:
+		for _, row := range top.Rows {
+			for _, e := range row {
+				expr(e)
+			}
+		}
+	case *UpdateStmt:
+		for _, a := range top.Set {
+			expr(a.Value)
+		}
+		if top.Where != nil {
+			expr(top.Where)
+		}
+	case *DeleteStmt:
+		if top.Where != nil {
+			expr(top.Where)
+		}
+	}
 	return out
 }
 
@@ -97,33 +117,45 @@ func sameValue(a, b sqltypes.Value) bool {
 	return a.Compare(b) == 0
 }
 
-// checkShape holds a text that parses as a SELECT to what the statement
-// cache rests on: the scanner's token values, bound, are the parse's literal
-// values slot by slot; the canonical text spliced from the statement's pieces
-// and those values is SelectSQL's; and the canonical text is a fixpoint of
-// parse and print, with the same skeleton property one round later.
-func checkShape(t *testing.T, text string, sel *SelectStmt) {
+// checkSlots holds a parsed text to what a statement's template rests on: the
+// scanner's token values, bound, are the parse's literal values slot by slot.
+// It returns them.
+func checkSlots(t *testing.T, text string, stmt Statement, slots Slots) []sqltypes.Value {
 	t.Helper()
-	canon := SelectSQL(sel)
-	skel, vals, ok := Scan(text, nil, nil)
+	_, vals, ok := Scan(text, nil, nil)
 	if !ok {
 		t.Fatalf("%q parses but does not scan", text)
 	}
-	if len(vals) != sel.Slots.N {
-		t.Fatalf("%q: scanned %d literal tokens, parsed %d", text, len(vals), sel.Slots.N)
+	if len(vals) != slots.N {
+		t.Fatalf("%q: scanned %d literal tokens, parsed %d", text, len(vals), slots.N)
 	}
-	lits := literals(sel)
-	if sel.Slots.N <= 64 {
-		sel.Slots.Bind(vals)
-		for slot := 1; slot <= len(vals); slot++ {
-			lit, isLit := lits[slot], sel.Slots.Lits>>(slot-1)&1 != 0
-			if (lit != nil) != isLit {
-				t.Fatalf("%q: slot %d literal %v, Slots.Lits says %v", text, slot, lit != nil, isLit)
-			}
-			if lit != nil && !sameValue(lit.Val, vals[slot-1]) {
-				t.Fatalf("%q: slot %d parsed %v, scanned and bound %v", text, slot, lit.Val, vals[slot-1])
-			}
+	if slots.N > 64 {
+		return nil
+	}
+	lits := literals(stmt)
+	slots.Bind(vals)
+	for slot := 1; slot <= len(vals); slot++ {
+		lit, isLit := lits[slot], slots.Lits>>(slot-1)&1 != 0
+		if (lit != nil) != isLit {
+			t.Fatalf("%q: slot %d literal %v, Slots.Lits says %v", text, slot, lit != nil, isLit)
 		}
+		if lit != nil && !sameValue(lit.Val, vals[slot-1]) {
+			t.Fatalf("%q: slot %d parsed %v, scanned and bound %v", text, slot, lit.Val, vals[slot-1])
+		}
+	}
+	return vals
+}
+
+// checkShape holds a text that parses as a SELECT to what the statement
+// cache rests on: its slots (checkSlots); the canonical text spliced from the
+// statement's pieces and the bound token values is SelectSQL's; and the
+// canonical text is a fixpoint of parse and print, with the same skeleton
+// property one round later.
+func checkShape(t *testing.T, text string, sel *SelectStmt) {
+	t.Helper()
+	canon := SelectSQL(sel)
+	skel, _, _ := Scan(text, nil, nil)
+	if vals := checkSlots(t, text, sel, sel.Slots); vals != nil {
 		if got := SelectPieces(sel).Splice(vals); got != canon {
 			t.Fatalf("%q: spliced %q, printed %q", text, got, canon)
 		}
@@ -155,6 +187,16 @@ var shapeTexts = []string{
 	"select distinct a from t t1 where ( a = 1 ) and b=2 or c>=3",
 }
 
+// dmlTexts are INSERT, UPDATE and DELETE texts whose literals carry slots.
+var dmlTexts = []string{
+	"INSERT INTO Orders VALUES (1, 2, 3.50, GETDATE()), (4, 5, -6, 'x')",
+	"INSERT INTO o (c, k) VALUES (-0.0, - -5)",
+	"UPDATE Customer SET c_acctbal = c_acctbal * 1.01, c_name = 'it''s' WHERE c_custkey = -17 AND c_name <> ''",
+	"UPDATE t SET a = NULL WHERE b = NULL OR c IN (1, -2, 3.5)",
+	"DELETE FROM Orders WHERE o_custkey = 3 AND o_orderkey = -(4)",
+	"DELETE FROM t",
+}
+
 func TestScanAgreesWithTheParser(t *testing.T) {
 	for _, text := range shapeTexts {
 		sel, err := ParseSelect(text)
@@ -162,6 +204,21 @@ func TestScanAgreesWithTheParser(t *testing.T) {
 			t.Fatalf("%q: %v", text, err)
 		}
 		checkShape(t, text, sel)
+	}
+	for _, text := range dmlTexts {
+		stmt, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		checkDML(t, text, stmt)
+		if skel, _, _ := Scan(text, nil, nil); !IsDML(skel) {
+			t.Fatalf("%q: IsDML false", text)
+		}
+	}
+	for _, text := range append(shapeTexts[:2:2], "CREATE TABLE t (a BIGINT)", "BEGIN TIMEORDERED", "insertion") {
+		if skel, _, _ := Scan(text, nil, nil); IsDML(skel) {
+			t.Fatalf("%q: IsDML true", text)
+		}
 	}
 	// Texts of one shape share a skeleton; kinds and structure tell shapes apart.
 	skel := func(s string) string {
@@ -271,5 +328,19 @@ func TestIdentifiersAreASCII(t *testing.T) {
 	}
 	if got := sel.Where.(*BinaryExpr).Right.(*Literal).Val.Str(); got != "café ñ" {
 		t.Fatalf("string literal read as %q", got)
+	}
+}
+
+// checkDML holds an INSERT, UPDATE or DELETE to checkSlots; it ignores any
+// other statement.
+func checkDML(t *testing.T, text string, stmt Statement) {
+	t.Helper()
+	switch s := stmt.(type) {
+	case *InsertStmt:
+		checkSlots(t, text, s, s.Slots)
+	case *UpdateStmt:
+		checkSlots(t, text, s, s.Slots)
+	case *DeleteStmt:
+		checkSlots(t, text, s, s.Slots)
 	}
 }

@@ -14,16 +14,16 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25741
+total_max=25913
 exec_max=3847
-spine_max=4809
-scenario_max=2722
+spine_max=4808
+scenario_max=2724
 analysis_max=1361
-opt_max=3351
-sqlparser_max=2022
+opt_max=3359
+sqlparser_max=2035
 storage_max=1075
 sqltypes_max=1353
-backend_max=630
+backend_max=779
 spine='mtcache obs audit core tuner'
 
 total=0
