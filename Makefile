@@ -23,15 +23,18 @@ race:
 
 # Ten seconds of native fuzzing each on the comparison kernels, on the
 # parser (parse/print fixpoint, scanner and splice against the parse), on
-# the B+-tree (both leaf payloads against a sorted map) and on the key
-# encoding (byte order against Value.Compare, index-seek ranges), from the
-# seed corpora in internal/{exec,sqlparser,btree,sqltypes}/testdata/fuzz
-# (FUZZTIME overrides the duration).
+# the B+-tree (both leaf payloads against a sorted map), on the key
+# encoding (byte order against Value.Compare, index-seek ranges) and on the
+# table's one mutator (Replace and its undo against a map, indexes kept),
+# from the seed corpora in
+# internal/{exec,sqlparser,btree,sqltypes,storage}/testdata/fuzz (FUZZTIME
+# overrides the duration).
 fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/btree -run '^$$' -fuzz FuzzBTree -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqltypes -run '^$$' -fuzz FuzzKeyEncoding -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzTable -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the in-repo static-analysis suite (cmd/rcclint) over internal and cmd:
 # cross-package lock-order cycles (lockorder), metric-name hygiene
@@ -47,9 +50,9 @@ lint:
 # guard-event spine (mtcache + obs + audit + core + tuner), the scenario code
 # (internal/harness), the lint suite (internal/analysis), the optimizer
 # (internal/opt), the parser (internal/sqlparser), the value types
-# (internal/sqltypes), the store (internal/storage + internal/btree) or the
-# back end (internal/backend) exceeds its ceiling (ROADMAP tracks LoC per
-# package).
+# (internal/sqltypes), the store (internal/storage + internal/btree), the
+# back end (internal/backend) or replication (internal/repl) exceeds its
+# ceiling (ROADMAP tracks LoC per package).
 loc:
 	./scripts/loc.sh
 

@@ -15,7 +15,8 @@
 // it is written, a bench report against its ceilings and the baseline, and
 // with -audit the delivered-guarantee ledger of a -chaos, -shift or -load run
 // must come out clean — or, under -chaos -broken-guard, must have caught the
-// lie. A flag bound to a mode the run is not in is a usage error (exit 2).
+// lie — and the back end's tables must equal a replay of its commit log. A
+// flag bound to a mode the run is not in is a usage error (exit 2).
 package main
 
 import (
@@ -185,10 +186,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *auditOn {
 		harness.RenderAudit(stdout, sys.Audit())
 		// The scenario runs are sized to fit the auditor's rings and gate on
-		// the ledger; the paper sweep outlives them (its replay is partial by
-		// construction) and only prints it.
+		// the ledger, and on the back end's tables being what its commit log
+		// says (the broken guard lies in the cache, not the master); the paper
+		// sweep outlives the rings (its replay is partial by construction) and
+		// only prints the ledger.
 		if modes == 1 {
 			if err := harness.CheckAudit(sys.Audit(), *brokenGuard); err != nil {
+				return fail(err)
+			}
+			if err := sys.Backend.CheckLog(); err != nil {
 				return fail(err)
 			}
 		}

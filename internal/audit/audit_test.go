@@ -19,7 +19,7 @@ func newTestAuditor() *Auditor { return New(obs.NewRegistry()) }
 func commit(a *Auditor, seq int64, at time.Duration, table string) {
 	a.ObserveCommit(txn.CommitRecord{
 		TS:      txn.Timestamp{Seq: seq, At: t0.Add(at)},
-		Changes: []txn.Change{{Table: table, Op: txn.OpUpdate, New: sqltypes.Row{sqltypes.NewInt(1)}}},
+		Changes: []txn.Change{{Table: table, New: sqltypes.Row{sqltypes.NewInt(1)}}},
 	})
 }
 

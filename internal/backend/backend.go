@@ -333,15 +333,14 @@ func (s *Server) createIndex(stmt *sqlparser.CreateIndexStmt) error {
 // one parse's own (ExecStmt). Its expressions read their literals from the
 // execution's parameters, or from the parse when there are none.
 type dml struct {
-	tbl   *storage.Table
-	op    txn.Op
-	slots sqlparser.Slots
-	ords  []int                // the columns of an INSERT's values, of an UPDATE's set
-	rows  [][]exec.Compiled    // an INSERT's VALUES rows
-	set   []exec.Compiled      // an UPDATE's SET expressions, over the old row
-	where exec.Compiled        // nil: every row
-	key   []*sqlparser.Literal // the literal of each key column where the WHERE seeks (pinKey)
-	pk    []int                // the primary key's ordinals
+	tbl    *storage.Table
+	insert bool // else an UPDATE, or a DELETE, which has no set
+	slots  sqlparser.Slots
+	ords   []int                // the columns of an INSERT's values, of an UPDATE's set
+	rows   [][]exec.Compiled    // an INSERT's VALUES rows
+	set    []exec.Compiled      // an UPDATE's SET expressions, over the old row
+	where  exec.Compiled        // nil: every row
+	key    []*sqlparser.Literal // the literal of each key column where the WHERE seeks (pinKey)
 	// err is the bind error an INSERT reports once the values before it have
 	// evaluated (compileInsert). A template with one is not filed.
 	err error
@@ -357,18 +356,17 @@ func (s *Server) compile(stmt sqlparser.Statement) (*dml, error) {
 	var set []sqlparser.Assignment
 	switch st := stmt.(type) {
 	case *sqlparser.InsertStmt:
-		d.op, d.slots, table = txn.OpInsert, st.Slots, st.Table
+		d.insert, d.slots, table = true, st.Slots, st.Table
 	case *sqlparser.UpdateStmt:
-		d.op, d.slots, table, where, set = txn.OpUpdate, st.Slots, st.Table, st.Where, st.Set
+		d.slots, table, where, set = st.Slots, st.Table, st.Where, st.Set
 	case *sqlparser.DeleteStmt:
-		d.op, d.slots, table, where = txn.OpDelete, st.Slots, st.Table, st.Where
+		d.slots, table, where = st.Slots, st.Table, st.Where
 	default:
 		return nil, ErrNotDML
 	}
 	if d.tbl = s.planner.Site.LocalTable(table); d.tbl == nil {
 		return nil, fmt.Errorf("backend: no table %s", table)
 	}
-	d.pk = d.tbl.Def().PKOrdinals()
 	if ins, ok := stmt.(*sqlparser.InsertStmt); ok {
 		return d, d.compileInsert(ins)
 	}
@@ -446,7 +444,7 @@ func (s *Server) run(d *dml, params []sqltypes.Value) (int, error) {
 	defer s.mu.Unlock()
 	// GETDATE() is fixed for the statement.
 	ctx := &exec.EvalContext{Now: s.clock.Now(), Params: slices.Clone(params)}
-	if d.op == txn.OpInsert {
+	if d.insert {
 		return s.insert(d, ctx)
 	}
 	return s.modify(d, ctx)
@@ -473,63 +471,36 @@ func (s *Server) insert(d *dml, ctx *exec.EvalContext) (int, error) {
 	return s.insertRows(d.tbl, rows)
 }
 
-// insertRows inserts rows as one transaction: a row that does not fit its
-// columns (checkKinds) or the table undoes the rows before it. The commit
-// record keeps the rows: they are the caller's no more.
+// insertRows inserts rows as one transaction (write). The commit record keeps
+// the rows: they are the caller's no more.
 func (s *Server) insertRows(tbl *storage.Table, rows []sqltypes.Row) (int, error) {
-	changes := make([]txn.Change, 0, len(rows))
-	for _, r := range rows {
-		err := checkKinds(tbl.Def(), r)
+	return s.write(tbl, len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i], nil })
+}
+
+// write makes n changes to tbl, the ith from change(i), as one transaction. A
+// change that fails to evaluate, or whose new row does not fit its columns
+// (checkKinds) or the table, undoes the ones before it, last first, each by
+// the change swapped, and writes no commit record.
+func (s *Server) write(tbl *storage.Table, n int, change func(i int) (old, new sqltypes.Row, err error)) (int, error) {
+	changes := make([]txn.Change, 0, n)
+	for i := 0; i < n; i++ {
+		old, new, err := change(i)
 		if err == nil {
-			err = tbl.Insert(r)
+			err = checkKinds(tbl.Def(), new)
+		}
+		if err == nil {
+			err = tbl.Replace(old, new)
 		}
 		if err != nil {
-			s.rollback(tbl, changes)
+			for k := len(changes) - 1; k >= 0; k-- {
+				_ = tbl.Replace(changes[k].New, changes[k].Old) // the swap of an applied change cannot fail
+			}
 			return 0, err
 		}
-		changes = append(changes, txn.Change{Table: tbl.Def().Name, Op: txn.OpInsert, New: r})
+		changes = append(changes, txn.Change{Table: tbl.Def().Name, Old: old, New: new})
 	}
 	s.log.Append(s.clock.Now(), changes)
-	return len(changes), nil
-}
-
-// rollback undoes already-applied changes of a failed statement, last first,
-// keeping the statement atomic. An update that moved its row to another key
-// is undone by taking the new row out and putting the old one back.
-func (s *Server) rollback(tbl *storage.Table, changes []txn.Change) {
-	pkOrds := tbl.Def().PKOrdinals()
-	for i := len(changes) - 1; i >= 0; i-- {
-		ch := changes[i]
-		switch {
-		case ch.Op == txn.OpInsert:
-			tbl.Delete(pkVals(ch.New, pkOrds))
-		case ch.Op == txn.OpDelete:
-			tbl.Insert(ch.Old)
-		case sameKey(ch.Old, ch.New, pkOrds):
-			tbl.Update(ch.Old)
-		default:
-			tbl.Delete(pkVals(ch.New, pkOrds))
-			tbl.Insert(ch.Old)
-		}
-	}
-}
-
-func pkVals(row sqltypes.Row, ords []int) sqltypes.Row {
-	out := make(sqltypes.Row, len(ords))
-	for i, o := range ords {
-		out[i] = row[o]
-	}
-	return out
-}
-
-// sameKey reports whether rows a and b have the same primary key (ords).
-func sameKey(a, b sqltypes.Row, ords []int) bool {
-	for _, o := range ords {
-		if !a[o].Equal(b[o]) {
-			return false
-		}
-	}
-	return true
+	return n, nil
 }
 
 func insertOrdinals(def *catalog.Table, cols []string) ([]int, error) {
@@ -555,50 +526,24 @@ func insertOrdinals(def *catalog.Table, cols []string) ([]int, error) {
 }
 
 // modify runs a DELETE or an UPDATE over the rows its WHERE matches, as one
-// statement: a failure undoes what it changed.
+// transaction (write).
 func (s *Server) modify(d *dml, ctx *exec.EvalContext) (int, error) {
-	tbl, def := d.tbl, d.tbl.Def()
 	matched, err := matchRows(d, ctx)
 	if err != nil {
 		return 0, err
 	}
-	var changes []txn.Change
-	for _, old := range matched {
-		pk := pkVals(old, d.pk)
-		if d.op == txn.OpDelete {
-			if tbl.Delete(pk) {
-				changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpDelete, Old: old})
-			}
-			continue
+	return s.write(d.tbl, len(matched), func(i int) (old, updated sqltypes.Row, err error) {
+		if old = matched[i]; len(d.set) == 0 { // a DELETE
+			return old, nil, nil
 		}
-		updated := old.Clone()
-		for i, e := range d.set {
-			if updated[d.ords[i]], err = e(ctx, old); err != nil {
+		updated = old.Clone()
+		for k, e := range d.set {
+			if updated[d.ords[k]], err = e(ctx, old); err != nil {
 				break
 			}
 		}
-		if err == nil {
-			err = checkKinds(def, updated)
-		}
-		switch {
-		case err != nil:
-		case sameKey(old, updated, d.pk):
-			err = tbl.Update(updated)
-		case !tbl.Delete(pk):
-			err = fmt.Errorf("backend: row vanished during update")
-		default:
-			if err = tbl.Insert(updated); err != nil {
-				tbl.Insert(old)
-			}
-		}
-		if err != nil {
-			s.rollback(tbl, changes)
-			return 0, err
-		}
-		changes = append(changes, txn.Change{Table: def.Name, Op: txn.OpUpdate, Old: old, New: updated})
-	}
-	s.log.Append(s.clock.Now(), changes)
-	return len(changes), nil
+		return old, updated, err
+	})
 }
 
 // matchRows returns copies of the rows of d's table that satisfy its WHERE
@@ -731,10 +676,10 @@ func (s *Server) Beat(regionID int) error {
 	}
 	now := s.clock.Now()
 	updated := sqltypes.Row{key[0], sqltypes.NewTime(now)}
-	if err := tbl.Update(updated); err != nil {
+	if err := tbl.Replace(old, updated); err != nil {
 		return err
 	}
-	s.log.Append(now, []txn.Change{{Table: HeartbeatTable, Op: txn.OpUpdate, Old: old, New: updated}})
+	s.log.Append(now, []txn.Change{{Table: HeartbeatTable, Old: old, New: updated}})
 	return nil
 }
 
@@ -769,11 +714,62 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	if !ok {
 		return fmt.Errorf("backend: no table %s", table)
 	}
-	own := make([]sqltypes.Row, len(rows))
-	for i, r := range rows {
-		own[i] = r.Clone()
-	}
-	_, err := s.insertRows(tbl, own)
+	_, err := s.write(tbl, len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i].Clone(), nil })
 	s.invalidatePlans()
+	return err
+}
+
+// CheckLog replays the whole commit log into empty copies of every table and
+// compares each table with its replay, row for row: the master's tables must
+// be what its log says they are. DDL is not logged, but the initial load,
+// heartbeats and DML are, so the replay starts from empty tables.
+func (s *Server) CheckLog() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	replay := make(map[string]*storage.Table, len(s.tables))
+	for name, tbl := range s.tables {
+		replay[name] = storage.NewTable(tbl.Def())
+	}
+	for _, rec := range s.log.Since(0) {
+		for _, ch := range rec.Changes {
+			err := fmt.Errorf("no table %s", ch.Table)
+			if tbl := replay[ch.Table]; tbl != nil {
+				err = tbl.Replace(ch.Old, ch.New)
+			}
+			if err != nil {
+				return fmt.Errorf("backend: replaying log seq %d: %w", rec.TS.Seq, err)
+			}
+		}
+	}
+	for name, tbl := range s.tables {
+		if err := sameRows(tbl, replay[name]); err != nil {
+			return fmt.Errorf("backend: table %s is not its log: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// sameRows returns the first row, in primary-key order, where two tables of
+// one definition differ.
+func sameRows(live, replay *storage.Table) error {
+	var rows []sqltypes.Row
+	replay.Scan(func(r sqltypes.Row) bool {
+		rows = append(rows, r.Clone())
+		return true
+	})
+	n, err := 0, error(nil)
+	live.Scan(func(r sqltypes.Row) bool {
+		switch {
+		case n == len(rows):
+			err = fmt.Errorf("row %d, %v, is not in the replay", n, r)
+		case !r.Equal(rows[n]):
+			err = fmt.Errorf("row %d is %v, the replay's %v", n, r, rows[n])
+		}
+		n++
+		return err == nil
+	})
+	if err == nil && n < len(rows) {
+		err = fmt.Errorf("the replay's row %d, %v, is missing", n, rows[n])
+	}
 	return err
 }

@@ -85,6 +85,9 @@ func TestFailedKeyMovingUpdateLeavesTheTableAsItWas(t *testing.T) {
 	if _, err := s.ExecStmt(stmt); err == nil || contents(t, s, "o") != before || s.Log().LastSeq() != seq {
 		t.Fatalf("ExecStmt: %v; table or log changed", err)
 	}
+	if err := s.CheckLog(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestColumnAssignedTwiceIsRejected: an INSERT column list or an UPDATE SET
@@ -198,6 +201,11 @@ func TestDMLTemplateMatchesAFreshParse(t *testing.T) {
 	for i := range la {
 		if fmt.Sprint(la[i]) != fmt.Sprint(lb[i]) {
 			t.Fatalf("record %d: %v vs %v", i, la[i], lb[i])
+		}
+	}
+	for _, s := range []*Server{tmpl, twin} {
+		if err := s.CheckLog(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// Each GETDATE() hit stores its own statement's time.

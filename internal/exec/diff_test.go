@@ -308,7 +308,7 @@ func zeroTable(t *testing.T, n int) (*storage.Table, *exec.Schema) {
 	}
 	tbl := storage.NewTable(c.Table("t"))
 	for i := 1; i <= n; i++ {
-		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint(i % 3)), sqltypes.NewInt(int64(i % 4))}); err != nil {
+		if err := tbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint(i % 3)), sqltypes.NewInt(int64(i % 4))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -343,7 +343,7 @@ func storageTable(t *testing.T) *storage.Table {
 	}
 	tbl := storage.NewTable(c.Table("t"))
 	for _, r := range testRows(100) {
-		if err := tbl.Insert(r); err != nil {
+		if err := tbl.Replace(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -61,7 +61,7 @@ func newJoinFixture(t *testing.T, kind sqltypes.Kind) *joinFixture {
 		for i := 0; i < n; i++ {
 			seq++
 			row := sqltypes.Row{sqltypes.NewInt(seq), k, sqltypes.NewFloat(float64(seq % 7))}
-			if err := f.right.Insert(row); err != nil {
+			if err := f.right.Replace(nil, row); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -34,7 +34,7 @@ func parallelTable(t testing.TB, n int) *storage.Table {
 			sqltypes.NewString(fmt.Sprint(i % 3)),
 			sqltypes.NewFloat(float64(i)),
 		}
-		if err := tbl.Insert(row); err != nil {
+		if err := tbl.Replace(nil, row); err != nil {
 			t.Fatal(err)
 		}
 	}

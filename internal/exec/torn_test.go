@@ -42,7 +42,7 @@ func TestReadersNeverSeeATornRow(t *testing.T) {
 	tbl := parallelTable(t, 0)
 	const keys = 6000
 	for id := int64(2); id <= keys; id += 2 { // the odd keys are for inserts
-		if err := tbl.Insert(version(id, 0)); err != nil {
+		if err := tbl.Replace(nil, version(id, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,11 +57,11 @@ func TestReadersNeverSeeATornRow(t *testing.T) {
 			id := 1 + rng.Int63n(keys)
 			switch rng.Intn(4) {
 			case 0, 1:
-				tbl.Update(version(id, v)) // in place; fails when the key is absent
+				tbl.Replace(version(id, 0), version(id, v)) // in place; fails when the key is absent
 			case 2:
-				tbl.Insert(version(id, v)) // fails when the key is present
+				tbl.Replace(nil, version(id, v)) // fails when the key is present
 			default:
-				tbl.Delete(sqltypes.Row{intv(id)})
+				tbl.Replace(version(id, 0), nil) // fails when the key is absent
 			}
 			writes.Add(1)
 		}

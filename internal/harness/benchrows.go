@@ -116,9 +116,9 @@ var allocCeilings = []struct {
 	// parse, print and optimize took some 230 and 1,400.
 	{"BenchmarkEndToEndQuery/shape-hit", 14},
 	{"BenchmarkEndToEndQuery/shape-hit-join", 20},
-	// Forwarded DML runs from a back-end template (9 and 12; 29, 53 parsed).
-	{"BenchmarkEndToEndQuery/update-by-key", 11},
-	{"BenchmarkEndToEndQuery/insert-delete", 14},
+	// Forwarded DML runs from a back-end template (7 and 11; 29, 53 parsed).
+	{"BenchmarkEndToEndQuery/update-by-key", 9},
+	{"BenchmarkEndToEndQuery/insert-delete", 13},
 	// The hash aggregate allocates per run and per table doubling, never per
 	// row or per group: the row-at-a-time operator it replaced took one
 	// string key and one map probe per input row (15,000 here). Ceilings are

@@ -401,16 +401,15 @@ func (c *Cache) Agents() []*repl.Agent {
 // heartbeat table receives a replicated timestamp.
 func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	row := sqltypes.Row{sqltypes.NewInt(int64(regionID)), sqltypes.NewTime(ts)}
-	if old, ok := c.LastSync(regionID); ok {
-		if ts.After(old) {
-			if err := c.hb.Update(row); err != nil {
-				panic(err) // fixed schema; cannot fail
-			}
+	var old sqltypes.Row
+	if last, ok := c.LastSync(regionID); ok {
+		if !ts.After(last) {
+			return
 		}
-		return
+		old = sqltypes.Row{row[0], sqltypes.NewTime(last)}
 	}
-	if err := c.hb.Insert(row); err != nil {
-		panic(err)
+	if err := c.hb.Replace(old, row); err != nil {
+		panic(err) // fixed schema; cannot fail
 	}
 }
 

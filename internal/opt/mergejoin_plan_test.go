@@ -46,9 +46,9 @@ func mergeFixture(t *testing.T) *Planner {
 		"Orders":   storage.NewTable(orders),
 	}
 	for i := int64(1); i <= 500; i++ {
-		tables["Customer"].Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewString("c")})
+		tables["Customer"].Replace(nil, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewString("c")})
 		for o := int64(0); o < 10; o++ {
-			tables["Orders"].Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i*100 + o), sqltypes.NewFloat(1)})
+			tables["Orders"].Replace(nil, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i*100 + o), sqltypes.NewFloat(1)})
 		}
 	}
 	for name, tbl := range tables {

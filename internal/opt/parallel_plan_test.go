@@ -29,7 +29,7 @@ func parallelFixture(t *testing.T) *Planner {
 	}
 	tbl := storage.NewTable(cat.Table("Customer"))
 	for i := int64(1); i <= 12000; i++ {
-		tbl.Insert(sqltypes.Row{
+		tbl.Replace(nil, sqltypes.Row{
 			sqltypes.NewInt(i),
 			sqltypes.NewString("c"),
 			sqltypes.NewFloat(float64(i % 100)),

@@ -57,7 +57,7 @@ func newBackendFixture(t *testing.T) *backendFixture {
 		f.tables[def.Name] = storage.NewTable(def)
 	}
 	for i := int64(1); i <= 200; i++ {
-		if err := f.tables["Books"].Insert(sqltypes.Row{
+		if err := f.tables["Books"].Replace(nil, sqltypes.Row{
 			sqltypes.NewInt(i),
 			sqltypes.NewString("title"),
 			sqltypes.NewFloat(float64(i)),
@@ -65,7 +65,7 @@ func newBackendFixture(t *testing.T) *backendFixture {
 			t.Fatal(err)
 		}
 		for r := int64(0); r < 3; r++ {
-			if err := f.tables["Reviews"].Insert(sqltypes.Row{
+			if err := f.tables["Reviews"].Replace(nil, sqltypes.Row{
 				sqltypes.NewInt(i*10 + r),
 				sqltypes.NewInt(i),
 				sqltypes.NewInt(r + 1),
@@ -323,7 +323,7 @@ func TestHeartbeatGuard(t *testing.T) {
 	hb := storage.NewTable(hbDef)
 	now := vclock.Epoch.Add(100 * time.Second)
 	// Region 1 synced 8s ago; region 2 never synced.
-	if err := hb.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-8 * time.Second))}); err != nil {
+	if err := hb.Replace(nil, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-8 * time.Second))}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := &exec.EvalContext{Now: now}

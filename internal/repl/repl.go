@@ -40,8 +40,8 @@ type Subscription struct {
 	Target *storage.Table
 
 	projOrds []int // base-column ordinal for each view column
-	pkOrds   []int // base-column ordinals of the primary key
 	preds    []catalog.SimplePred
+	predOrds []int // base-column ordinal for each predicate
 	// startSeq is the commit sequence the initial snapshot reflects; the
 	// agent only replays transactions after it into this subscription.
 	startSeq int64
@@ -58,21 +58,20 @@ func NewSubscription(view *catalog.View, base *catalog.Table, target *storage.Ta
 		}
 		sub.projOrds = append(sub.projOrds, o)
 	}
-	for _, pk := range base.PrimaryKey {
-		o := base.ColumnIndex(pk)
+	for _, p := range view.Preds {
+		o := base.ColumnIndex(p.Column)
 		if o < 0 {
-			return nil, fmt.Errorf("repl: base %s primary key %s missing", base.Name, pk)
+			return nil, fmt.Errorf("repl: view %s predicate column %s not on base %s", view.Name, p.Column, base.Name)
 		}
-		sub.pkOrds = append(sub.pkOrds, o)
+		sub.predOrds = append(sub.predOrds, o)
 	}
 	return sub, nil
 }
 
 // covers reports whether a base row falls inside the view's selection.
 func (s *Subscription) covers(baseRow sqltypes.Row) bool {
-	for _, p := range s.preds {
-		o := s.Base.ColumnIndex(p.Column)
-		v := baseRow[o]
+	for i, p := range s.preds {
+		v := baseRow[s.predOrds[i]]
 		if v.IsNull() {
 			return false
 		}
@@ -106,48 +105,19 @@ func (s *Subscription) project(baseRow sqltypes.Row) sqltypes.Row {
 	return out
 }
 
-func (s *Subscription) pkOf(baseRow sqltypes.Row) sqltypes.Row {
-	out := make(sqltypes.Row, len(s.pkOrds))
-	for i, o := range s.pkOrds {
-		out[i] = baseRow[o]
+// image is the view's row for a base row: its projection when the view
+// covers it, else nil.
+func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
+	if baseRow == nil || !s.covers(baseRow) {
+		return nil
 	}
-	return out
+	return s.project(baseRow)
 }
 
-// apply replays one base-table change into the view.
+// apply replays one base-table change into the view: the images of its two
+// sides, as one Replace. A change the view covers on neither side is none.
 func (s *Subscription) apply(ch txn.Change) error {
-	switch ch.Op {
-	case txn.OpInsert:
-		if !s.covers(ch.New) {
-			return nil
-		}
-		return s.Target.Insert(s.project(ch.New))
-	case txn.OpDelete:
-		if !s.covers(ch.Old) {
-			return nil
-		}
-		s.Target.Delete(s.pkOf(ch.Old))
-		return nil
-	case txn.OpUpdate:
-		inOld, inNew := s.covers(ch.Old), s.covers(ch.New)
-		switch {
-		case inOld && inNew:
-			oldPK, newPK := s.pkOf(ch.Old), s.pkOf(ch.New)
-			if oldPK.Equal(newPK) {
-				return s.Target.Update(s.project(ch.New))
-			}
-			s.Target.Delete(oldPK)
-			return s.Target.Insert(s.project(ch.New))
-		case inOld:
-			s.Target.Delete(s.pkOf(ch.Old))
-			return nil
-		case inNew:
-			return s.Target.Insert(s.project(ch.New))
-		default:
-			return nil
-		}
-	}
-	return nil
+	return s.Target.Replace(s.image(ch.Old), s.image(ch.New))
 }
 
 // HeartbeatSink receives the region's replicated heartbeat timestamp.
@@ -181,14 +151,15 @@ type Agent struct {
 	interval   atomic.Int64
 	hbInterval atomic.Int64
 
-	log        *txn.Log
-	hbTable    string
-	hbSink     HeartbeatSink
-	mu         sync.Mutex
-	subs       []*Subscription
-	lastSeq    int64
-	applied    int64 // transactions applied, for stats
-	lastSynced time.Time
+	log     *txn.Log
+	hbTable string
+	hbSink  HeartbeatSink
+	mu      sync.Mutex
+	subs    []*Subscription
+	lastSeq int64
+	applied int64 // transactions applied, for stats
+	// record holds what Step applied of the record it is on, for undo.
+	record []subChange
 	// stall is the fault hook that can wedge this agent; nil means healthy.
 	stall StallProbe
 	// lastProgress is when the agent last completed a propagation step
@@ -322,7 +293,7 @@ func (a *Agent) InitialSync(sub *Subscription, baseData *storage.Table) error {
 	var err error
 	baseData.Scan(func(r sqltypes.Row) bool {
 		if sub.covers(r) {
-			if e := sub.Target.Insert(sub.project(r)); e != nil {
+			if e := sub.Target.Replace(nil, sub.project(r)); e != nil {
 				err = e
 				return false
 			}
@@ -397,6 +368,7 @@ func (a *Agent) Step(now time.Time) error {
 	records := a.log.SinceUntil(a.lastSeq, cutoff)
 	var rowsApplied int64
 	for _, rec := range records {
+		a.record = a.record[:0]
 		for _, ch := range rec.Changes {
 			if ch.Table == a.hbTable {
 				a.applyHeartbeat(ch, now)
@@ -407,8 +379,10 @@ func (a *Agent) Step(now time.Time) error {
 					continue
 				}
 				if err := sub.apply(ch); err != nil {
+					a.undoRecord()
 					return fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
 				}
+				a.record = append(a.record, subChange{sub, ch})
 				rowsApplied++
 			}
 		}
@@ -430,6 +404,23 @@ func (a *Agent) Step(now time.Time) error {
 	return nil
 }
 
+// subChange is one change a subscription applied.
+type subChange struct {
+	sub *Subscription
+	ch  txn.Change
+}
+
+// undoRecord takes back, last first, the changes of the record Step failed
+// on: each change's undo is the change swapped. The views are then as they
+// were before the record, as its commit sequence says (lastSeq has not
+// moved), so the views of one agent never hold part of a transaction.
+func (a *Agent) undoRecord() {
+	for i := len(a.record) - 1; i >= 0; i-- {
+		r := a.record[i]
+		_ = r.sub.apply(txn.Change{Table: r.ch.Table, Old: r.ch.New, New: r.ch.Old}) // the swap of an applied change cannot fail
+	}
+}
+
 func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {
 	row := ch.New
 	if row == nil {
@@ -440,7 +431,6 @@ func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {
 		return // another region's heartbeat row
 	}
 	ts := row[1].Time()
-	a.lastSynced = ts
 	if a.mHbAge != nil {
 		// Heartbeat age at apply time: how long the beat spent in flight
 		// (simulated clock), i.e. the propagation delay the region saw.

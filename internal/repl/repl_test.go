@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,16 @@ func newFixture(t *testing.T, preds []catalog.SimplePred) *fixture {
 	return f
 }
 
+// viewRows renders a view's rows in key order.
+func viewRows(v *storage.Table) string {
+	var b strings.Builder
+	v.Scan(func(r sqltypes.Row) bool {
+		b.WriteString(r.String())
+		return true
+	})
+	return b.String()
+}
+
 func baseRow(id, grp int64, val string) sqltypes.Row {
 	return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewInt(grp), sqltypes.NewString(val)}
 }
@@ -81,17 +92,8 @@ func baseRow(id, grp int64, val string) sqltypes.Row {
 func (f *fixture) commit(t *testing.T, at time.Time, changes ...txn.Change) {
 	t.Helper()
 	for _, ch := range changes {
-		switch ch.Op {
-		case txn.OpInsert:
-			if err := f.baseTbl.Insert(ch.New); err != nil {
-				t.Fatal(err)
-			}
-		case txn.OpDelete:
-			f.baseTbl.Delete(sqltypes.Row{ch.Old[0]})
-		case txn.OpUpdate:
-			if err := f.baseTbl.Update(ch.New); err != nil {
-				t.Fatal(err)
-			}
+		if err := f.baseTbl.Replace(ch.Old, ch.New); err != nil {
+			t.Fatal(err)
 		}
 	}
 	f.log.Append(at, changes)
@@ -103,8 +105,8 @@ func TestInitialSyncPopulatesView(t *testing.T) {
 		t.Fatal("empty base should give empty view")
 	}
 	// Load data then re-sync.
-	f.baseTbl.Insert(baseRow(1, 5, "a"))
-	f.baseTbl.Insert(baseRow(2, 15, "b"))
+	f.baseTbl.Replace(nil, baseRow(1, 5, "a"))
+	f.baseTbl.Replace(nil, baseRow(2, 15, "b"))
 	if err := f.agent.InitialSync(f.sub, f.baseTbl); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +121,8 @@ func TestInitialSyncPopulatesView(t *testing.T) {
 
 func TestInitialSyncAppliesSelection(t *testing.T) {
 	f := newFixture(t, []catalog.SimplePred{{Column: "grp", Op: catalog.OpGE, Value: sqltypes.NewInt(10)}})
-	f.baseTbl.Insert(baseRow(1, 5, "out"))
-	f.baseTbl.Insert(baseRow(2, 15, "in"))
+	f.baseTbl.Replace(nil, baseRow(1, 5, "out"))
+	f.baseTbl.Replace(nil, baseRow(2, 15, "in"))
 	if err := f.agent.InitialSync(f.sub, f.baseTbl); err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +133,8 @@ func TestInitialSyncAppliesSelection(t *testing.T) {
 
 func TestStepAppliesCommittedChangesInOrder(t *testing.T) {
 	f := newFixture(t, nil)
-	f.commit(t, t0.Add(1*time.Second), txn.Change{Table: "T", Op: txn.OpInsert, New: baseRow(1, 1, "a")})
-	f.commit(t, t0.Add(2*time.Second), txn.Change{Table: "T", Op: txn.OpUpdate,
-		Old: baseRow(1, 1, "a"), New: baseRow(1, 1, "a2")})
+	f.commit(t, t0.Add(1*time.Second), txn.Change{Table: "T", New: baseRow(1, 1, "a")})
+	f.commit(t, t0.Add(2*time.Second), txn.Change{Table: "T", Old: baseRow(1, 1, "a"), New: baseRow(1, 1, "a2")})
 	// Step at t=5 with delay 2: both commits (<=3s) apply.
 	if err := f.agent.Step(t0.Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestStepAppliesCommittedChangesInOrder(t *testing.T) {
 
 func TestStepHonorsPropagationDelay(t *testing.T) {
 	f := newFixture(t, nil)
-	f.commit(t, t0.Add(4*time.Second), txn.Change{Table: "T", Op: txn.OpInsert, New: baseRow(1, 1, "a")})
+	f.commit(t, t0.Add(4*time.Second), txn.Change{Table: "T", New: baseRow(1, 1, "a")})
 	// At t=5 with delay 2, cutoff is t=3: nothing applies.
 	if err := f.agent.Step(t0.Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -165,43 +166,95 @@ func TestStepHonorsPropagationDelay(t *testing.T) {
 	}
 }
 
+// TestSelectionTransitions: a change reaches the view as the images of its
+// sides the selection covers, one Replace. A key-moving update moves the
+// view's row within the selection, inserts it moving in and deletes it moving
+// out. A view that has diverged from its base — holding the key a row moves
+// onto, or lacking the row a delete takes — fails the step and keeps the view.
 func TestSelectionTransitions(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		base      sqltypes.Row // committed and applied before ch
+		put, take sqltypes.Row // view rows put in or taken out before ch
+		ch        txn.Change
+		view      string // the view after ch
+		err       string // the step's error, if it fails
+	}{
+		{what: "insert outside", ch: txn.Change{Table: "T", New: baseRow(1, 5, "a")}},
+		{what: "update moves in", base: baseRow(1, 5, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 5, "a"), New: baseRow(1, 20, "a")}, view: "(1, 'a')"},
+		{what: "update moves out", base: baseRow(1, 20, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 20, "a"), New: baseRow(1, 3, "a")}},
+		{what: "delete outside", base: baseRow(1, 3, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 3, "a")}},
+		{what: "key move within", base: baseRow(1, 20, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 20, "a"), New: baseRow(2, 30, "b")}, view: "(2, 'b')"},
+		{what: "key move in", base: baseRow(1, 5, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 5, "a"), New: baseRow(2, 20, "a")}, view: "(2, 'a')"},
+		{what: "key move out", base: baseRow(1, 20, "a"),
+			ch: txn.Change{Table: "T", Old: baseRow(1, 20, "a"), New: baseRow(2, 5, "a")}},
+		{what: "key move onto a key the view holds", base: baseRow(1, 20, "a"), put: sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("x")},
+			ch: txn.Change{Table: "T", Old: baseRow(1, 20, "a"), New: baseRow(2, 20, "b")}, view: "(1, 'a')(2, 'x')",
+			err: "repl: region 1 applying seq 2: storage: v: duplicate primary key (2)"},
+		{what: "delete of a row the view lacks", base: baseRow(1, 20, "a"), take: sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("a")},
+			ch:  txn.Change{Table: "T", Old: baseRow(1, 20, "a")},
+			err: "repl: region 1 applying seq 2: storage: v: no row with primary key (1)"},
+	} {
+		f := newFixture(t, []catalog.SimplePred{{Column: "grp", Op: catalog.OpGE, Value: sqltypes.NewInt(10)}})
+		if c.base != nil {
+			f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", New: c.base})
+		} else {
+			f.log.Append(t0.Add(time.Second), nil)
+		}
+		if err := f.agent.Step(t0.Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.viewTbl.Replace(c.take, c.put); err != nil {
+			t.Fatal(err)
+		}
+		f.commit(t, t0.Add(11*time.Second), c.ch)
+		got, seq := "", int64(2)
+		if err := f.agent.Step(t0.Add(20 * time.Second)); err != nil {
+			got, seq = err.Error(), 1
+		}
+		if got != c.err || f.agent.LastSeq() != seq {
+			t.Errorf("%s: step: %q, LastSeq %d; want %q", c.what, got, f.agent.LastSeq(), c.err)
+		}
+		if got := viewRows(f.viewTbl); got != c.view {
+			t.Errorf("%s: view %s, want %s", c.what, got, c.view)
+		}
+	}
+}
+
+// TestFailedStepLeavesNoPartOfItsRecord: a record whose second change fails
+// to apply (the view already holds its key) takes back its first. The view is
+// as it was before the record and LastSeq does not move, so the next step
+// fails the same way instead of tripping over the record's own first change.
+func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
 	f := newFixture(t, []catalog.SimplePred{{Column: "grp", Op: catalog.OpGE, Value: sqltypes.NewInt(10)}})
-	// Insert outside selection: filtered.
-	f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", Op: txn.OpInsert, New: baseRow(1, 5, "a")})
-	// Update moves it inside: view insert.
-	f.commit(t, t0.Add(2*time.Second), txn.Change{Table: "T", Op: txn.OpUpdate,
-		Old: baseRow(1, 5, "a"), New: baseRow(1, 20, "a")})
-	if err := f.agent.Step(t0.Add(10 * time.Second)); err != nil {
+	f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", New: baseRow(5, 50, "e")})
+	if err := f.viewTbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if f.viewTbl.Len() != 1 {
-		t.Fatalf("rows after move-in = %d", f.viewTbl.Len())
-	}
-	// Update moves it outside: view delete.
-	f.commit(t, t0.Add(11*time.Second), txn.Change{Table: "T", Op: txn.OpUpdate,
-		Old: baseRow(1, 20, "a"), New: baseRow(1, 3, "a")})
-	if err := f.agent.Step(t0.Add(20 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if f.viewTbl.Len() != 0 {
-		t.Fatal("row should have left the view")
-	}
-	// Delete of an out-of-view row is a no-op.
-	f.commit(t, t0.Add(21*time.Second), txn.Change{Table: "T", Op: txn.OpDelete, Old: baseRow(1, 3, "a")})
-	if err := f.agent.Step(t0.Add(30 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if f.viewTbl.Len() != 0 {
-		t.Fatal("view should stay empty")
+	f.commit(t, t0.Add(2*time.Second),
+		txn.Change{Table: "T", New: baseRow(1, 20, "a")},
+		txn.Change{Table: "T", New: baseRow(2, 20, "b")})
+	const want = "repl: region 1 applying seq 2: storage: v: duplicate primary key (2)"
+	for step := 1; step <= 2; step++ {
+		err := f.agent.Step(t0.Add(time.Duration(10*step) * time.Second))
+		if err == nil || err.Error() != want {
+			t.Fatalf("step %d: %v, want %s", step, err, want)
+		}
+		if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || f.agent.LastSeq() != 1 {
+			t.Fatalf("step %d: view %s, LastSeq %d", step, got, f.agent.LastSeq())
+		}
 	}
 }
 
 func TestHeartbeatRouting(t *testing.T) {
 	f := newFixture(t, nil)
 	hb := func(cid int64, at time.Time) txn.Change {
-		return txn.Change{Table: "HB", Op: txn.OpUpdate,
-			New: sqltypes.Row{sqltypes.NewInt(cid), sqltypes.NewTime(at)}}
+		return txn.Change{Table: "HB", New: sqltypes.Row{sqltypes.NewInt(cid), sqltypes.NewTime(at)}}
 	}
 	f.log.Append(t0.Add(1*time.Second), []txn.Change{hb(1, t0.Add(1*time.Second))})
 	f.log.Append(t0.Add(2*time.Second), []txn.Change{hb(2, t0.Add(2*time.Second))}) // other region
@@ -220,7 +273,7 @@ func TestHeartbeatRouting(t *testing.T) {
 func TestStartSeqSkipsSnapshottedTransactions(t *testing.T) {
 	f := newFixture(t, nil)
 	// Commit before the (second) initial sync; snapshot includes it.
-	f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", Op: txn.OpInsert, New: baseRow(1, 1, "a")})
+	f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", New: baseRow(1, 1, "a")})
 	if err := f.agent.InitialSync(f.sub, f.baseTbl); err != nil {
 		t.Fatal(err)
 	}

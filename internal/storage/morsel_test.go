@@ -25,7 +25,7 @@ func morselTable(t *testing.T, n int) *Table {
 	tbl := NewTable(c.Table("m"))
 	for i := 1; i <= n; i++ {
 		row := sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint(i))}
-		if err := tbl.Insert(row); err != nil {
+		if err := tbl.Replace(nil, row); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -126,12 +126,6 @@ func (t *Table) ordinals(cols []string) ([]int, error) {
 	return ords, nil
 }
 
-// pkKey returns the encoded primary key of row.
-func (t *Table) pkKey(row sqltypes.Row) string {
-	var buf [sqltypes.KeyStackBytes]byte
-	return string(appendOrds(buf[:0], row, t.pkOrds))
-}
-
 // rowKey returns row's secondary-index key: its columns at ords, then the
 // encoded primary key.
 func rowKey(ords []int, row sqltypes.Row, pkKey string) string {
@@ -153,16 +147,58 @@ func appendOrds(dst []byte, row sqltypes.Row, ords []int) []byte {
 	return dst
 }
 
-// Insert adds a row. It fails on arity mismatch, NOT NULL violation or
-// duplicate primary key. The row is copied into the leaf's lanes; the caller
-// keeps ownership of row.
-func (t *Table) Insert(row sqltypes.Row) error {
-	if err := t.check("insert", row); err != nil {
+// Replace is the table's one row mutator. With old nil it inserts new; with
+// new nil it deletes the row at old's primary key; with both it replaces that
+// row with new, in place when the key is the same, else as an insert and a
+// delete under one hold of the latch. A missing old row, a new key another row
+// holds, or a new row that does not fit (check) is an error and changes
+// nothing, so Replace(new, old) undoes a Replace(old, new) that succeeded.
+// Rows are copied into the leaf's lanes; the caller keeps ownership of both.
+func (t *Table) Replace(old, new sqltypes.Row) error {
+	if err := t.check(old, new); err != nil || old == nil && new == nil {
 		return err
+	}
+	var ob, nb [sqltypes.KeyStackBytes]byte // a key is a string only where a tree keeps it
+	var newPK []byte
+	if new != nil {
+		newPK = appendOrds(nb[:0], new, t.pkOrds)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pk := t.pkKey(row)
+	if old == nil {
+		return t.insert(string(newPK), new)
+	}
+	oldPK := appendOrds(ob[:0], old, t.pkOrds)
+	leaf, i, ok := t.primary.Find(string(oldPK))
+	switch {
+	case !ok:
+		return fmt.Errorf("storage: %s: no row with primary key %s", t.def.Name, pkString(t, old))
+	case new == nil: // a delete
+	case string(newPK) == string(oldPK):
+		for name, tree := range t.secondary {
+			ords := t.secOrds[name]
+			if oldKey, newKey := laneKey(leaf, i, ords, string(oldPK)), rowKey(ords, new, string(oldPK)); oldKey != newKey {
+				tree.Delete(oldKey)
+				tree.Set(newKey, string(oldPK))
+			}
+		}
+		leaf.Put(i, new)
+		return nil
+	default: // a taken key fails the insert before anything changed
+		if err := t.insert(string(newPK), new); err != nil {
+			return err
+		}
+		leaf, i, _ = t.primary.Find(string(oldPK)) // the insert may have shifted it
+	}
+	for name, tree := range t.secondary {
+		tree.Delete(laneKey(leaf, i, t.secOrds[name], string(oldPK)))
+	}
+	t.primary.Delete(string(oldPK))
+	return nil
+}
+
+// insert adds row under its encoded primary key pk, unless a row holds it.
+func (t *Table) insert(pk string, row sqltypes.Row) error {
 	leaf, i, added := t.primary.Insert(pk)
 	if !added {
 		return fmt.Errorf("storage: %s: duplicate primary key %s", t.def.Name, pkString(t, row))
@@ -174,13 +210,20 @@ func (t *Table) Insert(row sqltypes.Row) error {
 	return nil
 }
 
-// check rejects a row of the wrong arity or with a NULL in a NOT NULL column.
-func (t *Table) check(op string, row sqltypes.Row) error {
-	if len(row) != len(t.def.Columns) {
-		return fmt.Errorf("storage: %s: %s arity %d, want %d", t.def.Name, op, len(row), len(t.def.Columns))
+// check rejects, before Replace changes anything, a row of the wrong arity
+// and a new row with a NULL in a NOT NULL column.
+func (t *Table) check(old, new sqltypes.Row) error {
+	op := "insert"
+	if old != nil {
+		op = "replace"
+	}
+	for _, row := range [2]sqltypes.Row{old, new} {
+		if row != nil && len(row) != len(t.def.Columns) {
+			return fmt.Errorf("storage: %s: %s arity %d, want %d", t.def.Name, op, len(row), len(t.def.Columns))
+		}
 	}
 	for i, col := range t.def.Columns {
-		if col.NotNull && row[i].IsNull() {
+		if new != nil && col.NotNull && new[i].IsNull() {
 			return fmt.Errorf("storage: %s: NULL in NOT NULL column %s", t.def.Name, col.Name)
 		}
 	}
@@ -201,50 +244,6 @@ func (t *Table) findIndex(name string) *catalog.Index {
 			return idx
 		}
 	}
-	return nil
-}
-
-// Delete removes the row with the given primary-key values, reporting
-// whether there was one.
-func (t *Table) Delete(pkVals sqltypes.Row) bool {
-	var buf [sqltypes.KeyStackBytes]byte
-	pk := string(sqltypes.AppendKey(buf[:0], pkVals...))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	leaf, i, ok := t.primary.Find(pk)
-	if !ok {
-		return false
-	}
-	for name, tree := range t.secondary {
-		tree.Delete(laneKey(leaf, i, t.secOrds[name], pk))
-	}
-	t.primary.Delete(pk)
-	return true
-}
-
-// Update overwrites, in place, the row identified by newRow's primary key
-// with newRow. It fails if no such row exists. Changing primary-key columns
-// must be expressed as Delete+Insert by the caller.
-func (t *Table) Update(newRow sqltypes.Row) error {
-	if err := t.check("update", newRow); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pk := t.pkKey(newRow)
-	leaf, i, ok := t.primary.Find(pk)
-	if !ok {
-		return fmt.Errorf("storage: %s: update of missing key", t.def.Name)
-	}
-	for name, tree := range t.secondary {
-		ords := t.secOrds[name]
-		oldKey, newKey := laneKey(leaf, i, ords, pk), rowKey(ords, newRow, pk)
-		if oldKey != newKey {
-			tree.Delete(oldKey)
-			tree.Set(newKey, pk)
-		}
-	}
-	leaf.Put(i, newRow)
 	return nil
 }
 

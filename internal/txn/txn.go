@@ -18,35 +18,11 @@ import (
 	"relaxedcc/internal/sqltypes"
 )
 
-// Op is the kind of row change within a transaction.
-type Op int
-
-// Row-change kinds.
-const (
-	OpInsert Op = iota
-	OpDelete
-	OpUpdate
-)
-
-// String names the operation.
-func (o Op) String() string {
-	switch o {
-	case OpInsert:
-		return "INSERT"
-	case OpDelete:
-		return "DELETE"
-	case OpUpdate:
-		return "UPDATE"
-	default:
-		return "Op(?)"
-	}
-}
-
-// Change is one row modification. Old is the before-image (DELETE, UPDATE);
-// New is the after-image (INSERT, UPDATE).
+// Change is one row modification: Old is the row before it, New the row
+// after. An INSERT has no Old and a DELETE no New; storage.Table.Replace
+// applies a change as it is written, and undoes it swapped.
 type Change struct {
 	Table string
-	Op    Op
 	Old   sqltypes.Row
 	New   sqltypes.Row
 }

@@ -11,7 +11,7 @@ import (
 var t0 = time.Date(2004, 6, 13, 0, 0, 0, 0, time.UTC)
 
 func chg(table string) []Change {
-	return []Change{{Table: table, Op: OpInsert, New: sqltypes.Row{sqltypes.NewInt(1)}}}
+	return []Change{{Table: table, New: sqltypes.Row{sqltypes.NewInt(1)}}}
 }
 
 func TestAppendAssignsIncreasingSeqs(t *testing.T) {
@@ -103,12 +103,6 @@ func TestSeqAt(t *testing.T) {
 		if got := l.SeqAt(t0.Add(c.at)); got != c.want {
 			t.Errorf("SeqAt(+%v) = %d, want %d", c.at, got, c.want)
 		}
-	}
-}
-
-func TestOpString(t *testing.T) {
-	if OpInsert.String() != "INSERT" || OpDelete.String() != "DELETE" || OpUpdate.String() != "UPDATE" {
-		t.Fatal("Op.String")
 	}
 }
 
