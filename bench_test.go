@@ -14,6 +14,7 @@ package relaxedcc_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +329,29 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// The local point read from GOMAXPROCS goroutines at once, one session
+	// each, over the 256 texts of the point_hot workload: scripts/bench.sh
+	// runs it at -cpu 1 and -cpu 2, and the ratio of the two rows' ns/op is
+	// what a second core adds.
+	hot := make([]string, 256)
+	for i := range hot {
+		hot[i] = tpcd.PointQuery(int64(1+i), "CURRENCY 60 ON (Customer)")
+		if res, err := sys.Query(hot[i]); err != nil || len(res.LocalViews) != 1 {
+			b.Fatalf("%s: %v, local views %v; want a guarded local read", hot[i], err, res.LocalViews)
+		}
+	}
+	b.Run("local-point-parallel", func(b *testing.B) {
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			s := sys.Cache.NewSession()
+			for i := next.Add(1); pb.Next(); i++ {
+				if _, err := s.Query(hot[i%256]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
 	})
 	// A statement-cache miss on a known shape: every iteration is a text the
 	// cache does not hold (the keys cycle over more statements than it keeps),
@@ -769,7 +793,7 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 	ledger := obs.NewRegionLedger(reg, sys.Clock.Now())
 	ctx := &exec.EvalContext{
 		Now:     sys.Clock.Now(),
-		OnGuard: func(g exec.GuardDecision) { ledger.Observe(sys.Clock.Now(), g) },
+		OnGuard: func(g exec.GuardDecision) { ledger.Observe(g) },
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"relaxedcc/internal/sqltypes"
 )
@@ -91,7 +92,7 @@ func TestSwitchUnionCloseClosesAllOpenedBranches(t *testing.T) {
 	branch := 0
 	su := &SwitchUnion{
 		Children: []Operator{a, b},
-		Selector: func(*EvalContext) (int, error) { return branch, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return branch, time.Time{}, nil },
 	}
 	if err := su.Open(ctx()); err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestSwitchUnionCloseAfterFailedOpen(t *testing.T) {
 	c := &closeProbe{Values: NewValues(s, nil), failOpen: true}
 	su := &SwitchUnion{
 		Children: []Operator{c},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 	}
 	if err := su.Open(ctx()); err == nil {
 		t.Fatal("Open should have failed")
@@ -144,7 +145,7 @@ func TestSwitchUnionBatchPath(t *testing.T) {
 	calls := 0
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(5)), NewValues(s, testRows(9))},
-		Selector: func(*EvalContext) (int, error) { calls++; return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { calls++; return 1, time.Time{}, nil },
 	}
 	res, err := Run(su, &EvalContext{Now: testNow, BatchSize: 4}, 0)
 	if err != nil {

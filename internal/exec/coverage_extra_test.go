@@ -76,13 +76,13 @@ func TestCollectSwitchUnionsDeep(t *testing.T) {
 	mkSU := func() *SwitchUnion {
 		return &SwitchUnion{
 			Children: []Operator{NewValues(s, nil), NewValues(s, nil)},
-			Selector: func(*EvalContext) (int, error) { return 0, nil },
+			Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 		}
 	}
 	inner := mkSU()
 	nested := &SwitchUnion{
 		Children: []Operator{inner, NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 	}
 	root := &Limit{N: 1, Child: &Sort{
 		Child: &Distinct{Child: &Aggregate{
@@ -92,10 +92,10 @@ func TestCollectSwitchUnionsDeep(t *testing.T) {
 	}}
 	// IndexLoopJoin outer also walked.
 	ilj := &IndexLoopJoin{Outer: mkSU()}
-	if got := len(CollectSwitchUnions(root)); got != 2 {
+	if got := len(switchUnions(root)); got != 2 {
 		t.Fatalf("nested collect = %d", got)
 	}
-	if got := len(CollectSwitchUnions(ilj)); got != 1 {
+	if got := len(switchUnions(ilj)); got != 1 {
 		t.Fatalf("ilj collect = %d", got)
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 var errLinkDownTest = errors.New("remote: link lost")
@@ -28,7 +29,7 @@ func TestDegradeServeLocalFallsBack(t *testing.T) {
 	su := &SwitchUnion{
 		Children: []Operator{local, remote},
 		Region:   7,
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var violations []Violation
 	var decisions []GuardDecision
@@ -52,12 +53,8 @@ func TestDegradeServeLocalFallsBack(t *testing.T) {
 	if rows != 2 {
 		t.Errorf("served %d rows, want the local branch's 2", rows)
 	}
-	d, ok := su.LastDecision()
-	if !ok || d.Chosen != 0 || !d.Degraded {
-		t.Errorf("decision = %+v, want degraded local", d)
-	}
-	if len(decisions) != 1 || !decisions[0].Degraded {
-		t.Errorf("OnGuard calls = %+v, want exactly one degraded decision", decisions)
+	if len(decisions) != 1 || decisions[0].Chosen != 0 || !decisions[0].Degraded {
+		t.Errorf("OnGuard calls = %+v, want exactly one degraded local decision", decisions)
 	}
 	if len(violations) != 1 || violations[0].Action != "serve-local" ||
 		violations[0].Region != 7 || !errors.Is(violations[0].Err, errLinkDownTest) {
@@ -80,7 +77,7 @@ func TestDegradeServeLocalBothBranchesFail(t *testing.T) {
 	remote.openErr = errLinkDownTest
 	su := &SwitchUnion{
 		Children: []Operator{local, remote},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var violations []Violation
 	err := su.Open(degradeCtx(DegradeServeLocal, &violations))
@@ -100,7 +97,7 @@ func TestDegradeFailRecordsViolation(t *testing.T) {
 	remote.openErr = errLinkDownTest
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), remote},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var violations []Violation
 	err := su.Open(degradeCtx(DegradeFail, &violations))
@@ -121,7 +118,7 @@ func TestDegradeIgnoresSQLErrors(t *testing.T) {
 	remote.openErr = sqlErr
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), remote},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var violations []Violation
 	err := su.Open(degradeCtx(DegradeServeLocal, &violations))
@@ -140,23 +137,24 @@ func TestDegradeBlockWaitsForGuard(t *testing.T) {
 	evals := 0
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, error) {
+		Selector: func(*EvalContext) (int, time.Time, error) {
 			evals++
 			if evals >= 3 { // passes on the third evaluation
-				return 0, nil
+				return 0, time.Time{}, nil
 			}
-			return 1, nil
+			return 1, time.Time{}, nil
 		},
 	}
 	var violations []Violation
 	c := degradeCtx(DegradeBlock, &violations)
 	retries := 0
 	c.GuardRetry = func(region, attempt int) bool { retries++; return true }
+	var d GuardDecision
+	c.OnGuard = func(g GuardDecision) { d = g }
 
 	if err := su.Open(c); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := su.LastDecision()
 	if d.Chosen != 0 || d.BlockWaits != 2 {
 		t.Errorf("decision = %+v, want local after 2 waits", d)
 	}
@@ -177,16 +175,17 @@ func TestDegradeBlockBudgetExhausted(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(5))},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var violations []Violation
 	c := degradeCtx(DegradeBlock, &violations)
 	c.GuardRetry = func(region, attempt int) bool { return attempt <= 2 }
+	var d GuardDecision
+	c.OnGuard = func(g GuardDecision) { d = g }
 
 	if err := su.Open(c); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := su.LastDecision()
 	if d.Chosen != 1 || d.BlockWaits != 2 {
 		t.Errorf("decision = %+v, want remote after exhausting 2 waits", d)
 	}

@@ -416,8 +416,12 @@ func TestGatherOverScanCopiesItsColumns(t *testing.T) {
 	for _, key := range []int64{7, 7000} {
 		s.Lo = storage.Bound{Vals: sqltypes.Row{intv(key)}, Inclusive: true}
 		s.Hi = s.Lo
-		if ok, err := s.Exists(ctx()); err != nil || ok != (key == 7) {
-			t.Fatalf("Exists(%d) = %v, %v", key, ok, err)
+		want := 0
+		if key == 7 {
+			want = 1
+		}
+		if rows := drain(t, s); len(rows) != want {
+			t.Fatalf("point range %d: %d rows", key, len(rows))
 		}
 	}
 }
@@ -571,7 +575,7 @@ func TestSwitchUnionSelectsOneBranch(t *testing.T) {
 	remote := &probeOp{Values: NewValues(s, testRows(5)), opened: &remoteOpened}
 	su := &SwitchUnion{
 		Children: []Operator{local, remote},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 	}
 	rows := drain(t, su)
 	if len(rows) != 2 {
@@ -580,13 +584,10 @@ func TestSwitchUnionSelectsOneBranch(t *testing.T) {
 	if localOpened != 1 || remoteOpened != 0 {
 		t.Fatalf("opened local=%d remote=%d; unchosen branch must stay untouched", localOpened, remoteOpened)
 	}
-	if su.ChosenIndex() != 0 {
-		t.Fatal("ChosenIndex")
-	}
 	// Switch to branch 1.
 	su2 := &SwitchUnion{
 		Children: []Operator{local, remote},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	if rows := drain(t, su2); len(rows) != 5 {
 		t.Fatalf("branch 1 rows = %d", len(rows))
@@ -597,14 +598,14 @@ func TestSwitchUnionErrors(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, error) { return 7, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 7, time.Time{}, nil },
 	}
 	if err := su.Open(ctx()); err == nil {
 		t.Fatal("out-of-range selector accepted")
 	}
 	su2 := &SwitchUnion{
 		Children: []Operator{NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, error) { return 0, errors.New("guard failed") },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, errors.New("guard failed") },
 	}
 	if err := su2.Open(ctx()); err == nil || !strings.Contains(err.Error(), "guard failed") {
 		t.Fatal("selector error not propagated")
@@ -669,14 +670,25 @@ func TestRunPhases(t *testing.T) {
 	}
 }
 
+// switchUnions collects every SwitchUnion of the tree under op, walking it
+// with VisitChildren.
+func switchUnions(op Operator) []*SwitchUnion {
+	var out []*SwitchUnion
+	if su, ok := op.(*SwitchUnion); ok {
+		out = append(out, su)
+	}
+	VisitChildren(op, func(c *Operator) { out = append(out, switchUnions(*c)...) })
+	return out
+}
+
 func TestCollectSwitchUnions(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, nil), NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 	}
 	root := &Filter{Child: su, Pred: pred(t, "id > 0", s)}
-	if got := CollectSwitchUnions(root); len(got) != 1 || got[0] != su {
-		t.Fatal("CollectSwitchUnions")
+	if got := switchUnions(root); len(got) != 1 || got[0] != su {
+		t.Fatal("switchUnions")
 	}
 }

@@ -48,6 +48,10 @@ type EvalContext struct {
 	// progress and reports whether to keep blocking. Returning false gives
 	// up and proceeds with the guard's last choice.
 	GuardRetry func(region, attempt int) bool
+	// Fetches counts the Remote operators of this execution whose fetch
+	// succeeded: the remote queries that answered part of it. Whoever reuses
+	// the context resets it between executions.
+	Fetches int
 	// Params are the literal values, by slot, of the statement this execution
 	// answers; the tree may have been built for another statement of the same
 	// shape. Nil when the tree runs for the statement its plan was made from:

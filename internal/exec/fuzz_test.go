@@ -61,9 +61,30 @@ func (in *fuzzInput) col() sqlparser.Expr {
 	return &sqlparser.ColumnRef{Table: "t", Column: fuzzSchema.Cols[in.next(3)].Name}
 }
 
+// lit draws a constant. Where it draws the palette's timestamp, one more
+// decision makes it the timestamp itself, GETDATE(), or GETDATE() minus or
+// plus a constant: a currency guard's `ts > GETDATE() - B`. (No committed
+// seed from before the clock forms draws the timestamp as a constant.)
 func (in *fuzzInput) lit() sqlparser.Expr {
-	return &sqlparser.Literal{Val: fuzzVals[in.next(len(fuzzVals))]}
+	v := fuzzVals[in.next(len(fuzzVals))]
+	if v.Kind() != sqltypes.KindTime {
+		return &sqlparser.Literal{Val: v}
+	}
+	now := &sqlparser.FuncExpr{Name: "GETDATE"}
+	switch in.next(4) {
+	case 1:
+		return now
+	case 2:
+		return &sqlparser.BinaryExpr{Op: sqlparser.OpSub, Left: now, Right: in.lit()}
+	case 3:
+		return &sqlparser.BinaryExpr{Op: sqlparser.OpAdd, Left: now, Right: in.lit()}
+	}
+	return &sqlparser.Literal{Val: v}
 }
+
+// fuzzNow is GETDATE() in a fuzzed predicate: one second after the palette's
+// timestamp, so GETDATE() - 1 meets it.
+var fuzzNow = time.Unix(2, 0).UTC()
 
 // pred draws a predicate of a shape the typed kernels take: a comparison of a
 // column with a constant (either side) or with a column, BETWEEN constants,
@@ -163,7 +184,7 @@ func FuzzKernel(f *testing.F) {
 			name string
 			run  func(*exec.EvalContext, *sqltypes.ColBatch, []int32, []int32) ([]int32, error)
 		}{{"compiled", kernel}, {"lifted", exec.TestLift(scalar)}}
-		ctx := &exec.EvalContext{Now: exec.TestNow}
+		ctx := &exec.EvalContext{Now: fuzzNow}
 		for _, cand := range [][]int32{nil, listed, {}} {
 			// The oracle: the scalar predicate over the candidates.
 			var want []int32

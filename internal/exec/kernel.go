@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
@@ -29,9 +31,9 @@ func CompilePred(e sqlparser.Expr, schema *Schema) (*Pred, error) {
 	return &Pred{Row: row, batch: k}, nil
 }
 
-// narrow narrows cb's selection to the active rows p accepts, reusing
+// Narrow narrows cb's selection to the active rows p accepts, reusing
 // *selbuf, and reports whether any row survives.
-func (p *Pred) narrow(ctx *EvalContext, cb *sqltypes.ColBatch, selbuf *[]int32) (bool, error) {
+func (p *Pred) Narrow(ctx *EvalContext, cb *sqltypes.ColBatch, selbuf *[]int32) (bool, error) {
 	if p == nil {
 		return true, nil
 	}
@@ -56,9 +58,12 @@ type boolKernel func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32)
 
 // compileKernel compiles an AST predicate to a column-at-a-time kernel.
 // It handles the shapes that dominate pushed-down scan predicates —
-// comparisons between a column and a literal (either side), column-column
-// comparisons, BETWEEN over literals, and AND chains of those — and reports
+// comparisons between a column and a constant (either side), column-column
+// comparisons, BETWEEN over constants, and AND chains of those — and reports
 // ok=false for anything else, leaving CompilePred to lift the row predicate.
+// A constant is an expression that reads no column: a literal, or GETDATE()
+// and arithmetic over it and literals, as in a currency guard's
+// `ts > GETDATE() - B`; the kernel evaluates it once per batch.
 // A kernel runs a typed loop where the column's lane and the constants share
 // one, else the lifted row predicate, so it answers as the row evaluator does
 // (NULL rejects, INT and FLOAT compare exactly); see FuzzKernel.
@@ -73,8 +78,8 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 				return andKernel(l, r), true
 			}
 		case sqlparser.OpEQ, sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-			if col, lit, bits, ok := ColLitCmp(e, schema); ok {
-				return litKernel(col, testOf(bits), lit, lit, lift(compileBound(e, schema))), true
+			if col, c, bits, ok := colConstCmp(e, schema); ok {
+				return constKernel(col, testOf(bits), compileBound(c, schema), nil, lift(compileBound(e, schema))), true
 			}
 			lc, okL := colOrdinal(e.Left, schema)
 			rc, okR := colOrdinal(e.Right, schema)
@@ -84,10 +89,8 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 		}
 	case *sqlparser.BetweenExpr:
 		col, ok := colOrdinal(e.Expr, schema)
-		lo, okLo := e.Lo.(*sqlparser.Literal)
-		hi, okHi := e.Hi.(*sqlparser.Literal)
-		if ok && okLo && okHi && !e.Not {
-			return litKernel(col, testOf(bitEQ), lo, hi, lift(compileBound(e, schema))), true
+		if ok && constant(e.Lo) && constant(e.Hi) && !e.Not {
+			return constKernel(col, testOf(bitEQ), compileBound(e.Lo, schema), compileBound(e.Hi, schema), lift(compileBound(e, schema))), true
 		}
 	}
 	return nil, false
@@ -155,18 +158,40 @@ func andKernel(a, b boolKernel) boolKernel {
 // and returns OP's truth bits as seen from the column: the reversed form
 // swaps less and greater.
 func ColLitCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, lit *sqlparser.Literal, bits uint8, ok bool) {
+	col, c, bits, ok := colConstCmp(e, schema)
+	lit, isLit := c.(*sqlparser.Literal)
+	return col, lit, bits, ok && isLit
+}
+
+// colConstCmp is ColLitCmp for any constant: `col OP c` or `c OP col`.
+func colConstCmp(e *sqlparser.BinaryExpr, schema *Schema) (col int, c sqlparser.Expr, bits uint8, ok bool) {
 	bits = truthBits(e.Op)
-	if c, okC := colOrdinal(e.Left, schema); okC {
-		if l, okL := e.Right.(*sqlparser.Literal); okL {
-			return c, l, bits, true
-		}
+	if col, ok := colOrdinal(e.Left, schema); ok && constant(e.Right) {
+		return col, e.Right, bits, true
 	}
-	if c, okC := colOrdinal(e.Right, schema); okC {
-		if l, okL := e.Left.(*sqlparser.Literal); okL {
-			return c, l, bits&bitEQ | bits&bitLT<<2 | bits&bitGT>>2, true
-		}
+	if col, ok := colOrdinal(e.Right, schema); ok && constant(e.Left) {
+		return col, e.Left, bits&bitEQ | bits&bitLT<<2 | bits&bitGT>>2, true
 	}
 	return 0, nil, 0, false
+}
+
+// constant reports whether e reads no column: a literal, a function
+// (GETDATE(), ABS) of constants, or a negation or arithmetic over them.
+func constant(e sqlparser.Expr) bool {
+	switch e := e.(type) {
+	case *sqlparser.Literal:
+		return true
+	case *sqlparser.FuncExpr:
+		return !slices.ContainsFunc(e.Args, func(a sqlparser.Expr) bool { return !constant(a) })
+	case *sqlparser.NegExpr:
+		return constant(e.Inner)
+	case *sqlparser.BinaryExpr:
+		switch e.Op {
+		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
+			return constant(e.Left) && constant(e.Right)
+		}
+	}
+	return false
 }
 
 // colOrdinal reports whether e is a bare reference to a column of schema,
@@ -378,16 +403,25 @@ func selCols[T lane](l, r []T, lnull, rnull []bool, t cmpTest, cand, dst []int32
 	return dropNulls(dropNulls(dst[:k], lnull), rnull)
 }
 
-// litKernel compares one column against constants: col passes t against lo
-// and hi, which a comparison sets to its one constant and BETWEEN to its
-// bounds. Columns and constants that share a lane — integers, floats against
-// any numeric constant, strings — run selLit over the transposed vector;
-// everything else (a NULL constant, an INT column against a FLOAT constant,
-// a column of mixed kinds) runs the predicate's row form, lifted. The
-// constants are read per batch, so a slot literal is this execution's.
-func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, lifted boolKernel) boolKernel {
+// constKernel compares one column against constants: col passes t against
+// lo and hi, which a comparison sets to its one constant (hi nil) and
+// BETWEEN to its bounds. The constants are evaluated once per batch, so a
+// slot literal is this execution's and GETDATE() its Now. Columns and
+// constants that share a lane — integers, floats against any numeric
+// constant, strings, timestamps — run selLit over the transposed vector;
+// everything else (a NULL constant, one that fails to evaluate, an INT column
+// against a FLOAT constant, a column of mixed kinds) runs the predicate's row
+// form, lifted.
+func constKernel(col int, t cmpTest, loC, hiC Compiled, lifted boolKernel) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
-		lo, hi := ctx.lit(loLit), ctx.lit(hiLit)
+		lo, err := loC(ctx, nil)
+		hi := lo
+		if err == nil && hiC != nil {
+			hi, err = hiC(ctx, nil)
+		}
+		if err != nil {
+			return lifted(ctx, cb, cand, dst)
+		}
 		v := cb.Col(col)
 		lk, hk := lo.Kind(), hi.Kind()
 		// An integer constant converts once, unless it lies past 2^53 where
@@ -401,6 +435,8 @@ func litKernel(col int, t cmpTest, loLit, hiLit *sqlparser.Literal, lifted boolK
 			return selLit(v.F64, v.Null, lf, hf, t, cand, dst), nil
 		case v.Kind == sqltypes.KindString && lk == sqltypes.KindString && hk == sqltypes.KindString:
 			return selLit(v.Str, v.Null, lo.Str(), hi.Str(), t, cand, dst), nil
+		case v.Kind == sqltypes.KindTime && lk == sqltypes.KindTime && hk == sqltypes.KindTime:
+			return selLit(v.I64, v.Null, lo.Time().UnixNano(), hi.Time().UnixNano(), t, cand, dst), nil
 		}
 		return lifted(ctx, cb, cand, dst)
 	}

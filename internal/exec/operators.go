@@ -161,18 +161,6 @@ func (s *Scan) NextVec() (*sqltypes.ColBatch, bool, error) {
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
-// Exists runs the scan to its first row and reports whether there is one,
-// copying out no column: the currency guard's EXISTS over its heartbeat row.
-func (s *Scan) Exists(ctx *EvalContext) (bool, error) {
-	s.only = []Expr{}
-	ok, err := false, s.Open(ctx)
-	if err == nil {
-		_, ok, err = s.NextVec()
-	}
-	s.Close()
-	return ok, err
-}
-
 // chunkWalk is one reader of a clustered key range: the cursor storage walks
 // the leaves with, the residual predicate that narrows each leaf window where
 // it lies, and the batch the survivors are copied into. out holds at most n
@@ -201,7 +189,7 @@ func (c *chunkWalk) arm(p *Pred, ctx *EvalContext, width int) {
 // narrow applies the residual predicate to cb's selection, reporting whether
 // any row survives.
 func (c *chunkWalk) narrow(cb *sqltypes.ColBatch) (bool, error) {
-	return c.pred.narrow(c.ctx, cb, &c.selbuf)
+	return c.pred.Narrow(c.ctx, cb, &c.selbuf)
 }
 
 // take is the visit of a copying walk (storage.Table.Step): it narrows a
@@ -272,7 +260,7 @@ func (f *Filter) NextVec() (*sqltypes.ColBatch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if ok, err := f.Pred.narrow(f.ctx, cb, &f.selbuf); err != nil {
+		if ok, err := f.Pred.Narrow(f.ctx, cb, &f.selbuf); err != nil {
 			return nil, false, err
 		} else if ok {
 			return cb, true, nil

@@ -53,14 +53,22 @@ type Result struct {
 // and columnar batches are materialized once, into one arena per batch. The
 // result's row list grows at most once per batch.
 func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) {
-	res := &Result{Schema: root.Schema()}
-	res.Phases.Setup = setup
+	res := new(Result)
+	if err := RunInto(res, root, ctx, setup); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
+// RunInto is Run filling a Result the caller owns, which it overwrites: a
+// caller that keeps the result inside a larger value allocates the two once.
+func RunInto(res *Result, root Operator, ctx *EvalContext, setup time.Duration) error {
+	*res = Result{Schema: root.Schema(), Phases: PhaseTimes{Setup: setup}}
 	clk := ctx.clock()
 	start := clk.Now()
 	if err := root.Open(ctx); err != nil {
 		root.Close()
-		return nil, err
+		return err
 	}
 	err := eachBatch(root, func(cb *sqltypes.ColBatch) error {
 		// At most one growth per batch, and never by less than double: a
@@ -73,16 +81,16 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 	})
 	if err != nil {
 		root.Close()
-		return nil, err
+		return err
 	}
 	res.Phases.Run = clk.Now().Sub(start)
 
 	start = clk.Now()
 	if err := root.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	res.Phases.Shutdown = clk.Now().Sub(start)
-	return res, nil
+	return nil
 }
 
 // VisitChildren calls f with the address of every child of op, in plan
@@ -118,24 +126,4 @@ func VisitChildren(op Operator, f func(child *Operator)) {
 	case *Traced:
 		f(&op.child)
 	}
-}
-
-// Children returns op's children in plan order.
-func Children(op Operator) []Operator {
-	var out []Operator
-	VisitChildren(op, func(c *Operator) { out = append(out, *c) })
-	return out
-}
-
-// CollectSwitchUnions walks an operator tree and returns every SwitchUnion
-// in it, so callers can inspect guard decisions after a run.
-func CollectSwitchUnions(root Operator) []*SwitchUnion {
-	var out []*SwitchUnion
-	if su, ok := root.(*SwitchUnion); ok {
-		out = append(out, su)
-	}
-	for _, c := range Children(root) {
-		out = append(out, CollectSwitchUnions(c)...)
-	}
-	return out
 }

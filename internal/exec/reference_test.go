@@ -24,7 +24,7 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 	case *exec.Remote:
 		return op.Fetch(ctx)
 	case *exec.SwitchUnion:
-		idx, err := op.Selector(ctx)
+		idx, _, err := op.Selector(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"relaxedcc/internal/obs"
@@ -11,8 +10,10 @@ import (
 )
 
 // Selector decides which SwitchUnion input to execute. It is evaluated once
-// when the operator is opened and must return an index in [0, n).
-type Selector func(ctx *EvalContext) (int, error)
+// when the operator is opened and must return an index in [0, n). A currency
+// guard also returns the heartbeat timestamp it judged, the zero time when
+// its region has none; any other selector returns the zero time.
+type Selector func(ctx *EvalContext) (int, time.Time, error)
 
 // DegradeMode is the session's violation action applied inside SwitchUnion
 // when the remote branch it picked is unavailable (Section 1 of the paper
@@ -56,9 +57,11 @@ type Violation struct {
 	Waits int
 }
 
-// GuardDecision is the guard event SwitchUnion.Open builds and publishes —
-// atomically per Open for LastDecision, and to EvalContext.OnGuard. The type
-// lives in obs, the package every consumer of the decision can import.
+// GuardDecision is the guard event SwitchUnion.Open builds and delivers, by
+// value, to EvalContext.OnGuard, once per Open and nowhere else: the operator
+// keeps no copy, so a decision shares nothing with the next run of the tree.
+// The type lives in obs, the package every consumer of the decision can
+// import.
 type GuardDecision = obs.GuardEvent
 
 // SwitchUnion is the paper's dynamic-plan operator (Section 3): it has N
@@ -73,13 +76,8 @@ type SwitchUnion struct {
 	// Label names the guard for diagnostics (e.g. "guard(cust_prj)").
 	Label string
 	// Region is planner metadata: the currency region whose freshness the
-	// guard checks for the local branch (child 0). Sessions use it to track
-	// timeline consistency.
+	// guard checks for the local branch (child 0).
 	Region int
-	// Staleness optionally observes the guarded region's staleness at
-	// decision time (query Now minus last heartbeat), for tracing and
-	// metrics. Set by the planner; nil means staleness is unknown.
-	Staleness func(ctx *EvalContext) (time.Duration, bool)
 	// Bound is planner metadata: the query's currency bound on the guarded
 	// region, normalized so 0 means unbounded. Carried into GuardDecision
 	// for SLO accounting.
@@ -90,10 +88,6 @@ type SwitchUnion struct {
 	// closed, so Close can release them all even if a guard re-evaluation
 	// across re-opens chose different branches or an error struck mid-open.
 	opened []Operator
-	// decision is the guard outcome of the most recent Open, published
-	// atomically so observers (harness, session bookkeeping, monitoring
-	// goroutines) can read it without racing a concurrent re-open.
-	decision atomic.Pointer[GuardDecision]
 }
 
 // Schema implements Operator. All children must share a schema shape; the
@@ -105,47 +99,41 @@ func (s *SwitchUnion) Schema() *Schema { return s.Children[0].Schema() }
 // branch is not the local one: DegradeBlock re-evaluates a failed guard on
 // the replication cadence before opening anything, and DegradeServeLocal
 // falls back to the local branch — recording a Violation warning — when the
-// remote branch's Open reports link unavailability.
+// remote branch's Open reports link unavailability. Once a selector has
+// chosen, Open ends by delivering its decision to EvalContext.OnGuard, after
+// the decisions of any guard under the branch it opened. The decision's
+// staleness is the query's Now minus the heartbeat the selector judged.
 func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	clk := ctx.clock()
-	start := clk.Now()
-	idx, err := s.Selector(ctx)
-	guardTime := clk.Now().Sub(start)
-	if err != nil {
-		return err
-	}
-	if idx < 0 || idx >= len(s.Children) {
-		return fmt.Errorf("exec: SwitchUnion selector returned %d of %d", idx, len(s.Children))
+	var (
+		idx, waits int
+		synced     time.Time
+		guardTime  time.Duration
+	)
+	for {
+		start := clk.Now()
+		var err error
+		idx, synced, err = s.Selector(ctx)
+		guardTime += clk.Now().Sub(start)
+		if err != nil {
+			return err
+		}
+		if idx < 0 || idx >= len(s.Children) {
+			return fmt.Errorf("exec: SwitchUnion selector returned %d of %d", idx, len(s.Children))
+		}
+		// Block mode: the guard rejected the local branch; wait for
+		// replication to catch up and re-check, bounded by the session's
+		// GuardRetry pacing.
+		if idx == 0 || ctx.Degrade != DegradeBlock || ctx.GuardRetry == nil || !ctx.GuardRetry(s.Region, waits+1) {
+			break
+		}
+		waits++
 	}
 
-	// Block mode: the guard rejected the local branch; wait for replication
-	// to catch up and re-check, bounded by the session's GuardRetry pacing.
-	waits := 0
-	if ctx.Degrade == DegradeBlock && idx != 0 && ctx.GuardRetry != nil {
-		for attempt := 1; idx != 0; attempt++ {
-			if !ctx.GuardRetry(s.Region, attempt) {
-				break
-			}
-			waits++
-			st := clk.Now()
-			idx, err = s.Selector(ctx)
-			guardTime += clk.Now().Sub(st)
-			if err != nil {
-				return err
-			}
-			if idx < 0 || idx >= len(s.Children) {
-				return fmt.Errorf("exec: SwitchUnion selector returned %d of %d", idx, len(s.Children))
-			}
-		}
+	d := GuardDecision{Query: ctx.Query, Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits}
+	if !synced.IsZero() {
+		d.Staleness, d.StalenessKnown = ctx.Now.Sub(synced), true
 	}
-
-	d := &GuardDecision{Query: ctx.Query, Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits}
-	if s.Staleness != nil {
-		if st, ok := s.Staleness(ctx); ok {
-			d.Staleness, d.StalenessKnown = st, true
-		}
-	}
-	s.decision.Store(d)
 	if waits > 0 && ctx.OnViolation != nil {
 		ctx.OnViolation(Violation{
 			Label: s.Label, Region: s.Region, Action: "block",
@@ -157,73 +145,33 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	// Record the child before opening it: a failed Open may still have
 	// acquired resources that only Close releases.
 	s.track(s.active)
-	err = s.active.Open(ctx)
+	err := s.active.Open(ctx)
 	if err != nil && idx != 0 && ctx.Unavailable != nil && ctx.Unavailable(err) {
 		v := Violation{
-			Label: s.Label, Region: s.Region, Err: err,
+			Label: s.Label, Region: s.Region, Action: "fail", Err: err,
 			Staleness: d.Staleness, StalenessKnown: d.StalenessKnown, Waits: waits,
 		}
 		if ctx.Degrade == DegradeServeLocal {
 			// The remote branch is down: serve the guarded local branch and
-			// surface the currency violation as a warning, not an error.
-			v.Action = "serve-local"
-			dd := *d
-			dd.Chosen = 0
-			dd.Degraded = true
-			s.decision.Store(&dd)
+			// surface the currency violation as a warning, not an error. The
+			// decision that answered is the local one.
+			v.Action, d.Chosen, d.Degraded = "serve-local", 0, true
 			s.active = s.Children[0]
 			s.track(s.active)
-			if e := s.active.Open(ctx); e != nil {
-				// The local branch failed too; report the original failure.
-				if ctx.OnGuard != nil {
-					ctx.OnGuard(dd)
-				}
-				return err
+			if s.active.Open(ctx) == nil {
+				err = nil
+			} else {
+				v.Action = "" // the local branch failed too: the remote failure stands
 			}
-			if ctx.OnViolation != nil {
-				ctx.OnViolation(v)
-			}
-			if ctx.OnGuard != nil {
-				ctx.OnGuard(dd)
-			}
-			return nil
 		}
-		v.Action = "fail"
-		if ctx.OnViolation != nil {
+		if v.Action != "" && ctx.OnViolation != nil {
 			ctx.OnViolation(v)
 		}
 	}
 	if ctx.OnGuard != nil {
-		ctx.OnGuard(*d)
+		ctx.OnGuard(d)
 	}
 	return err
-}
-
-// LastDecision returns the guard outcome of the most recent Open; ok is
-// false if the operator was never opened. Safe to call from any goroutine.
-func (s *SwitchUnion) LastDecision() (d GuardDecision, ok bool) {
-	if p := s.decision.Load(); p != nil {
-		return *p, true
-	}
-	return d, false
-}
-
-// ChosenIndex returns the branch picked by the most recent Open (0 if never
-// opened).
-func (s *SwitchUnion) ChosenIndex() int {
-	if d := s.decision.Load(); d != nil {
-		return d.Chosen
-	}
-	return 0
-}
-
-// GuardTime returns the selector evaluation time of the most recent Open —
-// the guard cost measured by the Tables 4.4/4.5 experiments.
-func (s *SwitchUnion) GuardTime() time.Duration {
-	if d := s.decision.Load(); d != nil {
-		return d.GuardTime
-	}
-	return 0
 }
 
 func (s *SwitchUnion) track(op Operator) {
@@ -275,7 +223,8 @@ type Remote struct {
 func (r *Remote) Schema() *Schema { return r.Out }
 
 // Open implements Operator: it ships the query and buffers the reply,
-// modeling a one-round-trip remote cursor.
+// modeling a one-round-trip remote cursor, and counts the fetch in
+// EvalContext.Fetches once it succeeds.
 func (r *Remote) Open(ctx *EvalContext) error {
 	own := r.SQL
 	if len(r.Text.Slots) > 0 && ctx != nil && ctx.Params != nil {
@@ -285,6 +234,9 @@ func (r *Remote) Open(ctx *EvalContext) error {
 	r.SQL = own
 	if err != nil {
 		return err
+	}
+	if ctx != nil {
+		ctx.Fetches++
 	}
 	r.win.reset(rows, nil, ctx)
 	return nil

@@ -79,18 +79,24 @@ func (t *Traced) Unwrap() Operator { return t.child }
 func (t *Traced) Schema() *Schema { return t.child.Schema() }
 
 // Open implements Operator, timing the child's Open and capturing the guard
-// decision for SwitchUnion children.
+// decision for SwitchUnion children: the execution's guard hook is wrapped
+// while the child opens, and the last decision it delivers is the guard's
+// own, which comes after those of the guards under the branch it opened.
 func (t *Traced) Open(ctx *EvalContext) error {
 	t.clk = ctx.clock()
+	if _, isGuard := t.child.(*SwitchUnion); isGuard {
+		sink := ctx.OnGuard
+		defer func() { ctx.OnGuard = sink }()
+		ctx.OnGuard = func(d GuardDecision) {
+			if t.node.Guard = &d; sink != nil {
+				sink(d)
+			}
+		}
+	}
 	start := t.clk.Now()
 	err := t.child.Open(ctx)
 	t.node.Open += t.clk.Now().Sub(start)
 	t.node.Opens++
-	if su, isGuard := t.child.(*SwitchUnion); isGuard {
-		if d, ok := su.LastDecision(); ok {
-			t.node.Guard = &d
-		}
-	}
 	return err
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -67,9 +66,8 @@ func TestInstrumentSwitchUnionGuard(t *testing.T) {
 		Label:    "Customer",
 		Region:   1,
 		Children: []Operator{NewValues(s, testRows(2)), NewValues(s, testRows(5))},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
-		Staleness: func(*EvalContext) (time.Duration, bool) {
-			return 5 * time.Second, true
+		Selector: func(ctx *EvalContext) (int, time.Time, error) {
+			return 0, ctx.Now.Add(-5 * time.Second), nil
 		},
 	}
 	root, node := Instrument(su)
@@ -107,51 +105,13 @@ func TestInstrumentUnwrap(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(1))},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
 	}
 	root, _ := Instrument(&Limit{Child: su, N: 1})
-	sus := CollectSwitchUnions(root)
+	sus := switchUnions(root)
 	if len(sus) != 1 || sus[0] != su {
-		t.Fatalf("CollectSwitchUnions through Traced = %v", sus)
+		t.Fatalf("switchUnions through Traced = %v", sus)
 	}
-}
-
-// TestSwitchUnionDecisionRace re-opens a shared SwitchUnion while another
-// goroutine reads its last decision; under -race this verifies the atomic
-// publication that replaced the old mutable GuardTime/ChosenIndex fields.
-func TestSwitchUnionDecisionRace(t *testing.T) {
-	s := testSchema("t")
-	su := &SwitchUnion{
-		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(1))},
-		Selector: func(*EvalContext) (int, error) { return 0, nil },
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = su.ChosenIndex()
-				_ = su.GuardTime()
-				if d, ok := su.LastDecision(); ok && d.Chosen != 0 {
-					t.Error("unexpected branch")
-					return
-				}
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		if _, err := Run(su, ctx(), 0); err != nil {
-			close(stop)
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestOnGuardHook checks the per-execution hook fires with the decision.
@@ -161,7 +121,7 @@ func TestOnGuardHook(t *testing.T) {
 		Label:    "Orders",
 		Region:   2,
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(3))},
-		Selector: func(*EvalContext) (int, error) { return 1, nil },
+		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
 	}
 	var got []GuardDecision
 	c := ctx()
@@ -176,6 +136,6 @@ func TestOnGuardHook(t *testing.T) {
 		t.Fatalf("decision = %+v", got[0])
 	}
 	if got[0].StalenessKnown {
-		t.Fatal("staleness must be unknown without a probe")
+		t.Fatal("staleness must be unknown without a judged heartbeat")
 	}
 }

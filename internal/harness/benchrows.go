@@ -41,12 +41,16 @@ func (r *BenchRow) columns() map[string]**float64 {
 
 var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
 
+// multiCPU is the benchmark scripts/bench.sh runs last, at -cpu 1 and 2.
+const multiCPU = "BenchmarkEndToEndQuery/local-point-parallel"
+
 // ReadBenchText reads the result lines of a `go test -bench` transcript:
 // "Name  iterations  value unit  value unit ...". With GOMAXPROCS > 1 Go
-// appends -GOMAXPROCS to every name; a suffix all rows share is that one and
-// is dropped, so local-point-2 reads local-point while parallel-4 (a
-// sub-benchmark's own name beside serial) stays, and the gates and the
-// baseline compare by exact name on any host.
+// appends -GOMAXPROCS to every name; a suffix the first row and all others
+// share is that one and is dropped, so local-point-2 reads local-point while
+// parallel-4 (a sub-benchmark's own name beside serial) stays, and the gates
+// and the baseline compare by exact name on any host. multiCPU's rows keep
+// the -N of their -cpu value (none at 1).
 func ReadBenchText(text string) ([]BenchRow, error) {
 	var rows []BenchRow
 	for _, line := range strings.Split(text, "\n") {
@@ -74,12 +78,14 @@ func ReadBenchText(text string) ([]BenchRow, error) {
 	}
 	suffix := procsSuffix.FindString(rows[0].Name)
 	for _, r := range rows {
-		if suffix == "" || !strings.HasSuffix(r.Name, suffix) {
+		if suffix == "" || !strings.HasSuffix(r.Name, suffix) && !strings.HasPrefix(r.Name, multiCPU) {
 			return rows, nil
 		}
 	}
 	for i := range rows {
-		rows[i].Name = strings.TrimSuffix(rows[i].Name, suffix)
+		if !strings.HasPrefix(rows[i].Name, multiCPU) {
+			rows[i].Name = strings.TrimSuffix(rows[i].Name, suffix)
+		}
 	}
 	return rows, nil
 }
@@ -105,17 +111,18 @@ var allocCeilings = []struct {
 	// A plan-cache hit runs a cached tree: no parse, no print-back, no build,
 	// and one query context per session instead of closures per query. The
 	// local point read took 92 allocs/op while it did all of that and
-	// measures 6; shipped to the back end, which answers from a template of
-	// the statement's shape (106 while it parsed and planned every one), 9.
-	// End-to-end ceilings are the count plus two.
-	{"BenchmarkEndToEndQuery/local-point", 8},
-	{"BenchmarkEndToEndQuery/remote-point", 11},
+	// measures 3 (6 before one allocation held its whole result); shipped to
+	// the back end, which answers from a template of the statement's shape
+	// (106 while it parsed and planned every one), 8. End-to-end ceilings are
+	// the count plus two.
+	{"BenchmarkEndToEndQuery/local-point", 5},
+	{"BenchmarkEndToEndQuery/remote-point", 10},
 	// A new text of a known shape is scanned, bound to the shape's template
 	// and run through a tree another statement left: the canonical text, the
-	// entry and its parameters on top of a hit (12 and 18 measured), where
+	// entry and its parameters on top of a hit (9 and 12 measured), where
 	// parse, print and optimize took some 230 and 1,400.
-	{"BenchmarkEndToEndQuery/shape-hit", 14},
-	{"BenchmarkEndToEndQuery/shape-hit-join", 20},
+	{"BenchmarkEndToEndQuery/shape-hit", 11},
+	{"BenchmarkEndToEndQuery/shape-hit-join", 14},
 	// Forwarded DML runs from a back-end template (7 and 11; 29, 53 parsed).
 	{"BenchmarkEndToEndQuery/update-by-key", 9},
 	{"BenchmarkEndToEndQuery/insert-delete", 13},

@@ -180,11 +180,12 @@ func row(t *testing.T, rows []BenchRow, name string) *BenchRow {
 // TestReadBenchText: the reader on two recorded transcripts of the same
 // benchmarks, GOMAXPROCS=1 (no suffix) and GOMAXPROCS=2 (every name ends in
 // -2): both give the same names, a sub-benchmark called parallel-4 keeps its
-// own -4, and custom units land in their columns.
+// own -4, the point read run at -cpu 1 and 2 keeps the 2 of its second run,
+// and custom units land in their columns.
 func TestReadBenchText(t *testing.T) {
 	one, two := readBench(t, "bench_procs1.txt"), readBench(t, "bench_procs2.txt")
-	if len(one) != 23 || len(two) != len(one) {
-		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 23 each", len(one), len(two))
+	if len(one) != 31 || len(two) != len(one) {
+		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 31 each", len(one), len(two))
 	}
 	for i := range one {
 		if one[i].Name != two[i].Name {
@@ -194,6 +195,8 @@ func TestReadBenchText(t *testing.T) {
 	for _, rows := range [][]BenchRow{one, two} {
 		row(t, rows, "BenchmarkEndToEndQuery/local-point")
 		row(t, rows, "BenchmarkExecScan/parallel-4")
+		row(t, rows, "BenchmarkEndToEndQuery/local-point-parallel")
+		row(t, rows, "BenchmarkEndToEndQuery/local-point-parallel-2")
 		if p := row(t, rows, "BenchmarkExecFilterScan/serial"); p.RowsPerSec == nil || *p.RowsPerSec <= 0 || p.NsOp <= 0 {
 			t.Errorf("%s: ns_op %v rows_per_sec %v", p.Name, p.NsOp, p.RowsPerSec)
 		}
@@ -231,8 +234,8 @@ func TestBenchCheckBites(t *testing.T) {
 		want   string
 		mutate func(rows []BenchRow) []BenchRow
 	}{
-		{"BenchmarkEndToEndQuery/local-point: allocs_op regressed: 9 > 8", func(rows []BenchRow) []BenchRow {
-			*row(t, rows, "BenchmarkEndToEndQuery/local-point").AllocsOp = 9
+		{"BenchmarkEndToEndQuery/local-point: allocs_op regressed: 6 > 5", func(rows []BenchRow) []BenchRow {
+			*row(t, rows, "BenchmarkEndToEndQuery/local-point").AllocsOp = 6
 			return rows
 		}},
 		{"BenchmarkExecHashJoin/serial: allocs_op regressed", func(rows []BenchRow) []BenchRow {

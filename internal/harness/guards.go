@@ -95,7 +95,7 @@ func StripGuards(op exec.Operator, branch int) exec.Operator {
 // timePhases measures averaged per-phase times over iters executions of a
 // plan: setup is the (batched) cost of instantiating the executable tree;
 // run and shutdown come from the executor's own phase clocks.
-func timePhases(plan *opt.Plan, transform func(exec.Operator) exec.Operator, ctx *exec.EvalContext, iters int) (exec.PhaseTimes, int, time.Duration, error) {
+func timePhases(plan *opt.Plan, transform func(exec.Operator) exec.Operator, ctx *exec.EvalContext, iters int) (exec.PhaseTimes, int, error) {
 	var root exec.Operator
 	var err error
 	// The guard-overhead experiment measures real microseconds (the paper's
@@ -106,7 +106,7 @@ func timePhases(plan *opt.Plan, transform func(exec.Operator) exec.Operator, ctx
 	for i := 0; i < iters; i++ {
 		root, err = plan.Build()
 		if err != nil {
-			return exec.PhaseTimes{}, 0, 0, err
+			return exec.PhaseTimes{}, 0, err
 		}
 		if transform != nil {
 			root = transform(root)
@@ -114,22 +114,18 @@ func timePhases(plan *opt.Plan, transform func(exec.Operator) exec.Operator, ctx
 	}
 	setup := wall.Now().Sub(start) / time.Duration(iters)
 	var total exec.PhaseTimes
-	var guardEval time.Duration
 	rows := 0
 	for i := 0; i < iters; i++ {
 		res, err := exec.Run(root, ctx, 0)
 		if err != nil {
-			return exec.PhaseTimes{}, 0, 0, err
+			return exec.PhaseTimes{}, 0, err
 		}
 		total.Add(res.Phases)
 		rows = len(res.Rows)
 	}
-	for _, su := range exec.CollectSwitchUnions(root) {
-		guardEval += su.GuardTime()
-	}
 	avg := total.Scale(iters)
 	avg.Setup = setup
-	return avg, rows, guardEval, nil
+	return avg, rows, nil
 }
 
 // measureGuardedVsPlain compares the guarded plan for sql against its
@@ -150,27 +146,18 @@ func measureGuardedVsPlain(sys *core.System, sql string, wantLocal bool, reps in
 	if guarded.Guards == 0 {
 		return nil, fmt.Errorf("harness: plan for %q has no currency guard", sql)
 	}
-	branch := 1
-	if wantLocal {
-		branch = 0
-	}
+	branch := map[bool]int{true: 0, false: 1}[wantLocal]
 	strip := func(op exec.Operator) exec.Operator { return StripGuards(op, branch) }
 	// Wall clock on purpose: run/shutdown phases must measure real elapsed
-	// time for the overhead comparison, whatever clock the system runs on.
-	ctx := &exec.EvalContext{Now: sys.Clock.Now(), Clock: vclock.Wall{}}
-	// Verify the guard takes the expected branch.
-	root, err := guarded.Build()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := exec.Run(root, ctx, 0); err != nil {
-		return nil, err
-	}
-	for _, su := range exec.CollectSwitchUnions(root) {
-		if chosen := su.ChosenIndex(); (chosen == 0) != wantLocal {
-			return nil, fmt.Errorf("harness: guard chose branch %d, want local=%v", chosen, wantLocal)
+	// time, whatever clock the system runs on. The guards' decisions add up
+	// their selector times and must take the expected branch.
+	var guardEval time.Duration
+	wrong := -1
+	ctx := &exec.EvalContext{Now: sys.Clock.Now(), Clock: vclock.Wall{}, OnGuard: func(d exec.GuardDecision) {
+		if guardEval += d.GuardTime; (d.Chosen == 0) != wantLocal {
+			wrong = d.Chosen
 		}
-	}
+	}}
 	m := &GuardMeasurement{
 		GuardCount: guarded.Guards,
 		Branch:     map[bool]string{true: "local", false: "remote"}[wantLocal],
@@ -182,19 +169,23 @@ func measureGuardedVsPlain(sys *core.System, sql string, wantLocal bool, reps in
 	}
 	var gs, ps []exec.PhaseTimes
 	for r := 0; r < rounds; r++ {
-		g, rows, guardEval, err := timePhases(guarded, nil, ctx, iters)
+		guardEval = 0
+		g, rows, err := timePhases(guarded, nil, ctx, iters)
 		if err != nil {
 			return nil, err
 		}
-		p, _, _, err := timePhases(guarded, strip, ctx, iters)
+		if wrong >= 0 {
+			return nil, fmt.Errorf("harness: guard chose branch %d, want local=%v", wrong, wantLocal)
+		}
+		p, _, err := timePhases(guarded, strip, ctx, iters)
 		if err != nil {
 			return nil, err
 		}
 		m.Rows = rows
 		gs = append(gs, g)
 		ps = append(ps, p)
-		if m.GuardEval == 0 || guardEval < m.GuardEval {
-			m.GuardEval = guardEval
+		if eval := guardEval / time.Duration(iters); m.GuardEval == 0 || eval < m.GuardEval {
+			m.GuardEval = eval
 		}
 	}
 	m.Guarded = medianPhases(gs)

@@ -413,9 +413,10 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	}
 }
 
-// LastSync implements opt.RegionClock: the timestamp in the region's row of
-// the local heartbeat table. Guards, staleness probes and the session's
-// bookkeeping each read it per query, so it reads into a stack buffer.
+// LastSync returns the timestamp in the region's row of the local heartbeat
+// table, for the heartbeat sink, the ops surface and callers outside a
+// query. No query reads it: a guard copies the row out itself, and its
+// decision carries the timestamp it judged.
 func (c *Cache) LastSync(regionID int) (time.Time, bool) {
 	var buf [2]sqltypes.Value
 	row, ok := c.hb.Peek(sqltypes.Row{sqltypes.NewInt(int64(regionID))}, buf[:0])
@@ -516,7 +517,6 @@ func (c *Cache) planner(opts opt.Options) *opt.Planner {
 		LocalTable: func(string) *storage.Table { return nil }, // shadow tables are empty
 		LocalView:  c.ViewData,
 		Remote:     c.link,
-		Regions:    c,
 		Heartbeat:  c.hb,
 		Clock:      c.clock,
 	}
@@ -540,9 +540,11 @@ type QueryResult struct {
 	*exec.Result
 	// Plan is the executed plan.
 	Plan *opt.Plan
-	// LocalViews lists guards that chose their local branch, by label.
+	// LocalViews lists guards that chose their local branch, by label, in
+	// the order they decided (an inner guard before the guard around it).
 	LocalViews []string
-	// RemoteQueries counts remote queries actually executed.
+	// RemoteQueries counts the remote queries that answered: the successful
+	// fetches of the run.
 	RemoteQueries int
 	// ServedStale is set when the violation action downgraded to stale
 	// local data after a remote failure.
@@ -563,6 +565,11 @@ type QueryResult struct {
 	// Explained is set for plain EXPLAIN: the statement was planned but not
 	// executed (Rows is empty, Plan describes the choice).
 	Explained bool
+
+	// res and views back Result and LocalViews, so that one allocation holds
+	// an executed statement's result with up to two local views.
+	res   exec.Result
+	views [2]string
 }
 
 // Query runs one SELECT outside any session (default options and actions).
@@ -915,30 +922,36 @@ func (s *Session) guardRetry(region, attempt int) bool {
 }
 
 // run executes one tree of a plan in the query's context and updates the
-// session's timeline floor from the sources actually used. With analyze set,
-// the tree is instrumented (in place: it cannot run again) and the result
-// carries the annotated trace (retained in the cache's TraceStore under sql).
+// session's timeline floor from the sources actually used, as the guard
+// decisions (queryCtx.guard) and the run's remote fetches report them: a
+// local source is as of the heartbeat its guard judged, a remote one as of
+// the statement's instant, EvalContext.Now, read from the clock here once
+// per run. With analyze set, the tree is instrumented (in place: it cannot
+// run again) and the result carries the annotated trace (retained in the
+// cache's TraceStore under sql).
 func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string) (*QueryResult, error) {
 	c := s.cache
-	now := c.clock.Now()
 	o := c.obs
 	o.queries.Inc()
-	var trace *obs.TraceNode
+	qr := &QueryResult{Plan: plan}
+	qr.Result = &qr.res
 	if analyze {
 		if params != nil {
 			spliceRemotes(root, params)
 		}
-		root, trace = exec.Instrument(root)
+		root, qr.Trace = exec.Instrument(root)
 	}
+	q.qr, q.observed, q.oldest = qr, time.Time{}, time.Time{}
 	q.violations, q.reads = q.violations[:0], q.reads[:0]
-	q.ev.Now, q.ev.Degrade, q.ev.Params = now, s.degradeMode(), params
+	q.ev.Now, q.ev.Degrade, q.ev.Params, q.ev.Fetches = c.clock.Now(), s.degradeMode(), params, 0
 	var execStart time.Time
 	var retriesBefore int64
 	if q.qt != nil {
 		retriesBefore = c.link.Stats().Retries
 		execStart = c.clock.Now()
 	}
-	res, err := exec.Run(root, &q.ev, setup)
+	err := exec.RunInto(&qr.res, root, &q.ev, setup)
+	q.qr = nil
 	if q.qt != nil {
 		q.qt.Exec(c.clock.Now().Sub(execStart))
 		q.qt.Retries(c.link.Stats().Retries - retriesBefore)
@@ -946,7 +959,6 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 	if err != nil {
 		return nil, err
 	}
-	qr := &QueryResult{Result: res, Plan: plan, Trace: trace}
 	if len(q.violations) > 0 {
 		// The buffer is the context's; the result gets its own copy.
 		qr.Violations = slices.Clone(q.violations)
@@ -956,18 +968,17 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 			}
 		}
 	}
-	if trace != nil {
-		o.traces.Set(sql, trace)
+	if qr.Trace != nil {
+		o.traces.Set(sql, qr.Trace)
 	}
-	w := usedWalk{cache: c, qr: qr, now: now}
-	w.visit(root)
-	if qr.RemoteQueries > 0 {
+	if qr.RemoteQueries = q.ev.Fetches; qr.RemoteQueries > 0 {
 		o.remoteQueries.Add(int64(qr.RemoteQueries))
+		q.note(q.ev.Now)
 	}
-	qr.AsOf = w.oldest
+	qr.AsOf = q.oldest
 	s.mu.Lock()
-	if s.timeOrdered && w.observed.After(s.floor) {
-		s.floor = w.observed
+	if s.timeOrdered && q.observed.After(s.floor) {
+		s.floor = q.observed
 	}
 	s.mu.Unlock()
 	q.aud.Reads(q.reads)
@@ -982,49 +993,6 @@ func spliceRemotes(op exec.Operator, params []sqltypes.Value) {
 		r.SQL = r.Text.Splice(params)
 	}
 	exec.VisitChildren(op, func(c *exec.Operator) { spliceRemotes(*c, params) })
-}
-
-// usedWalk visits the operators that actually executed (descending only
-// into chosen SwitchUnion branches) to collect guard outcomes and the
-// snapshot times of the sources that answered: observed the newest (the
-// timeline floor), oldest the conservative AsOf.
-type usedWalk struct {
-	cache            *Cache
-	qr               *QueryResult
-	now              time.Time
-	observed, oldest time.Time
-}
-
-func (w *usedWalk) note(ts time.Time) {
-	if ts.After(w.observed) {
-		w.observed = ts
-	}
-	if w.oldest.IsZero() || ts.Before(w.oldest) {
-		w.oldest = ts
-	}
-}
-
-func (w *usedWalk) visit(op exec.Operator) {
-	switch op := op.(type) {
-	case *exec.SwitchUnion:
-		chosen := op.ChosenIndex()
-		if chosen == 0 {
-			w.qr.LocalViews = append(w.qr.LocalViews, op.Label)
-			if ts, ok := w.cache.LastSync(op.Region); ok {
-				w.note(ts)
-			}
-		}
-		w.visit(op.Children[chosen])
-	case *exec.Remote:
-		w.qr.RemoteQueries++
-		w.note(w.now)
-	default:
-		// The visitor, not exec.Children: a returned slice would cost one
-		// allocation per operator on the point-read path. The closure holds
-		// one pointer; one that carried the walk's five variables cost 3% of
-		// a 2 µs point read.
-		exec.VisitChildren(op, func(c *exec.Operator) { w.visit(*c) })
-	}
 }
 
 // serveStale is the ActionServeStale fall-back: answer from local views

@@ -1,6 +1,8 @@
 package mtcache
 
 import (
+	"time"
+
 	"relaxedcc/internal/audit"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/obs"
@@ -29,6 +31,12 @@ type queryCtx struct {
 	// guard decisions produced; reset by every run.
 	violations []exec.Violation
 	reads      []audit.ReadEvent
+	// qr is the result of the run in progress, which takes the local views
+	// of its guards' decisions as they arrive (nil between runs); observed
+	// and oldest are the newest and oldest snapshot times of the sources that
+	// answered it so far: the session's timeline floor and the result's AsOf.
+	qr               *QueryResult
+	observed, oldest time.Time
 }
 
 // begin checks the session's query context out for one query: the tracer
@@ -65,14 +73,35 @@ func (q *queryCtx) end(err *error) {
 // guard publishes one guard decision (EvalContext.OnGuard) to every consumer
 // of it, in a fixed order: the region ledger (guard metrics, SLO window,
 // workload window) always; the lifecycle record when the query is sampled;
-// the auditor when it is enabled. A degraded decision arrives once, as the
-// decision that answered.
+// the auditor when it is enabled; and, when the guard served locally, the
+// result's local views and sources. A degraded decision arrives once, as the
+// decision that answered. The heartbeat a decision judged is the statement's
+// Now minus the decision's staleness.
 func (q *queryCtx) guard(g obs.GuardEvent) {
-	c := q.s.cache
-	c.obs.ledger.Observe(c.clock.Now(), g)
+	q.s.cache.obs.ledger.Observe(g)
 	q.qt.Guard(g)
 	if q.aud != nil {
-		q.reads = append(q.reads, c.readEvent(g))
+		q.reads = append(q.reads, q.s.cache.readEvent(g, q.ev.Now))
+	}
+	if g.Chosen != 0 {
+		return
+	}
+	if q.qr.LocalViews == nil {
+		q.qr.LocalViews = q.qr.views[:0]
+	}
+	q.qr.LocalViews = append(q.qr.LocalViews, g.Label)
+	if g.StalenessKnown {
+		q.note(q.ev.Now.Add(-g.Staleness))
+	}
+}
+
+// note counts ts as the snapshot time of a source that answered the run.
+func (q *queryCtx) note(ts time.Time) {
+	if ts.After(q.observed) {
+		q.observed = ts
+	}
+	if q.oldest.IsZero() || ts.Before(q.oldest) {
+		q.oldest = ts
 	}
 }
 
@@ -89,16 +118,17 @@ func (q *queryCtx) violation(v exec.Violation) {
 	}
 }
 
-// readEvent wraps one guard decision in what the cache adds at serve time:
-// the versions the local branch served (the region agent's applied commit
-// sequence) and the heartbeat timestamp the guard trusted.
-func (c *Cache) readEvent(g obs.GuardEvent) audit.ReadEvent {
+// readEvent wraps one guard decision, taken by a statement whose instant is
+// now, in what the cache adds at serve time: the versions the local branch
+// served (the region agent's applied commit sequence) and the heartbeat
+// timestamp the guard trusted.
+func (c *Cache) readEvent(g obs.GuardEvent, now time.Time) audit.ReadEvent {
 	ev := audit.ReadEvent{GuardEvent: g, ServeTSNS: c.clock.Now().UnixNano()}
 	if a := c.Agent(g.Region); a != nil {
 		ev.SyncSeq = a.LastSeq()
 	}
-	if ts, ok := c.LastSync(g.Region); ok {
-		ev.SyncTSNS = ts.UnixNano()
+	if g.StalenessKnown {
+		ev.SyncTSNS = now.Add(-g.Staleness).UnixNano()
 	}
 	return ev
 }

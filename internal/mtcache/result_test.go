@@ -30,7 +30,9 @@ type resultRow struct {
 // degraded to the local view under a partition (ActionServeLocal) and blocked
 // until replication catches up (ActionBlock), and a statement with no
 // currency clause, planned remote with no guard. A two-guard plan lists its
-// local views outer guard first.
+// local views in the order its guards decided: an inner guard decides, and
+// publishes, before the guard around it. A local source is as of the
+// heartbeat its guard judged.
 func TestResultReportsItsSources(t *testing.T) {
 	sys, err := harness.NewSystem(harness.DefaultConfig())
 	if err != nil {
@@ -61,7 +63,7 @@ func TestResultReportsItsSources(t *testing.T) {
 		{"local point", point, mtcache.ActionError, nil,
 			resultRow{localViews: []string{guard}, behind: 6 * time.Second}},
 		{"two guards", q5, mtcache.ActionError, nil,
-			resultRow{localViews: []string{join, guard}, behind: 6 * time.Second}},
+			resultRow{localViews: []string{guard, join}, behind: 6 * time.Second}},
 		// Two minutes pass with replication standing still: the guard now
 		// rejects the local branch.
 		{"remote", point, mtcache.ActionError, func() { sys.Clock.Advance(2 * time.Minute) },
@@ -69,7 +71,10 @@ func TestResultReportsItsSources(t *testing.T) {
 		{"degraded", point, mtcache.ActionServeLocal, func() {
 			sys.Clock.Advance(2 * time.Minute)
 			inj.SetPartitioned(true)
-		}, resultRow{localViews: []string{guard}, behind: 4 * time.Minute, degraded: true,
+			// The region's agent applies a heartbeat six seconds newer while
+			// the link backs off before the fall-back; the answer is as of
+			// the one the guard judged, the staleness its decision reports.
+		}, resultRow{localViews: []string{guard}, behind: 4*time.Minute + 6*time.Second, degraded: true,
 			violations: []string{"serve-local/1/0"}}},
 		{"blocked", point, mtcache.ActionBlock, func() {
 			inj.SetPartitioned(false)

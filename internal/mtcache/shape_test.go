@@ -69,9 +69,7 @@ func remoteTexts(op exec.Operator, out []string) []string {
 	if r, ok := op.(*exec.Remote); ok {
 		out = append(out, r.SQL)
 	}
-	for _, c := range exec.Children(op) {
-		out = remoteTexts(c, out)
-	}
+	exec.VisitChildren(op, func(c *exec.Operator) { out = remoteTexts(*c, out) })
 	return out
 }
 

@@ -28,9 +28,9 @@ func opsFixture() (Ops, *Tracer) {
 		Staleness: time.Second, StalenessKnown: true})
 	slow.Finish(false)
 
-	ledger.Observe(time.Time{}, GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	ledger.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: time.Second, StalenessKnown: true})
-	ledger.Observe(time.Time{}, GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	ledger.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		Staleness: 2 * time.Second, StalenessKnown: true, Degraded: true})
 
 	return Ops{

@@ -158,7 +158,7 @@ func (l *RegionLedger) record(id int) *regionRecord {
 	return l.regionLocked(id)
 }
 
-// Observe folds one guard decision, made at now, into its region: the guard
+// Observe folds one guard decision into its region: the guard
 // metrics, the SLO window and the workload window. Within-bound semantics:
 //
 //   - degraded serve: NOT within bound (the guard wanted remote; counts
@@ -168,7 +168,7 @@ func (l *RegionLedger) record(id int) *regionRecord {
 //     bound (unknown staleness or an unbounded query trusts the guard).
 //
 // Nil-safe; zero allocations after a region's first decision.
-func (l *RegionLedger) Observe(now time.Time, g GuardEvent) {
+func (l *RegionLedger) Observe(g GuardEvent) {
 	if l == nil {
 		return
 	}

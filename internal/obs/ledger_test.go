@@ -31,18 +31,17 @@ func obsDegraded(region int) GuardEvent {
 
 func TestSLOWithinBoundSemantics(t *testing.T) {
 	s := newLedger(0.9, 16)
-	at := wlStart()
 	// Guard-approved local serve inside the bound: within.
-	s.Observe(at, obsWithin(1))
+	s.Observe(obsWithin(1))
 	// Remote serve: within by definition (master data).
-	s.Observe(at, GuardEvent{Region: 1, Chosen: 1, Bound: time.Second})
+	s.Observe(GuardEvent{Region: 1, Chosen: 1, Bound: time.Second})
 	// Degraded serve: counts against budget even if staleness looks fine.
-	s.Observe(at, GuardEvent{Region: 1, Chosen: 0, Bound: 10 * time.Second,
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: 10 * time.Second,
 		Staleness: time.Second, StalenessKnown: true, Degraded: true})
 	// Local serve with unknown staleness: the guard vouched, so within.
-	s.Observe(at, GuardEvent{Region: 1, Chosen: 0, Bound: time.Second})
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: time.Second})
 	// Local serve observed over the bound: not within.
-	s.Observe(at, GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
+	s.Observe(GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
 		Staleness: 2 * time.Second, StalenessKnown: true})
 
 	snap := s.SLO()
@@ -61,10 +60,10 @@ func TestSLOWithinBoundSemantics(t *testing.T) {
 func TestSLOSlidingWindowEviction(t *testing.T) {
 	s := newLedger(0.99, 4)
 	for i := 0; i < 4; i++ {
-		s.Observe(wlStart(), obsDegraded(2))
+		s.Observe(obsDegraded(2))
 	}
 	for i := 0; i < 4; i++ {
-		s.Observe(wlStart(), obsWithin(2))
+		s.Observe(obsWithin(2))
 	}
 	r := s.SLO().Regions[0]
 	if r.Observations != 4 || r.Within != 4 || r.Degraded != 0 {
@@ -80,9 +79,9 @@ func TestSLOErrorBudgetMath(t *testing.T) {
 	// whole budget, more clamps at 0.
 	s := newLedger(0.9, 10)
 	for i := 0; i < 9; i++ {
-		s.Observe(wlStart(), obsWithin(1))
+		s.Observe(obsWithin(1))
 	}
-	s.Observe(wlStart(), obsDegraded(1))
+	s.Observe(obsDegraded(1))
 	r := s.SLO().Regions[0]
 	if r.ErrorBudget != 0 {
 		t.Fatalf("budget = %v, want 0 with the allowance exactly spent", r.ErrorBudget)
@@ -109,7 +108,7 @@ func TestSLOSnapshotDeterministicOrderAndPercentiles(t *testing.T) {
 	s := newLedger(0.99, 64)
 	for _, region := range []int{3, 1, 2} {
 		for i := 1; i <= 4; i++ {
-			s.Observe(wlStart(), GuardEvent{Region: region, Chosen: 0,
+			s.Observe(GuardEvent{Region: region, Chosen: 0,
 				Bound:     time.Minute,
 				Staleness: time.Duration(i) * time.Second, StalenessKnown: true})
 		}
@@ -136,8 +135,8 @@ func TestSLOGaugesExported(t *testing.T) {
 	reg := NewRegistry()
 	s := NewRegionLedger(reg, wlStart())
 	s.Reconfigure(0.5, 8)
-	s.Observe(wlStart(), obsWithin(7))
-	s.Observe(wlStart(), obsDegraded(7))
+	s.Observe(obsWithin(7))
+	s.Observe(obsDegraded(7))
 	snap := reg.Snapshot()
 	if got := snap.Gauges[`slo_within_bound_ratio{region="7"}`]; got != 500000 {
 		t.Fatalf("ratio gauge = %d ppm, want 500000", got)
@@ -158,9 +157,9 @@ func TestReconfigureResetsOnlyTheSLOHalf(t *testing.T) {
 	reg := NewRegistry()
 	l := NewRegionLedger(reg, wlStart())
 	at := wlStart().Add(5 * time.Second)
-	l.Observe(at, obsWithin(1))
-	l.Observe(at, obsDegraded(1))
-	l.Observe(at, GuardEvent{Region: 2, Chosen: 1, Bound: time.Second})
+	l.Observe(obsWithin(1))
+	l.Observe(obsDegraded(1))
+	l.Observe(GuardEvent{Region: 2, Chosen: 1, Bound: time.Second})
 	l.Degraded(1)
 	l.BlockWaits(3)
 	metrics, profiles := reg.Snapshot(), l.Snapshot(at)
@@ -176,7 +175,7 @@ func TestReconfigureResetsOnlyTheSLOHalf(t *testing.T) {
 		t.Fatalf("Reconfigure moved the workload window:\nbefore %+v\nafter  %+v", profiles, got)
 	}
 
-	l.Observe(at, obsWithin(2))
+	l.Observe(obsWithin(2))
 	snap := l.SLO()
 	if len(snap.Regions) != 1 || snap.Regions[0].Region != 2 || snap.Regions[0].Observations != 1 {
 		t.Fatalf("SLO after one more decision = %+v, want region 2 with one observation", snap)
@@ -197,8 +196,8 @@ func TestLedgerWorkloadProfiles(t *testing.T) {
 		{Region: 1, Chosen: 1, Bound: 2 * time.Second},
 		{Region: 1, Chosen: 0, Bound: time.Duration(1<<63 - 1)},
 	}
-	for i, g := range obs {
-		w.Observe(start.Add(time.Duration(i)*time.Second), g)
+	for _, g := range obs {
+		w.Observe(g)
 	}
 	// A staleness gauge set between decisions makes no profile.
 	w.SetStaleness(2, time.Second)
@@ -241,7 +240,7 @@ func TestLedgerWorkloadProfiles(t *testing.T) {
 	if slo := w.SLO(); slo.Regions[0].Observations != 4 {
 		t.Fatalf("Cut moved the SLO window: %+v", slo)
 	}
-	w.Observe(start.Add(11*time.Second), GuardEvent{Region: 2, Chosen: 0, Bound: time.Second})
+	w.Observe(GuardEvent{Region: 2, Chosen: 0, Bound: time.Second})
 	next := w.Snapshot(start.Add(12 * time.Second))
 	if len(next) != 2 {
 		t.Fatalf("got %d profiles after cut, want 2 (reset region 1 + new region 2)", len(next))
@@ -261,12 +260,12 @@ func TestLedgerBoundOverflow(t *testing.T) {
 	start := wlStart()
 	w := NewRegionLedger(NewRegistry(), start)
 	for i := 1; i <= workloadMaxBounds; i++ {
-		w.Observe(start, GuardEvent{Region: 1, Bound: time.Duration(i) * time.Minute})
+		w.Observe(GuardEvent{Region: 1, Bound: time.Duration(i) * time.Minute})
 	}
 	// 90s is between the 1m and 2m buckets; the tie rule picks the smaller.
-	w.Observe(start, GuardEvent{Region: 1, Bound: 90 * time.Second})
+	w.Observe(GuardEvent{Region: 1, Bound: 90 * time.Second})
 	// 10h is beyond every bucket; it folds into the largest.
-	w.Observe(start, GuardEvent{Region: 1, Bound: 10 * time.Hour})
+	w.Observe(GuardEvent{Region: 1, Bound: 10 * time.Hour})
 	p := w.Snapshot(start.Add(time.Second))[0]
 	if len(p.Bounds) != workloadMaxBounds {
 		t.Fatalf("histogram grew past the cap: %d bounds", len(p.Bounds))
@@ -283,7 +282,7 @@ func TestLedgerBoundOverflow(t *testing.T) {
 // TestLedgerNil: a nil ledger ignores decisions (unwired callers stay safe).
 func TestLedgerNil(t *testing.T) {
 	var l *RegionLedger
-	l.Observe(wlStart(), GuardEvent{Region: 1}) // must not panic
+	l.Observe(GuardEvent{Region: 1}) // must not panic
 }
 
 // TestLedgerConcurrent is the -race hammer: concurrent Observe against
@@ -340,7 +339,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		go func(wr int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				w.Observe(start, GuardEvent{
+				w.Observe(GuardEvent{
 					Region:         wr % 2,
 					Chosen:         i % 2,
 					Bound:          time.Duration(1+i%8) * time.Second,

@@ -131,12 +131,12 @@ func TestUntracedHotPathZeroAlloc(t *testing.T) {
 	ledger := NewRegionLedger(reg, time.Time{})
 	obsv := GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
 		Staleness: time.Millisecond, StalenessKnown: true}
-	ledger.Observe(time.Time{}, obsv) // make the region's record once
+	ledger.Observe(obsv) // make the region's record once
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if id, qt := tr.Begin("SELECT v FROM T WHERE id = 1", &store); id == 0 || qt != nil {
 			t.Fatal("sampling period overflowed")
 		}
-		ledger.Observe(time.Time{}, obsv)
+		ledger.Observe(obsv)
 		tr.Event(EventReplApply)
 	}); allocs != 0 {
 		t.Fatalf("untraced hot path allocated %.1f allocs/op; want 0", allocs)

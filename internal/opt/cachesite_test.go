@@ -97,11 +97,21 @@ func plan(t *testing.T, c *mtcache.Cache, sql string, opts opt.Options) *opt.Pla
 
 func runPlan(t *testing.T, c *mtcache.Cache, p *opt.Plan) []sqltypes.Row {
 	t.Helper()
-	res, err := exec.Run(p.Root, &exec.EvalContext{Now: c.Clock().Now()}, 0)
+	rows, _ := runGuarded(t, c, p)
+	return rows
+}
+
+// runGuarded is runPlan that also returns the branch each guard chose, in
+// the order the guards decided.
+func runGuarded(t *testing.T, c *mtcache.Cache, p *opt.Plan) ([]sqltypes.Row, []int) {
+	t.Helper()
+	var chosen []int
+	ctx := &exec.EvalContext{Now: c.Clock().Now(), OnGuard: func(d exec.GuardDecision) { chosen = append(chosen, d.Chosen) }}
+	res, err := exec.Run(p.Root, ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Rows
+	return res.Rows, chosen
 }
 
 func TestCacheSelectionViewMatchesOnlyImpliedPredicates(t *testing.T) {
@@ -131,13 +141,12 @@ func TestCacheGuardedPlanExecutesLocally(t *testing.T) {
 	if p.Guards != 1 || !p.UsesLocal {
 		t.Fatalf("plan = %s", p.Shape)
 	}
-	rows := runPlan(t, c, p)
+	rows, chosen := runGuarded(t, c, p)
 	if len(rows) != 1 || rows[0][0].Float() != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
-	sus := exec.CollectSwitchUnions(p.Root)
-	if len(sus) != 1 || sus[0].ChosenIndex() != 0 {
-		t.Fatalf("guard decision = %+v", sus)
+	if len(chosen) != 1 || chosen[0] != 0 {
+		t.Fatalf("guard decisions chose %v", chosen)
 	}
 }
 
@@ -145,12 +154,11 @@ func TestCacheGuardFallsBackWhenStale(t *testing.T) {
 	c, clock := cacheFixture(t)
 	clock.Advance(30 * time.Second) // both regions now 30s stale
 	p := plan(t, c, "SELECT i_price FROM Item WHERE i_id = 7 CURRENCY 10 ON (Item)", opt.Options{ForceLocal: true})
-	rows := runPlan(t, c, p)
+	rows, chosen := runGuarded(t, c, p)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
-	sus := exec.CollectSwitchUnions(p.Root)
-	if len(sus) != 1 || sus[0].ChosenIndex() != 1 {
+	if len(chosen) != 1 || chosen[0] != 1 {
 		t.Fatal("guard should have fallen back to remote")
 	}
 }

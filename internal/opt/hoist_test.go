@@ -25,7 +25,8 @@ func localBranch(t *testing.T, p *opt.Plan) (*exec.SwitchUnion, []exec.Operator)
 	var chain []exec.Operator
 	for op := su.Children[0]; ; {
 		chain = append(chain, op)
-		kids := exec.Children(op)
+		var kids []exec.Operator
+		exec.VisitChildren(op, func(c *exec.Operator) { kids = append(kids, *c) })
 		if len(kids) != 1 {
 			return su, chain
 		}

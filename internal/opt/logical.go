@@ -42,14 +42,6 @@ type RemoteExecutor interface {
 	Query(sql string) ([]sqltypes.Row, error)
 }
 
-// RegionClock reports replica freshness for currency guards: the timestamp
-// in the region's local heartbeat table (Section 3.1).
-type RegionClock interface {
-	// LastSync returns the latest heartbeat timestamp replicated into the
-	// region, and false if the region has never synchronized.
-	LastSync(regionID int) (time.Time, bool)
-}
-
 // Site describes the server a query is being planned for.
 type Site struct {
 	// Cat is the site's catalog: at the cache, the shadow catalog whose
@@ -63,8 +55,6 @@ type Site struct {
 	LocalView func(name string) *storage.Table
 	// Remote is the link to the back end (nil at the back end).
 	Remote RemoteExecutor
-	// Regions reports replica freshness (nil at the back end).
-	Regions RegionClock
 	// Heartbeat is the cache's local heartbeat table (one row per region:
 	// cid, ts), read by currency guards exactly as the paper's predicate
 	// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B).

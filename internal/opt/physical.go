@@ -864,7 +864,10 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 			if err != nil {
 				return nil, err
 			}
-			return p.guarded(l, r, guard(), label, region.ID, bound), nil
+			return &exec.SwitchUnion{
+				Children: []exec.Operator{l, r}, Selector: guard(), Label: label,
+				Region: region.ID, Bound: obs.NormalizeBound(bound),
+			}, nil
 		},
 		schema:       local.schema,
 		cost:         prob*local.cost + (1-prob)*remote.cost + costGuard,
@@ -879,39 +882,16 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 	}
 }
 
-// guarded puts a local plan and its remote fall-back under the currency
-// guard sel of the region.
-func (p *Planner) guarded(local, remote exec.Operator, sel exec.Selector, label string, region int, bound time.Duration) *exec.SwitchUnion {
-	return &exec.SwitchUnion{
-		Children: []exec.Operator{local, remote}, Selector: sel, Label: label,
-		Region: region, Staleness: p.stalenessProbe(region), Bound: obs.NormalizeBound(bound),
-	}
-}
-
-// stalenessProbe builds the SwitchUnion's staleness observer: the region's
-// age at decision time (query Now minus last replicated heartbeat), reported
-// into guard traces and metrics.
-func (p *Planner) stalenessProbe(regionID int) func(*exec.EvalContext) (time.Duration, bool) {
-	regions := p.Site.Regions
-	if regions == nil {
-		return nil
-	}
-	return func(ctx *exec.EvalContext) (time.Duration, bool) {
-		ts, ok := regions.LastSync(regionID)
-		if !ok {
-			return 0, false
-		}
-		return ctx.Now.Sub(ts), true
-	}
-}
-
 // currencyGuard returns the maker of a SwitchUnion's selector: local branch
 // (0) iff the region's row of the cache's heartbeat table hb is within the
 // bound of the query start time. The guard is the paper's predicate —
 // EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B) — run as
 // a real single-row plan through the executor; a timeline-consistency floor
-// (Section 2.3) adds "AND TimeStamp >= floor". The predicate is compiled once
-// per plan; every built tree calls the maker once, so each tree owns its
+// (Section 2.3) adds "AND TimeStamp >= floor". The scan copies the region's
+// heartbeat row out once, the predicate runs on that one-row batch, and the
+// selector reports the timestamp it judged, from which the decision's
+// staleness and the result's sources are taken. The predicate is compiled
+// once per plan; every built tree calls the maker once, so each tree owns its
 // selector's scan.
 func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
 	schema := storedSchema(hb.Def(), "hb")
@@ -946,7 +926,7 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 		var err error
 		if filter, err = exec.CompilePred(pred, schema); err != nil {
 			return func() exec.Selector {
-				return func(*exec.EvalContext) (int, error) { return 0, err }
+				return func(*exec.EvalContext) (int, time.Time, error) { return 0, time.Time{}, err }
 			}
 		}
 	}
@@ -957,16 +937,28 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 			pkIndex = idx.Name
 		}
 	}
+	tsCol := schema.Lookup("hb", "ts")
 	return func() exec.Selector {
 		scan := exec.NewScan(hb, schema)
 		scan.Index = pkIndex
 		scan.Lo, scan.Hi = key, key
-		scan.Filter = filter
-		return func(ctx *exec.EvalContext) (int, error) {
-			if ok, err := scan.Exists(ctx); err != nil || !ok {
-				return 1, err
+		var sel []int32
+		return func(ctx *exec.EvalContext) (int, time.Time, error) {
+			err := scan.Open(ctx)
+			var cb *sqltypes.ColBatch
+			var ok bool
+			if err == nil {
+				cb, ok, err = scan.NextVec()
 			}
-			return 0, nil // fresh enough: local branch
+			scan.Close()
+			if err != nil || !ok {
+				return 1, time.Time{}, err // never synchronized: remote
+			}
+			ts := cb.Col(tsCol).Value(0).Time()
+			if ok, err = filter.Narrow(ctx, cb, &sel); err != nil || !ok {
+				return 1, ts, err
+			}
+			return 0, ts, nil // fresh enough: local branch
 		}
 	}
 }

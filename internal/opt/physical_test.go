@@ -329,29 +329,29 @@ func TestHeartbeatGuard(t *testing.T) {
 	ctx := &exec.EvalContext{Now: now}
 
 	sel := currencyGuard(hb, 1, 10*time.Second, time.Time{})()
-	if got, _ := sel(ctx); got != 0 {
+	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("8s stale within 10s bound should choose local")
 	}
 	sel = currencyGuard(hb, 1, 5*time.Second, time.Time{})()
-	if got, _ := sel(ctx); got != 1 {
-		t.Fatal("8s stale beyond 5s bound should choose remote")
+	if got, ts, _ := sel(ctx); got != 1 || !ts.Equal(now.Add(-8*time.Second)) {
+		t.Fatal("8s stale beyond 5s bound should choose remote, judging the 8s-old heartbeat")
 	}
 	sel = currencyGuard(hb, 2, time.Hour, time.Time{})()
-	if got, _ := sel(ctx); got != 1 {
-		t.Fatal("unsynced region should choose remote")
+	if got, ts, _ := sel(ctx); got != 1 || !ts.IsZero() {
+		t.Fatal("unsynced region should choose remote, judging no heartbeat")
 	}
 	// Unbounded (unconstrained leaf) with synced region: local.
 	sel = currencyGuard(hb, 1, time.Duration(math.MaxInt64), time.Time{})()
-	if got, _ := sel(ctx); got != 0 {
+	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("unbounded guard should choose local")
 	}
 	// Timeline floor above the sync point forces remote.
 	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Second))()
-	if got, _ := sel(ctx); got != 1 {
+	if got, _, _ := sel(ctx); got != 1 {
 		t.Fatal("timeline floor should force remote")
 	}
 	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Minute))()
-	if got, _ := sel(ctx); got != 0 {
+	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("floor below sync point should allow local")
 	}
 }

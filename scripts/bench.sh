@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the executor benchmarks (serial vs morsel-parallel, the guarded
 # SwitchUnion and the autotune shift), the end-to-end session benchmark
-# (BenchmarkEndToEndQuery) and the price of a true plan-cache miss
+# (BenchmarkEndToEndQuery; its local-point-parallel row once more at -cpu 1
+# and -cpu 2, for two-core scaling) and the price of a true plan-cache miss
 # (BenchmarkOptimizerConsistencyChecking), keeps the `go test -bench`
 # transcript as BENCH_exec.txt and hands it to `rccbench -bench-text`, which
 # writes BENCH_exec.json (harness.BenchRow) and gates it: allocation
@@ -12,5 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery|BenchmarkOptimizerConsistencyChecking' \
-  -benchtime "${1:-2s}" -benchmem . | tee BENCH_exec.txt
+  -skip 'BenchmarkEndToEndQuery/local-point-parallel' -benchtime "${1:-2s}" -benchmem . | tee BENCH_exec.txt
+go test -run '^$' -bench 'BenchmarkEndToEndQuery/local-point-parallel$' -cpu 1,2 \
+  -benchtime "${1:-2s}" -benchmem . | tee -a BENCH_exec.txt
 go run ./cmd/rccbench -bench-text BENCH_exec.txt

@@ -14,12 +14,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25879
-exec_max=3847
-spine_max=4807
-scenario_max=2724
+total_max=25828
+exec_max=3821
+spine_max=4805
+scenario_max=2722
 analysis_max=1361
-opt_max=3359
+opt_max=3341
 sqlparser_max=2035
 storage_max=1074
 sqltypes_max=1353
