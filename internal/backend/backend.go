@@ -450,8 +450,9 @@ func (s *Server) run(d *dml, params []sqltypes.Value) (int, error) {
 	return s.modify(d, ctx)
 }
 
-// insert evaluates every row of an INSERT before it inserts any (insertRows):
-// a row that fails to evaluate leaves no other behind.
+// insert evaluates every row of an INSERT before it inserts any, as one
+// transaction (write): a row that fails to evaluate leaves no other behind.
+// The commit record keeps the rows: they are the caller's no more.
 func (s *Server) insert(d *dml, ctx *exec.EvalContext) (int, error) {
 	width := len(d.tbl.Def().Columns)
 	vals := make([]sqltypes.Value, len(d.rows)*width)
@@ -468,38 +469,32 @@ func (s *Server) insert(d *dml, ctx *exec.EvalContext) (int, error) {
 	if d.err != nil {
 		return 0, d.err
 	}
-	return s.insertRows(d.tbl, rows)
+	return s.write(d.tbl, ctx.Now, len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i], nil })
 }
 
-// insertRows inserts rows as one transaction (write). The commit record keeps
-// the rows: they are the caller's no more.
-func (s *Server) insertRows(tbl *storage.Table, rows []sqltypes.Row) (int, error) {
-	return s.write(tbl, len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i], nil })
-}
-
-// write makes n changes to tbl, the ith from change(i), as one transaction. A
-// change that fails to evaluate, or whose new row does not fit its columns
-// (checkKinds) or the table, undoes the ones before it, last first, each by
-// the change swapped, and writes no commit record.
-func (s *Server) write(tbl *storage.Table, n int, change func(i int) (old, new sqltypes.Row, err error)) (int, error) {
-	changes := make([]txn.Change, 0, n)
-	for i := 0; i < n; i++ {
+// write makes n changes to tbl, the ith from change(i), as one transaction
+// committed at now. Every change is evaluated, and its new row checked to fit
+// its columns (checkKinds), before any is made; then they are made as one unit
+// (txn.Apply). A change that fails either way leaves the table as it was and
+// writes no commit record.
+func (s *Server) write(tbl *storage.Table, now time.Time, n int, change func(i int) (old, new sqltypes.Row, err error)) (int, error) {
+	changes := make([]txn.Change, n)
+	for i := range changes {
 		old, new, err := change(i)
 		if err == nil {
 			err = checkKinds(tbl.Def(), new)
 		}
-		if err == nil {
-			err = tbl.Replace(old, new)
-		}
 		if err != nil {
-			for k := len(changes) - 1; k >= 0; k-- {
-				_ = tbl.Replace(changes[k].New, changes[k].Old) // the swap of an applied change cannot fail
-			}
 			return 0, err
 		}
-		changes = append(changes, txn.Change{Table: tbl.Def().Name, Old: old, New: new})
+		changes[i] = txn.Change{Table: tbl.Def().Name, Old: old, New: new}
 	}
-	s.log.Append(s.clock.Now(), changes)
+	if err := txn.Apply(n, func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) {
+		return tbl, changes[i].Old, changes[i].New
+	}); err != nil {
+		return 0, err
+	}
+	s.log.Append(now, changes)
 	return n, nil
 }
 
@@ -532,7 +527,7 @@ func (s *Server) modify(d *dml, ctx *exec.EvalContext) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.write(d.tbl, len(matched), func(i int) (old, updated sqltypes.Row, err error) {
+	return s.write(d.tbl, ctx.Now, len(matched), func(i int) (old, updated sqltypes.Row, err error) {
 		if old = matched[i]; len(d.set) == 0 { // a DELETE
 			return old, nil, nil
 		}
@@ -659,28 +654,27 @@ func (s *Server) RegisterRegion(r *catalog.Region) error {
 	s.invalidatePlans()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.insertRows(s.tables[HeartbeatTable], []sqltypes.Row{{sqltypes.NewInt(int64(r.ID)), sqltypes.NewTime(s.clock.Now())}})
+	now := s.clock.Now()
+	_, err := s.write(s.tables[HeartbeatTable], now, 1, func(int) (_, _ sqltypes.Row, _ error) {
+		return nil, sqltypes.Row{sqltypes.NewInt(int64(r.ID)), sqltypes.NewTime(now)}, nil
+	})
 	return err
 }
 
 // Beat advances the region's heartbeat: an ordinary committed transaction
-// updating the region's row, so it replicates through the region's agent.
+// updating the region's row, whose timestamp is its commit time, so it
+// replicates through the region's agent.
 func (s *Server) Beat(regionID int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tbl := s.tables[HeartbeatTable]
-	key := sqltypes.Row{sqltypes.NewInt(int64(regionID))}
-	old, ok := tbl.Get(key)
+	tbl, now := s.tables[HeartbeatTable], s.clock.Now()
+	row := sqltypes.Row{sqltypes.NewInt(int64(regionID)), sqltypes.NewTime(now)}
+	old, ok := tbl.Get(row[:1])
 	if !ok {
 		return fmt.Errorf("backend: no heartbeat row for region %d", regionID)
 	}
-	now := s.clock.Now()
-	updated := sqltypes.Row{key[0], sqltypes.NewTime(now)}
-	if err := tbl.Replace(old, updated); err != nil {
-		return err
-	}
-	s.log.Append(now, []txn.Change{{Table: HeartbeatTable, Old: old, New: updated}})
-	return nil
+	_, err := s.write(tbl, now, 1, func(int) (_, _ sqltypes.Row, _ error) { return old, row, nil })
+	return err
 }
 
 // AnalyzeAll recomputes optimizer statistics for every table by scanning
@@ -714,7 +708,7 @@ func (s *Server) LoadRows(table string, rows []sqltypes.Row) error {
 	if !ok {
 		return fmt.Errorf("backend: no table %s", table)
 	}
-	_, err := s.write(tbl, len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i].Clone(), nil })
+	_, err := s.write(tbl, s.clock.Now(), len(rows), func(i int) (_, _ sqltypes.Row, _ error) { return nil, rows[i].Clone(), nil })
 	s.invalidatePlans()
 	return err
 }

@@ -57,9 +57,9 @@ type Injector struct {
 	partitioned    bool
 	partitionUntil time.Time
 
-	stalled        map[int]bool
-	stallSurvives  bool // a stall that survives agent restarts (hard wedge)
-	stats          Stats
+	stalled       map[int]bool
+	stallSurvives bool // a stall that survives agent restarts (hard wedge)
+	stats         Stats
 }
 
 // New creates an injector whose random draws are fully determined by seed.

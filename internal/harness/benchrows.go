@@ -143,7 +143,7 @@ const (
 	rpsTolerance   = 0.60
 )
 
-var benchName = regexp.MustCompile(`^Benchmark(Exec|EndToEndQuery|OptimizerConsistencyChecking)`)
+var benchName = regexp.MustCompile(`^Benchmark(Exec|EndToEndQuery|OptimizerConsistencyChecking|ReplicationApply)`)
 
 // CheckBench holds rows to the schema of BENCH_exec.json, to the absolute
 // gates — the allocation ceilings, parallel scaling that does not fall from

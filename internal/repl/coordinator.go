@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"sort"
 	"time"
 
 	"relaxedcc/internal/vclock"
@@ -37,7 +36,6 @@ type event struct {
 	interval func() time.Duration
 	run      func(now time.Time) error
 	name     string
-	seq      int
 }
 
 // NewCoordinator creates a coordinator over the virtual clock.
@@ -45,12 +43,10 @@ func NewCoordinator(clock *vclock.Virtual) *Coordinator {
 	return &Coordinator{clock: clock}
 }
 
-// add registers an event; seq numbers events in registration order, the
-// tie-break among events of one kind due at the same instant.
+// add registers an event. Registration order breaks the ties nextDue's other
+// rules leave.
 func (c *Coordinator) add(name string, interval func() time.Duration, run func(now time.Time) error) {
-	c.events = append(c.events, &event{
-		last: c.clock.Now(), interval: interval, run: run, name: name, seq: len(c.events) + 1,
-	})
+	c.events = append(c.events, &event{last: c.clock.Now(), interval: interval, run: run, name: name})
 }
 
 // AddHeartbeat schedules a region's heartbeat with the cadence re-read from
@@ -127,36 +123,22 @@ func (c *Coordinator) Advance(d time.Duration) error {
 // nextDue returns the earliest event due at or before target, with its due
 // time. Due times never run before the clock's current position: an event
 // whose interval shrank below the time already elapsed fires at the current
-// instant rather than in the past.
-func (c *Coordinator) nextDue(target time.Time) (*event, time.Time) {
+// instant rather than in the past. Among events due at one instant,
+// heartbeats fire first, so a propagation at time t ships the beat from time
+// t (minus delay), and then the earliest registered.
+func (c *Coordinator) nextDue(target time.Time) (next *event, nextAt time.Time) {
 	now := c.clock.Now()
-	type duePair struct {
-		ev *event
-		at time.Time
-	}
-	var due []duePair
 	for _, ev := range c.events {
 		at := ev.last.Add(ev.interval())
 		if at.Before(now) {
 			at = now
 		}
-		if !at.After(target) {
-			due = append(due, duePair{ev, at})
+		if at.After(target) {
+			continue
+		}
+		if next == nil || at.Before(nextAt) || at.Equal(nextAt) && ev.name == "heartbeat" && next.name != "heartbeat" {
+			next, nextAt = ev, at
 		}
 	}
-	if len(due) == 0 {
-		return nil, time.Time{}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if !due[i].at.Equal(due[j].at) {
-			return due[i].at.Before(due[j].at)
-		}
-		// Heartbeats fire before agents at the same instant, so a
-		// propagation at time t ships the beat from time t (minus delay).
-		if due[i].ev.name != due[j].ev.name {
-			return due[i].ev.name == "heartbeat"
-		}
-		return due[i].ev.seq < due[j].ev.seq
-	})
-	return due[0].ev, due[0].at
+	return next, nextAt
 }

@@ -96,28 +96,17 @@ func (s *Subscription) covers(baseRow sqltypes.Row) bool {
 	return true
 }
 
-// project maps a base row to the view's layout.
-func (s *Subscription) project(baseRow sqltypes.Row) sqltypes.Row {
+// image is the view's row for a base row: its projection to the view's
+// layout when the view covers it, else nil.
+func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
+	if baseRow == nil || !s.covers(baseRow) {
+		return nil
+	}
 	out := make(sqltypes.Row, len(s.projOrds))
 	for i, o := range s.projOrds {
 		out[i] = baseRow[o]
 	}
 	return out
-}
-
-// image is the view's row for a base row: its projection when the view
-// covers it, else nil.
-func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
-	if baseRow == nil || !s.covers(baseRow) {
-		return nil
-	}
-	return s.project(baseRow)
-}
-
-// apply replays one base-table change into the view: the images of its two
-// sides, as one Replace. A change the view covers on neither side is none.
-func (s *Subscription) apply(ch txn.Change) error {
-	return s.Target.Replace(s.image(ch.Old), s.image(ch.New))
 }
 
 // HeartbeatSink receives the region's replicated heartbeat timestamp.
@@ -158,8 +147,10 @@ type Agent struct {
 	subs    []*Subscription
 	lastSeq int64
 	applied int64 // transactions applied, for stats
-	// record holds what Step applied of the record it is on, for undo.
-	record []subChange
+	// record holds the view changes of the record Step is on: the images of
+	// each base change's two sides in each subscription it reaches. A change
+	// a view covers on neither side is none.
+	record []viewChange
 	// stall is the fault hook that can wedge this agent; nil means healthy.
 	stall StallProbe
 	// lastProgress is when the agent last completed a propagation step
@@ -292,13 +283,8 @@ func (a *Agent) InitialSync(sub *Subscription, baseData *storage.Table) error {
 	sub.Target.Clear()
 	var err error
 	baseData.Scan(func(r sqltypes.Row) bool {
-		if sub.covers(r) {
-			if e := sub.Target.Replace(nil, sub.project(r)); e != nil {
-				err = e
-				return false
-			}
-		}
-		return true
+		err = sub.Target.Replace(nil, sub.image(r))
+		return err == nil
 	})
 	if err != nil {
 		return err
@@ -351,9 +337,12 @@ func (a *Agent) Restart(now time.Time) {
 }
 
 // Step performs one propagation wake-up at time now: it applies, in commit
-// order, every transaction that committed at or before now - delay. A
-// wake-up while the agent is wedged (StallProbe) returns immediately
-// without progress.
+// order, every transaction that committed at or before now - delay, each
+// record's view changes as one unit (txn.Apply) and then its heartbeat. A
+// record that fails leaves the views as they were before it, LastSeq where
+// it was and the heartbeat unpublished, so the views of one agent never hold
+// part of a transaction. A wake-up while the agent is wedged (StallProbe)
+// returns immediately without progress.
 func (a *Agent) Step(now time.Time) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -370,22 +359,23 @@ func (a *Agent) Step(now time.Time) error {
 	for _, rec := range records {
 		a.record = a.record[:0]
 		for _, ch := range rec.Changes {
-			if ch.Table == a.hbTable {
-				a.applyHeartbeat(ch, now)
-				continue
-			}
 			for _, sub := range a.subs {
-				if sub.Base.Name != ch.Table || rec.TS.Seq <= sub.startSeq {
-					continue
+				if sub.Base.Name == ch.Table && rec.TS.Seq > sub.startSeq {
+					a.record = append(a.record, viewChange{sub.Target, sub.image(ch.Old), sub.image(ch.New)})
 				}
-				if err := sub.apply(ch); err != nil {
-					a.undoRecord()
-					return fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
-				}
-				a.record = append(a.record, subChange{sub, ch})
-				rowsApplied++
 			}
 		}
+		if err := txn.Apply(len(a.record), func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) {
+			return a.record[i].tbl, a.record[i].old, a.record[i].new
+		}); err != nil {
+			return fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
+		}
+		for _, ch := range rec.Changes {
+			if ch.Table == a.hbTable {
+				a.applyHeartbeat(ch, now)
+			}
+		}
+		rowsApplied += int64(len(a.record))
 		a.lastSeq = rec.TS.Seq
 		a.applied++
 	}
@@ -404,21 +394,10 @@ func (a *Agent) Step(now time.Time) error {
 	return nil
 }
 
-// subChange is one change a subscription applied.
-type subChange struct {
-	sub *Subscription
-	ch  txn.Change
-}
-
-// undoRecord takes back, last first, the changes of the record Step failed
-// on: each change's undo is the change swapped. The views are then as they
-// were before the record, as its commit sequence says (lastSeq has not
-// moved), so the views of one agent never hold part of a transaction.
-func (a *Agent) undoRecord() {
-	for i := len(a.record) - 1; i >= 0; i-- {
-		r := a.record[i]
-		_ = r.sub.apply(txn.Change{Table: r.ch.Table, Old: r.ch.New, New: r.ch.Old}) // the swap of an applied change cannot fail
-	}
+// viewChange is one change of a view: Replace(old, new) on tbl.
+type viewChange struct {
+	tbl      *storage.Table
+	old, new sqltypes.Row
 }
 
 func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {

@@ -88,10 +88,14 @@ func baseRow(id, grp int64, val string) sqltypes.Row {
 	return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewInt(grp), sqltypes.NewString(val)}
 }
 
-// commit applies changes to the base table and appends them to the log.
+// commit applies changes to the base table, those that are its, and appends
+// them to the log.
 func (f *fixture) commit(t *testing.T, at time.Time, changes ...txn.Change) {
 	t.Helper()
 	for _, ch := range changes {
+		if ch.Table != f.base.Name {
+			continue
+		}
 		if err := f.baseTbl.Replace(ch.Old, ch.New); err != nil {
 			t.Fatal(err)
 		}
@@ -226,28 +230,44 @@ func TestSelectionTransitions(t *testing.T) {
 	}
 }
 
-// TestFailedStepLeavesNoPartOfItsRecord: a record whose second change fails
-// to apply (the view already holds its key) takes back its first. The view is
-// as it was before the record and LastSeq does not move, so the next step
-// fails the same way instead of tripping over the record's own first change.
+// TestFailedStepLeavesNoPartOfItsRecord: a record whose last change fails to
+// apply (the view already holds its key) takes back the changes before it. The
+// view is as it was before the record, LastSeq does not move and neither does
+// the region's LastSync when the record carries the region's heartbeat, so the
+// next step fails the same way instead of tripping over the record's own
+// first change.
 func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
-	f := newFixture(t, []catalog.SimplePred{{Column: "grp", Op: catalog.OpGE, Value: sqltypes.NewInt(10)}})
-	f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", New: baseRow(5, 50, "e")})
-	if err := f.viewTbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("x")}); err != nil {
-		t.Fatal(err)
+	beat := func(at time.Time) txn.Change {
+		return txn.Change{Table: "HB", New: sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(at)}}
 	}
-	f.commit(t, t0.Add(2*time.Second),
-		txn.Change{Table: "T", New: baseRow(1, 20, "a")},
-		txn.Change{Table: "T", New: baseRow(2, 20, "b")})
-	const want = "repl: region 1 applying seq 2: storage: v: duplicate primary key (2)"
-	for step := 1; step <= 2; step++ {
-		err := f.agent.Step(t0.Add(time.Duration(10*step) * time.Second))
-		if err == nil || err.Error() != want {
-			t.Fatalf("step %d: %v, want %s", step, err, want)
-		}
-		if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || f.agent.LastSeq() != 1 {
-			t.Fatalf("step %d: view %s, LastSeq %d", step, got, f.agent.LastSeq())
-		}
+	for _, c := range []struct {
+		name  string
+		first []txn.Change // the failing record's changes before the one that fails
+	}{
+		{"a view change", []txn.Change{{Table: "T", New: baseRow(1, 20, "a")}}},
+		{"the heartbeat and a view change", []txn.Change{beat(t0.Add(2 * time.Second)), {Table: "T", New: baseRow(1, 20, "a")}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, []catalog.SimplePred{{Column: "grp", Op: catalog.OpGE, Value: sqltypes.NewInt(10)}})
+			f.commit(t, t0.Add(time.Second), txn.Change{Table: "T", New: baseRow(5, 50, "e")}, beat(t0.Add(time.Second)))
+			if err := f.viewTbl.Replace(nil, sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("x")}); err != nil {
+				t.Fatal(err)
+			}
+			f.commit(t, t0.Add(2*time.Second), append(c.first, txn.Change{Table: "T", New: baseRow(2, 20, "b")})...)
+			const want = "repl: region 1 applying seq 2: storage: v: duplicate primary key (2)"
+			for step := 1; step <= 2; step++ {
+				err := f.agent.Step(t0.Add(time.Duration(10*step) * time.Second))
+				if err == nil || err.Error() != want {
+					t.Fatalf("step %d: %v, want %s", step, err, want)
+				}
+				if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || f.agent.LastSeq() != 1 {
+					t.Fatalf("step %d: view %s, LastSeq %d", step, got, f.agent.LastSeq())
+				}
+				if got := f.syncs[1]; !got.Equal(t0.Add(time.Second)) {
+					t.Fatalf("step %d: LastSync %v, want the first record's %v", step, got, t0.Add(time.Second))
+				}
+			}
+		})
 	}
 }
 

@@ -1,13 +1,16 @@
-package storage
+package storage_test
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
+	"relaxedcc/internal/txn"
 )
 
 // FuzzTable runs a byte string as up to 200 Replace calls on a table with
@@ -15,9 +18,11 @@ import (
 // in-place updates, key moves, runs of inserts that split leaves, and calls
 // that must fail and change nothing — a delete or move of an absent row, an
 // insert or move onto a taken key, a NULL in the NOT NULL key, a row of the
-// wrong arity. After every call the rows must be the model's in key order and
-// every index consistent; after every call that succeeds, the swapped call
-// must restore the rows and every index exactly.
+// wrong arity — and units of such calls made through txn.Apply. After every
+// call the rows must be the model's in key order and every index consistent;
+// after every call that succeeds, the swapped call must restore the rows and
+// every index exactly, and a unit with a call that fails must leave them as
+// they were before it.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 10, 0, 2, 0, 20, 3, 1, 0, 30, 4, 2, 3, 40, 2, 3, 0, 0})
 	f.Add([]byte{7, 0, 0, 200, 4, 5, 70, 3, 4, 5, 6, 8, 2, 90, 0, 1})
@@ -25,40 +30,9 @@ func FuzzTable(f *testing.F) {
 		tbl := fuzzTable(t)
 		model := map[int64]sqltypes.Row{}
 		for n := 0; len(ops) >= 4 && n < 200; n++ {
-			op, a, b, v := ops[0]%8, int64(ops[1])*4, int64(ops[2])*4, ops[3]
+			op, a, b, v := ops[0]%9, int64(ops[1])*4, int64(ops[2])*4, ops[3]
 			ops = ops[4:]
-			// old is the stored row at a key, or one the table lacks.
-			old := func(id int64) sqltypes.Row {
-				if r, ok := model[id]; ok {
-					return r
-				}
-				return fuzzRow(id, v)
-			}
 			switch op {
-			case 0, 1: // insert
-				replace(t, tbl, model, nil, fuzzRow(a, v))
-			case 2: // delete
-				replace(t, tbl, model, old(a), nil)
-			case 3: // in place
-				replace(t, tbl, model, old(a), fuzzRow(a, v))
-			case 4: // key move
-				replace(t, tbl, model, old(a), fuzzRow(b, v))
-			case 5: // a NULL key, inserted or moved onto
-				var o sqltypes.Row
-				if v&1 == 1 {
-					o = old(b)
-				}
-				r := fuzzRow(a, v)
-				r[0] = sqltypes.Null
-				replace(t, tbl, model, o, r)
-			case 6: // a side of the wrong arity
-				o, r := old(a), fuzzRow(b, v)
-				if v&1 == 1 {
-					o = o[:2]
-				} else {
-					r = append(r, sqltypes.Null)
-				}
-				replace(t, tbl, model, o, r)
 			case 7: // a run of v%64+1 inserts from a
 				for id := a; id <= a+int64(v%64); id++ {
 					r := fuzzRow(id, v)
@@ -68,15 +42,74 @@ func FuzzTable(f *testing.F) {
 						model[id] = r
 					}
 				}
+			case 8: // a unit of the next v%4+2 calls of kinds 0-6
+				var unit [][2]sqltypes.Row
+				after, fails := maps.Clone(model), -1
+				for ; len(unit) < int(v%4)+2 && len(ops) >= 4; ops = ops[4:] {
+					old, new := call(after, ops[0]%7, int64(ops[1])*4, int64(ops[2])*4, ops[3])
+					if fails < 0 && succeeds(after, old, new) {
+						follow(after, old, new)
+					} else if fails < 0 {
+						fails = len(unit)
+					}
+					unit = append(unit, [2]sqltypes.Row{old, new})
+				}
+				before := dump(t, tbl)
+				err := txn.Apply(len(unit), func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) { return tbl, unit[i][0], unit[i][1] })
+				if (err == nil) != (fails < 0) {
+					t.Fatalf("unit %v: %v; the model says call %d fails", unit, err, fails)
+				}
+				if err == nil {
+					model = after
+				} else if got := dump(t, tbl); got != before {
+					t.Fatalf("unit %v failed and left\n%s\nwas\n%s", unit, got, before)
+				}
+			default:
+				old, new := call(model, op, a, b, v)
+				replace(t, tbl, model, old, new)
 			}
 			checkModel(t, tbl, model)
 		}
 	})
 }
 
+// call is the Replace call of kind op (0-6) over keys a and b and the values v
+// picks, against the rows model holds.
+func call(model map[int64]sqltypes.Row, op byte, a, b int64, v byte) (old, new sqltypes.Row) {
+	// stored is the row at a key, or one the table lacks.
+	stored := func(id int64) sqltypes.Row {
+		if r, ok := model[id]; ok {
+			return r
+		}
+		return fuzzRow(id, v)
+	}
+	switch op {
+	case 2: // delete
+		return stored(a), nil
+	case 3: // in place
+		return stored(a), fuzzRow(a, v)
+	case 4: // key move
+		return stored(a), fuzzRow(b, v)
+	case 5: // a NULL key, inserted or moved onto
+		if v&1 == 1 {
+			old = stored(b)
+		}
+		new = fuzzRow(a, v)
+		new[0] = sqltypes.Null
+		return old, new
+	case 6: // a side of the wrong arity
+		old, new = stored(a), fuzzRow(b, v)
+		if v&1 == 1 {
+			return old[:2], new
+		}
+		return old, append(new, sqltypes.Null)
+	}
+	return nil, fuzzRow(a, v) // insert
+}
+
 // fuzzTable is t(id BIGINT NOT NULL PRIMARY KEY, name VARCHAR, bal DOUBLE)
 // with an index on bal and one on (name, bal).
-func fuzzTable(t *testing.T) *Table {
+func fuzzTable(t *testing.T) *storage.Table {
 	c := catalog.New()
 	def := &catalog.Table{
 		Name: "t",
@@ -96,7 +129,7 @@ func fuzzTable(t *testing.T) *Table {
 			t.Fatal(err)
 		}
 	}
-	return NewTable(c.Table("t"))
+	return storage.NewTable(c.Table("t"))
 }
 
 // fuzzRow is the row at key id whose other values v picks, a NULL name among
@@ -109,11 +142,9 @@ func fuzzRow(id int64, v byte) sqltypes.Row {
 	return sqltypes.Row{sqltypes.NewInt(id), name, sqltypes.NewFloat(float64(v / 5 % 7))}
 }
 
-// replace runs tbl.Replace(old, new) where the model says whether it must
-// succeed, follows it in the model, and holds a success's undo to restoring
-// the table exactly before it redoes it.
-func replace(t *testing.T, tbl *Table, model map[int64]sqltypes.Row, old, new sqltypes.Row) {
-	t.Helper()
+// succeeds reports whether Replace(old, new) must succeed on a table holding
+// model's rows.
+func succeeds(model map[int64]sqltypes.Row, old, new sqltypes.Row) bool {
 	fits := func(r sqltypes.Row) bool { return r == nil || len(r) == 3 && !r[0].IsNull() }
 	at := func(r sqltypes.Row) sqltypes.Row {
 		if r == nil {
@@ -121,9 +152,27 @@ func replace(t *testing.T, tbl *Table, model map[int64]sqltypes.Row, old, new sq
 		}
 		return model[r[0].Int()]
 	}
-	ok := fits(old) && fits(new) &&
+	return fits(old) && fits(new) &&
 		(old == nil || at(old) != nil) &&
 		(new == nil || at(new) == nil || old != nil && new[0].Equal(old[0]))
+}
+
+// follow makes Replace(old, new), which succeeded, in the model.
+func follow(model map[int64]sqltypes.Row, old, new sqltypes.Row) {
+	if old != nil {
+		delete(model, old[0].Int())
+	}
+	if new != nil {
+		model[new[0].Int()] = new
+	}
+}
+
+// replace runs tbl.Replace(old, new) where the model says whether it must
+// succeed, follows it in the model, and holds a success's undo to restoring
+// the table exactly before it redoes it.
+func replace(t *testing.T, tbl *storage.Table, model map[int64]sqltypes.Row, old, new sqltypes.Row) {
+	t.Helper()
+	ok := succeeds(model, old, new)
 	before := dump(t, tbl)
 	err := tbl.Replace(old, new)
 	if (err == nil) != ok {
@@ -141,17 +190,12 @@ func replace(t *testing.T, tbl *Table, model map[int64]sqltypes.Row, old, new sq
 	if err := tbl.Replace(old, new); err != nil {
 		t.Fatalf("redo of Replace(%v, %v): %v", old, new, err)
 	}
-	if old != nil {
-		delete(model, old[0].Int())
-	}
-	if new != nil {
-		model[new[0].Int()] = new
-	}
+	follow(model, old, new)
 }
 
 // checkModel holds the table's rows, in key order, to the model's, and its
 // indexes to its rows.
-func checkModel(t *testing.T, tbl *Table, model map[int64]sqltypes.Row) {
+func checkModel(t *testing.T, tbl *storage.Table, model map[int64]sqltypes.Row) {
 	t.Helper()
 	var want, got strings.Builder
 	keys := make([]int64, 0, len(model))
@@ -175,7 +219,7 @@ func checkModel(t *testing.T, tbl *Table, model map[int64]sqltypes.Row) {
 }
 
 // dump renders the table's rows and each secondary index's, in their orders.
-func dump(t *testing.T, tbl *Table) string {
+func dump(t *testing.T, tbl *storage.Table) string {
 	t.Helper()
 	var b strings.Builder
 	tbl.Scan(func(r sqltypes.Row) bool {
@@ -184,7 +228,7 @@ func dump(t *testing.T, tbl *Table) string {
 	})
 	for _, idx := range []string{"ix_bal", "ix_name"} {
 		l := sqltypes.MakeLanes([]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString, sqltypes.KindFloat})
-		if err := tbl.ScanIndex(idx, Bound{}, Bound{}, &l); err != nil {
+		if err := tbl.ScanIndex(idx, storage.Bound{}, storage.Bound{}, &l); err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "\n%s:", idx)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 )
 
 // Change is one row modification: Old is the row before it, New the row
@@ -27,15 +28,32 @@ type Change struct {
 	New   sqltypes.Row
 }
 
+// Apply makes n changes as one unit, the ith tbl.Replace(old, new) with the
+// arguments change(i) returns, and on the first that fails takes back the
+// ones before it, last first, each swapped: it returns that failure with every
+// table as it was before the unit. The undo calls change again, which must
+// return the same change. A back-end statement or heartbeat, and each record
+// an agent applies to its views, is one unit.
+func Apply(n int, change func(i int) (tbl *storage.Table, old, new sqltypes.Row)) error {
+	for i := 0; i < n; i++ {
+		tbl, old, new := change(i)
+		if err := tbl.Replace(old, new); err != nil {
+			for k := i - 1; k >= 0; k-- {
+				tbl, old, new := change(k)
+				_ = tbl.Replace(new, old) // the swap of an applied change cannot fail
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 // Timestamp identifies a committed transaction: its position in the master
 // history (Seq, the paper's integer transaction id) and its commit time.
 type Timestamp struct {
 	Seq int64
 	At  time.Time
 }
-
-// Before reports whether t committed before u in the master history.
-func (t Timestamp) Before(u Timestamp) bool { return t.Seq < u.Seq }
 
 // CommitRecord is one committed transaction in the log.
 type CommitRecord struct {
@@ -113,21 +131,4 @@ func (l *Log) LastSeq() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return int64(len(l.records))
-}
-
-// SeqAt returns the sequence number of the latest transaction committed at
-// or before t (0 if none) — the snapshot the master exposed at time t.
-func (l *Log) SeqAt(t time.Time) int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	lo, hi := 0, len(l.records)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.records[mid].TS.At.After(t) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return int64(lo)
 }

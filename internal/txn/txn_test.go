@@ -21,9 +21,6 @@ func TestAppendAssignsIncreasingSeqs(t *testing.T) {
 	if ts1.Seq != 1 || ts2.Seq != 2 {
 		t.Fatalf("seqs = %d, %d", ts1.Seq, ts2.Seq)
 	}
-	if !ts1.Before(ts2) || ts2.Before(ts1) {
-		t.Fatal("Before")
-	}
 	if l.LastSeq() != 2 {
 		t.Fatalf("LastSeq = %d", l.LastSeq())
 	}
@@ -36,9 +33,6 @@ func TestEmptyLog(t *testing.T) {
 	}
 	if got := l.Since(0); got != nil {
 		t.Fatal("Since(0) on empty log")
-	}
-	if got := l.SeqAt(t0); got != 0 {
-		t.Fatalf("SeqAt = %d", got)
 	}
 }
 
@@ -80,29 +74,6 @@ func TestSinceUntil(t *testing.T) {
 	recs = l.SinceUntil(0, t0)
 	if len(recs) != 1 {
 		t.Fatalf("inclusive cutoff = %d records", len(recs))
-	}
-}
-
-func TestSeqAt(t *testing.T) {
-	l := NewLog()
-	for i := 0; i < 4; i++ {
-		l.Append(t0.Add(time.Duration(i*10)*time.Second), chg("t"))
-	}
-	cases := []struct {
-		at   time.Duration
-		want int64
-	}{
-		{-time.Second, 0},
-		{0, 1},
-		{5 * time.Second, 1},
-		{10 * time.Second, 2},
-		{35 * time.Second, 4},
-		{time.Hour, 4},
-	}
-	for _, c := range cases {
-		if got := l.SeqAt(t0.Add(c.at)); got != c.want {
-			t.Errorf("SeqAt(+%v) = %d, want %d", c.at, got, c.want)
-		}
 	}
 }
 

@@ -14,7 +14,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25828
+total_max=25784
 exec_max=3821
 spine_max=4805
 scenario_max=2722
@@ -23,8 +23,8 @@ opt_max=3341
 sqlparser_max=2035
 storage_max=1074
 sqltypes_max=1353
-backend_max=775
-repl_max=717
+backend_max=769
+repl_max=678
 spine='mtcache obs audit core tuner'
 
 total=0
