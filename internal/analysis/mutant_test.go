@@ -21,8 +21,9 @@ var mutants = []struct {
 	{
 		// Two edits that are each harmless: Agents keeps only agents that
 		// replicate something, asking each under the cache lock, and
-		// SetLastSync takes the cache lock for its read-then-write. Together
-		// they deadlock: Agent.Step calls SetLastSync holding Agent.mu.
+		// WriteHeartbeat takes the cache lock for its read-then-write.
+		// Together they deadlock: Agent.Step calls WriteHeartbeat holding
+		// Agent.mu.
 		analyzer: "lockorder",
 		file:     "internal/mtcache/mtcache.go",
 		old: `		out = append(out, c.agents[id])
@@ -30,9 +31,9 @@ var mutants = []struct {
 	return out
 }
 
-// SetLastSync implements repl.HeartbeatSink: the region's row in the local
+// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
 // heartbeat table receives a replicated timestamp.
-func (c *Cache) SetLastSync(regionID int, ts time.Time) {
+func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
 `,
 		new: `		if a := c.agents[id]; len(a.Subscriptions()) > 0 {
 			out = append(out, a)
@@ -41,9 +42,9 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	return out
 }
 
-// SetLastSync implements repl.HeartbeatSink: the region's row in the local
+// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
 // heartbeat table receives a replicated timestamp.
-func (c *Cache) SetLastSync(regionID int, ts time.Time) {
+func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 `,

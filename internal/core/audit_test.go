@@ -12,6 +12,7 @@ import (
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 )
 
 // auditSystem builds the chaos fixture with the auditor enabled.
@@ -101,7 +102,7 @@ func TestAuditEndToEndHonestRun(t *testing.T) {
 func TestAuditCatchesGuardLie(t *testing.T) {
 	sys, inj := auditSystem(t)
 	agent := sys.Cache.Agent(1)
-	syncedThrough := agent.LastSeq()
+	syncedThrough := storage.Seq(agent.Word().Load())
 
 	// Hard-wedge the agent (the stall survives watchdog restarts), then write
 	// fresh master data the region will never see.

@@ -10,6 +10,7 @@ import (
 	"relaxedcc/internal/core"
 	"relaxedcc/internal/semantics"
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 )
 
 // TestSystemSatisfiesFormalSemantics checks the running system against the
@@ -84,7 +85,7 @@ func TestSystemSatisfiesFormalSemantics(t *testing.T) {
 
 	// 2. The region's applied snapshot.
 	agent := sys.Cache.Agent(1)
-	applied := agent.LastSeq()
+	applied := storage.Seq(agent.Word().Load())
 	if applied == 0 {
 		t.Fatal("agent never applied anything")
 	}

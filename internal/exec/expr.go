@@ -52,6 +52,17 @@ type EvalContext struct {
 	// succeeded: the remote queries that answered part of it. Whoever reuses
 	// the context resets it between executions.
 	Fetches int
+	// Locals lists, for every guard whose local branch answered in this
+	// execution, its region's state word and the value the word held when
+	// the guard judged (SwitchUnion appends; whoever reuses the context
+	// resets it between executions). A caller that finds none of those words
+	// moved after the run knows each region's local rows are one committed
+	// state.
+	Locals []LocalRead
+	// RemoteOnly sends every SwitchUnion of this execution to its remote
+	// branch once its guard has judged: the last run of a query whose local
+	// reads met an apply twice.
+	RemoteOnly bool
 	// Params are the literal values, by slot, of the statement this execution
 	// answers; the tree may have been built for another statement of the same
 	// shape. Nil when the tree runs for the statement its plan was made from:

@@ -7,6 +7,7 @@ import (
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 )
 
 // Selector decides which SwitchUnion input to execute. It is evaluated once
@@ -57,6 +58,13 @@ type Violation struct {
 	Waits int
 }
 
+// LocalRead is one region state a guard's local branch answered from: the
+// region's state word and the value Load returned when the guard judged.
+type LocalRead struct {
+	Word *storage.Word
+	At   uint64
+}
+
 // GuardDecision is the guard event SwitchUnion.Open builds and delivers, by
 // value, to EvalContext.OnGuard, once per Open and nowhere else: the operator
 // keeps no copy, so a decision shares nothing with the next run of the tree.
@@ -82,6 +90,10 @@ type SwitchUnion struct {
 	// region, normalized so 0 means unbounded. Carried into GuardDecision
 	// for SLO accounting.
 	Bound time.Duration
+	// Word is planner metadata: Region's state word, loaded before every
+	// selector evaluation and carried into GuardDecision and, when the local
+	// branch answers, EvalContext.Locals; nil when the region has none.
+	Word *storage.Word
 
 	active Operator
 	// opened tracks every child this operator has opened and not yet
@@ -102,17 +114,21 @@ func (s *SwitchUnion) Schema() *Schema { return s.Children[0].Schema() }
 // remote branch's Open reports link unavailability. Once a selector has
 // chosen, Open ends by delivering its decision to EvalContext.OnGuard, after
 // the decisions of any guard under the branch it opened. The decision's
-// staleness is the query's Now minus the heartbeat the selector judged.
+// staleness is the query's Now minus the heartbeat the selector judged, and
+// its word the region's state word as loaded before that judgment (or, when
+// the local branch answers a failed remote one, before the local Open).
 func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	clk := ctx.clock()
 	var (
 		idx, waits int
 		synced     time.Time
 		guardTime  time.Duration
+		word       uint64
 	)
 	for {
 		start := clk.Now()
 		var err error
+		word = s.Word.Load()
 		idx, synced, err = s.Selector(ctx)
 		guardTime += clk.Now().Sub(start)
 		if err != nil {
@@ -120,6 +136,10 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 		}
 		if idx < 0 || idx >= len(s.Children) {
 			return fmt.Errorf("exec: SwitchUnion selector returned %d of %d", idx, len(s.Children))
+		}
+		if ctx.RemoteOnly {
+			idx = len(s.Children) - 1
+			break
 		}
 		// Block mode: the guard rejected the local branch; wait for
 		// replication to catch up and re-check, bounded by the session's
@@ -130,7 +150,7 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 		waits++
 	}
 
-	d := GuardDecision{Query: ctx.Query, Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits}
+	d := GuardDecision{Query: ctx.Query, Label: s.Label, Region: s.Region, Chosen: idx, Bound: s.Bound, GuardTime: guardTime, BlockWaits: waits, Word: word}
 	if !synced.IsZero() {
 		d.Staleness, d.StalenessKnown = ctx.Now.Sub(synced), true
 	}
@@ -142,6 +162,9 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	}
 
 	s.active = s.Children[idx]
+	if idx == 0 {
+		ctx.Locals = append(ctx.Locals, LocalRead{s.Word, word})
+	}
 	// Record the child before opening it: a failed Open may still have
 	// acquired resources that only Close releases.
 	s.track(s.active)
@@ -156,6 +179,8 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 			// surface the currency violation as a warning, not an error. The
 			// decision that answered is the local one.
 			v.Action, d.Chosen, d.Degraded = "serve-local", 0, true
+			d.Word = s.Word.Load()
+			ctx.Locals = append(ctx.Locals, LocalRead{s.Word, d.Word})
 			s.active = s.Children[0]
 			s.track(s.active)
 			if s.active.Open(ctx) == nil {

@@ -7,6 +7,7 @@ import (
 	"relaxedcc/internal/audit"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/obs"
+	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
 )
 
@@ -26,9 +27,11 @@ func (a *advancing) Open(ctx *exec.EvalContext) error {
 // TestSourcesAreTheHeartbeatTheGuardJudged: what a result and the auditor
 // say the answer is as of is the heartbeat the guard judged, not one read
 // after the decision. A timeline session's guarded read whose local branch
-// advances the region's heartbeat while it opens reports, in the audited
+// advances the region's heartbeat row while it opens reports, in the audited
 // read event's SyncTSNS, in QueryResult.AsOf and in the session's floor, the
-// timestamp the guard checked.
+// timestamp the guard checked. The row is written past the agent, so the
+// region's word stands and the run is not repeated
+// (TestAnApplyDuringTheRunRepeatsIt has the agent's write).
 func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 	c, _, clock := newPair(t)
 	addRegionAndView(t, c)
@@ -58,7 +61,7 @@ func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 		t.Fatalf("want the guard under the projection, plan is %s", plan.Shape)
 	}
 	su.Children[0] = &advancing{Operator: su.Children[0], open: func() {
-		c.SetLastSync(1, judged.Add(3*time.Second))
+		c.WriteHeartbeat(1, judged.Add(3*time.Second))
 	}}
 
 	q := s.begin(sqlparser.SelectSQL(sel))
@@ -82,5 +85,72 @@ func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 	}
 	if f := s.Floor(); !f.Equal(judged) {
 		t.Errorf("session floor %v, want the judged heartbeat %v", f, judged)
+	}
+}
+
+// TestAnApplyDuringTheRunRepeatsIt: a local branch that reads while its
+// region's agent writes — here the agent's heartbeat, landing as the branch
+// opens — moves the region's word, and the run is repeated. When the second
+// run meets no write it answers locally as of its own judged heartbeat; when
+// the word moves again, a third run answers from the remote branches. Either
+// way only the run that answered reaches the ledger and the auditor, and each
+// outcome has its counter.
+func TestAnApplyDuringTheRunRepeatsIt(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes int // opens of the local branch that meet a write
+		local  bool
+	}{{"once", 1, true}, {"twice", 2, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _, clock := newPair(t)
+			addRegionAndView(t, c)
+			aud := audit.New(obs.NewRegistry())
+			c.EnableAudit(aud)
+			c.SetLastSync(1, clock.Now())
+			clock.Advance(5 * time.Second)
+			sel, err := sqlparser.ParseSelect("SELECT id, v FROM t WHERE id = 2 CURRENCY 60 ON (t)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, _, err := c.Plan(sel, opt.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			su := plan.Root.(*exec.Project).Child.(*exec.SwitchUnion)
+			opens := 0
+			last, _ := c.LastSync(1)
+			su.Children[0] = &advancing{Operator: su.Children[0], open: func() {
+				if opens++; opens <= tc.writes {
+					last = last.Add(time.Second)
+					c.SetLastSync(1, last)
+				}
+			}}
+			s := c.NewSession()
+			q := s.begin(sqlparser.SelectSQL(sel))
+			res, err := s.run(q, plan, plan.Root, nil, 0, false, "")
+			q.end(&err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(res.LocalViews) == 1; got != tc.local || len(res.Rows) != 1 {
+				t.Fatalf("local views %v, %d rows, %d remote queries; want local %v", res.LocalViews, len(res.Rows), res.RemoteQueries, tc.local)
+			}
+			if tc.local && !res.AsOf.Equal(last) {
+				t.Errorf("AsOf %v, want the heartbeat the second run judged, %v", res.AsOf, last)
+			}
+			if !tc.local && res.RemoteQueries != 1 {
+				t.Errorf("%d remote queries, want the remote branch", res.RemoteQueries)
+			}
+			reruns, remote := int64(1), int64(tc.writes-1)
+			if c.obs.reruns.Value() != reruns || c.obs.rerunsRemote.Value() != remote {
+				t.Errorf("reruns %d, answered remote %d; want %d, %d", c.obs.reruns.Value(), c.obs.rerunsRemote.Value(), reruns, remote)
+			}
+			if reads := aud.ReadsOf(q.ev.Query); len(reads) != 1 || (reads[0].Chosen == 0) != tc.local {
+				t.Errorf("audited read events %+v; want the one decision of the run that answered", reads)
+			}
+			if p := c.Ledger().Snapshot(clock.Now()); len(p) != 1 || p[0].Queries != 1 || (p[0].Local == 1) != tc.local {
+				t.Errorf("ledger profiles %+v; want the one decision of the run that answered", p)
+			}
+		})
 	}
 }

@@ -397,9 +397,9 @@ func (c *Cache) Agents() []*repl.Agent {
 	return out
 }
 
-// SetLastSync implements repl.HeartbeatSink: the region's row in the local
+// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
 // heartbeat table receives a replicated timestamp.
-func (c *Cache) SetLastSync(regionID int, ts time.Time) {
+func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
 	row := sqltypes.Row{sqltypes.NewInt(int64(regionID)), sqltypes.NewTime(ts)}
 	var old sqltypes.Row
 	if last, ok := c.LastSync(regionID); ok {
@@ -411,6 +411,18 @@ func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	if err := c.hb.Replace(old, row); err != nil {
 		panic(err) // fixed schema; cannot fail
 	}
+}
+
+// SetLastSync writes ts into the region's row of the local heartbeat table
+// outside replication — the chaos harness's guard lie, tests — through the
+// region's agent (repl.Agent.Beat), which moves the region's word with it; a
+// region without an agent gets the row alone.
+func (c *Cache) SetLastSync(regionID int, ts time.Time) {
+	if a := c.Agent(regionID); a != nil {
+		a.Beat(ts)
+		return
+	}
+	c.WriteHeartbeat(regionID, ts)
 }
 
 // LastSync returns the timestamp in the region's row of the local heartbeat
@@ -428,6 +440,14 @@ func (c *Cache) LastSync(regionID int) (time.Time, bool) {
 
 // HeartbeatTable exposes the local heartbeat table (read by guards).
 func (c *Cache) HeartbeatTable() *storage.Table { return c.hb }
+
+// word returns the region's state word, nil for a region without an agent.
+func (c *Cache) word(regionID int) *storage.Word {
+	if a := c.Agent(regionID); a != nil {
+		return a.Word()
+	}
+	return nil
+}
 
 // EnableAudit installs the delivered-guarantee auditor on this cache: every
 // executed query's guard decisions also reach it, as audit read events, and
@@ -518,6 +538,7 @@ func (c *Cache) planner(opts opt.Options) *opt.Planner {
 		LocalView:  c.ViewData,
 		Remote:     c.link,
 		Heartbeat:  c.hb,
+		Word:       c.word,
 		Clock:      c.clock,
 	}
 	return &opt.Planner{Site: site, Opts: opts}
@@ -925,10 +946,15 @@ func (s *Session) guardRetry(region, attempt int) bool {
 // session's timeline floor from the sources actually used, as the guard
 // decisions (queryCtx.guard) and the run's remote fetches report them: a
 // local source is as of the heartbeat its guard judged, a remote one as of
-// the statement's instant, EvalContext.Now, read from the clock here once
-// per run. With analyze set, the tree is instrumented (in place: it cannot
-// run again) and the result carries the annotated trace (retained in the
-// cache's TraceStore under sql).
+// the statement's instant, EvalContext.Now, read from the clock once per run.
+// After the run it checks that the state word of every region a guard served
+// locally has not moved (queryCtx.moved): a moved word means the local rows
+// may straddle an apply, and the tree runs again; when the word moves again,
+// once more with every guard sent remote. Each outcome is counted, and only
+// the run that answered reaches the ledger, the trace and the auditor. With
+// analyze set, the tree is instrumented (in place) and the result carries the
+// annotated trace of its runs, a repeated one counted in each node's Opens
+// (retained in the cache's TraceStore under sql).
 func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string) (*QueryResult, error) {
 	c := s.cache
 	o := c.obs
@@ -942,23 +968,36 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 		root, qr.Trace = exec.Instrument(root)
 	}
 	q.qr, q.observed, q.oldest = qr, time.Time{}, time.Time{}
-	q.violations, q.reads = q.violations[:0], q.reads[:0]
-	q.ev.Now, q.ev.Degrade, q.ev.Params, q.ev.Fetches = c.clock.Now(), s.degradeMode(), params, 0
 	var execStart time.Time
 	var retriesBefore int64
 	if q.qt != nil {
 		retriesBefore = c.link.Stats().Retries
 		execStart = c.clock.Now()
 	}
-	err := exec.RunInto(&qr.res, root, &q.ev, setup)
-	q.qr = nil
+	var err error
+	for run := 0; ; run++ {
+		q.decisions, q.violations, q.reads = q.decisions[:0], q.violations[:0], q.reads[:0]
+		q.ev.Now, q.ev.Degrade, q.ev.Params, q.ev.Fetches = c.clock.Now(), s.degradeMode(), params, 0
+		q.ev.Locals, q.ev.RemoteOnly = q.ev.Locals[:0], run == 2
+		if err = exec.RunInto(&qr.res, root, &q.ev, setup); err != nil || run == 2 || !q.moved() {
+			break
+		}
+		if run == 0 {
+			o.reruns.Inc()
+		} else {
+			o.rerunsRemote.Inc()
+		}
+	}
 	if q.qt != nil {
 		q.qt.Exec(c.clock.Now().Sub(execStart))
 		q.qt.Retries(c.link.Stats().Retries - retriesBefore)
 	}
 	if err != nil {
+		q.qr = nil
 		return nil, err
 	}
+	q.publish()
+	q.qr = nil
 	if len(q.violations) > 0 {
 		// The buffer is the context's; the result gets its own copy.
 		qr.Violations = slices.Clone(q.violations)

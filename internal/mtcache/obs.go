@@ -17,6 +17,8 @@ import (
 //	mtcache_served_stale_total        results downgraded by ActionServeStale
 //	mtcache_plan_cache_hits_total     plan-cache hits
 //	mtcache_plan_cache_misses_total   plan-cache misses (fresh optimizations)
+//	mtcache_reruns_total              runs repeated because a region read locally moved during them
+//	mtcache_reruns_remote_total       repeated runs whose region moved again, answered remote
 //	trace_sampled_total               queries sampled into the lifecycle ring
 //	span_events_total{kind}           link retries, breaker transitions, repl applies
 //	tuner_retunes_total{region}       autotuner decisions that changed the interval
@@ -52,6 +54,8 @@ type cacheObs struct {
 	servedStale   *obs.Counter
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
+	reruns        *obs.Counter
+	rerunsRemote  *obs.Counter
 }
 
 func newCacheObs(clock vclock.Clock, reg *obs.Registry) *cacheObs {
@@ -65,6 +69,8 @@ func newCacheObs(clock vclock.Clock, reg *obs.Registry) *cacheObs {
 		servedStale:   reg.Counter("mtcache_served_stale_total"),
 		planHits:      reg.Counter("mtcache_plan_cache_hits_total"),
 		planMisses:    reg.Counter("mtcache_plan_cache_misses_total"),
+		reruns:        reg.Counter("mtcache_reruns_total"),
+		rerunsRemote:  reg.Counter("mtcache_reruns_remote_total"),
 	}
 }
 

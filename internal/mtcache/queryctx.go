@@ -7,6 +7,7 @@ import (
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/remote"
+	"relaxedcc/internal/storage"
 )
 
 // queryCtx is what a session needs per query and keeps between queries: the
@@ -27,8 +28,10 @@ type queryCtx struct {
 	trace obs.QueryTrace
 	// aud is the auditor if it was enabled when the query began, else nil.
 	aud *audit.Auditor
-	// violations and reads collect what one run's degraded guards and audited
-	// guard decisions produced; reset by every run.
+	// decisions, violations and reads collect what one run's guards,
+	// degraded guards and audited guard decisions produced; reset by every
+	// run, and published (publish) for the run that answered only.
+	decisions  []obs.GuardEvent
 	violations []exec.Violation
 	reads      []audit.ReadEvent
 	// qr is the result of the run in progress, which takes the local views
@@ -70,28 +73,57 @@ func (q *queryCtx) end(err *error) {
 	q.s.slot.Store(q)
 }
 
-// guard publishes one guard decision (EvalContext.OnGuard) to every consumer
-// of it, in a fixed order: the region ledger (guard metrics, SLO window,
-// workload window) always; the lifecycle record when the query is sampled;
-// the auditor when it is enabled; and, when the guard served locally, the
-// result's local views and sources. A degraded decision arrives once, as the
-// decision that answered. The heartbeat a decision judged is the statement's
-// Now minus the decision's staleness.
+// guard takes one guard decision (EvalContext.OnGuard) of the run in
+// progress: it is kept for publish, and when the auditor is enabled wrapped at
+// once in the read event the auditor gets, which takes the serve time now.
 func (q *queryCtx) guard(g obs.GuardEvent) {
-	q.s.cache.obs.ledger.Observe(g)
-	q.qt.Guard(g)
+	q.decisions = append(q.decisions, g)
 	if q.aud != nil {
 		q.reads = append(q.reads, q.s.cache.readEvent(g, q.ev.Now))
 	}
-	if g.Chosen != 0 {
-		return
+}
+
+// moved reports whether the state word of a region the run read locally has
+// moved since its guard judged it: the run may have read across an apply.
+func (q *queryCtx) moved() bool {
+	for _, l := range q.ev.Locals {
+		if l.Word.Moved(l.At) {
+			return true
+		}
 	}
-	if q.qr.LocalViews == nil {
-		q.qr.LocalViews = q.qr.views[:0]
+	return false
+}
+
+// publish delivers the decisions and degraded-mode events of the run that
+// answered to every consumer of them, in a fixed order: the region ledger
+// (guard metrics, SLO window, workload window, degraded reads, block waits)
+// always; the lifecycle record when the query is sampled; and, for a guard
+// that served locally, the result's local views and sources. The heartbeat a
+// decision judged is the statement's Now minus the decision's staleness. (The
+// auditor's read events are q.reads, handed over by run.)
+func (q *queryCtx) publish() {
+	l := q.s.cache.obs.ledger
+	for _, g := range q.decisions {
+		l.Observe(g)
+		q.qt.Guard(g)
+		if g.Chosen != 0 {
+			continue
+		}
+		if q.qr.LocalViews == nil {
+			q.qr.LocalViews = q.qr.views[:0]
+		}
+		q.qr.LocalViews = append(q.qr.LocalViews, g.Label)
+		if g.StalenessKnown {
+			q.note(q.ev.Now.Add(-g.Staleness))
+		}
 	}
-	q.qr.LocalViews = append(q.qr.LocalViews, g.Label)
-	if g.StalenessKnown {
-		q.note(q.ev.Now.Add(-g.Staleness))
+	for _, v := range q.violations {
+		switch v.Action {
+		case "serve-local":
+			l.Degraded(v.Region)
+		case "block":
+			l.BlockWaits(v.Waits)
+		}
 	}
 }
 
@@ -106,27 +138,16 @@ func (q *queryCtx) note(ts time.Time) {
 }
 
 // violation records one degraded-mode event (EvalContext.OnViolation): a
-// warning on the result and, in the ledger, a degraded read of its region
-// (serve-local) or a blocking session's guard waits (block).
-func (q *queryCtx) violation(v exec.Violation) {
-	q.violations = append(q.violations, v)
-	switch l := q.s.cache.obs.ledger; v.Action {
-	case "serve-local":
-		l.Degraded(v.Region)
-	case "block":
-		l.BlockWaits(v.Waits)
-	}
-}
+// warning on the result and, once published, in the ledger a degraded read of
+// its region (serve-local) or a blocking session's guard waits (block).
+func (q *queryCtx) violation(v exec.Violation) { q.violations = append(q.violations, v) }
 
 // readEvent wraps one guard decision, taken by a statement whose instant is
 // now, in what the cache adds at serve time: the versions the local branch
-// served (the region agent's applied commit sequence) and the heartbeat
+// served (the commit sequence the judged state word names) and the heartbeat
 // timestamp the guard trusted.
 func (c *Cache) readEvent(g obs.GuardEvent, now time.Time) audit.ReadEvent {
-	ev := audit.ReadEvent{GuardEvent: g, ServeTSNS: c.clock.Now().UnixNano()}
-	if a := c.Agent(g.Region); a != nil {
-		ev.SyncSeq = a.LastSeq()
-	}
+	ev := audit.ReadEvent{GuardEvent: g, ServeTSNS: c.clock.Now().UnixNano(), SyncSeq: storage.Seq(g.Word)}
 	if g.StalenessKnown {
 		ev.SyncTSNS = now.Add(-g.Staleness).UnixNano()
 	}

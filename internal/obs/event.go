@@ -38,6 +38,10 @@ type GuardEvent struct {
 	// BlockWaits is how many times a blocking session re-evaluated the guard
 	// before this decision settled.
 	BlockWaits int `json:"block_waits,omitempty"`
+	// Word is the region's state word (storage.Word) as the guard judged it:
+	// its version halved is the commit sequence of the state the local
+	// branch answers from. Zero for a region without one.
+	Word uint64 `json:"-"`
 }
 
 // Branch names the chosen branch, "local" or "remote".

@@ -108,7 +108,11 @@ type sloSample struct {
 // workloadWindow is a region's accumulation for the current workload window.
 type workloadWindow struct {
 	queries, local, remote, degraded, unbounded int64
-	bounds                                      map[time.Duration]int64
+	// bounds[:nBounds] are the distinct bounds seen and their counts, in
+	// arrival order: a slab searched linearly, so folding a decision in
+	// updates no map.
+	bounds  [workloadMaxBounds]BoundCount
+	nBounds int
 
 	stale                [workloadStalenessCap]int64
 	stalePos, staleCount int
@@ -144,7 +148,6 @@ func (l *RegionLedger) regionLocked(id int) *regionRecord {
 			within:    l.reg.GaugeVec("slo_within_bound_ratio", "region").With(label),
 			budget:    l.reg.GaugeVec("slo_error_budget", "region").With(label),
 			served:    l.reg.HistogramVec("slo_served_staleness_ns", "region").With(label),
-			win:       workloadWindow{bounds: map[time.Duration]int64{}},
 		}
 		l.regions[id] = r
 	}
@@ -246,22 +249,24 @@ func (w *workloadWindow) add(g GuardEvent) {
 // distance with ties to the smaller bound — a rule that depends only on the
 // tracked values, keeping overflow deterministic.
 func (w *workloadWindow) addBound(b time.Duration) {
-	if _, ok := w.bounds[b]; ok || len(w.bounds) < workloadMaxBounds {
-		w.bounds[b]++
-		return
+	i, tracked := 0, w.bounds[:w.nBounds]
+	for i < len(tracked) && tracked[i].BoundNS != int64(b) {
+		i++
 	}
-	var nearest time.Duration
-	bestDist := time.Duration(-1)
-	for have := range w.bounds {
-		dist := have - b
-		if dist < 0 {
-			dist = -dist
-		}
-		if bestDist < 0 || dist < bestDist || (dist == bestDist && have < nearest) {
-			nearest, bestDist = have, dist
+	switch {
+	case i < len(tracked):
+	case w.nBounds < workloadMaxBounds:
+		w.bounds[i].BoundNS, w.nBounds = int64(b), w.nBounds+1
+	default:
+		i = 0
+		for j, t := range tracked {
+			dj, di := max(t.BoundNS-int64(b), int64(b)-t.BoundNS), max(tracked[i].BoundNS-int64(b), int64(b)-tracked[i].BoundNS)
+			if dj < di || dj == di && t.BoundNS < tracked[i].BoundNS {
+				i = j
+			}
 		}
 	}
-	w.bounds[nearest]++
+	w.bounds[i].Count++
 }
 
 // Degraded counts one local branch served because the remote was
@@ -434,7 +439,7 @@ func (l *RegionLedger) Cut(now time.Time) []WorkloadProfile {
 	out := l.profilesLocked(now)
 	l.windowStart = now
 	for _, r := range l.regions {
-		r.win = workloadWindow{bounds: map[time.Duration]int64{}}
+		r.win = workloadWindow{}
 	}
 	return out
 }
@@ -461,9 +466,7 @@ func (l *RegionLedger) profilesLocked(now time.Time) []WorkloadProfile {
 		if window > 0 {
 			p.QueriesPerSecond = float64(w.queries) / window.Seconds()
 		}
-		for b, n := range w.bounds {
-			p.Bounds = append(p.Bounds, BoundCount{BoundNS: int64(b), Count: n})
-		}
+		p.Bounds = append(p.Bounds, w.bounds[:w.nBounds]...)
 		sort.Slice(p.Bounds, func(i, j int) bool { return p.Bounds[i].BoundNS < p.Bounds[j].BoundNS })
 		stale := append([]int64(nil), w.stale[:w.staleCount]...)
 		p.StalenessP50NS, p.StalenessP95NS, _, p.StalenessMaxNS = quantiles(stale)

@@ -60,6 +60,11 @@ type Site struct {
 	// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B).
 	// Nil at the back end.
 	Heartbeat *storage.Table
+	// Word returns a region's state word (storage.Word), which moves whenever
+	// its agent writes the region's views or heartbeat row; nil, or a nil
+	// word, for a region nothing publishes one for: its guards read the row
+	// at every decision.
+	Word func(regionID int) *storage.Word
 	// Clock is the site's time source.
 	Clock vclock.Clock
 }

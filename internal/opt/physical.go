@@ -852,7 +852,11 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 	if constrained {
 		prob = cc.LocalProbability(bound, region.UpdateDelay, region.UpdateInterval)
 	}
-	guard := currencyGuard(p.Site.Heartbeat, region.ID, bound, p.Opts.MinSync)
+	var word *storage.Word
+	if p.Site.Word != nil {
+		word = p.Site.Word(region.ID)
+	}
+	guard := currencyGuard(p.Site.Heartbeat, word, region.ID, bound, p.Opts.MinSync)
 	localBuild, remoteBuild := local.build, remote.build
 	return &cand{
 		build: func() (exec.Operator, error) {
@@ -866,7 +870,7 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 			}
 			return &exec.SwitchUnion{
 				Children: []exec.Operator{l, r}, Selector: guard(), Label: label,
-				Region: region.ID, Bound: obs.NormalizeBound(bound),
+				Region: region.ID, Bound: obs.NormalizeBound(bound), Word: word,
 			}, nil
 		},
 		schema:       local.schema,
@@ -886,14 +890,15 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 // (0) iff the region's row of the cache's heartbeat table hb is within the
 // bound of the query start time. The guard is the paper's predicate —
 // EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B) — run as
-// a real single-row plan through the executor; a timeline-consistency floor
-// (Section 2.3) adds "AND TimeStamp >= floor". The scan copies the region's
-// heartbeat row out once, the predicate runs on that one-row batch, and the
-// selector reports the timestamp it judged, from which the decision's
-// staleness and the result's sources are taken. The predicate is compiled
-// once per plan; every built tree calls the maker once, so each tree owns its
-// selector's scan.
-func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
+// a compiled predicate over the region's heartbeat row; a timeline-consistency
+// floor (Section 2.3) adds "AND TimeStamp >= floor". The selector reports the
+// timestamp it judged, from which the decision's staleness and the result's
+// sources are taken. The predicate is compiled once per plan; every built tree
+// calls the maker once, and each tree's selector keeps the row it read as a
+// one-row batch until the region's state word moves: a decision whose word
+// has not moved since the last one reads no table, and one whose word moved
+// (or whose region has no word) re-reads the row with one Peek.
+func currencyGuard(hb *storage.Table, word *storage.Word, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
 	schema := storedSchema(hb.Def(), "hb")
 	tsRef := &sqlparser.ColumnRef{Table: "hb", Column: "ts"}
 	var pred sqlparser.Expr
@@ -930,37 +935,55 @@ func currencyGuard(hb *storage.Table, regionID int, bound time.Duration, minSync
 			}
 		}
 	}
-	key := storage.Bound{Vals: sqltypes.Row{sqltypes.NewInt(int64(regionID))}, Inclusive: true}
-	pkIndex := ""
-	for _, idx := range hb.Def().Indexes {
-		if idx.Clustered {
-			pkIndex = idx.Name
-		}
+	plan := heartbeatGuard{
+		hb: hb, word: word, filter: filter, tsCol: schema.Lookup("hb", "ts"),
+		key: sqltypes.Row{sqltypes.NewInt(int64(regionID))},
 	}
-	tsCol := schema.Lookup("hb", "ts")
 	return func() exec.Selector {
-		scan := exec.NewScan(hb, schema)
-		scan.Index = pkIndex
-		scan.Lo, scan.Hi = key, key
-		var sel []int32
-		return func(ctx *exec.EvalContext) (int, time.Time, error) {
-			err := scan.Open(ctx)
-			var cb *sqltypes.ColBatch
-			var ok bool
-			if err == nil {
-				cb, ok, err = scan.NextVec()
-			}
-			scan.Close()
-			if err != nil || !ok {
-				return 1, time.Time{}, err // never synchronized: remote
-			}
-			ts := cb.Col(tsCol).Value(0).Time()
-			if ok, err = filter.Narrow(ctx, cb, &sel); err != nil || !ok {
-				return 1, ts, err
-			}
-			return 0, ts, nil // fresh enough: local branch
+		g := plan
+		return g.decide
+	}
+}
+
+// heartbeatGuard is one tree's currency guard: the plan's compiled predicate
+// and the region's heartbeat row as last read, with the word it was read at.
+type heartbeatGuard struct {
+	hb     *storage.Table
+	word   *storage.Word
+	key    sqltypes.Row
+	filter *exec.Pred
+	tsCol  int
+
+	buf    [2]sqltypes.Value
+	rows   [1]sqltypes.Row
+	cb     sqltypes.ColBatch
+	sel    []int32
+	ts     time.Time
+	read   bool // the row was read, when the word was seen
+	synced bool // the region has a row
+	seen   uint64
+}
+
+// decide is the guard's Selector. A word that moves during the Peek leaves
+// the row to be read again next time, and this decision to the reader's
+// check.
+func (g *heartbeatGuard) decide(ctx *exec.EvalContext) (int, time.Time, error) {
+	if w := g.word.Load(); !g.read || g.word == nil || w != g.seen {
+		g.rows[0], g.synced = g.hb.Peek(g.key, g.buf[:0])
+		g.read, g.seen = true, w
+		if g.synced {
+			g.cb.ResetRows(g.rows[:], len(g.rows[0]))
+			g.ts = g.cb.Col(g.tsCol).Value(0).Time()
 		}
 	}
+	if !g.synced {
+		return 1, time.Time{}, nil // never synchronized: remote
+	}
+	g.cb.Sel = nil
+	if ok, err := g.filter.Narrow(ctx, &g.cb, &g.sel); err != nil || !ok {
+		return 1, g.ts, err
+	}
+	return 0, g.ts, nil // fresh enough: local branch
 }
 
 // ---- join enumeration ----

@@ -328,31 +328,94 @@ func TestHeartbeatGuard(t *testing.T) {
 	}
 	ctx := &exec.EvalContext{Now: now}
 
-	sel := currencyGuard(hb, 1, 10*time.Second, time.Time{})()
+	sel := currencyGuard(hb, nil, 1, 10*time.Second, time.Time{})()
 	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("8s stale within 10s bound should choose local")
 	}
-	sel = currencyGuard(hb, 1, 5*time.Second, time.Time{})()
+	sel = currencyGuard(hb, nil, 1, 5*time.Second, time.Time{})()
 	if got, ts, _ := sel(ctx); got != 1 || !ts.Equal(now.Add(-8*time.Second)) {
 		t.Fatal("8s stale beyond 5s bound should choose remote, judging the 8s-old heartbeat")
 	}
-	sel = currencyGuard(hb, 2, time.Hour, time.Time{})()
+	sel = currencyGuard(hb, nil, 2, time.Hour, time.Time{})()
 	if got, ts, _ := sel(ctx); got != 1 || !ts.IsZero() {
 		t.Fatal("unsynced region should choose remote, judging no heartbeat")
 	}
 	// Unbounded (unconstrained leaf) with synced region: local.
-	sel = currencyGuard(hb, 1, time.Duration(math.MaxInt64), time.Time{})()
+	sel = currencyGuard(hb, nil, 1, time.Duration(math.MaxInt64), time.Time{})()
 	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("unbounded guard should choose local")
 	}
 	// Timeline floor above the sync point forces remote.
-	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Second))()
+	sel = currencyGuard(hb, nil, 1, time.Hour, now.Add(-time.Second))()
 	if got, _, _ := sel(ctx); got != 1 {
 		t.Fatal("timeline floor should force remote")
 	}
-	sel = currencyGuard(hb, 1, time.Hour, now.Add(-time.Minute))()
+	sel = currencyGuard(hb, nil, 1, time.Hour, now.Add(-time.Minute))()
 	if got, _, _ := sel(ctx); got != 0 {
 		t.Fatal("floor below sync point should allow local")
+	}
+}
+
+// TestGuardJudgesItsRowPerWord: a guard keeps the heartbeat row it read until
+// its region's state word moves. A row written without moving the word is not
+// seen; once the agent's Begin/End moves it, the next decision reads the row
+// again. While the word stands still the guard takes no latch: with a writer
+// queued behind a reader on the heartbeat table, a decision still returns.
+func TestGuardJudgesItsRowPerWord(t *testing.T) {
+	hbDef := &catalog.Table{
+		Name: "Heartbeat_local",
+		Columns: []catalog.Column{
+			{Name: "cid", Type: sqltypes.KindInt, NotNull: true},
+			{Name: "ts", Type: sqltypes.KindTime, NotNull: true},
+		},
+		PrimaryKey: []string{"cid"},
+	}
+	if err := catalog.New().AddTable(hbDef); err != nil {
+		t.Fatal(err)
+	}
+	hb := storage.NewTable(hbDef)
+	now := vclock.Epoch.Add(100 * time.Second)
+	fresh := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-time.Second))}
+	stale := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-time.Minute))}
+	if err := hb.Replace(nil, fresh); err != nil {
+		t.Fatal(err)
+	}
+	var word storage.Word
+	ctx := &exec.EvalContext{Now: now}
+	sel := currencyGuard(hb, &word, 1, 10*time.Second, time.Time{})()
+	if got, _, _ := sel(ctx); got != 0 {
+		t.Fatal("a 1s-old heartbeat within a 10s bound should choose local")
+	}
+
+	// Hold the read latch and queue a writer behind it: a new reader blocks.
+	held, release, queued := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go hb.Scan(func(sqltypes.Row) bool { close(held); <-release; return false })
+	<-held
+	go func() { close(queued); _ = hb.Replace(fresh, fresh) }()
+	<-queued
+	time.Sleep(10 * time.Millisecond)
+	decided := make(chan int)
+	go func() { got, _, _ := sel(ctx); decided <- got }()
+	select {
+	case got := <-decided:
+		if got != 0 {
+			t.Fatal("the kept row should still choose local")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a guard whose word has not moved waited for the heartbeat table's latch")
+	}
+	close(release)
+
+	if err := hb.Replace(fresh, stale); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := sel(ctx); got != 0 {
+		t.Fatal("with the word unmoved, the guard should judge the row it kept")
+	}
+	word.Begin(1)
+	word.End(1)
+	if got, ts, _ := sel(ctx); got != 1 || !ts.Equal(now.Add(-time.Minute)) {
+		t.Fatal("once the word moved, the guard should read the minute-old row and choose remote")
 	}
 }
 

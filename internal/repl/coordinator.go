@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"relaxedcc/internal/vclock"
@@ -17,14 +19,23 @@ type Beater func(regionID int) error
 // to each event time, so tests and benchmarks replay the exact cycle of the
 // paper's Figure 3.2 with no goroutine races; Wait is how every waiter in
 // the system passes time.
+//
+// One goroutine drains at a time, holding mu; the events and their due times
+// are the drainer's. A Wait from another goroutine blocks until that drain
+// ends and then drains itself: it runs what is still due up to its target,
+// which is nothing when the drain passed it. Heartbeats and agents never
+// wait, so a Wait that meets one of them running is another goroutine's. A
+// Wait made while a periodic task runs cannot be told from the task's own (a
+// waiter inside an event; nothing here knows goroutines), so it falls through
+// to a plain clock advance, as a nested wait always did, and the drain keeps
+// running due events after the task returns.
 type Coordinator struct {
-	clock  *vclock.Virtual
-	events []*event
-	// advancing guards against reentrant AdvanceTo: an event handler (or a
-	// Wait inside one) that tries to drive the coordinator
-	// while it is already draining events would corrupt the drain loop, so
-	// nested calls fall through to a plain clock advance instead.
-	advancing bool
+	clock *vclock.Virtual
+	mu    sync.Mutex
+	// waiting is set while the drain runs a handler that may wait (a
+	// periodic task): a Wait that finds mu held falls through only then.
+	waiting atomic.Bool
+	events  []*event
 }
 
 // event is one periodic activity. Its due time is computed lazily as
@@ -46,6 +57,8 @@ func NewCoordinator(clock *vclock.Virtual) *Coordinator {
 // add registers an event. Registration order breaks the ties nextDue's other
 // rules leave.
 func (c *Coordinator) add(name string, interval func() time.Duration, run func(now time.Time) error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.events = append(c.events, &event{last: c.clock.Now(), interval: interval, run: run, name: name})
 }
 
@@ -82,16 +95,16 @@ func (c *Coordinator) Wait(d time.Duration) { _ = c.Advance(d) }
 // among ties), advancing the virtual clock through each event time and
 // finally to target.
 func (c *Coordinator) AdvanceTo(target time.Time) error {
-	if c.advancing {
-		// Reentrant call from inside an event handler or a Wait: just
-		// move the clock; the outer drain loop keeps running due events.
-		if target.After(c.clock.Now()) {
-			c.clock.AdvanceTo(target)
+	if !c.mu.TryLock() {
+		if c.waiting.Load() {
+			// A wait inside a handler, or beside one: just move the clock;
+			// the drain keeps running due events.
+			c.clock.Reach(target)
+			return nil
 		}
-		return nil
+		c.mu.Lock()
 	}
-	c.advancing = true
-	defer func() { c.advancing = false }()
+	defer c.mu.Unlock()
 	for {
 		ev, at := c.nextDue(target)
 		if ev == nil {
@@ -99,19 +112,18 @@ func (c *Coordinator) AdvanceTo(target time.Time) error {
 		}
 		// An event handler may itself have advanced the clock (a resilient
 		// link paying backoff in virtual time does); never move it backwards.
-		if at.After(c.clock.Now()) {
-			c.clock.AdvanceTo(at)
-		}
+		c.clock.Reach(at)
 		// A due time in the past (the interval shrank mid-cycle) still runs
 		// "now" but re-bases from its scheduled slot, preserving cadence.
-		if err := ev.run(at); err != nil {
+		c.waiting.Store(ev.name == "periodic")
+		err := ev.run(at)
+		c.waiting.Store(false)
+		if err != nil {
 			return err
 		}
 		ev.last = at
 	}
-	if target.After(c.clock.Now()) {
-		c.clock.AdvanceTo(target)
-	}
+	c.clock.Reach(target)
 	return nil
 }
 

@@ -111,9 +111,9 @@ func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
 
 // HeartbeatSink receives the region's replicated heartbeat timestamp.
 type HeartbeatSink interface {
-	// SetLastSync records that the region's local heartbeat table now holds
-	// the given timestamp.
-	SetLastSync(regionID int, ts time.Time)
+	// WriteHeartbeat records that the region's local heartbeat table now
+	// holds the given timestamp.
+	WriteHeartbeat(regionID int, ts time.Time)
 }
 
 // StallProbe lets a fault injector wedge an agent: a stalled agent's
@@ -139,6 +139,11 @@ type Agent struct {
 	// readable and the overrides are race-free against planner reads.
 	interval   atomic.Int64
 	hbInterval atomic.Int64
+
+	// word is the region's published state word: this agent is its one
+	// writer, moving it around every record it applies (Step) and every
+	// heartbeat written out of band (Beat), under mu.
+	word storage.Word
 
 	log     *txn.Log
 	hbTable string
@@ -336,13 +341,32 @@ func (a *Agent) Restart(now time.Time) {
 	}
 }
 
+// Word returns the region's state word (see storage.Word): readers load it
+// before they judge or read the region and compare it after.
+func (a *Agent) Word() *storage.Word { return &a.word }
+
+// Beat writes ts into the region's heartbeat row outside replication — the
+// chaos harness's guard lie, tests — and moves the region's word, so no guard
+// keeps judging the row it read before.
+func (a *Agent) Beat(ts time.Time) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.hbSink != nil {
+		a.hbSink.WriteHeartbeat(a.Region.ID, ts)
+	}
+	a.word.Touch()
+}
+
 // Step performs one propagation wake-up at time now: it applies, in commit
 // order, every transaction that committed at or before now - delay, each
-// record's view changes as one unit (txn.Apply) and then its heartbeat. A
-// record that fails leaves the views as they were before it, LastSeq where
-// it was and the heartbeat unpublished, so the views of one agent never hold
-// part of a transaction. A wake-up while the agent is wedged (StallProbe)
-// returns immediately without progress.
+// record's view changes as one unit (txn.Apply) and then its heartbeat, with
+// the region's word odd around both. A record that fails leaves the views as
+// they were before it, the applied sequence where it was and the heartbeat
+// unpublished, and the word's version returns to that sequence with its
+// moves counter stepped: the views of one agent never hold part of a
+// transaction, and a reader that overlapped the record sees the word moved.
+// A wake-up while the agent is wedged (StallProbe) returns immediately
+// without progress.
 func (a *Agent) Step(now time.Time) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -365,9 +389,11 @@ func (a *Agent) Step(now time.Time) error {
 				}
 			}
 		}
+		a.word.Begin(rec.TS.Seq)
 		if err := txn.Apply(len(a.record), func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) {
 			return a.record[i].tbl, a.record[i].old, a.record[i].new
 		}); err != nil {
+			a.word.End(a.lastSeq)
 			return fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
 		}
 		for _, ch := range rec.Changes {
@@ -375,6 +401,7 @@ func (a *Agent) Step(now time.Time) error {
 				a.applyHeartbeat(ch, now)
 			}
 		}
+		a.word.End(rec.TS.Seq)
 		rowsApplied += int64(len(a.record))
 		a.lastSeq = rec.TS.Seq
 		a.applied++
@@ -416,15 +443,8 @@ func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {
 		a.mHbAge.SetDuration(now.Sub(ts))
 	}
 	if a.hbSink != nil {
-		a.hbSink.SetLastSync(cid, ts)
+		a.hbSink.WriteHeartbeat(cid, ts)
 	}
-}
-
-// LastSeq returns the last applied commit sequence number.
-func (a *Agent) LastSeq() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastSeq
 }
 
 // TransactionsApplied returns how many commits the agent has replayed.

@@ -28,7 +28,7 @@ type fixture struct {
 	syncs   map[int]time.Time
 }
 
-func (f *fixture) SetLastSync(regionID int, ts time.Time) { f.syncs[regionID] = ts }
+func (f *fixture) WriteHeartbeat(regionID int, ts time.Time) { f.syncs[regionID] = ts }
 
 func newFixture(t *testing.T, preds []catalog.SimplePred) *fixture {
 	t.Helper()
@@ -147,8 +147,8 @@ func TestStepAppliesCommittedChangesInOrder(t *testing.T) {
 	if !ok || row[1].Str() != "a2" {
 		t.Fatalf("view row = %v, %v", row, ok)
 	}
-	if f.agent.LastSeq() != 2 || f.agent.TransactionsApplied() != 2 {
-		t.Fatalf("seq=%d applied=%d", f.agent.LastSeq(), f.agent.TransactionsApplied())
+	if storage.Seq(f.agent.Word().Load()) != 2 || f.agent.TransactionsApplied() != 2 {
+		t.Fatalf("seq=%d applied=%d", storage.Seq(f.agent.Word().Load()), f.agent.TransactionsApplied())
 	}
 }
 
@@ -221,8 +221,8 @@ func TestSelectionTransitions(t *testing.T) {
 		if err := f.agent.Step(t0.Add(20 * time.Second)); err != nil {
 			got, seq = err.Error(), 1
 		}
-		if got != c.err || f.agent.LastSeq() != seq {
-			t.Errorf("%s: step: %q, LastSeq %d; want %q", c.what, got, f.agent.LastSeq(), c.err)
+		if got != c.err || storage.Seq(f.agent.Word().Load()) != seq {
+			t.Errorf("%s: step: %q, word seq %d; want %q", c.what, got, storage.Seq(f.agent.Word().Load()), c.err)
 		}
 		if got := viewRows(f.viewTbl); got != c.view {
 			t.Errorf("%s: view %s, want %s", c.what, got, c.view)
@@ -232,10 +232,10 @@ func TestSelectionTransitions(t *testing.T) {
 
 // TestFailedStepLeavesNoPartOfItsRecord: a record whose last change fails to
 // apply (the view already holds its key) takes back the changes before it. The
-// view is as it was before the record, LastSeq does not move and neither does
-// the region's LastSync when the record carries the region's heartbeat, so the
-// next step fails the same way instead of tripping over the record's own
-// first change.
+// view is as it was before the record, the word's seq does not move and
+// neither does the region's LastSync when the record carries the region's
+// heartbeat, so the next step fails the same way instead of tripping over the
+// record's own first change.
 func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
 	beat := func(at time.Time) txn.Change {
 		return txn.Change{Table: "HB", New: sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(at)}}
@@ -260,8 +260,8 @@ func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
 				if err == nil || err.Error() != want {
 					t.Fatalf("step %d: %v, want %s", step, err, want)
 				}
-				if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || f.agent.LastSeq() != 1 {
-					t.Fatalf("step %d: view %s, LastSeq %d", step, got, f.agent.LastSeq())
+				if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || storage.Seq(f.agent.Word().Load()) != 1 {
+					t.Fatalf("step %d: view %s, word seq %d", step, got, storage.Seq(f.agent.Word().Load()))
 				}
 				if got := f.syncs[1]; !got.Equal(t0.Add(time.Second)) {
 					t.Fatalf("step %d: LastSync %v, want the first record's %v", step, got, t0.Add(time.Second))

@@ -66,10 +66,17 @@ func (v *Virtual) Advance(d time.Duration) {
 // advance gets to or beyond t first, the clock stays where that left it. It
 // panics if t is before the clock as it read on entry.
 func (v *Virtual) AdvanceTo(t time.Time) {
-	to, now := t.UnixNano(), v.ns.Load()
-	if to < now {
+	if t.UnixNano() < v.ns.Load() {
 		panic("vclock: AdvanceTo into the past")
 	}
+	v.Reach(t)
+}
+
+// Reach moves the clock forward to t unless it already reads t or later,
+// where an advance on another goroutine may have taken it: AdvanceTo without
+// the check, for advances that may race one another.
+func (v *Virtual) Reach(t time.Time) {
+	to, now := t.UnixNano(), v.ns.Load()
 	for now < to && !v.ns.CompareAndSwap(now, to) {
 		now = v.ns.Load()
 	}

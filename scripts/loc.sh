@@ -14,17 +14,17 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25784
-exec_max=3821
-spine_max=4805
+total_max=26028
+exec_max=3857
+spine_max=4878
 scenario_max=2722
 analysis_max=1361
-opt_max=3341
+opt_max=3369
 sqlparser_max=2035
-storage_max=1074
+storage_max=1142
 sqltypes_max=1353
 backend_max=769
-repl_max=678
+repl_max=710
 spine='mtcache obs audit core tuner'
 
 total=0
