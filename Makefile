@@ -24,9 +24,10 @@ race:
 # Ten seconds of native fuzzing each on the comparison kernels, on the
 # parser (parse/print fixpoint, scanner and splice against the parse), on
 # the B+-tree (both leaf payloads against a sorted map), on the key
-# encoding (byte order against Value.Compare, index-seek ranges) and on the
-# table's one mutator (Replace and its undo against a map, indexes kept),
-# from the seed corpora in
+# encoding (byte order against Value.Compare, index-seek ranges), on the
+# table's one mutator (Replace and its undo against a map, indexes kept) and
+# on ANALYZE (Table.Analyze against the row-at-a-time reference), from the
+# seed corpora in
 # internal/{exec,sqlparser,btree,sqltypes,storage}/testdata/fuzz (FUZZTIME
 # overrides the duration).
 fuzz:
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/btree -run '^$$' -fuzz FuzzBTree -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqltypes -run '^$$' -fuzz FuzzKeyEncoding -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzTable -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzStats -fuzztime $(or $(FUZZTIME),10s)
 
 # Run the in-repo static-analysis suite (cmd/rcclint) over internal and cmd:
 # cross-package lock-order cycles (lockorder), metric-name hygiene

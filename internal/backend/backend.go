@@ -9,6 +9,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -677,24 +678,15 @@ func (s *Server) Beat(regionID int) error {
 	return err
 }
 
-// AnalyzeAll recomputes optimizer statistics for every table by scanning
-// storage.
+// AnalyzeAll recomputes optimizer statistics for every table from its
+// leaves, one read latch per table (storage.Table.Analyze).
 func (s *Server) AnalyzeAll() {
 	s.mu.Lock()
-	tables := make(map[string]*storage.Table, len(s.tables))
-	for n, t := range s.tables {
-		tables[n] = t
-	}
+	tables := maps.Clone(s.tables)
 	s.mu.Unlock()
 	for name, tbl := range tables {
-		def := s.cat.Table(name)
-		stats := catalog.BuildStats(def, func(yield func(sqltypes.Row)) {
-			tbl.Scan(func(r sqltypes.Row) bool {
-				yield(r)
-				return true
-			})
-		})
-		def.Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
+		stats := tbl.Analyze()
+		s.cat.Table(name).Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
 	}
 	s.invalidatePlans()
 }

@@ -257,16 +257,18 @@ func TestStatsSelectivity(t *testing.T) {
 	}
 }
 
-func TestBuildStats(t *testing.T) {
+func TestAnalyze(t *testing.T) {
 	tbl := customerDef()
-	rows := []sqltypes.Row{
+	rows := sqltypes.Batch{
 		{sqltypes.NewInt(1), sqltypes.NewString("ann"), sqltypes.NewInt(1), sqltypes.NewFloat(10)},
 		{sqltypes.NewInt(2), sqltypes.NewString("bob"), sqltypes.NewInt(1), sqltypes.NewFloat(90)},
 		{sqltypes.NewInt(3), sqltypes.Null, sqltypes.NewInt(2), sqltypes.NewFloat(50)},
 	}
-	stats := BuildStats(tbl, func(yield func(sqltypes.Row)) {
-		for _, r := range rows {
-			yield(r)
+	stats := Analyze(tbl, func(visit func(*sqltypes.ColBatch)) {
+		for _, r := range rows { // one window a row
+			var b sqltypes.ColBatch
+			b.ResetRows(sqltypes.Batch{r}, len(r))
+			visit(&b)
 		}
 	})
 	if stats.Rows() != 3 {

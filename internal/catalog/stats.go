@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"relaxedcc/internal/sqltypes"
@@ -177,95 +179,180 @@ func max64(a, b float64) float64 {
 	return b
 }
 
-// BuildStats computes statistics by scanning rows (used by ANALYZE-style
-// refresh on the back end). The scan callback must invoke yield once per row.
-func BuildStats(t *Table, scan func(yield func(sqltypes.Row))) *TableStats {
-	type colAgg struct {
-		distinct map[string]struct{}
-		nulls    int64
-		min, max sqltypes.Value
-		numeric  []float64
-	}
-	aggs := make([]*colAgg, len(t.Columns))
-	for i := range aggs {
-		aggs[i] = &colAgg{distinct: map[string]struct{}{}, min: sqltypes.Null, max: sqltypes.Null}
-	}
-	var rows int64
-	var bytes int64
-	scan(func(r sqltypes.Row) {
-		rows++
-		for i, v := range r {
-			if i >= len(aggs) {
-				break
-			}
-			a := aggs[i]
-			if v.IsNull() {
-				a.nulls++
-				continue
-			}
-			a.distinct[sqltypes.Key(v)] = struct{}{}
-			if a.min.IsNull() || v.Compare(a.min) < 0 {
-				a.min = v
-			}
-			if a.max.IsNull() || v.Compare(a.max) > 0 {
-				a.max = v
-			}
-			if v.IsNumeric() {
-				a.numeric = append(a.numeric, v.Float())
-			}
-			bytes += estimateValueBytes(v)
+// Analyze computes a table's statistics from its rows, which walk hands to
+// visit a window at a time in key order: ANALYZE over a table's leaf lanes
+// (storage.Table.Analyze). The figures are those of a fold over the rows a
+// value at a time: NDV counts the distinct Key encodings of a column's
+// values, Min and Max keep the first of equal values in key order, and the
+// histogram and AvgRowBytes count every value. A lane is folded by a typed
+// loop of its kind, and no key is encoded (colFold).
+func Analyze(t *Table, walk func(visit func(*sqltypes.ColBatch))) *TableStats {
+	folds := make([]colFold, len(t.Columns))
+	var rows, bytes int64
+	walk(func(b *sqltypes.ColBatch) {
+		rows += int64(b.Len())
+		for c := range folds {
+			bytes += folds[c].add(b.Col(c))
 		}
 	})
 	stats := NewTableStats()
-	stats.RowCount = rows
-	if rows > 0 {
-		stats.AvgRowBytes = bytes / rows
-		if stats.AvgRowBytes < 8 {
-			stats.AvgRowBytes = 8
-		}
+	if stats.RowCount = rows; rows > 0 {
+		stats.AvgRowBytes = max(bytes/rows, 8)
 	}
-	for i, a := range aggs {
-		cs := &ColumnStats{
-			NDV:       int64(len(a.distinct)),
-			NullCount: a.nulls,
-			Min:       a.min,
-			Max:       a.max,
+	for c, f := range folds {
+		cs := &ColumnStats{NullCount: f.nulls, Min: f.min, Max: f.max}
+		if f.min.IsNumeric() && f.max.IsNumeric() {
+			cs.Histogram = f.histogram()
 		}
-		if len(a.numeric) > 0 && !a.min.IsNull() && a.min.IsNumeric() && a.max.IsNumeric() {
-			cs.Histogram = buildHistogram(a.numeric, a.min.Float(), a.max.Float())
+		for _, set := range f.sets {
+			slices.Sort(set)
+			cs.NDV += int64(len(slices.Compact(set)))
 		}
-		stats.Columns[t.Columns[i].Name] = cs
+		slices.Sort(f.strs)
+		cs.NDV += int64(len(slices.Compact(f.strs)))
+		stats.Columns[t.Columns[c].Name] = cs
 	}
 	return stats
 }
 
-func buildHistogram(vals []float64, minV, maxV float64) []int64 {
-	h := make([]int64, histogramBuckets)
-	span := maxV - minV
-	if span <= 0 {
-		h[0] = int64(len(vals))
-		return h
-	}
-	for _, v := range vals {
-		b := int((v - minV) / span * float64(histogramBuckets))
-		if b >= histogramBuckets {
-			b = histogramBuckets - 1
+// colFold is one column's statistics so far. Each value is recorded as its
+// class of equal Key encodings, which Analyze sorts and counts: sets[KindFloat]
+// holds a FLOAT's bits (−0 as 0) and an INT's that a float64 holds exactly
+// (1 and 1.0 are one class), sets[KindInt] an INT past 2^53 that none holds,
+// sets[KindBool] and sets[KindTime] the payload, strs a STRING's own text.
+type colFold struct {
+	sets     [sqltypes.KindTime + 1][]uint64
+	strs     []string
+	nulls    int64
+	min, max sqltypes.Value
+}
+
+// add folds one window's lane and returns its values' estimated bytes: by
+// one typed loop, or value by value for a BOOL lane, the Any fallback of a
+// mixed-kind leaf, and a lane of another kind than the extremes so far.
+func (f *colFold) add(v *sqltypes.Vec) (bytes int64) {
+	if f.min.IsNull() || f.min.Kind() == v.Kind && f.max.Kind() == v.Kind {
+		switch v.Kind {
+		case sqltypes.KindInt:
+			return fold(f, v, v.I64, sqltypes.Value.Int, f.int)
+		case sqltypes.KindFloat:
+			return fold(f, v, v.F64, sqltypes.Value.Float, f.float)
+		case sqltypes.KindTime:
+			return fold(f, v, v.I64, timeNanos, f.time)
+		case sqltypes.KindString:
+			return fold(f, v, v.Str, sqltypes.Value.Str, f.str)
 		}
-		if b < 0 {
-			b = 0
+	}
+	for k := 0; k < v.Len(); k++ {
+		bytes += f.value(v.Value(k))
+	}
+	return bytes
+}
+
+// fold is add's typed loop over xs, lane v's values: it records each
+// value's class and continues the running Min and Max, which word reads as xs'
+// type, where a tie keeps the earlier value.
+func fold[T int64 | float64 | string](f *colFold, v *sqltypes.Vec, xs []T, word func(sqltypes.Value) T, count func(T) int64) (bytes int64) {
+	var lo, hi T
+	have := !f.min.IsNull()
+	if have {
+		lo, hi = word(f.min), word(f.max)
+	}
+	for k, x := range xs {
+		switch {
+		case v.IsNull(k):
+			f.nulls++
+			continue
+		case !have:
+			lo, hi, have, f.min, f.max = x, x, true, v.Value(k), v.Value(k)
+		case x < lo:
+			lo, f.min = x, v.Value(k)
+		case x > hi:
+			hi, f.max = x, v.Value(k)
+		}
+		bytes += count(x)
+	}
+	return bytes
+}
+
+// value folds one value and returns its estimated bytes.
+func (f *colFold) value(v sqltypes.Value) (bytes int64) {
+	switch v.Kind() {
+	case sqltypes.KindNull:
+		f.nulls++
+		return 0
+	case sqltypes.KindBool:
+		f.class(sqltypes.KindBool, uint64(v.Compare(sqltypes.NewBool(false)))) // 0 or 1
+		bytes = 1
+	case sqltypes.KindInt:
+		bytes = f.int(v.Int())
+	case sqltypes.KindFloat:
+		bytes = f.float(v.Float())
+	case sqltypes.KindTime:
+		bytes = f.time(timeNanos(v))
+	case sqltypes.KindString:
+		bytes = f.str(v.Str())
+	}
+	if f.min.IsNull() || v.Compare(f.min) < 0 {
+		f.min = v
+	}
+	if f.max.IsNull() || v.Compare(f.max) > 0 {
+		f.max = v
+	}
+	return bytes
+}
+
+// class records a value of payload u in sets[k].
+func (f *colFold) class(k sqltypes.Kind, u uint64) { f.sets[k] = append(f.sets[k], u) }
+
+// int, float, time and str record a value of their kind and return its
+// estimated bytes. An INT joins its float64's class where that holds it
+// exactly, and a FLOAT −0 the class of 0, which it equals.
+func (f *colFold) int(x int64) int64 {
+	if fl, ok := sqltypes.IntFloat(x); ok {
+		return f.float(fl)
+	}
+	f.class(sqltypes.KindInt, uint64(x))
+	return 8
+}
+
+func (f *colFold) float(x float64) int64 {
+	if x == 0 {
+		x = 0
+	}
+	f.class(sqltypes.KindFloat, math.Float64bits(x))
+	return 8
+}
+
+func (f *colFold) time(x int64) int64 {
+	f.class(sqltypes.KindTime, uint64(x))
+	return 8
+}
+
+func (f *colFold) str(s string) int64 {
+	f.strs = append(f.strs, s)
+	return int64(len(s)) + 2
+}
+
+func timeNanos(v sqltypes.Value) int64 { return v.Time().UnixNano() }
+
+// histogram counts the numeric values into histogramBuckets equi-width
+// buckets over [Min, Max], each at its Float.
+func (f *colFold) histogram() []int64 {
+	h := make([]int64, histogramBuckets)
+	minV, span := f.min.Float(), f.max.Float()-f.min.Float()
+	count := func(x float64) {
+		b := 0
+		if span > 0 {
+			b = min(max(int((x-minV)/span*float64(histogramBuckets)), 0), histogramBuckets-1)
 		}
 		h[b]++
 	}
-	return h
-}
-
-func estimateValueBytes(v sqltypes.Value) int64 {
-	switch v.Kind() {
-	case sqltypes.KindString:
-		return int64(len(v.Str())) + 2
-	case sqltypes.KindBool:
-		return 1
-	default:
-		return 8
+	for _, u := range f.sets[sqltypes.KindFloat] {
+		count(math.Float64frombits(u))
 	}
+	for _, u := range f.sets[sqltypes.KindInt] {
+		count(float64(int64(u)))
+	}
+	return h
 }

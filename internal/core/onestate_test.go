@@ -8,6 +8,8 @@ import (
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
+	"relaxedcc/internal/opt"
+	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -180,18 +182,10 @@ func TestTwoViewsOfOneRegionAreOneState(t *testing.T) {
 // without a check after the run, the answer joins two states of the region.
 // Every answer, local or not, must be one committed state.
 func TestAWaitInsideAQueryDoesNotSplitItsRegion(t *testing.T) {
-	sys := acctSystem(t, halvesBal, acctHalves()...)
-	sys.MustExec("CREATE TABLE other (id BIGINT NOT NULL PRIMARY KEY, v BIGINT NOT NULL)")
-	sys.MustExec("INSERT INTO other VALUES (1, 0)")
-	if err := sys.Analyze(); err != nil {
-		t.Fatal(err)
-	}
+	sys := splitSystem(t)
 	inj := fault.New(1)
 	inj.SetLatency(200*time.Millisecond, 0)
 	sys.InjectFaults(inj)
-	// Half the table's rows in the answer make shipping the whole join dearer
-	// than the one remote query for other beside two guarded views.
-	const query = "SELECT lo.bal + hi.bal + o.v FROM acct lo, other o, acct hi WHERE lo.id = 1 AND o.id = 1 AND hi.id > 1500 CURRENCY 600 ON (lo), 600 ON (hi)"
 	sess := sys.Cache.NewSession()
 	local := 0
 	for i := 0; i < 20; i++ {
@@ -200,7 +194,7 @@ func TestAWaitInsideAQueryDoesNotSplitItsRegion(t *testing.T) {
 		}
 		sys.MustExec(swapHalves)
 		before := sys.Cache.Agent(1).TransactionsApplied()
-		res, err := sess.Query(query)
+		res, err := sess.Query(splitQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +211,47 @@ func TestAWaitInsideAQueryDoesNotSplitItsRegion(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 20 answers were local", local)
+}
+
+// splitQuery joins two guarded views of one region with a table no view
+// holds. Half the table's rows in the answer make shipping the whole join
+// dearer than the one remote query for other beside two guarded views.
+const splitQuery = "SELECT lo.bal + hi.bal + o.v FROM acct lo, other o, acct hi WHERE lo.id = 1 AND o.id = 1 AND hi.id > 1500 CURRENCY 600 ON (lo), 600 ON (hi)"
+
+// splitSystem is acctSystem's halves beside other, a one-row table with no
+// view.
+func splitSystem(t *testing.T) *System {
+	sys := acctSystem(t, halvesBal, acctHalves()...)
+	sys.MustExec("CREATE TABLE other (id BIGINT NOT NULL PRIMARY KEY, v BIGINT NOT NULL)")
+	sys.MustExec("INSERT INTO other VALUES (1, 0)")
+	if err := sys.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestJoinOrderIsDeterministic: the planner grows its join states in
+// ascending mask order and keeps equal-cost candidates in the order it made
+// them, so the three-way join gets one plan however often it is planned in
+// one process (Go varies map iteration order from range to range).
+func TestJoinOrderIsDeterministic(t *testing.T) {
+	sys := splitSystem(t)
+	sel, err := sqlparser.ParseSelect(splitQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]int{}
+	for i := 0; i < 50; i++ {
+		plan, _, err := sys.Cache.Plan(sel, opt.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[plan.String()]++
+	}
+	if len(plans) != 1 {
+		t.Fatalf("50 plannings gave %d plans: %v", len(plans), plans)
+	}
+	t.Log(plans)
 }
 
 // TestCoordinatorBesideABlockingSession: a replication driver drains the

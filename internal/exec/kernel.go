@@ -101,8 +101,14 @@ func compileKernel(e sqlparser.Expr, schema *Schema) (boolKernel, bool) {
 // row otherwise (each scan worker narrows its own batches).
 func lift(p Compiled) boolKernel {
 	return func(ctx *EvalContext, cb *sqltypes.ColBatch, cand, dst []int32) ([]int32, error) {
-		dst = resetSel(dst)
-		for j, n := 0, numCand(cb, cand); j < n; j++ {
+		n := len(cand)
+		if cand == nil {
+			n = cb.Len()
+		}
+		if dst = dst[:0]; dst == nil { // dst[:0] of nil is nil, which would mean every row
+			dst = emptySel
+		}
+		for j := 0; j < n; j++ {
 			i := at(cand, j)
 			keep, err := PredicateTrue(p, ctx, cb.Row(i))
 			if err != nil {
@@ -121,16 +127,6 @@ func lift(p Compiled) boolKernel {
 // rows", so a nil result fed back into a kernel chain would re-widen the
 // selection instead of keeping it empty.
 var emptySel = make([]int32, 0)
-
-// resetSel truncates a reusable selection buffer for refilling. A nil dst
-// is replaced by emptySel rather than resliced: dst[:0] of nil is still
-// nil, which a zero-match kernel would then return as "all rows".
-func resetSel(dst []int32) []int32 {
-	if dst == nil {
-		return emptySel
-	}
-	return dst[:0]
-}
 
 // andKernel chains two kernels: the second refines the first's survivors in
 // place (safe because kernels compact left to right).
@@ -272,15 +268,6 @@ func b2i(b bool) int {
 
 // lane is a typed vector representation the comparison loops run on.
 type lane interface{ int64 | float64 | string }
-
-// numCand is the number of candidate rows: cand's length, or every row of cb
-// when cand is nil.
-func numCand(cb *sqltypes.ColBatch, cand []int32) int {
-	if cand == nil {
-		return cb.Len()
-	}
-	return len(cand)
-}
 
 // selRoom sizes dst for n indexes, so the loops below store unconditionally
 // and advance the write position by the comparison's 0 or 1. Never nil.

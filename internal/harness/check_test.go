@@ -184,8 +184,8 @@ func row(t *testing.T, rows []BenchRow, name string) *BenchRow {
 // and custom units land in their columns.
 func TestReadBenchText(t *testing.T) {
 	one, two := readBench(t, "bench_procs1.txt"), readBench(t, "bench_procs2.txt")
-	if len(one) != 31 || len(two) != len(one) {
-		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 31 each", len(one), len(two))
+	if len(one) != 32 || len(two) != len(one) {
+		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 32 each", len(one), len(two))
 	}
 	for i := range one {
 		if one[i].Name != two[i].Name {
@@ -236,6 +236,10 @@ func TestBenchCheckBites(t *testing.T) {
 	}{
 		{"BenchmarkEndToEndQuery/local-point: allocs_op regressed: 6 > 5", func(rows []BenchRow) []BenchRow {
 			*row(t, rows, "BenchmarkEndToEndQuery/local-point").AllocsOp = 6
+			return rows
+		}},
+		{"BenchmarkAnalyze: allocs_op regressed: 662955 > 375", func(rows []BenchRow) []BenchRow {
+			*row(t, rows, "BenchmarkAnalyze").AllocsOp = 662955 // one Key string per value
 			return rows
 		}},
 		{"BenchmarkExecHashJoin/serial: allocs_op regressed", func(rows []BenchRow) []BenchRow {

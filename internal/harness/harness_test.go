@@ -164,7 +164,11 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := testConfig()
-	if err := RunAll(&buf, cfg); err != nil {
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunAllOn(&buf, cfg, sys); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -9,19 +9,10 @@ import (
 	"relaxedcc/internal/tuner"
 )
 
-// RunAll regenerates every table and figure of the paper's evaluation in
-// order, writing the report to w.
-func RunAll(w io.Writer, cfg Config) error {
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return err
-	}
-	return RunAllOn(w, cfg, sys)
-}
-
-// RunAllOn is RunAll against a caller-built system, so callers can keep a
-// handle on it — e.g. to serve its ops HTTP endpoints during and after the
-// run (rccbench -obs / -snapshot).
+// RunAllOn regenerates every table and figure of the paper's evaluation in
+// order against a caller-built system (NewSystem), writing the report to w;
+// the caller keeps a handle on the system, e.g. to serve its ops HTTP
+// endpoints during and after the run (rccbench -obs / -snapshot).
 func RunAllOn(w io.Writer, cfg Config, sys *core.System) error {
 	fmt.Fprintf(w, "Relaxed Currency & Consistency — experiment reproduction\n")
 	fmt.Fprintf(w, "physical scale factor %.3f (%d customers, %d orders); stats scaled to paper: %v\n",

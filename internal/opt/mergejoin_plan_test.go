@@ -53,9 +53,7 @@ func mergeFixture(t *testing.T) *Planner {
 	}
 	for name, tbl := range tables {
 		def := cat.Table(name)
-		stats := catalog.BuildStats(def, func(yield func(sqltypes.Row)) {
-			tbl.Scan(func(r sqltypes.Row) bool { yield(r); return true })
-		})
+		stats := tbl.Analyze()
 		def.Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
 	}
 	return NewPlanner(&Site{

@@ -36,9 +36,7 @@ func parallelFixture(t *testing.T) *Planner {
 		})
 	}
 	def := cat.Table("Customer")
-	stats := catalog.BuildStats(def, func(yield func(sqltypes.Row)) {
-		tbl.Scan(func(r sqltypes.Row) bool { yield(r); return true })
-	})
+	stats := tbl.Analyze()
 	def.Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
 	return NewPlanner(&Site{
 		Cat:        cat,

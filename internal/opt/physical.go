@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -1028,10 +1029,17 @@ func (p *Planner) enumerateJoins(q *Query, semiResiduals map[cc.InstanceID][]sql
 		states[1<<uint(i)] = prune(leafCands[i])
 	}
 	full := uint32(1<<uint(n)) - 1
-	// Grow states by adding one leaf at a time.
+	// Grow states by adding one leaf at a time, in ascending mask order, so
+	// equal-cost candidates arrive in one order on every run.
 	for size := 1; size < n; size++ {
-		for mask, cands := range states {
-			if popcount(mask) != size {
+		masks := make([]uint32, 0, len(states))
+		for mask := range states {
+			masks = append(masks, mask)
+		}
+		slices.Sort(masks)
+		for _, mask := range masks {
+			cands := states[mask]
+			if bits.OnesCount32(mask) != size {
 				continue
 			}
 			connectedExists := false
@@ -1078,7 +1086,6 @@ func (p *Planner) enumerateJoins(q *Query, semiResiduals map[cc.InstanceID][]sql
 					}
 				}
 			}
-			states[mask] = cands
 		}
 		for mask := range states {
 			states[mask] = prune(states[mask])
@@ -1089,14 +1096,6 @@ func (p *Planner) enumerateJoins(q *Query, semiResiduals map[cc.InstanceID][]sql
 		return nil, errNoJoinPlan
 	}
 	return result, nil
-}
-
-func popcount(m uint32) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }
 
 // connected reports whether leaf j has an equi-join edge into the mask.
@@ -1168,7 +1167,7 @@ func prune(cands []*cand) []*cand {
 	if len(cands) <= 1 {
 		return cands
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
 	var out []*cand
 	seen := map[string]bool{}
 	for _, c := range cands {

@@ -76,9 +76,7 @@ func newBackendFixture(t *testing.T) *backendFixture {
 	}
 	for name, tbl := range f.tables {
 		def := f.cat.Table(name)
-		stats := catalog.BuildStats(def, func(yield func(sqltypes.Row)) {
-			tbl.Scan(func(r sqltypes.Row) bool { yield(r); return true })
-		})
+		stats := tbl.Analyze()
 		def.Stats.Set(stats.RowCount, stats.AvgRowBytes, stats.Columns)
 	}
 	f.plan = NewPlanner(&Site{

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"math"
 	"slices"
 
+	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/sqltypes"
 )
 
@@ -119,4 +121,18 @@ func (t *Table) Step(c *Cursor, limit int, visit func(view *sqltypes.ColBatch) (
 	t.mu.RUnlock()
 	c.view.ResetCols(0, 0) // the views go with the latch
 	return read, err
+}
+
+// Analyze computes the table's statistics (catalog.Analyze) in one Step over
+// its whole key range: one read latch, one committed state, each leaf
+// window folded where it lies.
+func (t *Table) Analyze() *catalog.TableStats {
+	var c Cursor
+	c.Keys("", "")
+	return catalog.Analyze(t.def, func(visit func(*sqltypes.ColBatch)) {
+		t.Step(&c, math.MaxInt, func(view *sqltypes.ColBatch) (int, error) {
+			visit(view)
+			return view.Len(), nil
+		})
+	})
 }

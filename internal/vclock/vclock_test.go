@@ -20,9 +20,13 @@ func TestVirtualAdvance(t *testing.T) {
 	if got := v.Now().Sub(Epoch); got != 5*time.Second {
 		t.Fatalf("advanced %v, want 5s", got)
 	}
-	v.AdvanceTo(Epoch.Add(10 * time.Second))
+	v.Reach(Epoch.Add(10 * time.Second))
 	if got := v.Now().Sub(Epoch); got != 10*time.Second {
-		t.Fatalf("AdvanceTo landed at +%v", got)
+		t.Fatalf("Reach landed at +%v", got)
+	}
+	v.Reach(Epoch) // the past: the clock stays
+	if got := v.Now().Sub(Epoch); got != 10*time.Second {
+		t.Fatalf("Reach into the past moved the clock to +%v", got)
 	}
 }
 
@@ -34,17 +38,6 @@ func TestVirtualAdvanceNegativePanics(t *testing.T) {
 		}
 	}()
 	v.Advance(-time.Second)
-}
-
-func TestVirtualAdvanceToPastPanics(t *testing.T) {
-	v := NewVirtual()
-	v.Advance(time.Minute)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo the past did not panic")
-		}
-	}()
-	v.AdvanceTo(Epoch)
 }
 
 func TestWallClock(t *testing.T) {
@@ -61,12 +54,11 @@ func TestWallClock(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdvanceToNeverOvershoots: goroutines advance one clock to
+// TestConcurrentReachNeverOvershoots: goroutines advance one clock to
 // interleaved targets while another reads it. The clock ends at the largest
-// target and never reads above it. A goroutine whose target another has
-// already passed may find it in the past, and panics as AdvanceTo does for
-// any past target; the test accepts that panic only.
-func TestConcurrentAdvanceToNeverOvershoots(t *testing.T) {
+// target and never reads above it; a target another goroutine has already
+// passed leaves the clock where it is.
+func TestConcurrentReachNeverOvershoots(t *testing.T) {
 	const goroutines, steps = 4, 2000
 	v := NewVirtual()
 	last := Epoch.Add(goroutines * steps * time.Microsecond)
@@ -76,14 +68,7 @@ func TestConcurrentAdvanceToNeverOvershoots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= steps; i++ {
-				func() {
-					defer func() {
-						if r := recover(); r != nil && r != "vclock: AdvanceTo into the past" {
-							panic(r)
-						}
-					}()
-					v.AdvanceTo(Epoch.Add(time.Duration((i-1)*goroutines+g+1) * time.Microsecond))
-				}()
+				v.Reach(Epoch.Add(time.Duration((i-1)*goroutines+g+1) * time.Microsecond))
 			}
 		}()
 	}

@@ -3,7 +3,8 @@
 # SwitchUnion and the autotune shift), the end-to-end session benchmark
 # (BenchmarkEndToEndQuery; its local-point-parallel row once more at -cpu 1
 # and -cpu 2, for two-core scaling), the price of a true plan-cache miss
-# (BenchmarkOptimizerConsistencyChecking) and one agent propagation step
+# (BenchmarkOptimizerConsistencyChecking), ANALYZE over a scale-0.1 back end
+# (BenchmarkAnalyze) and one agent propagation step
 # (BenchmarkReplicationApply, 200 ops: each op builds a loaded system outside
 # the timer, so a benchtime in seconds would run for minutes), keeps the
 # `go test -bench` transcript as BENCH_exec.txt and hands it to `rccbench
@@ -14,7 +15,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery|BenchmarkOptimizerConsistencyChecking' \
+go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery|BenchmarkOptimizerConsistencyChecking|BenchmarkAnalyze$' \
   -skip 'BenchmarkEndToEndQuery/local-point-parallel' -benchtime "${1:-2s}" -benchmem . | tee BENCH_exec.txt
 go test -run '^$' -bench 'BenchmarkEndToEndQuery/local-point-parallel$' -cpu 1,2 \
   -benchtime "${1:-2s}" -benchmem . | tee -a BENCH_exec.txt
