@@ -10,7 +10,38 @@ import (
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/core"
+	"relaxedcc/internal/tpcd"
 )
+
+// TestAnalyzeFromTwoGoroutines runs ANALYZE from two goroutines at once. Each
+// call publishes fresh back-end statistics and copies them into the cache's
+// shadow catalog and its views; under -race, a copy that reads a
+// TableStats's column map outside its lock is reported.
+func TestAnalyzeFromTwoGoroutines(t *testing.T) {
+	sys, err := tpcd.NewLoadedSystem(tpcd.Config{ScaleFactor: 0.002, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 40 {
+				if err := sys.Analyze(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
 
 // TestConcurrentQueriesUpdatesAndReplication hammers the system from
 // multiple goroutines — readers with mixed bounds, writers, and a
