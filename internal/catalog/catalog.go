@@ -119,7 +119,7 @@ func (t *Table) clone() *Table {
 		cp.Indexes = append(cp.Indexes, &ic)
 	}
 	if t.Stats != nil {
-		cp.Stats = t.Stats.clone()
+		cp.Stats = t.Stats.Clone()
 	}
 	return cp
 }

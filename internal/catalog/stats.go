@@ -39,7 +39,9 @@ func NewTableStats() *TableStats {
 	return &TableStats{Columns: map[string]*ColumnStats{}, AvgRowBytes: 64}
 }
 
-func (s *TableStats) clone() *TableStats {
+// Clone returns a deep copy of the statistics, taken under the read lock: the
+// one way to read Columns of statistics another goroutine may Set.
+func (s *TableStats) Clone() *TableStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := &TableStats{RowCount: s.RowCount, AvgRowBytes: s.AvgRowBytes, Columns: map[string]*ColumnStats{}}

@@ -81,26 +81,18 @@ func ScaleStatsToPaper(sys *core.System, physicalScale float64) {
 }
 
 func scaleTableStats(s *catalog.TableStats, factor float64) {
-	rows := int64(float64(s.Rows()) * factor)
-	cols := map[string]*catalog.ColumnStats{}
-	for name := range s.Columns {
-		cs := s.Column(name)
-		cp := *cs
-		cp.NDV = int64(float64(cs.NDV) * factor)
-		if cp.NDV > rows {
-			cp.NDV = rows
+	cp := s.Clone()
+	rows := int64(float64(cp.Rows()) * factor)
+	for _, cs := range cp.Columns {
+		if cs.NDV > 32 { // low-cardinality columns (e.g. nation) do not grow
+			cs.NDV = min(int64(float64(cs.NDV)*factor), rows)
 		}
-		if cs.NDV <= 32 { // low-cardinality columns (e.g. nation) do not grow
-			cp.NDV = cs.NDV
-		}
-		cp.NullCount = int64(float64(cs.NullCount) * factor)
-		cp.Histogram = make([]int64, len(cs.Histogram))
+		cs.NullCount = int64(float64(cs.NullCount) * factor)
 		for i, h := range cs.Histogram {
-			cp.Histogram[i] = int64(float64(h) * factor)
+			cs.Histogram[i] = int64(float64(h) * factor)
 		}
-		cols[name] = &cp
 	}
-	s.Set(rows, s.RowBytes(), cols)
+	s.Set(rows, cp.RowBytes(), cp.Columns)
 }
 
 // PlanNumber classifies a plan into the paper's Figure 4.1 plan numbers:
