@@ -808,7 +808,7 @@ func BenchmarkExecGuardedSwitch(b *testing.B) {
 	ledger := obs.NewRegionLedger(reg, sys.Clock.Now())
 	ctx := &exec.EvalContext{
 		Now:     sys.Clock.Now(),
-		OnGuard: func(g exec.GuardDecision) { ledger.Observe(g) },
+		OnGuard: func(g exec.GuardDecision) { ledger.Observe(g.GuardEvent) },
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

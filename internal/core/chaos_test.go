@@ -205,8 +205,8 @@ func TestChaosServeLocalUnderPartition(t *testing.T) {
 		t.Fatalf("violations = %d, want 1", len(res.Violations))
 	}
 	v := res.Violations[0]
-	if v.Action != "serve-local" || v.Region != 1 {
-		t.Errorf("violation = %+v, want serve-local on region 1", v)
+	if !v.Degraded || v.Chosen != 0 || v.Region != 1 {
+		t.Errorf("violation = %+v, want a degraded local serve on region 1", v)
 	}
 	if v.Err == nil || !remote.IsUnavailable(v.Err) {
 		t.Errorf("violation error %v is not an unavailability", v.Err)
@@ -332,11 +332,8 @@ func TestChaosBlockActionWaitsForReplication(t *testing.T) {
 	if len(res.LocalViews) == 0 {
 		t.Fatal("blocking query did not end on the local branch")
 	}
-	if len(res.Violations) != 1 || res.Violations[0].Action != "block" {
-		t.Fatalf("violations = %+v, want one block record", res.Violations)
-	}
-	if res.Violations[0].Waits == 0 {
-		t.Error("block violation recorded zero waits")
+	if len(res.Violations) != 1 || res.Violations[0].BlockWaits == 0 || res.Violations[0].Degraded {
+		t.Fatalf("violations = %+v, want one decision with block waits", res.Violations)
 	}
 	if !sys.Clock.Now().After(before) {
 		t.Error("blocking query did not consume virtual time")

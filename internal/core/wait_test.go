@@ -28,8 +28,8 @@ func TestBlockOnPlainSystemServesLocally(t *testing.T) {
 	if len(res.LocalViews) == 0 || res.RemoteQueries != 0 {
 		t.Fatalf("served from views %v with %d remote queries, want the local branch only", res.LocalViews, res.RemoteQueries)
 	}
-	if len(res.Violations) != 1 || res.Violations[0].Action != "block" || res.Violations[0].Waits == 0 {
-		t.Fatalf("violations = %+v, want one block record with waits", res.Violations)
+	if len(res.Violations) != 1 || res.Violations[0].BlockWaits == 0 || res.Violations[0].Chosen != 0 {
+		t.Fatalf("violations = %+v, want one local decision with block waits", res.Violations)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestBlockWaitsTheEffectiveInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemoteQueries == 0 || len(res.Violations) != 1 || res.Violations[0].Waits != 1 {
+	if res.RemoteQueries == 0 || len(res.Violations) != 1 || res.Violations[0].BlockWaits != 1 {
 		t.Fatalf("%d remote queries, violations %+v: want the remote branch after one wait", res.RemoteQueries, res.Violations)
 	}
 	if got := sys.Clock.Now().Sub(before); got != 3*time.Second {

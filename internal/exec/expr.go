@@ -27,8 +27,8 @@ type EvalContext struct {
 	// session.
 	Query uint64
 	// OnGuard, when non-nil, receives every SwitchUnion guard decision taken
-	// during this execution — the hook metrics and tracing layers use to
-	// observe branch picks and staleness without touching operator state.
+	// during this execution — branch, staleness, region state and violation
+	// action in one value — without touching operator state.
 	OnGuard func(GuardDecision)
 	// Degrade selects the SwitchUnion behavior when the remote branch it
 	// picked turns out to be unavailable (the paper's violation actions):
@@ -39,10 +39,6 @@ type EvalContext struct {
 	// condition degraded modes react to). Sessions wire it to
 	// remote.IsUnavailable; nil disables degraded handling.
 	Unavailable func(error) bool
-	// OnViolation, when non-nil, receives every degraded-mode event — a
-	// remote failure absorbed by the local branch, a blocked guard, or a
-	// fail-fast — so sessions can surface warnings and count metrics.
-	OnViolation func(Violation)
 	// GuardRetry paces DegradeBlock: called before the attempt-th guard
 	// re-evaluation for the given region, it waits for replication to make
 	// progress and reports whether to keep blocking. Returning false gives
@@ -52,13 +48,6 @@ type EvalContext struct {
 	// succeeded: the remote queries that answered part of it. Whoever reuses
 	// the context resets it between executions.
 	Fetches int
-	// Locals lists, for every guard whose local branch answered in this
-	// execution, its region's state word and the value the word held when
-	// the guard judged (SwitchUnion appends; whoever reuses the context
-	// resets it between executions). A caller that finds none of those words
-	// moved after the run knows each region's local rows are one committed
-	// state.
-	Locals []LocalRead
 	// RemoteOnly sends every SwitchUnion of this execution to its remote
 	// branch once its guard has judged: the last run of a query whose local
 	// reads met an apply twice.

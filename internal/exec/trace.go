@@ -88,7 +88,7 @@ func (t *Traced) Open(ctx *EvalContext) error {
 		sink := ctx.OnGuard
 		defer func() { ctx.OnGuard = sink }()
 		ctx.OnGuard = func(d GuardDecision) {
-			if t.node.Guard = &d; sink != nil {
+			if t.node.Guard = &d.GuardEvent; sink != nil {
 				sink(d)
 			}
 		}

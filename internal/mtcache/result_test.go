@@ -21,7 +21,7 @@ type resultRow struct {
 	remoteQueries int
 	behind        time.Duration // statement start minus AsOf
 	degraded      bool
-	violations    []string // action/region/waits of each warning
+	violations    []string // degraded/region/block waits of each warning
 }
 
 // TestResultReportsItsSources pins, per kind of statement, what QueryResult
@@ -75,13 +75,13 @@ func TestResultReportsItsSources(t *testing.T) {
 			// the link backs off before the fall-back; the answer is as of
 			// the one the guard judged, the staleness its decision reports.
 		}, resultRow{localViews: []string{guard}, behind: 4*time.Minute + 6*time.Second, degraded: true,
-			violations: []string{"serve-local/1/0"}}},
+			violations: []string{"degraded/1/0"}}},
 		{"blocked", point, mtcache.ActionBlock, func() {
 			inj.SetPartitioned(false)
 			sys.Clock.Advance(2 * time.Minute)
 			// The wait lets replication run: the answer is fresher than the
 			// clock the statement started at.
-		}, resultRow{localViews: []string{guard}, behind: -10 * time.Second, violations: []string{"block/1/1"}}},
+		}, resultRow{localViews: []string{guard}, behind: -10 * time.Second, violations: []string{"local/1/1"}}},
 		{"no currency clause", tpcd.PointQuery(17, ""), mtcache.ActionError, nil,
 			resultRow{remoteQueries: 1}},
 	} {
@@ -102,7 +102,11 @@ func TestResultReportsItsSources(t *testing.T) {
 			degraded:      res.Degraded,
 		}
 		for _, v := range res.Violations {
-			got.violations = append(got.violations, fmt.Sprintf("%s/%d/%d", v.Action, v.Region, v.Waits))
+			action := v.Branch()
+			if v.Degraded {
+				action = "degraded"
+			}
+			got.violations = append(got.violations, fmt.Sprintf("%s/%d/%d", action, v.Region, v.BlockWaits))
 		}
 		if !reflect.DeepEqual(got, st.want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", st.name, got, st.want)

@@ -159,9 +159,7 @@ func TestReconfigureResetsOnlyTheSLOHalf(t *testing.T) {
 	at := wlStart().Add(5 * time.Second)
 	l.Observe(obsWithin(1))
 	l.Observe(obsDegraded(1))
-	l.Observe(GuardEvent{Region: 2, Chosen: 1, Bound: time.Second})
-	l.Degraded(1)
-	l.BlockWaits(3)
+	l.Observe(GuardEvent{Region: 2, Chosen: 1, Bound: time.Second, BlockWaits: 3})
 	metrics, profiles := reg.Snapshot(), l.Snapshot(at)
 
 	l.Reconfigure(0.9, 16)
