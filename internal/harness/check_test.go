@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,37 @@ func TestReadBenchText(t *testing.T) {
 	}
 	if _, err := ReadBenchText("PASS\nok  \trelaxedcc\t1.0s\n"); err == nil {
 		t.Error("a transcript without benchmark lines read as a report")
+	}
+}
+
+// TestReadBenchTextFoldsRepeats: the rows of a benchmark run with -count 3
+// read as one row in the place of the first, each column the median of its
+// runs, once the shared GOMAXPROCS suffix is dropped; a column only some runs
+// report is the median of those.
+func TestReadBenchTextFoldsRepeats(t *testing.T) {
+	rows, err := ReadBenchText(`BenchmarkExecScan/serial-2     	 100	 500 ns/op	 200 rows/sec	 64 B/op	 2 allocs/op
+BenchmarkExecScan/parallel-4-2 	 100	 300 ns/op	 900 rows/sec	 96 B/op	 27 allocs/op
+BenchmarkExecScan/parallel-4-2 	 100	 100 ns/op	 700 rows/sec	 96 B/op	 29 allocs/op	 0.5 local_ratio
+BenchmarkExecScan/parallel-4-2 	 100	 200 ns/op	 800 rows/sec	 96 B/op	 28 allocs/op	 0.7 local_ratio
+BenchmarkEndToEndQuery/local-point-parallel-2 	 100	 90 ns/op	 364 B/op	 3 allocs/op
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.Name)
+	}
+	if want := []string{"BenchmarkExecScan/serial", "BenchmarkExecScan/parallel-4", "BenchmarkEndToEndQuery/local-point-parallel-2"}; !slices.Equal(names, want) {
+		t.Fatalf("rows %q, want %q", names, want)
+	}
+	p := rows[1]
+	if p.NsOp != 200 || *p.RowsPerSec != 800 || *p.AllocsOp != 28 || *p.BOp != 96 || *p.GuardLocalRatio != 0.6 || p.StaleP50MS != nil {
+		t.Errorf("folded row = ns_op %v rows_per_sec %v allocs_op %v B_op %v local_ratio %v stale_p50_ms %v, want 200 800 28 96 0.6 nil",
+			p.NsOp, *p.RowsPerSec, *p.AllocsOp, *p.BOp, *p.GuardLocalRatio, p.StaleP50MS)
+	}
+	if s := rows[0]; s.NsOp != 500 || *s.RowsPerSec != 200 {
+		t.Errorf("single row = ns_op %v rows_per_sec %v, want it as read", s.NsOp, *s.RowsPerSec)
 	}
 }
 

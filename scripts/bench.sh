@@ -2,7 +2,9 @@
 # Runs the executor benchmarks (serial vs morsel-parallel, the guarded
 # SwitchUnion and the autotune shift), the end-to-end session benchmark
 # (BenchmarkEndToEndQuery; its local-point-parallel row once more at -cpu 1
-# and -cpu 2, for two-core scaling), the price of a true plan-cache miss
+# and -cpu 2, for two-core scaling; the scan and filter-scan parallel-N rows
+# three times in their own pass, read as the median of the three), the price
+# of a true plan-cache miss
 # (BenchmarkOptimizerConsistencyChecking), ANALYZE over a scale-0.1 back end
 # (BenchmarkAnalyze) and one agent propagation step
 # (BenchmarkReplicationApply, 200 ops: each op builds a loaded system outside
@@ -16,7 +18,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 go test -run '^$' -bench 'BenchmarkExec|BenchmarkEndToEndQuery|BenchmarkOptimizerConsistencyChecking|BenchmarkAnalyze$' \
-  -skip 'BenchmarkEndToEndQuery/local-point-parallel' -benchtime "${1:-2s}" -benchmem . | tee BENCH_exec.txt
+  -skip '^Benchmark(EndToEndQuery|ExecScan|ExecFilterScan)$/^(local-point-parallel|parallel-)' \
+  -benchtime "${1:-2s}" -benchmem . | tee BENCH_exec.txt
+go test -run '^$' -bench '^BenchmarkExec(Scan|FilterScan)$/^parallel-' -count 3 \
+  -benchtime "${1:-2s}" -benchmem . | tee -a BENCH_exec.txt
 go test -run '^$' -bench 'BenchmarkEndToEndQuery/local-point-parallel$' -cpu 1,2 \
   -benchtime "${1:-2s}" -benchmem . | tee -a BENCH_exec.txt
 go test -run '^$' -bench 'BenchmarkReplicationApply$' -benchtime 200x -benchmem . | tee -a BENCH_exec.txt
