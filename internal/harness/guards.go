@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"relaxedcc/internal/core"
@@ -212,11 +213,7 @@ func medianPhases(xs []exec.PhaseTimes) exec.PhaseTimes {
 		for i, x := range xs {
 			vals[i] = pick(x)
 		}
-		for i := 1; i < len(vals); i++ {
-			for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-				vals[j], vals[j-1] = vals[j-1], vals[j]
-			}
-		}
+		slices.Sort(vals)
 		return vals[len(vals)/2]
 	}
 	return exec.PhaseTimes{
