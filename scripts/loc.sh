@@ -14,9 +14,9 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=26028
-exec_max=3857
-spine_max=4878
+total_max=25922
+exec_max=3796
+spine_max=4834
 scenario_max=2722
 analysis_max=1361
 opt_max=3369
