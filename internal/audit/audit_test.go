@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,14 +14,20 @@ import (
 
 var t0 = time.Date(2004, 6, 13, 0, 0, 0, 0, time.UTC)
 
-func newTestAuditor() *Auditor { return New(obs.NewRegistry()) }
+func newTestAuditor() *Auditor { return New(obs.NewRegistry(), txn.NewLog()) }
 
-// commit appends one single-table commit at t0+at.
+// commit appends one single-table commit at t0+at to the auditor's log,
+// which must number it seq.
 func commit(a *Auditor, seq int64, at time.Duration, table string) {
-	a.ObserveCommit(txn.CommitRecord{
-		TS:      txn.Timestamp{Seq: seq, At: t0.Add(at)},
-		Changes: []txn.Change{{Table: table, New: sqltypes.Row{sqltypes.NewInt(1)}}},
-	})
+	appendAs(a, seq, at, txn.Change{Table: table, New: sqltypes.Row{sqltypes.NewInt(1)}})
+}
+
+// appendAs appends one commit of the given changes at t0+at to the
+// auditor's log, which must number it seq.
+func appendAs(a *Auditor, seq int64, at time.Duration, changes ...txn.Change) {
+	if ts := a.log.Append(t0.Add(at), changes); ts.Seq != seq {
+		panic(fmt.Sprintf("log numbered the commit %d, want %d", ts.Seq, seq))
+	}
 }
 
 // queryIDs numbers the test's queries the way the cache's tracer does.
@@ -77,6 +84,18 @@ func TestCheckerClassifiesOKAndViolation(t *testing.T) {
 	if v.ReplLagNS != int64(28*time.Second) {
 		t.Fatalf("repl lag = %v", time.Duration(v.ReplLagNS))
 	}
+
+	// A DELETE is a change too: synced through seq 2, served at +50s, the
+	// copy went stale at the delete-only seq-3 commit at +40s.
+	appendAs(a, 3, 40*time.Second, txn.Change{Table: "T", Old: sqltypes.Row{sqltypes.NewInt(1)}})
+	a.Reads([]ReadEvent{read(5*time.Second, 50*time.Second, 2)})
+	s = a.Summary()
+	if s.CurrencyViolations != 2 || len(s.RecentViolations) != 2 {
+		t.Fatalf("delete-only commit did not make the copy stale: %+v", s.Tally)
+	}
+	if v := s.RecentViolations[1]; v.StaleSeq != 3 || v.DeliveredNS != int64(10*time.Second) {
+		t.Fatalf("delete evidence: stale seq %d, delivered %v", v.StaleSeq, time.Duration(v.DeliveredNS))
+	}
 }
 
 func TestCheckerDisclosedUnboundedRemote(t *testing.T) {
@@ -91,15 +110,19 @@ func TestCheckerDisclosedUnboundedRemote(t *testing.T) {
 	unbounded := read(0, 30*time.Second, 1)
 	remote := read(time.Second, 30*time.Second, 1)
 	remote.Chosen = 1
-	a.Reads([]ReadEvent{degraded, stale, unbounded, remote})
+	// A local serve of a region that registered no object has no copy to
+	// find a stale point for.
+	unregistered := read(time.Second, 30*time.Second, 1)
+	unregistered.Region = 2
+	a.Reads([]ReadEvent{degraded, stale, unbounded, remote, unregistered})
 
 	s := a.Summary()
-	if s.ReadsChecked != 4 {
+	if s.ReadsChecked != 5 {
 		t.Fatalf("checked = %d", s.ReadsChecked)
 	}
 	// Broken promises that were disclosed to the client are not violations;
 	// remote serves read the master and are OK regardless of replication.
-	if s.Disclosed != 2 || s.Unbounded != 1 || s.OK != 1 || s.ViolationsTotal != 0 {
+	if s.Disclosed != 2 || s.Unbounded != 1 || s.OK != 1 || s.Unchecked != 1 || s.ViolationsTotal != 0 {
 		t.Fatalf("tally = %+v", s.Tally)
 	}
 }
@@ -122,28 +145,6 @@ func TestCheckerBaseSeqOverridesAgentSeq(t *testing.T) {
 	a.chk.mu.Unlock()
 	if base != 2 {
 		t.Fatalf("re-registration raised baseSeq to %d", base)
-	}
-}
-
-func TestCheckerUncheckedOutsideRetainedWindow(t *testing.T) {
-	a := newTestAuditor()
-	a.chk.maxCommits = 16
-	a.RegisterObject(1, "T", 0)
-	// 40 commits with a 16-commit window: compaction leaves a window starting well
-	// past seq 1.
-	for i := 1; i <= 40; i++ {
-		commit(a, int64(i), time.Duration(i)*time.Second, "T")
-	}
-	// A read synced at seq 1 needs history the checker compacted away.
-	a.Reads([]ReadEvent{read(5*time.Second, 50*time.Second, 1)})
-	s := a.Summary()
-	if s.Unchecked != 1 || s.ViolationsTotal != 0 {
-		t.Fatalf("pre-window read not unchecked: %+v", s.Tally)
-	}
-	// A read synced to the newest commit still checks fine.
-	a.Reads([]ReadEvent{read(5*time.Second, 50*time.Second, 40)})
-	if s := a.Summary(); s.OK != 1 {
-		t.Fatalf("in-window read: %+v", s.Tally)
 	}
 }
 
@@ -181,7 +182,8 @@ func TestThetaConsistencyCheck(t *testing.T) {
 		{ev: ReadEvent{GuardEvent: obs.GuardEvent{Query: 9, Region: 2, Bound: 5 * time.Second},
 			SyncSeq: 2, ServeTSNS: t0.Add(41 * time.Second).UnixNano()}, asOf: 4},
 	}
-	v, bad := c.thetaLocked(9, locals)
+	recs := a.log.Since(0)
+	v, bad := c.thetaLocked(recs, 9, locals)
 	c.mu.Unlock()
 	if !bad {
 		t.Fatal("Θ excess not flagged")
@@ -196,7 +198,7 @@ func TestThetaConsistencyCheck(t *testing.T) {
 
 	// Single-region sets are mutually consistent by construction.
 	c.mu.Lock()
-	_, bad = c.thetaLocked(9, []localServe{locals[0], locals[0]})
+	_, bad = c.thetaLocked(recs, 9, []localServe{locals[0], locals[0]})
 	c.mu.Unlock()
 	if bad {
 		t.Fatal("single-region set flagged")
@@ -209,7 +211,7 @@ func TestThetaConsistencyCheck(t *testing.T) {
 // ledger stays complete.
 func TestRingOverflowCountsDrops(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := New(reg)
+	a := New(reg, txn.NewLog())
 	a.reads = obs.NewRing[ReadEvent](16)
 	a.RegisterObject(1, "T", 0)
 	commit(a, 1, 0, "T")
@@ -223,8 +225,8 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 		a.Reads([]ReadEvent{ev})
 	}
 	s := a.Summary()
-	if s.ReadsChecked != 20 || s.DroppedReads != 4 || s.DroppedCommits != 0 {
-		t.Fatalf("checked/dropped = %d/%d (commits dropped %d)", s.ReadsChecked, s.DroppedReads, s.DroppedCommits)
+	if s.ReadsChecked != 20 || s.DroppedReads != 4 || s.DroppedApplies != 0 {
+		t.Fatalf("checked/dropped = %d/%d (applies dropped %d)", s.ReadsChecked, s.DroppedReads, s.DroppedApplies)
 	}
 	if got := reg.Snapshot().Counters[`audit_events_dropped_total{kind="read"}`]; got != 4 {
 		t.Fatalf("audit_events_dropped_total{kind=read} = %d, want 4", got)
@@ -260,7 +262,7 @@ func TestReplayMatchesOnline(t *testing.T) {
 	if online.ViolationsTotal == 0 || online.OK == 0 || online.Disclosed == 0 {
 		t.Fatalf("workload not mixed: %+v", online.Tally)
 	}
-	if online.DroppedCommits+online.DroppedReads+online.DroppedApplies != 0 {
+	if online.DroppedReads+online.DroppedApplies != 0 {
 		t.Fatalf("unexpected drops: %+v", online)
 	}
 	replay := a.Replay()
@@ -297,13 +299,11 @@ func TestSummaryNilSafe(t *testing.T) {
 // builds.
 func TestDisabledPathAllocatesNothing(t *testing.T) {
 	var a *Auditor
-	rec := txn.CommitRecord{TS: txn.Timestamp{Seq: 1, At: t0}}
 	evs := []ReadEvent{read(time.Second, time.Second, 0)}
 	if n := testing.AllocsPerRun(1000, func() {
 		if a.Enabled() {
 			t.Fatal("nil enabled")
 		}
-		a.ObserveCommit(rec)
 		a.ObserveApply(1, 1, t0)
 		a.Reads(evs)
 	}); n != 0 {
@@ -316,18 +316,20 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 // read is classified exactly once and the classes sum to the total.
 func TestConcurrentRecordingConservesCounts(t *testing.T) {
 	a := newTestAuditor()
-	a.commits = obs.NewRing[CommitEvent](64)
 	a.reads = obs.NewRing[ReadEvent](128)
 	a.applies = obs.NewRing[ApplyEvent](64)
 	a.RegisterObject(1, "T", 0)
 	const writers, per = 4, 200
 	var wg sync.WaitGroup
+	// Commits are appended under one lock so their times rise with their
+	// sequence numbers, as on the back end.
 	var seq int64
 	var seqMu sync.Mutex
 	nextSeq := func() int64 {
 		seqMu.Lock()
 		defer seqMu.Unlock()
 		seq++
+		commit(a, seq, time.Duration(seq)*time.Millisecond, "T")
 		return seq
 	}
 	stop := make(chan struct{})
@@ -357,7 +359,6 @@ func TestConcurrentRecordingConservesCounts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				n := nextSeq()
-				commit(a, n, time.Duration(n)*time.Millisecond, "T")
 				a.ObserveApply(1, n, t0.Add(time.Duration(n)*time.Millisecond))
 				ev := read(time.Duration(w+1)*time.Millisecond,
 					time.Duration(n)*time.Millisecond, n-1)

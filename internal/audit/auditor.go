@@ -10,26 +10,21 @@ import (
 
 // The auditor's bounded state, sized for a harness run: large enough that a
 // chaos/shift/load sweep replays offline without drops, small enough to be
-// always-on.
+// always-on. The master history is not among it: the checker reads txn.Log.
 const (
-	// commitRing, readRing and applyRing bound the recorded event rings.
-	// Overwritten events count as dropped; they only limit offline replay,
-	// not the online checker.
-	commitRing = 4096
-	readRing   = 16384
-	applyRing  = 2048
-	// maxCommits bounds the online checker's retained history window; past
-	// it the oldest half is compacted away and reads older than the window
-	// classify as unchecked.
-	maxCommits = 65536
+	// readRing and applyRing bound the recorded event rings. Overwritten
+	// events count as dropped; they only limit offline replay, not the
+	// online checker.
+	readRing  = 16384
+	applyRing = 2048
 	// maxRecent bounds the retained violation evidence list.
 	maxRecent = 32
 )
 
-// Auditor records the system's C&C history into bounded rings and checks
-// every served read against the formal semantics online. An installed
-// auditor is on; every hook is nil-safe, so a system without one pays a nil
-// check per hook and allocates nothing.
+// Auditor records the system's guard decisions and replication progress
+// into bounded rings and checks every served read online against the master
+// commit log. An installed auditor is on; every hook is nil-safe, so a
+// system without one pays a nil check per hook and allocates nothing.
 //
 // Metric names (registered on the cache's registry; see DESIGN.md
 // "Delivered-guarantee auditing"):
@@ -39,12 +34,12 @@ const (
 //	audit_violations_total{class}    silent violations (currency, consistency)
 //	audit_disclosed_total            broken-but-disclosed serves (degraded, stale)
 //	audit_unbounded_total            reads with no finite bound to audit
-//	audit_unchecked_total            reads outside the retained history window
-//	audit_events_dropped_total{kind} ring overwrites (commit, read, apply)
+//	audit_unchecked_total            local reads of a region with no registered object
+//	audit_events_dropped_total{kind} ring overwrites (read, apply)
 //	audit_excess_staleness_ns        histogram: delivered minus declared on violations
 //	audit_slack_ns                   histogram: declared minus delivered on OK reads
 type Auditor struct {
-	commits *obs.Ring[CommitEvent]
+	log     *txn.Log
 	reads   *obs.Ring[ReadEvent]
 	applies *obs.Ring[ApplyEvent]
 	chk     *checker
@@ -55,28 +50,27 @@ type Auditor struct {
 	mDisclosed      *obs.Counter
 	mUnbounded      *obs.Counter
 	mUnchecked      *obs.Counter
-	mDroppedCommits *obs.Counter
 	mDroppedReads   *obs.Counter
 	mDroppedApplies *obs.Counter
 	mExcess         *obs.Histogram
 	mSlack          *obs.Histogram
 }
 
-// New creates an auditor and registers its instruments on reg.
-func New(reg *obs.Registry) *Auditor {
+// New creates an auditor that checks reads against the master commit log
+// and registers its instruments on reg.
+func New(reg *obs.Registry, log *txn.Log) *Auditor {
 	dropped := reg.CounterVec("audit_events_dropped_total", "kind")
 	return &Auditor{
-		commits:         obs.NewRing[CommitEvent](commitRing),
+		log:             log,
 		reads:           obs.NewRing[ReadEvent](readRing),
 		applies:         obs.NewRing[ApplyEvent](applyRing),
-		chk:             newChecker(maxCommits, maxRecent),
+		chk:             newChecker(),
 		mChecked:        reg.Counter("audit_reads_checked_total"),
 		mOK:             reg.Counter("audit_reads_ok_total"),
 		mViolations:     reg.CounterVec("audit_violations_total", "class"),
 		mDisclosed:      reg.Counter("audit_disclosed_total"),
 		mUnbounded:      reg.Counter("audit_unbounded_total"),
 		mUnchecked:      reg.Counter("audit_unchecked_total"),
-		mDroppedCommits: dropped.With("commit"),
 		mDroppedReads:   dropped.With("read"),
 		mDroppedApplies: dropped.With("apply"),
 		mExcess:         reg.Histogram("audit_excess_staleness_ns"),
@@ -87,39 +81,6 @@ func New(reg *obs.Registry) *Auditor {
 // Enabled reports whether an auditor is installed, i.e. a is not nil, so
 // callers keep a plain field and one branch on the hot path.
 func (a *Auditor) Enabled() bool { return a != nil }
-
-// ObserveCommit records one committed master transaction. It is installed
-// as the txn.Log observer and runs synchronously under the log's lock, so
-// commit events arrive in sequence order.
-func (a *Auditor) ObserveCommit(rec txn.CommitRecord) {
-	if !a.Enabled() {
-		return
-	}
-	ev := CommitEvent{Seq: rec.TS.Seq, AtNS: rec.TS.At.UnixNano(), Tables: commitTables(rec.Changes)}
-	if a.commits.Push(ev) {
-		a.mDroppedCommits.Inc()
-	}
-	a.chk.addCommit(ev)
-}
-
-// commitTables returns the distinct base tables a commit modified, in
-// first-touch order.
-func commitTables(changes []txn.Change) []string {
-	var out []string
-	for _, ch := range changes {
-		seen := false
-		for _, t := range out {
-			if t == ch.Table {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, ch.Table)
-		}
-	}
-	return out
-}
 
 // ObserveApply records one replication propagation step; matches the
 // repl.Agent apply-sink signature.
@@ -145,8 +106,8 @@ func (a *Auditor) RegisterObject(region int, table string, baseSeq int64) {
 }
 
 // Reads records and checks one executed query's guard decisions, which all
-// carry the query's id: they are recorded, folded through the online checker,
-// and the outcome counters updated. evs is read, not kept.
+// carry the query's id: they are recorded, checked against the commit log as
+// it stands, and the outcome counters updated. evs is read, not kept.
 func (a *Auditor) Reads(evs []ReadEvent) {
 	if !a.Enabled() || len(evs) == 0 {
 		return
@@ -156,7 +117,7 @@ func (a *Auditor) Reads(evs []ReadEvent) {
 			a.mDroppedReads.Inc()
 		}
 	}
-	outs, viols := a.chk.checkQuery(evs)
+	outs, viols := a.chk.checkQuery(a.log.Since(0), evs)
 	for _, out := range outs {
 		a.mChecked.Inc()
 		switch out.class {
@@ -197,11 +158,12 @@ type Summary struct {
 	Tally
 	ViolationsTotal  int64       `json:"violations_total"`
 	RecentViolations []Violation `json:"recent_violations"`
-	// Ring accounting: events recorded and overwritten. Drops bound offline
-	// replay coverage; the online ledger above is complete regardless.
+	// Commits is the length of the master history the reads were checked
+	// against. The rest is ring accounting: events recorded and
+	// overwritten. Drops bound offline replay coverage; the online ledger
+	// above is complete regardless.
 	Commits        uint64 `json:"commits"`
 	Applies        uint64 `json:"applies"`
-	DroppedCommits uint64 `json:"dropped_commits"`
 	DroppedReads   uint64 `json:"dropped_reads"`
 	DroppedApplies uint64 `json:"dropped_applies"`
 }
@@ -212,14 +174,14 @@ func (a *Auditor) Summary() Summary {
 	if a == nil {
 		return Summary{RecentViolations: []Violation{}}
 	}
-	s := a.ledger(a.chk, a.commits.Pushed(), a.applies.Pushed())
-	s.DroppedCommits, s.DroppedReads, s.DroppedApplies = a.commits.Dropped(), a.reads.Dropped(), a.applies.Dropped()
+	s := a.ledger(a.chk, a.applies.Pushed())
+	s.DroppedReads, s.DroppedApplies = a.reads.Dropped(), a.applies.Dropped()
 	return s
 }
 
 // ledger renders a checker's tally and retained violations — the online
-// checker's or a replay's — over a history of that many commits and applies.
-func (a *Auditor) ledger(chk *checker, commits, applies uint64) Summary {
+// checker's or a replay's — over the commit log and that many applies.
+func (a *Auditor) ledger(chk *checker, applies uint64) Summary {
 	tally, recent := chk.summary()
 	if recent == nil {
 		recent = []Violation{}
@@ -229,34 +191,31 @@ func (a *Auditor) ledger(chk *checker, commits, applies uint64) Summary {
 		Tally:            tally,
 		ViolationsTotal:  tally.Violations(),
 		RecentViolations: recent,
-		Commits:          commits,
+		Commits:          uint64(a.log.LastSeq()),
 		Applies:          applies,
 	}
 }
 
-// Replay re-checks the recorded history offline: a fresh checker folds the
-// ring contents in virtual-time order (commits and applies before the reads
-// they precede, reads grouped by query). When no events were dropped the
-// replayed ledger must equal the online one — the exhaustive-verification
-// mode for harness runs.
+// Replay re-checks the recorded reads offline: a fresh checker folds the
+// ring contents in virtual-time order (applies before the reads they
+// precede, reads grouped by query) against the commit log. When no events
+// were dropped the replayed ledger must equal the online one — the
+// exhaustive-verification mode for harness runs.
 func (a *Auditor) Replay() Summary {
-	chk := newChecker(a.chk.maxCommits, a.chk.maxRecent)
+	chk := newChecker()
 	a.chk.mu.Lock()
 	for region, tables := range a.chk.objects {
+		// Direct map fill: registerObject would retake the fresh checker's
+		// lock needlessly, and chk is still private here.
+		m := map[string]int64{}
 		for table, baseSeq := range tables {
-			// Direct map fill: registerObject would retake the fresh
-			// checker's lock needlessly, and chk is still private here.
-			m := chk.objects[region]
-			if m == nil {
-				m = map[string]int64{}
-				chk.objects[region] = m
-			}
 			m[table] = baseSeq
 		}
+		chk.objects[region] = m
 	}
 	a.chk.mu.Unlock()
 
-	commits := a.commits.Snapshot()
+	recs := a.log.Since(0)
 	applies := a.applies.Snapshot()
 	reads := a.reads.Snapshot()
 
@@ -268,52 +227,39 @@ func (a *Auditor) Replay() Summary {
 	}
 	type step struct {
 		atNS int64
-		kind int // 0 commit, 1 apply, 2 read group — commits first on ties
-		ci   int
+		read bool // applies first on ties
 		ai   int
 		q    uint64
 	}
-	steps := make([]step, 0, len(commits)+len(applies)+len(groups))
-	for i, ev := range commits {
-		steps = append(steps, step{atNS: ev.AtNS, kind: 0, ci: i})
-	}
+	steps := make([]step, 0, len(applies)+len(groups))
 	for i, ev := range applies {
-		steps = append(steps, step{atNS: ev.AtNS, kind: 1, ai: i})
+		steps = append(steps, step{atNS: ev.AtNS, ai: i})
 	}
 	for q, evs := range groups {
 		at := int64(0)
 		for _, ev := range evs {
-			if ev.ServeTSNS > at {
-				at = ev.ServeTSNS
-			}
+			at = max(at, ev.ServeTSNS)
 		}
-		steps = append(steps, step{atNS: at, kind: 2, q: q})
+		steps = append(steps, step{atNS: at, read: true, q: q})
 	}
 	sort.Slice(steps, func(i, j int) bool {
-		if steps[i].atNS != steps[j].atNS {
-			return steps[i].atNS < steps[j].atNS
-		}
-		if steps[i].kind != steps[j].kind {
-			return steps[i].kind < steps[j].kind
-		}
-		switch steps[i].kind {
-		case 0:
-			return commits[steps[i].ci].Seq < commits[steps[j].ci].Seq
-		case 1:
-			return applies[steps[i].ai].ThroughSeq < applies[steps[j].ai].ThroughSeq
+		switch si, sj := steps[i], steps[j]; {
+		case si.atNS != sj.atNS:
+			return si.atNS < sj.atNS
+		case si.read != sj.read:
+			return !si.read
+		case si.read:
+			return si.q < sj.q
 		default:
-			return steps[i].q < steps[j].q
+			return applies[si.ai].ThroughSeq < applies[sj.ai].ThroughSeq
 		}
 	})
 	for _, st := range steps {
-		switch st.kind {
-		case 0:
-			chk.addCommit(commits[st.ci])
-		case 1:
+		if st.read {
+			chk.checkQuery(recs, groups[st.q])
+		} else {
 			chk.noteApply(applies[st.ai])
-		default:
-			chk.checkQuery(groups[st.q])
 		}
 	}
-	return a.ledger(chk, uint64(len(commits)), uint64(len(applies)))
+	return a.ledger(chk, uint64(len(applies)))
 }

@@ -4,9 +4,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"relaxedcc/internal/semantics"
+	"relaxedcc/internal/txn"
 )
 
 // Class classifies one checked read.
@@ -83,14 +82,12 @@ type outcome struct {
 	excessNS int64
 }
 
-// checker folds recorded events through the semantics oracle. It maintains
-// the master history incrementally (bounded: the oldest half is compacted
-// away past maxCommits, and reads older than the retained window classify
-// as unchecked rather than guessed at).
+// checker folds read events against the master history, which it does not
+// hold: each check reads the commit log (txn.Log, the history H_n) as it
+// stands, finds the serve's position in it by commit time and each copy's
+// stale point by scanning the commits after the copy's sync point.
 type checker struct {
-	mu      sync.Mutex
-	hist    *semantics.History
-	commits []CommitEvent // retained window, ascending seq
+	mu sync.Mutex
 	// objects maps region -> base table -> the commit sequence the region's
 	// initial snapshot of that table reflects. A region agent's applied
 	// sequence starts at 0 even though its views were populated at their
@@ -101,58 +98,12 @@ type checker struct {
 	// contributing-replication-lag evidence on violations.
 	lastApplyNS map[int]int64
 
-	maxCommits int
-	maxRecent  int
-
 	tally  Tally
 	recent []Violation
 }
 
-func newChecker(maxCommits, maxRecent int) *checker {
-	return &checker{
-		hist:        semantics.NewHistory(),
-		objects:     map[int]map[string]int64{},
-		lastApplyNS: map[int]int64{},
-		maxCommits:  maxCommits,
-		maxRecent:   maxRecent,
-	}
-}
-
-// addCommit appends one commit to the history. Out-of-order or duplicate
-// sequences (offline replay overlap) are ignored.
-func (c *checker) addCommit(ev CommitEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.commits); n > 0 && c.commits[n-1].Seq >= ev.Seq {
-		return
-	}
-	c.commitLocked(ev)
-	c.commits = append(c.commits, ev)
-	if len(c.commits) > c.maxCommits {
-		c.compactLocked()
-	}
-}
-
-func (c *checker) commitLocked(ev CommitEvent) {
-	writes := make(map[semantics.ObjectID]string, len(ev.Tables))
-	for _, t := range ev.Tables {
-		writes[semantics.ObjectID(t)] = ""
-	}
-	// The only rejection is a non-increasing xtime, which addCommit and
-	// compactLocked both rule out.
-	_ = c.hist.Commit(ev.Seq, time.Unix(0, ev.AtNS), writes)
-}
-
-// compactLocked drops the oldest half of the retained window and rebuilds
-// the semantics history from the remainder; reads whose sync point predates
-// the new window classify as unchecked.
-func (c *checker) compactLocked() {
-	keep := c.commits[len(c.commits)/2:]
-	c.hist = semantics.NewHistory()
-	c.commits = append([]CommitEvent(nil), keep...)
-	for _, ev := range c.commits {
-		c.commitLocked(ev)
-	}
+func newChecker() *checker {
+	return &checker{objects: map[int]map[string]int64{}, lastApplyNS: map[int]int64{}}
 }
 
 // registerObject declares that a region serves the table from a snapshot
@@ -180,28 +131,34 @@ func (c *checker) noteApply(ev ApplyEvent) {
 	}
 }
 
-// asOfLocked returns the history position exposed at serve time: the
-// sequence of the latest retained commit at or before serveNS, and whether
-// the retained window still covers that point (false once compaction has
-// discarded commits that could precede it).
-func (c *checker) asOfLocked(serveNS int64) (seq int64, covered bool) {
-	i := sort.Search(len(c.commits), func(i int) bool { return c.commits[i].AtNS > serveNS })
-	if i == 0 {
-		// No retained commit at or before the serve: either the history is
-		// genuinely empty (nothing to be stale against) or compaction
-		// discarded it.
-		if len(c.commits) > 0 && c.commits[0].Seq > 1 {
-			return 0, false
-		}
-		return 0, true
-	}
-	return c.commits[i-1].Seq, true
+// asOf returns the history position exposed at serve time: the sequence of
+// the latest commit at or before serveNS. Commit times are non-decreasing in
+// sequence order, so the search is by time.
+func asOf(recs []txn.CommitRecord, serveNS int64) int64 {
+	return int64(sort.Search(len(recs), func(i int) bool { return recs[i].TS.At.UnixNano() > serveNS }))
 }
 
-// checkQuery classifies one query's read events and returns the per-read
-// outcomes plus any violations (already folded into the tally and recent
-// list).
-func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
+// staleSince returns the first commit in (sync, asOf] that changed table —
+// inserts, updates and deletes alike — the point the copy synchronized at
+// sync went stale; ok is false when the copy is current as of asOf.
+func staleSince(recs []txn.CommitRecord, table string, sync, asOf int64) (txn.Timestamp, bool) {
+	if sync >= asOf {
+		return txn.Timestamp{}, false
+	}
+	for _, rec := range recs[sync:asOf] {
+		for _, ch := range rec.Changes {
+			if ch.Table == table {
+				return rec.TS, true
+			}
+		}
+	}
+	return txn.Timestamp{}, false
+}
+
+// checkQuery classifies one query's read events against the commit records
+// recs (the log from seq 1) and returns the per-read outcomes plus any
+// violations (already folded into the tally and recent list).
+func (c *checker) checkQuery(recs []txn.CommitRecord, evs []ReadEvent) ([]outcome, []Violation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	outs := make([]outcome, 0, len(evs))
@@ -229,10 +186,10 @@ func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
 			continue
 		}
 
-		out, v := c.checkLocalLocked(ev)
+		at := asOf(recs, ev.ServeTSNS)
+		out, v := c.checkLocalLocked(recs, ev, at)
 		if out.class == ClassOK {
-			asOf, _ := c.asOfLocked(ev.ServeTSNS)
-			locals = append(locals, localServe{ev: ev, asOf: asOf})
+			locals = append(locals, localServe{ev: ev, asOf: at})
 		}
 		switch out.class {
 		case ClassOK:
@@ -252,7 +209,7 @@ func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
 	// declared bound (distance(A,B) ≤ currency of the older copy), so a
 	// larger Θ-bound is a real inconsistency the per-read check missed.
 	if len(locals) >= 2 {
-		if v, bad := c.thetaLocked(locals[0].ev.Query, locals); bad {
+		if v, bad := c.thetaLocked(recs, locals[0].ev.Query, locals); bad {
 			c.tally.ConsistencyViolations++
 			viols = append(viols, v)
 			c.keepLocked(v)
@@ -262,19 +219,13 @@ func (c *checker) checkQuery(evs []ReadEvent) ([]outcome, []Violation) {
 }
 
 // checkLocalLocked audits one guard-approved local serve with a finite
-// bound against the formal model.
-func (c *checker) checkLocalLocked(ev ReadEvent) (outcome, Violation) {
+// bound, exposed to the history through commit asOf: its delivered currency
+// is the serve time minus the earliest stale point among the region's
+// copies. A region with no registered object has nothing to audit.
+func (c *checker) checkLocalLocked(recs []txn.CommitRecord, ev ReadEvent, asOf int64) (outcome, Violation) {
 	tables := c.objects[ev.Region]
 	if len(tables) == 0 {
 		return outcome{class: ClassUnchecked}, Violation{}
-	}
-	asOf, covered := c.asOfLocked(ev.ServeTSNS)
-	if !covered {
-		return outcome{class: ClassUnchecked}, Violation{}
-	}
-	first := int64(1)
-	if len(c.commits) > 0 {
-		first = c.commits[0].Seq
 	}
 	var worst Violation
 	delivered := int64(0)
@@ -283,13 +234,7 @@ func (c *checker) checkLocalLocked(ev ReadEvent) (outcome, Violation) {
 		if baseSeq > sync {
 			sync = baseSeq
 		}
-		if sync < first-1 {
-			// Commits in (sync, asOf] may have been compacted away; the
-			// stale point is unknowable.
-			return outcome{class: ClassUnchecked}, Violation{}
-		}
-		cp := semantics.Copy{ID: semantics.ObjectID(table), SyncXTime: sync}
-		stale, ok := c.hist.StaleSince(cp, asOf)
+		stale, ok := staleSince(recs, table, sync, asOf)
 		if !ok {
 			continue
 		}
@@ -304,7 +249,7 @@ func (c *checker) checkLocalLocked(ev ReadEvent) (outcome, Violation) {
 				BoundNS:          int64(ev.Bound),
 				DeliveredNS:      d,
 				SyncSeq:          sync,
-				StaleSeq:         stale.XTime,
+				StaleSeq:         stale.Seq,
 				StaleAtNS:        stale.At.UnixNano(),
 				ServeTSNS:        ev.ServeTSNS,
 				GuardStalenessNS: int64(ev.Staleness),
@@ -338,9 +283,9 @@ type localServe struct {
 // check cannot trip while the per-read checks pass honestly (violating reads
 // are excluded from locals). It is a safety net against checker bugs and
 // hand-built event streams, exercised directly by TestThetaConsistencyCheck.
-func (c *checker) thetaLocked(query uint64, locals []localServe) (Violation, bool) {
+func (c *checker) thetaLocked(recs []txn.CommitRecord, query uint64, locals []localServe) (Violation, bool) {
 	regions := map[int]bool{}
-	var copies []semantics.Copy
+	var copies []copyAt
 	var names []string
 	maxBound, asOf, serveNS := int64(0), int64(0), int64(0)
 	for _, ls := range locals {
@@ -357,7 +302,7 @@ func (c *checker) thetaLocked(query uint64, locals []localServe) (Violation, boo
 			if baseSeq > sync {
 				sync = baseSeq
 			}
-			copies = append(copies, semantics.Copy{ID: semantics.ObjectID(table), SyncXTime: sync})
+			copies = append(copies, copyAt{table, sync})
 			names = append(names, table)
 		}
 	}
@@ -365,7 +310,13 @@ func (c *checker) thetaLocked(query uint64, locals []localServe) (Violation, boo
 		// Same region ⇒ same agent ⇒ mutually consistent by construction.
 		return Violation{}, false
 	}
-	theta := int64(c.hist.ConsistencyBound(copies, asOf))
+	// The Θ-bound is the largest pairwise distance (Appendix 8.5).
+	theta := int64(0)
+	for i := range copies {
+		for j := i + 1; j < len(copies); j++ {
+			theta = max(theta, distance(recs, copies[i], copies[j], asOf))
+		}
+	}
 	if theta <= maxBound {
 		return Violation{}, false
 	}
@@ -381,10 +332,31 @@ func (c *checker) thetaLocked(query uint64, locals []localServe) (Violation, boo
 	}, true
 }
 
+// copyAt is a region's copy of a base table, synchronized at commit sync.
+type copyAt struct {
+	table string
+	sync  int64
+}
+
+// distance is distance(A, B) as of commit asOf (Appendix 8.5): with
+// xtime(A) <= xtime(B) = T_m, how long A had been stale at T_m, in
+// nanoseconds of commit time.
+func distance(recs []txn.CommitRecord, a, b copyAt, asOf int64) int64 {
+	if a.sync > b.sync {
+		a, b = b, a
+	}
+	m := min(b.sync, asOf)
+	stale, ok := staleSince(recs, a.table, a.sync, m)
+	if !ok {
+		return 0
+	}
+	return int64(recs[m-1].TS.At.Sub(stale.At))
+}
+
 func (c *checker) keepLocked(v Violation) {
 	c.recent = append(c.recent, v)
-	if len(c.recent) > c.maxRecent {
-		c.recent = c.recent[len(c.recent)-c.maxRecent:]
+	if len(c.recent) > maxRecent {
+		c.recent = c.recent[len(c.recent)-maxRecent:]
 	}
 }
 

@@ -1,21 +1,20 @@
 // Package audit is the delivered-guarantee auditor: it records the running
-// system's C&C history — master commits, replication applies, and every
-// guard-approved serve — and checks, via the executable formal model in
-// internal/semantics, whether each served result actually kept the currency
-// and consistency promise its query declared.
+// system's guard-approved serves and replication progress and checks, against
+// the master commit log, whether each served result actually kept the
+// currency and consistency promise its query declared.
 //
 // The paper treats a query's C&C constraint as a contract ("at most 10
 // seconds stale, Θ-consistent"), but the engine only ever *predicts*
 // compliance through heartbeat-based guards; nothing observes what was
-// delivered. The auditor closes that loop: the backend/txn layer streams
-// commit events (the history H_n), mtcache streams read events (what the
-// guard promised and which versions were served), repl agents stream apply
-// events (how replication actually advanced), and an incremental checker
-// folds reads against the history to classify each serve as OK (with
-// slack), a VIOLATION (with excess staleness and full evidence), DISCLOSED
-// (the promise was broken but the client was told — degraded serves),
-// UNBOUNDED (no finite bound declared), or UNCHECKED (the retained history
-// window no longer covers the serve).
+// delivered. The auditor closes that loop: mtcache streams read events (what
+// the guard promised and which versions were served), repl agents stream
+// apply events (how replication actually advanced), and the checker reads
+// the master history H_n from txn.Log itself — the stale point of a served
+// copy is the first commit after its sync point that changed the table
+// (Appendix 8) — to classify each serve as OK (with slack), a VIOLATION
+// (with excess staleness and full evidence), DISCLOSED (the promise was
+// broken but the client was told — degraded serves), UNBOUNDED (no finite
+// bound declared), or UNCHECKED (the serving region registered no object).
 //
 // Recording uses bounded lock-free rings (obs.Ring). An installed auditor
 // always records; a system without one holds a nil *Auditor, whose hooks
@@ -24,16 +23,6 @@
 package audit
 
 import "relaxedcc/internal/obs"
-
-// CommitEvent is one committed master transaction: its position in the
-// history (the paper's integer transaction timestamp), its commit time on
-// the virtual clock, and the base tables it modified. Times are UnixNano
-// integers for stable JSON.
-type CommitEvent struct {
-	Seq    int64    `json:"seq"`
-	AtNS   int64    `json:"at_ns"`
-	Tables []string `json:"tables,omitempty"`
-}
 
 // ReadEvent is one guard decision on a served query — the promise the query
 // declared (region, bound) and what answered (chosen branch, degraded

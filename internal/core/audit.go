@@ -3,26 +3,18 @@ package core
 import "relaxedcc/internal/audit"
 
 // EnableAudit installs the delivered-guarantee auditor across the system:
-// the back-end commit log streams master history into it, every region's
-// distribution agent reports replication progress, and the primary cache
-// records each executed query's guard decisions as read events. The
-// auditor's online checker classifies every serve against the formal
-// semantics; /audit (see ObsHandler) and the audit_* metrics expose the
-// ledger. Idempotent; regions and views added later are adopted
-// automatically. Call during quiesced setup (before traffic), like the
-// other Enable* hooks.
+// every region's distribution agent reports replication progress, the
+// primary cache records each executed query's guard decisions as read
+// events, and the auditor's online checker classifies every serve against
+// the back end's commit log, the master history; /audit (see ObsHandler) and
+// the audit_* metrics expose the ledger. Idempotent; regions and views added
+// later are adopted automatically. Call during quiesced setup (before
+// traffic), like the other Enable* hooks.
 func (s *System) EnableAudit() *audit.Auditor {
 	if s.audit != nil {
 		return s.audit
 	}
-	a := audit.New(s.Cache.Obs())
-	// Replay the history that predates enabling (schema setup, data loads)
-	// so the checker's oracle starts from the true H_n, then tap new
-	// commits. Setup is quiesced, so no commit can fall in between.
-	for _, rec := range s.Backend.Log().Since(0) {
-		a.ObserveCommit(rec)
-	}
-	s.Backend.Log().SetObserver(a.ObserveCommit)
+	a := audit.New(s.Cache.Obs(), s.Backend.Log())
 	s.Cache.EnableAudit(a) // registers existing views' objects + read tap
 	s.audit = a
 	s.adoptAll()

@@ -26,15 +26,15 @@ func RenderAudit(w io.Writer, a *audit.Auditor) {
 	fmt.Fprintf(w, "violations              %d (%d currency, %d consistency)\n",
 		s.ViolationsTotal, s.CurrencyViolations, s.ConsistencyViolations)
 	fmt.Fprintf(w, "unbounded / unchecked   %d / %d\n", s.Unbounded, s.Unchecked)
-	fmt.Fprintf(w, "history recorded        %d commits, %d applies (dropped %d/%d/%d commit/read/apply)\n",
-		s.Commits, s.Applies, s.DroppedCommits, s.DroppedReads, s.DroppedApplies)
+	fmt.Fprintf(w, "history recorded        %d commits, %d applies (dropped %d/%d read/apply)\n",
+		s.Commits, s.Applies, s.DroppedReads, s.DroppedApplies)
 	for _, v := range s.RecentViolations {
 		fmt.Fprintf(w, "violation q%d [%s] %s region %d %q: bound %s, delivered %s (excess %s; guard saw %s, repl lag %s)\n",
 			v.Query, v.Class, v.Object, v.Region, v.Label,
 			time.Duration(v.BoundNS), time.Duration(v.DeliveredNS), time.Duration(v.ExcessNS),
 			time.Duration(v.GuardStalenessNS), time.Duration(v.ReplLagNS))
 	}
-	if s.DroppedCommits+s.DroppedReads+s.DroppedApplies > 0 {
+	if s.DroppedReads+s.DroppedApplies > 0 {
 		// Overwritten rings mean replay coverage is partial by construction;
 		// report it as such rather than as disagreement.
 		fmt.Fprintln(w, "offline replay          partial (ring drops); online ledger is authoritative")
@@ -67,8 +67,7 @@ func checkAudit(s, replay audit.Summary, broken bool) error {
 			s.OK+s.CurrencyViolations+s.Disclosed+s.Unbounded+s.Unchecked == s.ReadsChecked},
 		inv{"violations_total != currency_violations + consistency_violations", s.ViolationsTotal == s.Violations()},
 		inv{"commits", s.Commits > 0},
-		inv{"dropped_commits", s.DroppedCommits == 0}, inv{"dropped_reads", s.DroppedReads == 0},
-		inv{"dropped_applies", s.DroppedApplies == 0},
+		inv{"dropped_reads", s.DroppedReads == 0}, inv{"dropped_applies", s.DroppedApplies == 0},
 		inv{"offline replay disagrees with the online ledger", replayAgrees(s, replay)},
 	); err != nil {
 		return err

@@ -122,7 +122,6 @@ func TestAuditCheckBites(t *testing.T) {
 		mutate func(s, replay *audit.Summary)
 	}{
 		{"dropped_reads", false, func(s, _ *audit.Summary) { s.DroppedReads = 1 }},
-		{"dropped_commits", false, func(s, _ *audit.Summary) { s.DroppedCommits = 1 }},
 		{"!= reads_checked", false, func(s, r *audit.Summary) { s.OK--; r.OK-- }},
 		{"violations_total != currency_violations", false, func(s, _ *audit.Summary) { s.ViolationsTotal = 1 }},
 		{"honest run: violations_total", false, func(s, r *audit.Summary) {

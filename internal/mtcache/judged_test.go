@@ -33,9 +33,9 @@ func (a *advancing) Open(ctx *exec.EvalContext) error {
 // region's word stands and the run is not repeated
 // (TestAnApplyDuringTheRunRepeatsIt has the agent's write).
 func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
-	c, _, clock := newPair(t)
+	c, b, clock := newPair(t)
 	addRegionAndView(t, c)
-	aud := audit.New(obs.NewRegistry())
+	aud := audit.New(obs.NewRegistry(), b.Log())
 	c.EnableAudit(aud)
 	c.SetLastSync(1, clock.Now())
 	clock.Advance(5 * time.Second)
@@ -102,9 +102,9 @@ func TestAnApplyDuringTheRunRepeatsIt(t *testing.T) {
 		local  bool
 	}{{"once", 1, true}, {"twice", 2, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _, clock := newPair(t)
+			c, b, clock := newPair(t)
 			addRegionAndView(t, c)
-			aud := audit.New(obs.NewRegistry())
+			aud := audit.New(obs.NewRegistry(), b.Log())
 			c.EnableAudit(aud)
 			c.SetLastSync(1, clock.Now())
 			clock.Advance(5 * time.Second)

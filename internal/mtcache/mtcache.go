@@ -430,7 +430,7 @@ func (c *Cache) word(regionID int) *storage.Word {
 // executed query's guard decisions also reach it, as audit read events, and
 // the base tables of all current subscriptions register as audited objects
 // at their snapshot sequences (later CreateViews register as they land).
-// The commit and replication taps are wired by core.System.EnableAudit.
+// The replication tap is wired by core.System.EnableAudit.
 func (c *Cache) EnableAudit(a *audit.Auditor) {
 	c.aud.Store(a)
 	for _, agent := range c.Agents() {

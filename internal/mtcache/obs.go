@@ -29,8 +29,8 @@ import (
 //	audit_violations_total{class}     silent violations (currency, consistency)
 //	audit_disclosed_total             broken-but-disclosed serves (degraded, served-stale)
 //	audit_unbounded_total             reads with no finite bound to audit
-//	audit_unchecked_total             reads outside the retained history window
-//	audit_events_dropped_total{kind}  audit ring overwrites (commit, read, apply)
+//	audit_unchecked_total             local reads of a region with no registered object
+//	audit_events_dropped_total{kind}  audit ring overwrites (read, apply)
 //	audit_excess_staleness_ns         delivered minus declared staleness on violations
 //	audit_slack_ns                    declared minus delivered staleness on OK reads
 //

@@ -61,29 +61,18 @@ type CommitRecord struct {
 	Changes []Change
 }
 
-// Log is the master commit history. It is append-only and safe for
-// concurrent use. Sequence numbers start at 1; Seq 0 means "the initial
-// (empty) snapshot".
+// Log is the master commit history, and its only copy: distribution agents
+// read it to propagate, and the delivered-guarantee auditor reads it to find
+// each served copy's stale point. It is append-only and safe for concurrent
+// use; Append does nothing under its lock but the append. Sequence numbers
+// start at 1; Seq 0 means "the initial (empty) snapshot".
 type Log struct {
 	mu      sync.RWMutex
 	records []CommitRecord
-	// observer, when set, is invoked synchronously under the log's lock for
-	// every Append, in commit order — the delivered-guarantee auditor's
-	// history tap. It must be fast and must not call back into the log.
-	observer func(CommitRecord)
 }
 
 // NewLog returns an empty commit log.
 func NewLog() *Log { return &Log{} }
-
-// SetObserver installs (or clears, with nil) the commit observer. Install
-// during quiesced setup: commits racing with the installation may be
-// missed.
-func (l *Log) SetObserver(fn func(CommitRecord)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.observer = fn
-}
 
 // Append atomically appends a transaction's changes, assigning the next
 // sequence number, and returns the commit timestamp.
@@ -92,9 +81,6 @@ func (l *Log) Append(at time.Time, changes []Change) Timestamp {
 	defer l.mu.Unlock()
 	ts := Timestamp{Seq: int64(len(l.records)) + 1, At: at}
 	l.records = append(l.records, CommitRecord{TS: ts, Changes: changes})
-	if l.observer != nil {
-		l.observer(l.records[len(l.records)-1])
-	}
 	return ts
 }
 

@@ -77,58 +77,6 @@ func TestSinceUntil(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryCommitInOrder(t *testing.T) {
-	l := NewLog()
-	l.Append(t0, chg("before")) // predates the observer: not delivered
-	var seen []CommitRecord
-	l.SetObserver(func(rec CommitRecord) { seen = append(seen, rec) })
-	l.Append(t0.Add(time.Second), chg("a"))
-	l.Append(t0.Add(2*time.Second), chg("b"))
-	if len(seen) != 2 || seen[0].TS.Seq != 2 || seen[1].TS.Seq != 3 {
-		t.Fatalf("observer saw %+v", seen)
-	}
-	if seen[1].Changes[0].Table != "b" {
-		t.Fatalf("observer changes = %+v", seen[1].Changes)
-	}
-	l.SetObserver(nil)
-	l.Append(t0.Add(3*time.Second), chg("c"))
-	if len(seen) != 2 {
-		t.Fatal("cleared observer still invoked")
-	}
-}
-
-func TestObserverOrderedUnderConcurrency(t *testing.T) {
-	l := NewLog()
-	var mu sync.Mutex
-	var seqs []int64
-	l.SetObserver(func(rec CommitRecord) {
-		// The observer runs under the log's lock, so a plain slice would do;
-		// the extra mutex keeps the race detector focused on the log itself.
-		mu.Lock()
-		seqs = append(seqs, rec.TS.Seq)
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				l.Append(t0, chg("t"))
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seqs) != 400 {
-		t.Fatalf("observer saw %d commits", len(seqs))
-	}
-	for i, s := range seqs {
-		if s != int64(i)+1 {
-			t.Fatalf("observation %d has seq %d: not in commit order", i, s)
-		}
-	}
-}
-
 func TestConcurrentAppend(t *testing.T) {
 	l := NewLog()
 	var wg sync.WaitGroup
