@@ -322,7 +322,7 @@ func TestConcurrentRecordingConservesCounts(t *testing.T) {
 	const writers, per = 4, 200
 	var wg sync.WaitGroup
 	// Commits are appended under one lock so their times rise with their
-	// sequence numbers, as on the back end.
+	// sequence numbers, which the checker's search by commit time assumes.
 	var seq int64
 	var seqMu sync.Mutex
 	nextSeq := func() int64 {

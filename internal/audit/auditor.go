@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -205,13 +206,7 @@ func (a *Auditor) Replay() Summary {
 	chk := newChecker()
 	a.chk.mu.Lock()
 	for region, tables := range a.chk.objects {
-		// Direct map fill: registerObject would retake the fresh checker's
-		// lock needlessly, and chk is still private here.
-		m := map[string]int64{}
-		for table, baseSeq := range tables {
-			m[table] = baseSeq
-		}
-		chk.objects[region] = m
+		chk.objects[region] = maps.Clone(tables)
 	}
 	a.chk.mu.Unlock()
 

@@ -188,12 +188,10 @@ func (c *checker) checkQuery(recs []txn.CommitRecord, evs []ReadEvent) ([]outcom
 
 		at := asOf(recs, ev.ServeTSNS)
 		out, v := c.checkLocalLocked(recs, ev, at)
-		if out.class == ClassOK {
-			locals = append(locals, localServe{ev: ev, asOf: at})
-		}
 		switch out.class {
 		case ClassOK:
 			c.tally.OK++
+			locals = append(locals, localServe{ev: ev, asOf: at})
 		case ClassUnchecked:
 			c.tally.Unchecked++
 		case ClassViolationCurrency:

@@ -14,14 +14,14 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-total_max=25922
+total_max=25799
 exec_max=3796
-spine_max=4834
+spine_max=4726
 scenario_max=2722
 analysis_max=1361
 opt_max=3369
 sqlparser_max=2035
-storage_max=1142
+storage_max=1072
 sqltypes_max=1353
 backend_max=769
 repl_max=710
