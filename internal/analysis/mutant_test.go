@@ -19,36 +19,24 @@ var mutants = []struct {
 	want                     string // regexp over the one finding, path relative to the module
 }{
 	{
-		// Two edits that are each harmless: Agents keeps only agents that
-		// replicate something, asking each under the cache lock, and
-		// WriteHeartbeat takes the cache lock for its read-then-write.
-		// Together they deadlock: Agent.Step calls WriteHeartbeat holding
-		// Agent.mu.
+		// Server.exec keeps stmtMu held while it runs a DML of a known
+		// shape, whose write takes Server.mu; createTable holds Server.mu
+		// while invalidatePlans takes stmtMu. A CREATE TABLE beside such a
+		// DML deadlocks.
 		analyzer: "lockorder",
-		file:     "internal/mtcache/mtcache.go",
-		old: `		out = append(out, c.agents[id])
-	}
-	return out
-}
-
-// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
-// heartbeat table receives a replicated timestamp.
-func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
-`,
-		new: `		if a := c.agents[id]; len(a.Subscriptions()) > 0 {
-			out = append(out, a)
+		file:     "internal/backend/backend.go",
+		old: `		s.stmtMu.Unlock()
+		if d != nil {
+			return s.run(d, vals)
 		}
-	}
-	return out
-}
-
-// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
-// heartbeat table receives a replicated timestamp.
-func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 `,
-		want: `^internal/mtcache/mtcache\.go:\d+:\d+: lock-order cycle \(deadlock candidate\): mtcache\.\(Cache\)\.mu is held while acquiring repl\.\(Agent\)\.mu .*repl\.\(Agent\)\.mu is held while acquiring mtcache\.\(Cache\)\.mu`,
+		new: `		if d != nil {
+			defer s.stmtMu.Unlock()
+			return s.run(d, vals)
+		}
+		s.stmtMu.Unlock()
+`,
+		want: `^internal/backend/backend\.go:\d+:\d+: lock-order cycle \(deadlock candidate\): backend\.\(Server\)\.mu is held while acquiring backend\.\(Server\)\.stmtMu .*backend\.\(Server\)\.stmtMu is held while acquiring backend\.\(Server\)\.mu`,
 	},
 	{
 		// bench/traced.go reads the counter by its _total name and would

@@ -92,7 +92,7 @@ func TestSwitchUnionCloseClosesAllOpenedBranches(t *testing.T) {
 	branch := 0
 	su := &SwitchUnion{
 		Children: []Operator{a, b},
-		Selector: func(*EvalContext) (int, time.Time, error) { return branch, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return branch, time.Time{} },
 	}
 	if err := su.Open(ctx()); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSwitchUnionCloseAfterFailedOpen(t *testing.T) {
 	c := &closeProbe{Values: NewValues(s, nil), failOpen: true}
 	su := &SwitchUnion{
 		Children: []Operator{c},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 	}
 	if err := su.Open(ctx()); err == nil {
 		t.Fatal("Open should have failed")
@@ -145,7 +145,7 @@ func TestSwitchUnionBatchPath(t *testing.T) {
 	calls := 0
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(5)), NewValues(s, testRows(9))},
-		Selector: func(*EvalContext) (int, time.Time, error) { calls++; return 1, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { calls++; return 1, time.Time{} },
 	}
 	res, err := Run(su, &EvalContext{Now: testNow, BatchSize: 4}, 0)
 	if err != nil {

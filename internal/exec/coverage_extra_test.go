@@ -76,13 +76,13 @@ func TestCollectSwitchUnionsDeep(t *testing.T) {
 	mkSU := func() *SwitchUnion {
 		return &SwitchUnion{
 			Children: []Operator{NewValues(s, nil), NewValues(s, nil)},
-			Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+			Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 		}
 	}
 	inner := mkSU()
 	nested := &SwitchUnion{
 		Children: []Operator{inner, NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 	}
 	root := &Limit{N: 1, Child: &Sort{
 		Child: &Distinct{Child: &Aggregate{

@@ -46,11 +46,11 @@ func (dc degradeCase) open(t *testing.T) (ds []GuardDecision, rows int, local, r
 		Children: []Operator{local, remote},
 		Label:    "guard(t)",
 		Region:   7,
-		Selector: func(*EvalContext) (int, time.Time, error) {
+		Selector: func(*EvalContext) (int, time.Time) {
 			if evals++; dc.passAt > 0 && evals >= dc.passAt {
-				return 0, time.Time{}, nil
+				return 0, time.Time{}
 			}
-			return 1, time.Time{}, nil
+			return 1, time.Time{}
 		},
 	}
 	c := ctx()

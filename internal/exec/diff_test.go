@@ -199,7 +199,7 @@ func TestBatchRowEquivalence(t *testing.T) {
 		{"switchunion", true, func() exec.Operator {
 			return &exec.SwitchUnion{
 				Children: []exec.Operator{exec.NewValues(s, exec.TestRows(3)), exec.NewValues(s, exec.TestRows(8))},
-				Selector: func(*exec.EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
+				Selector: func(*exec.EvalContext) (int, time.Time) { return 1, time.Time{} },
 			}
 		}},
 	}
@@ -588,7 +588,7 @@ func (g *treeGen) tree(depth int) exec.Operator {
 		other := g.tree(depth - 1)
 		return g.wrap("switchunion", &exec.SwitchUnion{
 			Children: []exec.Operator{child, other},
-			Selector: func(*exec.EvalContext) (int, time.Time, error) { return *g.branch, time.Time{}, nil },
+			Selector: func(*exec.EvalContext) (int, time.Time) { return *g.branch, time.Time{} },
 		})
 	}
 }

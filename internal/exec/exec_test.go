@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -575,7 +574,7 @@ func TestSwitchUnionSelectsOneBranch(t *testing.T) {
 	remote := &probeOp{Values: NewValues(s, testRows(5)), opened: &remoteOpened}
 	su := &SwitchUnion{
 		Children: []Operator{local, remote},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 	}
 	rows := drain(t, su)
 	if len(rows) != 2 {
@@ -587,7 +586,7 @@ func TestSwitchUnionSelectsOneBranch(t *testing.T) {
 	// Switch to branch 1.
 	su2 := &SwitchUnion{
 		Children: []Operator{local, remote},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 1, time.Time{} },
 	}
 	if rows := drain(t, su2); len(rows) != 5 {
 		t.Fatalf("branch 1 rows = %d", len(rows))
@@ -598,19 +597,12 @@ func TestSwitchUnionErrors(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 7, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 7, time.Time{} },
 	}
 	if err := su.Open(ctx()); err == nil {
 		t.Fatal("out-of-range selector accepted")
 	}
-	su2 := &SwitchUnion{
-		Children: []Operator{NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, errors.New("guard failed") },
-	}
-	if err := su2.Open(ctx()); err == nil || !strings.Contains(err.Error(), "guard failed") {
-		t.Fatal("selector error not propagated")
-	}
-	if err := su2.Close(); err != nil {
+	if err := su.Close(); err != nil {
 		t.Fatal("Close after failed Open must be safe")
 	}
 }
@@ -685,7 +677,7 @@ func TestCollectSwitchUnions(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, nil), NewValues(s, nil)},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 	}
 	root := &Filter{Child: su, Pred: pred(t, "id > 0", s)}
 	if got := switchUnions(root); len(got) != 1 || got[0] != su {

@@ -24,10 +24,7 @@ func reference(op exec.Operator, ctx *exec.EvalContext) ([]sqltypes.Row, error) 
 	case *exec.Remote:
 		return op.Fetch(ctx)
 	case *exec.SwitchUnion:
-		idx, _, err := op.Selector(ctx)
-		if err != nil {
-			return nil, err
-		}
+		idx, _ := op.Selector(ctx)
 		return reference(op.Children[idx], ctx)
 	case *exec.Scan:
 		var rows []sqltypes.Row

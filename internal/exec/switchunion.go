@@ -14,7 +14,7 @@ import (
 // when the operator is opened and must return an index in [0, n). A currency
 // guard also returns the heartbeat timestamp it judged, the zero time when
 // its region has none; any other selector returns the zero time.
-type Selector func(ctx *EvalContext) (int, time.Time, error)
+type Selector func(ctx *EvalContext) (int, time.Time)
 
 // DegradeMode is the session's violation action applied inside SwitchUnion
 // when the remote branch it picked is unavailable (Section 1 of the paper
@@ -108,13 +108,9 @@ func (s *SwitchUnion) Open(ctx *EvalContext) error {
 	)
 	for {
 		start := clk.Now()
-		var err error
 		word = s.Word.Load()
-		idx, synced, err = s.Selector(ctx)
+		idx, synced = s.Selector(ctx)
 		guardTime += clk.Now().Sub(start)
-		if err != nil {
-			return err
-		}
 		if idx < 0 || idx >= len(s.Children) {
 			return fmt.Errorf("exec: SwitchUnion selector returned %d of %d", idx, len(s.Children))
 		}

@@ -66,8 +66,8 @@ func TestInstrumentSwitchUnionGuard(t *testing.T) {
 		Label:    "Customer",
 		Region:   1,
 		Children: []Operator{NewValues(s, testRows(2)), NewValues(s, testRows(5))},
-		Selector: func(ctx *EvalContext) (int, time.Time, error) {
-			return 0, ctx.Now.Add(-5 * time.Second), nil
+		Selector: func(ctx *EvalContext) (int, time.Time) {
+			return 0, ctx.Now.Add(-5 * time.Second)
 		},
 	}
 	root, node := Instrument(su)
@@ -105,7 +105,7 @@ func TestInstrumentUnwrap(t *testing.T) {
 	s := testSchema("t")
 	su := &SwitchUnion{
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(1))},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 0, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 0, time.Time{} },
 	}
 	root, _ := Instrument(&Limit{Child: su, N: 1})
 	sus := switchUnions(root)
@@ -121,7 +121,7 @@ func TestOnGuardHook(t *testing.T) {
 		Label:    "Orders",
 		Region:   2,
 		Children: []Operator{NewValues(s, testRows(1)), NewValues(s, testRows(3))},
-		Selector: func(*EvalContext) (int, time.Time, error) { return 1, time.Time{}, nil },
+		Selector: func(*EvalContext) (int, time.Time) { return 1, time.Time{} },
 	}
 	var got []GuardDecision
 	c := ctx()

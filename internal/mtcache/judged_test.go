@@ -27,10 +27,10 @@ func (a *advancing) Open(ctx *exec.EvalContext) error {
 // TestSourcesAreTheHeartbeatTheGuardJudged: what a result and the auditor
 // say the answer is as of is the heartbeat the guard judged, not one read
 // after the decision. A timeline session's guarded read whose local branch
-// advances the region's heartbeat row while it opens reports, in the audited
+// advances the region's heartbeat while it opens reports, in the audited
 // read event's SyncTSNS, in QueryResult.AsOf and in the session's floor, the
-// timestamp the guard checked. The row is written past the agent, so the
-// region's word stands and the run is not repeated
+// timestamp the guard checked. The heartbeat is published past the agent, so
+// the word's version stands and the run is not repeated
 // (TestAnApplyDuringTheRunRepeatsIt has the agent's write).
 func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 	c, b, clock := newPair(t)
@@ -61,7 +61,7 @@ func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 		t.Fatalf("want the guard under the projection, plan is %s", plan.Shape)
 	}
 	su.Children[0] = &advancing{Operator: su.Children[0], open: func() {
-		c.WriteHeartbeat(1, judged.Add(3*time.Second))
+		c.word(1).Heartbeat(judged.Add(3 * time.Second))
 	}}
 
 	q := s.begin(sqlparser.SelectSQL(sel))

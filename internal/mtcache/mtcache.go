@@ -6,7 +6,8 @@
 //  2. materialized views (selections/projections of back-end tables) kept
 //     up to date by transactional replication, grouped into currency
 //     regions;
-//  3. a local heartbeat table per region bounding replica staleness;
+//  3. each region's replicated heartbeat, published in its state word,
+//     bounding replica staleness;
 //  4. a query pipeline that parses, normalizes C&C constraints, optimizes
 //     cost-based across local views and remote queries, and executes
 //     dynamic plans with currency guards;
@@ -49,9 +50,6 @@ type Cache struct {
 	mu     sync.RWMutex
 	views  map[string]*storage.Table
 	agents map[int]*repl.Agent
-	// hb is the cache's local heartbeat table (cid, ts): one row per
-	// region, written by replication and read by currency guards.
-	hb *storage.Table
 
 	// planMu guards the statement cache: one stmtEntry per statement, keyed by
 	// its canonical text. Dynamic plans are exactly what makes caching safe
@@ -96,17 +94,6 @@ type Cache struct {
 // shadow catalog (empty shadow tables, back-end statistics). wait is how
 // the cache and its link pass simulated time (see Cache.wait).
 func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Cache {
-	hbDef := &catalog.Table{
-		Name: "Heartbeat_local",
-		Columns: []catalog.Column{
-			{Name: "cid", Type: sqltypes.KindInt, NotNull: true},
-			{Name: "ts", Type: sqltypes.KindTime, NotNull: true},
-		},
-		PrimaryKey: []string{"cid"},
-	}
-	if err := catalog.New().AddTable(hbDef); err != nil {
-		panic(err) // static definition cannot fail
-	}
 	co := newCacheObs(clock, obs.NewRegistry())
 	// The link starts in passthrough mode (single attempt, no breaker) so
 	// plain caches behave exactly like a direct connection; callers opt into
@@ -122,7 +109,6 @@ func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Ca
 		cat:       back.Catalog().Clone(),
 		views:     map[string]*storage.Table{},
 		agents:    map[int]*repl.Agent{},
-		hb:        storage.NewTable(hbDef),
 		planCache: map[string]*stmtEntry{},
 		byText:    map[string]*stmtEntry{},
 		obs:       co,
@@ -342,7 +328,7 @@ func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 	if err := c.cat.AddRegion(&rc); err != nil {
 		return nil, err
 	}
-	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable, c)
+	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable)
 	agent.Instrument(c.obs.reg)
 	agent.SetTracer(c.obs.tracer)
 	c.mu.Lock()
@@ -374,49 +360,23 @@ func (c *Cache) Agents() []*repl.Agent {
 	return out
 }
 
-// WriteHeartbeat implements repl.HeartbeatSink: the region's row in the local
-// heartbeat table receives a replicated timestamp.
-func (c *Cache) WriteHeartbeat(regionID int, ts time.Time) {
-	row := sqltypes.Row{sqltypes.NewInt(int64(regionID)), sqltypes.NewTime(ts)}
-	var old sqltypes.Row
-	if last, ok := c.LastSync(regionID); ok {
-		if !ts.After(last) {
-			return
-		}
-		old = sqltypes.Row{row[0], sqltypes.NewTime(last)}
-	}
-	if err := c.hb.Replace(old, row); err != nil {
-		panic(err) // fixed schema; cannot fail
-	}
-}
-
-// SetLastSync writes ts into the region's row of the local heartbeat table
-// outside replication — the chaos harness's guard lie, tests — through the
-// region's agent (repl.Agent.Beat), which moves the region's word with it; a
-// region without an agent gets the row alone.
+// SetLastSync publishes ts as the region's heartbeat outside replication —
+// the chaos harness's guard lie, tests — through the region's agent
+// (repl.Agent.Beat), which moves the region's word with it. A region without
+// an agent has no heartbeat to set.
 func (c *Cache) SetLastSync(regionID int, ts time.Time) {
 	if a := c.Agent(regionID); a != nil {
 		a.Beat(ts)
-		return
 	}
-	c.WriteHeartbeat(regionID, ts)
 }
 
-// LastSync returns the timestamp in the region's row of the local heartbeat
-// table, for the heartbeat sink, the ops surface and callers outside a
-// query. No query reads it: a guard copies the row out itself, and its
-// decision carries the timestamp it judged.
+// LastSync returns the region's replicated heartbeat as its word publishes
+// it, for the ops surface and callers outside a query. No query reads it: a
+// guard loads the word itself, and its decision carries the timestamp it
+// judged.
 func (c *Cache) LastSync(regionID int) (time.Time, bool) {
-	var buf [2]sqltypes.Value
-	row, ok := c.hb.Peek(sqltypes.Row{sqltypes.NewInt(int64(regionID))}, buf[:0])
-	if !ok {
-		return time.Time{}, false
-	}
-	return row[1].Time(), true
+	return c.word(regionID).Synced()
 }
-
-// HeartbeatTable exposes the local heartbeat table (read by guards).
-func (c *Cache) HeartbeatTable() *storage.Table { return c.hb }
 
 // word returns the region's state word, nil for a region without an agent.
 func (c *Cache) word(regionID int) *storage.Word {
@@ -515,7 +475,6 @@ func (c *Cache) planner(opts opt.Options) *opt.Planner {
 		LocalTable: func(string) *storage.Table { return nil }, // shadow tables are empty
 		LocalView:  c.ViewData,
 		Remote:     c.link,
-		Heartbeat:  c.hb,
 		Word:       c.word,
 		Clock:      c.clock,
 	}

@@ -123,8 +123,8 @@ func (c *Cache) RegionStatuses() []obs.RegionStatus {
 }
 
 // RefreshStalenessGauges recomputes every region's staleness gauge
-// (region_staleness_ns) from the clock and the local heartbeat table, so a
-// metrics snapshot reflects current staleness even between queries.
+// (region_staleness_ns) from the clock and the region's published heartbeat,
+// so a metrics snapshot reflects current staleness even between queries.
 func (c *Cache) RefreshStalenessGauges() {
 	now := c.clock.Now()
 	for _, r := range c.cat.Regions() {

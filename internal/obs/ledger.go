@@ -270,7 +270,7 @@ func (w *workloadWindow) addBound(b time.Duration) {
 }
 
 // SetStaleness sets the region's staleness gauge (region_staleness_ns)
-// outside a guard decision, e.g. from the heartbeat table between queries.
+// outside a guard decision, e.g. from the published heartbeat between queries.
 func (l *RegionLedger) SetStaleness(region int, d time.Duration) {
 	l.mu.Lock()
 	r := l.regionLocked(region)

@@ -55,15 +55,11 @@ type Site struct {
 	LocalView func(name string) *storage.Table
 	// Remote is the link to the back end (nil at the back end).
 	Remote RemoteExecutor
-	// Heartbeat is the cache's local heartbeat table (one row per region:
-	// cid, ts), read by currency guards exactly as the paper's predicate
-	// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B).
-	// Nil at the back end.
-	Heartbeat *storage.Table
-	// Word returns a region's state word (storage.Word), which moves whenever
-	// its agent writes the region's views or heartbeat row; nil, or a nil
-	// word, for a region nothing publishes one for: its guards read the row
-	// at every decision.
+	// Word returns a region's state word (storage.Word), which publishes the
+	// region's replicated heartbeat that currency guards judge and moves
+	// whenever its agent writes the region's views or heartbeat; nil, or a
+	// nil word, for a region nothing publishes one for: its guards choose
+	// the remote branch.
 	Word func(regionID int) *storage.Word
 	// Clock is the site's time source.
 	Clock vclock.Clock

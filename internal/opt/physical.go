@@ -857,7 +857,7 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 	if p.Site.Word != nil {
 		word = p.Site.Word(region.ID)
 	}
-	guard := currencyGuard(p.Site.Heartbeat, word, region.ID, bound, p.Opts.MinSync)
+	guard := currencyGuard(word, bound, p.Opts.MinSync)
 	localBuild, remoteBuild := local.build, remote.build
 	return &cand{
 		build: func() (exec.Operator, error) {
@@ -870,7 +870,7 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 				return nil, err
 			}
 			return &exec.SwitchUnion{
-				Children: []exec.Operator{l, r}, Selector: guard(), Label: label,
+				Children: []exec.Operator{l, r}, Selector: guard, Label: label,
 				Region: region.ID, Bound: obs.NormalizeBound(bound), Word: word,
 			}, nil
 		},
@@ -887,104 +887,21 @@ func (p *Planner) guardedCand(local, remote *cand, region *catalog.Region, bound
 	}
 }
 
-// currencyGuard returns the maker of a SwitchUnion's selector: local branch
-// (0) iff the region's row of the cache's heartbeat table hb is within the
-// bound of the query start time. The guard is the paper's predicate —
-// EXISTS(SELECT 1 FROM Heartbeat_R WHERE TimeStamp > getdate() - B) — run as
-// a compiled predicate over the region's heartbeat row; a timeline-consistency
-// floor (Section 2.3) adds "AND TimeStamp >= floor". The selector reports the
-// timestamp it judged, from which the decision's staleness and the result's
-// sources are taken. The predicate is compiled once per plan; every built tree
-// calls the maker once, and each tree's selector keeps the row it read as a
-// one-row batch until the region's state word moves: a decision whose word
-// has not moved since the last one reads no table, and one whose word moved
-// (or whose region has no word) re-reads the row with one Peek.
-func currencyGuard(hb *storage.Table, word *storage.Word, regionID int, bound time.Duration, minSync time.Time) func() exec.Selector {
-	schema := storedSchema(hb.Def(), "hb")
-	tsRef := &sqlparser.ColumnRef{Table: "hb", Column: "ts"}
-	var pred sqlparser.Expr
-	if bound != time.Duration(math.MaxInt64) {
-		// ts > GETDATE() - B (B in seconds).
-		pred = &sqlparser.BinaryExpr{
-			Op:   sqlparser.OpGT,
-			Left: tsRef,
-			Right: &sqlparser.BinaryExpr{
-				Op:    sqlparser.OpSub,
-				Left:  &sqlparser.FuncExpr{Name: "GETDATE"},
-				Right: &sqlparser.Literal{Val: sqltypes.NewFloat(bound.Seconds())},
-			},
+// currencyGuard returns a SwitchUnion's selector: the local branch (0) iff
+// the region's replicated heartbeat, which its state word publishes, is within
+// bound of the query's start — the paper's EXISTS(SELECT 1 FROM Heartbeat_R
+// WHERE TimeStamp > getdate() - B) — and, under a timeline-consistency floor
+// (Section 2.3), at or past the floor. It returns the heartbeat it judged,
+// from which the decision's staleness and the result's sources are taken. It
+// keeps no state and writes nothing, so every tree of the plan shares it.
+func currencyGuard(word *storage.Word, bound time.Duration, minSync time.Time) exec.Selector {
+	return func(ctx *exec.EvalContext) (int, time.Time) {
+		ts, ok := word.Synced()
+		if ok && (bound == time.Duration(math.MaxInt64) || ts.After(ctx.Now.Add(-bound))) && !ts.Before(minSync) {
+			return 0, ts // fresh enough: local branch
 		}
+		return 1, ts // stale, behind the floor or never synchronized: remote
 	}
-	if !minSync.IsZero() {
-		floorPred := &sqlparser.BinaryExpr{
-			Op:    sqlparser.OpGE,
-			Left:  tsRef,
-			Right: &sqlparser.Literal{Val: sqltypes.NewTime(minSync)},
-		}
-		if pred == nil {
-			pred = floorPred
-		} else {
-			pred = &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, Left: pred, Right: floorPred}
-		}
-	}
-	var filter *exec.Pred
-	if pred != nil {
-		var err error
-		if filter, err = exec.CompilePred(pred, schema); err != nil {
-			return func() exec.Selector {
-				return func(*exec.EvalContext) (int, time.Time, error) { return 0, time.Time{}, err }
-			}
-		}
-	}
-	plan := heartbeatGuard{
-		hb: hb, word: word, filter: filter, tsCol: schema.Lookup("hb", "ts"),
-		key: sqltypes.Row{sqltypes.NewInt(int64(regionID))},
-	}
-	return func() exec.Selector {
-		g := plan
-		return g.decide
-	}
-}
-
-// heartbeatGuard is one tree's currency guard: the plan's compiled predicate
-// and the region's heartbeat row as last read, with the word it was read at.
-type heartbeatGuard struct {
-	hb     *storage.Table
-	word   *storage.Word
-	key    sqltypes.Row
-	filter *exec.Pred
-	tsCol  int
-
-	buf    [2]sqltypes.Value
-	rows   [1]sqltypes.Row
-	cb     sqltypes.ColBatch
-	sel    []int32
-	ts     time.Time
-	read   bool // the row was read, when the word was seen
-	synced bool // the region has a row
-	seen   uint64
-}
-
-// decide is the guard's Selector. A word that moves during the Peek leaves
-// the row to be read again next time, and this decision to the reader's
-// check.
-func (g *heartbeatGuard) decide(ctx *exec.EvalContext) (int, time.Time, error) {
-	if w := g.word.Load(); !g.read || g.word == nil || w != g.seen {
-		g.rows[0], g.synced = g.hb.Peek(g.key, g.buf[:0])
-		g.read, g.seen = true, w
-		if g.synced {
-			g.cb.ResetRows(g.rows[:], len(g.rows[0]))
-			g.ts = g.cb.Col(g.tsCol).Value(0).Time()
-		}
-	}
-	if !g.synced {
-		return 1, time.Time{}, nil // never synchronized: remote
-	}
-	g.cb.Sel = nil
-	if ok, err := g.filter.Narrow(ctx, &g.cb, &g.sel); err != nil || !ok {
-		return 1, g.ts, err
-	}
-	return 0, g.ts, nil // fresh enough: local branch
 }
 
 // ---- join enumeration ----

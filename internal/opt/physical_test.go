@@ -306,114 +306,52 @@ func TestViewMatching(t *testing.T) {
 	}
 }
 
+// TestHeartbeatGuard: the guard judges the heartbeat its region's word
+// publishes — local iff ts > Now − B (strictly: a heartbeat exactly B old goes
+// remote) and ts ≥ the timeline floor — and a word without one, or no word,
+// goes remote. It keeps nothing between decisions: a later heartbeat is
+// judged at the next one, and an older one published after it is refused.
 func TestHeartbeatGuard(t *testing.T) {
-	hbDef := &catalog.Table{
-		Name: "Heartbeat_local",
-		Columns: []catalog.Column{
-			{Name: "cid", Type: sqltypes.KindInt, NotNull: true},
-			{Name: "ts", Type: sqltypes.KindTime, NotNull: true},
-		},
-		PrimaryKey: []string{"cid"},
-	}
-	if err := catalog.New().AddTable(hbDef); err != nil {
-		t.Fatal(err)
-	}
-	hb := storage.NewTable(hbDef)
 	now := vclock.Epoch.Add(100 * time.Second)
-	// Region 1 synced 8s ago; region 2 never synced.
-	if err := hb.Replace(nil, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-8 * time.Second))}); err != nil {
-		t.Fatal(err)
-	}
 	ctx := &exec.EvalContext{Now: now}
-
-	sel := currencyGuard(hb, nil, 1, 10*time.Second, time.Time{})()
-	if got, _, _ := sel(ctx); got != 0 {
-		t.Fatal("8s stale within 10s bound should choose local")
-	}
-	sel = currencyGuard(hb, nil, 1, 5*time.Second, time.Time{})()
-	if got, ts, _ := sel(ctx); got != 1 || !ts.Equal(now.Add(-8*time.Second)) {
-		t.Fatal("8s stale beyond 5s bound should choose remote, judging the 8s-old heartbeat")
-	}
-	sel = currencyGuard(hb, nil, 2, time.Hour, time.Time{})()
-	if got, ts, _ := sel(ctx); got != 1 || !ts.IsZero() {
-		t.Fatal("unsynced region should choose remote, judging no heartbeat")
-	}
-	// Unbounded (unconstrained leaf) with synced region: local.
-	sel = currencyGuard(hb, nil, 1, time.Duration(math.MaxInt64), time.Time{})()
-	if got, _, _ := sel(ctx); got != 0 {
-		t.Fatal("unbounded guard should choose local")
-	}
-	// Timeline floor above the sync point forces remote.
-	sel = currencyGuard(hb, nil, 1, time.Hour, now.Add(-time.Second))()
-	if got, _, _ := sel(ctx); got != 1 {
-		t.Fatal("timeline floor should force remote")
-	}
-	sel = currencyGuard(hb, nil, 1, time.Hour, now.Add(-time.Minute))()
-	if got, _, _ := sel(ctx); got != 0 {
-		t.Fatal("floor below sync point should allow local")
-	}
-}
-
-// TestGuardJudgesItsRowPerWord: a guard keeps the heartbeat row it read until
-// its region's state word moves. A row written without moving the word is not
-// seen; once the agent's Begin/End moves it, the next decision reads the row
-// again. While the word stands still the guard takes no latch: with a writer
-// queued behind a reader on the heartbeat table, a decision still returns.
-func TestGuardJudgesItsRowPerWord(t *testing.T) {
-	hbDef := &catalog.Table{
-		Name: "Heartbeat_local",
-		Columns: []catalog.Column{
-			{Name: "cid", Type: sqltypes.KindInt, NotNull: true},
-			{Name: "ts", Type: sqltypes.KindTime, NotNull: true},
-		},
-		PrimaryKey: []string{"cid"},
-	}
-	if err := catalog.New().AddTable(hbDef); err != nil {
-		t.Fatal(err)
-	}
-	hb := storage.NewTable(hbDef)
-	now := vclock.Epoch.Add(100 * time.Second)
-	fresh := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-time.Second))}
-	stale := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewTime(now.Add(-time.Minute))}
-	if err := hb.Replace(nil, fresh); err != nil {
-		t.Fatal(err)
-	}
-	var word storage.Word
-	ctx := &exec.EvalContext{Now: now}
-	sel := currencyGuard(hb, &word, 1, 10*time.Second, time.Time{})()
-	if got, _, _ := sel(ctx); got != 0 {
-		t.Fatal("a 1s-old heartbeat within a 10s bound should choose local")
-	}
-
-	// Hold the read latch and queue a writer behind it: a new reader blocks.
-	held, release, queued := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go hb.Scan(func(sqltypes.Row) bool { close(held); <-release; return false })
-	<-held
-	go func() { close(queued); _ = hb.Replace(fresh, fresh) }()
-	<-queued
-	time.Sleep(10 * time.Millisecond)
-	decided := make(chan int)
-	go func() { got, _, _ := sel(ctx); decided <- got }()
-	select {
-	case got := <-decided:
-		if got != 0 {
-			t.Fatal("the kept row should still choose local")
+	var synced, never storage.Word
+	synced.Heartbeat(now.Add(-8 * time.Second)) // 8s ago
+	for _, c := range []struct {
+		name   string
+		word   *storage.Word
+		bound  time.Duration
+		floor  time.Time
+		want   int
+		judged time.Time
+	}{
+		{"8s stale within a 10s bound", &synced, 10 * time.Second, time.Time{}, 0, now.Add(-8 * time.Second)},
+		{"8s stale beyond a 5s bound", &synced, 5 * time.Second, time.Time{}, 1, now.Add(-8 * time.Second)},
+		{"8s stale at exactly an 8s bound", &synced, 8 * time.Second, time.Time{}, 1, now.Add(-8 * time.Second)},
+		{"8s stale within a bound 1ns longer", &synced, 8*time.Second + 1, time.Time{}, 0, now.Add(-8 * time.Second)},
+		{"unbounded", &synced, time.Duration(math.MaxInt64), time.Time{}, 0, now.Add(-8 * time.Second)},
+		{"a floor past the heartbeat", &synced, time.Hour, now.Add(-time.Second), 1, now.Add(-8 * time.Second)},
+		{"a floor at the heartbeat", &synced, time.Hour, now.Add(-8 * time.Second), 0, now.Add(-8 * time.Second)},
+		{"never synchronized", &never, time.Hour, time.Time{}, 1, time.Time{}},
+		{"no word", nil, time.Duration(math.MaxInt64), time.Time{}, 1, time.Time{}},
+	} {
+		if got, ts := currencyGuard(c.word, c.bound, c.floor)(ctx); got != c.want || !ts.Equal(c.judged) {
+			t.Errorf("%s: branch %d judging %v, want %d judging %v", c.name, got, ts, c.want, c.judged)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a guard whose word has not moved waited for the heartbeat table's latch")
 	}
-	close(release)
 
-	if err := hb.Replace(fresh, stale); err != nil {
-		t.Fatal(err)
+	var word storage.Word
+	sel := currencyGuard(&word, 10*time.Second, time.Time{})
+	word.Heartbeat(now.Add(-time.Minute))
+	if got, _ := sel(ctx); got != 1 {
+		t.Fatal("a minute-old heartbeat beyond a 10s bound should choose remote")
 	}
-	if got, _, _ := sel(ctx); got != 0 {
-		t.Fatal("with the word unmoved, the guard should judge the row it kept")
+	word.Heartbeat(now.Add(-time.Second))
+	if got, ts := sel(ctx); got != 0 || !ts.Equal(now.Add(-time.Second)) {
+		t.Fatalf("the next decision should judge the 1s-old heartbeat and choose local, got %d judging %v", got, ts)
 	}
-	word.Begin(1)
-	word.End(1)
-	if got, ts, _ := sel(ctx); got != 1 || !ts.Equal(now.Add(-time.Minute)) {
-		t.Fatal("once the word moved, the guard should read the minute-old row and choose remote")
+	word.Heartbeat(now.Add(-time.Minute))
+	if got, ts := sel(ctx); got != 0 || !ts.Equal(now.Add(-time.Second)) {
+		t.Fatalf("an older heartbeat must not replace the 1s-old one, got %d judging %v", got, ts)
 	}
 }
 

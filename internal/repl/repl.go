@@ -13,8 +13,8 @@
 // growing to d+f until the next wake-up (the paper's Figure 3.2 cycle).
 //
 // The region's row of the back-end heartbeat table replicates through the
-// same log, so the timestamp in the cache's local heartbeat table bounds the
-// region's staleness.
+// same log, and the agent publishes its timestamp in the region's state word,
+// so the heartbeat a guard judges bounds the region's staleness.
 package repl
 
 import (
@@ -109,13 +109,6 @@ func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
 	return out
 }
 
-// HeartbeatSink receives the region's replicated heartbeat timestamp.
-type HeartbeatSink interface {
-	// WriteHeartbeat records that the region's local heartbeat table now
-	// holds the given timestamp.
-	WriteHeartbeat(regionID int, ts time.Time)
-}
-
 // StallProbe lets a fault injector wedge an agent: a stalled agent's
 // wake-ups run but make no progress, so region staleness grows silently —
 // the failure mode the Watchdog exists to catch. fault.Injector implements
@@ -140,14 +133,13 @@ type Agent struct {
 	interval   atomic.Int64
 	hbInterval atomic.Int64
 
-	// word is the region's published state word: this agent is its one
-	// writer, moving it around every record it applies (Step) and every
-	// heartbeat written out of band (Beat), under mu.
+	// word is the region's published state word and heartbeat: this agent
+	// is its one writer, moving it around every record it applies (Step) and
+	// every heartbeat written out of band (Beat), under mu.
 	word storage.Word
 
 	log     *txn.Log
 	hbTable string
-	hbSink  HeartbeatSink
 	mu      sync.Mutex
 	subs    []*Subscription
 	lastSeq int64
@@ -187,9 +179,10 @@ type Agent struct {
 }
 
 // NewAgent creates an agent reading the given commit log. hbTable names the
-// back-end heartbeat table whose rows for this region are routed to sink.
-func NewAgent(region *catalog.Region, log *txn.Log, hbTable string, sink HeartbeatSink) *Agent {
-	return &Agent{Region: region, log: log, hbTable: hbTable, hbSink: sink, clock: vclock.Wall{}}
+// back-end heartbeat table whose row for this region the agent publishes in
+// the region's word.
+func NewAgent(region *catalog.Region, log *txn.Log, hbTable string) *Agent {
+	return &Agent{Region: region, log: log, hbTable: hbTable, clock: vclock.Wall{}}
 }
 
 // Instrument binds the agent's built-in metrics to a registry: per-region
@@ -342,18 +335,17 @@ func (a *Agent) Restart(now time.Time) {
 }
 
 // Word returns the region's state word (see storage.Word): readers load it
-// before they judge or read the region and compare it after.
+// before they judge or read the region and compare it after, and a guard
+// judges the heartbeat it publishes.
 func (a *Agent) Word() *storage.Word { return &a.word }
 
-// Beat writes ts into the region's heartbeat row outside replication — the
-// chaos harness's guard lie, tests — and moves the region's word, so no guard
-// keeps judging the row it read before.
+// Beat publishes ts as the region's heartbeat outside replication — the chaos
+// harness's guard lie, tests — and moves the region's word, so a run that
+// judged the heartbeat before it is repeated.
 func (a *Agent) Beat(ts time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.hbSink != nil {
-		a.hbSink.WriteHeartbeat(a.Region.ID, ts)
-	}
+	a.word.Heartbeat(ts)
 	a.word.Touch()
 }
 
@@ -427,24 +419,18 @@ type viewChange struct {
 	old, new sqltypes.Row
 }
 
+// applyHeartbeat publishes a heartbeat row of this region in its word.
 func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {
-	row := ch.New
-	if row == nil {
-		return
+	if ch.New == nil || int(ch.New[0].Int()) != a.Region.ID {
+		return // a delete, or another region's heartbeat row
 	}
-	cid := int(row[0].Int())
-	if cid != a.Region.ID {
-		return // another region's heartbeat row
-	}
-	ts := row[1].Time()
+	ts := ch.New[1].Time()
 	if a.mHbAge != nil {
 		// Heartbeat age at apply time: how long the beat spent in flight
 		// (simulated clock), i.e. the propagation delay the region saw.
 		a.mHbAge.SetDuration(now.Sub(ts))
 	}
-	if a.hbSink != nil {
-		a.hbSink.WriteHeartbeat(cid, ts)
-	}
+	a.word.Heartbeat(ts)
 }
 
 // TransactionsApplied returns how many commits the agent has replayed.

@@ -25,14 +25,11 @@ type fixture struct {
 	log     *txn.Log
 	agent   *Agent
 	sub     *Subscription
-	syncs   map[int]time.Time
 }
-
-func (f *fixture) WriteHeartbeat(regionID int, ts time.Time) { f.syncs[regionID] = ts }
 
 func newFixture(t *testing.T, preds []catalog.SimplePred) *fixture {
 	t.Helper()
-	f := &fixture{log: txn.NewLog(), syncs: map[int]time.Time{}}
+	f := &fixture{log: txn.NewLog()}
 	cat := catalog.New()
 	f.base = &catalog.Table{
 		Name: "T",
@@ -61,7 +58,7 @@ func newFixture(t *testing.T, preds []catalog.SimplePred) *fixture {
 	}
 	f.viewTbl = storage.NewTable(viewDef)
 	region := &catalog.Region{ID: 1, UpdateInterval: 10 * time.Second, UpdateDelay: 2 * time.Second}
-	f.agent = NewAgent(region, f.log, "HB", f)
+	f.agent = NewAgent(region, f.log, "HB")
 	sub, err := NewSubscription(f.view, f.base, f.viewTbl)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +229,8 @@ func TestSelectionTransitions(t *testing.T) {
 
 // TestFailedStepLeavesNoPartOfItsRecord: a record whose last change fails to
 // apply (the view already holds its key) takes back the changes before it. The
-// view is as it was before the record, the word's seq does not move and
-// neither does the region's LastSync when the record carries the region's
+// view is as it was before the record, and neither the word's seq nor the
+// heartbeat it publishes moves when the record carries the region's
 // heartbeat, so the next step fails the same way instead of tripping over the
 // record's own first change.
 func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
@@ -263,8 +260,8 @@ func TestFailedStepLeavesNoPartOfItsRecord(t *testing.T) {
 				if got := viewRows(f.viewTbl); got != "(2, 'x')(5, 'e')" || storage.Seq(f.agent.Word().Load()) != 1 {
 					t.Fatalf("step %d: view %s, word seq %d", step, got, storage.Seq(f.agent.Word().Load()))
 				}
-				if got := f.syncs[1]; !got.Equal(t0.Add(time.Second)) {
-					t.Fatalf("step %d: LastSync %v, want the first record's %v", step, got, t0.Add(time.Second))
+				if got, _ := f.agent.Word().Synced(); !got.Equal(t0.Add(time.Second)) {
+					t.Fatalf("step %d: heartbeat %v, want the first record's %v", step, got, t0.Add(time.Second))
 				}
 			}
 		})
@@ -277,16 +274,13 @@ func TestHeartbeatRouting(t *testing.T) {
 		return txn.Change{Table: "HB", New: sqltypes.Row{sqltypes.NewInt(cid), sqltypes.NewTime(at)}}
 	}
 	f.log.Append(t0.Add(1*time.Second), []txn.Change{hb(1, t0.Add(1*time.Second))})
-	f.log.Append(t0.Add(2*time.Second), []txn.Change{hb(2, t0.Add(2*time.Second))}) // other region
 	f.log.Append(t0.Add(3*time.Second), []txn.Change{hb(1, t0.Add(3*time.Second))})
+	f.log.Append(t0.Add(4*time.Second), []txn.Change{hb(2, t0.Add(4*time.Second))}) // other region, the latest
 	if err := f.agent.Step(t0.Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.syncs[1]; !got.Equal(t0.Add(3 * time.Second)) {
-		t.Fatalf("region 1 sync = %v", got)
-	}
-	if _, ok := f.syncs[2]; ok {
-		t.Fatal("agent must ignore other regions' heartbeats")
+	if got, _ := f.agent.Word().Synced(); !got.Equal(t0.Add(3 * time.Second)) {
+		t.Fatalf("region 1 sync = %v; the agent must ignore other regions' heartbeats", got)
 	}
 }
 
@@ -348,7 +342,7 @@ func TestCoordinatorAgentAfterHeartbeatAtSameInstant(t *testing.T) {
 	coord := NewCoordinator(clock)
 	var order []string
 	region := &catalog.Region{ID: 1, UpdateInterval: 2 * time.Second, UpdateDelay: 0}
-	agent := NewAgent(region, txn.NewLog(), "HB", nil)
+	agent := NewAgent(region, txn.NewLog(), "HB")
 	coord.AddHeartbeat(1, every(2*time.Second), func(int) error {
 		order = append(order, "beat")
 		return nil

@@ -3,22 +3,26 @@ package storage
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // Word is a currency region's published state word: the one thing a reader
 // of the region's tables compares to know that what it read is one committed
 // state. Its low versionBits are the version, 2·seq once the record with
 // commit sequence seq is fully applied to the region's views and heartbeat
-// row, and 2·seq − 1 while the region's one writer, its distribution agent,
-// applies that record. The high bits count the moves that apply no record — a
-// record whose apply failed and was taken back, a heartbeat written out of
-// band — so the word never returns to a value a reader has seen.
+// (Synced), and 2·seq − 1 while the region's one writer, its distribution
+// agent, applies that record. The high bits count the moves that apply no
+// record — a record whose apply failed and was taken back, a heartbeat written
+// out of band — so the word never returns to a value a reader has seen.
 //
 // A reader loads the word before it reads (Load waits out an odd version) and
 // loads it again after its last row: an unchanged word means no write to the
-// region's tables overlapped the read. Readers write nothing here. The writer
-// serializes its own calls (the agent's mutex); nothing else writes.
-type Word struct{ w atomic.Uint64 }
+// region's tables or heartbeat overlapped the read. Readers write nothing
+// here; the writer serializes its own calls (the agent's mutex).
+type Word struct {
+	w  atomic.Uint64
+	hb atomic.Int64 // the heartbeat in Unix nanoseconds, 0 before the first
+}
 
 const (
 	versionBits = 48
@@ -66,3 +70,16 @@ func (w *Word) End(seq int64) {
 // Touch moves the word without a record: a write to the region's tables
 // that changes no commit sequence (a heartbeat written out of band).
 func (w *Word) Touch() { w.w.Add(otherMove) }
+
+// Heartbeat publishes ts as the region's heartbeat unless a later one is.
+func (w *Word) Heartbeat(ts time.Time) { w.hb.Store(max(w.hb.Load(), ts.UnixNano())) }
+
+// Synced returns the region's heartbeat, false when none was published.
+func (w *Word) Synced() (time.Time, bool) {
+	if w != nil {
+		if n := w.hb.Load(); n != 0 {
+			return time.Unix(0, n).UTC(), true
+		}
+	}
+	return time.Time{}, false
+}

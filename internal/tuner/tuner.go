@@ -12,9 +12,9 @@
 //
 // where p is the paper's local-probability formula (Section 3.2.4). Longer
 // intervals save refresh work but push more queries to the back end; the
-// optimum balances the two. The expectation is analytic per bound, so the
-// objective is cheap to evaluate and (piecewise) smooth; a golden-section
-// search over log-f finds the minimum.
+// optimum balances the two. The expectation is analytic per bound, and
+// between the bounds' kinks the objective is A/f + C, so its minimum is at a
+// kink or an end of the range, the points Tune evaluates.
 package tuner
 
 import (
@@ -118,10 +118,11 @@ const (
 )
 
 // Tune picks the refresh interval minimizing the cost rate for a region
-// with propagation delay d. It golden-section-searches over log-interval
-// (the objective is unimodal in practice: refresh cost falls, remote
-// penalty rises) and also probes the workload's bound breakpoints, where
-// the piecewise formula kinks.
+// with propagation delay d. Between consecutive kinks f = B − d of the
+// workload's bounds the cost is A/f + C (each bound's slice is either always
+// local or local with probability (B−d)/f), which is monotone, so its minimum
+// lies at a kink or at an extreme of the search range: Tune evaluates those
+// and keeps the cheapest.
 func Tune(w Workload, c Costs, d time.Duration) (Result, error) {
 	bounds, err := w.normalized()
 	if err != nil {
@@ -137,29 +138,6 @@ func Tune(w Workload, c Costs, d time.Duration) (Result, error) {
 		}
 		return rate
 	}
-	// Golden-section search on log f.
-	lo, hi := math.Log(minIntervalSec), math.Log(maxIntervalSec)
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := eval(math.Exp(x1)), eval(math.Exp(x2))
-	for i := 0; i < 100; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = eval(math.Exp(x1))
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = eval(math.Exp(x2))
-		}
-	}
-	bestF := math.Exp((a + b) / 2)
-	bestRate := eval(bestF)
-	// Probe the kinks: f = B - d for each workload bound (the point where
-	// that slice flips between always-local and partially-local), plus the
-	// search extremes.
 	candidates := []float64{minIntervalSec, maxIntervalSec}
 	for _, bs := range bounds {
 		if k := (bs.Bound - d).Seconds(); k > minIntervalSec && k < maxIntervalSec {
@@ -167,7 +145,8 @@ func Tune(w Workload, c Costs, d time.Duration) (Result, error) {
 		}
 	}
 	sort.Float64s(candidates)
-	for _, cand := range candidates {
+	bestF, bestRate := candidates[0], eval(candidates[0])
+	for _, cand := range candidates[1:] {
 		if rate := eval(cand); rate < bestRate {
 			bestF, bestRate = cand, rate
 		}
