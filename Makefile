@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz lint loc reach bench bench-compare load verify cover chaos audit audit-broken
+.PHONY: build test vet race fuzz lint loc reach examples bench bench-compare load verify cover chaos audit audit-broken
 
 build:
 	$(GO) build ./...
@@ -53,8 +53,8 @@ lint:
 # (internal/harness), the lint suite (internal/analysis), the optimizer
 # (internal/opt), the parser (internal/sqlparser), the value types
 # (internal/sqltypes), the store (internal/storage + internal/btree), the
-# back end (internal/backend) or replication (internal/repl) exceeds its
-# ceiling (ROADMAP tracks LoC per package).
+# back end (internal/backend), replication (internal/repl) or the link
+# (internal/remote) exceeds its ceiling (ROADMAP tracks LoC per package).
 loc:
 	./scripts/loc.sh
 
@@ -64,6 +64,16 @@ loc:
 # gate). REACH_DIR keeps the profiles.
 reach:
 	./scripts/reach.sh
+
+# Run each example under examples/ twice: it must exit 0 and print the same
+# bytes both times (every example drives the simulation on the virtual
+# clock). The first run's output is printed under the example's name.
+examples:
+	@for e in examples/*/; do \
+		a=$$($(GO) run ./$$e) && b=$$($(GO) run ./$$e) || exit 1; \
+		[ "$$a" = "$$b" ] || { echo "examples: $$e printed other bytes on a second run" >&2; exit 1; }; \
+		printf '== %s\n%s\n' "$$e" "$$a"; \
+	done
 
 # Tier-1 verification line (see ROADMAP.md).
 verify: build vet lint test race

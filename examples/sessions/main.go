@@ -16,6 +16,7 @@ import (
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/core"
+	"relaxedcc/internal/fault"
 	"relaxedcc/internal/mtcache"
 )
 
@@ -80,7 +81,9 @@ func main() {
 	fmt.Printf("relaxed read: balance = %v (from %s)\n", res.Rows[0][0], source(res))
 
 	fmt.Println("\n== Violation actions: the back end goes down ==")
-	sys.Cache.Link().SetDown(true)
+	inj := fault.New(1)
+	sys.InjectFaults(inj)
+	inj.SetPartitioned(true)
 	strict := "SELECT a_balance FROM Accounts WHERE a_id = 1"
 	if _, err := sess.Execute(strict); err != nil {
 		fmt.Printf("default action (error): %v\n", err)
@@ -89,7 +92,6 @@ func main() {
 	res = run(strict)
 	fmt.Printf("serve-stale action: balance = %v (served stale: %v)\n",
 		res.Rows[0][0], res.ServedStale)
-	sys.Cache.Link().SetDown(false)
 }
 
 func source(res *mtcache.QueryResult) string {

@@ -39,7 +39,6 @@ func auditSystem(t *testing.T) (*System, *fault.Injector) {
 	sys.Analyze()
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience()
 	if a := sys.EnableAudit(); a != sys.EnableAudit() {
 		t.Fatal("EnableAudit not idempotent")
 	}

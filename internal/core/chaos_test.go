@@ -15,14 +15,13 @@ import (
 )
 
 // chaosSystem builds the standard fault-tolerance fixture: regionSystem with
-// resilience enabled and the injector wired in, run one full propagation
-// cycle so the region has synchronized.
+// the injector wired in, run one full propagation cycle so the region has
+// synchronized.
 func chaosSystem(t *testing.T) (*System, *fault.Injector) {
 	t.Helper()
 	sys := regionSystem(t)
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience()
 	if err := sys.Run(14 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +67,17 @@ func TestChaosBreakerTripsAndHalfOpens(t *testing.T) {
 	link := sys.Cache.Link()
 	inj.SetPartitioned(true)
 
-	// DefaultPolicy: 3 attempts per query, breaker threshold 5 — two failed
-	// queries accumulate 6 consecutive failures and trip the breaker.
+	// 3 attempts per query, breaker threshold 5 — the second failed query's
+	// second attempt is the fifth consecutive failure and trips the breaker.
 	for i := 0; i < 2; i++ {
 		if _, err := sys.Query(remoteQuery); err == nil {
 			t.Fatalf("query %d succeeded under partition", i)
 		}
 	}
-	if got := link.Breaker().State(); got != remote.BreakerOpen {
+	if got := link.BreakerState(); got != remote.BreakerOpen {
 		t.Fatalf("breaker state after partition failures = %v, want open", got)
 	}
-	if link.Breaker().Trips() == 0 {
+	if link.Stats().BreakerTrips == 0 {
 		t.Fatal("breaker recorded no trips")
 	}
 
@@ -101,7 +100,7 @@ func TestChaosBreakerTripsAndHalfOpens(t *testing.T) {
 	if _, err := sys.Query(remoteQuery); err == nil {
 		t.Fatal("half-open probe succeeded under partition")
 	}
-	if got := link.Breaker().State(); got != remote.BreakerOpen {
+	if got := link.BreakerState(); got != remote.BreakerOpen {
 		t.Fatalf("breaker state after failed probe = %v, want open", got)
 	}
 
@@ -117,7 +116,7 @@ func TestChaosBreakerTripsAndHalfOpens(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("healed query returned %d rows", len(res.Rows))
 	}
-	if got := link.Breaker().State(); got != remote.BreakerClosed {
+	if got := link.BreakerState(); got != remote.BreakerClosed {
 		t.Fatalf("breaker state after successful probe = %v, want closed", got)
 	}
 
@@ -130,12 +129,13 @@ func TestChaosBreakerTripsAndHalfOpens(t *testing.T) {
 	}
 }
 
-// TestResilienceCooldownFollowsSlowestHeartbeat: EnableResilience sets the
-// breaker cooldown to the slowest region's heartbeat cadence, so with one
-// region beating every second and one every two a tripped breaker lets its
-// half-open probe through after two seconds, not one.
+// TestResilienceCooldownFollowsSlowestHeartbeat: each region added to the
+// cache paces its link's breaker, so with one region beating every second
+// and one every two a tripped breaker lets its half-open probe through after
+// two seconds, not one.
 func TestResilienceCooldownFollowsSlowestHeartbeat(t *testing.T) {
 	sys := NewSystem()
+	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
 	for i, hb := range []time.Duration{time.Second, 2 * time.Second} {
 		if err := sys.AddRegion(&catalog.Region{
 			ID: i + 1, Name: fmt.Sprintf("R%d", i+1),
@@ -144,20 +144,28 @@ func TestResilienceCooldownFollowsSlowestHeartbeat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys.EnableResilience()
-	br := sys.Cache.Link().Breaker()
-	at := sys.Clock.Now()
-	for i := 0; i < remote.DefaultPolicy().BreakerThreshold; i++ {
-		br.Record(at, false)
+	inj := fault.New(7)
+	sys.InjectFaults(inj)
+	inj.SetPartitioned(true)
+	link := sys.Cache.Link()
+	for link.BreakerState() != remote.BreakerOpen {
+		if _, err := link.Query("SELECT v FROM T"); !errors.Is(err, fault.ErrPartition) {
+			t.Fatalf("query under partition: %v", err)
+		}
 	}
-	if got := br.State(); got != remote.BreakerOpen {
-		t.Fatalf("breaker state after a run of failures = %v, want open", got)
+	tripped := sys.Clock.Now()
+	inj.SetPartitioned(false)
+	if err := sys.RunTo(tripped.Add(2*time.Second - time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	if br.Allow(at.Add(2*time.Second - time.Millisecond)) {
-		t.Fatal("breaker half-opened before the slowest heartbeat cadence (2s)")
+	if _, err := link.Query("SELECT v FROM T"); !errors.Is(err, remote.ErrBreakerOpen) {
+		t.Fatalf("breaker half-opened before the slowest heartbeat cadence (2s): %v", err)
 	}
-	if !br.Allow(at.Add(2 * time.Second)) {
-		t.Fatal("breaker still open one slowest heartbeat cadence (2s) after tripping")
+	if err := sys.RunTo(tripped.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Query("SELECT v FROM T"); err != nil {
+		t.Fatalf("breaker still open one slowest heartbeat cadence (2s) after tripping: %v", err)
 	}
 }
 

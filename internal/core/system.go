@@ -28,12 +28,11 @@ type System struct {
 	Coord   *repl.Coordinator
 
 	// Watchdogs supervise the primary cache's distribution agents once
-	// EnableResilience has run (see resilience.go).
+	// InjectFaults has run (see faults.go).
 	Watchdogs []*repl.Watchdog
 
-	resilient bool
-	watched   map[int]bool
-	faults    *fault.Injector
+	watched map[int]bool
+	faults  *fault.Injector
 	// tuner is the closed-loop autotuner installed by EnableAutotune (see
 	// autotune.go); nil until enabled.
 	tuner *tuner.Loop
@@ -103,16 +102,14 @@ func (s *System) AddRegion(r *catalog.Region) error {
 }
 
 // adopt applies every subsystem that is enabled to one distribution agent of
-// the primary cache: the fault injector's stall probe, watchdog supervision,
-// the autotuner's actuator and the auditor's apply tap. Each step is
-// idempotent, so AddRegion adopts the new agent and InjectFaults and the
-// Enable* methods re-adopt every agent (adoptAll): that is the only wiring
-// any of them does per agent, in either order of enabling and adding.
+// the primary cache: the fault injector's stall probe with its watchdog, the
+// autotuner's actuator and the auditor's apply tap. Each step is idempotent,
+// so AddRegion adopts the new agent and InjectFaults and the Enable* methods
+// re-adopt every agent (adoptAll): that is the only wiring any of them does
+// per agent, in either order of enabling and adding.
 func (s *System) adopt(a *repl.Agent) {
 	if s.faults != nil {
 		a.SetStallProbe(s.faults)
-	}
-	if s.resilient {
 		s.watch(a)
 	}
 	if s.tuner != nil {

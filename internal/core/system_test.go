@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"relaxedcc/internal/core"
+	"relaxedcc/internal/fault"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/tpcd"
 )
@@ -294,8 +295,9 @@ func TestTimelineConsistency(t *testing.T) {
 
 func TestServeStaleViolationAction(t *testing.T) {
 	sys := newSystem(t)
-	sys.Cache.Link().SetDown(true)
-	defer sys.Cache.Link().SetDown(false)
+	inj := fault.New(1)
+	sys.InjectFaults(inj)
+	inj.SetPartitioned(true)
 
 	// Default action: error.
 	if _, err := sys.Query(tpcd.PointQuery(4, "")); err == nil {

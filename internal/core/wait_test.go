@@ -9,7 +9,7 @@ import (
 )
 
 // TestBlockOnPlainSystemServesLocally: a blocking session on a system without
-// EnableResilience waits through the coordinator, so the heartbeats and the
+// fault injection waits through the coordinator, so the heartbeats and the
 // agent run during its waits and the guard passes on a re-check. A wait that
 // only moved the clock would leave the region ever staler, exhaust the wait
 // budget and send the query remote.

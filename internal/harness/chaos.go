@@ -178,7 +178,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	stats := sys.Cache.Link().Stats()
 	rep.Retries = stats.Retries
 	rep.LinkFailures = stats.Failures
-	rep.BreakerTrips = sys.Cache.Link().Breaker().Trips()
+	rep.BreakerTrips = stats.BreakerTrips
 	for _, wd := range sys.Watchdogs {
 		rep.AgentRestarts += wd.Agent().Restarts()
 	}

@@ -37,7 +37,7 @@ const (
 	loadLocalService = 2 * time.Millisecond
 	loadJoinFactor   = 3
 	// Every remote call pays latency plus uniform jitter and fails
-	// transiently at this rate (the resilient link retries).
+	// transiently at this rate (the link retries).
 	loadLatency   = 2 * time.Millisecond
 	loadJitter    = 2 * time.Millisecond
 	loadErrorRate = 0.02

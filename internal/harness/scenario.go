@@ -16,8 +16,8 @@ import (
 
 // Scenario is the system the chaos and shift runs share: a single-region
 // cache — table T with one row, region 1, view t_prj — behind a seeded fault
-// injector on a resilient link, driven by the virtual clock, so the same
-// config replays the same run byte for byte.
+// injector on the link, driven by the virtual clock, so the same config
+// replays the same run byte for byte.
 type Scenario struct {
 	Seed int64
 
@@ -30,10 +30,10 @@ type Scenario struct {
 	LatencyJitter time.Duration
 
 	// OnSystem, if set, receives the fully wired system right after fault
-	// injection and resilience are enabled, before any virtual time passes.
-	// Callers use it to stash the system (e.g. to scrape its ObsHandler
-	// endpoints after the run) or to add extra instrumentation. It must not
-	// advance the clock or run queries, or determinism is lost.
+	// injection, before any virtual time passes. Callers use it to stash
+	// the system (e.g. to scrape its ObsHandler endpoints after the run) or
+	// to add extra instrumentation. It must not advance the clock or run
+	// queries, or determinism is lost.
 	OnSystem func(*core.System)
 }
 
@@ -67,14 +67,14 @@ func pointQuery(bound time.Duration) string {
 }
 
 // injectFaults puts sys behind a seeded injector — latency plus jitter on
-// every remote call, transient errors at errorRate — on a resilient link with
-// the default policy (retry/backoff, deadline, breaker on heartbeat cadence).
+// every remote call, transient errors at errorRate — which the link meets
+// with its retries, deadline and breaker, and the agents' watchdogs with
+// restarts.
 func injectFaults(sys *core.System, seed int64, latency, jitter time.Duration, errorRate float64) *fault.Injector {
 	inj := fault.New(seed)
 	inj.SetLatency(latency, jitter)
 	inj.SetErrorRate(errorRate)
 	sys.InjectFaults(inj)
-	sys.EnableResilience()
 	return inj
 }
 

@@ -95,17 +95,10 @@ type Cache struct {
 // the cache and its link pass simulated time (see Cache.wait).
 func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Cache {
 	co := newCacheObs(clock, obs.NewRegistry())
-	// The link starts in passthrough mode (single attempt, no breaker) so
-	// plain caches behave exactly like a direct connection; callers opt into
-	// resilience with link.Configure(remote.DefaultPolicy()) or
-	// core.System.EnableResilience.
-	link := remote.NewClient(back, clock, wait)
-	link.Instrument(co.reg)
-	link.SetTracer(co.tracer)
 	c := &Cache{
 		clock:     clock,
 		back:      back,
-		link:      link,
+		link:      remote.NewClient(back, clock, wait, co.reg, co.tracer),
 		cat:       back.Catalog().Clone(),
 		views:     map[string]*storage.Table{},
 		agents:    map[int]*repl.Agent{},
@@ -318,7 +311,8 @@ func (c *Cache) RefreshShadowStats() error {
 }
 
 // AddRegion registers a currency region on both servers and creates its
-// distribution agent.
+// distribution agent; the link's breaker probes no more often than the
+// slowest region heartbeat (remote.Client.PaceProbes).
 func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 	if err := c.back.RegisterRegion(r); err != nil {
 		return nil, err
@@ -328,6 +322,7 @@ func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 	if err := c.cat.AddRegion(&rc); err != nil {
 		return nil, err
 	}
+	c.link.PaceProbes(rc.HeartbeatInterval)
 	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable)
 	agent.Instrument(c.obs.reg)
 	agent.SetTracer(c.obs.tracer)

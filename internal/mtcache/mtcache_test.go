@@ -7,6 +7,7 @@ import (
 
 	"relaxedcc/internal/backend"
 	"relaxedcc/internal/catalog"
+	"relaxedcc/internal/fault"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
@@ -26,6 +27,15 @@ func newPair(t *testing.T) (*Cache, *backend.Server, *vclock.Virtual) {
 	b.AnalyzeAll()
 	c := New(clock, b, clock.Advance)
 	return c, b, clock
+}
+
+// partition cuts c's link to the back end until the returned injector is
+// healed with SetPartitioned(false).
+func partition(c *Cache) *fault.Injector {
+	inj := fault.New(1)
+	inj.SetPartitioned(true)
+	c.Link().SetFault(inj)
+	return inj
 }
 
 func addRegionAndView(t *testing.T, c *Cache) {
@@ -275,7 +285,7 @@ func TestSessionStatements(t *testing.T) {
 func TestServeStaleRequiresMatchingView(t *testing.T) {
 	c, _, _ := newPair(t)
 	addRegionAndView(t, c)
-	c.Link().SetDown(true)
+	partition(c)
 	sess := c.NewSession()
 	sess.Action = ActionServeStale
 	// t_prj lacks column n: no matching view -> error even with serve-stale.

@@ -40,7 +40,6 @@ func TestResultReportsItsSources(t *testing.T) {
 	}
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience()
 
 	point := tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)")
 	var q5 string

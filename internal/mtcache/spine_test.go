@@ -59,7 +59,6 @@ func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep)
 	sys.Cache.TraceEvery(every)
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	sys.EnableResilience()
 	if audited {
 		sys.EnableAudit()
 	}

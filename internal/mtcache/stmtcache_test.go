@@ -63,14 +63,14 @@ func TestTreeCheckInRules(t *testing.T) {
 	// A run that fails drops its tree: age the region past the bound with
 	// the link down, so the guard goes remote and the fetch errors.
 	clock.Advance(time.Minute)
-	c.Link().SetDown(true)
+	inj := partition(c)
 	if _, err := sess.Query(q); err == nil {
 		t.Fatal("remote branch with the link down did not fail")
 	}
 	if n := idleTrees(c, q); n != 0 {
 		t.Fatalf("%d idle trees after a failed run, want 0", n)
 	}
-	c.Link().SetDown(false)
+	inj.SetPartitioned(false)
 	if _, err := sess.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +137,14 @@ func TestTimelineAndServeStalePlanFromTheSharedStatement(t *testing.T) {
 
 	// Serve-stale re-plans the failed query's statement guardless.
 	clock.Advance(time.Minute)
-	c.Link().SetDown(true)
+	inj := partition(c)
 	stale := c.NewSession()
 	stale.Action = ActionServeStale
 	res, err := stale.Query(q)
 	if err != nil || !res.ServedStale || len(res.Rows) != 1 {
 		t.Fatalf("serve-stale: %v, %+v", err, res)
 	}
-	c.Link().SetDown(false)
+	inj.SetPartitioned(false)
 
 	if e2, _ := c.lookupText(q, false); e2 != e || e.tmpl.Plan != plan || e.sel.Load() != sel {
 		t.Fatal("a per-session plan replaced the cached entry, or its parse")

@@ -4,10 +4,11 @@
 // bytes shipped — the quantities the optimizer's cost model trades off.
 //
 // The link is where network reality intrudes on the paper's model, so it
-// carries the fault-tolerance layer: deterministic fault injection
-// (internal/fault), per-query deadlines, bounded retries with exponential
-// backoff and jitter, and a circuit breaker that fails fast after a run of
-// consecutive failures and half-opens on the heartbeat cadence. Callers
+// carries the fault-tolerance layer, with one fixed policy for every cache:
+// deterministic fault injection (internal/fault), a per-query deadline,
+// bounded retries with exponential backoff and jitter, and a circuit breaker
+// that fails fast after a run of consecutive failures and half-opens on the
+// heartbeat cadence. On a healthy link a query is one back-end call. Callers
 // classify failures with IsUnavailable and apply the paper's violation
 // actions (serve stale locally, block, or error).
 package remote
@@ -19,7 +20,6 @@ import (
 	"time"
 
 	"relaxedcc/internal/backend"
-	"relaxedcc/internal/exec"
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/vclock"
@@ -34,6 +34,8 @@ type Stats struct {
 	Retries int64
 	// Failures is how many link-level failures were observed (per attempt).
 	Failures int64
+	// BreakerTrips is how many times the circuit breaker opened.
+	BreakerTrips int64
 }
 
 // Fault injects synthetic failures into the link; fault.Injector implements
@@ -48,59 +50,49 @@ type Client struct {
 	backend *backend.Server
 	clock   vclock.Clock
 	wait    func(time.Duration)
+	// tracer receives span events for retries and breaker transitions.
+	tracer *obs.Tracer
 
-	mu     sync.Mutex
-	stats  Stats
-	down   bool
-	policy Policy
-	rng    *rand.Rand
-	fault  Fault
-
-	breaker *Breaker
-	// seenTrips is how many breaker trips have been exported to the
-	// remote_breaker_trips_total counter.
-	seenTrips int64
-	// tracer receives span events for retries and breaker transitions; nil
-	// means untraced. lastBreakerState dedupes transition events.
-	tracer           *obs.Tracer
-	lastBreakerState BreakerState
-
-	// Metrics, bound by Instrument; nil fields mean the link runs
-	// unmetered.
 	mRetries      *obs.Counter // remote_retries_total
 	mFailures     *obs.Counter // remote_failures_total
 	mDeadline     *obs.Counter // remote_deadline_exceeded_total
 	mBreakerTrips *obs.Counter // remote_breaker_trips_total
 	mBreakerState *obs.Gauge   // remote_breaker_state
+
+	mu    sync.Mutex
+	stats Stats
+	fault Fault
+	rng   *rand.Rand // backoff jitter
+	// The circuit breaker (resilient.go): its state, the run of consecutive
+	// link failures, when it last opened, whether a half-open probe is out,
+	// and the open→half-open cooldown.
+	state    BreakerState
+	fails    int
+	openedAt time.Time
+	probing  bool
+	cooldown time.Duration
 }
 
-// NewClient connects a cache to its back-end server with the legacy
-// single-shot behavior (no deadline, no retries, no breaker); call
-// Configure to enable resilience. The clock drives deadlines and breaker
-// cooldowns; wait is how the link spends backoff and injected latency.
-// core.System passes its coordinator's Wait, so the simulated time a
-// struggling link pays also fires due heartbeats and agent propagations.
-func NewClient(b *backend.Server, clock vclock.Clock, wait func(time.Duration)) *Client {
-	c := &Client{backend: b, clock: clock, wait: wait}
-	c.Configure(PassthroughPolicy())
-	return c
-}
-
-// Configure sets the link's resilience policy.
-func (c *Client) Configure(p Policy) {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 1
+// NewClient connects a cache to its back-end server. The clock drives
+// deadlines and breaker cooldowns; wait is how the link spends backoff and
+// injected latency. core.System passes its coordinator's Wait, so the
+// simulated time a struggling link pays also fires due heartbeats and agent
+// propagations. The link's metrics register in reg and its span events go
+// to tracer.
+func NewClient(b *backend.Server, clock vclock.Clock, wait func(time.Duration), reg *obs.Registry, tracer *obs.Tracer) *Client {
+	return &Client{
+		backend:       b,
+		clock:         clock,
+		wait:          wait,
+		tracer:        tracer,
+		mRetries:      reg.Counter("remote_retries_total"),
+		mFailures:     reg.Counter("remote_failures_total"),
+		mDeadline:     reg.Counter("remote_deadline_exceeded_total"),
+		mBreakerTrips: reg.Counter("remote_breaker_trips_total"),
+		mBreakerState: reg.Gauge("remote_breaker_state"),
+		rng:           rand.New(rand.NewSource(jitterSeed)),
+		cooldown:      time.Second,
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.policy = p
-	c.rng = rand.New(rand.NewSource(p.Seed))
-	if p.BreakerThreshold > 0 {
-		c.breaker = NewBreaker(p.BreakerThreshold, p.BreakerCooldown)
-	} else {
-		c.breaker = nil
-	}
-	c.publishBreakerStateLocked()
 }
 
 // SetFault installs (or clears, with nil) a fault injector on the link.
@@ -110,227 +102,109 @@ func (c *Client) SetFault(f Fault) {
 	c.fault = f
 }
 
-// Breaker returns the link's circuit breaker, or nil when disabled.
-func (c *Client) Breaker() *Breaker {
+// PaceProbes tells the link that one of its cache's regions beats every
+// heartbeat: an open breaker waits for the slowest such cadence, and at
+// least a second, before its half-open probe, so recovery is probed as often
+// as freshness arrives. The cache calls it for every region it adds.
+func (c *Client) PaceProbes(heartbeat time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.breaker
+	c.cooldown = max(c.cooldown, heartbeat)
 }
 
-// Instrument binds the link's metrics to a registry: retry and failure
-// counters, deadline expirations, breaker trips and the breaker-state
-// gauge (0 closed, 1 half-open, 2 open).
-func (c *Client) Instrument(reg *obs.Registry) {
+// BreakerState returns the circuit breaker's current state.
+func (c *Client) BreakerState() BreakerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mRetries = reg.Counter("remote_retries_total")
-	c.mFailures = reg.Counter("remote_failures_total")
-	c.mDeadline = reg.Counter("remote_deadline_exceeded_total")
-	c.mBreakerTrips = reg.Counter("remote_breaker_trips_total")
-	c.mBreakerState = reg.Gauge("remote_breaker_state")
-	c.publishBreakerStateLocked()
-}
-
-func (c *Client) publishBreakerStateLocked() {
-	state := BreakerClosed
-	if c.breaker != nil {
-		state = c.breaker.State()
-	}
-	if state != c.lastBreakerState {
-		c.lastBreakerState = state
-		if c.tracer != nil {
-			switch state {
-			case BreakerOpen:
-				c.tracer.Event(obs.EventBreakerOpen)
-			case BreakerHalfOpen:
-				c.tracer.Event(obs.EventBreakerHalfOpen)
-			default:
-				c.tracer.Event(obs.EventBreakerClosed)
-			}
-		}
-	}
-	if c.mBreakerState == nil {
-		return
-	}
-	c.mBreakerState.Set(int64(state))
-	if c.breaker == nil {
-		return
-	}
-	if trips := c.breaker.Trips(); trips > c.seenTrips {
-		if c.mBreakerTrips != nil {
-			c.mBreakerTrips.Add(trips - c.seenTrips)
-		}
-		c.seenTrips = trips
-	}
-}
-
-// SetTracer attaches lifecycle tracing to the link: retry attempts and
-// breaker state transitions emit span events (span_events_total{kind}).
-func (c *Client) SetTracer(t *obs.Tracer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tracer = t
-}
-
-func (c *Client) publishBreakerState() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.publishBreakerStateLocked()
+	return c.state
 }
 
 // Query ships sql to the back end and returns all result rows. It
-// implements opt.RemoteExecutor.
+// implements opt.RemoteExecutor: breaker check, then up to maxAttempts
+// tries with backoff under the per-query deadline. SQL-level errors from the
+// back end return at once.
 func (c *Client) Query(sql string) ([]sqltypes.Row, error) {
-	res, err := c.QueryResult(sql)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-// QueryResult is Query with the full result (schema and timings). It runs
-// the resilient path: breaker check, bounded retries with backoff under the
-// per-query deadline. SQL-level errors from the back end return immediately
-// and never count against the breaker.
-func (c *Client) QueryResult(sql string) (*exec.Result, error) {
+	now := c.clock.Now()
+	due := now.Add(deadline)
 	c.mu.Lock()
-	pol := c.policy
-	rng := c.rng
-	br := c.breaker
-	c.mu.Unlock()
-
-	now := c.clock.Now
-	var deadline time.Time
-	if pol.Deadline > 0 {
-		deadline = now().Add(pol.Deadline)
+	f, allowed := c.fault, c.allowLocked(now)
+	if !allowed {
+		c.stats.Failures++
 	}
-
-	if br != nil && !br.Allow(now()) {
-		c.noteFailure()
+	c.mu.Unlock()
+	if !allowed {
+		c.mFailures.Inc()
 		return nil, ErrBreakerOpen
 	}
-
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var lastErr error
 	for attempt := 1; ; attempt++ {
-		res, err := c.attempt(sql, now(), deadline)
-		if err == nil {
-			if br != nil {
-				br.Record(now(), true)
-				c.publishBreakerState()
-			}
-			return res, nil
-		}
+		rows, err := c.attempt(f, sql, now, due)
 		if !IsUnavailable(err) {
-			// The link delivered the query; the back end rejected it.
-			return nil, err
+			return rows, err
 		}
-		lastErr = err
-		c.noteFailure()
-		if br != nil {
-			br.Record(now(), false)
-			c.publishBreakerState()
+		now = c.clock.Now()
+		c.mu.Lock()
+		c.stats.Failures++
+		stop := c.settleLocked(now, false) || attempt == maxAttempts
+		var pause time.Duration
+		if !stop {
+			pause = c.backoffLocked(attempt)
 		}
-		if attempt >= attempts {
-			break
+		c.mu.Unlock()
+		c.mFailures.Inc()
+		if stop {
+			// Out of attempts, or the breaker tripped mid-query: stop
+			// hammering the link.
+			return nil, fmt.Errorf("remote: %d attempt(s) failed: %w", attempt, err)
 		}
-		if br != nil && br.State() == BreakerOpen {
-			// The breaker tripped mid-query: stop hammering the link.
-			break
+		if now.Add(pause).After(due) {
+			c.mDeadline.Inc()
+			return nil, fmt.Errorf("%w after %d attempt(s): %v", ErrDeadlineExceeded, attempt, err)
 		}
-		wait := pol.backoff(attempt, rng)
-		if !deadline.IsZero() && now().Add(wait).After(deadline) {
-			c.noteDeadline()
-			return nil, fmt.Errorf("%w after %d attempt(s): %v", ErrDeadlineExceeded, attempt, lastErr)
-		}
-		if wait > 0 {
-			c.wait(wait)
-		}
-		c.noteRetry()
+		c.wait(pause)
+		now = c.clock.Now()
+		c.mu.Lock()
+		c.stats.Retries++
+		c.mu.Unlock()
+		c.mRetries.Inc()
+		c.tracer.Event(obs.EventRemoteRetry)
 	}
-	if attempts > 1 {
-		return nil, fmt.Errorf("remote: %d attempt(s) failed: %w", attempts, lastErr)
-	}
-	return nil, lastErr
 }
 
-// attempt performs one try: fault injection (paying its latency), the
-// deadline check, then the in-process back-end call.
-func (c *Client) attempt(sql string, now, deadline time.Time) (*exec.Result, error) {
-	c.mu.Lock()
-	f := c.fault
-	down := c.down
-	c.mu.Unlock()
-
+// attempt performs one try at now: the fault (paying its latency, then the
+// deadline check), then the in-process back-end call. A round trip — rows
+// or a SQL error — is settled in the breaker here; a link failure is
+// returned for Query to settle.
+func (c *Client) attempt(f Fault, sql string, now, due time.Time) ([]sqltypes.Row, error) {
 	if f != nil {
 		lat, err := f.Inject(now)
 		if lat > 0 {
 			c.wait(lat)
 			now = now.Add(lat)
 		}
-		if !deadline.IsZero() && now.After(deadline) {
-			c.noteDeadline()
+		if now.After(due) {
+			c.mDeadline.Inc()
 			return nil, fmt.Errorf("%w (reply after deadline)", ErrDeadlineExceeded)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("remote: injected: %w", err)
 		}
 	}
-	if down {
-		return nil, ErrLinkDown
+	res, err := c.backend.Query(sql)
+	var rows []sqltypes.Row
+	var bytes int64
+	if err == nil {
+		rows = res.Rows
+		for _, r := range rows {
+			bytes += rowBytes(r)
+		}
 	}
-
 	c.mu.Lock()
 	c.stats.Queries++
-	c.mu.Unlock()
-
-	res, err := c.backend.Query(sql)
-	if err != nil {
-		return nil, err
-	}
-	var bytes int64
-	for _, r := range res.Rows {
-		bytes += rowBytes(r)
-	}
-	c.mu.Lock()
-	c.stats.Rows += int64(len(res.Rows))
+	c.stats.Rows += int64(len(rows))
 	c.stats.Bytes += bytes
+	c.settleLocked(now, true)
 	c.mu.Unlock()
-	return res, nil
-}
-
-func (c *Client) noteFailure() {
-	c.mu.Lock()
-	c.stats.Failures++
-	m := c.mFailures
-	c.mu.Unlock()
-	if m != nil {
-		m.Inc()
-	}
-}
-
-func (c *Client) noteRetry() {
-	c.mu.Lock()
-	c.stats.Retries++
-	m := c.mRetries
-	tr := c.tracer
-	c.mu.Unlock()
-	if m != nil {
-		m.Inc()
-	}
-	tr.Event(obs.EventRemoteRetry)
-}
-
-func (c *Client) noteDeadline() {
-	c.mu.Lock()
-	m := c.mDeadline
-	c.mu.Unlock()
-	if m != nil {
-		m.Inc()
-	}
+	return rows, err
 }
 
 // Stats returns a snapshot of link traffic counters.
@@ -345,15 +219,6 @@ func (c *Client) ResetStats() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats = Stats{}
-}
-
-// SetDown injects (or clears) a link failure: subsequent queries fail until
-// cleared. Prefer a fault.Injector for richer scenarios; SetDown remains
-// the simplest hard-partition switch.
-func (c *Client) SetDown(down bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.down = down
 }
 
 // rowBytes estimates the wire size of one row.

@@ -11,17 +11,18 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
-ceilings="the total outside bench/|25649|all
+ceilings="the total outside bench/|25409|all
 internal/exec|3792|exec
-the spine ($spine)|4664|$spine
-internal/harness|2722|harness
+the spine ($spine)|4624|$spine
+internal/harness|2721|harness
 internal/analysis|1361|analysis
 internal/opt|3281|opt
 internal/sqlparser|2035|sqlparser
 internal/sqltypes|1353|sqltypes
 the store (storage + btree)|1089|storage btree
-internal/backend|769|backend
-internal/repl|696|repl"
+internal/backend|761|backend
+internal/repl|696|repl
+internal/remote|369|remote"
 
 declare -A lines=([all]=0)
 sum() { # the lines of the packages named in $1
