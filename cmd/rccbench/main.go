@@ -68,6 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"with -load: pace arrivals in real time for demos (measurement stays on the virtual clock)")
 	benchText := fs.String("bench-text", "",
 		"read this `go test -bench` transcript instead: write BENCH_exec.json, gate it and compare it with BENCH_baseline.json")
+	pairsDir := fs.String("pairs", "",
+		"fold the paired ./bench runs scripts/pairs.sh left in this directory: per workload and end-to-end metric of BENCHMARK.json, both medians, the change and the pairs it won")
 	autotune := fs.Bool("autotune", false,
 		"enable the closed-loop currency autotuner (tuner.Loop) for the run")
 	auditOn := fs.Bool("audit", false,
@@ -86,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A flag bound to a mode the run is not in would otherwise select a
 	// different experiment than the one asked for, silently.
 	modes := 0
-	for _, on := range []bool{*loadRun, *shift, *chaos, *benchText != ""} {
+	for _, on := range []bool{*loadRun, *shift, *chaos, *benchText != "", *pairsDir != ""} {
 		if on {
 			modes++
 		}
@@ -95,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad bool
 		msg string
 	}{
-		{modes > 1, "-load, -shift, -chaos and -bench-text exclude one another"},
+		{modes > 1, "-load, -shift, -chaos, -bench-text and -pairs exclude one another"},
 		{!*loadRun && (*loadShort || *loadJSON != "" || *wall), "-load-short, -load-json and -wall need -load"},
 		{!*chaos && *brokenGuard, "-broken-guard needs -chaos"},
 	} {
@@ -111,6 +113,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *benchText != "" {
 		if err := harness.RunBenchReport(stdout, *benchText, "BENCH_exec.json", "BENCH_baseline.json"); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	if *pairsDir != "" {
+		if err := foldPairs(stdout, *pairsDir, "BENCHMARK.json"); err != nil {
 			return fail(err)
 		}
 		return 0

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,6 +24,7 @@ func TestModeBoundFlagsAreRejected(t *testing.T) {
 		{[]string{"-load", "-chaos"}, "exclude one another"},
 		{[]string{"-shift", "-chaos"}, "exclude one another"},
 		{[]string{"-load", "-bench-text", "x.txt"}, "exclude one another"},
+		{[]string{"-pairs", "dir", "-chaos"}, "exclude one another"},
 		{[]string{"-no-such-flag"}, "not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -109,7 +111,7 @@ func TestBenchTextFailsOnAGateAndStillWritesTheFile(t *testing.T) {
 	for name, content := range map[string][]byte{
 		"BENCH_baseline.json": baseline,
 		"good.txt":            text,
-		"bad.txt":             bytes.Replace(text, []byte("       3 allocs/op"), []byte("      12 allocs/op"), 1),
+		"bad.txt":             bytes.Replace(text, []byte("       1 allocs/op"), []byte("      12 allocs/op"), 1),
 	} {
 		if err := os.WriteFile(name, content, 0o644); err != nil {
 			t.Fatal(err)
@@ -123,10 +125,57 @@ func TestBenchTextFailsOnAGateAndStillWritesTheFile(t *testing.T) {
 	if code := run([]string{"-bench-text", "bad.txt"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("over the ceiling: exit %d, want 1", code)
 	}
-	if !strings.Contains(stderr.String(), "BenchmarkEndToEndQuery/local-point: allocs_op regressed: 12 > 5") {
+	if !strings.Contains(stderr.String(), "BenchmarkEndToEndQuery/local-point: allocs_op regressed: 12 > 3") {
 		t.Errorf("stderr: %s", stderr.String())
 	}
 	if out, err := os.ReadFile("BENCH_exec.json"); err != nil || !bytes.Contains(out, []byte(`"allocs_op": 12`)) {
 		t.Errorf("BENCH_exec.json not left behind for the failing run: %v", err)
+	}
+}
+
+// TestFoldPairs: -pairs folds each workload's paired runs into both medians,
+// the change, the base's interquartile range and the pairs the change won,
+// in the direction BENCHMARK.json calls better; a workload with no runs is
+// left out, and a side short of runs is an error.
+func TestFoldPairs(t *testing.T) {
+	dir := t.TempDir()
+	contract := filepath.Join(dir, "contract.json")
+	write := func(path, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(contract, `{"workloads":[{"name":"point_hot"},{"name":"analytic"}],
+		"end_to_end":[{"name":"throughput_qps","better":"higher"},{"name":"allocs_per_op","better":"lower"}]}`)
+	line := func(qps, allocs float64, failed int) string {
+		return fmt.Sprintf(`{"correct":true,"attempted":10,"failed":%d,"metrics":{"throughput_qps":{"value":%g,"unit":"1/s"},"allocs_per_op":{"value":%g,"unit":"count"}}}`, failed, qps, allocs)
+	}
+	for i, r := range []struct{ base, change float64 }{{100, 110}, {104, 103}, {96, 120}, {100, 130}} {
+		write(filepath.Join(dir, "runs", "point_hot", fmt.Sprintf("base-%d.json", i+1)), line(r.base, 3, 0))
+		write(filepath.Join(dir, "runs", "point_hot", fmt.Sprintf("change-%d.json", i+1)), line(r.change, 1, i%2))
+	}
+	var out bytes.Buffer
+	if err := foldPairs(&out, filepath.Join(dir, "runs"), contract); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"point_hot   throughput_qps                100            115   +15.00%     6.00%   3/4",
+		"point_hot   allocs_per_op                   3              1   -66.67%     0.00%   4/4",
+		"point_hot   change runs failed 2 ops",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "analytic") {
+		t.Errorf("a workload with no runs is printed:\n%s", out.String())
+	}
+	write(filepath.Join(dir, "runs", "analytic", "base-1.json"), line(1, 1, 0))
+	if err := foldPairs(&out, filepath.Join(dir, "runs"), contract); err == nil || !strings.Contains(err.Error(), "1 base runs, 0 change runs") {
+		t.Errorf("unpaired runs: %v", err)
 	}
 }

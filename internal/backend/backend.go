@@ -222,14 +222,32 @@ func (s *Server) Query(sql string) (*exec.Result, error) {
 			return nil, err
 		}
 	}
-	// The copy keeps the scan's buffers on the stack.
-	res, err := exec.Run(root, &exec.EvalContext{Now: s.clock.Now(), Params: slices.Clone(vals)}, setup)
-	if err == nil {
-		s.stmtMu.Lock()
-		t.CheckIn(root)
-		s.stmtMu.Unlock()
+	// One reply holds the run's context, its parameters (copied: the scan's
+	// buffers stay on the stack; nil stays nil, a plan of its own) and a
+	// small answer. The caller's result and rows point into it and keep it.
+	r := &reply{ctx: exec.EvalContext{Now: s.clock.Now(), Clock: s.clock}}
+	if vals != nil {
+		r.ctx.Params = append(r.params[:0], vals...)
 	}
-	return res, err
+	r.res.Reserve(r.rows[:], r.vals[:])
+	if err := exec.RunInto(&r.res, root, &r.ctx, setup); err != nil {
+		return nil, err
+	}
+	s.stmtMu.Lock()
+	t.CheckIn(root)
+	s.stmtMu.Unlock()
+	return &r.res, nil
+}
+
+// reply is one answer of Query in one allocation: a shipped point read's
+// literal and its row of up to three columns fit, a larger answer allocates
+// its row list and values as exec.Run does.
+type reply struct {
+	res    exec.Result
+	ctx    exec.EvalContext
+	params [1]sqltypes.Value
+	rows   [1]sqltypes.Row
+	vals   [3]sqltypes.Value
 }
 
 // QuerySelect executes a parsed SELECT.
@@ -238,7 +256,7 @@ func (s *Server) QuerySelect(sel *sqlparser.SelectStmt) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.Run(plan.Root, &exec.EvalContext{Now: s.clock.Now()}, plan.Setup)
+	return exec.Run(plan.Root, &exec.EvalContext{Now: s.clock.Now(), Clock: s.clock}, plan.Setup)
 }
 
 // Plan exposes planning separately (used by benchmarks that re-execute one

@@ -824,3 +824,43 @@ func TestBigintKeysPast2To53StayApart(t *testing.T) {
 		t.Errorf("GROUP BY the big keys = %v, want %v", groups, want)
 	}
 }
+
+// TestRepliesToOneTemplateShareNoRows: each Query answer is a reply of its
+// own, its row in the reply's room or, past it, in storage of its own; two
+// answers run through one template's tree (one idle tree, checked out and
+// in again) share no row or value, and the first is unchanged by the second.
+func TestRepliesToOneTemplateShareNoRows(t *testing.T) {
+	s, _ := newServer(t)
+	loadItems(t, s, 50)
+	for _, tc := range []struct {
+		shape        string
+		rows7, rows8 int
+	}{
+		{"SELECT id, cat, price FROM item WHERE id = %d", 1, 1},  // one row of three: the room
+		{"SELECT id, cat, price FROM item WHERE cat = %d", 5, 5}, // a row list and arena
+	} {
+		first, err := s.Query(fmt.Sprintf(tc.shape, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(first.Rows)
+		second, err := s.Query(fmt.Sprintf(tc.shape, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !knowsShape(s, fmt.Sprintf(tc.shape, 7)) || !knowsShape(s, fmt.Sprintf(tc.shape, 9)) {
+			t.Fatalf("%q: the shape has no template", tc.shape)
+		}
+		if len(first.Rows) != tc.rows7 || len(second.Rows) != tc.rows8 || second.Rows[0][0].Int() != 8 {
+			t.Fatalf("%q: answers %v and %v", tc.shape, first.Rows, second.Rows)
+		}
+		if got := fmt.Sprint(first.Rows); got != want {
+			t.Errorf("%q: the first answer became %s after the second, was %s", tc.shape, got, want)
+		}
+		for i := range first.Rows {
+			if &first.Rows[i][0] == &second.Rows[i][0] {
+				t.Errorf("%q: both answers hold row %d in one place", tc.shape, i)
+			}
+		}
+	}
+}

@@ -100,13 +100,6 @@ func TestCollectSwitchUnionsDeep(t *testing.T) {
 	}
 }
 
-func TestPhaseTimesScaleZero(t *testing.T) {
-	p := PhaseTimes{Setup: time.Second}
-	if p.Scale(0) != p {
-		t.Fatal("Scale(0) should be identity")
-	}
-}
-
 func TestSchemaErrors(t *testing.T) {
 	if ErrAmbiguous("x").Error() == "" {
 		t.Fatal("ErrAmbiguous")

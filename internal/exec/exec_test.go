@@ -651,15 +651,6 @@ func TestRunPhases(t *testing.T) {
 	if res.Phases.Total() < res.Phases.Setup {
 		t.Fatal("total")
 	}
-	var p PhaseTimes
-	p.Add(res.Phases)
-	p.Add(res.Phases)
-	if p.Setup != 10*time.Millisecond {
-		t.Fatal("Add")
-	}
-	if p.Scale(2).Setup != 5*time.Millisecond {
-		t.Fatal("Scale")
-	}
 }
 
 // switchUnions collects every SwitchUnion of the tree under op, walking it

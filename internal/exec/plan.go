@@ -19,30 +19,20 @@ type PhaseTimes struct {
 // Total returns the summed elapsed time.
 func (p PhaseTimes) Total() time.Duration { return p.Setup + p.Run + p.Shutdown }
 
-// Add accumulates another execution's phases (used for averaging).
-func (p *PhaseTimes) Add(q PhaseTimes) {
-	p.Setup += q.Setup
-	p.Run += q.Run
-	p.Shutdown += q.Shutdown
-}
-
-// Scale divides all phases by n.
-func (p PhaseTimes) Scale(n int) PhaseTimes {
-	if n <= 0 {
-		return p
-	}
-	return PhaseTimes{
-		Setup:    p.Setup / time.Duration(n),
-		Run:      p.Run / time.Duration(n),
-		Shutdown: p.Shutdown / time.Duration(n),
-	}
-}
-
 // Result is a fully materialized query result with phase timings.
 type Result struct {
 	Schema *Schema
 	Rows   []sqltypes.Row
 	Phases PhaseTimes
+	// room is storage for the values of materialized rows (Reserve).
+	room []sqltypes.Value
+}
+
+// Reserve hands the result storage for its first rows and their values,
+// which RunInto fills before it allocates: a caller that keeps both arrays
+// inside a larger value answers a small query with no allocation of its own.
+func (r *Result) Reserve(rows []sqltypes.Row, vals []sqltypes.Value) {
+	r.Rows, r.room = rows[:0], vals
 }
 
 // Run opens the operator tree, drains it and closes it, recording run and
@@ -51,7 +41,9 @@ type Result struct {
 // This is the result boundary, the one place batches become rows: selection
 // vectors resolve here, row-backed batches contribute shared row references
 // and columnar batches are materialized once, into one arena per batch. The
-// result's row list grows at most once per batch.
+// result's row list grows at most once per batch. Run allocates the Result,
+// the row list and one arena per columnar batch; RunInto into a Reserved
+// result allocates none of them while the answer fits the reserved storage.
 func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) {
 	res := new(Result)
 	if err := RunInto(res, root, ctx, setup); err != nil {
@@ -60,10 +52,13 @@ func Run(root Operator, ctx *EvalContext, setup time.Duration) (*Result, error) 
 	return res, nil
 }
 
-// RunInto is Run filling a Result the caller owns, which it overwrites: a
-// caller that keeps the result inside a larger value allocates the two once.
+// RunInto is Run filling a Result the caller owns, which it overwrites. The
+// row list starts over in the storage res.Rows had (the reserved array, or
+// what an earlier run grew it to) and values are carved from the reserved
+// room first, so rows of an earlier run into res must not be kept.
 func RunInto(res *Result, root Operator, ctx *EvalContext, setup time.Duration) error {
-	*res = Result{Schema: root.Schema(), Phases: PhaseTimes{Setup: setup}}
+	*res = Result{Schema: root.Schema(), Rows: res.Rows[:0], Phases: PhaseTimes{Setup: setup}, room: res.room}
+	room := res.room
 	clk := ctx.clock()
 	start := clk.Now()
 	if err := root.Open(ctx); err != nil {
@@ -76,7 +71,7 @@ func RunInto(res *Result, root Operator, ctx *EvalContext, setup time.Duration) 
 		if need := len(res.Rows) + cb.NumActive(); need > cap(res.Rows) {
 			res.Rows = slices.Grow(res.Rows, max(need, 2*cap(res.Rows))-len(res.Rows))
 		}
-		res.Rows = cb.AppendRows(res.Rows)
+		res.Rows, room = cb.AppendRows(res.Rows, room)
 		return nil
 	})
 	if err != nil {

@@ -127,18 +127,22 @@ var allocCeilings = []struct {
 	// A plan-cache hit runs a cached tree: no parse, no print-back, no build,
 	// and one query context per session instead of closures per query. The
 	// local point read took 92 allocs/op while it did all of that and
-	// measures 3 (6 before one allocation held its whole result); shipped to
-	// the back end, which answers from a template of the statement's shape
-	// (106 while it parsed and planned every one), 8. End-to-end ceilings are
-	// the count plus two.
-	{"BenchmarkEndToEndQuery/local-point", 5},
-	{"BenchmarkEndToEndQuery/remote-point", 10},
+	// measures 1, the QueryResult its row is materialized into (3 while the
+	// row list and value arena were allocations of their own, 6 before one
+	// allocation held the whole result); shipped to the back end, which
+	// answers from a template of the statement's shape (106 while it parsed
+	// and planned every one) into one reply, 3 (8 while the reply was five).
+	// End-to-end ceilings are the count plus two.
+	{"BenchmarkEndToEndQuery/local-point", 3},
+	{"BenchmarkEndToEndQuery/remote-point", 5},
 	// A new text of a known shape is scanned, bound to the shape's template
-	// and run through a tree another statement left: the canonical text, the
-	// entry and its parameters on top of a hit (9 and 12 measured), where
-	// parse, print and optimize took some 230 and 1,400.
-	{"BenchmarkEndToEndQuery/shape-hit", 11},
-	{"BenchmarkEndToEndQuery/shape-hit-join", 14},
+	// and run through a tree another statement left: the canonical text and
+	// the entry, which holds its literals, on top of a hit and the text's
+	// own making (6 and 11 measured; 9 and 12 while the literals were a copy
+	// and the point row took its row list and arena), where parse, print and
+	// optimize took some 230 and 1,400.
+	{"BenchmarkEndToEndQuery/shape-hit", 8},
+	{"BenchmarkEndToEndQuery/shape-hit-join", 13},
 	// Forwarded DML runs from a back-end template (7 and 11; 29, 53 parsed).
 	{"BenchmarkEndToEndQuery/update-by-key", 9},
 	{"BenchmarkEndToEndQuery/insert-delete", 13},

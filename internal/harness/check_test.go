@@ -265,8 +265,8 @@ func TestBenchCheckBites(t *testing.T) {
 		want   string
 		mutate func(rows []BenchRow) []BenchRow
 	}{
-		{"BenchmarkEndToEndQuery/local-point: allocs_op regressed: 6 > 5", func(rows []BenchRow) []BenchRow {
-			*row(t, rows, "BenchmarkEndToEndQuery/local-point").AllocsOp = 6
+		{"BenchmarkEndToEndQuery/local-point: allocs_op regressed: 4 > 3", func(rows []BenchRow) []BenchRow {
+			*row(t, rows, "BenchmarkEndToEndQuery/local-point").AllocsOp = 4
 			return rows
 		}},
 		{"BenchmarkAnalyze: allocs_op regressed: 662955 > 375", func(rows []BenchRow) []BenchRow {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"time"
 
@@ -56,24 +57,28 @@ func GuardQueries() []GuardQuery {
 // GuardMeasurement compares a guarded plan with its exact unguarded twin
 // (the same operator tree with every SwitchUnion replaced by the branch the
 // guard takes) — the paper's "plans with and without currency checking".
+// Every time is per execution, the median over guardRounds rounds; each
+// round times each twin for at least cellTime.
 type GuardMeasurement struct {
-	Query      string
-	Branch     string // "local" or "remote"
-	Rows       int
-	Guarded    exec.PhaseTimes
-	Plain      exec.PhaseTimes
-	Delta      exec.PhaseTimes // median of per-round (guarded - plain)
-	GuardEval  time.Duration   // average selector evaluation time
-	GuardCount int             // SwitchUnions in the plan
+	Query   string
+	Branch  string // "local" or "remote"
+	Rows    int
+	Guarded exec.PhaseTimes
+	Plain   exec.PhaseTimes
+	// Delta and DeltaIQR are the median and interquartile range, per phase,
+	// of the rounds' guarded − plain differences; Cost and CostIQR those of
+	// the rounds' total differences.
+	Delta, DeltaIQR exec.PhaseTimes
+	Cost, CostIQR   time.Duration
+	GuardEval       time.Duration // median selector evaluation time per guard
+	GuardCount      int           // SwitchUnions in the plan
 }
 
 // Overhead returns the median per-phase overhead across paired rounds.
 func (m *GuardMeasurement) Overhead() exec.PhaseTimes { return m.Delta }
 
-// OverheadTotal returns the total elapsed overhead.
-func (m *GuardMeasurement) OverheadTotal() time.Duration {
-	return m.Delta.Total()
-}
+// OverheadTotal returns the median total overhead across paired rounds.
+func (m *GuardMeasurement) OverheadTotal() time.Duration { return m.Cost }
 
 // OverheadPercent returns the relative overhead.
 func (m *GuardMeasurement) OverheadPercent() float64 {
@@ -93,68 +98,93 @@ func StripGuards(op exec.Operator, branch int) exec.Operator {
 	return op
 }
 
-// timePhases measures averaged per-phase times over iters executions of a
-// plan: setup is the (batched) cost of instantiating the executable tree;
-// run and shutdown come from the executor's own phase clocks.
-func timePhases(plan *opt.Plan, transform func(exec.Operator) exec.Operator, ctx *exec.EvalContext, iters int) (exec.PhaseTimes, int, error) {
-	var root exec.Operator
-	var err error
-	// The guard-overhead experiment measures real microseconds (the paper's
-	// Table 4.5); the explicit wall clock here — and the one injected into
-	// ctx by measureGuardedVsPlain — is the point, not an oversight.
+const (
+	// guardRounds is how many rounds a measurement takes; a time is the
+	// median of the rounds', reported with their interquartile range.
+	guardRounds = 7
+	// cellTime is the least wall time one round spends on the setup of the
+	// two twins and on their executions, each: a fixed time rather than a
+	// fixed count, as testing.Benchmark times a benchmark to -benchtime.
+	cellTime = 5 * time.Millisecond
+)
+
+// cell runs one(twin) for the guarded (0) and the plain (1) twin in turn —
+// guarded first on even iterations, plain first on odd ones — from a
+// collected heap, until cellTime has passed and at least least pairs ran.
+// It returns, per phase, the medians of the two twins' times and of the
+// pairs' differences: a collection or a slow spell of the host lands on one
+// pair, not on one twin.
+func cell(least int, one func(twin int) (exec.PhaseTimes, error)) (g, p, d exec.PhaseTimes, err error) {
 	wall := vclock.Wall{}
-	start := wall.Now()
-	for i := 0; i < iters; i++ {
-		root, err = plan.Build()
-		if err != nil {
-			return exec.PhaseTimes{}, 0, err
+	var gs, ps, ds []exec.PhaseTimes
+	runtime.GC()
+	for start := wall.Now(); len(gs) < least || wall.Now().Sub(start) < cellTime; {
+		var t [2]exec.PhaseTimes
+		for k := 0; k < 2; k++ {
+			twin := (len(gs) + k) % 2
+			if t[twin], err = one(twin); err != nil {
+				return g, p, d, err
+			}
 		}
-		if transform != nil {
-			root = transform(root)
-		}
+		gs, ps = append(gs, t[0]), append(ps, t[1])
+		ds = append(ds, exec.PhaseTimes{Setup: t[0].Setup - t[1].Setup, Run: t[0].Run - t[1].Run, Shutdown: t[0].Shutdown - t[1].Shutdown})
 	}
-	setup := wall.Now().Sub(start) / time.Duration(iters)
-	var total exec.PhaseTimes
-	rows := 0
-	for i := 0; i < iters; i++ {
-		res, err := exec.Run(root, ctx, 0)
-		if err != nil {
-			return exec.PhaseTimes{}, 0, err
-		}
-		total.Add(res.Phases)
-		rows = len(res.Rows)
-	}
-	avg := total.Scale(iters)
-	avg.Setup = setup
-	return avg, rows, nil
+	g, _ = spreadPhases(gs)
+	p, _ = spreadPhases(ps)
+	d, _ = spreadPhases(ds)
+	return g, p, d, nil
 }
 
 // measureGuardedVsPlain compares the guarded plan for sql against its
-// traditional twin without currency checking: the same operator tree with
-// every SwitchUnion replaced by the branch the guard takes at the
-// measurement instant (the paper generated the equivalent traditional local
-// and remote plans). Rounds are interleaved and per-phase medians of the
-// paired deltas suppress scheduling noise.
-func measureGuardedVsPlain(sys *core.System, sql string, wantLocal bool, reps int) (*GuardMeasurement, error) {
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		return nil, err
+// traditional twin without currency checking. Executed, the twin is the
+// same operator tree with every SwitchUnion replaced by the branch the guard
+// takes at the measurement instant. Set up, it is the plan the paper
+// compared against, which builds no guard and no branch a guard would drop:
+// for the local branch the statement planned without guards, which builds
+// exactly that tree; for the remote one the statement without its currency
+// clause (plain), which the cache ships whole. Each round times the two
+// setups in one cell and the two executions, of one tree each, in another;
+// a time is the median of the rounds', with its interquartile range.
+func measureGuardedVsPlain(sys *core.System, sql, plain string, wantLocal bool, reps int) (*GuardMeasurement, error) {
+	plan := func(sql string, opts opt.Options) (*opt.Plan, error) {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			return nil, err
+		}
+		p, _, err := sys.Cache.Plan(sel, opts)
+		return p, err
 	}
-	guarded, _, err := sys.Cache.Plan(sel, opt.Options{ForceLocal: true})
+	guarded, err := plan(sql, opt.Options{ForceLocal: true})
 	if err != nil {
 		return nil, err
 	}
 	if guarded.Guards == 0 {
 		return nil, fmt.Errorf("harness: plan for %q has no currency guard", sql)
 	}
-	branch := map[bool]int{true: 0, false: 1}[wantLocal]
-	strip := func(op exec.Operator) exec.Operator { return StripGuards(op, branch) }
-	// Wall clock on purpose: run/shutdown phases must measure real elapsed
-	// time, whatever clock the system runs on. The guards' decisions add up
-	// their selector times and must take the expected branch.
+	branch, traditional := 1, opt.Options{}
+	if wantLocal {
+		branch, traditional, plain = 0, opt.Options{NoGuards: true, ForceLocal: true, IgnoreConstraints: true}, sql
+	}
+	twin, err := plan(plain, traditional)
+	if err != nil {
+		return nil, err
+	}
+	var roots [2]exec.Operator
+	if roots[0], err = guarded.Build(); err == nil {
+		roots[1], err = guarded.Build()
+	}
+	if err != nil {
+		return nil, err
+	}
+	roots[1] = StripGuards(roots[1], branch)
+	// The guard-overhead experiment measures real nanoseconds (the paper's
+	// Table 4.5): the explicit wall clock here, and in cell, is the point,
+	// not an oversight. The guards' decisions add up their selector times and
+	// must take the expected branch.
+	wall := vclock.Wall{}
 	var guardEval time.Duration
-	wrong := -1
-	ctx := &exec.EvalContext{Now: sys.Clock.Now(), Clock: vclock.Wall{}, OnGuard: func(d exec.GuardDecision) {
+	wrong, runs := -1, 0
+	ctx := &exec.EvalContext{Now: sys.Clock.Now(), Clock: wall, OnGuard: func(d exec.GuardDecision) {
 		if guardEval += d.GuardTime; (d.Chosen == 0) != wantLocal {
 			wrong = d.Chosen
 		}
@@ -163,64 +193,70 @@ func measureGuardedVsPlain(sys *core.System, sql string, wantLocal bool, reps in
 		GuardCount: guarded.Guards,
 		Branch:     map[bool]string{true: "local", false: "remote"}[wantLocal],
 	}
-	const rounds = 7
-	iters := reps / rounds
-	if iters < 1 {
-		iters = 1
+	builds := [2]*opt.Plan{guarded, twin}
+	build := func(i int) (exec.PhaseTimes, error) {
+		start := wall.Now()
+		_, err := builds[i].Build()
+		return exec.PhaseTimes{Setup: wall.Now().Sub(start)}, err
 	}
-	var gs, ps []exec.PhaseTimes
-	for r := 0; r < rounds; r++ {
-		guardEval = 0
-		g, rows, err := timePhases(guarded, nil, ctx, iters)
+	execute := func(i int) (exec.PhaseTimes, error) {
+		res, err := exec.Run(roots[i], ctx, 0)
+		if err != nil {
+			return exec.PhaseTimes{}, err
+		}
+		if i == 0 {
+			m.Rows, runs = len(res.Rows), runs+1
+		}
+		return res.Phases, nil
+	}
+	least := reps / guardRounds
+	var gs, ps, deltas []exec.PhaseTimes
+	var costs []time.Duration
+	for r := 0; r < guardRounds; r++ {
+		gSetup, pSetup, dSetup, err := cell(least, build)
+		if err != nil {
+			return nil, err
+		}
+		g, p, d, err := cell(least, execute)
 		if err != nil {
 			return nil, err
 		}
 		if wrong >= 0 {
 			return nil, fmt.Errorf("harness: guard chose branch %d, want local=%v", wrong, wantLocal)
 		}
-		p, _, err := timePhases(guarded, strip, ctx, iters)
-		if err != nil {
-			return nil, err
-		}
-		m.Rows = rows
-		gs = append(gs, g)
-		ps = append(ps, p)
-		if eval := guardEval / time.Duration(iters); m.GuardEval == 0 || eval < m.GuardEval {
-			m.GuardEval = eval
-		}
+		g.Setup, p.Setup, d.Setup = gSetup.Setup, pSetup.Setup, dSetup.Setup
+		gs, ps, deltas = append(gs, g), append(ps, p), append(deltas, d)
+		costs = append(costs, d.Total())
 	}
-	m.Guarded = medianPhases(gs)
-	m.Plain = medianPhases(ps)
-	deltas := make([]exec.PhaseTimes, rounds)
-	for r := range gs {
-		deltas[r] = exec.PhaseTimes{
-			Setup:    gs[r].Setup - ps[r].Setup,
-			Run:      gs[r].Run - ps[r].Run,
-			Shutdown: gs[r].Shutdown - ps[r].Shutdown,
-		}
-	}
-	m.Delta = medianPhases(deltas)
-	if m.GuardCount > 0 {
-		m.GuardEval /= time.Duration(m.GuardCount)
-	}
+	m.Guarded, _ = spreadPhases(gs)
+	m.Plain, _ = spreadPhases(ps)
+	m.Delta, m.DeltaIQR = spreadPhases(deltas)
+	m.Cost, m.CostIQR = spread(costs)
+	m.GuardEval = guardEval / time.Duration(runs*m.GuardCount)
 	return m, nil
 }
 
-// medianPhases takes the per-phase median of a sample of phase timings.
-func medianPhases(xs []exec.PhaseTimes) exec.PhaseTimes {
-	med := func(pick func(exec.PhaseTimes) time.Duration) time.Duration {
+// spread returns the median of a sample and its interquartile range.
+func spread(xs []time.Duration) (median, iqr time.Duration) {
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	n := len(xs)
+	return xs[n/2], xs[(3*n)/4] - xs[n/4]
+}
+
+// spreadPhases is spread per phase.
+func spreadPhases(xs []exec.PhaseTimes) (median, iqr exec.PhaseTimes) {
+	phase := func(pick func(exec.PhaseTimes) time.Duration) (time.Duration, time.Duration) {
 		vals := make([]time.Duration, len(xs))
 		for i, x := range xs {
 			vals[i] = pick(x)
 		}
-		slices.Sort(vals)
-		return vals[len(vals)/2]
+		return spread(vals)
 	}
-	return exec.PhaseTimes{
-		Setup:    med(func(p exec.PhaseTimes) time.Duration { return p.Setup }),
-		Run:      med(func(p exec.PhaseTimes) time.Duration { return p.Run }),
-		Shutdown: med(func(p exec.PhaseTimes) time.Duration { return p.Shutdown }),
-	}
+	median.Setup, iqr.Setup = phase(func(p exec.PhaseTimes) time.Duration { return p.Setup })
+	median.Run, iqr.Run = phase(func(p exec.PhaseTimes) time.Duration { return p.Run })
+	median.Shutdown, iqr.Shutdown = phase(func(p exec.PhaseTimes) time.Duration { return p.Shutdown })
+	return median, iqr
 }
 
 // MeasureGuardOverhead produces the measurements behind Tables 4.4 and 4.5:
@@ -229,12 +265,12 @@ func medianPhases(xs []exec.PhaseTimes) exec.PhaseTimes {
 func MeasureGuardOverhead(sys *core.System, reps int) (map[string]map[string]*GuardMeasurement, error) {
 	out := map[string]map[string]*GuardMeasurement{}
 	for _, q := range GuardQueries() {
-		local, err := measureGuardedVsPlain(sys, q.Fresh, true, reps)
+		local, err := measureGuardedVsPlain(sys, q.Fresh, q.Plain, true, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s local: %w", q.Name, err)
 		}
 		local.Query = q.Name
-		rem, err := measureGuardedVsPlain(sys, q.Stale, false, reps)
+		rem, err := measureGuardedVsPlain(sys, q.Stale, q.Plain, false, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s remote: %w", q.Name, err)
 		}
@@ -244,10 +280,9 @@ func MeasureGuardOverhead(sys *core.System, reps int) (map[string]map[string]*Gu
 	return out, nil
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // RunGuardOverhead prints Table 4.4: absolute and relative currency-guard
-// overhead for local and remote execution of Q1-Q3.
+// overhead for local and remote execution of Q1-Q3, in nanoseconds per
+// execution: the median of the rounds and its interquartile range.
 func RunGuardOverhead(w io.Writer, sys *core.System, reps int) (map[string]map[string]*GuardMeasurement, error) {
 	measured, err := MeasureGuardOverhead(sys, reps)
 	if err != nil {
@@ -256,41 +291,41 @@ func RunGuardOverhead(w io.Writer, sys *core.System, reps int) (map[string]map[s
 	section(w, "Table 4.4: overhead of currency guards")
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %10s %10s %10s\n",
 		"", "Q1", "Q2", "Q3", "Q1(rem)", "Q2(rem)", "Q3(rem)")
-	fmt.Fprintf(w, "%-12s", "cost (ms)")
-	for _, branch := range []string{"local", "remote"} {
-		for _, q := range []string{"Q1", "Q2", "Q3"} {
-			fmt.Fprintf(w, " %10.4f", ms(measured[q][branch].OverheadTotal()))
+	for _, line := range []struct {
+		name string
+		cell func(m *GuardMeasurement) string
+	}{
+		{"cost (ns)", func(m *GuardMeasurement) string { return fmt.Sprint(m.Cost.Nanoseconds()) }},
+		{"IQR (ns)", func(m *GuardMeasurement) string { return fmt.Sprint(m.CostIQR.Nanoseconds()) }},
+		{"cost (%)", func(m *GuardMeasurement) string { return fmt.Sprintf("%.2f", m.OverheadPercent()) }},
+		{"# rows", func(m *GuardMeasurement) string { return fmt.Sprint(m.Rows) }},
+	} {
+		fmt.Fprintf(w, "%-12s", line.name)
+		for _, branch := range []string{"local", "remote"} {
+			for _, q := range []string{"Q1", "Q2", "Q3"} {
+				fmt.Fprintf(w, " %10s", line.cell(measured[q][branch]))
+			}
 		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "cost (%)")
-	for _, branch := range []string{"local", "remote"} {
-		for _, q := range []string{"Q1", "Q2", "Q3"} {
-			fmt.Fprintf(w, " %10.2f", measured[q][branch].OverheadPercent())
-		}
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "# rows")
-	for _, branch := range []string{"local", "remote"} {
-		for _, q := range []string{"Q1", "Q2", "Q3"} {
-			fmt.Fprintf(w, " %10d", measured[q][branch].Rows)
-		}
-	}
-	fmt.Fprintln(w)
 	return measured, nil
 }
 
 // RunGuardPhases prints Table 4.5: the local-execution guard overhead split
 // into setup / run / shutdown phases, plus the "ideal" floor (guard
-// predicate evaluation alone, plus shutdown).
+// predicate evaluation alone, plus shutdown), in nanoseconds per execution:
+// each the median of the rounds ± its interquartile range.
 func RunGuardPhases(w io.Writer, measured map[string]map[string]*GuardMeasurement) {
 	section(w, "Table 4.5: local currency-guard overhead by phase")
-	fmt.Fprintf(w, "%-4s %12s %12s %12s %12s\n", "", "setup(ms)", "run(ms)", "shutdown(ms)", "ideal(ms)")
+	fmt.Fprintf(w, "%-4s %14s %14s %14s %14s\n", "", "setup(ns)", "run(ns)", "shutdown(ns)", "ideal(ns)")
+	cell := func(median, iqr time.Duration) string {
+		return fmt.Sprintf("%d ±%d", median.Nanoseconds(), iqr.Nanoseconds())
+	}
 	for _, q := range []string{"Q1", "Q2", "Q3"} {
 		m := measured[q]["local"]
-		ov := m.Overhead()
+		ov, iqr := m.Overhead(), m.DeltaIQR
 		ideal := m.GuardEval*time.Duration(m.GuardCount) + ov.Shutdown
-		fmt.Fprintf(w, "%-4s %12.4f %12.4f %12.4f %12.4f\n",
-			q, ms(ov.Setup), ms(ov.Run), ms(ov.Shutdown), ms(ideal))
+		fmt.Fprintf(w, "%-4s %14s %14s %14s %14d\n",
+			q, cell(ov.Setup, iqr.Setup), cell(ov.Run, iqr.Run), cell(ov.Shutdown, iqr.Shutdown), ideal.Nanoseconds())
 	}
 }

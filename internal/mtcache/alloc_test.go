@@ -23,30 +23,38 @@ func raceEnabled() bool {
 // back end, the benchmark's point join, its ~1,000-row range read
 // (scan_cust) and its two aggregates. A hit runs a tree that ran before, so what is counted is
 // what one execution allocates — the result, plus, on the remote path, the
-// back end scanning the shipped text and running its template's tree; the
-// session's bookkeeping and the guard decisions allocate nothing.
+// text shipped and the back end's reply; the session's bookkeeping and the
+// guard decisions allocate nothing.
 // BENCHMARK.json bounds allocs_per_op at 1%: this catches a regression in
 // `go test`. Each ceiling is the count plus two. The counts, on two CPUs
 // (on one, the five analytic rows run their scans inline and take fewer;
-// on more, their scans run more workers): point 3, join 3, point/new text
-// 9, join/new text 12, scan_cust 10, scan_orders 11, join_local 24,
-// agg_nation 9, agg_top 13, point-remote 8, point-remote/new text 11. The
+// on more, their scans run more workers): point 1, join 3, point/new text
+// 3, join/new text 5, scan_cust 10, scan_orders 11, join_local 24,
+// agg_nation 9, agg_top 13, point-remote 3, point-remote/new text 5. The
 // analytic rows' ceilings keep the headroom they had for wider hosts. The
-// point read's three are the QueryResult (which holds its exec.Result and
-// room for two local views), the row list, and the projected batch the row
-// is cut from. It took six while the exec.Result and LocalViews were
-// allocations of their own and each guard decision was copied to the heap
-// for a walk of the tree after the run (a two-guard join took five more);
-// every row took five more while each query built its EvalContext and the
-// closures that delivered guard decisions and violations. With parse,
-// print-back and a tree build on every hit the first four took 91, 140, 204
-// and 136.
+// point read's one is the QueryResult, which holds its exec.Result, room
+// for two local views and the storage its one row of three values is
+// materialized into; the join's ten rows take their row list and value
+// arena on top. Shipped, the point read adds the spliced text and the back
+// end's reply, which holds the run's context, parameters and the row. The
+// point read took three while the row list and the value arena were
+// allocations of their own, eight shipped while the back end allocated
+// its context, parameters, result, row list and arena apart; six while the
+// exec.Result and LocalViews were allocations of their own and each guard
+// decision was copied to the heap for a walk of the tree after the run (a
+// two-guard join took five more); every row took five more while each query
+// built its EvalContext and the closures that delivered guard decisions and
+// violations. With parse, print-back and a tree build on every hit the
+// first four took 91, 140, 204 and 136.
 //
 // The "new text" rows are statement-cache misses on a known shape: every run
-// is a text the session has not seen (another key), which costs one lexer
-// pass, the spliced canonical text, the statement's entry and its parameters
-// on top of a hit — not the parse, print and optimize (some 230 allocations
-// for the point read, 1,400 for the join) they took before shapes.
+// is a text the session has not seen (another key; the texts are made before
+// counting), which costs one lexer pass, the spliced canonical text and the
+// statement's entry, its literals inside it, on top of a hit — not the
+// parse, print and optimize (some 230 allocations for the point read, 1,400
+// for the join) they took before shapes. While the entry's literals were a
+// copy of their own, and the point read's row list and arena too, they
+// took 6 (point), 6 (join) and 11 (shipped).
 func TestQueryAllocationBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -56,6 +64,8 @@ func TestQueryAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sys.Cache.NewSession()
+	const runs = 50
+	key := int64(1000)
 	fixed := func(sql string) func(int64) string { return func(int64) string { return sql } }
 	point := func(key int64) string { return tpcd.PointQuery(key, "CURRENCY 60 ON (Customer)") }
 	for _, tc := range []struct {
@@ -65,10 +75,10 @@ func TestQueryAllocationBudget(t *testing.T) {
 		local   bool
 		ceiling float64
 	}{
-		{"point", fixed(point(17)), 1, true, 5},
+		{"point", fixed(point(17)), 1, true, 3},
 		{"join", fixed(tpcd.Query(tpcd.KindJoin, 17, time.Minute)), 10, true, 5},
-		{"point/new text", point, 1, true, 11},
-		{"join/new text", func(key int64) string { return tpcd.Query(tpcd.KindJoin, key, time.Minute) }, 10, true, 14},
+		{"point/new text", point, 1, true, 5},
+		{"join/new text", func(key int64) string { return tpcd.Query(tpcd.KindJoin, key, time.Minute) }, 10, true, 7},
 		// The scan and join templates of the end-to-end benchmark's analytic
 		// workload: what allocates is the result — one arena per columnar
 		// batch at the result boundary, the row list growing once per batch —
@@ -87,19 +97,25 @@ func TestQueryAllocationBudget(t *testing.T) {
 		// An hour passes with replication standing still: the point read's
 		// guard now picks the remote branch (106 before the back end answered
 		// shipped statements from templates).
-		{"point-remote", fixed(point(17)), 1, false, 10},
-		{"point-remote/new text", point, 1, false, 13},
+		{"point-remote", fixed(point(17)), 1, false, 5},
+		{"point-remote/new text", point, 1, false, 7},
 	} {
 		if !tc.local && tc.name == "point-remote" {
 			sys.Clock.Advance(time.Hour)
 		}
-		key := int64(1000)
-		run := func() *mtcache.QueryResult {
+		// The texts are made before they are counted, from one key sequence
+		// for every row: each text of a "new text" row is new to the session.
+		texts := make([]string, runs+2) // AllocsPerRun calls once more than runs
+		for i := range texts {
 			key++
-			res, err := s.Query(tc.sql(key))
+			texts[i] = tc.sql(key)
+		}
+		run := func() *mtcache.QueryResult {
+			res, err := s.Query(texts[0])
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
+			texts = texts[1:]
 			return res
 		}
 		res := run() // plans and caches the statement, or at least its shape
@@ -107,7 +123,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 			t.Fatalf("%s: %d rows, local views %v, %d remote queries; want %d rows served locally: %v",
 				tc.name, len(res.Rows), res.LocalViews, res.RemoteQueries, tc.rows, tc.local)
 		}
-		got := testing.AllocsPerRun(50, func() { run() })
+		got := testing.AllocsPerRun(runs, func() { run() })
 		t.Logf("%s: %.0f allocs per query", tc.name, got)
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs per query, ceiling %.0f", tc.name, got, tc.ceiling)

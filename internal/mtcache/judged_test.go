@@ -1,6 +1,7 @@
 package mtcache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -153,4 +154,80 @@ func TestAnApplyDuringTheRunRepeatsIt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAResultKeepsItsRows: a result's rows live in storage that result owns
+// (the QueryResult's room, or the back end's reply to a shipped read), so
+// neither the session's next query — local or shipped, of the same shape —
+// nor a run repeated because its region's word moved (Session.run fills one
+// result's storage again) changes the rows of a result already returned.
+func TestAResultKeepsItsRows(t *testing.T) {
+	c, _, clock := newPair(t)
+	addRegionAndView(t, c)
+	c.SetLastSync(1, clock.Now())
+	clock.Advance(5 * time.Second)
+	s := c.NewSession()
+	var kept []*QueryResult
+	var want []string
+	check := func(when string) {
+		t.Helper()
+		for i, res := range kept {
+			if got := fmt.Sprint(res.Rows); got != want[i] {
+				t.Errorf("after %s: result %d holds %s, was %s", when, i, got, want[i])
+			}
+		}
+	}
+	keep := func(res *QueryResult, local bool, rows string) {
+		t.Helper()
+		if got := fmt.Sprint(res.Rows); got != rows || (len(res.LocalViews) == 1) != local {
+			t.Fatalf("answer %s (local views %v), want %s served locally: %v", got, res.LocalViews, rows, local)
+		}
+		kept, want = append(kept, res), append(want, rows)
+	}
+	for _, q := range []struct {
+		sql, rows string
+		local     bool
+	}{
+		{"SELECT id, v FROM t WHERE id = 2 CURRENCY 60 ON (t)", "[(2, 'b')]", true},
+		{"SELECT id, v FROM t WHERE id = 1 CURRENCY 60 ON (t)", "[(1, 'a')]", true},
+		{"SELECT id, v, n FROM t WHERE id = 2", "[(2, 'b', 20)]", false},
+		{"SELECT id, v, n FROM t WHERE id = 3", "[(3, 'c', 30)]", false},
+	} {
+		res, err := s.Query(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(q.sql)
+		keep(res, q.local, q.rows)
+	}
+
+	// The agent's heartbeat lands as the local branch first opens: the
+	// word moves and the run is repeated into the same result.
+	sel, err := sqlparser.ParseSelect("SELECT id, v FROM t WHERE id = 3 CURRENCY 60 ON (t)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := c.Plan(sel, opt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	su := plan.Root.(*exec.Project).Child.(*exec.SwitchUnion)
+	opens := 0
+	su.Children[0] = &advancing{Operator: su.Children[0], open: func() {
+		if opens++; opens == 1 {
+			last, _ := c.LastSync(1)
+			c.SetLastSync(1, last.Add(time.Second))
+		}
+	}}
+	q := s.begin(sqlparser.SelectSQL(sel))
+	res, err := s.run(q, plan, plan.Root, nil, 0, false, "")
+	q.end(&err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opens != 2 {
+		t.Fatalf("the local branch opened %d times, want a repeated run", opens)
+	}
+	check("a repeated run")
+	keep(res, true, "[(3, 'c')]")
 }

@@ -126,7 +126,10 @@ type stmtEntry struct {
 	tmpl *opt.Template
 	// params are the statement's literal values by slot, which a tree of the
 	// template reads them from; nil when the template is the statement's own.
+	// Up to three (a point read's key and bound, a join's key and two
+	// bounds) are kept in own, in the entry's one allocation.
 	params []sqltypes.Value
+	own    [3]sqltypes.Value
 	// sel is a parse of key, made at first need (ast): only the sessions
 	// that cannot run the cached plan plan from it. Read-only once set.
 	sel atomic.Pointer[sqlparser.SelectStmt]
@@ -156,7 +159,8 @@ func (c *Cache) lookupShape(sql string, skel []byte, vals []sqltypes.Value, stor
 	}
 	key := t.Text.Splice(vals)
 	if e = c.planCache[key]; e == nil {
-		e, fresh = &stmtEntry{key: key, tmpl: t, params: slices.Clone(vals)}, true
+		e, fresh = &stmtEntry{key: key, tmpl: t}, true
+		e.params = append(e.own[:0], vals...)
 		if store {
 			c.storeLocked(e, sql)
 		}
@@ -521,10 +525,14 @@ type QueryResult struct {
 	// executed (Rows is empty, Plan describes the choice).
 	Explained bool
 
-	// res and views back Result and LocalViews, so that one allocation holds
-	// an executed statement's result with up to two local views.
+	// res and views back Result and LocalViews, and rows and vals are the
+	// storage res is Reserved, so that one allocation holds an executed
+	// statement's result with up to two local views and a one-row answer of
+	// up to three columns: a point read (352 bytes, exactly a size class).
 	res   exec.Result
 	views [2]string
+	rows  [1]sqltypes.Row
+	vals  [3]sqltypes.Value
 }
 
 // Query runs one SELECT outside any session (default options and actions).
@@ -895,6 +903,7 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 	o.queries.Inc()
 	qr := &QueryResult{Plan: plan}
 	qr.Result = &qr.res
+	qr.res.Reserve(qr.rows[:], qr.vals[:])
 	if analyze {
 		if params != nil {
 			spliceRemotes(root, params)

@@ -546,33 +546,40 @@ func (b *ColBatch) Row(i int) Row {
 	return b.row
 }
 
-// AppendRows appends every active row to dst and returns it. Row-backed
-// batches append shared row references (header copies only); any other
-// batch materializes fresh rows carved out of one arena per call (never
-// reused: emitted rows stay valid forever), filled one column at a time by
-// a typed loop.
-func (b *ColBatch) AppendRows(dst Batch) Batch {
+// AppendRows appends every active row to dst and returns it with what is
+// left of room. Row-backed batches append shared row references (header
+// copies only); any other batch materializes fresh rows carved out of one
+// arena per call, filled one column at a time by a typed loop. The arena is
+// the front of room when room has space for it, else a fresh allocation;
+// either is never reused by the batch, so emitted rows stay valid as long as
+// whoever handed in room does not write it again.
+func (b *ColBatch) AppendRows(dst Batch, room []Value) (Batch, []Value) {
 	if b.Rows != nil {
 		if b.Sel == nil {
-			return append(dst, b.Rows...)
+			return append(dst, b.Rows...), room
 		}
 		for _, i := range b.Sel {
 			dst = append(dst, b.Rows[i])
 		}
-		return dst
+		return dst, room
 	}
 	w, active := b.width, b.NumActive()
 	if active == 0 {
-		return dst
+		return dst, room
 	}
-	arena := make([]Value, active*w)
+	var arena []Value
+	if n := active * w; n <= len(room) {
+		arena, room = room[:n:n], room[n:]
+	} else {
+		arena = make([]Value, n)
+	}
 	for k := 0; k < active; k++ {
 		dst = append(dst, Row(arena[k*w:(k+1)*w:(k+1)*w]))
 	}
 	for j := 0; j < w; j++ {
 		b.Col(j).scatter(arena[j:], w, 0, b.Sel, active)
 	}
-	return dst
+	return dst, room
 }
 
 // scatter writes the vector's values at off plus sel (its n values from off

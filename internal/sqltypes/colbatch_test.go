@@ -63,7 +63,7 @@ func TestColBatchSelection(t *testing.T) {
 	if b.NumActive() != 2 {
 		t.Fatalf("NumActive = %d, want 2", b.NumActive())
 	}
-	got := b.AppendRows(nil)
+	got, _ := b.AppendRows(nil, nil)
 	if len(got) != 2 || !got[0].Equal(rows[1]) || !got[1].Equal(rows[3]) {
 		t.Fatalf("AppendRows with Sel = %v", got)
 	}
@@ -204,7 +204,7 @@ func TestColBatchPurelyColumnar(t *testing.T) {
 	b.ResetCols(1, 2)
 	b.SetCol(0, &v)
 	b.Sel = []int32{1}
-	got := b.AppendRows(nil)
+	got, _ := b.AppendRows(nil, nil)
 	if len(got) != 1 || got[0][0].Int() != 20 {
 		t.Fatalf("columnar AppendRows = %v", got)
 	}
@@ -283,11 +283,20 @@ func TestAppendRowsMaterializesEveryLane(t *testing.T) {
 			v.Append(r[j])
 		}
 	}
-	for _, sel := range [][]int32{nil, {0, 2, 3}, {1}, {}} {
+	// Room for two of the four rows is used by the selections that fit it
+	// and left untouched by the ones that do not.
+	w := len(rows[0])
+	for _, sel := range [][]int32{nil, {0, 2, 3}, {1}, {}, {2, 0}} {
 		b.Sel = sel
-		got := b.AppendRows(Batch{{NewInt(0)}})[1:] // appends after what dst holds
+		room := make([]Value, 2*w+1)
+		got, left := b.AppendRows(Batch{{NewInt(0)}}, room) // appends after what dst holds
+		got = got[1:]
 		if len(got) != b.NumActive() {
 			t.Fatalf("sel %v: %d rows, want %d", sel, len(got), b.NumActive())
+		}
+		fits := len(got) > 0 && len(got) <= 2
+		if inRoom := len(got) > 0 && &got[0][0] == &room[0]; inRoom != fits || len(left) != len(room)-map[bool]int{true: len(got) * w}[fits] {
+			t.Fatalf("sel %v: rows in room %v, %d of %d values left; want in room %v", sel, inRoom, len(left), len(room), fits)
 		}
 		for k, row := range got {
 			i := k

@@ -142,7 +142,7 @@ func TestColBatchViewsLanes(t *testing.T) {
 			}
 		}
 	}
-	got := view.AppendRows(nil)
+	got, _ := view.AppendRows(nil, nil)
 	var owned ColBatch
 	owned.ResetCols(len(laneKinds), 0)
 	owned.Append(&view, 3, nil)
