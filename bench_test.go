@@ -536,7 +536,8 @@ func BenchmarkExecScan(b *testing.B) {
 // BenchmarkExecFilterScan pushes a predicate, compiled as the planner does
 // (to a typed columnar kernel), through a scan. serial and the
 // morsel-parallel parallel-N run the ~50%-selective o_totalprice > 250000 and
-// copy the survivors out (the monotone-scaling gate compares the last two).
+// copy the survivors out (the monotone-scaling gate compares parallel-2 and
+// parallel-4; parallel-2-reused runs one tree for every op).
 // Each other serial row times one comparison loop under a consumer that
 // reads no column (the shape of COUNT(*) or EXISTS), so nothing is copied:
 // > at ~2% and BETWEEN at ~50% (no branch depends on the data, so per
@@ -567,6 +568,14 @@ func BenchmarkExecFilterScan(b *testing.B) {
 			})
 		})
 	}
+	// One tree reused across ops, as a session's idle trees are: its
+	// morsels, queues, exchange and batches keep their capacity, so an op
+	// allocates at most the start of its helper (the allocation ceiling).
+	b.Run("parallel-2-reused", func(b *testing.B) {
+		ps := exec.NewParallelScan(tbl, schema)
+		ps.Filter, ps.DOP = pred, 2
+		runExecBench(b, func() exec.Operator { return ps })
+	})
 	for _, c := range []struct{ name, table, where string }{
 		{"serial-float-gt", "Orders", "o_totalprice > 490000"},
 		{"serial-float-between", "Orders", "o_totalprice BETWEEN 125000 AND 375000"},

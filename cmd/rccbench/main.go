@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchText := fs.String("bench-text", "",
 		"read this `go test -bench` transcript instead: write BENCH_exec.json, gate it and compare it with BENCH_baseline.json")
 	pairsDir := fs.String("pairs", "",
-		"fold the paired ./bench runs scripts/pairs.sh left in this directory: per workload and end-to-end metric of BENCHMARK.json, both medians, the change and the pairs it won")
+		"fold the paired runs scripts/pairs.sh left in this directory: per workload and end-to-end metric of BENCHMARK.json, and per executor benchmark for ns/op and allocs/op, both medians, the change and the pairs it won")
 	autotune := fs.Bool("autotune", false,
 		"enable the closed-loop currency autotuner (tuner.Loop) for the run")
 	auditOn := fs.Bool("audit", false,

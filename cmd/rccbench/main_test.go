@@ -171,8 +171,35 @@ func TestFoldPairs(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
 	}
-	if strings.Contains(out.String(), "analytic") {
-		t.Errorf("a workload with no runs is printed:\n%s", out.String())
+	if strings.Contains(out.String(), "analytic") || strings.Contains(out.String(), "benchmark") {
+		t.Errorf("a workload or a benchmark section with no runs is printed:\n%s", out.String())
+	}
+	// The executor benchmarks' transcripts, read at -cpu 2: a row only the
+	// change has is left out.
+	for i, ns := range [][2]int{{500, 400}, {600, 450}, {550, 560}} {
+		bench := func(ns, allocs int, extra string) string {
+			return fmt.Sprintf("BenchmarkExecScan/serial-2 \t 100\t 300 ns/op\t 21 allocs/op\n"+
+				"BenchmarkExecScan/parallel-2-2 \t 100\t %d ns/op\t 9 B/op\t %d allocs/op\n%s", ns, allocs, extra)
+		}
+		write(filepath.Join(dir, "runs", "gotest", fmt.Sprintf("base-%d.txt", i+1)), bench(ns[0], 160, ""))
+		write(filepath.Join(dir, "runs", "gotest", fmt.Sprintf("change-%d.txt", i+1)), bench(ns[1], 80,
+			"BenchmarkExecScan/parallel-2-reused-2 \t 100\t 200 ns/op\t 1 allocs/op\n"))
+	}
+	out.Reset()
+	if err := foldPairs(&out, filepath.Join(dir, "runs"), contract); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"BenchmarkExecScan/serial                     ns_op                         300            300    +0.00%     0.00%   0/3",
+		"BenchmarkExecScan/parallel-2                 ns_op                         550            450   -18.18%    18.18%   2/3",
+		"BenchmarkExecScan/parallel-2                 allocs_op                     160             80   -50.00%     0.00%   3/3",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "reused") {
+		t.Errorf("a benchmark only the change ran is printed:\n%s", out.String())
 	}
 	write(filepath.Join(dir, "runs", "analytic", "base-1.json"), line(1, 1, 0))
 	if err := foldPairs(&out, filepath.Join(dir, "runs"), contract); err == nil || !strings.Contains(err.Error(), "1 base runs, 0 change runs") {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+
+	"relaxedcc/internal/harness"
 )
 
 // contract is what -pairs reads of BENCHMARK.json: the workloads and the
@@ -33,9 +35,9 @@ type benchLine struct {
 // foldPairs reads the paired runs scripts/pairs.sh leaves in dir —
 // dir/WORKLOAD/base-I.json and dir/WORKLOAD/change-I.json, pair I's result
 // line of each side — and prints, per workload of the contract and
-// end-to-end metric, both sides' medians, the change as a share of the base
-// median, the base runs' interquartile range as the same share, and the
-// pairs the change won (strictly better than its pair's base run).
+// end-to-end metric, the columns of pairRow; then those of ns/op and
+// allocs/op per benchmark of the paired `go test -bench` transcripts in
+// dir/gotest (foldBenchPairs).
 func foldPairs(w io.Writer, dir, contractPath string) error {
 	raw, err := os.ReadFile(contractPath)
 	if err != nil {
@@ -47,44 +49,23 @@ func foldPairs(w io.Writer, dir, contractPath string) error {
 	}
 	fmt.Fprintf(w, "%-11s %-18s %14s %14s %9s %9s %6s\n", "workload", "metric", "base", "change", "change", "base IQR", "wins")
 	for _, wl := range c.Workloads {
-		var runs [2][]benchLine // base, change: pair i at index i
-		for side, name := range []string{"base", "change"} {
-			for i := 1; ; i++ {
-				raw, err := os.ReadFile(filepath.Join(dir, wl.Name, fmt.Sprintf("%s-%d.json", name, i)))
-				if os.IsNotExist(err) {
-					break
-				}
-				var line benchLine
-				if err == nil {
-					err = json.Unmarshal(raw, &line)
-				}
-				if err != nil {
-					return fmt.Errorf("%s %s run %d: %w", wl.Name, name, i, err)
-				}
-				runs[side] = append(runs[side], line)
-			}
+		runs, err := readPairs(filepath.Join(dir, wl.Name), "json", func(raw []byte) (line benchLine, err error) {
+			return line, json.Unmarshal(raw, &line)
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", wl.Name, err)
 		}
-		n := len(runs[0])
-		if n == 0 {
+		if len(runs[0]) == 0 {
 			continue
-		}
-		if len(runs[1]) != n {
-			return fmt.Errorf("%s: %d base runs, %d change runs", wl.Name, n, len(runs[1]))
 		}
 		for _, m := range c.EndToEnd {
 			var vals [2][]float64
-			wins := 0
-			for i := 0; i < n; i++ {
-				b, ch := runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value
-				vals[0], vals[1] = append(vals[0], b), append(vals[1], ch)
-				if (m.Better == "higher" && ch > b) || (m.Better == "lower" && ch < b) {
-					wins++
+			for side := range runs {
+				for _, r := range runs[side] {
+					vals[side] = append(vals[side], r.Metrics[m.Name].Value)
 				}
 			}
-			mb, mc := median(vals[0]), median(vals[1])
-			q1, q3 := quartiles(vals[0])
-			fmt.Fprintf(w, "%-11s %-18s %14.6g %14.6g %+8.2f%% %8.2f%% %3d/%d\n",
-				wl.Name, m.Name, mb, mc, share(mc-mb, mb), share(q3-q1, mb), wins, n)
+			pairRow(w, 11, wl.Name, m.Name, vals, m.Better == "higher")
 		}
 		for side, name := range []string{"base", "change"} {
 			failed := 0
@@ -96,7 +77,78 @@ func foldPairs(w io.Writer, dir, contractPath string) error {
 			}
 		}
 	}
+	return foldBenchPairs(w, filepath.Join(dir, "gotest"))
+}
+
+// foldBenchPairs reads the paired `go test -bench` transcripts in dir
+// (base-I.txt, change-I.txt), each with harness.ReadBenchText, and prints
+// the columns of pairRow for ns/op and allocs/op of every benchmark both
+// sides ran in every pair, lower being better.
+func foldBenchPairs(w io.Writer, dir string) error {
+	runs, err := readPairs(dir, "txt", func(raw []byte) ([]harness.BenchRow, error) { return harness.ReadBenchText(string(raw)) })
+	if err != nil || len(runs[0]) == 0 {
+		return err
+	}
+	fmt.Fprintf(w, "%-44s %-18s %14s %14s %9s %9s %6s\n", "benchmark", "column", "base", "change", "change", "base IQR", "wins")
+	for _, r := range runs[1][0] {
+		var ns, allocs [2][]float64
+		for side := range runs {
+			for _, rows := range runs[side] {
+				if i := slices.IndexFunc(rows, func(b harness.BenchRow) bool { return b.Name == r.Name }); i >= 0 && rows[i].AllocsOp != nil {
+					ns[side], allocs[side] = append(ns[side], rows[i].NsOp), append(allocs[side], *rows[i].AllocsOp)
+				}
+			}
+		}
+		if len(ns[0]) == len(runs[0]) && len(ns[1]) == len(runs[1]) {
+			pairRow(w, 44, r.Name, "ns_op", ns, false)
+			pairRow(w, 44, r.Name, "allocs_op", allocs, false)
+		}
+	}
 	return nil
+}
+
+// readPairs parses dir/base-I.ext and dir/change-I.ext for I = 1, 2, ...
+// up to the first missing one; both sides must have as many.
+func readPairs[T any](dir, ext string, parse func([]byte) (T, error)) ([2][]T, error) {
+	var runs [2][]T
+	for side, name := range []string{"base", "change"} {
+		for i := 1; ; i++ {
+			raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s-%d.%s", name, i, ext)))
+			if os.IsNotExist(err) {
+				break
+			}
+			var run T
+			if err == nil {
+				run, err = parse(raw)
+			}
+			if err != nil {
+				return runs, fmt.Errorf("%s run %d: %w", name, i, err)
+			}
+			runs[side] = append(runs[side], run)
+		}
+	}
+	if len(runs[0]) != len(runs[1]) {
+		return runs, fmt.Errorf("%d base runs, %d change runs", len(runs[0]), len(runs[1]))
+	}
+	return runs, nil
+}
+
+// pairRow prints one metric of the pairs (vals[0] the base runs, vals[1]
+// the change's, pair by pair) under a name of the given width: both
+// medians, the change as a share of the base median, the base runs'
+// interquartile range as the same share, and the pairs the change won
+// (strictly better than its pair's base run).
+func pairRow(w io.Writer, width int, name, metric string, vals [2][]float64, higher bool) {
+	wins := 0
+	for i, b := range vals[0] {
+		if ch := vals[1][i]; (higher && ch > b) || (!higher && ch < b) {
+			wins++
+		}
+	}
+	mb, mc := median(vals[0]), median(vals[1])
+	q1, q3 := quartiles(vals[0])
+	fmt.Fprintf(w, "%-*s %-18s %14.6g %14.6g %+8.2f%% %8.2f%% %3d/%d\n",
+		width, name, metric, mb, mc, share(mc-mb, mb), share(q3-q1, mb), wins, len(vals[0]))
 }
 
 // median of a sample (the mean of the middle two when it is even).

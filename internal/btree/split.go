@@ -1,62 +1,45 @@
 package btree
 
-import "sort"
+import "slices"
 
 // SplitKeys returns up to parts-1 keys that partition the tree's key space
 // into roughly equal-cardinality ranges, for use as half-open range
 // boundaries (range i is [splits[i-1], splits[i])). It descends the tree
 // level by level, collecting separator keys, until enough boundaries exist
-// or the leaves are reached; because B+-tree nodes are at least half full,
-// subtree sizes — and therefore the resulting ranges — are balanced within
-// a small constant factor. Returns nil when the tree is too small to split.
-func (t *Base[S, P]) SplitKeys(parts int) []string {
-	if parts <= 1 || t.root == nil {
-		return nil
+// or the leaves are reached (a small tree's leaf keys, which repeat the
+// separators above them, deduplicated); because B+-tree nodes are at least
+// half full, subtree sizes — and therefore the resulting ranges — are
+// balanced within a small constant factor. The keys are gathered in dst[:0],
+// so a caller that keeps dst across calls allocates nothing once it has
+// grown. Returns dst[:0] when the tree is too small to split.
+func (t *Base[S, P]) SplitKeys(dst []string, parts int) []string {
+	seps, k := dst[:0], parts-1
+	if k <= 0 || t.root == nil {
+		return seps
 	}
-	var seps []string
-	level := []*node[S, P]{t.root}
-	for len(seps) < parts-1 && !level[0].leaf {
-		next := make([]*node[S, P], 0, len(level)*2)
-		for _, n := range level {
-			seps = append(seps, n.keys...)
-			next = append(next, n.children...)
+	for d, leaf := 0, false; len(seps) < k && !leaf; d++ {
+		seps, leaf = t.root.appendKeysAt(seps, d)
+	}
+	slices.Sort(seps)
+	if seps = slices.Compact(seps); len(seps) > k {
+		// k evenly spaced keys, in place: key i is read at or after slot i.
+		for i := 1; i <= k; i++ {
+			seps[i-1] = seps[i*len(seps)/(k+1)]
 		}
-		level = next
+		seps = seps[:k]
 	}
-	if len(seps) < parts-1 && level[0].leaf {
-		// Small tree: fall back to the leaf keys themselves. Leaf keys
-		// duplicate the separators above them (a separator is the first key
-		// of the leaf to its right), so dedupe after sorting.
-		for _, n := range level {
-			seps = append(seps, n.keys...)
-		}
-	}
-	sort.Strings(seps)
-	seps = dedupeSorted(seps)
-	return pickEven(seps, parts-1)
+	return seps
 }
 
-func dedupeSorted(keys []string) []string {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
-		}
+// appendKeysAt appends the keys of the nodes d levels below n, left to
+// right, and reports whether those nodes are leaves.
+func (n *node[S, P]) appendKeysAt(dst []string, d int) ([]string, bool) {
+	if d == 0 {
+		return append(dst, n.keys...), n.leaf
 	}
-	return out
-}
-
-// pickEven selects up to k evenly spaced keys from the sorted candidates.
-func pickEven(sorted []string, k int) []string {
-	if k <= 0 || len(sorted) == 0 {
-		return nil
+	leaf := false
+	for _, c := range n.children {
+		dst, leaf = c.appendKeysAt(dst, d-1)
 	}
-	if len(sorted) <= k {
-		return append([]string(nil), sorted...)
-	}
-	out := make([]string, 0, k)
-	for i := 1; i <= k; i++ {
-		out = append(out, sorted[i*len(sorted)/(k+1)])
-	}
-	return out
+	return dst, leaf
 }

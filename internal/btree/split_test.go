@@ -18,7 +18,7 @@ func TestSplitKeysPartitionsEvenly(t *testing.T) {
 	const n = 10000
 	tr := splitTree(n)
 	for _, parts := range []int{2, 4, 16, 64} {
-		seps := tr.SplitKeys(parts)
+		seps := tr.SplitKeys(nil, parts)
 		if len(seps) == 0 {
 			t.Fatalf("parts=%d: no separators", parts)
 		}
@@ -54,16 +54,30 @@ func TestSplitKeysPartitionsEvenly(t *testing.T) {
 	}
 }
 
+// TestSplitKeysReuseTheirBuffer: splitting again into the buffer an earlier
+// call grew allocates nothing and finds the same keys.
+func TestSplitKeysReuseTheirBuffer(t *testing.T) {
+	tr := splitTree(10000)
+	seps := tr.SplitKeys(nil, 8)
+	want := append([]string(nil), seps...)
+	if allocs := testing.AllocsPerRun(100, func() { seps = tr.SplitKeys(seps, 8) }); allocs != 0 {
+		t.Fatalf("reused SplitKeys: %v allocs, want 0", allocs)
+	}
+	if fmt.Sprint(seps) != fmt.Sprint(want) {
+		t.Fatalf("reused SplitKeys = %v, want %v", seps, want)
+	}
+}
+
 func TestSplitKeysSmallTrees(t *testing.T) {
-	if got := New[int]().SplitKeys(4); got != nil {
+	if got := New[int]().SplitKeys(nil, 4); got != nil {
 		t.Fatalf("empty tree: %v", got)
 	}
-	if got := splitTree(1).SplitKeys(1); got != nil {
+	if got := splitTree(1).SplitKeys(nil, 1); got != nil {
 		t.Fatalf("parts=1: %v", got)
 	}
 	// A single-node tree still yields usable separators from leaf keys.
 	tr := splitTree(10)
-	seps := tr.SplitKeys(4)
+	seps := tr.SplitKeys(nil, 4)
 	if len(seps) == 0 || len(seps) > 3 {
 		t.Fatalf("small tree separators = %v", seps)
 	}

@@ -21,6 +21,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,7 +62,7 @@ func Default(instances []InstanceID) Constraint {
 		return Constraint{}
 	}
 	set := append([]InstanceID(nil), instances...)
-	sortIDs(set)
+	slices.Sort(set)
 	return Constraint{Classes: []Requirement{{Bound: 0, Set: set}}}
 }
 
@@ -123,7 +124,7 @@ func mergeReqs(a, b Requirement) Requirement {
 // ClassOf returns the class containing the instance, or nil.
 func (c Constraint) ClassOf(id InstanceID) *Requirement {
 	for i := range c.Classes {
-		if containsID(c.Classes[i].Set, id) {
+		if slices.Contains(c.Classes[i].Set, id) {
 			return &c.Classes[i]
 		}
 	}
@@ -257,7 +258,7 @@ func SwitchUnion(children ...Delivered) Delivered {
 			common = append(common, id)
 		}
 	}
-	sortIDs(common)
+	slices.Sort(common)
 	// Signature of an instance: the sequence of (group index, region) per
 	// child. Two instances share an output group iff signatures match on
 	// group indexes; the region is kept if all children agree.
@@ -286,7 +287,7 @@ func SwitchUnion(children ...Delivered) Delivered {
 	}
 	out := Delivered{}
 	for key, ids := range bySig {
-		sortIDs(ids)
+		slices.Sort(ids)
 		out.Groups = append(out.Groups, Group{Region: regionFor[key], Set: ids})
 	}
 	sortGroups(out.Groups)
@@ -303,7 +304,7 @@ func instancesOf(d Delivered) []InstanceID {
 
 func groupOf(d Delivered, id InstanceID) (int, Group) {
 	for i, g := range d.Groups {
-		if containsID(g.Set, id) {
+		if slices.Contains(g.Set, id) {
 			return i, g
 		}
 	}
@@ -410,37 +411,18 @@ func LocalProbability(b, d, f time.Duration) float64 {
 
 // ---- small set helpers ----
 
-func sortIDs(ids []InstanceID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 func dedupIDs(ids []InstanceID) []InstanceID {
 	if len(ids) == 0 {
 		return nil
 	}
-	cp := append([]InstanceID(nil), ids...)
-	sortIDs(cp)
-	out := cp[:1]
-	for _, id := range cp[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func containsID(ids []InstanceID, id InstanceID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
+	cp := slices.Clone(ids)
+	slices.Sort(cp)
+	return slices.Compact(cp)
 }
 
 func intersects(a, b []InstanceID) bool {
 	for _, x := range a {
-		if containsID(b, x) {
+		if slices.Contains(b, x) {
 			return true
 		}
 	}
@@ -449,7 +431,7 @@ func intersects(a, b []InstanceID) bool {
 
 func subsetIDs(a, b []InstanceID) bool {
 	for _, x := range a {
-		if !containsID(b, x) {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}

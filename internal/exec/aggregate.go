@@ -142,13 +142,7 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 	if ps, ok := a.Child.(*ParallelScan); ok {
 		ps.prepare(ctx)
 		a.reset(len(ps.morsels), ps.effDOP)
-		err = ps.scanMorsels(func(w, m int, view *sqltypes.ColBatch) (int, error) {
-			ok, err := ps.walks[w].narrow(view)
-			if ok {
-				err = a.parts[m].consume(a, &a.scratch[w], ctx, view)
-			}
-			return view.Len(), err
-		}, nil)
+		err = ps.scanMorsels(a)
 	} else if err = a.Child.Open(ctx); err == nil {
 		a.reset(1, 1)
 		err = eachBatch(a.Child, func(cb *sqltypes.ColBatch) error { return a.parts[0].consume(a, &a.scratch[0], ctx, cb) })
@@ -163,6 +157,16 @@ func (a *Aggregate) Open(ctx *EvalContext) error {
 	total.result(a, &a.res)
 	a.win.reset(nil, &a.res, ctx)
 	return nil
+}
+
+// visit folds a leaf window of the morsel worker w's walk c is in, narrowed
+// by the scan's residual, into that morsel's partial (storage.Table.Step).
+func (a *Aggregate) visit(c *chunkWalk, w int, view *sqltypes.ColBatch) (int, error) {
+	ok, err := c.narrow(view)
+	if ok {
+		err = a.parts[c.m].consume(a, &a.scratch[w], c.ctx, view)
+	}
+	return view.Len(), err
 }
 
 // reset sizes and empties the partials and the per-worker scratch.

@@ -175,6 +175,7 @@ type chunkWalk struct {
 	only   []Expr // the columns copied, nil for all
 	selbuf []int32
 	out    *sqltypes.ColBatch
+	m      int // the morsel a ParallelScan worker walks
 }
 
 // arm prepares the walk for a run: the predicate, the context and the width

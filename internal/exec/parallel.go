@@ -2,19 +2,17 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/storage"
 )
 
-// workerLabels tags parallel-scan worker goroutines so CPU profiles
-// attribute samples to the query phase that spawned them.
-var workerLabels = pprof.Labels("rcc_op", "parallel_scan", "rcc_phase", "exec")
+// helperLabels tags every scan helper's goroutine so CPU profiles attribute
+// its samples to the query phase that started it; it is built once.
+var helperLabels = pprof.WithLabels(context.Background(), pprof.Labels("rcc_op", "parallel_scan", "rcc_phase", "exec"))
 
 // morselsPerWorker oversubscribes morsels relative to workers so stragglers
 // (skewed key ranges, scheduling hiccups) rebalance through stealing instead
@@ -32,32 +30,32 @@ func packRange(lo, hi uint32) uint64 { return uint64(lo)<<32 | uint64(hi) }
 
 func unpackRange(r uint64) (lo, hi uint32) { return uint32(r >> 32), uint32(r) }
 
-// parMsg is one message on the exchange channel: a batch or a worker error.
+// parMsg is one message of a helper to the consumer: a batch it filled, or,
+// as its last message (batch nil), its end and the error it stopped on.
 type parMsg struct {
 	batch *sqltypes.ColBatch
 	err   error
 }
 
-// ParallelScan is the morsel-driven parallel table scan: Open partitions the
-// clustered key range into morsels sized by table cardinality, splits them
-// into per-worker queues, and fans effective-DOP workers over them. Workers
-// pop their own queue front and steal from victims' backs via single-word
-// CAS ranges, so skew rebalances without a shared counter in the hot path.
-// Batches merge through a bounded channel (the exchange); output order is
-// nondeterministic, so the optimizer only chooses it when no sort order is
-// required — ordered plans (merge-join inputs) fall back to the serial Scan.
+// ParallelScan is the morsel-driven parallel table scan, caller-runs. Open
+// partitions the clustered key range into morsels sized by table
+// cardinality, deals them to one queue per worker and starts effective-DOP−1
+// helpers; the consumer is worker 0. A worker pops its own queue's front and
+// steals from another's back, each by one CAS on a packed range. NextVec
+// fills the consumer's batches from its morsels on the caller's goroutine
+// and, between its morsels, hands on the batches the helpers filled (the
+// exchange, a bounded channel); it blocks only when no morsel is left to
+// claim. Output order is nondeterministic, so the optimizer only chooses it
+// when no sort order is required — ordered plans (merge-join inputs) fall
+// back to the serial Scan.
 //
-// Effective DOP is min(requested DOP, GOMAXPROCS, morsel count): parallelism
-// never exceeds what the machine or the input can use, which keeps
-// throughput monotone in the requested worker count. At effective DOP 1 the
-// scan runs inline — no goroutines, no exchange — on the same bulk leaf
-// walks as the serial Scan.
-//
-// Workers latch per step, as the serial scan does: a long parallel scan
-// interleaves with writers at step granularity (each step sees a committed
-// state). A batch crosses the exchange as the worker's own copy of its
-// survivors; the consumer hands it back on its next call, for a worker to
-// refill.
+// Effective DOP is min(requested DOP, GOMAXPROCS, morsel count), so
+// parallelism never exceeds what the machine or the input can use; at 1 the
+// consumer walks the whole range as the serial Scan does. Workers latch per
+// step, as the serial scan does (each step sees a committed state). The
+// morsels, queues, walks, exchange and batches keep their capacity across
+// runs of a reused tree, so a run allocates one object per helper, its
+// start. Close stops and joins every helper.
 type ParallelScan struct {
 	Table  *storage.Table
 	Lo, Hi storage.Bound
@@ -68,20 +66,23 @@ type ParallelScan struct {
 
 	schema  *Schema
 	ctx     *EvalContext
-	morsels []storage.Morsel
-	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
-	walks   []chunkWalk     // per worker, kept across runs of a reused tree
 	effDOP  int
-	out     chan parMsg // nil on the inline (effective DOP 1) path
-	stop    chan struct{}
-	// free holds the exchange batches the consumer is done with; held is
-	// the one NextVec handed out last.
-	free chan *sqltypes.ColBatch
-	held *sqltypes.ColBatch
-
-	walk chunkWalk // the inline path
-	only []Expr    // as Scan's
-
+	morsels []storage.Morsel
+	splits  []string        // the morsels' boundary keys (storage.Table.Morsels)
+	queues  []atomic.Uint64 // per-worker packed [lo, hi) morsel-index ranges
+	walks   []chunkWalk     // walks[0] is the consumer's, the rest the helpers'
+	agg     *Aggregate      // folds the windows where they lie (scanMorsels)
+	stopped atomic.Bool     // a worker failed or the consumer closed
+	helpers int             // the helpers of this run that have not ended
+	mid     bool            // the consumer's walk is inside a morsel
+	// ready is the exchange: helpers' batches, then their ends; its slots,
+	// morselsPerWorker a helper, let one fill on while the consumer walks a
+	// morsel of its own. free holds the exchange batches no one fills or
+	// reads; held is the batch NextVec handed out last.
+	ready       chan parMsg
+	free        chan *sqltypes.ColBatch
+	held        *sqltypes.ColBatch
+	only        []Expr // as Scan's
 	rowsScanned atomic.Int64
 }
 
@@ -102,94 +103,125 @@ func (p *ParallelScan) RowsScanned() int64 { return p.rowsScanned.Load() }
 // clamping to GOMAXPROCS and the morsel count. Zero before Open.
 func (p *ParallelScan) EffectiveDOP() int { return p.effDOP }
 
-// prepare takes the run's context and decides its shape: the morsels
-// (bounded by table cardinality) and the worker count, clamped to the
-// available work. Open starts from it, and so does an Aggregate parent,
-// which then drives the morsels itself (scanMorsels).
+// prepare closes any run still open and shapes the next: the morsels
+// (bounded by table cardinality), the worker count clamped to the available
+// work, and per worker an armed walk and a contiguous queue of morsels.
+// Open starts from it, and so does an Aggregate parent (scanMorsels).
 func (p *ParallelScan) prepare(ctx *EvalContext) {
+	p.Close()
 	p.ctx = ctx
-	p.out, p.stop = nil, nil
 	p.rowsScanned.Store(0)
-
-	// No more workers than cores, no more morsels than the table's
-	// cardinality supports, no more workers than morsels.
 	dop := p.DOP
 	if g := runtime.GOMAXPROCS(0); dop <= 0 || dop > g {
 		dop = g
 	}
 	parts := max(1, min(dop*morselsPerWorker, (p.Table.Len()+minMorselRows-1)/minMorselRows))
-	p.morsels = p.Table.Morsels(p.Lo, p.Hi, parts)
+	p.morsels, p.splits = p.Table.Morsels(p.morsels, p.splits, p.Lo, p.Hi, parts)
 	if p.effDOP = min(dop, len(p.morsels)); len(p.walks) < p.effDOP {
-		p.walks = make([]chunkWalk, p.effDOP)
+		// The free list holds every batch a run can: one filling per
+		// helper, the exchange's and the one handed out.
+		need := morselsPerWorker * (p.effDOP - 1)
+		p.walks, p.queues = make([]chunkWalk, p.effDOP), make([]atomic.Uint64, p.effDOP)
+		p.ready, p.free = make(chan parMsg, need), make(chan *sqltypes.ColBatch, need+p.effDOP)
 	}
-	for w := range p.walks {
-		p.walks[w].only = p.only
+	for w, n := 0, len(p.morsels); w < p.effDOP; w++ {
+		c := &p.walks[w]
+		if w > 0 && c.out == nil {
+			c.out = p.spare() // its last batch went on the exchange
+		}
+		c.only = p.only
+		c.arm(p.Filter, ctx, len(p.schema.Cols))
+		c.out.ResetCols(c.width, 0)
+		p.queues[w].Store(packRange(uint32(w*n/p.effDOP), uint32((w+1)*n/p.effDOP)))
 	}
-	p.walk.only, p.only = p.only, nil
+	p.only = nil
+	p.stopped.Store(false)
 }
 
-// Open implements Operator: it either starts the workers behind the
-// exchange or arms the inline serial path.
+// Open implements Operator: it starts the helpers, or at effective DOP 1
+// arms the consumer's walk over the whole range.
 func (p *ParallelScan) Open(ctx *EvalContext) error {
-	p.prepare(ctx)
-	if p.effDOP == 1 {
-		// Inline serial path: the serial scan's walk, no exchange.
-		p.walk.arm(p.Filter, ctx, len(p.schema.Cols))
-		p.walk.cur.Keys(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
-		return nil
+	if p.prepare(ctx); p.effDOP == 1 {
+		p.queues[0].Store(0)
+		p.walks[0].cur.Keys(p.morsels[0].Start, p.morsels[len(p.morsels)-1].End)
+		p.mid = true
 	}
-	if need := 3*p.effDOP + 1; cap(p.free) < need {
-		p.free = make(chan *sqltypes.ColBatch, need) // every batch a run can hold
-	}
-	p.stop = make(chan struct{})
-	p.out = make(chan parMsg, p.effDOP*2)
-	go p.exchange(p.stop, p.out)
+	p.start(nil)
 	return nil
 }
 
-// errStopped ends the scan when the consumer has closed the exchange.
-var errStopped = errors.New("exec: parallel scan stopped")
-
-// exchange runs the scan into the exchange channel, until done or stopped:
-// each worker's survivors, copied into batches of up to the batch size,
-// then the error if there was one.
-func (p *ParallelScan) exchange(stop <-chan struct{}, out chan<- parMsg) {
-	defer close(out)
-	send := func(m parMsg) bool {
-		select {
-		case out <- m:
-			return true
-		case <-stop:
-			return false
-		}
-	}
-	for w := range p.walks[:p.effDOP] {
-		p.walks[w].out = p.spare()
-	}
-	err := p.scanMorsels(func(w, _ int, view *sqltypes.ColBatch) (int, error) {
-		return p.walks[w].take(view)
-	}, func(w int) error {
-		if c := &p.walks[w]; c.out.Len() == c.n {
-			if !send(parMsg{batch: c.out}) {
-				return errStopped
-			}
-			c.out = p.spare()
-		}
-		return nil
-	})
-	for w := range p.walks[:p.effDOP] {
-		if b := p.walks[w].out; err != nil || b.Len() == 0 || !send(parMsg{batch: b}) {
-			p.recycle(b)
-		}
-		p.walks[w].out = nil
-	}
-	if err != nil && err != errStopped {
-		send(parMsg{err: err})
+// start starts the helpers of a prepared run, workers 1 to effective DOP−1,
+// each with a direct go; with agg nil they fill exchange batches.
+func (p *ParallelScan) start(agg *Aggregate) {
+	p.agg, p.helpers = agg, p.effDOP-1
+	for w := 1; w < p.effDOP; w++ {
+		go p.help(w)
 	}
 }
 
-// spare returns an empty exchange batch: one the consumer handed back, or a
-// new one.
+// help is helper w's goroutine: its morsels, then its last batch and its
+// end. It touches nothing of the scan after its last message.
+func (p *ParallelScan) help(w int) {
+	pprof.SetGoroutineLabels(helperLabels)
+	err := p.work(w)
+	if c := &p.walks[w]; p.agg == nil && err == nil && c.out.Len() > 0 {
+		p.ready <- parMsg{batch: c.out}
+		c.out = nil
+	}
+	p.ready <- parMsg{err: err}
+}
+
+// work walks morsels as worker w until none is left or the scan stops, a
+// step of up to a batch of rows at a time: each leaf window is folded into
+// agg, or narrowed and copied into the worker's batch, which goes on the
+// exchange when full. A failed step stops the scan.
+func (p *ParallelScan) work(w int) error {
+	for c := &p.walks[w]; p.claim(w); {
+		for !c.cur.Done() && !p.stopped.Load() {
+			var read int
+			var err error
+			if p.agg != nil {
+				read, err = p.Table.Step(&c.cur, c.n, func(view *sqltypes.ColBatch) (int, error) { return p.agg.visit(c, w, view) })
+			} else if read, err = p.Table.Step(&c.cur, c.n, c.take); err == nil && c.out.Len() == c.n {
+				p.ready <- parMsg{batch: c.out}
+				c.out = p.spare()
+			}
+			if p.rowsScanned.Add(int64(read)); err != nil {
+				p.stopped.Store(true)
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scanMorsels runs a prepared scan to completion into agg, the caller
+// working as worker 0 beside the helpers. Morsels are folded concurrently,
+// the windows of one morsel in key order; the first error stops the scan.
+func (p *ParallelScan) scanMorsels(agg *Aggregate) error {
+	p.start(agg)
+	err := p.work(0)
+	if e := p.join(); err == nil {
+		err = e
+	}
+	return err
+}
+
+// join waits for every helper of the run to end, handing back the batches
+// still on the exchange, and returns the first error a helper stopped on.
+func (p *ParallelScan) join() (err error) {
+	for p.helpers > 0 {
+		if msg := <-p.ready; msg.batch != nil {
+			p.recycle(msg.batch)
+		} else if p.helpers--; err == nil {
+			err = msg.err
+		}
+	}
+	return err
+}
+
+// spare returns an empty exchange batch: one from the free list, or a new
+// one.
 func (p *ParallelScan) spare() *sqltypes.ColBatch {
 	var b *sqltypes.ColBatch
 	select {
@@ -201,9 +233,10 @@ func (p *ParallelScan) spare() *sqltypes.ColBatch {
 	return b
 }
 
-// recycle hands an exchange batch back for a worker to refill.
+// recycle puts an exchange batch back on the free list; the consumer's own
+// stays with it.
 func (p *ParallelScan) recycle(b *sqltypes.ColBatch) {
-	if b != nil {
+	if b != nil && b != p.walks[0].out {
 		select {
 		case p.free <- b:
 		default:
@@ -211,126 +244,86 @@ func (p *ParallelScan) recycle(b *sqltypes.ColBatch) {
 	}
 }
 
-// scanMorsels runs a prepared scan to completion. Each leaf window of morsel
-// m goes to visit(w, m, view) on the worker w that scanned it, under the
-// table's read latch: view is a batch over the leaf's lanes, valid during
-// the call, and visit returns how many of its rows it dealt with
-// (storage.Table.Step). After each step, the latch released, step(w) runs
-// unless it is nil. Morsels are visited concurrently — a consumer keeps one
-// state per morsel or per worker (walks[w]) — and the windows of one morsel
-// in key order. The first error stops the scan.
-func (p *ParallelScan) scanMorsels(visit func(w, m int, view *sqltypes.ColBatch) (int, error), step func(w int) error) error {
-	dop := p.effDOP
-	for w := range p.walks[:dop] {
-		p.walks[w].arm(p.Filter, p.ctx, len(p.schema.Cols))
-	}
-	if dop == 1 {
-		for m := range p.morsels {
-			if err := p.walkMorsel(0, m, visit, step); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Contiguous morsel-index queues, one per worker; stealing keeps them
-	// balanced when ranges skew.
-	p.queues = make([]atomic.Uint64, dop)
-	for w, n := 0, len(p.morsels); w < dop; w++ {
-		p.queues[w].Store(packRange(uint32(w*n/dop), uint32((w+1)*n/dop)))
-	}
-	errs := make([]error, dop)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < dop; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pprof.Do(context.Background(), workerLabels, func(context.Context) {
-				for m, ok := p.claim(w); ok && !failed.Load(); m, ok = p.claim(w) {
-					if errs[w] = p.walkMorsel(w, m, visit, step); errs[w] != nil {
-						failed.Store(true)
-					}
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// walkMorsel walks morsel m with worker w's cursor, a step of up to a batch
-// of rows at a time.
-func (p *ParallelScan) walkMorsel(w, m int, visit func(w, m int, view *sqltypes.ColBatch) (int, error), step func(w int) error) error {
-	c := &p.walks[w]
-	c.cur.Keys(p.morsels[m].Start, p.morsels[m].End)
-	for !c.cur.Done() {
-		read, err := p.Table.Step(&c.cur, c.n, func(view *sqltypes.ColBatch) (int, error) { return visit(w, m, view) })
-		p.rowsScanned.Add(int64(read))
-		if err == nil && step != nil {
-			err = step(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// claim returns the next morsel index for worker w: first a pop from the
+// claim arms worker w's walk over its next morsel: first a pop from the
 // front of its own queue, then — once that drains — a steal from the back of
-// another worker's queue. All morsels exist before any worker starts, so one
-// full sweep finding every queue empty proves there is no work left.
-func (p *ParallelScan) claim(w int) (int, bool) {
-	for off := range p.queues {
-		q := &p.queues[(w+off)%len(p.queues)]
-		for r := q.Load(); ; r = q.Load() {
+// another worker's queue. All morsels are dealt before any helper starts, so
+// one full sweep finding every queue empty proves there is no work left. A
+// stopped scan has none.
+func (p *ParallelScan) claim(w int) bool {
+	for off := range p.effDOP {
+		q := &p.queues[(w+off)%p.effDOP]
+		for r := q.Load(); !p.stopped.Load(); r = q.Load() {
 			lo, hi := unpackRange(r)
 			if lo >= hi {
 				break
 			}
-			if off == 0 && q.CompareAndSwap(r, packRange(lo+1, hi)) {
-				return int(lo), true
+			m, next := lo, packRange(lo+1, hi) // pop its own front
+			if off != 0 {
+				m, next = hi-1, packRange(lo, hi-1) // steal another's back
 			}
-			if off != 0 && q.CompareAndSwap(r, packRange(lo, hi-1)) {
-				return int(hi - 1), true
+			if q.CompareAndSwap(r, next) {
+				c := &p.walks[w]
+				c.m = int(m)
+				c.cur.Keys(p.morsels[m].Start, p.morsels[m].End)
+				return true
 			}
 		}
 	}
-	return 0, false
+	return false
 }
 
-// NextVec implements Operator. At effective DOP 1 it streams the serial
-// scan's batches inline; otherwise it hands back the batch it returned last
-// and returns the next one from the exchange.
+// NextVec implements Operator. It takes back the batch it returned last and
+// fills the consumer's own from its morsels, returning it when full. Between
+// its morsels it returns a batch a helper filled if one waits, else claims
+// the next morsel; with none left it returns what its batch holds, then
+// waits for the helpers.
 func (p *ParallelScan) NextVec() (*sqltypes.ColBatch, bool, error) {
-	if p.out != nil {
-		p.recycle(p.held)
-		msg, ok := <-p.out
-		p.held = msg.batch
-		return msg.batch, ok && msg.err == nil, msg.err
-	}
-	cb, n, err := p.walk.next(p.Table)
-	p.rowsScanned.Add(int64(n))
-	return cb, cb != nil, err
-}
-
-// Close implements Operator: it signals the workers to stop and drains the
-// exchange so every worker unblocks and exits before Close returns; the
-// batches come back for the next run.
-func (p *ParallelScan) Close() error {
-	if p.stop != nil {
-		close(p.stop)
-		for msg := range p.out {
-			p.recycle(msg.batch)
-		}
-		p.stop = nil
+	c := &p.walks[0]
+	if p.held == c.out {
+		c.out.ResetCols(c.width, 0)
 	}
 	p.recycle(p.held)
-	p.held, p.morsels, p.queues = nil, nil, nil
+	for p.held = nil; ; {
+		for p.mid && !c.cur.Done() && c.out.Len() < c.n {
+			read, err := p.Table.Step(&c.cur, c.n, c.take)
+			if p.rowsScanned.Add(int64(read)); err != nil {
+				p.stopped.Store(true)
+				return nil, false, err
+			}
+		}
+		p.mid = p.mid && !c.cur.Done()
+		var msg parMsg
+		switch {
+		case c.out.Len() == c.n:
+			msg.batch = c.out
+		case len(p.ready) > 0: // between morsels; only the consumer receives
+			msg = <-p.ready
+		case p.claim(0):
+			p.mid = true
+			continue
+		case c.out.Len() > 0:
+			msg.batch = c.out
+		case p.helpers == 0:
+			return nil, false, nil
+		default:
+			msg = <-p.ready
+		}
+		if msg.batch != nil {
+			p.held = msg.batch
+			return msg.batch, true, nil
+		}
+		if p.helpers--; msg.err != nil {
+			return nil, false, msg.err
+		}
+	}
+}
+
+// Close implements Operator: it stops the helpers and joins them, and every
+// batch comes back for the next run. Close on a closed scan does nothing.
+func (p *ParallelScan) Close() error {
+	p.stopped.Store(true)
+	p.join()
+	p.recycle(p.held)
+	p.held, p.mid = nil, false
 	return nil
 }

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/sqltypes"
@@ -282,4 +285,201 @@ func TestParallelScanWorkStealing(t *testing.T) {
 	if got := ps.RowsScanned(); got != n {
 		t.Fatalf("filtered: RowsScanned = %d, want %d", got, n)
 	}
+}
+
+// drainOnce opens op, reads every batch and closes it, returning the rows
+// read and the first error.
+func drainOnce(op Operator, ctx *EvalContext) (int, error) {
+	if err := op.Open(ctx); err != nil {
+		op.Close()
+		return 0, err
+	}
+	rows := 0
+	for {
+		cb, ok, err := op.NextVec()
+		if err != nil || !ok {
+			op.Close()
+			return rows, err
+		}
+		rows += cb.NumActive()
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun at the current GOMAXPROCS, which
+// AllocsPerRun sets to 1 (and a parallel scan with it to one worker): the
+// mallocs of every goroutine over runs calls of f, divided by runs and
+// rounded down, after ten calls to warm up. An exchange batch grows its
+// vectors the first time a helper fills it, which on a busy host can be any
+// run, so it counts three rounds and returns the fewest.
+func allocsPerRun(runs int, f func()) float64 {
+	for range 10 {
+		f()
+	}
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return float64(fewest)
+}
+
+// TestReusedParallelScanAllocations: a reused tree's run at two workers
+// allocates at most its helper's start — the morsels, queues, exchange and
+// batches keep their capacity across runs — whether the scan feeds a
+// consumer through the exchange or an Aggregate folds it in place.
+func TestReusedParallelScanAllocations(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	const n = 20000
+	tbl := parallelTable(t, n)
+	s := testSchema("t")
+	scan := func() *ParallelScan {
+		ps := NewParallelScan(tbl, s)
+		ps.Filter, ps.DOP = pred(t, "bal > 5000", s), 2
+		return ps
+	}
+	byName := &Aggregate{
+		Child:     scan(),
+		GroupCols: []int{1},
+		Aggs:      []AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: Expr{Col: 2}}},
+		Out:       NewSchema(Col{Name: "name"}, Col{Name: "n"}, Col{Name: "s"}),
+	}
+	ctx := &EvalContext{Now: testNow}
+	for _, c := range []struct {
+		name string
+		op   Operator
+		ps   *ParallelScan
+		rows int
+	}{
+		{"scan", scan(), nil, n - 5000},
+		{"aggregate", byName, byName.Child.(*ParallelScan), 3},
+	} {
+		if c.ps == nil {
+			c.ps = c.op.(*ParallelScan)
+		}
+		run := func() {
+			if rows, err := drainOnce(c.op, ctx); err != nil || rows != c.rows {
+				t.Fatalf("%s: %d rows, %v; want %d", c.name, rows, err, c.rows)
+			}
+		}
+		run()
+		if got := c.ps.EffectiveDOP(); got != 2 {
+			t.Fatalf("%s: EffectiveDOP = %d, want 2", c.name, got)
+		}
+		allocs := allocsPerRun(100, run)
+		if got := c.ps.EffectiveDOP(); got != 2 {
+			t.Fatalf("%s: EffectiveDOP = %d while counting, want 2", c.name, got)
+		}
+		if t.Logf("%s: %v allocations per run", c.name, allocs); allocs > 1 {
+			t.Errorf("%s: a reused run allocates %v times, want at most 1 (its helper)", c.name, allocs)
+		}
+	}
+}
+
+// TestParallelScanHelpersEndAtClose: every helper a run starts has ended
+// when Close returns — one blocked on a full exchange, one that stopped on
+// an error while the consumer was inside a morsel, and those of a thousand
+// runs of one tree — so no goroutine outlives its query.
+func TestParallelScanHelpersEndAtClose(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	base := runtime.NumGoroutine()
+	const n = 20000
+	tbl := parallelTable(t, n)
+	s := testSchema("t")
+	ps := NewParallelScan(tbl, s)
+	ps.DOP = 2
+	small := &EvalContext{Now: testNow, BatchSize: 16}
+	// waitFor polls cond, failing the test after a few seconds.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("%s: still waiting after 5s", what)
+			}
+		}
+	}
+	closeWithin := func(what string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- ps.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: Close: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Close did not return", what)
+		}
+		waitFor(what+": goroutines back to the starting count", func() bool { return runtime.NumGoroutine() <= base })
+	}
+
+	// A helper blocked on a full exchange.
+	if err := ps.Open(small); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ps.NextVec(); !ok || err != nil {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
+	}
+	waitFor("exchange full", func() bool { return len(ps.ready) == cap(ps.ready) })
+	closeWithin("blocked helper")
+
+	// A helper failing while the consumer is inside its first morsel: the
+	// filter fails on the rows of the morsel the helper's queue starts with.
+	ms, _ := tbl.Morsels(nil, nil, storage.Bound{}, storage.Bound{}, 8)
+	var cur storage.Cursor
+	cur.Keys(ms[len(ms)/2].Start, ms[len(ms)/2].End)
+	var first int64
+	tbl.Step(&cur, 1, func(view *sqltypes.ColBatch) (int, error) {
+		first = view.Col(0).I64[0]
+		return 1, nil
+	})
+	errHelper := errors.New("helper's row")
+	fail := Compiled(func(_ *EvalContext, r sqltypes.Row) (sqltypes.Value, error) {
+		if r[0].Int() >= first {
+			return sqltypes.Null, errHelper
+		}
+		return sqltypes.NewBool(true), nil
+	})
+	ps.Filter = &Pred{Row: fail, batch: lift(fail)}
+	if err := ps.Open(small); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.morsels) != len(ms) {
+		t.Fatalf("the scan cut %d morsels, the test %d", len(ps.morsels), len(ms))
+	}
+	if cb, ok, err := ps.NextVec(); !ok || err != nil || cb.Col(0).I64[at(cb.Sel, 0)] >= first {
+		t.Fatalf("first batch: ok=%v err=%v, want one of the consumer's rows", ok, err)
+	}
+	if !ps.mid {
+		t.Fatal("the consumer is not inside a morsel")
+	}
+	waitFor("the helper's error", ps.stopped.Load)
+	var err error
+	for ok := true; ok && err == nil; _, ok, err = ps.NextVec() {
+	}
+	if !errors.Is(err, errHelper) {
+		t.Fatalf("drain after the helper failed: %v, want %v", err, errHelper)
+	}
+	closeWithin("failed helper")
+
+	// A thousand runs of one tree, each closed after its first batch.
+	ps.Filter = nil
+	for i := 0; i < 1000; i++ {
+		if err := ps.Open(small); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := ps.NextVec(); !ok || err != nil {
+			t.Fatalf("run %d: ok=%v err=%v", i, ok, err)
+		}
+		if err := ps.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeWithin("a thousand runs")
 }

@@ -180,12 +180,12 @@ func row(t *testing.T, rows []BenchRow, name string) *BenchRow {
 // TestReadBenchText: the reader on two recorded transcripts of the same
 // benchmarks, GOMAXPROCS=1 (no suffix) and GOMAXPROCS=2 (every name ends in
 // -2): both give the same names, a sub-benchmark called parallel-4 keeps its
-// own -4, the point read run at -cpu 1 and 2 keeps the 2 of its second run,
-// and custom units land in their columns.
+// own -4 (and parallel-2-reused its name), the point read run at -cpu 1 and
+// 2 keeps the 2 of its second run, and custom units land in their columns.
 func TestReadBenchText(t *testing.T) {
 	one, two := readBench(t, "bench_procs1.txt"), readBench(t, "bench_procs2.txt")
-	if len(one) != 32 || len(two) != len(one) {
-		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 32 each", len(one), len(two))
+	if len(one) != 33 || len(two) != len(one) {
+		t.Fatalf("rows: %d at GOMAXPROCS=1, %d at 2, want 33 each", len(one), len(two))
 	}
 	for i := range one {
 		if one[i].Name != two[i].Name {
@@ -195,6 +195,7 @@ func TestReadBenchText(t *testing.T) {
 	for _, rows := range [][]BenchRow{one, two} {
 		row(t, rows, "BenchmarkEndToEndQuery/local-point")
 		row(t, rows, "BenchmarkExecScan/parallel-4")
+		row(t, rows, "BenchmarkExecFilterScan/parallel-2-reused")
 		row(t, rows, "BenchmarkEndToEndQuery/local-point-parallel")
 		row(t, rows, "BenchmarkEndToEndQuery/local-point-parallel-2")
 		if p := row(t, rows, "BenchmarkExecFilterScan/serial"); p.RowsPerSec == nil || *p.RowsPerSec <= 0 || p.NsOp <= 0 {

@@ -16,7 +16,10 @@ import (
 //	mtcache_remote_queries_total      remote fall-back queries actually run
 //	mtcache_served_stale_total        results downgraded by ActionServeStale
 //	mtcache_plan_cache_hits_total     plan-cache hits
-//	mtcache_plan_cache_misses_total   plan-cache misses (fresh optimizations)
+//	mtcache_plan_cache_misses_total   statements whose canonical text the plan cache did not hold:
+//	                                  fresh optimizations and new texts bound to a known shape's
+//	                                  plan (the model the bench/traced.go replay and
+//	                                  TestPlanCacheMatchesCanonicalTextModel hold it to)
 //	mtcache_reruns_total              runs repeated because a region read locally moved during them
 //	mtcache_reruns_remote_total       repeated runs whose region moved again, answered remote
 //	trace_sampled_total               queries sampled into the lifecycle ring
@@ -34,18 +37,15 @@ import (
 //	audit_excess_staleness_ns         delivered minus declared staleness on violations
 //	audit_slack_ns                    declared minus delivered staleness on OK reads
 //
-// (the guard_*, region_staleness_ns, degraded_reads_total and slo_*
-// instruments are the region ledger's, listed on obs.RegionLedger; the
-// tuner_* instruments register from tuner.NewLoop when autotuning is enabled
-// and the audit_* instruments from audit.New when the auditor is installed;
-// they are listed here because they share this cache's registry.)
+// (the guard_*, region_staleness_ns, degraded_reads_total and slo_* ones are
+// the region ledger's, listed on obs.RegionLedger; tuner_* register with
+// autotuning, audit_* with the auditor, all in this cache's registry.)
 type cacheObs struct {
 	reg    *obs.Registry
 	traces *obs.TraceStore
 	// tracer samples query lifecycles into the recent-query ring and counts
 	// span events; ledger folds every guard decision into its region's guard
-	// metrics, currency-SLO window and autotuner workload window. Both are
-	// always non-nil on a cache's obs.
+	// metrics, SLO and workload windows. Both are always non-nil.
 	tracer *obs.Tracer
 	ledger *obs.RegionLedger
 

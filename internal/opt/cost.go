@@ -40,10 +40,10 @@ const (
 	// heartbeat-table lookup plus a comparison).
 	costGuard = 0.05
 	// costParallelStartup is the fixed overhead of a morsel-driven parallel
-	// scan: partitioning the key range, spawning workers and tearing down
-	// the exchange. It keeps point and small range queries (the paper's
-	// Table 4.2 lookups) on serial plans — parallelism only pays when the
-	// scan itself dwarfs the startup.
+	// scan: partitioning the key range, starting the helpers (the consumer
+	// runs morsels itself) and joining them at Close. It keeps point and
+	// small range queries (the paper's Table 4.2 lookups) on serial plans —
+	// parallelism only pays when the scan itself dwarfs the startup.
 	costParallelStartup = 0.15
 	// maxCostDOP caps the degree of parallelism the cost model assumes.
 	// Scan throughput stops scaling well past a few workers on this

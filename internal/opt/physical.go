@@ -104,14 +104,6 @@ func (p *Planner) costDOP() int {
 	return d
 }
 
-// maxDop combines subtree degrees of parallelism.
-func maxDop(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (p *Planner) planQuery(q *Query) (*Plan, error) {
 	valid, err := p.candidates(q)
 	if err != nil {
@@ -174,7 +166,7 @@ func (c *cand) plan() (*Plan, error) {
 		Guards:       c.guards,
 		LocalLeaves:  c.localLeaves,
 		RemoteLeaves: c.remoteLeaves,
-		DOP:          maxDop(c.dop, 1),
+		DOP:          max(c.dop, 1),
 	}, nil
 }
 
@@ -354,7 +346,7 @@ func chooseAccessPath(pn *pins, def *catalog.Table, stats *catalog.TableStats, p
 		}
 		sel := 1.0
 		for _, p := range preds {
-			if !containsExpr(residual, p) {
+			if !slices.Contains(residual, p) {
 				sel *= selectivity(pn, stats, p)
 			}
 		}
@@ -368,15 +360,6 @@ func chooseAccessPath(pn *pins, def *catalog.Table, stats *catalog.TableStats, p
 		}
 	}
 	return best
-}
-
-func containsExpr(list []sqlparser.Expr, e sqlparser.Expr) bool {
-	for _, x := range list {
-		if x == e {
-			return true
-		}
-	}
-	return false
 }
 
 // boundsForIndex derives a key range on the index's leading column from the
@@ -1145,7 +1128,7 @@ func joined(c *cand, inputs ...*cand) *cand {
 		c.guards += in.guards
 		c.localLeaves += in.localLeaves
 		c.remoteLeaves += in.remoteLeaves
-		c.dop = maxDop(c.dop, in.dop)
+		c.dop = max(c.dop, in.dop)
 	}
 	return c
 }

@@ -15,18 +15,27 @@ type Morsel struct {
 	Start, End string
 }
 
-// Morsels partitions the clustered primary-key range described by lo/hi
-// (same bound semantics as ScanIndex on a clustered index) into up to parts
-// contiguous morsels of roughly equal cardinality, using the B+-tree's
-// separator keys as boundaries. It always returns at least one morsel
-// covering the whole range, so callers can fan out workers unconditionally.
-func (t *Table) Morsels(lo, hi Bound, parts int) []Morsel {
+// Morsels partitions the clustered primary-key range lo/hi (ScanIndex's
+// bound semantics) into up to parts contiguous morsels of roughly equal
+// cardinality, cut at the B+-tree's separator keys; there is always at least
+// one, covering the whole range. They are appended to dst[:0] and the cut
+// keys gathered in splits[:0]: a caller that keeps both (returned grown)
+// partitions again without allocating, dst's ends reused while they encode
+// the same range.
+func (t *Table) Morsels(dst []Morsel, splits []string, lo, hi Bound, parts int) ([]Morsel, []string) {
+	var buf [2 * sqltypes.KeyStackBytes]byte
+	s, e := appendRangeKeys(buf[:0], lo, hi)
+	var start, end string
+	if n := len(dst); n > 0 && string(s) == dst[0].Start && string(e) == dst[n-1].End {
+		start, end = dst[0].Start, dst[n-1].End
+	} else {
+		start, end = string(s), string(e)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	start, end := RangeKeys(lo, hi)
-	morsels := make([]Morsel, 0, parts)
-	cur := start
-	for _, s := range t.primary.SplitKeys(parts) {
+	splits = t.primary.SplitKeys(splits, parts)
+	morsels, cur := dst[:0], start
+	for _, s := range splits {
 		if s <= cur {
 			continue // splits are sorted; skip those before the range
 		}
@@ -36,7 +45,7 @@ func (t *Table) Morsels(lo, hi Bound, parts int) []Morsel {
 		morsels = append(morsels, Morsel{Start: cur, End: s})
 		cur = s
 	}
-	return append(morsels, Morsel{Start: cur, End: end})
+	return append(morsels, Morsel{Start: cur, End: end}), splits
 }
 
 // Cursor is a clustered range walk in progress: its bounds, the key it

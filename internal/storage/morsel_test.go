@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"relaxedcc/internal/catalog"
@@ -77,7 +78,7 @@ func TestMorselsCoverFullRange(t *testing.T) {
 	tbl.Scan(func(r sqltypes.Row) bool { want = append(want, r.Clone()); return true })
 
 	for _, parts := range []int{1, 4, 16, 64} {
-		ms := tbl.Morsels(Bound{}, Bound{}, parts)
+		ms, _ := tbl.Morsels(nil, nil, Bound{}, Bound{}, parts)
 		if len(ms) == 0 {
 			t.Fatalf("parts=%d: no morsels", parts)
 		}
@@ -123,7 +124,7 @@ func TestMorselsRespectBounds(t *testing.T) {
 		t.Fatalf("range scan = %d rows", len(want))
 	}
 
-	ms := tbl.Morsels(lo, hi, 8)
+	ms, _ := tbl.Morsels(nil, nil, lo, hi, 8)
 	got := collectMorsels(t, tbl, ms)
 	if len(got) != len(want) {
 		t.Fatalf("morsel union = %d rows, want %d", len(got), len(want))
@@ -140,12 +141,32 @@ func TestMorselsRespectBounds(t *testing.T) {
 func TestMorselsSmallTable(t *testing.T) {
 	for _, n := range []int{0, 1, 3} {
 		tbl := morselTable(t, n)
-		ms := tbl.Morsels(Bound{}, Bound{}, 8)
+		ms, _ := tbl.Morsels(nil, nil, Bound{}, Bound{}, 8)
 		if len(ms) == 0 {
 			t.Fatalf("n=%d: no morsels", n)
 		}
 		if got := collectMorsels(t, tbl, ms); len(got) != n {
 			t.Fatalf("n=%d: morsel union = %d rows", n, len(got))
+		}
+	}
+}
+
+// TestMorselsReuseTheirBuffers: partitioning a range again into the buffers
+// an earlier call grew allocates nothing, and cuts the same morsels.
+func TestMorselsReuseTheirBuffers(t *testing.T) {
+	tbl := morselTable(t, 20000)
+	lo := Bound{Vals: sqltypes.Row{sqltypes.NewInt(300)}, Inclusive: true}
+	hi := Bound{Vals: sqltypes.Row{sqltypes.NewInt(15000)}}
+	for _, b := range [][2]Bound{{}, {lo, hi}} {
+		ms, splits := tbl.Morsels(nil, nil, b[0], b[1], 8)
+		want := slices.Clone(ms)
+		if allocs := testing.AllocsPerRun(100, func() {
+			ms, splits = tbl.Morsels(ms, splits, b[0], b[1], 8)
+		}); allocs != 0 {
+			t.Fatalf("reused Morsels over %v: %v allocs, want 0", b, allocs)
+		}
+		if !slices.Equal(ms, want) {
+			t.Fatalf("reused Morsels = %q, want %q", ms, want)
 		}
 	}
 }

@@ -337,15 +337,8 @@ func (t *Table) Clustered(idxName string) bool {
 	return idx != nil && idx.Clustered
 }
 
-// RangeKeys converts bounds on key-column prefixes to encoded key-range
-// endpoints for AscendRange (start inclusive, end exclusive).
-func RangeKeys(lo, hi Bound) (start, end string) {
-	var buf [2 * sqltypes.KeyStackBytes]byte
-	s, e := appendRangeKeys(buf[:0], lo, hi)
-	return string(s), string(e)
-}
-
-// appendRangeKeys encodes RangeKeys' endpoints into dst, start then end.
+// appendRangeKeys encodes bounds on key-column prefixes into dst as the
+// key range's endpoints for AscendRange (start inclusive, end exclusive).
 func appendRangeKeys(dst []byte, lo, hi Bound) (start, end []byte) {
 	start = appendBound(dst, lo, !lo.Inclusive)
 	return start, appendBound(start, hi, hi.Inclusive)[len(start):]

@@ -12,14 +12,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
 ceilings="the total outside bench/|25619|all
-internal/exec|3787|exec
+internal/exec|3785|exec
 the spine ($spine)|4633|$spine
 internal/harness|2760|harness
 internal/analysis|1361|analysis
 internal/opt|3281|opt
 internal/sqlparser|2035|sqlparser
 internal/sqltypes|1360|sqltypes
-the store (storage + btree)|1089|storage btree
+the store (storage + btree)|1074|storage btree
 internal/backend|779|backend
 internal/repl|696|repl
 internal/remote|369|remote"

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Paired end-to-end runs of ./bench: the committed tree of BASE (a commit,
-# extracted with `git archive` into a temporary directory, so nothing is
-# registered in this repository) against the working tree. Builds ./bench
-# on both sides, then runs N pairs per workload with -trace 0, alternating
-# which side goes first (A-B, B-A, ...) and giving pair I seed I on both
-# sides; each run's last line, its result object, is kept as
-# DIR/WORKLOAD/{base,change}-I.json. `rccbench -pairs DIR` then prints, per
-# workload and end-to-end metric of BENCHMARK.json, both medians, the
-# change, the base's interquartile range and the pairs the change won.
+# Paired runs: the committed tree of BASE (a commit, extracted with `git
+# archive` into a temporary directory, so nothing is registered in this
+# repository) against the working tree. Builds ./bench and the root
+# package's test binary on both sides. Runs N pairs of the executor scan
+# benchmarks (BenchmarkExec(Scan|FilterScan) at -cpu 2, one run each, kept
+# as DIR/gotest/{base,change}-I.txt), then N pairs per workload of ./bench
+# with -trace 0 (each run's last line, its result object, kept as
+# DIR/WORKLOAD/{base,change}-I.json); every pair alternates which side goes
+# first (A-B, B-A, ...), and pair I of a workload runs seed I on both sides.
+# `rccbench -pairs DIR` then prints, per workload and end-to-end metric of
+# BENCHMARK.json and per benchmark for ns/op and allocs/op, both medians,
+# the change, the base's interquartile range and the pairs the change won.
 # PAIRS_DIR keeps the runs (default: removed with the temporary directory).
 # The trap stops any run still going and removes what the script made.
 # Usage: scripts/pairs.sh BASE [N] [SECONDS], default 5 pairs of 20 s runs.
@@ -30,10 +33,24 @@ trap 'exit 130' INT TERM
 
 mkdir -p "$tmp/base"
 git archive "$(git rev-parse --verify "$base^{commit}")" | tar -x -C "$tmp/base"
-(cd "$tmp/base" && go build -o "$tmp/bench-base" ./bench)
+(cd "$tmp/base" && go build -o "$tmp/bench-base" ./bench && go test -c -o "$tmp/test-base" .)
 go build -o "$tmp/bench-change" ./bench
+go test -c -o "$tmp/test-change" .
 go build -o "$tmp/rccbench" ./cmd/rccbench
 out=${PAIRS_DIR:-$tmp/runs}
+declare -A dirs=([base]="$tmp/base" [change]=.)
+
+mkdir -p "$out/gotest"
+for ((i = 1; i <= pairs; i++)); do
+  order=(base change)
+  ((i % 2)) || order=(change base)
+  for side in "${order[@]}"; do
+    (cd "${dirs[$side]}" && exec "$tmp/test-$side" -test.run '^$' -test.bench '^BenchmarkExec(Scan|FilterScan)$' \
+      -test.benchmem -test.cpu 2) >"$out/gotest/$side-$i.txt" &
+    wait $!
+    echo "executor benchmarks pair $i $side: $(grep -c '^Benchmark' "$out/gotest/$side-$i.txt") rows" >&2
+  done
+done
 
 for w in point_hot mix_zipf analytic read_write; do
   mkdir -p "$out/$w"
