@@ -22,7 +22,9 @@ race:
 	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/... ./internal/opt/...
 
 # Ten seconds of native fuzzing each on the comparison kernels, on the
-# parser (parse/print fixpoint, scanner and splice against the parse), on
+# parser (parse/print fixpoint, scanner and splice against the parse), on the
+# scanner (against referenceScan, the branch-chain scanner it replaced, and
+# a value's literal scan against the scan of its printed text), on
 # the B+-tree (both leaf payloads against a sorted map), on the key
 # encoding (byte order against Value.Compare, index-seek ranges), on the
 # table's one mutator (Replace and its undo against a map, indexes kept) and
@@ -33,6 +35,7 @@ race:
 fuzz:
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzKernel -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqlparser -run '^$$' -fuzz FuzzParse -fuzztime $(or $(FUZZTIME),10s)
+	$(GO) test . -run '^$$' -fuzz FuzzScan -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/btree -run '^$$' -fuzz FuzzBTree -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/sqltypes -run '^$$' -fuzz FuzzKeyEncoding -fuzztime $(or $(FUZZTIME),10s)
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzTable -fuzztime $(or $(FUZZTIME),10s)

@@ -176,19 +176,33 @@ func (s *Server) ExecStmt(stmt sqlparser.Statement) (int, error) {
 	return s.run(d, nil)
 }
 
-// Query plans and executes a SELECT, returning the materialized result.
-// Data at the master is always current, so C&C constraints are trivially
-// satisfied here. A statement of a shape met before (opt.Shapes) is neither
-// parsed nor planned: one lexer pass finds its template and its literals, and
-// an idle tree of the template runs with them.
+// Query plans and executes a SELECT text, returning the materialized result:
+// QueryScanned of the text alone.
 func (s *Server) Query(sql string) (*exec.Result, error) {
+	return s.QueryScanned(sqlparser.Scanned{SQL: sql})
+}
+
+// QueryScanned plans and executes a SELECT as the cache ships it. Data at the
+// master is always current, so C&C constraints are trivially satisfied here.
+// A statement of a shape met before (opt.Shapes) is neither parsed nor
+// planned: its skeleton and literals — shipped, or read by one lexer pass
+// over a text shipped alone — find its template, and an idle tree of the
+// template runs with them. The text is made only for a statement that must
+// be parsed.
+func (s *Server) QueryScanned(q sqlparser.Scanned) (*exec.Result, error) {
 	var kb [256]byte
 	var vb [8]sqltypes.Value
 	var t *opt.Template
 	var root exec.Operator
 	var setup time.Duration
 	var gen uint64
-	skel, vals, ok := sqlparser.Scan(sql, kb[:0], vb[:0])
+	var sql string
+	// The values are copied: binding turns them into parameters in place.
+	skel, vals, ok := q.Skel, append(vb[:0], q.Vals...), q.Skel != nil
+	if !ok {
+		sql = q.Text()
+		skel, vals, ok = sqlparser.Scan(sql, kb[:0], vals)
+	}
 	if ok {
 		s.stmtMu.Lock()
 		gen = s.planGen
@@ -199,6 +213,9 @@ func (s *Server) Query(sql string) (*exec.Result, error) {
 		s.stmtMu.Unlock()
 	}
 	if t == nil {
+		if q.Skel != nil {
+			sql = q.Text()
+		}
 		sel, err := sqlparser.ParseSelect(sql)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"slices"
-	"sort"
 
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/storage"
@@ -525,7 +524,15 @@ func (s *Sort) Open(ctx *EvalContext) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(s.ents, func(i, j int) bool { return s.before(&s.ents[i], &s.ents[j]) })
+	slices.SortFunc(s.ents, func(a, b sortEnt) int {
+		switch {
+		case a.seq == b.seq:
+			return 0
+		case s.before(&a, &b):
+			return -1
+		}
+		return 1
+	})
 	return nil
 }
 

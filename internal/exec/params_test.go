@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"relaxedcc/internal/sqlparser"
@@ -86,10 +87,20 @@ func TestSlotLiteralsReadTheExecutionsParameters(t *testing.T) {
 		t.Fatalf("lo from a parameter, hi constant: %d rows, want 6", n)
 	}
 
-	// A Remote ships the splice of its text with the run's parameters.
+	// A Remote ships the scan of its text spliced with the run's parameters,
+	// the splice made only when asked for.
 	var shipped []string
-	r := &Remote{SQL: sqlparser.SelectSQL(sel), Text: sqlparser.SelectPieces(sel), Out: NewSchema()}
-	r.Fetch = func(*EvalContext) ([]sqltypes.Row, error) { shipped = append(shipped, r.SQL); return nil, nil }
+	sql, pieces := sqlparser.SelectSQL(sel), sqlparser.SelectPieces(sel)
+	r := &Remote{SQL: sql, Text: pieces, Scan: sqlparser.ScanPieces(sql, pieces), Out: NewSchema()}
+	r.Fetch = func(ctx *EvalContext) ([]sqltypes.Row, error) {
+		q := r.Shipment(ctx)
+		text := q.Text()
+		if skel, vals, _ := sqlparser.Scan(text, nil, nil); string(skel) != string(q.Skel) || fmt.Sprint(vals) != fmt.Sprint(q.Vals) {
+			t.Fatalf("%q ships %q %v", text, q.Skel, q.Vals)
+		}
+		shipped = append(shipped, text)
+		return nil, nil
+	}
 	count(r, own)
 	count(r, with(0.5, 1000000.5, "it's"))
 	count(r, own)

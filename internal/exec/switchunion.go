@@ -195,27 +195,46 @@ func (s *SwitchUnion) Close() error {
 type Remote struct {
 	SQL string
 	// Text, when it has slots, is SQL cut at its slot literals: an execution
-	// with parameters splices its own text into SQL while Fetch ships it.
-	Text  sqlparser.Pieces
+	// with parameters ships the text spliced around them.
+	Text sqlparser.Pieces
+	// Scan is SQL and Text scanned once, for every tree of the plan: what a
+	// fetch ships in place of its text (Shipment).
+	Scan  *sqlparser.PieceScan
 	Fetch func(ctx *EvalContext) ([]sqltypes.Row, error)
 	Out   *Schema
 
-	win window
+	key  []byte
+	vals []sqltypes.Value
+	win  window
 }
 
 // Schema implements Operator.
 func (r *Remote) Schema() *Schema { return r.Out }
 
+// Shipment returns what a fetch under ctx ships: the skeleton and token
+// values of the text its parameters make, written into buffers the operator
+// keeps, and the way to that text for a back end that must parse it. It
+// splices nothing; without Scan, or for a parameter whose literal does not
+// scan, it ships the text alone.
+func (r *Remote) Shipment(ctx *EvalContext) sqlparser.Scanned {
+	q := sqlparser.Scanned{SQL: r.SQL, Pieces: r.Text}
+	if ctx != nil {
+		q.Params = ctx.Params
+	}
+	if r.Scan != nil {
+		if key, vals, ok := r.Scan.Append(r.key[:0], r.vals[:0], q.Params); ok {
+			r.key, r.vals = key, vals
+			q.Skel, q.Vals = key, vals
+		}
+	}
+	return q
+}
+
 // Open implements Operator: it ships the query and buffers the reply,
 // modeling a one-round-trip remote cursor, and counts the fetch in
 // EvalContext.Fetches once it succeeds.
 func (r *Remote) Open(ctx *EvalContext) error {
-	own := r.SQL
-	if len(r.Text.Slots) > 0 && ctx != nil && ctx.Params != nil {
-		r.SQL = r.Text.Splice(ctx.Params)
-	}
 	rows, err := r.Fetch(ctx)
-	r.SQL = own
 	if err != nil {
 		return err
 	}

@@ -134,10 +134,11 @@ var allocCeilings = []struct {
 	// row list and value arena were allocations of their own, 6 before one
 	// allocation held the whole result); shipped to the back end, which
 	// answers from a template of the statement's shape (106 while it parsed
-	// and planned every one) into one reply, 3 (8 while the reply was five).
+	// and planned every one) into one reply, 2: the link ships the leaf's
+	// scan, no text (3 while it spliced one, 8 while the reply was five).
 	// End-to-end ceilings are the count plus two.
 	{"BenchmarkEndToEndQuery/local-point", 3},
-	{"BenchmarkEndToEndQuery/remote-point", 5},
+	{"BenchmarkEndToEndQuery/remote-point", 4},
 	// A new text of a known shape is scanned, bound to the shape's template
 	// and run through a tree another statement left: the canonical text and
 	// the entry, which holds its literals, on top of a hit and the text's

@@ -102,8 +102,8 @@ func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Ca
 		cat:       back.Catalog().Clone(),
 		views:     map[string]*storage.Table{},
 		agents:    map[int]*repl.Agent{},
-		planCache: map[string]*stmtEntry{},
-		byText:    map[string]*stmtEntry{},
+		planCache: make(map[string]*stmtEntry, maxCachedPlans),
+		byText:    make(map[string]*stmtEntry, maxCachedPlans),
 		obs:       co,
 		wait:      wait,
 	}
@@ -112,8 +112,9 @@ func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Ca
 }
 
 // maxCachedPlans bounds the plan cache (evicted wholesale when exceeded —
-// plan texts in a workload are few) and, separately, the raw-text index
-// over it (emptied when full; its entries stay reachable by canonical text).
+// plan texts in a workload are few) and, separately, the raw-text index over
+// it (emptied when full; its entries stay reachable by canonical text). Both
+// are made at this size, so refilling one does not regrow it.
 const maxCachedPlans = 512
 
 // stmtEntry is one cached statement: everything a plan-cache hit needs.
@@ -194,7 +195,7 @@ func (c *Cache) fileText(sql string, e *stmtEntry) {
 		return
 	}
 	if len(c.byText) >= maxCachedPlans {
-		c.byText = map[string]*stmtEntry{}
+		c.byText = make(map[string]*stmtEntry, maxCachedPlans)
 	}
 	c.byText[sql] = e
 }
@@ -218,7 +219,7 @@ func (c *Cache) storeLocked(e *stmtEntry, sql string) {
 		e = cur
 	} else {
 		if len(c.planCache) >= maxCachedPlans {
-			c.planCache, c.byText = map[string]*stmtEntry{}, map[string]*stmtEntry{}
+			c.planCache, c.byText = make(map[string]*stmtEntry, maxCachedPlans), make(map[string]*stmtEntry, maxCachedPlans)
 		}
 		c.planCache[e.key] = e
 	}
@@ -242,7 +243,7 @@ func (c *Cache) checkIn(e *stmtEntry, root exec.Operator) {
 func (c *Cache) InvalidatePlans() {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
-	c.planCache, c.byText = map[string]*stmtEntry{}, map[string]*stmtEntry{}
+	c.planCache, c.byText = make(map[string]*stmtEntry, maxCachedPlans), make(map[string]*stmtEntry, maxCachedPlans)
 	c.shapes.Reset()
 }
 

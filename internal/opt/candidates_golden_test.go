@@ -32,22 +32,7 @@ func TestCandidatesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hour = "CURRENCY 3600 ON "
-	stmts := map[string]string{
-		"point":       tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)"),
-		"join":        tpcd.CustomerOrdersQuery(17, "CURRENCY 120000 MS ON (C), 120000 MS ON (O)"),
-		"scan_cust":   tpcd.RangeQuery(0, 1000, hour+"(Customer)"),
-		"join_local":  tpcd.JoinQuery("C.c_acctbal >= 9000", hour+"(C), 3600 ON (O)"),
-		"scan_orders": "SELECT o_custkey, o_orderkey, o_totalprice FROM Orders WHERE o_totalprice > 490000 " + hour + "(Orders)",
-		"agg_nation":  "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM Customer GROUP BY c_nationkey " + hour + "(Customer)",
-		"agg_top":     "SELECT TOP 10 o_custkey, SUM(o_totalprice) AS total FROM Orders WHERE o_custkey <= 75 GROUP BY o_custkey ORDER BY total DESC " + hour + "(Orders)",
-	}
-	for _, c := range harness.PlanChoiceCases() {
-		stmts["planchoice-"+c.Name] = c.SQL
-	}
-	for _, q := range harness.GuardQueries() {
-		stmts["guard-"+q.Name+"-plain"], stmts["guard-"+q.Name+"-fresh"], stmts["guard-"+q.Name+"-stale"] = q.Plain, q.Fresh, q.Stale
-	}
+	stmts := goldenStatements()
 	const dop = 4
 	optionSets := []struct {
 		name string
@@ -135,4 +120,27 @@ func TestCandidatesMatchGolden(t *testing.T) {
 		}
 		t.Fatalf("candidates differ from %s: %d lines, want %d", path, len(gl), len(wl))
 	}
+}
+
+// goldenStatements are the statements TestCandidatesMatchGolden pins, by
+// name: the seven benchmark templates, the Table 4.2/4.3 plan-choice cases
+// and the guard queries.
+func goldenStatements() map[string]string {
+	const hour = "CURRENCY 3600 ON "
+	stmts := map[string]string{
+		"point":       tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)"),
+		"join":        tpcd.CustomerOrdersQuery(17, "CURRENCY 120000 MS ON (C), 120000 MS ON (O)"),
+		"scan_cust":   tpcd.RangeQuery(0, 1000, hour+"(Customer)"),
+		"join_local":  tpcd.JoinQuery("C.c_acctbal >= 9000", hour+"(C), 3600 ON (O)"),
+		"scan_orders": "SELECT o_custkey, o_orderkey, o_totalprice FROM Orders WHERE o_totalprice > 490000 " + hour + "(Orders)",
+		"agg_nation":  "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM Customer GROUP BY c_nationkey " + hour + "(Customer)",
+		"agg_top":     "SELECT TOP 10 o_custkey, SUM(o_totalprice) AS total FROM Orders WHERE o_custkey <= 75 GROUP BY o_custkey ORDER BY total DESC " + hour + "(Orders)",
+	}
+	for _, c := range harness.PlanChoiceCases() {
+		stmts["planchoice-"+c.Name] = c.SQL
+	}
+	for _, q := range harness.GuardQueries() {
+		stmts["guard-"+q.Name+"-plain"], stmts["guard-"+q.Name+"-fresh"], stmts["guard-"+q.Name+"-stale"] = q.Plain, q.Fresh, q.Stale
+	}
+	return stmts
 }

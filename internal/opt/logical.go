@@ -38,8 +38,8 @@ import (
 // RemoteExecutor ships a SQL query to the back-end server. The cache's
 // remote link implements it; it is nil at the back end itself.
 type RemoteExecutor interface {
-	// Query executes sql at the back end and returns all result rows.
-	Query(sql string) ([]sqltypes.Row, error)
+	// QueryScanned executes q at the back end and returns all result rows.
+	QueryScanned(q sqlparser.Scanned) ([]sqltypes.Row, error)
 }
 
 // Site describes the server a query is being planned for.

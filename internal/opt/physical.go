@@ -1632,21 +1632,23 @@ func stripCurrency(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 }
 
 // remoteBuild returns the build of a Remote operator shipping stmt. The text
-// is printed once, when the first tree is built (most remote candidates never
-// are), whole and cut at its slot literals: a tree run with parameters ships
-// the splice of its own.
+// is printed and scanned once, when the first tree is built (most remote
+// candidates never are), whole and cut at its slot literals: a tree run with
+// parameters ships the scan of the text they make (exec.Remote.Shipment).
 func (p *Planner) remoteBuild(stmt func() *sqlparser.SelectStmt, out *exec.Schema) func() (exec.Operator, error) {
 	var once sync.Once
 	var sql string
 	var text sqlparser.Pieces
+	var scan *sqlparser.PieceScan
 	remoteExec := p.Site.Remote
 	return func() (exec.Operator, error) {
 		once.Do(func() {
 			st := stmt()
 			sql, text = sqlparser.SelectSQL(st), sqlparser.SelectPieces(st)
+			scan = sqlparser.ScanPieces(sql, text)
 		})
-		r := &exec.Remote{SQL: sql, Text: text, Out: out}
-		r.Fetch = func(*exec.EvalContext) ([]sqltypes.Row, error) { return remoteExec.Query(r.SQL) }
+		r := &exec.Remote{SQL: sql, Text: text, Scan: scan, Out: out}
+		r.Fetch = func(ctx *exec.EvalContext) ([]sqltypes.Row, error) { return remoteExec.QueryScanned(r.Shipment(ctx)) }
 		return r, nil
 	}
 }

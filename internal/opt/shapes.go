@@ -154,8 +154,9 @@ func (s *Shapes) File(skel []byte, vals []sqltypes.Value, slots sqlparser.Slots,
 }
 
 // Reset drops every shape and template: the catalog, the statistics or the
-// views plans were made against changed.
-func (s *Shapes) Reset() { s.bySkeleton, s.templates = map[string]*shape{}, 0 }
+// views plans were made against changed. The new map is sized for a full
+// Shapes, so refilling it after the wholesale eviction does not regrow it.
+func (s *Shapes) Reset() { s.bySkeleton, s.templates = make(map[string]*shape, maxTemplates), 0 }
 
 // appendPinned appends the values of the pinned slots, each in a form that
 // tells it from every other value of its kind (the skeleton fixes the kinds).

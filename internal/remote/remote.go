@@ -21,6 +21,7 @@ import (
 
 	"relaxedcc/internal/backend"
 	"relaxedcc/internal/obs"
+	"relaxedcc/internal/sqlparser"
 	"relaxedcc/internal/sqltypes"
 	"relaxedcc/internal/vclock"
 )
@@ -119,11 +120,16 @@ func (c *Client) BreakerState() BreakerState {
 	return c.state
 }
 
-// Query ships sql to the back end and returns all result rows. It
-// implements opt.RemoteExecutor: breaker check, then up to maxAttempts
-// tries with backoff under the per-query deadline. SQL-level errors from the
-// back end return at once.
+// Query ships sql to the back end as text and returns all result rows.
 func (c *Client) Query(sql string) ([]sqltypes.Row, error) {
+	return c.QueryScanned(sqlparser.Scanned{SQL: sql})
+}
+
+// QueryScanned ships q — a SELECT's scan, or its text — to the back end and
+// returns all result rows. It implements opt.RemoteExecutor: breaker check,
+// then up to maxAttempts tries with backoff under the per-query deadline.
+// SQL-level errors from the back end return at once.
+func (c *Client) QueryScanned(q sqlparser.Scanned) ([]sqltypes.Row, error) {
 	now := c.clock.Now()
 	due := now.Add(deadline)
 	c.mu.Lock()
@@ -137,7 +143,7 @@ func (c *Client) Query(sql string) ([]sqltypes.Row, error) {
 		return nil, ErrBreakerOpen
 	}
 	for attempt := 1; ; attempt++ {
-		rows, err := c.attempt(f, sql, now, due)
+		rows, err := c.attempt(f, q, now, due)
 		if !IsUnavailable(err) {
 			return rows, err
 		}
@@ -174,7 +180,7 @@ func (c *Client) Query(sql string) ([]sqltypes.Row, error) {
 // deadline check), then the in-process back-end call. A round trip — rows
 // or a SQL error — is settled in the breaker here; a link failure is
 // returned for Query to settle.
-func (c *Client) attempt(f Fault, sql string, now, due time.Time) ([]sqltypes.Row, error) {
+func (c *Client) attempt(f Fault, q sqlparser.Scanned, now, due time.Time) ([]sqltypes.Row, error) {
 	if f != nil {
 		lat, err := f.Inject(now)
 		if lat > 0 {
@@ -189,7 +195,7 @@ func (c *Client) attempt(f Fault, sql string, now, due time.Time) ([]sqltypes.Ro
 			return nil, fmt.Errorf("remote: injected: %w", err)
 		}
 	}
-	res, err := c.backend.Query(sql)
+	res, err := c.backend.QueryScanned(q)
 	var rows []sqltypes.Row
 	var bytes int64
 	if err == nil {

@@ -527,6 +527,98 @@ func (p Pieces) Splice(params []sqltypes.Value) string {
 	return string(append(buf, p.Text[len(p.Slots)]...))
 }
 
+// Scanned is a SELECT as the cache ships it to the back end: the skeleton and
+// token values Scan reads from its text, and what the text is made of, for a
+// reader that must parse it after all (Text). A nil Skel ships the text
+// alone: the reader scans it.
+type Scanned struct {
+	Skel []byte
+	Vals []sqltypes.Value
+	// SQL is the text of a run without parameters; with Params it is Pieces
+	// spliced around them.
+	SQL    string
+	Pieces Pieces
+	Params []sqltypes.Value
+}
+
+// Text returns the statement's text, spliced when it has parameters.
+func (q *Scanned) Text() string {
+	if q.Params == nil || len(q.Pieces.Slots) == 0 {
+		return q.SQL
+	}
+	return q.Pieces.Splice(q.Params)
+}
+
+// PieceScan is a text and its pieces scanned once (ScanPieces).
+type PieceScan struct {
+	whole  scanned   // the text's own scan
+	pieces []scanned // each piece's, nil when the text is not to be cut
+	slots  []int
+}
+
+type scanned struct {
+	key  []byte
+	vals []sqltypes.Value
+	ok   bool
+}
+
+// ScanPieces scans sql, and the pieces p cut it into, once. What Scan reads
+// from p spliced around any parameters is then the pieces' scans and the
+// parameters' literals' (ScanLiteral) in turn — unless a literal could run
+// into the token of a piece beside it: a piece before a slot that ends in an
+// identifier byte, a point, a minus or a quote, or one after a slot that
+// starts with an identifier byte, a point or a quote (or is empty between
+// two slots). Such a text is never cut.
+func ScanPieces(sql string, p Pieces) *PieceScan {
+	ps := &PieceScan{slots: p.Slots}
+	ps.whole.key, ps.whole.vals, ps.whole.ok = Scan(sql, nil, nil)
+	for i, text := range p.Text {
+		var c scanned
+		c.key, c.vals, c.ok = Scan(text, nil, nil)
+		before, after := i < len(p.Slots), i > 0
+		if !c.ok || text == "" && before && after ||
+			text != "" && (before && joins(text[len(text)-1], true) || after && joins(text[0], false)) {
+			ps.pieces = nil
+			break
+		}
+		ps.pieces = append(ps.pieces, c)
+	}
+	return ps
+}
+
+// joins reports whether a literal token could run into the token that c
+// ends (before the literal) or starts (after it).
+func joins(c byte, before bool) bool {
+	switch class[c] {
+	case cLetter, cDigit, cDot, cQuote:
+		return true
+	case cMinus:
+		return before
+	}
+	return false
+}
+
+// Append appends to key and vals what Scan reads from the text a run with
+// params ships (see Scanned): the text's own scan for nil params. ok is false
+// when that text does not scan, or is not to be cut and has slots: it ships
+// as text.
+func (ps *PieceScan) Append(key []byte, vals, params []sqltypes.Value) (_ []byte, _ []sqltypes.Value, ok bool) {
+	if params == nil || len(ps.slots) == 0 {
+		return append(key, ps.whole.key...), append(vals, ps.whole.vals...), ps.whole.ok
+	}
+	if ps.pieces == nil {
+		return nil, nil, false
+	}
+	for i, slot := range ps.slots {
+		key, vals = append(key, ps.pieces[i].key...), append(vals, ps.pieces[i].vals...)
+		if key, vals, ok = ScanLiteral(key, vals, params[slot-1]); !ok {
+			return nil, nil, false
+		}
+	}
+	last := ps.pieces[len(ps.slots)]
+	return append(key, last.key...), append(vals, last.vals...), true
+}
+
 // printer renders SQL text into one buffer; every SQL method and SelectSQL
 // run on it. With cut set it ends a piece at each slot literal in place of
 // printing it.

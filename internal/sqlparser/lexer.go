@@ -7,6 +7,7 @@ package sqlparser
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -53,76 +54,136 @@ func (t token) isKeyword(kw string) bool {
 
 func (t token) isPunct(p string) bool { return t.kind == tokPunct && t.text == p }
 
+// Byte classes: what the tokenizer does at a byte is one lookup in class.
+const (
+	cBad     uint8 = iota // no token starts here
+	cSpace                // skipped
+	cLetter               // starts an identifier: a letter or underscore
+	cDigit                // starts a number, continues an identifier
+	cQuote                // starts a string
+	cPunct                // a one-byte operator or punctuation mark
+	cMinus                // "-", or a comment to the end of the line as "--"
+	cDot                  // ".", or a number when a digit follows
+	cLess                 // "<", "<=" or "<>"
+	cGreater              // ">" or ">="
+	cBang                 // only in "!=", which reads as "<>"
+)
+
+// Identifiers are ASCII: a letter or underscore, then letters, digits and
+// underscores. (Testing a byte with unicode.IsLetter took 0xAA, 0xB5 and
+// 0xC0–0xFF for letters and cut UTF-8 text into identifiers mid-rune; any
+// byte above 0x7F outside a string is now an unexpected character.)
+var class = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = cLetter, cLetter
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit
+	}
+	for _, c := range "=(),*+/;" {
+		t[c] = cPunct
+	}
+	t['_'], t['\''], t['-'], t['.'], t['<'], t['>'], t['!'] = cLetter, cQuote, cMinus, cDot, cLess, cGreater, cBang
+	t[' '], t['\t'], t['\n'], t['\r'] = cSpace, cSpace, cSpace, cSpace
+	return t
+}()
+
 // scanner cuts the input into tokens one at a time. The parser's lex and
 // the statement cache's Scan both run on it, so the skeleton a text is filed
 // under and the tokens its parse saw cannot disagree. It allocates only for a
 // string token with an escaped quote in it.
 type scanner struct {
-	src   string
-	i     int
+	src string
+	// i is the offset after the last token read, start that token's offset.
+	i, start int
+	// slots counts the number and string tokens read.
 	slots int
 }
 
-// next returns the next token, tokEOF at the end of the input. SQL comments
-// (-- to end of line) are skipped. It returns an error for unterminated
-// strings or stray bytes.
-func (s *scanner) next() (token, error) {
-	input, n := s.src, len(s.src)
-	for s.i < n {
-		c := input[s.i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			s.i++
-			continue
-		case c == '-' && s.i+1 < n && input[s.i+1] == '-':
-			for s.i < n && input[s.i] != '\n' {
-				s.i++
-			}
+// next returns the kind and text of the next token, tokEOF at the end of the
+// input. SQL comments (-- to end of line) are skipped. It returns an error
+// for unterminated strings or stray bytes.
+func (s *scanner) next() (tokenKind, string, error) {
+	input, i, n := s.src, s.i, len(s.src)
+	for ; i < n; i++ {
+		c := input[i]
+		cl := class[c]
+		if cl == cSpace {
 			continue
 		}
-		start := s.i
-		switch {
-		case isIdentStart(c):
-			for s.i < n && isIdentPart(input[s.i]) {
-				s.i++
+		start, kind := i, tokPunct
+		s.start = start
+		i++
+		switch cl {
+		case cLetter:
+			for i < n && (class[input[i]] == cLetter || class[input[i]] == cDigit) {
+				i++
 			}
-			return token{kind: tokIdent, text: input[start:s.i], pos: start}, nil
-		case isDigit(c) || (c == '.' && s.i+1 < n && isDigit(input[s.i+1])):
-			seenDot := false
-			for s.i < n {
-				d := input[s.i]
-				if d == '.' && !seenDot {
-					seenDot = true
-				} else if !isDigit(d) {
-					break
-				}
-				s.i++
-			}
+			kind = tokIdent
+		case cDigit:
+			i = number(input, i)
+			kind = tokNumber
 			s.slots++
-			return token{kind: tokNumber, text: input[start:s.i], pos: start, slot: s.slots}, nil
-		case c == '\'':
-			text, end, ok := quoted(input, start+1)
+		case cQuote:
+			text, end, ok := quoted(input, i)
 			if !ok {
-				return token{}, fmt.Errorf("sql: unterminated string at offset %d", start)
+				return tokEOF, "", fmt.Errorf("sql: unterminated string at offset %d", start)
 			}
 			s.i = end
 			s.slots++
-			return token{kind: tokString, text: text, pos: start, slot: s.slots}, nil
+			return tokString, text, nil
+		case cPunct:
+		case cMinus:
+			if i < n && input[i] == '-' {
+				if j := strings.IndexByte(input[i:], '\n'); j >= 0 {
+					i += j
+					continue
+				}
+				i = n
+				continue
+			}
+		case cDot:
+			if i < n && class[input[i]] == cDigit {
+				i = number(input, i)
+				kind = tokNumber
+				s.slots++
+			}
+		case cLess:
+			if i < n && (input[i] == '=' || input[i] == '>') {
+				i++
+			}
+		case cGreater:
+			if i < n && input[i] == '=' {
+				i++
+			}
+		case cBang:
+			if i < n && input[i] == '=' {
+				s.i = i + 1
+				return tokPunct, "<>", nil // != is spelled <> from here on
+			}
+			fallthrough
+		default:
+			return tokEOF, "", fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
 		}
-		// Multi-char operators first; != is spelled <> from here on.
-		text, width := input[start:start+1], 1
-		switch rest := input[start:]; {
-		case strings.HasPrefix(rest, "<="), strings.HasPrefix(rest, ">="), strings.HasPrefix(rest, "<>"):
-			text, width = rest[:2], 2
-		case strings.HasPrefix(rest, "!="):
-			text, width = "<>", 2
-		case strings.IndexByte("=(),.*+-/<>;", c) < 0:
-			return token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, start)
-		}
-		s.i += width
-		return token{kind: tokPunct, text: text, pos: start}, nil
+		s.i = i
+		return kind, input[start:i], nil
 	}
-	return token{kind: tokEOF, pos: n}, nil
+	s.i, s.start = n, n
+	return tokEOF, "", nil
+}
+
+// number returns the end of the number token whose first digit or point is
+// at input[i-1]: digits with at most one decimal point among them.
+func number(input string, i int) int {
+	dot := input[i-1] == '.'
+	for ; i < len(input); i++ {
+		if c := input[i]; c == '.' && !dot {
+			dot = true
+		} else if class[c] != cDigit {
+			break
+		}
+	}
+	return i
 }
 
 // quoted reads the body of a string literal whose opening quote sits just
@@ -130,25 +191,24 @@ func (s *scanner) next() (token, error) {
 // closing quote, and whether there was one. A body without a doubled quote
 // is a slice of the input.
 func quoted(input string, i int) (text string, end int, ok bool) {
-	start := i
 	var sb strings.Builder
-	for ; i < len(input); i++ {
-		if input[i] != '\'' {
-			continue
+	for {
+		j := strings.IndexByte(input[i:], '\'')
+		if j < 0 {
+			return "", 0, false
 		}
-		if i+1 < len(input) && input[i+1] == '\'' { // escaped quote
-			sb.WriteString(input[start : i+1])
-			i++
-			start = i + 1
+		j += i
+		if j+1 < len(input) && input[j+1] == '\'' { // escaped quote
+			sb.WriteString(input[i : j+1])
+			i = j + 2
 			continue
 		}
 		if sb.Len() == 0 {
-			return input[start:i], i + 1, true
+			return input[i:j], j + 1, true
 		}
-		sb.WriteString(input[start:i])
-		return sb.String(), i + 1, true
+		sb.WriteString(input[i:j])
+		return sb.String(), j + 1, true
 	}
-	return "", 0, false
 }
 
 // lex splits input into tokens, ending with tokEOF.
@@ -156,12 +216,16 @@ func lex(input string) ([]token, error) {
 	var toks []token
 	s := scanner{src: input}
 	for {
-		t, err := s.next()
+		kind, text, err := s.next()
 		if err != nil {
 			return nil, err
 		}
+		t := token{kind: kind, text: text, pos: s.start}
+		if kind == tokNumber || kind == tokString {
+			t.slot = s.slots
+		}
 		toks = append(toks, t)
-		if t.kind == tokEOF {
+		if kind == tokEOF {
 			return toks, nil
 		}
 	}
@@ -186,32 +250,56 @@ const (
 func Scan(sql string, key []byte, vals []sqltypes.Value) (_ []byte, _ []sqltypes.Value, ok bool) {
 	s := scanner{src: sql}
 	for {
-		t, err := s.next()
-		if err != nil {
+		kind, text, err := s.next()
+		switch {
+		case err != nil:
 			return nil, nil, false
-		}
-		switch t.kind {
-		case tokEOF:
+		case kind == tokEOF:
 			return key, vals, true
-		case tokNumber:
-			v, err := numberValue(t.text)
-			if err != nil {
+		case kind == tokNumber:
+			if key, vals, ok = appendNumber(key, vals, text); !ok {
 				return nil, nil, false
 			}
-			vals = append(vals, v)
-			if v.Kind() == sqltypes.KindFloat {
-				key = append(key, markFloat)
-			} else {
-				key = append(key, markInt)
-			}
-		case tokString:
-			vals = append(vals, sqltypes.NewString(t.text))
-			key = append(key, markString)
+		case kind == tokString:
+			vals = append(vals, sqltypes.NewString(text))
+			key = append(key, markString, ' ')
 		default:
-			key = append(key, t.text...)
+			key = append(append(key, text...), ' ')
 		}
-		key = append(key, ' ')
 	}
+}
+
+// ScanLiteral appends to key and vals what Scan reads from v's literal text
+// (AppendLiteral) without printing a string: a negative number is a minus and
+// its magnitude, an integral FLOAT an INT. ok is false when that text does
+// not scan (math.MinInt64's magnitude is no INT) or is no literal's.
+func ScanLiteral(key []byte, vals []sqltypes.Value, v sqltypes.Value) (_ []byte, _ []sqltypes.Value, ok bool) {
+	switch v.Kind() {
+	case sqltypes.KindString:
+		return append(key, markString, ' '), append(vals, v), true
+	case sqltypes.KindInt, sqltypes.KindFloat:
+		var buf [32]byte
+		text := string(AppendLiteral(buf[:0], v))
+		if text, ok = strings.CutPrefix(text, "-"); ok {
+			key = append(key, "- "...)
+		}
+		if class[text[0]] == cDigit { // not NaN or an infinity
+			return appendNumber(key, vals, text)
+		}
+	}
+	return nil, nil, false
+}
+
+// appendNumber appends a number token's mark and value.
+func appendNumber(key []byte, vals []sqltypes.Value, text string) ([]byte, []sqltypes.Value, bool) {
+	v, err := numberValue(text)
+	if err != nil {
+		return nil, nil, false
+	}
+	if v.Kind() == sqltypes.KindFloat {
+		return append(key, markFloat, ' '), append(vals, v), true
+	}
+	return append(key, markInt, ' '), append(vals, v), true
 }
 
 // IsDML reports whether a skeleton (Scan) starts with INSERT, UPDATE or DELETE.
@@ -221,24 +309,20 @@ func IsDML(skel []byte) bool {
 }
 
 // numberValue converts a number token: a FLOAT when it has a decimal point,
-// else an INT.
+// else an INT. An INT that fits is summed here, digit by digit.
 func numberValue(text string) (sqltypes.Value, error) {
-	if strings.IndexByte(text, '.') >= 0 {
-		f, err := strconv.ParseFloat(text, 64)
-		return sqltypes.NewFloat(f), err
+	var n int64
+	for i := 0; i < len(text); i++ {
+		d := int64(text[i]) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt64-d)/10 {
+			if strings.IndexByte(text, '.') >= 0 {
+				f, err := strconv.ParseFloat(text, 64)
+				return sqltypes.NewFloat(f), err
+			}
+			_, err := strconv.ParseInt(text, 10, 64)
+			return sqltypes.Value{}, err
+		}
+		n = n*10 + d
 	}
-	n, err := strconv.ParseInt(text, 10, 64)
-	return sqltypes.NewInt(n), err
+	return sqltypes.NewInt(n), nil
 }
-
-// Identifiers are ASCII: a letter or underscore, then letters, digits and
-// underscores. (Testing a byte with unicode.IsLetter took 0xAA, 0xB5 and
-// 0xC0–0xFF for letters and cut UTF-8 text into identifiers mid-rune; any
-// byte above 0x7F outside a string is now an unexpected character.)
-func isIdentStart(c byte) bool {
-	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
-}
-
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }

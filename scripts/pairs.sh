@@ -3,8 +3,9 @@
 # archive` into a temporary directory, so nothing is registered in this
 # repository) against the working tree. Builds ./bench and the root
 # package's test binary on both sides. Runs N pairs of the executor scan
-# benchmarks (BenchmarkExec(Scan|FilterScan) at -cpu 2, one run each, kept
-# as DIR/gotest/{base,change}-I.txt), then N pairs per workload of ./bench
+# benchmarks, the end-to-end session reads and writes and the scanner
+# (BenchmarkExec(Scan|FilterScan), BenchmarkEndToEndQuery and BenchmarkScan
+# at -cpu 2, one run each, kept as DIR/gotest/{base,change}-I.txt), then N pairs per workload of ./bench
 # with -trace 0 (each run's last line, its result object, kept as
 # DIR/WORKLOAD/{base,change}-I.json); every pair alternates which side goes
 # first (A-B, B-A, ...), and pair I of a workload runs seed I on both sides.
@@ -45,10 +46,10 @@ for ((i = 1; i <= pairs; i++)); do
   order=(base change)
   ((i % 2)) || order=(change base)
   for side in "${order[@]}"; do
-    (cd "${dirs[$side]}" && exec "$tmp/test-$side" -test.run '^$' -test.bench '^BenchmarkExec(Scan|FilterScan)$' \
+    (cd "${dirs[$side]}" && exec "$tmp/test-$side" -test.run '^$' -test.bench '^Benchmark(Exec(Scan|FilterScan)|EndToEndQuery|Scan)$' \
       -test.benchmem -test.cpu 2) >"$out/gotest/$side-$i.txt" &
     wait $!
-    echo "executor benchmarks pair $i $side: $(grep -c '^Benchmark' "$out/gotest/$side-$i.txt") rows" >&2
+    echo "go test benchmarks pair $i $side: $(grep -c '^Benchmark' "$out/gotest/$side-$i.txt") rows" >&2
   done
 done
 
