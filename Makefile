@@ -13,7 +13,7 @@ vet:
 
 # Race-check the packages that exercise concurrent execution paths,
 # including the resilient link, fault injector and chaos workload, the
-# lock-free history ring (obs) with its users (audit, tuner), and the store
+# bounded history ring (obs) with its users (audit, tuner), and the store
 # whose leaves readers copy out of under the latch while writers update them
 # in place (storage, btree, and the back end's DML), and the planner, whose
 # plans several sessions build trees from at once, all sharing the plan's

@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	autotune := fs.Bool("autotune", false,
 		"enable the closed-loop currency autotuner (tuner.Loop) for the run")
 	auditOn := fs.Bool("audit", false,
-		"enable the delivered-guarantee auditor, append its ledger to the report and gate the run on it")
+		"append the delivered-guarantee auditor's ledger to the report and gate the run on it")
 	brokenGuard := fs.Bool("broken-guard", false,
 		"with -chaos: run the deliberately broken guard-lie schedule; with -audit the run then fails unless the auditor catches it")
 	obsAddr := fs.String("obs", "",
@@ -124,18 +124,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// attach enables autotuning and the auditor (if requested), serves the
-	// ops endpoints (if requested) and remembers the system so snapshots can
-	// be taken after the run.
+	// attach enables autotuning (if requested), serves the ops endpoints (if
+	// requested) and remembers the system so snapshots can be taken after the
+	// run.
 	var sys *core.System
 	var attachErr error
 	attach := func(s *core.System) {
 		sys = s
 		if *autotune && s.Tuner() == nil {
 			s.EnableAutotune(tuner.DefaultCadence)
-		}
-		if *auditOn && s.Audit() == nil {
-			s.EnableAudit()
 		}
 		if *obsAddr == "" {
 			return
@@ -212,8 +209,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // writeSnapshots dumps the post-run /slo, /queries/slow, /tuner and /audit
 // payloads as JSON files, exactly as the HTTP surface would serve them.
-// /tuner and /audit are optional: on a run without the matching Enable*
-// they 404 and no file is written.
+// /tuner is optional: on a run without -autotune it 404s and no file is
+// written.
 func writeSnapshots(sys *core.System, dir string, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -228,7 +225,7 @@ func writeSnapshots(sys *core.System, dir string, stderr io.Writer) error {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, snap.url, nil))
 		if rr.Code == http.StatusNotFound {
-			continue // /tuner, /audit: not enabled on this run
+			continue // /tuner: not enabled on this run
 		}
 		if rr.Code != http.StatusOK {
 			return fmt.Errorf("GET %s: status %d", snap.url, rr.Code)

@@ -119,7 +119,7 @@ func main() {
 			st := sys.Cache.Link().Stats()
 			fmt.Printf("  remote queries=%d rows=%d bytes=%d\n", st.Queries, st.Rows, st.Bytes)
 		case line == `\metrics`:
-			sys.Cache.RefreshStalenessGauges()
+			sys.Cache.RefreshMetrics()
 			sys.Cache.Obs().Snapshot().WriteText(os.Stdout)
 		case line == `\trace`:
 			sql, root := sys.Cache.Traces().Last()

@@ -1,8 +1,9 @@
 package audit
 
 import (
-	"maps"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"relaxedcc/internal/obs"
@@ -15,7 +16,8 @@ import (
 const (
 	// readRing and applyRing bound the recorded event rings. Overwritten
 	// events count as dropped; they only limit offline replay, not the
-	// online checker.
+	// online ledger, which folds every read before the ring can overwrite
+	// it.
 	readRing  = 16384
 	applyRing = 2048
 	// maxRecent bounds the retained violation evidence list.
@@ -23,12 +25,15 @@ const (
 )
 
 // Auditor records the system's guard decisions and replication progress
-// into bounded rings and checks every served read online against the master
-// commit log. An installed auditor is on; every hook is nil-safe, so a
-// system without one pays a nil check per hook and allocates nothing.
+// into bounded rings and checks every served read against the master commit
+// log. Every cache has one. The read path only records: Reads pushes a
+// query's events, and one fold checks every unchecked read — on Summary,
+// ReadsOf and /metrics, and whenever the unchecked reads reach half the read
+// ring, so none is overwritten unchecked. Replay is the same fold from the
+// first retained event on a fresh checker.
 //
 // Metric names (registered on the cache's registry; see DESIGN.md
-// "Delivered-guarantee auditing"):
+// "Delivered-guarantee auditing"), current as of the last fold:
 //
 //	audit_reads_checked_total        read events folded through the checker
 //	audit_reads_ok_total             reads that kept their promise
@@ -43,7 +48,13 @@ type Auditor struct {
 	log     *txn.Log
 	reads   *obs.Ring[ReadEvent]
 	applies *obs.Ring[ApplyEvent]
-	chk     *checker
+
+	// mu serializes the online folds and object registration; chk is the
+	// online checker, and folded the read sequence it has taken for
+	// checking, published for Reads' half-ring test.
+	mu     sync.Mutex
+	chk    *checker
+	folded atomic.Uint64
 
 	mChecked        *obs.Counter
 	mOK             *obs.Counter
@@ -79,70 +90,72 @@ func New(reg *obs.Registry, log *txn.Log) *Auditor {
 	}
 }
 
-// Enabled reports whether an auditor is installed, i.e. a is not nil, so
-// callers keep a plain field and one branch on the hot path.
-func (a *Auditor) Enabled() bool { return a != nil }
-
 // ObserveApply records one replication propagation step; matches the
 // repl.Agent apply-sink signature.
 func (a *Auditor) ObserveApply(region int, throughSeq int64, at time.Time) {
-	if !a.Enabled() {
-		return
-	}
-	ev := ApplyEvent{Region: region, ThroughSeq: throughSeq, AtNS: at.UnixNano()}
-	if a.applies.Push(ev) {
-		a.mDroppedApplies.Inc()
-	}
-	a.chk.noteApply(ev)
+	a.applies.Push(ApplyEvent{Region: region, ThroughSeq: throughSeq, AtNS: at.UnixNano()})
 }
 
 // RegisterObject declares that a region serves the given base table from a
 // snapshot taken at baseSeq (the replication subscription's start
-// sequence). Wiring layers call it for every subscribed view.
+// sequence). The cache calls it for every view it creates; reads recorded
+// before are checked without the object.
 func (a *Auditor) RegisterObject(region int, table string, baseSeq int64) {
-	if a == nil {
-		return
-	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.foldLocked()
 	a.chk.registerObject(region, table, baseSeq)
 }
 
-// Reads records and checks one executed query's guard decisions, which all
-// carry the query's id: they are recorded, checked against the commit log as
-// it stands, and the outcome counters updated. evs is read, not kept.
+// Reads records one executed query's guard decisions, which all carry the
+// query's id, as consecutive events; evs is copied, not kept. The caller that
+// finds half the read ring unchecked folds it.
 func (a *Auditor) Reads(evs []ReadEvent) {
-	if !a.Enabled() || len(evs) == 0 {
+	if len(evs) == 0 {
 		return
 	}
-	for _, ev := range evs {
-		if a.reads.Push(ev) {
-			a.mDroppedReads.Inc()
-		}
+	if last := a.reads.Push(evs...); last-a.folded.Load() >= uint64(a.reads.Cap()/2) {
+		a.Check()
 	}
-	outs, viols := a.chk.checkQuery(a.log.Since(0), evs)
-	for _, out := range outs {
-		a.mChecked.Inc()
-		switch out.class {
-		case ClassOK:
-			a.mOK.Inc()
-			a.mSlack.Observe(out.slackNS)
-		case ClassDisclosed:
-			a.mDisclosed.Inc()
-		case ClassUnbounded:
-			a.mUnbounded.Inc()
-		case ClassUnchecked:
-			a.mUnchecked.Inc()
-		}
+}
+
+// Check folds every unchecked read into the online ledger and its metrics.
+func (a *Auditor) Check() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.foldLocked()
+}
+
+// foldLocked runs the online fold and moves the audit_* series by what it
+// checked and what the rings overwrote. Called with a.mu held.
+func (a *Auditor) foldLocked() {
+	was := a.chk.tally
+	a.chk.take(a.reads, a.applies)
+	a.folded.Store(a.chk.readSeq) // a push now tests against what this fold checks
+	a.chk.check(a.log.Since(0))
+	now := a.chk.tally
+	a.mChecked.Add(now.ReadsChecked - was.ReadsChecked)
+	a.mOK.Add(now.OK - was.OK)
+	a.mDisclosed.Add(now.Disclosed - was.Disclosed)
+	a.mUnbounded.Add(now.Unbounded - was.Unbounded)
+	a.mUnchecked.Add(now.Unchecked - was.Unchecked)
+	if n := now.CurrencyViolations - was.CurrencyViolations; n > 0 {
+		a.mViolations.With(string(ClassViolationCurrency)).Add(n)
 	}
-	for _, v := range viols {
-		a.mViolations.With(string(v.Class)).Inc()
-		a.mExcess.Observe(v.ExcessNS)
+	if n := now.ConsistencyViolations - was.ConsistencyViolations; n > 0 {
+		a.mViolations.With(string(ClassViolationConsistency)).Add(n)
 	}
+	a.mSlack.Flush(&a.chk.slack)
+	a.mExcess.Flush(&a.chk.excess)
+	a.mDroppedReads.Add(int64(a.reads.Dropped()) - a.mDroppedReads.Value())
+	a.mDroppedApplies.Add(int64(a.applies.Dropped()) - a.mDroppedApplies.Value())
 }
 
 // ReadsOf returns the recorded read events of one query, in guard order —
 // the auditor's side of the join on the query id (empty once the ring has
-// overwritten them).
+// overwritten them) — after folding them into the ledger.
 func (a *Auditor) ReadsOf(query uint64) []ReadEvent {
+	a.Check()
 	var out []ReadEvent
 	a.reads.Each(func(_ uint64, ev ReadEvent) {
 		if ev.Query == query {
@@ -155,7 +168,6 @@ func (a *Auditor) ReadsOf(query uint64) []ReadEvent {
 // Summary is the /audit payload: the classification ledger plus the most
 // recent violations with full evidence.
 type Summary struct {
-	Enabled bool `json:"enabled"`
 	Tally
 	ViolationsTotal  int64       `json:"violations_total"`
 	RecentViolations []Violation `json:"recent_violations"`
@@ -169,12 +181,11 @@ type Summary struct {
 	DroppedApplies uint64 `json:"dropped_applies"`
 }
 
-// Summary snapshots the auditor's ledger. Nil-safe (a zero summary with
-// Enabled false), so the ops surface can always render something.
+// Summary folds every unchecked read and snapshots the auditor's ledger.
 func (a *Auditor) Summary() Summary {
-	if a == nil {
-		return Summary{RecentViolations: []Violation{}}
-	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.foldLocked()
 	s := a.ledger(a.chk, a.applies.Pushed())
 	s.DroppedReads, s.DroppedApplies = a.reads.Dropped(), a.applies.Dropped()
 	return s
@@ -183,78 +194,27 @@ func (a *Auditor) Summary() Summary {
 // ledger renders a checker's tally and retained violations — the online
 // checker's or a replay's — over the commit log and that many applies.
 func (a *Auditor) ledger(chk *checker, applies uint64) Summary {
-	tally, recent := chk.summary()
-	if recent == nil {
-		recent = []Violation{}
-	}
 	return Summary{
-		Enabled:          true,
-		Tally:            tally,
-		ViolationsTotal:  tally.Violations(),
-		RecentViolations: recent,
+		Tally:            chk.tally,
+		ViolationsTotal:  chk.tally.Violations(),
+		RecentViolations: append([]Violation{}, chk.recent...),
 		Commits:          uint64(a.log.LastSeq()),
 		Applies:          applies,
 	}
 }
 
-// Replay re-checks the recorded reads offline: a fresh checker folds the
-// ring contents in virtual-time order (applies before the reads they
-// precede, reads grouped by query) against the commit log. When no events
-// were dropped the replayed ledger must equal the online one — the
-// exhaustive-verification mode for harness runs.
+// Replay re-checks the recorded reads offline: the online fold, from the
+// first retained event, on a fresh checker with the online one's objects.
+// When no events were dropped the replayed ledger must equal the online
+// one — the exhaustive-verification mode for harness runs.
 func (a *Auditor) Replay() Summary {
 	chk := newChecker()
-	a.chk.mu.Lock()
-	for region, tables := range a.chk.objects {
-		chk.objects[region] = maps.Clone(tables)
+	a.mu.Lock()
+	for region, objs := range a.chk.objects {
+		chk.objects[region] = slices.Clone(objs)
 	}
-	a.chk.mu.Unlock()
-
-	recs := a.log.Since(0)
-	applies := a.applies.Snapshot()
-	reads := a.reads.Snapshot()
-
-	// Group reads by query id, ordered by each group's latest serve time so
-	// later applies land before the reads that observed them.
-	groups := map[uint64][]ReadEvent{}
-	for _, ev := range reads {
-		groups[ev.Query] = append(groups[ev.Query], ev)
-	}
-	type step struct {
-		atNS int64
-		read bool // applies first on ties
-		ai   int
-		q    uint64
-	}
-	steps := make([]step, 0, len(applies)+len(groups))
-	for i, ev := range applies {
-		steps = append(steps, step{atNS: ev.AtNS, ai: i})
-	}
-	for q, evs := range groups {
-		at := int64(0)
-		for _, ev := range evs {
-			at = max(at, ev.ServeTSNS)
-		}
-		steps = append(steps, step{atNS: at, read: true, q: q})
-	}
-	sort.Slice(steps, func(i, j int) bool {
-		switch si, sj := steps[i], steps[j]; {
-		case si.atNS != sj.atNS:
-			return si.atNS < sj.atNS
-		case si.read != sj.read:
-			return !si.read
-		case si.read:
-			return si.q < sj.q
-		default:
-			return applies[si.ai].ThroughSeq < applies[sj.ai].ThroughSeq
-		}
-	})
-	for _, st := range steps {
-		if st.read {
-			chk.checkQuery(recs, groups[st.q])
-		} else {
-			chk.noteApply(applies[st.ai])
-		}
-	}
-	return a.ledger(chk, uint64(len(applies)))
+	a.mu.Unlock()
+	chk.take(a.reads, a.applies)
+	chk.check(a.log.Since(0))
+	return a.ledger(chk, uint64(len(chk.applies)))
 }

@@ -3,8 +3,8 @@ package audit
 import (
 	"sort"
 	"strings"
-	"sync"
 
+	"relaxedcc/internal/obs"
 	"relaxedcc/internal/txn"
 )
 
@@ -74,60 +74,101 @@ type Tally struct {
 // Violations returns the total silent violations of both classes.
 func (t Tally) Violations() int64 { return t.CurrencyViolations + t.ConsistencyViolations }
 
-// outcome is one read's classification with its margin, fed back to the
-// auditor's metrics.
-type outcome struct {
-	class    Class
-	slackNS  int64
-	excessNS int64
-}
-
-// checker folds read events against the master history, which it does not
-// hold: each check reads the commit log (txn.Log, the history H_n) as it
-// stands, finds the serve's position in it by commit time and each copy's
-// stale point by scanning the commits after the copy's sync point.
+// checker folds recorded read events against the master history, which it
+// does not hold: each fold reads the commit log (txn.Log, the history H_n) as
+// it stands and finds each copy's stale point by scanning the commits after
+// the copy's sync point, once per sync point. The auditor's online checker
+// is one, serialized by Auditor.mu; Replay folds on a fresh one.
 type checker struct {
-	mu sync.Mutex
-	// objects maps region -> base table -> the commit sequence the region's
-	// initial snapshot of that table reflects. A region agent's applied
-	// sequence starts at 0 even though its views were populated at their
-	// subscription snapshot, so the effective sync point of a copy is
-	// max(agent seq, snapshot seq).
-	objects map[int]map[string]int64
-	// lastApplyNS tracks each region's most recent apply event, the
-	// contributing-replication-lag evidence on violations.
-	lastApplyNS map[int]int64
+	// objects maps region -> the base tables it serves, each with the commit
+	// sequence the region's initial snapshot of that table reflects. A region
+	// agent's applied sequence starts at 0 even though its views were
+	// populated at their subscription snapshot, so the effective sync point
+	// of a copy is max(agent seq, snapshot seq).
+	objects map[int][]object
+	// readSeq is the ring sequence of the last read event folded.
+	readSeq uint64
 
 	tally  Tally
 	recent []Violation
+	// slack and excess collect every OK read's slack and every violation's
+	// excess since the auditor last flushed them into its histograms.
+	slack, excess obs.HistogramBatch
+
+	// Buffers every fold reuses: the read events being folded, the apply
+	// events a violation's lag is read from, a query's OK local serves and
+	// the Θ check's copies and names.
+	reads   []ReadEvent
+	applies []ApplyEvent
+	locals  []localServe
+	copies  []copyAt
+	names   []string
 }
 
-func newChecker() *checker {
-	return &checker{objects: map[int]map[string]int64{}, lastApplyNS: map[int]int64{}}
+// object is one audited base table of a region, with the stale point of
+// the copy synchronized at the last sync point asked about.
+type object struct {
+	table   string
+	baseSeq int64
+	// stale is the first commit after sync that changed the table (0 while
+	// none of the commits up to scanned did) and staleNS its commit time.
+	// The log only grows, so a found stale point holds from fold to fold.
+	sync, scanned, stale, staleNS int64
 }
+
+// staleAfter returns the first commit after sync in recs that changed the
+// object's table and its time, or 0 when none did: each commit is scanned
+// once for all the reads of a sync point.
+func (o *object) staleAfter(recs []txn.CommitRecord, sync int64) (int64, int64) {
+	if sync != o.sync {
+		o.sync, o.scanned, o.stale = sync, sync, 0
+	}
+	if o.stale == 0 {
+		if ts, ok := staleSince(recs, o.table, o.scanned, int64(len(recs))); ok {
+			o.stale, o.staleNS = ts.Seq, ts.At.UnixNano()
+		}
+		o.scanned = max(o.scanned, int64(len(recs)))
+	}
+	return o.stale, o.staleNS
+}
+
+func newChecker() *checker { return &checker{objects: map[int][]object{}} }
 
 // registerObject declares that a region serves the table from a snapshot
 // taken at baseSeq. Re-registration keeps the smallest snapshot (the most
 // conservative sync point when several views share a base table).
 func (c *checker) registerObject(region int, table string, baseSeq int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.objects[region]
-	if m == nil {
-		m = map[string]int64{}
-		c.objects[region] = m
+	objs := c.objects[region]
+	for i := range objs {
+		if objs[i].table == table {
+			objs[i].baseSeq = min(objs[i].baseSeq, baseSeq)
+			return
+		}
 	}
-	if have, ok := m[table]; !ok || baseSeq < have {
-		m[table] = baseSeq
-	}
+	c.objects[region] = append(objs, object{table: table, baseSeq: baseSeq})
 }
 
-// noteApply records a replication progress event.
-func (c *checker) noteApply(ev ApplyEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ev.AtNS > c.lastApplyNS[ev.Region] {
-		c.lastApplyNS[ev.Region] = ev.AtNS
+// take copies out of the rings the read events recorded after the last one
+// c took, and the retained apply events a violation's replication lag is
+// read from: the first half of a fold.
+func (c *checker) take(reads *obs.Ring[ReadEvent], applies *obs.Ring[ApplyEvent]) {
+	var first uint64
+	c.reads, first = reads.Since(c.readSeq, c.reads[:0])
+	c.readSeq = first - 1 + uint64(len(c.reads))
+	c.applies, _ = applies.Since(0, c.applies[:0])
+}
+
+// check checks the read events take copied against the commit records recs
+// (the log from seq 1), in recording order, the events of one query (pushed
+// together) as one group: the second half of a fold.
+func (c *checker) check(recs []txn.CommitRecord) {
+	for i := 0; i < len(c.reads); {
+		j := i + 1
+		for j < len(c.reads) && c.reads[j].Query == c.reads[i].Query {
+			j++
+		}
+		c.checkQuery(recs, c.reads[i:j])
+		i = j
 	}
 }
 
@@ -156,112 +197,109 @@ func staleSince(recs []txn.CommitRecord, table string, sync, asOf int64) (txn.Ti
 }
 
 // checkQuery classifies one query's read events against the commit records
-// recs (the log from seq 1) and returns the per-read outcomes plus any
-// violations (already folded into the tally and recent list).
-func (c *checker) checkQuery(recs []txn.CommitRecord, evs []ReadEvent) ([]outcome, []Violation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	outs := make([]outcome, 0, len(evs))
-	var viols []Violation
-
-	// locals collects the guard-approved local serves for the cross-object
-	// consistency check below.
-	var locals []localServe
-
-	for _, ev := range evs {
+// recs (the log from seq 1) into the tally, keeping any violation.
+func (c *checker) checkQuery(recs []txn.CommitRecord, evs []ReadEvent) {
+	c.locals = c.locals[:0]
+	for i := range evs {
+		ev := &evs[i]
 		c.tally.ReadsChecked++
+		bound, objs := int64(ev.Bound), c.objects[ev.Region]
 		switch {
 		case ev.ServedStale || ev.Degraded:
 			c.tally.Disclosed++
-			outs = append(outs, outcome{class: ClassDisclosed})
 			continue
 		case ev.Chosen != 0:
 			// Remote serves read the master: delivered currency 0.
-			c.tally.OK++
-			outs = append(outs, outcome{class: ClassOK, slackNS: int64(ev.Bound)})
+			c.ok(bound)
 			continue
-		case ev.Bound <= 0:
+		case bound <= 0:
 			c.tally.Unbounded++
-			outs = append(outs, outcome{class: ClassUnbounded})
+			continue
+		case len(objs) == 0:
+			// A region with no registered object has nothing to audit.
+			c.tally.Unchecked++
 			continue
 		}
-
-		at := asOf(recs, ev.ServeTSNS)
-		out, v := c.checkLocalLocked(recs, ev, at)
-		switch out.class {
-		case ClassOK:
-			c.tally.OK++
-			locals = append(locals, localServe{ev: ev, asOf: at})
-		case ClassUnchecked:
-			c.tally.Unchecked++
-		case ClassViolationCurrency:
+		if delivered, worst := checkLocal(recs, ev, objs); delivered > bound {
+			v := Violation{
+				Query:            ev.Query,
+				Class:            ClassViolationCurrency,
+				Region:           ev.Region,
+				Object:           worst.table,
+				Label:            ev.Label,
+				BoundNS:          bound,
+				DeliveredNS:      delivered,
+				ExcessNS:         delivered - bound,
+				SyncSeq:          worst.sync,
+				StaleSeq:         worst.stale,
+				StaleAtNS:        worst.staleNS,
+				ServeTSNS:        ev.ServeTSNS,
+				GuardStalenessNS: int64(ev.Staleness),
+			}
+			if applied := c.lastApply(ev.Region, evs); applied > 0 && applied <= ev.ServeTSNS {
+				v.ReplLagNS = ev.ServeTSNS - applied
+			}
 			c.tally.CurrencyViolations++
-			viols = append(viols, v)
-			c.keepLocked(v)
+			c.keep(v)
+		} else {
+			c.ok(bound - delivered)
+			if len(evs) > 1 {
+				c.locals = append(c.locals, localServe{ev: *ev, asOf: asOf(recs, ev.ServeTSNS)})
+			}
 		}
-		outs = append(outs, out)
 	}
 
 	// Θ-consistency across the query's object set: with every copy within
 	// its own bound, the maximum pairwise distance cannot exceed the largest
 	// declared bound (distance(A,B) ≤ currency of the older copy), so a
 	// larger Θ-bound is a real inconsistency the per-read check missed.
-	if len(locals) >= 2 {
-		if v, bad := c.thetaLocked(recs, locals[0].ev.Query, locals); bad {
+	if len(c.locals) >= 2 {
+		if v, bad := c.thetaLocked(recs, evs[0].Query, c.locals); bad {
 			c.tally.ConsistencyViolations++
-			viols = append(viols, v)
-			c.keepLocked(v)
+			c.keep(v)
 		}
 	}
-	return outs, viols
 }
 
-// checkLocalLocked audits one guard-approved local serve with a finite
-// bound, exposed to the history through commit asOf: its delivered currency
-// is the serve time minus the earliest stale point among the region's
-// copies. A region with no registered object has nothing to audit.
-func (c *checker) checkLocalLocked(recs []txn.CommitRecord, ev ReadEvent, asOf int64) (outcome, Violation) {
-	tables := c.objects[ev.Region]
-	if len(tables) == 0 {
-		return outcome{class: ClassUnchecked}, Violation{}
-	}
-	var worst Violation
-	delivered := int64(0)
-	for table, baseSeq := range tables {
-		sync := ev.SyncSeq
-		if baseSeq > sync {
-			sync = baseSeq
-		}
-		stale, ok := staleSince(recs, table, sync, asOf)
-		if !ok {
-			continue
-		}
-		if d := ev.ServeTSNS - stale.At.UnixNano(); d > delivered {
-			delivered = d
-			worst = Violation{
-				Query:            ev.Query,
-				Class:            ClassViolationCurrency,
-				Region:           ev.Region,
-				Object:           table,
-				Label:            ev.Label,
-				BoundNS:          int64(ev.Bound),
-				DeliveredNS:      d,
-				SyncSeq:          sync,
-				StaleSeq:         stale.Seq,
-				StaleAtNS:        stale.At.UnixNano(),
-				ServeTSNS:        ev.ServeTSNS,
-				GuardStalenessNS: int64(ev.Staleness),
-			}
+// ok counts one read that kept its promise with the given slack.
+func (c *checker) ok(slackNS int64) {
+	c.tally.OK++
+	c.slack.Observe(slackNS)
+}
+
+// checkLocal audits one guard-approved local serve with a finite bound: its
+// delivered currency is the serve time minus the earliest stale point among
+// the region's copies objs, and worst the copy that went stale first (nil
+// when none is stale). A copy is stale at the serve when its stale point (the
+// first commit after its sync point that changed it) committed at or before
+// the serve: commit times are non-decreasing in sequence order, so that is
+// staleSince as of the serve's position in the history, with no search for
+// the position. A serve synced at or past the last commit costs no scan.
+func checkLocal(recs []txn.CommitRecord, ev *ReadEvent, objs []object) (delivered int64, worst *object) {
+	for i := range objs {
+		stale, staleNS := objs[i].staleAfter(recs, max(ev.SyncSeq, objs[i].baseSeq))
+		if d := ev.ServeTSNS - staleNS; stale > 0 && d > delivered {
+			delivered, worst = d, &objs[i]
 		}
 	}
-	if bound := int64(ev.Bound); delivered > bound {
-		worst.ExcessNS = delivered - bound
-		if at := c.lastApplyNS[ev.Region]; at > 0 && at <= ev.ServeTSNS {
-			worst.ReplLagNS = ev.ServeTSNS - at
-		}
-		return outcome{class: ClassViolationCurrency, excessNS: worst.ExcessNS}, worst
+	return delivered, worst
+}
+
+// lastApply returns when the region's replication last made progress at or
+// before the query's latest serve (0 if no retained apply event says): the
+// apply events merged into the reads by time.
+func (c *checker) lastApply(region int, evs []ReadEvent) int64 {
+	serveNS := int64(0)
+	for i := range evs {
+		serveNS = max(serveNS, evs[i].ServeTSNS)
 	}
-	return outcome{class: ClassOK, slackNS: int64(ev.Bound) - delivered}, Violation{}
+	at := int64(0)
+	for _, ap := range c.applies {
+		if ap.Region == region && ap.AtNS <= serveNS {
+			at = max(at, ap.AtNS)
+		}
+	}
+	return at
 }
 
 // localServe is one guard-approved local serve held for the query-level
@@ -274,6 +312,8 @@ type localServe struct {
 // thetaLocked checks the Θ-consistency of a query's guard-approved local
 // serves: the object set's consistency bound (maximum pairwise distance per
 // the formal model) must not exceed the largest declared currency bound.
+// Serves of one region are mutually consistent by construction (one agent),
+// so such a query returns before any work.
 //
 // Soundness: for any pair of copies, distance(A, B) is at most the delivered
 // currency of the older copy, which an OK per-read check bounds by that
@@ -282,47 +322,43 @@ type localServe struct {
 // are excluded from locals). It is a safety net against checker bugs and
 // hand-built event streams, exercised directly by TestThetaConsistencyCheck.
 func (c *checker) thetaLocked(recs []txn.CommitRecord, query uint64, locals []localServe) (Violation, bool) {
-	regions := map[int]bool{}
-	var copies []copyAt
-	var names []string
+	oneRegion := true
+	for i := range locals {
+		oneRegion = oneRegion && locals[i].ev.Region == locals[0].ev.Region
+	}
+	if oneRegion {
+		return Violation{}, false
+	}
+	c.copies, c.names = c.copies[:0], c.names[:0]
 	maxBound, asOf, serveNS := int64(0), int64(0), int64(0)
-	for _, ls := range locals {
-		regions[ls.ev.Region] = true
+	for i := range locals {
+		ls := &locals[i]
 		maxBound = max(maxBound, int64(ls.ev.Bound))
-		if ls.asOf > asOf {
-			asOf = ls.asOf
-		}
-		if ls.ev.ServeTSNS > serveNS {
-			serveNS = ls.ev.ServeTSNS
-		}
-		for table, baseSeq := range c.objects[ls.ev.Region] {
-			sync := ls.ev.SyncSeq
-			if baseSeq > sync {
-				sync = baseSeq
-			}
-			copies = append(copies, copyAt{table, sync})
-			names = append(names, table)
+		asOf = max(asOf, ls.asOf)
+		serveNS = max(serveNS, ls.ev.ServeTSNS)
+		for _, obj := range c.objects[ls.ev.Region] {
+			c.copies = append(c.copies, copyAt{obj.table, max(ls.ev.SyncSeq, obj.baseSeq)})
+			c.names = append(c.names, obj.table)
 		}
 	}
-	if len(regions) < 2 || len(copies) < 2 {
-		// Same region ⇒ same agent ⇒ mutually consistent by construction.
+	if len(c.copies) < 2 {
 		return Violation{}, false
 	}
 	// The Θ-bound is the largest pairwise distance (Appendix 8.5).
 	theta := int64(0)
-	for i := range copies {
-		for j := i + 1; j < len(copies); j++ {
-			theta = max(theta, distance(recs, copies[i], copies[j], asOf))
+	for i := range c.copies {
+		for j := i + 1; j < len(c.copies); j++ {
+			theta = max(theta, distance(recs, c.copies[i], c.copies[j], asOf))
 		}
 	}
 	if theta <= maxBound {
 		return Violation{}, false
 	}
-	sort.Strings(names)
+	sort.Strings(c.names)
 	return Violation{
 		Query:       query,
 		Class:       ClassViolationConsistency,
-		Object:      strings.Join(names, ","),
+		Object:      strings.Join(c.names, ","),
 		BoundNS:     maxBound,
 		DeliveredNS: theta,
 		ExcessNS:    theta - maxBound,
@@ -351,16 +387,11 @@ func distance(recs []txn.CommitRecord, a, b copyAt, asOf int64) int64 {
 	return int64(recs[m-1].TS.At.Sub(stale.At))
 }
 
-func (c *checker) keepLocked(v Violation) {
+// keep retains a violation's evidence, the newest maxRecent of them.
+func (c *checker) keep(v Violation) {
+	c.excess.Observe(v.ExcessNS)
 	c.recent = append(c.recent, v)
 	if len(c.recent) > maxRecent {
 		c.recent = c.recent[len(c.recent)-maxRecent:]
 	}
-}
-
-// summary returns the tally and a copy of the recent violations.
-func (c *checker) summary() (Tally, []Violation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tally, append([]Violation(nil), c.recent...)
 }

@@ -16,10 +16,11 @@
 // broken but the client was told — degraded serves), UNBOUNDED (no finite
 // bound declared), or UNCHECKED (the serving region registered no object).
 //
-// Recording uses bounded lock-free rings (obs.Ring). An installed auditor
-// always records; a system without one holds a nil *Auditor, whose hooks
-// cost a nil check each and allocate nothing (asserted by an allocation
-// test), so they can stay wired in production builds.
+// Every cache has an auditor, and the read path only records: a query's
+// read events are copied into a bounded ring (obs.Ring), which allocates
+// nothing, and one fold checks the unchecked reads in recording order — on a
+// ledger or metrics snapshot, and whenever half the ring is unchecked. The
+// offline Replay is the same fold on a fresh checker.
 package audit
 
 import "relaxedcc/internal/obs"

@@ -116,3 +116,38 @@ func TestCheckerAgreesWithModel(t *testing.T) {
 		t.Fatalf("weak inputs: %d stale points of 2500, %d Θ above 0 of 1000", staleFound, thetaAbove0)
 	}
 }
+
+// TestServeStalenessMatchesStaleSince: a read's check finds its copy's stale
+// point without searching for the serve's position in the history — the
+// first commit after the sync point that changed the table counts when it
+// committed at or before the serve. On seeded logs whose commit times repeat,
+// that is staleSince as of the position asOf finds, for reads asked in any
+// order of sync points, and for a log that grows between folds.
+func TestServeStalenessMatchesStaleSince(t *testing.T) {
+	row := sqltypes.Row{sqltypes.NewInt(1)}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		log := txn.NewLog()
+		obj := object{table: "A"}
+		at := t0
+		for grow := 0; grow < 4; grow++ {
+			for i := 0; i < 50; i++ {
+				at = at.Add(time.Duration(rng.Intn(3)) * time.Second)
+				table := []string{"A", "B", "HB"}[rng.Intn(3)]
+				log.Append(at, []txn.Change{{Table: table, New: row}})
+			}
+			recs := log.Since(0)
+			n := int64(len(recs))
+			for q := 0; q < 200; q++ {
+				sync := rng.Int63n(n + 1)
+				serveNS := t0.Add(time.Duration(rng.Int63n(int64(at.Sub(t0)) + 1))).UnixNano()
+				want, wantOK := staleSince(recs, "A", sync, asOf(recs, serveNS))
+				stale, staleNS := obj.staleAfter(recs, sync)
+				if ok := stale > 0 && staleNS <= serveNS; ok != wantOK || ok && (stale != want.Seq || staleNS != want.At.UnixNano()) {
+					t.Fatalf("seed %d: sync %d, serve %d: stale point %d at %d (counted %v), staleSince %+v (%v)",
+						seed, sync, serveNS, stale, staleNS, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 	"relaxedcc/internal/storage"
 )
 
-// auditSystem builds the chaos fixture with the auditor enabled.
+// auditSystem builds the chaos fixture.
 func auditSystem(t *testing.T) (*System, *fault.Injector) {
 	t.Helper()
 	sys := NewSystem()
@@ -39,9 +39,6 @@ func auditSystem(t *testing.T) (*System, *fault.Injector) {
 	sys.Analyze()
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	if a := sys.EnableAudit(); a != sys.EnableAudit() {
-		t.Fatal("EnableAudit not idempotent")
-	}
 	if err := sys.Run(14 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +74,6 @@ func TestAuditEndToEndHonestRun(t *testing.T) {
 	}
 
 	s := sys.Audit().Summary()
-	if !s.Enabled {
-		t.Fatal("auditor disabled")
-	}
 	if s.ReadsChecked != 2 || s.OK != 2 {
 		t.Fatalf("tally = %+v", s.Tally)
 	}
@@ -170,7 +164,7 @@ func TestAuditDisclosedServesAreNotViolations(t *testing.T) {
 // auditSummaryKeys is the golden /audit schema; adding or renaming payload
 // fields must update this list consciously.
 var auditSummaryKeys = []string{
-	"enabled", "reads_checked", "ok", "currency_violations",
+	"reads_checked", "ok", "currency_violations",
 	"consistency_violations", "disclosed", "unbounded", "unchecked",
 	"violations_total", "recent_violations",
 	"commits", "applies", "dropped_reads", "dropped_applies",
@@ -230,17 +224,21 @@ func TestAuditHTTPGoldenSchema(t *testing.T) {
 	}
 }
 
-// TestAuditWithoutEnableIs404: the surface stays wired but dark before
-// EnableAudit.
-func TestAuditWithoutEnableIs404(t *testing.T) {
+// TestEverySystemServesAudit: the auditor is part of every cache, so /audit
+// answers on a plain system before any read, with an empty ledger.
+func TestEverySystemServesAudit(t *testing.T) {
 	sys := NewSystem()
 	sys.MustExec("CREATE TABLE T (id BIGINT NOT NULL PRIMARY KEY, v BIGINT)")
 	rr := httptest.NewRecorder()
 	sys.ObsHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/audit", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Fatalf("GET /audit before EnableAudit = %d, want 404", rr.Code)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET /audit = %d, want 200", rr.Code)
 	}
-	if sys.Audit() != nil {
-		t.Fatal("Audit() non-nil before EnableAudit")
+	var s audit.Summary
+	if err := json.Unmarshal(rr.Body.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	if s.ReadsChecked != 0 || s.RecentViolations == nil {
+		t.Fatalf("fresh ledger = %+v", s)
 	}
 }

@@ -301,7 +301,7 @@ func TestChaosAgentStallRestartRecovers(t *testing.T) {
 		t.Fatalf("staleness %s did not recover after restart", recovered)
 	}
 
-	sys.Cache.RefreshStalenessGauges()
+	sys.Cache.RefreshMetrics()
 	snap := sys.Cache.Obs().Snapshot()
 	if got := snap.Counters[`repl_agent_restarts_total{region="1"}`]; got == 0 {
 		t.Error("repl_agent_restarts_total not exported")

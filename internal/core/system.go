@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"relaxedcc/internal/audit"
 	"relaxedcc/internal/backend"
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/exec"
@@ -36,9 +35,6 @@ type System struct {
 	// tuner is the closed-loop autotuner installed by EnableAutotune (see
 	// autotune.go); nil until enabled.
 	tuner *tuner.Loop
-	// audit is the delivered-guarantee auditor installed by EnableAudit (see
-	// audit.go); nil until enabled.
-	audit *audit.Auditor
 }
 
 // NewSystem creates an empty system on a fresh virtual clock. The
@@ -102,11 +98,11 @@ func (s *System) AddRegion(r *catalog.Region) error {
 }
 
 // adopt applies every subsystem that is enabled to one distribution agent of
-// the primary cache: the fault injector's stall probe with its watchdog, the
-// autotuner's actuator and the auditor's apply tap. Each step is idempotent,
-// so AddRegion adopts the new agent and InjectFaults and the Enable* methods
-// re-adopt every agent (adoptAll): that is the only wiring any of them does
-// per agent, in either order of enabling and adding.
+// the primary cache: the fault injector's stall probe with its watchdog and
+// the autotuner's actuator. Each step is idempotent, so AddRegion adopts the
+// new agent and InjectFaults and EnableAutotune re-adopt every agent
+// (adoptAll): that is the only wiring either does per agent, in either order
+// of enabling and adding.
 func (s *System) adopt(a *repl.Agent) {
 	if s.faults != nil {
 		a.SetStallProbe(s.faults)
@@ -114,9 +110,6 @@ func (s *System) adopt(a *repl.Agent) {
 	}
 	if s.tuner != nil {
 		s.tuner.AddRegion(agentActuator{a})
-	}
-	if s.audit != nil {
-		a.SetApplySink(s.audit.ObserveApply)
 	}
 }
 

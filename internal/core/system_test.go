@@ -19,6 +19,7 @@ func newSystem(t *testing.T) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	return sys
 }
 
@@ -376,5 +377,15 @@ func TestByGroupingColumnsAccepted(t *testing.T) {
 	}
 	if res.Plan.UsesLocal {
 		t.Fatalf("single class across regions must stay remote: %s", res.Plan.Shape)
+	}
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on the shared fixture is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
 	}
 }

@@ -87,12 +87,12 @@ func TestLoadReportGatesItself(t *testing.T) {
 	}
 }
 
-// auditedRun runs cfg with the auditor on and returns its ledger and the
+// auditedRun runs cfg and returns its auditor's ledger and the
 // offline replay of the same run.
 func auditedRun(t *testing.T, cfg ChaosConfig) (s, replay audit.Summary) {
 	t.Helper()
 	var aud *audit.Auditor
-	cfg.OnSystem = func(sys *core.System) { aud = sys.EnableAudit() }
+	cfg.OnSystem = func(sys *core.System) { aud = sys.Audit() }
 	if _, err := RunChaos(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,6 @@ func TestAuditCheckBites(t *testing.T) {
 			s.RecentViolations = broken.RecentViolations[:1]
 			r.RecentViolations = s.RecentViolations
 		}},
-		{"enabled", false, func(s, _ *audit.Summary) { s.Enabled = false }},
 		{"offline replay disagrees", false, func(_, r *audit.Summary) { r.Disclosed++ }},
 		{"excess_ns != delivered_ns - bound_ns", true, func(s, _ *audit.Summary) { s.RecentViolations[0].ExcessNS++ }},
 		{"object", true, func(s, _ *audit.Summary) { s.RecentViolations[1].Object = "" }},

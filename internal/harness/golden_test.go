@@ -14,13 +14,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
 
-// audited renders a report with the auditor enabled on its system, followed
-// by the audit section of the same run — what `rccbench -chaos -audit` or
-// `-shift -audit` prints (in the shift run the auditor rides on the autotuned
-// arm, the only one OnSystem sees).
+// audited renders a report followed by the audit section of the same run —
+// what `rccbench -chaos -audit` or `-shift -audit` prints (in the shift run
+// the section is the autotuned arm's, the only one OnSystem sees).
 func audited(w io.Writer, run func(onSystem func(*core.System)) error) error {
 	var aud *audit.Auditor
-	if err := run(func(s *core.System) { aud = s.EnableAudit() }); err != nil {
+	if err := run(func(s *core.System) { aud = s.Audit() }); err != nil {
 		return err
 	}
 	RenderAudit(w, aud)

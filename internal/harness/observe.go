@@ -20,7 +20,7 @@ func RunObservability(w io.Writer, sys *core.System) error {
 			return fmt.Errorf("observability workload %s: %w", c.Name, err)
 		}
 	}
-	sys.Cache.RefreshStalenessGauges()
+	sys.Cache.RefreshMetrics()
 	snap := sys.Cache.Obs().Snapshot()
 
 	var sb strings.Builder

@@ -140,6 +140,46 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestAuditedPointReadAllocatesOne: every cache audits, and a guarded local
+// point read still allocates what TestQueryAllocationBudget's point row
+// allows: recording its guard decision for the auditor copies it into the
+// read ring, and the fold that checks it reuses its buffers. Every one of the
+// reads is checked, and none breaks its promise. (It took 4 while the
+// auditor was a mode: a fresh ring slot per event, and the inline check's
+// outcome and local-serve slices.)
+func TestAuditedPointReadAllocatesOne(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	sys, err := tpcd.NewLoadedSystem(tpcd.Config{ScaleFactor: 0.01, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sys.Cache.NewSession()
+	sql := tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)")
+	reads := 0
+	run := func() {
+		res, err := s.Query(sql)
+		if err != nil || len(res.LocalViews) != 1 {
+			t.Fatalf("point read: %v, local views %v", err, res)
+		}
+		reads++
+	}
+	run()
+	sys.Audit().Summary() // the fold's buffers grow once
+	const runs = 50
+	got := allocsPerRun(runs, run)
+	t.Logf("audited point read: %.0f allocs per query", got)
+	if got > 3 {
+		t.Errorf("audited point read: %.0f allocs per query, ceiling 3", got)
+	}
+	if a := sys.Audit().Summary(); a.ReadsChecked != int64(reads) || a.OK != a.ReadsChecked || a.ViolationsTotal != 0 {
+		t.Errorf("%d reads, ledger %+v", reads, a.Tally)
+	}
+}
+
 // warmup is how many calls allocsPerRun makes before it counts.
 const warmup = 10
 

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"relaxedcc/internal/audit"
 	"relaxedcc/internal/exec"
-	"relaxedcc/internal/obs"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
 )
@@ -34,10 +32,9 @@ func (a *advancing) Open(ctx *exec.EvalContext) error {
 // the word's version stands and the run is not repeated
 // (TestAnApplyDuringTheRunRepeatsIt has the agent's write).
 func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
-	c, b, clock := newPair(t)
+	c, _, clock := newPair(t)
 	addRegionAndView(t, c)
-	aud := audit.New(obs.NewRegistry(), b.Log())
-	c.EnableAudit(aud)
+	aud := c.Audit()
 	c.SetLastSync(1, clock.Now())
 	clock.Advance(5 * time.Second)
 	judged, _ := c.LastSync(1)
@@ -103,10 +100,9 @@ func TestAnApplyDuringTheRunRepeatsIt(t *testing.T) {
 		local  bool
 	}{{"once", 1, true}, {"twice", 2, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, b, clock := newPair(t)
+			c, _, clock := newPair(t)
 			addRegionAndView(t, c)
-			aud := audit.New(obs.NewRegistry(), b.Log())
-			c.EnableAudit(aud)
+			aud := c.Audit()
 			c.SetLastSync(1, clock.Now())
 			clock.Advance(5 * time.Second)
 			sel, err := sqlparser.ParseSelect("SELECT id, v FROM t WHERE id = 2 CURRENCY 60 ON (t)")

@@ -77,11 +77,10 @@ type Cache struct {
 	// from one statement to the next but its query context.
 	oneShot *Session
 
-	// aud is the delivered-guarantee auditor, installed by EnableAudit (nil
-	// until then). Atomic so the per-query fast path is one load; when the
-	// auditor is absent or disabled the query path does no audit work and
-	// allocates nothing.
-	aud atomic.Pointer[audit.Auditor]
+	// aud is the delivered-guarantee auditor: every answered query's guard
+	// decisions reach it as read events, every view registers its base
+	// table and every agent reports its applies.
+	aud *audit.Auditor
 
 	// wait passes simulated time for blocking sessions, which let
 	// replication catch up between guard re-evaluations, and for the link's
@@ -105,6 +104,7 @@ func New(clock vclock.Clock, back *backend.Server, wait func(time.Duration)) *Ca
 		planCache: make(map[string]*stmtEntry, maxCachedPlans),
 		byText:    make(map[string]*stmtEntry, maxCachedPlans),
 		obs:       co,
+		aud:       audit.New(co.reg, back.Log()),
 		wait:      wait,
 	}
 	c.oneShot = c.NewSession()
@@ -331,6 +331,7 @@ func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable)
 	agent.Instrument(c.obs.reg)
 	agent.SetTracer(c.obs.tracer)
+	agent.SetApplySink(c.aud.ObserveApply)
 	c.mu.Lock()
 	c.agents[r.ID] = agent
 	c.mu.Unlock()
@@ -386,19 +387,8 @@ func (c *Cache) word(regionID int) *storage.Word {
 	return nil
 }
 
-// EnableAudit installs the delivered-guarantee auditor on this cache: every
-// executed query's guard decisions also reach it, as audit read events, and
-// the base tables of all current subscriptions register as audited objects
-// at their snapshot sequences (later CreateViews register as they land).
-// The replication tap is wired by core.System.EnableAudit.
-func (c *Cache) EnableAudit(a *audit.Auditor) {
-	c.aud.Store(a)
-	for _, agent := range c.Agents() {
-		for _, sub := range agent.Subscriptions() {
-			a.RegisterObject(agent.Region.ID, sub.Base.Name, sub.StartSeq())
-		}
-	}
-}
+// Audit returns the cache's delivered-guarantee auditor.
+func (c *Cache) Audit() *audit.Auditor { return c.aud }
 
 // CreateView defines a materialized view on the cache: it creates local
 // storage with the given extra secondary indexes, registers the matching
@@ -451,9 +441,7 @@ func (c *Cache) CreateView(view *catalog.View, extraIndexes ...*catalog.Index) e
 	if err := agent.InitialSync(sub, baseData); err != nil {
 		return err
 	}
-	if a := c.aud.Load(); a != nil {
-		a.RegisterObject(view.RegionID, view.BaseTable, sub.StartSeq())
-	}
+	c.aud.RegisterObject(view.RegionID, view.BaseTable, sub.StartSeq())
 	c.mu.Lock()
 	c.views[view.Name] = target
 	c.mu.Unlock()
@@ -955,7 +943,7 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 		s.floor = q.observed
 	}
 	s.mu.Unlock()
-	q.aud.Reads(q.reads)
+	c.aud.Reads(q.reads)
 	return qr, nil
 }
 
@@ -997,14 +985,12 @@ func (s *Session) serveStale(q *queryCtx, e *stmtEntry, p *parsed) (*QueryResult
 	qr.ServedStale = true
 	c.obs.servedStale.Inc()
 	qr.AsOf = time.Time{} // staleness unknown: no guard vouched for it
-	if q.aud != nil {
-		// The guardless rerun produced no read events; record the downgrade
-		// itself as one disclosed serve of the query it downgraded (staleness
-		// unknown, promise waived).
-		ev := audit.ReadEvent{ServedStale: true, ServeTSNS: c.clock.Now().UnixNano()}
-		ev.Query = q.ev.Query
-		q.aud.Reads(append(q.reads[:0], ev))
-	}
+	// The guardless rerun produced no read events; record the downgrade
+	// itself as one disclosed serve of the query it downgraded (staleness
+	// unknown, promise waived).
+	ev := audit.ReadEvent{ServedStale: true, ServeTSNS: c.clock.Now().UnixNano()}
+	ev.Query = q.ev.Query
+	c.aud.Reads(append(q.reads[:0], ev))
 	q.qt.MarkDegraded()
 	return qr, nil
 }

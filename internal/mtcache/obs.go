@@ -122,10 +122,12 @@ func (c *Cache) RegionStatuses() []obs.RegionStatus {
 	return out
 }
 
-// RefreshStalenessGauges recomputes every region's staleness gauge
+// RefreshMetrics recomputes every region's staleness gauge
 // (region_staleness_ns) from the clock and the region's published heartbeat,
-// so a metrics snapshot reflects current staleness even between queries.
-func (c *Cache) RefreshStalenessGauges() {
+// so a metrics snapshot reflects current staleness even between queries, and
+// folds the auditor's unchecked reads into the audit_* series.
+func (c *Cache) RefreshMetrics() {
+	c.aud.Check()
 	now := c.clock.Now()
 	for _, r := range c.cat.Regions() {
 		if ts, ok := c.LastSync(r.ID); ok {

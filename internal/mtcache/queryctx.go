@@ -26,11 +26,9 @@ type queryCtx struct {
 	// query, nil otherwise (every QueryTrace method is nil-safe).
 	qt    *obs.QueryTrace
 	trace obs.QueryTrace
-	// aud is the auditor if it was enabled when the query began, else nil.
-	aud *audit.Auditor
-	// decisions and reads collect what one run's guards and audited guard
-	// decisions produced; reset by every run, and published (publish) for
-	// the run that answered only.
+	// decisions and reads collect one run's guard decisions and their audit
+	// read events; reset by every run, and published (publish) for the run
+	// that answered only.
 	decisions []exec.GuardDecision
 	reads     []audit.ReadEvent
 	// qr is the result of the run in progress, which takes the local views
@@ -58,9 +56,6 @@ func (s *Session) begin(sql string) *queryCtx {
 	}
 	q.ev.Query, q.qt = c.obs.tracer.Begin(sql, &q.trace)
 	q.qt.Tenant(s.Tenant)
-	if q.aud = c.aud.Load(); !q.aud.Enabled() {
-		q.aud = nil
-	}
 	return q
 }
 
@@ -72,12 +67,16 @@ func (q *queryCtx) end(err *error) {
 }
 
 // guard takes one guard decision (EvalContext.OnGuard) of the run in
-// progress: it is kept for publish, and when the auditor is enabled wrapped at
-// once in the read event the auditor gets, which takes the serve time now.
+// progress: it is kept for publish, and wrapped at once in the read event the
+// auditor gets, with what the cache adds at serve time: the serve time (now),
+// the versions the local branch served (the commit sequence the judged state
+// word names) and the heartbeat timestamp the guard trusted (the statement's
+// Now minus the decision's staleness).
 func (q *queryCtx) guard(g exec.GuardDecision) {
 	q.decisions = append(q.decisions, g)
-	if q.aud != nil {
-		q.reads = append(q.reads, q.s.cache.readEvent(g.GuardEvent, q.ev.Now))
+	q.reads = append(q.reads, audit.ReadEvent{GuardEvent: g.GuardEvent, SyncSeq: storage.Seq(g.Word), ServeTSNS: q.s.cache.clock.Now().UnixNano()})
+	if g.StalenessKnown {
+		q.reads[len(q.reads)-1].SyncTSNS = q.ev.Now.Add(-g.Staleness).UnixNano()
 	}
 }
 
@@ -130,16 +129,4 @@ func (q *queryCtx) note(ts time.Time) {
 	if q.oldest.IsZero() || ts.Before(q.oldest) {
 		q.oldest = ts
 	}
-}
-
-// readEvent wraps one guard decision, taken by a statement whose instant is
-// now, in what the cache adds at serve time: the versions the local branch
-// served (the commit sequence the judged state word names) and the heartbeat
-// timestamp the guard trusted.
-func (c *Cache) readEvent(g obs.GuardEvent, now time.Time) audit.ReadEvent {
-	ev := audit.ReadEvent{GuardEvent: g, ServeTSNS: c.clock.Now().UnixNano(), SyncSeq: storage.Seq(g.Word)}
-	if g.StalenessKnown {
-		ev.SyncTSNS = now.Add(-g.Staleness).UnixNano()
-	}
-	return ev
 }

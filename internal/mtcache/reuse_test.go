@@ -28,6 +28,7 @@ func loadedSystem(t *testing.T, scale float64) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	return sys
 }
 
@@ -439,4 +440,14 @@ func roundFloats(r sqltypes.Row) sqltypes.Row {
 		}
 	}
 	return out
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on the shared fixture is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
+	}
 }

@@ -49,8 +49,8 @@ func executedGuards(n *obs.TraceNode, out []obs.GuardEvent) []obs.GuardEvent {
 // remote, degraded to the local view under a partition (ActionServeLocal),
 // and blocked until replication catches up (ActionBlock) — each through
 // EXPLAIN ANALYZE, and returns what each did. every is the tracer's sampling
-// period; audited turns the auditor on.
-func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep) {
+// period.
+func runSpine(t *testing.T, every int) (*core.System, []spineStep) {
 	t.Helper()
 	sys, err := harness.NewSystem(harness.DefaultConfig())
 	if err != nil {
@@ -59,9 +59,6 @@ func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep)
 	sys.Cache.TraceEvery(every)
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
-	if audited {
-		sys.EnableAudit()
-	}
 	// The tracer always samples its first query: spend it, in both runs.
 	if _, err := sys.Query("SELECT COUNT(*) FROM Customer"); err != nil {
 		t.Fatal(err)
@@ -135,14 +132,14 @@ func runSpine(t *testing.T, every int, audited bool) (*core.System, []spineStep)
 
 // TestGuardEventReachesEverySinkOnce: one guard decision is one struct, built
 // by SwitchUnion.Open and read as it is by every consumer. With every query
-// sampled and the auditor on, the metrics, the SLO windows, the workload
-// window, the lifecycle record's guards, the EXPLAIN ANALYZE trace and the
-// auditor's read group of each statement describe the same events — equal
-// structs under one query id — and each exactly once. The same statements
-// with the tracer not sampling and no auditor move the metrics, SLO and
-// workload numbers identically: the optional sinks change nothing else.
+// sampled, the metrics, the SLO windows, the workload window, the lifecycle
+// record's guards, the EXPLAIN ANALYZE trace and the auditor's read group of
+// each statement describe the same events — equal structs under one query id
+// — and each exactly once. The same statements with the tracer not sampling
+// move the metrics, SLO and workload numbers identically: sampling changes
+// nothing else.
 func TestGuardEventReachesEverySinkOnce(t *testing.T) {
-	sys, steps := runSpine(t, 1, true)
+	sys, steps := runSpine(t, 1)
 	// What each statement's guards must look like.
 	want := map[string]struct {
 		guards, local, degraded int
@@ -217,13 +214,13 @@ func TestGuardEventReachesEverySinkOnce(t *testing.T) {
 		}
 	}
 
-	// Unsampled and unaudited, the always-on sinks read the same.
-	_, plain := runSpine(t, 1<<30, false)
+	// Unsampled, the always-on sinks read the same.
+	_, plain := runSpine(t, 1<<30)
 	for i, st := range steps {
 		p := plain[i]
 		if p.local != st.local || p.remote != st.remote || p.degraded != st.degraded || p.blockWaits != st.blockWaits ||
 			!reflect.DeepEqual(p.slo, st.slo) || !reflect.DeepEqual(p.workload, st.workload) {
-			t.Errorf("%s: sampling and auditing moved the always-on sinks:\nwith    %+v\nwithout %+v", st.name, st, p)
+			t.Errorf("%s: sampling moved the always-on sinks:\nwith    %+v\nwithout %+v", st.name, st, p)
 		}
 	}
 }
@@ -236,7 +233,6 @@ func TestViolationAndRecordShareTheQueryID(t *testing.T) {
 	cfg := harness.BrokenGuardChaosConfig()
 	cfg.OnSystem = func(s *core.System) {
 		s.Cache.TraceEvery(1)
-		s.EnableAudit()
 		sys = s
 	}
 	if _, err := harness.RunChaos(cfg); err != nil {

@@ -87,6 +87,36 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
+// HistogramBatch collects observations for a Histogram without atomics, for
+// one goroutine that observes many values at a time; Flush publishes them.
+type HistogramBatch struct {
+	count, sum int64
+	buckets    [histBuckets]int64
+}
+
+// Observe records one value in the batch. Negative values clamp to zero.
+func (b *HistogramBatch) Observe(v int64) {
+	v = max(v, 0)
+	b.count++
+	b.sum += v
+	b.buckets[bits.Len64(uint64(v))]++
+}
+
+// Flush adds the batch's observations to h and empties the batch.
+func (h *Histogram) Flush(b *HistogramBatch) {
+	if b.count == 0 {
+		return
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	for i, n := range b.buckets {
+		if n > 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	*b = HistogramBatch{}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

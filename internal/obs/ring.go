@@ -1,81 +1,93 @@
 package obs
 
-import (
-	"cmp"
-	"slices"
-	"sync/atomic"
-)
+import "sync"
 
-// Ring is the repo's one bounded history: a lock-free ring of the most
-// recent values pushed — sampled query records, audit events, tuner
-// decisions. Push is wait-free (one atomic add, one atomic pointer store of a
-// freshly stamped slot); a slot is immutable once stored, so a reader never
-// sees a half-written value, only values from slightly different instants.
-// When the ring wraps the oldest value is overwritten and counted as dropped.
+// Ring is the repo's one bounded history: a fixed slab of the most recent
+// values pushed — sampled query records, audit events, tuner decisions —
+// under one mutex. Push copies the value into its slot and allocates
+// nothing; readers copy out under the same lock, so a reader never sees a
+// half-written value. When the ring wraps the oldest value is overwritten
+// and counted as dropped. The value pushed n-th (from 1) has publish
+// sequence n and sits in slot (n-1) mod size.
 type Ring[T any] struct {
-	pos   atomic.Uint64
-	slots []atomic.Pointer[ringSlot[T]]
-}
-
-// ringSlot is one published value with its publish sequence (1 for the first
-// value ever pushed).
-type ringSlot[T any] struct {
-	seq uint64
-	v   T
+	mu    sync.Mutex
+	pos   uint64 // values ever pushed
+	slots []T
 }
 
 // NewRing creates a ring that retains the most recent size values (at least
 // one).
 func NewRing[T any](size int) *Ring[T] {
-	return &Ring[T]{slots: make([]atomic.Pointer[ringSlot[T]], max(size, 1))}
+	return &Ring[T]{slots: make([]T, max(size, 1))}
 }
 
-// Push publishes v and reports whether it overwrote an older value.
-func (r *Ring[T]) Push(v T) bool {
-	seq, n := r.pos.Add(1), uint64(len(r.slots))
-	r.slots[(seq-1)%n].Store(&ringSlot[T]{seq: seq, v: v})
-	return seq > n
+// Push copies vs in, at consecutive sequences, and returns the sequence of
+// the last one; past the ring's size, each value overwrites the oldest.
+func (r *Ring[T]) Push(vs ...T) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := r.pos % uint64(len(r.slots)); len(vs) > 0; i = 0 {
+		k := copy(r.slots[i:], vs)
+		vs = vs[k:]
+		r.pos += uint64(k)
+	}
+	return r.pos
 }
+
+// Cap returns how many values the ring retains.
+func (r *Ring[T]) Cap() int { return len(r.slots) }
 
 // Pushed returns how many values were ever pushed.
-func (r *Ring[T]) Pushed() uint64 { return r.pos.Load() }
+func (r *Ring[T]) Pushed() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pos
+}
 
 // Dropped returns how many values the ring has overwritten.
 func (r *Ring[T]) Dropped() uint64 {
-	if p, n := r.pos.Load(), uint64(len(r.slots)); p > n {
-		return p - n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := uint64(len(r.slots)); r.pos > n {
+		return r.pos - n
 	}
 	return 0
 }
 
-// held returns the retained slots, oldest first.
-func (r *Ring[T]) held() []*ringSlot[T] {
-	held := make([]*ringSlot[T], 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			held = append(held, s)
-		}
+// Since appends to dst the retained values published after sequence seq,
+// oldest first, and returns it with the sequence of its first value (seq+1
+// unless the ring overwrote some of those since).
+func (r *Ring[T]) Since(seq uint64, dst []T) ([]T, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.slots))
+	from := max(seq, r.pos-min(r.pos, n))
+	// At most two runs of the slab: up to its end, then from its start.
+	for s := from; s < r.pos; {
+		i := s % n
+		end := min(n, i+(r.pos-s))
+		dst = append(dst, r.slots[i:end]...)
+		s += end - i
 	}
-	// The layout has one wrap discontinuity at most, but concurrent pushes
-	// interleave, so order by sequence.
-	slices.SortFunc(held, func(a, b *ringSlot[T]) int { return cmp.Compare(a.seq, b.seq) })
-	return held
+	return dst, from + 1
 }
 
 // Each calls fn for every retained value, oldest first, with its publish
-// sequence.
+// sequence; fn runs under the ring's lock and must not push to it.
 func (r *Ring[T]) Each(fn func(seq uint64, v T)) {
-	for _, s := range r.held() {
-		fn(s.seq, s.v)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.slots))
+	for s := r.pos - min(r.pos, n); s < r.pos; s++ {
+		fn(s+1, r.slots[s%n])
 	}
 }
 
 // Snapshot copies the retained values, oldest first.
 func (r *Ring[T]) Snapshot() []T {
-	held := r.held()
-	out := make([]T, len(held))
-	for i, s := range held {
-		out[i] = s.v
+	out, _ := r.Since(0, nil)
+	if out == nil {
+		out = []T{}
 	}
 	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestRing is the one table for the repo's one bounded history (the query
-// records, the auditor's three event rings and the tuner's decision timeline
+// records, the auditor's two event rings and the tuner's decision timeline
 // all sit on Ring): capacity is exact, a full ring overwrites its oldest
 // value and says so, and reads come back oldest first with publish sequences.
 func TestRing(t *testing.T) {
@@ -28,7 +28,7 @@ func TestRing(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := NewRing[int](c.size)
 			for i := 0; i < c.pushes; i++ {
-				if over, want := r.Push(i), i >= max(c.size, 1); over != want {
+				if over, want := r.Push(i) > uint64(max(c.size, 1)), i >= max(c.size, 1); over != want {
 					t.Fatalf("push %d reported overwrite=%v, want %v", i, over, want)
 				}
 			}
@@ -44,13 +44,55 @@ func TestRing(t *testing.T) {
 					t.Fatalf("value %d has sequence %d", v, seq)
 				}
 			})
+			// Since any sequence returns what is retained after it, with the
+			// sequence of its first value.
+			for seq := uint64(0); seq <= uint64(c.pushes)+1; seq++ {
+				got, first := r.Since(seq, nil)
+				want := c.want[:0:0]
+				for _, v := range c.want {
+					if uint64(v) >= seq {
+						want = append(want, v)
+					}
+				}
+				if !slices.Equal(got, want) || len(want) > 0 && first != uint64(want[0])+1 {
+					t.Fatalf("Since(%d) = %v from %d, want %v", seq, got, first, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRingPushBatch: a batch lands at consecutive sequences, wrapping the
+// slab like single pushes (more than once for a batch longer than the ring),
+// and returns its last sequence.
+func TestRingPushBatch(t *testing.T) {
+	r := NewRing[int](5)
+	for _, c := range []struct {
+		batch   []int
+		last    uint64
+		dropped uint64
+		want    []int
+	}{
+		{[]int{0, 1, 2}, 3, 0, []int{0, 1, 2}},
+		{nil, 3, 0, []int{0, 1, 2}},
+		{[]int{3, 4, 5, 6}, 7, 2, []int{2, 3, 4, 5, 6}},
+		{[]int{7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, 19, 14, []int{14, 15, 16, 17, 18}},
+	} {
+		last := r.Push(c.batch...)
+		if got := r.Snapshot(); last != c.last || r.Dropped() != c.dropped || !slices.Equal(got, c.want) {
+			t.Fatalf("Push(%v) = %d leaving %v (dropped %d); want %d leaving %v (dropped %d)", c.batch, last, got, r.Dropped(), c.last, c.want, c.dropped)
+		}
+		r.Each(func(seq uint64, v int) {
+			if seq != uint64(v)+1 {
+				t.Fatalf("value %d has sequence %d", v, seq)
+			}
 		})
 	}
 }
 
 // TestRingHammer pushes from four goroutines while a fifth snapshots; under
-// -race this pins the lock-free publication protocol. No push is lost from
-// the count, no value is seen torn, and every snapshot is ordered.
+// -race this pins the ring's locking. No push is lost from the count, no
+// value is seen torn, and every snapshot is ordered.
 func TestRingHammer(t *testing.T) {
 	type pair struct{ a, b int }
 	const pushers, each = 4, 2000

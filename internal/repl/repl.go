@@ -248,18 +248,12 @@ func (a *Agent) SetHeartbeatInterval(d time.Duration) {
 	a.hbInterval.Store(int64(d))
 }
 
-// SetApplySink installs (or clears, with nil) the propagation-progress tap.
+// SetApplySink installs (or clears, with nil) the propagation-progress tap;
+// the cache that makes the agent installs its auditor's.
 func (a *Agent) SetApplySink(fn func(region int, throughSeq int64, at time.Time)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.applySink = fn
-}
-
-// Subscriptions returns a snapshot of the agent's subscriptions.
-func (a *Agent) Subscriptions() []*Subscription {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]*Subscription(nil), a.subs...)
 }
 
 // Subscribe adds a view to the region. The caller must populate the target

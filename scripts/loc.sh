@@ -11,17 +11,17 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
-ceilings="the total outside bench/|25849|all
+ceilings="the total outside bench/|25819|all
 internal/exec|3811|exec
-the spine ($spine)|4634|$spine
-internal/harness|2761|harness
+the spine ($spine)|4617|$spine
+internal/harness|2757|harness
 internal/analysis|1361|analysis
 internal/opt|3281|opt
 internal/sqlparser|2211|sqlparser
 internal/sqltypes|1360|sqltypes
 the store (storage + btree)|1074|storage btree
 internal/backend|796|backend
-internal/repl|696|repl
+internal/repl|690|repl
 internal/remote|375|remote"
 
 declare -A lines=([all]=0)
