@@ -19,7 +19,7 @@ vet:
 # plans several sessions build trees from at once, all sharing the plan's
 # key ordinals (opt).
 race:
-	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/... ./internal/opt/...
+	$(GO) test -race ./internal/exec/... ./internal/core/... ./internal/mtcache/... ./internal/repl/... ./internal/remote/... ./internal/fault/... ./internal/vclock/... ./internal/harness/... ./internal/obs/... ./internal/audit/... ./internal/tuner/... ./internal/storage/... ./internal/btree/... ./internal/backend/... ./internal/opt/... ./internal/txn/...
 
 # Ten seconds of native fuzzing each on the comparison kernels, on the
 # parser (parse/print fixpoint, scanner and splice against the parse), on the

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"relaxedcc/internal/obs"
 	"relaxedcc/internal/txn"
@@ -14,19 +13,16 @@ import (
 // chaos/shift/load sweep replays offline without drops, small enough to be
 // always-on. The master history is not among it: the checker reads txn.Log.
 const (
-	// readRing and applyRing bound the recorded event rings. Overwritten
-	// events count as dropped; they only limit offline replay, not the
-	// online ledger, which folds every read before the ring can overwrite
-	// it.
-	readRing  = 16384
-	applyRing = 2048
+	// readRing bounds the recorded read ring. Overwritten events count as
+	// dropped; they only limit offline replay, not the online ledger, which
+	// folds every read before the ring can overwrite it.
+	readRing = 16384
 	// maxRecent bounds the retained violation evidence list.
 	maxRecent = 32
 )
 
-// Auditor records the system's guard decisions and replication progress
-// into bounded rings and checks every served read against the master commit
-// log. Every cache has one. The read path only records: Reads pushes a
+// Auditor records the system's guard decisions into a bounded ring and
+// checks every served read against the master commit log. Every cache has one. The read path only records: Reads pushes a
 // query's events, and one fold checks every unchecked read — on Summary,
 // ReadsOf and /metrics, and whenever the unchecked reads reach half the read
 // ring, so none is overwritten unchecked. Replay is the same fold from the
@@ -41,13 +37,12 @@ const (
 //	audit_disclosed_total            broken-but-disclosed serves (degraded, stale)
 //	audit_unbounded_total            reads with no finite bound to audit
 //	audit_unchecked_total            local reads of a region with no registered object
-//	audit_events_dropped_total{kind} ring overwrites (read, apply)
+//	audit_events_dropped_total{kind} read ring overwrites (kind="read")
 //	audit_excess_staleness_ns        histogram: delivered minus declared on violations
 //	audit_slack_ns                   histogram: declared minus delivered on OK reads
 type Auditor struct {
-	log     *txn.Log
-	reads   *obs.Ring[ReadEvent]
-	applies *obs.Ring[ApplyEvent]
+	log   *txn.Log
+	reads *obs.Ring[ReadEvent]
 
 	// mu serializes the online folds and object registration; chk is the
 	// online checker, and folded the read sequence it has taken for
@@ -56,44 +51,34 @@ type Auditor struct {
 	chk    *checker
 	folded atomic.Uint64
 
-	mChecked        *obs.Counter
-	mOK             *obs.Counter
-	mViolations     *obs.CounterVec
-	mDisclosed      *obs.Counter
-	mUnbounded      *obs.Counter
-	mUnchecked      *obs.Counter
-	mDroppedReads   *obs.Counter
-	mDroppedApplies *obs.Counter
-	mExcess         *obs.Histogram
-	mSlack          *obs.Histogram
+	mChecked      *obs.Counter
+	mOK           *obs.Counter
+	mViolations   *obs.CounterVec
+	mDisclosed    *obs.Counter
+	mUnbounded    *obs.Counter
+	mUnchecked    *obs.Counter
+	mDroppedReads *obs.Counter
+	mExcess       *obs.Histogram
+	mSlack        *obs.Histogram
 }
 
 // New creates an auditor that checks reads against the master commit log
 // and registers its instruments on reg.
 func New(reg *obs.Registry, log *txn.Log) *Auditor {
-	dropped := reg.CounterVec("audit_events_dropped_total", "kind")
 	return &Auditor{
-		log:             log,
-		reads:           obs.NewRing[ReadEvent](readRing),
-		applies:         obs.NewRing[ApplyEvent](applyRing),
-		chk:             newChecker(),
-		mChecked:        reg.Counter("audit_reads_checked_total"),
-		mOK:             reg.Counter("audit_reads_ok_total"),
-		mViolations:     reg.CounterVec("audit_violations_total", "class"),
-		mDisclosed:      reg.Counter("audit_disclosed_total"),
-		mUnbounded:      reg.Counter("audit_unbounded_total"),
-		mUnchecked:      reg.Counter("audit_unchecked_total"),
-		mDroppedReads:   dropped.With("read"),
-		mDroppedApplies: dropped.With("apply"),
-		mExcess:         reg.Histogram("audit_excess_staleness_ns"),
-		mSlack:          reg.Histogram("audit_slack_ns"),
+		log:           log,
+		reads:         obs.NewRing[ReadEvent](readRing),
+		chk:           newChecker(),
+		mChecked:      reg.Counter("audit_reads_checked_total"),
+		mOK:           reg.Counter("audit_reads_ok_total"),
+		mViolations:   reg.CounterVec("audit_violations_total", "class"),
+		mDisclosed:    reg.Counter("audit_disclosed_total"),
+		mUnbounded:    reg.Counter("audit_unbounded_total"),
+		mUnchecked:    reg.Counter("audit_unchecked_total"),
+		mDroppedReads: reg.CounterVec("audit_events_dropped_total", "kind").With("read"),
+		mExcess:       reg.Histogram("audit_excess_staleness_ns"),
+		mSlack:        reg.Histogram("audit_slack_ns"),
 	}
-}
-
-// ObserveApply records one replication propagation step; matches the
-// repl.Agent apply-sink signature.
-func (a *Auditor) ObserveApply(region int, throughSeq int64, at time.Time) {
-	a.applies.Push(ApplyEvent{Region: region, ThroughSeq: throughSeq, AtNS: at.UnixNano()})
 }
 
 // RegisterObject declares that a region serves the given base table from a
@@ -127,12 +112,12 @@ func (a *Auditor) Check() {
 }
 
 // foldLocked runs the online fold and moves the audit_* series by what it
-// checked and what the rings overwrote. Called with a.mu held.
+// checked and what the ring overwrote. Called with a.mu held.
 func (a *Auditor) foldLocked() {
 	was := a.chk.tally
-	a.chk.take(a.reads, a.applies)
+	a.chk.take(a.reads)
 	a.folded.Store(a.chk.readSeq) // a push now tests against what this fold checks
-	a.chk.check(a.log.Since(0))
+	a.chk.check(a.log)
 	now := a.chk.tally
 	a.mChecked.Add(now.ReadsChecked - was.ReadsChecked)
 	a.mOK.Add(now.OK - was.OK)
@@ -148,7 +133,6 @@ func (a *Auditor) foldLocked() {
 	a.mSlack.Flush(&a.chk.slack)
 	a.mExcess.Flush(&a.chk.excess)
 	a.mDroppedReads.Add(int64(a.reads.Dropped()) - a.mDroppedReads.Value())
-	a.mDroppedApplies.Add(int64(a.applies.Dropped()) - a.mDroppedApplies.Value())
 }
 
 // ReadsOf returns the recorded read events of one query, in guard order —
@@ -172,13 +156,11 @@ type Summary struct {
 	ViolationsTotal  int64       `json:"violations_total"`
 	RecentViolations []Violation `json:"recent_violations"`
 	// Commits is the length of the master history the reads were checked
-	// against. The rest is ring accounting: events recorded and
-	// overwritten. Drops bound offline replay coverage; the online ledger
-	// above is complete regardless.
-	Commits        uint64 `json:"commits"`
-	Applies        uint64 `json:"applies"`
-	DroppedReads   uint64 `json:"dropped_reads"`
-	DroppedApplies uint64 `json:"dropped_applies"`
+	// against. DroppedReads counts the read events the ring overwrote: it
+	// bounds offline replay coverage; the online ledger above is complete
+	// regardless.
+	Commits      uint64 `json:"commits"`
+	DroppedReads uint64 `json:"dropped_reads"`
 }
 
 // Summary folds every unchecked read and snapshots the auditor's ledger.
@@ -186,20 +168,19 @@ func (a *Auditor) Summary() Summary {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.foldLocked()
-	s := a.ledger(a.chk, a.applies.Pushed())
-	s.DroppedReads, s.DroppedApplies = a.reads.Dropped(), a.applies.Dropped()
+	s := a.ledger(a.chk)
+	s.DroppedReads = a.reads.Dropped()
 	return s
 }
 
 // ledger renders a checker's tally and retained violations — the online
-// checker's or a replay's — over the commit log and that many applies.
-func (a *Auditor) ledger(chk *checker, applies uint64) Summary {
+// checker's or a replay's — over the commit log.
+func (a *Auditor) ledger(chk *checker) Summary {
 	return Summary{
 		Tally:            chk.tally,
 		ViolationsTotal:  chk.tally.Violations(),
 		RecentViolations: append([]Violation{}, chk.recent...),
 		Commits:          uint64(a.log.LastSeq()),
-		Applies:          applies,
 	}
 }
 
@@ -214,7 +195,7 @@ func (a *Auditor) Replay() Summary {
 		chk.objects[region] = slices.Clone(objs)
 	}
 	a.mu.Unlock()
-	chk.take(a.reads, a.applies)
-	chk.check(a.log.Since(0))
-	return a.ledger(chk, uint64(len(chk.applies)))
+	chk.take(a.reads)
+	chk.check(a.log)
+	return a.ledger(chk)
 }

@@ -167,7 +167,7 @@ var auditSummaryKeys = []string{
 	"reads_checked", "ok", "currency_violations",
 	"consistency_violations", "disclosed", "unbounded", "unchecked",
 	"violations_total", "recent_violations",
-	"commits", "applies", "dropped_reads", "dropped_applies",
+	"commits", "dropped_reads",
 }
 
 var auditViolationKeys = []string{

@@ -64,6 +64,7 @@ func TestColumnarRowDifferentialMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	for _, c := range harness.PlanChoiceCases() {
 		diffRunBoth(t, sys, c.Name, c.SQL, opt.Options{})
 	}
@@ -85,6 +86,7 @@ func TestColumnarRowDifferentialParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	opts := opt.Options{MaxDOP: 4}
 	// Relaxed currency bounds make the local views legal plan inputs; at
 	// this scale the Orders view is large enough that its clustered full

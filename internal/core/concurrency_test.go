@@ -22,6 +22,7 @@ func TestAnalyzeFromTwoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for range 2 {
@@ -51,6 +52,7 @@ func TestAnalyzeFromTwoGoroutines(t *testing.T) {
 // layers.
 func TestConcurrentQueriesUpdatesAndReplication(t *testing.T) {
 	sys := core.NewSystem()
+	t.Cleanup(func() { auditClean(t, sys) })
 	sys.MustExec("CREATE TABLE acct (id BIGINT NOT NULL PRIMARY KEY, bal BIGINT NOT NULL)")
 	for i := 1; i <= 50; i++ {
 		sys.MustExec(fmt.Sprintf("INSERT INTO acct VALUES (%d, %d)", i, i))

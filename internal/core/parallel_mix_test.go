@@ -30,6 +30,7 @@ func TestConcurrentQueryMixMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	cases := harness.PlanChoiceCases()
 
 	// Serial baseline: no time advancement or writes happen below, so every

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"relaxedcc/internal/catalog"
+	"relaxedcc/internal/core"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/opt"
@@ -650,6 +651,7 @@ func TestStatementsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	const hour = "CURRENCY 3600 ON "
 	stmts := map[string]string{
 		"point":       tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)"),
@@ -703,5 +705,15 @@ func TestStatementsMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on a loaded system is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
 	}
 }

@@ -50,8 +50,8 @@ func TestChaosHonestRunAuditsClean(t *testing.T) {
 	if s.Disclosed == 0 {
 		t.Error("no disclosed serves despite forced degradation")
 	}
-	if s.Commits == 0 || s.Applies == 0 {
-		t.Errorf("history not recorded: %d commits, %d applies", s.Commits, s.Applies)
+	if s.Commits == 0 {
+		t.Error("history not recorded: 0 commits")
 	}
 	if !strings.Contains(section, "violations              0") {
 		t.Errorf("report section does not show zero violations:\n%s", section)

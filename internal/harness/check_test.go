@@ -135,11 +135,22 @@ func TestAuditCheckBites(t *testing.T) {
 			r.RecentViolations = s.RecentViolations
 		}},
 		{"offline replay disagrees", false, func(_, r *audit.Summary) { r.Disclosed++ }},
-		{"excess_ns != delivered_ns - bound_ns", true, func(s, _ *audit.Summary) { s.RecentViolations[0].ExcessNS++ }},
-		{"object", true, func(s, _ *audit.Summary) { s.RecentViolations[1].Object = "" }},
-		{"delivered_ns <= bound_ns", true, func(s, _ *audit.Summary) {
+		// A replay reproduces every violation's evidence, lag included.
+		{"offline replay disagrees", true, func(_, r *audit.Summary) { r.RecentViolations[0].ReplLagNS++ }},
+		{"offline replay disagrees", true, func(_, r *audit.Summary) { r.RecentViolations[3].StaleSeq++ }},
+		// Evidence broken alike online and in the replay.
+		{"excess_ns != delivered_ns - bound_ns", true, func(s, r *audit.Summary) {
+			s.RecentViolations[0].ExcessNS++
+			r.RecentViolations = s.RecentViolations
+		}},
+		{"object", true, func(s, r *audit.Summary) {
+			s.RecentViolations[1].Object = ""
+			r.RecentViolations = s.RecentViolations
+		}},
+		{"delivered_ns <= bound_ns", true, func(s, r *audit.Summary) {
 			v := &s.RecentViolations[0]
 			v.DeliveredNS, v.ExcessNS = v.BoundNS, 0
+			r.RecentViolations = s.RecentViolations
 		}},
 	} {
 		s, replay := clone(t, honest), clone(t, honestReplay)

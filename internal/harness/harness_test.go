@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxedcc/internal/core"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/tuner"
 )
@@ -21,6 +22,7 @@ func TestPlanChoiceReproducesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	var buf bytes.Buffer
 	results, err := RunPlanChoice(&buf, sys)
 	if err != nil {
@@ -44,6 +46,7 @@ func TestPlanChoiceTableIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	var buf bytes.Buffer
 	if _, err := RunPlanChoice(&buf, sys); err != nil {
 		t.Fatal(err)
@@ -68,6 +71,7 @@ func TestScaleStatsToPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	stats := sys.Cache.Catalog().Table("Customer").Stats
 	if got := stats.Rows(); got < 140000 || got > 160000 {
 		t.Fatalf("scaled customer rows = %d", got)
@@ -140,6 +144,7 @@ func TestGuardOverheadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	measured, err := MeasureGuardOverhead(sys, 70)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +173,7 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	if err := RunAllOn(&buf, cfg, sys); err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +270,7 @@ func TestOffloadIncreasesWithBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	pts, err := MeasureOffload(sys, []time.Duration{
 		0, 10 * time.Second, 25 * time.Second,
 	}, 20)
@@ -284,5 +291,15 @@ func TestOffloadIncreasesWithBound(t *testing.T) {
 	}
 	if !(pts[0].LocalFraction <= pts[1].LocalFraction && pts[1].LocalFraction <= pts[2].LocalFraction) {
 		t.Fatalf("offload not monotone: %+v", pts)
+	}
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on a loaded system is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
 	}
 }

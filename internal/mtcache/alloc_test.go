@@ -72,6 +72,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	s := sys.Cache.NewSession()
 	const runs = 50
 	key := int64(1000)
@@ -157,6 +158,7 @@ func TestAuditedPointReadAllocatesOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	s := sys.Cache.NewSession()
 	sql := tpcd.PointQuery(17, "CURRENCY 60 ON (Customer)")
 	reads := 0

@@ -331,7 +331,6 @@ func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable)
 	agent.Instrument(c.obs.reg)
 	agent.SetTracer(c.obs.tracer)
-	agent.SetApplySink(c.aud.ObserveApply)
 	c.mu.Lock()
 	c.agents[r.ID] = agent
 	c.mu.Unlock()

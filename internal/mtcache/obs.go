@@ -33,7 +33,7 @@ import (
 //	audit_disclosed_total             broken-but-disclosed serves (degraded, served-stale)
 //	audit_unbounded_total             reads with no finite bound to audit
 //	audit_unchecked_total             local reads of a region with no registered object
-//	audit_events_dropped_total{kind}  audit ring overwrites (read, apply)
+//	audit_events_dropped_total{kind}  audit read ring overwrites (kind="read")
 //	audit_excess_staleness_ns         delivered minus declared staleness on violations
 //	audit_slack_ns                    declared minus delivered staleness on OK reads
 //

@@ -68,16 +68,12 @@ func (q *queryCtx) end(err *error) {
 
 // guard takes one guard decision (EvalContext.OnGuard) of the run in
 // progress: it is kept for publish, and wrapped at once in the read event the
-// auditor gets, with what the cache adds at serve time: the serve time (now),
-// the versions the local branch served (the commit sequence the judged state
-// word names) and the heartbeat timestamp the guard trusted (the statement's
-// Now minus the decision's staleness).
+// auditor gets, with what the cache adds at serve time: the serve time (now)
+// and the versions the local branch served (the commit sequence the judged
+// state word names).
 func (q *queryCtx) guard(g exec.GuardDecision) {
 	q.decisions = append(q.decisions, g)
 	q.reads = append(q.reads, audit.ReadEvent{GuardEvent: g.GuardEvent, SyncSeq: storage.Seq(g.Word), ServeTSNS: q.s.cache.clock.Now().UnixNano()})
-	if g.StalenessKnown {
-		q.reads[len(q.reads)-1].SyncTSNS = q.ev.Now.Add(-g.Staleness).UnixNano()
-	}
 }
 
 // moved reports whether the state word of a region the run read locally has

@@ -33,6 +33,7 @@ func TestPlanRegret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, report) })
 	bench := loadedSystem(t, 0.1)
 	type stmt struct {
 		name, sql string

@@ -38,6 +38,7 @@ func TestResultReportsItsSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
 

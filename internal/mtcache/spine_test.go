@@ -56,6 +56,7 @@ func runSpine(t *testing.T, every int) (*core.System, []spineStep) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	sys.Cache.TraceEvery(every)
 	inj := fault.New(7)
 	sys.InjectFaults(inj)
@@ -285,6 +286,7 @@ func TestViolationAndRecordShareTheQueryID(t *testing.T) {
 // floor never moves backwards. Meaningful under -race.
 func TestOneSessionTwoGoroutines(t *testing.T) {
 	sys := core.NewSystem()
+	t.Cleanup(func() { auditClean(t, sys) })
 	sys.MustExec("CREATE TABLE acct (id BIGINT NOT NULL PRIMARY KEY, bal BIGINT NOT NULL)")
 	for i := 1; i <= 20; i++ {
 		sys.MustExec("INSERT INTO acct VALUES (" + strconv.Itoa(i) + ", " + strconv.Itoa(100*i) + ")")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"relaxedcc/internal/core"
 	"relaxedcc/internal/harness"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
@@ -32,6 +33,7 @@ func TestCandidatesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	stmts := goldenStatements()
 	const dop = 4
 	optionSets := []struct {
@@ -143,4 +145,14 @@ func goldenStatements() map[string]string {
 		stmts["guard-"+q.Name+"-plain"], stmts["guard-"+q.Name+"-fresh"], stmts["guard-"+q.Name+"-stale"] = q.Plain, q.Fresh, q.Stale
 	}
 	return stmts
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on a loaded system is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
+	}
 }

@@ -17,6 +17,7 @@ func TestOutputProjectionIsGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	for _, tc := range []struct {
 		name, sql string
 		gather    bool

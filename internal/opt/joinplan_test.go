@@ -21,6 +21,7 @@ func TestTightJoinBoundsFallBackToRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	render := func(rows []sqltypes.Row) []string {
 		out := make([]string, len(rows))
 		for i, r := range rows {

@@ -44,6 +44,7 @@ func TestRemoteShipsTheScanOfItsText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	stmts := goldenStatements()
 	for _, b := range []time.Duration{0, 2 * time.Second} {
 		stmts["tpcd-point-"+b.String()] = tpcd.Query(tpcd.KindPoint, 4242, b)

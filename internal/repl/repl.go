@@ -171,11 +171,6 @@ type Agent struct {
 	// tracer receives a repl_apply span event per propagation step that
 	// applied transactions; nil means untraced.
 	tracer *obs.Tracer
-
-	// applySink, when set, receives (region, applied-through seq, step time)
-	// after every propagation step that applied transactions — the
-	// delivered-guarantee auditor's replication tap. Nil costs nothing.
-	applySink func(region int, throughSeq int64, at time.Time)
 }
 
 // NewAgent creates an agent reading the given commit log. hbTable names the
@@ -246,14 +241,6 @@ func (a *Agent) SetHeartbeatInterval(d time.Duration) {
 		d = 0
 	}
 	a.hbInterval.Store(int64(d))
-}
-
-// SetApplySink installs (or clears, with nil) the propagation-progress tap;
-// the cache that makes the agent installs its auditor's.
-func (a *Agent) SetApplySink(fn func(region int, throughSeq int64, at time.Time)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.applySink = fn
 }
 
 // Subscribe adds a view to the region. The caller must populate the target
@@ -399,9 +386,6 @@ func (a *Agent) Step(now time.Time) error {
 	}
 	if len(records) > 0 {
 		a.tracer.Event(obs.EventReplApply)
-		if a.applySink != nil {
-			a.applySink(a.Region.ID, a.lastSeq, now)
-		}
 	}
 	a.lastProgress = now
 	return nil

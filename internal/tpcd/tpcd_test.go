@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxedcc/internal/core"
 	"relaxedcc/internal/sqlparser"
 )
 
@@ -57,6 +58,7 @@ func TestLoadedSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	res, err := sys.QueryBackend("SELECT COUNT(*) FROM Customer")
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +110,7 @@ func TestRegionSettingsMatchTable41(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { auditClean(t, sys) })
 	cr1 := sys.Cache.Catalog().Region(RegionCR1)
 	cr2 := sys.Cache.Catalog().Region(RegionCR2)
 	if cr1.UpdateInterval != 15*time.Second || cr1.UpdateDelay != 5*time.Second {
@@ -115,5 +118,15 @@ func TestRegionSettingsMatchTable41(t *testing.T) {
 	}
 	if cr2.UpdateInterval != 10*time.Second || cr2.UpdateDelay != 5*time.Second {
 		t.Fatalf("CR2 = %+v", cr2)
+	}
+}
+
+// auditClean fails t when the system's auditor caught a read that broke its
+// promise silently: every test on a loaded system is an oracle run.
+func auditClean(t *testing.T, sys *core.System) {
+	t.Helper()
+	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
+		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
+			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
 	}
 }

@@ -64,24 +64,41 @@ type CommitRecord struct {
 // Log is the master commit history, and its only copy: distribution agents
 // read it to propagate, and the delivered-guarantee auditor reads it to find
 // each served copy's stale point. It is append-only and safe for concurrent
-// use; Append does nothing under its lock but the append. Sequence numbers
-// start at 1; Seq 0 means "the initial (empty) snapshot".
+// use; Append does nothing under its lock but the append and its index, the
+// commits that changed each table. Sequence numbers start at 1; Seq 0 means
+// "the initial (empty) snapshot".
 type Log struct {
 	mu      sync.RWMutex
 	records []CommitRecord
+	writes  map[string][]int64
 }
 
 // NewLog returns an empty commit log.
-func NewLog() *Log { return &Log{} }
+func NewLog() *Log { return &Log{writes: map[string][]int64{}} }
 
 // Append atomically appends a transaction's changes, assigning the next
-// sequence number, and returns the commit timestamp.
+// sequence number, records the commit once under each table it changed, and
+// returns the commit timestamp.
 func (l *Log) Append(at time.Time, changes []Change) Timestamp {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ts := Timestamp{Seq: int64(len(l.records)) + 1, At: at}
 	l.records = append(l.records, CommitRecord{TS: ts, Changes: changes})
+	for _, ch := range changes {
+		if w := l.writes[ch.Table]; len(w) == 0 || w[len(w)-1] != ts.Seq {
+			l.writes[ch.Table] = append(w, ts.Seq)
+		}
+	}
 	return ts
+}
+
+// Writes returns the sequences of the commits that changed table, ascending.
+// The slice aliases the log's index, which only grows: callers must treat it
+// as read-only, and a record it names is in every Since taken after it.
+func (l *Log) Writes(table string) []int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.writes[table]
 }
 
 // Since returns all records with sequence numbers strictly greater than seq,

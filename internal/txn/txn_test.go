@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -99,5 +100,57 @@ func TestConcurrentAppend(t *testing.T) {
 		if r.TS.Seq != int64(i)+1 {
 			t.Fatalf("record %d has seq %d", i, r.TS.Seq)
 		}
+	}
+}
+
+func TestWritesIndexesEachCommitOncePerTable(t *testing.T) {
+	l := NewLog()
+	row := sqltypes.Row{sqltypes.NewInt(1)}
+	l.Append(t0, chg("a"))
+	l.Append(t0, []Change{{Table: "a", New: row}, {Table: "b", Old: row}, {Table: "a", Old: row, New: row}})
+	l.Append(t0, chg("b"))
+	l.Append(t0, nil)
+	l.Append(t0, []Change{{Table: "b", Old: row}, {Table: "a", Old: row}})
+	for table, want := range map[string][]int64{"a": {1, 2, 5}, "b": {2, 3, 5}, "c": nil} {
+		if got := l.Writes(table); !slices.Equal(got, want) {
+			t.Errorf("Writes(%q) = %v, want %v", table, got, want)
+		}
+	}
+}
+
+// TestWritesBesideAppend: a reader searches the index while a writer
+// appends; run with -race. Table a is written by the odd commits, so the kth
+// entry of every list the reader takes is 2k+1, and the last one is already
+// in the records.
+func TestWritesBesideAppend(t *testing.T) {
+	l := NewLog()
+	const commits = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < commits; i++ {
+			l.Append(t0, chg([]string{"a", "b"}[i%2]))
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		w := l.Writes("a")
+		if len(w) == 0 {
+			continue
+		}
+		k := len(w) / 2
+		if i, ok := slices.BinarySearch(w, int64(2*k+1)); !ok || i != k {
+			t.Fatalf("searching %d in Writes(a) found index %d (%v), want %d", 2*k+1, i, ok, k)
+		}
+		if last := w[len(w)-1]; last > l.LastSeq() {
+			t.Fatalf("Writes(a) names commit %d past the last one, %d", last, l.LastSeq())
+		}
+	}
+	if got := len(l.Writes("a")); got != commits/2 {
+		t.Fatalf("Writes(a) has %d commits, want %d", got, commits/2)
 	}
 }
