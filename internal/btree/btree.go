@@ -50,6 +50,10 @@ type Base[S any, P Payloads[S]] struct {
 	length  int
 	proto   S
 	leafCap int // entries per leaf; degree-1 when zero
+	// last is the rightmost leaf, or nil: a key past its last key goes at
+	// its end without a descent (Insert). A split leaves it with a right
+	// sibling, and every Delete drops it, because a merge can orphan it.
+	last *node[S, P]
 }
 
 type node[S any, P Payloads[S]] struct {
@@ -93,7 +97,16 @@ func (t *Base[S, P]) Find(key string) (leaf *S, i int, ok bool) {
 // Insert makes room for key's payload, if the key is new, and returns where
 // the payload lives: the caller writes it there. It reports whether the key
 // was newly inserted (its payload is then zero).
+//
+// A key past the rightmost leaf's last key, in a leaf with room, is appended
+// there: a load in key order descends once per leaf, not once per key.
 func (t *Base[S, P]) Insert(key string) (leaf *S, i int, added bool) {
+	if n := t.last; n != nil && n.next == nil && !n.full() && key > n.keys[len(n.keys)-1] {
+		n.keys = append(n.keys, key)
+		n.payloads().Open(len(n.keys) - 1)
+		t.length++
+		return &n.vals, len(n.keys) - 1, true
+	}
 	if t.root == nil {
 		t.root = &node[S, P]{leaf: true, vals: P(&t.proto).Fresh(), capacity: max(t.leafCap, degree-1)}
 	}
@@ -102,11 +115,15 @@ func (t *Base[S, P]) Insert(key string) (leaf *S, i int, added bool) {
 		t.root = &node[S, P]{children: []*node[S, P]{old}, capacity: degree - 1}
 		t.root.splitChild(0, key)
 	}
-	leaf, i, added = t.root.insert(key)
+	var n *node[S, P]
+	n, i, added = t.root.insert(key)
 	if added {
 		t.length++
 	}
-	return leaf, i, added
+	if n.next == nil {
+		t.last = n
+	}
+	return &n.vals, i, added
 }
 
 func (n *node[S, P]) full() bool { return len(n.keys) >= n.capacity }
@@ -131,15 +148,17 @@ func gallop(keys []string, i int, key string) int {
 	return i + sort.SearchStrings(keys[i:min(hi, len(keys))], key)
 }
 
-func (n *node[S, P]) insert(key string) (*S, int, bool) {
+// insert puts key in the leaf below n it belongs in, and returns that leaf,
+// the key's position and whether the key is new.
+func (n *node[S, P]) insert(key string) (*node[S, P], int, bool) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			return &n.vals, i, false
+			return n, i, false
 		}
 		n.keys = slices.Insert(n.keys, i, key)
 		n.payloads().Open(i)
-		return &n.vals, i, true
+		return n, i, true
 	}
 	i := childIndex(n.keys, key)
 	if n.children[i].full() {
@@ -190,6 +209,7 @@ func (n *node[S, P]) splitChild(i int, key string) {
 
 // Delete removes key from the tree, reporting whether it was present.
 func (t *Base[S, P]) Delete(key string) bool {
+	t.last = nil
 	if t.root == nil {
 		return false
 	}

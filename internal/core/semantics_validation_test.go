@@ -17,7 +17,9 @@ import (
 // paper's formal model (Appendix 8), implemented independently in
 // internal/semantics:
 //
-//  1. build the formal master history H_n from the back end's commit log;
+//  1. build the formal master history H_n from the back end's commit log,
+//     reading each commit when it lands: the log lets go of a commit's rows
+//     once the region's agent has applied it;
 //  2. view every cached row as a formal Copy synchronized at the agent's
 //     applied snapshot;
 //  3. assert the region's cache is *snapshot consistent* (Appendix 8.5) and
@@ -33,6 +35,35 @@ func TestSystemSatisfiesFormalSemantics(t *testing.T) {
 	for k := 1; k <= keys; k++ {
 		sys.MustExec(fmt.Sprintf("INSERT INTO obj VALUES (%d, 'v0')", k))
 	}
+	// 1. Formal history from the commit log (updates to obj only), read
+	// after each statement, before the agent can apply it.
+	h := semantics.NewHistory()
+	var read int64
+	land := func() {
+		for _, rec := range sys.Backend.Log().Since(read) {
+			writes := map[semantics.ObjectID]string{}
+			for _, ch := range rec.Changes {
+				if ch.Table != "obj" || ch.New == nil {
+					continue
+				}
+				writes[objectID(ch.New[0].Int())] = ch.New[1].Str()
+			}
+			if len(writes) > 0 {
+				if err := h.Commit(rec.TS.Seq, rec.TS.At, writes); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// Heartbeat or other-table transaction: advance the history's
+				// timeline with an empty commit so xtimes stay aligned with
+				// log sequence numbers.
+				if err := h.Commit(rec.TS.Seq, rec.TS.At, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read = rec.TS.Seq
+		}
+	}
+	land()
 	sys.Analyze()
 	if err := sys.AddRegion(&catalog.Region{
 		ID: 1, Name: "R", UpdateInterval: 7 * time.Second, UpdateDelay: 2 * time.Second,
@@ -54,34 +85,12 @@ func TestSystemSatisfiesFormalSemantics(t *testing.T) {
 		if _, err := sys.Exec(fmt.Sprintf("UPDATE obj SET val = 'v%d' WHERE id = %d", i+1, k)); err != nil {
 			t.Fatal(err)
 		}
+		land()
 	}
 	if err := sys.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	// 1. Formal history from the commit log (updates to obj only).
-	h := semantics.NewHistory()
-	for _, rec := range sys.Backend.Log().Since(0) {
-		writes := map[semantics.ObjectID]string{}
-		for _, ch := range rec.Changes {
-			if ch.Table != "obj" || ch.New == nil {
-				continue
-			}
-			writes[objectID(ch.New[0].Int())] = ch.New[1].Str()
-		}
-		if len(writes) > 0 {
-			if err := h.Commit(rec.TS.Seq, rec.TS.At, writes); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			// Heartbeat or other-table transaction: advance the history's
-			// timeline with an empty commit so xtimes stay aligned with
-			// log sequence numbers.
-			if err := h.Commit(rec.TS.Seq, rec.TS.At, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	land() // the last run's heartbeats
 
 	// 2. The region's applied snapshot.
 	agent := sys.Cache.Agent(1)

@@ -96,17 +96,19 @@ func (s *Subscription) covers(baseRow sqltypes.Row) bool {
 	return true
 }
 
-// image is the view's row for a base row: its projection to the view's
-// layout when the view covers it, else nil.
-func (s *Subscription) image(baseRow sqltypes.Row) sqltypes.Row {
+// image appends to buf the view's row for a base row, its projection to the
+// view's layout, and returns buf and that row; it is nil when the view does
+// not cover the base row. The row is valid until buf is reused: Replace
+// copies what it keeps.
+func (s *Subscription) image(buf []sqltypes.Value, baseRow sqltypes.Row) ([]sqltypes.Value, sqltypes.Row) {
 	if baseRow == nil || !s.covers(baseRow) {
-		return nil
+		return buf, nil
 	}
-	out := make(sqltypes.Row, len(s.projOrds))
-	for i, o := range s.projOrds {
-		out[i] = baseRow[o]
+	n := len(buf)
+	for _, o := range s.projOrds {
+		buf = append(buf, baseRow[o])
 	}
-	return out
+	return buf, sqltypes.Row(buf[n:len(buf):len(buf)])
 }
 
 // StallProbe lets a fault injector wedge an agent: a stalled agent's
@@ -138,16 +140,20 @@ type Agent struct {
 	// every heartbeat written out of band (Beat), under mu.
 	word storage.Word
 
-	log     *txn.Log
+	log *txn.Log
+	// cursor tells the log what the agent has applied (lastSeq), so it can
+	// let go of the rows every agent has.
+	cursor  *txn.Reader
 	hbTable string
 	mu      sync.Mutex
 	subs    []*Subscription
 	lastSeq int64
 	applied int64 // transactions applied, for stats
 	// record holds the view changes of the record Step is on: the images of
-	// each base change's two sides in each subscription it reaches. A change
-	// a view covers on neither side is none.
+	// each base change's two sides in each subscription it reaches, their
+	// values in images. A change a view covers on neither side is none.
 	record []viewChange
+	images []sqltypes.Value
 	// stall is the fault hook that can wedge this agent; nil means healthy.
 	stall StallProbe
 	// lastProgress is when the agent last completed a propagation step
@@ -177,7 +183,7 @@ type Agent struct {
 // back-end heartbeat table whose row for this region the agent publishes in
 // the region's word.
 func NewAgent(region *catalog.Region, log *txn.Log, hbTable string) *Agent {
-	return &Agent{Region: region, log: log, hbTable: hbTable, clock: vclock.Wall{}}
+	return &Agent{Region: region, log: log, cursor: log.Reader(), hbTable: hbTable, clock: vclock.Wall{}}
 }
 
 // Instrument binds the agent's built-in metrics to a registry: per-region
@@ -262,7 +268,9 @@ func (a *Agent) InitialSync(sub *Subscription, baseData *storage.Table) error {
 	sub.Target.Clear()
 	var err error
 	baseData.Scan(func(r sqltypes.Row) bool {
-		err = sub.Target.Replace(nil, sub.image(r))
+		var img sqltypes.Row
+		a.images, img = sub.image(a.images[:0], r)
+		err = sub.Target.Replace(nil, img)
 		return err == nil
 	})
 	if err != nil {
@@ -354,11 +362,14 @@ func (a *Agent) Step(now time.Time) error {
 	records := a.log.SinceUntil(a.lastSeq, cutoff)
 	var rowsApplied int64
 	for _, rec := range records {
-		a.record = a.record[:0]
+		a.record, a.images = a.record[:0], a.images[:0]
 		for _, ch := range rec.Changes {
 			for _, sub := range a.subs {
 				if sub.Base.Name == ch.Table && rec.TS.Seq > sub.startSeq {
-					a.record = append(a.record, viewChange{sub.Target, sub.image(ch.Old), sub.image(ch.New)})
+					vc := viewChange{tbl: sub.Target}
+					a.images, vc.old = sub.image(a.images, ch.Old)
+					a.images, vc.new = sub.image(a.images, ch.New)
+					a.record = append(a.record, vc)
 				}
 			}
 		}
@@ -385,11 +396,20 @@ func (a *Agent) Step(now time.Time) error {
 		a.mRows.Add(rowsApplied)
 	}
 	if len(records) > 0 {
+		a.cursor.Applied(a.lastSeq)
 		a.tracer.Event(obs.EventReplApply)
+	}
+	if cap(a.record) > keepChanges {
+		a.record, a.images = nil, nil
 	}
 	a.lastProgress = now
 	return nil
 }
+
+// keepChanges is the most view changes an agent's buffers keep room for
+// between steps: a larger record, such as a bulk load's, does not leave them
+// grown.
+const keepChanges = 1024
 
 // viewChange is one change of a view: Replace(old, new) on tbl.
 type viewChange struct {

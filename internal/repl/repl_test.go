@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -409,3 +411,77 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "boom" }
+
+// TestLogReleasesWhatEveryAgentApplied: two agents on one log apply 10⁵
+// commits at their own paces, the fixture's 2 s behind the other's. After
+// every tenth step of each, each record at or below the
+// slower agent's applied sequence has let go of its rows and each record
+// past it keeps them; at the end both views hold every key's last value, and
+// the live heap grew by at most 128 bytes a commit, what a record's
+// timestamp and its Writes entry keep.
+func TestLogReleasesWhatEveryAgentApplied(t *testing.T) {
+	const commits, keys = 100_000, 10
+	f := newFixture(t, nil)
+	second := storage.NewTable(f.viewTbl.Def())
+	agents := []*Agent{f.agent, NewAgent(&catalog.Region{ID: 2}, f.log, "HB")}
+	sub, err := NewSubscription(f.view, f.base, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents[1].Subscribe(sub)
+	if err := agents[1].InitialSync(sub, f.baseTbl); err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		w := min(agents[0].lastSeq, agents[1].lastSeq)
+		for _, rec := range f.log.Since(0) {
+			if kept := rec.Changes != nil; kept != (rec.TS.Seq > w) {
+				t.Fatalf("record %d keeps its rows: %v, with the slower agent at %d", rec.TS.Seq, kept, w)
+			}
+		}
+	}
+	at := func(seq int) time.Time { return t0.Add(time.Duration(seq) * time.Millisecond) }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	last := map[int64]string{}
+	for seq := 1; seq <= commits; seq++ {
+		k, v := int64(seq%keys), strconv.Itoa(seq)
+		var old sqltypes.Row
+		if prev, ok := last[k]; ok {
+			old = baseRow(k, 20, prev)
+		}
+		f.log.Append(at(seq), []txn.Change{{Table: "T", Old: old, New: baseRow(k, 20, v)}})
+		last[k] = v
+		for i, every := range []int{700, 1100} {
+			if seq%every == 0 {
+				if err := agents[i].Step(at(seq)); err != nil {
+					t.Fatal(err)
+				}
+				if seq%(every*10) == 0 {
+					check()
+				}
+			}
+		}
+	}
+	for _, a := range agents {
+		if err := a.Step(at(commits).Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / commits
+	if per > 128 {
+		t.Errorf("live heap grew %d bytes a commit, want at most 128", per)
+	}
+	t.Logf("live heap grew %d bytes a commit", per)
+	for _, tbl := range []*storage.Table{f.viewTbl, second} {
+		for k, v := range last {
+			if row, ok := tbl.Get(sqltypes.Row{sqltypes.NewInt(k)}); !ok || row[1].Str() != v {
+				t.Fatalf("view %p: key %d is %v, want %s", tbl, k, row, v)
+			}
+		}
+	}
+}

@@ -316,8 +316,7 @@ func numberValue(text string) (sqltypes.Value, error) {
 		d := int64(text[i]) - '0'
 		if d < 0 || d > 9 || n > (math.MaxInt64-d)/10 {
 			if strings.IndexByte(text, '.') >= 0 {
-				f, err := strconv.ParseFloat(text, 64)
-				return sqltypes.NewFloat(f), err
+				return floatValue(text)
 			}
 			_, err := strconv.ParseInt(text, 10, 64)
 			return sqltypes.Value{}, err
@@ -325,4 +324,37 @@ func numberValue(text string) (sqltypes.Value, error) {
 		n = n*10 + d
 	}
 	return sqltypes.NewInt(n), nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// floatValue converts a FLOAT token, digits with one decimal point. With at
+// most 15 significant digits and at most 22 after the point, the token is
+// its digits as an integer over a power of ten, both exact float64s, so the
+// one correctly rounded division is strconv.ParseFloat's answer (Clinger's
+// fast path). Any other token goes to ParseFloat.
+func floatValue(text string) (sqltypes.Value, error) {
+	var m uint64
+	digits, frac, point := 0, 0, false
+	for i := 0; i < len(text) && digits <= 15; i++ {
+		switch c := text[i]; {
+		case c == '.':
+			point = true
+		case point:
+			frac++
+			fallthrough
+		default:
+			if m != 0 || c != '0' {
+				m = m*10 + uint64(c-'0')
+				digits++
+			}
+		}
+	}
+	if digits <= 15 && frac < len(pow10) {
+		return sqltypes.NewFloat(float64(m) / pow10[frac]), nil
+	}
+	f, err := strconv.ParseFloat(text, 64)
+	return sqltypes.NewFloat(f), err
 }

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -394,6 +395,31 @@ func TestScanPiecesCutsOnlyAtSafeSeams(t *testing.T) {
 					t.Fatalf("%q: value %d cut %v, Scan %v", text, i, vals[i], wvals[i])
 				}
 			}
+		}
+	}
+}
+
+// TestFloatValueIsParseFloats: a FLOAT token's value is strconv.ParseFloat's
+// bit for bit, on both sides of the fast path's limits (15 significant
+// digits, 22 after the point).
+func TestFloatValueIsParseFloats(t *testing.T) {
+	for _, text := range []string{
+		"0.0", "0.", ".0", "1.5", "5.", ".5", "0.1", "0.3", "1234.5678", "123456789012.345",
+		"123456789012345.", "1.23456789012345", "0.123456789012345", "999999999999999.9", // 15 and 16 digits
+		"1234567890123456.", "1.234567890123456", "9007199254740993.0", // 16 and 17 digits
+		"12345678901234567.", "0.12345678901234567", "1.7976931348623157",
+		"0.0000000000000000000001", "0.00000000000000000000001", "1.0000000000000000000001", // 22 and 23 after the point
+		"0.0000000000000000000000123", "1.5000000000000", "1.50000000000000000000000", "100000000000000.0",
+		"000000000000000000001.5", "0000.000", "00.1", "4503599627370497.5", "0.30000000000000004",
+		"99999999999999999999999999.9", "123456789012345678901234567890.123456789",
+	} {
+		want, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := numberValue(text)
+		if err != nil || v.Kind() != sqltypes.KindFloat || math.Float64bits(v.Float()) != math.Float64bits(want) {
+			t.Errorf("numberValue(%q) = %v, %v; ParseFloat says %v", text, v, err, want)
 		}
 	}
 }

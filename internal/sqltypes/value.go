@@ -10,7 +10,9 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -297,6 +299,32 @@ func (r Row) Equal(s Row) bool {
 		}
 	}
 	return true
+}
+
+// hashSeed seeds the string hashes of Row.Hash: one per process.
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a 64-bit hash of the row's values with their kinds and
+// positions: a fixed-width value's word mixed in directly, a string's bytes
+// through hash/maphash. The seed is drawn once per process, so hashes agree
+// within a run, not across runs. A nil row hashes to 0. The wrapping sum of
+// a multiset's row hashes is its digest: order-insensitive, and a change
+// from Old to New moves it by New.Hash() - Old.Hash().
+func (r Row) Hash() uint64 {
+	if r == nil {
+		return 0
+	}
+	h := uint64(len(r))
+	for _, v := range r {
+		w := uint64(v.i)
+		if v.kind == KindString {
+			w = maphash.String(hashSeed, v.s)
+		}
+		hi, lo := bits.Mul64(h^0xa0761d6478bd642f, w^uint64(v.kind)<<56^0xe7037ed1a0b428db)
+		h = hi ^ lo
+	}
+	hi, lo := bits.Mul64(h^0x8ebc6af09c88c6e3, 0x589965cc75374cc3)
+	return hi ^ lo
 }
 
 // String renders the row as a parenthesized value list.

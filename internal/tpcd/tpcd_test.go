@@ -8,6 +8,8 @@ import (
 
 	"relaxedcc/internal/core"
 	"relaxedcc/internal/sqlparser"
+	"relaxedcc/internal/sqltypes"
+	"relaxedcc/internal/storage"
 )
 
 func TestConfigCardinalities(t *testing.T) {
@@ -128,5 +130,45 @@ func auditClean(t *testing.T, sys *core.System) {
 	if s := sys.Audit().Summary(); s.ViolationsTotal != 0 {
 		t.Errorf("auditor: %d of %d reads broke their promise silently, the last %+v",
 			s.ViolationsTotal, s.ReadsChecked, s.RecentViolations[len(s.RecentViolations)-1])
+	}
+}
+
+// TestLoadedSystemReleasesTheLoad: once both agents have applied the load,
+// its commits keep their times but not their rows, the tables still match
+// their log's digest, and a row changed behind the log's back does not.
+func TestLoadedSystemReleasesTheLoad(t *testing.T) {
+	sys, err := NewLoadedSystem(Config{ScaleFactor: 0.001, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { auditClean(t, sys) })
+	slowest := sys.Backend.Log().LastSeq()
+	for _, a := range sys.Cache.Agents() {
+		slowest = min(slowest, storage.Seq(a.Word().Load()))
+	}
+	recs := sys.Backend.Log().Since(0)
+	if slowest < int64(len(recs))/2 {
+		t.Fatalf("the slower agent applied %d of %d commits", slowest, len(recs))
+	}
+	for _, rec := range recs[:slowest] {
+		if rec.Changes != nil || rec.TS.At.IsZero() {
+			t.Fatalf("record %d, applied by every agent, keeps %d changes (time %v)", rec.TS.Seq, len(rec.Changes), rec.TS.At)
+		}
+	}
+	if err := sys.Backend.CheckLog(); err != nil {
+		t.Fatal(err)
+	}
+	cust := sys.Backend.Table("Customer")
+	row, ok := cust.Get(sqltypes.Row{sqltypes.NewInt(7)})
+	if !ok {
+		t.Fatal("no customer 7")
+	}
+	moved := row.Clone()
+	moved[3] = sqltypes.NewFloat(row[3].Float() + 1)
+	if err := cust.Replace(row, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Backend.CheckLog(); err == nil || !strings.Contains(err.Error(), "table Customer is not its log") {
+		t.Fatalf("CheckLog after an unlogged update = %v, want Customer not its log", err)
 	}
 }

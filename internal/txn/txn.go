@@ -8,10 +8,15 @@
 // carries the transaction's sequence number, its commit time on the master
 // clock, and the row-level changes it made. Distribution agents read the log
 // in order and apply records one transaction at a time, which is what makes
-// all views maintained by one agent mutually snapshot-consistent.
+// all views maintained by one agent mutually snapshot-consistent. The rows
+// matter only until every agent has applied them: then the log folds them
+// into per-table digests and lets them go, keeping each commit's time and
+// the tables it wrote, which is all the history's checkers read.
 package txn
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,20 +66,82 @@ type CommitRecord struct {
 	Changes []Change
 }
 
+// delta is how much the change moves its table's digest (Log.Digest).
+func (ch Change) delta() uint64 { return ch.New.Hash() - ch.Old.Hash() }
+
 // Log is the master commit history, and its only copy: distribution agents
 // read it to propagate, and the delivered-guarantee auditor reads it to find
 // each served copy's stale point. It is append-only and safe for concurrent
 // use; Append does nothing under its lock but the append and its index, the
 // commits that changed each table. Sequence numbers start at 1; Seq 0 means
 // "the initial (empty) snapshot".
+//
+// Each registered reader (Reader) reports what it has applied. Once every
+// one has applied a commit, the log releases its rows: each change is folded
+// into its table's digest and the record's Changes go, while its TS and its
+// Writes entries stay. A log with no reader releases nothing.
 type Log struct {
 	mu      sync.RWMutex
 	records []CommitRecord
 	writes  map[string][]int64
+	// cursors holds each reader's applied sequence; records[:released],
+	// those at or below the least cursor, hold no rows.
+	cursors  []int64
+	released int64
+	// digest holds, per table, the sum of the released changes' deltas.
+	digest map[string]uint64
 }
 
 // NewLog returns an empty commit log.
-func NewLog() *Log { return &Log{writes: map[string][]int64{}} }
+func NewLog() *Log { return &Log{writes: map[string][]int64{}, digest: map[string]uint64{}} }
+
+// Reader is one reader's cursor in a log.
+type Reader struct {
+	log *Log
+	i   int
+}
+
+// Reader registers a reader that has applied nothing yet: no record past
+// what is released already loses its rows until this reader has applied it.
+func (l *Log) Reader() *Reader {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cursors = append(l.cursors, 0)
+	return &Reader{log: l, i: len(l.cursors) - 1}
+}
+
+// Applied reports that the reader has applied every commit up to seq and
+// reads none of them again. The log then releases the rows of every commit
+// all its readers have applied.
+func (r *Reader) Applied(seq int64) {
+	l := r.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cursors[r.i] = seq
+	for w := min(slices.Min(l.cursors), int64(len(l.records))); l.released < w; l.released++ {
+		rec := &l.records[l.released]
+		for _, ch := range rec.Changes {
+			l.digest[ch.Table] += ch.delta()
+		}
+		rec.Changes = nil
+	}
+}
+
+// Digest returns what the log says each table it wrote holds: the sum of
+// the table's rows' hashes (sqltypes.Row.Hash), from the released changes'
+// digest plus the deltas of every change since. Replaying the log from empty
+// tables leaves a table whose rows sum to its digest.
+func (l *Log) Digest() map[string]uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	out := maps.Clone(l.digest)
+	for _, rec := range l.records[l.released:] {
+		for _, ch := range rec.Changes {
+			out[ch.Table] += ch.delta()
+		}
+	}
+	return out
+}
 
 // Append atomically appends a transaction's changes, assigning the next
 // sequence number, records the commit once under each table it changed, and
@@ -103,7 +170,10 @@ func (l *Log) Writes(table string) []int64 {
 
 // Since returns all records with sequence numbers strictly greater than seq,
 // in commit order. The returned slice aliases the log's storage; callers
-// must treat it as read-only.
+// must treat it as read-only. A record every reader has applied keeps its
+// TS but not its Changes, which the release clears under the log's lock: a
+// caller reads the Changes only of records past its own cursor, or of
+// records no reader can apply meanwhile.
 func (l *Log) Since(seq int64) []CommitRecord {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -152,5 +153,140 @@ func TestWritesBesideAppend(t *testing.T) {
 	}
 	if got := len(l.Writes("a")); got != commits/2 {
 		t.Fatalf("Writes(a) has %d commits, want %d", got, commits/2)
+	}
+}
+
+// digestOf sums the deltas of every change in recs: what Digest must say
+// while nothing is released.
+func digestOf(recs []CommitRecord) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, r := range recs {
+		for _, ch := range r.Changes {
+			out[ch.Table] += ch.New.Hash() - ch.Old.Hash()
+		}
+	}
+	return out
+}
+
+// TestReleaseWaitsForTheSlowestReader: a commit's rows go only once every
+// reader has applied it, and the release moves neither a table's digest nor
+// a commit's time or Writes entries.
+func TestReleaseWaitsForTheSlowestReader(t *testing.T) {
+	l := NewLog()
+	row := func(k int64, v string) sqltypes.Row { return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewString(v)} }
+	l.Append(t0, []Change{{Table: "a", New: row(1, "x")}, {Table: "b", New: row(1, "y")}})
+	l.Append(t0.Add(time.Second), []Change{{Table: "a", Old: row(1, "x"), New: row(1, "z")}})
+	l.Append(t0.Add(2*time.Second), []Change{{Table: "b", Old: row(1, "y")}})
+	l.Append(t0.Add(3*time.Second), []Change{{Table: "a", New: row(2, "w")}})
+	want := digestOf(l.Since(0))
+	if !maps.Equal(l.Digest(), want) {
+		t.Fatalf("Digest() = %v, want %v", l.Digest(), want)
+	}
+	fast, slow := l.Reader(), l.Reader()
+	rows := func() (n []int) {
+		for _, r := range l.Since(0) {
+			n = append(n, len(r.Changes))
+		}
+		return n
+	}
+	for _, step := range []struct {
+		reader *Reader
+		seq    int64
+		rows   []int
+	}{
+		{fast, 3, []int{2, 1, 1, 1}}, // the slow reader has applied nothing
+		{slow, 1, []int{0, 1, 1, 1}},
+		{slow, 4, []int{0, 0, 0, 1}}, // the fast reader is at 3
+		{fast, 4, []int{0, 0, 0, 0}},
+	} {
+		step.reader.Applied(step.seq)
+		if got := rows(); !slices.Equal(got, step.rows) {
+			t.Fatalf("after a reader applied %d: changes per record %v, want %v", step.seq, got, step.rows)
+		}
+		if got := l.Digest(); !maps.Equal(got, want) {
+			t.Fatalf("after a reader applied %d: Digest() = %v, want %v", step.seq, got, want)
+		}
+	}
+	for i, r := range l.Since(0) {
+		if r.TS.Seq != int64(i)+1 || !r.TS.At.Equal(t0.Add(time.Duration(i)*time.Second)) {
+			t.Fatalf("record %d's timestamp is %+v", i, r.TS)
+		}
+	}
+	if !slices.Equal(l.Writes("a"), []int64{1, 2, 4}) || !slices.Equal(l.Writes("b"), []int64{1, 3}) {
+		t.Fatalf("Writes: a %v, b %v", l.Writes("a"), l.Writes("b"))
+	}
+}
+
+// TestAppliedBesideAppend: two readers report what they applied while a
+// writer appends and other goroutines take Since and Writes; run with
+// -race. Each reader reads a record's Changes only past its own cursor, as
+// an agent does.
+func TestAppliedBesideAppend(t *testing.T) {
+	l := NewLog()
+	const commits = 2000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < commits; i++ {
+			l.Append(t0.Add(time.Duration(i)), chg("a"))
+		}
+	}()
+	for range 2 {
+		r := l.Reader()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seq int64
+			for seq < commits {
+				for _, rec := range l.Since(seq) {
+					if len(rec.Changes) != 1 {
+						t.Errorf("record %d past the reader's cursor %d has %d changes", rec.TS.Seq, seq, len(rec.Changes))
+						return
+					}
+					seq = rec.TS.Seq
+				}
+				r.Applied(seq)
+			}
+		}()
+	}
+	for _, read := range []func(){
+		func() {
+			recs := l.Since(0)
+			for i := range recs {
+				if recs[i].TS.Seq != int64(i)+1 {
+					t.Errorf("record %d has seq %d", i, recs[i].TS.Seq)
+				}
+			}
+		},
+		func() {
+			if w := l.Writes("a"); len(w) > 0 && w[len(w)-1] != int64(len(w)) {
+				t.Errorf("Writes(a) ends at %d after %d entries", w[len(w)-1], len(w))
+			}
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, r := range l.Since(0) {
+		if r.Changes != nil {
+			t.Fatalf("record %d keeps its rows after both readers applied every commit", r.TS.Seq)
+		}
+	}
+	if got, want := l.Digest()["a"], uint64(commits)*chg("a")[0].New.Hash(); got != want {
+		t.Fatalf("Digest()[a] = %#x, want %#x", got, want)
 	}
 }

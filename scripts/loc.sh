@@ -11,17 +11,17 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
-ceilings="the total outside bench/|25768|all
+ceilings="the total outside bench/|25911|all
 internal/exec|3811|exec
 the spine ($spine)|4565|$spine
 internal/harness|2757|harness
 internal/analysis|1361|analysis
 internal/opt|3267|opt
-internal/sqlparser|2211|sqlparser
-internal/sqltypes|1360|sqltypes
-the store (storage + btree)|1074|storage btree
+internal/sqlparser|2243|sqlparser
+internal/sqltypes|1388|sqltypes
+the store (storage + btree)|1094|storage btree
 internal/backend|796|backend
-internal/repl|674|repl
+internal/repl|694|repl
 internal/remote|375|remote"
 
 declare -A lines=([all]=0)

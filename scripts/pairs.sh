@@ -5,7 +5,10 @@
 # package's test binary on both sides. Runs N pairs of the executor scan
 # benchmarks, the end-to-end session reads and writes and the scanner
 # (BenchmarkExec(Scan|FilterScan), BenchmarkEndToEndQuery and BenchmarkScan
-# at -cpu 2, one run each, kept as DIR/gotest/{base,change}-I.txt), then N pairs per workload of ./bench
+# at -cpu 2, one run each) and of the agents' apply path
+# (BenchmarkReplicationApply, 200 ops as scripts/bench.sh runs it: each op
+# builds a system outside the timer), kept as DIR/gotest/{base,change}-I.txt,
+# then N pairs per workload of ./bench
 # with -trace 0 (each run's last line, its result object, kept as
 # DIR/WORKLOAD/{base,change}-I.json); every pair alternates which side goes
 # first (A-B, B-A, ...), and pair I of a workload runs seed I on both sides.
@@ -48,6 +51,9 @@ for ((i = 1; i <= pairs; i++)); do
   for side in "${order[@]}"; do
     (cd "${dirs[$side]}" && exec "$tmp/test-$side" -test.run '^$' -test.bench '^Benchmark(Exec(Scan|FilterScan)|EndToEndQuery|Scan)$' \
       -test.benchmem -test.cpu 2) >"$out/gotest/$side-$i.txt" &
+    wait $!
+    (cd "${dirs[$side]}" && exec "$tmp/test-$side" -test.run '^$' -test.bench '^BenchmarkReplicationApply$' \
+      -test.benchtime 200x -test.benchmem -test.cpu 2) >>"$out/gotest/$side-$i.txt" &
     wait $!
     echo "go test benchmarks pair $i $side: $(grep -c '^Benchmark' "$out/gotest/$side-$i.txt") rows" >&2
   done
