@@ -736,11 +736,7 @@ func BenchmarkExecScanMetered(b *testing.B) {
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		_, qt := tracer.Begin("SELECT * FROM Orders", &trace)
-		var execStart time.Time
-		if qt != nil {
-			execStart = time.Now()
-		}
+		_, qt := tracer.Begin("SELECT * FROM Orders", false, &trace)
 		op := exec.NewScan(tbl, schema)
 		if err := op.Open(ctx); err != nil {
 			b.Fatal(err)
@@ -762,9 +758,6 @@ func BenchmarkExecScanMetered(b *testing.B) {
 		}
 		if err := op.Close(); err != nil {
 			b.Fatal(err)
-		}
-		if qt != nil {
-			qt.Exec(time.Since(execStart))
 		}
 		qt.Finish(false)
 	}

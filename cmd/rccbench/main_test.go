@@ -205,4 +205,14 @@ func TestFoldPairs(t *testing.T) {
 	if err := foldPairs(&out, filepath.Join(dir, "runs"), contract); err == nil || !strings.Contains(err.Error(), "1 base runs, 0 change runs") {
 		t.Errorf("unpaired runs: %v", err)
 	}
+	// The committed fixture scripts/reach.sh folds, against the contract.
+	out.Reset()
+	if err := foldPairs(&out, filepath.Join("testdata", "pairs"), filepath.Join("..", "..", "BENCHMARK.json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"point_hot   peak_rss_mb", "BenchmarkEndToEndQuery/local-point           allocs_op"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("the fixture's fold lacks %q:\n%s", want, out.String())
+		}
+	}
 }

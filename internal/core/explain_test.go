@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"relaxedcc/internal/obs"
 	"relaxedcc/internal/tpcd"
 )
 
@@ -92,9 +94,16 @@ func TestExplainStatementForms(t *testing.T) {
 	if analyzed.Trace == nil || len(analyzed.Rows) != 1 {
 		t.Fatalf("EXPLAIN ANALYZE result = trace=%v rows=%d", analyzed.Trace != nil, len(analyzed.Rows))
 	}
-	// The trace also lands in the cache's store for /trace/last.
-	sql, root := sys.Cache.Traces().Last()
-	if root == nil || sql == "" {
-		t.Fatal("trace store not populated")
+	// The query's record keeps a copy of the trace (an analyzed query is
+	// always sampled), and the plain EXPLAIN before it left none.
+	var traced []obs.QueryRecord
+	for _, rec := range sys.Cache.Tracer().Recent() {
+		if rec.Trace != nil {
+			traced = append(traced, rec)
+		}
+	}
+	if len(traced) != 1 || traced[0].Trace == analyzed.Trace ||
+		traced[0].Trace.ShapeString() != analyzed.Trace.ShapeString() || !strings.Contains(traced[0].SQL, "c_custkey = 42") {
+		t.Fatalf("records with a trace: %+v", traced)
 	}
 }

@@ -1,22 +1,25 @@
 package core_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"relaxedcc/internal/audit"
 	"relaxedcc/internal/catalog"
 	"relaxedcc/internal/core"
+	"relaxedcc/internal/obs"
 )
 
 // TestTraceEndpointsUnderQueryMix hammers the ops HTTP surface — above all
-// /trace/last, whose published trees used to alias live operator trees —
-// while sessions run an EXPLAIN ANALYZE / query mix and replication
+// /queries/recent and /queries/{id}, whose records carry EXPLAIN ANALYZE
+// trees — while sessions run an EXPLAIN ANALYZE / query mix and replication
 // advances. Run under -race this pins the copy-on-finish publication
 // contract: readers must never observe a trace node the executor is still
-// mutating.
+// mutating, nor a read event the auditor is folding.
 func TestTraceEndpointsUnderQueryMix(t *testing.T) {
 	sys := core.NewSystem()
 	sys.MustExec("CREATE TABLE acct (id BIGINT NOT NULL PRIMARY KEY, bal BIGINT NOT NULL)")
@@ -40,15 +43,13 @@ func TestTraceEndpointsUnderQueryMix(t *testing.T) {
 	}
 
 	handler := sys.ObsHandler()
-	urls := []string{
-		"/trace/last", "/metrics", "/queries/recent",
-		"/queries/slow?threshold=1ms", "/slo", "/regions",
-	}
+	urls := []string{"/queries/recent?limit=8", "/metrics", "/slo", "/regions"}
 
 	const queriers = 3
 	const scrapers = 3
 	const opsPerWorker = 60
 	var qwg, swg sync.WaitGroup
+	looked, lookedOnce := make(chan struct{}), sync.Once{}
 	stop := make(chan struct{})
 
 	for q := 0; q < queriers; q++ {
@@ -89,6 +90,31 @@ func TestTraceEndpointsUnderQueryMix(t *testing.T) {
 					t.Errorf("GET %s = %d: %s", url, rr.Code, rr.Body.String())
 					return
 				}
+				if url != urls[0] {
+					continue
+				}
+				// Every retained record is found by its id, its trace and
+				// its reads with it.
+				var recent struct{ Queries []obs.QueryRecord }
+				if err := json.Unmarshal(rr.Body.Bytes(), &recent); err != nil {
+					t.Errorf("GET %s: %v", url, err)
+					return
+				}
+				for _, rec := range recent.Queries {
+					url := fmt.Sprintf("/queries/%d", rec.QueryID)
+					rr := httptest.NewRecorder()
+					handler.ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
+					var one struct {
+						Record *obs.QueryRecord
+						Reads  *audit.QueryAudit
+					}
+					if err := json.Unmarshal(rr.Body.Bytes(), &one); rr.Code != 200 || err != nil ||
+						one.Record == nil || one.Record.QueryID != rec.QueryID || one.Reads == nil || len(one.Reads.Events) != 1 {
+						t.Errorf("GET %s = %d (%v): %s", url, rr.Code, err, rr.Body.String())
+						return
+					}
+					lookedOnce.Do(func() { close(looked) })
+				}
 			}
 		}(s)
 	}
@@ -109,6 +135,13 @@ func TestTraceEndpointsUnderQueryMix(t *testing.T) {
 	}()
 
 	qwg.Wait()
+	// The queries can end before a scraper's first /queries/recent: scrape
+	// on until one record has been looked up by its id.
+	select {
+	case <-looked:
+	case <-time.After(10 * time.Second):
+		t.Error("no record was looked up by its id")
+	}
 	close(stop)
 	swg.Wait()
 }

@@ -92,13 +92,13 @@ func TestChaosSLOSection(t *testing.T) {
 }
 
 // TestChaosSLOSnapshotDeterministic runs the same seeded chaos config twice,
-// scraping /slo through each run's own ObsHandler (captured via OnSystem),
-// and expects byte-identical JSON — the ops surface inherits the virtual
-// clock's determinism.
+// scraping /slo, /regions and /queries/recent through each run's own
+// ObsHandler (captured via OnSystem), and expects byte-identical JSON — the
+// ops surface inherits the virtual clock's determinism.
 func TestChaosSLOSnapshotDeterministic(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.Duration = 60 * time.Second
-	scrape := func() (string, string) {
+	scrape := func() (string, string, string) {
 		var sys *core.System
 		c := cfg
 		c.OnSystem = func(s *core.System) { sys = s }
@@ -117,20 +117,23 @@ func TestChaosSLOSnapshotDeterministic(t *testing.T) {
 			}
 			return rr.Body.String()
 		}
-		// What rccbench -snapshot writes as queries_slow.json.
-		var slow struct{ Queries []json.RawMessage }
-		if err := json.Unmarshal([]byte(get("/queries/slow?threshold=0s")), &slow); err != nil || slow.Queries == nil {
-			t.Errorf("/queries/slow: no queries array (%v)", err)
-		}
-		return get("/slo"), get("/regions")
+		return get("/slo"), get("/regions"), get("/queries/recent?limit=1000")
 	}
-	slo1, regions1 := scrape()
-	slo2, regions2 := scrape()
+	slo1, regions1, recent1 := scrape()
+	slo2, regions2, recent2 := scrape()
 	if slo1 != slo2 {
 		t.Errorf("/slo differs across same-seed runs:\n%s\nvs\n%s", slo1, slo2)
 	}
 	if regions1 != regions2 {
 		t.Errorf("/regions differs across same-seed runs:\n%s\nvs\n%s", regions1, regions2)
+	}
+	if recent1 != recent2 {
+		t.Errorf("/queries/recent differs across same-seed runs:\n%s\nvs\n%s", recent1, recent2)
+	}
+	// What rccbench -snapshot writes as queries_recent.json: sampled records.
+	var recent struct{ Queries []obs.QueryRecord }
+	if err := json.Unmarshal([]byte(recent1), &recent); err != nil || len(recent.Queries) == 0 {
+		t.Errorf("/queries/recent: %d records (%v)", len(recent.Queries), err)
 	}
 	if !strings.Contains(slo1, `"regions"`) || !strings.Contains(slo1, `"error_budget"`) {
 		t.Errorf("/slo payload missing expected fields:\n%s", slo1)

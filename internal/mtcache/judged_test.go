@@ -62,8 +62,8 @@ func TestSourcesAreTheHeartbeatTheGuardJudged(t *testing.T) {
 		c.word(1).Heartbeat(judged.Add(3 * time.Second))
 	}}
 
-	q := s.begin(sqlparser.SelectSQL(sel))
-	res, err := s.run(q, plan, plan.Root, nil, 0, false, "")
+	q := s.begin(sqlparser.SelectSQL(sel), false)
+	res, err := s.run(q, plan, plan.Root, nil, 0, false)
 	q.end(&err)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +123,8 @@ func TestAnApplyDuringTheRunRepeatsIt(t *testing.T) {
 				}
 			}}
 			s := c.NewSession()
-			q := s.begin(sqlparser.SelectSQL(sel))
-			res, err := s.run(q, plan, plan.Root, nil, 0, false, "")
+			q := s.begin(sqlparser.SelectSQL(sel), false)
+			res, err := s.run(q, plan, plan.Root, nil, 0, false)
 			q.end(&err)
 			if err != nil {
 				t.Fatal(err)
@@ -215,8 +215,8 @@ func TestAResultKeepsItsRows(t *testing.T) {
 			c.SetLastSync(1, last.Add(time.Second))
 		}
 	}}
-	q := s.begin(sqlparser.SelectSQL(sel))
-	res, err := s.run(q, plan, plan.Root, nil, 0, false, "")
+	q := s.begin(sqlparser.SelectSQL(sel), false)
+	res, err := s.run(q, plan, plan.Root, nil, 0, false)
 	q.end(&err)
 	if err != nil {
 		t.Fatal(err)

@@ -640,7 +640,7 @@ func (s *Session) Query(sql string) (*QueryResult, error) { return s.text(sql, f
 
 // ExplainAnalyze runs one SELECT with execution tracing: the result carries
 // the annotated plan tree (per-node time, rows, guard verdicts) in Trace,
-// and the trace is retained in the cache's TraceStore for /trace/last.
+// and the query's record, always sampled, keeps a copy for /queries/{id}.
 func (s *Session) ExplainAnalyze(sql string) (*QueryResult, error) { return s.text(sql, true, false) }
 
 // text runs the statement in sql — a SELECT, or with anyStmt set whatever
@@ -662,7 +662,6 @@ type parsed struct {
 	skel []byte
 	vals []sqltypes.Value
 	sel  *sqlparser.SelectStmt
-	took time.Duration
 }
 
 // unknownText resolves a text the raw-text index does not know. One lexer
@@ -687,12 +686,11 @@ func (s *Session) unknownText(sql string, opts opt.Options, analyze, anyStmt boo
 			return s.query(e, root, fresh, nil, opts, analyze)
 		}
 	}
-	parseStart := c.clock.Now()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &parsed{took: c.clock.Now().Sub(parseStart)}
+	p := &parsed{}
 	switch stmt := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		// The copies keep the scan's buffers on this frame's stack.
@@ -778,15 +776,8 @@ func (e *stmtEntry) ast(p *parsed) (*sqlparser.SelectStmt, error) {
 // end.
 func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed, opts opt.Options, analyze bool) (qr *QueryResult, err error) {
 	c := s.cache
-	q := s.begin(e.key)
+	q := s.begin(e.key, analyze)
 	defer q.end(&err)
-	if p != nil {
-		q.qt.Parse(p.took)
-	}
-	var planStart time.Time
-	if q.qt != nil {
-		planStart = c.clock.Now()
-	}
 	// A shared plan is safe to run again because the currency guard re-takes
 	// the freshness decision at every execution. A session whose plans are
 	// its own plans afresh.
@@ -822,10 +813,7 @@ func (s *Session) query(e *stmtEntry, root exec.Operator, fresh bool, p *parsed,
 			}
 		}
 	}
-	if q.qt != nil {
-		q.qt.Plan(c.clock.Now().Sub(planStart))
-	}
-	qr, err = s.run(q, plan, root, params, setup, analyze, e.key)
+	qr, err = s.run(q, plan, root, params, setup, analyze)
 	if err != nil {
 		// The tree is dropped with whatever the failed run left in it.
 		if s.Action == ActionServeStale && remote.IsUnavailable(err) {
@@ -883,9 +871,9 @@ func (s *Session) guardRetry(region, attempt int) bool {
 // once more with every guard sent remote. Each outcome is counted, and only
 // the run that answered reaches the ledger, the trace and the auditor. With
 // analyze set, the tree is instrumented (in place) and the result carries the
-// annotated trace of its runs, a repeated one counted in each node's Opens
-// (retained in the cache's TraceStore under sql).
-func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool, sql string) (*QueryResult, error) {
+// annotated trace of its runs, a repeated one counted in each node's Opens;
+// the query's record keeps a copy.
+func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []sqltypes.Value, setup time.Duration, analyze bool) (*QueryResult, error) {
 	c := s.cache
 	o := c.obs
 	o.queries.Inc()
@@ -899,11 +887,9 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 		root, qr.Trace = exec.Instrument(root)
 	}
 	q.qr, q.observed, q.oldest = qr, time.Time{}, time.Time{}
-	var execStart time.Time
 	var retriesBefore int64
 	if q.qt != nil {
 		retriesBefore = c.link.Stats().Retries
-		execStart = c.clock.Now()
 	}
 	var err error
 	for run := 0; ; run++ {
@@ -920,7 +906,6 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 		}
 	}
 	if q.qt != nil {
-		q.qt.Exec(c.clock.Now().Sub(execStart))
 		q.qt.Retries(c.link.Stats().Retries - retriesBefore)
 	}
 	if err != nil {
@@ -929,9 +914,7 @@ func (s *Session) run(q *queryCtx, plan *opt.Plan, root exec.Operator, params []
 	}
 	q.publish()
 	q.qr = nil
-	if qr.Trace != nil {
-		o.traces.Set(sql, qr.Trace)
-	}
+	q.qt.Trace(qr.Trace)
 	if qr.RemoteQueries = q.ev.Fetches; qr.RemoteQueries > 0 {
 		o.remoteQueries.Add(int64(qr.RemoteQueries))
 		q.note(q.ev.Now)
@@ -958,7 +941,7 @@ func spliceRemotes(op exec.Operator, params []sqltypes.Value) {
 
 // serveStale is the ActionServeStale fall-back: answer from local views
 // without currency checking, flagging the result. The rerun executes
-// guardless and untraced — the sampled record keeps the failed run's timings
+// guardless and untraced — the sampled record keeps the failed run's retries
 // and is marked degraded instead of through a guard event, its staleness
 // unknown.
 func (s *Session) serveStale(q *queryCtx, e *stmtEntry, p *parsed) (*QueryResult, error) {
@@ -976,7 +959,7 @@ func (s *Session) serveStale(q *queryCtx, e *stmtEntry, p *parsed) (*QueryResult
 	}
 	qt := q.qt
 	q.qt = nil
-	qr, err := s.run(q, plan, plan.Root, nil, plan.Setup, false, "")
+	qr, err := s.run(q, plan, plan.Root, nil, plan.Setup, false)
 	q.qt = qt
 	if err != nil {
 		return nil, err

@@ -41,8 +41,7 @@ import (
 // the region ledger's, listed on obs.RegionLedger; tuner_* register with
 // autotuning, audit_* with the auditor, all in this cache's registry.)
 type cacheObs struct {
-	reg    *obs.Registry
-	traces *obs.TraceStore
+	reg *obs.Registry
 	// tracer samples query lifecycles into the recent-query ring and counts
 	// span events; ledger folds every guard decision into its region's guard
 	// metrics, SLO and workload windows. Both are always non-nil.
@@ -61,7 +60,6 @@ type cacheObs struct {
 func newCacheObs(clock vclock.Clock, reg *obs.Registry) *cacheObs {
 	return &cacheObs{
 		reg:           reg,
-		traces:        &obs.TraceStore{},
 		tracer:        obs.NewTracer(reg, obs.DefaultSampleEvery, obs.DefaultRingSize),
 		ledger:        obs.NewRegionLedger(reg, clock.Now()),
 		queries:       reg.Counter("mtcache_queries_total"),
@@ -77,9 +75,6 @@ func newCacheObs(clock vclock.Clock, reg *obs.Registry) *cacheObs {
 // Obs returns the cache's metrics registry. Every cache has one; all
 // session, guard, replication and plan-cache instruments register here.
 func (c *Cache) Obs() *obs.Registry { return c.obs.reg }
-
-// Traces returns the cache's last-trace store (filled by EXPLAIN ANALYZE).
-func (c *Cache) Traces() *obs.TraceStore { return c.obs.traces }
 
 // Tracer returns the cache's query-lifecycle tracer (sampled ring of recent
 // query records plus span-event counters).

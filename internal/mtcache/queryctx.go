@@ -41,8 +41,9 @@ type queryCtx struct {
 
 // begin checks the session's query context out for one query: the tracer
 // numbers the query (the id every guard event, trace record and audit verdict
-// of it carries) and decides whether it is sampled.
-func (s *Session) begin(sql string) *queryCtx {
+// of it carries) and decides whether it is sampled, as every analyzed query
+// is.
+func (s *Session) begin(sql string, analyze bool) *queryCtx {
 	c := s.cache
 	q := s.slot.Swap(nil)
 	if q == nil {
@@ -54,7 +55,7 @@ func (s *Session) begin(sql string) *queryCtx {
 			GuardRetry:  s.guardRetry, // consulted under DegradeBlock only
 		}
 	}
-	q.ev.Query, q.qt = c.obs.tracer.Begin(sql, &q.trace)
+	q.ev.Query, q.qt = c.obs.tracer.Begin(sql, analyze, &q.trace)
 	q.qt.Tenant(s.Tenant)
 	return q
 }

@@ -10,8 +10,9 @@ import "time"
 // auditor. Durations encode as nanoseconds.
 type GuardEvent struct {
 	// Query is the id of the query the guard ran in (Tracer.Begin numbers
-	// every query, sampled or not): the key that joins a /queries/recent
-	// record, its guards and the auditor's verdicts. Zero outside a session.
+	// every query, sampled or not): the key on which /queries/{id} joins
+	// the sampled record, its guards and the auditor's read events and
+	// verdicts. Zero outside a session.
 	Query uint64 `json:"query_id"`
 	// Label is the guard's diagnostic name (SwitchUnion.Label).
 	Label string `json:"label"`

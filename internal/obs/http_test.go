@@ -12,8 +12,7 @@ func TestHandlerMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits_total").Add(7)
 	refreshed := 0
-	var ts TraceStore
-	h := NewHandler(Ops{Registry: reg, Traces: &ts, Refresh: func() { refreshed++; reg.Gauge("derived_now").Set(42) }})
+	h := NewHandler(Ops{Registry: reg, Refresh: func() { refreshed++; reg.Gauge("derived_now").Set(42) }})
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -35,23 +34,21 @@ func TestHandlerMetrics(t *testing.T) {
 	}
 }
 
-func TestHandlerTraceLast(t *testing.T) {
-	reg := NewRegistry()
-	var ts TraceStore
-	h := NewHandler(Ops{Registry: reg, Traces: &ts})
-
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/trace/last", nil))
-	if !strings.Contains(rr.Body.String(), "no trace recorded") {
-		t.Fatalf("empty trace body: %s", rr.Body.String())
+// TestHandlerPprof: the runtime's profiles are mounted under /debug/pprof/,
+// on any Ops, wired or not.
+func TestHandlerPprof(t *testing.T) {
+	h := NewHandler(Ops{})
+	for _, url := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1", "/debug/pprof/cmdline"} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
+		if rr.Code != 200 {
+			t.Fatalf("GET %s = %d: %s", url, rr.Code, rr.Body.String())
+		}
 	}
-
-	ts.Set("SELECT 1", &TraceNode{Name: "Scan(T)", Opens: 1, Rows: 3})
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/trace/last", nil))
-	body := rr.Body.String()
-	if !strings.Contains(body, "-- SELECT 1") || !strings.Contains(body, "Scan(T)") {
-		t.Fatalf("trace body:\n%s", body)
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/pprof/goroutine?debug=1", nil))
+	if !strings.Contains(rr.Body.String(), "goroutine profile") {
+		t.Fatalf("goroutine profile body:\n%s", rr.Body.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the observability subsystem: a lock-free metrics registry
 // (counters, gauges, log-scale latency histograms, labeled families) with
 // text/JSON snapshot encoders, per-query execution trace trees, and an
-// expvar-style HTTP handler serving /metrics and /trace/last.
+// expvar-style HTTP handler serving /metrics and the rest of the ops surface.
 //
 // Design constraints, in order:
 //

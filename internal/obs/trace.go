@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -110,11 +109,12 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// Clone deep-copies the trace tree, including guard records. Publication
-// sites clone before sharing so a published tree is immutable: the original
-// nodes stay wired into the instrumented operator tree (exec.Instrument
-// wraps children in place), and any future re-execution of that tree would
-// otherwise mutate counters under a concurrent /trace/last reader.
+// Clone deep-copies the trace tree, including guard records. A query record
+// clones its tree (QueryTrace.Trace) so what it publishes is immutable: the
+// original nodes stay wired into the instrumented operator tree
+// (exec.Instrument wraps children in place), and any future re-execution of
+// that tree would otherwise mutate counters under a concurrent reader of the
+// record.
 func (n *TraceNode) Clone() *TraceNode {
 	if n == nil {
 		return nil
@@ -131,30 +131,4 @@ func (n *TraceNode) Clone() *TraceNode {
 		}
 	}
 	return &cp
-}
-
-// TraceStore retains the most recent execution trace, for the /trace/last
-// endpoint and the shell's \trace meta command.
-type TraceStore struct {
-	mu   sync.Mutex
-	sql  string
-	root *TraceNode
-}
-
-// Set stores the latest trace with the statement that produced it. The tree
-// is deep-copied on publication (copy-on-finish), so readers returned by
-// Last can never observe mutations from a later run of the same
-// instrumented operator tree.
-func (t *TraceStore) Set(sql string, root *TraceNode) {
-	root = root.Clone()
-	t.mu.Lock()
-	t.sql, t.root = sql, root
-	t.mu.Unlock()
-}
-
-// Last returns the most recent trace, or nil if none was recorded.
-func (t *TraceStore) Last() (string, *TraceNode) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sql, t.root
 }

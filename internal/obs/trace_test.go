@@ -71,21 +71,3 @@ func TestTraceTotalAndUnknownStaleness(t *testing.T) {
 		t.Fatalf("unknown staleness not rendered: %s", s)
 	}
 }
-
-func TestTraceStore(t *testing.T) {
-	var ts TraceStore
-	if _, root := ts.Last(); root != nil {
-		t.Fatal("empty store must return nil")
-	}
-	n := &TraceNode{Name: "Scan(T)"}
-	ts.Set("SELECT 1", n)
-	sql, root := ts.Last()
-	if sql != "SELECT 1" || root == nil || root.Name != "Scan(T)" {
-		t.Fatalf("last = %q, %v", sql, root)
-	}
-	// Publication is by deep copy: the stored tree never aliases the
-	// caller's nodes (see TestTraceStoreCopyOnFinish).
-	if root == n {
-		t.Fatal("stored trace aliases the caller's tree")
-	}
-}

@@ -3,7 +3,6 @@ package obs
 import (
 	"slices"
 	"sync/atomic"
-	"time"
 )
 
 // Span-event kinds (span_events_total{kind}). Fixed strings: dynamic event
@@ -31,10 +30,10 @@ const (
 
 // Tracer is the always-on query-lifecycle tracer: a deterministic 1-in-N
 // sampler over a monotone query counter (so seeded chaos and bench runs
-// sample the same queries every time) feeding a Ring of completed
-// QueryRecords, plus span-event counters for link retries, breaker
-// transitions and replication applies. The counter is also the query id:
-// every query gets one, sampled or not.
+// sample the same queries every time), which also samples every EXPLAIN
+// ANALYZE, feeding a Ring of completed QueryRecords, plus span-event
+// counters for link retries, breaker transitions and replication applies.
+// The counter is also the query id: every query gets one, sampled or not.
 //
 // The untraced hot path is a single atomic add — no allocation, no lock.
 type Tracer struct {
@@ -79,6 +78,18 @@ func (t *Tracer) Recent() []QueryRecord {
 	return out
 }
 
+// Record returns the retained record of query id, if the ring still holds
+// it.
+func (t *Tracer) Record(id uint64) (rec QueryRecord, ok bool) {
+	t.ring.Each(func(seq uint64, r QueryRecord) {
+		if r.QueryID == id {
+			rec, ok = r, true
+			rec.Seq = seq
+		}
+	})
+	return rec, ok
+}
+
 // SampleEvery returns the sampling period N (1 = every query).
 func (t *Tracer) SampleEvery() int {
 	if t == nil {
@@ -90,14 +101,15 @@ func (t *Tracer) SampleEvery() int {
 // Begin numbers one query and, when it is sampled, starts its lifecycle
 // trace in qt (reset; the caller owns the storage and may reuse it once the
 // trace is finished). It returns the query id and qt, or nil on the unsampled
-// path — one atomic add, zero allocations. The first query is always sampled;
-// thereafter every N-th by arrival order.
-func (t *Tracer) Begin(sql string, qt *QueryTrace) (uint64, *QueryTrace) {
+// path — one atomic add, zero allocations. An analyzed query is always
+// sampled; of the rest, the first query and thereafter every N-th by arrival
+// order.
+func (t *Tracer) Begin(sql string, analyze bool, qt *QueryTrace) (uint64, *QueryTrace) {
 	if t == nil {
 		return 0, nil
 	}
 	n := t.count.Add(1)
-	if (n-1)%t.every != 0 {
+	if (n-1)%t.every != 0 && !analyze {
 		return n, nil
 	}
 	t.sampled.Inc()
@@ -122,13 +134,6 @@ type QueryTrace struct {
 	rec QueryRecord
 }
 
-// Parse records the parse-phase duration.
-func (q *QueryTrace) Parse(d time.Duration) {
-	if q != nil {
-		q.rec.ParseNS = int64(d)
-	}
-}
-
 // Tenant labels the record with the session's tenant class (empty = no
 // tenant attribution; the field is omitted from the JSON).
 func (q *QueryTrace) Tenant(name string) {
@@ -137,32 +142,13 @@ func (q *QueryTrace) Tenant(name string) {
 	}
 }
 
-// Plan records the plan-phase duration (cache lookup or optimization).
-func (q *QueryTrace) Plan(d time.Duration) {
-	if q != nil {
-		q.rec.PlanNS = int64(d)
-	}
-}
-
-// Exec records the execution-phase duration.
-func (q *QueryTrace) Exec(d time.Duration) {
-	if q != nil {
-		q.rec.ExecNS = int64(d)
-	}
-}
-
-// Guard records one guard decision of the query: it joins Guards, and the
-// record's flat guard fields summarize it — all of them from this one event,
-// so after the last decision they describe a guard that ran.
+// Guard records one guard decision of the query; a degraded one marks the
+// record degraded.
 func (q *QueryTrace) Guard(g GuardEvent) {
-	if q == nil {
-		return
+	if q != nil {
+		q.rec.Guards = append(q.rec.Guards, g)
+		q.rec.Degraded = q.rec.Degraded || g.Degraded
 	}
-	r := &q.rec
-	r.Guards = append(r.Guards, g)
-	r.Region, r.Branch, r.BoundNS = g.Region, g.Branch(), int64(g.Bound)
-	r.GuardNS, r.StalenessNS, r.StalenessKnown = int64(g.GuardTime), int64(g.Staleness), g.StalenessKnown
-	r.Degraded, r.BlockWaits = g.Degraded, g.BlockWaits
 }
 
 // MarkDegraded flags the record as a degraded serve independent of any
@@ -180,13 +166,22 @@ func (q *QueryTrace) Retries(n int64) {
 	}
 }
 
+// Trace gives the record a copy of the query's EXPLAIN ANALYZE tree (nil
+// for a query run without one): the original nodes stay wired into the
+// instrumented operator tree, which a later run would mutate under a reader
+// of the published record.
+func (q *QueryTrace) Trace(root *TraceNode) {
+	if q != nil {
+		q.rec.Trace = root.Clone()
+	}
+}
+
 // Finish publishes the completed record into the tracer's ring.
 func (q *QueryTrace) Finish(failed bool) {
 	if q == nil {
 		return
 	}
 	q.rec.Failed = failed
-	q.rec.TotalNS = q.rec.ParseNS + q.rec.PlanNS + q.rec.ExecNS
 	if q.rec.Guards == nil {
 		q.rec.Guards = []GuardEvent{}
 	}
@@ -194,13 +189,12 @@ func (q *QueryTrace) Finish(failed bool) {
 }
 
 // QueryRecord is one completed query's lifecycle record, published into the
-// tracer's ring by the sampled tracing path. All durations are nanoseconds so
-// the JSON encoding is stable integers.
+// tracer's ring by the sampled tracing path.
 type QueryRecord struct {
 	// Seq is the record's publish sequence in the ring (monotone per tracer).
 	Seq uint64 `json:"seq"`
 	// QueryID is the query's id (see GuardEvent.Query): the auditor's
-	// violations of this query carry the same number.
+	// read events and violations of this query carry the same number.
 	QueryID uint64 `json:"query_id"`
 	// SQLHash is the FNV-1a hash of the canonical query text, the stable
 	// identity for aggregating repeated statements.
@@ -210,36 +204,19 @@ type QueryRecord struct {
 	// Tenant is the issuing session's tenant class, when the session set
 	// one (multi-tenant load runs); empty otherwise.
 	Tenant string `json:"tenant,omitempty"`
-	// Guards is every guard decision of the query, in order (Q5 has two).
-	// The flat guard fields below — BoundNS, Region, Branch, Degraded,
-	// BlockWaits, StalenessNS, StalenessKnown, GuardNS — summarize the last
-	// of them; they are zero for unguarded plans.
+	// Guards is every guard decision of the query, in order (Q5 has two);
+	// empty for unguarded plans.
 	Guards []GuardEvent `json:"guards"`
-	// BoundNS is the currency bound on the guarded region; 0 means the query
-	// carried no (finite) currency bound.
-	BoundNS int64 `json:"bound_ns"`
-	Region  int   `json:"region"`
-	// Branch is "local", "remote", or "" for unguarded plans.
-	Branch string `json:"branch"`
-	// Degraded is set when the answer came from the local branch only
-	// because the remote fall-back was unavailable, or from the serve-stale
-	// rerun.
-	Degraded   bool `json:"degraded"`
-	BlockWaits int  `json:"block_waits"`
+	// Degraded is set when a guard's answer came from the local branch only
+	// because the remote fall-back was unavailable, or the answer from the
+	// serve-stale rerun.
+	Degraded bool `json:"degraded"`
 	// Retries is how many link retry attempts the query paid for.
-	Retries        int64 `json:"retries"`
-	StalenessNS    int64 `json:"staleness_ns"`
-	StalenessKnown bool  `json:"staleness_known"`
+	Retries int64 `json:"retries"`
 	// Failed is set when execution returned an error.
 	Failed bool `json:"failed"`
-	// Per-phase durations of the lifecycle: parse, plan (cache lookup or
-	// optimization), guard (selector evaluation) and execution. TotalNS is
-	// the sum over parse+plan+exec (guard time is inside exec).
-	ParseNS int64 `json:"parse_ns"`
-	PlanNS  int64 `json:"plan_ns"`
-	GuardNS int64 `json:"guard_ns"`
-	ExecNS  int64 `json:"exec_ns"`
-	TotalNS int64 `json:"total_ns"`
+	// Trace is the query's EXPLAIN ANALYZE tree, when it ran under one.
+	Trace *TraceNode `json:"trace,omitempty"`
 }
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.

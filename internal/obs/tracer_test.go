@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 
 // begin starts a trace in fresh storage: the sampled trace, or nil.
 func begin(tr *Tracer, sql string) *QueryTrace {
-	_, qt := tr.Begin(sql, new(QueryTrace))
+	_, qt := tr.Begin(sql, false, new(QueryTrace))
 	return qt
 }
 
@@ -51,15 +52,13 @@ func TestTracerRecordLifecycle(t *testing.T) {
 	if qt == nil {
 		t.Fatal("every=1 must sample every query")
 	}
-	qt.Parse(1 * time.Millisecond)
-	qt.Plan(2 * time.Millisecond)
-	qt.Exec(4 * time.Millisecond)
-	qt.Guard(GuardEvent{
-		Region: 1, Chosen: 0, Bound: 5 * time.Second,
+	g := GuardEvent{
+		Query: 1, Region: 1, Chosen: 0, Bound: 5 * time.Second,
 		GuardTime: 10 * time.Microsecond,
 		Staleness: 3 * time.Second, StalenessKnown: true,
 		Degraded: true, BlockWaits: 2,
-	})
+	}
+	qt.Guard(g)
 	qt.Retries(3)
 	qt.Finish(false)
 
@@ -71,20 +70,46 @@ func TestTracerRecordLifecycle(t *testing.T) {
 	if rec.SQL != "SELECT v FROM T" || rec.SQLHash != HashSQL(rec.SQL) {
 		t.Fatalf("sql/hash mismatch: %+v", rec)
 	}
-	if rec.Branch != "local" || rec.Region != 1 || !rec.Degraded || rec.BlockWaits != 2 {
-		t.Fatalf("guard fields wrong: %+v", rec)
+	if len(rec.Guards) != 1 || rec.Guards[0] != g || !rec.Degraded {
+		t.Fatalf("guard wrong: %+v", rec)
 	}
-	if rec.BoundNS != int64(5*time.Second) || rec.StalenessNS != int64(3*time.Second) || !rec.StalenessKnown {
-		t.Fatalf("bound/staleness wrong: %+v", rec)
+	if rec.Retries != 3 || rec.Failed || rec.Trace != nil {
+		t.Fatalf("retries/failed/trace wrong: %+v", rec)
 	}
-	if rec.Retries != 3 || rec.Failed {
-		t.Fatalf("retries/failed wrong: %+v", rec)
+	if got, ok := tr.Record(rec.QueryID); !ok || got.Seq != rec.Seq || got.SQL != rec.SQL {
+		t.Fatalf("Record(%d) = %+v, %v", rec.QueryID, got, ok)
 	}
-	if rec.TotalNS != rec.ParseNS+rec.PlanNS+rec.ExecNS || rec.TotalNS != int64(7*time.Millisecond) {
-		t.Fatalf("total wrong: %+v", rec)
+	if _, ok := tr.Record(rec.QueryID + 1); ok {
+		t.Fatal("Record found a query that was never traced")
 	}
-	if rec.GuardNS != int64(10*time.Microsecond) {
-		t.Fatalf("guard time wrong: %+v", rec)
+}
+
+// TestAnalyzedQueryIsAlwaysSampled: an EXPLAIN ANALYZE query is sampled off
+// the 1-in-N slots too, keeps a copy of its tree, and moves no other query's
+// sampling.
+func TestAnalyzedQueryIsAlwaysSampled(t *testing.T) {
+	tr := NewTracer(NewRegistry(), 4, 16)
+	var store QueryTrace
+	var sampled []uint64
+	for i := 0; i < 9; i++ {
+		id, qt := tr.Begin("SELECT v FROM T", i == 2, &store)
+		if qt != nil {
+			sampled = append(sampled, id)
+		}
+		if i == 2 {
+			qt.Trace(&TraceNode{Name: "Scan(T)", Opens: 1, Rows: 2})
+		}
+		qt.Finish(false)
+	}
+	if want := []uint64{1, 3, 5, 9}; !slices.Equal(sampled, want) {
+		t.Fatalf("sampled %v, want %v", sampled, want)
+	}
+	rec, ok := tr.Record(3)
+	if !ok || rec.Trace == nil || rec.Trace.Name != "Scan(T)" || rec.Trace.Rows != 2 {
+		t.Fatalf("analyzed record = %+v, %v", rec, ok)
+	}
+	if rec, _ := tr.Record(5); rec.Trace != nil {
+		t.Fatalf("the query after it inherited its trace: %+v", rec.Trace)
 	}
 }
 
@@ -92,16 +117,15 @@ func TestTracerRecordLifecycle(t *testing.T) {
 // swallow every call — the call sites thread them unconditionally.
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
-	if id, qt := tr.Begin("x", new(QueryTrace)); id != 0 || qt != nil {
+	if id, qt := tr.Begin("x", true, new(QueryTrace)); id != 0 || qt != nil {
 		t.Fatal("nil tracer must not sample")
 	}
 	tr.Event(EventRemoteRetry)
 	var qt *QueryTrace
-	qt.Parse(time.Second)
-	qt.Plan(time.Second)
-	qt.Exec(time.Second)
 	qt.Guard(GuardEvent{})
 	qt.Retries(1)
+	qt.Trace(&TraceNode{})
+	qt.MarkDegraded()
 	qt.Finish(true)
 }
 
@@ -127,13 +151,13 @@ func TestUntracedHotPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 1<<30, 16)
 	var store QueryTrace
-	tr.Begin("warm", &store) // consume the always-sampled first slot
+	tr.Begin("warm", false, &store) // consume the always-sampled first slot
 	ledger := NewRegionLedger(reg, time.Time{})
 	obsv := GuardEvent{Region: 1, Chosen: 0, Bound: time.Second,
 		Staleness: time.Millisecond, StalenessKnown: true}
 	ledger.Observe(obsv) // make the region's record once
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if id, qt := tr.Begin("SELECT v FROM T WHERE id = 1", &store); id == 0 || qt != nil {
+		if id, qt := tr.Begin("SELECT v FROM T WHERE id = 1", false, &store); id == 0 || qt != nil {
 			t.Fatal("sampling period overflowed")
 		}
 		ledger.Observe(obsv)
@@ -144,15 +168,14 @@ func TestUntracedHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestRecordKeepsEveryGuard: a statement with two guards (the paper's Q5)
-// records both decisions, in order, as the events the guards published, and
-// its flat guard fields describe the last one only. A bounded guard followed
-// by an unbounded one used to leave the first guard's bound and the sum of
-// both guard times on a record that otherwise described the second.
+// records both decisions, in order, as the events the guards published; a
+// degraded first guard marks the record degraded although the second one is
+// not.
 func TestRecordKeepsEveryGuard(t *testing.T) {
 	tr := NewTracer(NewRegistry(), 1, 16)
 	qt := begin(tr, "SELECT two guards")
 	first := GuardEvent{Query: 1, Label: "g1", Region: 1, Chosen: 0, Bound: 5 * time.Second,
-		GuardTime: 10 * time.Microsecond, Staleness: 3 * time.Second, StalenessKnown: true, BlockWaits: 1}
+		GuardTime: 10 * time.Microsecond, Staleness: 3 * time.Second, StalenessKnown: true, BlockWaits: 1, Degraded: true}
 	second := GuardEvent{Query: 1, Label: "g2", Region: 2, Chosen: 1, GuardTime: 4 * time.Microsecond}
 	qt.Guard(first)
 	qt.Guard(second)
@@ -161,16 +184,15 @@ func TestRecordKeepsEveryGuard(t *testing.T) {
 	if len(rec.Guards) != 2 || rec.Guards[0] != first || rec.Guards[1] != second {
 		t.Fatalf("guards = %+v", rec.Guards)
 	}
-	if rec.Region != 2 || rec.Branch != "remote" || rec.BoundNS != 0 || rec.GuardNS != int64(4*time.Microsecond) ||
-		rec.StalenessNS != 0 || rec.StalenessKnown || rec.Degraded || rec.BlockWaits != 0 {
-		t.Fatalf("flat fields do not describe the last guard: %+v", rec)
+	if !rec.Degraded {
+		t.Fatalf("a degraded guard left the record undegraded: %+v", rec)
 	}
 	// A reused trace starts clean: the published record keeps its guards.
-	_, qt = tr.Begin("SELECT none", qt)
+	_, qt = tr.Begin("SELECT none", false, qt)
 	qt.Finish(false)
 	recs := tr.Recent()
-	if len(recs[0].Guards) != 0 || recs[0].Guards == nil || len(recs[1].Guards) != 2 {
-		t.Fatalf("reuse leaked guards: %+v / %+v", recs[0].Guards, recs[1].Guards)
+	if len(recs[0].Guards) != 0 || recs[0].Guards == nil || recs[0].Degraded || len(recs[1].Guards) != 2 {
+		t.Fatalf("reuse leaked guards: %+v / %+v", recs[0], recs[1].Guards)
 	}
 }
 
@@ -181,7 +203,7 @@ func TestQueryRingNewestFirstAndEviction(t *testing.T) {
 	tr := NewTracer(NewRegistry(), 2, 16)
 	for i := 0; i < 80; i++ {
 		qt := begin(tr, "SELECT 1")
-		qt.Exec(time.Duration(i))
+		qt.Retries(int64(i))
 		qt.Finish(false)
 	}
 	recs := tr.Recent()
@@ -190,8 +212,8 @@ func TestQueryRingNewestFirstAndEviction(t *testing.T) {
 	}
 	for i, rec := range recs {
 		// Every other query is sampled: the k-th record is query 2k-1.
-		if want := uint64(40 - i); rec.Seq != want || rec.QueryID != 2*want-1 || rec.ExecNS != int64(2*want-2) {
-			t.Fatalf("record %d: seq %d query %d exec %d, want seq %d query %d", i, rec.Seq, rec.QueryID, rec.ExecNS, want, 2*want-1)
+		if want := uint64(40 - i); rec.Seq != want || rec.QueryID != 2*want-1 || rec.Retries != int64(2*want-2) {
+			t.Fatalf("record %d: seq %d query %d retries %d, want seq %d query %d", i, rec.Seq, rec.QueryID, rec.Retries, want, 2*want-1)
 		}
 	}
 }
@@ -209,7 +231,7 @@ func TestQueryRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			var store QueryTrace
 			for i := 0; i < 2000; i++ {
-				id, qt := tr.Begin("SELECT v FROM T", &store)
+				id, qt := tr.Begin("SELECT v FROM T", false, &store)
 				for g := uint64(0); g <= id%3; g++ {
 					qt.Guard(GuardEvent{Query: id, Region: int(g)})
 				}

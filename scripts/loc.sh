@@ -11,16 +11,16 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
-ceilings="the total outside bench/|25911|all
+ceilings="the total outside bench/|25851|all
 internal/exec|3811|exec
-the spine ($spine)|4565|$spine
+the spine ($spine)|4504|$spine
 internal/harness|2757|harness
 internal/analysis|1361|analysis
 internal/opt|3267|opt
 internal/sqlparser|2243|sqlparser
 internal/sqltypes|1388|sqltypes
 the store (storage + btree)|1094|storage btree
-internal/backend|796|backend
+internal/backend|769|backend
 internal/repl|694|repl
 internal/remote|375|remote"
 

@@ -2,11 +2,12 @@
 # Lists the functions that only the unit tests reach and those nothing
 # reaches. "Reached" means run by a coverage build of ./bench (its four
 # workloads, timed and traced, one second each), every rccbench mode (the
-# short load sweep also paced on the wall clock, some six seconds),
-# rccsql fed a script, rccdemo, rcclint and the examples. The unit tests'
-# profile comes from `go test -coverpkg=./...`. No gate: every listed
-# function needs a reason to stay (DESIGN §10). Keeps its files in $REACH_DIR
-# (default: a temporary directory).
+# short load sweep also paced on the wall clock, some six seconds; -pairs on
+# the committed fixture cmd/rccbench/testdata/pairs), rccsql fed a script,
+# rccdemo, rcclint and the examples. The unit tests' profile comes from `go
+# test -coverpkg=./...`. No gate: every listed function needs a reason to
+# stay (DESIGN §10). Keeps its files in $REACH_DIR (default: a temporary
+# directory).
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,13 +18,14 @@ export GOCOVERDIR=$dir/run
 for w in point_hot mix_zipf analytic read_write; do
   for t in 0 1; do "$dir/bin/bench" -workload "$w" -seconds 1 -trace "$t" -out "$dir/cwd" >/dev/null; done
 done
-cp BENCH_baseline.json "$dir/cwd/"
+cp BENCH_baseline.json BENCHMARK.json "$dir/cwd/"
 (cd "$dir/cwd" && for mode in "" "-extras -metrics -autotune" -chaos "-chaos -audit" "-chaos -audit -broken-guard" \
-  -shift "-shift -audit" "-load -load-short -load-json load.json" "-load -load-short -wall" "-bench-text $root/internal/harness/testdata/bench_procs2.txt"; do
+  -shift "-shift -audit" "-load -load-short -load-json load.json" "-load -load-short -wall" "-bench-text $root/internal/harness/testdata/bench_procs2.txt" \
+  "-pairs $root/cmd/rccbench/testdata/pairs"; do
   "$dir/bin/rccbench" $mode -snapshot "$dir/cwd/snap" >/dev/null 2>&1
 done)
 printf '%s\n' 'SELECT c_name FROM Customer WHERE c_custkey = 17 CURRENCY 60 ON (Customer)' '\run 30s' '\regions' '\stats' \
-  '\metrics' '\trace' '\tuner' 'EXPLAIN ANALYZE SELECT COUNT(*) FROM Orders' '\plan SELECT c_name FROM Customer' '\q' |
+  '\metrics' '\trace' '\tuner' 'EXPLAIN ANALYZE SELECT COUNT(*) FROM Orders' '\trace' '\plan SELECT c_name FROM Customer' '\q' |
   "$dir/bin/rccsql" -autotune >/dev/null
 for b in rccdemo rcclint bookstore loadshift quickstart sessions; do "$dir/bin/$b" >/dev/null 2>&1; done
 unset GOCOVERDIR
