@@ -283,6 +283,41 @@ func TestRingOverflowCountsDrops(t *testing.T) {
 	}
 }
 
+// TestReadsOfDropsACutGroup: a query whose group of events the ring has
+// overwritten only the head of is not found — neither by ReadsOf nor by
+// Explain, which would otherwise judge the tail alone — while a whole group
+// is, before and after the overflow.
+func TestReadsOfDropsACutGroup(t *testing.T) {
+	a := New(obs.NewRegistry(), txn.NewLog())
+	a.reads = obs.NewRing[ReadEvent](4)
+	a.RegisterObject(1, "T", 0)
+	commit(a, 1, 0, "T")
+	first, second := read(5*time.Second, time.Second, 1), read(5*time.Second, time.Second, 1)
+	second.Query = first.Query
+	a.Reads([]ReadEvent{first, second})
+	if got := a.ReadsOf(first.Query); len(got) != 2 {
+		t.Fatalf("a whole group in a ring that dropped nothing: %d events", len(got))
+	}
+	var last uint64
+	for i := 0; i < 3; i++ {
+		ev := read(5*time.Second, time.Second, 1)
+		last = ev.Query
+		a.Reads([]ReadEvent{ev})
+	}
+	if got := a.ReadsOf(first.Query); got != nil {
+		t.Fatalf("the group's head was overwritten, yet ReadsOf found %+v", got)
+	}
+	if reads, ring := a.Explain(first.Query); reads != nil || ring != 4 {
+		t.Fatalf("Explain of a cut group = %+v, ring %d", reads, ring)
+	}
+	if got := a.ReadsOf(last); len(got) != 1 {
+		t.Fatalf("the newest group: %d events", len(got))
+	}
+	if reads, _ := a.Explain(last); reads.(QueryAudit).Audit.ReadsChecked != 1 {
+		t.Fatalf("Explain of the newest group = %+v", reads)
+	}
+}
+
 func TestReplayMatchesOnline(t *testing.T) {
 	a := newTestAuditor()
 	a.RegisterObject(1, "T", 0)
