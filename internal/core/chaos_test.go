@@ -254,7 +254,10 @@ func TestChaosFailFastWithoutDegradation(t *testing.T) {
 // to the healthy propagation bound.
 func TestChaosAgentStallRestartRecovers(t *testing.T) {
 	sys, inj := chaosSystem(t)
-	agent := sys.Cache.Agent(1)
+	if len(sys.Watchdogs) != 1 {
+		t.Fatalf("%d watchdogs, want region 1's", len(sys.Watchdogs))
+	}
+	wd := sys.Watchdogs[0]
 
 	healthy := func() time.Duration {
 		ts, ok := sys.Cache.LastSync(1)
@@ -273,7 +276,7 @@ func TestChaosAgentStallRestartRecovers(t *testing.T) {
 	if err := sys.Run(25 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := agent.Restarts(); got != 0 {
+	if got := wd.Restarts(); got != 0 {
 		t.Fatalf("watchdog restarted after %s of stall (restarts=%d), threshold is 30s", 25*time.Second, got)
 	}
 	stalled := healthy()
@@ -286,7 +289,7 @@ func TestChaosAgentStallRestartRecovers(t *testing.T) {
 	if err := sys.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := agent.Restarts(); got == 0 {
+	if got := wd.Restarts(); got == 0 {
 		t.Fatal("watchdog never restarted the stalled agent")
 	}
 	if inj.AgentStalled(1) {

@@ -29,8 +29,7 @@ func (s *System) watch(a *repl.Agent) {
 		return
 	}
 	s.watched[a.Region.ID] = true
-	wd := repl.NewWatchdog(a)
-	wd.Instrument(s.Cache.Obs())
+	wd := repl.NewWatchdog(a, s.Cache.Obs())
 	s.Watchdogs = append(s.Watchdogs, wd)
 	// Check on the agent's own cadence — re-read every due-time computation
 	// so the watchdog follows autotuner retunes: the default stall threshold

@@ -180,7 +180,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep.LinkFailures = stats.Failures
 	rep.BreakerTrips = stats.BreakerTrips
 	for _, wd := range sys.Watchdogs {
-		rep.AgentRestarts += wd.Agent().Restarts()
+		rep.AgentRestarts += wd.Restarts()
 	}
 	rep.Injected = inj.Stats()
 	rep.SLO = renderSLO(sys.Cache.Ledger().SLO())

@@ -328,9 +328,7 @@ func (c *Cache) AddRegion(r *catalog.Region) (*repl.Agent, error) {
 		return nil, err
 	}
 	c.link.PaceProbes(rc.HeartbeatInterval)
-	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable)
-	agent.Instrument(c.obs.reg)
-	agent.SetTracer(c.obs.tracer)
+	agent := repl.NewAgent(&rc, c.back.Log(), backend.HeartbeatTable, c.obs.reg, c.obs.tracer)
 	c.mu.Lock()
 	c.agents[r.ID] = agent
 	c.mu.Unlock()

@@ -11,8 +11,9 @@
 //  2. Registration (Registry.Counter etc.) is get-or-create under a mutex
 //     and meant for wiring time; callers cache the returned instrument.
 //  3. Metric names are validated at registration: lowercase_snake
-//     ([a-z][a-z0-9_]*), unique across instrument kinds. `make metrics-lint`
-//     enforces the same rule statically over the source tree.
+//     ([a-z][a-z0-9_]*), unique across instrument kinds. `make lint`'s
+//     metricnames analyzer enforces the same rule statically over the
+//     source tree.
 package obs
 
 import (
@@ -46,17 +47,11 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores n.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // SetDuration stores d as nanoseconds.
 func (g *Gauge) SetDuration(d time.Duration) { g.v.Store(int64(d)) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Duration returns the current value interpreted as nanoseconds.
-func (g *Gauge) Duration() time.Duration { return time.Duration(g.v.Load()) }
 
 // histBuckets is one bucket per bit length of the observed value: bucket i
 // holds values in [2^(i-1), 2^i), bucket 0 holds zero. 65 buckets cover the
@@ -167,81 +162,47 @@ func bucketMid(i int) int64 {
 	return (lo + hi) / 2
 }
 
-// CounterVec is a family of counters distinguished by one label (e.g.
-// region id). With returns the child for a label value, creating it on
+// Vec is a family of instruments of one kind distinguished by one label
+// (e.g. region id). With returns the child for a label value, creating it on
 // first use; callers cache the child for hot paths.
-type CounterVec struct {
-	name, label string
-	mu          sync.RWMutex
-	kids        map[string]*Counter
+type Vec[T any] struct {
+	label string
+	mu    sync.RWMutex
+	kids  map[string]*T
 }
 
-// With returns the counter for the given label value.
-func (v *CounterVec) With(value string) *Counter {
+// CounterVec, GaugeVec and HistogramVec are the three families.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// With returns the instrument for the given label value.
+func (v *Vec[T]) With(value string) *T {
 	v.mu.RLock()
-	c := v.kids[value]
+	k := v.kids[value]
 	v.mu.RUnlock()
-	if c != nil {
-		return c
+	if k != nil {
+		return k
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c := v.kids[value]; c != nil {
-		return c
+	if k := v.kids[value]; k != nil {
+		return k
 	}
-	c = &Counter{}
-	v.kids[value] = c
-	return c
+	k = new(T)
+	v.kids[value] = k
+	return k
 }
 
-// GaugeVec is a family of gauges distinguished by one label.
-type GaugeVec struct {
-	name, label string
-	mu          sync.RWMutex
-	kids        map[string]*Gauge
-}
-
-// With returns the gauge for the given label value.
-func (v *GaugeVec) With(value string) *Gauge {
+// snapshotVec stores each child's value under its `name{label="value"}` key.
+func snapshotVec[T, V any](out map[string]V, name string, v *Vec[T], value func(*T) V) {
 	v.mu.RLock()
-	g := v.kids[value]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
+	defer v.mu.RUnlock()
+	for lv, k := range v.kids {
+		out[labeledKey(name, v.label, lv)] = value(k)
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g := v.kids[value]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	v.kids[value] = g
-	return g
-}
-
-// HistogramVec is a family of histograms distinguished by one label.
-type HistogramVec struct {
-	name, label string
-	mu          sync.RWMutex
-	kids        map[string]*Histogram
-}
-
-// With returns the histogram for the given label value.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h := v.kids[value]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h := v.kids[value]; h != nil {
-		return h
-	}
-	h = &Histogram{}
-	v.kids[value] = h
-	return h
 }
 
 // ValidName reports whether a metric name is lowercase_snake:
@@ -267,127 +228,74 @@ func ValidName(name string) bool {
 // registering it with a different kind, or with an invalid name, panics
 // (registration is wiring-time code, like expvar.Publish).
 type Registry struct {
-	mu       sync.Mutex
-	kinds    map[string]string
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	cvecs    map[string]*CounterVec
-	gvecs    map[string]*GaugeVec
-	hvecs    map[string]*HistogramVec
+	mu      sync.Mutex
+	metrics map[string]metric
+}
+
+// metric is one registered instrument: a *Counter, *Gauge, *Histogram or a
+// *Vec of one of them, and the name of its kind.
+type metric struct {
+	kind string
+	inst any
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		kinds:    map[string]string{},
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		cvecs:    map[string]*CounterVec{},
-		gvecs:    map[string]*GaugeVec{},
-		hvecs:    map[string]*HistogramVec{},
-	}
+	return &Registry{metrics: map[string]metric{}}
 }
 
-func (r *Registry) claim(name, kind string) {
+// register returns the instrument registered under name, creating it with
+// mk on first use.
+func register[T any](r *Registry, name, kind string, mk func() *T) *T {
 	if !ValidName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q (want lowercase_snake)", name))
 	}
-	if have, ok := r.kinds[name]; ok && have != kind {
-		panic(fmt.Sprintf("obs: metric %q already registered as %s, not %s", name, have, kind))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := r.metrics[name]
+	if !ok {
+		m = metric{kind, mk()}
+		r.metrics[name] = m
 	}
-	r.kinds[name] = kind
+	if m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q already registered as %s, not %s", name, m.kind, kind))
+	}
+	return m.inst.(*T)
+}
+
+// registerVec returns the named family with one label key.
+func registerVec[T any](r *Registry, name, label, kind string) *Vec[T] {
+	return register(r, name, kind, func() *Vec[T] { return &Vec[T]{label: label, kids: map[string]*T{}} })
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "counter")
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return register(r, name, "counter", func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gauge")
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return register(r, name, "gauge", func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "histogram")
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return register(r, name, "histogram", func() *Histogram { return &Histogram{} })
 }
 
 // CounterVec returns the named counter family with one label key.
 func (r *Registry) CounterVec(name, label string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "counter_vec")
-	v := r.cvecs[name]
-	if v == nil {
-		v = &CounterVec{name: name, label: label, kids: map[string]*Counter{}}
-		r.cvecs[name] = v
-	}
-	return v
+	return registerVec[Counter](r, name, label, "counter_vec")
 }
 
 // GaugeVec returns the named gauge family with one label key.
 func (r *Registry) GaugeVec(name, label string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gauge_vec")
-	v := r.gvecs[name]
-	if v == nil {
-		v = &GaugeVec{name: name, label: label, kids: map[string]*Gauge{}}
-		r.gvecs[name] = v
-	}
-	return v
+	return registerVec[Gauge](r, name, label, "gauge_vec")
 }
 
 // HistogramVec returns the named histogram family with one label key.
 func (r *Registry) HistogramVec(name, label string) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "histogram_vec")
-	v := r.hvecs[name]
-	if v == nil {
-		v = &HistogramVec{name: name, label: label, kids: map[string]*Histogram{}}
-		r.hvecs[name] = v
-	}
-	return v
-}
-
-// Names returns every registered base metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.kinds))
-	for name := range r.kinds {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return registerVec[Histogram](r, name, label, "histogram_vec")
 }
 
 // HistogramSnapshot summarizes a histogram at snapshot time.
@@ -430,35 +338,21 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = histSnap(h)
-	}
-	for name, v := range r.cvecs {
-		v.mu.RLock()
-		for lv, c := range v.kids {
-			s.Counters[labeledKey(name, v.label, lv)] = c.Value()
+	for name, m := range r.metrics {
+		switch in := m.inst.(type) {
+		case *Counter:
+			s.Counters[name] = in.Value()
+		case *Gauge:
+			s.Gauges[name] = in.Value()
+		case *Histogram:
+			s.Histograms[name] = histSnap(in)
+		case *CounterVec:
+			snapshotVec(s.Counters, name, in, (*Counter).Value)
+		case *GaugeVec:
+			snapshotVec(s.Gauges, name, in, (*Gauge).Value)
+		case *HistogramVec:
+			snapshotVec(s.Histograms, name, in, histSnap)
 		}
-		v.mu.RUnlock()
-	}
-	for name, v := range r.gvecs {
-		v.mu.RLock()
-		for lv, g := range v.kids {
-			s.Gauges[labeledKey(name, v.label, lv)] = g.Value()
-		}
-		v.mu.RUnlock()
-	}
-	for name, v := range r.hvecs {
-		v.mu.RLock()
-		for lv, h := range v.kids {
-			s.Histograms[labeledKey(name, v.label, lv)] = histSnap(h)
-		}
-		v.mu.RUnlock()
 	}
 	return s
 }

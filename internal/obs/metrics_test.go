@@ -34,13 +34,12 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("g_now")
 	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
+	if g.Value() != 10 {
+		t.Fatalf("gauge = %d, want 10", g.Value())
 	}
 	g.SetDuration(2 * time.Second)
-	if g.Duration() != 2*time.Second {
-		t.Fatalf("gauge duration = %v", g.Duration())
+	if g.Value() != int64(2*time.Second) {
+		t.Fatalf("gauge = %d, want 2s in nanoseconds", g.Value())
 	}
 }
 
@@ -69,6 +68,10 @@ func TestRegistryPanics(t *testing.T) {
 	r.Counter("taken")
 	mustPanic("kind conflict", func() { r.Gauge("taken") })
 	mustPanic("vec kind conflict", func() { r.CounterVec("taken", "l") })
+	r.CounterVec("taken_vec", "l")
+	mustPanic("vec family conflict", func() { r.GaugeVec("taken_vec", "l") })
+	r.Histogram("taken_ns")
+	mustPanic("histogram vec conflict", func() { r.HistogramVec("taken_ns", "l") })
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -151,23 +154,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if decoded.Histograms[`lat_ns{op="scan"}`].Count != 1 {
 		t.Fatalf("decoded histograms = %v", decoded.Histograms)
-	}
-}
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("zz")
-	r.Counter("aa_total")
-	r.HistogramVec("mm_ns", "k")
-	got := r.Names()
-	want := []string{"aa_total", "mm_ns", "zz"}
-	if len(got) != len(want) {
-		t.Fatalf("names = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
 	}
 }
 

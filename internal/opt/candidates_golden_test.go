@@ -18,7 +18,7 @@ import (
 	"relaxedcc/internal/tpcd"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/candidates.golden")
+var update = flag.Bool("update", false, "rewrite testdata/candidates.golden and testdata/test_selects.corpus")
 
 // TestCandidatesMatchGolden pins every complete plan the optimizer chooses
 // among, in enumeration order, for the statements TestStatementsMatchReference

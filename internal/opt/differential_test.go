@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxedcc/internal/core"
 	"relaxedcc/internal/exec"
 	"relaxedcc/internal/opt"
 	"relaxedcc/internal/sqlparser"
@@ -42,6 +43,17 @@ func TestEveryCandidateAgrees(t *testing.T) {
 			}
 		}
 	}
+	candidates := everyCandidateAgrees(t, sys, stmts)
+	if len(stmts) < 65 || candidates < 267 {
+		t.Errorf("%d statements and %d candidates, want at least 65 and 267", len(stmts), candidates)
+	}
+}
+
+// everyCandidateAgrees runs every candidate of each statement, by name in
+// sorted order, at both sites against the back end's chosen plan, and
+// returns how many candidates it ran.
+func everyCandidateAgrees(t *testing.T, sys *core.System, stmts map[string]string) int {
+	t.Helper()
 	const dop = 4 // as TestCandidatesMatchGolden: the same candidates on any host
 	back := &opt.Site{
 		Cat:        sys.Backend.Catalog(),
@@ -93,9 +105,7 @@ func TestEveryCandidateAgrees(t *testing.T) {
 			}
 		}
 	}
-	if len(stmts) < 65 || candidates < 267 {
-		t.Errorf("%d statements and %d candidates, want at least 65 and 267", len(stmts), candidates)
-	}
+	return candidates
 }
 
 // multiset renders each row exactly — every value with its kind, a float by

@@ -148,7 +148,6 @@ type Agent struct {
 	mu      sync.Mutex
 	subs    []*Subscription
 	lastSeq int64
-	applied int64 // transactions applied, for stats
 	// record holds the view changes of the record Step is on: the images of
 	// each base change's two sides in each subscription it reaches, their
 	// values in images. A change a view covers on neither side is none.
@@ -164,47 +163,34 @@ type Agent struct {
 	// replays; taking it through vclock keeps the package's one wall-clock
 	// read behind the sanctioned wrapper.
 	clock vclock.Clock
-	// restarts counts supervisor-initiated restarts.
-	restarts int64
 
-	// Built-in instrumentation, bound by Instrument; nil fields mean the
-	// agent runs unmetered.
+	// The agent's metrics, registered by NewAgent.
 	mTxns  *obs.Counter   // repl_txns_applied_total{region}
 	mRows  *obs.Counter   // repl_rows_applied_total{region}
 	mApply *obs.Histogram // repl_apply_latency_ns
 	mHbAge *obs.Gauge     // repl_heartbeat_age_ns{region}
 
 	// tracer receives a repl_apply span event per propagation step that
-	// applied transactions; nil means untraced.
+	// applied transactions.
 	tracer *obs.Tracer
 }
 
 // NewAgent creates an agent reading the given commit log. hbTable names the
 // back-end heartbeat table whose row for this region the agent publishes in
-// the region's word.
-func NewAgent(region *catalog.Region, log *txn.Log, hbTable string) *Agent {
-	return &Agent{Region: region, log: log, cursor: log.Reader(), hbTable: hbTable, clock: vclock.Wall{}}
-}
-
-// Instrument binds the agent's built-in metrics to a registry: per-region
+// the region's word. reg receives the agent's metrics: per-region
 // transactions/rows applied, apply latency, and heartbeat age at apply time
-// (the propagation delay the region actually experienced).
-func (a *Agent) Instrument(reg *obs.Registry) {
-	label := strconv.Itoa(a.Region.ID)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.mTxns = reg.CounterVec("repl_txns_applied_total", "region").With(label)
-	a.mRows = reg.CounterVec("repl_rows_applied_total", "region").With(label)
-	a.mApply = reg.Histogram("repl_apply_latency_ns")
-	a.mHbAge = reg.GaugeVec("repl_heartbeat_age_ns", "region").With(label)
-}
-
-// SetTracer attaches lifecycle tracing to the agent: each propagation step
-// that applies transactions emits a repl_apply span event.
-func (a *Agent) SetTracer(t *obs.Tracer) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.tracer = t
+// (the propagation delay the region actually experienced); tracer, a
+// repl_apply span event per propagation step that applies transactions.
+func NewAgent(region *catalog.Region, log *txn.Log, hbTable string, reg *obs.Registry, tracer *obs.Tracer) *Agent {
+	label := strconv.Itoa(region.ID)
+	return &Agent{
+		Region: region, log: log, cursor: log.Reader(), hbTable: hbTable, clock: vclock.Wall{},
+		mTxns:  reg.CounterVec("repl_txns_applied_total", "region").With(label),
+		mRows:  reg.CounterVec("repl_rows_applied_total", "region").With(label),
+		mApply: reg.Histogram("repl_apply_latency_ns"),
+		mHbAge: reg.GaugeVec("repl_heartbeat_age_ns", "region").With(label),
+		tracer: tracer,
+	}
 }
 
 // Interval returns the agent's effective propagation interval: the live
@@ -300,13 +286,6 @@ func (a *Agent) LastProgress() time.Time {
 	return a.lastProgress
 }
 
-// Restarts returns how many times a supervisor has restarted the agent.
-func (a *Agent) Restarts() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.restarts
-}
-
 // Restart simulates killing and re-execing the agent process at time now:
 // progress is re-based so the watchdog does not re-fire immediately, and
 // the fault injector is told so soft wedges (a stuck process) clear while
@@ -315,7 +294,6 @@ func (a *Agent) Restarts() int64 {
 func (a *Agent) Restart(now time.Time) {
 	a.mu.Lock()
 	a.lastProgress = now
-	a.restarts++
 	probe := a.stall
 	a.mu.Unlock()
 	if probe != nil {
@@ -354,13 +332,11 @@ func (a *Agent) Step(now time.Time) error {
 	if a.stall != nil && a.stall.AgentStalled(a.Region.ID) {
 		return nil
 	}
-	var applyStart time.Time
-	if a.mApply != nil {
-		applyStart = a.clock.Now()
-	}
+	applyStart := a.clock.Now()
 	cutoff := now.Add(-a.Region.UpdateDelay)
 	records := a.log.SinceUntil(a.lastSeq, cutoff)
-	var rowsApplied int64
+	var txns, rows int64
+	var err error
 	for _, rec := range records {
 		a.record, a.images = a.record[:0], a.images[:0]
 		for _, ch := range rec.Changes {
@@ -374,11 +350,12 @@ func (a *Agent) Step(now time.Time) error {
 			}
 		}
 		a.word.Begin(rec.TS.Seq)
-		if err := txn.Apply(len(a.record), func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) {
+		if err = txn.Apply(len(a.record), func(i int) (*storage.Table, sqltypes.Row, sqltypes.Row) {
 			return a.record[i].tbl, a.record[i].old, a.record[i].new
 		}); err != nil {
 			a.word.End(a.lastSeq)
-			return fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
+			err = fmt.Errorf("repl: region %d applying seq %d: %w", a.Region.ID, rec.TS.Seq, err)
+			break
 		}
 		for _, ch := range rec.Changes {
 			if ch.Table == a.hbTable {
@@ -386,21 +363,24 @@ func (a *Agent) Step(now time.Time) error {
 			}
 		}
 		a.word.End(rec.TS.Seq)
-		rowsApplied += int64(len(a.record))
+		rows += int64(len(a.record))
+		txns++
 		a.lastSeq = rec.TS.Seq
-		a.applied++
 	}
-	if a.mApply != nil && len(records) > 0 {
+	// What applied is counted on both exits: a record that fails leaves
+	// the ones before it applied.
+	if txns > 0 {
 		a.mApply.ObserveDuration(a.clock.Now().Sub(applyStart))
-		a.mTxns.Add(int64(len(records)))
-		a.mRows.Add(rowsApplied)
-	}
-	if len(records) > 0 {
+		a.mTxns.Add(txns)
+		a.mRows.Add(rows)
 		a.cursor.Applied(a.lastSeq)
 		a.tracer.Event(obs.EventReplApply)
 	}
 	if cap(a.record) > keepChanges {
 		a.record, a.images = nil, nil
+	}
+	if err != nil {
+		return err
 	}
 	a.lastProgress = now
 	return nil
@@ -423,17 +403,12 @@ func (a *Agent) applyHeartbeat(ch txn.Change, now time.Time) {
 		return // a delete, or another region's heartbeat row
 	}
 	ts := ch.New[1].Time()
-	if a.mHbAge != nil {
-		// Heartbeat age at apply time: how long the beat spent in flight
-		// (simulated clock), i.e. the propagation delay the region saw.
-		a.mHbAge.SetDuration(now.Sub(ts))
-	}
+	// Heartbeat age at apply time: how long the beat spent in flight
+	// (simulated clock), i.e. the propagation delay the region saw.
+	a.mHbAge.SetDuration(now.Sub(ts))
 	a.word.Heartbeat(ts)
 }
 
-// TransactionsApplied returns how many commits the agent has replayed.
-func (a *Agent) TransactionsApplied() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.applied
-}
+// TransactionsApplied returns how many commits the agent has replayed: its
+// repl_txns_applied_total{region} count.
+func (a *Agent) TransactionsApplied() int64 { return a.mTxns.Value() }

@@ -97,9 +97,8 @@ func TestSetIntervalTakesEffectNextTick(t *testing.T) {
 // does not cause spurious restarts and shrinking it tightens supervision.
 func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	f := newFixture(t, nil)
-	wd := NewWatchdog(f.agent)
 	reg := obs.NewRegistry()
-	wd.Instrument(reg)
+	wd := NewWatchdog(f.agent, reg)
 
 	if err := f.agent.Step(t0.Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	if err := wd.Check(t0.Add(35 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if f.agent.Restarts() != 0 {
+	if wd.Restarts() != 0 {
 		t.Fatal("restarted under the default threshold")
 	}
 
@@ -119,7 +118,7 @@ func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	if err := wd.Check(t0.Add(100 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if f.agent.Restarts() != 0 {
+	if wd.Restarts() != 0 {
 		t.Fatal("spurious restart after growing the interval")
 	}
 	if got := reg.Snapshot().Gauges[`repl_agent_lag_ns{region="1"}`]; got != int64(90*time.Second) {
@@ -132,8 +131,8 @@ func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	if err := wd.Check(t0.Add(104 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if f.agent.Restarts() != 1 {
-		t.Fatalf("restarts = %d, want 1 under the shrunk threshold", f.agent.Restarts())
+	if wd.Restarts() != 1 {
+		t.Fatalf("restarts = %d, want 1 under the shrunk threshold", wd.Restarts())
 	}
 	if got := f.agent.LastProgress(); !got.Equal(t0.Add(104 * time.Second)) {
 		t.Fatalf("catch-up step progress = %v", got)
@@ -146,7 +145,7 @@ func TestWatchdogThresholdFollowsRetune(t *testing.T) {
 	if err := wd.Check(t0.Add(105 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if f.agent.Restarts() != 1 {
+	if wd.Restarts() != 1 {
 		t.Fatal("re-restarted immediately after recovery")
 	}
 }

@@ -20,7 +20,6 @@ type Watchdog struct {
 	mu       sync.Mutex
 	baseline time.Time // first-check fallback when the agent never stepped
 
-	// Metrics, bound by Instrument; nil means the watchdog runs unmetered.
 	mRestarts *obs.Counter // repl_agent_restarts_total{region}
 	mLag      *obs.Gauge   // repl_agent_lag_ns{region}
 }
@@ -30,23 +29,20 @@ type Watchdog struct {
 const stallFactor = 3
 
 // NewWatchdog supervises agent: it restarts the agent after stallFactor of
-// the agent's update intervals without progress.
-func NewWatchdog(agent *Agent) *Watchdog {
-	return &Watchdog{agent: agent}
+// the agent's update intervals without progress. reg receives its
+// per-region restart counter and propagation-lag gauge.
+func NewWatchdog(agent *Agent, reg *obs.Registry) *Watchdog {
+	label := strconv.Itoa(agent.Region.ID)
+	return &Watchdog{
+		agent:     agent,
+		mRestarts: reg.CounterVec("repl_agent_restarts_total", "region").With(label),
+		mLag:      reg.GaugeVec("repl_agent_lag_ns", "region").With(label),
+	}
 }
 
-// Instrument binds the watchdog's metrics to a registry: per-region restart
-// counter and propagation-lag gauge.
-func (w *Watchdog) Instrument(reg *obs.Registry) {
-	label := strconv.Itoa(w.agent.Region.ID)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mRestarts = reg.CounterVec("repl_agent_restarts_total", "region").With(label)
-	w.mLag = reg.GaugeVec("repl_agent_lag_ns", "region").With(label)
-}
-
-// Agent returns the supervised agent.
-func (w *Watchdog) Agent() *Agent { return w.agent }
+// Restarts returns how many times the watchdog has restarted its agent, the
+// agent's only restarter: its repl_agent_restarts_total{region} count.
+func (w *Watchdog) Restarts() int64 { return w.mRestarts.Value() }
 
 // stallThreshold resolves the restart threshold at check time from the
 // agent's effective interval, so a retuned agent is judged against the
@@ -73,27 +69,20 @@ func (w *Watchdog) Check(now time.Time) error {
 		}
 		last = w.baseline
 	}
-	mLag, mRestarts := w.mLag, w.mRestarts
 	w.mu.Unlock()
 
 	lag := now.Sub(last)
-	if mLag != nil {
-		mLag.SetDuration(lag)
-	}
+	w.mLag.SetDuration(lag)
 	if lag < w.stallThreshold() {
 		return nil
 	}
 	w.agent.Restart(now)
-	if mRestarts != nil {
-		mRestarts.Inc()
-	}
+	w.mRestarts.Inc()
 	// Catch up immediately: a restarted agent's first act is a propagation
 	// step, which also resets the lag signal.
 	if err := w.agent.Step(now); err != nil {
 		return err
 	}
-	if mLag != nil {
-		mLag.SetDuration(now.Sub(w.agent.LastProgress()))
-	}
+	w.mLag.SetDuration(now.Sub(w.agent.LastProgress()))
 	return nil
 }

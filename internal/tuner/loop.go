@@ -99,14 +99,15 @@ type Decision struct {
 	Reason string `json:"reason"`
 }
 
-// regionState is the loop's per-actuator bookkeeping.
+// regionState is the loop's per-actuator bookkeeping. retunes and held are
+// the region's tuner_retunes_total and tuner_held_total children, registered
+// by the region's first decision of that kind (nil until then), so a region
+// the loop never decided on adds no series.
 type regionState struct {
-	act     RegionActuator
-	retunes int64
-	held    int64
-
-	label   string
-	mTarget *obs.Gauge
+	act           RegionActuator
+	label         string
+	retunes, held *obs.Counter
+	mTarget       *obs.Gauge
 }
 
 // Loop is the closed-loop autotuner: each Tick cuts one window of per-region
@@ -132,20 +133,17 @@ type Loop struct {
 }
 
 // NewLoop builds a loop ticking every cadence over the window cut, with zero
-// registered regions. reg, when non-nil, receives the loop's metrics.
+// registered regions. reg receives the loop's metrics.
 func NewLoop(cadence time.Duration, cut func(now time.Time) []obs.WorkloadProfile, reg *obs.Registry) *Loop {
-	l := &Loop{
+	return &Loop{
 		cadence:   cadence,
 		cut:       cut,
+		mRetunes:  reg.CounterVec("tuner_retunes_total", "region"),
+		mHeld:     reg.CounterVec("tuner_held_total", "region"),
+		mTarget:   reg.GaugeVec("tuner_target_interval_ns", "region"),
 		regions:   map[int]*regionState{},
 		decisions: obs.NewRing[Decision](ringSize),
 	}
-	if reg != nil {
-		l.mRetunes = reg.CounterVec("tuner_retunes_total", "region")
-		l.mHeld = reg.CounterVec("tuner_held_total", "region")
-		l.mTarget = reg.GaugeVec("tuner_target_interval_ns", "region")
-	}
-	return l
 }
 
 // Cadence returns the loop's tick interval.
@@ -161,10 +159,8 @@ func (l *Loop) AddRegion(act RegionActuator) {
 		return
 	}
 	rs := &regionState{act: act, label: strconv.Itoa(id)}
-	if l.mTarget != nil {
-		rs.mTarget = l.mTarget.With(rs.label)
-		rs.mTarget.SetDuration(act.Interval())
-	}
+	rs.mTarget = l.mTarget.With(rs.label)
+	rs.mTarget.SetDuration(act.Interval())
 	l.regions[id] = rs
 }
 
@@ -209,14 +205,7 @@ func (l *Loop) decideLocked(now time.Time, rs *regionState, p obs.WorkloadProfil
 		d.Reason = reason
 		d.AppliedIntervalNS = int64(prev)
 		d.HeartbeatNS = int64(rs.act.HeartbeatInterval())
-		rs.held++
-		if l.mHeld != nil {
-			l.mHeld.With(rs.label).Inc()
-		}
-		if rs.mTarget != nil {
-			rs.mTarget.SetDuration(prev)
-		}
-		l.recordLocked(d)
+		l.recordLocked(rs, d)
 	}
 
 	if p.Queries < minSamples {
@@ -283,14 +272,7 @@ func (l *Loop) decideLocked(now time.Time, rs *regionState, p obs.WorkloadProfil
 	d.Reason = reason
 	d.AppliedIntervalNS = int64(applied)
 	d.HeartbeatNS = int64(hb)
-	rs.retunes++
-	if l.mRetunes != nil {
-		l.mRetunes.With(rs.label).Inc()
-	}
-	if rs.mTarget != nil {
-		rs.mTarget.SetDuration(applied)
-	}
-	l.recordLocked(d)
+	l.recordLocked(rs, d)
 }
 
 // clampHeartbeat derives the heartbeat cadence for an interval: a fraction
@@ -330,8 +312,19 @@ func relDiff(a, b time.Duration) float64 {
 	return float64(diff) / float64(b)
 }
 
-// recordLocked publishes the decision on the bounded timeline.
-func (l *Loop) recordLocked(d Decision) {
+// recordLocked counts the decision as its region's retune or hold, points
+// the region's target gauge at the interval it leaves, and publishes it on
+// the bounded timeline.
+func (l *Loop) recordLocked(rs *regionState, d Decision) {
+	c, family := &rs.held, l.mHeld
+	if d.Applied {
+		c, family = &rs.retunes, l.mRetunes
+	}
+	if *c == nil {
+		*c = family.With(rs.label)
+	}
+	(*c).Inc()
+	rs.mTarget.Set(d.AppliedIntervalNS)
 	if d.Bounds == nil {
 		d.Bounds = []obs.BoundCount{}
 	}
@@ -384,6 +377,12 @@ func (l *Loop) Snapshot() Snapshot {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	count := func(c *obs.Counter) int64 { // 0 before the region's first such decision
+		if c == nil {
+			return 0
+		}
+		return c.Value()
+	}
 	for _, id := range ids {
 		rs := l.regions[id]
 		snap.Regions = append(snap.Regions, RegionTunerState{
@@ -391,8 +390,8 @@ func (l *Loop) Snapshot() Snapshot {
 			IntervalNS:  int64(rs.act.Interval()),
 			HeartbeatNS: int64(rs.act.HeartbeatInterval()),
 			DelayNS:     int64(rs.act.Delay()),
-			Retunes:     rs.retunes,
-			Held:        rs.held,
+			Retunes:     count(rs.retunes),
+			Held:        count(rs.held),
 		})
 	}
 	return snap

@@ -61,7 +61,7 @@ func TestLoopMaxStepThenConverge(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -138,7 +138,7 @@ func TestLoopMaxStepUpward(t *testing.T) {
 		Bounds: []obs.BoundCount{{BoundNS: int64(30 * time.Minute), Count: 40}},
 	}
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{loose}}}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: time.Second, hb: 100 * time.Millisecond}
 	l.AddRegion(act)
@@ -167,7 +167,7 @@ func TestLoopHolds(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{
 		{thin}, {unbounded}, {idle}, {unknown},
 	}}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
@@ -207,10 +207,10 @@ func TestLoopHolds(t *testing.T) {
 // is not applied even though it differs.
 func TestLoopDeadBandHold(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	// Pre-seed the actuator 10% away from where the solver will land: within
 	// the 15% dead-band.
-	probe := NewLoop(DefaultCadence, (&fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}).Cut, nil)
+	probe := NewLoop(DefaultCadence, (&fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}).Cut, obs.NewRegistry())
 	pact := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 3 * time.Second, hb: 300 * time.Millisecond}
 	probe.AddRegion(pact)
@@ -241,7 +241,7 @@ func TestLoopRingCap(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ob.windows = append(ob.windows, []obs.WorkloadProfile{tightProfile(1)})
 	}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	l.decisions = obs.NewRing[Decision](4)
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
@@ -264,7 +264,9 @@ func TestLoopRingCap(t *testing.T) {
 	}
 }
 
-// TestLoopMetrics: decisions move the tuner_* instruments on the registry.
+// TestLoopMetrics: decisions move the tuner_* instruments on the registry,
+// and /tuner's per-region counts are those counters. A region no window
+// profiles (region 2) adds no retune or hold series and reads 0 and 0.
 func TestLoopMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{
@@ -276,6 +278,7 @@ func TestLoopMetrics(t *testing.T) {
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)
+	l.AddRegion(&fakeActuator{region: 2, interval: 60 * time.Second, hb: time.Second})
 	now := loopAt(t)
 	for i := 0; i < 2; i++ {
 		now = now.Add(10 * time.Second)
@@ -283,7 +286,16 @@ func TestLoopMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rows := l.Snapshot().Regions
+	if len(rows) != 2 || rows[0].Retunes != 1 || rows[0].Held != 1 || rows[1].Retunes != 0 || rows[1].Held != 0 {
+		t.Errorf("/tuner regions = %+v, want region 1 with 1 retune and 1 hold, region 2 with none", rows)
+	}
 	snap := reg.Snapshot()
+	for _, name := range []string{`tuner_retunes_total{region="2"}`, `tuner_held_total{region="2"}`} {
+		if _, ok := snap.Counters[name]; ok {
+			t.Errorf("%s registered for a region the loop never decided on", name)
+		}
+	}
 	if got := snap.Counters[`tuner_retunes_total{region="1"}`]; got != 1 {
 		t.Errorf("tuner_retunes_total = %d, want 1", got)
 	}
@@ -318,7 +330,7 @@ func requireKeys(t *testing.T, obj map[string]any, want ...string) {
 // bench snapshotters scrape.
 func TestTunerEndpointSchema(t *testing.T) {
 	ob := &fakeObserver{windows: [][]obs.WorkloadProfile{{tightProfile(1)}}}
-	l := NewLoop(DefaultCadence, ob.Cut, nil)
+	l := NewLoop(DefaultCadence, ob.Cut, obs.NewRegistry())
 	act := &fakeActuator{region: 1, delay: 500 * time.Millisecond,
 		interval: 60 * time.Second, hb: time.Second}
 	l.AddRegion(act)

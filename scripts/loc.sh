@@ -11,9 +11,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 spine='mtcache obs audit core tuner'
-ceilings="the total outside bench/|25851|all
+ceilings="the total outside bench/|25705|all
 internal/exec|3811|exec
-the spine ($spine)|4504|$spine
+the spine ($spine)|4394|$spine
 internal/harness|2757|harness
 internal/analysis|1361|analysis
 internal/opt|3267|opt
@@ -21,7 +21,7 @@ internal/sqlparser|2243|sqlparser
 internal/sqltypes|1388|sqltypes
 the store (storage + btree)|1094|storage btree
 internal/backend|769|backend
-internal/repl|694|repl
+internal/repl|658|repl
 internal/remote|375|remote"
 
 declare -A lines=([all]=0)
